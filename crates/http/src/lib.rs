@@ -44,10 +44,10 @@ pub mod results;
 
 pub use results::{sparql_json, sparql_tsv};
 
-use amber_obs::Counter;
+use amber_obs::{Counter, Histogram};
 use amber_serve::{ServeReport, Server, SubmitOptions};
 use amber_util::http::{parse_form, parse_request_head, split_target, HttpParseError, RequestHead};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -57,6 +57,16 @@ use std::time::{Duration, Instant};
 /// How often a connection thread wakes from a blocked read to check the
 /// drain flag (also the granularity of [`HttpConfig::read_deadline`]).
 const POLL_INTERVAL: Duration = Duration::from_millis(250);
+
+/// A connection keeps its response body buffer between requests, cleared
+/// but not freed, so a large answer is written into pages that are
+/// already mapped. Above this capacity the buffer is released instead, so
+/// one outlier answer does not pin its memory for the connection's life.
+const MAX_RETAINED_BODY_BYTES: usize = 8 << 20;
+
+/// First allocation of a connection's request buffer (it doubles from
+/// here, up to the configured head + body ceiling).
+const REQUEST_BUF_START: usize = 4096;
 
 /// Front-end registry handles, resolved once per process (the underlying
 /// registry interns by name+labels; caching skips the intern lock).
@@ -68,6 +78,8 @@ struct HttpMetrics {
     ok: Arc<Counter>,
     client_error: Arc<Counter>,
     server_error: Arc<Counter>,
+    response_bytes: Arc<Counter>,
+    serialize_us: Arc<Histogram>,
 }
 
 fn http_metrics() -> &'static HttpMetrics {
@@ -79,6 +91,8 @@ fn http_metrics() -> &'static HttpMetrics {
         ok: amber_obs::counter("amber_http_responses_total", &[("class", "2xx")]),
         client_error: amber_obs::counter("amber_http_responses_total", &[("class", "4xx")]),
         server_error: amber_obs::counter("amber_http_responses_total", &[("class", "5xx")]),
+        response_bytes: amber_obs::counter("amber_http_response_bytes_total", &[]),
+        serialize_us: amber_obs::histogram("amber_http_serialize_us", &[]),
     })
 }
 
@@ -219,8 +233,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
             continue;
         }
-        // Responses are written as two small bursts (head, body); without
-        // NODELAY, Nagle against delayed ACKs costs ~40 ms per exchange.
+        // A response is one write, but its last partial segment would
+        // still wait under Nagle for the client's (delayed) ACK of the
+        // ones before it, ~40 ms per exchange.
         let _ = stream.set_nodelay(true);
         let conn_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
@@ -247,26 +262,61 @@ enum ReadStep {
     DrainIdle,
 }
 
+/// The bytes received on a connection and not yet consumed. `data` is
+/// kept initialized past `filled` so the socket reads straight into it —
+/// no bounce buffer, and the zeroing is paid once per growth rather than
+/// once per read.
+#[derive(Default)]
+struct RequestBuf {
+    data: Vec<u8>,
+    filled: usize,
+}
+
+impl RequestBuf {
+    fn bytes(&self) -> &[u8] {
+        &self.data[..self.filled]
+    }
+
+    /// The writable tail, doubled first when it is empty (so a body of n
+    /// bytes costs O(log n) growths and reads), never past `limit`.
+    fn spare(&mut self, limit: usize) -> &mut [u8] {
+        if self.filled == self.data.len() {
+            let grown = (self.data.len() * 2).max(REQUEST_BUF_START);
+            self.data.resize(grown.min(limit), 0);
+        }
+        &mut self.data[self.filled..]
+    }
+
+    /// Drop the first `n` bytes (one answered request), keeping whatever
+    /// the client pipelined behind them.
+    fn consume(&mut self, n: usize) {
+        self.data.copy_within(n..self.filled, 0);
+        self.filled -= n;
+    }
+}
+
 /// Block (at [`POLL_INTERVAL`] granularity) until more request bytes
 /// arrive, the connection dies, the drain flag trips on an idle
 /// connection, or a partial request exceeds the read deadline.
 fn read_step(
     stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
+    buf: &mut RequestBuf,
     shared: &Shared,
     started: &mut Option<Instant>,
 ) -> ReadStep {
-    let mut tmp = [0u8; 4096];
+    // One byte past the head ceiling even with `max_body_bytes == 0`, so
+    // an unterminated head can always grow into its 431.
+    let limit = shared.config.max_head_bytes + shared.config.max_body_bytes.max(1);
     loop {
-        match stream.read(&mut tmp) {
+        match stream.read(buf.spare(limit)) {
             Ok(0) => return ReadStep::Closed,
             Ok(n) => {
                 started.get_or_insert_with(Instant::now);
-                buf.extend_from_slice(&tmp[..n]);
+                buf.filled += n;
                 return ReadStep::Progress;
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if buf.is_empty() && shared.draining.load(Ordering::SeqCst) {
+                if buf.filled == 0 && shared.draining.load(Ordering::SeqCst) {
                     return ReadStep::DrainIdle;
                 }
                 if let Some(started) = started {
@@ -281,13 +331,27 @@ fn read_step(
     }
 }
 
+/// The two buffers a connection thread answers from, reused across its
+/// requests: cleared, not freed (see [`MAX_RETAINED_BODY_BYTES`]).
+#[derive(Default)]
+struct ResponseBufs {
+    head: String,
+    body: String,
+}
+
 fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
-    let mut buf: Vec<u8> = Vec::new();
+    let mut buf = RequestBuf::default();
+    let mut out = ResponseBufs::default();
+    // Any failure to receive a whole request answers once and hangs up.
+    let refuse = |stream: &mut TcpStream, out: &mut ResponseBufs, status: u16, message: &str| {
+        let response = Response::error(&mut out.body, status, message);
+        respond_and_count(stream, out, &response, false);
+    };
     loop {
         // Phase 1: accumulate one full request head.
-        let mut started: Option<Instant> = (!buf.is_empty()).then(Instant::now);
+        let mut started: Option<Instant> = (buf.filled > 0).then(Instant::now);
         let (head, consumed) = loop {
-            match parse_request_head(&buf, shared.config.max_head_bytes) {
+            match parse_request_head(buf.bytes(), shared.config.max_head_bytes) {
                 Ok(Some(parsed)) => break parsed,
                 Ok(None) => {}
                 Err(e) => {
@@ -296,87 +360,86 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                         HttpParseError::UnsupportedVersion => 505,
                         _ => 400,
                     };
-                    respond_and_count(&mut stream, &Response::error(status, &e.to_string()), false);
-                    return;
+                    return refuse(&mut stream, &mut out, status, &e.to_string());
                 }
             }
             match read_step(&mut stream, &mut buf, &shared, &mut started) {
                 ReadStep::Progress => {}
                 ReadStep::Closed | ReadStep::DrainIdle => return,
                 ReadStep::Deadline => {
-                    respond_and_count(
-                        &mut stream,
-                        &Response::error(408, "request not received in time"),
-                        false,
-                    );
-                    return;
+                    return refuse(&mut stream, &mut out, 408, "request not received in time")
                 }
             }
         };
         // Phase 2: the declared body.
         let body_len = match head.content_length() {
             Ok(len) => len.unwrap_or(0),
-            Err(e) => {
-                respond_and_count(&mut stream, &Response::error(400, &e.to_string()), false);
-                return;
-            }
+            Err(e) => return refuse(&mut stream, &mut out, 400, &e.to_string()),
         };
         if body_len > shared.config.max_body_bytes {
-            respond_and_count(
-                &mut stream,
-                &Response::error(413, "request body too large"),
-                false,
-            );
-            return;
+            return refuse(&mut stream, &mut out, 413, "request body too large");
         }
-        while buf.len() < consumed + body_len {
+        let request_len = consumed + body_len;
+        while buf.filled < request_len {
             match read_step(&mut stream, &mut buf, &shared, &mut started) {
                 ReadStep::Progress => {}
                 ReadStep::Closed | ReadStep::DrainIdle => return,
                 ReadStep::Deadline => {
-                    respond_and_count(
+                    return refuse(
                         &mut stream,
-                        &Response::error(408, "request body not received in time"),
-                        false,
-                    );
-                    return;
+                        &mut out,
+                        408,
+                        "request body not received in time",
+                    )
                 }
             }
         }
         // Phase 3: dispatch and answer.
-        let response = handle_request(&shared, &head, &buf[consumed..consumed + body_len]);
+        out.body.clear();
+        let response = handle_request(
+            &shared,
+            &head,
+            &buf.bytes()[consumed..request_len],
+            &mut out.body,
+        );
         let close = head.wants_close() || shared.draining.load(Ordering::SeqCst);
-        respond_and_count(&mut stream, &response, !close);
+        respond_and_count(&mut stream, &mut out, &response, !close);
         if close {
             return;
         }
-        buf.drain(..consumed + body_len);
+        if out.body.capacity() > MAX_RETAINED_BODY_BYTES {
+            out.body = String::new();
+        }
+        buf.consume(request_len);
     }
 }
 
-/// One response, ready to write.
+/// Status line and headers of one response; its body is in the
+/// connection's [`ResponseBufs::body`].
 struct Response {
     status: u16,
     content_type: &'static str,
-    body: String,
     extra: Vec<(&'static str, String)>,
 }
 
 impl Response {
-    fn ok(content_type: &'static str, body: String) -> Self {
+    /// A `200` whose body the caller has written into the body buffer.
+    fn ok(content_type: &'static str) -> Self {
         Response {
             status: 200,
             content_type,
-            body,
             extra: Vec::new(),
         }
     }
 
-    fn error(status: u16, message: &str) -> Self {
+    /// A plain-text failure; `message` replaces whatever `body` held.
+    fn error(body: &mut String, status: u16, message: &str) -> Self {
+        body.clear();
+        body.push_str(message);
+        body.push('\n');
         Response {
             status,
             content_type: "text/plain; charset=utf-8",
-            body: format!("{message}\n"),
             extra: Vec::new(),
         }
     }
@@ -390,8 +453,8 @@ impl Response {
     /// from [`amber::Error::status_code`], a `Retry-After` (whole
     /// seconds, rounded up) when [`amber::Error::retry_after`] carries a
     /// hint, the `Display` text as the body.
-    fn from_error(e: &amber::Error) -> Self {
-        let mut response = Response::error(e.status_code(), &e.to_string());
+    fn from_error(body: &mut String, e: &amber::Error) -> Self {
+        let mut response = Response::error(body, e.status_code(), &e.to_string());
         if let Some(hint) = e.retry_after() {
             let secs = hint.as_secs() + u64::from(hint.subsec_nanos() > 0);
             response = response.with_header("Retry-After", secs.max(1).to_string());
@@ -419,7 +482,30 @@ fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-fn respond_and_count(stream: &mut TcpStream, response: &Response, keep_alive: bool) {
+fn respond_and_count(
+    stream: &mut TcpStream,
+    out: &mut ResponseBufs,
+    response: &Response,
+    keep_alive: bool,
+) {
+    use std::fmt::Write as _;
+    out.head.clear();
+    let _ = write!(
+        out.head,
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
+        response.status,
+        reason_phrase(response.status),
+        response.content_type,
+        out.body.len(),
+    );
+    for (name, value) in &response.extra {
+        let _ = write!(out.head, "{name}: {value}\r\n");
+    }
+    let _ = write!(
+        out.head,
+        "Connection: {}\r\n\r\n",
+        if keep_alive { "keep-alive" } else { "close" }
+    );
     if amber_obs::obs_enabled() {
         let metrics = http_metrics();
         match response.status {
@@ -427,39 +513,37 @@ fn respond_and_count(stream: &mut TcpStream, response: &Response, keep_alive: bo
             400..=499 => metrics.client_error.inc(),
             _ => metrics.server_error.inc(),
         }
+        metrics
+            .response_bytes
+            .add((out.head.len() + out.body.len()) as u64);
     }
-    let _ = write_response(stream, response, keep_alive);
+    let _ = write_response(stream, out.head.as_bytes(), out.body.as_bytes());
 }
 
-fn write_response(
-    stream: &mut TcpStream,
-    response: &Response,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    use std::fmt::Write as _;
-    let mut head = String::with_capacity(160);
-    let _ = write!(
-        head,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
-        response.status,
-        reason_phrase(response.status),
-        response.content_type,
-        response.body.len(),
-    );
-    for (name, value) in &response.extra {
-        let _ = write!(head, "{name}: {value}\r\n");
+/// Send head and body with one vectored write (one syscall, and under
+/// `TCP_NODELAY` one burst instead of a lone head segment followed by the
+/// body). A body larger than the socket buffer is accepted in pieces: the
+/// loop resumes from wherever the kernel stopped.
+fn write_response(stream: &mut impl Write, head: &[u8], body: &[u8]) -> std::io::Result<()> {
+    let total = head.len() + body.len();
+    let mut sent = 0;
+    while sent < total {
+        let written = if sent < head.len() {
+            stream.write_vectored(&[IoSlice::new(&head[sent..]), IoSlice::new(body)])
+        } else {
+            stream.write(&body[sent - head.len()..])
+        };
+        match written {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    let _ = write!(
-        head,
-        "Connection: {}\r\n\r\n",
-        if keep_alive { "keep-alive" } else { "close" }
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(response.body.as_bytes())?;
-    stream.flush()
+    Ok(())
 }
 
-fn handle_request(shared: &Shared, head: &RequestHead, body: &[u8]) -> Response {
+fn handle_request(shared: &Shared, head: &RequestHead, body: &[u8], out: &mut String) -> Response {
     let (path, raw_query) = split_target(&head.target);
     let obs = amber_obs::obs_enabled();
     match path {
@@ -467,19 +551,19 @@ fn handle_request(shared: &Shared, head: &RequestHead, body: &[u8]) -> Response 
             if obs {
                 http_metrics().sparql.inc();
             }
-            sparql_endpoint(shared, head, raw_query, body)
+            sparql_endpoint(shared, head, raw_query, body, out)
         }
         "/metrics" => {
             if obs {
                 http_metrics().metrics.inc();
             }
-            metrics_endpoint(shared, head)
+            metrics_endpoint(shared, head, out)
         }
         _ => {
             if obs {
                 http_metrics().other.inc();
             }
-            Response::error(404, "no such resource (try /sparql or /metrics)")
+            Response::error(out, 404, "no such resource (try /sparql or /metrics)")
         }
     }
 }
@@ -520,6 +604,7 @@ fn sparql_endpoint(
     head: &RequestHead,
     raw_query: Option<&str>,
     body: &[u8],
+    out: &mut String,
 ) -> Response {
     // Parameters come from the URL's query string for every method, plus
     // the body for `POST` with a form body. A direct
@@ -530,13 +615,14 @@ fn sparql_endpoint(
         "GET" => {}
         "POST" => {
             let Ok(text) = std::str::from_utf8(body) else {
-                return Response::error(400, "request body is not UTF-8");
+                return Response::error(out, 400, "request body is not UTF-8");
             };
             match head.media_type().as_deref() {
                 Some("application/x-www-form-urlencoded") => params.extend(parse_form(text)),
                 Some("application/sparql-query") => direct_query = Some(text),
                 _ => {
                     return Response::error(
+                        out,
                         415,
                         "POST /sparql takes application/x-www-form-urlencoded \
                          or application/sparql-query",
@@ -545,7 +631,7 @@ fn sparql_endpoint(
             }
         }
         _ => {
-            return Response::error(405, "use GET or POST")
+            return Response::error(out, 405, "use GET or POST")
                 .with_header("Allow", "GET, POST".to_string())
         }
     }
@@ -553,7 +639,7 @@ fn sparql_endpoint(
         Some(text) => text,
         None => match params.iter().find(|(k, _)| k == "query") {
             Some((_, v)) => v.as_str(),
-            None => return Response::error(400, "missing required `query` parameter"),
+            None => return Response::error(out, 400, "missing required `query` parameter"),
         },
     };
     let mut opts = SubmitOptions::new();
@@ -561,12 +647,17 @@ fn sparql_endpoint(
         match raw.parse::<u64>() {
             Ok(ms) if ms > 0 => opts = opts.with_budget(Duration::from_millis(ms)),
             _ => {
-                return Response::error(400, "`timeout` must be a positive integer (milliseconds)")
+                return Response::error(
+                    out,
+                    400,
+                    "`timeout` must be a positive integer (milliseconds)",
+                )
             }
         }
     }
     let Some(format) = negotiate(head.header("accept")) else {
         return Response::error(
+            out,
             406,
             "supported result formats: application/sparql-results+json, \
              text/tab-separated-values",
@@ -582,35 +673,43 @@ fn sparql_endpoint(
         let guard = shared.server.lock().unwrap_or_else(|e| e.into_inner());
         match guard.as_ref() {
             Some(server) => server.submit_sparql_with(tenant, query, opts),
-            None => return Response::from_error(&amber::Error::ShuttingDown),
+            None => return Response::from_error(out, &amber::Error::ShuttingDown),
         }
     };
     match submitted.and_then(|ticket| ticket.wait()) {
-        Ok(outcome) => match format {
-            Format::Json => Response::ok(
-                "application/sparql-results+json",
-                results::sparql_json(&outcome),
-            ),
-            Format::Tsv => Response::ok(
-                "text/tab-separated-values; charset=utf-8",
-                results::sparql_tsv(&outcome),
-            ),
-        },
-        Err(e) => Response::from_error(&amber::Error::from(e)),
+        Ok(outcome) => {
+            let started = amber_obs::obs_enabled().then(Instant::now);
+            let content_type = match format {
+                Format::Json => {
+                    results::sparql_json_into(out, &outcome);
+                    "application/sparql-results+json"
+                }
+                Format::Tsv => {
+                    results::sparql_tsv_into(out, &outcome);
+                    "text/tab-separated-values; charset=utf-8"
+                }
+            };
+            if let Some(started) = started {
+                let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+                http_metrics().serialize_us.observe(us);
+            }
+            Response::ok(content_type)
+        }
+        Err(e) => Response::from_error(out, &amber::Error::from(e)),
     }
 }
 
-fn metrics_endpoint(shared: &Shared, head: &RequestHead) -> Response {
+fn metrics_endpoint(shared: &Shared, head: &RequestHead, out: &mut String) -> Response {
     if head.method != "GET" {
-        return Response::error(405, "use GET").with_header("Allow", "GET".to_string());
+        return Response::error(out, 405, "use GET").with_header("Allow", "GET".to_string());
     }
     let guard = shared.server.lock().unwrap_or_else(|e| e.into_inner());
     match guard.as_ref() {
-        Some(server) => Response::ok(
-            "text/plain; version=0.0.4",
-            server.metrics_snapshot().render_prometheus(),
-        ),
-        None => Response::from_error(&amber::Error::ShuttingDown),
+        Some(server) => {
+            out.push_str(&server.metrics_snapshot().render_prometheus());
+            Response::ok("text/plain; version=0.0.4")
+        }
+        None => Response::from_error(out, &amber::Error::ShuttingDown),
     }
 }
 
@@ -962,6 +1061,14 @@ mod tests {
             body.contains("amber_http_requests_total{endpoint=\"sparql\"}"),
             "{body}"
         );
+        // The wire path reports what it sent and what serializing cost:
+        // the 200 above is at least its head plus one JSON body.
+        let sent = body
+            .lines()
+            .find_map(|l| l.strip_prefix("amber_http_response_bytes_total "))
+            .and_then(|v| v.parse::<u64>().ok());
+        assert!(sent.is_some_and(|v| v > 100), "{body}");
+        assert!(body.contains("amber_http_serialize_us_count"), "{body}");
         // Same renderer as the embedded snapshot.
         let direct = http
             .with_server(|s| s.metrics_snapshot().render_prometheus())
@@ -1006,6 +1113,117 @@ mod tests {
         let mut rest = Vec::new();
         stream.read_to_end(&mut rest).unwrap();
         assert!(rest.is_empty(), "server must close after Connection: close");
+        http.shutdown();
+    }
+
+    #[test]
+    fn partial_writes_resume_where_the_kernel_stopped() {
+        /// Accepts at most `step` bytes per call, across both slices of a
+        /// vectored write, and fails the first call with `Interrupted`.
+        struct Trickle {
+            step: usize,
+            calls: usize,
+            got: Vec<u8>,
+        }
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.write_vectored(&[IoSlice::new(buf)])
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+                self.calls += 1;
+                if self.calls == 1 {
+                    return Err(ErrorKind::Interrupted.into());
+                }
+                let mut left = self.step;
+                for buf in bufs {
+                    let n = left.min(buf.len());
+                    self.got.extend_from_slice(&buf[..n]);
+                    left -= n;
+                }
+                Ok(self.step - left)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let (head, body) = (b"HEAD-BYTES\r\n\r\n".as_slice(), b"the body".as_slice());
+        // Steps that end inside the head, on its last byte, inside the
+        // body, and past everything at once.
+        for step in [1, 3, head.len(), head.len() + 2, 1000] {
+            let mut sink = Trickle {
+                step,
+                calls: 0,
+                got: Vec::new(),
+            };
+            write_response(&mut sink, head, body).unwrap();
+            assert_eq!(sink.got, [head, body].concat(), "step {step}");
+        }
+        // A peer that takes nothing is an error, not a spin.
+        let mut stuck = Trickle {
+            step: 0,
+            calls: 0,
+            got: Vec::new(),
+        };
+        let err = write_response(&mut stuck, head, body).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WriteZero);
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order() {
+        let http = start_default();
+        let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        // Two requests in one write: the second waits in the request
+        // buffer behind the first and must survive its removal.
+        let query = format!(
+            "POST /sparql HTTP/1.1\r\nHost: t\r\nContent-Type: application/sparql-query\r\nContent-Length: {}\r\n\r\n{EDGE}",
+            EDGE.len()
+        );
+        let both = format!("{query}GET /nope HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+        stream.write_all(both.as_bytes()).unwrap();
+        let mut wire = String::new();
+        stream.read_to_string(&mut wire).unwrap();
+        let (first, second) = wire
+            .split_once("HTTP/1.1 404 ")
+            .expect("the second request is answered too");
+        assert!(first.starts_with("HTTP/1.1 200 "), "{wire}");
+        assert!(first.ends_with("]}}"), "{wire}");
+        assert!(first.contains("http://e/c"), "{wire}");
+        assert!(second.contains("Connection: close"), "{wire}");
+        http.shutdown();
+    }
+
+    #[test]
+    fn a_body_at_the_ceiling_is_read_whole() {
+        let http = start_default();
+        // The query padded with spaces to exactly `max_body_bytes`, sent
+        // in pieces so the request buffer grows several times mid-body.
+        let max = HttpConfig::default().max_body_bytes;
+        let body = format!("{EDGE}{}", " ".repeat(max - EDGE.len()));
+        let head = format!(
+            "POST /sparql HTTP/1.1\r\nHost: t\r\nContent-Type: application/sparql-query\r\nContent-Length: {max}\r\n\r\n"
+        );
+        let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream.write_all(head.as_bytes()).unwrap();
+        for piece in body.as_bytes().chunks(100_000) {
+            stream.write_all(piece).unwrap();
+        }
+        let (status, _, padded) = read_response(&mut stream);
+        assert_eq!(status, 200, "{padded}");
+        // Same connection, same query unpadded: same answer.
+        let plain = format!(
+            "POST /sparql HTTP/1.1\r\nHost: t\r\nContent-Type: application/sparql-query\r\nContent-Length: {}\r\n\r\n{EDGE}",
+            EDGE.len()
+        );
+        stream.write_all(plain.as_bytes()).unwrap();
+        let (status, _, unpadded) = read_response(&mut stream);
+        assert_eq!(status, 200);
+        assert_eq!(padded, unpadded);
         http.shutdown();
     }
 

@@ -246,43 +246,125 @@ pub fn parse_form(input: &str) -> Vec<(String, String)> {
         .collect()
 }
 
+/// Byte → escape action for [`escape_into`]: `0` passes the byte through,
+/// `b'u'` emits `\u00XX`, anything else is the character that follows the
+/// backslash.
+type EscapeTable = [u8; 256];
+
+/// RFC 8259: quote, backslash, and every control byte (`\n \r \t` short,
+/// the rest as `\u00XX`).
+static JSON_ESCAPES: EscapeTable = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = b'u';
+        b += 1;
+    }
+    table[b'\n' as usize] = b'n';
+    table[b'\r' as usize] = b'r';
+    table[b'\t' as usize] = b't';
+    table[b'"' as usize] = b'"';
+    table[b'\\' as usize] = b'\\';
+    table
+};
+
+/// The Turtle-style string escapes of a SPARQL TSV cell; other control
+/// bytes pass through.
+static TSV_ESCAPES: EscapeTable = {
+    let mut table = [0u8; 256];
+    table[b'\n' as usize] = b'n';
+    table[b'\r' as usize] = b'r';
+    table[b'\t' as usize] = b't';
+    table[b'"' as usize] = b'"';
+    table[b'\\' as usize] = b'\\';
+    table
+};
+
+/// `true` when some byte of `word` is below `0x20`, a `"` or a `\` — a
+/// superset of what either escape table acts on. The classic SWAR
+/// "has a zero byte" / "has a byte less than n" tests: borrows can only
+/// flag a clean byte *above* a genuinely matching one, so the any-byte
+/// answer is exact. Bytes `>= 0x80` (UTF-8 continuation and lead bytes)
+/// never match.
+#[inline]
+fn word_may_need_escape(word: u64) -> bool {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let control = word.wrapping_sub(ONES * 0x20) & !word;
+    let quote = word ^ (ONES * b'"' as u64);
+    let backslash = word ^ (ONES * b'\\' as u64);
+    let quote = quote.wrapping_sub(ONES) & !quote;
+    let backslash = backslash.wrapping_sub(ONES) & !backslash;
+    (control | quote | backslash) & HIGHS != 0
+}
+
+/// Scan-then-bulk-copy escaper: skip eight bytes at a time while
+/// [`word_may_need_escape`] is silent, copy each clean run with one
+/// `push_str`, and look the rare flagged byte up in `table`. Every byte a
+/// table acts on is ASCII, so run boundaries are always `char` boundaries
+/// and multi-byte UTF-8 is copied untouched.
+#[inline]
+fn escape_into(out: &mut String, s: &str, table: &EscapeTable) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    let mut run_start = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        while let Some(word) = bytes[i..].first_chunk::<8>() {
+            if word_may_need_escape(u64::from_le_bytes(*word)) {
+                break;
+            }
+            i += 8;
+        }
+        // A sub-word tail of a string at least one word long: test the
+        // last eight bytes as one (overlapping) word instead of one by one.
+        let clean_tail = bytes.len() - i < 8
+            && bytes
+                .last_chunk::<8>()
+                .is_some_and(|word| !word_may_need_escape(u64::from_le_bytes(*word)));
+        if clean_tail {
+            break;
+        }
+        // A flagged word, or a short string's tail.
+        let stop = bytes.len().min(i + 8);
+        while i < stop {
+            let byte = bytes[i];
+            let action = table[byte as usize];
+            if action != 0 {
+                out.push_str(&s[run_start..i]);
+                if action == b'u' {
+                    out.push_str("\\u00");
+                    out.push(HEX[(byte >> 4) as usize] as char);
+                    out.push(HEX[(byte & 0xf) as usize] as char);
+                } else {
+                    out.push('\\');
+                    out.push(action as char);
+                }
+                run_start = i + 1;
+            }
+            i += 1;
+        }
+    }
+    out.push_str(&s[run_start..]);
+}
+
 /// Append `s` to `out` as the inside of a JSON string literal (RFC 8259
 /// escaping: quote, backslash, and control characters).
 pub fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(out, s, &JSON_ESCAPES);
 }
 
 /// Append `s` to `out` escaped for a SPARQL TSV results cell (the
 /// Turtle-style string escapes: tab, newline, carriage return, quote,
 /// backslash). Everything else passes through verbatim.
 pub fn tsv_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c => out.push(c),
-        }
-    }
+    escape_into(out, s, &TSV_ESCAPES);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn parse(text: &str) -> Result<Option<(RequestHead, usize)>, HttpParseError> {
         parse_request_head(text.as_bytes(), 8192)
@@ -434,6 +516,111 @@ mod tests {
             ]
         );
         assert!(parse_form("").is_empty());
+    }
+
+    /// The char-by-char escapers the bulk kernel replaced, kept as its
+    /// oracle.
+    fn naive_json_escape(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    fn naive_tsv_escape(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '\t' => out.push_str("\\t"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// Both kernels against their oracles, appending behind existing
+    /// content (which must survive).
+    fn assert_escapes_agree(s: &str) {
+        let mut out = String::from("kept:");
+        json_escape_into(&mut out, s);
+        assert_eq!(
+            out,
+            format!("kept:{}", naive_json_escape(s)),
+            "json of {s:?}"
+        );
+        let mut out = String::from("kept:");
+        tsv_escape_into(&mut out, s);
+        assert_eq!(out, format!("kept:{}", naive_tsv_escape(s)), "tsv of {s:?}");
+    }
+
+    /// `bytes` bytes of filler cycled out of `pattern` (whole chars, so a
+    /// multi-byte pattern may stop short).
+    fn filler(pattern: &str, bytes: usize) -> String {
+        let mut out = String::new();
+        for c in pattern.chars().cycle() {
+            if out.len() + c.len_utf8() > bytes {
+                break;
+            }
+            out.push(c);
+        }
+        out
+    }
+
+    #[test]
+    fn every_special_byte_at_every_word_offset() {
+        // Control bytes, the two ASCII specials, and DEL (which neither
+        // format escapes) at offsets 0..16 — every position relative to
+        // the 8-byte word, in the first, a middle and the tail word —
+        // behind ASCII and behind multi-byte text that straddles words.
+        for special in (0u8..0x20).chain([b'"', b'\\', 0x7f]) {
+            for pattern in ["a", "é", "a€", "😀ab"] {
+                for offset in 0..16 {
+                    for tail in 0..18 {
+                        let s = format!(
+                            "{}{}{}",
+                            filler(pattern, offset),
+                            special as char,
+                            filler(pattern, tail)
+                        );
+                        assert_escapes_agree(&s);
+                    }
+                }
+            }
+        }
+        // Adjacent specials, and one per word.
+        assert_escapes_agree("\"\"\\\\\n\n");
+        assert_escapes_agree("aaaaaaa\"aaaaaaa\\aaaaaaa\u{1}aaaaaaa\t");
+        assert_escapes_agree("");
+    }
+
+    const ALPHABET: &[&str] = &[
+        "a", "z", "/", " ", "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{1}", "\u{8}", "\u{c}",
+        "\u{1f}", "\u{7f}", "é", "€", "😀",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn bulk_escapers_match_the_char_by_char_oracle(
+            picks in prop::collection::vec(0..ALPHABET.len(), 0..48)
+        ) {
+            let s: String = picks.into_iter().map(|i| ALPHABET[i]).collect();
+            assert_escapes_agree(&s);
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! spec-shaped SPARQL JSON and TSV bodies byte-identical to the in-process
 //! serializers over the same engine, observes backpressure as
 //! `503 + Retry-After`, scrapes `/metrics`, and the graceful drain pins
-//! the zero-copy counter at 0.
+//! the zero-copy counter at 0. Multi-megabyte bodies arrive whole, and the
+//! buffers a connection reuses between responses leak nothing from one
+//! into the next.
 
 use amber::{AmberEngine, QueryRequest};
 use amber_http::{results, HttpConfig, HttpServer};
@@ -171,5 +173,104 @@ fn backpressure_surfaces_as_503_with_retry_after() {
     assert!(retry >= 1);
     http.with_server(|s| s.resume());
     pending.wait().unwrap();
+    http.shutdown();
+}
+
+/// Write one request on an open keep-alive connection and read its answer.
+fn exchange(stream: &mut TcpStream, request: &str) -> (u16, Vec<(String, String)>, String) {
+    stream.write_all(request.as_bytes()).unwrap();
+    read_response(stream)
+}
+
+fn post_query(query: &str) -> String {
+    format!(
+        "POST /sparql HTTP/1.1\r\nHost: t\r\nContent-Type: application/sparql-query\r\nContent-Length: {}\r\n\r\n{query}",
+        query.len()
+    )
+}
+
+#[test]
+fn large_bodies_arrive_whole_and_reused_buffers_carry_nothing_over() {
+    // One hub with 300 `p` edges and 80 `q` edges: the two stars below
+    // multiply out (bag semantics) to 24,000 and 90,000 rows.
+    let mut data = String::new();
+    for i in 0..300 {
+        data.push_str(&format!("<http://z/hub> <http://z/p> <http://z/o{i}> .\n"));
+    }
+    for i in 0..80 {
+        data.push_str(&format!("<http://z/hub> <http://z/q> <http://z/t{i}> .\n"));
+    }
+    const MEDIUM: &str = "SELECT ?x ?y ?z WHERE { ?x <http://z/p> ?y . ?x <http://z/q> ?z . }";
+    const LARGE: &str = "SELECT ?x ?y ?z WHERE { ?x <http://z/p> ?y . ?x <http://z/p> ?z . }";
+    const SMALL: &str = "SELECT ?x ?z WHERE { ?x <http://z/q> ?z . }";
+
+    let engine = Arc::new(AmberEngine::load_ntriples(&data).unwrap());
+    let expected =
+        |query: &str| results::sparql_json(&engine.run(&QueryRequest::sparql(query)).unwrap());
+    let (medium, large, small) = (expected(MEDIUM), expected(LARGE), expected(SMALL));
+    // Larger than the loopback socket buffers, so the server's write
+    // cannot finish before this client starts reading; `large` is also
+    // past what a connection keeps allocated afterwards.
+    assert!(medium.len() > 2_000_000, "{}", medium.len());
+    assert!(large.len() > 8 << 20, "{}", large.len());
+    assert!(small.len() < 10_000, "{}", small.len());
+
+    let http = HttpServer::start(
+        Server::start(Arc::clone(&engine), ServeConfig::default()),
+        HttpConfig::default(),
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+
+    // Every answer on one connection; `read_response` frames on
+    // Content-Length, so a wrong length or a stray byte from an earlier,
+    // larger body derails the status line of the exchange after it.
+    let mut check = |query: &str, want: &str| {
+        let (status, headers, body) = exchange(&mut stream, &post_query(query));
+        assert_eq!(status, 200);
+        assert_eq!(
+            header(&headers, "content-length"),
+            Some(want.len().to_string().as_str())
+        );
+        assert!(
+            body == want,
+            "body of {query} differs ({} bytes)",
+            body.len()
+        );
+    };
+    check(MEDIUM, &medium);
+    check(SMALL, &small);
+    check(LARGE, &large);
+    check(SMALL, &small);
+    check(MEDIUM, &medium);
+
+    // An error after a large 200 is only its own message.
+    let (status, headers, body) = exchange(&mut stream, &post_query("SELECT nonsense"));
+    assert_eq!(status, 400);
+    assert_eq!(
+        header(&headers, "content-length"),
+        Some(body.len().to_string().as_str())
+    );
+    assert!(body.len() < 200 && body.ends_with('\n'), "{body:?}");
+    assert!(!body.contains("bindings"), "{body:?}");
+
+    // Close on request; nothing may follow the last body.
+    let closing = format!(
+        "POST /sparql HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Type: application/sparql-query\r\nContent-Length: {}\r\n\r\n{SMALL}",
+        SMALL.len()
+    );
+    let (status, _, body) = exchange(&mut stream, &closing);
+    assert_eq!(status, 200);
+    assert!(body == small);
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).unwrap();
+    assert!(
+        rest.is_empty(),
+        "{} stray bytes after the last response",
+        rest.len()
+    );
     http.shutdown();
 }

@@ -30,14 +30,13 @@ fn main() {
 
     match command {
         "stats" => {
-            let rdf = load_data(data_path);
-            let stats = rdf.stats();
+            let engine = load_engine(data_path);
+            let stats = engine.rdf().stats();
             println!("triples:     {}", stats.triples);
             println!("vertices:    {}", stats.vertices);
             println!("edges:       {}", stats.edges);
             println!("edge types:  {}", stats.edge_types);
             println!("attributes:  {}", stats.attributes);
-            let engine = AmberEngine::from_graph(rdf);
             let offline = engine.offline_stats();
             println!(
                 "database:    {} (index: {}, built in {:.1?})",
@@ -45,6 +44,19 @@ fn main() {
                 format_bytes(offline.index_bytes),
                 offline.index_build_time,
             );
+            // Table 5, per stage and per structure. A snapshot skips the
+            // first two stages, so they read zero.
+            println!("offline stage        time");
+            for (stage, time) in offline.stages() {
+                println!("  {stage:<18} {time:.1?}");
+            }
+            println!("resident part        bytes   per triple");
+            for (part, bytes) in offline.parts() {
+                println!(
+                    "  {part:<18} {bytes:>9} {:>8.1}",
+                    bytes as f64 / stats.triples.max(1) as f64
+                );
+            }
         }
         "build" => {
             let Some(out) = args.get(2) else {
@@ -164,6 +176,18 @@ fn main() {
 }
 
 const USAGE: &str = "usage: amber <stats|build|query|explain|bench> <data> [args]";
+
+/// Load a data file into an engine. N-Triples goes through
+/// [`AmberEngine::load_ntriples`], which times the load stages;
+/// snapshots and Turtle arrive as an already-built graph.
+fn load_engine(path: &str) -> AmberEngine {
+    if let Ok(text) = std::fs::read_to_string(path) {
+        if let Ok(engine) = AmberEngine::load_ntriples(&text) {
+            return engine;
+        }
+    }
+    AmberEngine::from_graph(load_data(path))
+}
 
 /// Load a data file: snapshot (by magic) or N-Triples.
 fn load_data(path: &str) -> RdfGraph {

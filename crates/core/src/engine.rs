@@ -14,15 +14,18 @@ use crate::result::{Bindings, QueryOutcome, QueryStatus, SparqlEngine};
 use crate::seeds::SeedCache;
 use crate::session::{BatchOutcome, BatchStats, QuerySession};
 use amber_index::IndexSet;
-use amber_multigraph::{QueryGraph, RdfGraph};
+use amber_multigraph::{GraphBuilder, QueryGraph, RdfGraph};
 use amber_util::{Deadline, HeapSize, Stopwatch};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Offline-stage measurements (the quantities of the paper's Table 5).
+/// Offline-stage measurements (the quantities of the paper's Table 5):
+/// the two totals per side, then each broken down by stage and structure
+/// ([`OfflineStats::stages`], [`OfflineStats::parts`]).
 #[derive(Debug, Clone, Copy)]
 pub struct OfflineStats {
-    /// Time to transform triples into the multigraph database.
+    /// Time to transform triples into the multigraph database
+    /// (`scan_intern_time + assemble_time`).
     pub database_build_time: Duration,
     /// Heap bytes of the multigraph database (graph + dictionaries).
     pub database_bytes: usize,
@@ -30,6 +33,58 @@ pub struct OfflineStats {
     pub index_build_time: Duration,
     /// Heap bytes of the index ensemble.
     pub index_bytes: usize,
+    /// Time to scan the input and intern its terms into id tuples (zero
+    /// for an engine made from an already-built graph).
+    pub scan_intern_time: Duration,
+    /// Time to sort the id tuples and cut them into adjacency and
+    /// attribute lists (zero for an already-built graph).
+    pub assemble_time: Duration,
+    /// Time to build the attribute index `A`.
+    pub attribute_index_time: Duration,
+    /// Time to build the signature index `S`.
+    pub signature_index_time: Duration,
+    /// Time to build the neighbourhood index `N`.
+    pub neighborhood_index_time: Duration,
+    /// Heap bytes of the three dictionaries.
+    pub dictionary_bytes: usize,
+    /// Heap bytes of the outgoing + incoming adjacency.
+    pub adjacency_bytes: usize,
+    /// Heap bytes of the per-vertex attribute lists.
+    pub attribute_list_bytes: usize,
+    /// Heap bytes of `A`.
+    pub attribute_index_bytes: usize,
+    /// Heap bytes of `S`.
+    pub signature_index_bytes: usize,
+    /// Heap bytes of `N`.
+    pub neighborhood_index_bytes: usize,
+}
+
+impl OfflineStats {
+    /// The per-stage build times, named as the `stage` label of the
+    /// `amber_offline_stage_us` gauge; they sum to the two build times.
+    pub fn stages(&self) -> [(&'static str, Duration); 5] {
+        [
+            ("scan_intern", self.scan_intern_time),
+            ("assemble", self.assemble_time),
+            ("attribute_index", self.attribute_index_time),
+            ("signature_index", self.signature_index_time),
+            ("neighborhood_index", self.neighborhood_index_time),
+        ]
+    }
+
+    /// The per-structure heap bytes, named as the `part` label of the
+    /// `amber_resident_bytes` gauge; they sum to `database_bytes +
+    /// index_bytes`.
+    pub fn parts(&self) -> [(&'static str, usize); 6] {
+        [
+            ("dictionaries", self.dictionary_bytes),
+            ("adjacency", self.adjacency_bytes),
+            ("attribute_lists", self.attribute_list_bytes),
+            ("attribute_index", self.attribute_index_bytes),
+            ("signature_index", self.signature_index_bytes),
+            ("neighborhood_index", self.neighborhood_index_bytes),
+        ]
+    }
 }
 
 /// The AMbER query engine (paper §3).
@@ -61,49 +116,71 @@ impl AmberEngine {
     /// Offline stage from an N-Triples document.
     pub fn load_ntriples(input: &str) -> Result<Self, EngineError> {
         let sw = Stopwatch::start();
-        let rdf = RdfGraph::parse_ntriples(input)?;
-        Ok(Self::from_graph_with_build_time(rdf.into(), sw.elapsed()))
+        let mut builder = GraphBuilder::new();
+        builder.add_ntriples(input)?;
+        Ok(Self::from_builder(builder, sw))
     }
 
     /// Offline stage from a Turtle document.
     pub fn load_turtle(input: &str) -> Result<Self, EngineError> {
         let sw = Stopwatch::start();
         let triples = rdf_model::parse_turtle(input).map_err(EngineError::Turtle)?;
-        let rdf = RdfGraph::from_triples(&triples);
-        Ok(Self::from_graph_with_build_time(rdf.into(), sw.elapsed()))
+        let mut builder = GraphBuilder::new();
+        builder.add_triples(&triples);
+        Ok(Self::from_builder(builder, sw))
     }
 
     /// Offline stage from already-parsed triples.
     pub fn from_triples<'a>(triples: impl IntoIterator<Item = &'a rdf_model::Triple>) -> Self {
         let sw = Stopwatch::start();
-        let rdf = RdfGraph::from_triples(triples);
-        Self::from_graph_with_build_time(rdf.into(), sw.elapsed())
+        let mut builder = GraphBuilder::new();
+        builder.add_triples(triples);
+        Self::from_builder(builder, sw)
     }
 
     /// Offline stage from a (possibly shared) pre-built multigraph; index
     /// building happens here.
     pub fn from_graph(rdf: impl Into<std::sync::Arc<RdfGraph>>) -> Self {
-        Self::from_graph_with_build_time(rdf.into(), Duration::ZERO)
+        Self::from_graph_with_build_times(rdf.into(), Duration::ZERO, Duration::ZERO)
     }
 
-    fn from_graph_with_build_time(
+    /// Finish a builder whose triples were added since `sw` started.
+    fn from_builder(builder: GraphBuilder, sw: Stopwatch) -> Self {
+        let scan_intern_time = sw.elapsed();
+        let rdf = builder.finish();
+        let assemble_time = sw.elapsed() - scan_intern_time;
+        Self::from_graph_with_build_times(rdf.into(), scan_intern_time, assemble_time)
+    }
+
+    fn from_graph_with_build_times(
         rdf: std::sync::Arc<RdfGraph>,
-        database_build_time: Duration,
+        scan_intern_time: Duration,
+        assemble_time: Duration,
     ) -> Self {
-        let database_bytes = rdf.heap_size();
         let sw = Stopwatch::start();
         let index = IndexSet::build(&rdf);
         let index_build_time = sw.elapsed();
-        let index_bytes = index.heap_size();
+        let build = index.build_stats();
         Self {
+            offline: OfflineStats {
+                database_build_time: scan_intern_time + assemble_time,
+                database_bytes: rdf.heap_size(),
+                index_build_time,
+                index_bytes: index.heap_size(),
+                scan_intern_time,
+                assemble_time,
+                attribute_index_time: build.attribute_time,
+                signature_index_time: build.signature_time,
+                neighborhood_index_time: build.neighborhood_time,
+                dictionary_bytes: rdf.dictionaries().heap_size(),
+                adjacency_bytes: rdf.graph().adjacency_heap_size(),
+                attribute_list_bytes: rdf.graph().attribute_heap_size(),
+                attribute_index_bytes: index.attribute.heap_size(),
+                signature_index_bytes: index.signature.heap_size(),
+                neighborhood_index_bytes: index.neighborhood.heap_size(),
+            },
             rdf,
             index,
-            offline: OfflineStats {
-                database_build_time,
-                database_bytes,
-                index_build_time,
-                index_bytes,
-            },
             token: ENGINE_TOKENS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             plans: Arc::new(SharedPlanStore::new(
                 ExecOptions::DEFAULT_PLAN_CACHE_CAPACITY,
@@ -1061,6 +1138,15 @@ mod tests {
         let stats = engine.offline_stats();
         assert!(stats.database_bytes > 0);
         assert!(stats.index_bytes > 0);
+        // The breakdowns account for the totals exactly.
+        let parts: usize = stats.parts().iter().map(|(_, bytes)| bytes).sum();
+        assert_eq!(parts, stats.database_bytes + stats.index_bytes);
+        let stages: Duration = stats.stages().iter().map(|(_, time)| *time).sum();
+        assert!(stages <= stats.database_build_time + stats.index_build_time);
+        assert_eq!(
+            stats.scan_intern_time + stats.assemble_time,
+            stats.database_build_time
+        );
     }
 
     #[test]

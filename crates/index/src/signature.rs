@@ -6,7 +6,7 @@
 //! data vertices — a superset of all valid candidates (Lemma 1).
 
 use crate::rtree::{Entry, RTree};
-use amber_multigraph::{DataGraph, Synopsis, VertexId, VertexSignature};
+use amber_multigraph::{DataGraph, Synopsis, VertexId};
 use amber_util::HeapSize;
 
 /// The signature index `S`: one synopsis per data vertex, R-tree organised.
@@ -23,7 +23,7 @@ impl SignatureIndex {
     pub fn build(graph: &DataGraph) -> Self {
         let synopses: Vec<Synopsis> = graph
             .vertices()
-            .map(|v| VertexSignature::of_data_vertex(graph, v).synopsis())
+            .map(|v| Synopsis::of_data_vertex(graph, v))
             .collect();
         let entries: Vec<Entry> = synopses
             .iter()
@@ -87,7 +87,7 @@ impl HeapSize for SignatureIndex {
 mod tests {
     use super::*;
     use amber_multigraph::paper::paper_graph;
-    use amber_multigraph::{EdgeTypeId, MultiEdge};
+    use amber_multigraph::{EdgeTypeId, MultiEdge, VertexSignature};
 
     #[test]
     fn paper_example_c_s_u0() {

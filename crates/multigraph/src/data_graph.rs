@@ -5,6 +5,7 @@
 //! and each vertex owns a set of attributes (mapped `<predicate, literal>`
 //! pairs). Adjacency is stored twice (outgoing and incoming), sorted by
 //! neighbour id, so both edge directions resolve with a binary search.
+//! `DataGraph::assemble` builds all of it from flat, unordered id tuples.
 
 use crate::ids::{AttrId, EdgeTypeId, VertexId};
 use amber_util::HeapSize;
@@ -127,36 +128,77 @@ pub struct DataGraph {
 }
 
 impl DataGraph {
-    /// Assemble a graph from per-vertex adjacency and attribute lists.
+    /// Assemble a graph from flat id tuples: one `(from, to, type)` per
+    /// edge instance and one `(vertex, attribute)` per attribute, in any
+    /// order, repeats allowed. Every id must lie below `vertex_count`.
     ///
-    /// Invariants checked in debug builds: equal lengths, sorted adjacency,
-    /// sorted attributes, in/out symmetry is the builder's responsibility.
-    pub(crate) fn from_parts(
-        out_adj: Vec<Box<[AdjEntry]>>,
-        in_adj: Vec<Box<[AdjEntry]>>,
-        attrs: Vec<Box<[AttrId]>>,
+    /// This is the one place adjacency is built — the triple builder and
+    /// the snapshot loader both end here. The tuples are sorted and
+    /// deduplicated, which groups each vertex pair's types into one sorted
+    /// run; a counting pass sizes every per-vertex list, so each is
+    /// allocated once at its final length; a second pass cuts the runs into
+    /// multi-edges, visiting pairs in `(from, to)` order so both the
+    /// outgoing and the incoming lists come out sorted by neighbour.
+    pub(crate) fn assemble(
+        vertex_count: usize,
+        mut edges: Vec<(VertexId, VertexId, EdgeTypeId)>,
+        mut attrs: Vec<(VertexId, AttrId)>,
         edge_type_count: usize,
     ) -> Self {
-        debug_assert_eq!(out_adj.len(), in_adj.len());
-        debug_assert_eq!(out_adj.len(), attrs.len());
-        debug_assert!(out_adj
-            .iter()
-            .all(|adj| adj.windows(2).all(|w| w[0].neighbor < w[1].neighbor)));
-        debug_assert!(in_adj
-            .iter()
-            .all(|adj| adj.windows(2).all(|w| w[0].neighbor < w[1].neighbor)));
-        let edge_pair_count = out_adj.iter().map(|adj| adj.len()).sum();
-        let edge_instance_count = out_adj
-            .iter()
-            .flat_map(|adj| adj.iter())
-            .map(|e| e.types.len())
-            .sum();
+        edges.sort_unstable();
+        edges.dedup();
+        let same_pair = |a: &(VertexId, VertexId, EdgeTypeId),
+                         b: &(VertexId, VertexId, EdgeTypeId)| {
+            (a.0, a.1) == (b.0, b.1)
+        };
+
+        let mut out_degree = vec![0usize; vertex_count];
+        let mut in_degree = vec![0usize; vertex_count];
+        for pair in edges.chunk_by(same_pair) {
+            out_degree[pair[0].0.index()] += 1;
+            in_degree[pair[0].1.index()] += 1;
+        }
+        let edge_pair_count = out_degree.iter().sum();
+        let sized = |degrees: Vec<usize>| -> Vec<Vec<AdjEntry>> {
+            degrees.into_iter().map(Vec::with_capacity).collect()
+        };
+        let (mut out_adj, mut in_adj) = (sized(out_degree), sized(in_degree));
+        for pair in edges.chunk_by(same_pair) {
+            let (from, to, _) = pair[0];
+            let types = MultiEdge(pair.iter().map(|&(_, _, t)| t).collect());
+            out_adj[from.index()].push(AdjEntry {
+                neighbor: to,
+                types: types.clone(),
+            });
+            in_adj[to.index()].push(AdjEntry {
+                neighbor: from,
+                types,
+            });
+        }
+        // Filled to capacity, so boxing does not reallocate.
+        let boxed = |adj: Vec<Vec<AdjEntry>>| -> Vec<Box<[AdjEntry]>> {
+            adj.into_iter().map(Vec::into_boxed_slice).collect()
+        };
+
+        attrs.sort_unstable();
+        attrs.dedup();
+        let mut rest = attrs.as_slice();
+        let attrs = (0..vertex_count)
+            .map(|v| {
+                let mine = rest.iter().take_while(|(owner, _)| owner.index() == v);
+                let (mine, tail) = rest.split_at(mine.count());
+                rest = tail;
+                mine.iter().map(|&(_, attr)| attr).collect()
+            })
+            .collect();
+        assert!(rest.is_empty(), "attribute owner beyond the vertex count");
+
         Self {
-            out_adj,
-            in_adj,
+            out_adj: boxed(out_adj),
+            in_adj: boxed(in_adj),
             attrs,
             edge_pair_count,
-            edge_instance_count,
+            edge_instance_count: edges.len(),
             edge_type_count,
         }
     }
@@ -272,9 +314,21 @@ impl DataGraph {
     }
 }
 
+impl DataGraph {
+    /// Heap bytes of the two adjacency structures (multi-edges included).
+    pub fn adjacency_heap_size(&self) -> usize {
+        self.out_adj.heap_size() + self.in_adj.heap_size()
+    }
+
+    /// Heap bytes of the per-vertex attribute lists.
+    pub fn attribute_heap_size(&self) -> usize {
+        self.attrs.heap_size()
+    }
+}
+
 impl HeapSize for DataGraph {
     fn heap_size(&self) -> usize {
-        self.out_adj.heap_size() + self.in_adj.heap_size() + self.attrs.heap_size()
+        self.adjacency_heap_size() + self.attribute_heap_size()
     }
 }
 
@@ -287,59 +341,36 @@ mod tests {
     }
 
     fn tiny_graph() -> DataGraph {
-        // v0 --{t0,t1}--> v1, v1 --{t0}--> v2, v0 --{t2}--> v2, v2 --{t1}--> v2 (self loop)
-        let out = vec![
+        // v0 --{t0,t1}--> v1, v1 --{t0}--> v2, v0 --{t2}--> v2, v2 --{t1}--> v2 (self loop),
+        // handed over unsorted and with repeats.
+        let e = |from, to, t| (VertexId(from), VertexId(to), EdgeTypeId(t));
+        let a = |v, attr| (VertexId(v), AttrId(attr));
+        DataGraph::assemble(
+            3,
             vec![
-                AdjEntry {
-                    neighbor: VertexId(1),
-                    types: t(&[0, 1]),
-                },
-                AdjEntry {
-                    neighbor: VertexId(2),
-                    types: t(&[2]),
-                },
-            ]
-            .into_boxed_slice(),
-            vec![AdjEntry {
-                neighbor: VertexId(2),
-                types: t(&[0]),
-            }]
-            .into_boxed_slice(),
-            vec![AdjEntry {
-                neighbor: VertexId(2),
-                types: t(&[1]),
-            }]
-            .into_boxed_slice(),
-        ];
-        let inn = vec![
-            vec![].into_boxed_slice(),
-            vec![AdjEntry {
-                neighbor: VertexId(0),
-                types: t(&[0, 1]),
-            }]
-            .into_boxed_slice(),
-            vec![
-                AdjEntry {
-                    neighbor: VertexId(0),
-                    types: t(&[2]),
-                },
-                AdjEntry {
-                    neighbor: VertexId(1),
-                    types: t(&[0]),
-                },
-                AdjEntry {
-                    neighbor: VertexId(2),
-                    types: t(&[1]),
-                },
-            ]
-            .into_boxed_slice(),
-        ];
-        let attrs = vec![
-            vec![AttrId(0), AttrId(1)].into_boxed_slice(),
-            vec![].into_boxed_slice(),
-            vec![AttrId(1)].into_boxed_slice(),
-        ];
-        DataGraph::from_parts(out, inn, attrs, 3)
+                e(2, 2, 1),
+                e(0, 2, 2),
+                e(0, 1, 1),
+                e(1, 2, 0),
+                e(0, 1, 0),
+                e(0, 1, 1),
+            ],
+            vec![a(2, 1), a(0, 1), a(0, 0), a(0, 1)],
+            3,
+        )
+    }
+
+    #[test]
+    fn assembles_sorted_exact_size_lists() {
+        let g = tiny_graph();
+        let neighbors = |adj: &[AdjEntry]| adj.iter().map(|e| e.neighbor.0).collect::<Vec<_>>();
+        assert_eq!(neighbors(g.out_edges(VertexId(0))), [1, 2]);
+        assert_eq!(neighbors(g.in_edges(VertexId(2))), [0, 1, 2]);
+        assert!(g.in_edges(VertexId(0)).is_empty());
+        assert_eq!(g.in_edges(VertexId(1))[0].types, t(&[0, 1]));
+        assert_eq!(g.attributes(VertexId(0)), [AttrId(0), AttrId(1)]);
+        assert!(g.attributes(VertexId(1)).is_empty());
+        assert_eq!(g.attributes(VertexId(2)), [AttrId(1)]);
     }
 
     #[test]

@@ -42,13 +42,11 @@ impl VertexSignature {
 
     /// Compute the 8-field synopsis (Table 3).
     pub fn synopsis(&self) -> Synopsis {
-        let (in_f, out_f) = (
-            direction_features(&self.incoming),
-            direction_features(&self.outgoing),
-        );
-        Synopsis([
-            in_f[0], in_f[1], in_f[2], in_f[3], out_f[0], out_f[1], out_f[2], out_f[3],
-        ])
+        let mut scratch = Vec::new();
+        Synopsis::from_halves(
+            direction_features(self.incoming.iter(), &mut scratch),
+            direction_features(self.outgoing.iter(), &mut scratch),
+        )
     }
 
     /// The query-side synopsis used for dominance probes.
@@ -87,26 +85,23 @@ impl VertexSignature {
     }
 }
 
-/// `[f1⁺, f2⁺, f3⁺, f4⁺, f1⁻, f2⁻, f3⁻, f4⁻]` per Table 3.
-fn direction_features(multi_edges: &[MultiEdge]) -> [i64; 4] {
-    if multi_edges.is_empty() {
-        return [0; 4];
+/// `[f1, f2, f3, f4]` of one direction per Table 3; `distinct` is scratch.
+fn direction_features<'a>(
+    multi_edges: impl Iterator<Item = &'a MultiEdge>,
+    distinct: &mut Vec<u32>,
+) -> [i64; 4] {
+    distinct.clear();
+    let mut f1 = 0;
+    for multi_edge in multi_edges {
+        f1 = f1.max(multi_edge.len() as i64);
+        distinct.extend(multi_edge.types().iter().map(|t| t.0));
     }
-    let f1 = multi_edges
-        .iter()
-        .map(|m| m.len() as i64)
-        .max()
-        .unwrap_or(0);
-    let mut distinct: Vec<u32> = multi_edges
-        .iter()
-        .flat_map(|m| m.types().iter().map(|t| t.0))
-        .collect();
     distinct.sort_unstable();
     distinct.dedup();
-    let f2 = distinct.len() as i64;
-    let f3 = -(i64::from(*distinct.first().expect("non-empty multi-edge set")));
-    let f4 = i64::from(*distinct.last().expect("non-empty multi-edge set"));
-    [f1, f2, f3, f4]
+    match (distinct.first(), distinct.last()) {
+        (Some(&min), Some(&max)) => [f1, distinct.len() as i64, -i64::from(min), i64::from(max)],
+        _ => [0; 4], // an empty direction is zero-filled
+    }
 }
 
 /// The 8-field surrogate of a vertex signature.
@@ -117,6 +112,23 @@ impl Synopsis {
     /// The all-zero synopsis (a vertex with no edges).
     pub fn zero() -> Self {
         Self([0; SYNOPSIS_DIMS])
+    }
+
+    /// The synopsis of a data vertex, folded straight off the adjacency
+    /// lists — equal to `VertexSignature::of_data_vertex(graph, v).synopsis()`
+    /// without copying a multi-edge.
+    pub fn of_data_vertex(graph: &DataGraph, v: VertexId) -> Self {
+        let mut scratch = Vec::new();
+        Self::from_halves(
+            direction_features(graph.in_edges(v).iter().map(|e| &e.types), &mut scratch),
+            direction_features(graph.out_edges(v).iter().map(|e| &e.types), &mut scratch),
+        )
+    }
+
+    fn from_halves(incoming: [i64; 4], outgoing: [i64; 4]) -> Self {
+        let [i1, i2, i3, i4] = incoming;
+        let [o1, o2, o3, o4] = outgoing;
+        Self([i1, i2, i3, i4, o1, o2, o3, o4])
     }
 
     /// Dominance test of Lemma 1: can a data vertex with synopsis `self`
@@ -186,6 +198,18 @@ mod tests {
             outgoing: vec![],
         };
         assert_eq!(sig.synopsis(), Synopsis([1, 1, 0, 0, 0, 0, 0, 0]));
+    }
+
+    #[test]
+    fn borrowed_synopsis_equals_the_signature_route() {
+        let rdf = crate::paper::paper_graph();
+        for v in rdf.graph().vertices() {
+            assert_eq!(
+                Synopsis::of_data_vertex(rdf.graph(), v),
+                VertexSignature::of_data_vertex(rdf.graph(), v).synopsis(),
+                "vertex {v}"
+            );
+        }
     }
 
     #[test]

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Binary snapshots of the offline stage.
 //!
 //! The paper's offline stage is run once and its output reused across
@@ -24,9 +25,19 @@
 //!
 //! The incoming adjacency is reconstructed from the outgoing lists, which
 //! halves the image size at a small load cost.
+//!
+//! Restoring treats the image as untrusted input. Each dictionary is read
+//! into one arena and its probe table built in one pass; the adjacency and
+//! attribute sections are read into the same flat id tuples the triple
+//! builder produces and go through the same `DataGraph::assemble`. No count
+//! or length field sizes an allocation — vectors grow by what was actually
+//! read — and an image that would restore into a graph the engine could
+//! misread (a repeated dictionary key, a multi-edge without types,
+//! neighbours out of order, an id past its table) ends in
+//! [`SnapshotError::CorruptIds`].
 
 use crate::builder::{GraphConfig, RdfGraph};
-use crate::data_graph::{AdjEntry, DataGraph, MultiEdge};
+use crate::data_graph::DataGraph;
 use crate::dictionary::{Dictionaries, Dictionary};
 use crate::ids::{AttrId, EdgeTypeId, VertexId};
 use bytes::{Buf, BufMut, BytesMut};
@@ -46,7 +57,9 @@ pub enum SnapshotError {
     Truncated,
     /// A dictionary entry is not valid UTF-8.
     BadUtf8,
-    /// An id field references past the declared table sizes.
+    /// The image is well-formed but inconsistent: an id references past
+    /// its table, a dictionary key repeats, a multi-edge has no types, or
+    /// a vertex's neighbours are not strictly ascending.
     CorruptIds,
 }
 
@@ -57,7 +70,9 @@ impl fmt::Display for SnapshotError {
             SnapshotError::BadVersion(v) => write!(f, "unsupported snapshot version {v}"),
             SnapshotError::Truncated => write!(f, "snapshot is truncated or corrupt"),
             SnapshotError::BadUtf8 => write!(f, "snapshot dictionary contains invalid UTF-8"),
-            SnapshotError::CorruptIds => write!(f, "snapshot references out-of-range ids"),
+            SnapshotError::CorruptIds => {
+                write!(f, "snapshot ids, keys or adjacency are inconsistent")
+            }
         }
     }
 }
@@ -74,18 +89,21 @@ fn put_dictionary(buf: &mut BytesMut, dict: &Dictionary) {
 
 fn take_dictionary(buf: &mut &[u8]) -> Result<Dictionary, SnapshotError> {
     let count = take_u32(buf)? as usize;
-    let mut dict = Dictionary::new();
+    // Every entry occupies at least its four length bytes.
+    let mut ends = Vec::with_capacity(count.min(buf.remaining() / 4));
+    let mut arena = String::new();
     for _ in 0..count {
         let len = take_u32(buf)? as usize;
         if buf.remaining() < len {
             return Err(SnapshotError::Truncated);
         }
-        let bytes = &buf[..len];
-        let key = std::str::from_utf8(bytes).map_err(|_| SnapshotError::BadUtf8)?;
-        dict.intern(key);
+        let key = std::str::from_utf8(&buf[..len]).map_err(|_| SnapshotError::BadUtf8)?;
+        arena.push_str(key);
+        ends.push(u32::try_from(arena.len()).map_err(|_| SnapshotError::CorruptIds)?);
         buf.advance(len);
     }
-    Ok(dict)
+    arena.shrink_to_fit();
+    Dictionary::from_arena(arena, ends).ok_or(SnapshotError::CorruptIds)
 }
 
 fn take_u32(buf: &mut &[u8]) -> Result<u32, SnapshotError> {
@@ -170,64 +188,45 @@ impl RdfGraph {
         if vertex_count != dicts.vertices.len() {
             return Err(SnapshotError::CorruptIds);
         }
-        let mut out_adj: Vec<Vec<AdjEntry>> = vec![Vec::new(); vertex_count];
-        let mut in_adj: Vec<Vec<AdjEntry>> = vec![Vec::new(); vertex_count];
-        // `from` indexes `out_adj` while the body also indexes `in_adj` by
-        // neighbor, so the range loop is the clear form here.
-        #[allow(clippy::needless_range_loop)]
-        for from in 0..vertex_count {
-            let entries = take_u32(buf)? as usize;
+        let mut edges = Vec::new();
+        for from in 0..vertex_count as u32 {
+            let entries = take_u32(buf)?;
+            let mut previous = None;
             for _ in 0..entries {
                 let neighbor = take_u32(buf)?;
-                if neighbor as usize >= vertex_count {
+                // The lists are binary-searched: strictly ascending or bust.
+                if neighbor as usize >= vertex_count || previous.is_some_and(|p| p >= neighbor) {
                     return Err(SnapshotError::CorruptIds);
                 }
-                let type_count = take_u32(buf)? as usize;
-                let mut types = Vec::with_capacity(type_count);
+                previous = Some(neighbor);
+                let type_count = take_u32(buf)?;
+                if type_count == 0 {
+                    return Err(SnapshotError::CorruptIds);
+                }
                 for _ in 0..type_count {
                     let t = take_u32(buf)?;
                     if t as usize >= dicts.edge_types.len() {
                         return Err(SnapshotError::CorruptIds);
                     }
-                    types.push(EdgeTypeId(t));
+                    edges.push((VertexId(from), VertexId(neighbor), EdgeTypeId(t)));
                 }
-                let multi = MultiEdge::new(types);
-                out_adj[from].push(AdjEntry {
-                    neighbor: VertexId(neighbor),
-                    types: multi.clone(),
-                });
-                in_adj[neighbor as usize].push(AdjEntry {
-                    neighbor: VertexId(from as u32),
-                    types: multi,
-                });
             }
         }
-        let mut attrs: Vec<Box<[AttrId]>> = Vec::with_capacity(vertex_count);
-        for _ in 0..vertex_count {
-            let count = take_u32(buf)? as usize;
-            let mut list = Vec::with_capacity(count);
+        let mut attrs = Vec::new();
+        for vertex in 0..vertex_count as u32 {
+            let count = take_u32(buf)?;
             for _ in 0..count {
                 let a = take_u32(buf)?;
                 if a as usize >= dicts.attributes.len() {
                     return Err(SnapshotError::CorruptIds);
                 }
-                list.push(AttrId(a));
+                attrs.push((VertexId(vertex), AttrId(a)));
             }
-            attrs.push(list.into_boxed_slice());
         }
         if buf.has_remaining() {
             return Err(SnapshotError::Truncated); // trailing garbage
         }
-
-        for list in in_adj.iter_mut() {
-            list.sort_unstable_by_key(|e| e.neighbor);
-        }
-        let finalize = |adj: Vec<Vec<AdjEntry>>| -> Vec<Box<[AdjEntry]>> {
-            adj.into_iter().map(Vec::into_boxed_slice).collect()
-        };
-        let edge_type_count = dicts.edge_types.len();
-        let graph =
-            DataGraph::from_parts(finalize(out_adj), finalize(in_adj), attrs, edge_type_count);
+        let graph = DataGraph::assemble(vertex_count, edges, attrs, dicts.edge_types.len());
         Ok(Self::from_restored(graph, dicts, triple_count, config))
     }
 
@@ -245,8 +244,54 @@ impl RdfGraph {
     }
 }
 
+/// A second, independent writer of the image format, for tests: encodes
+/// exactly the tables it is given, valid or not.
+#[cfg(test)]
+pub(crate) mod test_support {
+    /// Per vertex, its `(neighbor, types)` entries.
+    pub(crate) type Adjacency = Vec<Vec<(u32, Vec<u32>)>>;
+    /// Per vertex, its attribute ids.
+    pub(crate) type Attributes = Vec<Vec<u32>>;
+
+    pub(crate) fn encode_image(
+        literals_as_vertices: bool,
+        triple_count: u64,
+        dictionaries: [&[&str]; 3],
+        adjacency: &Adjacency,
+        attrs: &Attributes,
+    ) -> Vec<u8> {
+        let mut image = b"AMBR".to_vec();
+        let put = |image: &mut Vec<u8>, n: u32| image.extend_from_slice(&n.to_le_bytes());
+        put(&mut image, 1);
+        image.push(u8::from(literals_as_vertices));
+        image.extend_from_slice(&triple_count.to_le_bytes());
+        for keys in dictionaries {
+            put(&mut image, keys.len() as u32);
+            for key in keys {
+                put(&mut image, key.len() as u32);
+                image.extend_from_slice(key.as_bytes());
+            }
+        }
+        put(&mut image, adjacency.len() as u32);
+        for entries in adjacency {
+            put(&mut image, entries.len() as u32);
+            for (neighbor, types) in entries {
+                put(&mut image, *neighbor);
+                put(&mut image, types.len() as u32);
+                types.iter().for_each(|&t| put(&mut image, t));
+            }
+        }
+        for list in attrs {
+            put(&mut image, list.len() as u32);
+            list.iter().for_each(|&a| put(&mut image, a));
+        }
+        image
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::test_support::{Adjacency, Attributes};
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::paper::{paper_graph, paper_triples};
@@ -343,5 +388,169 @@ mod tests {
         let restored = RdfGraph::load_snapshot(&path).unwrap();
         assert_graphs_equal(&original, &restored);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A small valid image, as tables: v0 -{t0,t1}-> v1, v0 -{t0}-> v2,
+    /// v2 -{t1}-> v2; v0 carries a0, v2 carries a0 and a1.
+    fn tables() -> (Adjacency, Attributes) {
+        (
+            vec![
+                vec![(1, vec![0, 1]), (2, vec![0])],
+                vec![],
+                vec![(2, vec![1])],
+            ],
+            vec![vec![0], vec![], vec![0, 1]],
+        )
+    }
+    const DICTS: [&[&str]; 3] = [&["v0", "v1", "v2"], &["t0", "t1"], &["a0", "a1"]];
+
+    fn restore(
+        dicts: [&[&str]; 3],
+        adjacency: &Adjacency,
+        attrs: &Attributes,
+    ) -> Result<RdfGraph, SnapshotError> {
+        RdfGraph::from_snapshot(&test_support::encode_image(
+            false, 4, dicts, adjacency, attrs,
+        ))
+    }
+
+    #[test]
+    fn hand_encoded_image_restores_and_re_encodes() {
+        let (adjacency, attrs) = tables();
+        let image = test_support::encode_image(false, 4, DICTS, &adjacency, &attrs);
+        let rdf = RdfGraph::from_snapshot(&image).unwrap();
+        assert_eq!(rdf.to_snapshot(), image);
+        let g = rdf.graph();
+        assert_eq!(g.in_edges(VertexId(2)).len(), 2);
+        assert_eq!(g.in_edges(VertexId(2))[0].neighbor, VertexId(0));
+        assert_eq!((g.edge_pair_count(), g.edge_instance_count()), (3, 4));
+        assert_eq!(rdf.vertex_by_key("v1"), Some(VertexId(1)));
+    }
+
+    #[test]
+    fn unordered_types_and_attributes_are_normalized() {
+        let (mut adjacency, mut attrs) = tables();
+        adjacency[0][0].1 = vec![1, 0, 1];
+        attrs[2] = vec![1, 0, 1];
+        let rdf = restore(DICTS, &adjacency, &attrs).unwrap();
+        let (adjacency, attrs) = tables();
+        assert_eq!(
+            rdf.to_snapshot(),
+            test_support::encode_image(false, 4, DICTS, &adjacency, &attrs)
+        );
+    }
+
+    #[test]
+    fn rejects_a_repeated_dictionary_key() {
+        // Interning used to hand the repeat its first id, shifting every
+        // later id by one against the adjacency section.
+        let (adjacency, attrs) = tables();
+        for which in 0..3 {
+            let mut dicts = DICTS;
+            let repeated: &[&str] = match which {
+                0 => &["v0", "v1", "v0"],
+                1 => &["t0", "t0"],
+                _ => &["a1", "a1"],
+            };
+            dicts[which] = repeated;
+            assert_eq!(
+                restore(dicts, &adjacency, &attrs).unwrap_err(),
+                SnapshotError::CorruptIds
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_inconsistent_adjacency() {
+        let corrupt = |edit: fn(&mut Adjacency, &mut Attributes)| {
+            let (mut adjacency, mut attrs) = tables();
+            edit(&mut adjacency, &mut attrs);
+            restore(DICTS, &adjacency, &attrs).unwrap_err()
+        };
+        // a multi-edge without types
+        assert_eq!(
+            corrupt(|adj, _| adj[0][1].1.clear()),
+            SnapshotError::CorruptIds
+        );
+        // neighbours out of order, and repeated
+        assert_eq!(
+            corrupt(|adj, _| adj[0].swap(0, 1)),
+            SnapshotError::CorruptIds
+        );
+        assert_eq!(corrupt(|adj, _| adj[0][1].0 = 1), SnapshotError::CorruptIds);
+        // ids past their tables
+        assert_eq!(corrupt(|adj, _| adj[0][1].0 = 3), SnapshotError::CorruptIds);
+        assert_eq!(
+            corrupt(|adj, _| adj[2][0].1[0] = 2),
+            SnapshotError::CorruptIds
+        );
+        assert_eq!(
+            corrupt(|_, attrs| attrs[1].push(2)),
+            SnapshotError::CorruptIds
+        );
+        // a vertex count that disagrees with the dictionary
+        assert_eq!(
+            corrupt(|adj, attrs| {
+                adj.pop();
+                attrs.pop();
+            }),
+            SnapshotError::CorruptIds
+        );
+    }
+
+    #[test]
+    fn length_fields_do_not_size_allocations() {
+        // Each edit turns one count into u32::MAX. Were the count trusted
+        // for a `with_capacity`, the restore would ask the allocator for
+        // 16 GiB or more and abort the process; instead the loop runs out
+        // of bytes.
+        let (adjacency, attrs) = tables();
+        let image = test_support::encode_image(false, 4, DICTS, &adjacency, &attrs);
+        let header = 4 + 4 + 1 + 8;
+        let vertex_dictionary = 4 + 3 * (4 + 2);
+        let dictionaries = vertex_dictionary + 2 * (4 + 2 * (4 + 2));
+        use SnapshotError::{CorruptIds, Truncated};
+        for (at, expected) in [
+            (header, Truncated),     // vertex dictionary entry count
+            (header + 4, Truncated), // first key length
+            // v0's adjacency entry count: the next list is read as entries
+            (header + dictionaries + 4, CorruptIds),
+            (header + dictionaries + 4 + 8, CorruptIds), // first multi-edge's type count
+            (image.len() - 12, Truncated),               // v2's attribute count
+        ] {
+            let mut hostile = image.clone();
+            hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert_eq!(
+                RdfGraph::from_snapshot(&hostile).unwrap_err(),
+                expected,
+                "count at byte {at}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// Truncate, flip and extend a real image: a typed error or a
+        /// graph that re-encodes, never a panic.
+        #[test]
+        fn mutated_images_fail_typed_or_restore(
+            cut in 0..600usize,
+            at in 0..600usize,
+            byte in 0..=255u8,
+            extra in proptest::prop::collection::vec(0..=255u8, 0..6),
+        ) {
+            let image = paper_graph().to_snapshot();
+            let mut mutated = image.clone();
+            mutated[at % image.len()] = byte;
+            let mut extended = image.clone();
+            extended.extend_from_slice(&extra);
+            for candidate in [&image[..cut % image.len()], &mutated[..], &extended[..]] {
+                if let Ok(rdf) = RdfGraph::from_snapshot(candidate) {
+                    let again = RdfGraph::from_snapshot(&rdf.to_snapshot()).expect("own image");
+                    assert_graphs_equal(&rdf, &again);
+                }
+            }
+        }
     }
 }

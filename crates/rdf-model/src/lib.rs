@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! RDF data model and N-Triples I/O.
 //!
@@ -7,10 +8,11 @@
 //! for the multigraph transformation:
 //!
 //! * [`term`] — IRIs, blank nodes, literals and the [`Subject`]/[`Object`]
-//!   position types,
-//! * [`triple`] — the [`Triple`] record,
+//!   position types, each with a borrowed `…Ref` twin,
+//! * [`triple`] — the [`Triple`] record and the borrowed [`TripleRef`],
 //! * [`ntriples`] — a line-oriented W3C N-Triples parser with precise error
-//!   positions,
+//!   positions: the byte-level [`NtScanner`] yields terms that borrow the
+//!   input, [`NtParser`] copies them into owned triples,
 //! * [`writer`] — the matching serializer (round-trips the parser),
 //! * [`prefix`] — compact `prefix:local` notation used by examples, the
 //!   workload generator and the SPARQL front-end.
@@ -26,9 +28,11 @@ pub mod triple;
 pub mod turtle;
 pub mod writer;
 
-pub use ntriples::{parse_literal, parse_ntriples, NtParseError, NtParser};
+pub use ntriples::{parse_literal, parse_ntriples, NtParseError, NtParser, NtScanner};
 pub use prefix::PrefixMap;
-pub use term::{BlankNode, Iri, Literal, Object, Subject};
-pub use triple::Triple;
+pub use term::{
+    BlankNode, Iri, Literal, LiteralRef, LiteralSuffixRef, Object, ObjectRef, Subject, SubjectRef,
+};
+pub use triple::{Triple, TripleRef};
 pub use turtle::{parse_turtle, TurtleParseError};
 pub use writer::write_ntriples;

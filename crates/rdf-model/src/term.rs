@@ -120,29 +120,169 @@ impl Literal {
 impl fmt::Display for Literal {
     /// N-Triples syntax, with escaping.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "\"{}\"", escape_literal(&self.lexical))?;
-        match &self.suffix {
-            LiteralSuffix::None => Ok(()),
-            LiteralSuffix::Lang(lang) => write!(f, "@{lang}"),
-            LiteralSuffix::Datatype(dt) => write!(f, "^^{dt}"),
+        let mut out = String::with_capacity(self.lexical.len() + 2);
+        LiteralRef::from(self).write_ntriples(&mut out);
+        f.write_str(&out)
+    }
+}
+
+/// Append a literal's lexical form, escaped for N-Triples output (`"`, `\\`,
+/// `\n`, `\r`, `\t`): clean runs are copied in bulk, and every byte that
+/// needs an escape is ASCII, so multi-byte characters pass through untouched.
+fn escape_literal_into(out: &mut String, s: &str) {
+    let mut clean_from = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            _ => continue,
+        };
+        out.push_str(&s[clean_from..i]);
+        out.push_str(escape);
+        clean_from = i + 1;
+    }
+    out.push_str(&s[clean_from..]);
+}
+
+/// A borrowed literal: what the N-Triples scanner yields and what the
+/// multigraph builder consumes, so a load never owns a term it only hashes.
+#[derive(Debug, Clone, Copy)]
+pub struct LiteralRef<'a> {
+    lexical: &'a str,
+    suffix: LiteralSuffixRef<'a>,
+    /// The source token, kept only when it already *is* the canonical
+    /// N-Triples form (no escape sequence, no raw control character).
+    canonical: Option<&'a str>,
+}
+
+/// The tail of a [`LiteralRef`] (see [`LiteralSuffix`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LiteralSuffixRef<'a> {
+    /// A plain literal.
+    None,
+    /// A language tag, without the `@`.
+    Lang(&'a str),
+    /// A datatype IRI, without angle brackets.
+    Datatype(&'a str),
+}
+
+impl<'a> LiteralRef<'a> {
+    /// A borrowed literal from its unescaped lexical form and suffix.
+    pub fn new(lexical: &'a str, suffix: LiteralSuffixRef<'a>) -> Self {
+        Self {
+            lexical,
+            suffix,
+            canonical: None,
+        }
+    }
+
+    /// As [`Self::new`], with the source token the scanner read it from;
+    /// the caller vouches that `source` equals the canonical form.
+    pub(crate) fn with_canonical_source(mut self, source: &'a str) -> Self {
+        self.canonical = Some(source);
+        self
+    }
+
+    /// The lexical form, unescaped.
+    pub fn lexical(&self) -> &'a str {
+        self.lexical
+    }
+
+    /// The suffix (language tag / datatype).
+    pub fn suffix(&self) -> LiteralSuffixRef<'a> {
+        self.suffix
+    }
+
+    /// Append the canonical N-Triples form (what `Literal`'s `Display`
+    /// prints): the key literals are stored under in the dictionaries.
+    pub fn write_ntriples(&self, out: &mut String) {
+        if let Some(source) = self.canonical {
+            out.push_str(source);
+            return;
+        }
+        out.push('"');
+        escape_literal_into(out, self.lexical);
+        out.push('"');
+        match self.suffix {
+            LiteralSuffixRef::None => {}
+            LiteralSuffixRef::Lang(lang) => {
+                out.push('@');
+                out.push_str(lang);
+            }
+            LiteralSuffixRef::Datatype(datatype) => {
+                out.push_str("^^<");
+                out.push_str(datatype);
+                out.push('>');
+            }
+        }
+    }
+
+    /// Copy into an owned [`Literal`].
+    pub fn to_literal(&self) -> Literal {
+        Literal {
+            lexical: self.lexical.into(),
+            suffix: match self.suffix {
+                LiteralSuffixRef::None => LiteralSuffix::None,
+                LiteralSuffixRef::Lang(lang) => LiteralSuffix::Lang(lang.into()),
+                LiteralSuffixRef::Datatype(datatype) => LiteralSuffix::Datatype(Iri::new(datatype)),
+            },
         }
     }
 }
 
-/// Escape a literal's lexical form for N-Triples output.
-pub(crate) fn escape_literal(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            other => out.push(other),
+impl<'a> From<&'a Literal> for LiteralRef<'a> {
+    fn from(literal: &'a Literal) -> Self {
+        Self::new(
+            &literal.lexical,
+            match &literal.suffix {
+                LiteralSuffix::None => LiteralSuffixRef::None,
+                LiteralSuffix::Lang(lang) => LiteralSuffixRef::Lang(lang),
+                LiteralSuffix::Datatype(datatype) => LiteralSuffixRef::Datatype(datatype.as_str()),
+            },
+        )
+    }
+}
+
+/// A borrowed [`Subject`].
+#[derive(Debug, Clone, Copy)]
+pub enum SubjectRef<'a> {
+    /// IRI text, without angle brackets.
+    Iri(&'a str),
+    /// Blank node label, without the `_:` sigil.
+    Blank(&'a str),
+}
+
+impl<'a> From<&'a Subject> for SubjectRef<'a> {
+    fn from(subject: &'a Subject) -> Self {
+        match subject {
+            Subject::Iri(iri) => SubjectRef::Iri(iri.as_str()),
+            Subject::Blank(blank) => SubjectRef::Blank(blank.as_str()),
         }
     }
-    out
+}
+
+/// A borrowed [`Object`].
+#[derive(Debug, Clone, Copy)]
+pub enum ObjectRef<'a> {
+    /// IRI text, without angle brackets.
+    Iri(&'a str),
+    /// Blank node label, without the `_:` sigil.
+    Blank(&'a str),
+    /// A literal.
+    Literal(LiteralRef<'a>),
+}
+
+impl<'a> From<&'a Object> for ObjectRef<'a> {
+    fn from(object: &'a Object) -> Self {
+        match object {
+            Object::Iri(iri) => ObjectRef::Iri(iri.as_str()),
+            Object::Blank(blank) => ObjectRef::Blank(blank.as_str()),
+            Object::Literal(literal) => ObjectRef::Literal(literal.into()),
+        }
+    }
 }
 
 /// A term allowed in subject position: an IRI or a blank node.
@@ -267,6 +407,33 @@ mod tests {
             Literal::plain("a\"b\\c\nd\te\r").to_string(),
             "\"a\\\"b\\\\c\\nd\\te\\r\""
         );
+    }
+
+    #[test]
+    fn bulk_escape_matches_the_per_character_rule() {
+        for s in [
+            "",
+            "plain",
+            "\"",
+            "a\"b\\c\nd\te\r",
+            "é\t日本\\",
+            "\u{1}\u{8}\u{c}x",
+        ] {
+            let expected: String = s
+                .chars()
+                .map(|c| match c {
+                    '"' => "\\\"".to_string(),
+                    '\\' => "\\\\".to_string(),
+                    '\n' => "\\n".to_string(),
+                    '\r' => "\\r".to_string(),
+                    '\t' => "\\t".to_string(),
+                    other => other.to_string(),
+                })
+                .collect();
+            let mut out = String::new();
+            escape_literal_into(&mut out, s);
+            assert_eq!(out, expected, "escaping {s:?}");
+        }
     }
 
     #[test]

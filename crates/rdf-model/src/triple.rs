@@ -1,6 +1,6 @@
 //! The RDF triple record.
 
-use crate::term::{Iri, Object, Subject};
+use crate::term::{BlankNode, Iri, Object, ObjectRef, Subject, SubjectRef};
 use std::fmt;
 
 /// An RDF triple `<subject, predicate, object>` (paper §2.1).
@@ -50,6 +50,48 @@ impl fmt::Display for Triple {
     /// N-Triples statement syntax (terminated by ` .`).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} {} {} .", self.subject, self.predicate, self.object)
+    }
+}
+
+/// A triple whose terms borrow their text: from the document being scanned
+/// (see [`NtScanner`](crate::ntriples::NtScanner)) or from an owned
+/// [`Triple`]. The multigraph builder consumes this form, so both routes
+/// share one code path and neither copies a term just to hash it.
+#[derive(Debug, Clone, Copy)]
+pub struct TripleRef<'a> {
+    /// Subject: IRI or blank node.
+    pub subject: SubjectRef<'a>,
+    /// Predicate IRI text, without angle brackets.
+    pub predicate: &'a str,
+    /// Object: IRI, blank node, or literal.
+    pub object: ObjectRef<'a>,
+}
+
+impl TripleRef<'_> {
+    /// Copy into an owned [`Triple`].
+    pub fn to_triple(&self) -> Triple {
+        Triple {
+            subject: match self.subject {
+                SubjectRef::Iri(iri) => Subject::Iri(Iri::new(iri)),
+                SubjectRef::Blank(label) => Subject::Blank(BlankNode::new(label)),
+            },
+            predicate: Iri::new(self.predicate),
+            object: match self.object {
+                ObjectRef::Iri(iri) => Object::Iri(Iri::new(iri)),
+                ObjectRef::Blank(label) => Object::Blank(BlankNode::new(label)),
+                ObjectRef::Literal(literal) => Object::Literal(literal.to_literal()),
+            },
+        }
+    }
+}
+
+impl<'a> From<&'a Triple> for TripleRef<'a> {
+    fn from(triple: &'a Triple) -> Self {
+        Self {
+            subject: (&triple.subject).into(),
+            predicate: triple.predicate.as_str(),
+            object: (&triple.object).into(),
+        }
     }
 }
 

@@ -128,6 +128,25 @@ fn serve_metrics() -> &'static ServeMetrics {
     })
 }
 
+/// Publish what the engine's offline stage cost and what it left resident
+/// (the paper's Table 5) as `amber_offline_stage_us{stage}` and
+/// `amber_resident_bytes{part}`. The engine is immutable, so the gauges are
+/// set once, when a server starts serving it.
+fn export_offline_stats(engine: &AmberEngine) {
+    if !amber_obs::obs_enabled() {
+        return;
+    }
+    let offline = engine.offline_stats();
+    for (stage, time) in offline.stages() {
+        let micros = i64::try_from(time.as_micros()).unwrap_or(i64::MAX);
+        amber_obs::gauge("amber_offline_stage_us", &[("stage", stage)]).set(micros);
+    }
+    for (part, bytes) in offline.parts() {
+        let bytes = i64::try_from(bytes).unwrap_or(i64::MAX);
+        amber_obs::gauge("amber_resident_bytes", &[("part", part)]).set(bytes);
+    }
+}
+
 /// Knobs of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -527,6 +546,7 @@ impl Server {
     /// Spawn the serving workers and start accepting requests (paused if
     /// [`ServeConfig::paused`]).
     pub fn start(engine: Arc<AmberEngine>, config: ServeConfig) -> Self {
+        export_offline_stats(&engine);
         let shared = Arc::new(ServerShared {
             state: Mutex::new(DispatchState {
                 tenants: HashMap::new(),

@@ -131,6 +131,23 @@ fn http_round_trip_matches_the_embedded_engine() {
     assert_eq!(status, 200);
     if amber_obs::obs_enabled() {
         assert!(metrics.contains("amber_http_requests_total"), "{metrics}");
+        // Table 5 from the HTTP surface: what the load cost per stage and
+        // what each structure holds, published when a server starts. (The
+        // registry is process-wide and the other tests here serve other
+        // engines, so the values are checked for presence, not equality.)
+        let offline = engine.offline_stats();
+        for (stage, _) in offline.stages() {
+            let series = format!("amber_offline_stage_us{{stage=\"{stage}\"}} ");
+            assert!(metrics.contains(&series), "{series} missing from {metrics}");
+        }
+        for (part, _) in offline.parts() {
+            let series = format!("amber_resident_bytes{{part=\"{part}\"}} ");
+            let sample = metrics
+                .lines()
+                .find_map(|line| line.strip_prefix(&series))
+                .unwrap_or_else(|| panic!("{series} missing from {metrics}"));
+            assert!(sample.parse::<u64>().is_ok(), "{series}{sample}");
+        }
     }
 
     let report = http.shutdown();

@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn paper_query_counts_two() {
         let out = engine()
-            .execute_sparql(&paper_query_text(), &ExecOptions::new())
+            .execute_sparql(&paper_query_text(), &ExecOptions::default())
             .unwrap();
         assert_eq!(out.embedding_count, 2);
         assert_eq!(out.bindings.len(), 2);
@@ -286,14 +286,18 @@ mod tests {
         let q = format!(
             "SELECT * WHERE {{ ?a <{PREFIX_Y}wasBornIn> ?c . ?b <{PREFIX_Y}wasBornIn> ?c . }}"
         );
-        let out = engine().execute_sparql(&q, &ExecOptions::new()).unwrap();
+        let out = engine()
+            .execute_sparql(&q, &ExecOptions::default())
+            .unwrap();
         assert_eq!(out.embedding_count, 4);
     }
 
     #[test]
     fn iri_constraint_only_query() {
         let q = format!("SELECT ?p WHERE {{ ?p <{PREFIX_Y}livedIn> <{PREFIX_X}United_States> . }}");
-        let out = engine().execute_sparql(&q, &ExecOptions::new()).unwrap();
+        let out = engine()
+            .execute_sparql(&q, &ExecOptions::default())
+            .unwrap();
         assert_eq!(out.embedding_count, 2);
     }
 
@@ -302,7 +306,7 @@ mod tests {
         let out = engine()
             .execute_sparql(
                 &paper_query_text(),
-                &ExecOptions::new().with_timeout(std::time::Duration::ZERO),
+                &ExecOptions::default().with_timeout(std::time::Duration::ZERO),
             )
             .unwrap();
         assert!(out.timed_out());

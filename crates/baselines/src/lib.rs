@@ -54,7 +54,7 @@ pub fn all_engines(rdf: Arc<RdfGraph>) -> Vec<Box<dyn SparqlEngine + Send + Sync
 /// Execute a query on every engine and assert they agree on the embedding
 /// count (test helper; panics on disagreement).
 pub fn assert_engines_agree(rdf: Arc<RdfGraph>, sparql: &str) -> u128 {
-    let options = ExecOptions::new();
+    let options = ExecOptions::default();
     let engines = all_engines(rdf);
     let mut counts: Vec<(String, Result<QueryOutcome, EngineError>)> = Vec::new();
     for engine in &engines {

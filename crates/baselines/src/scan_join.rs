@@ -440,7 +440,7 @@ mod tests {
     #[test]
     fn paper_query_counts_two() {
         let out = engine()
-            .execute_sparql(&paper_query_text(), &ExecOptions::new())
+            .execute_sparql(&paper_query_text(), &ExecOptions::default())
             .unwrap();
         assert_eq!(out.embedding_count, 2);
         assert_eq!(out.bindings.len(), 2);
@@ -451,14 +451,18 @@ mod tests {
         let q = format!(
             "SELECT * WHERE {{ ?p <{PREFIX_Y}wasBornIn> ?c . ?p <{PREFIX_Y}diedIn> ?c . }}"
         );
-        let out = engine().execute_sparql(&q, &ExecOptions::new()).unwrap();
+        let out = engine()
+            .execute_sparql(&q, &ExecOptions::default())
+            .unwrap();
         assert_eq!(out.embedding_count, 1); // only Amy born+died in London
     }
 
     #[test]
     fn iri_constraint_unbound_var() {
         let q = format!("SELECT ?p WHERE {{ ?p <{PREFIX_Y}livedIn> <{PREFIX_X}United_States> . }}");
-        let out = engine().execute_sparql(&q, &ExecOptions::new()).unwrap();
+        let out = engine()
+            .execute_sparql(&q, &ExecOptions::default())
+            .unwrap();
         assert_eq!(out.embedding_count, 2); // Amy, Blake
     }
 
@@ -467,7 +471,7 @@ mod tests {
         let out = engine()
             .execute_sparql(
                 &paper_query_text(),
-                &ExecOptions::new().with_timeout(std::time::Duration::ZERO),
+                &ExecOptions::default().with_timeout(std::time::Duration::ZERO),
             )
             .unwrap();
         assert!(out.timed_out());
@@ -518,7 +522,7 @@ mod tests {
         let out = engine()
             .execute_sparql(
                 &q,
-                &ExecOptions::new().with_timeout(std::time::Duration::from_secs(5)),
+                &ExecOptions::default().with_timeout(std::time::Duration::from_secs(5)),
             )
             .unwrap();
         assert!(!out.timed_out());
@@ -530,7 +534,7 @@ mod tests {
         let out = engine()
             .execute_sparql(
                 "SELECT * WHERE { ?a <http://nope/p> ?b . }",
-                &ExecOptions::new(),
+                &ExecOptions::default(),
             )
             .unwrap();
         assert_eq!(out.embedding_count, 0);

@@ -541,7 +541,7 @@ mod tests {
     #[test]
     fn paper_query_counts_two() {
         let out = engine()
-            .execute_sparql(&paper_query_text(), &ExecOptions::new())
+            .execute_sparql(&paper_query_text(), &ExecOptions::default())
             .unwrap();
         assert_eq!(out.embedding_count, 2);
     }
@@ -558,7 +558,9 @@ mod tests {
     #[test]
     fn bound_subject_query() {
         let q = format!("SELECT ?x WHERE {{ <{PREFIX_X}Amy_Winehouse> <{PREFIX_Y}livedIn> ?x . }}");
-        let out = engine().execute_sparql(&q, &ExecOptions::new()).unwrap();
+        let out = engine()
+            .execute_sparql(&q, &ExecOptions::default())
+            .unwrap();
         assert_eq!(out.embedding_count, 1);
         assert_eq!(
             out.bindings[0][0].as_ref(),
@@ -569,7 +571,9 @@ mod tests {
     #[test]
     fn attribute_pattern() {
         let q = format!("SELECT ?b WHERE {{ ?b <{PREFIX_Y}hasName> \"MCA_Band\" . }}");
-        let out = engine().execute_sparql(&q, &ExecOptions::new()).unwrap();
+        let out = engine()
+            .execute_sparql(&q, &ExecOptions::default())
+            .unwrap();
         assert_eq!(out.embedding_count, 1);
         assert_eq!(out.bindings[0][0].as_ref(), format!("{PREFIX_X}Music_Band"));
     }
@@ -579,7 +583,7 @@ mod tests {
         let out = engine()
             .execute_sparql(
                 "SELECT * WHERE { ?a <http://nope/p> ?b . }",
-                &ExecOptions::new(),
+                &ExecOptions::default(),
             )
             .unwrap();
         assert_eq!(out.embedding_count, 0);
@@ -593,7 +597,7 @@ mod tests {
         );
         assert_eq!(
             engine()
-                .execute_sparql(&good, &ExecOptions::new())
+                .execute_sparql(&good, &ExecOptions::default())
                 .unwrap()
                 .embedding_count,
             2
@@ -604,7 +608,7 @@ mod tests {
         );
         assert_eq!(
             engine()
-                .execute_sparql(&bad, &ExecOptions::new())
+                .execute_sparql(&bad, &ExecOptions::default())
                 .unwrap()
                 .embedding_count,
             0

@@ -5,7 +5,6 @@
 //!   explicitly, on star queries (where the paper's win is largest);
 //! * `ordering` — the `(r1, r2)` heuristic of §5.3 vs a reversed core
 //!   order, holding everything else fixed;
-//! * `parallel` — the §8 future-work extension: 1 vs 4 worker threads;
 //! * `probe_api` — the zero-allocation borrowed probe path
 //!   (`NeighborhoodIndex::probe` + reused spill buffer) vs the owned
 //!   `neighbors` path that allocates a fresh vector per probe, replayed
@@ -124,49 +123,6 @@ fn make_connected(
     order
 }
 
-fn parallel_ablation(c: &mut Criterion) {
-    // Parallel matching amortizes its per-query thread-spawn cost only on
-    // heavy queries (sub-millisecond queries get slower — measured and
-    // expected), so this ablation picks the heaviest answerable workload:
-    // complex walks on LUBM, whose embedding counts are large.
-    let rdf = Arc::new(RdfGraph::from_triples(&Benchmark::Lubm.generate(1, 2016)));
-    let engine = AmberEngine::from_graph(Arc::clone(&rdf));
-    let all = WorkloadGenerator::new(&rdf, 23)
-        .generate_many(&WorkloadConfig::new(QueryShape::Complex, 16), 10);
-    // Keep the queries that take ≥ 5 ms sequentially and still finish.
-    let probe = ExecOptions::benchmark(Duration::from_secs(2));
-    let queries: Vec<_> = all
-        .into_iter()
-        .filter(|q| {
-            let out = engine.execute_parsed(&q.query, &probe).unwrap();
-            !out.timed_out() && out.elapsed.as_millis() >= 5
-        })
-        .take(2)
-        .collect();
-    if queries.is_empty() {
-        return; // nothing heavy enough at this scale
-    }
-
-    let mut group = c.benchmark_group("parallel_heavy_complex16");
-    group.sample_size(10);
-    for threads in [1usize, 4] {
-        let options = ExecOptions::benchmark(Duration::from_secs(2)).with_threads(threads);
-        group.bench_function(format!("threads_{threads}"), |b| {
-            b.iter(|| {
-                for q in &queries {
-                    black_box(
-                        engine
-                            .execute_parsed(&q.query, &options)
-                            .unwrap()
-                            .embedding_count,
-                    );
-                }
-            })
-        });
-    }
-    group.finish();
-}
-
 fn probe_api_ablation(c: &mut Criterion) {
     use amber_datagen::synthetic::{self, SyntheticConfig};
     use amber_multigraph::{Direction, EdgeTypeId, VertexId};
@@ -236,7 +192,6 @@ criterion_group!(
     benches,
     decomposition_ablation,
     ordering_ablation,
-    parallel_ablation,
     probe_api_ablation
 );
 criterion_main!(benches);

@@ -3,8 +3,7 @@
 //! Compares freshly-generated `BENCH_*.json` reports against the
 //! *committed* baselines on **hardware-independent** metrics only:
 //! answered-query rates, cache hit rates, deterministic kernel hit
-//! counts, search-tree node counts, and critical-path (makespan) ratios
-//! in node units. Wall-clock milliseconds are deliberately ignored — CI
+//! counts and search-tree node counts. Wall-clock milliseconds are deliberately ignored — CI
 //! runners are shared and core-starved, so time regressions there are
 //! noise, while the gated metrics only move when the *code's behaviour*
 //! changes.
@@ -306,43 +305,6 @@ fn check_kernels(checks: &mut Vec<Check>, baseline: &Json, fresh: &Json) {
     );
 }
 
-fn check_parallel(checks: &mut Vec<Check>, baseline: &Json, fresh: &Json) {
-    check_section(
-        checks,
-        "BENCH_parallel.json",
-        baseline,
-        fresh,
-        "workloads",
-        &["name"],
-        |checks, key, base, new| {
-            for metric in ["seeds", "embeddings", "total_nodes"] {
-                check_metric(
-                    checks,
-                    "BENCH_parallel.json",
-                    key,
-                    metric,
-                    base,
-                    new,
-                    Direction::Deterministic,
-                    false,
-                );
-            }
-            // The scheduling quality the pool PR gates on, in
-            // hardware-independent node units.
-            check_metric(
-                checks,
-                "BENCH_parallel.json",
-                key,
-                "speedup_makespan",
-                base,
-                new,
-                Direction::HigherIsBetter,
-                false,
-            );
-        },
-    );
-}
-
 fn check_serve(checks: &mut Vec<Check>, baseline: &Json, fresh: &Json) {
     check_section(
         checks,
@@ -463,11 +425,10 @@ fn main() {
     }
 
     type Checker = fn(&mut Vec<Check>, &Json, &Json);
-    let trackers: [(&str, Checker); 5] = [
+    let trackers: [(&str, Checker); 4] = [
         ("BENCH_matcher.json", check_matcher),
         ("BENCH_batch.json", check_batch),
         ("BENCH_kernels.json", check_kernels),
-        ("BENCH_parallel.json", check_parallel),
         ("BENCH_serve.json", check_serve),
     ];
 

@@ -354,10 +354,10 @@ fn run_lifecycle(queries: &[SelectQuery]) -> LifecycleResult {
     LifecycleResult {
         deadline_shed: shed_report.deadline_shed,
         shed_engine_queries: shed_tenant.queries_executed,
-        shed_engine_nodes: shed_tenant.pool.total_nodes(),
+        shed_engine_nodes: shed_tenant.search.nodes,
         breaker_trips: breaker_report.breaker_trips,
         breaker_fast_fails: breaker_report.breaker_fast_fails,
-        governor_degradation_steps: governed_tenant.pool.degradation_steps,
+        governor_degradation_steps: governed_tenant.search.degradation_steps,
         governed_dispatches: governor_report
             .governor
             .expect("governor configured")

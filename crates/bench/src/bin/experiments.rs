@@ -13,7 +13,6 @@
 //!   --queries N        queries per size cell       (default 10)
 //!   --sizes a,b,c      query sizes                 (default 10,20,30,40,50)
 //!   --timeout-ms N     per-query budget            (default 1000)
-//!   --threads N        AMbER worker threads        (default 1)
 //!   --engines a,b      engine filter by name       (default all)
 //!   --paper-scale      approximate the paper's setup (hours!)
 //! ```
@@ -60,7 +59,6 @@ fn main() {
                 config.timeout =
                     Duration::from_millis(value(&mut i).parse().expect("--timeout-ms N"))
             }
-            "--threads" => config.threads = value(&mut i).parse().expect("--threads N"),
             "--engines" => {
                 config.engines = value(&mut i)
                     .split(',')
@@ -119,6 +117,6 @@ fn main() {
 fn usage() -> &'static str {
     "usage: experiments <table1|table4|table5|figures|agreement|all> \
      [--dataset dbpedia|yago|lubm] [--shape star|complex] [--scale N] [--seed N] \
-     [--queries N] [--sizes a,b,c] [--timeout-ms N] [--threads N] \
+     [--queries N] [--sizes a,b,c] [--timeout-ms N] \
      [--engines a,b] [--paper-scale]"
 }

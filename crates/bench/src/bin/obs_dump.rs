@@ -1,15 +1,15 @@
-//! Telemetry snapshot dumper: runs a small canned workload (a batch with
-//! a forced pool dispatch, plus one served request) against the demo
+//! Telemetry snapshot dumper: runs a small canned workload (a warm batch
+//! plus one served request) against the demo
 //! graph, then prints the resulting registry snapshot in **both** export
 //! formats — Prometheus text and JSON — and self-verifies them: the JSON
 //! must round-trip through `amber_bench::minijson` and both renders must
-//! carry the catalog's engine/cache/pool/serve series. Doubles as the
+//! carry the catalog's engine/cache/search/serve series. Doubles as the
 //! export-format golden test (the same verification runs under
 //! `cargo test -p amber_bench`).
 //!
 //! Usage: `cargo run -p amber_bench --bin obs_dump`
 
-use amber::{AmberEngine, ExecOptions, Scheduler};
+use amber::{AmberEngine, ExecOptions};
 use amber_bench::minijson::Json;
 use amber_serve::{ServeConfig, Server};
 use std::sync::Arc;
@@ -28,22 +28,19 @@ const EXPECTED: &[&str] = &[
     "amber_query_latency_us",
     "amber_cache_hits_total",
     "amber_cache_entries",
-    "amber_pool_runs_total",
-    "amber_exec_runs_total",
+    "amber_search_nodes_total",
     "amber_serve_requests_total",
     "amber_serve_queue_depth",
     "amber_serve_queue_wait_us",
 ];
 
 /// Drive every instrumented layer once: a warm batch (plan/result cache
-/// flows, forced pool dispatch) and one served request (admission,
+/// flows, search counters) and one served request (admission,
 /// queue-wait, served counters).
 fn canned_workload() {
     let engine = Arc::new(AmberEngine::load_ntriples(TRIPLES).expect("demo graph parses"));
     let query = amber_sparql::parse_select(CHAIN).expect("canned query parses");
-    let options = ExecOptions::batch()
-        .with_threads(4)
-        .with_scheduler(Scheduler::Pool);
+    let options = ExecOptions::batch();
     let batch = engine.execute_batch(&[query.clone(), query], &options);
     assert_eq!(batch.stats.completed, 2, "canned batch completes");
 

@@ -189,8 +189,7 @@ pub fn agreement(config: &HarnessConfig) -> String {
                     gen.generate_many(&WorkloadConfig::new(shape, size), config.queries_per_size);
                 let mut compared = 0usize;
                 for q in &queries {
-                    let options =
-                        amber::ExecOptions::benchmark(config.timeout).with_threads(config.threads);
+                    let options = amber::ExecOptions::benchmark(config.timeout);
                     let counts: Vec<(String, Option<u128>)> = engines
                         .iter()
                         .map(|e| {

@@ -318,7 +318,6 @@ mod tests {
             "BENCH_matcher.json",
             "BENCH_batch.json",
             "BENCH_kernels.json",
-            "BENCH_parallel.json",
         ] {
             let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
             let Ok(text) = std::fs::read_to_string(&path) else {

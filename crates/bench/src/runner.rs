@@ -21,8 +21,6 @@ pub struct HarnessConfig {
     pub sizes: Vec<usize>,
     /// Per-query wall-clock budget. The paper uses 60 s.
     pub timeout: Duration,
-    /// Worker threads for AMbER's parallel extension (1 = paper algorithm).
-    pub threads: usize,
     /// Engine-name filter (empty = all engines).
     pub engines: Vec<String>,
 }
@@ -35,7 +33,6 @@ impl Default for HarnessConfig {
             queries_per_size: 10,
             sizes: vec![10, 20, 30, 40, 50],
             timeout: Duration::from_millis(1_000),
-            threads: 1,
             engines: Vec::new(),
         }
     }
@@ -110,7 +107,7 @@ pub fn run_engine(
     queries: &[GeneratedQuery],
     config: &HarnessConfig,
 ) -> EngineRow {
-    let options = ExecOptions::benchmark(config.timeout).with_threads(config.threads);
+    let options = ExecOptions::benchmark(config.timeout);
     let mut answered_ms: Vec<f64> = Vec::with_capacity(queries.len());
     let mut total_embeddings: u128 = 0;
     for q in queries {

@@ -10,7 +10,7 @@
 //! <data> is an N-Triples file or a snapshot produced by `amber build`
 //! (detected by magic bytes). <sparql> is a query string or @file.
 //!
-//! query flags: --timeout-ms N  --limit N  --count  --threads N
+//! query flags: --timeout-ms N  --limit N  --count
 //! ```
 
 use amber::{AmberEngine, ExecOptions, QueryPlan};
@@ -72,7 +72,7 @@ fn main() {
         }
         "query" => {
             let sparql = read_query(args.get(2));
-            let mut options = ExecOptions::new();
+            let mut options = ExecOptions::default();
             let mut i = 3;
             while i < args.len() {
                 match args[i].as_str() {
@@ -87,10 +87,6 @@ fn main() {
                         options.max_results = Some(args[i].parse().expect("--limit N"));
                     }
                     "--count" => options.count_only = true,
-                    "--threads" => {
-                        i += 1;
-                        options.threads = args[i].parse().expect("--threads N");
-                    }
                     other => {
                         eprintln!("unknown flag {other}");
                         exit(2);
@@ -142,16 +138,13 @@ fn main() {
                     exit(1);
                 }
             };
-            print!(
-                "{}",
-                QueryPlan::explain_prepared(&plan, &ExecOptions::new())
-            );
+            print!("{}", QueryPlan::explain_prepared(&plan));
         }
         "bench" => {
             let sparql = read_query(args.get(2));
             let n: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(10);
             let engine = AmberEngine::from_graph(load_data(data_path));
-            let options = ExecOptions::new().counting();
+            let options = ExecOptions::default().counting();
             let mut times = Vec::with_capacity(n);
             for _ in 0..n {
                 match engine.execute(&sparql, &options) {

@@ -195,7 +195,7 @@ impl CacheStats {
         }
     }
 
-    /// Fold another cache's counters into this one (per-worker aggregation).
+    /// Fold another cache's counters into this one (per-tenant aggregation).
     pub fn merge(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
@@ -363,8 +363,8 @@ impl CandidateCache {
         }
         self.misses += 1;
         // Chaos hooks: panic/delay faults fire at the index walk and the
-        // store mutation (alloc-fail/storm signals are interpreted only at
-        // the matcher/pool points, so the returned signals are dropped).
+        // store mutation (alloc-fail signals are interpreted only at the
+        // matcher point, so the returned signals are dropped).
         let _ = fault::inject(FaultPoint::IndexProbe);
         let computed: Box<[VertexId]> = n.neighbors(v, direction, required).into_boxed_slice();
         self.result_bytes += computed.len() * std::mem::size_of::<VertexId>();

@@ -5,7 +5,6 @@ use crate::error::EngineError;
 use crate::governor::MemoryGovernor;
 use crate::matcher::{Abort, ComponentMatch, ComponentMatcher, MatchConfig};
 use crate::options::ExecOptions;
-use crate::parallel::run_component_in_session;
 use crate::plan::{
     canonical_fingerprint, effective_plan_capacity, effective_result_capacity, PreparedPlan,
     SharedPlanStats, SharedPlanStore,
@@ -15,6 +14,7 @@ use crate::seeds::SeedCache;
 use crate::session::{BatchOutcome, BatchStats, QuerySession};
 use amber_index::IndexSet;
 use amber_multigraph::{GraphBuilder, QueryGraph, RdfGraph};
+use amber_util::fault::payload_message;
 use amber_util::{Deadline, HeapSize, Stopwatch};
 use std::sync::Arc;
 use std::time::Duration;
@@ -264,8 +264,8 @@ impl AmberEngine {
 
     /// Execute `query` with the session's flight recorder forced on and
     /// return the outcome plus an `EXPLAIN ANALYZE`-style report: the
-    /// prepared-plan summary followed by the recorded span tree, cache
-    /// trail, and dispatch decisions (all through the
+    /// prepared-plan summary followed by the recorded span tree and cache
+    /// trail (both through the
     /// [`Explain`](crate::Explain) builder).
     ///
     /// The session's tracing knobs are restored afterwards. Under
@@ -283,7 +283,7 @@ impl AmberEngine {
         let outcome = self.execute_prepared_in_session(&plan, options, session);
         session.configure_tracing(was_enabled, threshold);
         let outcome = outcome?;
-        let report = crate::explain::QueryPlan::explain_prepared(&plan, options);
+        let report = crate::explain::QueryPlan::explain_prepared(&plan);
         let text = match session.flight_recorder().last() {
             Some(trace) if amber_obs::obs_enabled() => {
                 crate::explain::Explain::analyze(&report, trace)
@@ -469,7 +469,7 @@ impl AmberEngine {
             session.recorder_mut().begin(label);
         }
         // Top-level panic quarantine: plan/prep construction (including
-        // session seed probes) runs outside the matcher-level traps, so a
+        // session seed probes) runs outside the matcher-level trap, so a
         // panic anywhere in this query must still poison only this query —
         // the session and engine stay usable for the next one.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -481,7 +481,7 @@ impl AmberEngine {
                 session.record_trapped_panic();
                 Err(EngineError::Internal {
                     task: "query execution".to_string(),
-                    payload: amber_exec::payload_message(&*payload),
+                    payload: payload_message(&*payload),
                 })
             }
         };
@@ -678,7 +678,7 @@ impl AmberEngine {
                 session.record_trapped_panic();
                 Err(EngineError::Internal {
                     task: "prepared execution".to_string(),
-                    payload: amber_exec::payload_message(&*payload),
+                    payload: payload_message(&*payload),
                 })
             }
         };
@@ -748,7 +748,27 @@ impl AmberEngine {
         for (ci, prep) in components.iter().enumerate() {
             let matcher = ComponentMatcher::from_prep(qg, self.rdf.graph(), &self.index, prep);
             let span_sw = exec_sw.as_ref().map(|_| Stopwatch::start());
-            let result = run_component_in_session(&matcher, &config, options, session)?;
+            // A panic inside the search (the chaos harness injects them; a
+            // genuine matcher bug would look the same) is quarantined to
+            // this query. Arena/cache state abandoned mid-panic is only
+            // scratch memory: every later run re-`prepare`s and rewrites
+            // it, so resuming with the same session after the error is
+            // sound.
+            let (arenas, cache) = session.search_state();
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                matcher.run_on_with(matcher.initial_candidates(), &config, arenas, cache)
+            }));
+            let result = match run {
+                Ok(result) => result,
+                Err(payload) => {
+                    session.record_trapped_panic();
+                    return Err(EngineError::Internal {
+                        task: "sequential matcher".to_string(),
+                        payload: payload_message(&*payload),
+                    });
+                }
+            };
+            session.record_nodes(result.nodes);
             if let Some(s) = span_sw {
                 session
                     .recorder_mut()
@@ -945,7 +965,7 @@ impl AmberEngine {
         };
         let seeds_before = session.seed_stats();
         let plans_before = session.plan_stats();
-        let pool_before = session.pool_stats().clone();
+        let search_before = session.search_stats();
         let reused_before = session.arena_reused_bytes();
         let mut outcomes = Vec::with_capacity(count);
         let mut stats = BatchStats {
@@ -968,7 +988,7 @@ impl AmberEngine {
         stats.cache = session.cache_stats().since(&cache_before);
         stats.seeds = session.seed_stats().since(&seeds_before);
         stats.plans = session.plan_stats().since(&plans_before);
-        stats.pool = session.pool_stats().since(&pool_before);
+        stats.search = session.search_stats().since(&search_before);
         stats.arena_reused_bytes = session.arena_reused_bytes() - reused_before;
         stats.arena_peak_bytes = session.arena_peak_bytes();
         stats.elapsed = sw.elapsed();
@@ -1013,7 +1033,7 @@ mod tests {
     fn paper_query_end_to_end() {
         let engine = engine();
         let outcome = engine
-            .execute(&paper_query_text(), &ExecOptions::new())
+            .execute(&paper_query_text(), &ExecOptions::default())
             .unwrap();
         assert_eq!(outcome.status, QueryStatus::Completed);
         assert_eq!(outcome.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
@@ -1036,7 +1056,7 @@ mod tests {
     fn count_only_skips_materialization() {
         let engine = engine();
         let outcome = engine
-            .execute(&paper_query_text(), &ExecOptions::new().counting())
+            .execute(&paper_query_text(), &ExecOptions::default().counting())
             .unwrap();
         assert_eq!(outcome.embedding_count, 2);
         assert!(outcome.bindings.is_empty());
@@ -1046,7 +1066,10 @@ mod tests {
     fn max_results_caps_bindings_not_count() {
         let engine = engine();
         let outcome = engine
-            .execute(&paper_query_text(), &ExecOptions::new().with_max_results(1))
+            .execute(
+                &paper_query_text(),
+                &ExecOptions::default().with_max_results(1),
+            )
             .unwrap();
         assert_eq!(outcome.embedding_count, 2);
         assert_eq!(outcome.bindings.len(), 1);
@@ -1058,7 +1081,7 @@ mod tests {
         let outcome = engine
             .execute(
                 "SELECT * WHERE { ?a <http://nowhere/p> ?b . }",
-                &ExecOptions::new(),
+                &ExecOptions::default(),
             )
             .unwrap();
         assert_eq!(outcome.status, QueryStatus::Completed);
@@ -1073,7 +1096,7 @@ mod tests {
             "SELECT * WHERE {{ <{PREFIX_X}London> <{PREFIX_Y}isPartOf> <{PREFIX_X}England> . \
              ?p <{PREFIX_Y}wasBornIn> <{PREFIX_X}London> . }}"
         );
-        let outcome = engine.execute(&q, &ExecOptions::new()).unwrap();
+        let outcome = engine.execute(&q, &ExecOptions::default()).unwrap();
         assert_eq!(outcome.embedding_count, 2); // Amy, Christopher
 
         // False ground pattern: everything collapses to zero.
@@ -1081,7 +1104,7 @@ mod tests {
             "SELECT * WHERE {{ <{PREFIX_X}England> <{PREFIX_Y}isPartOf> <{PREFIX_X}London> . \
              ?p <{PREFIX_Y}wasBornIn> <{PREFIX_X}London> . }}"
         );
-        let outcome = engine.execute(&q, &ExecOptions::new()).unwrap();
+        let outcome = engine.execute(&q, &ExecOptions::default()).unwrap();
         assert_eq!(outcome.embedding_count, 0);
     }
 
@@ -1093,7 +1116,7 @@ mod tests {
             "SELECT * WHERE {{ ?p <{PREFIX_Y}wasBornIn> <{PREFIX_X}London> . \
              ?q <{PREFIX_Y}livedIn> <{PREFIX_X}United_States> . }}"
         );
-        let outcome = engine.execute(&q, &ExecOptions::new()).unwrap();
+        let outcome = engine.execute(&q, &ExecOptions::default()).unwrap();
         assert_eq!(outcome.embedding_count, 4);
         assert_eq!(outcome.bindings.len(), 4);
     }
@@ -1104,12 +1127,12 @@ mod tests {
         // Two people born in London; projecting the city gives 2 identical
         // rows without DISTINCT, 1 with.
         let plain = format!("SELECT ?c WHERE {{ ?p <{PREFIX_Y}wasBornIn> ?c . }}");
-        let outcome = engine.execute(&plain, &ExecOptions::new()).unwrap();
+        let outcome = engine.execute(&plain, &ExecOptions::default()).unwrap();
         assert_eq!(outcome.embedding_count, 2);
         assert_eq!(outcome.bindings.len(), 2);
 
         let distinct = format!("SELECT DISTINCT ?c WHERE {{ ?p <{PREFIX_Y}wasBornIn> ?c . }}");
-        let outcome = engine.execute(&distinct, &ExecOptions::new()).unwrap();
+        let outcome = engine.execute(&distinct, &ExecOptions::default()).unwrap();
         assert_eq!(outcome.embedding_count, 2, "count keeps bag semantics");
         assert_eq!(outcome.bindings.len(), 1);
     }
@@ -1120,7 +1143,7 @@ mod tests {
         let outcome = engine
             .execute(
                 &paper_query_text(),
-                &ExecOptions::new().with_timeout(Duration::ZERO),
+                &ExecOptions::default().with_timeout(Duration::ZERO),
             )
             .unwrap();
         assert_eq!(outcome.status, QueryStatus::TimedOut);
@@ -1129,7 +1152,9 @@ mod tests {
     #[test]
     fn parse_errors_propagate() {
         let engine = engine();
-        assert!(engine.execute("not sparql", &ExecOptions::new()).is_err());
+        assert!(engine
+            .execute("not sparql", &ExecOptions::default())
+            .is_err());
     }
 
     #[test]
@@ -1161,7 +1186,7 @@ mod tests {
         // repeats of the same query.
         let queries = vec![q1.clone(), q2.clone(), q1.clone(), q2, q1];
         for capacity in [0, 1024] {
-            let options = ExecOptions::new().with_candidate_cache(capacity);
+            let options = ExecOptions::default().with_candidate_cache(capacity);
             let batch = engine.execute_batch(&queries, &options);
             assert_eq!(batch.outcomes.len(), queries.len());
             assert_eq!(batch.stats.completed, queries.len());
@@ -1220,7 +1245,7 @@ mod tests {
         let good = paper_query_text();
         let batch = engine.execute_batch_sparql(
             &[good.as_str(), "this is not sparql", good.as_str()],
-            &ExecOptions::new(),
+            &ExecOptions::default(),
         );
         assert_eq!(batch.outcomes.len(), 3);
         assert!(batch.outcomes[0].is_ok());
@@ -1253,9 +1278,11 @@ mod tests {
         let engine = engine();
         let plan = engine.prepare_sparql(&paper_query_text()).unwrap();
         let adhoc = engine
-            .execute(&paper_query_text(), &ExecOptions::new())
+            .execute(&paper_query_text(), &ExecOptions::default())
             .unwrap();
-        let prepared = engine.execute_prepared(&plan, &ExecOptions::new()).unwrap();
+        let prepared = engine
+            .execute_prepared(&plan, &ExecOptions::default())
+            .unwrap();
         assert_eq!(prepared.embedding_count, adhoc.embedding_count);
         assert_eq!(prepared.variables, adhoc.variables);
         let (mut a, mut b) = (prepared.bindings.to_vec(), adhoc.bindings.to_vec());
@@ -1270,7 +1297,7 @@ mod tests {
         let engine_b = engine();
         let plan = engine_a.prepare_sparql(&paper_query_text()).unwrap();
         assert!(matches!(
-            engine_b.execute_prepared(&plan, &ExecOptions::new()),
+            engine_b.execute_prepared(&plan, &ExecOptions::default()),
             Err(EngineError::StalePlan)
         ));
     }
@@ -1551,22 +1578,5 @@ mod tests {
             assert_eq!(a.embedding_count, b.embedding_count);
             assert_eq!(a.variables, b.variables);
         }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let engine = engine();
-        let seq = engine
-            .execute(&paper_query_text(), &ExecOptions::new())
-            .unwrap();
-        let par = engine
-            .execute(&paper_query_text(), &ExecOptions::new().with_threads(4))
-            .unwrap();
-        assert_eq!(seq.embedding_count, par.embedding_count);
-        let mut seq_rows = seq.bindings.to_vec();
-        let mut par_rows = par.bindings.to_vec();
-        seq_rows.sort();
-        par_rows.sort();
-        assert_eq!(seq_rows, par_rows);
     }
 }

@@ -25,12 +25,12 @@ pub enum EngineError {
     /// it was prepared on (plans embed data-dependent seed candidates and
     /// constraint lists, so they never transfer).
     StalePlan,
-    /// A worker panicked during execution and was quarantined: the panic
-    /// poisoned only this query (the pool drained and stays reusable).
+    /// The engine panicked during execution and the panic was quarantined:
+    /// it poisoned only this query (the session and engine stay usable).
     /// `task` names the execution context that trapped the payload.
     Internal {
-        /// Which execution context trapped the panic (e.g. `pool worker`,
-        /// `fork-per-chunk worker`).
+        /// Which execution context trapped the panic (e.g. `sequential
+        /// matcher`, `query execution`).
         task: String,
         /// The panic payload, rendered as text.
         payload: String,
@@ -235,12 +235,12 @@ mod tests {
     #[test]
     fn internal_error_carries_task_and_payload() {
         let e = EngineError::Internal {
-            task: "pool worker".to_string(),
+            task: "sequential matcher".to_string(),
             payload: "boom".to_string(),
         };
         let text = e.to_string();
         assert!(
-            text.contains("pool worker") && text.contains("boom"),
+            text.contains("sequential matcher") && text.contains("boom"),
             "{text}"
         );
         assert!(std::error::Error::source(&e).is_none());

@@ -10,8 +10,6 @@
 use crate::candidates::{process_vertex, Constraint};
 use crate::decompose::Decomposition;
 use crate::matcher::ComponentMatcher;
-use crate::options::ExecOptions;
-use crate::parallel::{dispatch_for, Dispatch};
 use crate::plan::PreparedPlan;
 use amber_index::IndexSet;
 use amber_multigraph::{QueryGraph, RdfGraph};
@@ -32,10 +30,6 @@ pub struct ComponentPlan {
     /// and bypass the cache). `0` means a candidate cache cannot help this
     /// component.
     pub cacheable_probes: usize,
-    /// How the parallel extension would schedule this component under the
-    /// explaining options ([`Dispatch::Sequential`] when `threads == 1` or
-    /// the seed list is below every dispatch threshold).
-    pub dispatch: Dispatch,
     /// Per-variable constraint summary: `(name, attrs, iri constraints,
     /// constrained-candidate count if any)`.
     pub vertex_constraints: Vec<VertexConstraintSummary>,
@@ -77,21 +71,8 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Derive the plan the matcher would execute under default options
-    /// (sequential scheduling).
+    /// Derive the plan the matcher would execute.
     pub fn explain(qg: &QueryGraph, rdf: &RdfGraph, index: &IndexSet) -> Self {
-        Self::explain_with_options(qg, rdf, index, &ExecOptions::new())
-    }
-
-    /// Derive the plan the matcher would execute under `options`, including
-    /// the parallel dispatch decision (scheduler, worker count, root tasks,
-    /// split depth) per component.
-    pub fn explain_with_options(
-        qg: &QueryGraph,
-        rdf: &RdfGraph,
-        index: &IndexSet,
-        options: &ExecOptions,
-    ) -> Self {
         if let Some(reason) = qg.unsat_reason() {
             return Self {
                 unsatisfiable: Some(reason.to_string()),
@@ -144,7 +125,6 @@ impl QueryPlan {
                     satellites,
                     initial_candidates: matcher.initial_candidates().len(),
                     cacheable_probes: matcher.cacheable_probe_count(),
-                    dispatch: dispatch_for(matcher.initial_candidates().len(), options),
                     vertex_constraints,
                 }
             })
@@ -163,7 +143,7 @@ impl QueryPlan {
     /// constraint sizes all come from the prepared components, and the
     /// cache fingerprint is surfaced so repeated-stream cacheability is
     /// inspectable before running the query.
-    pub fn explain_prepared(plan: &PreparedPlan, options: &ExecOptions) -> Self {
+    pub fn explain_prepared(plan: &PreparedPlan) -> Self {
         let qg = plan.query_graph();
         if let Some(reason) = qg.unsat_reason() {
             return Self {
@@ -214,7 +194,6 @@ impl QueryPlan {
                     satellites,
                     initial_candidates: prep.initial_candidates().len(),
                     cacheable_probes: prep.cacheable_probe_count(),
-                    dispatch: dispatch_for(prep.initial_candidates().len(), options),
                     vertex_constraints,
                 }
             })
@@ -232,8 +211,8 @@ impl QueryPlan {
 /// Line-oriented builder for every `EXPLAIN`-family diagnostic surface.
 ///
 /// The chaos banner, the unsatisfiable/statically-empty verdicts, the
-/// fingerprint line, the per-component plan summary (including the
-/// dispatch decision), and the flight-recorder span tree all used to
+/// fingerprint line, the per-component plan summary, and the
+/// flight-recorder span tree all used to
 /// print from separate call sites; routing them through one builder
 /// keeps the output byte-stable and golden-testable.
 /// `QueryPlan`'s `Display` delegates here, and
@@ -268,25 +247,6 @@ impl Explain {
         self
     }
 
-    /// One component's dispatch decision as `EXPLAIN` spells it (also the
-    /// line the flight recorder captures per executed component).
-    pub fn dispatch_line(dispatch: &Dispatch) -> String {
-        match *dispatch {
-            Dispatch::Sequential => "sequential".to_string(),
-            Dispatch::Chunked { workers } => {
-                format!("parallel: fork-per-chunk, {workers} workers")
-            }
-            Dispatch::Pooled {
-                workers,
-                root_tasks,
-                split_depth,
-            } => format!(
-                "parallel: work-stealing pool, {workers} workers, \
-                 {root_tasks} root tasks, split depth {split_depth}"
-            ),
-        }
-    }
-
     /// The full plan summary: banner, verdicts, fingerprint, components.
     pub fn plan(&mut self, plan: &QueryPlan) -> &mut Self {
         self.chaos_banner();
@@ -319,10 +279,6 @@ impl Explain {
                     "  cacheable probes: {} (candidate cache applies)\n",
                     component.cacheable_probes
                 ));
-            }
-            if component.dispatch != Dispatch::Sequential {
-                self.out
-                    .push_str(&format!("  {}\n", Self::dispatch_line(&component.dispatch)));
             }
             for (core, sats) in component.core_order.iter().zip(&component.satellites) {
                 if !sats.is_empty() {
@@ -409,45 +365,20 @@ mod tests {
     }
 
     #[test]
-    fn explain_reports_parallel_dispatch() {
-        let rdf = paper_graph();
-        let index = IndexSet::build(&rdf);
-        let qg = QueryGraph::build(&parse_select(&paper_query_text()).unwrap(), &rdf).unwrap();
-
-        // Default options: sequential, no parallel line.
-        let plan = QueryPlan::explain(&qg, &rdf, &index);
-        assert_eq!(plan.components[0].dispatch, Dispatch::Sequential);
-        assert!(!plan.to_string().contains("parallel:"));
-
-        // Forced pool at 4 threads: splitting makes even one seed pooled.
-        let options = ExecOptions::new()
-            .with_threads(4)
-            .with_scheduler(crate::options::Scheduler::Pool);
-        let plan = QueryPlan::explain_with_options(&qg, &rdf, &index, &options);
-        assert!(matches!(
-            plan.components[0].dispatch,
-            Dispatch::Pooled { workers: 4, .. }
-        ));
-        assert!(plan.to_string().contains("work-stealing pool"));
-    }
-
-    #[test]
     fn explain_prepared_matches_legacy_and_adds_fingerprint() {
         use crate::engine::AmberEngine;
         let rdf = paper_graph();
         let engine = AmberEngine::from_graph(rdf);
         let query = parse_select(&paper_query_text()).unwrap();
         let prepared = engine.prepare(&query).unwrap();
-        let options = ExecOptions::new();
-        let plan = QueryPlan::explain_prepared(&prepared, &options);
+        let plan = QueryPlan::explain_prepared(&prepared);
         assert_eq!(plan.fingerprint, Some(prepared.fingerprint()));
         assert_eq!(plan.components.len(), 1);
         // The prepared report must agree with the legacy derivation over
         // the *source* query graph — including the source variable
         // spellings (the prepared qg itself is canonical internally).
         let source_qg = amber_multigraph::QueryGraph::build(&query, engine.rdf()).unwrap();
-        let legacy =
-            QueryPlan::explain_with_options(&source_qg, engine.rdf(), engine.index(), &options);
+        let legacy = QueryPlan::explain(&source_qg, engine.rdf(), engine.index());
         let (a, b) = (&plan.components[0], &legacy.components[0]);
         assert_eq!(a.core_order, b.core_order);
         assert_eq!(a.satellites, b.satellites);
@@ -491,7 +422,7 @@ mod tests {
         let _on = amber_obs::force_enabled(true);
         let engine = AmberEngine::from_graph(paper_graph());
         let query = parse_select(&paper_query_text()).unwrap();
-        let options = ExecOptions::batch();
+        let options = crate::options::ExecOptions::batch();
         let mut session = engine.create_session(&options);
         let (outcome, text) = engine
             .explain_analyze(&query, &options, &mut session)
@@ -505,7 +436,6 @@ mod tests {
         assert!(text.contains("completed in"), "{text}");
         assert!(text.contains("execute"), "{text}");
         assert!(text.contains("component[0]"), "{text}");
-        assert!(text.contains("dispatch: sequential"), "{text}");
         assert!(text.contains("caches:"), "{text}");
         // The tracing knob is restored: a plain follow-up query records
         // no new trace.
@@ -540,7 +470,7 @@ mod tests {
         );
         let prepared = engine.prepare(&parse_select(&q).unwrap()).unwrap();
         assert!(prepared.statically_empty());
-        let plan = QueryPlan::explain_prepared(&prepared, &ExecOptions::new());
+        let plan = QueryPlan::explain_prepared(&prepared);
         assert!(plan.unsatisfiable.is_none());
         assert!(plan.failed_ground_check);
         assert!(plan.to_string().contains("STATICALLY EMPTY"));

@@ -2,7 +2,7 @@
 //! budget.
 //!
 //! [`ExecOptions::memory_budget`](crate::ExecOptions::memory_budget) arms a
-//! [`MemoryGovernor`] for the query. Workers charge their search-state
+//! [`MemoryGovernor`] for the query. The search charges its state
 //! growth (arena bytes, materialized solutions, probe-cache payloads) at
 //! the matcher's cooperative checkpoints; the governor compares the running
 //! total against the budget and walks a **degradation ladder** instead of
@@ -12,9 +12,7 @@
 //!    verbatim-result cache is cleared and stops storing.
 //! 2. [`Pressure::ShedProbeCaches`] (≥ 65%) — candidate and seed caches
 //!    are cleared (recomputation over retention).
-//! 3. [`Pressure::RefuseSplits`] (≥ 80%) — the matcher stops publishing
-//!    stealable subtree splits (each split clones candidate state).
-//! 4. [`Pressure::Abort`] (≥ 100%) — the query returns a partial outcome
+//! 3. [`Pressure::Abort`] (≥ 100%) — the query returns a partial outcome
 //!    with [`QueryStatus::BudgetExceeded`](crate::QueryStatus::BudgetExceeded).
 //!
 //! The ladder is monotone: once a step is reached it stays reached for the
@@ -35,10 +33,8 @@ pub enum Pressure {
     ShedResults = 1,
     /// Shed the candidate/seed probe caches too.
     ShedProbeCaches = 2,
-    /// Additionally refuse to publish subtree splits.
-    RefuseSplits = 3,
     /// Budget exhausted: abort with a partial outcome.
-    Abort = 4,
+    Abort = 3,
 }
 
 impl Pressure {
@@ -47,20 +43,19 @@ impl Pressure {
             0 => Pressure::None,
             1 => Pressure::ShedResults,
             2 => Pressure::ShedProbeCaches,
-            3 => Pressure::RefuseSplits,
             _ => Pressure::Abort,
         }
     }
 }
 
-/// Shared, lock-free budget accounting for one query (see module docs).
-/// One instance is shared by reference across all workers of the query;
-/// every field is an atomic, so charging from the candidate loop costs two
-/// relaxed RMWs.
+/// Lock-free budget accounting for one query (see module docs). The
+/// matcher holds it by shared reference next to the deadline and the
+/// cancel token; every field is an atomic, so charging from the candidate
+/// loop costs two relaxed RMWs.
 #[derive(Debug)]
 pub struct MemoryGovernor {
     budget: usize,
-    /// Monotone total of charged search-state bytes across workers.
+    /// Monotone total of charged search-state bytes.
     used: AtomicUsize,
     /// Highest ladder step reached (monotone).
     step: AtomicU8,
@@ -87,9 +82,9 @@ impl MemoryGovernor {
     }
 
     /// Charge `delta` freshly-observed bytes and return the (possibly
-    /// escalated) pressure. Workers call this with the *growth* of their
-    /// local usage estimate since their last report, so the total is a sum
-    /// across workers, not a per-worker maximum.
+    /// escalated) pressure. Callers pass the *growth* of their usage
+    /// estimate since their last report, so the total is a sum over the
+    /// query's component runs.
     pub fn charge(&self, delta: usize) -> Pressure {
         let used = self
             .used
@@ -98,13 +93,11 @@ impl MemoryGovernor {
         let target = if self.budget == 0 {
             Pressure::Abort
         } else {
-            // Integer thresholds: used/budget ≥ 50% / 65% / 80% / 100%.
+            // Integer thresholds: used/budget ≥ 50% / 65% / 100%.
             let b = self.budget as u128;
             let u = used as u128;
             if u >= b {
                 Pressure::Abort
-            } else if u * 100 >= b * 80 {
-                Pressure::RefuseSplits
             } else if u * 100 >= b * 65 {
                 Pressure::ShedProbeCaches
             } else if u * 100 >= b * 50 {
@@ -132,7 +125,7 @@ impl MemoryGovernor {
         Pressure::from_step(self.step.load(Ordering::Relaxed))
     }
 
-    /// Number of ladder steps taken (0–4), for the session statistics.
+    /// Number of ladder steps taken (0–3), for the session statistics.
     pub fn steps_taken(&self) -> u64 {
         u64::from(self.step.load(Ordering::Relaxed))
     }
@@ -145,11 +138,6 @@ impl MemoryGovernor {
     /// Has the ladder reached "shed the probe caches"?
     pub fn shed_probe_caches(&self) -> bool {
         self.pressure() >= Pressure::ShedProbeCaches
-    }
-
-    /// Has the ladder reached "refuse split publication"?
-    pub fn refuses_splits(&self) -> bool {
-        self.pressure() >= Pressure::RefuseSplits
     }
 
     /// Has the budget been exhausted (abort with a partial outcome)?
@@ -168,19 +156,19 @@ mod tests {
         assert_eq!(g.charge(100), Pressure::None);
         assert_eq!(g.charge(400), Pressure::ShedResults); // 500 ≥ 50%
         assert_eq!(g.charge(150), Pressure::ShedProbeCaches); // 650 ≥ 65%
-        assert_eq!(g.charge(150), Pressure::RefuseSplits); // 800 ≥ 80%
+        assert_eq!(g.charge(150), Pressure::ShedProbeCaches); // 800 < 100%
         assert_eq!(g.charge(200), Pressure::Abort); // 1000 ≥ 100%
         assert_eq!(g.used(), 1000);
-        assert_eq!(g.steps_taken(), 4);
+        assert_eq!(g.steps_taken(), 3);
     }
 
     #[test]
     fn ladder_is_monotone() {
         let g = MemoryGovernor::new(100);
-        g.charge(90); // RefuseSplits
-        assert!(g.refuses_splits() && g.shed_results() && g.shed_probe_caches());
+        g.charge(90); // ShedProbeCaches
+        assert!(g.shed_results() && g.shed_probe_caches());
         // A later small report cannot step back down.
-        assert_eq!(g.charge(0), Pressure::RefuseSplits);
+        assert_eq!(g.charge(0), Pressure::ShedProbeCaches);
         assert!(!g.exhausted());
     }
 
@@ -190,7 +178,7 @@ mod tests {
         assert_eq!(g.pressure(), Pressure::None);
         g.exhaust();
         assert!(g.exhausted());
-        assert_eq!(g.steps_taken(), 4);
+        assert_eq!(g.steps_taken(), 3);
     }
 
     #[test]
@@ -203,7 +191,6 @@ mod tests {
     fn pressure_ordering_matches_the_ladder() {
         assert!(Pressure::None < Pressure::ShedResults);
         assert!(Pressure::ShedResults < Pressure::ShedProbeCaches);
-        assert!(Pressure::ShedProbeCaches < Pressure::RefuseSplits);
-        assert!(Pressure::RefuseSplits < Pressure::Abort);
+        assert!(Pressure::ShedProbeCaches < Pressure::Abort);
     }
 }

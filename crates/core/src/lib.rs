@@ -42,7 +42,6 @@ pub mod governor;
 pub mod matcher;
 pub mod options;
 pub mod ordering;
-pub mod parallel;
 pub mod plan;
 pub mod request;
 pub mod result;
@@ -55,8 +54,7 @@ pub use engine::{AmberEngine, OfflineStats};
 pub use error::{EngineError, Error};
 pub use explain::{Explain, QueryPlan};
 pub use governor::{MemoryGovernor, Pressure};
-pub use options::{ExecOptions, Scheduler};
-pub use parallel::{dispatch_for, Dispatch};
+pub use options::ExecOptions;
 pub use plan::{
     plan_cache_enabled, PlanCache, PlanCacheStats, PreparedPlan, ResultCache, SharedPlanStats,
     SharedPlanStore,
@@ -64,6 +62,6 @@ pub use plan::{
 pub use request::{QueryRequest, QuerySource};
 pub use result::{BindingRow, Bindings, QueryOutcome, QueryStatus, SparqlEngine};
 pub use seeds::SeedCache;
-pub use session::{BatchOutcome, BatchStats, PoolStats, QuerySession};
+pub use session::{BatchOutcome, BatchStats, QuerySession, SearchStats};
 
 pub use amber_util::CancelToken;

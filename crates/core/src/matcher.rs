@@ -81,9 +81,9 @@ impl ComponentSolution {
 }
 
 /// Why a search stopped before enumerating every embedding. Ordered by
-/// merge precedence: when parallel workers abort for different reasons the
-/// *highest* variant wins (a cancellation is more meaningful to the caller
-/// than the timeout that raced with it).
+/// merge precedence: when the components of one query abort for different
+/// reasons the *highest* variant wins (a cancellation is more meaningful to
+/// the caller than the timeout that raced with it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Abort {
     /// The shared wall-clock deadline expired.
@@ -103,10 +103,8 @@ pub struct ComponentMatch {
     pub solutions: Vec<ComponentSolution>,
     /// Why the search stopped early (`None` = ran to completion).
     pub abort: Option<Abort>,
-    /// Search-tree nodes visited (candidate attempts). The parallel
-    /// extension partitions the candidate iteration exactly, so the summed
-    /// node count of a parallel run equals the sequential one — the
-    /// hardware-independent work measure the scheduling benchmarks balance.
+    /// Search-tree nodes visited (candidate attempts) — the
+    /// hardware-independent work measure of a search.
     pub nodes: u64,
 }
 
@@ -116,8 +114,8 @@ impl ComponentMatch {
         self.abort == Some(Abort::TimedOut)
     }
 
-    /// Fold another worker's abort reason into this result (highest
-    /// [`Abort`] wins — see the enum ordering).
+    /// Fold another abort reason into this result (highest [`Abort`] wins
+    /// — see the enum ordering).
     pub fn merge_abort(&mut self, other: Option<Abort>) {
         self.abort = self.abort.max(other);
     }
@@ -134,8 +132,8 @@ pub struct MatchConfig<'d> {
     /// Cooperative cancellation flag, polled at the same checkpoints as the
     /// deadline. `None` = not cancellable.
     pub cancel: Option<&'d CancelToken>,
-    /// Per-query memory governor; workers charge their search-state growth
-    /// at checkpoints and obey its degradation ladder. `None` = ungoverned.
+    /// Per-query memory governor; the search charges its state growth at
+    /// checkpoints and obeys its degradation ladder. `None` = ungoverned.
     pub governor: Option<&'d MemoryGovernor>,
 }
 
@@ -535,9 +533,7 @@ impl<'a> ComponentMatcher<'a> {
     }
 
     /// Run the search over a slice of initial candidates against *borrowed*
-    /// session state (the parallel extension partitions
-    /// [`Self::initial_candidates`] across workers — each worker borrows its
-    /// own session core, so scratch arenas are never shared across threads).
+    /// session state.
     ///
     /// `arenas` is prepared (grown, never shrunk) for this component's plan;
     /// `cache` memoizes spill-path OTIL probes and may be shared across
@@ -549,58 +545,11 @@ impl<'a> ComponentMatcher<'a> {
         arenas: &mut SearchArenas,
         cache: &mut CandidateCache,
     ) -> ComponentMatch {
-        self.run_task(0, &[], initial, config, arenas, cache, None)
-    }
-
-    /// Run one schedulable unit of the search: iterate `seeds` as the
-    /// candidates of the core vertex at order position `depth`, under the
-    /// already-validated partial assignment `prefix` (positions
-    /// `0..depth`). The sequential algorithm is the `depth == 0`,
-    /// empty-prefix case; the work-stealing pool resumes *stolen subtree
-    /// continuations* from deeper positions.
-    ///
-    /// The prefix is replayed before iterating: assignment slots are
-    /// restored and each prefix position's satellites re-resolve into this
-    /// worker's arenas (they are guaranteed non-empty — the publishing
-    /// worker only advanced past candidates whose satellites resolved), so
-    /// `record`'s embedding product sees exactly the state the original
-    /// recursion would have had.
-    ///
-    /// When `sink` is present and `split_depth > 0`, shallow candidate
-    /// loops (order positions below the cutoff) poll its hungry signal and
-    /// publish untried candidate suffixes as stealable tasks.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_task<'s>(
-        &'s self,
-        depth: usize,
-        prefix: &[VertexId],
-        seeds: &'s [VertexId],
-        config: &MatchConfig<'_>,
-        arenas: &mut SearchArenas,
-        cache: &mut CandidateCache,
-        split: Option<(&mut (dyn SplitSink + 's), usize)>,
-    ) -> ComponentMatch {
         arenas.prepare(&self.prep().plans);
-        debug_assert_eq!(prefix.len(), depth);
-        // Never split the deepest order position: its candidates have no
-        // recursion below them (satellite checks + record only), so carving
-        // them yields tasks whose scheduling overhead exceeds their work.
-        let max_useful_cutoff = self.prep().order.len().saturating_sub(1);
-        let (sink, split_depth) = match split {
-            Some((sink, cutoff)) if cutoff.min(max_useful_cutoff) > 0 => {
-                (Some(sink), cutoff.min(max_useful_cutoff))
-            }
-            _ => (None, 0),
-        };
-        let sources = if sink.is_some() {
-            vec![LevelSource::Inactive; self.prep().order.len()]
-        } else {
-            Vec::new()
-        };
         let governor_reported = if config.governor.is_some() {
-            // Baseline the usage estimate at task entry so only *growth*
-            // during this task is charged (prepared arenas are session
-            // memory already accounted by whichever query grew them).
+            // Baseline the usage estimate at entry so only *growth* during
+            // this run is charged (prepared arenas are session memory
+            // already accounted by whichever query grew them).
             arenas.heap_bytes()
         } else {
             0
@@ -610,31 +559,16 @@ impl<'a> ComponentMatcher<'a> {
             cache,
             result: ComponentMatch::default(),
             config,
-            sink,
-            split_depth,
-            root_depth: depth,
-            sources,
-            split_paid_nodes: 0,
             governor_reported,
             governor_ticks: 0,
-            storm: false,
         };
-        // Replay the stolen prefix (no-op for root tasks).
-        for (pos, &v) in prefix.iter().enumerate() {
-            state.arenas.levels[pos] = Level::default();
-            if !self.resolve_satellites(pos, v, &mut state) {
-                debug_assert!(false, "stolen prefix must re-validate");
-                return state.result;
-            }
-            state.arenas.assignment[pos] = v;
-        }
-        // Iterate this task's own candidates at `depth`, with the precise
-        // per-candidate deadline check (this loop runs once per initial /
-        // stolen candidate, so precision matters more than the clock read).
-        self.iterate_level(depth, seeds, &mut state, true);
+        // Iterate the initial candidates with the precise per-candidate
+        // deadline check (this loop runs once per initial candidate, so
+        // precision matters more than the clock read).
+        self.iterate_level(0, initial, &mut state, true);
         // Settle the governor before handing the result back: the
         // counter-gated checkpoints may never have measured on a short
-        // task, but the budget contract must hold for any task length.
+        // run, but the budget contract must hold for any run length.
         // (Deadline/cancel are deliberately NOT re-polled — the work is
         // already done; only the memory accounting must be made whole.)
         if let Some(governor) = state.config.governor {
@@ -658,12 +592,7 @@ impl<'a> ComponentMatcher<'a> {
     /// line 8). On early exit the buffers keep stale data from the failed
     /// candidate; that is fine because `record` is only reached after every
     /// depth on the chain refilled its buffers for the current assignment.
-    fn resolve_satellites(
-        &self,
-        pos: usize,
-        v: VertexId,
-        state: &mut SearchState<'_, '_, '_>,
-    ) -> bool {
+    fn resolve_satellites(&self, pos: usize, v: VertexId, state: &mut SearchState<'_, '_>) -> bool {
         let plan = &self.prep().plans[pos];
         for (k, sat) in plan.satellites.iter().enumerate() {
             let SearchState { arenas, cache, .. } = &mut *state;
@@ -684,20 +613,16 @@ impl<'a> ComponentMatcher<'a> {
     /// Attempt `v` as the match of the core vertex at `pos`; on success,
     /// resolve its satellites and recurse (Algorithm 3 lines 8-19 for the
     /// initial vertex, Algorithm 4 lines 9-20 beyond).
-    fn try_candidate<'s>(&'s self, pos: usize, v: VertexId, state: &mut SearchState<'_, '_, 's>) {
+    fn try_candidate(&self, pos: usize, v: VertexId, state: &mut SearchState<'_, '_>) {
         state.result.nodes += 1;
         // Chaos-harness hook: one relaxed atomic load when disarmed. A
-        // `Panic` fault unwinds from here into the pool's task trap; an
-        // `AllocFail` signal escalates the governor; a `Storm` signal
-        // forces the next split decision.
+        // `Panic` fault unwinds from here into the engine's quarantine; an
+        // `AllocFail` signal escalates the governor.
         let signal = fault::inject(FaultPoint::MatcherCandidate);
         if signal.alloc_fail {
             if let Some(governor) = state.config.governor {
                 governor.exhaust();
             }
-        }
-        if signal.storm {
-            state.storm = true;
         }
         if !self.resolve_satellites(pos, v, state) {
             return;
@@ -714,8 +639,8 @@ impl<'a> ComponentMatcher<'a> {
     /// Cooperative checkpoint: deadline, cancellation, and memory-budget
     /// checks in one place. Returns `true` (after recording the abort
     /// reason) when the search must stop. `precise` consults the uncached
-    /// clock and forces a governor measurement — task-root loops only.
-    fn check_abort(&self, state: &mut SearchState<'_, '_, '_>, precise: bool) -> bool {
+    /// clock and forces a governor measurement — the root loop only.
+    fn check_abort(&self, state: &mut SearchState<'_, '_>, precise: bool) -> bool {
         // Cancellation is polled before the deadline: when both fire, the
         // explicit user abort is the status the caller should see (the
         // `Abort` merge ordering agrees — `Cancelled` outranks `TimedOut`).
@@ -737,7 +662,7 @@ impl<'a> ComponentMatcher<'a> {
         if let Some(governor) = state.config.governor {
             state.governor_ticks = state.governor_ticks.wrapping_add(1);
             if precise || state.governor_ticks & Self::GOVERNOR_CHECK_MASK == 0 {
-                // Approximate this worker's live search state: arena heap
+                // Approximate the live search state: arena heap
                 // plus retained solution headers (solution payloads grow
                 // the satellite buffers the arena walk already covers).
                 let usage = state.arenas.heap_bytes()
@@ -754,86 +679,6 @@ impl<'a> ComponentMatcher<'a> {
             }
         }
         false
-    }
-
-    /// Nodes a task must have executed since its last split before it pays
-    /// for another one. Splits only fire while the pool reports free
-    /// capacity, but capacity alone says nothing about whether a split is
-    /// *worth its overhead* — a task that has only done a few hundred
-    /// nodes of work since the last publication would flood the pool with
-    /// sub-microsecond junk tasks (4 000 trivial seeds would become 4 000
-    /// tasks). Amortizing against executed work caps scheduling overhead
-    /// at roughly one task publication per this many nodes while still
-    /// decomposing every heavy subtree at ~this granularity.
-    const SPLIT_AMORTIZE_NODES: u64 = 256;
-
-    /// Cooperative subtree splitting: when the pool has free capacity and
-    /// this task has done enough work to amortize a publication, carve the
-    /// *suffix half* of the untried candidates at the shallowest active
-    /// level and publish it — with the partial assignment below it — as a
-    /// stealable task. The suffix of the shallowest level is always the
-    /// tail of this task's enumeration order, which is what keeps the
-    /// published-key merge order identical to sequential enumeration.
-    fn maybe_split(&self, pos: usize, state: &mut SearchState<'_, '_, '_>) {
-        // A chaos `Storm` signal forces the next split through both the
-        // amortization and the hungry-poll gate (split-storm stress); the
-        // governor's RefuseSplits rung overrides even that — published
-        // suffixes clone candidate state, which is exactly the memory the
-        // ladder is trying to stop growing.
-        let forced = std::mem::take(&mut state.storm);
-        if let Some(governor) = state.config.governor {
-            if governor.refuses_splits() {
-                return;
-            }
-        }
-        if !forced && state.result.nodes < state.split_paid_nodes + Self::SPLIT_AMORTIZE_NODES {
-            return;
-        }
-        let SearchState {
-            arenas,
-            sink,
-            sources,
-            root_depth,
-            ..
-        } = state;
-        let Some(sink) = sink.as_deref_mut() else {
-            return;
-        };
-        if !forced && !sink.wants_work() {
-            return;
-        }
-        // Indexed loop on purpose: `p` addresses three parallel arrays
-        // (`levels`, `sources`, `depths`) and `assignment[..p]`.
-        #[allow(clippy::needless_range_loop)]
-        for p in *root_depth..=pos {
-            let level = arenas.levels[p];
-            let untried = level.limit.saturating_sub(level.next);
-            if untried == 0 {
-                continue;
-            }
-            // Levels *above* the current position are outer tails — work
-            // entirely independent of the subtree this task is inside — so
-            // hand the whole range off at once (a thief re-splits it under
-            // its own amortization). The level currently being iterated is
-            // halved instead: halving keeps the split tree logarithmic, so
-            // real-parallel executions never degrade into a sequential
-            // chain of handoffs.
-            let give = if p < pos {
-                untried
-            } else {
-                untried.div_ceil(2)
-            };
-            let new_limit = level.limit - give;
-            let suffix: &[VertexId] = match sources[p] {
-                LevelSource::Arena => &arenas.depths[p].candidates[new_limit..level.limit],
-                LevelSource::Slice(slice) => &slice[new_limit..level.limit],
-                LevelSource::Inactive => continue,
-            };
-            sink.publish(p, &arenas.assignment[..p], suffix);
-            arenas.levels[p].limit = new_limit;
-            state.split_paid_nodes = state.result.nodes;
-            return;
-        }
     }
 
     /// Candidates of one satellite given its core's match (Algorithm 2
@@ -879,7 +724,7 @@ impl<'a> ComponentMatcher<'a> {
     }
 
     /// HomomorphicMatch (Algorithm 4).
-    fn recurse<'s>(&'s self, pos: usize, state: &mut SearchState<'_, '_, 's>) {
+    fn recurse(&self, pos: usize, state: &mut SearchState<'_, '_>) {
         if self.check_abort(state, false) {
             return;
         }
@@ -912,9 +757,7 @@ impl<'a> ComponentMatcher<'a> {
         // unconstrained) resolve through the session candidate cache.
         {
             let SearchState { arenas, cache, .. } = &mut *state;
-            let SearchArenas {
-                assignment, depths, ..
-            } = &mut **arenas;
+            let SearchArenas { assignment, depths } = &mut **arenas;
             let DepthScratch {
                 candidates,
                 spill,
@@ -965,27 +808,11 @@ impl<'a> ComponentMatcher<'a> {
             }
         }
 
-        // Lines 9-20. Cursor loop: deeper recursion uses its *own* depth's
-        // arena, so this depth's candidate buffer is stable throughout; the
-        // cursor lives in the arenas so the split hook can carve untried
-        // suffixes out of any active level.
-        state.arenas.levels[pos] = Level {
-            next: 0,
-            limit: state.arenas.depths[pos].candidates.len(),
-        };
-        if state.sink.is_some() {
-            state.sources[pos] = LevelSource::Arena;
-        }
-        loop {
-            let level = state.arenas.levels[pos];
-            if level.next >= level.limit {
-                return;
-            }
-            let v = state.arenas.depths[pos].candidates[level.next];
-            state.arenas.levels[pos].next = level.next + 1;
-            if pos < state.split_depth {
-                self.maybe_split(pos, state);
-            }
+        // Lines 9-20. Indexed loop: deeper recursion uses its *own* depth's
+        // arena, so this depth's candidate buffer is stable throughout, but
+        // `state` cannot stay borrowed across `try_candidate`.
+        for i in 0..state.arenas.depths[pos].candidates.len() {
+            let v = state.arenas.depths[pos].candidates[i];
             self.try_candidate(pos, v, state);
             if state.result.abort.is_some() {
                 return;
@@ -993,38 +820,21 @@ impl<'a> ComponentMatcher<'a> {
         }
     }
 
-    /// Iterate a borrowed candidate list — a task's seed slice or the fast
-    /// path's inverted-list borrow — as the level at `pos`, with the same
-    /// cursor/split protocol as the arena-backed loop in [`Self::recurse`].
+    /// Iterate a borrowed candidate list — the initial candidates or the
+    /// fast path's inverted-list borrow — as the level at `pos`.
     /// `precise_deadline` additionally consults the uncached clock before
-    /// every candidate (task root loops only; recursion levels rely on the
+    /// every candidate (the root loop only; recursion levels rely on the
     /// cheap cached check at `recurse` entry).
-    fn iterate_level<'s>(
-        &'s self,
+    fn iterate_level(
+        &self,
         pos: usize,
-        source: &'s [VertexId],
-        state: &mut SearchState<'_, '_, 's>,
+        source: &[VertexId],
+        state: &mut SearchState<'_, '_>,
         precise_deadline: bool,
     ) {
-        state.arenas.levels[pos] = Level {
-            next: 0,
-            limit: source.len(),
-        };
-        if state.sink.is_some() {
-            state.sources[pos] = LevelSource::Slice(source);
-        }
-        loop {
-            let level = state.arenas.levels[pos];
-            if level.next >= level.limit {
-                return;
-            }
+        for &v in source {
             if precise_deadline && self.check_abort(state, true) {
                 return;
-            }
-            let v = source[level.next];
-            state.arenas.levels[pos].next = level.next + 1;
-            if pos < state.split_depth {
-                self.maybe_split(pos, state);
             }
             self.try_candidate(pos, v, state);
             if state.result.abort.is_some() {
@@ -1036,7 +846,7 @@ impl<'a> ComponentMatcher<'a> {
     /// All core vertices matched: register the solution. `GenEmb` counting —
     /// the solution denotes `∏ |V_s|` embeddings via Cartesian product; the
     /// solution itself is only materialized when it is retained.
-    fn record(&self, state: &mut SearchState<'_, '_, '_>) {
+    fn record(&self, state: &mut SearchState<'_, '_>) {
         // Session arenas can be *larger* than this component's plan (they
         // are grown high-water-mark style and never shrunk), so every walk
         // zips against the plans — stale deeper/extra buffers are ignored.
@@ -1073,44 +883,6 @@ impl<'a> ComponentMatcher<'a> {
             });
         }
     }
-}
-
-/// Cursor of one active candidate loop: the next untried index and the
-/// (split-shrinkable) exclusive end of the range.
-#[derive(Debug, Clone, Copy, Default)]
-struct Level {
-    next: usize,
-    limit: usize,
-}
-
-/// What the candidate loop at a level iterates — needed by the split hook
-/// to copy an untried suffix out for a thief. `Arena` indexes the level's
-/// own [`DepthScratch::candidates`] buffer (avoiding a self-borrow of the
-/// arenas); slices cover the task seed list and the fast path's borrowed
-/// inverted list.
-#[derive(Debug, Clone, Copy)]
-enum LevelSource<'s> {
-    /// Level not (yet) iterated under the current task — never carved.
-    Inactive,
-    /// The level's arena candidate buffer.
-    Arena,
-    /// An external sorted slice (task seeds or a borrowed inverted list).
-    Slice(&'s [VertexId]),
-}
-
-/// Where the matcher publishes stealable subtree continuations. Implemented
-/// by the pool scheduler in [`crate::parallel`]; the matcher itself stays
-/// scheduler-agnostic.
-pub(crate) trait SplitSink {
-    /// Cheap poll: is some worker hungry enough to justify a split?
-    fn wants_work(&mut self) -> bool;
-    /// Publish the untried `candidates` of order position `depth` together
-    /// with the validated partial assignment `prefix` (positions
-    /// `0..depth`). Published suffixes follow the publisher's own remaining
-    /// work in enumeration order, and successive publications move
-    /// *earlier* tails — the ordering contract the scheduler's
-    /// deterministic merge relies on.
-    fn publish(&mut self, depth: usize, prefix: &[VertexId], candidates: &[VertexId]);
 }
 
 /// Reusable buffers of one recursion depth (order position). Prepared by
@@ -1152,7 +924,7 @@ impl DepthScratch {
 /// one [`DepthScratch`] arena per order position.
 ///
 /// A [`QuerySession`](crate::session::QuerySession) owns one `SearchArenas`
-/// per worker and lends it to every component run; [`Self::prepare`] grows
+/// and lends it to every component run; [`Self::prepare`] grows
 /// the arenas to the incoming plan's shape **high-water-mark style** — an
 /// arena set that has seen a deep query never shrinks back, so repeated
 /// workloads stop touching the allocator entirely.
@@ -1164,10 +936,6 @@ pub struct SearchArenas {
     /// Per-depth scratch arenas, indexed by order position (may be longer
     /// than the active component's plan).
     depths: Vec<DepthScratch>,
-    /// Per-depth candidate-loop cursors. Held in the arenas (not the call
-    /// stack) so the split hook can shrink the untried range of *any*
-    /// active level when a thief asks for work.
-    levels: Vec<Level>,
 }
 
 impl SearchArenas {
@@ -1184,9 +952,6 @@ impl SearchArenas {
         }
         if self.depths.len() < plans.len() {
             self.depths.resize_with(plans.len(), DepthScratch::default);
-        }
-        if self.levels.len() < plans.len() {
-            self.levels.resize(plans.len(), Level::default());
         }
         for (depth, plan) in self.depths.iter_mut().zip(plans) {
             if depth.satellites.len() < plan.satellites.len() {
@@ -1210,36 +975,20 @@ impl SearchArenas {
 }
 
 /// Mutable search state threaded through the recursion: borrowed session
-/// arenas + probe cache, plus the per-run result accumulator and the
-/// (optional) subtree-split runtime.
-struct SearchState<'c, 'd, 's> {
+/// arenas + probe cache, plus the per-run result accumulator.
+struct SearchState<'c, 'd> {
     /// Borrowed long-lived scratch arenas.
     arenas: &'c mut SearchArenas,
     /// Borrowed probe memo (pass-through when disabled).
     cache: &'c mut CandidateCache,
     result: ComponentMatch,
     config: &'c MatchConfig<'d>,
-    /// Split publication target; `None` runs the pure sequential algorithm
-    /// (no level-source bookkeeping, no hungry polling).
-    sink: Option<&'c mut (dyn SplitSink + 's)>,
-    /// Order positions below this cutoff poll the sink (0 when disabled).
-    split_depth: usize,
-    /// The order position this task's own candidate loop runs at (0 for
-    /// root tasks; the stolen depth for continuations).
-    root_depth: usize,
-    /// Per-level enumeration sources, maintained only when `sink` is set.
-    sources: Vec<LevelSource<'s>>,
-    /// `result.nodes` at the last split publication — the amortization
-    /// baseline ([`ComponentMatcher::SPLIT_AMORTIZE_NODES`]).
-    split_paid_nodes: u64,
     /// Last usage estimate reported to the governor (deltas only are
     /// charged; see [`MemoryGovernor::charge`]).
     governor_reported: usize,
     /// Checkpoint counter gating governor measurements
     /// ([`ComponentMatcher::GOVERNOR_CHECK_MASK`]).
     governor_ticks: u32,
-    /// One-shot "force the next split" flag set by a chaos `Storm` signal.
-    storm: bool,
 }
 
 #[cfg(test)]
@@ -1264,5 +1013,37 @@ mod tests {
         let result = matcher.run(&MatchConfig::new(&deadline, None));
         assert!(result.abort.is_none());
         assert_eq!(result.count, 2);
+        assert!(result.nodes > 0, "every candidate attempt is a node");
+    }
+
+    #[test]
+    fn solution_cap_truncates_retention_not_the_count() {
+        let (rdf, qg, index) = setup();
+        let comps = qg.connected_components();
+        let matcher = ComponentMatcher::new(&qg, rdf.graph(), &index, &comps[0]);
+        let deadline = Deadline::unlimited();
+        let all = matcher.run(&MatchConfig::new(&deadline, None));
+        let capped = matcher.run(&MatchConfig::new(&deadline, Some(1)));
+        assert_eq!(capped.count, all.count);
+        assert_eq!(capped.solutions, all.solutions[..1]);
+        assert!(!capped.timed_out());
+    }
+
+    #[test]
+    fn merge_abort_precedence_prefers_cancellation() {
+        let mut merged = ComponentMatch::default();
+        for abort in [
+            Some(Abort::TimedOut),
+            Some(Abort::Cancelled),
+            Some(Abort::BudgetExceeded),
+            None,
+        ] {
+            merged.merge_abort(abort);
+        }
+        assert_eq!(merged.abort, Some(Abort::Cancelled));
+        let mut timed_out = ComponentMatch::default();
+        timed_out.merge_abort(Some(Abort::TimedOut));
+        timed_out.merge_abort(None);
+        assert!(timed_out.timed_out(), "`None` never clears a reason");
     }
 }

@@ -3,22 +3,8 @@
 use amber_util::CancelToken;
 use std::time::Duration;
 
-/// Which parallel scheduler executes a multi-threaded query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// The work-stealing pool unless the `AMBER_POOL` environment variable
-    /// disables it (`off`/`0`/`false`, detected once per process).
-    #[default]
-    Auto,
-    /// Always the work-stealing pool (ignores `AMBER_POOL`).
-    Pool,
-    /// Always the legacy fork-per-chunk model (`std::thread::scope`, one
-    /// worker per contiguous seed chunk, no subtree splitting).
-    ForkPerChunk,
-}
-
 /// Knobs for one query execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
     /// Wall-clock budget; the paper's evaluation uses 60 s (§7.2). `None`
     /// runs to completion.
@@ -29,10 +15,7 @@ pub struct ExecOptions {
     pub max_results: Option<usize>,
     /// Count embeddings without materializing bindings at all.
     pub count_only: bool,
-    /// Number of worker threads for the parallel-matching extension
-    /// (`1` = the paper's sequential algorithm).
-    pub threads: usize,
-    /// Capacity (entries) of the per-worker candidate cache memoizing
+    /// Capacity (entries) of the session candidate cache memoizing
     /// spill-path OTIL probe results across components and queries.
     /// `0` disables caching. Sessions created by
     /// [`AmberEngine::create_session`](crate::AmberEngine::create_session)
@@ -54,33 +37,6 @@ pub struct ExecOptions {
     /// never leak across option sets. `0` disables result reuse; gated by
     /// `AMBER_PLAN_CACHE` alongside the plan cache.
     pub result_cache_capacity: usize,
-    /// Minimum initial candidates *per worker* before the parallel
-    /// extension distributes seed chunks: fewer than
-    /// `parallel_seed_factor × threads` seeds run sequentially (unless the
-    /// pool can still win via subtree splitting — see
-    /// [`Self::split_depth`]). Default
-    /// [`Self::DEFAULT_PARALLEL_SEED_FACTOR`]` = 2`, the threshold that was
-    /// hard-coded in `parallel.rs` before it became a knob; `0` behaves
-    /// like `1` (always dispatch when `threads > 1`).
-    pub parallel_seed_factor: usize,
-    /// Recursion-depth cutoff for cooperative subtree splitting on the
-    /// work-stealing pool: candidate loops at order positions below this
-    /// value poll the pool's hungry signal and publish untried candidate
-    /// ranges as stealable tasks. `0` disables splitting (the pool then
-    /// only balances whole seed chunks). Deep cutoffs make the split poll
-    /// run inside hot inner loops for no extra balance, which is why the
-    /// default ([`Self::DEFAULT_SPLIT_DEPTH`]` = 3`) stays shallow.
-    ///
-    /// Trade-off: with splitting enabled the pool dispatches *any*
-    /// non-empty seed list when `threads > 1` — that is what lets a
-    /// single heavy seed parallelize, but it also means trivial
-    /// components pay a pool run (tens of microseconds) that the old
-    /// seed-count threshold would have run inline. Streams of known-tiny
-    /// queries that still want `threads > 1` should set this to `0` to
-    /// recover the pure threshold dispatch.
-    pub split_depth: usize,
-    /// Scheduler selection for `threads > 1` (default [`Scheduler::Auto`]).
-    pub scheduler: Scheduler,
     /// Cooperative cancellation: the engine polls this token at the same
     /// checkpoints as the deadline and aborts with
     /// [`QueryStatus::Cancelled`](crate::QueryStatus::Cancelled) once it
@@ -89,44 +45,13 @@ pub struct ExecOptions {
     /// Per-query memory budget in bytes for the search state (arenas,
     /// materialized solutions, probe-cache payloads). When pressure builds,
     /// the engine degrades gracefully — shed result cache, shed
-    /// candidate/seed caches, refuse split publication — before returning a
-    /// partial outcome with
+    /// candidate/seed caches — before returning a partial outcome with
     /// [`QueryStatus::BudgetExceeded`](crate::QueryStatus::BudgetExceeded).
     /// `None` (the default) leaves memory unbounded.
     pub memory_budget: Option<usize>,
 }
 
-impl Default for ExecOptions {
-    /// Like the previous derived default (no timeout, materialize all,
-    /// `threads == 0` ≡ sequential, cache off) with the documented parallel
-    /// scheduling defaults.
-    fn default() -> Self {
-        Self {
-            timeout: None,
-            max_results: None,
-            count_only: false,
-            threads: 0,
-            candidate_cache_capacity: 0,
-            plan_cache_capacity: 0,
-            result_cache_capacity: 0,
-            parallel_seed_factor: Self::DEFAULT_PARALLEL_SEED_FACTOR,
-            split_depth: Self::DEFAULT_SPLIT_DEPTH,
-            scheduler: Scheduler::Auto,
-            cancel: None,
-            memory_budget: None,
-        }
-    }
-}
-
 impl ExecOptions {
-    /// Default options (no timeout, full materialization, sequential).
-    pub fn new() -> Self {
-        Self {
-            threads: 1,
-            ..Self::default()
-        }
-    }
-
     /// The paper's benchmark configuration: a wall-clock budget and
     /// count-only evaluation (the harness measures time-to-enumerate, not
     /// result shipping).
@@ -134,17 +59,16 @@ impl ExecOptions {
         Self {
             timeout: Some(timeout),
             count_only: true,
-            threads: 1,
             ..Self::default()
         }
     }
 
-    /// Batch-execution preset: like [`Self::new`] but with default-sized
+    /// Batch-execution preset: the defaults plus default-sized
     /// candidate, prepared-plan, and verbatim-result caches — the
     /// configuration
     /// [`execute_batch`](crate::AmberEngine::execute_batch) is designed for.
     pub fn batch() -> Self {
-        Self::new()
+        Self::default()
             .with_candidate_cache(Self::DEFAULT_CACHE_CAPACITY)
             .with_plan_cache(Self::DEFAULT_PLAN_CACHE_CAPACITY)
             .with_result_cache(Self::DEFAULT_RESULT_CACHE_CAPACITY)
@@ -161,18 +85,6 @@ impl ExecOptions {
     /// Default verbatim-result cache capacity of the [`Self::batch`]
     /// preset.
     pub const DEFAULT_RESULT_CACHE_CAPACITY: usize = 256;
-
-    /// Default [`Self::parallel_seed_factor`]: dispatch parallel chunking
-    /// only with at least two initial candidates per worker (the threshold
-    /// the pre-knob implementation hard-coded).
-    pub const DEFAULT_PARALLEL_SEED_FACTOR: usize = 2;
-
-    /// Default [`Self::split_depth`]: offer subtree splits from the seed
-    /// loop and the first two recursion levels. Shallow levels own the
-    /// coarsest subtrees, so three levels are enough for thieves to drain a
-    /// skewed recursion tree while the poll stays out of the deepest (and
-    /// hottest) loops.
-    pub const DEFAULT_SPLIT_DEPTH: usize = 3;
 
     /// Builder: set the timeout.
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
@@ -192,13 +104,7 @@ impl ExecOptions {
         self
     }
 
-    /// Builder: parallel matching with `threads` workers.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Builder: size the per-worker candidate cache (`0` disables it).
+    /// Builder: size the session candidate cache (`0` disables it).
     pub fn with_candidate_cache(mut self, capacity: usize) -> Self {
         self.candidate_cache_capacity = capacity;
         self
@@ -213,25 +119,6 @@ impl ExecOptions {
     /// Builder: size the session verbatim-result cache (`0` disables it).
     pub fn with_result_cache(mut self, capacity: usize) -> Self {
         self.result_cache_capacity = capacity;
-        self
-    }
-
-    /// Builder: set the parallel-dispatch threshold (initial candidates per
-    /// worker below which the chunked path runs sequentially).
-    pub fn with_parallel_seed_factor(mut self, factor: usize) -> Self {
-        self.parallel_seed_factor = factor;
-        self
-    }
-
-    /// Builder: set the subtree-split depth cutoff (`0` disables splits).
-    pub fn with_split_depth(mut self, depth: usize) -> Self {
-        self.split_depth = depth;
-        self
-    }
-
-    /// Builder: pick the parallel scheduler.
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -266,16 +153,6 @@ impl ExecOptions {
         self.memory_budget = Some(bytes);
         self
     }
-
-    /// Effective thread count (0 is treated as 1).
-    pub fn effective_threads(&self) -> usize {
-        self.threads.max(1)
-    }
-
-    /// Effective parallel-dispatch threshold (0 is treated as 1).
-    pub fn effective_seed_factor(&self) -> usize {
-        self.parallel_seed_factor.max(1)
-    }
 }
 
 #[cfg(test)]
@@ -284,25 +161,22 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let o = ExecOptions::new()
+        let o = ExecOptions::default()
             .with_timeout(Duration::from_secs(60))
             .with_max_results(10)
             .counting()
-            .with_threads(4)
             .with_candidate_cache(128);
         assert_eq!(o.timeout, Some(Duration::from_secs(60)));
         assert_eq!(o.max_results, Some(10));
         assert!(o.count_only);
-        assert_eq!(o.effective_threads(), 4);
         assert_eq!(o.candidate_cache_capacity, 128);
     }
 
     #[test]
     fn cache_disabled_by_default_enabled_in_batch_preset() {
-        assert_eq!(ExecOptions::new().candidate_cache_capacity, 0);
         assert_eq!(ExecOptions::default().candidate_cache_capacity, 0);
-        assert_eq!(ExecOptions::new().plan_cache_capacity, 0);
-        assert_eq!(ExecOptions::new().result_cache_capacity, 0);
+        assert_eq!(ExecOptions::default().plan_cache_capacity, 0);
+        assert_eq!(ExecOptions::default().result_cache_capacity, 0);
         assert_eq!(
             ExecOptions::batch().candidate_cache_capacity,
             ExecOptions::DEFAULT_CACHE_CAPACITY
@@ -315,19 +189,20 @@ mod tests {
             ExecOptions::batch().result_cache_capacity,
             ExecOptions::DEFAULT_RESULT_CACHE_CAPACITY
         );
-        assert_eq!(ExecOptions::batch().effective_threads(), 1);
-        let tuned = ExecOptions::new().with_plan_cache(7).with_result_cache(9);
+        let tuned = ExecOptions::default()
+            .with_plan_cache(7)
+            .with_result_cache(9);
         assert_eq!(tuned.plan_cache_capacity, 7);
         assert_eq!(tuned.result_cache_capacity, 9);
     }
 
     #[test]
     fn cancel_and_budget_default_off_and_compose() {
-        let o = ExecOptions::new();
+        let o = ExecOptions::default();
         assert!(o.cancel.is_none());
         assert!(o.memory_budget.is_none());
         let token = CancelToken::new();
-        let o = ExecOptions::new()
+        let o = ExecOptions::default()
             .with_cancel(token.clone())
             .with_memory_budget(1 << 20);
         assert_eq!(o.memory_budget, Some(1 << 20));
@@ -338,13 +213,13 @@ mod tests {
     #[test]
     fn tighten_only_ever_shrinks() {
         // Absent limits are installed...
-        let o = ExecOptions::new()
+        let o = ExecOptions::default()
             .tighten_timeout(Duration::from_secs(5))
             .tighten_memory_budget(1 << 20);
         assert_eq!(o.timeout, Some(Duration::from_secs(5)));
         assert_eq!(o.memory_budget, Some(1 << 20));
         // ...looser existing limits are replaced...
-        let o = ExecOptions::new()
+        let o = ExecOptions::default()
             .with_timeout(Duration::from_secs(60))
             .with_memory_budget(1 << 30)
             .tighten_timeout(Duration::from_secs(1))
@@ -352,7 +227,7 @@ mod tests {
         assert_eq!(o.timeout, Some(Duration::from_secs(1)));
         assert_eq!(o.memory_budget, Some(4096));
         // ...and tighter existing limits survive.
-        let o = ExecOptions::new()
+        let o = ExecOptions::default()
             .with_timeout(Duration::from_millis(1))
             .with_memory_budget(64)
             .tighten_timeout(Duration::from_secs(60))
@@ -362,36 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_is_sequential() {
-        let o = ExecOptions::default();
-        assert_eq!(o.threads, 0);
-        assert_eq!(o.effective_threads(), 1);
-    }
-
-    #[test]
     fn benchmark_preset() {
         let o = ExecOptions::benchmark(Duration::from_secs(60));
         assert!(o.count_only);
         assert_eq!(o.timeout, Some(Duration::from_secs(60)));
-    }
-
-    #[test]
-    fn scheduling_knobs_default_and_compose() {
-        let o = ExecOptions::default();
-        assert_eq!(
-            o.parallel_seed_factor,
-            ExecOptions::DEFAULT_PARALLEL_SEED_FACTOR
-        );
-        assert_eq!(o.split_depth, ExecOptions::DEFAULT_SPLIT_DEPTH);
-        assert_eq!(o.scheduler, Scheduler::Auto);
-
-        let o = ExecOptions::new()
-            .with_parallel_seed_factor(0)
-            .with_split_depth(5)
-            .with_scheduler(Scheduler::ForkPerChunk);
-        assert_eq!(o.parallel_seed_factor, 0);
-        assert_eq!(o.effective_seed_factor(), 1, "0 behaves like 1");
-        assert_eq!(o.split_depth, 5);
-        assert_eq!(o.scheduler, Scheduler::ForkPerChunk);
     }
 }

@@ -25,16 +25,14 @@
 //!   result-shaping options (`count_only`, `max_results`). Partial results
 //!   (deadline expiry) are **never stored**, and caps are part of the key,
 //!   so a truncated execution can never poison an uncapped repeat.
-//!   Timeout and scheduling knobs are deliberately *not* keyed: a
-//!   completed outcome is the full answer regardless of the budget it ran
-//!   under, and the parallel schedulers are bit-identical to sequential
-//!   execution by construction.
+//!   The timeout is deliberately *not* keyed: a completed outcome is the
+//!   full answer regardless of the budget it ran under.
 //!
 //! Both caches live in a [`QuerySession`](crate::session::QuerySession)
 //! and are dropped when the session rebinds to a different engine, like
 //! the candidate and seed caches. The `AMBER_PLAN_CACHE=off` environment
 //! variable pins both off process-wide (the CI lane mirroring
-//! `AMBER_KERNELS` / `AMBER_POOL`).
+//! `AMBER_KERNELS`).
 
 use crate::candidates::CacheStats;
 use crate::error::EngineError;
@@ -964,8 +962,8 @@ mod tests {
         let plan = plan_for(&paper_query_text(), 1);
         let mut cache = ResultCache::new(8);
         let outcome = QueryOutcome::empty(vec!["0".into()], Default::default());
-        let uncapped = ExecOptions::new();
-        let capped = ExecOptions::new().with_max_results(1);
+        let uncapped = ExecOptions::default();
+        let capped = ExecOptions::default().with_max_results(1);
         cache.store(&plan, &capped, &outcome);
         assert!(
             cache.lookup(&plan, &uncapped).is_none(),
@@ -974,7 +972,7 @@ mod tests {
         assert!(cache.lookup(&plan, &capped).is_some());
         assert!(
             cache
-                .lookup(&plan, &ExecOptions::new().counting())
+                .lookup(&plan, &ExecOptions::default().counting())
                 .is_none(),
             "count-only and materializing runs never alias"
         );
@@ -993,7 +991,7 @@ mod tests {
             }
         });
         let mut cache = ResultCache::new(8);
-        let options = ExecOptions::new();
+        let options = ExecOptions::default();
         let outcome_a = QueryOutcome::empty(vec!["a".into()], Default::default());
         cache.store(&a, &options, &outcome_a);
         assert!(

@@ -85,7 +85,7 @@ impl<'a> QueryRequest<'a> {
     pub fn from_source(source: QuerySource<'a>) -> Self {
         Self {
             source,
-            options: ExecOptions::new(),
+            options: ExecOptions::default(),
         }
     }
 
@@ -224,7 +224,7 @@ mod tests {
     fn run_matches_legacy_execute_across_sources() {
         let engine = engine();
         let text = paper_query_text();
-        let legacy = engine.execute(&text, &ExecOptions::new()).unwrap();
+        let legacy = engine.execute(&text, &ExecOptions::default()).unwrap();
 
         let from_text = engine.run(&QueryRequest::sparql(&text)).unwrap();
         assert_eq!(from_text.embedding_count, legacy.embedding_count);

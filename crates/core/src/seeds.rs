@@ -64,8 +64,8 @@ impl AttrSetKey {
 
 /// Session-owned memo of seed candidate lookups (see module docs).
 ///
-/// Main-thread only: seed probes run during matcher *plan construction*,
-/// before the parallel extension forks, so one store per session suffices.
+/// Seed probes run during matcher *plan construction*, so one store per
+/// session suffices.
 #[derive(Debug)]
 pub struct SeedCache {
     /// Maximum entries **per key space**; 0 disables the cache entirely.

@@ -5,17 +5,13 @@
 //! call rebuilt its scratch memory from scratch. A [`QuerySession`] inverts
 //! that ownership:
 //!
-//! * it owns one [`SearchArenas`] per worker — per-depth candidate/spill
-//!   buffers grown **high-water-mark style** and never shrunk, so after the
+//! * it owns the [`SearchArenas`] — per-depth candidate/spill buffers
+//!   grown **high-water-mark style** and never shrunk, so after the
 //!   largest query shape has been seen the matcher stops allocating;
-//! * it owns one [`CandidateCache`] per worker — a bounded, LRU-ish memo of
+//! * it owns the [`CandidateCache`] — a bounded, LRU-ish memo of
 //!   spill-path OTIL probe results keyed by `(data vertex, direction,
 //!   sorted type-set)`, shared across components *and* across queries;
-//! * the parallel extension — the work-stealing pool and the
-//!   fork-per-chunk fallback alike — borrows session-owned worker cores,
-//!   one per worker slot, so caches stay warm across the queries of a
-//!   batch without any cross-thread sharing or locking; the session also
-//!   aggregates the pool's scheduling counters ([`PoolStats`]).
+//! * it aggregates the search counters of its queries ([`SearchStats`]).
 //!
 //! [`AmberEngine::execute_batch`](crate::AmberEngine::execute_batch) drives
 //! many queries through one session and reports aggregate [`BatchStats`]
@@ -32,117 +28,33 @@ use amber_obs::FlightRecorder;
 use std::fmt;
 use std::time::Duration;
 
-/// Aggregated work-stealing pool counters (across the pool runs of one
-/// session, batch, or query): how the dynamic scheduler actually behaved.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Pool runs executed (≥ one per parallel component).
-    pub runs: u64,
-    /// Seed-chunk tasks submitted up front.
-    pub root_tasks: u64,
-    /// Subtree-continuation tasks published by the matcher's split hook.
-    pub split_tasks: u64,
-    /// Successful steal events (each may migrate several queued tasks).
-    pub steals: u64,
-    /// Tasks executed per worker slot (slot 0 is the submitting thread).
-    pub tasks_per_worker: Vec<u64>,
-    /// Search-tree nodes executed per worker slot (actual thread
-    /// attribution; on core-starved hosts one thread may drain tasks that
-    /// free workers would have taken).
-    pub nodes_per_worker: Vec<u64>,
-    /// Σ over runs of the run's schedule *critical path*: the greedy
-    /// list-schedule makespan of the task decomposition each run produced,
-    /// in hardware-independent search-tree node units. This is what
-    /// wall-clock converges to once every worker has a free core, and the
-    /// quantity the scheduling benchmarks gate on.
-    pub critical_path_nodes: u64,
-    /// Worker panics trapped and quarantined (each poisoned exactly one
-    /// query; the pool stayed up).
+/// Aggregated search counters (across the queries of one session or
+/// batch): how much work the matcher did and how often a query ended
+/// abnormally.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    /// Search-tree nodes visited (candidate attempts, summed over every
+    /// component run).
+    pub nodes: u64,
+    /// Matcher panics trapped and quarantined (each poisoned exactly one
+    /// query; the session stayed usable).
     pub trapped_panics: u64,
     /// Queries that ended via cooperative cancellation.
     pub cancellations: u64,
     /// Σ over governed queries of memory-governor ladder steps taken
-    /// (0–4 per query; see [`crate::governor::Pressure`]).
+    /// (0–3 per query; see [`crate::governor::Pressure`]).
     pub degradation_steps: u64,
 }
 
-impl PoolStats {
-    /// Total tasks executed.
-    pub fn tasks(&self) -> u64 {
-        self.root_tasks + self.split_tasks
-    }
-
-    /// Total search-tree nodes executed on the pool.
-    pub fn total_nodes(&self) -> u64 {
-        self.nodes_per_worker.iter().sum()
-    }
-
-    /// Fold one pool run (plus its per-worker node attribution and its
-    /// schedule's critical path) in.
-    pub(crate) fn record_run(
-        &mut self,
-        stats: &amber_exec::RunStats,
-        nodes_per_worker: &[u64],
-        critical_path_nodes: u64,
-    ) {
-        self.runs += 1;
-        self.root_tasks += stats.root_tasks;
-        self.split_tasks += stats.split_tasks;
-        self.steals += stats.steals;
-        self.critical_path_nodes += critical_path_nodes;
-        accumulate(&mut self.tasks_per_worker, &stats.tasks_per_worker);
-        accumulate(&mut self.nodes_per_worker, nodes_per_worker);
-    }
-
+impl SearchStats {
     /// The counters accumulated since `before` was snapshotted (used to
     /// report per-batch shares of a long-lived session).
-    pub(crate) fn since(&self, before: &PoolStats) -> PoolStats {
-        PoolStats {
-            runs: self.runs - before.runs,
-            root_tasks: self.root_tasks - before.root_tasks,
-            split_tasks: self.split_tasks - before.split_tasks,
-            steals: self.steals - before.steals,
-            critical_path_nodes: self.critical_path_nodes - before.critical_path_nodes,
+    pub(crate) fn since(&self, before: &SearchStats) -> SearchStats {
+        SearchStats {
+            nodes: self.nodes - before.nodes,
             trapped_panics: self.trapped_panics - before.trapped_panics,
             cancellations: self.cancellations - before.cancellations,
             degradation_steps: self.degradation_steps - before.degradation_steps,
-            tasks_per_worker: subtract(&self.tasks_per_worker, &before.tasks_per_worker),
-            nodes_per_worker: subtract(&self.nodes_per_worker, &before.nodes_per_worker),
-        }
-    }
-}
-
-/// `acc[i] += add[i]`, growing `acc` as needed.
-fn accumulate(acc: &mut Vec<u64>, add: &[u64]) {
-    if acc.len() < add.len() {
-        acc.resize(add.len(), 0);
-    }
-    for (slot, value) in acc.iter_mut().zip(add) {
-        *slot += value;
-    }
-}
-
-/// `a[i] - b[i]` (treating missing entries of `b` as 0).
-fn subtract(a: &[u64], b: &[u64]) -> Vec<u64> {
-    a.iter()
-        .enumerate()
-        .map(|(i, &value)| value - b.get(i).copied().unwrap_or(0))
-        .collect()
-}
-
-/// One worker's private slice of session state: scratch arenas plus a
-/// probe cache. Workers never share cores, so there is no locking anywhere.
-#[derive(Debug)]
-pub(crate) struct SessionCore {
-    pub(crate) arenas: SearchArenas,
-    pub(crate) cache: CandidateCache,
-}
-
-impl SessionCore {
-    fn new(cache_capacity: usize) -> Self {
-        Self {
-            arenas: SearchArenas::new(),
-            cache: CandidateCache::new(cache_capacity),
         }
     }
 }
@@ -150,34 +62,28 @@ impl SessionCore {
 /// Long-lived, reusable search state for executing many queries against one
 /// engine (created by [`AmberEngine::create_session`](crate::AmberEngine::create_session)).
 ///
-/// A session is single-threaded from the caller's point of view (`&mut`
-/// API); internally it owns one [`SessionCore`] per parallel worker. It may
-/// be reused across engines — the session notices when it is handed to a
-/// different engine (by data-graph identity) and clears its caches, since
-/// memoized probe results are only valid against the graph that produced
-/// them.
+/// A session is single-threaded (`&mut` API). It may be reused across
+/// engines — the session notices when it is handed to a different engine
+/// (by data-graph identity) and clears its caches, since memoized probe
+/// results are only valid against the graph that produced them.
 #[derive(Debug)]
 pub struct QuerySession {
     cache_capacity: usize,
-    /// The sequential / main-thread core.
-    main: SessionCore,
-    /// Worker cores for the parallel extension, grown on demand and kept
-    /// (arena + cache and all) for the next parallel query.
-    workers: Vec<SessionCore>,
+    /// The matcher's scratch arenas, lent to every component run.
+    arenas: SearchArenas,
+    /// Spill-path probe memo, lent to every component run.
+    cache: CandidateCache,
     /// Seed-probe memo (signature / attribute / IRI-constraint lookups of
-    /// matcher plan construction). Main-thread only: plans are built before
-    /// the parallel extension forks, so one store per session suffices.
+    /// matcher plan construction).
     seeds: SeedCache,
     /// Prepared-plan cache: fully-derived query plans keyed by
-    /// canonicalized query text, reused across repeats. Main-thread only,
-    /// like the seed cache.
+    /// canonicalized query text, reused across repeats.
     plans: PlanCache,
     /// Verbatim-result cache: completed outcomes of repeated identical
     /// queries, served without searching.
     results: ResultCache,
-    /// Work-stealing pool counters accumulated across this session's
-    /// parallel component runs.
-    pool: PoolStats,
+    /// Search counters accumulated across this session's queries.
+    search: SearchStats,
     /// Identity of the engine (graph + indexes) the caches were filled
     /// against — a process-unique monotonic id, so engine teardown can
     /// never recycle a token (no pointer ABA).
@@ -191,10 +97,10 @@ pub struct QuerySession {
     /// Sum over queries of arena bytes already allocated at query start —
     /// memory the session *reused* instead of reallocating.
     arena_reused_bytes: u64,
-    /// High-water arena footprint across all cores.
+    /// High-water arena footprint.
     arena_peak_bytes: usize,
-    /// Per-query flight recorder: span timings, cache trail, dispatch
-    /// decisions, slow-query log. Off by default; see
+    /// Per-query flight recorder: span timings, cache trail, slow-query
+    /// log. Off by default; see
     /// [`Self::configure_tracing`].
     recorder: FlightRecorder,
     /// Stat baseline captured at query start when the `AMBER_OBS` gate is
@@ -203,19 +109,19 @@ pub struct QuerySession {
 }
 
 impl QuerySession {
-    /// A session whose per-worker candidate caches hold at most
-    /// `cache_capacity` probe results each (0 disables caching; arenas are
-    /// still reused). Plan and result caches start disabled; size them with
+    /// A session whose candidate cache holds at most `cache_capacity`
+    /// probe results (0 disables caching; arenas are still reused). Plan
+    /// and result caches start disabled; size them with
     /// [`Self::with_plan_caches`].
     pub fn new(cache_capacity: usize) -> Self {
         Self {
             cache_capacity,
-            main: SessionCore::new(cache_capacity),
-            workers: Vec::new(),
+            arenas: SearchArenas::new(),
+            cache: CandidateCache::new(cache_capacity),
             seeds: SeedCache::new(cache_capacity),
             plans: PlanCache::new(0),
             results: ResultCache::new(0),
-            pool: PoolStats::default(),
+            search: SearchStats::default(),
             graph_token: None,
             queries: 0,
             result_shed: false,
@@ -234,18 +140,14 @@ impl QuerySession {
         self
     }
 
-    /// The configured per-worker cache capacity.
+    /// The configured candidate-cache capacity.
     pub fn cache_capacity(&self) -> usize {
         self.cache_capacity
     }
 
-    /// Aggregated cache counters across the main core and every worker.
+    /// Counters of the candidate cache.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut stats = self.main.cache.stats();
-        for worker in &self.workers {
-            stats.merge(&worker.cache.stats());
-        }
-        stats
+        self.cache.stats()
     }
 
     /// Counters of the seed-probe memo (signature / attribute /
@@ -263,37 +165,15 @@ impl QuerySession {
         }
     }
 
-    /// Work-stealing pool counters accumulated over this session's
-    /// lifetime (tasks, splits, steals, per-worker balance).
-    pub fn pool_stats(&self) -> &PoolStats {
-        &self.pool
+    /// Search counters accumulated over this session's lifetime (nodes
+    /// visited, trapped panics, cancellations, governor steps).
+    pub fn search_stats(&self) -> SearchStats {
+        self.search
     }
 
-    /// Fold one pool run's counters into the session aggregate.
-    pub(crate) fn record_pool_run(
-        &mut self,
-        stats: &amber_exec::RunStats,
-        nodes_per_worker: &[u64],
-        critical_path_nodes: u64,
-    ) {
-        self.pool
-            .record_run(stats, nodes_per_worker, critical_path_nodes);
-        if amber_obs::obs_enabled() {
-            // Per-run makespan, in hardware-independent node units.
-            telemetry::metrics()
-                .pool_makespan_nodes
-                .observe(critical_path_nodes);
-        }
-    }
-
-    /// Heap bytes currently retained by all arenas (main + workers).
+    /// Heap bytes currently retained by the arenas.
     pub fn arena_bytes(&self) -> usize {
-        self.main.arenas.heap_bytes()
-            + self
-                .workers
-                .iter()
-                .map(|w| w.arenas.heap_bytes())
-                .sum::<usize>()
+        self.arenas.heap_bytes()
     }
 
     /// Queries executed through this session so far.
@@ -315,10 +195,7 @@ impl QuerySession {
     /// Drop all cached probe, seed, plan, and result state (arenas are
     /// kept — they hold no graph-dependent data between runs).
     pub fn clear_cache(&mut self) {
-        self.main.cache.clear();
-        for worker in &mut self.workers {
-            worker.cache.clear();
-        }
+        self.cache.clear();
         self.seeds.clear();
         self.plans.clear();
         self.results.clear();
@@ -348,7 +225,7 @@ impl QuerySession {
                 cache: self.cache_stats(),
                 seeds: self.seed_stats(),
                 plans: self.plan_stats(),
-                pool: self.pool.clone(),
+                search: self.search,
             })
         } else {
             None
@@ -367,7 +244,7 @@ impl QuerySession {
                 &self.cache_stats().since(&base.cache),
                 &self.seed_stats().since(&base.seeds),
                 &self.plan_stats().since(&base.plans),
-                &self.pool.since(&base.pool),
+                &self.search.since(&base.search),
             );
         }
         if self.recorder.is_recording() {
@@ -394,9 +271,14 @@ impl QuerySession {
         &mut self.recorder
     }
 
-    /// The sequential core.
-    pub(crate) fn main_core(&mut self) -> &mut SessionCore {
-        &mut self.main
+    /// The scratch arenas and the probe cache a component run borrows.
+    pub(crate) fn search_state(&mut self) -> (&mut SearchArenas, &mut CandidateCache) {
+        (&mut self.arenas, &mut self.cache)
+    }
+
+    /// Add one component run's visited search-tree nodes.
+    pub(crate) fn record_nodes(&mut self, nodes: u64) {
+        self.search.nodes += nodes;
     }
 
     /// The prepared-plan cache and the seed cache together (plan building
@@ -410,15 +292,15 @@ impl QuerySession {
         &mut self.results
     }
 
-    /// Record one quarantined worker panic (the query it poisoned already
+    /// Record one quarantined panic (the query it poisoned already
     /// surfaced the typed error; this is the session-level tally).
     pub(crate) fn record_trapped_panic(&mut self) {
-        self.pool.trapped_panics += 1;
+        self.search.trapped_panics += 1;
     }
 
     /// Record one cooperative cancellation.
     pub(crate) fn record_cancellation(&mut self) {
-        self.pool.cancellations += 1;
+        self.search.cancellations += 1;
     }
 
     /// Apply a finished query's governor verdict to the session: tally the
@@ -427,7 +309,7 @@ impl QuerySession {
     /// caches outlive the query, so the shed must happen here rather than
     /// inside the search.
     pub(crate) fn apply_governor(&mut self, governor: &MemoryGovernor) {
-        self.pool.degradation_steps += governor.steps_taken();
+        self.search.degradation_steps += governor.steps_taken();
         for _ in 0..governor.steps_taken() {
             self.recorder.note_degradation();
         }
@@ -435,10 +317,7 @@ impl QuerySession {
             self.result_shed = true;
         }
         if governor.shed_probe_caches() {
-            self.main.cache.clear();
-            for worker in &mut self.workers {
-                worker.cache.clear();
-            }
+            self.cache.clear();
             self.seeds.clear();
         }
     }
@@ -446,14 +325,6 @@ impl QuerySession {
     /// Did the current query's governor request a result-cache shed?
     pub(crate) fn result_cache_shed(&self) -> bool {
         self.result_shed
-    }
-
-    /// At least `count` worker cores, each with its own arena + cache.
-    pub(crate) fn worker_cores(&mut self, count: usize) -> &mut [SessionCore] {
-        while self.workers.len() < count {
-            self.workers.push(SessionCore::new(self.cache_capacity));
-        }
-        &mut self.workers[..count]
     }
 }
 
@@ -473,10 +344,10 @@ pub struct BatchStats {
     /// out of things to shed).
     pub budget_exceeded: usize,
     /// Queries that failed before matching (query-graph build errors) or
-    /// were quarantined after a worker panic
+    /// were quarantined after a panic
     /// ([`EngineError::Internal`](crate::EngineError::Internal)).
     pub errors: usize,
-    /// Aggregated candidate-cache counters (main + worker cores).
+    /// Candidate-cache counters.
     pub cache: CacheStats,
     /// Seed-probe memo counters (signature / attribute / IRI lookups of
     /// plan construction).
@@ -485,9 +356,9 @@ pub struct BatchStats {
     /// query-graph build + decomposition + ordering + seed probes; a
     /// result hit skips the execution entirely).
     pub plans: PlanCacheStats,
-    /// Work-stealing pool counters (zero when every query ran
-    /// sequentially or on the fork-per-chunk fallback).
-    pub pool: PoolStats,
+    /// Search counters (nodes visited, trapped panics, cancellations,
+    /// governor steps).
+    pub search: SearchStats,
     /// Sum over queries of warm arena bytes inherited at query start.
     pub arena_reused_bytes: u64,
     /// High-water arena footprint across the batch.
@@ -548,25 +419,12 @@ impl fmt::Display for BatchStats {
             self.plans.results.entries,
             self.plans.results.result_bytes,
         )?;
-        if self.pool.runs > 0 {
-            writeln!(
-                f,
-                "pool: {} runs, {} tasks ({} root + {} splits), {} steals, \
-                 critical path {} of {} nodes across {} workers",
-                self.pool.runs,
-                self.pool.tasks(),
-                self.pool.root_tasks,
-                self.pool.split_tasks,
-                self.pool.steals,
-                self.pool.critical_path_nodes,
-                self.pool.total_nodes(),
-                self.pool.nodes_per_worker.len(),
-            )?;
-        }
+        writeln!(f, "search: {} nodes visited", self.search.nodes)?;
         let robustness_events = self.cancelled
             + self.budget_exceeded
-            + (self.pool.trapped_panics + self.pool.cancellations + self.pool.degradation_steps)
-                as usize;
+            + (self.search.trapped_panics
+                + self.search.cancellations
+                + self.search.degradation_steps) as usize;
         if robustness_events > 0 {
             writeln!(
                 f,
@@ -574,8 +432,8 @@ impl fmt::Display for BatchStats {
                  {} degradation steps",
                 self.cancelled,
                 self.budget_exceeded,
-                self.pool.trapped_panics,
-                self.pool.degradation_steps,
+                self.search.trapped_panics,
+                self.search.degradation_steps,
             )?;
         }
         write!(
@@ -599,16 +457,6 @@ pub struct BatchOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn worker_cores_grow_and_persist() {
-        let mut session = QuerySession::new(8);
-        assert_eq!(session.worker_cores(3).len(), 3);
-        // Growing is monotone; shrinking requests reuse the prefix.
-        assert_eq!(session.worker_cores(2).len(), 2);
-        assert_eq!(session.workers.len(), 3);
-        assert_eq!(session.cache_capacity(), 8);
-    }
 
     #[test]
     fn graph_rebind_clears_caches() {

@@ -2,7 +2,7 @@
 //! process-wide `amber_obs` registry.
 //!
 //! Design: the hot path keeps accounting in the plain-`u64` session
-//! structs it always used ([`CacheStats`], [`PoolStats`], …) — zero new
+//! structs it always used ([`CacheStats`], [`SearchStats`], …) — zero new
 //! atomics per node or probe. Once per query,
 //! [`QuerySession::end_query`](crate::QuerySession) computes the
 //! query's `since`-deltas (the same helpers `drive_batch` uses) and
@@ -18,7 +18,7 @@
 use crate::candidates::CacheStats;
 use crate::plan::PlanCacheStats;
 use crate::result::QueryStatus;
-use crate::session::PoolStats;
+use crate::session::SearchStats;
 use amber_obs::{Counter, Gauge, Histogram};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -60,7 +60,7 @@ impl CacheFamily {
 }
 
 /// Every engine-layer registry handle, resolved once.
-pub(crate) struct EngineMetrics {
+struct EngineMetrics {
     completed: Arc<Counter>,
     timed_out: Arc<Counter>,
     cancelled: Arc<Counter>,
@@ -74,18 +74,13 @@ pub(crate) struct EngineMetrics {
     hit_copied_bytes: Arc<Counter>,
     shared_plan_hits: Arc<Counter>,
     shared_plan_misses: Arc<Counter>,
-    pool_runs: Arc<Counter>,
-    pool_root_tasks: Arc<Counter>,
-    pool_split_tasks: Arc<Counter>,
-    pool_steals: Arc<Counter>,
-    pool_nodes: Arc<Counter>,
-    pool_trapped_panics: Arc<Counter>,
-    pool_cancellations: Arc<Counter>,
-    pool_degradation_steps: Arc<Counter>,
-    pub(crate) pool_makespan_nodes: Arc<Histogram>,
+    search_nodes: Arc<Counter>,
+    trapped_panics: Arc<Counter>,
+    cancellations: Arc<Counter>,
+    degradation_steps: Arc<Counter>,
 }
 
-pub(crate) fn metrics() -> &'static EngineMetrics {
+fn metrics() -> &'static EngineMetrics {
     static METRICS: OnceLock<EngineMetrics> = OnceLock::new();
     METRICS.get_or_init(|| EngineMetrics {
         completed: amber_obs::counter("amber_queries_total", &[("status", "completed")]),
@@ -104,15 +99,10 @@ pub(crate) fn metrics() -> &'static EngineMetrics {
         hit_copied_bytes: amber_obs::counter("amber_result_hit_copied_bytes_total", &[]),
         shared_plan_hits: amber_obs::counter("amber_shared_plans_total", &[("event", "hit")]),
         shared_plan_misses: amber_obs::counter("amber_shared_plans_total", &[("event", "miss")]),
-        pool_runs: amber_obs::counter("amber_pool_runs_total", &[]),
-        pool_root_tasks: amber_obs::counter("amber_pool_root_tasks_total", &[]),
-        pool_split_tasks: amber_obs::counter("amber_pool_split_tasks_total", &[]),
-        pool_steals: amber_obs::counter("amber_pool_steals_total", &[]),
-        pool_nodes: amber_obs::counter("amber_pool_nodes_total", &[]),
-        pool_trapped_panics: amber_obs::counter("amber_pool_trapped_panics_total", &[]),
-        pool_cancellations: amber_obs::counter("amber_pool_cancellations_total", &[]),
-        pool_degradation_steps: amber_obs::counter("amber_pool_degradation_steps_total", &[]),
-        pool_makespan_nodes: amber_obs::histogram("amber_pool_run_makespan_nodes", &[]),
+        search_nodes: amber_obs::counter("amber_search_nodes_total", &[]),
+        trapped_panics: amber_obs::counter("amber_query_trapped_panics_total", &[]),
+        cancellations: amber_obs::counter("amber_query_cancellations_total", &[]),
+        degradation_steps: amber_obs::counter("amber_query_degradation_steps_total", &[]),
     })
 }
 
@@ -135,7 +125,7 @@ pub(crate) struct ObsBaseline {
     pub(crate) cache: CacheStats,
     pub(crate) seeds: CacheStats,
     pub(crate) plans: PlanCacheStats,
-    pub(crate) pool: PoolStats,
+    pub(crate) search: SearchStats,
 }
 
 /// Add one finished query's deltas to the registry.
@@ -145,7 +135,7 @@ pub(crate) fn flush_query(
     cache: &CacheStats,
     seeds: &CacheStats,
     plans: &PlanCacheStats,
-    pool: &PoolStats,
+    search: &SearchStats,
 ) {
     let m = metrics();
     let status_counter = match status {
@@ -162,14 +152,10 @@ pub(crate) fn flush_query(
     m.plan.flush(&plans.plans);
     m.result.flush(&plans.results);
     m.hit_copied_bytes.add(plans.result_hit_copied_bytes);
-    m.pool_runs.add(pool.runs);
-    m.pool_root_tasks.add(pool.root_tasks);
-    m.pool_split_tasks.add(pool.split_tasks);
-    m.pool_steals.add(pool.steals);
-    m.pool_nodes.add(pool.total_nodes());
-    m.pool_trapped_panics.add(pool.trapped_panics);
-    m.pool_cancellations.add(pool.cancellations);
-    m.pool_degradation_steps.add(pool.degradation_steps);
+    m.search_nodes.add(search.nodes);
+    m.trapped_panics.add(search.trapped_panics);
+    m.cancellations.add(search.cancellations);
+    m.degradation_steps.add(search.degradation_steps);
 }
 
 /// Live shared-plan-store events (cold path: only consulted on a session

@@ -19,10 +19,9 @@
 //!   complex-shaped queries of sizes 10–50 extracted from the generated
 //!   data (hence guaranteed satisfiable), with literal and constant-IRI
 //!   injection.
-//! * [`skewed`] — deterministic skewed-recursion scheduling workloads
-//!   (one giant hub seed among thousands of trivial seeds, plus uniform
-//!   and single-seed controls) with closed-form embedding counts, built
-//!   for the parallel scheduler benchmarks and equivalence tests.
+//! * [`skewed`] — deterministic skewed-recursion workloads (one giant
+//!   hub seed among thousands of trivial seeds, plus uniform and
+//!   single-seed controls) with closed-form embedding counts.
 
 pub mod dbpedia;
 pub mod lubm;

@@ -1,17 +1,17 @@
-//! Skewed-recursion scheduling workloads.
+//! Skewed-recursion workloads.
 //!
-//! The parallel matcher's failure mode is not data volume but *recursion
-//! skew*: a static seed partition (fork-per-chunk) serializes whenever one
-//! seed's recursion subtree dwarfs the others. This module generates graphs
-//! whose seed-candidate population has exactly that shape, deterministic
-//! and with a closed-form embedding count, so scheduler benchmarks and
-//! equivalence tests can dial skew up and down:
+//! *Recursion skew* — one seed whose recursion subtree dwarfs the others —
+//! is what this module generates: graphs whose seed-candidate population
+//! has exactly that shape, deterministic and with a closed-form embedding
+//! count, so tests get a search-heavy query with a known answer and can
+//! dial skew up and down. (It was built to compare the intra-query
+//! schedulers PR 17 removed; the chunking remarks below describe what a
+//! static partition of the seeds would do.)
 //!
 //! * **hub seeds** — each hub `h` answers the [`chain_query`] with a
 //!   two-level fan-out: `children` middle vertices (reached over a
-//!   *double* edge, so the matcher materializes — and can split — the
-//!   candidate list) each reaching the hub's `grandchildren` tail
-//!   vertices. One hub contributes `children × grandchildren` embeddings
+//!   *double* edge, so the matcher materializes the candidate list)
+//!   each reaching the hub's `grandchildren` tail vertices. One hub contributes `children × grandchildren` embeddings
 //!   and about `1 + children + children × grandchildren` search-tree
 //!   nodes;
 //! * **trivial seeds** — pass the signature/seed filters (they carry the

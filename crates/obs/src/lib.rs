@@ -20,7 +20,7 @@
 //! Registration itself is the cold path and takes a sharded `RwLock`.
 //!
 //! Numbers discipline: the engine keeps its legacy per-session stat
-//! structs (`CacheStats`, `PoolStats`, …) as the hot-path accounting and
+//! structs (`CacheStats`, `SearchStats`, …) as the hot-path accounting and
 //! *delta-flushes* them into this registry once per query, so the
 //! registry and the legacy reports are derived from the same counters
 //! and can never disagree (pinned by `tests/obs_equivalence.rs`).

@@ -23,9 +23,6 @@ pub struct QueryTrace {
     pub label: String,
     /// Canonical plan fingerprint, once known.
     pub fingerprint: Option<u64>,
-    /// Dispatch decisions, one per executed component (the same lines
-    /// `EXPLAIN` prints).
-    pub dispatch: Vec<String>,
     /// Cache hit/miss trail in event order (`plan:hit`, `result:miss`, …).
     pub cache_trail: Vec<&'static str>,
     /// Degradation-ladder steps the memory governor applied.
@@ -67,9 +64,6 @@ impl QueryTrace {
                 span.start_us,
                 indent = 2 * span.depth as usize
             ));
-        }
-        for d in &self.dispatch {
-            out.push_str(&format!("  dispatch: {}\n", d));
         }
         if !self.cache_trail.is_empty() {
             out.push_str(&format!("  caches: {}\n", self.cache_trail.join(" ")));
@@ -188,14 +182,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Record one component's dispatch decision.
-    #[inline]
-    pub fn note_dispatch(&mut self, line: String) {
-        if let Some((trace, _)) = &mut self.active {
-            trace.dispatch.push(line);
-        }
-    }
-
     /// Record one degradation-ladder step.
     #[inline]
     pub fn note_degradation(&mut self) {
@@ -303,7 +289,6 @@ mod tests {
         r.span("canonicalize", 0, Duration::from_micros(3));
         r.span("component[0]", 1, Duration::from_micros(9));
         r.note_cache("plan:miss");
-        r.note_dispatch("sequential".to_string());
         r.note_degradation();
         r.set_abort("timed out");
         assert!(r.end("timed_out"));
@@ -313,7 +298,6 @@ mod tests {
         assert!(entry.contains("canonicalize"));
         assert!(entry.contains("component[0]"));
         assert!(entry.contains("caches: plan:miss"));
-        assert!(entry.contains("dispatch: sequential"));
         assert!(entry.contains("degradation steps: 1"));
         assert!(entry.contains("abort: timed out"));
     }

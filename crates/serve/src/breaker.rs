@@ -1,7 +1,7 @@
 //! Per-tenant circuit breakers.
 //!
 //! A tenant whose requests keep failing *hard* — quarantined panics
-//! (`EngineError::Internal`) or timeouts — should stop consuming pool time
+//! (`EngineError::Internal`) or timeouts — should stop consuming worker time
 //! that healthy tenants could use. The breaker watches each tenant's
 //! completion stream and, after [`BreakerConfig::failure_threshold`]
 //! *consecutive* hard failures, trips into fast-fail: further submissions

@@ -1,8 +1,8 @@
 //! Server-wide memory governance.
 //!
 //! The engine already has a *per-query* `MemoryGovernor` with a staged
-//! degradation ladder (shed result cache → shed probe caches → refuse
-//! splits → abort with `QueryStatus::BudgetExceeded`). What a server
+//! degradation ladder (shed result cache → shed probe caches → abort
+//! with `QueryStatus::BudgetExceeded`). What a server
 //! needs on top is a *global* bound: one tenant's heavy stream must
 //! degrade through that ladder before it can starve its neighbors'
 //! allocations. The [`ServerGovernor`] holds the server-wide byte budget
@@ -16,7 +16,7 @@
 //! tenants, every query runs under `total / T` bytes. Quotas shrink as
 //! new tenants appear (the peak tenant count is what the report shows)
 //! and the degradation the quota causes is visible per tenant in
-//! `PoolStats::degradation_steps`.
+//! `SearchStats::degradation_steps`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 

@@ -14,9 +14,9 @@
 //!   tenant owns a private [`QuerySession`] (arenas, candidate cache, plan
 //!   and result caches). A tenant's requests are serialized onto its
 //!   session — sessions are `&mut` state — while different tenants'
-//!   requests interleave freely on the worker pool, which the concurrent
-//!   [`amber_exec`](https://docs.rs) runs underneath make actually
-//!   parallel;
+//!   requests run in parallel on the serving workers
+//!   ([`ServeConfig::workers`]) — the only parallelism there is: one
+//!   query runs on one thread;
 //! * **admission control** — the server holds at most
 //!   [`ServeConfig::queue_capacity`] queued requests; beyond that,
 //!   [`Server::submit`] fails *immediately* with the typed
@@ -33,7 +33,7 @@
 //! * **per-tenant circuit breakers** — with [`ServeConfig::breaker`] set,
 //!   a tenant whose requests keep failing hard (quarantined panics or
 //!   timeouts) trips into fast-fail ([`ServeError::CircuitOpen`]) instead
-//!   of consuming pool time; after a cooldown, half-open probes readmit
+//!   of consuming worker time; after a cooldown, half-open probes readmit
 //!   one request at a time (see [`breaker`]);
 //! * **server-wide memory governance** — [`ServeConfig::memory_budget`]
 //!   partitions a global byte budget into per-tenant quotas that feed each
@@ -82,12 +82,12 @@ pub use breaker::{BreakerConfig, BreakerReport, BreakerState, TripCause};
 pub use governor::{GovernorReport, ServerGovernor};
 
 use amber::{
-    AmberEngine, CacheStats, CancelToken, EngineError, ExecOptions, PlanCacheStats, PoolStats,
-    QueryOutcome, QuerySession, QueryStatus, SharedPlanStats,
+    AmberEngine, CancelToken, EngineError, ExecOptions, PlanCacheStats, QueryOutcome, QuerySession,
+    QueryStatus, SearchStats, SharedPlanStats,
 };
 use amber_obs::{Counter, Gauge, Histogram};
 use amber_sparql::SelectQuery;
-use amber_util::fault::{self, FaultPoint};
+use amber_util::fault::{self, payload_message, FaultPoint};
 use amber_util::timing::Budget;
 use breaker::{Admission, Breaker};
 use std::collections::{HashMap, VecDeque};
@@ -151,8 +151,8 @@ fn export_offline_stats(engine: &AmberEngine) {
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Serving worker threads (each runs the request loop; clamped to at
-    /// least 1). Parallelism *within* a query is separate — it comes from
-    /// the engine's execution pool via [`ServeConfig::options`].
+    /// least 1). There is no parallelism *within* a query: a request runs
+    /// on the worker that dispatched it.
     pub workers: usize,
     /// Admission bound: maximum requests queued (not yet dispatched)
     /// across all tenants. A full queue rejects with
@@ -620,7 +620,7 @@ impl Server {
             Err(payload) => {
                 return Err(ServeError::Engine(EngineError::Internal {
                     task: "serve admission".to_string(),
-                    payload: payload_text(payload.as_ref()),
+                    payload: payload_message(payload.as_ref()),
                 }))
             }
         };
@@ -725,7 +725,7 @@ impl Server {
     }
 
     /// A consistent snapshot of the process-wide metrics registry —
-    /// engine, cache, execution-pool, chaos, and serving-layer series —
+    /// engine, cache, search, chaos, and serving-layer series —
     /// renderable as Prometheus text
     /// ([`render_prometheus`](amber_obs::MetricsSnapshot::render_prometheus))
     /// or JSON ([`render_json`](amber_obs::MetricsSnapshot::render_json)).
@@ -843,10 +843,10 @@ impl Server {
                     .as_ref()
                     .map(|s| s.plan_stats())
                     .unwrap_or_default(),
-                pool: t
+                search: t
                     .session
                     .as_ref()
-                    .map(|s| s.pool_stats().clone())
+                    .map(|s| s.search_stats())
                     .unwrap_or_default(),
                 breaker: t.breaker.report(),
             })
@@ -854,8 +854,9 @@ impl Server {
         tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
         let mut aggregate = PlanCacheStats::default();
         for tenant in &tenants {
-            accumulate_cache(&mut aggregate.plans, &tenant.plan_stats.plans);
-            accumulate_cache(&mut aggregate.results, &tenant.plan_stats.results);
+            // Gauges take the sum too: per-tenant caches are disjoint.
+            aggregate.plans.merge(&tenant.plan_stats.plans);
+            aggregate.results.merge(&tenant.plan_stats.results);
             aggregate.result_hit_copied_bytes += tenant.plan_stats.result_hit_copied_bytes;
         }
         ServeReport {
@@ -890,29 +891,6 @@ impl Drop for Server {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-    }
-}
-
-/// Sum `extra` into `total` (counter-wise; gauges take the sum too, since
-/// per-tenant caches are disjoint).
-fn accumulate_cache(total: &mut CacheStats, extra: &CacheStats) {
-    total.hits += extra.hits;
-    total.misses += extra.misses;
-    total.bypasses += extra.bypasses;
-    total.evictions += extra.evictions;
-    total.entries += extra.entries;
-    total.result_bytes += extra.result_bytes;
-}
-
-/// Render a trapped panic payload as text (`panic!` literals and formatted
-/// messages; placeholder otherwise), mirroring the engine's quarantine.
-fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -994,7 +972,7 @@ fn serve_loop(ctx: &WorkerContext) {
                     Ok(signal) => Ok(signal),
                     Err(payload) => Err(ServeError::Engine(EngineError::Internal {
                         task: "serve dispatch".to_string(),
-                        payload: payload_text(payload.as_ref()),
+                        payload: payload_message(payload.as_ref()),
                     })),
                 };
                 match signal {
@@ -1047,7 +1025,7 @@ fn serve_loop(ctx: &WorkerContext) {
                             Ok(r) => r.map_err(ServeError::Engine),
                             Err(payload) => Err(ServeError::Engine(EngineError::Internal {
                                 task: "serve dispatch".to_string(),
-                                payload: payload_text(payload.as_ref()),
+                                payload: payload_message(payload.as_ref()),
                             })),
                         };
                         if let Some((was_enabled, threshold)) = restore_tracing {
@@ -1201,9 +1179,9 @@ pub struct TenantReport {
     pub queries_executed: u64,
     /// The tenant session's plan/result cache counters.
     pub plan_stats: PlanCacheStats,
-    /// The tenant session's execution-pool counters (node visits,
-    /// trapped panics, cancellations, memory-governor degradation steps).
-    pub pool: PoolStats,
+    /// The tenant session's search counters (node visits, trapped
+    /// panics, cancellations, memory-governor degradation steps).
+    pub search: SearchStats,
     /// The tenant's circuit-breaker counters and final state.
     pub breaker: BreakerReport,
 }
@@ -1364,7 +1342,9 @@ mod tests {
         assert_eq!(report.served_for("a"), 0, "shed requests are not served");
         let a = report.tenants.iter().find(|t| t.tenant == "a").unwrap();
         assert_eq!(a.queries_executed, 0, "a shed request executes nothing");
-        assert_eq!(a.pool.total_nodes(), 0, "and visits zero nodes");
+        assert_eq!(a.search.nodes, 0, "and visits zero nodes");
+        let b = report.tenants.iter().find(|t| t.tenant == "b").unwrap();
+        assert!(b.search.nodes > 0, "a served request does visit nodes");
     }
 
     #[test]
@@ -1492,9 +1472,9 @@ mod tests {
         assert!(governor.governed_dispatches >= 1);
         let a = report.tenants.iter().find(|t| t.tenant == "a").unwrap();
         assert!(
-            a.pool.degradation_steps >= 1,
+            a.search.degradation_steps >= 1,
             "the quota drives the per-query ladder: {:?}",
-            a.pool
+            a.search
         );
     }
 
@@ -1703,7 +1683,6 @@ mod tests {
         let entry = &log[0];
         assert!(entry.contains("execute"), "span tree missing: {entry}");
         assert!(entry.contains("component[0]"), "{entry}");
-        assert!(entry.contains("dispatch:"), "{entry}");
         assert!(entry.contains("caches:"), "{entry}");
         if amber::plan_cache_enabled() {
             assert!(entry.contains("fingerprint 0x"), "{entry}");

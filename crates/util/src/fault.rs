@@ -1,8 +1,8 @@
 //! Deterministic fault injection (chaos harness).
 //!
 //! The engine threads named injection points through its hot paths — the
-//! matcher candidate loop, pool task spawn/steal/run, cache insert/evict,
-//! index probes, and the serving loop (admission, dispatch, drain). Each
+//! matcher candidate loop, cache insert/evict, index probes, and the
+//! serving loop (admission, dispatch, drain). Each
 //! point calls [`inject`], which is an inlined one-atomic-load no-op unless
 //! the harness is armed, so production builds pay (measurably) nothing for
 //! the instrumentation.
@@ -10,7 +10,7 @@
 //! Arming happens in one of two ways:
 //!
 //! * the `AMBER_CHAOS=<seed>:<spec>` environment variable (read once, like
-//!   `AMBER_KERNELS`/`AMBER_POOL`) — the CI chaos lane sets a fixed seed so
+//!   `AMBER_KERNELS`) — the CI chaos lane sets a fixed seed so
 //!   the whole test suite runs under answer-preserving faults;
 //! * [`override_spec`], a scoped, process-global override used by the chaos
 //!   proptests to cycle through many specs inside one process. Overrides
@@ -22,19 +22,19 @@
 //! ```text
 //! AMBER_CHAOS = <seed> ":" <clause> ("," <clause>)*
 //! clause      = [<point> "="] <kind> ["@" <rate>]
-//! point       = "matcher-candidate" | "pool-spawn" | "pool-steal"
-//!             | "pool-run" | "cache-insert" | "cache-evict" | "index-probe"
-//!             | "serve-admit" | "serve-dispatch" | "serve-drain"
-//! kind        = "panic" | "delay" | "alloc-fail" | "storm"
+//! point       = "matcher-candidate" | "cache-insert" | "cache-evict"
+//!             | "index-probe" | "serve-admit" | "serve-dispatch"
+//!             | "serve-drain"
+//! kind        = "panic" | "delay" | "alloc-fail"
 //! rate        = positive integer: fire once per <rate> visits on average
 //! ```
 //!
 //! A clause without a point applies at every point. The default rate is
-//! 1024. Example: `AMBER_CHAOS=42:delay@512,pool-spawn=panic@64`.
+//! 1024. Example: `AMBER_CHAOS=42:delay@512,cache-insert=panic@64`.
 //!
 //! ## Fault kinds
 //!
-//! * `panic` — panics at the point (the pool quarantines it; the query
+//! * `panic` — panics at the point (the engine quarantines it; the query
 //!   surfaces `EngineError::Internal`).
 //! * `delay` — a short scheduling perturbation (spin + yield), answer
 //!   preserving by construction.
@@ -42,10 +42,6 @@
 //!   memory governor treats it as budget exhaustion and degrades, and the
 //!   serving layer's admission point treats it as spurious overload (a
 //!   typed rejection, nothing enqueued).
-//! * `storm` — returns a storm [`Signal`]; the matcher split hook and the
-//!   pool's steal path treat it as "force a split / steal minimally",
-//!   provoking maximal task churn. Answer preserving (the deterministic
-//!   merge order is independent of the split schedule).
 //!
 //! Firing decisions come from a SplitMix64 stream over `seed ⊕ visit-nonce
 //! ⊕ point-salt`, so a fixed seed and spec reproduce the same fault
@@ -60,12 +56,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 pub enum FaultPoint {
     /// The matcher's per-candidate recursion step.
     MatcherCandidate,
-    /// Task submission into the work-stealing pool.
-    PoolSpawn,
-    /// A successful steal in the pool's acquire path.
-    PoolSteal,
-    /// The start of a scoped pool run.
-    PoolRun,
     /// A probe-cache insertion (candidate or seed cache).
     CacheInsert,
     /// A probe-cache eviction callback.
@@ -89,9 +79,6 @@ impl FaultPoint {
     pub fn name(self) -> &'static str {
         match self {
             FaultPoint::MatcherCandidate => "matcher-candidate",
-            FaultPoint::PoolSpawn => "pool-spawn",
-            FaultPoint::PoolSteal => "pool-steal",
-            FaultPoint::PoolRun => "pool-run",
             FaultPoint::CacheInsert => "cache-insert",
             FaultPoint::CacheEvict => "cache-evict",
             FaultPoint::IndexProbe => "index-probe",
@@ -104,9 +91,6 @@ impl FaultPoint {
     fn parse(s: &str) -> Option<Self> {
         Some(match s {
             "matcher-candidate" => FaultPoint::MatcherCandidate,
-            "pool-spawn" => FaultPoint::PoolSpawn,
-            "pool-steal" => FaultPoint::PoolSteal,
-            "pool-run" => FaultPoint::PoolRun,
             "cache-insert" => FaultPoint::CacheInsert,
             "cache-evict" => FaultPoint::CacheEvict,
             "index-probe" => FaultPoint::IndexProbe,
@@ -122,9 +106,6 @@ impl FaultPoint {
         // decorrelated streams.
         match self {
             FaultPoint::MatcherCandidate => 0x9E37_79B9_7F4A_7C15,
-            FaultPoint::PoolSpawn => 0xC2B2_AE3D_27D4_EB4F,
-            FaultPoint::PoolSteal => 0x1656_67B1_9E37_79F9,
-            FaultPoint::PoolRun => 0x27D4_EB2F_1656_67C5,
             FaultPoint::CacheInsert => 0x85EB_CA77_C2B2_AE63,
             FaultPoint::CacheEvict => 0xFF51_AFD7_ED55_8CCD,
             FaultPoint::IndexProbe => 0xC4CE_B9FE_1A85_EC53,
@@ -144,8 +125,6 @@ pub enum FaultKind {
     Delay,
     /// Signal a spurious allocation failure to the caller.
     AllocFail,
-    /// Signal a forced split/steal storm to the caller.
-    Storm,
 }
 
 impl FaultKind {
@@ -154,7 +133,6 @@ impl FaultKind {
             "panic" => FaultKind::Panic,
             "delay" => FaultKind::Delay,
             "alloc-fail" => FaultKind::AllocFail,
-            "storm" => FaultKind::Storm,
             _ => return None,
         })
     }
@@ -166,17 +144,11 @@ pub struct Signal {
     /// A spurious allocation failure fired: the caller should behave as if
     /// its memory budget were exhausted.
     pub alloc_fail: bool,
-    /// A split/steal storm fired: cooperative producers should split (and
-    /// thieves steal minimally) regardless of demand.
-    pub storm: bool,
 }
 
 impl Signal {
     /// No fault fired.
-    pub const NONE: Signal = Signal {
-        alloc_fail: false,
-        storm: false,
-    };
+    pub const NONE: Signal = Signal { alloc_fail: false };
 }
 
 #[derive(Debug, Clone)]
@@ -327,7 +299,6 @@ fn inject_armed(point: FaultPoint) -> Signal {
                 std::thread::yield_now();
             }
             FaultKind::AllocFail => signal.alloc_fail = true,
-            FaultKind::Storm => signal.storm = true,
         }
     }
     signal
@@ -363,8 +334,8 @@ impl Drop for ChaosGuard {
 }
 
 /// Arm the harness with `text` (full `<seed>:<spec>` grammar) for the
-/// lifetime of the returned guard. Process-global — pool worker threads see
-/// it too — and serialized: a second caller blocks until the first guard
+/// lifetime of the returned guard. Process-global — serving worker threads
+/// see it too — and serialized: a second caller blocks until the first guard
 /// drops.
 pub fn override_spec(text: &str) -> Result<ChaosGuard, String> {
     let serial = OVERRIDE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
@@ -385,19 +356,44 @@ pub fn override_spec(text: &str) -> Result<ChaosGuard, String> {
     })
 }
 
+/// Render a trapped panic payload as text: `panic!` literals and formatted
+/// messages downcast to `&str`/`String`; anything else gets a placeholder.
+/// Used to build typed `Internal` errors out of quarantined payloads
+/// without dragging `dyn Any` through the error type (which must stay
+/// `Clone + Eq`).
+pub fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
+    fn payload_message_covers_common_shapes() {
+        let boxed: Box<dyn std::any::Any + Send> = Box::new("literal");
+        assert_eq!(payload_message(boxed.as_ref()), "literal");
+        let boxed: Box<dyn std::any::Any + Send> = Box::new(format!("formatted {}", 7));
+        assert_eq!(payload_message(boxed.as_ref()), "formatted 7");
+        let boxed: Box<dyn std::any::Any + Send> = Box::new(42u32);
+        assert_eq!(payload_message(boxed.as_ref()), "non-string panic payload");
+    }
+
+    #[test]
     fn spec_grammar_parses_and_rejects() {
-        let spec = ChaosSpec::parse("42:delay@512,pool-spawn=panic@64,storm").unwrap();
+        let spec = ChaosSpec::parse("42:delay@512,cache-insert=panic@64,alloc-fail").unwrap();
         assert_eq!(spec.seed, 42);
         assert_eq!(spec.rules.len(), 3);
         assert_eq!(spec.rules[0].kind, FaultKind::Delay);
         assert_eq!(spec.rules[0].point, None);
         assert_eq!(spec.rules[0].rate, 512);
-        assert_eq!(spec.rules[1].point, Some(FaultPoint::PoolSpawn));
+        assert_eq!(spec.rules[1].point, Some(FaultPoint::CacheInsert));
         assert_eq!(spec.rules[2].rate, 1024, "default rate");
 
         let serve =
@@ -413,11 +409,23 @@ mod tests {
             "1:",
             "1:unknown-kind",
             "1:bogus-point=panic",
+            // Points and kinds of the removed intra-query schedulers must be
+            // rejected, not silently accepted as rules that never fire.
+            "1:pool-spawn=panic",
+            "1:storm",
+            "1:matcher-candidate=storm@4",
             "1:panic@0",
             "1:panic@x",
         ] {
             assert!(ChaosSpec::parse(bad).is_err(), "`{bad}` must be rejected");
         }
+        let err = ChaosSpec::parse("1:pool-spawn=panic").unwrap_err();
+        assert!(
+            err.contains("unknown injection point `pool-spawn`"),
+            "{err}"
+        );
+        let err = ChaosSpec::parse("1:matcher-candidate=storm@4").unwrap_err();
+        assert!(err.contains("unknown fault kind `storm`"), "{err}");
     }
 
     #[test]
@@ -430,12 +438,12 @@ mod tests {
 
     #[test]
     fn override_signals_fire_deterministically() {
-        let _guard = override_spec("7:alloc-fail@1,storm@1").unwrap();
+        let _guard = override_spec("7:alloc-fail@1").unwrap();
         let s = inject(FaultPoint::CacheInsert);
-        assert!(s.alloc_fail && s.storm, "rate-1 faults fire on every visit");
+        assert!(s.alloc_fail, "rate-1 faults fire on every visit");
         assert_eq!(
             active_spec().as_deref(),
-            Some("7:alloc-fail@1,storm@1"),
+            Some("7:alloc-fail@1"),
             "EXPLAIN echo"
         );
     }
@@ -447,7 +455,7 @@ mod tests {
             let caught = std::panic::catch_unwind(|| inject(FaultPoint::MatcherCandidate));
             assert!(caught.is_err(), "rate-1 panic fires");
             // Other points are untouched by the scoped clause.
-            assert_eq!(inject(FaultPoint::PoolRun), Signal::NONE);
+            assert_eq!(inject(FaultPoint::IndexProbe), Signal::NONE);
         }
         // Guard dropped: back to the ambient configuration (no panic).
         let _ = inject(FaultPoint::MatcherCandidate);
@@ -457,9 +465,6 @@ mod tests {
     fn serve_point_salts_are_distinct() {
         let points = [
             FaultPoint::MatcherCandidate,
-            FaultPoint::PoolSpawn,
-            FaultPoint::PoolSteal,
-            FaultPoint::PoolRun,
             FaultPoint::CacheInsert,
             FaultPoint::CacheEvict,
             FaultPoint::IndexProbe,

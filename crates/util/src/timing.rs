@@ -87,8 +87,8 @@ impl Budget {
 ///
 /// Polling `Instant::now()` on every recursion step would dominate small
 /// queries, so [`Deadline::exceeded`] only consults the clock once every
-/// `CHECK_MASK + 1` calls. The counter is a relaxed atomic so one deadline
-/// can be shared across the worker threads of the parallel matcher.
+/// `CHECK_MASK + 1` calls. The counter is a relaxed atomic so polling
+/// takes `&self`.
 #[derive(Debug)]
 pub struct Deadline {
     limit: Option<Instant>,
@@ -110,18 +110,6 @@ impl Deadline {
     /// An infinite deadline.
     pub fn unlimited() -> Self {
         Self::new(None)
-    }
-
-    /// A copy with the *same* expiry instant but a fresh poll counter.
-    ///
-    /// Parallel workers each fork the shared deadline: the budget stays
-    /// global while the hot counter stays core-local (a single shared
-    /// atomic would ping-pong its cache line on every poll).
-    pub fn fork(&self) -> Self {
-        Self {
-            limit: self.limit,
-            calls: std::sync::atomic::AtomicU32::new(0),
-        }
     }
 
     /// Cheap cooperative check; `true` once the budget is blown.

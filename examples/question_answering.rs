@@ -24,7 +24,7 @@ fn main() {
     let rdf = Arc::new(RdfGraph::from_triples(&triples));
     println!("{} triples loaded\n", rdf.stats().triples);
     let engine = AmberEngine::from_graph(Arc::clone(&rdf));
-    let options = ExecOptions::new().with_timeout(Duration::from_secs(10));
+    let options = ExecOptions::default().with_timeout(Duration::from_secs(10));
 
     // --- Hand-written "questions" over the university schema --------------
     let ub = lubm::UB;

@@ -1,14 +1,13 @@
 //! Chaos differential tests: under any injected fault — panics, scheduling
-//! delays, spurious allocation failures, split/steal storms — a query must
-//! return either the bit-identical clean answer or a clean typed
-//! error/partial status. Never a wrong answer, never a hang, never a
-//! poisoned engine.
+//! delays, spurious allocation failures — a query must return either the
+//! bit-identical clean answer or a clean typed error/partial status. Never
+//! a wrong answer, never a hang, never a poisoned engine.
 //!
 //! Chaos arming is process-global (`amber_util::fault`), so every test in
 //! this binary serializes on [`SERIAL`]; unarmed suites live in their own
 //! binaries (separate processes) and never observe an armed window.
 
-use amber::{AmberEngine, EngineError, ExecOptions, QueryStatus, Scheduler};
+use amber::{AmberEngine, EngineError, ExecOptions, QueryStatus};
 use amber_multigraph::paper::{paper_graph, paper_query_text, PAPER_QUERY_EMBEDDINGS};
 use amber_serve::{ServeConfig, ServeError, Server};
 use amber_util::fault;
@@ -49,11 +48,8 @@ fn with_quiet_chaos_panics<T>(f: impl FnOnce() -> T) -> T {
 }
 
 /// Engine-side fault points, exercised through `execute_in_session`.
-const POINTS: [&str; 7] = [
+const POINTS: [&str; 4] = [
     "matcher-candidate",
-    "pool-spawn",
-    "pool-steal",
-    "pool-run",
     "cache-insert",
     "cache-evict",
     "index-probe",
@@ -61,36 +57,29 @@ const POINTS: [&str; 7] = [
 /// Serving-loop fault points, exercised through a [`Server`] (the engine
 /// proptest never reaches them; they get their own differential below).
 const SERVE_POINTS: [&str; 3] = ["serve-admit", "serve-dispatch", "serve-drain"];
-const KINDS: [&str; 4] = ["panic", "delay", "alloc-fail", "storm"];
+const KINDS: [&str; 3] = ["panic", "delay", "alloc-fail"];
 const RATES: [u64; 3] = [1, 7, 64];
-const SCHEDULERS: [Scheduler; 3] = [Scheduler::Auto, Scheduler::Pool, Scheduler::ForkPerChunk];
-const THREADS: [usize; 3] = [1, 2, 8];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole property: any fault spec, any scheduler, any thread
-    /// count — the outcome is the clean answer, a clean partial, or a
-    /// typed quarantined error. Afterwards the same session serves the
-    /// query correctly.
+    /// The tentpole property: any fault spec — the outcome is the clean
+    /// answer, a clean partial, or a typed quarantined error. Afterwards
+    /// the same session serves the query correctly.
     #[test]
     fn chaos_yields_answer_or_typed_error(
         point in 0..POINTS.len(),
         kind in 0..KINDS.len(),
         rate in 0..RATES.len(),
         seed in 1..10_000u64,
-        mode in 0..SCHEDULERS.len() * THREADS.len(),
         cached in 0..2u8,
     ) {
         let _serial = serial();
         let (point, kind, rate) = (POINTS[point], KINDS[kind], RATES[rate]);
-        let (sched, threads) = (mode / THREADS.len(), mode % THREADS.len());
         let engine = AmberEngine::from_graph(paper_graph());
         let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
-        let base = if cached == 1 { ExecOptions::batch() } else { ExecOptions::new() };
+        let base = if cached == 1 { ExecOptions::batch() } else { ExecOptions::default() };
         let options = base
-            .with_scheduler(SCHEDULERS[sched])
-            .with_threads(THREADS[threads])
             // A generous budget arms the governor without organic pressure:
             // only an injected alloc-fail can exhaust it.
             .with_memory_budget(1 << 30);
@@ -129,8 +118,7 @@ proptest! {
             Err(other) => prop_assert!(false, "untyped failure under {}: {}", &spec, other),
         }
 
-        // Disarmed epilogue: the session (and its pool) must be reusable
-        // and correct — a quarantined panic poisons only its own query.
+        // Disarmed epilogue: the session must be reusable and correct — a quarantined panic poisons only its own query.
         let clean = engine.execute_in_session(&q, &options, &mut session).unwrap();
         prop_assert_eq!(clean.status, QueryStatus::Completed);
         prop_assert_eq!(clean.embedding_count, baseline.embedding_count);
@@ -155,7 +143,7 @@ proptest! {
         let (point, kind) = (SERVE_POINTS[point], KINDS[kind]);
         let engine = Arc::new(AmberEngine::from_graph(paper_graph()));
         let baseline = engine
-            .execute(&paper_query_text(), &ExecOptions::new())
+            .execute(&paper_query_text(), &ExecOptions::default())
             .unwrap();
         let spec = format!("{seed}:{point}={kind}@1");
         // Plain asserts inside the armed closure (prop_assert cannot cross
@@ -281,7 +269,7 @@ fn serve_dispatch_panics_trip_the_tenant_breaker() {
     let _serial = serial();
     let engine = Arc::new(AmberEngine::from_graph(paper_graph()));
     let baseline = engine
-        .execute(&paper_query_text(), &ExecOptions::new())
+        .execute(&paper_query_text(), &ExecOptions::default())
         .unwrap();
     let server = Server::start(
         Arc::clone(&engine),
@@ -324,37 +312,38 @@ fn serve_dispatch_panics_trip_the_tenant_breaker() {
 }
 
 #[test]
-fn pool_that_trapped_a_panic_serves_the_next_query() {
+fn session_that_trapped_a_matcher_panic_serves_the_next_query() {
     let _serial = serial();
     let engine = AmberEngine::from_graph(paper_graph());
     let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
-    let options = ExecOptions::new()
-        .with_scheduler(Scheduler::Pool)
-        .with_threads(8);
+    let options = ExecOptions::default();
     let mut session = engine.create_session(&options);
 
     let err = {
-        let _guard = fault::override_spec("1:pool-run=panic@1").unwrap();
+        let _guard = fault::override_spec("1:matcher-candidate=panic@1").unwrap();
         with_quiet_chaos_panics(|| engine.execute_in_session(&q, &options, &mut session))
     };
     match err {
-        Err(EngineError::Internal { payload, .. }) => {
+        Err(EngineError::Internal { task, payload }) => {
+            assert_eq!(task, "sequential matcher");
             assert!(payload.contains("chaos"), "payload: {payload}")
         }
         other => panic!("expected a quarantined Internal error, got {other:?}"),
     }
-    assert!(
-        session.pool_stats().trapped_panics >= 1,
-        "the quarantine must be visible in PoolStats: {:?}",
-        session.pool_stats()
+    assert_eq!(
+        session.search_stats().trapped_panics,
+        1,
+        "the quarantine must be visible in SearchStats: {:?}",
+        session.search_stats()
     );
 
-    // Same session, same pool: the next query is served in full.
+    // Same session: the next query is served in full.
     let clean = engine
         .execute_in_session(&q, &options, &mut session)
         .unwrap();
     assert_eq!(clean.status, QueryStatus::Completed);
     assert_eq!(clean.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
+    assert_eq!(clean.bindings.len(), PAPER_QUERY_EMBEDDINGS);
 }
 
 #[test]
@@ -362,31 +351,13 @@ fn delay_chaos_never_changes_answers() {
     let _serial = serial();
     let engine = AmberEngine::from_graph(paper_graph());
     let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
-    for scheduler in SCHEDULERS {
-        let options = ExecOptions::new().with_scheduler(scheduler).with_threads(4);
-        let baseline = engine.execute_parsed(&q, &options).unwrap();
-        let _guard = fault::override_spec("11:delay@1").unwrap();
-        let delayed = engine.execute_parsed(&q, &options).unwrap();
-        assert_eq!(delayed.status, QueryStatus::Completed);
-        assert_eq!(delayed.embedding_count, baseline.embedding_count);
-        assert_eq!(delayed.bindings, baseline.bindings);
-    }
-}
-
-#[test]
-fn storm_forces_splits_without_changing_answers() {
-    let _serial = serial();
-    let engine = AmberEngine::from_graph(paper_graph());
-    let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
-    let options = ExecOptions::new()
-        .with_scheduler(Scheduler::Pool)
-        .with_threads(4);
+    let options = ExecOptions::default();
     let baseline = engine.execute_parsed(&q, &options).unwrap();
-    let _guard = fault::override_spec("5:matcher-candidate=storm@1").unwrap();
-    let stormed = engine.execute_parsed(&q, &options).unwrap();
-    assert_eq!(stormed.status, QueryStatus::Completed);
-    assert_eq!(stormed.embedding_count, baseline.embedding_count);
-    assert_eq!(stormed.bindings, baseline.bindings);
+    let _guard = fault::override_spec("11:delay@1").unwrap();
+    let delayed = engine.execute_parsed(&q, &options).unwrap();
+    assert_eq!(delayed.status, QueryStatus::Completed);
+    assert_eq!(delayed.embedding_count, baseline.embedding_count);
+    assert_eq!(delayed.bindings, baseline.bindings);
 }
 
 #[test]
@@ -398,15 +369,12 @@ fn serving_layer_quarantines_chaos_panics_per_tenant() {
         ServeConfig {
             workers: 2,
             paused: true, // queue the poisoned request before arming
-            options: ExecOptions::batch()
-                .with_scheduler(Scheduler::Pool)
-                .with_threads(4),
             ..ServeConfig::default()
         },
     );
     let poisoned = server.submit_sparql("a", &paper_query_text()).unwrap();
     let result = {
-        let _guard = fault::override_spec("1:pool-run=panic@1").unwrap();
+        let _guard = fault::override_spec("1:matcher-candidate=panic@1").unwrap();
         with_quiet_chaos_panics(|| {
             server.resume();
             poisoned.wait()
@@ -443,7 +411,7 @@ fn serving_layer_survives_cache_chaos() {
     let _serial = serial();
     let engine = Arc::new(AmberEngine::from_graph(paper_graph()));
     let baseline = engine
-        .execute(&paper_query_text(), &ExecOptions::new())
+        .execute(&paper_query_text(), &ExecOptions::default())
         .unwrap();
     // Panic inside cache insert/evict paths while a warm tenant repeats a
     // query: every outcome is either correct or a typed error — and the
@@ -478,7 +446,7 @@ fn alloc_fail_without_a_governor_is_inert() {
     let engine = AmberEngine::from_graph(paper_graph());
     // No memory budget → no governor → the spurious alloc-failure signal
     // has nowhere to land and must be ignored, not crash.
-    let options = ExecOptions::new();
+    let options = ExecOptions::default();
     let _guard = fault::override_spec("3:alloc-fail@1").unwrap();
     let outcome = engine.execute(&paper_query_text(), &options).unwrap();
     assert_eq!(outcome.status, QueryStatus::Completed);
@@ -489,7 +457,7 @@ fn alloc_fail_without_a_governor_is_inert() {
 fn alloc_fail_with_a_governor_degrades_cleanly() {
     let _serial = serial();
     let engine = AmberEngine::from_graph(paper_graph());
-    let options = ExecOptions::new().with_memory_budget(1 << 30);
+    let options = ExecOptions::default().with_memory_budget(1 << 30);
     let mut session = engine.create_session(&options);
     let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
     let outcome = {
@@ -500,8 +468,8 @@ fn alloc_fail_with_a_governor_degrades_cleanly() {
     };
     assert_eq!(outcome.status, QueryStatus::BudgetExceeded);
     assert!(
-        session.pool_stats().degradation_steps >= 1,
+        session.search_stats().degradation_steps >= 1,
         "exhaustion takes the whole ladder: {:?}",
-        session.pool_stats()
+        session.search_stats()
     );
 }

@@ -144,20 +144,3 @@ fn agreement_with_heavy_constant_injection() {
         );
     }
 }
-
-#[test]
-fn agreement_on_parallel_amber() {
-    let triples = Benchmark::Yago.generate(1, 21);
-    let rdf = Arc::new(RdfGraph::from_triples(&triples));
-    let engine = amber::AmberEngine::from_graph(Arc::clone(&rdf));
-    let mut generator = WorkloadGenerator::new(&rdf, 22);
-    for q in generator.generate_many(&WorkloadConfig::new(QueryShape::Complex, 10), 5) {
-        let seq = engine
-            .execute_parsed(&q.query, &ExecOptions::new().counting())
-            .unwrap();
-        let par = engine
-            .execute_parsed(&q.query, &ExecOptions::new().counting().with_threads(4))
-            .unwrap();
-        assert_eq!(seq.embedding_count, par.embedding_count, "{}", q.text);
-    }
-}

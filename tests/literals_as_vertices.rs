@@ -30,7 +30,7 @@ fn paper_mode_cannot_bind_literal_variables() {
     let outcome = engine
         .execute(
             "SELECT ?name WHERE { <http://x/Amy> <http://y/hasName> ?name . }",
-            &ExecOptions::new(),
+            &ExecOptions::default(),
         )
         .unwrap();
     assert_eq!(outcome.embedding_count, 0);
@@ -42,7 +42,7 @@ fn extension_mode_binds_literal_variables() {
     let outcome = engine
         .execute(
             "SELECT ?name WHERE { <http://x/Amy> <http://y/hasName> ?name . }",
-            &ExecOptions::new(),
+            &ExecOptions::default(),
         )
         .unwrap();
     assert_eq!(outcome.embedding_count, 1);
@@ -56,7 +56,7 @@ fn extension_mode_joins_through_literals() {
     let outcome = engine
         .execute(
             "SELECT ?a ?b WHERE { ?a <http://y/hasName> ?n . ?b <http://y/hasName> ?n . }",
-            &ExecOptions::new(),
+            &ExecOptions::default(),
         )
         .unwrap();
     // (Amy,Amy), (Amy,Band), (Band,Amy), (Band,Band), (Blake,Blake) = 5.
@@ -69,7 +69,7 @@ fn extension_mode_still_answers_constant_literal_queries() {
     let outcome = engine
         .execute(
             "SELECT ?who WHERE { ?who <http://y/hasName> \"Amy Winehouse\" . }",
-            &ExecOptions::new(),
+            &ExecOptions::default(),
         )
         .unwrap();
     assert_eq!(outcome.embedding_count, 2); // Amy and Band
@@ -79,7 +79,7 @@ fn extension_mode_still_answers_constant_literal_queries() {
     let outcome = engine
         .execute(
             "SELECT ?who WHERE { ?who <http://y/hasName> \"Amy Winehouse\" . }",
-            &ExecOptions::new(),
+            &ExecOptions::default(),
         )
         .unwrap();
     assert_eq!(outcome.embedding_count, 2);
@@ -88,8 +88,12 @@ fn extension_mode_still_answers_constant_literal_queries() {
 #[test]
 fn modes_agree_on_resource_only_queries() {
     let q = "SELECT * WHERE { ?a <http://y/marriedTo> ?b . }";
-    let with = build_engine(true).execute(q, &ExecOptions::new()).unwrap();
-    let without = build_engine(false).execute(q, &ExecOptions::new()).unwrap();
+    let with = build_engine(true)
+        .execute(q, &ExecOptions::default())
+        .unwrap();
+    let without = build_engine(false)
+        .execute(q, &ExecOptions::default())
+        .unwrap();
     assert_eq!(with.embedding_count, without.embedding_count);
     assert_eq!(with.embedding_count, 1);
 }

@@ -1,5 +1,5 @@
 //! Differential tests pinning the `amber_obs` metrics registry to the
-//! legacy in-struct accounting (`BatchStats`, `PoolStats`, `ServeReport`).
+//! legacy in-struct accounting (`BatchStats`, `SearchStats`, `ServeReport`).
 //!
 //! The registry is *populated from* the legacy structs by a per-query
 //! delta flush (see `crates/core/src/telemetry.rs`), so the two views are
@@ -14,7 +14,7 @@
 //! test's duration and (being a static mutex) serializes the tests in
 //! this binary against each other.
 
-use amber::{AmberEngine, ExecOptions, QueryStatus, Scheduler};
+use amber::{AmberEngine, ExecOptions, QueryStatus};
 use amber_datagen::skewed::{self, SkewedConfig};
 use amber_obs::MetricsSnapshot;
 use amber_serve::{BreakerConfig, ServeConfig, ServeError, Server, SubmitOptions};
@@ -88,11 +88,9 @@ fn batch_stats_agree_exactly_with_the_registry() {
     ));
     let query = amber_sparql::parse_select(&skewed::chain_query(&config)).unwrap();
     // Repeats through a warm session: plan hits, result hits, and (first
-    // run) a forced pool dispatch all flow through the flush.
+    // run) the search counters all flow through the flush.
     let queries = vec![query.clone(), query.clone(), query];
-    let options = ExecOptions::batch()
-        .with_threads(8)
-        .with_scheduler(Scheduler::Pool);
+    let options = ExecOptions::batch();
 
     let before = amber_obs::snapshot();
     let batch = engine.execute_batch(&queries, &options);
@@ -147,16 +145,15 @@ fn batch_stats_agree_exactly_with_the_registry() {
         stats.plans.result_hit_copied_bytes
     );
 
-    let pool = &stats.pool;
+    let search = &stats.search;
     for (name, legacy) in [
-        ("amber_pool_runs_total", pool.runs),
-        ("amber_pool_root_tasks_total", pool.root_tasks),
-        ("amber_pool_split_tasks_total", pool.split_tasks),
-        ("amber_pool_steals_total", pool.steals),
-        ("amber_pool_nodes_total", pool.total_nodes()),
-        ("amber_pool_trapped_panics_total", pool.trapped_panics),
-        ("amber_pool_cancellations_total", pool.cancellations),
-        ("amber_pool_degradation_steps_total", pool.degradation_steps),
+        ("amber_search_nodes_total", search.nodes),
+        ("amber_query_trapped_panics_total", search.trapped_panics),
+        ("amber_query_cancellations_total", search.cancellations),
+        (
+            "amber_query_degradation_steps_total",
+            search.degradation_steps,
+        ),
     ] {
         assert_eq!(delta(&before, &after, name, &[]), legacy, "{name}");
     }
@@ -167,8 +164,8 @@ fn batch_stats_agree_exactly_with_the_registry() {
         );
     }
     assert!(
-        pool.runs >= 1,
-        "forced pool dispatch must exercise the pool flush"
+        search.nodes >= 1,
+        "the executed search must exercise the node-count flush"
     );
 }
 
@@ -187,9 +184,6 @@ fn serve_report_agrees_exactly_with_the_registry() {
                 failure_threshold: 1,
                 cooldown: Duration::from_secs(3600),
             }),
-            options: ExecOptions::batch()
-                .with_threads(4)
-                .with_scheduler(Scheduler::Pool),
             ..ServeConfig::default()
         },
     );
@@ -239,8 +233,8 @@ fn serve_report_agrees_exactly_with_the_registry() {
         "cache layer live"
     );
     assert!(
-        mid.counter_value("amber_pool_runs_total", &[]) > 0,
-        "pool layer live (forced pool dispatch)"
+        mid.counter_value("amber_search_nodes_total", &[]) > 0,
+        "search layer live"
     );
     assert!(
         mid.counter_value("amber_serve_requests_total", &[("outcome", "served")]) > 0,
@@ -361,7 +355,6 @@ fn slow_query_log_captures_an_injected_delay_query() {
     assert!(entry.contains("execute"), "{entry}");
     assert!(entry.contains("component[0]"), "{entry}");
     assert!(entry.contains("caches:"), "{entry}");
-    assert!(entry.contains("dispatch:"), "{entry}");
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Execution-option matrix across all engines: count-only, max_results,
-//! DISTINCT, threads, candidate-cache capacity — every engine must expose
+//! DISTINCT, candidate-cache capacity — every engine must expose
 //! the same observable behaviour for every combination, and AMbER's batch
 //! entry point must expose the same behaviour as its one-shot path.
 
@@ -27,10 +27,10 @@ fn rdf() -> Arc<RdfGraph> {
 fn count_only_is_count_equal_and_binding_free() {
     for engine in all_engines(rdf()) {
         let full = engine
-            .execute_sparql(&query(), &ExecOptions::new())
+            .execute_sparql(&query(), &ExecOptions::default())
             .unwrap();
         let counted = engine
-            .execute_sparql(&query(), &ExecOptions::new().counting())
+            .execute_sparql(&query(), &ExecOptions::default().counting())
             .unwrap();
         assert_eq!(
             full.embedding_count,
@@ -48,7 +48,7 @@ fn count_only_is_count_equal_and_binding_free() {
 fn max_results_caps_bindings_uniformly() {
     for engine in all_engines(rdf()) {
         let capped = engine
-            .execute_sparql(&query(), &ExecOptions::new().with_max_results(1))
+            .execute_sparql(&query(), &ExecOptions::default().with_max_results(1))
             .unwrap();
         assert_eq!(
             capped.embedding_count,
@@ -64,7 +64,7 @@ fn max_results_caps_bindings_uniformly() {
 fn distinct_collapses_rows_uniformly() {
     for engine in all_engines(rdf()) {
         let outcome = engine
-            .execute_sparql(&distinct_query(), &ExecOptions::new())
+            .execute_sparql(&distinct_query(), &ExecOptions::default())
             .unwrap();
         assert_eq!(
             outcome.embedding_count,
@@ -82,7 +82,7 @@ fn variables_order_matches_projection() {
         "SELECT ?c ?p WHERE {{ ?p <{PREFIX_Y}wasBornIn> ?c . }}" // reversed order
     );
     for engine in all_engines(rdf()) {
-        let outcome = engine.execute_sparql(&q, &ExecOptions::new()).unwrap();
+        let outcome = engine.execute_sparql(&q, &ExecOptions::default()).unwrap();
         assert_eq!(
             outcome.variables,
             vec![Box::from("c"), Box::from("p")],
@@ -96,31 +96,6 @@ fn variables_order_matches_projection() {
 }
 
 #[test]
-fn threads_option_is_accepted_by_all_engines() {
-    // Baselines ignore the knob (they are sequential architectures), AMbER
-    // uses it — but it must never change results anywhere.
-    for engine in all_engines(rdf()) {
-        let seq = engine
-            .execute_sparql(&query(), &ExecOptions::new())
-            .unwrap();
-        let par = engine
-            .execute_sparql(&query(), &ExecOptions::new().with_threads(4))
-            .unwrap();
-        assert_eq!(
-            seq.embedding_count,
-            par.embedding_count,
-            "{}",
-            engine.name()
-        );
-        let mut a = seq.bindings.to_vec();
-        let mut b = par.bindings.to_vec();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "{}", engine.name());
-    }
-}
-
-#[test]
 fn candidate_cache_capacity_never_changes_results() {
     // The cache knob is accepted by every engine (baselines ignore it) and
     // must never change any observable outcome — including capacity 1,
@@ -128,10 +103,13 @@ fn candidate_cache_capacity_never_changes_results() {
     for capacity in [0usize, 1, 2, 4096] {
         for engine in all_engines(rdf()) {
             let plain = engine
-                .execute_sparql(&query(), &ExecOptions::new())
+                .execute_sparql(&query(), &ExecOptions::default())
                 .unwrap();
             let cached = engine
-                .execute_sparql(&query(), &ExecOptions::new().with_candidate_cache(capacity))
+                .execute_sparql(
+                    &query(),
+                    &ExecOptions::default().with_candidate_cache(capacity),
+                )
                 .unwrap();
             assert_eq!(
                 plain.embedding_count,
@@ -160,10 +138,9 @@ fn batch_knob_matrix_matches_one_shot_execution() {
         .map(|t| amber_sparql::parse_select(t).unwrap())
         .collect();
     let option_matrix = [
-        ExecOptions::new(),
-        ExecOptions::new().counting(),
-        ExecOptions::new().with_max_results(1),
-        ExecOptions::new().with_threads(4),
+        ExecOptions::default(),
+        ExecOptions::default().counting(),
+        ExecOptions::default().with_max_results(1),
         ExecOptions::batch(),
     ];
     for base in option_matrix {
@@ -193,9 +170,7 @@ fn batch_knob_matrix_matches_one_shot_execution() {
                 assert_eq!(batch.stats.cache.entries, 0);
             }
             assert!((0.0..=1.0).contains(&batch.stats.cache.hit_rate()));
-            // The capacity bound is per core; the aggregate spans the main
-            // core plus up to `threads` worker cores.
-            assert!(batch.stats.cache.entries <= capacity * (1 + base.effective_threads()));
+            assert!(batch.stats.cache.entries <= capacity);
         }
     }
 }
@@ -204,7 +179,7 @@ fn batch_knob_matrix_matches_one_shot_execution() {
 fn select_star_projects_all_pattern_variables() {
     let q = format!("SELECT * WHERE {{ ?p <{PREFIX_Y}wasBornIn> ?c . }}");
     for engine in all_engines(rdf()) {
-        let outcome = engine.execute_sparql(&q, &ExecOptions::new()).unwrap();
+        let outcome = engine.execute_sparql(&q, &ExecOptions::default()).unwrap();
         assert_eq!(outcome.variables.len(), 2, "{}", engine.name());
     }
 }

@@ -55,7 +55,7 @@ fn offline_stage_builds_figure_1c_and_indexes() {
 fn online_stage_reproduces_section_5() {
     let engine = AmberEngine::from_graph(paper_graph());
     let outcome = engine
-        .execute(&paper_query_text(), &ExecOptions::new())
+        .execute(&paper_query_text(), &ExecOptions::default())
         .expect("paper query executes");
 
     assert_eq!(outcome.status, QueryStatus::Completed);
@@ -104,10 +104,10 @@ fn online_stage_reproduces_section_5() {
 fn count_only_matches_materialized_count() {
     let engine = AmberEngine::from_graph(paper_graph());
     let full = engine
-        .execute(&paper_query_text(), &ExecOptions::new())
+        .execute(&paper_query_text(), &ExecOptions::default())
         .unwrap();
     let counted = engine
-        .execute(&paper_query_text(), &ExecOptions::new().counting())
+        .execute(&paper_query_text(), &ExecOptions::default().counting())
         .unwrap();
     assert_eq!(full.embedding_count, counted.embedding_count);
     assert_eq!(full.bindings.len() as u128, full.embedding_count);

@@ -9,8 +9,7 @@
 //! cached plan), and **triple-reordered** variants (which key separately),
 //! every outcome must be identical to a fresh cache-free
 //! `execute_parsed`, with the plan/result caches disabled, capacity-1
-//! (evicting constantly), and comfortably large — sequentially and on the
-//! work-stealing pool.
+//! (evicting constantly), and comfortably large.
 
 use amber::{AmberEngine, ExecOptions, QueryOutcome};
 use amber_datagen::synthetic::{self, SyntheticConfig};
@@ -100,18 +99,14 @@ fn assert_prepared_equals_unprepared(
     stream: &[SelectQuery],
     plan_capacity: usize,
     result_capacity: usize,
-    threads: usize,
     context: &str,
 ) {
-    let cached = ExecOptions::new()
-        .with_threads(threads)
+    let cached = ExecOptions::default()
         .with_max_results(200)
         .with_candidate_cache(256)
         .with_plan_cache(plan_capacity)
         .with_result_cache(result_capacity);
-    let bare = ExecOptions::new()
-        .with_threads(threads)
-        .with_max_results(200);
+    let bare = ExecOptions::default().with_max_results(200);
     let batch = engine.execute_batch(stream, &cached);
     assert_eq!(batch.stats.errors, 0, "{context}");
     for (query, outcome) in stream.iter().zip(&batch.outcomes) {
@@ -175,15 +170,14 @@ proptest! {
                 &stream,
                 plan_capacity,
                 result_capacity,
-                1,
-                &format!("sequential, plan {plan_capacity} / result {result_capacity}"),
+                &format!("plan {plan_capacity} / result {result_capacity}"),
             );
         }
     }
 }
 
 #[test]
-fn plan_equivalence_holds_under_pooled_execution() {
+fn plan_equivalence_holds_on_a_fixed_complex_stream() {
     let rdf = Arc::new(dense_graph(13));
     let engine = AmberEngine::from_graph(Arc::clone(&rdf));
     let mut generator = WorkloadGenerator::new(&rdf, 1313);
@@ -196,8 +190,7 @@ fn plan_equivalence_holds_under_pooled_execution() {
             &stream,
             plan_capacity,
             result_capacity,
-            4,
-            &format!("pooled, plan {plan_capacity} / result {result_capacity}"),
+            &format!("fixed stream, plan {plan_capacity} / result {result_capacity}"),
         );
     }
 }

@@ -75,7 +75,7 @@ proptest! {
         let counts: Vec<u128> = engines
             .iter()
             .map(|e| {
-                e.execute_sparql(&query, &ExecOptions::new().counting())
+                e.execute_sparql(&query, &ExecOptions::default().counting())
                     .expect("executes")
                     .embedding_count
             })
@@ -103,7 +103,7 @@ proptest! {
         let counts: Vec<u128> = engines
             .iter()
             .map(|e| {
-                e.execute_sparql(&query, &ExecOptions::new().counting())
+                e.execute_sparql(&query, &ExecOptions::default().counting())
                     .expect("executes")
                     .embedding_count
             })
@@ -116,9 +116,9 @@ proptest! {
     fn max_results_is_only_a_cap(triples in arb_triples(), cap in 1usize..5) {
         let engine = AmberEngine::from_triples(&triples);
         let query = "SELECT * WHERE { ?a <http://t/p0> ?b . }";
-        let full = engine.execute(query, &ExecOptions::new()).unwrap();
+        let full = engine.execute(query, &ExecOptions::default()).unwrap();
         let capped = engine
-            .execute(query, &ExecOptions::new().with_max_results(cap))
+            .execute(query, &ExecOptions::default().with_max_results(cap))
             .unwrap();
         prop_assert_eq!(full.embedding_count, capped.embedding_count);
         prop_assert!(capped.bindings.len() <= cap);
@@ -133,7 +133,7 @@ proptest! {
     fn distinct_rows_are_unique(triples in arb_triples()) {
         let engine = AmberEngine::from_triples(&triples);
         let query = "SELECT DISTINCT ?a WHERE { ?a <http://t/p1> ?b . }";
-        let outcome = engine.execute(query, &ExecOptions::new()).unwrap();
+        let outcome = engine.execute(query, &ExecOptions::default()).unwrap();
         let mut rows = outcome.bindings.to_vec();
         rows.sort();
         let before = rows.len();

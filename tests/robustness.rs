@@ -27,7 +27,7 @@ fn malformed_ntriples_is_rejected_with_position() {
 #[test]
 fn sparql_error_paths() {
     let engine = AmberEngine::from_graph(paper_graph());
-    let options = ExecOptions::new();
+    let options = ExecOptions::default();
     // Syntax and unsupported-feature errors both surface as EngineError.
     assert!(matches!(
         engine.execute("SELECT WHERE", &options),
@@ -44,7 +44,10 @@ fn empty_graph_answers_everything_with_zero() {
     let rdf = Arc::new(RdfGraph::from_triples([]));
     for engine in all_engines(rdf) {
         let outcome = engine
-            .execute_sparql("SELECT * WHERE { ?s <http://p> ?o . }", &ExecOptions::new())
+            .execute_sparql(
+                "SELECT * WHERE { ?s <http://p> ?o . }",
+                &ExecOptions::default(),
+            )
             .expect("executes");
         assert_eq!(outcome.embedding_count, 0, "{}", engine.name());
         assert_eq!(outcome.status, QueryStatus::Completed);
@@ -57,9 +60,68 @@ fn zero_budget_times_out_on_every_engine() {
     let query = amber_multigraph::paper::paper_query_text();
     for engine in all_engines(rdf) {
         let outcome = engine
-            .execute_sparql(&query, &ExecOptions::new().with_timeout(Duration::ZERO))
+            .execute_sparql(&query, &ExecOptions::default().with_timeout(Duration::ZERO))
             .expect("executes");
         assert!(outcome.timed_out(), "{} must time out", engine.name());
+    }
+}
+
+#[test]
+fn midflight_deadline_is_reported_or_the_count_is_exact() {
+    // The skewed generator has closed-form counts. Unbounded, the engine
+    // must reproduce them; with a budget around the query's own runtime,
+    // whichever way the race goes the outcome either carries the timeout
+    // flag or is the exact complete answer — never a silently-partial
+    // "completed" count.
+    use amber_datagen::skewed::{self, SkewedConfig};
+    for (config, budgets_us) in [
+        (
+            SkewedConfig {
+                children: 96,
+                grandchildren: 96,
+                trivial_seeds: 2_000,
+                ..SkewedConfig::skewed()
+            },
+            &[50u64, 200, 1_000, 5_000][..],
+        ),
+        (
+            SkewedConfig {
+                hubs: 40,
+                children: 3,
+                grandchildren: 4,
+                ..SkewedConfig::uniform()
+            },
+            &[][..],
+        ),
+        (
+            SkewedConfig {
+                children: 16,
+                grandchildren: 16,
+                ..SkewedConfig::single_seed()
+            },
+            &[][..],
+        ),
+    ] {
+        let engine = AmberEngine::from_graph(RdfGraph::from_triples(&skewed::generate(&config)));
+        let query = skewed::chain_query(&config);
+        let unbounded = engine
+            .execute(&query, &ExecOptions::default().counting())
+            .unwrap();
+        assert_eq!(unbounded.status, QueryStatus::Completed);
+        assert_eq!(unbounded.embedding_count, config.expected_embeddings());
+        for &budget_us in budgets_us {
+            let options = ExecOptions::default()
+                .counting()
+                .with_timeout(Duration::from_micros(budget_us));
+            let outcome = engine.execute(&query, &options).unwrap();
+            if !outcome.timed_out() {
+                assert_eq!(
+                    outcome.embedding_count,
+                    config.expected_embeddings(),
+                    "budget {budget_us}µs: completed runs must be exact"
+                );
+            }
+        }
     }
 }
 
@@ -75,7 +137,7 @@ fn cartesian_blowup_is_capped_by_max_results() {
     let query = "SELECT * WHERE { ?a <http://p/e> ?b . ?c <http://p/e> ?d . \
                  ?e <http://p/e> ?f . ?g <http://p/e> ?h . }";
     let outcome = engine
-        .execute(query, &ExecOptions::new().with_max_results(50))
+        .execute(query, &ExecOptions::default().with_max_results(50))
         .unwrap();
     assert_eq!(outcome.embedding_count, 30u128.pow(4));
     assert_eq!(outcome.bindings.len(), 50);
@@ -150,14 +212,16 @@ fn unicode_iris_and_literals_survive_the_pipeline() {
     let outcome = engine
         .execute(
             "SELECT ?où WHERE { <http://x/Zürich> <http://p/liegt_in> ?où . }",
-            &ExecOptions::new(),
+            &ExecOptions::default(),
         )
         .unwrap();
     assert_eq!(outcome.embedding_count, 1);
     assert_eq!(outcome.bindings[0][0].as_ref(), "http://x/Schweiz");
 
     let literal_query = "SELECT ?s WHERE { ?s <http://p/名前> \"取り引き — émoji 😀\" . }";
-    let outcome = engine.execute(literal_query, &ExecOptions::new()).unwrap();
+    let outcome = engine
+        .execute(literal_query, &ExecOptions::default())
+        .unwrap();
     assert_eq!(outcome.embedding_count, 1);
 }
 
@@ -167,14 +231,14 @@ fn duplicate_patterns_do_not_double_count() {
     let y = amber_multigraph::paper::PREFIX_Y;
     let single = format!("SELECT * WHERE {{ ?p <{y}wasBornIn> ?c . }}");
     let doubled = format!("SELECT * WHERE {{ ?p <{y}wasBornIn> ?c . ?p <{y}wasBornIn> ?c . }}");
-    let a = engine.execute(&single, &ExecOptions::new()).unwrap();
-    let b = engine.execute(&doubled, &ExecOptions::new()).unwrap();
+    let a = engine.execute(&single, &ExecOptions::default()).unwrap();
+    let b = engine.execute(&doubled, &ExecOptions::default()).unwrap();
     assert_eq!(a.embedding_count, b.embedding_count);
     // And the same across baselines.
     let rdf = Arc::new(paper_graph());
     for engine in all_engines(rdf) {
         let out = engine
-            .execute_sparql(&doubled, &ExecOptions::new())
+            .execute_sparql(&doubled, &ExecOptions::default())
             .unwrap();
         assert_eq!(out.embedding_count, a.embedding_count, "{}", engine.name());
     }
@@ -185,7 +249,7 @@ fn pre_cancelled_token_yields_cancelled_status() {
     let engine = AmberEngine::from_graph(paper_graph());
     let token = CancelToken::new();
     token.cancel();
-    let options = ExecOptions::new().with_cancel(token);
+    let options = ExecOptions::default().with_cancel(token);
     let outcome = engine
         .execute(&paper_query_text(), &options)
         .expect("cancellation is a status, not an error");
@@ -204,7 +268,7 @@ fn cancellation_is_distinct_from_timeout() {
     token.cancel();
     // Both pressures at once: cancellation wins the status (the user asked
     // for the abort; the deadline is incidental).
-    let options = ExecOptions::new()
+    let options = ExecOptions::default()
         .with_cancel(token)
         .with_timeout(Duration::ZERO);
     let outcome = engine.execute(&paper_query_text(), &options).unwrap();
@@ -216,7 +280,7 @@ fn cancellation_is_distinct_from_timeout() {
 fn unfired_token_changes_nothing() {
     let engine = AmberEngine::from_graph(paper_graph());
     let token = CancelToken::new();
-    let options = ExecOptions::new().with_cancel(token.clone());
+    let options = ExecOptions::default().with_cancel(token.clone());
     let outcome = engine.execute(&paper_query_text(), &options).unwrap();
     assert_eq!(outcome.status, QueryStatus::Completed);
     assert_eq!(outcome.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
@@ -250,7 +314,7 @@ fn cancelled_query_never_stores_into_the_result_cache() {
         stats.results.hits, 0,
         "the cancelled outcome must not be served to anyone: {stats:?}"
     );
-    assert_eq!(session.pool_stats().cancellations, 1);
+    assert_eq!(session.search_stats().cancellations, 1);
 }
 
 #[test]
@@ -259,7 +323,7 @@ fn tiny_memory_budget_degrades_to_a_typed_partial() {
     // One byte: the governor blows through every rung of the ladder on the
     // first checkpoint. The query must come back as a clean partial, never
     // an abort or a wrong answer.
-    let options = ExecOptions::new().with_memory_budget(1);
+    let options = ExecOptions::default().with_memory_budget(1);
     let outcome = engine
         .execute(&paper_query_text(), &options)
         .expect("budget exhaustion is a status, not an error");
@@ -271,12 +335,12 @@ fn tiny_memory_budget_degrades_to_a_typed_partial() {
 fn generous_memory_budget_is_invisible() {
     let engine = AmberEngine::from_graph(paper_graph());
     let baseline = engine
-        .execute(&paper_query_text(), &ExecOptions::new())
+        .execute(&paper_query_text(), &ExecOptions::default())
         .unwrap();
     let governed = engine
         .execute(
             &paper_query_text(),
-            &ExecOptions::new().with_memory_budget(1 << 30),
+            &ExecOptions::default().with_memory_budget(1 << 30),
         )
         .unwrap();
     assert_eq!(governed.status, QueryStatus::Completed);
@@ -287,7 +351,7 @@ fn generous_memory_budget_is_invisible() {
 #[test]
 fn budget_degradation_is_recorded_in_session_stats() {
     let engine = AmberEngine::from_graph(paper_graph());
-    let options = ExecOptions::new().with_memory_budget(1);
+    let options = ExecOptions::default().with_memory_budget(1);
     let mut session = engine.create_session(&options);
     let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
     let outcome = engine
@@ -295,13 +359,13 @@ fn budget_degradation_is_recorded_in_session_stats() {
         .unwrap();
     assert_eq!(outcome.status, QueryStatus::BudgetExceeded);
     assert!(
-        session.pool_stats().degradation_steps >= 1,
-        "the governor's ladder steps must surface in PoolStats: {:?}",
-        session.pool_stats()
+        session.search_stats().degradation_steps >= 1,
+        "the governor's ladder steps must surface in SearchStats: {:?}",
+        session.search_stats()
     );
     // The session survives: an ungoverned repeat gets the full answer.
     let clean = engine
-        .execute_in_session(&q, &ExecOptions::new(), &mut session)
+        .execute_in_session(&q, &ExecOptions::default(), &mut session)
         .unwrap();
     assert_eq!(clean.status, QueryStatus::Completed);
     assert_eq!(clean.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
@@ -315,7 +379,9 @@ fn self_loop_queries_agree() {
     let rdf = Arc::new(RdfGraph::parse_ntriples(doc).unwrap());
     let query = "SELECT * WHERE { ?x <http://p/likes> ?x . ?x <http://p/likes> ?y . }";
     for engine in all_engines(rdf) {
-        let out = engine.execute_sparql(query, &ExecOptions::new()).unwrap();
+        let out = engine
+            .execute_sparql(query, &ExecOptions::default())
+            .unwrap();
         // ?x = a (self loop), ?y ∈ {a, b}.
         assert_eq!(out.embedding_count, 2, "{}", engine.name());
     }
@@ -448,7 +514,9 @@ mod breakers {
     fn tripped_tenant_fast_fails_while_neighbors_complete_identically() {
         let server = server(1, Duration::from_secs(3600));
         let engine = serve_engine();
-        let baseline = engine.execute(EDGE, &amber::ExecOptions::new()).unwrap();
+        let baseline = engine
+            .execute(EDGE, &amber::ExecOptions::default())
+            .unwrap();
         timed_out_request(&server, "noisy"); // trips the noisy tenant
         assert!(matches!(
             server.submit_sparql("noisy", EDGE),

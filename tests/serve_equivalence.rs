@@ -100,7 +100,7 @@ fn assert_serving_matches_sequential(
     streams: &[(String, Vec<SelectQuery>)],
     workers: usize,
 ) {
-    let bare = ExecOptions::new().with_max_results(200);
+    let bare = ExecOptions::default().with_max_results(200);
     let expected: Vec<Vec<Observed>> = streams
         .iter()
         .map(|(_, queries)| {
@@ -211,7 +211,7 @@ proptest! {
         let base = generator.generate_many(&WorkloadConfig::new(QueryShape::Star, star_size), 3);
         prop_assume!(!base.is_empty());
 
-        let bare = ExecOptions::new().with_max_results(200);
+        let bare = ExecOptions::default().with_max_results(200);
         let expected: Vec<Observed> = base
             .iter()
             .map(|g| normalized(&engine.execute_parsed(&g.query, &bare).expect("sequential")))
@@ -304,7 +304,7 @@ proptest! {
             .find(|t| t.tenant == "shed-only")
             .expect("tenant reported");
         prop_assert_eq!(shed_only.queries_executed, 0);
-        prop_assert_eq!(shed_only.pool.total_nodes(), 0);
+        prop_assert_eq!(shed_only.search.nodes, 0);
         prop_assert_eq!(report.shed_for("unbounded"), 0);
         prop_assert_eq!(report.shed_for("generous"), 0);
         prop_assert_eq!(report.rejected, 0);
@@ -353,7 +353,7 @@ fn admission_control_rejects_beyond_capacity_and_serves_the_rest() {
     }
     server.resume();
     let baseline = engine
-        .execute_parsed(&query, &ExecOptions::new())
+        .execute_parsed(&query, &ExecOptions::default())
         .expect("baseline");
     for ticket in accepted {
         let outcome = ticket.wait().expect("accepted requests are served");
@@ -379,7 +379,7 @@ fn tenants_share_one_plan_store_but_not_their_failures() {
     // ticket; the tenant keeps serving afterwards.
     let foreign = AmberEngine::from_graph(dense_graph(22));
     let stale = foreign.prepare(&query).expect("prepares on its own engine");
-    let poisoned = engine.execute_prepared(&stale, &ExecOptions::new());
+    let poisoned = engine.execute_prepared(&stale, &ExecOptions::default());
     assert!(poisoned.is_err(), "stale plans are rejected, not executed");
 
     for tenant in ["a", "b", "c"] {

@@ -244,9 +244,6 @@ fn check_batch(checks: &mut Vec<Check>, baseline: &Json, fresh: &Json) {
                 "seed_hit_rate",
                 "plan_hit_rate",
                 "result_hit_rate",
-                // PR-6 overhead cell: batch_ms / governed_ms, < 2% governor
-                // overhead keeps it ≥ 0.98 (also hard-asserted in-binary).
-                "governed_speedup",
             ] {
                 check_metric(
                     checks,
@@ -259,9 +256,13 @@ fn check_batch(checks: &mut Vec<Check>, baseline: &Json, fresh: &Json) {
                     true, // a 0.0 baseline rate means "not applicable here"
                 );
             }
-            // PR-9 overhead cell: obs_off_ms / obs_on_ms, < 3% telemetry
-            // overhead keeps it ≥ 0.97 (also hard-asserted in-binary).
-            check_overhead_ratio(checks, "BENCH_batch.json", key, "obs_speedup", base, new);
+            // Overhead cells, both hard-asserted in-binary: PR-6's
+            // batch_ms / governed_ms (< 2% governor overhead keeps it
+            // ≥ 0.98) and PR-9's obs_off_ms / obs_on_ms (< 3% telemetry
+            // overhead keeps it ≥ 0.97).
+            for metric in ["governed_speedup", "obs_speedup"] {
+                check_overhead_ratio(checks, "BENCH_batch.json", key, metric, base, new);
+            }
         },
     );
 }

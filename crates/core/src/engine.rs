@@ -769,6 +769,7 @@ impl AmberEngine {
                 }
             };
             session.record_nodes(result.nodes);
+            crate::telemetry::note_seed_candidates(prep.initial_candidates().len());
             if let Some(s) = span_sw {
                 session
                     .recorder_mut()

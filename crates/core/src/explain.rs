@@ -3,16 +3,17 @@
 //! AMbER's "plan" is the structure §5 derives before matching: the
 //! connected components, each component's core/satellite decomposition, the
 //! core order chosen by the `(r1, r2)` heuristics, the seed candidate count
-//! from the `S` index, and the per-vertex constraint summary. Exposing it
+//! and the type-incidence lists it was intersected from, and the per-vertex
+//! constraint summary. Exposing it
 //! makes the engine debuggable (why is this query slow?) and is what the
 //! ablation benchmarks and several tests hook into.
 
 use crate::candidates::{process_vertex, Constraint};
 use crate::decompose::Decomposition;
-use crate::matcher::ComponentMatcher;
+use crate::matcher::{multi_type_edges_of, ComponentMatcher, SeedList};
 use crate::plan::PreparedPlan;
 use amber_index::IndexSet;
-use amber_multigraph::{QueryGraph, RdfGraph};
+use amber_multigraph::{Direction, EdgeTypeId, QVertexId, QueryGraph, RdfGraph};
 use std::fmt;
 
 /// The plan of one connected component.
@@ -22,9 +23,16 @@ pub struct ComponentPlan {
     pub core_order: Vec<String>,
     /// Satellites attached to each ordered core vertex.
     pub satellites: Vec<Vec<String>>,
-    /// Number of seed candidates for the initial vertex
-    /// (`|CandInit|` after `S` + `ProcessVertex`).
+    /// Number of seed candidates for the initial vertex (`|CandInit|`:
+    /// the seed lists ∩ `ProcessVertex`).
     pub initial_candidates: usize,
+    /// The type-incidence lists the seed set was intersected from, shortest
+    /// first; empty when the synopsis index seeded the component (initial
+    /// vertex without a typed edge).
+    pub seed_lists: Vec<SeedList>,
+    /// The seed vertex's multi-type edges to other variables: a seed
+    /// candidate owns each on a single neighbour.
+    pub seed_multi_edges: Vec<(Direction, Vec<EdgeTypeId>)>,
     /// Plan probes the session candidate cache can memoize (multi-type and
     /// unconstrained probes; single-type probes borrow from the index pool
     /// and bypass the cache). `0` means a candidate cache cannot help this
@@ -55,6 +63,8 @@ pub struct QueryPlan {
     pub unsatisfiable: Option<String>,
     /// Number of ground (variable-free) checks.
     pub ground_checks: usize,
+    /// `|V|` of the data graph — what a seed candidate count is "of".
+    pub data_vertices: usize,
     /// Per-component plans.
     pub components: Vec<ComponentPlan>,
     /// The prepared-plan cache fingerprint (whitespace/variable-name
@@ -77,6 +87,7 @@ impl QueryPlan {
             return Self {
                 unsatisfiable: Some(reason.to_string()),
                 ground_checks: qg.ground_checks().len(),
+                data_vertices: rdf.graph().vertex_count(),
                 components: Vec::new(),
                 fingerprint: None,
                 failed_ground_check: false,
@@ -124,6 +135,8 @@ impl QueryPlan {
                     core_order,
                     satellites,
                     initial_candidates: matcher.initial_candidates().len(),
+                    seed_lists: matcher.seed_lists().to_vec(),
+                    seed_multi_edges: seed_multi_edges(qg, matcher.core_order()[0]),
                     cacheable_probes: matcher.cacheable_probe_count(),
                     vertex_constraints,
                 }
@@ -132,6 +145,7 @@ impl QueryPlan {
         Self {
             unsatisfiable: None,
             ground_checks: qg.ground_checks().len(),
+            data_vertices: rdf.graph().vertex_count(),
             components,
             fingerprint: None,
             failed_ground_check: false,
@@ -149,6 +163,7 @@ impl QueryPlan {
             return Self {
                 unsatisfiable: Some(reason.to_string()),
                 ground_checks: qg.ground_checks().len(),
+                data_vertices: plan.data_vertices(),
                 components: Vec::new(),
                 fingerprint: Some(plan.fingerprint()),
                 failed_ground_check: false,
@@ -193,6 +208,8 @@ impl QueryPlan {
                     core_order,
                     satellites,
                     initial_candidates: prep.initial_candidates().len(),
+                    seed_lists: prep.seed_lists().to_vec(),
+                    seed_multi_edges: seed_multi_edges(qg, prep.core_order()[0]),
                     cacheable_probes: prep.cacheable_probe_count(),
                     vertex_constraints,
                 }
@@ -201,6 +218,7 @@ impl QueryPlan {
         Self {
             unsatisfiable: None,
             ground_checks: qg.ground_checks().len(),
+            data_vertices: plan.data_vertices(),
             components,
             fingerprint: Some(plan.fingerprint()),
             failed_ground_check: plan.statically_empty(),
@@ -270,9 +288,14 @@ impl Explain {
         for (i, component) in plan.components.iter().enumerate() {
             self.out.push_str(&format!("component {i}:\n"));
             self.out.push_str(&format!(
-                "  core order: {} (seed candidates: {})\n",
-                component.core_order.join(" → "),
-                component.initial_candidates
+                "  core order: {}\n",
+                component.core_order.join(" → ")
+            ));
+            self.out.push_str(&format!(
+                "  seed candidates: {} of {} via {}\n",
+                component.initial_candidates,
+                plan.data_vertices,
+                seed_derivation(component)
             ));
             if component.cacheable_probes > 0 {
                 self.out.push_str(&format!(
@@ -324,6 +347,46 @@ impl Explain {
     }
 }
 
+fn seed_multi_edges(qg: &QueryGraph, u_init: QVertexId) -> Vec<(Direction, Vec<EdgeTypeId>)> {
+    multi_type_edges_of(qg, u_init)
+        .map(|(direction, types)| (direction, types.to_vec()))
+        .collect()
+}
+
+/// How a component's seed set was derived, in the paper's notation:
+/// `t265⁻(412) ∩ t552⁻(388)` reads "vertices with an outgoing `t265`
+/// (412 of them) ∩ vertices with an outgoing `t552`"; a constrained seed
+/// vertex adds `∩ ProcessVertex(n)`, a multi-type edge `∩ {t1,t2}⁻`
+/// (both types towards one neighbour).
+fn seed_derivation(component: &ComponentPlan) -> String {
+    if component.seed_lists.is_empty() {
+        return "synopsis fallback".to_string();
+    }
+    let sign = |direction: Direction| match direction {
+        Direction::Incoming => '⁺',
+        Direction::Outgoing => '⁻',
+    };
+    let mut terms: Vec<String> = component
+        .seed_lists
+        .iter()
+        .map(|l| format!("{}{}({})", l.edge_type, sign(l.direction), l.len))
+        .collect();
+    let seed_vertex = component.core_order.first();
+    let constrained = component
+        .vertex_constraints
+        .iter()
+        .find(|c| Some(&c.variable) == seed_vertex)
+        .and_then(|c| c.candidate_count);
+    if let Some(n) = constrained {
+        terms.push(format!("ProcessVertex({n})"));
+    }
+    for (direction, types) in &component.seed_multi_edges {
+        let types: Vec<String> = types.iter().map(ToString::to_string).collect();
+        terms.push(format!("{{{}}}{}", types.join(","), sign(*direction)));
+    }
+    terms.join(" ∩ ")
+}
+
 impl fmt::Display for QueryPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut explain = Explain::new();
@@ -360,7 +423,20 @@ mod tests {
         assert_eq!(x5.candidate_count, Some(1));
 
         let text = plan.to_string();
-        assert!(text.contains("core order: X1 → X3 → X5"));
+        assert!(text.contains("core order: X1 → X3 → X5\n"), "{text}");
+        // X1 is London: the object of diedIn (t4: Amy only) and wasBornIn
+        // (t5) and the subject of isPartOf (t2) — 9 data vertices in all.
+        // X1 is London: of the 9 data vertices only v2 is the object of
+        // hasCapital (t1), diedIn (t4), wasBornIn (t5) and wasFormedIn (t6)
+        // and the subject of isPartOf (t2) and hasStadium (t0); ?X3 reaches
+        // it through the multi-edge {diedIn, wasBornIn}.
+        assert!(
+            text.contains(
+                "  seed candidates: 1 of 9 via t1⁺(1) ∩ t2⁻(1) ∩ t4⁺(1) ∩ t5⁺(1) ∩ t6⁺(1) \
+                 ∩ t0⁻(2) ∩ {t4,t5}⁺\n"
+            ),
+            "{text}"
+        );
         assert!(text.contains("satellites of ?X1"));
     }
 
@@ -383,6 +459,9 @@ mod tests {
         assert_eq!(a.core_order, b.core_order);
         assert_eq!(a.satellites, b.satellites);
         assert_eq!(a.initial_candidates, b.initial_candidates);
+        assert_eq!(a.seed_lists, b.seed_lists);
+        assert_eq!(a.seed_multi_edges, b.seed_multi_edges);
+        assert_eq!(plan.data_vertices, legacy.data_vertices);
         assert_eq!(a.cacheable_probes, b.cacheable_probes);
         let text = plan.to_string();
         assert!(text.contains("plan fingerprint: 0x"));

@@ -5,8 +5,13 @@
 //!
 //! 1. decompose into core + satellite vertices ([`crate::decompose`]),
 //! 2. order the core vertices ([`crate::ordering`]),
-//! 3. seed with `C^S_{u_init} ∩ ProcessVertex(u_init)` (Algorithm 3,
-//!    lines 4-5),
+//! 3. seed with `CandInit = ⋂ incidence lists of u_init's typed edges ∩
+//!    ProcessVertex(u_init)` — the exact, type-major reading of the OTIL
+//!    roots ([`NeighborhoodIndex::vertices_with_type`]) where the paper
+//!    walks the synopsis index (Algorithm 3, lines 4-5) — keeping only
+//!    candidates that own each multi-type edge of `u_init` on a single
+//!    neighbour; `C^S_{u_init}` survives as the fallback for a seed vertex
+//!    without a typed edge,
 //! 4. recurse over the ordered core vertices; at each step the candidates of
 //!    the next vertex are the intersection of `QueryNeighIndex` probes from
 //!    *all* already-matched adjacent cores (Algorithm 4, lines 5-7),
@@ -56,7 +61,7 @@ use crate::decompose::Decomposition;
 use crate::governor::MemoryGovernor;
 use crate::ordering::order_core_vertices;
 use crate::seeds::SeedCache;
-use amber_index::IndexSet;
+use amber_index::{IndexSet, NeighborhoodIndex};
 use amber_multigraph::{DataGraph, Direction, EdgeTypeId, QVertexId, QueryGraph, VertexId};
 use amber_util::fault::{self, FaultPoint};
 use amber_util::{sorted, CancelToken, Deadline};
@@ -185,6 +190,19 @@ pub(crate) struct CorePlan {
     satellites: Vec<SatellitePlan>,
 }
 
+/// One type-incidence list the seed set was intersected from: every data
+/// vertex with an edge of `edge_type` in `direction`
+/// ([`NeighborhoodIndex::vertices_with_type`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeedList {
+    /// Direction of the edge relative to the seed vertex.
+    pub direction: Direction,
+    /// The required edge type.
+    pub edge_type: EdgeTypeId,
+    /// Length of the incidence list.
+    pub len: usize,
+}
+
 /// The immutable matching plan of one connected component — everything
 /// [`ComponentMatcher`] derives *before* the search runs: the core/satellite
 /// decomposition, the processing order, per-position probe plans
@@ -200,8 +218,13 @@ pub struct ComponentPrep {
     pub(crate) order: Vec<QVertexId>,
     pub(crate) decomp: Decomposition,
     pub(crate) plans: Vec<CorePlan>,
-    /// `C^S ∩ ProcessVertex` of the initial vertex.
+    /// `CandInit`: the seed lists' intersection ∩ `ProcessVertex` of the
+    /// initial vertex, refined by its multi-type edges.
     pub(crate) initial: Vec<VertexId>,
+    /// The incidence lists `initial` was intersected from, shortest first;
+    /// empty when the initial vertex has no typed edge and the synopsis
+    /// index seeded it instead.
+    pub(crate) seed_lists: Vec<SeedList>,
 }
 
 impl ComponentPrep {
@@ -233,6 +256,13 @@ impl ComponentPrep {
     /// The seed candidates of the initial vertex (`CandInit`).
     pub fn initial_candidates(&self) -> &[VertexId] {
         &self.initial
+    }
+
+    /// The type-incidence lists [`Self::initial_candidates`] was
+    /// intersected from, shortest first. Empty means the synopsis-index
+    /// fallback seeded the component (initial vertex without a typed edge).
+    pub fn seed_lists(&self) -> &[SeedList] {
+        &self.seed_lists
     }
 
     /// Plan probes the session candidate cache can memoize (see
@@ -285,7 +315,8 @@ impl ComponentPrep {
             Constraint::Candidates(list) => list.capacity() * vid,
         };
         let mut bytes = self.order.capacity() * std::mem::size_of::<QVertexId>()
-            + self.initial.capacity() * vid;
+            + self.initial.capacity() * vid
+            + self.seed_lists.capacity() * std::mem::size_of::<SeedList>();
         for plan in &self.plans {
             bytes += std::mem::size_of::<CorePlan>() + constraint_bytes(&plan.constraint);
             for probe in &plan.probes {
@@ -371,13 +402,50 @@ impl ComponentPrep {
             });
         }
 
-        // Algorithm 3, lines 4-5: seed candidates for the initial vertex via
-        // the signature index (sound query-side synopsis) and ProcessVertex,
-        // both resolved through the session seed cache.
+        // Algorithm 3, lines 4-5: seed candidates for the initial vertex.
         let u_init = order[0];
-        let mut initial =
-            seeds.signature_candidates(&index.signature, &qg.signature(u_init).query_synopsis());
-        plans[0].constraint.filter(&mut initial);
+        let seed_lists = seed_lists_of(qg, u_init, &index.neighborhood);
+        let mut initial = if seed_lists.is_empty() {
+            // No typed edge (an isolated variable): the paper's
+            // `QuerySynIndex` with the sound query-side synopsis.
+            let mut initial = index
+                .signature
+                .candidates(&qg.signature(u_init).query_synopsis());
+            plans[0].constraint.filter(&mut initial);
+            initial
+        } else {
+            // A match of u_init owns an edge of every (direction, type) on
+            // u_init, so it is in every one of these lists — and in
+            // ProcessVertex's whitelist, folded into the same cascade.
+            let mut lists: Vec<&[VertexId]> = seed_lists
+                .iter()
+                .map(|l| {
+                    index
+                        .neighborhood
+                        .vertices_with_type(l.direction, l.edge_type)
+                })
+                .collect();
+            if let Constraint::Candidates(allowed) = &plans[0].constraint {
+                lists.push(allowed);
+            }
+            let mut initial = sorted::intersect_many(&lists).expect("at least one seed list");
+            // The lists say "has a t1 edge and a t2 edge"; a multi-edge
+            // {t1, t2} needs both on one neighbour. The stored synopsis
+            // knows the largest multi-edge of every vertex — the one field
+            // the lists do not imply — so it is read per surviving
+            // candidate (an array lookup, no R-tree walk) before the exact
+            // first-hit OTIL check; letting the search discover either is
+            // far dearer.
+            let mut multi = multi_type_edges_of(qg, u_init).peekable();
+            if multi.peek().is_some() {
+                let synopsis = qg.signature(u_init).query_synopsis();
+                initial.retain(|&v| index.signature.synopsis_of(v).dominates(&synopsis));
+            }
+            for (direction, types) in multi {
+                initial.retain(|&v| index.neighborhood.has_neighbor(v, direction, types));
+            }
+            initial
+        };
         if plans[0].has_self_loop {
             initial.retain(|&v| satisfies_self_loop(qg, u_init, graph, v));
         }
@@ -387,8 +455,50 @@ impl ComponentPrep {
             decomp,
             plans,
             initial,
+            seed_lists,
         }
     }
+}
+
+/// The multi-edges of `u` towards other variables that carry more than one
+/// type, as `(direction relative to u, types)`.
+pub(crate) fn multi_type_edges_of(
+    qg: &QueryGraph,
+    u: QVertexId,
+) -> impl Iterator<Item = (Direction, &[EdgeTypeId])> {
+    qg.adjacency(u)
+        .iter()
+        .map(|adj| (adj.direction, qg.edges()[adj.edge].types.types()))
+        .filter(|(_, types)| types.len() > 1)
+}
+
+/// The type-incidence lists every match of `u` must appear in: one per
+/// distinct `(direction, type)` on `u`'s core, satellite and self-loop
+/// edges, shortest first. (Edges to IRI vertices are `ProcessVertex`'s
+/// business: its probe from the constant is a subset of the type's list.)
+fn seed_lists_of(qg: &QueryGraph, u: QVertexId, n: &NeighborhoodIndex) -> Vec<SeedList> {
+    let mut lists: Vec<SeedList> = Vec::new();
+    let mut push = |direction, edge_type| {
+        lists.push(SeedList {
+            direction,
+            edge_type,
+            len: n.vertices_with_type(direction, edge_type).len(),
+        })
+    };
+    for adj in qg.adjacency(u) {
+        for &t in qg.edges()[adj.edge].types.types() {
+            push(adj.direction, t);
+        }
+    }
+    if let Some(types) = &qg.vertex(u).self_loop {
+        for &t in types.types() {
+            push(Direction::Incoming, t);
+            push(Direction::Outgoing, t);
+        }
+    }
+    lists.sort_unstable_by_key(|l| (l.len, l.edge_type, l.direction == Direction::Outgoing));
+    lists.dedup();
+    lists
 }
 
 /// The component plan a matcher executes: owned (built on the spot by the
@@ -508,6 +618,12 @@ impl<'a> ComponentMatcher<'a> {
         &self.prep().initial
     }
 
+    /// The incidence lists the seed set was intersected from (see
+    /// [`ComponentPrep::seed_lists`]).
+    pub fn seed_lists(&self) -> &[SeedList] {
+        &self.prep().seed_lists
+    }
+
     /// Number of plan probes that are *cacheable* by the session candidate
     /// cache: multi-type and unconstrained probes up to the cache's
     /// keyable size ([`crate::candidates::MAX_CACHED_TYPES`]); single-type
@@ -562,9 +678,8 @@ impl<'a> ComponentMatcher<'a> {
             governor_reported,
             governor_ticks: 0,
         };
-        // Iterate the initial candidates with the precise per-candidate
-        // deadline check (this loop runs once per initial candidate, so
-        // precision matters more than the clock read).
+        // Iterate the initial candidates as the root loop: a checkpoint
+        // before every candidate, the precise clock on a stride.
         self.iterate_level(0, initial, &mut state, true);
         // Settle the governor before handing the result back: the
         // counter-gated checkpoints may never have measured on a short
@@ -636,10 +751,14 @@ impl<'a> ComponentMatcher<'a> {
     /// amortized the same way [`Deadline`] amortizes clock reads).
     const GOVERNOR_CHECK_MASK: u32 = 0xFF;
 
+    /// How many root candidates pass between reads of the uncached clock.
+    const ROOT_PRECISE_STRIDE: usize = 64;
+
     /// Cooperative checkpoint: deadline, cancellation, and memory-budget
     /// checks in one place. Returns `true` (after recording the abort
     /// reason) when the search must stop. `precise` consults the uncached
-    /// clock and forces a governor measurement — the root loop only.
+    /// clock and forces a governor measurement — the root loop only, on
+    /// its stride.
     fn check_abort(&self, state: &mut SearchState<'_, '_>, precise: bool) -> bool {
         // Cancellation is polled before the deadline: when both fire, the
         // explicit user abort is the status the caller should see (the
@@ -822,18 +941,22 @@ impl<'a> ComponentMatcher<'a> {
 
     /// Iterate a borrowed candidate list — the initial candidates or the
     /// fast path's inverted-list borrow — as the level at `pos`.
-    /// `precise_deadline` additionally consults the uncached clock before
-    /// every candidate (the root loop only; recursion levels rely on the
-    /// cheap cached check at `recurse` entry).
+    /// `root` additionally runs a checkpoint before every candidate (the
+    /// root loop only; recursion levels rely on the check at `recurse`
+    /// entry): the uncached clock and a governor measurement on the first
+    /// candidate — so a zero budget aborts before any work — and every
+    /// [`Self::ROOT_PRECISE_STRIDE`]th, the amortized check otherwise (a
+    /// clock read costs as much as a root candidate that dies in its
+    /// satellites, ~30 ns).
     fn iterate_level(
         &self,
         pos: usize,
         source: &[VertexId],
         state: &mut SearchState<'_, '_>,
-        precise_deadline: bool,
+        root: bool,
     ) {
-        for &v in source {
-            if precise_deadline && self.check_abort(state, true) {
+        for (i, &v) in source.iter().enumerate() {
+            if root && self.check_abort(state, i % Self::ROOT_PRECISE_STRIDE == 0) {
                 return;
             }
             self.try_candidate(pos, v, state);

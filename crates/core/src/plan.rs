@@ -4,7 +4,7 @@
 //! constant-heavy repeated streams the **largest non-search cost** is plan
 //! derivation itself: `QueryGraph` construction, the core/satellite
 //! decomposition, the `(r1, r2)` processing order, `ProcessVertex`
-//! constraint resolution and the signature-index seed walk all recur on
+//! constraint resolution and the seed-set intersection all recur on
 //! every repeat of a query the engine has already seen. A
 //! [`PreparedPlan`] freezes all of that — parsed query multigraph,
 //! per-component [`ComponentPrep`] (decomposition + order + probe plans +
@@ -134,6 +134,8 @@ pub struct PreparedPlan {
     /// on any other engine is refused (seed candidates and constraint
     /// lists are data-dependent).
     engine_token: u64,
+    /// `|V|` of that engine's graph (`EXPLAIN`: "seed candidates: N of |V|").
+    data_vertices: usize,
 }
 
 impl PreparedPlan {
@@ -189,6 +191,7 @@ impl PreparedPlan {
             ground_ok,
             components,
             engine_token,
+            data_vertices: rdf.graph().vertex_count(),
         })
     }
 
@@ -239,6 +242,11 @@ impl PreparedPlan {
     /// Identity of the engine this plan belongs to.
     pub(crate) fn engine_token(&self) -> u64 {
         self.engine_token
+    }
+
+    /// `|V|` of the data graph this plan was derived against.
+    pub(crate) fn data_vertices(&self) -> usize {
+        self.data_vertices
     }
 
     /// `true` when this plan's recorded *source* spellings (projection

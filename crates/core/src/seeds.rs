@@ -1,12 +1,10 @@
 //! Session-cached seed probes — memoizing the *pre-search* candidate
-//! lookups of `ProcessVertex` and the signature index.
+//! lookups of `ProcessVertex`.
 //!
 //! The PR-2 [`CandidateCache`](crate::candidates::CandidateCache) memoizes
 //! the matcher's *recursion-time* OTIL probes, but every query still pays
-//! its seed lookups from scratch on every execution:
+//! its `ProcessVertex` lookups from scratch on every execution:
 //!
-//! * `QuerySynIndex` (Algorithm 3 line 4) — an R-tree dominance walk per
-//!   initial vertex,
 //! * `C^A_u` (Algorithm 1 lines 1-2) — an attribute-list intersection per
 //!   constrained vertex,
 //! * `C^I_u` (Algorithm 1 lines 3-4) — an OTIL probe per IRI constraint.
@@ -14,18 +12,22 @@
 //! Constant-heavy streams (the `lubm_complex_repeat` workload) recompute
 //! exactly these on every repeat, which is why batching alone could not
 //! beat 1.0× there. [`SeedCache`] lives in a
-//! [`QuerySession`](crate::session::QuerySession) and memoizes all three
-//! lookups, each in **its own key space** (synopses, attribute sets, probe
-//! keys — three separate generationally-tagged stores, so the classes can
-//! never alias and evict independently), with the same hot/cold generation
+//! [`QuerySession`](crate::session::QuerySession) and memoizes both
+//! lookups, each in **its own key space** (attribute sets, probe keys —
+//! two separate generationally-tagged stores, so the classes can never
+//! alias and evict independently), with the same hot/cold generation
 //! scheme as the candidate cache ([`GenerationalMap`]).
 //!
 //! Single-type IRI probes bypass the store: they borrow their inverted
-//! list straight from the OTIL pool, so there is nothing to memoize.
+//! list straight from the OTIL pool, so there is nothing to memoize. The
+//! component seed set itself (`CandInit`) is not memoized either: it is an
+//! intersection of borrowed type-incidence lists
+//! ([`ComponentPrep`](crate::matcher::ComponentPrep)), cheaper than the
+//! copy a cache hit would cost.
 
 use crate::candidates::{CacheStats, ProbeKey, MAX_CACHED_TYPES};
-use amber_index::{AttributeIndex, NeighborhoodIndex, SignatureIndex};
-use amber_multigraph::{AttrId, Direction, EdgeTypeId, Synopsis, VertexId};
+use amber_index::{AttributeIndex, NeighborhoodIndex};
+use amber_multigraph::{AttrId, Direction, EdgeTypeId, VertexId};
 use amber_util::fault::{self, FaultPoint};
 use amber_util::GenerationalMap;
 
@@ -70,8 +72,6 @@ impl AttrSetKey {
 pub struct SeedCache {
     /// Maximum entries **per key space**; 0 disables the cache entirely.
     capacity: usize,
-    /// `QuerySynIndex` results keyed by the query vertex's synopsis.
-    signatures: GenerationalMap<Synopsis, Box<[VertexId]>>,
     /// `C^A_u` results keyed by the (sorted) attribute set.
     attrs: GenerationalMap<AttrSetKey, Box<[VertexId]>>,
     /// `C^I_u` OTIL probes keyed by `(data vertex, direction, type-set)` —
@@ -94,7 +94,6 @@ impl SeedCache {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            signatures: GenerationalMap::new(capacity.max(1)),
             attrs: GenerationalMap::new(capacity.max(1)),
             probes: GenerationalMap::new(capacity.max(1)),
             hits: 0,
@@ -117,16 +116,14 @@ impl SeedCache {
         self.capacity > 0
     }
 
-    /// Current counters, aggregated across the three key spaces.
+    /// Current counters, aggregated across the two key spaces.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
             bypasses: self.bypasses,
-            evictions: self.signatures.evictions()
-                + self.attrs.evictions()
-                + self.probes.evictions(),
-            entries: self.signatures.len() + self.attrs.len() + self.probes.len(),
+            evictions: self.attrs.evictions() + self.probes.evictions(),
+            entries: self.attrs.len() + self.probes.len(),
             result_bytes: self.result_bytes,
         }
     }
@@ -134,43 +131,9 @@ impl SeedCache {
     /// Drop every entry (counters survive; capacity unchanged). Scratch
     /// buffers are kept — they hold no graph-dependent data between runs.
     pub fn clear(&mut self) {
-        self.signatures.clear(|_| {});
         self.attrs.clear(|_| {});
         self.probes.clear(|_| {});
         self.result_bytes = 0;
-    }
-
-    /// `C^S_u`: signature-index candidates of `synopsis`, through the
-    /// cache. The result is cloned out (the caller filters it in place).
-    pub(crate) fn signature_candidates(
-        &mut self,
-        index: &SignatureIndex,
-        synopsis: &Synopsis,
-    ) -> Vec<VertexId> {
-        if !self.is_enabled() {
-            self.bypasses += 1;
-            return index.candidates(synopsis);
-        }
-        // Optimistic hit counting keeps the hot path at one lookup (the
-        // miss arm rolls it back; borrowck can't see the borrow end).
-        self.hits += 1;
-        if let Some(hit) = self.signatures.get(synopsis) {
-            return hit.to_vec();
-        }
-        self.hits -= 1;
-        self.misses += 1;
-        let _ = fault::inject(FaultPoint::IndexProbe);
-        let computed = index.candidates(synopsis);
-        self.note_stored(computed.len());
-        let result_bytes = &mut self.result_bytes;
-        let _ = fault::inject(FaultPoint::CacheInsert);
-        self.signatures
-            .insert(*synopsis, computed.clone().into_boxed_slice(), |dropped| {
-                let _ = fault::inject(FaultPoint::CacheEvict);
-                *result_bytes =
-                    result_bytes.saturating_sub(dropped.len() * std::mem::size_of::<VertexId>());
-            });
-        computed
     }
 
     /// `C^A_u`: vertices carrying all of `attrs` (`None` when `attrs` is
@@ -299,26 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn signature_candidates_cache_exactly() {
-        let (rdf, qg, index) = setup();
-        let mut seeds = SeedCache::new(64);
-        for _ in 0..3 {
-            for u in (0..qg.vertex_count()).map(amber_multigraph::QVertexId::from_index) {
-                let synopsis = qg.signature(u).query_synopsis();
-                assert_eq!(
-                    seeds.signature_candidates(&index.signature, &synopsis),
-                    index.signature.candidates(&synopsis),
-                    "synopsis of {u:?} diverged"
-                );
-            }
-        }
-        let stats = seeds.stats();
-        assert!(stats.hits >= stats.misses, "repeats must hit: {stats:?}");
-        assert!(stats.entries > 0);
-        drop(rdf);
-    }
-
-    #[test]
     fn disabled_cache_is_pure_pass_through() {
         let (_, qg, index) = setup();
         let mut seeds = SeedCache::disabled();
@@ -348,11 +291,6 @@ mod tests {
                         process_vertex(&qg, u, &index),
                         "capacity {capacity}, vertex {u:?}"
                     );
-                    let synopsis = qg.signature(u).query_synopsis();
-                    assert_eq!(
-                        seeds.signature_candidates(&index.signature, &synopsis),
-                        index.signature.candidates(&synopsis),
-                    );
                 }
             }
         }
@@ -364,8 +302,6 @@ mod tests {
         let mut seeds = SeedCache::new(64);
         for u in (0..qg.vertex_count()).map(amber_multigraph::QVertexId::from_index) {
             let _ = process_vertex_seeded(&qg, u, &index, &mut seeds);
-            let synopsis = qg.signature(u).query_synopsis();
-            let _ = seeds.signature_candidates(&index.signature, &synopsis);
         }
         let before = seeds.stats();
         assert!(before.entries > 0);

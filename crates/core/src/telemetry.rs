@@ -75,6 +75,7 @@ struct EngineMetrics {
     shared_plan_hits: Arc<Counter>,
     shared_plan_misses: Arc<Counter>,
     search_nodes: Arc<Counter>,
+    seed_candidates: Arc<Histogram>,
     trapped_panics: Arc<Counter>,
     cancellations: Arc<Counter>,
     degradation_steps: Arc<Counter>,
@@ -100,6 +101,7 @@ fn metrics() -> &'static EngineMetrics {
         shared_plan_hits: amber_obs::counter("amber_shared_plans_total", &[("event", "hit")]),
         shared_plan_misses: amber_obs::counter("amber_shared_plans_total", &[("event", "miss")]),
         search_nodes: amber_obs::counter("amber_search_nodes_total", &[]),
+        seed_candidates: amber_obs::histogram("amber_seed_candidates", &[]),
         trapped_panics: amber_obs::counter("amber_query_trapped_panics_total", &[]),
         cancellations: amber_obs::counter("amber_query_cancellations_total", &[]),
         degradation_steps: amber_obs::counter("amber_query_degradation_steps_total", &[]),
@@ -156,6 +158,15 @@ pub(crate) fn flush_query(
     m.trapped_panics.add(search.trapped_panics);
     m.cancellations.add(search.cancellations);
     m.degradation_steps.add(search.degradation_steps);
+}
+
+/// One component run's `|CandInit|` — the root fan-out of the search whose
+/// visited nodes land in `amber_search_nodes_total` (once per component
+/// run, never per candidate).
+pub(crate) fn note_seed_candidates(count: usize) {
+    if amber_obs::obs_enabled() {
+        metrics().seed_candidates.observe(count as u64);
+    }
 }
 
 /// Live shared-plan-store events (cold path: only consulted on a session

@@ -17,6 +17,14 @@
 //! entries → one shared neighbour pool. Lookups are two binary searches plus
 //! sorted-list intersections; construction is a single pass over the
 //! adjacency.
+//!
+//! The same trie roots are also kept **type-major**
+//! ([`NeighborhoodIndex::vertices_with_type`]): per direction and edge type,
+//! the sorted list of vertices that have a root entry for it — a
+//! counting-sort transpose of the root level. That is the exact incidence
+//! list the matcher seeds a component from ("every vertex with an outgoing
+//! `t`"), where the 8-field synopsis of `S` can only say "at least one
+//! outgoing edge, type ids in this range".
 
 use amber_multigraph::{DataGraph, Direction, EdgeTypeId, VertexId};
 use amber_util::{sorted, HeapSize};
@@ -25,20 +33,27 @@ use amber_util::{sorted, HeapSize};
 #[derive(Debug, Clone, Copy)]
 struct TypeEntry {
     edge_type: EdgeTypeId,
-    /// Range into `DirIndex::neighbor_pool`.
+    /// Where the entry's list starts in `DirIndex::neighbor_pool`; it ends
+    /// where the next entry's starts (lists are laid out in entry order).
     start: u32,
-    end: u32,
 }
 
 /// The flattened OTIL forest for one direction.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct DirIndex {
     /// `vertex_offsets[v]..vertex_offsets[v+1]` indexes `type_entries`.
     vertex_offsets: Vec<u32>,
-    /// Per vertex: entries ordered by edge type (the "ordered" of OTIL).
+    /// Per vertex: entries ordered by edge type (the "ordered" of OTIL),
+    /// followed by one sentinel whose `start` is the pool length so that
+    /// every real entry has a successor.
     type_entries: Vec<TypeEntry>,
     /// Sorted neighbour ids per type entry (the inverted lists).
     neighbor_pool: Vec<VertexId>,
+    /// `type_offsets[t]..type_offsets[t+1]` indexes `type_vertices`.
+    type_offsets: Vec<u32>,
+    /// Per edge type: the sorted vertices owning a `type_entries` record
+    /// for it (the root level transposed).
+    type_vertices: Vec<VertexId>,
 }
 
 impl DirIndex {
@@ -69,38 +84,91 @@ impl DirIndex {
                     neighbor_pool.push(pairs[i].1);
                     i += 1;
                 }
-                type_entries.push(TypeEntry {
-                    edge_type,
-                    start,
-                    end: neighbor_pool.len() as u32,
-                });
+                type_entries.push(TypeEntry { edge_type, start });
             }
             vertex_offsets.push(type_entries.len() as u32);
         }
+        let (type_offsets, type_vertices) = transpose(&vertex_offsets, &type_entries);
+        type_entries.push(TypeEntry {
+            edge_type: EdgeTypeId(u32::MAX),
+            start: neighbor_pool.len() as u32,
+        });
         Self {
             vertex_offsets,
             type_entries,
             neighbor_pool,
+            type_offsets,
+            type_vertices,
         }
     }
 
-    fn entries(&self, v: VertexId) -> &[TypeEntry] {
-        let start = self.vertex_offsets[v.index()] as usize;
-        let end = self.vertex_offsets[v.index() + 1] as usize;
-        &self.type_entries[start..end]
+    /// The range of `v`'s records in `type_entries`.
+    fn entry_range(&self, v: VertexId) -> std::ops::Range<usize> {
+        self.vertex_offsets[v.index()] as usize..self.vertex_offsets[v.index() + 1] as usize
     }
 
     /// The inverted list of `(v, edge_type)`.
     fn list(&self, v: VertexId, edge_type: EdgeTypeId) -> &[VertexId] {
-        let entries = self.entries(v);
+        let range = self.entry_range(v);
+        let entries = &self.type_entries[range.clone()];
         match entries.binary_search_by_key(&edge_type, |e| e.edge_type) {
             Ok(i) => {
-                let e = &entries[i];
-                &self.neighbor_pool[e.start as usize..e.end as usize]
+                let at = range.start + i;
+                let (start, end) = (self.type_entries[at].start, self.type_entries[at + 1].start);
+                &self.neighbor_pool[start as usize..end as usize]
             }
             Err(_) => &[],
         }
     }
+
+    /// Every inverted list of `v` back to back (one sorted run per edge
+    /// type; a neighbour reached through several types repeats).
+    fn all_lists(&self, v: VertexId) -> &[VertexId] {
+        let range = self.entry_range(v);
+        let (start, end) = (
+            self.type_entries[range.start].start,
+            self.type_entries[range.end].start,
+        );
+        &self.neighbor_pool[start as usize..end as usize]
+    }
+
+    /// The vertices owning an inverted list for `edge_type`, sorted.
+    fn vertices_with_type(&self, edge_type: EdgeTypeId) -> &[VertexId] {
+        let t = edge_type.index();
+        if t >= self.type_offsets.len() - 1 {
+            return &[]; // a type the graph never uses
+        }
+        &self.type_vertices[self.type_offsets[t] as usize..self.type_offsets[t + 1] as usize]
+    }
+}
+
+/// Counting-sort transpose of the trie roots: `(offsets, vertices)` with
+/// `vertices[offsets[t]..offsets[t + 1]]` the owners of a type-`t` entry.
+/// Owners come out ascending (vertices are visited in id order) and
+/// duplicate-free (a vertex has one entry per type).
+fn transpose(vertex_offsets: &[u32], type_entries: &[TypeEntry]) -> (Vec<u32>, Vec<VertexId>) {
+    let type_count = type_entries
+        .iter()
+        .map(|e| e.edge_type.index() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut offsets = vec![0u32; type_count + 1];
+    for e in type_entries {
+        offsets[e.edge_type.index() + 1] += 1;
+    }
+    for t in 0..type_count {
+        offsets[t + 1] += offsets[t];
+    }
+    let mut cursor = offsets.clone();
+    let mut vertices = vec![VertexId(0); type_entries.len()];
+    for (v, range) in vertex_offsets.windows(2).enumerate() {
+        for e in &type_entries[range[0] as usize..range[1] as usize] {
+            let slot = &mut cursor[e.edge_type.index()];
+            vertices[*slot as usize] = VertexId::from_index(v);
+            *slot += 1;
+        }
+    }
+    (offsets, vertices)
 }
 
 impl HeapSize for DirIndex {
@@ -108,6 +176,8 @@ impl HeapSize for DirIndex {
         self.vertex_offsets.heap_size()
             + self.type_entries.capacity() * std::mem::size_of::<TypeEntry>()
             + self.neighbor_pool.heap_size()
+            + self.type_offsets.heap_size()
+            + self.type_vertices.heap_size()
     }
 }
 
@@ -193,9 +263,7 @@ impl NeighborhoodIndex {
         out.clear();
         match required {
             [] => {
-                for e in dir.entries(v) {
-                    out.extend_from_slice(&dir.neighbor_pool[e.start as usize..e.end as usize]);
-                }
+                out.extend_from_slice(dir.all_lists(v));
                 out.sort_unstable();
                 out.dedup();
             }
@@ -257,11 +325,7 @@ impl NeighborhoodIndex {
     ) -> usize {
         let dir = self.dir(direction);
         match required {
-            [] => dir
-                .entries(v)
-                .iter()
-                .map(|e| (e.end - e.start) as usize)
-                .sum(),
+            [] => dir.all_lists(v).len(),
             [t] => dir.list(v, *t).len(),
             many => many
                 .iter()
@@ -284,13 +348,23 @@ impl NeighborhoodIndex {
         self.dir(direction).list(v, edge_type)
     }
 
+    /// The type-major view of the trie roots: every vertex with at least
+    /// one neighbour through `edge_type` in `direction`, i.e.
+    /// `{v | neighbors_with_type(v, direction, edge_type) ≠ ∅}` — sorted,
+    /// duplicate-free, borrowed from the index. `Outgoing` lists the
+    /// subjects of the predicate, `Incoming` its objects. Empty for a type
+    /// the graph never uses.
+    pub fn vertices_with_type(&self, direction: Direction, edge_type: EdgeTypeId) -> &[VertexId] {
+        self.dir(direction).vertices_with_type(edge_type)
+    }
+
     /// Does `v` have any neighbour through `required` in `direction`?
     /// Answers from list lengths and first-hit intersection checks without
     /// materializing any neighbour list.
     pub fn has_neighbor(&self, v: VertexId, direction: Direction, required: &[EdgeTypeId]) -> bool {
         let dir = self.dir(direction);
         match required {
-            [] => !dir.entries(v).is_empty(),
+            [] => !dir.entry_range(v).is_empty(),
             [t] => !dir.list(v, *t).is_empty(),
             [a, b] => sorted::intersects(dir.list(v, *a), dir.list(v, *b)),
             many => {
@@ -527,6 +601,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn vertices_with_type_is_the_transposed_root_level() {
+        // Brute force: v owns a type-t list iff that list is non-empty.
+        let rdf = paper_graph();
+        let g = rdf.graph();
+        let n = NeighborhoodIndex::build(g);
+        for direction in [Direction::Incoming, Direction::Outgoing] {
+            // One past the largest type id: unknown types answer empty.
+            for t in (0..=9u32).map(EdgeTypeId) {
+                let expected: Vec<VertexId> = g
+                    .vertices()
+                    .filter(|&v| !n.neighbors_with_type(v, direction, t).is_empty())
+                    .collect();
+                assert_eq!(
+                    n.vertices_with_type(direction, t),
+                    expected,
+                    "{direction:?} {t}"
+                );
+            }
+        }
+        // §4.2's example again, now exact: the subjects of t5 (wasBornIn).
+        assert_eq!(
+            n.vertices_with_type(Direction::Outgoing, EdgeTypeId(5)),
+            &[VertexId(1), VertexId(7)]
+        );
+        assert!(n
+            .vertices_with_type(Direction::Outgoing, EdgeTypeId(u32::MAX))
+            .is_empty());
     }
 
     #[test]

@@ -104,6 +104,54 @@ proptest! {
         }
     }
 
+    /// The unconstrained probe (`T' = ∅`, answered from one contiguous run
+    /// of the pool: a vertex's lists lie back to back) equals the
+    /// adjacency's neighbour set, and its length hint bounds it.
+    #[test]
+    fn otil_unconstrained_probe_matches_adjacency(triples in arb_graph_triples()) {
+        let rdf = RdfGraph::from_triples(&triples);
+        let graph = rdf.graph();
+        let n = NeighborhoodIndex::build(graph);
+        for v in graph.vertices() {
+            for dir in [Direction::Incoming, Direction::Outgoing] {
+                let expected: Vec<VertexId> = graph.edges(v, dir).iter().map(|e| e.neighbor).collect();
+                prop_assert_eq!(n.neighbors(v, dir, &[]), &expected[..]);
+                prop_assert!(n.probe_len_hint(v, dir, &[]) >= expected.len());
+                prop_assert_eq!(n.has_neighbor(v, dir, &[]), !expected.is_empty());
+            }
+        }
+    }
+
+    /// The type-major view equals the brute-force
+    /// `{v | neighbors_with_type(v, d, t) ≠ ∅}` — sorted and duplicate-free —
+    /// on graphs with parallel predicates and self-loops, and its lists
+    /// add up to the number of trie roots.
+    #[test]
+    fn type_incidence_lists_match_bruteforce(triples in arb_graph_triples()) {
+        let rdf = RdfGraph::from_triples(&triples);
+        let graph = rdf.graph();
+        let n = NeighborhoodIndex::build(graph);
+        let type_count = rdf.dictionaries().edge_types.len() as u32;
+        for dir in [Direction::Incoming, Direction::Outgoing] {
+            // One id past the dictionary: a type the graph never uses.
+            for t in (0..=type_count).map(EdgeTypeId) {
+                let expected: Vec<VertexId> = graph
+                    .vertices()
+                    .filter(|&v| !n.neighbors_with_type(v, dir, t).is_empty())
+                    .collect();
+                let listed = n.vertices_with_type(dir, t);
+                prop_assert!(listed.windows(2).all(|w| w[0] < w[1]), "{dir:?} {t}: {listed:?}");
+                prop_assert_eq!(listed, &expected[..]);
+                // Same set straight from the adjacency.
+                let scanned: Vec<VertexId> = graph
+                    .vertices()
+                    .filter(|&v| graph.edges(v, dir).iter().any(|e| e.types.contains(t)))
+                    .collect();
+                prop_assert_eq!(listed, &scanned[..]);
+            }
+        }
+    }
+
     /// Lemma 1 on real graphs: the signature index never prunes a vertex
     /// whose signature is a superset of the query's (checked by using every
     /// vertex's own signature as the query).

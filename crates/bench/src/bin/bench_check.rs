@@ -356,9 +356,11 @@ fn check_serve(checks: &mut Vec<Check>, baseline: &Json, fresh: &Json) {
             // fast-fails, governor-driven degradation. Hardware-independent
             // by construction (zero budgets and byte quotas, not timing).
             // HTTP front-end counters (the http_overhead entry): served
-            // volume over the wire, result-cache hits for the repeat-heavy
-            // stream, and the copied-bytes gauge (also hard-asserted to 0
-            // inside bench_serve; wall times are logged, not gated).
+            // volume over the wire, how many of those requests ran inline
+            // on the connection thread (all of them: one connection never
+            // contends), result-cache hits for the repeat-heavy stream, and
+            // the copied-bytes gauge (also hard-asserted to 0 inside
+            // bench_serve; wall times are logged, not gated).
             for metric in [
                 "deadline_shed",
                 "breaker_trips",
@@ -368,6 +370,7 @@ fn check_serve(checks: &mut Vec<Check>, baseline: &Json, fresh: &Json) {
                 "http_served",
                 "http_result_hits",
                 "http_copied_bytes",
+                "inline_dispatches",
             ] {
                 check_metric(
                     checks,

@@ -26,8 +26,11 @@
 //! * **`http_overhead`** — the identical repeat-heavy stream submitted
 //!   directly vs round-tripped through one keep-alive loopback HTTP
 //!   connection (`POST /sparql`, JSON results). Wall times are logged;
-//!   the gates are deterministic: every request answered over the wire
-//!   and zero result bytes copied (the zero-copy pin extends through the
+//!   the gates are deterministic: every request answered over the wire,
+//!   every one of them dispatched inline on the connection thread (one
+//!   connection is never contended, so a queued dispatch means the
+//!   run-to-completion path silently stopped being taken), and zero
+//!   result bytes copied (the zero-copy pin extends through the
 //!   serializers).
 //!
 //! Usage: `cargo run --release -p amber_bench --bin bench_serve [out.json]`
@@ -447,6 +450,7 @@ struct HttpResult {
     http_served: u64,
     http_result_hits: u64,
     http_copied_bytes: u64,
+    inline_dispatches: u64,
 }
 
 /// Read one `Content-Length`-framed HTTP response and assert it is a 200.
@@ -491,8 +495,8 @@ fn read_http_response(stream: &mut TcpStream) {
 /// round pipelines tickets where the HTTP round is strictly
 /// request/response, so the wall times bound the *worst-case* front-end
 /// cost; both are logged, not gated. The gates are the deterministic
-/// counters: every request served over the wire, repeats hitting the
-/// result cache, zero result bytes copied.
+/// counters: every request served over the wire and dispatched inline,
+/// repeats hitting the result cache, zero result bytes copied.
 fn run_http_overhead(queries: &[SelectQuery]) -> HttpResult {
     const REQUESTS: usize = 100;
     let texts: Vec<String> = queries.iter().map(amber_sparql::to_sparql).collect();
@@ -550,6 +554,7 @@ fn run_http_overhead(queries: &[SelectQuery]) -> HttpResult {
         http_served: report.served(),
         http_result_hits: report.plan_stats.results.hits,
         http_copied_bytes: report.plan_stats.result_hit_copied_bytes,
+        inline_dispatches: report.inline_dispatches,
     }
 }
 
@@ -575,8 +580,8 @@ fn main() {
          tenant); result_hit_copied_bytes is the runtime zero-copy gauge and must stay 0; \
          request_lifecycle counts are exact deterministic replays (shed rate with zero engine \
          work, breaker trip/fast-fail, governor degradation); http_overhead round-trips the \
-         same stream through one keep-alive loopback connection (served/copied-byte counters \
-         gated, wall times logged); wall-clock is logged, not gated\",\n  \"serving\": [\n",
+         same stream through one keep-alive loopback connection (served/inline-dispatch/copied-byte \
+         counters gated, wall times logged); wall-clock is logged, not gated\",\n  \"serving\": [\n",
         amber_bench::report::git_sha(),
     );
     let _ = writeln!(
@@ -628,13 +633,14 @@ fn main() {
         json,
         "    {{\"name\": \"http_overhead\", \"requests\": {}, \"direct_ms\": {:.3}, \
          \"http_ms\": {:.3}, \"http_served\": {}, \"http_result_hits\": {}, \
-         \"http_copied_bytes\": {}}}",
+         \"http_copied_bytes\": {}, \"inline_dispatches\": {}}}",
         http.requests,
         http.direct_ms,
         http.http_ms,
         http.http_served,
         http.http_result_hits,
         http.http_copied_bytes,
+        http.inline_dispatches,
     );
     json.push_str("  ]\n}\n");
 
@@ -716,6 +722,11 @@ fn main() {
         http.http_copied_bytes, 0,
         "HTTP serving deep-copied result rows; the zero-copy pin must extend \
          through the wire serializers"
+    );
+    assert_eq!(
+        http.inline_dispatches as usize, http.requests,
+        "one keep-alive connection never contends with itself: every request must run \
+         to completion on its connection thread, none through the worker queue"
     );
     if amber::plan_cache_enabled() {
         assert!(

@@ -69,8 +69,11 @@ fn main() {
 
     let report = http.shutdown();
     eprintln!(
-        "drained: {} served, {} rejected, {} result-cache hits ({} copied bytes)",
+        "drained: {} served ({} dispatched inline, {} queued), {} rejected, \
+         {} result-cache hits ({} copied bytes)",
         report.served(),
+        report.inline_dispatches,
+        report.queued_dispatches,
         report.rejected,
         report.plan_stats.results.hits,
         report.plan_stats.result_hit_copied_bytes,

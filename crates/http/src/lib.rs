@@ -50,7 +50,7 @@ use amber_util::http::{parse_form, parse_request_head, split_target, HttpParseEr
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -135,10 +135,12 @@ impl Default for HttpConfig {
 /// State shared between the accept loop and every connection thread.
 struct Shared {
     /// `None` only once [`HttpServer::shutdown`] has taken the server —
-    /// in-flight requests then answer `503 shutting down`. Tickets are
-    /// submitted under the lock but *waited on* outside it, so requests
-    /// execute concurrently.
-    server: Mutex<Option<Server>>,
+    /// requests then answer `503 shutting down`. A connection thread holds
+    /// a *read* guard for the whole of [`Server::execute`] (the request may
+    /// run right there, on that thread), so it must stay a shared lock:
+    /// an exclusive one would serialize the connections. Shutdown takes
+    /// the write side only after joining every connection thread.
+    server: RwLock<Option<Server>>,
     draining: AtomicBool,
     config: HttpConfig,
     conns: Mutex<Vec<JoinHandle<()>>>,
@@ -161,7 +163,7 @@ impl HttpServer {
         let listener = TcpListener::bind(config.addr.as_str())?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            server: Mutex::new(Some(server)),
+            server: RwLock::new(Some(server)),
             draining: AtomicBool::new(false),
             config,
             conns: Mutex::new(Vec::new()),
@@ -185,7 +187,7 @@ impl HttpServer {
     /// Run `f` against the underlying [`Server`] (pause/resume, direct
     /// submission, trace access…). `None` only during shutdown.
     pub fn with_server<R>(&self, f: impl FnOnce(&Server) -> R) -> Option<R> {
-        let guard = self.shared.server.lock().unwrap_or_else(|e| e.into_inner());
+        let guard = self.shared.server.read().unwrap_or_else(|e| e.into_inner());
         guard.as_ref().map(f)
     }
 
@@ -207,7 +209,7 @@ impl HttpServer {
         let server = self
             .shared
             .server
-            .lock()
+            .write()
             .unwrap_or_else(|e| e.into_inner())
             .take()
             .expect("server is only taken by shutdown");
@@ -668,15 +670,16 @@ fn sparql_endpoint(
         .filter(|t| !t.is_empty())
         .unwrap_or(&shared.config.default_tenant);
 
-    // Submit under the lock, wait outside it: requests run concurrently.
-    let submitted = {
-        let guard = shared.server.lock().unwrap_or_else(|e| e.into_inner());
+    // Run to completion under a shared guard: an uncontended request
+    // executes on this thread, a contended one waits here for a worker.
+    let result = {
+        let guard = shared.server.read().unwrap_or_else(|e| e.into_inner());
         match guard.as_ref() {
-            Some(server) => server.submit_sparql_with(tenant, query, opts),
+            Some(server) => server.execute(tenant, query, opts),
             None => return Response::from_error(out, &amber::Error::ShuttingDown),
         }
     };
-    match submitted.and_then(|ticket| ticket.wait()) {
+    match result {
         Ok(outcome) => {
             let started = amber_obs::obs_enabled().then(Instant::now);
             let content_type = match format {
@@ -703,7 +706,7 @@ fn metrics_endpoint(shared: &Shared, head: &RequestHead, out: &mut String) -> Re
     if head.method != "GET" {
         return Response::error(out, 405, "use GET").with_header("Allow", "GET".to_string());
     }
-    let guard = shared.server.lock().unwrap_or_else(|e| e.into_inner());
+    let guard = shared.server.read().unwrap_or_else(|e| e.into_inner());
     match guard.as_ref() {
         Some(server) => {
             out.push_str(&server.metrics_snapshot().render_prometheus());
@@ -728,7 +731,11 @@ mod tests {
     const EDGE: &str = "SELECT ?x ?y WHERE { ?x <http://e/p> ?y . }";
 
     fn start_http(serve: ServeConfig, http: HttpConfig) -> HttpServer {
-        let engine = Arc::new(AmberEngine::load_ntriples(DATA).unwrap());
+        start_http_on(DATA, serve, http)
+    }
+
+    fn start_http_on(data: &str, serve: ServeConfig, http: HttpConfig) -> HttpServer {
+        let engine = Arc::new(AmberEngine::load_ntriples(data).unwrap());
         HttpServer::start(Server::start(engine, serve), http).unwrap()
     }
 
@@ -736,8 +743,11 @@ mod tests {
         start_http(ServeConfig::default(), HttpConfig::default())
     }
 
+    /// Status, lower-cased headers, body.
+    type Reply = (u16, Vec<(String, String)>, String);
+
     /// Read one `Content-Length`-framed response off the stream.
-    fn read_response(stream: &mut TcpStream) -> (u16, Vec<(String, String)>, String) {
+    fn read_response(stream: &mut TcpStream) -> Reply {
         let mut buf = Vec::new();
         let mut tmp = [0u8; 1024];
         let head_end = loop {
@@ -778,11 +788,11 @@ mod tests {
         (status, headers, body)
     }
 
-    fn send(addr: SocketAddr, request: &str) -> (u16, Vec<(String, String)>, String) {
+    fn send(addr: SocketAddr, request: &str) -> Reply {
         send_bytes(addr, request.as_bytes())
     }
 
-    fn send_bytes(addr: SocketAddr, request: &[u8]) -> (u16, Vec<(String, String)>, String) {
+    fn send_bytes(addr: SocketAddr, request: &[u8]) -> Reply {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
@@ -1256,5 +1266,85 @@ mod tests {
             report.plan_stats.result_hit_copied_bytes, 0,
             "serving over HTTP must not copy result rows"
         );
+    }
+    /// A server whose `SLOW` request stays in flight until its `timeout=`
+    /// budget stops it: a six-cycle over a complete digraph, count-only so
+    /// its ~30^6 embeddings are never materialized.
+    fn start_slow_capable() -> HttpServer {
+        let mut clique = String::new();
+        for a in 0..30 {
+            for b in (0..30).filter(|b| *b != a) {
+                clique.push_str(&format!("<http://k/n{a}> <http://k/p> <http://k/n{b}> .\n"));
+            }
+        }
+        start_http_on(
+            &clique,
+            ServeConfig {
+                workers: 2,
+                options: amber::ExecOptions::batch().counting(),
+                ..ServeConfig::default()
+            },
+            HttpConfig::default(),
+        )
+    }
+
+    const SLOW: &str = "SELECT * WHERE { ?a <http://k/p> ?b . ?b <http://k/p> ?c . \
+        ?c <http://k/p> ?d . ?d <http://k/p> ?e . ?e <http://k/p> ?f . ?f <http://k/p> ?a . }";
+    const FAST: &str = "SELECT * WHERE { <http://k/n0> <http://k/p> ?x . }";
+
+    fn post(tenant: &str, query: &str, timeout_ms: u64) -> String {
+        format!(
+            "POST /sparql?timeout={timeout_ms} HTTP/1.1\r\nHost: t\r\nX-Amber-Tenant: {tenant}\r\n\
+             Content-Type: application/sparql-query\r\nContent-Length: {}\r\n\r\n{query}",
+            query.len()
+        )
+    }
+
+    /// Send `SLOW` on a connection of its own and return once the server
+    /// is executing it.
+    fn slow_request_in_flight(http: &HttpServer, timeout_ms: u64) -> JoinHandle<Reply> {
+        let addr = http.local_addr();
+        let client = std::thread::spawn(move || send(addr, &post("slow", SLOW, timeout_ms)));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while http.with_server(|s| s.inflight()) != Some(1) {
+            assert!(Instant::now() < deadline, "never saw the slow request");
+            std::thread::yield_now();
+        }
+        client
+    }
+
+    #[test]
+    fn a_slow_request_does_not_hold_up_another_connection() {
+        let http = start_slow_capable();
+        let slow = slow_request_in_flight(&http, 1_500);
+        let (status, _, body) = send(http.local_addr(), &post("fast", FAST, 1_500));
+        assert_eq!(status, 200, "{body}");
+        // The fast answer is back while the slow request still executes:
+        // an exclusive lock around `execute` would have made it wait.
+        assert_eq!(
+            http.with_server(|s| s.inflight()),
+            Some(1),
+            "the fast request waited for the slow one"
+        );
+        let (status, _, body) = slow.join().unwrap();
+        assert_eq!(status, 200, "{body}");
+        let report = http.shutdown();
+        assert_eq!(report.inline_dispatches, 2, "one per connection thread");
+        assert_eq!(report.queued_dispatches, 0);
+        assert_eq!(report.peak_inflight, 2);
+    }
+
+    #[test]
+    fn shutdown_waits_for_a_request_running_on_its_connection_thread() {
+        let http = start_slow_capable();
+        let slow = slow_request_in_flight(&http, 500);
+        // No worker knows about this request: the drain has to get it
+        // from joining the connection thread before it takes the server.
+        let report = http.shutdown();
+        assert_eq!(report.served_for("slow"), 1);
+        assert_eq!(report.inline_dispatches, 1);
+        let (status, headers, body) = slow.join().unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(header(&headers, "connection"), Some("close"));
     }
 }

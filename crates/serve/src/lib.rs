@@ -6,7 +6,9 @@
 //! multiplexes many client streams onto one in-memory graph. This crate is
 //! the thin, dependency-free layer that makes that safe and fair — a
 //! thread-per-core request loop over an in-process queue, **no async
-//! runtime**:
+//! runtime**. A blocking caller ([`Server::execute`]) whose request
+//! contends with nothing skips the queue and runs it on its own thread;
+//! the worker pool is where a backlog drains:
 //!
 //! * **shared engine, per-tenant sessions** — all tenants execute against
 //!   one [`AmberEngine`] (one graph, one index set, one shared plan store,
@@ -14,9 +16,8 @@
 //!   tenant owns a private [`QuerySession`] (arenas, candidate cache, plan
 //!   and result caches). A tenant's requests are serialized onto its
 //!   session — sessions are `&mut` state — while different tenants'
-//!   requests run in parallel on the serving workers
-//!   ([`ServeConfig::workers`]) — the only parallelism there is: one
-//!   query runs on one thread;
+//!   requests run in parallel, at most [`ServeConfig::workers`] at once
+//!   — the only parallelism there is: one query runs on one thread;
 //! * **admission control** — the server holds at most
 //!   [`ServeConfig::queue_capacity`] queued requests; beyond that,
 //!   [`Server::submit`] fails *immediately* with the typed
@@ -104,8 +105,13 @@ struct ServeMetrics {
     /// `amber_serve_queue_depth` — admitted-not-yet-dispatched requests
     /// (mirrors `DispatchState::queued`; updated under the serving lock).
     queue_depth: Arc<Gauge>,
-    /// `amber_serve_queue_wait_us` — admission-to-dispatch wait.
+    /// `amber_serve_queue_wait_us` — admission-to-dispatch wait (0 for a
+    /// dispatch that ran inline, so its count equals dispatches).
     queue_wait_us: Arc<Histogram>,
+    /// `amber_serve_dispatches_total{path}` — dispatches that ran on the
+    /// caller's thread vs. ones a worker took off the rotation.
+    inline_dispatches: Arc<Counter>,
+    queued_dispatches: Arc<Counter>,
     served: Arc<Counter>,
     shed: Arc<Counter>,
     rejected: Arc<Counter>,
@@ -119,6 +125,14 @@ fn serve_metrics() -> &'static ServeMetrics {
     METRICS.get_or_init(|| ServeMetrics {
         queue_depth: amber_obs::gauge("amber_serve_queue_depth", &[]),
         queue_wait_us: amber_obs::histogram("amber_serve_queue_wait_us", &[]),
+        inline_dispatches: amber_obs::counter(
+            "amber_serve_dispatches_total",
+            &[("path", "inline")],
+        ),
+        queued_dispatches: amber_obs::counter(
+            "amber_serve_dispatches_total",
+            &[("path", "queued")],
+        ),
         served: amber_obs::counter("amber_serve_requests_total", &[("outcome", "served")]),
         shed: amber_obs::counter("amber_serve_requests_total", &[("outcome", "shed")]),
         rejected: amber_obs::counter("amber_serve_requests_total", &[("outcome", "rejected")]),
@@ -151,8 +165,10 @@ fn export_offline_stats(engine: &AmberEngine) {
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Serving worker threads (each runs the request loop; clamped to at
-    /// least 1). There is no parallelism *within* a query: a request runs
-    /// on the worker that dispatched it.
+    /// least 1), and the bound on requests executing at once — one that
+    /// [`Server::execute`] runs on its caller's thread counts against it
+    /// too. There is no parallelism *within* a query: a request runs on
+    /// the one thread that dispatched it.
     pub workers: usize,
     /// Admission bound: maximum requests queued (not yet dispatched)
     /// across all tenants. A full queue rejects with
@@ -363,6 +379,7 @@ impl From<ServeError> for amber::Error {
 }
 
 /// One accepted request's completion slot.
+#[derive(Default)]
 struct TicketInner {
     slot: Mutex<Option<Result<QueryOutcome, ServeError>>>,
     done: Condvar,
@@ -411,10 +428,11 @@ impl Ticket {
     }
 }
 
-/// A queued request (tenant is the queue key).
-struct Request {
+/// One admitted request's work — everything a dispatch needs except
+/// where the answer goes (a [`Ticket`] for a queued request, the caller's
+/// stack for an inline one).
+struct Job {
     query: SelectQuery,
-    ticket: Arc<TicketInner>,
     /// Admission instant — the `amber_serve_queue_wait_us` observation is
     /// `dispatch − admitted`.
     admitted: Instant,
@@ -432,15 +450,22 @@ struct Request {
     tracing: bool,
 }
 
+/// A queued request (tenant is the queue key).
+struct Request {
+    job: Job,
+    ticket: Arc<TicketInner>,
+}
+
 /// Per-tenant serving state.
 #[derive(Default)]
 struct TenantState {
     /// FIFO of this tenant's admitted, not-yet-dispatched requests.
     queue: VecDeque<Request>,
     /// The tenant's session, present while no request of this tenant is in
-    /// flight (a worker takes it for the duration of a dispatch — that
-    /// hand-off is what serializes a tenant's stream onto its `&mut`
-    /// session). `None` before the first dispatch completes, too.
+    /// flight (the executing thread takes it for the duration of a
+    /// dispatch — that hand-off is what serializes a tenant's stream onto
+    /// its `&mut` session). `None` before the first dispatch completes,
+    /// too.
     session: Option<QuerySession>,
     /// A request of this tenant is currently executing.
     busy: bool,
@@ -457,6 +482,7 @@ struct TenantState {
 }
 
 /// Dispatcher state under the one serving-layer mutex.
+#[derive(Default)]
 struct DispatchState {
     tenants: HashMap<Arc<str>, TenantState>,
     /// Round-robin ring: tenants with queued work and no request in
@@ -465,10 +491,22 @@ struct DispatchState {
     rotation: VecDeque<Arc<str>>,
     /// Total queued (not yet dispatched) requests — the admission gauge.
     queued: usize,
+    /// Requests executing right now, on a worker or inline on a caller's
+    /// thread. Never exceeds [`ServeConfig::workers`]: both dispatch paths
+    /// check it under this lock.
+    inflight: usize,
+    /// High-water mark of `inflight`.
+    peak_inflight: usize,
+    /// Dispatches run on the submitting thread ([`Server::execute`]'s
+    /// fast path) / taken off the rotation by a worker.
+    inline_dispatches: u64,
+    queued_dispatches: u64,
     paused: bool,
     draining: bool,
     rejected: u64,
-    dispatch_order: Vec<Arc<str>>,
+    /// Tenant of every dispatch, in order — `Some` iff
+    /// [`ServeConfig::record_dispatch`].
+    dispatch_order: Option<Vec<Arc<str>>>,
     /// EWMA of executed-request service time in nanoseconds (0 until the
     /// first completion); feeds the `Overloaded` retry-after hint.
     service_ewma_ns: u64,
@@ -493,6 +531,60 @@ impl DispatchState {
         let pending = (self.queued as u64).saturating_add(1);
         Duration::from_nanos(per_request.saturating_mul(pending) / workers.max(1) as u64)
     }
+
+    /// Whether a request for `tenant` arriving now may run on its caller's
+    /// thread: dispatch is live, the tenant is idle (per-tenant FIFO —
+    /// nothing of its own to overtake), nobody is waiting for a turn in
+    /// the rotation (fairness — nobody else to overtake), and an execution
+    /// slot is free (`workers` stays the concurrency bound).
+    fn can_run_inline(&self, tenant: &str, workers: usize) -> bool {
+        !self.paused
+            && self.rotation.is_empty()
+            && self.inflight < workers
+            && self
+                .tenants
+                .get(tenant)
+                .is_none_or(|t| t.queue.is_empty() && !t.busy)
+    }
+
+    /// Move `job` from admitted to executing: mark the tenant busy, make
+    /// the request revocable, take the tenant's session, claim an
+    /// execution slot. `inline` says which path dispatched it (a queued
+    /// job has already left its tenant's queue and `queued`).
+    fn begin_dispatch(&mut self, tenant: Arc<str>, job: Job, inline: bool) -> Dispatch {
+        let entry = self.tenants.entry(Arc::clone(&tenant)).or_default();
+        entry.busy = true;
+        entry.inflight_cancel = Some(job.cancel.clone());
+        let session = entry.session.take();
+        self.inflight += 1;
+        self.peak_inflight = self.peak_inflight.max(self.inflight);
+        let wait_us = if inline {
+            self.inline_dispatches += 1;
+            0
+        } else {
+            self.queued_dispatches += 1;
+            job.admitted.elapsed().as_micros() as u64
+        };
+        if amber_obs::obs_enabled() {
+            let m = serve_metrics();
+            m.queue_depth.set(self.queued as i64);
+            m.queue_wait_us.observe(wait_us);
+            if inline {
+                m.inline_dispatches.inc();
+            } else {
+                m.queued_dispatches.inc();
+            }
+        }
+        if let Some(order) = &mut self.dispatch_order {
+            order.push(Arc::clone(&tenant));
+        }
+        Dispatch {
+            tenant,
+            job,
+            session,
+            tenant_count: self.tenants.len(),
+        }
+    }
 }
 
 struct ServerShared {
@@ -507,26 +599,38 @@ impl ServerShared {
     }
 }
 
-/// Everything one serving worker needs (cloned per worker at start).
-struct WorkerContext {
+/// Everything a dispatch needs, shared by the serving workers and by
+/// [`Server::execute`]'s inline path.
+struct DispatchContext {
     engine: Arc<AmberEngine>,
-    shared: Arc<ServerShared>,
+    shared: ServerShared,
     options: ExecOptions,
-    record_dispatch: bool,
+    /// [`ServeConfig::workers`], clamped to at least 1: the worker-thread
+    /// count and the bound on concurrently executing requests.
+    workers: usize,
     breaker: Option<BreakerConfig>,
-    governor: Option<Arc<ServerGovernor>>,
+    governor: Option<ServerGovernor>,
     trace: bool,
     slow_query_threshold: Option<Duration>,
 }
 
-/// One dispatch acquired off the rotation.
+/// One request that has started executing (see
+/// [`DispatchState::begin_dispatch`]).
 struct Dispatch {
     tenant: Arc<str>,
-    request: Request,
+    job: Job,
     session: Option<QuerySession>,
     /// Tenants known to the server at dispatch time (the governor's
     /// partition denominator).
     tenant_count: usize,
+}
+
+/// A request past every admission check, with the dispatch lock still
+/// held: the caller either enqueues it or starts it inline.
+struct Admitted<'a> {
+    state: MutexGuard<'a, DispatchState>,
+    tenant: Arc<str>,
+    job: Job,
 }
 
 /// A running serving layer over one shared engine. Submission is `&self`
@@ -534,12 +638,9 @@ struct Dispatch {
 /// `Arc`); shutdown consumes the server, so no submission can race the
 /// drain.
 pub struct Server {
-    engine: Arc<AmberEngine>,
-    shared: Arc<ServerShared>,
+    ctx: Arc<DispatchContext>,
     workers: Vec<JoinHandle<()>>,
-    config: ServeConfig,
-    governor: Option<Arc<ServerGovernor>>,
-    worker_count: usize,
+    queue_capacity: usize,
 }
 
 impl Server {
@@ -547,37 +648,26 @@ impl Server {
     /// [`ServeConfig::paused`]).
     pub fn start(engine: Arc<AmberEngine>, config: ServeConfig) -> Self {
         export_offline_stats(&engine);
-        let shared = Arc::new(ServerShared {
-            state: Mutex::new(DispatchState {
-                tenants: HashMap::new(),
-                rotation: VecDeque::new(),
-                queued: 0,
-                paused: config.paused,
-                draining: false,
-                rejected: 0,
-                dispatch_order: Vec::new(),
-                service_ewma_ns: 0,
-                internal_faults: 0,
-                drain_faults: 0,
-            }),
-            work_cv: Condvar::new(),
+        let ctx = Arc::new(DispatchContext {
+            engine,
+            shared: ServerShared {
+                state: Mutex::new(DispatchState {
+                    paused: config.paused,
+                    dispatch_order: config.record_dispatch.then(Vec::new),
+                    ..DispatchState::default()
+                }),
+                work_cv: Condvar::new(),
+            },
+            options: config.options,
+            workers: config.workers.max(1),
+            breaker: config.breaker,
+            governor: config.memory_budget.map(ServerGovernor::new),
+            trace: config.trace,
+            slow_query_threshold: config.slow_query_threshold,
         });
-        let governor = config
-            .memory_budget
-            .map(|b| Arc::new(ServerGovernor::new(b)));
-        let worker_count = config.workers.max(1);
-        let workers = (0..worker_count)
+        let workers = (0..ctx.workers)
             .map(|id| {
-                let ctx = WorkerContext {
-                    engine: Arc::clone(&engine),
-                    shared: Arc::clone(&shared),
-                    options: config.options.clone(),
-                    record_dispatch: config.record_dispatch,
-                    breaker: config.breaker.clone(),
-                    governor: governor.clone(),
-                    trace: config.trace,
-                    slow_query_threshold: config.slow_query_threshold,
-                };
+                let ctx = Arc::clone(&ctx);
                 std::thread::Builder::new()
                     .name(format!("amber-serve-{id}"))
                     .spawn(move || serve_loop(&ctx))
@@ -585,12 +675,9 @@ impl Server {
             })
             .collect();
         Self {
-            engine,
-            shared,
+            ctx,
             workers,
-            config,
-            governor,
-            worker_count,
+            queue_capacity: config.queue_capacity,
         }
     }
 
@@ -612,82 +699,7 @@ impl Server {
         query: SelectQuery,
         opts: SubmitOptions,
     ) -> Result<Ticket, ServeError> {
-        // Serve-admission chaos point: a panic here becomes a typed
-        // admission error (nothing enqueued); an alloc-fail signal is
-        // spurious overload, exercised below.
-        let signal = match catch_unwind(|| fault::inject(FaultPoint::ServeAdmit)) {
-            Ok(signal) => signal,
-            Err(payload) => {
-                return Err(ServeError::Engine(EngineError::Internal {
-                    task: "serve admission".to_string(),
-                    payload: payload_message(payload.as_ref()),
-                }))
-            }
-        };
-        // The budget clock starts at admission — queue wait is charged.
-        let budget = opts.budget.map(Budget::starting_now);
-        let mut state = self.shared.lock();
-        if state.draining {
-            return Err(ServeError::ShuttingDown);
-        }
-        if signal.alloc_fail || state.queued >= self.config.queue_capacity {
-            state.rejected += 1;
-            if amber_obs::obs_enabled() {
-                serve_metrics().rejected.inc();
-            }
-            return Err(ServeError::Overloaded {
-                capacity: self.config.queue_capacity,
-                queued: state.queued,
-                retry_after: state.retry_after(self.worker_count),
-            });
-        }
-        let key: Arc<str> = match state.tenants.keys().find(|k| ***k == *tenant) {
-            Some(existing) => Arc::clone(existing),
-            None => Arc::from(tenant),
-        };
-        let entry = state.tenants.entry(Arc::clone(&key)).or_default();
-        // Breaker admission runs after the capacity check so a fast-fail
-        // never consumes a queue slot and an overload never burns the
-        // single half-open probe.
-        let probe = if self.config.breaker.is_some() {
-            match entry.breaker.admit(Instant::now()) {
-                Admission::Admit => false,
-                Admission::Probe => true,
-                Admission::FastFail { cause, retry_after } => {
-                    if amber_obs::obs_enabled() {
-                        serve_metrics().fast_fails.inc();
-                    }
-                    return Err(ServeError::CircuitOpen { cause, retry_after });
-                }
-            }
-        } else {
-            false
-        };
-        let inner = Arc::new(TicketInner {
-            slot: Mutex::new(None),
-            done: Condvar::new(),
-        });
-        let was_idle = entry.queue.is_empty() && !entry.busy;
-        entry.queue.push_back(Request {
-            query,
-            ticket: Arc::clone(&inner),
-            admitted: Instant::now(),
-            budget,
-            timeout: opts.timeout,
-            cancel: CancelToken::new(),
-            probe,
-            tracing: opts.tracing,
-        });
-        state.queued += 1;
-        if amber_obs::obs_enabled() {
-            serve_metrics().queue_depth.set(state.queued as i64);
-        }
-        if was_idle {
-            state.rotation.push_back(key);
-        }
-        drop(state);
-        self.shared.work_cv.notify_all();
-        Ok(Ticket { inner })
+        Ok(self.enqueue(self.admit(tenant, query, opts)?))
     }
 
     /// Parse SPARQL text and [`submit`](Self::submit) it. Parse errors are
@@ -707,21 +719,169 @@ impl Server {
         self.submit_with(tenant, query, opts)
     }
 
+    /// Submit and wait in one blocking call — the same outcome, errors,
+    /// counters and ordering as
+    /// `submit_sparql_with(tenant, sparql, opts)?.wait()`, for a caller
+    /// that has nothing else to do until the answer (a connection thread).
+    ///
+    /// When nothing is contending — dispatch is not paused, `tenant` has
+    /// no request queued or in flight, no tenant is waiting in the
+    /// rotation, and fewer than [`ServeConfig::workers`] requests are
+    /// executing — the request runs to completion on the calling thread:
+    /// no queue, no worker wake-up, no [`Ticket`]. Otherwise it queues
+    /// behind whatever is ahead of it and waits. Which of the two happens
+    /// is a function of queue state alone; [`ServeReport::inline_dispatches`]
+    /// and [`ServeReport::queued_dispatches`] count them.
+    pub fn execute(
+        &self,
+        tenant: &str,
+        sparql: &str,
+        opts: SubmitOptions,
+    ) -> Result<QueryOutcome, ServeError> {
+        let query = amber_sparql::parse_select(sparql).map_err(EngineError::from)?;
+        let admitted = self.admit(tenant, query, opts)?;
+        if !admitted.state.can_run_inline(tenant, self.ctx.workers) {
+            return self.enqueue(admitted).wait();
+        }
+        let Admitted {
+            mut state,
+            tenant,
+            job,
+        } = admitted;
+        let dispatch = state.begin_dispatch(tenant, job, true);
+        drop(state);
+        run_dispatch(&self.ctx, dispatch)
+    }
+
+    /// The admission checks every entry point shares, in order: the
+    /// `serve-admit` chaos point, draining, queue capacity, the tenant's
+    /// breaker. On success nothing has been enqueued or started yet.
+    fn admit(
+        &self,
+        tenant: &str,
+        query: SelectQuery,
+        opts: SubmitOptions,
+    ) -> Result<Admitted<'_>, ServeError> {
+        // Serve-admission chaos point: a panic here becomes a typed
+        // admission error (nothing enqueued); an alloc-fail signal is
+        // spurious overload, exercised below.
+        let signal = match catch_unwind(|| fault::inject(FaultPoint::ServeAdmit)) {
+            Ok(signal) => signal,
+            Err(payload) => {
+                return Err(ServeError::Engine(EngineError::Internal {
+                    task: "serve admission".to_string(),
+                    payload: payload_message(payload.as_ref()),
+                }))
+            }
+        };
+        // The budget clock starts at admission — queue wait is charged.
+        let budget = opts.budget.map(Budget::starting_now);
+        let mut state = self.ctx.shared.lock();
+        if state.draining {
+            return Err(ServeError::ShuttingDown);
+        }
+        if signal.alloc_fail || state.queued >= self.queue_capacity {
+            state.rejected += 1;
+            if amber_obs::obs_enabled() {
+                serve_metrics().rejected.inc();
+            }
+            return Err(ServeError::Overloaded {
+                capacity: self.queue_capacity,
+                queued: state.queued,
+                retry_after: state.retry_after(self.ctx.workers),
+            });
+        }
+        // One `Arc<str>` per tenant, shared by the map key, the rotation
+        // and the dispatch record.
+        let tenant: Arc<str> = match state.tenants.get_key_value(tenant) {
+            Some((existing, _)) => Arc::clone(existing),
+            None => Arc::from(tenant),
+        };
+        let entry = state.tenants.entry(Arc::clone(&tenant)).or_default();
+        // Breaker admission runs after the capacity check so a fast-fail
+        // never consumes a queue slot and an overload never burns the
+        // single half-open probe.
+        let probe = if self.ctx.breaker.is_some() {
+            match entry.breaker.admit(Instant::now()) {
+                Admission::Admit => false,
+                Admission::Probe => true,
+                Admission::FastFail { cause, retry_after } => {
+                    if amber_obs::obs_enabled() {
+                        serve_metrics().fast_fails.inc();
+                    }
+                    return Err(ServeError::CircuitOpen { cause, retry_after });
+                }
+            }
+        } else {
+            false
+        };
+        Ok(Admitted {
+            state,
+            tenant,
+            job: Job {
+                query,
+                admitted: Instant::now(),
+                budget,
+                timeout: opts.timeout,
+                cancel: CancelToken::new(),
+                probe,
+                tracing: opts.tracing,
+            },
+        })
+    }
+
+    /// Queue an admitted request behind its tenant's earlier ones.
+    fn enqueue(&self, admitted: Admitted<'_>) -> Ticket {
+        let Admitted {
+            mut state,
+            tenant,
+            job,
+        } = admitted;
+        let inner = Arc::<TicketInner>::default();
+        let entry = state.tenants.entry(Arc::clone(&tenant)).or_default();
+        let was_idle = entry.queue.is_empty() && !entry.busy;
+        entry.queue.push_back(Request {
+            job,
+            ticket: Arc::clone(&inner),
+        });
+        state.queued += 1;
+        if amber_obs::obs_enabled() {
+            serve_metrics().queue_depth.set(state.queued as i64);
+        }
+        if was_idle {
+            state.rotation.push_back(tenant);
+        }
+        drop(state);
+        // One new rotation entry is one new possible dispatch: one worker.
+        // (A tenant that was busy or already waiting gained none — its
+        // next turn is announced by the completion that frees it.)
+        if was_idle {
+            self.ctx.shared.work_cv.notify_one();
+        }
+        Ticket { inner }
+    }
+
     /// Pause dispatch: admitted requests queue up but are not started.
     /// In-flight requests finish normally.
     pub fn pause(&self) {
-        self.shared.lock().paused = true;
+        self.ctx.shared.lock().paused = true;
     }
 
     /// Resume dispatch after [`Server::pause`] (or a paused start).
     pub fn resume(&self) {
-        self.shared.lock().paused = false;
-        self.shared.work_cv.notify_all();
+        self.ctx.shared.lock().paused = false;
+        self.ctx.shared.work_cv.notify_all();
     }
 
     /// Requests currently queued (admitted, not yet dispatched).
     pub fn queued(&self) -> usize {
-        self.shared.lock().queued
+        self.ctx.shared.lock().queued
+    }
+
+    /// Requests currently executing, on a worker or inline on a caller's
+    /// thread (at most [`ServeConfig::workers`]).
+    pub fn inflight(&self) -> usize {
+        self.ctx.shared.lock().inflight
     }
 
     /// A consistent snapshot of the process-wide metrics registry —
@@ -740,12 +900,11 @@ impl Server {
     /// [`ServeConfig::slow_query_threshold`]). Empty if the tenant is
     /// unknown, its session is mid-dispatch, or tracing is off.
     pub fn slow_query_log(&self, tenant: &str) -> Vec<String> {
-        let state = self.shared.lock();
+        let state = self.ctx.shared.lock();
         state
             .tenants
-            .iter()
-            .find(|(key, _)| ***key == *tenant)
-            .and_then(|(_, t)| t.session.as_ref())
+            .get(tenant)
+            .and_then(|t| t.session.as_ref())
             .map(|s| s.flight_recorder().slow_log().map(str::to_string).collect())
             .unwrap_or_default()
     }
@@ -754,14 +913,13 @@ impl Server {
     /// [`SubmitOptions::with_tracing`] and [`ServeConfig::trace`]). `None`
     /// if the tenant is unknown, its session is mid-dispatch, or nothing
     /// was traced. The completion-visibility contract applies: a trace of
-    /// a request is readable as soon as its ticket is redeemed.
+    /// a request is readable as soon as its answer is.
     pub fn last_trace(&self, tenant: &str) -> Option<String> {
-        let state = self.shared.lock();
+        let state = self.ctx.shared.lock();
         state
             .tenants
-            .iter()
-            .find(|(key, _)| ***key == *tenant)
-            .and_then(|(_, t)| t.session.as_ref())
+            .get(tenant)
+            .and_then(|t| t.session.as_ref())
             .and_then(|s| s.flight_recorder().last())
             .map(|trace| trace.render())
     }
@@ -770,16 +928,7 @@ impl Server {
     /// if paused), join the workers, and report. Every admitted ticket is
     /// completed before this returns.
     pub fn shutdown(mut self) -> ServeReport {
-        {
-            let mut state = self.shared.lock();
-            state.draining = true;
-            // A paused server still owes answers for its backlog.
-            state.paused = false;
-        }
-        self.shared.work_cv.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.drain();
         self.build_report()
     }
 
@@ -789,15 +938,24 @@ impl Server {
     /// complete with partial results and `QueryStatus::Cancelled`), join
     /// the workers, and report.
     pub fn shutdown_now(mut self) -> ServeReport {
+        self.revoke();
+        self.drain();
+        self.build_report()
+    }
+
+    /// The revocation half of [`shutdown_now`](Self::shutdown_now):
+    /// everything but joining the workers. `&self`, so it reaches a
+    /// request executing inline on another thread's `execute` call.
+    fn revoke(&self) {
         let revoked = {
-            let mut state = self.shared.lock();
+            let mut state = self.ctx.shared.lock();
             state.draining = true;
             state.paused = false;
             let now = Instant::now();
             let mut revoked = Vec::new();
             for tenant in state.tenants.values_mut() {
                 while let Some(request) = tenant.queue.pop_front() {
-                    if request.probe {
+                    if request.job.probe {
                         // The probe never ran; let the next submission
                         // (of a restarted server sharing the breaker
                         // history — or simply the bookkeeping) re-probe.
@@ -818,18 +976,34 @@ impl Server {
             }
             revoked
         };
-        self.shared.work_cv.notify_all();
+        self.ctx.shared.work_cv.notify_all();
         for ticket in revoked {
             answer(&ticket, Err(ServeError::ShuttingDown));
         }
+    }
+
+    /// Stop admission, let the workers serve what is queued, join them.
+    /// Idempotent: `shutdown*` run it and so does `Drop` — a
+    /// dropped-without-shutdown server still drains its backlog (every
+    /// ticket is owed an answer).
+    fn drain(&mut self) {
+        if self.workers.is_empty() {
+            return;
+        }
+        {
+            let mut state = self.ctx.shared.lock();
+            state.draining = true;
+            // A paused server still owes answers for its backlog.
+            state.paused = false;
+        }
+        self.ctx.shared.work_cv.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        self.build_report()
     }
 
     fn build_report(&self) -> ServeReport {
-        let state = self.shared.lock();
+        let state = self.ctx.shared.lock();
         let mut tenants: Vec<TenantReport> = state
             .tenants
             .iter()
@@ -866,10 +1040,18 @@ impl Server {
             breaker_fast_fails: tenants.iter().map(|t| t.breaker.fast_fails).sum(),
             internal_faults: state.internal_faults,
             drain_faults: state.drain_faults,
-            governor: self.governor.as_ref().map(|g| g.report()),
+            governor: self.ctx.governor.as_ref().map(|g| g.report()),
             plan_stats: aggregate,
-            shared_plans: self.engine.shared_plan_stats(),
-            dispatch_order: state.dispatch_order.iter().map(|t| t.to_string()).collect(),
+            shared_plans: self.ctx.engine.shared_plan_stats(),
+            dispatch_order: state
+                .dispatch_order
+                .iter()
+                .flatten()
+                .map(|t| t.to_string())
+                .collect(),
+            inline_dispatches: state.inline_dispatches,
+            queued_dispatches: state.queued_dispatches,
+            peak_inflight: state.peak_inflight,
             tenants,
         }
     }
@@ -877,20 +1059,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        // `shutdown` drains `workers`; a dropped-without-shutdown server
-        // still drains its backlog (every ticket is owed an answer).
-        if self.workers.is_empty() {
-            return;
-        }
-        {
-            let mut state = self.shared.lock();
-            state.draining = true;
-            state.paused = false;
-        }
-        self.shared.work_cv.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.drain();
     }
 }
 
@@ -928,230 +1097,225 @@ fn classify(result: &Result<QueryOutcome, ServeError>) -> BreakerVerdict {
 }
 
 /// The request loop each serving worker runs: pick the next tenant off the
-/// rotation, take its session, shed or execute outside the lock, hand the
-/// session back, answer the ticket.
-fn serve_loop(ctx: &WorkerContext) {
-    loop {
-        let Some(dispatch) = acquire_dispatch(ctx) else {
-            // Drain complete. The serve-drain chaos point injects panics
-            // into this exit path; they are trapped and counted — the
-            // drain has already answered every ticket and must finish.
-            if catch_unwind(|| fault::inject(FaultPoint::ServeDrain)).is_err() {
-                ctx.shared.lock().drain_faults += 1;
-            }
-            return;
-        };
-        let Dispatch {
-            tenant,
-            request,
-            mut session,
-            tenant_count,
-        } = dispatch;
-
-        // Deadline shed: a request whose budget expired while queued is
-        // answered with the typed error and does ZERO engine work — no
-        // session is created, no node is visited.
-        let shed_as = request
-            .budget
-            .filter(|b| b.expired())
-            .map(|b| ServeError::DeadlineExpired {
-                budget: b.total(),
-                waited: b.waited(),
-            });
-        let (result, service_ns) = match shed_as {
-            Some(err) => (Err(err), None),
-            None => {
-                // Per-request options: the remaining admission budget and
-                // the per-request timeout tighten the base timeout, the
-                // governor quota tightens the memory budget, and the
-                // cancel token makes the dispatch revocable. A
-                // `serve-dispatch` alloc-fail signal zeroes the memory
-                // budget — spurious exhaustion driving the degradation
-                // ladder.
-                let signal = match catch_unwind(|| fault::inject(FaultPoint::ServeDispatch)) {
-                    Ok(signal) => Ok(signal),
-                    Err(payload) => Err(ServeError::Engine(EngineError::Internal {
-                        task: "serve dispatch".to_string(),
-                        payload: payload_message(payload.as_ref()),
-                    })),
-                };
-                match signal {
-                    Err(err) => (Err(err), Some(0)),
-                    Ok(signal) => {
-                        let mut options = ctx.options.clone();
-                        if let Some(b) = request.budget {
-                            options =
-                                options.tighten_timeout(b.remaining().unwrap_or(Duration::ZERO));
-                        }
-                        if let Some(limit) = request.timeout {
-                            options = options.tighten_timeout(limit);
-                        }
-                        if let Some(governor) = &ctx.governor {
-                            options = options.tighten_memory_budget(governor.quota(tenant_count));
-                            governor.record_governed();
-                        }
-                        if signal.alloc_fail {
-                            options = options.tighten_memory_budget(0);
-                        }
-                        options = options.with_cancel(request.cancel.clone());
-                        let sess = session.get_or_insert_with(|| {
-                            let mut sess = ctx.engine.create_session(&options);
-                            if ctx.trace || ctx.slow_query_threshold.is_some() {
-                                sess.configure_tracing(true, ctx.slow_query_threshold);
-                            }
-                            sess
-                        });
-                        // Per-request tracing ([`SubmitOptions::tracing`]):
-                        // force the recorder on for this dispatch only and
-                        // restore the session's own configuration after.
-                        let restore_tracing = if request.tracing {
-                            let (was_enabled, threshold) = sess.flight_recorder().config();
-                            if !was_enabled {
-                                sess.configure_tracing(true, threshold);
-                            }
-                            Some((was_enabled, threshold))
-                        } else {
-                            None
-                        };
-                        let started = Instant::now();
-                        // Execute outside the serving lock — this is where
-                        // concurrent tenants actually overlap. The engine
-                        // quarantines its own panics into typed `Internal`
-                        // errors; this trap catches the serving layer's.
-                        let result = match catch_unwind(AssertUnwindSafe(|| {
-                            ctx.engine
-                                .execute_in_session(&request.query, &options, sess)
-                        })) {
-                            Ok(r) => r.map_err(ServeError::Engine),
-                            Err(payload) => Err(ServeError::Engine(EngineError::Internal {
-                                task: "serve dispatch".to_string(),
-                                payload: payload_message(payload.as_ref()),
-                            })),
-                        };
-                        if let Some((was_enabled, threshold)) = restore_tracing {
-                            sess.configure_tracing(was_enabled, threshold);
-                        }
-                        let elapsed = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                        (result, Some(elapsed))
-                    }
-                }
-            }
-        };
-
-        // Completion-visibility contract (pinned by the
-        // `counters_are_visible_before_the_answer` regression test and
-        // documented in docs/observability.md): ALL bookkeeping for a
-        // request — session hand-back, served/shed counts, breaker
-        // movement, and the registry metrics fed from them — lands
-        // BEFORE `answer` publishes the result. A client that redeemed
-        // its ticket therefore never observes a counter lagging its own
-        // request: the tenant is ready for the next submission, a hard
-        // failure has already moved the breaker, and a metrics snapshot
-        // taken after `Ticket::wait` includes the request. (The
-        // engine-side registry flush happens even earlier, inside
-        // `execute_in_session` itself.) The only serve-side state that
-        // updates *outside* this pre-answer block is the `retry_after`
-        // service-rate EWMA input ordering across workers — a hint, not
-        // a counter.
-        {
-            let mut state = ctx.shared.lock();
-            if let Some(ns) = service_ns {
-                state.service_ewma_ns = if state.service_ewma_ns == 0 {
-                    ns
-                } else {
-                    (3 * state.service_ewma_ns + ns) / 4
-                };
-            }
-            match state.tenants.get_mut(&tenant) {
-                Some(entry) => {
-                    entry.session = session;
-                    entry.inflight_cancel = None;
-                    entry.busy = false;
-                    let obs = amber_obs::obs_enabled();
-                    if service_ns.is_some() {
-                        entry.served += 1;
-                        if obs {
-                            serve_metrics().served.inc();
-                        }
-                    } else {
-                        entry.shed += 1;
-                        if obs {
-                            serve_metrics().shed.inc();
-                        }
-                    }
-                    if let Some(cfg) = &ctx.breaker {
-                        let now = Instant::now();
-                        match classify(&result) {
-                            BreakerVerdict::Success => entry.breaker.record_success(),
-                            BreakerVerdict::Failure(cause) => {
-                                let tripped = entry.breaker.record_failure(cfg, cause, now);
-                                if tripped && obs {
-                                    serve_metrics().breaker_trips.inc();
-                                }
-                            }
-                            BreakerVerdict::Neutral => {
-                                if request.probe {
-                                    entry.breaker.probe_aborted(now);
-                                }
-                            }
-                        }
-                    }
-                    if !entry.queue.is_empty() {
-                        state.rotation.push_back(Arc::clone(&tenant));
-                    }
-                }
-                // Tenant state vanished (recovered lock poisoning): count
-                // the invariant violation instead of panicking; the ticket
-                // below is still answered.
-                None => state.internal_faults += 1,
-            }
-        }
-        ctx.shared.work_cv.notify_all();
-
-        answer(&request.ticket, result);
+/// rotation, run its request, answer the ticket.
+fn serve_loop(ctx: &DispatchContext) {
+    while let Some((dispatch, ticket)) = acquire_dispatch(ctx) {
+        answer(&ticket, run_dispatch(ctx, dispatch));
+    }
+    // Drain complete. The serve-drain chaos point injects panics into this
+    // exit path; they are trapped and counted — the drain has already
+    // answered every ticket and must finish.
+    if catch_unwind(|| fault::inject(FaultPoint::ServeDrain)).is_err() {
+        ctx.shared.lock().drain_faults += 1;
     }
 }
 
-/// Block until one dispatch is available (or the drain completes: `None`).
-fn acquire_dispatch(ctx: &WorkerContext) -> Option<Dispatch> {
+/// Run one started request to completion on the calling thread — a worker
+/// that took it off the rotation, or the submitter itself on
+/// [`Server::execute`]'s inline path: shed or execute outside the lock,
+/// hand the session back, settle every counter, and return the answer.
+fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcome, ServeError> {
+    let Dispatch {
+        tenant,
+        job,
+        mut session,
+        tenant_count,
+    } = dispatch;
+
+    // Deadline shed: a request whose budget expired before dispatch is
+    // answered with the typed error and does ZERO engine work — no
+    // session is created, no node is visited.
+    let shed_as = job
+        .budget
+        .filter(|b| b.expired())
+        .map(|b| ServeError::DeadlineExpired {
+            budget: b.total(),
+            waited: b.waited(),
+        });
+    let (result, service_ns) = match shed_as {
+        Some(err) => (Err(err), None),
+        None => {
+            // Per-request options: the remaining admission budget and
+            // the per-request timeout tighten the base timeout, the
+            // governor quota tightens the memory budget, and the
+            // cancel token makes the dispatch revocable. A
+            // `serve-dispatch` alloc-fail signal zeroes the memory
+            // budget — spurious exhaustion driving the degradation
+            // ladder.
+            let signal = match catch_unwind(|| fault::inject(FaultPoint::ServeDispatch)) {
+                Ok(signal) => Ok(signal),
+                Err(payload) => Err(ServeError::Engine(EngineError::Internal {
+                    task: "serve dispatch".to_string(),
+                    payload: payload_message(payload.as_ref()),
+                })),
+            };
+            match signal {
+                Err(err) => (Err(err), Some(0)),
+                Ok(signal) => {
+                    let mut options = ctx.options.clone();
+                    if let Some(b) = job.budget {
+                        options = options.tighten_timeout(b.remaining().unwrap_or(Duration::ZERO));
+                    }
+                    if let Some(limit) = job.timeout {
+                        options = options.tighten_timeout(limit);
+                    }
+                    if let Some(governor) = &ctx.governor {
+                        options = options.tighten_memory_budget(governor.quota(tenant_count));
+                        governor.record_governed();
+                    }
+                    if signal.alloc_fail {
+                        options = options.tighten_memory_budget(0);
+                    }
+                    options = options.with_cancel(job.cancel.clone());
+                    let sess = session.get_or_insert_with(|| {
+                        let mut sess = ctx.engine.create_session(&options);
+                        if ctx.trace || ctx.slow_query_threshold.is_some() {
+                            sess.configure_tracing(true, ctx.slow_query_threshold);
+                        }
+                        sess
+                    });
+                    // Per-request tracing ([`SubmitOptions::tracing`]):
+                    // force the recorder on for this dispatch only and
+                    // restore the session's own configuration after.
+                    let restore_tracing = if job.tracing {
+                        let (was_enabled, threshold) = sess.flight_recorder().config();
+                        if !was_enabled {
+                            sess.configure_tracing(true, threshold);
+                        }
+                        Some((was_enabled, threshold))
+                    } else {
+                        None
+                    };
+                    let started = Instant::now();
+                    // Execute outside the serving lock — this is where
+                    // concurrent tenants actually overlap. The engine
+                    // quarantines its own panics into typed `Internal`
+                    // errors; this trap catches the serving layer's.
+                    let result = match catch_unwind(AssertUnwindSafe(|| {
+                        ctx.engine.execute_in_session(&job.query, &options, sess)
+                    })) {
+                        Ok(r) => r.map_err(ServeError::Engine),
+                        Err(payload) => Err(ServeError::Engine(EngineError::Internal {
+                            task: "serve dispatch".to_string(),
+                            payload: payload_message(payload.as_ref()),
+                        })),
+                    };
+                    if let Some((was_enabled, threshold)) = restore_tracing {
+                        sess.configure_tracing(was_enabled, threshold);
+                    }
+                    let elapsed = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+                    (result, Some(elapsed))
+                }
+            }
+        }
+    };
+
+    // Completion-visibility contract (pinned by the
+    // `counters_are_visible_before_the_answer` regression test and
+    // documented in docs/observability.md): ALL bookkeeping for a
+    // request — session hand-back, served/shed counts, breaker
+    // movement, and the registry metrics fed from them — lands
+    // BEFORE the result is published (returned to an inline caller,
+    // `answer`ed to a ticket). A client that has its answer therefore
+    // never observes a counter lagging its own request: the tenant is
+    // ready for the next submission, a hard failure has already moved
+    // the breaker, and a metrics snapshot taken afterwards includes
+    // the request. (The engine-side registry flush happens even
+    // earlier, inside `execute_in_session` itself.) The only serve-side
+    // state that updates *outside* this pre-answer block is the
+    // `retry_after` service-rate EWMA input ordering across threads — a
+    // hint, not a counter.
+    let mut state = ctx.shared.lock();
+    state.inflight -= 1;
+    if let Some(ns) = service_ns {
+        state.service_ewma_ns = if state.service_ewma_ns == 0 {
+            ns
+        } else {
+            (3 * state.service_ewma_ns + ns) / 4
+        };
+    }
+    match state.tenants.get_mut(&tenant) {
+        Some(entry) => {
+            entry.session = session;
+            entry.inflight_cancel = None;
+            entry.busy = false;
+            let obs = amber_obs::obs_enabled();
+            if service_ns.is_some() {
+                entry.served += 1;
+                if obs {
+                    serve_metrics().served.inc();
+                }
+            } else {
+                entry.shed += 1;
+                if obs {
+                    serve_metrics().shed.inc();
+                }
+            }
+            if let Some(cfg) = &ctx.breaker {
+                let now = Instant::now();
+                match classify(&result) {
+                    BreakerVerdict::Success => entry.breaker.record_success(),
+                    BreakerVerdict::Failure(cause) => {
+                        let tripped = entry.breaker.record_failure(cfg, cause, now);
+                        if tripped && obs {
+                            serve_metrics().breaker_trips.inc();
+                        }
+                    }
+                    BreakerVerdict::Neutral => {
+                        if job.probe {
+                            entry.breaker.probe_aborted(now);
+                        }
+                    }
+                }
+            }
+            if !entry.queue.is_empty() {
+                state.rotation.push_back(tenant);
+            }
+        }
+        // Tenant state vanished (recovered lock poisoning): count
+        // the invariant violation instead of panicking; the request
+        // is still answered.
+        None => state.internal_faults += 1,
+    }
+    // The freed slot is one possible dispatch, so one worker — and only
+    // if somebody is waiting for a turn. A drain wakes everyone: workers
+    // parked behind this tenant's backlog must see `queued` reach 0.
+    let (draining, waiting) = (state.draining, !state.rotation.is_empty());
+    drop(state);
+    if draining {
+        ctx.shared.work_cv.notify_all();
+    } else if waiting {
+        ctx.shared.work_cv.notify_one();
+    }
+    result
+}
+
+/// Block until a worker may start one request off the rotation (or the
+/// drain completes: `None`).
+fn acquire_dispatch(ctx: &DispatchContext) -> Option<(Dispatch, Arc<TicketInner>)> {
     let mut state = ctx.shared.lock();
     loop {
         if state.draining && state.queued == 0 {
             return None;
         }
-        if !state.paused {
+        // `inflight` counts inline dispatches too: a worker that is itself
+        // idle may still have to wait for an execution slot.
+        if !state.paused && state.inflight < ctx.workers {
             if let Some(tenant) = state.rotation.pop_front() {
                 // Poison-robust: a stale rotation entry (possible after a
                 // recovered poisoned lock left state mid-mutation) is
                 // counted and skipped, never unwrapped.
-                let Some(entry) = state.tenants.get_mut(&tenant) else {
+                let Some(request) = state
+                    .tenants
+                    .get_mut(&tenant)
+                    .and_then(|entry| entry.queue.pop_front())
+                else {
                     state.internal_faults += 1;
                     continue;
                 };
-                let Some(request) = entry.queue.pop_front() else {
-                    state.internal_faults += 1;
-                    continue;
-                };
-                entry.busy = true;
-                entry.inflight_cancel = Some(request.cancel.clone());
-                let session = entry.session.take();
                 state.queued -= 1;
-                if amber_obs::obs_enabled() {
-                    let m = serve_metrics();
-                    m.queue_depth.set(state.queued as i64);
-                    m.queue_wait_us
-                        .observe(request.admitted.elapsed().as_micros() as u64);
-                }
-                if ctx.record_dispatch {
-                    state.dispatch_order.push(Arc::clone(&tenant));
-                }
-                let tenant_count = state.tenants.len();
-                return Some(Dispatch {
-                    tenant,
-                    request,
-                    session,
-                    tenant_count,
-                });
+                let dispatch = state.begin_dispatch(tenant, request.job, false);
+                return Some((dispatch, request.ticket));
             }
         }
         state = ctx
@@ -1215,9 +1379,17 @@ pub struct ServeReport {
     /// The engine-wide shared plan store counters (cross-tenant plan
     /// reuse).
     pub shared_plans: SharedPlanStats,
-    /// Tenant of every dispatch in dispatch order (empty unless
-    /// [`ServeConfig::record_dispatch`]).
+    /// Tenant of every dispatch in dispatch order, inline or queued
+    /// (empty unless [`ServeConfig::record_dispatch`]).
     pub dispatch_order: Vec<String>,
+    /// Requests that ran to completion on their submitter's thread
+    /// ([`Server::execute`] on an uncontended server).
+    pub inline_dispatches: u64,
+    /// Requests a serving worker took off the rotation.
+    pub queued_dispatches: u64,
+    /// The most requests ever executing at once, inline and queued
+    /// together — never above [`ServeConfig::workers`].
+    pub peak_inflight: usize,
 }
 
 impl ServeReport {
@@ -1614,52 +1786,59 @@ mod tests {
         );
     }
 
+    /// Both ways to get an answer: redeem a ticket, or block in `execute`
+    /// (inline on these idle servers).
+    type Roundtrip = fn(&Server, &str, &str, SubmitOptions) -> Result<QueryOutcome, ServeError>;
+    const VIA_TICKET: Roundtrip = |s, tenant, q, o| s.submit_sparql_with(tenant, q, o)?.wait();
+    const VIA_EXECUTE: Roundtrip = |s, tenant, q, o| s.execute(tenant, q, o);
+
     #[test]
     fn counters_are_visible_before_the_answer() {
         // Regression test for the completion-visibility contract
-        // documented on `serve_loop`: every counter a request moves —
+        // documented in `run_dispatch`: every counter a request moves —
         // per-tenant served counts, breaker state, registry metrics —
-        // is already readable when `Ticket::wait` returns. A client
-        // never observes bookkeeping lagging its own request.
+        // is already readable when the answer is. A client never
+        // observes bookkeeping lagging its own request.
         let _on = amber_obs::force_enabled(true);
         let served_handle =
             amber_obs::counter("amber_serve_requests_total", &[("outcome", "served")]);
-        let before = served_handle.get();
-        let engine = demo_engine();
-        let server = Server::start(
-            Arc::clone(&engine),
-            ServeConfig {
-                workers: 1,
-                breaker: Some(BreakerConfig {
-                    failure_threshold: 1,
-                    cooldown: Duration::from_secs(3600),
-                }),
-                ..ServeConfig::default()
-            },
-        );
-        let t = server
-            .submit_sparql_with(
+        for roundtrip in [VIA_TICKET, VIA_EXECUTE] {
+            let before = served_handle.get();
+            let engine = demo_engine();
+            let server = Server::start(
+                Arc::clone(&engine),
+                ServeConfig {
+                    workers: 1,
+                    breaker: Some(BreakerConfig {
+                        failure_threshold: 1,
+                        cooldown: Duration::from_secs(3600),
+                    }),
+                    ..ServeConfig::default()
+                },
+            );
+            let timed_out = roundtrip(
+                &server,
                 "a",
                 CHAIN,
                 SubmitOptions::new().with_timeout(Duration::ZERO),
-            )
-            .unwrap();
-        assert_eq!(t.wait().unwrap().status, QueryStatus::TimedOut);
-        // The breaker moved BEFORE the ticket answer, so the very next
-        // submission deterministically observes it open...
-        assert!(matches!(
-            server.submit_sparql("a", CHAIN),
-            Err(ServeError::CircuitOpen { .. })
-        ));
-        // ...and the registry moved before the answer too (monotonic
-        // counters: concurrent tests only ever add).
-        assert!(
-            served_handle.get() > before,
-            "served counter must include the redeemed request"
-        );
-        assert!(amber_obs::counter("amber_serve_breaker_trips_total", &[]).get() >= 1);
-        let report = server.shutdown();
-        assert_eq!(report.breaker_trips, 1);
+            );
+            assert_eq!(timed_out.unwrap().status, QueryStatus::TimedOut);
+            // The breaker moved BEFORE the answer, so the very next
+            // request deterministically observes it open...
+            assert!(matches!(
+                roundtrip(&server, "a", CHAIN, SubmitOptions::new()),
+                Err(ServeError::CircuitOpen { .. })
+            ));
+            // ...and the registry moved before the answer too (monotonic
+            // counters: concurrent tests only ever add).
+            assert!(
+                served_handle.get() > before,
+                "served counter must include the answered request"
+            );
+            assert!(amber_obs::counter("amber_serve_breaker_trips_total", &[]).get() >= 1);
+            let report = server.shutdown();
+            assert_eq!(report.breaker_trips, 1);
+        }
     }
 
     #[test]
@@ -1786,5 +1965,297 @@ mod tests {
             "one derivation serves all tenants: {shared:?}"
         );
         assert!(shared.hits - before.hits >= 2, "{shared:?}");
+    }
+    /// A complete digraph on `n` vertices: the six-cycle below has ~n^6
+    /// embeddings, none of them shareable through satellite counting — a
+    /// request that stays in flight until something stops it.
+    fn clique_engine(n: usize) -> Arc<AmberEngine> {
+        let mut triples = String::new();
+        for a in 0..n {
+            for b in (0..n).filter(|b| *b != a) {
+                triples.push_str(&format!("<http://k/n{a}> <http://k/p> <http://k/n{b}> .\n"));
+            }
+        }
+        Arc::new(AmberEngine::load_ntriples(&triples).expect("clique parses"))
+    }
+
+    const SIX_CYCLE: &str = "SELECT * WHERE { ?a <http://k/p> ?b . ?b <http://k/p> ?c . \
+        ?c <http://k/p> ?d . ?d <http://k/p> ?e . ?e <http://k/p> ?f . ?f <http://k/p> ?a . }";
+
+    fn spin_until(mut ready: impl FnMut() -> bool) {
+        while !ready() {
+            std::thread::yield_now();
+        }
+    }
+
+    fn queued_request(ticket: &Ticket) -> Request {
+        Request {
+            job: Job {
+                query: amber_sparql::parse_select(EDGE).unwrap(),
+                admitted: Instant::now(),
+                budget: None,
+                timeout: None,
+                cancel: CancelToken::new(),
+                probe: false,
+                tracing: false,
+            },
+            ticket: Arc::clone(&ticket.inner),
+        }
+    }
+
+    #[test]
+    fn inline_needs_all_four_conditions() {
+        let ticket = Ticket {
+            inner: Arc::default(),
+        };
+        let idle = || {
+            let mut state = DispatchState::default();
+            state.tenants.insert(Arc::from("a"), TenantState::default());
+            state
+        };
+        assert!(idle().can_run_inline("a", 2));
+        assert!(idle().can_run_inline("never-seen", 2));
+
+        let mut paused = idle();
+        paused.paused = true;
+        assert!(!paused.can_run_inline("a", 2));
+
+        let mut busy = idle();
+        busy.tenants.get_mut("a").unwrap().busy = true;
+        assert!(!busy.can_run_inline("a", 2), "one request per session");
+        assert!(busy.can_run_inline("b", 2), "other tenants are unaffected");
+
+        let mut backlog = idle();
+        let a = backlog.tenants.get_mut("a").unwrap();
+        a.queue.push_back(queued_request(&ticket));
+        assert!(!backlog.can_run_inline("a", 2), "per-tenant FIFO");
+
+        let mut waiting = idle();
+        waiting.rotation.push_back(Arc::from("b"));
+        assert!(!waiting.can_run_inline("a", 2), "b's turn comes first");
+
+        let mut full = idle();
+        full.inflight = 2;
+        assert!(!full.can_run_inline("a", 2), "workers bounds concurrency");
+        assert!(full.can_run_inline("a", 3));
+    }
+
+    #[test]
+    fn execute_on_an_idle_server_runs_inline() {
+        let server = Server::start(
+            demo_engine(),
+            ServeConfig {
+                record_dispatch: true,
+                ..ServeConfig::default()
+            },
+        );
+        for (tenant, query) in [("a", CHAIN), ("b", EDGE), ("a", EDGE), ("a", CHAIN)] {
+            let outcome = server.execute(tenant, query, SubmitOptions::new()).unwrap();
+            assert_eq!(outcome.embedding_count, 1);
+            assert_eq!(
+                server.inflight(),
+                0,
+                "the slot is free once the answer is out"
+            );
+        }
+        // Parse errors are synchronous here too, and dispatch nothing.
+        assert!(matches!(
+            server.execute("a", "SELECT nonsense", SubmitOptions::new()),
+            Err(ServeError::Engine(_))
+        ));
+        // `submit` keeps its contract: a ticket now, a worker later.
+        server.submit_sparql("a", EDGE).unwrap().wait().unwrap();
+        let report = server.shutdown();
+        assert_eq!(report.inline_dispatches, 4);
+        assert_eq!(report.queued_dispatches, 1);
+        assert_eq!(report.dispatch_order, vec!["a", "b", "a", "a", "a"]);
+        assert_eq!(report.served_for("a"), 4);
+        let a = report.tenants.iter().find(|t| t.tenant == "a").unwrap();
+        assert_eq!(a.queries_executed, 4, "both paths share the one session");
+    }
+
+    #[test]
+    fn a_zero_budget_execute_is_shed_inline_with_zero_engine_work() {
+        let server = Server::start(demo_engine(), ServeConfig::default());
+        match server.execute("a", CHAIN, SubmitOptions::new().with_budget(Duration::ZERO)) {
+            Err(ServeError::DeadlineExpired { budget, .. }) => assert_eq!(budget, Duration::ZERO),
+            other => panic!("expected DeadlineExpired, got {other:?}"),
+        }
+        let report = server.shutdown();
+        assert_eq!(report.inline_dispatches, 1, "shed on the caller's thread");
+        assert_eq!(report.deadline_shed, 1);
+        assert_eq!(report.served_for("a"), 0);
+        let a = report.tenants.iter().find(|t| t.tenant == "a").unwrap();
+        assert_eq!(a.queries_executed, 0, "a shed request executes nothing");
+        assert_eq!(a.search.nodes, 0, "and visits zero nodes");
+    }
+
+    #[test]
+    fn execute_never_overtakes_a_paused_or_queued_request() {
+        let server = Server::start(
+            demo_engine(),
+            ServeConfig {
+                // One worker answers ticket n before it dispatches n + 1.
+                workers: 1,
+                paused: true,
+                ..ServeConfig::default()
+            },
+        );
+        let earlier = server.submit_sparql("a", CHAIN).unwrap();
+        std::thread::scope(|scope| {
+            let later = scope.spawn(|| {
+                let outcome = server.execute("a", EDGE, SubmitOptions::new()).unwrap();
+                let earlier_answered = earlier
+                    .inner
+                    .slot
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .is_some();
+                (outcome, earlier_answered)
+            });
+            // Paused, and behind a's own backlog: it must queue.
+            spin_until(|| server.queued() == 2);
+            assert_eq!(server.inflight(), 0);
+            server.resume();
+            let (outcome, earlier_answered) = later.join().unwrap();
+            assert_eq!(outcome.embedding_count, 1);
+            assert!(
+                earlier_answered,
+                "per-tenant FIFO: the queued request first"
+            );
+        });
+        earlier.wait().unwrap();
+        let report = server.shutdown();
+        assert_eq!(report.inline_dispatches, 0);
+        assert_eq!(report.queued_dispatches, 2);
+    }
+
+    #[test]
+    fn workers_bounds_inline_and_queued_execution_together() {
+        const CLIENTS: usize = 8;
+        const PER_CLIENT: usize = 40;
+        let server = Server::start(
+            demo_engine(),
+            ServeConfig {
+                workers: 2,
+                // Every request executes, so requests really do overlap.
+                options: ExecOptions::batch().with_result_cache(0),
+                ..ServeConfig::default()
+            },
+        );
+        std::thread::scope(|scope| {
+            for client in 0..CLIENTS {
+                let server = &server;
+                scope.spawn(move || {
+                    let tenant = format!("client-{client}");
+                    for i in 0..PER_CLIENT {
+                        let query = if i % 2 == 0 { CHAIN } else { EDGE };
+                        let outcome = server.execute(&tenant, query, SubmitOptions::new());
+                        assert_eq!(outcome.unwrap().embedding_count, 1);
+                    }
+                });
+            }
+        });
+        let report = server.shutdown();
+        let total = (CLIENTS * PER_CLIENT) as u64;
+        assert_eq!(report.served(), total);
+        assert_eq!(report.inline_dispatches + report.queued_dispatches, total);
+        assert!(
+            report.inline_dispatches >= 1,
+            "the first request met an idle server"
+        );
+        assert!(
+            (1..=2).contains(&report.peak_inflight),
+            "{} requests executed at once with workers: 2",
+            report.peak_inflight
+        );
+    }
+
+    #[test]
+    fn shutdown_now_cancels_a_request_running_inline() {
+        let server = Server::start(
+            clique_engine(30),
+            ServeConfig {
+                // Count-only: the cycle's embeddings are never materialized.
+                options: ExecOptions::batch().counting(),
+                ..ServeConfig::default()
+            },
+        );
+        let outcome = std::thread::scope(|scope| {
+            // The timeout only bounds the test should the cancel be lost.
+            let opts = SubmitOptions::new().with_timeout(Duration::from_secs(60));
+            let caller = scope.spawn(|| server.execute("a", SIX_CYCLE, opts));
+            spin_until(|| server.inflight() == 1);
+            // `shutdown_now` minus the join: it consumes the server, which
+            // the borrow held by the in-flight `execute` rules out.
+            server.revoke();
+            caller.join().unwrap()
+        });
+        assert_eq!(outcome.unwrap().status, QueryStatus::Cancelled);
+        assert!(matches!(
+            server.execute("a", EDGE, SubmitOptions::new()),
+            Err(ServeError::ShuttingDown)
+        ));
+        let report = server.shutdown_now();
+        assert_eq!(report.inline_dispatches, 1);
+        assert_eq!(report.queued_dispatches, 0);
+        assert_eq!(
+            report.served_for("a"),
+            1,
+            "a cancelled partial is an answer"
+        );
+        let a = report.tenants.iter().find(|t| t.tenant == "a").unwrap();
+        assert_eq!(a.search.cancellations, 1);
+    }
+
+    #[test]
+    fn five_thousand_tenants_later_a_repeat_still_finds_its_own_key() {
+        const TENANTS: usize = 5_000;
+        let server = Server::start(
+            demo_engine(),
+            ServeConfig {
+                workers: 1,
+                queue_capacity: TENANTS + 1,
+                paused: true,
+                record_dispatch: true,
+                ..ServeConfig::default()
+            },
+        );
+        let mut tickets: Vec<Ticket> = (0..TENANTS)
+            .map(|t| server.submit_sparql(&format!("tenant-{t}"), EDGE).unwrap())
+            .collect();
+        tickets.push(server.submit_sparql("tenant-17", CHAIN).unwrap());
+        server.resume();
+        for ticket in tickets {
+            ticket.wait().unwrap();
+        }
+        {
+            let state = server.ctx.shared.lock();
+            assert_eq!(
+                state.tenants.len(),
+                TENANTS,
+                "the repeat made no new tenant"
+            );
+            let (key, _) = state.tenants.get_key_value("tenant-17").unwrap();
+            let dispatched: Vec<&Arc<str>> = state
+                .dispatch_order
+                .iter()
+                .flatten()
+                .filter(|t| ***t == *"tenant-17")
+                .collect();
+            assert_eq!(dispatched.len(), 2);
+            assert!(
+                dispatched.iter().all(|t| Arc::ptr_eq(t, key)),
+                "both dispatches carry the map's own Arc, not a re-interned copy"
+            );
+        }
+        let report = server.shutdown();
+        let repeat = report
+            .tenants
+            .iter()
+            .find(|t| t.tenant == "tenant-17")
+            .unwrap();
+        assert_eq!(repeat.served, 2);
+        assert_eq!(repeat.queries_executed, 2, "one session served both");
     }
 }

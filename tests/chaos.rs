@@ -312,6 +312,43 @@ fn serve_dispatch_panics_trip_the_tenant_breaker() {
 }
 
 #[test]
+fn serve_dispatch_panic_on_the_inline_path_leaves_tenant_and_caller_serving() {
+    let _serial = serial();
+    let engine = Arc::new(AmberEngine::from_graph(paper_graph()));
+    let baseline = engine
+        .execute(&paper_query_text(), &ExecOptions::default())
+        .unwrap();
+    let server = Server::start(Arc::clone(&engine), ServeConfig::default());
+    let opts = amber_serve::SubmitOptions::new;
+    // `execute` on an idle server runs the dispatch — and so the fault
+    // point — on this thread: the panic must come back as a value.
+    let err = {
+        let _guard = fault::override_spec("1:serve-dispatch=panic@1").unwrap();
+        with_quiet_chaos_panics(|| server.execute("noisy", &paper_query_text(), opts()))
+    };
+    match err {
+        Err(ServeError::Engine(EngineError::Internal { task, .. })) => {
+            assert_eq!(task, "serve dispatch")
+        }
+        other => panic!("expected a typed Internal error, got {other:?}"),
+    }
+    assert_eq!(server.inflight(), 0, "the execution slot was released");
+    // Disarmed: the same thread asks again for the same tenant. A tenant
+    // left busy (or a slot left claimed) would queue this request; it
+    // runs inline and answers exactly.
+    let outcome = server
+        .execute("noisy", &paper_query_text(), opts())
+        .unwrap();
+    assert_eq!(outcome.embedding_count, baseline.embedding_count);
+    assert_eq!(outcome.bindings, baseline.bindings);
+    let report = server.shutdown();
+    assert_eq!(report.inline_dispatches, 2);
+    assert_eq!(report.queued_dispatches, 0);
+    assert_eq!(report.served_for("noisy"), 2);
+    assert_eq!(report.internal_faults, 0);
+}
+
+#[test]
 fn session_that_trapped_a_matcher_panic_serves_the_next_query() {
     let _serial = serial();
     let engine = AmberEngine::from_graph(paper_graph());

@@ -206,14 +206,14 @@ fn serve_report_agrees_exactly_with_the_registry() {
     // Trip a fresh tenant's breaker (threshold 1; a fresh tenant so no
     // warm result cache short-circuits the zero-timeout execution) and
     // observe one fast-fail.
-    let slow = server
-        .submit_sparql_with(
-            "d",
-            CHAIN,
-            SubmitOptions::new().with_timeout(Duration::ZERO),
-        )
-        .unwrap();
-    assert_eq!(slow.wait().unwrap().status, QueryStatus::TimedOut);
+    // This one goes through `execute`: the server is idle by now, so it
+    // is the run's one inline dispatch.
+    let slow = server.execute(
+        "d",
+        CHAIN,
+        SubmitOptions::new().with_timeout(Duration::ZERO),
+    );
+    assert_eq!(slow.unwrap().status, QueryStatus::TimedOut);
     assert!(matches!(
         server.submit_sparql("d", CHAIN),
         Err(ServeError::CircuitOpen { .. })
@@ -276,7 +276,28 @@ fn serve_report_agrees_exactly_with_the_registry() {
         0,
         "the drained queue gauge returns to zero"
     );
+    let path = |p: &str| {
+        delta(
+            &before,
+            &after,
+            "amber_serve_dispatches_total",
+            &[("path", p)],
+        )
+    };
+    assert_eq!(path("inline"), report.inline_dispatches, "inline");
+    assert_eq!(path("queued"), report.queued_dispatches, "queued");
+    let waits = |s: &MetricsSnapshot| {
+        s.histogram_value("amber_serve_queue_wait_us", &[])
+            .map_or(0, |h| h.count)
+    };
+    assert_eq!(
+        waits(&after) - waits(&before),
+        report.inline_dispatches + report.queued_dispatches,
+        "one queue-wait observation per dispatch, inline ones included"
+    );
     // Workload sanity: every compared field was actually exercised.
+    assert_eq!(report.inline_dispatches, 1);
+    assert_eq!(report.queued_dispatches, 2);
     assert_eq!(report.served(), 2);
     assert_eq!(report.deadline_shed, 1);
     assert_eq!(report.rejected, 1);

@@ -403,3 +403,145 @@ fn tenants_share_one_plan_store_but_not_their_failures() {
         assert_eq!(report.served_for(tenant), 1);
     }
 }
+
+/// What one request came to, with the clock-dependent fields (`waited`,
+/// `retry_after`) left out.
+fn settled(result: &Result<QueryOutcome, ServeError>) -> String {
+    match result {
+        Ok(outcome) => format!("{:?} {:?}", outcome.status, normalized(outcome)),
+        Err(ServeError::DeadlineExpired { budget, .. }) => format!("shed after {budget:?}"),
+        Err(ServeError::CircuitOpen { cause, .. }) => format!("circuit open: {cause}"),
+        Err(other) => format!("{other:?}"),
+    }
+}
+
+/// `Server::execute` is `submit_sparql_with(..)?.wait()`: the same seeded
+/// stream — healthy, zero-timeout (breaker failures), zero-budget (sheds)
+/// and, once a breaker has tripped, fast-failed requests — settles
+/// identically whether every request runs inline on the client's thread
+/// or is queued on a paused server and drained by the workers.
+#[test]
+fn execute_matches_submit_request_for_request_and_counter_for_counter() {
+    use rand::Rng;
+    use std::time::Duration;
+
+    const TENANTS: [&str; 3] = ["steady", "noisy", "mixed"];
+    const ROUNDS: usize = 24;
+    for seed in [5u64, 6, 7] {
+        let rdf = Arc::new(dense_graph(seed));
+        let mut generator = WorkloadGenerator::new(&rdf, seed ^ 0x5EED);
+        let texts: Vec<String> = generator
+            .generate_many(&WorkloadConfig::new(QueryShape::Star, 4), 4)
+            .into_iter()
+            .map(|g| g.text)
+            .collect();
+        assert!(!texts.is_empty());
+
+        // One request per tenant per round. `noisy` opens with two
+        // zero-timeout requests, so its breaker trips in round 2.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rounds: Vec<Vec<(&str, &str, SubmitOptions)>> = (0..ROUNDS)
+            .map(|round| {
+                TENANTS
+                    .iter()
+                    .map(|&tenant| {
+                        let text = texts[rng.gen_range(0..texts.len())].as_str();
+                        let opts = match rng.gen_range(0..10) {
+                            _ if tenant == "noisy" && round < 2 => {
+                                SubmitOptions::new().with_timeout(Duration::ZERO)
+                            }
+                            0 if tenant == "mixed" => {
+                                SubmitOptions::new().with_timeout(Duration::ZERO)
+                            }
+                            1 | 2 if tenant != "steady" => {
+                                SubmitOptions::new().with_budget(Duration::ZERO)
+                            }
+                            _ => SubmitOptions::new(),
+                        };
+                        (tenant, text, opts)
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let start = |paused: bool| {
+            Server::start(
+                // An engine each: the shared plan store must not leak
+                // warmth from one run into the other.
+                Arc::new(AmberEngine::from_graph(Arc::clone(&rdf))),
+                ServeConfig {
+                    workers: 2,
+                    paused,
+                    breaker: Some(amber_serve::BreakerConfig {
+                        failure_threshold: 2,
+                        cooldown: Duration::from_secs(3600),
+                    }),
+                    options: ExecOptions::batch().with_max_results(200),
+                    ..ServeConfig::default()
+                },
+            )
+        };
+
+        let inline = start(false);
+        let inline_settled: Vec<String> = rounds
+            .iter()
+            .flatten()
+            .map(|(tenant, text, opts)| settled(&inline.execute(tenant, text, opts.clone())))
+            .collect();
+        let inline_report = inline.shutdown();
+
+        // A round is admitted whole while paused, then drained: every
+        // tenant's request n is answered before its request n + 1 is
+        // admitted, as on the inline server.
+        let queued = start(true);
+        let mut queued_settled = Vec::new();
+        for round in &rounds {
+            queued.pause();
+            let tickets: Vec<Result<Ticket, ServeError>> = round
+                .iter()
+                .map(|(tenant, text, opts)| queued.submit_sparql_with(tenant, text, opts.clone()))
+                .collect();
+            queued.resume();
+            for ticket in tickets {
+                queued_settled.push(settled(&ticket.and_then(Ticket::wait)));
+            }
+        }
+        let queued_report = queued.shutdown();
+
+        assert_eq!(inline_settled, queued_settled, "seed {seed}");
+        assert!(
+            inline_settled.iter().any(|s| s.starts_with("circuit open")),
+            "seed {seed}: the stream never exercised a tripped breaker"
+        );
+        for (a, b) in inline_report.tenants.iter().zip(&queued_report.tenants) {
+            assert_eq!(a.tenant, b.tenant);
+            assert_eq!(a.served, b.served, "{}", a.tenant);
+            assert_eq!(a.deadline_shed, b.deadline_shed, "{}", a.tenant);
+            assert_eq!(a.queries_executed, b.queries_executed, "{}", a.tenant);
+            assert_eq!(a.breaker, b.breaker, "{}", a.tenant);
+            assert_eq!(a.plan_stats, b.plan_stats, "{}", a.tenant);
+        }
+        assert_eq!(inline_report.rejected, queued_report.rejected);
+        let dispatched = inline_report.served() + inline_report.deadline_shed;
+        assert_eq!(
+            queued_report.served() + queued_report.deadline_shed,
+            dispatched
+        );
+        // One client thread never contends with itself; a paused server
+        // never runs anything inline.
+        assert_eq!(
+            (
+                inline_report.inline_dispatches,
+                inline_report.queued_dispatches
+            ),
+            (dispatched, 0)
+        );
+        assert_eq!(
+            (
+                queued_report.inline_dispatches,
+                queued_report.queued_dispatches
+            ),
+            (0, dispatched)
+        );
+    }
+}

@@ -987,6 +987,35 @@ mod tests {
     }
 
     #[test]
+    fn clearing_or_shedding_the_result_cache_frees_memoized_bodies() {
+        let _on = amber_obs::force_enabled(true);
+        let gauge = amber_obs::gauge("amber_result_body_bytes", &[]);
+        let base = gauge.get();
+        let plan = plan_for(&paper_query_text(), 1);
+        let options = ExecOptions::default();
+        for drop_all in [
+            ResultCache::clear as fn(&mut ResultCache),
+            ResultCache::shed,
+        ] {
+            let mut cache = ResultCache::new(8);
+            let outcome = QueryOutcome {
+                bindings: vec![vec![Box::from("http://x/a")]].into(),
+                ..QueryOutcome::empty(vec!["a".into()], Default::default())
+            };
+            cache.store(&plan, &options, &outcome);
+            // Served twice: the second serialization memoizes.
+            let served = cache.lookup(&plan, &options).unwrap().rows;
+            outcome.offer_wire_body(0, "body");
+            assert!(outcome.offer_wire_body(0, "body"));
+            assert!(served.shares_rows(&outcome.bindings));
+            drop((outcome, served));
+            assert_eq!(gauge.get(), base + 4, "the cache still holds the memo");
+            drop_all(&mut cache);
+            assert_eq!(gauge.get(), base, "freed with the last clone");
+        }
+    }
+
+    #[test]
     fn result_cache_collisions_verify_the_plan() {
         let y = amber_multigraph::paper::PREFIX_Y;
         let a = plan_for(&paper_query_text(), 1);

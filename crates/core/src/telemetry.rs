@@ -79,6 +79,7 @@ struct EngineMetrics {
     trapped_panics: Arc<Counter>,
     cancellations: Arc<Counter>,
     degradation_steps: Arc<Counter>,
+    result_body_bytes: Arc<Gauge>,
 }
 
 fn metrics() -> &'static EngineMetrics {
@@ -105,6 +106,7 @@ fn metrics() -> &'static EngineMetrics {
         trapped_panics: amber_obs::counter("amber_query_trapped_panics_total", &[]),
         cancellations: amber_obs::counter("amber_query_cancellations_total", &[]),
         degradation_steps: amber_obs::counter("amber_query_degradation_steps_total", &[]),
+        result_body_bytes: amber_obs::gauge("amber_result_body_bytes", &[]),
     })
 }
 
@@ -180,5 +182,15 @@ pub(crate) fn note_shared_plan(hit: bool) {
         m.shared_plan_hits.inc();
     } else {
         m.shared_plan_misses.inc();
+    }
+}
+
+/// Move the process gauge of memoized wire-body bytes (`+len` when a
+/// [`Bindings`](crate::Bindings) memo is set, `-len` when its allocation
+/// drops). Callers pass what was gauged at set time rather than checking
+/// the gate here, so a gate flip between set and drop cannot skew it.
+pub(crate) fn note_result_body_bytes(delta: i64) {
+    if delta != 0 {
+        metrics().result_body_bytes.add(delta);
     }
 }

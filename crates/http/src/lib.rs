@@ -62,6 +62,7 @@ const POLL_INTERVAL: Duration = Duration::from_millis(250);
 /// but not freed, so a large answer is written into pages that are
 /// already mapped. Above this capacity the buffer is released instead, so
 /// one outlier answer does not pin its memory for the connection's life.
+/// It is also the largest result body memoized on a cached answer.
 const MAX_RETAINED_BODY_BYTES: usize = 8 << 20;
 
 /// First allocation of a connection's request buffer (it doubles from
@@ -80,6 +81,8 @@ struct HttpMetrics {
     server_error: Arc<Counter>,
     response_bytes: Arc<Counter>,
     serialize_us: Arc<Histogram>,
+    bodies_serialized: Arc<Counter>,
+    bodies_memoized: Arc<Counter>,
 }
 
 fn http_metrics() -> &'static HttpMetrics {
@@ -93,6 +96,14 @@ fn http_metrics() -> &'static HttpMetrics {
         server_error: amber_obs::counter("amber_http_responses_total", &[("class", "5xx")]),
         response_bytes: amber_obs::counter("amber_http_response_bytes_total", &[]),
         serialize_us: amber_obs::histogram("amber_http_serialize_us", &[]),
+        bodies_serialized: amber_obs::counter(
+            "amber_http_result_bodies_total",
+            &[("source", "serialized")],
+        ),
+        bodies_memoized: amber_obs::counter(
+            "amber_http_result_bodies_total",
+            &[("source", "memoized")],
+        ),
     })
 }
 
@@ -334,11 +345,16 @@ fn read_step(
 }
 
 /// The two buffers a connection thread answers from, reused across its
-/// requests: cleared, not freed (see [`MAX_RETAINED_BODY_BYTES`]).
+/// requests: cleared, not freed (see [`MAX_RETAINED_BODY_BYTES`]), plus
+/// the slot for a result body memoized on the answer's shared `Bindings`.
 #[derive(Default)]
 struct ResponseBufs {
     head: String,
     body: String,
+    /// When set, the response body instead of `body`: sent straight from
+    /// the answer's memo, never copied. [`respond_and_count`] takes it, so
+    /// it cannot outlive the one response it was set for.
+    memo: Option<Arc<str>>,
 }
 
 fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
@@ -402,7 +418,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             &shared,
             &head,
             &buf.bytes()[consumed..request_len],
-            &mut out.body,
+            &mut out,
         );
         let close = head.wants_close() || shared.draining.load(Ordering::SeqCst);
         respond_and_count(&mut stream, &mut out, &response, !close);
@@ -416,8 +432,8 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
-/// Status line and headers of one response; its body is in the
-/// connection's [`ResponseBufs::body`].
+/// Status line and headers of one response; its body is the connection's
+/// [`ResponseBufs::memo`] if set, else its [`ResponseBufs::body`].
 struct Response {
     status: u16,
     content_type: &'static str,
@@ -491,6 +507,8 @@ fn respond_and_count(
     keep_alive: bool,
 ) {
     use std::fmt::Write as _;
+    let memo = out.memo.take();
+    let body = memo.as_deref().unwrap_or(&out.body).as_bytes();
     out.head.clear();
     let _ = write!(
         out.head,
@@ -498,7 +516,7 @@ fn respond_and_count(
         response.status,
         reason_phrase(response.status),
         response.content_type,
-        out.body.len(),
+        body.len(),
     );
     for (name, value) in &response.extra {
         let _ = write!(out.head, "{name}: {value}\r\n");
@@ -517,9 +535,9 @@ fn respond_and_count(
         }
         metrics
             .response_bytes
-            .add((out.head.len() + out.body.len()) as u64);
+            .add((out.head.len() + body.len()) as u64);
     }
-    let _ = write_response(stream, out.head.as_bytes(), out.body.as_bytes());
+    let _ = write_response(stream, out.head.as_bytes(), body);
 }
 
 /// Send head and body with one vectored write (one syscall, and under
@@ -545,7 +563,12 @@ fn write_response(stream: &mut impl Write, head: &[u8], body: &[u8]) -> std::io:
     Ok(())
 }
 
-fn handle_request(shared: &Shared, head: &RequestHead, body: &[u8], out: &mut String) -> Response {
+fn handle_request(
+    shared: &Shared,
+    head: &RequestHead,
+    body: &[u8],
+    out: &mut ResponseBufs,
+) -> Response {
     let (path, raw_query) = split_target(&head.target);
     let obs = amber_obs::obs_enabled();
     match path {
@@ -559,37 +582,58 @@ fn handle_request(shared: &Shared, head: &RequestHead, body: &[u8], out: &mut St
             if obs {
                 http_metrics().metrics.inc();
             }
-            metrics_endpoint(shared, head, out)
+            metrics_endpoint(shared, head, &mut out.body)
         }
         _ => {
             if obs {
                 http_metrics().other.inc();
             }
-            Response::error(out, 404, "no such resource (try /sparql or /metrics)")
+            Response::error(
+                &mut out.body,
+                404,
+                "no such resource (try /sparql or /metrics)",
+            )
         }
     }
 }
 
-/// The negotiated result serialization.
+/// The negotiated result serialization. The discriminant is the format
+/// tag a memoized body is keyed by ([`amber::QueryOutcome::wire_body`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 enum Format {
     Json,
     Tsv,
 }
 
-/// First supported media type in the `Accept` header wins (q-values are
-/// ignored); no header (or a wildcard) means JSON; nothing supported
-/// means `None` → 406.
+impl Format {
+    fn content_type(self) -> &'static str {
+        match self {
+            Format::Json => "application/sparql-results+json",
+            Format::Tsv => "text/tab-separated-values; charset=utf-8",
+        }
+    }
+}
+
+/// First supported media range in the `Accept` header wins, skipping any
+/// whose `q` parameter parses to 0 (the client declared it unacceptable;
+/// other q-values do not reorder); no header (or a wildcard) means JSON;
+/// nothing supported means `None` → 406.
 fn negotiate(accept: Option<&str>) -> Option<Format> {
     let Some(accept) = accept else {
         return Some(Format::Json);
     };
     for part in accept.split(',') {
-        let media = part
-            .split(';')
-            .next()
-            .unwrap_or("")
-            .trim()
-            .to_ascii_lowercase();
+        let mut params = part.split(';');
+        let media = params.next().unwrap_or("").trim().to_ascii_lowercase();
+        let refused = params.any(|param| {
+            param.split_once('=').is_some_and(|(name, value)| {
+                name.trim().eq_ignore_ascii_case("q") && value.trim().parse::<f64>() == Ok(0.0)
+            })
+        });
+        if refused {
+            continue;
+        }
         match media.as_str() {
             "application/sparql-results+json" | "application/json" | "*/*" | "application/*" => {
                 return Some(Format::Json)
@@ -606,8 +650,11 @@ fn sparql_endpoint(
     head: &RequestHead,
     raw_query: Option<&str>,
     body: &[u8],
-    out: &mut String,
+    out: &mut ResponseBufs,
 ) -> Response {
+    let ResponseBufs {
+        body: out, memo, ..
+    } = out;
     // Parameters come from the URL's query string for every method, plus
     // the body for `POST` with a form body. A direct
     // `application/sparql-query` body *is* the query.
@@ -680,26 +727,47 @@ fn sparql_endpoint(
         }
     };
     match result {
-        Ok(outcome) => {
-            let started = amber_obs::obs_enabled().then(Instant::now);
-            let content_type = match format {
-                Format::Json => {
-                    results::sparql_json_into(out, &outcome);
-                    "application/sparql-results+json"
-                }
-                Format::Tsv => {
-                    results::sparql_tsv_into(out, &outcome);
-                    "text/tab-separated-values; charset=utf-8"
-                }
-            };
-            if let Some(started) = started {
-                let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                http_metrics().serialize_us.observe(us);
-            }
-            Response::ok(content_type)
-        }
+        Ok(outcome) => answer_body(&outcome, format, out, memo),
         Err(e) => Response::from_error(out, &amber::Error::from(e)),
     }
+}
+
+/// The body of a `200` answer: the body memoized on the outcome's shared
+/// `Bindings` when there is one for this format and header (into `memo`,
+/// not copied), otherwise a fresh serialization into `out` — which the
+/// rows keep if it is their second one (see
+/// [`amber::QueryOutcome::offer_wire_body`]) and it is no larger than
+/// [`MAX_RETAINED_BODY_BYTES`].
+fn answer_body(
+    outcome: &amber::QueryOutcome,
+    format: Format,
+    out: &mut String,
+    memo: &mut Option<Arc<str>>,
+) -> Response {
+    let obs = amber_obs::obs_enabled();
+    let tag = format as u8;
+    if let Some(body) = outcome.wire_body(tag) {
+        *memo = Some(Arc::clone(body));
+        if obs {
+            http_metrics().bodies_memoized.inc();
+        }
+        return Response::ok(format.content_type());
+    }
+    let started = obs.then(Instant::now);
+    match format {
+        Format::Json => results::sparql_json_into(out, outcome),
+        Format::Tsv => results::sparql_tsv_into(out, outcome),
+    }
+    if let Some(started) = started {
+        let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let metrics = http_metrics();
+        metrics.serialize_us.observe(us);
+        metrics.bodies_serialized.inc();
+    }
+    if out.len() <= MAX_RETAINED_BODY_BYTES {
+        outcome.offer_wire_body(tag, out);
+    }
+    Response::ok(format.content_type())
 }
 
 fn metrics_endpoint(shared: &Shared, head: &RequestHead, out: &mut String) -> Response {
@@ -1089,6 +1157,112 @@ mod tests {
             "POST /metrics HTTP/1.1\r\nHost: t\r\n\r\n",
         );
         assert_eq!(status, 405);
+        http.shutdown();
+    }
+
+    #[test]
+    fn negotiate_skips_ranges_refused_with_q_zero() {
+        use Format::{Json, Tsv};
+        let cases = [
+            (
+                "application/sparql-results+json;q=0, text/tab-separated-values",
+                Some(Tsv),
+            ),
+            (
+                "application/sparql-results+json; q=0.0 , text/tab-separated-values",
+                Some(Tsv),
+            ),
+            ("application/json;Q=0.000,text/*", Some(Tsv)),
+            (
+                "text/tab-separated-values;charset=utf-8;q=0, */*",
+                Some(Json),
+            ),
+            // A non-zero q keeps the range and does not reorder.
+            (
+                "application/sparql-results+json;q=0.5, text/tab-separated-values",
+                Some(Json),
+            ),
+            (
+                "text/tab-separated-values;q=0.1, application/json;q=1",
+                Some(Tsv),
+            ),
+            // A malformed q does not parse to 0: the range stays.
+            (
+                "application/sparql-results+json;q=zero, text/tab-separated-values",
+                Some(Json),
+            ),
+            (
+                "application/sparql-results+json;q=, text/tab-separated-values",
+                Some(Json),
+            ),
+            (
+                "application/sparql-results+json;q, text/tab-separated-values",
+                Some(Json),
+            ),
+            // Everything supported refused: 406.
+            ("text/tab-separated-values;q=0", None),
+            ("application/xml, */*;q=0.0", None),
+        ];
+        for (accept, want) in cases {
+            assert_eq!(negotiate(Some(accept)), want, "{accept}");
+        }
+        assert_eq!(negotiate(None), Some(Json));
+    }
+
+    #[test]
+    fn an_error_after_a_memo_served_answer_carries_only_its_own_text() {
+        let _obs = amber_obs::force_enabled(true);
+        let memoized = || {
+            amber_obs::snapshot()
+                .counter_value("amber_http_result_bodies_total", &[("source", "memoized")])
+        };
+        let before = memoized();
+        let http = start_default();
+        let query = format!(
+            "POST /sparql HTTP/1.1\r\nHost: t\r\nContent-Type: application/sparql-query\r\nContent-Length: {}\r\n\r\n{EDGE}",
+            EDGE.len()
+        );
+        let garbage = "garbage\r\n\r\n";
+        let oversized = "POST /sparql HTTP/1.1\r\nHost: t\r\nContent-Length: 99999999\r\n\r\n";
+        let garbage_text = parse_request_head(garbage.as_bytes(), 8192)
+            .unwrap_err()
+            .to_string();
+        let mut expected_body = None;
+        for (refused, status, text) in [
+            (garbage, 400, garbage_text.as_str()),
+            (oversized, 413, "request body too large"),
+        ] {
+            let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            // Serialized, serialized and memoized, then sent from the memo
+            // (the memo outlives the connection: it is on the cached rows).
+            for _ in 0..3 {
+                stream.write_all(query.as_bytes()).unwrap();
+                let (got, _, body) = read_response(&mut stream);
+                assert_eq!(got, 200, "{body}");
+                assert_eq!(expected_body.get_or_insert_with(|| body.clone()), &body);
+            }
+            stream.write_all(refused.as_bytes()).unwrap();
+            let (got, headers, body) = read_response(&mut stream);
+            assert_eq!(got, status, "{body}");
+            assert_eq!(body, format!("{text}\n"));
+            assert_eq!(
+                header(&headers, "content-length"),
+                Some(body.len().to_string().as_str())
+            );
+            let mut rest = Vec::new();
+            stream.read_to_end(&mut rest).unwrap();
+            assert!(
+                rest.is_empty(),
+                "{} stray bytes after the refusal",
+                rest.len()
+            );
+        }
+        if amber::plan_cache_enabled() {
+            assert!(memoized() > before, "no answer was sent from a memo");
+        }
         http.shutdown();
     }
 

@@ -7,6 +7,13 @@
 //! bytes (the serving layer's `result_hit_copied_bytes == 0` pin extends
 //! through the wire format).
 //!
+//! They are also pure: they never read or set the body memo on those rows
+//! (the benchmark and the tests use them as the oracle for memo-served
+//! bodies). The connection thread does that around them: a repeat of a
+//! cached answer whose body the rows have memoized is neither copied nor
+//! re-serialized, but written to the socket from the memo
+//! ([`amber::QueryOutcome::wire_body`]).
+//!
 //! Bound terms arrive in the engine's dictionary surface form:
 //!
 //! * literals start with `"` and keep their N-Triples escaping, followed
@@ -620,5 +627,107 @@ mod tests {
             let rows: Vec<&[&str]> = rows.iter().map(Vec::as_slice).collect();
             assert_matches_reference(&outcome(&vars, &rows));
         }
+
+        #[test]
+        fn memoized_bodies_equal_the_serializers(
+            vars in prop::collection::vec(term(), 0..4),
+            rows in prop::collection::vec(prop::collection::vec(term(), 0..4), 0..5),
+        ) {
+            let vars: Vec<&str> = vars.iter().map(String::as_str).collect();
+            let rows: Vec<Vec<&str>> = rows
+                .iter()
+                .map(|row| row.iter().map(String::as_str).collect())
+                .collect();
+            let rows: Vec<&[&str]> = rows.iter().map(Vec::as_slice).collect();
+            assert_memo_matches_serializers(&outcome(&vars, &rows));
+        }
+    }
+
+    /// What the connection's answer path puts on the wire for `o`, and
+    /// whether it came from the memo on `o`'s rows.
+    fn served(o: &QueryOutcome, format: crate::Format) -> (String, bool) {
+        let (mut out, mut memo) = (String::new(), None);
+        crate::answer_body(o, format, &mut out, &mut memo);
+        match memo {
+            Some(body) => (body.to_string(), true),
+            None => (out, false),
+        }
+    }
+
+    /// JSON three times (serialized, serialized and memoized, memo), TSV
+    /// twice (serialized both times: the one slot is JSON's), then a twin
+    /// with renamed variables sharing the rows — every body equal to the
+    /// pure serializers of the outcome it answers.
+    fn assert_memo_matches_serializers(o: &QueryOutcome) {
+        // Keep the process-wide body counters to the socket tests.
+        let _off = amber_obs::force_enabled(false);
+        use crate::Format::{Json, Tsv};
+        let (json, tsv) = (sparql_json(o), sparql_tsv(o));
+        let sources: Vec<bool> = (0..3)
+            .map(|_| {
+                let (body, memo) = served(o, Json);
+                assert_eq!(body, json, "json of {o:?}");
+                memo
+            })
+            .collect();
+        assert_eq!(sources, [false, false, true]);
+        for _ in 0..2 {
+            assert_eq!(served(o, Tsv), (tsv.clone(), false), "tsv of {o:?}");
+        }
+        let twin = QueryOutcome {
+            variables: o.variables.iter().map(|v| format!("{v}_").into()).collect(),
+            ..o.clone()
+        };
+        assert!(twin.bindings.shares_rows(&o.bindings));
+        let (body, memo) = served(&twin, Json);
+        assert_eq!(body, sparql_json(&twin), "the twin's own header");
+        assert_eq!(memo, twin.variables == o.variables);
+        assert_eq!(
+            served(o, Json),
+            (json, true),
+            "the memo is still the original's"
+        );
+    }
+
+    #[test]
+    fn memoized_bodies_hold_every_term_kind_and_escape() {
+        for special in (0u8..0x20).chain([b'"', b'\\']) {
+            let special = special as char;
+            let raw = format!("a{special}é");
+            let stored = format!("a\\{special}é");
+            let terms = [
+                format!("http://x/{raw}"),
+                format!("_:{raw}"),
+                format!("\"{stored}\""),
+                format!("\"{stored}\"@{raw}"),
+                format!("\"{stored}\"^^<http://dt/{raw}>"),
+            ];
+            let row: Vec<&str> = terms.iter().map(String::as_str).collect();
+            let vars: Vec<String> = (0..row.len()).map(|i| format!("{raw}{i}")).collect();
+            let vars: Vec<&str> = vars.iter().map(String::as_str).collect();
+            assert_memo_matches_serializers(&outcome(&vars, &[&row, &row]));
+        }
+        assert_memo_matches_serializers(&outcome(&[], &[]));
+        assert_memo_matches_serializers(&outcome(&["x"], &[]));
+    }
+
+    #[test]
+    fn a_body_over_the_retention_ceiling_is_served_but_not_memoized() {
+        let _off = amber_obs::force_enabled(false);
+        let iri = format!("http://x/{}", "p".repeat(100));
+        let row = [iri.as_str()];
+        let rows = vec![&row[..]; 70_000];
+        let o = outcome(&["x"], &rows);
+        let json = sparql_json(&o);
+        assert!(
+            json.len() > crate::MAX_RETAINED_BODY_BYTES,
+            "{}",
+            json.len()
+        );
+        for _ in 0..3 {
+            let (body, memo) = served(&o, crate::Format::Json);
+            assert!(!memo && body == json, "{} bytes", body.len());
+        }
+        assert!(o.wire_body(crate::Format::Json as u8).is_none());
     }
 }

@@ -3,17 +3,25 @@
 //! spec-shaped SPARQL JSON and TSV bodies byte-identical to the in-process
 //! serializers over the same engine, observes backpressure as
 //! `503 + Retry-After`, scrapes `/metrics`, and the graceful drain pins
-//! the zero-copy counter at 0. Multi-megabyte bodies arrive whole, and the
+//! the zero-copy counter at 0. Multi-megabyte bodies arrive whole, the
 //! buffers a connection reuses between responses leak nothing from one
-//! into the next.
+//! into the next, and a repeat sent from its memoized body is the same
+//! bytes as a fresh serialization.
 
 use amber::{AmberEngine, QueryRequest};
 use amber_http::{results, HttpConfig, HttpServer};
 use amber_serve::{ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// The tests here that put `200` result bodies on the wire take turns:
+/// one of them reads the process-wide `amber_http_result_bodies_total`.
+fn wire_turn() -> MutexGuard<'static, ()> {
+    static WIRE: Mutex<()> = Mutex::new(());
+    WIRE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const DATA: &str = r#"
 <http://z/a> <http://z/follows> <http://z/b> .
@@ -88,6 +96,7 @@ fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
 
 #[test]
 fn http_round_trip_matches_the_embedded_engine() {
+    let _turn = wire_turn();
     let engine = Arc::new(AmberEngine::load_ntriples(DATA).unwrap());
     let http = HttpServer::start(
         Server::start(Arc::clone(&engine), ServeConfig::default()),
@@ -208,6 +217,7 @@ fn post_query(query: &str) -> String {
 
 #[test]
 fn large_bodies_arrive_whole_and_reused_buffers_carry_nothing_over() {
+    let _turn = wire_turn();
     // One hub with 300 `p` edges and 80 `q` edges: the two stars below
     // multiply out (bag semantics) to 24,000 and 90,000 rows.
     let mut data = String::new();
@@ -290,4 +300,70 @@ fn large_bodies_arrive_whole_and_reused_buffers_carry_nothing_over() {
         rest.len()
     );
     http.shutdown();
+}
+
+#[test]
+fn repeats_are_sent_from_the_memo_byte_for_byte() {
+    let _turn = wire_turn();
+    let _obs = amber_obs::force_enabled(true);
+    let engine = Arc::new(AmberEngine::load_ntriples(DATA).unwrap());
+    let reference = engine.run(&QueryRequest::sparql(QUERY)).unwrap();
+    let (json, tsv) = (
+        results::sparql_json(&reference),
+        results::sparql_tsv(&reference),
+    );
+    let http = HttpServer::start(
+        Server::start(Arc::clone(&engine), ServeConfig::default()),
+        HttpConfig::default(),
+    )
+    .unwrap();
+    let source = |source: &str| {
+        amber_obs::snapshot().counter_value("amber_http_result_bodies_total", &[("source", source)])
+    };
+    let before = (source("serialized"), source("memoized"));
+
+    let as_json = post_query(QUERY);
+    let as_tsv = as_json.replacen(
+        "Host: t\r\n",
+        "Host: t\r\nAccept: text/tab-separated-values\r\n",
+        1,
+    );
+    let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let exchanges = [
+        (&as_json, &json),
+        (&as_json, &json),
+        (&as_json, &json),
+        (&as_json, &json),
+        (&as_tsv, &tsv),
+        (&as_tsv, &tsv),
+        (&as_json, &json),
+    ];
+    for (i, (request, want)) in exchanges.into_iter().enumerate() {
+        let (status, headers, body) = exchange(&mut stream, request);
+        assert_eq!(status, 200, "exchange {i}: {body}");
+        assert_eq!(
+            header(&headers, "content-length"),
+            Some(want.len().to_string().as_str()),
+            "exchange {i}"
+        );
+        assert_eq!(&body, want, "exchange {i}");
+    }
+    let after = (source("serialized"), source("memoized"));
+    // JSON is serialized twice, then memoized: its third and fourth
+    // requests and the last one come from the memo. TSV is serialized both
+    // times, as the rows' one slot already holds JSON (first writer wins).
+    // Without a result cache every answer is a fresh one.
+    let expected = if amber::plan_cache_enabled() {
+        (4, 3)
+    } else {
+        (7, 0)
+    };
+    assert_eq!((after.0 - before.0, after.1 - before.1), expected);
+    drop(stream);
+    let report = http.shutdown();
+    assert_eq!(report.served_for("public"), 7);
+    assert_eq!(report.plan_stats.result_hit_copied_bytes, 0);
 }

@@ -14,10 +14,13 @@
 //! test's duration and (being a static mutex) serializes the tests in
 //! this binary against each other.
 
-use amber::{AmberEngine, ExecOptions, QueryStatus};
+use amber::{AmberEngine, ExecOptions, QueryRequest, QueryStatus};
 use amber_datagen::skewed::{self, SkewedConfig};
+use amber_http::{HttpConfig, HttpServer};
 use amber_obs::MetricsSnapshot;
 use amber_serve::{BreakerConfig, ServeConfig, ServeError, Server, SubmitOptions};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -337,6 +340,92 @@ fn shutdown_now_revocations_reach_the_registry() {
         3
     );
     assert_eq!(after.gauge_value("amber_serve_queue_depth", &[]), 0);
+}
+
+#[test]
+fn http_body_sources_and_the_memo_gauge_agree_with_the_wire() {
+    let _on = amber_obs::force_enabled(true);
+    let before = amber_obs::snapshot();
+    let engine = demo_engine();
+    let body = amber_http::sparql_json(&engine.run(&QueryRequest::sparql(CHAIN)).unwrap());
+    let http = HttpServer::start(
+        Server::start(Arc::clone(&engine), ServeConfig::default()),
+        HttpConfig::default(),
+    )
+    .unwrap();
+    // Three pipelined requests on one connection, the last one closing
+    // it: everything the server sends is what the client reads to EOF.
+    let request = |connection: &str| {
+        format!(
+            "POST /sparql HTTP/1.1\r\nHost: t\r\nConnection: {connection}\r\n\
+             Content-Type: application/sparql-query\r\nContent-Length: {}\r\n\r\n{CHAIN}",
+            CHAIN.len()
+        )
+    };
+    let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let requests = [
+        request("keep-alive"),
+        request("keep-alive"),
+        request("close"),
+    ];
+    stream.write_all(requests.concat().as_bytes()).unwrap();
+    let mut wire = String::new();
+    stream.read_to_string(&mut wire).unwrap();
+    assert_eq!(wire.matches(body.as_str()).count(), 3, "{wire}");
+
+    let mid = amber_obs::snapshot();
+    let source = |s: &str| {
+        delta(
+            &before,
+            &mid,
+            "amber_http_result_bodies_total",
+            &[("source", s)],
+        )
+    };
+    let (serialized, memoized) = (source("serialized"), source("memoized"));
+    assert_eq!(
+        serialized + memoized,
+        delta(
+            &before,
+            &mid,
+            "amber_http_responses_total",
+            &[("class", "2xx")]
+        ),
+        "one source per 200"
+    );
+    let serializations = |s: &MetricsSnapshot| {
+        s.histogram_value("amber_http_serialize_us", &[])
+            .map_or(0, |h| h.count)
+    };
+    assert_eq!(
+        serializations(&mid) - serializations(&before),
+        serialized,
+        "a memoized body is not a serialization"
+    );
+    assert_eq!(
+        delta(&before, &mid, "amber_http_response_bytes_total", &[]),
+        wire.len() as u64,
+        "memoized bodies count their own length"
+    );
+    // The second serialization memoized the body on the result-cache
+    // entry, which is still alive.
+    let memo = if amber::plan_cache_enabled() {
+        assert_eq!((serialized, memoized), (2, 1));
+        body.len() as i64
+    } else {
+        0
+    };
+    let gauge = |s: &MetricsSnapshot| s.gauge_value("amber_result_body_bytes", &[]);
+    assert_eq!(gauge(&mid) - gauge(&before), memo);
+    http.shutdown();
+    assert_eq!(
+        gauge(&amber_obs::snapshot()),
+        0,
+        "the memo is freed with the server's result caches"
+    );
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Batched-vs-one-shot latency tracker: replays repeated-workload query
 //! streams through `execute_batch` (one warm `QuerySession`: shared arenas +
-//! candidate cache) and through N sequential `execute_parsed` calls (fresh
+//! seed cache) and through N sequential `execute_parsed` calls (fresh
 //! state per query, the pre-session behaviour), and emits `BENCH_batch.json`
 //! with per-stream totals, the batch/sequential speedup ratio, cache hit
 //! rates and arena-reuse numbers — so the batching payoff is recorded
@@ -29,9 +29,8 @@ struct StreamResult {
     queries: usize,
     sequential_ms: f64,
     batch_ms: f64,
-    batch_nocache_ms: f64,
     /// Batch with the full PR-5 plan subsystem (plan + result caches) on
-    /// top of the candidate/seed caches.
+    /// top of the seed cache.
     batch_plan_ms: f64,
     /// Batch with only the prepared-plan cache (result cache off) —
     /// isolates plan-derivation reuse from whole-result reuse.
@@ -57,9 +56,6 @@ struct StreamResult {
     obs_speedup: f64,
     plan_hit_rate: f64,
     result_hit_rate: f64,
-    cache_hit_rate: f64,
-    cache_entries: usize,
-    cache_evictions: u64,
     seed_hit_rate: f64,
     seed_entries: usize,
     arena_peak_bytes: usize,
@@ -67,8 +63,8 @@ struct StreamResult {
 }
 
 /// The dense multi-edge synthetic graph of `bench_matcher` (parallel
-/// predicates between entity pairs) — the workload whose multi-type probes
-/// the candidate cache memoizes.
+/// predicates between entity pairs) — the workload whose probes take the
+/// multi-type spill path.
 fn multi_edge_graph() -> RdfGraph {
     let config = SyntheticConfig {
         entity_namespace: "http://bench/e/".into(),
@@ -110,7 +106,7 @@ fn top_parallel_pair(rdf: &RdfGraph) -> Option<(String, String)> {
 
 /// Handcrafted multi-type templates over the dense graph: every query
 /// carries at least one edge requiring BOTH of the most common parallel
-/// predicates, so its probes go down the (cacheable) spill path.
+/// predicates, so its probes go down the spill path.
 fn multi_type_queries(rdf: &RdfGraph) -> Vec<SelectQuery> {
     let (pa, pb) = top_parallel_pair(rdf).expect("dense graph has parallel multi-edges");
     let texts = [
@@ -154,9 +150,7 @@ fn run_stream(
     repeats: usize,
 ) -> StreamResult {
     let stream = repeat_stream(&distinct, repeats);
-    let options =
-        ExecOptions::benchmark(BUDGET).with_candidate_cache(ExecOptions::DEFAULT_CACHE_CAPACITY);
-    let options_nocache = ExecOptions::benchmark(BUDGET);
+    let options = ExecOptions::benchmark(BUDGET);
     let options_planonly = options
         .clone()
         .with_plan_cache(ExecOptions::DEFAULT_PLAN_CACHE_CAPACITY);
@@ -183,7 +177,6 @@ fn run_stream(
     // is noise on the same order as the effects being measured.
     let mut sequential_ms = f64::INFINITY;
     let mut batch_ms = f64::INFINITY;
-    let mut batch_nocache_ms = f64::INFINITY;
     let mut batch_plan_ms = f64::INFINITY;
     let mut batch_planonly_ms = f64::INFINITY;
     let mut governed_ms = f64::INFINITY;
@@ -208,13 +201,6 @@ fn run_stream(
         batch_ms = batch_ms.min(sw.elapsed_ms());
         assert_eq!(outcome.stats.errors, 0, "{name}: batch errored");
         batch = Some(outcome);
-
-        // Batched path with the caches disabled — isolates the arena-reuse
-        // share of the win from the memoization share.
-        let sw = Stopwatch::start();
-        let nocache = engine.execute_batch(&stream, &options_nocache);
-        batch_nocache_ms = batch_nocache_ms.min(sw.elapsed_ms());
-        assert_eq!(nocache.stats.errors, 0, "{name}: no-cache batch errored");
 
         // The PR-5 plan subsystem: prepared-plan cache alone, then plan +
         // verbatim-result caches (fresh session each round, warmed over
@@ -270,7 +256,6 @@ fn run_stream(
         queries: stream.len(),
         sequential_ms,
         batch_ms,
-        batch_nocache_ms,
         batch_plan_ms,
         batch_planonly_ms,
         speedup: sequential_ms / batch_ms,
@@ -283,9 +268,6 @@ fn run_stream(
         obs_speedup: obs_off_ms / obs_on_ms,
         plan_hit_rate: batch_plan.stats.plans.plans.hit_rate(),
         result_hit_rate: batch_plan.stats.plans.results.hit_rate(),
-        cache_hit_rate: batch.stats.cache.hit_rate(),
-        cache_entries: batch.stats.cache.entries,
-        cache_evictions: batch.stats.cache.evictions,
         seed_hit_rate: batch.stats.seeds.hit_rate(),
         seed_entries: batch.stats.seeds.entries,
         arena_peak_bytes: batch.stats.arena_peak_bytes,
@@ -335,14 +317,13 @@ fn main() {
         let _ = write!(
             json,
             "    {{\"name\": \"{}\", \"distinct\": {}, \"repeats\": {}, \"queries\": {}, \
-             \"sequential_ms\": {:.3}, \"batch_ms\": {:.3}, \"batch_nocache_ms\": {:.3}, \
+             \"sequential_ms\": {:.3}, \"batch_ms\": {:.3}, \
              \"batch_plan_ms\": {:.3}, \"batch_planonly_ms\": {:.3}, \
              \"governed_ms\": {:.3}, \"obs_on_ms\": {:.3}, \"obs_off_ms\": {:.3}, \
              \"speedup\": {:.3}, \"plan_speedup\": {:.3}, \"plan_only_speedup\": {:.3}, \
              \"governed_speedup\": {:.3}, \"obs_speedup\": {:.3}, \
              \"plan_hit_rate\": {:.4}, \"result_hit_rate\": {:.4}, \
-             \"cache_hit_rate\": {:.4}, \"cache_entries\": {}, \
-             \"cache_evictions\": {}, \"seed_hit_rate\": {:.4}, \"seed_entries\": {}, \
+             \"seed_hit_rate\": {:.4}, \"seed_entries\": {}, \
              \"arena_peak_bytes\": {}, \"arena_reused_bytes\": {}}}",
             r.name,
             r.distinct,
@@ -350,7 +331,6 @@ fn main() {
             r.queries,
             r.sequential_ms,
             r.batch_ms,
-            r.batch_nocache_ms,
             r.batch_plan_ms,
             r.batch_planonly_ms,
             r.governed_ms,
@@ -363,9 +343,6 @@ fn main() {
             r.obs_speedup,
             r.plan_hit_rate,
             r.result_hit_rate,
-            r.cache_hit_rate,
-            r.cache_entries,
-            r.cache_evictions,
             r.seed_hit_rate,
             r.seed_entries,
             r.arena_peak_bytes,

@@ -239,12 +239,7 @@ fn check_batch(checks: &mut Vec<Check>, baseline: &Json, fresh: &Json) {
         "streams",
         &["name"],
         |checks, key, base, new| {
-            for metric in [
-                "cache_hit_rate",
-                "seed_hit_rate",
-                "plan_hit_rate",
-                "result_hit_rate",
-            ] {
+            for metric in ["seed_hit_rate", "plan_hit_rate", "result_hit_rate"] {
                 check_metric(
                     checks,
                     "BENCH_batch.json",
@@ -315,16 +310,12 @@ fn check_serve(checks: &mut Vec<Check>, baseline: &Json, fresh: &Json) {
         "serving",
         &["name"],
         |checks, key, base, new| {
-            // Fairness and cache-sharing ratios: deterministic replays, so
-            // they only move when dispatch or cache behaviour changes.
+            // Fairness and cache ratios: deterministic replays, so they
+            // only move when dispatch or cache behaviour changes.
             // PR-9 overhead cell (the obs_overhead entry): telemetry
             // on-vs-off ratio, also hard-asserted ≥ 0.97 in-binary.
             check_overhead_ratio(checks, "BENCH_serve.json", key, "obs_speedup", base, new);
-            for metric in [
-                "light_service_headroom",
-                "shared_plan_hit_rate",
-                "result_hit_rate",
-            ] {
+            for metric in ["light_service_headroom", "result_hit_rate"] {
                 check_metric(
                     checks,
                     "BENCH_serve.json",
@@ -336,21 +327,18 @@ fn check_serve(checks: &mut Vec<Check>, baseline: &Json, fresh: &Json) {
                     true, // absent/zero in the concurrent_streams entry
                 );
             }
-            // Exact counters: served volume and the one-derivation-per-
-            // distinct-query pin (the zero-copy byte gauge is hard-asserted
-            // to 0 inside bench_serve itself).
-            for metric in ["requests", "shared_plan_misses"] {
-                check_metric(
-                    checks,
-                    "BENCH_serve.json",
-                    key,
-                    metric,
-                    base,
-                    new,
-                    Direction::Deterministic,
-                    false,
-                );
-            }
+            // Exact counter: served volume (the zero-copy byte gauge is
+            // hard-asserted to 0 inside bench_serve itself).
+            check_metric(
+                checks,
+                "BENCH_serve.json",
+                key,
+                "requests",
+                base,
+                new,
+                Direction::Deterministic,
+                false,
+            );
             // Request-lifecycle counters (the request_lifecycle entry):
             // exact deterministic replays — shed volume, breaker trips and
             // fast-fails, governor-driven degradation. Hardware-independent

@@ -1,4 +1,4 @@
-//! Serving-layer tracker: fairness, cross-tenant plan sharing, and the
+//! Serving-layer tracker: fairness, per-tenant result caching, and the
 //! zero-copy result-serving contract, emitting `BENCH_serve.json`.
 //!
 //! ## What is measured (and why these metrics)
@@ -12,9 +12,6 @@
 //!   FIFO regression would make light tenants wait for the heavy backlog
 //!   (headroom ≈ 0). Deterministic, hardware-independent, and gated both
 //!   in-binary and by `bench_check`.
-//! * **`shared_plan_misses` / `shared_plan_hit_rate`** — the engine-wide
-//!   plan store must pay one derivation per distinct query *across all
-//!   tenants*; misses are pinned exactly to the distinct-query count.
 //! * **`result_hit_copied_bytes`** — the runtime zero-copy gauge: bytes
 //!   deep-copied while serving result-cache hits, summed over every tenant
 //!   session. Hard-asserted to 0 — a future "defensive clone" regression
@@ -70,9 +67,8 @@ fn dense_graph(seed: u64) -> RdfGraph {
     RdfGraph::from_triples(&synthetic::generate(&config, seed))
 }
 
-/// The shared query set every tenant draws from (cross-tenant plan
-/// sharing needs shared shapes, like dashboards issuing the same canned
-/// queries).
+/// The query set every tenant draws from (repeat-heavy, like dashboards
+/// issuing the same canned queries).
 fn query_set(rdf: &Arc<RdfGraph>) -> Vec<SelectQuery> {
     let mut generator = WorkloadGenerator::new(rdf, 4242);
     let mut queries: Vec<SelectQuery> = generator
@@ -96,8 +92,6 @@ struct FairnessResult {
     requests: usize,
     distinct_queries: usize,
     light_service_headroom: f64,
-    shared_plan_hit_rate: f64,
-    shared_plan_misses: u64,
     result_hit_rate: f64,
     result_hit_copied_bytes: u64,
     rejected: u64,
@@ -157,14 +151,11 @@ fn run_fairness(queries: &[SelectQuery]) -> FairnessResult {
     let requests = HEAVY_REQUESTS + LIGHT_TENANTS * LIGHT_REQUESTS;
     assert_eq!(total, requests, "every admitted request was dispatched");
 
-    let shared = report.shared_plans;
     let result_stats = &report.plan_stats.results;
     FairnessResult {
         requests,
         distinct_queries: queries.len(),
         light_service_headroom,
-        shared_plan_hit_rate: shared.hit_rate(),
-        shared_plan_misses: shared.misses,
         result_hit_rate: result_stats.hits as f64 / requests as f64,
         result_hit_copied_bytes: report.plan_stats.result_hit_copied_bytes,
         rejected: report.rejected,
@@ -576,8 +567,7 @@ fn main() {
         "{{\n  \"benchmark\": \"serve\",\n  \"commit\": \"{}\",\n  \"unit\": \"ratios / bytes / ms\",\n  \
          \"note\": \"light_service_headroom = schedule fraction left after the last light-tenant \
          dispatch on a deterministic single-dispatcher replay (round-robin ~0.56, FIFO ~0.0); \
-         shared_plan_misses is pinned to the distinct-query count (one derivation serves every \
-         tenant); result_hit_copied_bytes is the runtime zero-copy gauge and must stay 0; \
+         result_hit_copied_bytes is the runtime zero-copy gauge and must stay 0; \
          request_lifecycle counts are exact deterministic replays (shed rate with zero engine \
          work, breaker trip/fast-fail, governor degradation); http_overhead round-trips the \
          same stream through one keep-alive loopback connection (served/inline-dispatch/copied-byte \
@@ -588,14 +578,11 @@ fn main() {
         json,
         "    {{\"name\": \"fair_dispatch\", \"tenants\": {}, \"requests\": {}, \
          \"distinct_queries\": {}, \"light_service_headroom\": {:.3}, \
-         \"shared_plan_hit_rate\": {:.3}, \"shared_plan_misses\": {}, \
          \"result_hit_rate\": {:.3}, \"result_hit_copied_bytes\": {}, \"rejected\": {}}},",
         1 + LIGHT_TENANTS,
         fairness.requests,
         fairness.distinct_queries,
         fairness.light_service_headroom,
-        fairness.shared_plan_hit_rate,
-        fairness.shared_plan_misses,
         fairness.result_hit_rate,
         fairness.result_hit_copied_bytes,
         fairness.rejected,
@@ -664,17 +651,11 @@ fn main() {
         concurrent.result_hit_copied_bytes, 0,
         "concurrent serving deep-copied cached rows"
     );
-    if amber::plan_cache_enabled() {
-        assert_eq!(
-            fairness.shared_plan_misses as usize, fairness.distinct_queries,
-            "cross-tenant plan sharing regressed: more derivations than distinct queries"
-        );
-        assert!(
-            fairness.result_hit_rate > 0.5,
-            "repeat-heavy serving should mostly hit the result cache: {:.3}",
-            fairness.result_hit_rate,
-        );
-    }
+    assert!(
+        fairness.result_hit_rate > 0.5,
+        "repeat-heavy serving should mostly hit the result cache: {:.3}",
+        fairness.result_hit_rate,
+    );
     // Request-lifecycle gates: exact replays, so exact assertions.
     assert_eq!(
         lifecycle.deadline_shed, 10,
@@ -728,12 +709,10 @@ fn main() {
         "one keep-alive connection never contends with itself: every request must run \
          to completion on its connection thread, none through the worker queue"
     );
-    if amber::plan_cache_enabled() {
-        assert!(
-            http.http_result_hits as usize >= http.requests / 2,
-            "a repeat-heavy HTTP stream should mostly hit the result cache: {} of {}",
-            http.http_result_hits,
-            http.requests,
-        );
-    }
+    assert!(
+        http.http_result_hits as usize >= http.requests / 2,
+        "a repeat-heavy HTTP stream should mostly hit the result cache: {} of {}",
+        http.http_result_hits,
+        http.requests,
+    );
 }

@@ -5,15 +5,12 @@ use crate::error::EngineError;
 use crate::governor::MemoryGovernor;
 use crate::matcher::{Abort, ComponentMatch, ComponentMatcher, MatchConfig};
 use crate::options::ExecOptions;
-use crate::plan::{
-    canonical_fingerprint, effective_plan_capacity, effective_result_capacity, PreparedPlan,
-    SharedPlanStats, SharedPlanStore,
-};
+use crate::plan::{canonical_fingerprint, PreparedPlan};
 use crate::result::{Bindings, QueryOutcome, QueryStatus, SparqlEngine};
 use crate::seeds::SeedCache;
 use crate::session::{BatchOutcome, BatchStats, QuerySession};
 use amber_index::IndexSet;
-use amber_multigraph::{GraphBuilder, QueryGraph, RdfGraph};
+use amber_multigraph::{GraphBuilder, RdfGraph};
 use amber_util::fault::payload_message;
 use amber_util::{Deadline, HeapSize, Stopwatch};
 use std::sync::Arc;
@@ -98,11 +95,6 @@ pub struct AmberEngine {
     offline: OfflineStats,
     /// Monotonic engine identity (see [`Self::graph_token`]).
     token: u64,
-    /// The engine-wide hash-consed plan store (L2 behind every session's
-    /// plan cache): one derivation per distinct canonical query, shared by
-    /// all sessions and one-shot executions. `Arc`-shared so serving
-    /// layers can snapshot stats without borrowing the engine.
-    plans: Arc<SharedPlanStore>,
 }
 
 /// Source of unique engine identities. A pointer-based token (e.g.
@@ -182,9 +174,6 @@ impl AmberEngine {
             rdf,
             index,
             token: ENGINE_TOKENS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            plans: Arc::new(SharedPlanStore::new(
-                ExecOptions::DEFAULT_PLAN_CACHE_CAPACITY,
-            )),
         }
     }
 
@@ -214,22 +203,14 @@ impl AmberEngine {
     /// seed candidates — everything execution needs besides scratch state.
     /// The plan is engine-bound (executing it elsewhere returns
     /// [`EngineError::StalePlan`]) and valid for this engine's lifetime
-    /// (the loaded data is immutable).
+    /// (the loaded data is immutable). Every call derives a fresh plan: a
+    /// prepared statement is held by its caller, who prepares it once.
     pub fn prepare(
         &self,
         query: &amber_sparql::SelectQuery,
     ) -> Result<Arc<PreparedPlan>, EngineError> {
         let (canonical, fingerprint) = canonical_fingerprint(query);
-        // Serve from the engine-wide store, but only a plan whose *source*
-        // spellings are the caller's own: `prepare` hands the plan itself
-        // to the user (headers, EXPLAIN names), so an alpha-equivalent
-        // plan with different spellings is rebuilt rather than reused.
-        if let Some(plan) = self.plans.lookup(fingerprint, &canonical, self.token) {
-            if plan.source_spellings_match(query) {
-                return Ok(plan);
-            }
-        }
-        let built = Arc::new(PreparedPlan::from_canonical(
+        Ok(Arc::new(PreparedPlan::from_canonical(
             canonical,
             fingerprint,
             query,
@@ -237,9 +218,7 @@ impl AmberEngine {
             &self.index,
             self.token,
             &mut SeedCache::disabled(),
-        )?);
-        self.plans.insert(Arc::clone(&built));
-        Ok(built)
+        )?))
     }
 
     /// Parse SPARQL text and [`prepare`](Self::prepare) it.
@@ -297,17 +276,11 @@ impl AmberEngine {
         Ok((outcome, text))
     }
 
-    /// Plan-cache lookup-or-build with the canonicalization already done.
-    /// `use_cache` additionally honors the *per-call* capacity knob: a
-    /// call passing `plan_cache_capacity == 0` opts out of the session's
-    /// cache **and** the engine-wide store for that execution (the session
-    /// cache itself is sized once, at session creation).
-    ///
-    /// Cache layering: the session [`PlanCache`](crate::PlanCache) is the
-    /// lock-free L1; the engine's [`SharedPlanStore`] is the mutex-guarded
-    /// L2 every session falls back to, so a plan derived by one tenant is
-    /// a lookup (never a re-derivation) for all others. An L2 hit is
-    /// hash-consed into L1 so the session never locks for that plan again.
+    /// Session plan-cache lookup, else build (and store when cached), with
+    /// the canonicalization already done. `use_cache` honors the *per-call*
+    /// capacity knob: a call passing `plan_cache_capacity == 0` opts out of
+    /// the session's cache for that execution (the cache itself is sized
+    /// once, at session creation).
     fn resolve_plan(
         &self,
         source: &amber_sparql::SelectQuery,
@@ -316,40 +289,16 @@ impl AmberEngine {
         use_cache: bool,
         session: &mut QuerySession,
     ) -> Result<Arc<PreparedPlan>, EngineError> {
-        let token = self.token;
         let (plans, seeds) = session.plan_and_seed_caches();
-        if !use_cache {
-            // Per-call opt-out: bypass both layers.
-            plans.note_bypass();
-            let plan = Arc::new(PreparedPlan::from_canonical(
-                canonical,
-                fingerprint,
-                source,
-                &self.rdf,
-                &self.index,
-                token,
-                seeds,
-            )?);
-            session.recorder_mut().note_cache("plan:bypass");
-            return Ok(plan);
-        }
-        if plans.is_enabled() {
-            if let Some(plan) = plans.lookup(fingerprint, &canonical, token) {
+        let cached = use_cache && plans.is_enabled();
+        if cached {
+            if let Some(plan) = plans.lookup(fingerprint, &canonical, self.token) {
                 session.recorder_mut().note_cache("plan:hit");
                 return Ok(plan);
             }
             plans.note_miss();
         } else {
-            // No session cache (transient one-shot sessions): the shared
-            // store still deduplicates derivations across calls.
             plans.note_bypass();
-        }
-        if let Some(plan) = self.plans.lookup(fingerprint, &canonical, token) {
-            if plans.is_enabled() {
-                plans.insert(Arc::clone(&plan));
-            }
-            session.recorder_mut().note_cache("plan:l2-hit");
-            return Ok(plan);
         }
         let built = Arc::new(PreparedPlan::from_canonical(
             canonical,
@@ -357,49 +306,39 @@ impl AmberEngine {
             source,
             &self.rdf,
             &self.index,
-            token,
+            self.token,
             seeds,
         )?);
-        if plans.is_enabled() {
+        if cached {
             plans.insert(Arc::clone(&built));
         }
-        self.plans.insert(Arc::clone(&built));
-        session.recorder_mut().note_cache("plan:build");
+        session
+            .recorder_mut()
+            .note_cache(if cached { "plan:build" } else { "plan:bypass" });
         Ok(built)
     }
 
-    /// A reusable [`QuerySession`] sized from `options` (the candidate-,
-    /// plan-, and result-cache knobs). Feed it to
+    /// A reusable [`QuerySession`]: plan and result caches sized from
+    /// `options`, a seed cache of
+    /// [`QuerySession::SEED_CACHE_CAPACITY`]. Feed it to
     /// [`Self::execute_in_session`] / [`Self::execute_batch_in_session`] to
-    /// amortize arenas, probe results, and prepared plans across many
+    /// amortize arenas, seed probes, and prepared plans across many
     /// queries.
     pub fn create_session(&self, options: &ExecOptions) -> QuerySession {
-        let mut session = QuerySession::new(options.candidate_cache_capacity).with_plan_caches(
-            effective_plan_capacity(options),
-            effective_result_capacity(options),
-        );
+        let mut session = QuerySession::new(QuerySession::SEED_CACHE_CAPACITY)
+            .with_plan_caches(options.plan_cache_capacity, options.result_cache_capacity);
         session.bind_graph(self.graph_token());
         session
     }
 
-    /// A single-query scratch session: arenas and the candidate cache are
-    /// sized from `options`, but the session-level plan and result caches
-    /// stay **disabled** — a one-shot execution would only cold-miss and
-    /// store into structures dropped microseconds later. Plan reuse still
-    /// happens through the engine-wide [`SharedPlanStore`] inside
-    /// [`Self::resolve_plan`]; this is what makes `execute_parsed` /
-    /// `execute_prepared` cheap per call instead of building three caches
-    /// each time.
-    pub(crate) fn transient_session(&self, options: &ExecOptions) -> QuerySession {
-        let mut session = QuerySession::new(options.candidate_cache_capacity);
+    /// A single-query scratch session: fresh arenas and **no** caches — a
+    /// one-shot execution would only cold-miss and store into structures
+    /// dropped microseconds later. This is what keeps `execute_parsed` /
+    /// `execute_prepared` cheap per call.
+    pub(crate) fn transient_session(&self) -> QuerySession {
+        let mut session = QuerySession::new(0);
         session.bind_graph(self.graph_token());
         session
-    }
-
-    /// Counters of the engine-wide shared plan store (hit rate = fraction
-    /// of derivations avoided across all sessions).
-    pub fn shared_plan_stats(&self) -> SharedPlanStats {
-        self.plans.stats()
     }
 
     /// Identity of this engine (and thus the graph + indexes sessions cache
@@ -408,7 +347,7 @@ impl AmberEngine {
     /// Conservatively distinct even for two engines sharing one graph (a
     /// rebind then clears a cache that would have stayed valid — correct,
     /// just cold).
-    fn graph_token(&self) -> u64 {
+    pub(crate) fn graph_token(&self) -> u64 {
         self.token
     }
 
@@ -444,8 +383,8 @@ impl AmberEngine {
 
     /// Execute a parsed query against a long-lived session: the matcher
     /// borrows the session's scratch arenas (grown high-water-mark style,
-    /// never shrunk) and its candidate cache (probe results memoized across
-    /// components and queries); when the session's plan/result caches are
+    /// never shrunk) and plan construction its seed cache; when the
+    /// session's plan/result caches are
     /// enabled (see [`ExecOptions::with_plan_cache`] and
     /// [`ExecOptions::with_result_cache`]), repeated queries reuse their
     /// prepared plan — or their whole completed outcome — instead of
@@ -499,44 +438,6 @@ impl AmberEngine {
         session: &mut QuerySession,
         sw: &Stopwatch,
     ) -> Result<QueryOutcome, EngineError> {
-        // Both caches off for this call: skip canonicalization and the
-        // PreparedPlan wrapper entirely — build the query graph from the
-        // source and run it, exactly the pre-PR-5 hot path (still the
-        // default for one-shot `execute` calls).
-        if effective_plan_capacity(options) == 0 && effective_result_capacity(options) == 0 {
-            let prep_sw = session.recorder_mut().is_recording().then(Stopwatch::start);
-            let (plans, seeds) = session.plan_and_seed_caches();
-            plans.note_bypass();
-            let qg = QueryGraph::build(query, &self.rdf)?;
-            let variables: Vec<Box<str>> = qg.output_vars().to_vec();
-            let statically_empty =
-                qg.is_unsatisfiable() || !crate::plan::ground_checks_pass(&qg, self.rdf.graph());
-            let components: Vec<crate::matcher::ComponentPrep> = if statically_empty {
-                Vec::new()
-            } else {
-                qg.connected_components()
-                    .iter()
-                    .map(|c| {
-                        crate::matcher::ComponentPrep::build(
-                            &qg,
-                            self.rdf.graph(),
-                            &self.index,
-                            c,
-                            seeds,
-                        )
-                    })
-                    .collect()
-            };
-            session.result_cache_mut().note_bypass();
-            if let Some(s) = prep_sw {
-                let recorder = session.recorder_mut();
-                recorder.span("prepare", 0, s.elapsed());
-                recorder.note_cache("plan:bypass");
-                recorder.note_cache("result:bypass");
-            }
-            return self.run_components(&qg, &components, variables, options, session, sw);
-        }
-
         let tracing = session.recorder_mut().is_recording();
         let canon_sw = tracing.then(Stopwatch::start);
         let (canonical, fingerprint) = canonical_fingerprint(query);
@@ -544,7 +445,7 @@ impl AmberEngine {
             session.recorder_mut().span("canonicalize", 0, s.elapsed());
             session.recorder_mut().set_fingerprint(fingerprint);
         }
-        let use_plan_cache = effective_plan_capacity(options) > 0;
+        let use_plan_cache = options.plan_cache_capacity > 0;
         let plan_sw = tracing.then(Stopwatch::start);
         let plan = self.resolve_plan(query, canonical, fingerprint, use_plan_cache, session)?;
         if let Some(s) = plan_sw {
@@ -571,7 +472,7 @@ impl AmberEngine {
         sw: &Stopwatch,
     ) -> Result<QueryOutcome, EngineError> {
         let results_enabled =
-            effective_result_capacity(options) > 0 && session.result_cache_mut().is_enabled();
+            options.result_cache_capacity > 0 && session.result_cache_mut().is_enabled();
         if results_enabled {
             if let Some(cached) = session.result_cache_mut().lookup(plan, options) {
                 // Zero-copy serve: the outcome's rows are the cached `Arc`
@@ -688,7 +589,8 @@ impl AmberEngine {
 
     /// The online stage proper: run a prepared plan's component searches
     /// and assemble the outcome. Consumes only `&PreparedPlan` — nothing
-    /// about the query is re-derived here.
+    /// about the query is re-derived here (an empty component list means
+    /// the answer was proven empty at prepare time).
     fn run_plan(
         &self,
         plan: &PreparedPlan,
@@ -697,28 +599,7 @@ impl AmberEngine {
         session: &mut QuerySession,
         sw: &Stopwatch,
     ) -> Result<QueryOutcome, EngineError> {
-        self.run_components(
-            plan.query_graph(),
-            plan.components(),
-            variables,
-            options,
-            session,
-            sw,
-        )
-    }
-
-    /// Run prepared component searches over `qg` and assemble the outcome
-    /// (an empty component list means the answer was proven empty at
-    /// prepare time).
-    fn run_components(
-        &self,
-        qg: &QueryGraph,
-        components: &[crate::matcher::ComponentPrep],
-        variables: Vec<Box<str>>,
-        options: &ExecOptions,
-        session: &mut QuerySession,
-        sw: &Stopwatch,
-    ) -> Result<QueryOutcome, EngineError> {
+        let (qg, components) = (plan.query_graph(), plan.components());
         if components.is_empty() {
             return Ok(QueryOutcome::empty(variables, sw.elapsed()));
         }
@@ -750,13 +631,12 @@ impl AmberEngine {
             let span_sw = exec_sw.as_ref().map(|_| Stopwatch::start());
             // A panic inside the search (the chaos harness injects them; a
             // genuine matcher bug would look the same) is quarantined to
-            // this query. Arena/cache state abandoned mid-panic is only
-            // scratch memory: every later run re-`prepare`s and rewrites
-            // it, so resuming with the same session after the error is
-            // sound.
-            let (arenas, cache) = session.search_state();
+            // this query. Arena state abandoned mid-panic is only scratch
+            // memory: every later run re-`prepare`s and rewrites it, so
+            // resuming with the same session after the error is sound.
+            let arenas = session.search_state();
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                matcher.run_on_with(matcher.initial_candidates(), &config, arenas, cache)
+                matcher.run_on_with(matcher.initial_candidates(), &config, arenas)
             }));
             let result = match run {
                 Ok(result) => result,
@@ -784,7 +664,7 @@ impl AmberEngine {
         }
 
         // Apply the governor's ladder to the session after the searches:
-        // probe caches are shed here (they survive the query otherwise),
+        // the seed cache is shed here (it survives the query otherwise),
         // result-cache shedding is flagged for the store site, and the
         // steps feed the robustness statistics.
         if let Some(governor) = &governor {
@@ -844,10 +724,10 @@ impl AmberEngine {
     }
 
     /// Execute many parsed queries against one fresh session (the batch
-    /// online stage): scratch arenas and the candidate cache are shared
+    /// online stage): scratch arenas and the session caches are shared
     /// across all queries of the batch, so repeated-workload streams stop
     /// paying per-query warm-up. Returns per-query outcomes in submission
-    /// order plus aggregate statistics (cache hit rate, arena reuse).
+    /// order plus aggregate statistics (cache hit rates, arena reuse).
     ///
     /// *Deprecated in favor of the unified entry point* —
     /// [`Self::run_all`] over `QueryRequest::parsed` values is equivalent
@@ -960,10 +840,7 @@ impl AmberEngine {
         ) -> Result<QueryOutcome, EngineError>,
     ) -> BatchOutcome {
         let sw = Stopwatch::start();
-        let cache_before = {
-            session.bind_graph(self.graph_token());
-            session.cache_stats()
-        };
+        session.bind_graph(self.graph_token());
         let seeds_before = session.seed_stats();
         let plans_before = session.plan_stats();
         let search_before = session.search_stats();
@@ -986,7 +863,6 @@ impl AmberEngine {
             }
             outcomes.push(outcome);
         }
-        stats.cache = session.cache_stats().since(&cache_before);
         stats.seeds = session.seed_stats().since(&seeds_before);
         stats.plans = session.plan_stats().since(&plans_before);
         stats.search = session.search_stats().since(&search_before);
@@ -1186,8 +1062,7 @@ mod tests {
         // Duplicates on purpose: the session must not leak state between
         // repeats of the same query.
         let queries = vec![q1.clone(), q2.clone(), q1.clone(), q2, q1];
-        for capacity in [0, 1024] {
-            let options = ExecOptions::default().with_candidate_cache(capacity);
+        for options in [ExecOptions::default(), ExecOptions::batch()] {
             let batch = engine.execute_batch(&queries, &options);
             assert_eq!(batch.outcomes.len(), queries.len());
             assert_eq!(batch.stats.completed, queries.len());
@@ -1218,7 +1093,7 @@ mod tests {
         // Arenas were warm for every query after the first.
         assert!(batch.stats.arena_peak_bytes > 0);
         assert!(batch.stats.arena_reused_bytes > 0);
-        let rate = batch.stats.cache.hit_rate();
+        let rate = batch.stats.seeds.hit_rate();
         assert!((0.0..=1.0).contains(&rate), "hit rate {rate} out of range");
         assert!(batch.stats.to_string().contains("6 queries"));
     }
@@ -1305,9 +1180,6 @@ mod tests {
 
     #[test]
     fn plan_cache_hits_on_alpha_equivalent_repeats() {
-        if !crate::plan::plan_cache_enabled() {
-            return; // AMBER_PLAN_CACHE=off lane: the subsystem under test is pinned off
-        }
         let engine = engine();
         let q1 = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let renamed = paper_query_text().replace("?X", "?Renamed");
@@ -1327,9 +1199,6 @@ mod tests {
 
     #[test]
     fn result_cache_serves_verbatim_repeats() {
-        if !crate::plan::plan_cache_enabled() {
-            return; // AMBER_PLAN_CACHE=off lane: the subsystem under test is pinned off
-        }
         let engine = engine();
         let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let options = ExecOptions::batch();
@@ -1353,9 +1222,6 @@ mod tests {
 
     #[test]
     fn timed_out_result_is_never_served_to_a_repeat() {
-        if !crate::plan::plan_cache_enabled() {
-            return; // AMBER_PLAN_CACHE=off lane: the subsystem under test is pinned off
-        }
         // Regression guard for the cache-poisoning bug class: a
         // deadline-expired (partial) outcome must be *bypassed*, so an
         // uncapped repeat of the same query recomputes and gets the full
@@ -1414,9 +1280,6 @@ mod tests {
 
     #[test]
     fn per_call_zero_capacity_opts_out_of_warm_session_caches() {
-        if !crate::plan::plan_cache_enabled() {
-            return; // AMBER_PLAN_CACHE=off lane: the subsystem under test is pinned off
-        }
         let engine = engine();
         let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let options = ExecOptions::batch();
@@ -1449,9 +1312,6 @@ mod tests {
 
     #[test]
     fn result_cache_hits_share_rows_without_copying() {
-        if !crate::plan::plan_cache_enabled() {
-            return; // AMBER_PLAN_CACHE=off lane: the subsystem under test is pinned off
-        }
         let engine = engine();
         let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let options = ExecOptions::batch();
@@ -1483,45 +1343,11 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_executions_share_plans_through_the_engine_store() {
-        if !crate::plan::plan_cache_enabled() {
-            return; // AMBER_PLAN_CACHE=off lane: the subsystem under test is pinned off
-        }
-        // The per-session re-derivation bugfix, pinned on the one-shot
-        // path: two `execute_parsed` calls (each a fresh transient
-        // session) must derive the plan once and share it through the
-        // engine-wide store.
-        let engine = engine();
-        let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
-        let options = ExecOptions::batch();
-        let a = engine.execute_parsed(&q, &options).unwrap();
-        let b = engine.execute_parsed(&q, &options).unwrap();
-        assert_eq!(a.embedding_count, b.embedding_count);
-        let stats = engine.shared_plan_stats();
-        assert_eq!(stats.misses, 1, "exactly one derivation: {stats:?}");
-        assert!(
-            stats.hits >= 1,
-            "the repeat is a shared-store hit: {stats:?}"
-        );
-        assert_eq!(stats.entries, 1);
-
-        // Fresh *sessions* share through the store too (the cross-tenant
-        // serving case): a new session's first execution is an L2 hit.
-        let mut session = engine.create_session(&options);
-        engine
-            .execute_in_session(&q, &options, &mut session)
-            .unwrap();
-        let after = engine.shared_plan_stats();
-        assert_eq!(after.misses, 1, "still exactly one derivation: {after:?}");
-        assert!(after.hits >= 2);
-    }
-
-    #[test]
     fn transient_sessions_skip_the_per_call_cache_build() {
         // The `execute_prepared` / `execute_parsed` fix: one-shot sessions
         // must not carry plan/result caches that die with the call.
         let engine = engine();
-        let mut transient = engine.transient_session(&ExecOptions::batch());
+        let mut transient = engine.transient_session();
         let (plans, _) = transient.plan_and_seed_caches();
         assert!(
             !plans.is_enabled(),
@@ -1540,24 +1366,16 @@ mod tests {
     }
 
     #[test]
-    fn prepare_shares_derivations_but_keeps_caller_spellings() {
-        if !crate::plan::plan_cache_enabled() {
-            return; // AMBER_PLAN_CACHE=off lane: the subsystem under test is pinned off
-        }
+    fn prepare_keeps_caller_spellings() {
         let engine = engine();
-        let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
-        let p1 = engine.prepare(&q).unwrap();
-        let p2 = engine.prepare(&q).unwrap();
-        assert!(
-            Arc::ptr_eq(&p1, &p2),
-            "verbatim re-prepare returns the hash-consed plan"
-        );
-        // An alpha-equivalent spelling must get its *own* headers back,
-        // never the first caller's.
+        let p1 = engine.prepare_sparql(&paper_query_text()).unwrap();
+        // An alpha-equivalent spelling shares the canonical form but gets
+        // its *own* headers back, never the first caller's.
         let renamed = paper_query_text().replace("?X", "?Other");
-        let p3 = engine.prepare_sparql(&renamed).unwrap();
-        assert!(!Arc::ptr_eq(&p1, &p3));
-        assert!(p3.variables()[0].contains("Other"));
+        let p2 = engine.prepare_sparql(&renamed).unwrap();
+        assert_eq!(p1.fingerprint(), p2.fingerprint());
+        assert!(p1.variables()[0].contains('X'));
+        assert!(p2.variables()[0].contains("Other"));
     }
 
     #[test]

@@ -33,11 +33,6 @@ pub struct ComponentPlan {
     /// The seed vertex's multi-type edges to other variables: a seed
     /// candidate owns each on a single neighbour.
     pub seed_multi_edges: Vec<(Direction, Vec<EdgeTypeId>)>,
-    /// Plan probes the session candidate cache can memoize (multi-type and
-    /// unconstrained probes; single-type probes borrow from the index pool
-    /// and bypass the cache). `0` means a candidate cache cannot help this
-    /// component.
-    pub cacheable_probes: usize,
     /// Per-variable constraint summary: `(name, attrs, iri constraints,
     /// constrained-candidate count if any)`.
     pub vertex_constraints: Vec<VertexConstraintSummary>,
@@ -137,7 +132,6 @@ impl QueryPlan {
                     initial_candidates: matcher.initial_candidates().len(),
                     seed_lists: matcher.seed_lists().to_vec(),
                     seed_multi_edges: seed_multi_edges(qg, matcher.core_order()[0]),
-                    cacheable_probes: matcher.cacheable_probe_count(),
                     vertex_constraints,
                 }
             })
@@ -210,7 +204,6 @@ impl QueryPlan {
                     initial_candidates: prep.initial_candidates().len(),
                     seed_lists: prep.seed_lists().to_vec(),
                     seed_multi_edges: seed_multi_edges(qg, prep.core_order()[0]),
-                    cacheable_probes: prep.cacheable_probe_count(),
                     vertex_constraints,
                 }
             })
@@ -297,12 +290,6 @@ impl Explain {
                 plan.data_vertices,
                 seed_derivation(component)
             ));
-            if component.cacheable_probes > 0 {
-                self.out.push_str(&format!(
-                    "  cacheable probes: {} (candidate cache applies)\n",
-                    component.cacheable_probes
-                ));
-            }
             for (core, sats) in component.core_order.iter().zip(&component.satellites) {
                 if !sats.is_empty() {
                     self.out
@@ -462,7 +449,6 @@ mod tests {
         assert_eq!(a.seed_lists, b.seed_lists);
         assert_eq!(a.seed_multi_edges, b.seed_multi_edges);
         assert_eq!(plan.data_vertices, legacy.data_vertices);
-        assert_eq!(a.cacheable_probes, b.cacheable_probes);
         let text = plan.to_string();
         assert!(text.contains("plan fingerprint: 0x"));
     }

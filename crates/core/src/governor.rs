@@ -3,15 +3,16 @@
 //!
 //! [`ExecOptions::memory_budget`](crate::ExecOptions::memory_budget) arms a
 //! [`MemoryGovernor`] for the query. The search charges its state
-//! growth (arena bytes, materialized solutions, probe-cache payloads) at
+//! growth (arena bytes, materialized solutions) at
 //! the matcher's cooperative checkpoints; the governor compares the running
 //! total against the budget and walks a **degradation ladder** instead of
 //! failing outright:
 //!
 //! 1. [`Pressure::ShedResults`] (≥ 50% of budget) — the session's
 //!    verbatim-result cache is cleared and stops storing.
-//! 2. [`Pressure::ShedProbeCaches`] (≥ 65%) — candidate and seed caches
-//!    are cleared (recomputation over retention).
+//! 2. [`Pressure::ShedProbeCaches`] (≥ 65%) — the session's seed cache
+//!    (`ProcessVertex` probe results) is cleared too (recomputation over
+//!    retention).
 //! 3. [`Pressure::Abort`] (≥ 100%) — the query returns a partial outcome
 //!    with [`QueryStatus::BudgetExceeded`](crate::QueryStatus::BudgetExceeded).
 //!
@@ -31,7 +32,7 @@ pub enum Pressure {
     None = 0,
     /// Shed the verbatim-result cache.
     ShedResults = 1,
-    /// Shed the candidate/seed probe caches too.
+    /// Shed the seed (probe) cache too.
     ShedProbeCaches = 2,
     /// Budget exhausted: abort with a partial outcome.
     Abort = 3,
@@ -135,7 +136,7 @@ impl MemoryGovernor {
         self.pressure() >= Pressure::ShedResults
     }
 
-    /// Has the ladder reached "shed the probe caches"?
+    /// Has the ladder reached "shed the seed cache"?
     pub fn shed_probe_caches(&self) -> bool {
         self.pressure() >= Pressure::ShedProbeCaches
     }

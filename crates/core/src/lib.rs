@@ -49,19 +49,15 @@ pub mod seeds;
 pub mod session;
 pub(crate) mod telemetry;
 
-pub use candidates::{CacheStats, CandidateCache};
 pub use engine::{AmberEngine, OfflineStats};
 pub use error::{EngineError, Error};
 pub use explain::{Explain, QueryPlan};
 pub use governor::{MemoryGovernor, Pressure};
 pub use options::ExecOptions;
-pub use plan::{
-    plan_cache_enabled, PlanCache, PlanCacheStats, PreparedPlan, ResultCache, SharedPlanStats,
-    SharedPlanStore,
-};
+pub use plan::{PlanCache, PlanCacheStats, PreparedPlan, ResultCache};
 pub use request::{QueryRequest, QuerySource};
 pub use result::{BindingRow, Bindings, QueryOutcome, QueryStatus, SparqlEngine};
-pub use seeds::SeedCache;
+pub use seeds::{CacheStats, SeedCache};
 pub use session::{BatchOutcome, BatchStats, QuerySession, SearchStats};
 
 pub use amber_util::CancelToken;

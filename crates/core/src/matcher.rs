@@ -47,16 +47,15 @@
 //!
 //! Since the batch-execution PR the matcher no longer *owns* its scratch
 //! memory: [`SearchArenas`] (the assignment slots plus the per-depth
-//! [`DepthScratch`] arenas) and the
-//! [`CandidateCache`](crate::candidates::CandidateCache) probe memo live in a
+//! [`DepthScratch`] arenas) live in a
 //! [`QuerySession`](crate::session::QuerySession) and are lent to
 //! [`ComponentMatcher::run_on_with`] for the duration of one component run.
 //! Arenas grow high-water-mark style and are never shrunk, so a session that
 //! executes many queries stops allocating once the largest query shape has
 //! been seen. [`ComponentMatcher::run_on`] remains the self-contained entry
-//! point (fresh arenas, pass-through cache) for one-shot callers.
+//! point (fresh arenas) for one-shot callers.
 
-use crate::candidates::{process_vertex_seeded, satisfies_self_loop, CandidateCache, Constraint};
+use crate::candidates::{process_vertex_seeded, satisfies_self_loop, Constraint};
 use crate::decompose::Decomposition;
 use crate::governor::MemoryGovernor;
 use crate::ordering::order_core_vertices;
@@ -263,27 +262,6 @@ impl ComponentPrep {
     /// fallback seeded the component (initial vertex without a typed edge).
     pub fn seed_lists(&self) -> &[SeedList] {
         &self.seed_lists
-    }
-
-    /// Plan probes the session candidate cache can memoize (see
-    /// [`ComponentMatcher::cacheable_probe_count`]).
-    pub fn cacheable_probe_count(&self) -> usize {
-        let cacheable = |len: usize| len != 1 && len <= crate::candidates::MAX_CACHED_TYPES;
-        self.plans
-            .iter()
-            .map(|plan| {
-                plan.probes
-                    .iter()
-                    .filter(|p| cacheable(p.types.len()))
-                    .count()
-                    + plan
-                        .satellites
-                        .iter()
-                        .flat_map(|s| &s.probes)
-                        .filter(|(_, types)| cacheable(types.len()))
-                        .count()
-            })
-            .sum()
     }
 
     /// The constraint computed for a core/satellite vertex of this
@@ -624,42 +602,27 @@ impl<'a> ComponentMatcher<'a> {
         &self.prep().seed_lists
     }
 
-    /// Number of plan probes that are *cacheable* by the session candidate
-    /// cache: multi-type and unconstrained probes up to the cache's
-    /// keyable size ([`crate::candidates::MAX_CACHED_TYPES`]); single-type
-    /// probes borrow from the index pool and bypass it, oversized type-sets
-    /// bypass too. Surfaced by `EXPLAIN` so "will a candidate cache help
-    /// this query?" is answerable before running it.
-    pub fn cacheable_probe_count(&self) -> usize {
-        self.prep().cacheable_probe_count()
-    }
-
     /// Run the full search over all initial candidates.
     pub fn run(&self, config: &MatchConfig<'_>) -> ComponentMatch {
         self.run_on(&self.prep().initial, config)
     }
 
     /// Run the search over a slice of initial candidates with self-contained
-    /// state: fresh arenas, pass-through cache. One-shot callers and tests
-    /// use this; the session path goes through [`Self::run_on_with`].
+    /// state: fresh arenas. One-shot callers and tests use this; the session
+    /// path goes through [`Self::run_on_with`].
     pub fn run_on(&self, initial: &[VertexId], config: &MatchConfig<'_>) -> ComponentMatch {
-        let mut arenas = SearchArenas::new();
-        let mut cache = CandidateCache::disabled();
-        self.run_on_with(initial, config, &mut arenas, &mut cache)
+        self.run_on_with(initial, config, &mut SearchArenas::new())
     }
 
     /// Run the search over a slice of initial candidates against *borrowed*
     /// session state.
     ///
-    /// `arenas` is prepared (grown, never shrunk) for this component's plan;
-    /// `cache` memoizes spill-path OTIL probes and may be shared across
-    /// components and queries of one session.
+    /// `arenas` is prepared (grown, never shrunk) for this component's plan.
     pub fn run_on_with(
         &self,
         initial: &[VertexId],
         config: &MatchConfig<'_>,
         arenas: &mut SearchArenas,
-        cache: &mut CandidateCache,
     ) -> ComponentMatch {
         arenas.prepare(&self.prep().plans);
         let governor_reported = if config.governor.is_some() {
@@ -672,7 +635,6 @@ impl<'a> ComponentMatcher<'a> {
         };
         let mut state = SearchState {
             arenas,
-            cache,
             result: ComponentMatch::default(),
             config,
             governor_reported,
@@ -710,14 +672,13 @@ impl<'a> ComponentMatcher<'a> {
     fn resolve_satellites(&self, pos: usize, v: VertexId, state: &mut SearchState<'_, '_>) -> bool {
         let plan = &self.prep().plans[pos];
         for (k, sat) in plan.satellites.iter().enumerate() {
-            let SearchState { arenas, cache, .. } = &mut *state;
             let DepthScratch {
                 satellites,
                 satellite_spill,
                 ..
-            } = &mut arenas.depths[pos];
+            } = &mut state.arenas.depths[pos];
             let resolved = &mut satellites[k];
-            self.satellite_candidates(sat, v, resolved, satellite_spill, cache);
+            self.satellite_candidates(sat, v, resolved, satellite_spill);
             if resolved.is_empty() {
                 return false;
             }
@@ -801,15 +762,13 @@ impl<'a> ComponentMatcher<'a> {
     }
 
     /// Candidates of one satellite given its core's match (Algorithm 2
-    /// lines 3-4), computed into `out` using `spill` for multi-type probes,
-    /// which are resolved through the session candidate cache.
+    /// lines 3-4), computed into `out` using `spill` for multi-type probes.
     fn satellite_candidates(
         &self,
         sat: &SatellitePlan,
         core_match: VertexId,
         out: &mut Vec<VertexId>,
         spill: &mut Vec<VertexId>,
-        cache: &mut CandidateCache,
     ) {
         let n = &self.index.neighborhood;
         // Base the fold on the most selective probe (satellites almost
@@ -825,7 +784,7 @@ impl<'a> ComponentMatcher<'a> {
                 .expect("satellite has at least one probe");
         }
         let (direction, types) = &sat.probes[first];
-        cache.fill(n, core_match, *direction, types, out);
+        n.neighbors_into(core_match, *direction, types, out);
         for (i, (direction, types)) in sat.probes.iter().enumerate() {
             if i == first {
                 continue;
@@ -833,8 +792,8 @@ impl<'a> ComponentMatcher<'a> {
             if out.is_empty() {
                 return;
             }
-            let probed = cache.probe(n, core_match, *direction, types, spill);
-            sorted::intersect_in_place(out, probed);
+            let probed = n.probe(core_match, *direction, types, spill);
+            sorted::intersect_in_place(out, probed.as_slice(spill));
         }
         sat.constraint.filter(out);
         if sat.has_self_loop {
@@ -872,11 +831,10 @@ impl<'a> ComponentMatcher<'a> {
 
         // Lines 5-7: intersect neighbourhood probes from all matched
         // adjacent cores, smallest expected list first, folding in place in
-        // this depth's candidate buffer. Spill-path probes (multi-type /
-        // unconstrained) resolve through the session candidate cache.
+        // this depth's candidate buffer. Single-type probes borrow from the
+        // index pool; multi-type / unconstrained probes spill.
         {
-            let SearchState { arenas, cache, .. } = &mut *state;
-            let SearchArenas { assignment, depths } = &mut **arenas;
+            let SearchArenas { assignment, depths } = &mut *state.arenas;
             let DepthScratch {
                 candidates,
                 spill,
@@ -898,8 +856,7 @@ impl<'a> ComponentMatcher<'a> {
                 .next()
                 .expect("non-initial core vertex has at least one ordered neighbour");
             let probe = &plan.probes[first];
-            cache.fill(
-                n,
+            n.neighbors_into(
                 assignment[probe.prior_position],
                 probe.direction,
                 &probe.types,
@@ -910,14 +867,13 @@ impl<'a> ComponentMatcher<'a> {
                     return;
                 }
                 let probe = &plan.probes[i];
-                let probed = cache.probe(
-                    n,
+                let probed = n.probe(
                     assignment[probe.prior_position],
                     probe.direction,
                     &probe.types,
                     spill,
                 );
-                sorted::intersect_in_place(candidates, probed);
+                sorted::intersect_in_place(candidates, probed.as_slice(spill));
             }
 
             // Line 8: refine with ProcessVertex (+ self-loop).
@@ -1098,12 +1054,10 @@ impl SearchArenas {
 }
 
 /// Mutable search state threaded through the recursion: borrowed session
-/// arenas + probe cache, plus the per-run result accumulator.
+/// arenas plus the per-run result accumulator.
 struct SearchState<'c, 'd> {
     /// Borrowed long-lived scratch arenas.
     arenas: &'c mut SearchArenas,
-    /// Borrowed probe memo (pass-through when disabled).
-    cache: &'c mut CandidateCache,
     result: ComponentMatch,
     config: &'c MatchConfig<'d>,
     /// Last usage estimate reported to the governor (deltas only are

@@ -15,27 +15,19 @@ pub struct ExecOptions {
     pub max_results: Option<usize>,
     /// Count embeddings without materializing bindings at all.
     pub count_only: bool,
-    /// Capacity (entries) of the session candidate cache memoizing
-    /// spill-path OTIL probe results across components and queries.
-    /// `0` disables caching. Sessions created by
-    /// [`AmberEngine::create_session`](crate::AmberEngine::create_session)
-    /// and transient per-`execute` sessions both size their caches from
-    /// this knob.
-    pub candidate_cache_capacity: usize,
     /// Capacity (canonical queries) of the session prepared-plan cache:
     /// parsed query multigraph + decomposition + processing order + seed
     /// candidates, derived once and reused on every repeat (keyed
     /// whitespace/variable-name-insensitively). `0` disables plan reuse
-    /// (every execution re-derives, the pre-PR-5 behaviour). The
-    /// `AMBER_PLAN_CACHE=off` environment variable pins this to 0
-    /// process-wide.
+    /// (every execution re-derives). Read per call, so a call passing 0
+    /// also opts out of a warm session's cache.
     pub plan_cache_capacity: usize,
     /// Capacity (plan × options digests) of the session verbatim-result
     /// cache: completed outcomes of repeated identical queries are served
     /// without searching at all. Timed-out (partial) outcomes are never
     /// stored, and result caps are part of the key, so truncation can
-    /// never leak across option sets. `0` disables result reuse; gated by
-    /// `AMBER_PLAN_CACHE` alongside the plan cache.
+    /// never leak across option sets. `0` disables result reuse (per call,
+    /// like the plan cache).
     pub result_cache_capacity: usize,
     /// Cooperative cancellation: the engine polls this token at the same
     /// checkpoints as the deadline and aborts with
@@ -43,9 +35,9 @@ pub struct ExecOptions {
     /// fires. `None` (the default) disables the poll.
     pub cancel: Option<CancelToken>,
     /// Per-query memory budget in bytes for the search state (arenas,
-    /// materialized solutions, probe-cache payloads). When pressure builds,
-    /// the engine degrades gracefully — shed result cache, shed
-    /// candidate/seed caches — before returning a partial outcome with
+    /// materialized solutions). When pressure builds,
+    /// the engine degrades gracefully — shed result cache, shed seed
+    /// cache — before returning a partial outcome with
     /// [`QueryStatus::BudgetExceeded`](crate::QueryStatus::BudgetExceeded).
     /// `None` (the default) leaves memory unbounded.
     pub memory_budget: Option<usize>,
@@ -64,18 +56,13 @@ impl ExecOptions {
     }
 
     /// Batch-execution preset: the defaults plus default-sized
-    /// candidate, prepared-plan, and verbatim-result caches — the
-    /// configuration
+    /// prepared-plan and verbatim-result caches — the configuration
     /// [`execute_batch`](crate::AmberEngine::execute_batch) is designed for.
     pub fn batch() -> Self {
         Self::default()
-            .with_candidate_cache(Self::DEFAULT_CACHE_CAPACITY)
             .with_plan_cache(Self::DEFAULT_PLAN_CACHE_CAPACITY)
             .with_result_cache(Self::DEFAULT_RESULT_CACHE_CAPACITY)
     }
-
-    /// Default candidate-cache capacity of the [`Self::batch`] preset.
-    pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
     /// Default prepared-plan cache capacity of the [`Self::batch`] preset.
     /// Plans are per-query objects (not per-probe), so a few hundred
@@ -101,12 +88,6 @@ impl ExecOptions {
     /// Builder: count-only mode.
     pub fn counting(mut self) -> Self {
         self.count_only = true;
-        self
-    }
-
-    /// Builder: size the session candidate cache (`0` disables it).
-    pub fn with_candidate_cache(mut self, capacity: usize) -> Self {
-        self.candidate_cache_capacity = capacity;
         self
     }
 
@@ -165,22 +146,17 @@ mod tests {
             .with_timeout(Duration::from_secs(60))
             .with_max_results(10)
             .counting()
-            .with_candidate_cache(128);
+            .with_plan_cache(128);
         assert_eq!(o.timeout, Some(Duration::from_secs(60)));
         assert_eq!(o.max_results, Some(10));
         assert!(o.count_only);
-        assert_eq!(o.candidate_cache_capacity, 128);
+        assert_eq!(o.plan_cache_capacity, 128);
     }
 
     #[test]
     fn cache_disabled_by_default_enabled_in_batch_preset() {
-        assert_eq!(ExecOptions::default().candidate_cache_capacity, 0);
         assert_eq!(ExecOptions::default().plan_cache_capacity, 0);
         assert_eq!(ExecOptions::default().result_cache_capacity, 0);
-        assert_eq!(
-            ExecOptions::batch().candidate_cache_capacity,
-            ExecOptions::DEFAULT_CACHE_CAPACITY
-        );
         assert_eq!(
             ExecOptions::batch().plan_cache_capacity,
             ExecOptions::DEFAULT_PLAN_CACHE_CAPACITY

@@ -30,59 +30,22 @@
 //!
 //! Both caches live in a [`QuerySession`](crate::session::QuerySession)
 //! and are dropped when the session rebinds to a different engine, like
-//! the candidate and seed caches. The `AMBER_PLAN_CACHE=off` environment
-//! variable pins both off process-wide (the CI lane mirroring
-//! `AMBER_KERNELS`).
+//! the seed cache. There is no engine-wide plan store behind them: a
+//! serving tenant's repeats hit its own session, and distinct queries
+//! (the benchmark's `unique_cold`) miss any store sized like these
+//! (`docs/performance.md`, "What the traffic hits").
 
-use crate::candidates::CacheStats;
 use crate::error::EngineError;
 use crate::matcher::ComponentPrep;
 use crate::options::ExecOptions;
 use crate::result::{Bindings, QueryOutcome};
-use crate::seeds::SeedCache;
+use crate::seeds::{CacheStats, SeedCache};
 use amber_index::IndexSet;
 use amber_multigraph::{DataGraph, GroundCheck, QueryGraph, RdfGraph};
 use amber_sparql::{canonicalize, SelectQuery};
 use amber_util::{FxHasher, GenerationalMap};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-
-/// Is the prepared-plan subsystem enabled for this process? Reads the
-/// `AMBER_PLAN_CACHE` environment variable once (`off` / `0` / `false`
-/// disable both the plan cache and the result cache regardless of the
-/// per-query options — the escape hatch the CI knob lane pins).
-pub fn plan_cache_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("AMBER_PLAN_CACHE")
-                .unwrap_or_default()
-                .to_ascii_lowercase()
-                .as_str(),
-            "off" | "0" | "false"
-        )
-    })
-}
-
-/// Effective plan-cache capacity under `options` (0 when the env gate or
-/// the options disable it).
-pub(crate) fn effective_plan_capacity(options: &ExecOptions) -> usize {
-    if plan_cache_enabled() {
-        options.plan_cache_capacity
-    } else {
-        0
-    }
-}
-
-/// Effective result-cache capacity under `options` (0 when disabled).
-pub(crate) fn effective_result_capacity(options: &ExecOptions) -> usize {
-    if plan_cache_enabled() {
-        options.result_cache_capacity
-    } else {
-        0
-    }
-}
+use std::sync::Arc;
 
 /// The canonical form of a query plus its 64-bit fingerprint (the plan
 /// cache's bucket index). Canonicalization is the expensive half; hashing
@@ -140,7 +103,7 @@ pub struct PreparedPlan {
 
 impl PreparedPlan {
     /// Derive a plan with the canonicalization already done (every caller
-    /// needed the canonical form for a cache/store lookup first):
+    /// needed the canonical form for a cache lookup first):
     /// build the query multigraph, evaluate ground checks,
     /// decompose/order/probe every component. Seed lookups resolve through
     /// `seeds` (pass [`SeedCache::disabled`] for one-shot callers).
@@ -249,31 +212,6 @@ impl PreparedPlan {
         self.data_vertices
     }
 
-    /// `true` when this plan's recorded *source* spellings (projection
-    /// header + pattern-variable names) match `source`'s. Alpha-equivalent
-    /// queries share a canonical plan but differ here; callers that hand
-    /// the plan itself to the user (e.g. [`AmberEngine::prepare`]
-    /// consulting the shared store) only reuse a plan whose spellings are
-    /// the caller's own.
-    ///
-    /// [`AmberEngine::prepare`]: crate::AmberEngine::prepare
-    pub(crate) fn source_spellings_match(&self, source: &SelectQuery) -> bool {
-        let vars = source.output_variables();
-        let names = source.pattern_variables();
-        self.variables.len() == vars.len()
-            && self
-                .variables
-                .iter()
-                .zip(&vars)
-                .all(|(a, b)| a.as_ref() == *b)
-            && self.source_names.len() == names.len()
-            && self
-                .source_names
-                .iter()
-                .zip(&names)
-                .all(|(a, b)| a.as_ref() == *b)
-    }
-
     /// Approximate retained heap bytes (plan-cache accounting).
     pub fn approx_heap_bytes(&self) -> usize {
         self.components
@@ -285,7 +223,7 @@ impl PreparedPlan {
 }
 
 /// Evaluate the variable-free patterns (boolean guards) of a query graph.
-pub(crate) fn ground_checks_pass(qg: &QueryGraph, graph: &DataGraph) -> bool {
+fn ground_checks_pass(qg: &QueryGraph, graph: &DataGraph) -> bool {
     qg.ground_checks().iter().all(|check| match check {
         GroundCheck::Edge { from, to, types } => graph.has_multi_edge(*from, *to, types.types()),
         GroundCheck::Attribute { vertex, attrs } => graph.has_attributes(*vertex, attrs),
@@ -346,7 +284,7 @@ impl PlanCache {
         }
     }
 
-    /// Note one execution that skipped the cache (capacity 0 or env gate).
+    /// Note one execution that skipped the cache (capacity 0).
     pub(crate) fn note_bypass(&mut self) {
         self.bypasses += 1;
     }
@@ -685,166 +623,6 @@ impl PlanCacheStats {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The shared (cross-session) plan store.
-// ---------------------------------------------------------------------------
-
-/// Counters of the process-wide [`SharedPlanStore`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SharedPlanStats {
-    /// Lookups answered from the store (a full plan derivation skipped for
-    /// some session that never built this plan itself).
-    pub hits: u64,
-    /// Lookups that found nothing — each one corresponds to an actual
-    /// plan derivation somewhere (the store is consulted exactly once per
-    /// derivation in the cached execution paths).
-    pub misses: u64,
-    /// Plans currently retained.
-    pub entries: usize,
-}
-
-impl SharedPlanStats {
-    /// Hit rate over all consultations (0.0 when never consulted).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// The **engine-wide, hash-consed plan store**: one `Arc`-shared,
-/// thread-safe map from canonicalized query to [`PreparedPlan`], consulted
-/// by every session (and every one-shot execution) before deriving a plan
-/// from scratch. This is the fix for the "plans re-derived per session"
-/// defect: under a concurrent serving layer, N tenants asking
-/// alpha-equivalent queries share **one** derivation instead of N.
-///
-/// Layering: the session-owned [`PlanCache`] stays as a lock-free L1 (its
-/// lookups take no mutex); this store is the L2 behind a [`Mutex`]. An L1
-/// miss consults L2; an L2 hit is copied (an `Arc` clone) into L1 so the
-/// session never locks for that plan again.
-///
-/// Invalidation: none needed. Plans embed the `engine_token` of the engine
-/// they were derived against and lookups filter on it, the store is owned
-/// by (and dies with) its engine, and engine data is immutable after
-/// build — so a stored plan can never go stale. `AMBER_PLAN_CACHE=off`
-/// pins the store disabled (capacity 0) like both session caches.
-///
-/// The mutex is poison-robust: a panicking thread (chaos injection,
-/// quarantined worker) leaves the map in a consistent state because every
-/// critical section is a single map operation, so waiters simply take the
-/// lock over (`PoisonError::into_inner`) instead of wedging every tenant.
-#[derive(Debug)]
-pub struct SharedPlanStore {
-    /// Maximum fingerprint buckets retained; 0 disables the store.
-    capacity: usize,
-    map: Mutex<GenerationalMap<u64, Vec<Arc<PreparedPlan>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stored: AtomicUsize,
-}
-
-impl SharedPlanStore {
-    /// A store retaining at most `capacity` fingerprint buckets; forced to
-    /// 0 (disabled) when `AMBER_PLAN_CACHE=off` pins the subsystem off.
-    pub fn new(capacity: usize) -> Self {
-        let capacity = if plan_cache_enabled() { capacity } else { 0 };
-        Self {
-            capacity,
-            map: Mutex::new(GenerationalMap::new(capacity.max(1))),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stored: AtomicUsize::new(0),
-        }
-    }
-
-    /// `true` when plans can actually be shared through this store.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> SharedPlanStats {
-        SharedPlanStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.stored.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Take the map lock, recovering from poison (see type docs).
-    fn lock(&self) -> std::sync::MutexGuard<'_, GenerationalMap<u64, Vec<Arc<PreparedPlan>>>> {
-        self.map.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Look up a plan by canonical form, filtered by `engine_token`.
-    /// Counts a miss when nothing matches — callers consult the store
-    /// exactly once per derivation, so `misses` equals the number of
-    /// plans actually built.
-    pub(crate) fn lookup(
-        &self,
-        fingerprint: u64,
-        canonical: &SelectQuery,
-        engine_token: u64,
-    ) -> Option<Arc<PreparedPlan>> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let hit = {
-            let mut map = self.lock();
-            map.get(&fingerprint).and_then(|chain| {
-                chain
-                    .iter()
-                    .find(|plan| {
-                        plan.engine_token() == engine_token && plan.canonical() == canonical
-                    })
-                    .cloned()
-            })
-        };
-        match hit {
-            Some(plan) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                crate::telemetry::note_shared_plan(true);
-                Some(plan)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                crate::telemetry::note_shared_plan(false);
-                None
-            }
-        }
-    }
-
-    /// Publish a freshly-built plan (fingerprint collisions chain; a
-    /// structurally-equal duplicate from a racing builder replaces — both
-    /// copies are equivalent, so last-writer-wins is sound).
-    pub(crate) fn insert(&self, plan: Arc<PreparedPlan>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut map = self.lock();
-        if let Some(chain) = map.get_mut(&plan.fingerprint()) {
-            if let Some(existing) = chain.iter_mut().find(|p| {
-                p.canonical() == plan.canonical() && p.engine_token() == plan.engine_token()
-            }) {
-                *existing = plan;
-            } else {
-                chain.push(plan);
-                self.stored.fetch_add(1, Ordering::Relaxed);
-            }
-            return;
-        }
-        self.stored.fetch_add(1, Ordering::Relaxed);
-        let stored = &self.stored;
-        map.insert(plan.fingerprint(), vec![plan], |chain| {
-            stored.fetch_sub(chain.len(), Ordering::Relaxed);
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1036,89 +814,5 @@ mod tests {
             "a fingerprint collision must miss, not serve the other query's answer"
         );
         assert_eq!(cache.stats().hits, 0);
-    }
-
-    #[test]
-    fn shared_store_round_trips_and_respects_tokens() {
-        let store = SharedPlanStore::new(8);
-        let plan = plan_for(&paper_query_text(), 1);
-        if !plan_cache_enabled() {
-            // Knob lane: the store must be inert, not wrong.
-            assert!(!store.is_enabled());
-            store.insert(Arc::clone(&plan));
-            assert!(store
-                .lookup(plan.fingerprint(), plan.canonical(), 1)
-                .is_none());
-            assert_eq!(store.stats(), SharedPlanStats::default());
-            return;
-        }
-        assert!(store
-            .lookup(plan.fingerprint(), plan.canonical(), 1)
-            .is_none());
-        store.insert(Arc::clone(&plan));
-        let hit = store
-            .lookup(plan.fingerprint(), plan.canonical(), 1)
-            .unwrap();
-        assert!(Arc::ptr_eq(&hit, &plan));
-        // Same canonical form, wrong engine token: never served.
-        assert!(store
-            .lookup(plan.fingerprint(), plan.canonical(), 2)
-            .is_none());
-        let stats = store.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
-        assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn shared_store_survives_a_poisoned_lock() {
-        let store = Arc::new(SharedPlanStore::new(8));
-        let plan = plan_for(&paper_query_text(), 1);
-        store.insert(Arc::clone(&plan));
-        // Poison the mutex: panic while holding it (hook silenced — the
-        // panic is the test fixture, not a failure).
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let poisoner = Arc::clone(&store);
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let _guard = poisoner.map.lock().unwrap();
-            panic!("poison the shared plan store");
-        }));
-        std::panic::set_hook(default);
-        // Every operation must keep working over the poisoned lock.
-        if plan_cache_enabled() {
-            let hit = store
-                .lookup(plan.fingerprint(), plan.canonical(), 1)
-                .expect("poisoned lock must not wedge lookups");
-            assert!(Arc::ptr_eq(&hit, &plan));
-        }
-        store.insert(Arc::clone(&plan));
-        let _ = store.stats();
-    }
-
-    #[test]
-    fn env_gate_follows_the_environment() {
-        // The gate's decision must agree with the variable this process was
-        // launched with (it defaults on; the CI knob lane pins it off).
-        let pinned_off = matches!(
-            std::env::var("AMBER_PLAN_CACHE")
-                .unwrap_or_default()
-                .to_ascii_lowercase()
-                .as_str(),
-            "off" | "0" | "false"
-        );
-        assert_eq!(plan_cache_enabled(), !pinned_off);
-        let options = ExecOptions::batch();
-        let expected_plan = if pinned_off {
-            0
-        } else {
-            options.plan_cache_capacity
-        };
-        let expected_result = if pinned_off {
-            0
-        } else {
-            options.result_cache_capacity
-        };
-        assert_eq!(effective_plan_capacity(&options), expected_plan);
-        assert_eq!(effective_result_capacity(&options), expected_result);
     }
 }

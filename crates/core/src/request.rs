@@ -151,7 +151,7 @@ impl AmberEngine {
         source: &QuerySource<'_>,
         options: &ExecOptions,
     ) -> Result<QueryOutcome, EngineError> {
-        let mut session = self.transient_session(options);
+        let mut session = self.transient_session();
         self.dispatch_source(source, options, &mut session)
     }
 
@@ -163,8 +163,8 @@ impl AmberEngine {
             .map_err(Error::from)
     }
 
-    /// Run one request against a caller-owned session (arenas, candidate
-    /// cache, plan and result caches amortized across calls).
+    /// Run one request against a caller-owned session (arenas, seed, plan
+    /// and result caches amortized across calls).
     pub fn run_in(
         &self,
         request: &QueryRequest<'_>,
@@ -301,13 +301,11 @@ mod tests {
             .unwrap();
         assert_eq!(a.embedding_count, b.embedding_count);
         assert_eq!(session.queries_executed(), 2);
-        if crate::plan::plan_cache_enabled() {
-            // The unified path drives the same caches the legacy path did.
-            assert!(
-                b.bindings.shares_rows(&a.bindings),
-                "repeat must be a zero-copy result-cache hit"
-            );
-        }
+        // The unified path drives the same caches the legacy path did.
+        assert!(
+            b.bindings.shares_rows(&a.bindings),
+            "repeat must be a zero-copy result-cache hit"
+        );
     }
 
     #[test]

@@ -1,35 +1,136 @@
 //! Session-cached seed probes — memoizing the *pre-search* candidate
 //! lookups of `ProcessVertex`.
 //!
-//! The PR-2 [`CandidateCache`](crate::candidates::CandidateCache) memoizes
-//! the matcher's *recursion-time* OTIL probes, but every query still pays
-//! its `ProcessVertex` lookups from scratch on every execution:
+//! Every query pays its `ProcessVertex` lookups before the search starts:
 //!
 //! * `C^A_u` (Algorithm 1 lines 1-2) — an attribute-list intersection per
 //!   constrained vertex,
 //! * `C^I_u` (Algorithm 1 lines 3-4) — an OTIL probe per IRI constraint.
 //!
-//! Constant-heavy streams (the `lubm_complex_repeat` workload) recompute
-//! exactly these on every repeat, which is why batching alone could not
-//! beat 1.0× there. [`SeedCache`] lives in a
+//! Constant-heavy streams (the `lubm_complex_repeat` workload, the
+//! benchmark's `unique_cold`) recompute exactly these on every query that
+//! misses the plan cache. [`SeedCache`] lives in a
 //! [`QuerySession`](crate::session::QuerySession) and memoizes both
 //! lookups, each in **its own key space** (attribute sets, probe keys —
 //! two separate generationally-tagged stores, so the classes can never
-//! alias and evict independently), with the same hot/cold generation
-//! scheme as the candidate cache ([`GenerationalMap`]).
+//! alias and evict independently), with hot/cold generational eviction
+//! ([`GenerationalMap`]).
 //!
 //! Single-type IRI probes bypass the store: they borrow their inverted
 //! list straight from the OTIL pool, so there is nothing to memoize. The
+//! matcher's *recursion-time* probes are not memoized at all: they borrow
+//! (single type) or spill (anything else) straight from the index. The
 //! component seed set itself (`CandInit`) is not memoized either: it is an
 //! intersection of borrowed type-incidence lists
 //! ([`ComponentPrep`](crate::matcher::ComponentPrep)), cheaper than the
 //! copy a cache hit would cost.
 
-use crate::candidates::{CacheStats, ProbeKey, MAX_CACHED_TYPES};
 use amber_index::{AttributeIndex, NeighborhoodIndex};
 use amber_multigraph::{AttrId, Direction, EdgeTypeId, VertexId};
 use amber_util::fault::{self, FaultPoint};
 use amber_util::GenerationalMap;
+
+/// Observable counters of one session cache (seed, plan or result).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups answered from a stored entry.
+    pub hits: u64,
+    /// Cacheable lookups that had to be computed (and were stored).
+    pub misses: u64,
+    /// Lookups that skipped the cache entirely: single-type probes
+    /// (already borrowed zero-copy from the OTIL pool), keys longer than
+    /// [`MAX_CACHED_TYPES`], and every lookup of a disabled cache.
+    pub bypasses: u64,
+    /// Entries dropped to respect the capacity bound.
+    pub evictions: u64,
+    /// Entries currently stored.
+    pub entries: usize,
+    /// Heap bytes of the stored results.
+    pub result_bytes: usize,
+}
+
+impl CacheStats {
+    /// Hits over cacheable lookups (0.0 when nothing was cacheable).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+
+    /// Fold another cache's counters into this one (per-tenant aggregation).
+    pub fn merge(&mut self, other: &CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.bypasses += other.bypasses;
+        self.evictions += other.evictions;
+        self.entries += other.entries;
+        self.result_bytes += other.result_bytes;
+    }
+
+    /// The flow counters accumulated since `before` was snapshotted (used
+    /// to report per-batch shares of a long-lived session). The *state*
+    /// gauges (`entries`, `result_bytes`) keep their current value — they
+    /// describe the cache, not the batch.
+    pub fn since(&self, before: &CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits - before.hits,
+            misses: self.misses - before.misses,
+            bypasses: self.bypasses - before.bypasses,
+            evictions: self.evictions - before.evictions,
+            entries: self.entries,
+            result_bytes: self.result_bytes,
+        }
+    }
+}
+
+/// Largest type-set a probe key can carry. Longer (rare) probes bypass the
+/// cache rather than spilling keys onto the heap.
+pub const MAX_CACHED_TYPES: usize = 6;
+
+/// Canonical cache key of one OTIL probe: `(data vertex, direction, sorted
+/// type-set)`.
+///
+/// The type-set is stored *sorted* in a fixed array together with its exact
+/// length, so:
+///
+/// * permutations of the same type-set canonicalize to the **same** key
+///   (`QueryNeighIndex` is a set-containment query — any order yields the
+///   same result), and
+/// * subsets/supersets and padding-ambiguous sets can **never** alias: the
+///   length is part of the key and unused slots hold a sentinel no real
+///   [`EdgeTypeId`] equals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ProbeKey {
+    v: VertexId,
+    direction: Direction,
+    len: u8,
+    types: [u32; MAX_CACHED_TYPES],
+}
+
+impl ProbeKey {
+    const PAD: u32 = u32::MAX;
+
+    /// Canonicalize; `None` when the type-set is too long to key.
+    fn new(v: VertexId, direction: Direction, required: &[EdgeTypeId]) -> Option<Self> {
+        if required.len() > MAX_CACHED_TYPES {
+            return None;
+        }
+        let mut types = [Self::PAD; MAX_CACHED_TYPES];
+        for (slot, &t) in types.iter_mut().zip(required) {
+            *slot = t.0;
+        }
+        types[..required.len()].sort_unstable();
+        Some(Self {
+            v,
+            direction,
+            len: required.len() as u8,
+            types,
+        })
+    }
+}
 
 /// Largest attribute set a seed-cache key can carry; longer (rare) sets
 /// bypass the cache rather than spilling keys onto the heap.
@@ -74,9 +175,7 @@ pub struct SeedCache {
     capacity: usize,
     /// `C^A_u` results keyed by the (sorted) attribute set.
     attrs: GenerationalMap<AttrSetKey, Box<[VertexId]>>,
-    /// `C^I_u` OTIL probes keyed by `(data vertex, direction, type-set)` —
-    /// the same key shape as the candidate cache but a separate store:
-    /// seed probes and recursion probes never contend for capacity.
+    /// `C^I_u` OTIL probes keyed by `(data vertex, direction, type-set)`.
     probes: GenerationalMap<ProbeKey, Box<[VertexId]>>,
     hits: u64,
     misses: u64,
@@ -181,7 +280,7 @@ impl SeedCache {
     /// pool (nothing to memoize); uncacheable multi-type probes compute
     /// into the scratch buffer; everything else is answered from (or
     /// inserted into) the probe store.
-    pub(crate) fn iri_neighbors<'a>(
+    pub fn iri_neighbors<'a>(
         &'a mut self,
         n: &'a NeighborhoodIndex,
         v: VertexId,
@@ -326,5 +425,129 @@ mod tests {
         );
         let too_long: Vec<AttrId> = (0..=MAX_SEED_ATTRS as u32).map(AttrId).collect();
         assert_eq!(AttrSetKey::new(&too_long), None);
+    }
+
+    fn neighborhood() -> (amber_multigraph::RdfGraph, NeighborhoodIndex) {
+        let rdf = paper_graph();
+        let n = NeighborhoodIndex::build(rdf.graph());
+        (rdf, n)
+    }
+
+    /// Every IRI probe through the cache must equal the direct index
+    /// answer.
+    fn assert_probe_exact(
+        seeds: &mut SeedCache,
+        n: &NeighborhoodIndex,
+        v: VertexId,
+        direction: Direction,
+        types: &[EdgeTypeId],
+    ) {
+        let got = seeds.iri_neighbors(n, v, direction, types).to_vec();
+        assert_eq!(
+            got,
+            n.neighbors(v, direction, types),
+            "seed cache diverged on v={v:?} {direction:?} {types:?}"
+        );
+    }
+
+    #[test]
+    fn cache_repeated_probe_hits() {
+        let (_, n) = neighborhood();
+        let mut seeds = SeedCache::new(64);
+        let types = [EdgeTypeId(4), EdgeTypeId(5)];
+        for _ in 0..3 {
+            assert_probe_exact(&mut seeds, &n, VertexId(2), Direction::Incoming, &types);
+        }
+        let stats = seeds.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 2, 1));
+        assert!(stats.result_bytes > 0);
+    }
+
+    #[test]
+    fn cache_permutations_share_one_entry() {
+        // {t4, t5} and {t5, t4} are the same set-containment query; the
+        // sorted canonical key must make the second order a hit.
+        let (_, n) = neighborhood();
+        let mut seeds = SeedCache::new(64);
+        let a = [EdgeTypeId(4), EdgeTypeId(5)];
+        let b = [EdgeTypeId(5), EdgeTypeId(4)];
+        assert_probe_exact(&mut seeds, &n, VertexId(2), Direction::Incoming, &a);
+        assert_probe_exact(&mut seeds, &n, VertexId(2), Direction::Incoming, &b);
+        let stats = seeds.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn cache_subsets_never_alias() {
+        // Adversarial keying: {t4,t5} ⊂ {t1,t4,t5}, and the empty
+        // (unconstrained) set — distinct results, distinct keys. A shared
+        // prefix or padding collision would surface as a wrong answer.
+        let (_, n) = neighborhood();
+        let mut seeds = SeedCache::new(64);
+        let sets: [&[EdgeTypeId]; 3] = [
+            &[EdgeTypeId(4), EdgeTypeId(5)],
+            &[EdgeTypeId(1), EdgeTypeId(4), EdgeTypeId(5)],
+            &[],
+        ];
+        for _ in 0..2 {
+            for set in sets {
+                assert_probe_exact(&mut seeds, &n, VertexId(2), Direction::Incoming, set);
+            }
+        }
+        // {t4,t5} for a *different* vertex and direction must also be
+        // distinct entries.
+        let pair = [EdgeTypeId(4), EdgeTypeId(5)];
+        assert_probe_exact(&mut seeds, &n, VertexId(2), Direction::Outgoing, &pair);
+        assert_probe_exact(&mut seeds, &n, VertexId(1), Direction::Incoming, &pair);
+        assert_eq!(seeds.stats().entries, 5);
+    }
+
+    #[test]
+    fn cache_single_type_probes_bypass_and_borrow() {
+        let (_, n) = neighborhood();
+        let mut seeds = SeedCache::new(64);
+        let got = seeds.iri_neighbors(&n, VertexId(2), Direction::Incoming, &[EdgeTypeId(5)]);
+        assert_eq!(got, &[VertexId(1), VertexId(7)]);
+        let stats = seeds.stats();
+        assert_eq!(stats.bypasses, 1);
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+    }
+
+    #[test]
+    fn cache_oversized_type_sets_bypass() {
+        let (_, n) = neighborhood();
+        let mut seeds = SeedCache::new(64);
+        let big: Vec<EdgeTypeId> = (0..=MAX_CACHED_TYPES as u32).map(EdgeTypeId).collect();
+        assert_eq!(big.len(), MAX_CACHED_TYPES + 1);
+        assert_probe_exact(&mut seeds, &n, VertexId(2), Direction::Incoming, &big);
+        assert_eq!(seeds.stats().entries, 0);
+        assert_eq!(seeds.stats().bypasses, 1);
+    }
+
+    #[test]
+    fn cache_tiny_capacity_evicts_but_stays_exact() {
+        let (rdf, n) = neighborhood();
+        for capacity in [1, 2, 3] {
+            let mut seeds = SeedCache::new(capacity);
+            // Cycle far more distinct probes than the capacity holds, twice,
+            // interleaved — every answer must stay exact under churn.
+            for _ in 0..2 {
+                for v in rdf.graph().vertices() {
+                    for direction in [Direction::Incoming, Direction::Outgoing] {
+                        for types in [
+                            [EdgeTypeId(4), EdgeTypeId(5)],
+                            [EdgeTypeId(1), EdgeTypeId(5)],
+                        ] {
+                            assert_probe_exact(&mut seeds, &n, v, direction, &types);
+                            assert!(seeds.stats().entries <= capacity);
+                        }
+                    }
+                }
+            }
+            assert!(
+                seeds.stats().evictions > 0,
+                "capacity {capacity} never evicted"
+            );
+        }
     }
 }

@@ -8,21 +8,20 @@
 //! * it owns the [`SearchArenas`] — per-depth candidate/spill buffers
 //!   grown **high-water-mark style** and never shrunk, so after the
 //!   largest query shape has been seen the matcher stops allocating;
-//! * it owns the [`CandidateCache`] — a bounded, LRU-ish memo of
-//!   spill-path OTIL probe results keyed by `(data vertex, direction,
-//!   sorted type-set)`, shared across components *and* across queries;
+//! * it owns the three caches a query stream hits: the [`SeedCache`]
+//!   (`ProcessVertex` lookups), the prepared-plan cache and the
+//!   verbatim-result cache;
 //! * it aggregates the search counters of its queries ([`SearchStats`]).
 //!
 //! [`AmberEngine::execute_batch`](crate::AmberEngine::execute_batch) drives
 //! many queries through one session and reports aggregate [`BatchStats`]
-//! (cache hit rate, arena reuse bytes) next to the per-query outcomes.
+//! (cache hit rates, arena reuse bytes) next to the per-query outcomes.
 
-use crate::candidates::{CacheStats, CandidateCache};
 use crate::governor::MemoryGovernor;
 use crate::matcher::SearchArenas;
 use crate::plan::{PlanCache, PlanCacheStats, ResultCache};
 use crate::result::QueryOutcome;
-use crate::seeds::SeedCache;
+use crate::seeds::{CacheStats, SeedCache};
 use crate::telemetry::{self, ObsBaseline};
 use amber_obs::FlightRecorder;
 use std::fmt;
@@ -68,13 +67,10 @@ impl SearchStats {
 /// results are only valid against the graph that produced them.
 #[derive(Debug)]
 pub struct QuerySession {
-    cache_capacity: usize,
     /// The matcher's scratch arenas, lent to every component run.
     arenas: SearchArenas,
-    /// Spill-path probe memo, lent to every component run.
-    cache: CandidateCache,
-    /// Seed-probe memo (signature / attribute / IRI-constraint lookups of
-    /// matcher plan construction).
+    /// Seed-probe memo (attribute / IRI-constraint lookups of matcher plan
+    /// construction).
     seeds: SeedCache,
     /// Prepared-plan cache: fully-derived query plans keyed by
     /// canonicalized query text, reused across repeats.
@@ -109,16 +105,19 @@ pub struct QuerySession {
 }
 
 impl QuerySession {
-    /// A session whose candidate cache holds at most `cache_capacity`
-    /// probe results (0 disables caching; arenas are still reused). Plan
-    /// and result caches start disabled; size them with
+    /// Seed-cache capacity (entries per key space) of every session
+    /// [`AmberEngine::create_session`](crate::AmberEngine::create_session)
+    /// makes. Transient one-shot sessions get none.
+    pub const SEED_CACHE_CAPACITY: usize = 4096;
+
+    /// A session whose seed cache holds at most `seed_capacity` entries
+    /// per key space (0 disables it; arenas are still reused). Plan and
+    /// result caches start disabled; size them with
     /// [`Self::with_plan_caches`].
-    pub fn new(cache_capacity: usize) -> Self {
+    pub fn new(seed_capacity: usize) -> Self {
         Self {
-            cache_capacity,
             arenas: SearchArenas::new(),
-            cache: CandidateCache::new(cache_capacity),
-            seeds: SeedCache::new(cache_capacity),
+            seeds: SeedCache::new(seed_capacity),
             plans: PlanCache::new(0),
             results: ResultCache::new(0),
             search: SearchStats::default(),
@@ -140,18 +139,8 @@ impl QuerySession {
         self
     }
 
-    /// The configured candidate-cache capacity.
-    pub fn cache_capacity(&self) -> usize {
-        self.cache_capacity
-    }
-
-    /// Counters of the candidate cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Counters of the seed-probe memo (signature / attribute /
-    /// IRI-constraint lookups of plan construction).
+    /// Counters of the seed-probe memo (attribute / IRI-constraint
+    /// lookups of plan construction).
     pub fn seed_stats(&self) -> CacheStats {
         self.seeds.stats()
     }
@@ -192,10 +181,9 @@ impl QuerySession {
         self.arena_peak_bytes
     }
 
-    /// Drop all cached probe, seed, plan, and result state (arenas are
-    /// kept — they hold no graph-dependent data between runs).
+    /// Drop all cached seed, plan, and result state (arenas are kept —
+    /// they hold no graph-dependent data between runs).
     pub fn clear_cache(&mut self) {
-        self.cache.clear();
         self.seeds.clear();
         self.plans.clear();
         self.results.clear();
@@ -222,7 +210,6 @@ impl QuerySession {
             .saturating_add(self.arena_bytes() as u64);
         self.obs_base = if amber_obs::obs_enabled() {
             Some(ObsBaseline {
-                cache: self.cache_stats(),
                 seeds: self.seed_stats(),
                 plans: self.plan_stats(),
                 search: self.search,
@@ -241,7 +228,6 @@ impl QuerySession {
             telemetry::flush_query(
                 status,
                 elapsed,
-                &self.cache_stats().since(&base.cache),
                 &self.seed_stats().since(&base.seeds),
                 &self.plan_stats().since(&base.plans),
                 &self.search.since(&base.search),
@@ -271,9 +257,9 @@ impl QuerySession {
         &mut self.recorder
     }
 
-    /// The scratch arenas and the probe cache a component run borrows.
-    pub(crate) fn search_state(&mut self) -> (&mut SearchArenas, &mut CandidateCache) {
-        (&mut self.arenas, &mut self.cache)
+    /// The scratch arenas a component run borrows.
+    pub(crate) fn search_state(&mut self) -> &mut SearchArenas {
+        &mut self.arenas
     }
 
     /// Add one component run's visited search-tree nodes.
@@ -305,9 +291,8 @@ impl QuerySession {
 
     /// Apply a finished query's governor verdict to the session: tally the
     /// ladder steps, flag the result cache for shedding, and shed the
-    /// probe caches (candidate + seed) when the ladder said so — those
-    /// caches outlive the query, so the shed must happen here rather than
-    /// inside the search.
+    /// seed cache when the ladder said so — it outlives the query, so the
+    /// shed must happen here rather than inside the search.
     pub(crate) fn apply_governor(&mut self, governor: &MemoryGovernor) {
         self.search.degradation_steps += governor.steps_taken();
         for _ in 0..governor.steps_taken() {
@@ -317,7 +302,6 @@ impl QuerySession {
             self.result_shed = true;
         }
         if governor.shed_probe_caches() {
-            self.cache.clear();
             self.seeds.clear();
         }
     }
@@ -347,10 +331,8 @@ pub struct BatchStats {
     /// were quarantined after a panic
     /// ([`EngineError::Internal`](crate::EngineError::Internal)).
     pub errors: usize,
-    /// Candidate-cache counters.
-    pub cache: CacheStats,
-    /// Seed-probe memo counters (signature / attribute / IRI lookups of
-    /// plan construction).
+    /// Seed-probe memo counters (attribute / IRI lookups of plan
+    /// construction).
     pub seeds: CacheStats,
     /// Prepared-plan and verbatim-result cache counters (a plan hit skips
     /// query-graph build + decomposition + ordering + seed probes; a
@@ -377,17 +359,6 @@ impl fmt::Display for BatchStats {
             self.timed_out,
             self.errors,
             self.elapsed.as_secs_f64() * 1e3
-        )?;
-        writeln!(
-            f,
-            "cache: {:.1}% hit rate ({} hits / {} misses / {} bypasses), {} entries, {} result bytes, {} evictions",
-            self.cache.hit_rate() * 100.0,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.bypasses,
-            self.cache.entries,
-            self.cache.result_bytes,
-            self.cache.evictions,
         )?;
         writeln!(
             f,
@@ -457,17 +428,42 @@ pub struct BatchOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AmberEngine, ExecOptions};
+    use amber_multigraph::paper::{paper_graph, paper_query_text, PAPER_QUERY_EMBEDDINGS};
 
     #[test]
     fn graph_rebind_clears_caches() {
-        let mut session = QuerySession::new(4);
-        session.bind_graph(0xA);
-        // Simulate a warm cache by touching counters through a real probe;
-        // here it suffices that rebinding flips the token and survives.
-        session.bind_graph(0xA);
-        assert_eq!(session.graph_token, Some(0xA));
-        session.bind_graph(0xB);
-        assert_eq!(session.graph_token, Some(0xB));
+        let engine_a = AmberEngine::from_graph(paper_graph());
+        let engine_b = AmberEngine::from_graph(paper_graph());
+        let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
+        let options = ExecOptions::batch();
+        let mut session = engine_a.create_session(&options);
+        engine_a
+            .execute_in_session(&q, &options, &mut session)
+            .unwrap();
+        // The paper query warms all three: X5's attribute set is a seed
+        // entry, its plan and its answer are stored.
+        let warm = session.plan_stats();
+        assert!(session.seed_stats().entries > 0);
+        assert_eq!((warm.plans.entries, warm.results.entries), (1, 1));
+        // Same engine: the caches survive.
+        session.bind_graph(engine_a.graph_token());
+        assert_eq!(session.plan_stats().results.entries, 1);
+
+        // Engine B: everything graph-dependent is dropped on rebind...
+        session.bind_graph(engine_b.graph_token());
+        let cold = session.plan_stats();
+        assert_eq!(session.seed_stats().entries, 0);
+        assert_eq!((cold.plans.entries, cold.results.entries), (0, 0));
+        // ...and B answers by executing, not from A's result cache.
+        let b = engine_b
+            .execute_in_session(&q, &options, &mut session)
+            .unwrap();
+        assert_eq!(b.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
+        assert_eq!(b.bindings.len(), PAPER_QUERY_EMBEDDINGS);
+        let after = session.plan_stats();
+        assert_eq!(after.results.hits, warm.results.hits, "no stale hit");
+        assert_eq!(after.results.misses, warm.results.misses + 1);
     }
 
     #[test]

@@ -15,16 +15,15 @@
 //! couple dozen relaxed `fetch_add`s — invisible next to even a
 //! result-cache-hit query (gated by the `obs_speedup` bench cells).
 
-use crate::candidates::CacheStats;
 use crate::plan::PlanCacheStats;
 use crate::result::QueryStatus;
+use crate::seeds::CacheStats;
 use crate::session::SearchStats;
 use amber_obs::{Counter, Gauge, Histogram};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// One cache layer's registry series (`candidate`, `seed`, `plan`,
-/// `result`).
+/// One cache layer's registry series (`seed`, `plan`, `result`).
 struct CacheFamily {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
@@ -67,13 +66,10 @@ struct EngineMetrics {
     budget_exceeded: Arc<Counter>,
     error: Arc<Counter>,
     latency_us: Arc<Histogram>,
-    candidate: CacheFamily,
     seed: CacheFamily,
     plan: CacheFamily,
     result: CacheFamily,
     hit_copied_bytes: Arc<Counter>,
-    shared_plan_hits: Arc<Counter>,
-    shared_plan_misses: Arc<Counter>,
     search_nodes: Arc<Counter>,
     seed_candidates: Arc<Histogram>,
     trapped_panics: Arc<Counter>,
@@ -94,13 +90,10 @@ fn metrics() -> &'static EngineMetrics {
         ),
         error: amber_obs::counter("amber_queries_total", &[("status", "error")]),
         latency_us: amber_obs::histogram("amber_query_latency_us", &[]),
-        candidate: CacheFamily::new("candidate"),
         seed: CacheFamily::new("seed"),
         plan: CacheFamily::new("plan"),
         result: CacheFamily::new("result"),
         hit_copied_bytes: amber_obs::counter("amber_result_hit_copied_bytes_total", &[]),
-        shared_plan_hits: amber_obs::counter("amber_shared_plans_total", &[("event", "hit")]),
-        shared_plan_misses: amber_obs::counter("amber_shared_plans_total", &[("event", "miss")]),
         search_nodes: amber_obs::counter("amber_search_nodes_total", &[]),
         seed_candidates: amber_obs::histogram("amber_seed_candidates", &[]),
         trapped_panics: amber_obs::counter("amber_query_trapped_panics_total", &[]),
@@ -126,7 +119,6 @@ pub(crate) fn status_label(status: Result<QueryStatus, ()>) -> &'static str {
 /// flush at `end_query` adds `current − baseline` to the registry.
 #[derive(Debug)]
 pub(crate) struct ObsBaseline {
-    pub(crate) cache: CacheStats,
     pub(crate) seeds: CacheStats,
     pub(crate) plans: PlanCacheStats,
     pub(crate) search: SearchStats,
@@ -136,7 +128,6 @@ pub(crate) struct ObsBaseline {
 pub(crate) fn flush_query(
     status: &'static str,
     elapsed: Duration,
-    cache: &CacheStats,
     seeds: &CacheStats,
     plans: &PlanCacheStats,
     search: &SearchStats,
@@ -151,7 +142,6 @@ pub(crate) fn flush_query(
     };
     status_counter.inc();
     m.latency_us.observe(elapsed.as_micros() as u64);
-    m.candidate.flush(cache);
     m.seed.flush(seeds);
     m.plan.flush(&plans.plans);
     m.result.flush(&plans.results);
@@ -168,20 +158,6 @@ pub(crate) fn flush_query(
 pub(crate) fn note_seed_candidates(count: usize) {
     if amber_obs::obs_enabled() {
         metrics().seed_candidates.observe(count as u64);
-    }
-}
-
-/// Live shared-plan-store events (cold path: only consulted on a session
-/// plan-cache miss).
-pub(crate) fn note_shared_plan(hit: bool) {
-    if !amber_obs::obs_enabled() {
-        return;
-    }
-    let m = metrics();
-    if hit {
-        m.shared_plan_hits.inc();
-    } else {
-        m.shared_plan_misses.inc();
     }
 }
 

@@ -1,7 +1,8 @@
-//! Property test for [`CandidateCache`] keying under adversarial type-sets.
+//! Property test for the [`SeedCache`] `C^I` probe store's keying under
+//! adversarial type-sets.
 //!
-//! The cache keys probe results by `(data vertex, direction, sorted
-//! type-set)`. The dangerous failure mode is *aliasing*: a probe for one
+//! The store keys IRI-constraint probe results by `(data vertex,
+//! direction, sorted type-set)`. The dangerous failure mode is *aliasing*: a probe for one
 //! type-set answered from the entry of another. The adversarial inputs here
 //! are exactly the shapes that break naive keys — permutations of one set
 //! (must share an entry, since `QueryNeighIndex` is order-insensitive),
@@ -12,7 +13,7 @@
 //! The oracle is the index itself: every probe through the cache must equal
 //! a direct `NeighborhoodIndex::neighbors` call, no matter the history.
 
-use amber::candidates::CandidateCache;
+use amber::SeedCache;
 use amber_index::NeighborhoodIndex;
 use amber_multigraph::{Direction, EdgeTypeId, RdfGraph, VertexId};
 use proptest::prelude::*;
@@ -71,8 +72,7 @@ proptest! {
     ) {
         let rdf = dense_graph(graph_seed, triples);
         let n = NeighborhoodIndex::build(rdf.graph());
-        let mut cache = CandidateCache::new(capacity);
-        let mut spill = Vec::new();
+        let mut cache = SeedCache::new(capacity);
 
         for (v, incoming, raw_types) in &probes {
             let v = VertexId((*v % VERTICES) as u32);
@@ -99,9 +99,7 @@ proptest! {
             variants.push(extended);
 
             for required in variants {
-                let got = cache
-                    .probe(&n, v, direction, &required, &mut spill)
-                    .to_vec();
+                let got = cache.iri_neighbors(&n, v, direction, &required).to_vec();
                 let expected = n.neighbors(v, direction, &required);
                 prop_assert_eq!(
                     got,

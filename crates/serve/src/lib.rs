@@ -11,10 +11,8 @@
 //! the worker pool is where a backlog drains:
 //!
 //! * **shared engine, per-tenant sessions** — all tenants execute against
-//!   one [`AmberEngine`] (one graph, one index set, one shared plan store,
-//!   so plan derivations are paid once across the whole fleet), but each
-//!   tenant owns a private [`QuerySession`] (arenas, candidate cache, plan
-//!   and result caches). A tenant's requests are serialized onto its
+//!   one [`AmberEngine`] (one graph, one index set), but each tenant owns
+//!   a private [`QuerySession`] (arenas, seed, plan and result caches). A tenant's requests are serialized onto its
 //!   session — sessions are `&mut` state — while different tenants'
 //!   requests run in parallel, at most [`ServeConfig::workers`] at once
 //!   — the only parallelism there is: one query runs on one thread;
@@ -84,7 +82,7 @@ pub use governor::{GovernorReport, ServerGovernor};
 
 use amber::{
     AmberEngine, CancelToken, EngineError, ExecOptions, PlanCacheStats, QueryOutcome, QuerySession,
-    QueryStatus, SearchStats, SharedPlanStats,
+    QueryStatus, SearchStats,
 };
 use amber_obs::{Counter, Gauge, Histogram};
 use amber_sparql::SelectQuery;
@@ -1042,7 +1040,6 @@ impl Server {
             drain_faults: state.drain_faults,
             governor: self.ctx.governor.as_ref().map(|g| g.report()),
             plan_stats: aggregate,
-            shared_plans: self.ctx.engine.shared_plan_stats(),
             dispatch_order: state
                 .dispatch_order
                 .iter()
@@ -1376,9 +1373,6 @@ pub struct ServeReport {
     /// All tenants' plan/result cache counters summed — includes
     /// `result_hit_copied_bytes`, the zero-copy regression gauge.
     pub plan_stats: PlanCacheStats,
-    /// The engine-wide shared plan store counters (cross-tenant plan
-    /// reuse).
-    pub shared_plans: SharedPlanStats,
     /// Tenant of every dispatch in dispatch order, inline or queued
     /// (empty unless [`ServeConfig::record_dispatch`]).
     pub dispatch_order: Vec<String>,
@@ -1769,9 +1763,6 @@ mod tests {
 
     #[test]
     fn warm_tenants_hit_their_result_cache_without_copying() {
-        if !amber::plan_cache_enabled() {
-            return; // AMBER_PLAN_CACHE=off lane pins cache counters to zero
-        }
         let engine = demo_engine();
         let server = Server::start(Arc::clone(&engine), ServeConfig::default());
         for _ in 0..4 {
@@ -1863,9 +1854,7 @@ mod tests {
         assert!(entry.contains("execute"), "span tree missing: {entry}");
         assert!(entry.contains("component[0]"), "{entry}");
         assert!(entry.contains("caches:"), "{entry}");
-        if amber::plan_cache_enabled() {
-            assert!(entry.contains("fingerprint 0x"), "{entry}");
-        }
+        assert!(entry.contains("fingerprint 0x"), "{entry}");
         let report = server.shutdown();
         assert_eq!(report.served(), 1);
     }
@@ -1946,26 +1935,6 @@ mod tests {
         assert_eq!(e.status_code(), 400);
     }
 
-    #[test]
-    fn tenants_share_plans_through_the_engine_store() {
-        if !amber::plan_cache_enabled() {
-            return;
-        }
-        let engine = demo_engine();
-        let before = engine.shared_plan_stats();
-        let server = Server::start(Arc::clone(&engine), ServeConfig::default());
-        for tenant in ["a", "b", "c"] {
-            server.submit_sparql(tenant, CHAIN).unwrap().wait().unwrap();
-        }
-        let report = server.shutdown();
-        let shared = report.shared_plans;
-        assert_eq!(
-            shared.misses - before.misses,
-            1,
-            "one derivation serves all tenants: {shared:?}"
-        );
-        assert!(shared.hits - before.hits >= 2, "{shared:?}");
-    }
     /// A complete digraph on `n` vertices: the six-cycle below has ~n^6
     /// embeddings, none of them shareable through satellite counting — a
     /// request that stays in flight until something stops it.

@@ -56,9 +56,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 pub enum FaultPoint {
     /// The matcher's per-candidate recursion step.
     MatcherCandidate,
-    /// A probe-cache insertion (candidate or seed cache).
+    /// A seed-cache insertion.
     CacheInsert,
-    /// A probe-cache eviction callback.
+    /// A seed-cache eviction callback.
     CacheEvict,
     /// An index probe (OTIL / attribute / signature lookup).
     IndexProbe,

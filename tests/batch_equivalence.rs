@@ -1,12 +1,12 @@
 //! Differential property test for the batch-execution subsystem.
 //!
 //! `execute_batch` runs many queries over one shared [`QuerySession`] —
-//! long-lived arenas plus a cross-query candidate cache. Nothing about that
-//! sharing may be observable in the results: over randomized query streams
-//! (duplicates and permutations included, so cache reuse and arena high-water
-//! reuse actually trigger) every per-query outcome must be identical to a
-//! fresh sequential `execute_parsed` call, with the candidate cache disabled,
-//! tiny (evicting mid-batch), and large.
+//! long-lived arenas plus cross-query seed, plan and result caches. Nothing
+//! about that sharing may be observable in the results: over randomized
+//! query streams (duplicates and permutations included, so cache reuse and
+//! arena high-water reuse actually trigger) every per-query outcome must be
+//! identical to a fresh sequential `execute_parsed` call, with the plan and
+//! result caches disabled, tiny (evicting mid-batch), and large.
 
 use amber::{AmberEngine, ExecOptions, QueryOutcome};
 use amber_datagen::synthetic::{self, SyntheticConfig};
@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 /// A small but multi-edge-rich synthetic graph (parallel predicates between
-/// entity pairs exercise the cacheable multi-type probe path).
+/// entity pairs exercise the multi-type spill path).
 fn dense_graph(seed: u64) -> RdfGraph {
     let config = SyntheticConfig {
         entity_namespace: "http://batch/e/".into(),
@@ -94,7 +94,7 @@ fn assert_batch_equals_sequential(
         stream.len(),
         "{context}"
     );
-    let rate = batch.stats.cache.hit_rate();
+    let rate = batch.stats.seeds.hit_rate();
     assert!((0.0..=1.0).contains(&rate), "{context}: hit rate {rate}");
 }
 
@@ -128,7 +128,8 @@ proptest! {
         for capacity in [0usize, 2, 4096] {
             let options = ExecOptions::default()
                 .with_max_results(200)
-                .with_candidate_cache(capacity);
+                .with_plan_cache(capacity)
+                .with_result_cache(capacity);
             assert_batch_equals_sequential(
                 &engine,
                 &stream,
@@ -150,7 +151,8 @@ fn batch_equivalence_holds_on_complex_streams() {
     for capacity in [0usize, 256] {
         let options = ExecOptions::default()
             .with_max_results(200)
-            .with_candidate_cache(capacity);
+            .with_plan_cache(capacity)
+            .with_result_cache(capacity);
         assert_batch_equals_sequential(
             &engine,
             &stream,

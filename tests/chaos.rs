@@ -450,9 +450,9 @@ fn serving_layer_survives_cache_chaos() {
     let baseline = engine
         .execute(&paper_query_text(), &ExecOptions::default())
         .unwrap();
-    // Panic inside cache insert/evict paths while a warm tenant repeats a
-    // query: every outcome is either correct or a typed error — and the
-    // shared plan store's poison-robust locks keep later requests working.
+    // Panic inside the seed cache's insert/evict paths while a warm tenant
+    // repeats a query: every outcome is either correct or a typed error,
+    // and the tenant's session keeps serving later requests.
     let server = Server::start(Arc::clone(&engine), ServeConfig::default());
     {
         let _guard = fault::override_spec("3:cache-insert=panic@2").unwrap();

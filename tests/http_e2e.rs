@@ -355,13 +355,7 @@ fn repeats_are_sent_from_the_memo_byte_for_byte() {
     // JSON is serialized twice, then memoized: its third and fourth
     // requests and the last one come from the memo. TSV is serialized both
     // times, as the rows' one slot already holds JSON (first writer wins).
-    // Without a result cache every answer is a fresh one.
-    let expected = if amber::plan_cache_enabled() {
-        (4, 3)
-    } else {
-        (7, 0)
-    };
-    assert_eq!((after.0 - before.0, after.1 - before.1), expected);
+    assert_eq!((after.0 - before.0, after.1 - before.1), (4, 3));
     drop(stream);
     let report = http.shutdown();
     assert_eq!(report.served_for("public"), 7);

@@ -139,7 +139,6 @@ fn batch_stats_agree_exactly_with_the_registry() {
         "one observation per query"
     );
 
-    assert_cache_family(&before, &after, "candidate", &stats.cache, "batch");
     assert_cache_family(&before, &after, "seed", &stats.seeds, "batch");
     assert_cache_family(&before, &after, "plan", &stats.plans.plans, "batch");
     assert_cache_family(&before, &after, "result", &stats.plans.results, "batch");
@@ -160,12 +159,10 @@ fn batch_stats_agree_exactly_with_the_registry() {
     ] {
         assert_eq!(delta(&before, &after, name, &[]), legacy, "{name}");
     }
-    if amber::plan_cache_enabled() {
-        assert!(
-            stats.plans.results.hits >= 1,
-            "verbatim repeats must exercise the result-cache flush: {stats:?}"
-        );
-    }
+    assert!(
+        stats.plans.results.hits >= 1,
+        "verbatim repeats must exercise the result-cache flush: {stats:?}"
+    );
     assert!(
         search.nodes >= 1,
         "the executed search must exercise the node-count flush"
@@ -412,14 +409,9 @@ fn http_body_sources_and_the_memo_gauge_agree_with_the_wire() {
     );
     // The second serialization memoized the body on the result-cache
     // entry, which is still alive.
-    let memo = if amber::plan_cache_enabled() {
-        assert_eq!((serialized, memoized), (2, 1));
-        body.len() as i64
-    } else {
-        0
-    };
+    assert_eq!((serialized, memoized), (2, 1));
     let gauge = |s: &MetricsSnapshot| s.gauge_value("amber_result_body_bytes", &[]);
-    assert_eq!(gauge(&mid) - gauge(&before), memo);
+    assert_eq!(gauge(&mid) - gauge(&before), body.len() as i64);
     http.shutdown();
     assert_eq!(
         gauge(&amber_obs::snapshot()),

@@ -1,5 +1,5 @@
 //! Execution-option matrix across all engines: count-only, max_results,
-//! DISTINCT, candidate-cache capacity — every engine must expose
+//! DISTINCT, plan/result-cache capacity — every engine must expose
 //! the same observable behaviour for every combination, and AMbER's batch
 //! entry point must expose the same behaviour as its one-shot path.
 
@@ -96,40 +96,9 @@ fn variables_order_matches_projection() {
 }
 
 #[test]
-fn candidate_cache_capacity_never_changes_results() {
-    // The cache knob is accepted by every engine (baselines ignore it) and
-    // must never change any observable outcome — including capacity 1,
-    // which evicts on essentially every insert.
-    for capacity in [0usize, 1, 2, 4096] {
-        for engine in all_engines(rdf()) {
-            let plain = engine
-                .execute_sparql(&query(), &ExecOptions::default())
-                .unwrap();
-            let cached = engine
-                .execute_sparql(
-                    &query(),
-                    &ExecOptions::default().with_candidate_cache(capacity),
-                )
-                .unwrap();
-            assert_eq!(
-                plain.embedding_count,
-                cached.embedding_count,
-                "{} capacity {capacity}",
-                engine.name()
-            );
-            let mut a = plain.bindings.to_vec();
-            let mut b = cached.bindings.to_vec();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "{} capacity {capacity}", engine.name());
-        }
-    }
-}
-
-#[test]
 fn batch_knob_matrix_matches_one_shot_execution() {
-    // Sweep the batch/cache knobs (including capacity 0 = disabled and a
-    // capacity of 1 that forces eviction mid-batch) against every
+    // Sweep the plan/result cache knobs (including capacity 0 = disabled
+    // and a capacity of 1 that forces eviction mid-batch) against every
     // option combination the one-shot path supports.
     let engine = AmberEngine::from_graph(rdf());
     let texts = [query(), distinct_query(), query()];
@@ -145,7 +114,10 @@ fn batch_knob_matrix_matches_one_shot_execution() {
     ];
     for base in option_matrix {
         for capacity in [0usize, 1, 4096] {
-            let options = base.clone().with_candidate_cache(capacity);
+            let options = base
+                .clone()
+                .with_plan_cache(capacity)
+                .with_result_cache(capacity);
             let batch = engine.execute_batch(&queries, &options);
             assert_eq!(batch.stats.queries, queries.len());
             assert_eq!(batch.stats.errors, 0);
@@ -163,14 +135,16 @@ fn batch_knob_matrix_matches_one_shot_execution() {
                 b.sort();
                 assert_eq!(a, b, "capacity {capacity}");
             }
-            // Counter coherence: with the cache disabled nothing may be
-            // memoized; with it enabled the hit rate stays a probability.
-            if capacity == 0 {
-                assert_eq!(batch.stats.cache.hits + batch.stats.cache.misses, 0);
-                assert_eq!(batch.stats.cache.entries, 0);
+            // Counter coherence: with the caches disabled nothing may be
+            // memoized; with them enabled the hit rate stays a probability.
+            for stats in [&batch.stats.plans.plans, &batch.stats.plans.results] {
+                if capacity == 0 {
+                    assert_eq!(stats.hits + stats.misses, 0);
+                    assert_eq!(stats.entries, 0);
+                }
+                assert!((0.0..=1.0).contains(&stats.hit_rate()));
+                assert!(stats.entries <= capacity);
             }
-            assert!((0.0..=1.0).contains(&batch.stats.cache.hit_rate()));
-            assert!(batch.stats.cache.entries <= capacity);
         }
     }
 }

@@ -103,7 +103,6 @@ fn assert_prepared_equals_unprepared(
 ) {
     let cached = ExecOptions::default()
         .with_max_results(200)
-        .with_candidate_cache(256)
         .with_plan_cache(plan_capacity)
         .with_result_cache(result_capacity);
     let bare = ExecOptions::default().with_max_results(200);
@@ -197,9 +196,6 @@ fn plan_equivalence_holds_on_a_fixed_complex_stream() {
 
 #[test]
 fn renamed_queries_share_plans_but_keep_their_headers() {
-    if !amber::plan_cache_enabled() {
-        return; // AMBER_PLAN_CACHE=off lane: hit counters are pinned to zero
-    }
     let rdf = Arc::new(dense_graph(29));
     let engine = AmberEngine::from_graph(Arc::clone(&rdf));
     let mut generator = WorkloadGenerator::new(&rdf, 2929);

@@ -5,7 +5,7 @@
 //! cache state, however many serving workers overlap on the shared
 //! execution pool.
 
-use amber::{AmberEngine, ExecOptions, QueryOutcome};
+use amber::{AmberEngine, ExecOptions, QueryOutcome, QueryRequest};
 use amber_datagen::synthetic::{self, SyntheticConfig};
 use amber_datagen::{GeneratedQuery, QueryShape, WorkloadConfig, WorkloadGenerator};
 use amber_multigraph::RdfGraph;
@@ -34,8 +34,8 @@ fn dense_graph(seed: u64) -> RdfGraph {
     RdfGraph::from_triples(&synthetic::generate(&config, seed))
 }
 
-/// Rename every variable `x` → `t<salt>_x`: alpha-equivalent spellings,
-/// the cross-tenant plan-sharing case.
+/// Rename every variable `x` → `t<salt>_x`: alpha-equivalent spellings
+/// that share a canonical plan.
 fn rename_vars(query: &SelectQuery, salt: u64) -> SelectQuery {
     let rename = |name: &str| -> Box<str> { format!("t{salt}_{name}").into() };
     let term = |t: &TermPattern| match t {
@@ -364,44 +364,76 @@ fn admission_control_rejects_beyond_capacity_and_serves_the_rest() {
     assert_eq!(report.rejected, 1);
 }
 
+/// Each tenant plans in its own session: four tenants send the same
+/// queries under their own variable spellings (alpha-equivalent twins).
+/// Every answer carries its sender's headers and equals a cache-free
+/// `run`; each tenant derives one plan per distinct canonical query and
+/// serves every twin from it; a stale prepared plan fails only itself.
 #[test]
-fn tenants_share_one_plan_store_but_not_their_failures() {
+fn tenants_keep_their_own_plans_headers_and_failures() {
     let rdf = Arc::new(dense_graph(21));
     let engine = Arc::new(AmberEngine::from_graph(Arc::clone(&rdf)));
     let mut generator = WorkloadGenerator::new(&rdf, 2121);
-    let base = generator.generate_many(&WorkloadConfig::new(QueryShape::Complex, 4), 1);
+    let mut base = generator.generate_many(&WorkloadConfig::new(QueryShape::Complex, 4), 2);
+    base.extend(generator.generate_many(&WorkloadConfig::new(QueryShape::Star, 3), 2));
     assert!(!base.is_empty());
-    let query = base[0].query.clone();
+    let distinct: std::collections::HashSet<SelectQuery> = base
+        .iter()
+        .map(|g| amber_sparql::canonicalize(&g.query))
+        .collect();
 
-    let before = engine.shared_plan_stats();
-    let server = Server::start(Arc::clone(&engine), ServeConfig::default());
+    let server = Server::start(
+        Arc::clone(&engine),
+        ServeConfig {
+            workers: 2,
+            options: ExecOptions::batch().with_max_results(200),
+            ..ServeConfig::default()
+        },
+    );
     // A stale prepared plan from a *different* engine fails only its own
-    // ticket; the tenant keeps serving afterwards.
+    // request; the tenants keep serving afterwards.
     let foreign = AmberEngine::from_graph(dense_graph(22));
-    let stale = foreign.prepare(&query).expect("prepares on its own engine");
+    let stale = foreign
+        .prepare(&base[0].query)
+        .expect("prepares on its own engine");
     let poisoned = engine.execute_prepared(&stale, &ExecOptions::default());
     assert!(poisoned.is_err(), "stale plans are rejected, not executed");
 
-    for tenant in ["a", "b", "c"] {
-        let ticket = server.submit(tenant, query.clone()).expect("admitted");
-        ticket.wait().expect("served");
-    }
+    let tenants: Vec<String> = (0..4).map(|t| format!("tenant-{t}")).collect();
+    std::thread::scope(|scope| {
+        for (salt, tenant) in tenants.iter().enumerate() {
+            let (server, engine, base) = (&server, &engine, &base);
+            scope.spawn(move || {
+                for g in base {
+                    for q in [rename_vars(&g.query, salt as u64), g.query.clone()] {
+                        let want = engine
+                            .run(&QueryRequest::parsed(&q).with_max_results(200))
+                            .expect("cache-free run");
+                        let got = server
+                            .submit(tenant, q.clone())
+                            .expect("admitted")
+                            .wait()
+                            .expect("served");
+                        assert_eq!(normalized(&got), normalized(&want), "{tenant}");
+                        assert_eq!(got.variables, want.variables, "{tenant}: own headers");
+                    }
+                }
+            });
+        }
+    });
     let report = server.shutdown();
-    if amber::plan_cache_enabled() {
-        let shared = report.shared_plans;
+    for tenant in &report.tenants {
+        assert_eq!(tenant.served, 2 * base.len() as u64, "{}", tenant.tenant);
+        let plans = &tenant.plan_stats.plans;
         assert_eq!(
-            shared.misses - before.misses,
-            1,
-            "one derivation serves every tenant: {shared:?}"
+            plans.misses,
+            distinct.len() as u64,
+            "{}: one derivation per distinct query: {plans:?}",
+            tenant.tenant
         );
-        assert!(
-            shared.hits >= before.hits + 2,
-            "the other tenants hit the shared store: {shared:?}"
-        );
+        assert_eq!(plans.hits + plans.misses, 2 * base.len() as u64);
     }
-    for tenant in ["a", "b", "c"] {
-        assert_eq!(report.served_for(tenant), 1);
-    }
+    assert_eq!(report.tenants.len(), tenants.len());
 }
 
 /// What one request came to, with the clock-dependent fields (`waited`,
@@ -466,8 +498,7 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
 
         let start = |paused: bool| {
             Server::start(
-                // An engine each: the shared plan store must not leak
-                // warmth from one run into the other.
+                // An engine each, so the two runs share nothing.
                 Arc::new(AmberEngine::from_graph(Arc::clone(&rdf))),
                 ServeConfig {
                     workers: 2,

@@ -72,8 +72,9 @@ fn dbpedia_scale_5_table1_style() {
 #[test]
 #[ignore = "minutes-long; run with --ignored"]
 fn batch_session_at_scale_with_evicting_cache() {
-    // A paper-scale repeated-workload stream through one session, with a
-    // cache small enough to evict continuously mid-batch: the batch must
+    // A paper-scale repeated-workload stream through one session, with
+    // plan/result caches small enough to evict continuously mid-batch:
+    // the batch must
     // stay answer-identical to one-shot execution and keep the robustness
     // bar, whatever the eviction churn does.
     let rdf = Arc::new(RdfGraph::from_triples(&Benchmark::Lubm.generate(10, 6)));
@@ -90,8 +91,9 @@ fn batch_session_at_scale_with_evicting_cache() {
         .collect();
 
     for cache_capacity in [0usize, 8, 4096] {
-        let options =
-            ExecOptions::benchmark(Duration::from_secs(15)).with_candidate_cache(cache_capacity);
+        let options = ExecOptions::benchmark(Duration::from_secs(15))
+            .with_plan_cache(cache_capacity)
+            .with_result_cache(cache_capacity);
         let batch = engine.execute_batch(&queries, &options);
         assert_eq!(batch.stats.errors, 0, "capacity {cache_capacity}");
         // The complex half of the stream has the paper's heavy tail (the
@@ -103,7 +105,8 @@ fn batch_session_at_scale_with_evicting_cache() {
             batch.stats.completed,
             queries.len()
         );
-        assert!(batch.stats.cache.entries <= cache_capacity);
+        let (plans, results) = (&batch.stats.plans.plans, &batch.stats.plans.results);
+        assert!(plans.entries <= cache_capacity && results.entries <= cache_capacity);
         // Spot-check batch outcomes against one-shot execution. Either run
         // may hit the budget independently; partial counts prove nothing.
         for (query, outcome) in queries.iter().zip(&batch.outcomes).step_by(13) {
@@ -116,10 +119,9 @@ fn batch_session_at_scale_with_evicting_cache() {
                 assert_eq!(batched.embedding_count, solo.embedding_count);
             }
         }
-        // The tiny capacity must actually have been under pressure (unless
-        // the workload happened to produce no cacheable probes at all).
-        if cache_capacity == 8 && batch.stats.cache.misses > 8 {
-            assert!(batch.stats.cache.evictions > 0);
+        // The tiny capacity must actually have been under pressure.
+        if cache_capacity == 8 && plans.misses > 8 {
+            assert!(plans.evictions > 0);
         }
     }
 }

@@ -9,7 +9,7 @@
 //! agreement tests because its code path is trivially auditable.
 //!
 //! The only concession to ordering is a **static constant-first step
-//! reorder** ([`steps_of`]): IRI-constraint steps run before edge scans
+//! reorder** (`steps_of`): IRI-constraint steps run before edge scans
 //! (each is a single adjacency walk from a *constant* data vertex, binding
 //! its variable immediately), and edge steps chain greedily off
 //! already-touched variables. There is still no cost model, no statistics

@@ -1,6 +1,6 @@
 //! Batched-vs-one-shot latency tracker: replays repeated-workload query
-//! streams through `execute_batch` (one warm `QuerySession`: shared arenas +
-//! seed cache) and through N sequential `execute_parsed` calls (fresh
+//! streams through `run_all` (one warm `QuerySession`: shared arenas +
+//! seed cache) and through N sequential `run` calls (fresh
 //! state per query, the pre-session behaviour), and emits `BENCH_batch.json`
 //! with per-stream totals, the batch/sequential speedup ratio, cache hit
 //! rates and arena-reuse numbers — so the batching payoff is recorded
@@ -8,7 +8,7 @@
 //!
 //! Usage: `cargo run --release -p amber_bench --bin bench_batch [out.json]`
 
-use amber::{AmberEngine, CancelToken, ExecOptions};
+use amber::{AmberEngine, CancelToken, ExecOptions, QueryRequest};
 use amber_datagen::synthetic::{self, SyntheticConfig};
 use amber_datagen::{Benchmark, QueryShape, WorkloadConfig, WorkloadGenerator};
 use amber_multigraph::{EdgeTypeId, RdfGraph};
@@ -143,6 +143,14 @@ fn repeat_stream(distinct: &[SelectQuery], repeats: usize) -> Vec<SelectQuery> {
     stream
 }
 
+/// One request per query, all under `options`.
+fn requests<'a>(queries: &'a [SelectQuery], options: &ExecOptions) -> Vec<QueryRequest<'a>> {
+    queries
+        .iter()
+        .map(|q| QueryRequest::parsed(q).with_options(options.clone()))
+        .collect()
+}
+
 fn run_stream(
     name: &'static str,
     engine: &AmberEngine,
@@ -164,11 +172,15 @@ fn run_stream(
         .clone()
         .with_memory_budget(4 << 30)
         .with_cancel(CancelToken::new());
+    let plain_requests = requests(&stream, &options);
+    let planonly_requests = requests(&stream, &options_planonly);
+    let plan_requests = requests(&stream, &options_plan);
+    let governed_requests = requests(&stream, &options_governed);
 
     // Warm the process (page cache, branch predictors, lazy index pages)
     // outside the measured window, identically for both modes.
-    for q in &distinct {
-        let _ = engine.execute_parsed(q, &options);
+    for request in &requests(&distinct, &options) {
+        let _ = engine.run(request);
     }
 
     // Alternate the three modes over two rounds and keep each mode's best
@@ -185,19 +197,17 @@ fn run_stream(
     let mut batch = None;
     let mut batch_plan = None;
     for _ in 0..5 {
-        // One-shot path: N sequential execute calls, fresh state per query
+        // One-shot path: N sequential `run` calls, fresh state per query
         // — exactly what a caller without sessions pays.
         let sw = Stopwatch::start();
-        for q in &stream {
-            engine
-                .execute_parsed(q, &options)
-                .expect("stream query executes");
+        for request in &plain_requests {
+            engine.run(request).expect("stream query executes");
         }
         sequential_ms = sequential_ms.min(sw.elapsed_ms());
 
         // Batched path, fresh session warmed over the stream.
         let sw = Stopwatch::start();
-        let outcome = engine.execute_batch(&stream, &options);
+        let outcome = engine.run_all(&plain_requests);
         batch_ms = batch_ms.min(sw.elapsed_ms());
         assert_eq!(outcome.stats.errors, 0, "{name}: batch errored");
         batch = Some(outcome);
@@ -206,12 +216,12 @@ fn run_stream(
         // verbatim-result caches (fresh session each round, warmed over
         // the stream like the other modes).
         let sw = Stopwatch::start();
-        let planonly = engine.execute_batch(&stream, &options_planonly);
+        let planonly = engine.run_all(&planonly_requests);
         batch_planonly_ms = batch_planonly_ms.min(sw.elapsed_ms());
         assert_eq!(planonly.stats.errors, 0, "{name}: plan-only batch errored");
 
         let sw = Stopwatch::start();
-        let plan = engine.execute_batch(&stream, &options_plan);
+        let plan = engine.run_all(&plan_requests);
         batch_plan_ms = batch_plan_ms.min(sw.elapsed_ms());
         assert_eq!(plan.stats.errors, 0, "{name}: plan batch errored");
         batch_plan = Some(plan);
@@ -219,7 +229,7 @@ fn run_stream(
         // Governed batch: the answers must be untouched (no degradation
         // fired), only the checkpoint overhead is being measured.
         let sw = Stopwatch::start();
-        let governed = engine.execute_batch(&stream, &options_governed);
+        let governed = engine.run_all(&governed_requests);
         governed_ms = governed_ms.min(sw.elapsed_ms());
         assert_eq!(governed.stats.errors, 0, "{name}: governed batch errored");
         assert_eq!(
@@ -234,14 +244,14 @@ fn run_stream(
         {
             let _on = amber_obs::force_enabled(true);
             let sw = Stopwatch::start();
-            let instrumented = engine.execute_batch(&stream, &options);
+            let instrumented = engine.run_all(&plain_requests);
             obs_on_ms = obs_on_ms.min(sw.elapsed_ms());
             assert_eq!(instrumented.stats.errors, 0, "{name}: obs-on batch errored");
         }
         {
             let _off = amber_obs::force_enabled(false);
             let sw = Stopwatch::start();
-            let dark = engine.execute_batch(&stream, &options);
+            let dark = engine.run_all(&plain_requests);
             obs_off_ms = obs_off_ms.min(sw.elapsed_ms());
             assert_eq!(dark.stats.errors, 0, "{name}: obs-off batch errored");
         }

@@ -4,7 +4,7 @@
 //!
 //! Usage: `cargo run --release -p amber_bench --bin bench_matcher [out.json]`
 
-use amber::{AmberEngine, ExecOptions};
+use amber::{AmberEngine, ExecOptions, QueryRequest};
 use amber_datagen::synthetic::{self, SyntheticConfig};
 use amber_datagen::{Benchmark, QueryShape, WorkloadConfig, WorkloadGenerator};
 use amber_multigraph::RdfGraph;
@@ -32,20 +32,22 @@ fn run_workload(
     let options = ExecOptions::benchmark(Duration::from_secs(2));
     let mut generator = WorkloadGenerator::new(rdf, workload_seed);
     let queries = generator.generate_many(&WorkloadConfig::new(shape, size), count);
+    let requests: Vec<QueryRequest<'_>> = queries
+        .iter()
+        .map(|q| QueryRequest::parsed(&q.query).with_options(options.clone()))
+        .collect();
     // Warm-up pass: run every query once unmeasured, so first-touch costs
     // (page faults, lazy index pages, allocator growth, branch-predictor
     // state) land outside the recorded latencies — without it the p95 of
     // the heavier workloads was dominated by whichever query ran first
     // (22 ms vs a 0.05 ms p50 on lubm_complex_8).
-    for q in &queries {
-        let _ = engine.execute_parsed(&q.query, &options);
+    for request in &requests {
+        let _ = engine.run(request);
     }
     let mut latencies_ms = Vec::with_capacity(queries.len());
     let mut timeouts = 0usize;
-    for q in &queries {
-        let outcome = engine
-            .execute_parsed(&q.query, &options)
-            .expect("generated query executes");
+    for request in &requests {
+        let outcome = engine.run(request).expect("generated query executes");
         if outcome.timed_out() {
             timeouts += 1;
         } else {

@@ -37,7 +37,7 @@ use amber_datagen::synthetic::{self, SyntheticConfig};
 use amber_datagen::{QueryShape, WorkloadConfig, WorkloadGenerator};
 use amber_http::{HttpConfig, HttpServer};
 use amber_multigraph::RdfGraph;
-use amber_serve::{BreakerConfig, ServeConfig, ServeError, Server, SubmitOptions, Ticket};
+use amber_serve::{BreakerConfig, ServeConfig, Server, SubmitOptions, Ticket};
 use amber_sparql::SelectQuery;
 use amber_util::Stopwatch;
 use std::fmt::Write as _;
@@ -266,7 +266,7 @@ fn run_lifecycle(queries: &[SelectQuery]) -> LifecycleResult {
     server.resume();
     for ticket in doomed {
         assert!(
-            matches!(ticket.wait(), Err(ServeError::DeadlineExpired { .. })),
+            matches!(ticket.wait(), Err(amber::Error::DeadlineExpired { .. })),
             "zero-budget requests must shed typed"
         );
     }
@@ -309,7 +309,7 @@ fn run_lifecycle(queries: &[SelectQuery]) -> LifecycleResult {
         assert!(
             matches!(
                 server.submit("noisy", queries[0].clone()),
-                Err(ServeError::CircuitOpen { .. })
+                Err(amber::Error::CircuitOpen { .. })
             ),
             "a tripped breaker fast-fails"
         );

@@ -9,7 +9,7 @@
 //!
 //! Usage: `cargo run -p amber_bench --bin obs_dump`
 
-use amber::{AmberEngine, ExecOptions};
+use amber::{AmberEngine, ExecOptions, QueryRequest};
 use amber_bench::minijson::Json;
 use amber_serve::{ServeConfig, Server};
 use std::sync::Arc;
@@ -40,8 +40,8 @@ const EXPECTED: &[&str] = &[
 fn canned_workload() {
     let engine = Arc::new(AmberEngine::load_ntriples(TRIPLES).expect("demo graph parses"));
     let query = amber_sparql::parse_select(CHAIN).expect("canned query parses");
-    let options = ExecOptions::batch();
-    let batch = engine.execute_batch(&[query.clone(), query], &options);
+    let request = QueryRequest::parsed(&query).with_options(ExecOptions::batch());
+    let batch = engine.run_all(&[request.clone(), request]);
     assert_eq!(batch.stats.completed, 2, "canned batch completes");
 
     let server = Server::start(Arc::clone(&engine), ServeConfig::default());

@@ -13,7 +13,7 @@
 //! query flags: --timeout-ms N  --limit N  --count
 //! ```
 
-use amber::{AmberEngine, ExecOptions, QueryPlan};
+use amber::{AmberEngine, ExecOptions, QueryPlan, QueryRequest};
 use amber_multigraph::RdfGraph;
 use amber_util::heap_size::format_bytes;
 use std::process::exit;
@@ -95,7 +95,7 @@ fn main() {
                 i += 1;
             }
             let engine = AmberEngine::from_graph(load_data(data_path));
-            match engine.execute(&sparql, &options) {
+            match engine.run(&QueryRequest::sparql(&sparql).with_options(options)) {
                 Ok(outcome) => {
                     if !outcome.bindings.is_empty() {
                         println!("{}", outcome.variables.join("\t"));
@@ -144,10 +144,10 @@ fn main() {
             let sparql = read_query(args.get(2));
             let n: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(10);
             let engine = AmberEngine::from_graph(load_data(data_path));
-            let options = ExecOptions::default().counting();
+            let request = QueryRequest::sparql(&sparql).counting();
             let mut times = Vec::with_capacity(n);
             for _ in 0..n {
-                match engine.execute(&sparql, &options) {
+                match engine.run(&request) {
                     Ok(outcome) => times.push(outcome.elapsed.as_secs_f64() * 1e3),
                     Err(e) => {
                         eprintln!("query failed: {e}");

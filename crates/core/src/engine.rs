@@ -6,9 +6,10 @@ use crate::governor::MemoryGovernor;
 use crate::matcher::{Abort, ComponentMatch, ComponentMatcher, MatchConfig};
 use crate::options::ExecOptions;
 use crate::plan::{canonical_fingerprint, PreparedPlan};
+use crate::request::QuerySource;
 use crate::result::{Bindings, QueryOutcome, QueryStatus, SparqlEngine};
 use crate::seeds::SeedCache;
-use crate::session::{BatchOutcome, BatchStats, QuerySession};
+use crate::session::QuerySession;
 use amber_index::IndexSet;
 use amber_multigraph::{GraphBuilder, RdfGraph};
 use amber_util::fault::payload_message;
@@ -86,7 +87,7 @@ impl OfflineStats {
 
 /// The AMbER query engine (paper §3).
 ///
-/// The loaded graph is held behind an [`Arc`](std::sync::Arc) so the
+/// The loaded graph is held behind an [`Arc`] so the
 /// experiment harness can share one multigraph across AMbER and every
 /// baseline engine without duplicating gigabytes of adjacency.
 pub struct AmberEngine {
@@ -227,20 +228,6 @@ impl AmberEngine {
         self.prepare(&query)
     }
 
-    /// [`Self::prepare`] through a session's plan cache: an
-    /// alpha-equivalent repeat returns the hash-consed `Arc` without
-    /// re-deriving anything; a miss builds the plan against the session's
-    /// seed cache and stores it.
-    pub fn prepare_in_session(
-        &self,
-        query: &amber_sparql::SelectQuery,
-        session: &mut QuerySession,
-    ) -> Result<Arc<PreparedPlan>, EngineError> {
-        session.bind_graph(self.graph_token());
-        let (canonical, fingerprint) = canonical_fingerprint(query);
-        self.resolve_plan(query, canonical, fingerprint, true, session)
-    }
-
     /// Execute `query` with the session's flight recorder forced on and
     /// return the outcome plus an `EXPLAIN ANALYZE`-style report: the
     /// prepared-plan summary followed by the recorded span tree and cache
@@ -256,10 +243,14 @@ impl AmberEngine {
         options: &ExecOptions,
         session: &mut QuerySession,
     ) -> Result<(QueryOutcome, String), EngineError> {
-        let plan = self.prepare_in_session(query, session)?;
+        // The plan comes through the session's plan cache and then runs as
+        // a prepared source, so the report and the trace describe one plan.
+        session.bind_graph(self.graph_token());
+        let (canonical, fingerprint) = canonical_fingerprint(query);
+        let plan = self.resolve_plan(query, canonical, fingerprint, true, session)?;
         let (was_enabled, threshold) = session.flight_recorder().config();
         session.configure_tracing(true, threshold);
-        let outcome = self.execute_prepared_in_session(&plan, options, session);
+        let outcome = self.run_source(&QuerySource::Prepared(&plan), options, session);
         session.configure_tracing(was_enabled, threshold);
         let outcome = outcome?;
         let report = crate::explain::QueryPlan::explain_prepared(&plan);
@@ -321,9 +312,8 @@ impl AmberEngine {
     /// A reusable [`QuerySession`]: plan and result caches sized from
     /// `options`, a seed cache of
     /// [`QuerySession::SEED_CACHE_CAPACITY`]. Feed it to
-    /// [`Self::execute_in_session`] / [`Self::execute_batch_in_session`] to
-    /// amortize arenas, seed probes, and prepared plans across many
-    /// queries.
+    /// [`Self::run_in`] / [`Self::run_all_in`] to amortize arenas, seed
+    /// probes, and prepared plans across many queries.
     pub fn create_session(&self, options: &ExecOptions) -> QuerySession {
         let mut session = QuerySession::new(QuerySession::SEED_CACHE_CAPACITY)
             .with_plan_caches(options.plan_cache_capacity, options.result_cache_capacity);
@@ -333,8 +323,8 @@ impl AmberEngine {
 
     /// A single-query scratch session: fresh arenas and **no** caches — a
     /// one-shot execution would only cold-miss and store into structures
-    /// dropped microseconds later. This is what keeps `execute_parsed` /
-    /// `execute_prepared` cheap per call.
+    /// dropped microseconds later. This is what keeps a one-shot
+    /// [`Self::run`] cheap per call.
     pub(crate) fn transient_session(&self) -> QuerySession {
         let mut session = QuerySession::new(0);
         session.bind_graph(self.graph_token());
@@ -351,68 +341,25 @@ impl AmberEngine {
         self.token
     }
 
-    /// Parse and execute SPARQL text.
-    ///
-    /// *Deprecated in favor of the unified entry point* —
-    /// `engine.run(&QueryRequest::sparql(text).with_options(options.clone()))`
-    /// is equivalent and returns the unified [`crate::Error`] taxonomy.
-    /// This wrapper stays for source compatibility.
-    pub fn execute(
+    /// The query envelope: every `run*` entry point,
+    /// [`Self::explain_analyze`] and the [`SparqlEngine`] impl execute
+    /// through it. It binds the session and opens the query's bookkeeping,
+    /// runs everything else — the parse of a text source, the stale-plan
+    /// check of a prepared one, planning and execution — inside one panic
+    /// quarantine, and closes the bookkeeping. So every request is counted
+    /// exactly once, failures included, and a panic anywhere in a query
+    /// poisons only that query: the session and engine stay usable.
+    pub(crate) fn run_source(
         &self,
-        sparql: &str,
-        options: &ExecOptions,
-    ) -> Result<QueryOutcome, EngineError> {
-        self.dispatch_once(&crate::QuerySource::Sparql(sparql), options)
-    }
-
-    /// Execute a parsed query (the online stage) with transient state: a
-    /// fresh single-query session per call. Equivalent to
-    /// [`Self::execute_in_session`] with a session that is dropped after
-    /// one query.
-    ///
-    /// *Deprecated in favor of the unified entry point* —
-    /// `engine.run(&QueryRequest::parsed(query).with_options(options.clone()))`
-    /// is equivalent. This wrapper stays for source compatibility.
-    pub fn execute_parsed(
-        &self,
-        query: &amber_sparql::SelectQuery,
-        options: &ExecOptions,
-    ) -> Result<QueryOutcome, EngineError> {
-        self.dispatch_once(&crate::QuerySource::Parsed(query), options)
-    }
-
-    /// Execute a parsed query against a long-lived session: the matcher
-    /// borrows the session's scratch arenas (grown high-water-mark style,
-    /// never shrunk) and plan construction its seed cache; when the
-    /// session's plan/result caches are
-    /// enabled (see [`ExecOptions::with_plan_cache`] and
-    /// [`ExecOptions::with_result_cache`]), repeated queries reuse their
-    /// prepared plan — or their whole completed outcome — instead of
-    /// re-deriving it. Handing a session filled by a *different* engine is
-    /// safe — its caches are cleared on first use here.
-    ///
-    /// *Prefer the unified entry point* — [`Self::run_in`] with
-    /// `QueryRequest::parsed(query)` is equivalent; this method remains
-    /// the internal implementation the dispatcher routes to.
-    pub fn execute_in_session(
-        &self,
-        query: &amber_sparql::SelectQuery,
+        source: &QuerySource<'_>,
         options: &ExecOptions,
         session: &mut QuerySession,
     ) -> Result<QueryOutcome, EngineError> {
         let sw = Stopwatch::start();
         session.bind_graph(self.graph_token());
         session.begin_query();
-        if session.recorder_mut().is_active() {
-            let label = format!("select[{} vars]", query.output_variables().len());
-            session.recorder_mut().begin(label);
-        }
-        // Top-level panic quarantine: plan/prep construction (including
-        // session seed probes) runs outside the matcher-level trap, so a
-        // panic anywhere in this query must still poison only this query —
-        // the session and engine stay usable for the next one.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.execute_query_in_session(query, options, session, &sw)
+            self.execute_source(source, options, session, &sw)
         }));
         let outcome = match caught {
             Ok(outcome) => outcome,
@@ -428,16 +375,47 @@ impl AmberEngine {
         outcome
     }
 
-    /// Resolve the query's prepared plan (through the session plan cache
-    /// when enabled) and execute it (through the session result cache when
-    /// enabled).
-    fn execute_query_in_session(
+    /// Open the query's trace, then parse a text source or check a
+    /// prepared plan's engine, resolve the plan of a text or parsed source
+    /// (through the session plan cache when enabled) and execute it
+    /// (through the session result cache when enabled).
+    fn execute_source(
         &self,
-        query: &amber_sparql::SelectQuery,
+        source: &QuerySource<'_>,
         options: &ExecOptions,
         session: &mut QuerySession,
         sw: &Stopwatch,
     ) -> Result<QueryOutcome, EngineError> {
+        let parsed;
+        let query = match *source {
+            QuerySource::Prepared(plan) => {
+                if session.recorder_mut().is_active() {
+                    let label = format!("prepared {:#018x}", plan.fingerprint());
+                    session.recorder_mut().begin(label);
+                    session.recorder_mut().set_fingerprint(plan.fingerprint());
+                }
+                if plan.engine_token() != self.token {
+                    return Err(EngineError::StalePlan);
+                }
+                let variables = plan.variables().to_vec();
+                return self.execute_plan_with_result_cache(plan, variables, options, session, sw);
+            }
+            QuerySource::Parsed(query) => query,
+            QuerySource::Sparql(text) => match amber_sparql::parse_select(text) {
+                Ok(query) => {
+                    parsed = query;
+                    &parsed
+                }
+                Err(e) => {
+                    session.recorder_mut().begin("unparsable query");
+                    return Err(e.into());
+                }
+            },
+        };
+        if session.recorder_mut().is_active() {
+            let label = format!("select[{} vars]", query.output_variables().len());
+            session.recorder_mut().begin(label);
+        }
         let tracing = session.recorder_mut().is_recording();
         let canon_sw = tracing.then(Stopwatch::start);
         let (canonical, fingerprint) = canonical_fingerprint(query);
@@ -461,8 +439,8 @@ impl AmberEngine {
         self.execute_plan_with_result_cache(&plan, variables, options, session, sw)
     }
 
-    /// Result-cache consult → run → store-if-completed, shared by the text
-    /// and prepared entry points.
+    /// Result-cache consult → run → store-if-completed, shared by every
+    /// source.
     fn execute_plan_with_result_cache(
         &self,
         plan: &Arc<PreparedPlan>,
@@ -521,70 +499,6 @@ impl AmberEngine {
             "result:bypass"
         });
         Ok(outcome)
-    }
-
-    /// Execute a prepared plan with transient state (a fresh single-query
-    /// session). The plan must have been produced by *this* engine.
-    ///
-    /// *Deprecated in favor of the unified entry point* —
-    /// `engine.run(&QueryRequest::prepared(plan).with_options(options.clone()))`
-    /// is equivalent. This wrapper stays for source compatibility.
-    pub fn execute_prepared(
-        &self,
-        plan: &Arc<PreparedPlan>,
-        options: &ExecOptions,
-    ) -> Result<QueryOutcome, EngineError> {
-        self.dispatch_once(&crate::QuerySource::Prepared(plan), options)
-    }
-
-    /// Execute a prepared plan against a long-lived session (the serving
-    /// loop of a prepared-statement workload: prepare once, execute per
-    /// request). Outcome variables are the plan's source-query names; the
-    /// session result cache applies when enabled.
-    ///
-    /// *Prefer the unified entry point* — [`Self::run_in`] with
-    /// `QueryRequest::prepared(plan)` is equivalent; this method remains
-    /// the internal implementation the dispatcher routes to.
-    pub fn execute_prepared_in_session(
-        &self,
-        plan: &Arc<PreparedPlan>,
-        options: &ExecOptions,
-        session: &mut QuerySession,
-    ) -> Result<QueryOutcome, EngineError> {
-        if plan.engine_token() != self.token {
-            return Err(EngineError::StalePlan);
-        }
-        let sw = Stopwatch::start();
-        session.bind_graph(self.graph_token());
-        session.begin_query();
-        if session.recorder_mut().is_active() {
-            let label = format!("prepared {:#018x}", plan.fingerprint());
-            session.recorder_mut().begin(label);
-            session.recorder_mut().set_fingerprint(plan.fingerprint());
-        }
-        // Same top-level quarantine as `execute_in_session`: a panic while
-        // serving a prepared plan poisons only this execution.
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.execute_plan_with_result_cache(
-                plan,
-                plan.variables().to_vec(),
-                options,
-                session,
-                &sw,
-            )
-        }));
-        let outcome = match caught {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                session.record_trapped_panic();
-                Err(EngineError::Internal {
-                    task: "prepared execution".to_string(),
-                    payload: payload_message(&*payload),
-                })
-            }
-        };
-        session.end_query(outcome_status(&outcome), sw.elapsed());
-        outcome
     }
 
     /// The online stage proper: run a prepared plan's component searches
@@ -722,155 +636,6 @@ impl AmberEngine {
             elapsed: sw.elapsed(),
         })
     }
-
-    /// Execute many parsed queries against one fresh session (the batch
-    /// online stage): scratch arenas and the session caches are shared
-    /// across all queries of the batch, so repeated-workload streams stop
-    /// paying per-query warm-up. Returns per-query outcomes in submission
-    /// order plus aggregate statistics (cache hit rates, arena reuse).
-    ///
-    /// *Deprecated in favor of the unified entry point* —
-    /// [`Self::run_all`] over `QueryRequest::parsed` values is equivalent
-    /// (and can mix text, parsed and prepared sources in one batch).
-    pub fn execute_batch(
-        &self,
-        queries: &[amber_sparql::SelectQuery],
-        options: &ExecOptions,
-    ) -> BatchOutcome {
-        let mut session = self.create_session(options);
-        self.execute_batch_in_session(queries, options, &mut session)
-    }
-
-    /// [`Self::execute_batch`] against a caller-owned session, so cache and
-    /// arena warm-up carries over from batch to batch.
-    pub fn execute_batch_in_session(
-        &self,
-        queries: &[amber_sparql::SelectQuery],
-        options: &ExecOptions,
-        session: &mut QuerySession,
-    ) -> BatchOutcome {
-        self.run_batch(queries.iter().map(Ok::<_, EngineError>), options, session)
-    }
-
-    /// Parse-and-batch convenience: each text is parsed independently (a
-    /// parse failure yields that query's `Err` entry without aborting the
-    /// rest of the batch).
-    ///
-    /// *Deprecated in favor of the unified entry point* —
-    /// [`Self::run_all`] over `QueryRequest::sparql` values is equivalent.
-    pub fn execute_batch_sparql(&self, sparql: &[&str], options: &ExecOptions) -> BatchOutcome {
-        let mut session = self.create_session(options);
-        let parsed: Vec<Result<amber_sparql::SelectQuery, EngineError>> = sparql
-            .iter()
-            .map(|text| amber_sparql::parse_select(text).map_err(EngineError::from))
-            .collect();
-        self.run_batch(parsed.into_iter(), options, &mut session)
-    }
-
-    /// Execute many *prepared* plans against one fresh session — the
-    /// prepared-statement serving loop in batch form. Plans prepared on a
-    /// different engine yield per-query [`EngineError::StalePlan`] entries
-    /// without aborting the rest.
-    ///
-    /// *Deprecated in favor of the unified entry point* —
-    /// [`Self::run_all`] over `QueryRequest::prepared` values is
-    /// equivalent.
-    pub fn execute_batch_prepared(
-        &self,
-        plans: &[Arc<PreparedPlan>],
-        options: &ExecOptions,
-    ) -> BatchOutcome {
-        let mut session = self.create_session(options);
-        self.execute_batch_prepared_in_session(plans, options, &mut session)
-    }
-
-    /// [`Self::execute_batch_prepared`] against a caller-owned session.
-    pub fn execute_batch_prepared_in_session(
-        &self,
-        plans: &[Arc<PreparedPlan>],
-        options: &ExecOptions,
-        session: &mut QuerySession,
-    ) -> BatchOutcome {
-        self.drive_batch(
-            plans.len(),
-            options,
-            session,
-            |engine, i, options, session| {
-                engine.execute_prepared_in_session(&plans[i], options, session)
-            },
-        )
-    }
-
-    /// The shared batch driver: runs each (possibly already-failed) input
-    /// through the session, tallies per-outcome counters, and snapshots the
-    /// session stats so the report covers only *this batch's* share — a
-    /// session reused across batches yields per-batch numbers.
-    fn run_batch<Q: std::borrow::Borrow<amber_sparql::SelectQuery>>(
-        &self,
-        inputs: impl ExactSizeIterator<Item = Result<Q, EngineError>>,
-        options: &ExecOptions,
-        session: &mut QuerySession,
-    ) -> BatchOutcome {
-        let inputs: Vec<Result<Q, EngineError>> = inputs.collect();
-        self.drive_batch(inputs.len(), options, session, {
-            let mut inputs = inputs.into_iter();
-            move |engine, _i, options, session| {
-                inputs
-                    .next()
-                    .expect("one input per driven query")
-                    .and_then(|q| engine.execute_in_session(q.borrow(), options, session))
-            }
-        })
-    }
-
-    /// The batch engine shared by the parsed and prepared entry points:
-    /// runs `count` queries through `execute`, tallies per-outcome
-    /// counters, and snapshots every session statistic so the report
-    /// covers only *this batch's* share.
-    pub(crate) fn drive_batch(
-        &self,
-        count: usize,
-        options: &ExecOptions,
-        session: &mut QuerySession,
-        mut execute: impl FnMut(
-            &Self,
-            usize,
-            &ExecOptions,
-            &mut QuerySession,
-        ) -> Result<QueryOutcome, EngineError>,
-    ) -> BatchOutcome {
-        let sw = Stopwatch::start();
-        session.bind_graph(self.graph_token());
-        let seeds_before = session.seed_stats();
-        let plans_before = session.plan_stats();
-        let search_before = session.search_stats();
-        let reused_before = session.arena_reused_bytes();
-        let mut outcomes = Vec::with_capacity(count);
-        let mut stats = BatchStats {
-            queries: count,
-            ..BatchStats::default()
-        };
-        for i in 0..count {
-            let outcome = execute(self, i, options, session);
-            match &outcome {
-                Ok(o) => match o.status {
-                    QueryStatus::Completed => stats.completed += 1,
-                    QueryStatus::TimedOut => stats.timed_out += 1,
-                    QueryStatus::Cancelled => stats.cancelled += 1,
-                    QueryStatus::BudgetExceeded => stats.budget_exceeded += 1,
-                },
-                Err(_) => stats.errors += 1,
-            }
-            outcomes.push(outcome);
-        }
-        stats.seeds = session.seed_stats().since(&seeds_before);
-        stats.plans = session.plan_stats().since(&plans_before);
-        stats.search = session.search_stats().since(&search_before);
-        stats.arena_reused_bytes = session.arena_reused_bytes() - reused_before;
-        stats.arena_peak_bytes = session.arena_peak_bytes();
-        stats.elapsed = sw.elapsed();
-        BatchOutcome { outcomes, stats }
-    }
 }
 
 /// The registry/flight-recorder status label for a finished query.
@@ -891,26 +656,43 @@ impl SparqlEngine for AmberEngine {
         query: &amber_sparql::SelectQuery,
         options: &ExecOptions,
     ) -> Result<QueryOutcome, EngineError> {
-        self.execute_parsed(query, options)
+        self.run_source(
+            &QuerySource::Parsed(query),
+            options,
+            &mut self.transient_session(),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Error, QueryRequest};
     use amber_multigraph::paper::{
         paper_graph, paper_query_text, PAPER_QUERY_EMBEDDINGS, PREFIX_X, PREFIX_Y,
     };
+    use amber_sparql::SelectQuery;
 
     fn engine() -> AmberEngine {
         AmberEngine::from_graph(paper_graph())
+    }
+
+    /// One request per query, every one under `options`.
+    fn parsed_requests<'a>(
+        queries: &'a [SelectQuery],
+        options: &ExecOptions,
+    ) -> Vec<QueryRequest<'a>> {
+        queries
+            .iter()
+            .map(|q| QueryRequest::parsed(q).with_options(options.clone()))
+            .collect()
     }
 
     #[test]
     fn paper_query_end_to_end() {
         let engine = engine();
         let outcome = engine
-            .execute(&paper_query_text(), &ExecOptions::default())
+            .run(&QueryRequest::sparql(&paper_query_text()))
             .unwrap();
         assert_eq!(outcome.status, QueryStatus::Completed);
         assert_eq!(outcome.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
@@ -933,7 +715,7 @@ mod tests {
     fn count_only_skips_materialization() {
         let engine = engine();
         let outcome = engine
-            .execute(&paper_query_text(), &ExecOptions::default().counting())
+            .run(&QueryRequest::sparql(&paper_query_text()).counting())
             .unwrap();
         assert_eq!(outcome.embedding_count, 2);
         assert!(outcome.bindings.is_empty());
@@ -943,10 +725,7 @@ mod tests {
     fn max_results_caps_bindings_not_count() {
         let engine = engine();
         let outcome = engine
-            .execute(
-                &paper_query_text(),
-                &ExecOptions::default().with_max_results(1),
-            )
+            .run(&QueryRequest::sparql(&paper_query_text()).with_max_results(1))
             .unwrap();
         assert_eq!(outcome.embedding_count, 2);
         assert_eq!(outcome.bindings.len(), 1);
@@ -956,10 +735,9 @@ mod tests {
     fn unknown_entities_give_empty_completed() {
         let engine = engine();
         let outcome = engine
-            .execute(
+            .run(&QueryRequest::sparql(
                 "SELECT * WHERE { ?a <http://nowhere/p> ?b . }",
-                &ExecOptions::default(),
-            )
+            ))
             .unwrap();
         assert_eq!(outcome.status, QueryStatus::Completed);
         assert_eq!(outcome.embedding_count, 0);
@@ -973,7 +751,7 @@ mod tests {
             "SELECT * WHERE {{ <{PREFIX_X}London> <{PREFIX_Y}isPartOf> <{PREFIX_X}England> . \
              ?p <{PREFIX_Y}wasBornIn> <{PREFIX_X}London> . }}"
         );
-        let outcome = engine.execute(&q, &ExecOptions::default()).unwrap();
+        let outcome = engine.run(&QueryRequest::sparql(&q)).unwrap();
         assert_eq!(outcome.embedding_count, 2); // Amy, Christopher
 
         // False ground pattern: everything collapses to zero.
@@ -981,7 +759,7 @@ mod tests {
             "SELECT * WHERE {{ <{PREFIX_X}England> <{PREFIX_Y}isPartOf> <{PREFIX_X}London> . \
              ?p <{PREFIX_Y}wasBornIn> <{PREFIX_X}London> . }}"
         );
-        let outcome = engine.execute(&q, &ExecOptions::default()).unwrap();
+        let outcome = engine.run(&QueryRequest::sparql(&q)).unwrap();
         assert_eq!(outcome.embedding_count, 0);
     }
 
@@ -993,7 +771,7 @@ mod tests {
             "SELECT * WHERE {{ ?p <{PREFIX_Y}wasBornIn> <{PREFIX_X}London> . \
              ?q <{PREFIX_Y}livedIn> <{PREFIX_X}United_States> . }}"
         );
-        let outcome = engine.execute(&q, &ExecOptions::default()).unwrap();
+        let outcome = engine.run(&QueryRequest::sparql(&q)).unwrap();
         assert_eq!(outcome.embedding_count, 4);
         assert_eq!(outcome.bindings.len(), 4);
     }
@@ -1004,12 +782,12 @@ mod tests {
         // Two people born in London; projecting the city gives 2 identical
         // rows without DISTINCT, 1 with.
         let plain = format!("SELECT ?c WHERE {{ ?p <{PREFIX_Y}wasBornIn> ?c . }}");
-        let outcome = engine.execute(&plain, &ExecOptions::default()).unwrap();
+        let outcome = engine.run(&QueryRequest::sparql(&plain)).unwrap();
         assert_eq!(outcome.embedding_count, 2);
         assert_eq!(outcome.bindings.len(), 2);
 
         let distinct = format!("SELECT DISTINCT ?c WHERE {{ ?p <{PREFIX_Y}wasBornIn> ?c . }}");
-        let outcome = engine.execute(&distinct, &ExecOptions::default()).unwrap();
+        let outcome = engine.run(&QueryRequest::sparql(&distinct)).unwrap();
         assert_eq!(outcome.embedding_count, 2, "count keeps bag semantics");
         assert_eq!(outcome.bindings.len(), 1);
     }
@@ -1018,10 +796,7 @@ mod tests {
     fn zero_timeout_reports_timed_out() {
         let engine = engine();
         let outcome = engine
-            .execute(
-                &paper_query_text(),
-                &ExecOptions::default().with_timeout(Duration::ZERO),
-            )
+            .run(&QueryRequest::sparql(&paper_query_text()).with_timeout(Duration::ZERO))
             .unwrap();
         assert_eq!(outcome.status, QueryStatus::TimedOut);
     }
@@ -1029,9 +804,7 @@ mod tests {
     #[test]
     fn parse_errors_propagate() {
         let engine = engine();
-        assert!(engine
-            .execute("not sparql", &ExecOptions::default())
-            .is_err());
+        assert!(engine.run(&QueryRequest::sparql("not sparql")).is_err());
     }
 
     #[test]
@@ -1063,13 +836,14 @@ mod tests {
         // repeats of the same query.
         let queries = vec![q1.clone(), q2.clone(), q1.clone(), q2, q1];
         for options in [ExecOptions::default(), ExecOptions::batch()] {
-            let batch = engine.execute_batch(&queries, &options);
+            let requests = parsed_requests(&queries, &options);
+            let batch = engine.run_all(&requests);
             assert_eq!(batch.outcomes.len(), queries.len());
             assert_eq!(batch.stats.completed, queries.len());
             assert_eq!(batch.stats.errors, 0);
-            for (query, outcome) in queries.iter().zip(&batch.outcomes) {
+            for (request, outcome) in requests.iter().zip(&batch.outcomes) {
                 let batched = outcome.as_ref().unwrap();
-                let solo = engine.execute_parsed(query, &options).unwrap();
+                let solo = engine.run(request).unwrap();
                 assert_eq!(batched.embedding_count, solo.embedding_count);
                 assert_eq!(batched.status, solo.status);
                 assert_eq!(batched.variables, solo.variables);
@@ -1087,7 +861,7 @@ mod tests {
         let engine = engine();
         let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let queries = vec![q; 6];
-        let batch = engine.execute_batch(&queries, &ExecOptions::batch());
+        let batch = engine.run_all(&parsed_requests(&queries, &ExecOptions::batch()));
         assert_eq!(batch.stats.queries, 6);
         assert_eq!(batch.stats.completed, 6);
         // Arenas were warm for every query after the first.
@@ -1104,9 +878,9 @@ mod tests {
         let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let options = ExecOptions::batch();
         let mut session = engine.create_session(&options);
-        let first =
-            engine.execute_batch_in_session(std::slice::from_ref(&q), &options, &mut session);
-        let second = engine.execute_batch_in_session(&[q], &options, &mut session);
+        let requests = parsed_requests(std::slice::from_ref(&q), &options);
+        let first = engine.run_all_in(&requests, &mut session);
+        let second = engine.run_all_in(&requests, &mut session);
         assert_eq!(session.queries_executed(), 2);
         let (a, b) = (
             first.outcomes[0].as_ref().unwrap(),
@@ -1119,10 +893,11 @@ mod tests {
     fn batch_sparql_isolates_parse_failures() {
         let engine = engine();
         let good = paper_query_text();
-        let batch = engine.execute_batch_sparql(
-            &[good.as_str(), "this is not sparql", good.as_str()],
-            &ExecOptions::default(),
-        );
+        let batch = engine.run_all(&[
+            QueryRequest::sparql(&good),
+            QueryRequest::sparql("this is not sparql"),
+            QueryRequest::sparql(&good),
+        ]);
         assert_eq!(batch.outcomes.len(), 3);
         assert!(batch.outcomes[0].is_ok());
         assert!(batch.outcomes[1].is_err());
@@ -1140,12 +915,9 @@ mod tests {
         let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let options = ExecOptions::batch();
         let mut session = engine_a.create_session(&options);
-        let a = engine_a
-            .execute_in_session(&q, &options, &mut session)
-            .unwrap();
-        let b = engine_b
-            .execute_in_session(&q, &options, &mut session)
-            .unwrap();
+        let request = QueryRequest::parsed(&q).with_options(options);
+        let a = engine_a.run_in(&request, &mut session).unwrap();
+        let b = engine_b.run_in(&request, &mut session).unwrap();
         assert_eq!(a.embedding_count, b.embedding_count);
     }
 
@@ -1154,11 +926,9 @@ mod tests {
         let engine = engine();
         let plan = engine.prepare_sparql(&paper_query_text()).unwrap();
         let adhoc = engine
-            .execute(&paper_query_text(), &ExecOptions::default())
+            .run(&QueryRequest::sparql(&paper_query_text()))
             .unwrap();
-        let prepared = engine
-            .execute_prepared(&plan, &ExecOptions::default())
-            .unwrap();
+        let prepared = engine.run(&QueryRequest::prepared(&plan)).unwrap();
         assert_eq!(prepared.embedding_count, adhoc.embedding_count);
         assert_eq!(prepared.variables, adhoc.variables);
         let (mut a, mut b) = (prepared.bindings.to_vec(), adhoc.bindings.to_vec());
@@ -1173,8 +943,8 @@ mod tests {
         let engine_b = engine();
         let plan = engine_a.prepare_sparql(&paper_query_text()).unwrap();
         assert!(matches!(
-            engine_b.execute_prepared(&plan, &ExecOptions::default()),
-            Err(EngineError::StalePlan)
+            engine_b.run(&QueryRequest::prepared(&plan)),
+            Err(Error::Engine(EngineError::StalePlan))
         ));
     }
 
@@ -1185,7 +955,7 @@ mod tests {
         let renamed = paper_query_text().replace("?X", "?Renamed");
         let q2 = amber_sparql::parse_select(&renamed).unwrap();
         let options = ExecOptions::batch();
-        let batch = engine.execute_batch(&[q1.clone(), q2.clone(), q1], &options);
+        let batch = engine.run_all(&parsed_requests(&[q1.clone(), q2, q1], &options));
         assert_eq!(batch.stats.completed, 3);
         assert_eq!(batch.stats.plans.plans.misses, 1, "one derivation");
         assert_eq!(
@@ -1202,7 +972,7 @@ mod tests {
         let engine = engine();
         let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let options = ExecOptions::batch();
-        let batch = engine.execute_batch(&vec![q; 4], &options);
+        let batch = engine.run_all(&parsed_requests(&vec![q; 4], &options));
         assert_eq!(batch.stats.completed, 4);
         assert_eq!(batch.stats.plans.results.misses, 1);
         assert_eq!(batch.stats.plans.results.hits, 3);
@@ -1230,16 +1000,13 @@ mod tests {
         let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let options = ExecOptions::batch();
         let mut session = engine.create_session(&options);
+        let plain = QueryRequest::parsed(&q).with_options(options);
+        let strangled = plain.clone().with_timeout(Duration::ZERO);
 
-        let strangled = options.clone().with_timeout(Duration::ZERO);
-        let first = engine
-            .execute_in_session(&q, &strangled, &mut session)
-            .unwrap();
+        let first = engine.run_in(&strangled, &mut session).unwrap();
         assert_eq!(first.status, QueryStatus::TimedOut);
 
-        let repeat = engine
-            .execute_in_session(&q, &options, &mut session)
-            .unwrap();
+        let repeat = engine.run_in(&plain, &mut session).unwrap();
         assert_eq!(repeat.status, QueryStatus::Completed);
         assert_eq!(repeat.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
         let stats = session.plan_stats();
@@ -1252,9 +1019,7 @@ mod tests {
         // cached, even a zero-budget repeat may be served the full answer
         // (a complete result is correct under any budget) — but a partial
         // result never flows the other way.
-        let strangled_repeat = engine
-            .execute_in_session(&q, &strangled, &mut session)
-            .unwrap();
+        let strangled_repeat = engine.run_in(&strangled, &mut session).unwrap();
         assert_eq!(strangled_repeat.status, QueryStatus::Completed);
         assert_eq!(
             strangled_repeat.embedding_count,
@@ -1268,13 +1033,12 @@ mod tests {
         let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let options = ExecOptions::batch();
         let mut session = engine.create_session(&options);
+        let request = QueryRequest::parsed(&q).with_options(options);
         let capped = engine
-            .execute_in_session(&q, &options.clone().with_max_results(1), &mut session)
+            .run_in(&request.clone().with_max_results(1), &mut session)
             .unwrap();
         assert_eq!(capped.bindings.len(), 1);
-        let uncapped = engine
-            .execute_in_session(&q, &options, &mut session)
-            .unwrap();
+        let uncapped = engine.run_in(&request, &mut session).unwrap();
         assert_eq!(uncapped.bindings.len(), 2, "caps are part of the cache key");
     }
 
@@ -1286,14 +1050,20 @@ mod tests {
         let mut session = engine.create_session(&options);
         // Warm the caches with one normal execution.
         engine
-            .execute_in_session(&q, &options, &mut session)
+            .run_in(
+                &QueryRequest::parsed(&q).with_options(options.clone()),
+                &mut session,
+            )
             .unwrap();
         let warm = session.plan_stats();
         // A repeat that sets the *per-call* result capacity to 0 must not
         // be served from the warm session store (and must not store).
         let opted_out = options.clone().with_result_cache(0);
         let outcome = engine
-            .execute_in_session(&q, &opted_out, &mut session)
+            .run_in(
+                &QueryRequest::parsed(&q).with_options(opted_out),
+                &mut session,
+            )
             .unwrap();
         assert_eq!(outcome.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
         let after = session.plan_stats();
@@ -1303,7 +1073,10 @@ mod tests {
         let plan_opted_out = options.clone().with_plan_cache(0).with_result_cache(0);
         let before = session.plan_stats();
         engine
-            .execute_in_session(&q, &plan_opted_out, &mut session)
+            .run_in(
+                &QueryRequest::parsed(&q).with_options(plan_opted_out),
+                &mut session,
+            )
             .unwrap();
         let after = session.plan_stats();
         assert_eq!(after.plans.hits, before.plans.hits, "no plan-cache hit");
@@ -1316,15 +1089,10 @@ mod tests {
         let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let options = ExecOptions::batch();
         let mut session = engine.create_session(&options);
-        let first = engine
-            .execute_in_session(&q, &options, &mut session)
-            .unwrap();
-        let second = engine
-            .execute_in_session(&q, &options, &mut session)
-            .unwrap();
-        let third = engine
-            .execute_in_session(&q, &options, &mut session)
-            .unwrap();
+        let request = QueryRequest::parsed(&q).with_options(options);
+        let first = engine.run_in(&request, &mut session).unwrap();
+        let second = engine.run_in(&request, &mut session).unwrap();
+        let third = engine.run_in(&request, &mut session).unwrap();
         let stats = session.plan_stats();
         assert_eq!(stats.results.hits, 2, "verbatim repeats hit");
         // The zero-copy contract, gated structurally and by counter: every
@@ -1344,8 +1112,8 @@ mod tests {
 
     #[test]
     fn transient_sessions_skip_the_per_call_cache_build() {
-        // The `execute_prepared` / `execute_parsed` fix: one-shot sessions
-        // must not carry plan/result caches that die with the call.
+        // One-shot `run` sessions must not carry plan/result caches that
+        // die with the call.
         let engine = engine();
         let mut transient = engine.transient_session();
         let (plans, _) = transient.plan_and_seed_caches();
@@ -1360,7 +1128,7 @@ mod tests {
         // Prepared one-shots still work and stay correct through it.
         let plan = engine.prepare_sparql(&paper_query_text()).unwrap();
         let outcome = engine
-            .execute_prepared(&plan, &ExecOptions::batch())
+            .run(&QueryRequest::prepared(&plan).with_options(ExecOptions::batch()))
             .unwrap();
         assert_eq!(outcome.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
     }
@@ -1389,8 +1157,12 @@ mod tests {
         let queries = vec![q1.clone(), q2.clone(), q1];
         let options = ExecOptions::batch();
         let plans: Vec<_> = queries.iter().map(|q| engine.prepare(q).unwrap()).collect();
-        let parsed = engine.execute_batch(&queries, &options);
-        let prepared = engine.execute_batch_prepared(&plans, &options);
+        let parsed = engine.run_all(&parsed_requests(&queries, &options));
+        let prepared: Vec<_> = plans
+            .iter()
+            .map(|plan| QueryRequest::prepared(plan).with_options(options.clone()))
+            .collect();
+        let prepared = engine.run_all(&prepared);
         assert_eq!(prepared.stats.completed, 3);
         for (a, b) in parsed.outcomes.iter().zip(&prepared.outcomes) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());

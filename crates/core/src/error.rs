@@ -96,17 +96,35 @@ impl From<QueryGraphError> for EngineError {
     }
 }
 
+/// The kind of hard failure that tripped (or is tripping) a serving
+/// layer's per-tenant circuit breaker, carried by [`Error::CircuitOpen`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TripCause {
+    /// Consecutive quarantined panics ([`EngineError::Internal`]).
+    Internal,
+    /// Consecutive `QueryStatus::TimedOut` outcomes (including budgets
+    /// that expired mid-execution).
+    TimedOut,
+}
+
+impl fmt::Display for TripCause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            TripCause::Internal => "internal errors",
+            TripCause::TimedOut => "timeouts",
+        })
+    }
+}
+
 /// The unified public failure taxonomy: everything the engine *or* a
 /// serving layer above it can answer a query with, in one enum with one
 /// protocol mapping.
 ///
-/// [`EngineError`] covers execution failures; the serving layer
-/// (`amber_serve`) adds admission and lifecycle outcomes. Both convert
-/// into this type (`From<EngineError>` here, `From<ServeError>` in
-/// `amber_serve`), so a front-end holds exactly one error value per
-/// request and maps it to a wire status through [`Error::status_code`]
-/// and [`Error::retry_after`] — no per-protocol match arms over two
-/// disjoint enums.
+/// [`EngineError`] covers execution failures and is nested as
+/// [`Error::Engine`]; the serving layer (`amber_serve`) answers with the
+/// admission and lifecycle variants directly. A front-end holds exactly
+/// one error value per request and maps it to a wire status through
+/// [`Error::status_code`] and [`Error::retry_after`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
     /// The query was executed (or parsed) and the engine failed it.
@@ -122,9 +140,8 @@ pub enum Error {
     /// Rejected at admission: the tenant's circuit breaker is open after
     /// consecutive hard failures.
     CircuitOpen {
-        /// The kind of consecutive hard failure that tripped the breaker,
-        /// rendered as text (the serving layer's `TripCause`).
-        cause: String,
+        /// The kind of consecutive hard failure that tripped the breaker.
+        cause: TripCause,
         /// Remaining breaker cooldown at rejection time.
         retry_after: Duration,
     },
@@ -275,7 +292,7 @@ mod tests {
         );
         assert_eq!(
             Error::CircuitOpen {
-                cause: "timeouts".into(),
+                cause: TripCause::TimedOut,
                 retry_after: Duration::from_secs(1),
             }
             .status_code(),
@@ -306,7 +323,7 @@ mod tests {
         );
         assert_eq!(
             Error::CircuitOpen {
-                cause: "timeouts".into(),
+                cause: TripCause::TimedOut,
                 retry_after: Duration::from_secs(7),
             }
             .retry_after(),
@@ -333,6 +350,11 @@ mod tests {
         };
         assert!(e.to_string().contains("overloaded"));
         assert!(std::error::Error::source(&e).is_none());
+        let e = Error::CircuitOpen {
+            cause: TripCause::TimedOut,
+            retry_after: Duration::from_secs(2),
+        };
+        assert!(e.to_string().contains("timeouts"), "{e}");
         let e: Error = EngineError::StalePlan.into();
         assert!(std::error::Error::source(&e).is_some());
     }

@@ -506,7 +506,10 @@ mod tests {
         // no new trace.
         let before = session.flight_recorder().traces().count();
         engine
-            .execute_in_session(&query, &options, &mut session)
+            .run_in(
+                &crate::QueryRequest::parsed(&query).with_options(options),
+                &mut session,
+            )
             .unwrap();
         assert_eq!(session.flight_recorder().traces().count(), before);
     }

@@ -12,10 +12,10 @@
 //! * an **online stage** — a SPARQL `SELECT/WHERE` query is transformed into
 //!   a query multigraph `Q`, decomposed into *core* and *satellite*
 //!   vertices, and matched by sub-multigraph homomorphism
-//!   ([`AmberEngine::execute`]).
+//!   ([`AmberEngine::run`]).
 //!
 //! ```
-//! use amber::{AmberEngine, ExecOptions};
+//! use amber::{AmberEngine, QueryRequest};
 //!
 //! let data = r#"
 //! <http://x/Amy>    <http://y/wasBornIn> <http://x/London> .
@@ -24,10 +24,9 @@
 //! "#;
 //! let engine = AmberEngine::load_ntriples(data).unwrap();
 //! let outcome = engine
-//!     .execute(
+//!     .run(&QueryRequest::sparql(
 //!         "SELECT ?p WHERE { ?p <http://y/wasBornIn> ?c . ?c <http://y/isPartOf> ?x . }",
-//!         &ExecOptions::default(),
-//!     )
+//!     ))
 //!     .unwrap();
 //! assert_eq!(outcome.embedding_count, 2);
 //! ```
@@ -50,7 +49,7 @@ pub mod session;
 pub(crate) mod telemetry;
 
 pub use engine::{AmberEngine, OfflineStats};
-pub use error::{EngineError, Error};
+pub use error::{EngineError, Error, TripCause};
 pub use explain::{Explain, QueryPlan};
 pub use governor::{MemoryGovernor, Pressure};
 pub use options::ExecOptions;

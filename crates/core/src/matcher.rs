@@ -23,13 +23,13 @@
 //!    Cartesian product) — counted exactly, materialized lazily.
 //!
 //! There is no injectivity check anywhere: this is homomorphism, not
-//! isomorphism (§5: "different query vertices [may] be matched with the
+//! isomorphism (§5: "different query vertices \[may\] be matched with the
 //! same data vertices").
 //!
 //! ## Zero-allocation candidate pipeline
 //!
 //! The steady-state recursion performs **no heap allocation**. The search
-//! runs over one scratch arena per order position ([`DepthScratch`], held
+//! runs over one scratch arena per order position (`DepthScratch`, held
 //! in [`SearchArenas`]): a candidate buffer that stays live while deeper
 //! levels run, a spill buffer for multi-type/unconstrained probes, a probe
 //! ordering table, and one reusable buffer per satellite of that depth.
@@ -47,7 +47,7 @@
 //!
 //! Since the batch-execution PR the matcher no longer *owns* its scratch
 //! memory: [`SearchArenas`] (the assignment slots plus the per-depth
-//! [`DepthScratch`] arenas) live in a
+//! `DepthScratch` arenas) live in a
 //! [`QuerySession`](crate::session::QuerySession) and are lent to
 //! [`ComponentMatcher::run_on_with`] for the duration of one component run.
 //! Arenas grow high-water-mark style and are never shrunk, so a session that
@@ -1000,10 +1000,10 @@ impl DepthScratch {
 }
 
 /// The matcher's long-lived scratch memory: the core assignment slots plus
-/// one [`DepthScratch`] arena per order position.
+/// one `DepthScratch` arena per order position.
 ///
 /// A [`QuerySession`](crate::session::QuerySession) owns one `SearchArenas`
-/// and lends it to every component run; [`Self::prepare`] grows
+/// and lends it to every component run; `prepare` grows
 /// the arenas to the incoming plan's shape **high-water-mark style** — an
 /// arena set that has seen a deep query never shrinks back, so repeated
 /// workloads stop touching the allocator entirely.

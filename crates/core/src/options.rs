@@ -57,7 +57,7 @@ impl ExecOptions {
 
     /// Batch-execution preset: the defaults plus default-sized
     /// prepared-plan and verbatim-result caches — the configuration
-    /// [`execute_batch`](crate::AmberEngine::execute_batch) is designed for.
+    /// [`run_all`](crate::AmberEngine::run_all) is designed for.
     pub fn batch() -> Self {
         Self::default()
             .with_plan_cache(Self::DEFAULT_PLAN_CACHE_CAPACITY)

@@ -1,22 +1,21 @@
-//! The unified public query API: [`QueryRequest`] + [`AmberEngine::run`].
+//! The public query API: [`QueryRequest`] + [`AmberEngine::run`].
 //!
-//! The engine grew ten `execute_*` variants along three independent axes —
-//! input form (text / parsed / prepared), session (transient / caller-owned)
-//! and arity (one / batch). This module collapses them behind one request
-//! value and four entry points:
+//! A query varies along three independent axes — input form (text /
+//! parsed / prepared), session (transient / caller-owned) and arity (one
+//! / batch). One request value and four entry points cover them:
 //!
 //! * [`AmberEngine::run`] — one request, transient session;
 //! * [`AmberEngine::run_in`] — one request, caller-owned session;
 //! * [`AmberEngine::run_all`] — many requests, one fresh shared session;
 //! * [`AmberEngine::run_all_in`] — many requests, caller-owned session.
 //!
-//! A [`QueryRequest`] borrows its source (so building one allocates
-//! nothing beyond its [`ExecOptions`]) and the `run*` entry points return
-//! the unified [`Error`](crate::Error) taxonomy, which carries the wire
-//! mapping ([`status_code`](crate::Error::status_code) /
-//! [`retry_after`](crate::Error::retry_after)) every front-end shares.
-//! The legacy `execute_*` methods survive as thin wrappers over the same
-//! dispatcher.
+//! All four execute through one query envelope, so every request is
+//! counted once — in its session and in the metric registry — whether it
+//! answers or fails. A [`QueryRequest`] borrows its source (so building
+//! one allocates nothing beyond its [`ExecOptions`]) and the `run*` entry
+//! points return the unified [`Error`] taxonomy, which carries the wire
+//! mapping ([`status_code`](Error::status_code) /
+//! [`retry_after`](Error::retry_after)) every front-end shares.
 //!
 //! ```
 //! use amber::{AmberEngine, QueryRequest};
@@ -31,11 +30,12 @@
 //! ```
 
 use crate::engine::AmberEngine;
-use crate::error::{EngineError, Error};
+use crate::error::Error;
 use crate::options::ExecOptions;
 use crate::plan::PreparedPlan;
-use crate::result::QueryOutcome;
-use crate::session::{BatchOutcome, QuerySession};
+use crate::result::{QueryOutcome, QueryStatus};
+use crate::session::{BatchOutcome, BatchStats, QuerySession};
+use amber_util::Stopwatch;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -127,50 +127,26 @@ impl<'a> QueryRequest<'a> {
 }
 
 impl AmberEngine {
-    /// The real dispatcher behind every single-query entry point, legacy
-    /// and unified alike: route one source through the session paths.
-    pub(crate) fn dispatch_source(
-        &self,
-        source: &QuerySource<'_>,
-        options: &ExecOptions,
-        session: &mut QuerySession,
-    ) -> Result<QueryOutcome, EngineError> {
-        match source {
-            QuerySource::Sparql(text) => {
-                let query = amber_sparql::parse_select(text)?;
-                self.execute_in_session(&query, options, session)
-            }
-            QuerySource::Parsed(query) => self.execute_in_session(query, options, session),
-            QuerySource::Prepared(plan) => self.execute_prepared_in_session(plan, options, session),
-        }
-    }
-
-    /// [`Self::dispatch_source`] with a transient single-query session.
-    pub(crate) fn dispatch_once(
-        &self,
-        source: &QuerySource<'_>,
-        options: &ExecOptions,
-    ) -> Result<QueryOutcome, EngineError> {
-        let mut session = self.transient_session();
-        self.dispatch_source(source, options, &mut session)
-    }
-
-    /// Run one request with transient state (a fresh single-query
-    /// session). The unified entry point over text, parsed and prepared
+    /// Run one request with transient state: a fresh single-query session
+    /// without caches. The entry point over text, parsed and prepared
     /// sources — see [`QueryRequest`].
     pub fn run(&self, request: &QueryRequest<'_>) -> Result<QueryOutcome, Error> {
-        self.dispatch_once(request.source(), request.options())
-            .map_err(Error::from)
+        self.run_in(request, &mut self.transient_session())
     }
 
-    /// Run one request against a caller-owned session (arenas, seed, plan
-    /// and result caches amortized across calls).
+    /// Run one request against a caller-owned session: the matcher borrows
+    /// its scratch arenas, plan construction its seed cache, and repeats
+    /// reuse their prepared plan or whole completed outcome when the
+    /// session's plan/result caches are enabled (see
+    /// [`ExecOptions::with_plan_cache`] and
+    /// [`ExecOptions::with_result_cache`]). A session filled by a
+    /// different engine is safe: its caches are cleared on first use here.
     pub fn run_in(
         &self,
         request: &QueryRequest<'_>,
         session: &mut QuerySession,
     ) -> Result<QueryOutcome, Error> {
-        self.dispatch_source(request.source(), request.options(), session)
+        self.run_source(request.source(), request.options(), session)
             .map_err(Error::from)
     }
 
@@ -180,40 +156,62 @@ impl AmberEngine {
     /// parse failures of [`QuerySource::Sparql`] entries) yield that
     /// entry's `Err` without aborting the rest.
     pub fn run_all(&self, requests: &[QueryRequest<'_>]) -> BatchOutcome {
-        let session_options = requests
-            .first()
-            .map(|r| r.options().clone())
-            .unwrap_or_else(ExecOptions::batch);
-        let mut session = self.create_session(&session_options);
+        let mut session = match requests.first() {
+            Some(first) => self.create_session(first.options()),
+            None => self.create_session(&ExecOptions::batch()),
+        };
         self.run_all_in(requests, &mut session)
     }
 
     /// [`Self::run_all`] against a caller-owned session, so warm-up
-    /// carries over from batch to batch.
+    /// carries over from batch to batch. Each entry is what
+    /// [`Self::run_in`] returns for its request; the statistics cover only
+    /// this batch's share of the session.
     pub fn run_all_in(
         &self,
         requests: &[QueryRequest<'_>],
         session: &mut QuerySession,
     ) -> BatchOutcome {
-        let base = requests
-            .first()
-            .map(|r| r.options().clone())
-            .unwrap_or_else(ExecOptions::batch);
-        self.drive_batch(
-            requests.len(),
-            &base,
-            session,
-            |engine, i, _base, session| {
-                engine.dispatch_source(requests[i].source(), requests[i].options(), session)
-            },
-        )
+        let sw = Stopwatch::start();
+        session.bind_graph(self.graph_token());
+        let seeds_before = session.seed_stats();
+        let plans_before = session.plan_stats();
+        let search_before = session.search_stats();
+        let reused_before = session.arena_reused_bytes();
+        let mut stats = BatchStats {
+            queries: requests.len(),
+            ..BatchStats::default()
+        };
+        let outcomes = requests
+            .iter()
+            .map(|request| {
+                let outcome = self.run_in(request, session);
+                match &outcome {
+                    Ok(o) => match o.status {
+                        QueryStatus::Completed => stats.completed += 1,
+                        QueryStatus::TimedOut => stats.timed_out += 1,
+                        QueryStatus::Cancelled => stats.cancelled += 1,
+                        QueryStatus::BudgetExceeded => stats.budget_exceeded += 1,
+                    },
+                    Err(_) => stats.errors += 1,
+                }
+                outcome
+            })
+            .collect();
+        stats.seeds = session.seed_stats().since(&seeds_before);
+        stats.plans = session.plan_stats().since(&plans_before);
+        stats.search = session.search_stats().since(&search_before);
+        stats.arena_reused_bytes = session.arena_reused_bytes() - reused_before;
+        stats.arena_peak_bytes = session.arena_peak_bytes();
+        stats.elapsed = sw.elapsed();
+        BatchOutcome { outcomes, stats }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::result::QueryStatus;
+    use crate::error::EngineError;
     use amber_multigraph::paper::{paper_graph, paper_query_text, PAPER_QUERY_EMBEDDINGS};
 
     fn engine() -> AmberEngine {
@@ -221,23 +219,20 @@ mod tests {
     }
 
     #[test]
-    fn run_matches_legacy_execute_across_sources() {
+    fn run_agrees_across_sources() {
         let engine = engine();
         let text = paper_query_text();
-        let legacy = engine.execute(&text, &ExecOptions::default()).unwrap();
-
         let from_text = engine.run(&QueryRequest::sparql(&text)).unwrap();
-        assert_eq!(from_text.embedding_count, legacy.embedding_count);
-        assert_eq!(from_text.variables, legacy.variables);
+        assert_eq!(from_text.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
 
         let parsed = amber_sparql::parse_select(&text).unwrap();
         let from_parsed = engine.run(&QueryRequest::parsed(&parsed)).unwrap();
-        assert_eq!(from_parsed.embedding_count, legacy.embedding_count);
+        assert_eq!(from_parsed.embedding_count, from_text.embedding_count);
 
         let plan = engine.prepare(&parsed).unwrap();
         let from_plan = engine.run(&QueryRequest::prepared(&plan)).unwrap();
-        assert_eq!(from_plan.embedding_count, legacy.embedding_count);
-        assert_eq!(from_plan.variables, legacy.variables);
+        assert_eq!(from_plan.embedding_count, from_text.embedding_count);
+        assert_eq!(from_plan.variables, from_text.variables);
     }
 
     #[test]
@@ -282,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn run_in_shares_the_session_with_legacy_paths() {
+    fn run_in_shares_the_session_across_calls() {
         let engine = engine();
         let text = paper_query_text();
         let options = ExecOptions::batch();
@@ -301,7 +296,7 @@ mod tests {
             .unwrap();
         assert_eq!(a.embedding_count, b.embedding_count);
         assert_eq!(session.queries_executed(), 2);
-        // The unified path drives the same caches the legacy path did.
+        // The second call is served from the cache the first one filled.
         assert!(
             b.bindings.shares_rows(&a.bindings),
             "repeat must be a zero-copy result-cache hit"
@@ -335,25 +330,10 @@ mod tests {
                 PAPER_QUERY_EMBEDDINGS as u128
             );
         }
-    }
-
-    #[test]
-    fn run_all_matches_legacy_batch() {
-        let engine = engine();
-        let text = paper_query_text();
-        let parsed = amber_sparql::parse_select(&text).unwrap();
-        let options = ExecOptions::batch();
-        let legacy = engine.execute_batch(&vec![parsed.clone(); 3], &options);
-        let requests: Vec<QueryRequest<'_>> = (0..3)
-            .map(|_| QueryRequest::parsed(&parsed).with_options(options.clone()))
-            .collect();
-        let unified = engine.run_all(&requests);
-        assert_eq!(unified.stats.completed, legacy.stats.completed);
-        for (a, b) in legacy.outcomes.iter().zip(&unified.outcomes) {
-            assert_eq!(
-                a.as_ref().unwrap().embedding_count,
-                b.as_ref().unwrap().embedding_count
-            );
-        }
+        // A batch entry is the answer `run` gives, errors included.
+        assert_eq!(
+            batch.outcomes[1].as_ref().unwrap_err(),
+            &engine.run(&requests[1]).unwrap_err()
+        );
     }
 }

@@ -1,9 +1,9 @@
 //! Batched query sessions — long-lived search state shared across queries.
 //!
 //! AMbER's offline indexes (paper §4) exist to amortize cost across many
-//! queries, but until this subsystem every [`execute`](crate::AmberEngine::execute)
-//! call rebuilt its scratch memory from scratch. A [`QuerySession`] inverts
-//! that ownership:
+//! queries, but until this subsystem every query rebuilt its scratch
+//! memory from scratch (a one-shot [`run`](crate::AmberEngine::run) still
+//! does). A [`QuerySession`] inverts that ownership:
 //!
 //! * it owns the [`SearchArenas`] — per-depth candidate/spill buffers
 //!   grown **high-water-mark style** and never shrunk, so after the
@@ -13,7 +13,7 @@
 //!   verbatim-result cache;
 //! * it aggregates the search counters of its queries ([`SearchStats`]).
 //!
-//! [`AmberEngine::execute_batch`](crate::AmberEngine::execute_batch) drives
+//! [`run_all`](crate::AmberEngine::run_all) drives
 //! many queries through one session and reports aggregate [`BatchStats`]
 //! (cache hit rates, arena reuse bytes) next to the per-query outcomes.
 
@@ -312,8 +312,8 @@ impl QuerySession {
     }
 }
 
-/// Aggregate statistics of one [`execute_batch`](crate::AmberEngine::execute_batch)
-/// run (or of a session's lifetime).
+/// Aggregate statistics of one [`run_all`](crate::AmberEngine::run_all)
+/// batch (or of a session's lifetime).
 #[derive(Debug, Clone, Default)]
 pub struct BatchStats {
     /// Queries submitted.
@@ -327,8 +327,8 @@ pub struct BatchStats {
     /// Queries whose memory budget was exhausted (degradation ladder ran
     /// out of things to shed).
     pub budget_exceeded: usize,
-    /// Queries that failed before matching (query-graph build errors) or
-    /// were quarantined after a panic
+    /// Queries that failed: parse errors, query-graph build errors, stale
+    /// plans, or a quarantined panic
     /// ([`EngineError::Internal`](crate::EngineError::Internal)).
     pub errors: usize,
     /// Seed-probe memo counters (attribute / IRI lookups of plan
@@ -419,8 +419,9 @@ impl fmt::Display for BatchStats {
 /// order) plus aggregate statistics.
 #[derive(Debug)]
 pub struct BatchOutcome {
-    /// One entry per submitted query, in submission order.
-    pub outcomes: Vec<Result<QueryOutcome, crate::error::EngineError>>,
+    /// One entry per submitted request, in submission order: what
+    /// [`run_in`](crate::AmberEngine::run_in) returns for it.
+    pub outcomes: Vec<Result<QueryOutcome, crate::error::Error>>,
     /// Aggregate cache/arena/timing statistics for the whole batch.
     pub stats: BatchStats,
 }
@@ -428,7 +429,7 @@ pub struct BatchOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AmberEngine, ExecOptions};
+    use crate::{AmberEngine, ExecOptions, QueryRequest};
     use amber_multigraph::paper::{paper_graph, paper_query_text, PAPER_QUERY_EMBEDDINGS};
 
     #[test]
@@ -438,9 +439,8 @@ mod tests {
         let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let options = ExecOptions::batch();
         let mut session = engine_a.create_session(&options);
-        engine_a
-            .execute_in_session(&q, &options, &mut session)
-            .unwrap();
+        let request = QueryRequest::parsed(&q).with_options(options);
+        engine_a.run_in(&request, &mut session).unwrap();
         // The paper query warms all three: X5's attribute set is a seed
         // entry, its plan and its answer are stored.
         let warm = session.plan_stats();
@@ -456,9 +456,7 @@ mod tests {
         assert_eq!(session.seed_stats().entries, 0);
         assert_eq!((cold.plans.entries, cold.results.entries), (0, 0));
         // ...and B answers by executing, not from A's result cache.
-        let b = engine_b
-            .execute_in_session(&q, &options, &mut session)
-            .unwrap();
+        let b = engine_b.run_in(&request, &mut session).unwrap();
         assert_eq!(b.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
         assert_eq!(b.bindings.len(), PAPER_QUERY_EMBEDDINGS);
         let after = session.plan_stats();

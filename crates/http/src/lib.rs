@@ -126,7 +126,7 @@ pub struct HttpConfig {
     pub max_body_bytes: usize,
     /// How long a connection may take to deliver one full request after
     /// its first byte; beyond it the request is answered `408` (enforced
-    /// at [`POLL_INTERVAL`] granularity).
+    /// at `POLL_INTERVAL` granularity).
     pub read_deadline: Duration,
 }
 
@@ -728,7 +728,7 @@ fn sparql_endpoint(
     };
     match result {
         Ok(outcome) => answer_body(&outcome, format, out, memo),
-        Err(e) => Response::from_error(out, &amber::Error::from(e)),
+        Err(e) => Response::from_error(out, &e),
     }
 }
 

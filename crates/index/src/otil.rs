@@ -1,7 +1,7 @@
 //! The vertex neighbourhood index `N` (paper §4.3, Fig. 3).
 //!
 //! For every data vertex the paper builds two OTIL structures (Ordered Trie
-//! with Inverted Lists, after Terrovitis et al. [13]): `N⁺` over incoming
+//! with Inverted Lists, after Terrovitis et al. \[13\]): `N⁺` over incoming
 //! multi-edges and `N⁻` over outgoing ones. Each ordered multi-edge is
 //! inserted at the root, and *every edge type keeps an inverted list of the
 //! neighbour vertices reached through it* (Fig. 3b).

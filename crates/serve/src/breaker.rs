@@ -6,7 +6,7 @@
 //! completion stream and, after [`BreakerConfig::failure_threshold`]
 //! *consecutive* hard failures, trips into fast-fail: further submissions
 //! are rejected at admission with the typed
-//! [`ServeError::CircuitOpen`](crate::ServeError::CircuitOpen) (carrying
+//! [`amber::Error::CircuitOpen`] (carrying
 //! the trip cause and a retry-after hint) without queueing anything.
 //!
 //! State machine:
@@ -26,6 +26,7 @@
 //! server's own throttling (revocation, memory governance) — they neither
 //! trip nor close a breaker. Any successful completion closes it.
 
+use amber::TripCause;
 use std::time::{Duration, Instant};
 
 /// Breaker knobs ([`ServeConfig::breaker`](crate::ServeConfig::breaker);
@@ -53,25 +54,6 @@ impl Default for BreakerConfig {
 impl BreakerConfig {
     fn threshold(&self) -> u32 {
         self.failure_threshold.max(1)
-    }
-}
-
-/// The kind of hard failure that tripped (or is tripping) a breaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TripCause {
-    /// Consecutive quarantined panics (`EngineError::Internal`).
-    Internal,
-    /// Consecutive `QueryStatus::TimedOut` outcomes (including budgets
-    /// that expired mid-execution).
-    TimedOut,
-}
-
-impl std::fmt::Display for TripCause {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TripCause::Internal => "internal errors",
-            TripCause::TimedOut => "timeouts",
-        })
     }
 }
 

@@ -19,19 +19,19 @@
 //! * **admission control** — the server holds at most
 //!   [`ServeConfig::queue_capacity`] queued requests; beyond that,
 //!   [`Server::submit`] fails *immediately* with the typed
-//!   [`ServeError::Overloaded`] — carrying the observed queue depth and a
+//!   [`Error::Overloaded`] — carrying the observed queue depth and a
 //!   retry-after hint derived from the recent service rate (pair it with
 //!   [`amber_util::jittered_backoff`] on the client) — instead of
 //!   buffering unboundedly or blocking the client;
 //! * **deadline propagation** — [`Server::submit_with`] accepts a total
 //!   admission-to-answer budget ([`SubmitOptions::budget`]); queue wait is
 //!   charged against it, a request whose budget expires while still queued
-//!   is shed with the typed [`ServeError::DeadlineExpired`] *without any
+//!   is shed with the typed [`Error::DeadlineExpired`] *without any
 //!   engine work*, and only the *remaining* budget is handed to the
 //!   engine as its execution timeout;
 //! * **per-tenant circuit breakers** — with [`ServeConfig::breaker`] set,
 //!   a tenant whose requests keep failing hard (quarantined panics or
-//!   timeouts) trips into fast-fail ([`ServeError::CircuitOpen`]) instead
+//!   timeouts) trips into fast-fail ([`Error::CircuitOpen`]) instead
 //!   of consuming worker time; after a cooldown, half-open probes readmit
 //!   one request at a time (see [`breaker`]);
 //! * **server-wide memory governance** — [`ServeConfig::memory_budget`]
@@ -53,7 +53,7 @@
 //!   and the aggregated cache statistics (including the zero-copy counter
 //!   `result_hit_copied_bytes`, which the serving benchmark pins at 0).
 //!   [`Server::shutdown_now`] instead revokes: queued requests are
-//!   answered with [`ServeError::ShuttingDown`] and in-flight work is
+//!   answered with [`Error::ShuttingDown`] and in-flight work is
 //!   cancelled through each request's [`CancelToken`].
 //!
 //! ```
@@ -77,12 +77,12 @@
 pub mod breaker;
 pub mod governor;
 
-pub use breaker::{BreakerConfig, BreakerReport, BreakerState, TripCause};
+pub use breaker::{BreakerConfig, BreakerReport, BreakerState};
 pub use governor::{GovernorReport, ServerGovernor};
 
 use amber::{
-    AmberEngine, CancelToken, EngineError, ExecOptions, PlanCacheStats, QueryOutcome, QuerySession,
-    QueryStatus, SearchStats,
+    AmberEngine, CancelToken, EngineError, Error, ExecOptions, PlanCacheStats, QueryOutcome,
+    QueryRequest, QuerySession, QueryStatus, SearchStats, TripCause,
 };
 use amber_obs::{Counter, Gauge, Histogram};
 use amber_sparql::SelectQuery;
@@ -170,7 +170,7 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission bound: maximum requests queued (not yet dispatched)
     /// across all tenants. A full queue rejects with
-    /// [`ServeError::Overloaded`].
+    /// [`Error::Overloaded`].
     pub queue_capacity: usize,
     /// Start with dispatch paused: requests queue up (admission still
     /// applies) until [`Server::resume`]. Lets tests and benchmarks build
@@ -225,7 +225,7 @@ impl Default for ServeConfig {
 pub struct SubmitOptions {
     /// Total admission-to-answer budget. Queue wait is charged against
     /// it: a request still queued when the budget expires is shed with
-    /// [`ServeError::DeadlineExpired`] (zero engine work), and a request
+    /// [`Error::DeadlineExpired`] (zero engine work), and a request
     /// that dispatches hands only the *remaining* budget to the engine as
     /// its execution timeout.
     pub budget: Option<Duration>,
@@ -267,119 +267,10 @@ impl SubmitOptions {
     }
 }
 
-/// Typed serving-layer failure. Engine failures pass through; the serving
-/// layer adds admission and lifecycle outcomes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServeError {
-    /// The query was dispatched and the engine failed it (parse error,
-    /// quarantined panic, cancellation, …).
-    Engine(EngineError),
-    /// The request's [`SubmitOptions::budget`] expired while it was still
-    /// queued: it was shed before any engine work. `waited` is the queue
-    /// wait actually observed (≥ `budget`).
-    DeadlineExpired {
-        /// The admission-to-answer budget the request was submitted with.
-        budget: Duration,
-        /// How long the request had waited when it was shed.
-        waited: Duration,
-    },
-    /// Rejected at admission: this tenant's circuit breaker is open after
-    /// consecutive hard failures. Nothing was enqueued; retry after
-    /// `retry_after` (jittered — see [`amber_util::jittered_backoff`]).
-    CircuitOpen {
-        /// The kind of consecutive hard failure that tripped the breaker.
-        cause: TripCause,
-        /// Remaining breaker cooldown at rejection time.
-        retry_after: Duration,
-    },
-    /// Rejected at admission: the server already holds `queued` requests
-    /// of a `capacity`-bounded queue. Nothing was enqueued; back off and
-    /// retry (the hint is derived from the recently observed service
-    /// rate — jitter it with [`amber_util::jittered_backoff`]).
-    Overloaded {
-        /// The configured [`ServeConfig::queue_capacity`].
-        capacity: usize,
-        /// Requests queued at rejection time.
-        queued: usize,
-        /// Estimated time until the queue has drained one slot.
-        retry_after: Duration,
-    },
-    /// Rejected because the server is draining for shutdown, or revoked by
-    /// [`Server::shutdown_now`] while still queued.
-    ShuttingDown,
-}
-
-impl fmt::Display for ServeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeError::Engine(e) => write!(f, "engine error: {e}"),
-            ServeError::DeadlineExpired { budget, waited } => write!(
-                f,
-                "deadline expired in queue: waited {waited:?} of a {budget:?} budget"
-            ),
-            ServeError::CircuitOpen { cause, retry_after } => write!(
-                f,
-                "circuit open after consecutive {cause}; retry in {retry_after:?}"
-            ),
-            ServeError::Overloaded {
-                capacity,
-                queued,
-                retry_after,
-            } => {
-                write!(
-                    f,
-                    "server overloaded: {queued} of {capacity} queue slots in use; \
-                     retry in ~{retry_after:?}"
-                )
-            }
-            ServeError::ShuttingDown => write!(f, "server is shutting down"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-impl From<EngineError> for ServeError {
-    fn from(e: EngineError) -> Self {
-        ServeError::Engine(e)
-    }
-}
-
-impl From<ServeError> for amber::Error {
-    /// Fold a serving-layer failure into the unified [`amber::Error`]
-    /// taxonomy, which carries the wire mapping
-    /// ([`status_code`](amber::Error::status_code) /
-    /// [`retry_after`](amber::Error::retry_after)) every front-end
-    /// shares. The structured [`TripCause`] is rendered to text (the
-    /// engine crate cannot name serving-layer types).
-    fn from(e: ServeError) -> Self {
-        match e {
-            ServeError::Engine(e) => amber::Error::Engine(e),
-            ServeError::DeadlineExpired { budget, waited } => {
-                amber::Error::DeadlineExpired { budget, waited }
-            }
-            ServeError::CircuitOpen { cause, retry_after } => amber::Error::CircuitOpen {
-                cause: cause.to_string(),
-                retry_after,
-            },
-            ServeError::Overloaded {
-                capacity,
-                queued,
-                retry_after,
-            } => amber::Error::Overloaded {
-                capacity,
-                queued,
-                retry_after,
-            },
-            ServeError::ShuttingDown => amber::Error::ShuttingDown,
-        }
-    }
-}
-
 /// One accepted request's completion slot.
 #[derive(Default)]
 struct TicketInner {
-    slot: Mutex<Option<Result<QueryOutcome, ServeError>>>,
+    slot: Mutex<Option<Result<QueryOutcome, Error>>>,
     done: Condvar,
 }
 
@@ -407,7 +298,7 @@ impl Ticket {
     /// accepted request completes exactly once — even across shutdown,
     /// since drain serves (or [`shutdown_now`](Server::shutdown_now)
     /// revokes) the whole backlog before the workers exit.
-    pub fn wait(self) -> Result<QueryOutcome, ServeError> {
+    pub fn wait(self) -> Result<QueryOutcome, Error> {
         let mut slot = self
             .inner
             .slot
@@ -469,7 +360,7 @@ struct TenantState {
     busy: bool,
     /// Requests completed (successfully or with an engine error).
     served: u64,
-    /// Requests shed with [`ServeError::DeadlineExpired`] (never
+    /// Requests shed with [`Error::DeadlineExpired`] (never
     /// executed, not counted in `served`).
     shed: u64,
     /// This tenant's circuit breaker (inert unless
@@ -682,10 +573,10 @@ impl Server {
     /// Submit one parsed query for `tenant` with default
     /// [`SubmitOptions`] (no budget, no per-request timeout). Returns a
     /// [`Ticket`] immediately on admission; rejects with the typed
-    /// [`ServeError::Overloaded`] / [`ServeError::CircuitOpen`] without
+    /// [`Error::Overloaded`] / [`Error::CircuitOpen`] without
     /// enqueueing anything. Requests of one tenant complete in submission
     /// order; requests of different tenants are scheduled round-robin.
-    pub fn submit(&self, tenant: &str, query: SelectQuery) -> Result<Ticket, ServeError> {
+    pub fn submit(&self, tenant: &str, query: SelectQuery) -> Result<Ticket, Error> {
         self.submit_with(tenant, query, SubmitOptions::default())
     }
 
@@ -696,13 +587,13 @@ impl Server {
         tenant: &str,
         query: SelectQuery,
         opts: SubmitOptions,
-    ) -> Result<Ticket, ServeError> {
+    ) -> Result<Ticket, Error> {
         Ok(self.enqueue(self.admit(tenant, query, opts)?))
     }
 
     /// Parse SPARQL text and [`submit`](Self::submit) it. Parse errors are
     /// reported synchronously (nothing is enqueued for them).
-    pub fn submit_sparql(&self, tenant: &str, sparql: &str) -> Result<Ticket, ServeError> {
+    pub fn submit_sparql(&self, tenant: &str, sparql: &str) -> Result<Ticket, Error> {
         self.submit_sparql_with(tenant, sparql, SubmitOptions::default())
     }
 
@@ -712,7 +603,7 @@ impl Server {
         tenant: &str,
         sparql: &str,
         opts: SubmitOptions,
-    ) -> Result<Ticket, ServeError> {
+    ) -> Result<Ticket, Error> {
         let query = amber_sparql::parse_select(sparql).map_err(EngineError::from)?;
         self.submit_with(tenant, query, opts)
     }
@@ -735,7 +626,7 @@ impl Server {
         tenant: &str,
         sparql: &str,
         opts: SubmitOptions,
-    ) -> Result<QueryOutcome, ServeError> {
+    ) -> Result<QueryOutcome, Error> {
         let query = amber_sparql::parse_select(sparql).map_err(EngineError::from)?;
         let admitted = self.admit(tenant, query, opts)?;
         if !admitted.state.can_run_inline(tenant, self.ctx.workers) {
@@ -759,14 +650,14 @@ impl Server {
         tenant: &str,
         query: SelectQuery,
         opts: SubmitOptions,
-    ) -> Result<Admitted<'_>, ServeError> {
+    ) -> Result<Admitted<'_>, Error> {
         // Serve-admission chaos point: a panic here becomes a typed
         // admission error (nothing enqueued); an alloc-fail signal is
         // spurious overload, exercised below.
         let signal = match catch_unwind(|| fault::inject(FaultPoint::ServeAdmit)) {
             Ok(signal) => signal,
             Err(payload) => {
-                return Err(ServeError::Engine(EngineError::Internal {
+                return Err(Error::Engine(EngineError::Internal {
                     task: "serve admission".to_string(),
                     payload: payload_message(payload.as_ref()),
                 }))
@@ -776,14 +667,14 @@ impl Server {
         let budget = opts.budget.map(Budget::starting_now);
         let mut state = self.ctx.shared.lock();
         if state.draining {
-            return Err(ServeError::ShuttingDown);
+            return Err(Error::ShuttingDown);
         }
         if signal.alloc_fail || state.queued >= self.queue_capacity {
             state.rejected += 1;
             if amber_obs::obs_enabled() {
                 serve_metrics().rejected.inc();
             }
-            return Err(ServeError::Overloaded {
+            return Err(Error::Overloaded {
                 capacity: self.queue_capacity,
                 queued: state.queued,
                 retry_after: state.retry_after(self.ctx.workers),
@@ -807,7 +698,7 @@ impl Server {
                     if amber_obs::obs_enabled() {
                         serve_metrics().fast_fails.inc();
                     }
-                    return Err(ServeError::CircuitOpen { cause, retry_after });
+                    return Err(Error::CircuitOpen { cause, retry_after });
                 }
             }
         } else {
@@ -931,7 +822,7 @@ impl Server {
     }
 
     /// Revoke instead of draining: stop admission, answer every *queued*
-    /// request with [`ServeError::ShuttingDown`] without executing it,
+    /// request with [`Error::ShuttingDown`] without executing it,
     /// cancel in-flight requests through their [`CancelToken`]s (they
     /// complete with partial results and `QueryStatus::Cancelled`), join
     /// the workers, and report.
@@ -976,7 +867,7 @@ impl Server {
         };
         self.ctx.shared.work_cv.notify_all();
         for ticket in revoked {
-            answer(&ticket, Err(ServeError::ShuttingDown));
+            answer(&ticket, Err(Error::ShuttingDown));
         }
     }
 
@@ -1061,7 +952,7 @@ impl Drop for Server {
 }
 
 /// Complete one ticket.
-fn answer(ticket: &TicketInner, result: Result<QueryOutcome, ServeError>) {
+fn answer(ticket: &TicketInner, result: Result<QueryOutcome, Error>) {
     let mut slot = ticket.slot.lock().unwrap_or_else(PoisonError::into_inner);
     *slot = Some(result);
     drop(slot);
@@ -1079,14 +970,14 @@ enum BreakerVerdict {
     Neutral,
 }
 
-fn classify(result: &Result<QueryOutcome, ServeError>) -> BreakerVerdict {
+fn classify(result: &Result<QueryOutcome, Error>) -> BreakerVerdict {
     match result {
         Ok(outcome) => match outcome.status {
             QueryStatus::Completed => BreakerVerdict::Success,
             QueryStatus::TimedOut => BreakerVerdict::Failure(TripCause::TimedOut),
             QueryStatus::Cancelled | QueryStatus::BudgetExceeded => BreakerVerdict::Neutral,
         },
-        Err(ServeError::Engine(EngineError::Internal { .. })) => {
+        Err(Error::Engine(EngineError::Internal { .. })) => {
             BreakerVerdict::Failure(TripCause::Internal)
         }
         Err(_) => BreakerVerdict::Neutral,
@@ -1111,7 +1002,7 @@ fn serve_loop(ctx: &DispatchContext) {
 /// that took it off the rotation, or the submitter itself on
 /// [`Server::execute`]'s inline path: shed or execute outside the lock,
 /// hand the session back, settle every counter, and return the answer.
-fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcome, ServeError> {
+fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcome, Error> {
     let Dispatch {
         tenant,
         job,
@@ -1125,7 +1016,7 @@ fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcom
     let shed_as = job
         .budget
         .filter(|b| b.expired())
-        .map(|b| ServeError::DeadlineExpired {
+        .map(|b| Error::DeadlineExpired {
             budget: b.total(),
             waited: b.waited(),
         });
@@ -1141,7 +1032,7 @@ fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcom
             // ladder.
             let signal = match catch_unwind(|| fault::inject(FaultPoint::ServeDispatch)) {
                 Ok(signal) => Ok(signal),
-                Err(payload) => Err(ServeError::Engine(EngineError::Internal {
+                Err(payload) => Err(Error::Engine(EngineError::Internal {
                     task: "serve dispatch".to_string(),
                     payload: payload_message(payload.as_ref()),
                 })),
@@ -1188,11 +1079,12 @@ fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcom
                     // concurrent tenants actually overlap. The engine
                     // quarantines its own panics into typed `Internal`
                     // errors; this trap catches the serving layer's.
+                    let request = QueryRequest::parsed(&job.query).with_options(options);
                     let result = match catch_unwind(AssertUnwindSafe(|| {
-                        ctx.engine.execute_in_session(&job.query, &options, sess)
+                        ctx.engine.run_in(&request, sess)
                     })) {
-                        Ok(r) => r.map_err(ServeError::Engine),
-                        Err(payload) => Err(ServeError::Engine(EngineError::Internal {
+                        Ok(r) => r,
+                        Err(payload) => Err(Error::Engine(EngineError::Internal {
                             task: "serve dispatch".to_string(),
                             payload: payload_message(payload.as_ref()),
                         })),
@@ -1218,7 +1110,7 @@ fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcom
     // ready for the next submission, a hard failure has already moved
     // the breaker, and a metrics snapshot taken afterwards includes
     // the request. (The engine-side registry flush happens even
-    // earlier, inside `execute_in_session` itself.) The only serve-side
+    // earlier, inside `run_in` itself.) The only serve-side
     // state that updates *outside* this pre-answer block is the
     // `retry_after` service-rate EWMA input ordering across threads — a
     // hint, not a counter.
@@ -1332,7 +1224,7 @@ pub struct TenantReport {
     /// are *not* served and count in [`ServeReport::rejected`], deadline
     /// sheds count in [`deadline_shed`](Self::deadline_shed)).
     pub served: u64,
-    /// Requests shed with [`ServeError::DeadlineExpired`] after their
+    /// Requests shed with [`Error::DeadlineExpired`] after their
     /// budget expired in the queue — answered, never executed.
     pub deadline_shed: u64,
     /// Queries the tenant's session actually executed (the zero-work
@@ -1353,14 +1245,14 @@ pub struct TenantReport {
 pub struct ServeReport {
     /// Per-tenant breakdown, sorted by tenant name.
     pub tenants: Vec<TenantReport>,
-    /// Requests rejected at admission ([`ServeError::Overloaded`]).
+    /// Requests rejected at admission ([`Error::Overloaded`]).
     pub rejected: u64,
-    /// Requests shed with [`ServeError::DeadlineExpired`] across all
+    /// Requests shed with [`Error::DeadlineExpired`] across all
     /// tenants.
     pub deadline_shed: u64,
     /// Circuit-breaker trips across all tenants.
     pub breaker_trips: u64,
-    /// Submissions fast-failed with [`ServeError::CircuitOpen`] across
+    /// Submissions fast-failed with [`Error::CircuitOpen`] across
     /// all tenants.
     pub breaker_fast_fails: u64,
     /// Serving-layer invariant violations recovered instead of panicking.
@@ -1457,7 +1349,7 @@ mod tests {
         let t1 = server.submit_sparql("a", CHAIN).unwrap();
         let t2 = server.submit_sparql("b", EDGE).unwrap();
         match server.submit_sparql("c", EDGE) {
-            Err(ServeError::Overloaded {
+            Err(Error::Overloaded {
                 capacity,
                 queued,
                 retry_after,
@@ -1496,7 +1388,7 @@ mod tests {
         let healthy = server.submit_sparql("b", EDGE).unwrap();
         server.resume();
         match doomed.wait() {
-            Err(ServeError::DeadlineExpired { budget, waited: _ }) => {
+            Err(Error::DeadlineExpired { budget, waited: _ }) => {
                 assert_eq!(budget, Duration::ZERO);
             }
             other => panic!("expected DeadlineExpired, got {other:?}"),
@@ -1571,7 +1463,7 @@ mod tests {
             assert_eq!(t.wait().unwrap().status, QueryStatus::TimedOut);
         }
         match server.submit_sparql("a", CHAIN) {
-            Err(ServeError::CircuitOpen { cause, retry_after }) => {
+            Err(Error::CircuitOpen { cause, retry_after }) => {
                 assert_eq!(cause, TripCause::TimedOut);
                 assert!(retry_after <= Duration::from_secs(3600));
             }
@@ -1660,7 +1552,7 @@ mod tests {
             .collect();
         let report = server.shutdown_now();
         for ticket in tickets {
-            assert!(matches!(ticket.wait(), Err(ServeError::ShuttingDown)));
+            assert!(matches!(ticket.wait(), Err(Error::ShuttingDown)));
         }
         assert_eq!(report.served(), 0, "nothing executed");
         assert_eq!(report.deadline_shed, 0);
@@ -1731,7 +1623,7 @@ mod tests {
         // An unparseable query fails synchronously, nothing queued.
         assert!(matches!(
             server.submit_sparql("a", "SELECT nonsense"),
-            Err(ServeError::Engine(_))
+            Err(Error::Engine(_))
         ));
         // The tenant keeps serving.
         let ok = server.submit_sparql("a", CHAIN).unwrap();
@@ -1779,7 +1671,7 @@ mod tests {
 
     /// Both ways to get an answer: redeem a ticket, or block in `execute`
     /// (inline on these idle servers).
-    type Roundtrip = fn(&Server, &str, &str, SubmitOptions) -> Result<QueryOutcome, ServeError>;
+    type Roundtrip = fn(&Server, &str, &str, SubmitOptions) -> Result<QueryOutcome, Error>;
     const VIA_TICKET: Roundtrip = |s, tenant, q, o| s.submit_sparql_with(tenant, q, o)?.wait();
     const VIA_EXECUTE: Roundtrip = |s, tenant, q, o| s.execute(tenant, q, o);
 
@@ -1818,7 +1710,7 @@ mod tests {
             // request deterministically observes it open...
             assert!(matches!(
                 roundtrip(&server, "a", CHAIN, SubmitOptions::new()),
-                Err(ServeError::CircuitOpen { .. })
+                Err(Error::CircuitOpen { .. })
             ));
             // ...and the registry moved before the answer too (monotonic
             // counters: concurrent tests only ever add).
@@ -1895,44 +1787,6 @@ mod tests {
             "tracing must have been restored off after the traced request"
         );
         server.shutdown();
-    }
-
-    #[test]
-    fn serve_errors_fold_into_the_unified_taxonomy() {
-        // Admission rejections → amber::Error with the shared wire
-        // mapping, no serving-specific match arms needed downstream.
-        let e: amber::Error = ServeError::Overloaded {
-            capacity: 8,
-            queued: 8,
-            retry_after: Duration::from_millis(9),
-        }
-        .into();
-        assert_eq!(e.status_code(), 503);
-        assert_eq!(e.retry_after(), Some(Duration::from_millis(9)));
-
-        let e: amber::Error = ServeError::CircuitOpen {
-            cause: TripCause::TimedOut,
-            retry_after: Duration::from_secs(2),
-        }
-        .into();
-        assert_eq!(e.status_code(), 503);
-        assert_eq!(e.retry_after(), Some(Duration::from_secs(2)));
-        assert!(e.to_string().contains("timeouts") || e.to_string().contains("timed out"));
-
-        let e: amber::Error = ServeError::DeadlineExpired {
-            budget: Duration::from_millis(1),
-            waited: Duration::from_millis(4),
-        }
-        .into();
-        assert_eq!(e.status_code(), 504);
-        assert_eq!(e.retry_after(), None);
-
-        let e: amber::Error = ServeError::ShuttingDown.into();
-        assert_eq!(e.status_code(), 503);
-
-        let parse = amber_sparql::parse_select("nope").unwrap_err();
-        let e: amber::Error = ServeError::Engine(EngineError::Sparql(parse)).into();
-        assert_eq!(e.status_code(), 400);
     }
 
     /// A complete digraph on `n` vertices: the six-cycle below has ~n^6
@@ -2030,7 +1884,7 @@ mod tests {
         // Parse errors are synchronous here too, and dispatch nothing.
         assert!(matches!(
             server.execute("a", "SELECT nonsense", SubmitOptions::new()),
-            Err(ServeError::Engine(_))
+            Err(Error::Engine(_))
         ));
         // `submit` keeps its contract: a ticket now, a worker later.
         server.submit_sparql("a", EDGE).unwrap().wait().unwrap();
@@ -2047,7 +1901,7 @@ mod tests {
     fn a_zero_budget_execute_is_shed_inline_with_zero_engine_work() {
         let server = Server::start(demo_engine(), ServeConfig::default());
         match server.execute("a", CHAIN, SubmitOptions::new().with_budget(Duration::ZERO)) {
-            Err(ServeError::DeadlineExpired { budget, .. }) => assert_eq!(budget, Duration::ZERO),
+            Err(Error::DeadlineExpired { budget, .. }) => assert_eq!(budget, Duration::ZERO),
             other => panic!("expected DeadlineExpired, got {other:?}"),
         }
         let report = server.shutdown();
@@ -2163,7 +2017,7 @@ mod tests {
         assert_eq!(outcome.unwrap().status, QueryStatus::Cancelled);
         assert!(matches!(
             server.execute("a", EDGE, SubmitOptions::new()),
-            Err(ServeError::ShuttingDown)
+            Err(Error::ShuttingDown)
         ));
         let report = server.shutdown_now();
         assert_eq!(report.inline_dispatches, 1);

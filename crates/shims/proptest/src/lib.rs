@@ -305,7 +305,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// Strategy produced by [`vec`].
+    /// Strategy produced by [`vec()`].
     #[derive(Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -28,7 +28,7 @@ pub enum HttpParseError {
     MalformedRequestLine,
     /// A header line has no `:` separator or a name with invalid bytes.
     MalformedHeader,
-    /// The head exceeded the caller's byte budget (or [`MAX_HEADERS`])
+    /// The head exceeded the caller's byte budget (or `MAX_HEADERS`)
     /// before its terminator arrived — maps to 431.
     HeadTooLarge,
     /// The request is not HTTP/1.0 or HTTP/1.1 — maps to 505.

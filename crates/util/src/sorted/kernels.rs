@@ -10,7 +10,7 @@
 //!   rather than per-call feature detection;
 //! * branchless SSE2/AVX2 block kernels for intersection, existence,
 //!   subset and union over `u32` slices, with the generic
-//!   [`scalar`](super::scalar) code as the portable fallback;
+//!   [`scalar`] code as the portable fallback;
 //! * an **adaptive strategy layer**: every entry point picks merge vs.
 //!   gallop vs. SIMD-block per call from the size ratio and absolute
 //!   lengths (see [`GALLOP_RATIO`] and [`SIMD_MIN_LEN`]).

@@ -12,7 +12,7 @@
 //! hand-written "questions" (fixed SPARQL templates over the university
 //! schema) plus machine-generated complex-shaped queries of growing size.
 
-use amber::{AmberEngine, ExecOptions};
+use amber::{AmberEngine, ExecOptions, QueryRequest};
 use amber_datagen::{lubm, Benchmark, QueryShape, WorkloadConfig, WorkloadGenerator};
 use amber_multigraph::RdfGraph;
 use std::sync::Arc;
@@ -58,7 +58,9 @@ fn main() {
     ];
 
     for (question, sparql) in &questions {
-        let outcome = engine.execute(sparql, &options).expect("valid query");
+        let outcome = engine
+            .run(&QueryRequest::sparql(sparql).with_options(options.clone()))
+            .expect("valid query");
         println!("Q: {question}");
         println!(
             "A: {} answers in {:.2?}",
@@ -87,7 +89,7 @@ fn main() {
             continue;
         };
         let outcome = engine
-            .execute_parsed(&generated.query, &count_options)
+            .run(&QueryRequest::parsed(&generated.query).with_options(count_options.clone()))
             .expect("generated query executes");
         println!(
             "  {size:>2} triple patterns → {} embeddings in {:.2?}{}",

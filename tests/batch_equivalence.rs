@@ -1,14 +1,14 @@
 //! Differential property test for the batch-execution subsystem.
 //!
-//! `execute_batch` runs many queries over one shared [`QuerySession`] —
+//! `run_all` runs many queries over one shared [`QuerySession`] —
 //! long-lived arenas plus cross-query seed, plan and result caches. Nothing
 //! about that sharing may be observable in the results: over randomized
 //! query streams (duplicates and permutations included, so cache reuse and
 //! arena high-water reuse actually trigger) every per-query outcome must be
-//! identical to a fresh sequential `execute_parsed` call, with the plan and
+//! identical to a fresh sequential `run` call, with the plan and
 //! result caches disabled, tiny (evicting mid-batch), and large.
 
-use amber::{AmberEngine, ExecOptions, QueryOutcome};
+use amber::{AmberEngine, ExecOptions, QueryOutcome, QueryRequest};
 use amber_datagen::synthetic::{self, SyntheticConfig};
 use amber_datagen::{GeneratedQuery, QueryShape, WorkloadConfig, WorkloadGenerator};
 use amber_multigraph::RdfGraph;
@@ -70,16 +70,19 @@ fn assert_batch_equals_sequential(
     options: &ExecOptions,
     context: &str,
 ) {
-    let queries: Vec<_> = stream.iter().map(|q| q.query.clone()).collect();
-    let batch = engine.execute_batch(&queries, options);
+    let requests: Vec<QueryRequest<'_>> = stream
+        .iter()
+        .map(|q| QueryRequest::parsed(&q.query).with_options(options.clone()))
+        .collect();
+    let batch = engine.run_all(&requests);
     assert_eq!(batch.outcomes.len(), stream.len(), "{context}");
     assert_eq!(batch.stats.errors, 0, "{context}");
-    for (generated, outcome) in stream.iter().zip(&batch.outcomes) {
+    for ((generated, request), outcome) in stream.iter().zip(&requests).zip(&batch.outcomes) {
         let batched = outcome
             .as_ref()
             .unwrap_or_else(|e| panic!("batch failed on {}: {e}", generated.text));
         let solo = engine
-            .execute_parsed(&generated.query, options)
+            .run(request)
             .unwrap_or_else(|e| panic!("sequential failed on {}: {e}", generated.text));
         assert_eq!(
             normalized(batched),

@@ -7,9 +7,9 @@
 //! this binary serializes on [`SERIAL`]; unarmed suites live in their own
 //! binaries (separate processes) and never observe an armed window.
 
-use amber::{AmberEngine, EngineError, ExecOptions, QueryStatus};
+use amber::{AmberEngine, EngineError, Error, ExecOptions, QueryRequest, QueryStatus, TripCause};
 use amber_multigraph::paper::{paper_graph, paper_query_text, PAPER_QUERY_EMBEDDINGS};
-use amber_serve::{ServeConfig, ServeError, Server};
+use amber_serve::{ServeConfig, Server};
 use amber_util::fault;
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -47,7 +47,14 @@ fn with_quiet_chaos_panics<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Engine-side fault points, exercised through `execute_in_session`.
+/// The paper query, run one-shot with default options.
+fn paper_baseline(engine: &AmberEngine) -> amber::QueryOutcome {
+    engine
+        .run(&QueryRequest::sparql(&paper_query_text()))
+        .unwrap()
+}
+
+/// Engine-side fault points, exercised through `run_in`.
 const POINTS: [&str; 4] = [
     "matcher-candidate",
     "cache-insert",
@@ -79,20 +86,22 @@ proptest! {
         let engine = AmberEngine::from_graph(paper_graph());
         let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let base = if cached == 1 { ExecOptions::batch() } else { ExecOptions::default() };
-        let options = base
-            // A generous budget arms the governor without organic pressure:
-            // only an injected alloc-fail can exhaust it.
-            .with_memory_budget(1 << 30);
+        let request = QueryRequest::parsed(&q).with_options(
+            base
+                // A generous budget arms the governor without organic pressure:
+                // only an injected alloc-fail can exhaust it.
+                .with_memory_budget(1 << 30),
+        );
 
-        let baseline = engine.execute_parsed(&q, &options).unwrap();
+        let baseline = engine.run(&request).unwrap();
         prop_assert_eq!(baseline.status, QueryStatus::Completed);
         prop_assert_eq!(baseline.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
 
-        let mut session = engine.create_session(&options);
+        let mut session = engine.create_session(request.options());
         let spec = format!("{seed}:{point}={kind}@{rate}");
         let chaotic = {
             let _guard = fault::override_spec(&spec).expect("spec parses");
-            with_quiet_chaos_panics(|| engine.execute_in_session(&q, &options, &mut session))
+            with_quiet_chaos_panics(|| engine.run_in(&request, &mut session))
         };
         match chaotic {
             Ok(out) => match out.status {
@@ -110,7 +119,7 @@ proptest! {
                 other => prop_assert!(false,
                     "unexpected status {:?} under {} (no deadline, no token)", other, &spec),
             },
-            Err(EngineError::Internal { task, payload }) => {
+            Err(Error::Engine(EngineError::Internal { task, payload })) => {
                 prop_assert_eq!(kind, "panic",
                     "only panic faults may surface as Internal ({}: {} / {})",
                     &spec, task, payload);
@@ -119,7 +128,7 @@ proptest! {
         }
 
         // Disarmed epilogue: the session must be reusable and correct — a quarantined panic poisons only its own query.
-        let clean = engine.execute_in_session(&q, &options, &mut session).unwrap();
+        let clean = engine.run_in(&request, &mut session).unwrap();
         prop_assert_eq!(clean.status, QueryStatus::Completed);
         prop_assert_eq!(clean.embedding_count, baseline.embedding_count);
         prop_assert_eq!(&clean.bindings, &baseline.bindings);
@@ -142,9 +151,7 @@ proptest! {
         let _serial = serial();
         let (point, kind) = (SERVE_POINTS[point], KINDS[kind]);
         let engine = Arc::new(AmberEngine::from_graph(paper_graph()));
-        let baseline = engine
-            .execute(&paper_query_text(), &ExecOptions::default())
-            .unwrap();
+        let baseline = paper_baseline(&engine);
         let spec = format!("{seed}:{point}={kind}@1");
         // Plain asserts inside the armed closure (prop_assert cannot cross
         // the closure boundary); a failure panics out through proptest.
@@ -169,16 +176,16 @@ proptest! {
                                 ),
                                 other => panic!("unexpected status {other:?} under {spec}"),
                             },
-                            Err(ServeError::Engine(EngineError::Internal { .. })) => {
+                            Err(Error::Engine(EngineError::Internal { .. })) => {
                                 assert_eq!(kind, "panic", "typed Internal needs a panic ({spec})")
                             }
                             Err(other) => panic!("untyped ticket failure under {spec}: {other}"),
                         },
-                        Err(ServeError::Engine(EngineError::Internal { task, .. })) => {
+                        Err(Error::Engine(EngineError::Internal { task, .. })) => {
                             assert_eq!(kind, "panic", "{spec}");
                             assert_eq!(point, "serve-admit", "{spec}: failed in {task}");
                         }
-                        Err(ServeError::Overloaded { queued, .. }) => {
+                        Err(Error::Overloaded { queued, .. }) => {
                             assert_eq!(kind, "alloc-fail", "{spec}");
                             assert_eq!(point, "serve-admit", "{spec}");
                             assert_eq!(queued, 0, "spurious, not real, overload ({spec})");
@@ -212,7 +219,7 @@ fn serve_admit_alloc_fail_is_spurious_typed_overload() {
     {
         let _guard = fault::override_spec("5:serve-admit=alloc-fail@1").unwrap();
         match server.submit_sparql("a", &paper_query_text()) {
-            Err(ServeError::Overloaded {
+            Err(Error::Overloaded {
                 capacity,
                 queued,
                 retry_after,
@@ -268,9 +275,7 @@ fn serve_drain_panics_are_trapped_and_counted() {
 fn serve_dispatch_panics_trip_the_tenant_breaker() {
     let _serial = serial();
     let engine = Arc::new(AmberEngine::from_graph(paper_graph()));
-    let baseline = engine
-        .execute(&paper_query_text(), &ExecOptions::default())
-        .unwrap();
+    let baseline = paper_baseline(&engine);
     let server = Server::start(
         Arc::clone(&engine),
         ServeConfig {
@@ -289,7 +294,7 @@ fn serve_dispatch_panics_trip_the_tenant_breaker() {
                 let t = server.submit_sparql("noisy", &paper_query_text()).unwrap();
                 assert!(matches!(
                     t.wait(),
-                    Err(ServeError::Engine(EngineError::Internal { .. }))
+                    Err(Error::Engine(EngineError::Internal { .. }))
                 ));
             }
         });
@@ -297,9 +302,7 @@ fn serve_dispatch_panics_trip_the_tenant_breaker() {
     // Disarmed: the breaker is open with the Internal cause; healthy
     // tenants still complete bit-identically.
     match server.submit_sparql("noisy", &paper_query_text()) {
-        Err(ServeError::CircuitOpen { cause, .. }) => {
-            assert_eq!(cause, amber_serve::TripCause::Internal)
-        }
+        Err(Error::CircuitOpen { cause, .. }) => assert_eq!(cause, TripCause::Internal),
         other => panic!("expected CircuitOpen, got {other:?}"),
     }
     let quiet = server.submit_sparql("quiet", &paper_query_text()).unwrap();
@@ -315,9 +318,7 @@ fn serve_dispatch_panics_trip_the_tenant_breaker() {
 fn serve_dispatch_panic_on_the_inline_path_leaves_tenant_and_caller_serving() {
     let _serial = serial();
     let engine = Arc::new(AmberEngine::from_graph(paper_graph()));
-    let baseline = engine
-        .execute(&paper_query_text(), &ExecOptions::default())
-        .unwrap();
+    let baseline = paper_baseline(&engine);
     let server = Server::start(Arc::clone(&engine), ServeConfig::default());
     let opts = amber_serve::SubmitOptions::new;
     // `execute` on an idle server runs the dispatch — and so the fault
@@ -327,7 +328,7 @@ fn serve_dispatch_panic_on_the_inline_path_leaves_tenant_and_caller_serving() {
         with_quiet_chaos_panics(|| server.execute("noisy", &paper_query_text(), opts()))
     };
     match err {
-        Err(ServeError::Engine(EngineError::Internal { task, .. })) => {
+        Err(Error::Engine(EngineError::Internal { task, .. })) => {
             assert_eq!(task, "serve dispatch")
         }
         other => panic!("expected a typed Internal error, got {other:?}"),
@@ -353,15 +354,15 @@ fn session_that_trapped_a_matcher_panic_serves_the_next_query() {
     let _serial = serial();
     let engine = AmberEngine::from_graph(paper_graph());
     let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
-    let options = ExecOptions::default();
-    let mut session = engine.create_session(&options);
+    let request = QueryRequest::parsed(&q);
+    let mut session = engine.create_session(request.options());
 
     let err = {
         let _guard = fault::override_spec("1:matcher-candidate=panic@1").unwrap();
-        with_quiet_chaos_panics(|| engine.execute_in_session(&q, &options, &mut session))
+        with_quiet_chaos_panics(|| engine.run_in(&request, &mut session))
     };
     match err {
-        Err(EngineError::Internal { task, payload }) => {
+        Err(Error::Engine(EngineError::Internal { task, payload })) => {
             assert_eq!(task, "sequential matcher");
             assert!(payload.contains("chaos"), "payload: {payload}")
         }
@@ -375,9 +376,7 @@ fn session_that_trapped_a_matcher_panic_serves_the_next_query() {
     );
 
     // Same session: the next query is served in full.
-    let clean = engine
-        .execute_in_session(&q, &options, &mut session)
-        .unwrap();
+    let clean = engine.run_in(&request, &mut session).unwrap();
     assert_eq!(clean.status, QueryStatus::Completed);
     assert_eq!(clean.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
     assert_eq!(clean.bindings.len(), PAPER_QUERY_EMBEDDINGS);
@@ -388,10 +387,10 @@ fn delay_chaos_never_changes_answers() {
     let _serial = serial();
     let engine = AmberEngine::from_graph(paper_graph());
     let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
-    let options = ExecOptions::default();
-    let baseline = engine.execute_parsed(&q, &options).unwrap();
+    let request = QueryRequest::parsed(&q);
+    let baseline = engine.run(&request).unwrap();
     let _guard = fault::override_spec("11:delay@1").unwrap();
-    let delayed = engine.execute_parsed(&q, &options).unwrap();
+    let delayed = engine.run(&request).unwrap();
     assert_eq!(delayed.status, QueryStatus::Completed);
     assert_eq!(delayed.embedding_count, baseline.embedding_count);
     assert_eq!(delayed.bindings, baseline.bindings);
@@ -418,7 +417,7 @@ fn serving_layer_quarantines_chaos_panics_per_tenant() {
         })
     };
     match result {
-        Err(ServeError::Engine(EngineError::Internal { payload, .. })) => {
+        Err(Error::Engine(EngineError::Internal { payload, .. })) => {
             assert!(payload.contains("chaos"), "payload: {payload}")
         }
         other => panic!("expected a quarantined Internal error, got {other:?}"),
@@ -447,9 +446,7 @@ fn serving_layer_quarantines_chaos_panics_per_tenant() {
 fn serving_layer_survives_cache_chaos() {
     let _serial = serial();
     let engine = Arc::new(AmberEngine::from_graph(paper_graph()));
-    let baseline = engine
-        .execute(&paper_query_text(), &ExecOptions::default())
-        .unwrap();
+    let baseline = paper_baseline(&engine);
     // Panic inside the seed cache's insert/evict paths while a warm tenant
     // repeats a query: every outcome is either correct or a typed error,
     // and the tenant's session keeps serving later requests.
@@ -461,7 +458,7 @@ fn serving_layer_survives_cache_chaos() {
                 let ticket = server.submit_sparql("a", &paper_query_text()).unwrap();
                 match ticket.wait() {
                     Ok(out) => assert_eq!(out.embedding_count, baseline.embedding_count),
-                    Err(ServeError::Engine(EngineError::Internal { .. })) => {}
+                    Err(Error::Engine(EngineError::Internal { .. })) => {}
                     Err(other) => panic!("untyped failure under cache chaos: {other}"),
                 }
             }
@@ -483,9 +480,8 @@ fn alloc_fail_without_a_governor_is_inert() {
     let engine = AmberEngine::from_graph(paper_graph());
     // No memory budget → no governor → the spurious alloc-failure signal
     // has nowhere to land and must be ignored, not crash.
-    let options = ExecOptions::default();
     let _guard = fault::override_spec("3:alloc-fail@1").unwrap();
-    let outcome = engine.execute(&paper_query_text(), &options).unwrap();
+    let outcome = paper_baseline(&engine);
     assert_eq!(outcome.status, QueryStatus::Completed);
     assert_eq!(outcome.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
 }
@@ -494,14 +490,13 @@ fn alloc_fail_without_a_governor_is_inert() {
 fn alloc_fail_with_a_governor_degrades_cleanly() {
     let _serial = serial();
     let engine = AmberEngine::from_graph(paper_graph());
-    let options = ExecOptions::default().with_memory_budget(1 << 30);
-    let mut session = engine.create_session(&options);
     let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
+    let request =
+        QueryRequest::parsed(&q).with_options(ExecOptions::default().with_memory_budget(1 << 30));
+    let mut session = engine.create_session(request.options());
     let outcome = {
         let _guard = fault::override_spec("3:matcher-candidate=alloc-fail@1").unwrap();
-        engine
-            .execute_in_session(&q, &options, &mut session)
-            .unwrap()
+        engine.run_in(&request, &mut session).unwrap()
     };
     assert_eq!(outcome.status, QueryStatus::BudgetExceeded);
     assert!(

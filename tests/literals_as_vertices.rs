@@ -2,7 +2,7 @@
 //! future-work direction that lifts the "variables bind only resources"
 //! restriction by materializing literal objects as graph vertices.
 
-use amber::{AmberEngine, ExecOptions};
+use amber::{AmberEngine, QueryRequest};
 use amber_multigraph::{GraphBuilder, GraphConfig};
 use rdf_model::parse_ntriples;
 
@@ -28,10 +28,9 @@ fn paper_mode_cannot_bind_literal_variables() {
     // variable object over it is unsatisfiable (empty, not an error).
     let engine = build_engine(false);
     let outcome = engine
-        .execute(
+        .run(&QueryRequest::sparql(
             "SELECT ?name WHERE { <http://x/Amy> <http://y/hasName> ?name . }",
-            &ExecOptions::default(),
-        )
+        ))
         .unwrap();
     assert_eq!(outcome.embedding_count, 0);
 }
@@ -40,10 +39,9 @@ fn paper_mode_cannot_bind_literal_variables() {
 fn extension_mode_binds_literal_variables() {
     let engine = build_engine(true);
     let outcome = engine
-        .execute(
+        .run(&QueryRequest::sparql(
             "SELECT ?name WHERE { <http://x/Amy> <http://y/hasName> ?name . }",
-            &ExecOptions::default(),
-        )
+        ))
         .unwrap();
     assert_eq!(outcome.embedding_count, 1);
     assert_eq!(outcome.bindings[0][0].as_ref(), "\"Amy Winehouse\"");
@@ -54,10 +52,9 @@ fn extension_mode_joins_through_literals() {
     // Who shares a name? (join on a literal-valued vertex)
     let engine = build_engine(true);
     let outcome = engine
-        .execute(
+        .run(&QueryRequest::sparql(
             "SELECT ?a ?b WHERE { ?a <http://y/hasName> ?n . ?b <http://y/hasName> ?n . }",
-            &ExecOptions::default(),
-        )
+        ))
         .unwrap();
     // (Amy,Amy), (Amy,Band), (Band,Amy), (Band,Band), (Blake,Blake) = 5.
     assert_eq!(outcome.embedding_count, 5);
@@ -67,20 +64,18 @@ fn extension_mode_joins_through_literals() {
 fn extension_mode_still_answers_constant_literal_queries() {
     let engine = build_engine(true);
     let outcome = engine
-        .execute(
+        .run(&QueryRequest::sparql(
             "SELECT ?who WHERE { ?who <http://y/hasName> \"Amy Winehouse\" . }",
-            &ExecOptions::default(),
-        )
+        ))
         .unwrap();
     assert_eq!(outcome.embedding_count, 2); // Amy and Band
 
     // And in paper mode the same query works through the attribute index.
     let engine = build_engine(false);
     let outcome = engine
-        .execute(
+        .run(&QueryRequest::sparql(
             "SELECT ?who WHERE { ?who <http://y/hasName> \"Amy Winehouse\" . }",
-            &ExecOptions::default(),
-        )
+        ))
         .unwrap();
     assert_eq!(outcome.embedding_count, 2);
 }
@@ -88,12 +83,8 @@ fn extension_mode_still_answers_constant_literal_queries() {
 #[test]
 fn modes_agree_on_resource_only_queries() {
     let q = "SELECT * WHERE { ?a <http://y/marriedTo> ?b . }";
-    let with = build_engine(true)
-        .execute(q, &ExecOptions::default())
-        .unwrap();
-    let without = build_engine(false)
-        .execute(q, &ExecOptions::default())
-        .unwrap();
+    let with = build_engine(true).run(&QueryRequest::sparql(q)).unwrap();
+    let without = build_engine(false).run(&QueryRequest::sparql(q)).unwrap();
     assert_eq!(with.embedding_count, without.embedding_count);
     assert_eq!(with.embedding_count, 1);
 }

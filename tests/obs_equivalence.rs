@@ -14,11 +14,11 @@
 //! test's duration and (being a static mutex) serializes the tests in
 //! this binary against each other.
 
-use amber::{AmberEngine, ExecOptions, QueryRequest, QueryStatus};
+use amber::{AmberEngine, Error, ExecOptions, QueryRequest, QueryStatus};
 use amber_datagen::skewed::{self, SkewedConfig};
 use amber_http::{HttpConfig, HttpServer};
 use amber_obs::MetricsSnapshot;
-use amber_serve::{BreakerConfig, ServeConfig, ServeError, Server, SubmitOptions};
+use amber_serve::{BreakerConfig, ServeConfig, Server, SubmitOptions};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -90,17 +90,31 @@ fn batch_stats_agree_exactly_with_the_registry() {
         &skewed::generate(&config),
     ));
     let query = amber_sparql::parse_select(&skewed::chain_query(&config)).unwrap();
-    // Repeats through a warm session: plan hits, result hits, and (first
-    // run) the search counters all flow through the flush.
-    let queries = vec![query.clone(), query.clone(), query];
+    // A plan prepared on another engine: stale here.
+    let foreign = AmberEngine::from_graph(amber_multigraph::paper::paper_graph())
+        .prepare_sparql(&amber_multigraph::paper::paper_query_text())
+        .unwrap();
     let options = ExecOptions::batch();
+    // Repeats through a warm session: plan hits, result hits, and (first
+    // run) the search counters all flow through the flush. A text that
+    // does not parse and a stale plan fail inside the same query envelope,
+    // so they are counted like every other request.
+    let requests = [
+        QueryRequest::parsed(&query).with_options(options.clone()),
+        QueryRequest::parsed(&query).with_options(options.clone()),
+        QueryRequest::parsed(&query).with_options(options.clone()),
+        QueryRequest::sparql("not sparql").with_options(options.clone()),
+        QueryRequest::prepared(&foreign).with_options(options.clone()),
+    ];
+    let mut session = engine.create_session(&options);
 
     let before = amber_obs::snapshot();
-    let batch = engine.execute_batch(&queries, &options);
+    let batch = engine.run_all_in(&requests, &mut session);
     let after = amber_obs::snapshot();
     let stats = &batch.stats;
 
     assert_eq!(stats.completed, 3, "workload sanity");
+    assert_eq!(stats.errors, 2, "workload sanity");
     assert_eq!(
         delta(
             &before,
@@ -135,8 +149,13 @@ fn batch_stats_agree_exactly_with_the_registry() {
         .map_or(0, |h| h.count);
     assert_eq!(
         latency_after - latency_before,
-        3,
-        "one observation per query"
+        requests.len() as u64,
+        "one observation per request"
+    );
+    assert_eq!(
+        session.queries_executed(),
+        requests.len() as u64,
+        "one count per request"
     );
 
     assert_cache_family(&before, &after, "seed", &stats.seeds, "batch");
@@ -195,14 +214,11 @@ fn serve_report_agrees_exactly_with_the_registry() {
     // Queue full: the third submission is rejected.
     assert!(matches!(
         server.submit_sparql("c", CHAIN),
-        Err(ServeError::Overloaded { .. })
+        Err(Error::Overloaded { .. })
     ));
     server.resume();
     assert_eq!(healthy.wait().unwrap().status, QueryStatus::Completed);
-    assert!(matches!(
-        doomed.wait(),
-        Err(ServeError::DeadlineExpired { .. })
-    ));
+    assert!(matches!(doomed.wait(), Err(Error::DeadlineExpired { .. })));
     // Trip a fresh tenant's breaker (threshold 1; a fresh tenant so no
     // warm result cache short-circuits the zero-timeout execution) and
     // observe one fast-fail.
@@ -216,7 +232,7 @@ fn serve_report_agrees_exactly_with_the_registry() {
     assert_eq!(slow.unwrap().status, QueryStatus::TimedOut);
     assert!(matches!(
         server.submit_sparql("d", CHAIN),
-        Err(ServeError::CircuitOpen { .. })
+        Err(Error::CircuitOpen { .. })
     ));
 
     // Acceptance: a MID-RUN snapshot (server still up) already carries
@@ -323,7 +339,7 @@ fn shutdown_now_revocations_reach_the_registry() {
         .collect();
     let report = server.shutdown_now();
     for ticket in tickets {
-        assert!(matches!(ticket.wait(), Err(ServeError::ShuttingDown)));
+        assert!(matches!(ticket.wait(), Err(Error::ShuttingDown)));
     }
     assert_eq!(report.served(), 0);
     let after = amber_obs::snapshot();
@@ -432,10 +448,10 @@ fn slow_query_log_captures_an_injected_delay_query() {
     let options = ExecOptions::batch();
     let mut session = engine.create_session(&options);
     session.configure_tracing(true, Some(Duration::ZERO));
+    let query = amber_sparql::parse_select(CHAIN).unwrap();
     let outcome = engine
-        .execute_in_session(
-            &amber_sparql::parse_select(CHAIN).unwrap(),
-            &options,
+        .run_in(
+            &QueryRequest::parsed(&query).with_options(options),
             &mut session,
         )
         .unwrap();
@@ -464,11 +480,9 @@ fn off_gate_freezes_the_registry_but_not_the_legacy_stats() {
     let _off = amber_obs::force_enabled(false);
     let before = amber_obs::snapshot();
     let engine = demo_engine();
-    let queries = vec![
-        amber_sparql::parse_select(CHAIN).unwrap(),
-        amber_sparql::parse_select(CHAIN).unwrap(),
-    ];
-    let batch = engine.execute_batch(&queries, &ExecOptions::batch());
+    let query = amber_sparql::parse_select(CHAIN).unwrap();
+    let request = QueryRequest::parsed(&query).with_options(ExecOptions::batch());
+    let batch = engine.run_all(&[request.clone(), request]);
     assert_eq!(batch.stats.completed, 2, "legacy accounting still works");
     let after = amber_obs::snapshot();
     assert_eq!(

@@ -3,7 +3,7 @@
 //! the same observable behaviour for every combination, and AMbER's batch
 //! entry point must expose the same behaviour as its one-shot path.
 
-use amber::{AmberEngine, ExecOptions};
+use amber::{AmberEngine, ExecOptions, QueryRequest};
 use amber_baselines::all_engines;
 use amber_multigraph::paper::{paper_graph, PREFIX_Y};
 use amber_multigraph::RdfGraph;
@@ -118,12 +118,16 @@ fn batch_knob_matrix_matches_one_shot_execution() {
                 .clone()
                 .with_plan_cache(capacity)
                 .with_result_cache(capacity);
-            let batch = engine.execute_batch(&queries, &options);
+            let requests: Vec<QueryRequest<'_>> = queries
+                .iter()
+                .map(|q| QueryRequest::parsed(q).with_options(options.clone()))
+                .collect();
+            let batch = engine.run_all(&requests);
             assert_eq!(batch.stats.queries, queries.len());
             assert_eq!(batch.stats.errors, 0);
-            for (query, outcome) in queries.iter().zip(&batch.outcomes) {
+            for (request, outcome) in requests.iter().zip(&batch.outcomes) {
                 let batched = outcome.as_ref().unwrap();
-                let solo = engine.execute_parsed(query, &options).unwrap();
+                let solo = engine.run(request).unwrap();
                 assert_eq!(
                     batched.embedding_count, solo.embedding_count,
                     "capacity {capacity}"

@@ -1,7 +1,7 @@
 //! End-to-end walkthrough of the paper's running example across the public
 //! API of every crate: §2 transformation, §4 index examples, §5 matching.
 
-use amber::{AmberEngine, ExecOptions, QueryStatus};
+use amber::{AmberEngine, QueryRequest, QueryStatus};
 use amber_index::IndexSet;
 use amber_multigraph::paper::{
     paper_graph, paper_query_text, paper_triples, PAPER_QUERY_EMBEDDINGS, PREFIX_X,
@@ -55,7 +55,7 @@ fn offline_stage_builds_figure_1c_and_indexes() {
 fn online_stage_reproduces_section_5() {
     let engine = AmberEngine::from_graph(paper_graph());
     let outcome = engine
-        .execute(&paper_query_text(), &ExecOptions::default())
+        .run(&QueryRequest::sparql(&paper_query_text()))
         .expect("paper query executes");
 
     assert_eq!(outcome.status, QueryStatus::Completed);
@@ -104,10 +104,10 @@ fn online_stage_reproduces_section_5() {
 fn count_only_matches_materialized_count() {
     let engine = AmberEngine::from_graph(paper_graph());
     let full = engine
-        .execute(&paper_query_text(), &ExecOptions::default())
+        .run(&QueryRequest::sparql(&paper_query_text()))
         .unwrap();
     let counted = engine
-        .execute(&paper_query_text(), &ExecOptions::default().counting())
+        .run(&QueryRequest::sparql(&paper_query_text()).counting())
         .unwrap();
     assert_eq!(full.embedding_count, counted.embedding_count);
     assert_eq!(full.bindings.len() as u128, full.embedding_count);

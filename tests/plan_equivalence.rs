@@ -8,10 +8,10 @@
 //! that mix duplicates, **variable-renamed** variants (which hit the same
 //! cached plan), and **triple-reordered** variants (which key separately),
 //! every outcome must be identical to a fresh cache-free
-//! `execute_parsed`, with the plan/result caches disabled, capacity-1
+//! `run`, with the plan/result caches disabled, capacity-1
 //! (evicting constantly), and comfortably large.
 
-use amber::{AmberEngine, ExecOptions, QueryOutcome};
+use amber::{AmberEngine, ExecOptions, QueryOutcome, QueryRequest};
 use amber_datagen::synthetic::{self, SyntheticConfig};
 use amber_datagen::{GeneratedQuery, QueryShape, WorkloadConfig, WorkloadGenerator};
 use amber_multigraph::RdfGraph;
@@ -106,12 +106,16 @@ fn assert_prepared_equals_unprepared(
         .with_plan_cache(plan_capacity)
         .with_result_cache(result_capacity);
     let bare = ExecOptions::default().with_max_results(200);
-    let batch = engine.execute_batch(stream, &cached);
+    let requests: Vec<QueryRequest<'_>> = stream
+        .iter()
+        .map(|q| QueryRequest::parsed(q).with_options(cached.clone()))
+        .collect();
+    let batch = engine.run_all(&requests);
     assert_eq!(batch.stats.errors, 0, "{context}");
     for (query, outcome) in stream.iter().zip(&batch.outcomes) {
         let via_cache = outcome.as_ref().expect("cached execution succeeds");
         let fresh = engine
-            .execute_parsed(query, &bare)
+            .run(&QueryRequest::parsed(query).with_options(bare.clone()))
             .expect("fresh execution succeeds");
         assert_eq!(
             normalized(via_cache),
@@ -204,7 +208,10 @@ fn renamed_queries_share_plans_but_keep_their_headers() {
     let original = base[0].query.clone();
     let renamed = rename_vars(&original, 7);
     let options = ExecOptions::batch();
-    let batch = engine.execute_batch(&[original.clone(), renamed.clone()], &options);
+    let batch = engine.run_all(&[
+        QueryRequest::parsed(&original).with_options(options.clone()),
+        QueryRequest::parsed(&renamed).with_options(options),
+    ]);
     assert_eq!(batch.stats.plans.plans.misses, 1, "one plan derivation");
     assert_eq!(
         batch.stats.plans.plans.hits, 1,

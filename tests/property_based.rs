@@ -1,7 +1,7 @@
 //! Property-based tests over the full pipeline: random triplesets, random
 //! queries, invariants that must hold for any input.
 
-use amber::{AmberEngine, ExecOptions};
+use amber::{AmberEngine, ExecOptions, QueryRequest};
 use amber_baselines::all_engines;
 use amber_multigraph::RdfGraph;
 use proptest::prelude::*;
@@ -116,9 +116,9 @@ proptest! {
     fn max_results_is_only_a_cap(triples in arb_triples(), cap in 1usize..5) {
         let engine = AmberEngine::from_triples(&triples);
         let query = "SELECT * WHERE { ?a <http://t/p0> ?b . }";
-        let full = engine.execute(query, &ExecOptions::default()).unwrap();
+        let full = engine.run(&QueryRequest::sparql(query)).unwrap();
         let capped = engine
-            .execute(query, &ExecOptions::default().with_max_results(cap))
+            .run(&QueryRequest::sparql(query).with_max_results(cap))
             .unwrap();
         prop_assert_eq!(full.embedding_count, capped.embedding_count);
         prop_assert!(capped.bindings.len() <= cap);
@@ -133,7 +133,7 @@ proptest! {
     fn distinct_rows_are_unique(triples in arb_triples()) {
         let engine = AmberEngine::from_triples(&triples);
         let query = "SELECT DISTINCT ?a WHERE { ?a <http://t/p1> ?b . }";
-        let outcome = engine.execute(query, &ExecOptions::default()).unwrap();
+        let outcome = engine.run(&QueryRequest::sparql(query)).unwrap();
         let mut rows = outcome.bindings.to_vec();
         rows.sort();
         let before = rows.len();

@@ -2,7 +2,7 @@
 //! query shapes, zero budgets, empty graphs, unicode — the "production
 //! quality" envelope around the paper's algorithm.
 
-use amber::{AmberEngine, CancelToken, EngineError, ExecOptions, QueryStatus};
+use amber::{AmberEngine, CancelToken, EngineError, Error, ExecOptions, QueryRequest, QueryStatus};
 use amber_baselines::all_engines;
 use amber_multigraph::paper::{paper_graph, paper_query_text, PAPER_QUERY_EMBEDDINGS};
 use amber_multigraph::RdfGraph;
@@ -27,15 +27,16 @@ fn malformed_ntriples_is_rejected_with_position() {
 #[test]
 fn sparql_error_paths() {
     let engine = AmberEngine::from_graph(paper_graph());
-    let options = ExecOptions::default();
     // Syntax and unsupported-feature errors both surface as EngineError.
     assert!(matches!(
-        engine.execute("SELECT WHERE", &options),
-        Err(EngineError::Sparql(_))
+        engine.run(&QueryRequest::sparql("SELECT WHERE")),
+        Err(Error::Engine(EngineError::Sparql(_)))
     ));
     assert!(matches!(
-        engine.execute("SELECT * WHERE { ?s ?p ?o }", &options),
-        Err(EngineError::Sparql(_)) | Err(EngineError::QueryGraph(_))
+        engine.run(&QueryRequest::sparql("SELECT * WHERE { ?s ?p ?o }")),
+        Err(Error::Engine(
+            EngineError::Sparql(_) | EngineError::QueryGraph(_)
+        ))
     ));
 }
 
@@ -104,16 +105,18 @@ fn midflight_deadline_is_reported_or_the_count_is_exact() {
     ] {
         let engine = AmberEngine::from_graph(RdfGraph::from_triples(&skewed::generate(&config)));
         let query = skewed::chain_query(&config);
-        let unbounded = engine
-            .execute(&query, &ExecOptions::default().counting())
-            .unwrap();
+        let counting = QueryRequest::sparql(&query).counting();
+        let unbounded = engine.run(&counting).unwrap();
         assert_eq!(unbounded.status, QueryStatus::Completed);
         assert_eq!(unbounded.embedding_count, config.expected_embeddings());
         for &budget_us in budgets_us {
-            let options = ExecOptions::default()
-                .counting()
-                .with_timeout(Duration::from_micros(budget_us));
-            let outcome = engine.execute(&query, &options).unwrap();
+            let outcome = engine
+                .run(
+                    &counting
+                        .clone()
+                        .with_timeout(Duration::from_micros(budget_us)),
+                )
+                .unwrap();
             if !outcome.timed_out() {
                 assert_eq!(
                     outcome.embedding_count,
@@ -137,7 +140,7 @@ fn cartesian_blowup_is_capped_by_max_results() {
     let query = "SELECT * WHERE { ?a <http://p/e> ?b . ?c <http://p/e> ?d . \
                  ?e <http://p/e> ?f . ?g <http://p/e> ?h . }";
     let outcome = engine
-        .execute(query, &ExecOptions::default().with_max_results(50))
+        .run(&QueryRequest::sparql(query).with_max_results(50))
         .unwrap();
     assert_eq!(outcome.embedding_count, 30u128.pow(4));
     assert_eq!(outcome.bindings.len(), 50);
@@ -210,18 +213,15 @@ fn unicode_iris_and_literals_survive_the_pipeline() {
                <http://x/Zürich> <http://p/liegt_in> <http://x/Schweiz> .\n";
     let engine = AmberEngine::load_ntriples(doc).unwrap();
     let outcome = engine
-        .execute(
+        .run(&QueryRequest::sparql(
             "SELECT ?où WHERE { <http://x/Zürich> <http://p/liegt_in> ?où . }",
-            &ExecOptions::default(),
-        )
+        ))
         .unwrap();
     assert_eq!(outcome.embedding_count, 1);
     assert_eq!(outcome.bindings[0][0].as_ref(), "http://x/Schweiz");
 
     let literal_query = "SELECT ?s WHERE { ?s <http://p/名前> \"取り引き — émoji 😀\" . }";
-    let outcome = engine
-        .execute(literal_query, &ExecOptions::default())
-        .unwrap();
+    let outcome = engine.run(&QueryRequest::sparql(literal_query)).unwrap();
     assert_eq!(outcome.embedding_count, 1);
 }
 
@@ -231,8 +231,8 @@ fn duplicate_patterns_do_not_double_count() {
     let y = amber_multigraph::paper::PREFIX_Y;
     let single = format!("SELECT * WHERE {{ ?p <{y}wasBornIn> ?c . }}");
     let doubled = format!("SELECT * WHERE {{ ?p <{y}wasBornIn> ?c . ?p <{y}wasBornIn> ?c . }}");
-    let a = engine.execute(&single, &ExecOptions::default()).unwrap();
-    let b = engine.execute(&doubled, &ExecOptions::default()).unwrap();
+    let a = engine.run(&QueryRequest::sparql(&single)).unwrap();
+    let b = engine.run(&QueryRequest::sparql(&doubled)).unwrap();
     assert_eq!(a.embedding_count, b.embedding_count);
     // And the same across baselines.
     let rdf = Arc::new(paper_graph());
@@ -244,15 +244,22 @@ fn duplicate_patterns_do_not_double_count() {
     }
 }
 
+/// The paper query, one-shot, under `options`.
+fn paper_query_with(
+    engine: &AmberEngine,
+    options: ExecOptions,
+) -> Result<amber::QueryOutcome, Error> {
+    engine.run(&QueryRequest::sparql(&paper_query_text()).with_options(options))
+}
+
 #[test]
 fn pre_cancelled_token_yields_cancelled_status() {
     let engine = AmberEngine::from_graph(paper_graph());
     let token = CancelToken::new();
     token.cancel();
     let options = ExecOptions::default().with_cancel(token);
-    let outcome = engine
-        .execute(&paper_query_text(), &options)
-        .expect("cancellation is a status, not an error");
+    let outcome =
+        paper_query_with(&engine, options).expect("cancellation is a status, not an error");
     assert_eq!(outcome.status, QueryStatus::Cancelled);
     assert!(outcome.is_partial());
     assert!(
@@ -271,7 +278,7 @@ fn cancellation_is_distinct_from_timeout() {
     let options = ExecOptions::default()
         .with_cancel(token)
         .with_timeout(Duration::ZERO);
-    let outcome = engine.execute(&paper_query_text(), &options).unwrap();
+    let outcome = paper_query_with(&engine, options).unwrap();
     assert_eq!(outcome.status, QueryStatus::Cancelled);
     assert!(!outcome.timed_out());
 }
@@ -281,7 +288,7 @@ fn unfired_token_changes_nothing() {
     let engine = AmberEngine::from_graph(paper_graph());
     let token = CancelToken::new();
     let options = ExecOptions::default().with_cancel(token.clone());
-    let outcome = engine.execute(&paper_query_text(), &options).unwrap();
+    let outcome = paper_query_with(&engine, options).unwrap();
     assert_eq!(outcome.status, QueryStatus::Completed);
     assert_eq!(outcome.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
     assert!(!token.is_cancelled());
@@ -300,12 +307,18 @@ fn cancelled_query_never_stores_into_the_result_cache() {
     let token = CancelToken::new();
     token.cancel();
     let cancelled = engine
-        .execute_in_session(&q, &options.clone().with_cancel(token), &mut session)
+        .run_in(
+            &QueryRequest::parsed(&q).with_options(options.clone().with_cancel(token)),
+            &mut session,
+        )
         .unwrap();
     assert_eq!(cancelled.status, QueryStatus::Cancelled);
 
     let repeat = engine
-        .execute_in_session(&q, &options, &mut session)
+        .run_in(
+            &QueryRequest::parsed(&q).with_options(options),
+            &mut session,
+        )
         .unwrap();
     assert_eq!(repeat.status, QueryStatus::Completed);
     assert_eq!(repeat.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
@@ -324,9 +337,8 @@ fn tiny_memory_budget_degrades_to_a_typed_partial() {
     // first checkpoint. The query must come back as a clean partial, never
     // an abort or a wrong answer.
     let options = ExecOptions::default().with_memory_budget(1);
-    let outcome = engine
-        .execute(&paper_query_text(), &options)
-        .expect("budget exhaustion is a status, not an error");
+    let outcome =
+        paper_query_with(&engine, options).expect("budget exhaustion is a status, not an error");
     assert_eq!(outcome.status, QueryStatus::BudgetExceeded);
     assert!(outcome.is_partial());
 }
@@ -334,15 +346,9 @@ fn tiny_memory_budget_degrades_to_a_typed_partial() {
 #[test]
 fn generous_memory_budget_is_invisible() {
     let engine = AmberEngine::from_graph(paper_graph());
-    let baseline = engine
-        .execute(&paper_query_text(), &ExecOptions::default())
-        .unwrap();
-    let governed = engine
-        .execute(
-            &paper_query_text(),
-            &ExecOptions::default().with_memory_budget(1 << 30),
-        )
-        .unwrap();
+    let baseline = paper_query_with(&engine, ExecOptions::default()).unwrap();
+    let governed =
+        paper_query_with(&engine, ExecOptions::default().with_memory_budget(1 << 30)).unwrap();
     assert_eq!(governed.status, QueryStatus::Completed);
     assert_eq!(governed.embedding_count, baseline.embedding_count);
     assert_eq!(governed.bindings, baseline.bindings);
@@ -355,7 +361,10 @@ fn budget_degradation_is_recorded_in_session_stats() {
     let mut session = engine.create_session(&options);
     let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
     let outcome = engine
-        .execute_in_session(&q, &options, &mut session)
+        .run_in(
+            &QueryRequest::parsed(&q).with_options(options),
+            &mut session,
+        )
         .unwrap();
     assert_eq!(outcome.status, QueryStatus::BudgetExceeded);
     assert!(
@@ -365,7 +374,7 @@ fn budget_degradation_is_recorded_in_session_stats() {
     );
     // The session survives: an ungoverned repeat gets the full answer.
     let clean = engine
-        .execute_in_session(&q, &ExecOptions::default(), &mut session)
+        .run_in(&QueryRequest::parsed(&q), &mut session)
         .unwrap();
     assert_eq!(clean.status, QueryStatus::Completed);
     assert_eq!(clean.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
@@ -393,10 +402,8 @@ fn self_loop_queries_agree() {
 // ---------------------------------------------------------------------
 
 mod breakers {
-    use amber::{AmberEngine, QueryStatus};
-    use amber_serve::{
-        BreakerConfig, BreakerState, ServeConfig, ServeError, Server, SubmitOptions, TripCause,
-    };
+    use amber::{AmberEngine, Error, QueryRequest, QueryStatus, TripCause};
+    use amber_serve::{BreakerConfig, BreakerState, ServeConfig, Server, SubmitOptions};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -457,7 +464,7 @@ mod breakers {
             timed_out_request(&server, "a");
         }
         match server.submit_sparql("a", EDGE) {
-            Err(ServeError::CircuitOpen { cause, retry_after }) => {
+            Err(Error::CircuitOpen { cause, retry_after }) => {
                 assert_eq!(cause, TripCause::TimedOut);
                 assert!(retry_after <= Duration::from_secs(3600));
                 assert!(retry_after > Duration::ZERO, "mid-cooldown hint");
@@ -514,13 +521,11 @@ mod breakers {
     fn tripped_tenant_fast_fails_while_neighbors_complete_identically() {
         let server = server(1, Duration::from_secs(3600));
         let engine = serve_engine();
-        let baseline = engine
-            .execute(EDGE, &amber::ExecOptions::default())
-            .unwrap();
+        let baseline = engine.run(&QueryRequest::sparql(EDGE)).unwrap();
         timed_out_request(&server, "noisy"); // trips the noisy tenant
         assert!(matches!(
             server.submit_sparql("noisy", EDGE),
-            Err(ServeError::CircuitOpen { .. })
+            Err(Error::CircuitOpen { .. })
         ));
         // Healthy tenants are untouched — and bit-identical to a private
         // engine run.

@@ -5,11 +5,11 @@
 //! cache state, however many serving workers overlap on the shared
 //! execution pool.
 
-use amber::{AmberEngine, ExecOptions, QueryOutcome, QueryRequest};
+use amber::{AmberEngine, Error, ExecOptions, QueryOutcome, QueryRequest};
 use amber_datagen::synthetic::{self, SyntheticConfig};
 use amber_datagen::{GeneratedQuery, QueryShape, WorkloadConfig, WorkloadGenerator};
 use amber_multigraph::RdfGraph;
-use amber_serve::{ServeConfig, ServeError, Server, SubmitOptions, Ticket};
+use amber_serve::{ServeConfig, Server, SubmitOptions, Ticket};
 use amber_sparql::{Projection, SelectQuery, TermPattern};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -109,7 +109,7 @@ fn assert_serving_matches_sequential(
                 .map(|q| {
                     normalized(
                         &engine
-                            .execute_parsed(q, &bare)
+                            .run(&QueryRequest::parsed(q).with_options(bare.clone()))
                             .expect("sequential execution succeeds"),
                     )
                 })
@@ -214,7 +214,10 @@ proptest! {
         let bare = ExecOptions::default().with_max_results(200);
         let expected: Vec<Observed> = base
             .iter()
-            .map(|g| normalized(&engine.execute_parsed(&g.query, &bare).expect("sequential")))
+            .map(|g| {
+                let request = QueryRequest::parsed(&g.query).with_options(bare.clone());
+                normalized(&engine.run(&request).expect("sequential"))
+            })
             .collect();
 
         let server = Server::start(
@@ -236,7 +239,7 @@ proptest! {
             ("tight", Some(std::time::Duration::from_millis(5))),
             ("shed-only", Some(std::time::Duration::ZERO)),
         ];
-        let outcomes: Vec<(usize, Vec<Result<QueryOutcome, ServeError>>)> =
+        let outcomes: Vec<(usize, Vec<Result<QueryOutcome, Error>>)> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = classes
                     .iter()
@@ -280,10 +283,10 @@ proptest! {
                             prop_assert_eq!(&normalized(outcome), want, "tenant {}", tenant);
                         }
                     }
-                    ("tight", Err(ServeError::DeadlineExpired { budget: b, .. })) => {
+                    ("tight", Err(Error::DeadlineExpired { budget: b, .. })) => {
                         prop_assert_eq!(*b, budget.unwrap());
                     }
-                    ("shed-only", Err(ServeError::DeadlineExpired { budget: b, waited })) => {
+                    ("shed-only", Err(Error::DeadlineExpired { budget: b, waited })) => {
                         prop_assert_eq!(*b, std::time::Duration::ZERO);
                         prop_assert!(*waited >= *b);
                     }
@@ -340,7 +343,7 @@ fn admission_control_rejects_beyond_capacity_and_serves_the_rest() {
     // The queue is full: the next submission is rejected immediately, with
     // the typed error, without blocking and without losing earlier work.
     match server.submit("tenant-0", query.clone()) {
-        Err(ServeError::Overloaded {
+        Err(Error::Overloaded {
             capacity: c,
             queued,
             retry_after,
@@ -352,9 +355,7 @@ fn admission_control_rejects_beyond_capacity_and_serves_the_rest() {
         other => panic!("expected Overloaded, got {other:?}"),
     }
     server.resume();
-    let baseline = engine
-        .execute_parsed(&query, &ExecOptions::default())
-        .expect("baseline");
+    let baseline = engine.run(&QueryRequest::parsed(&query)).expect("baseline");
     for ticket in accepted {
         let outcome = ticket.wait().expect("accepted requests are served");
         assert_eq!(outcome.embedding_count, baseline.embedding_count);
@@ -396,7 +397,7 @@ fn tenants_keep_their_own_plans_headers_and_failures() {
     let stale = foreign
         .prepare(&base[0].query)
         .expect("prepares on its own engine");
-    let poisoned = engine.execute_prepared(&stale, &ExecOptions::default());
+    let poisoned = engine.run(&QueryRequest::prepared(&stale));
     assert!(poisoned.is_err(), "stale plans are rejected, not executed");
 
     let tenants: Vec<String> = (0..4).map(|t| format!("tenant-{t}")).collect();
@@ -438,11 +439,11 @@ fn tenants_keep_their_own_plans_headers_and_failures() {
 
 /// What one request came to, with the clock-dependent fields (`waited`,
 /// `retry_after`) left out.
-fn settled(result: &Result<QueryOutcome, ServeError>) -> String {
+fn settled(result: &Result<QueryOutcome, Error>) -> String {
     match result {
         Ok(outcome) => format!("{:?} {:?}", outcome.status, normalized(outcome)),
-        Err(ServeError::DeadlineExpired { budget, .. }) => format!("shed after {budget:?}"),
-        Err(ServeError::CircuitOpen { cause, .. }) => format!("circuit open: {cause}"),
+        Err(Error::DeadlineExpired { budget, .. }) => format!("shed after {budget:?}"),
+        Err(Error::CircuitOpen { cause, .. }) => format!("circuit open: {cause}"),
         Err(other) => format!("{other:?}"),
     }
 }
@@ -528,7 +529,7 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
         let mut queued_settled = Vec::new();
         for round in &rounds {
             queued.pause();
-            let tickets: Vec<Result<Ticket, ServeError>> = round
+            let tickets: Vec<Result<Ticket, Error>> = round
                 .iter()
                 .map(|(tenant, text, opts)| queued.submit_sparql_with(tenant, text, opts.clone()))
                 .collect();
@@ -575,4 +576,53 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
             (0, dispatched)
         );
     }
+}
+
+/// The inline path (`Server::execute`), the queued path
+/// (`submit_sparql(..).and_then(Ticket::wait)`) and the engine's own `run`
+/// fail with one error type, so their failures compare as values: a
+/// malformed query fails identically on all three, and a zero-budget
+/// request sheds identically on both server paths.
+#[test]
+fn inline_queued_and_engine_failures_are_one_error_type() {
+    use std::time::Duration;
+
+    let engine = Arc::new(AmberEngine::from_graph(dense_graph(5)));
+    let server = Server::start(Arc::clone(&engine), ServeConfig::default());
+
+    let malformed = "SELECT nonsense";
+    let inline = server
+        .execute("a", malformed, SubmitOptions::new())
+        .unwrap_err();
+    let queued = server
+        .submit_sparql("a", malformed)
+        .and_then(Ticket::wait)
+        .unwrap_err();
+    let direct = engine.run(&QueryRequest::sparql(malformed)).unwrap_err();
+    assert_eq!(inline, queued);
+    assert_eq!(inline, direct);
+    assert_eq!(inline.status_code(), 400);
+
+    // The observed queue wait is a clock reading; the rest must match.
+    let without_wait = |e: Error| match e {
+        Error::DeadlineExpired { budget, .. } => Error::DeadlineExpired {
+            budget,
+            waited: Duration::ZERO,
+        },
+        other => other,
+    };
+    let text = "SELECT * WHERE { ?s <http://serve/p/absent> ?o . }";
+    let zero = || SubmitOptions::new().with_budget(Duration::ZERO);
+    let inline = server.execute("b", text, zero()).unwrap_err();
+    let queued = server
+        .submit_sparql_with("b", text, zero())
+        .and_then(Ticket::wait)
+        .unwrap_err();
+    assert!(
+        matches!(inline, Error::DeadlineExpired { .. }),
+        "{inline:?}"
+    );
+    assert_eq!(without_wait(inline), without_wait(queued));
+    let report = server.shutdown();
+    assert_eq!(report.deadline_shed, 2);
 }

@@ -10,7 +10,7 @@
 //! 200 K-triple datasets) and exist to catch scaling regressions the
 //! seconds-long default suite cannot see.
 
-use amber::{AmberEngine, ExecOptions, SparqlEngine};
+use amber::{AmberEngine, ExecOptions, QueryRequest, SparqlEngine};
 use amber_datagen::{Benchmark, QueryShape, WorkloadConfig, WorkloadGenerator};
 use amber_multigraph::RdfGraph;
 use std::sync::Arc;
@@ -94,7 +94,11 @@ fn batch_session_at_scale_with_evicting_cache() {
         let options = ExecOptions::benchmark(Duration::from_secs(15))
             .with_plan_cache(cache_capacity)
             .with_result_cache(cache_capacity);
-        let batch = engine.execute_batch(&queries, &options);
+        let requests: Vec<QueryRequest<'_>> = queries
+            .iter()
+            .map(|q| QueryRequest::parsed(q).with_options(options.clone()))
+            .collect();
+        let batch = engine.run_all(&requests);
         assert_eq!(batch.stats.errors, 0, "capacity {cache_capacity}");
         // The complex half of the stream has the paper's heavy tail (the
         // same few queries blow any budget on every repeat), so the bar
@@ -109,12 +113,12 @@ fn batch_session_at_scale_with_evicting_cache() {
         assert!(plans.entries <= cache_capacity && results.entries <= cache_capacity);
         // Spot-check batch outcomes against one-shot execution. Either run
         // may hit the budget independently; partial counts prove nothing.
-        for (query, outcome) in queries.iter().zip(&batch.outcomes).step_by(13) {
+        for (request, outcome) in requests.iter().zip(&batch.outcomes).step_by(13) {
             let batched = outcome.as_ref().unwrap();
             if batched.timed_out() {
                 continue;
             }
-            let solo = engine.execute_parsed(query, &options).unwrap();
+            let solo = engine.run(request).unwrap();
             if !solo.timed_out() {
                 assert_eq!(batched.embedding_count, solo.embedding_count);
             }

@@ -2,7 +2,7 @@
 //! N-Triples must produce identical engines, and the paper's example works
 //! through the Turtle path.
 
-use amber::{AmberEngine, ExecOptions};
+use amber::{AmberEngine, QueryRequest};
 use amber_multigraph::paper::{paper_query_text, paper_triples, PREFIX_X, PREFIX_Y};
 use rdf_model::write_ntriples;
 
@@ -40,10 +40,10 @@ fn turtle_and_ntriples_loads_agree() {
     assert_eq!(from_turtle.rdf().stats(), from_nt.rdf().stats());
 
     let a = from_turtle
-        .execute(&paper_query_text(), &ExecOptions::default())
+        .run(&QueryRequest::sparql(&paper_query_text()))
         .unwrap();
     let b = from_nt
-        .execute(&paper_query_text(), &ExecOptions::default())
+        .run(&QueryRequest::sparql(&paper_query_text()))
         .unwrap();
     assert_eq!(a.embedding_count, 2);
     assert_eq!(a.embedding_count, b.embedding_count);
@@ -70,10 +70,10 @@ fn snapshot_of_turtle_load_round_trips() {
     let restored = amber_multigraph::RdfGraph::from_snapshot(&image).unwrap();
     let engine2 = AmberEngine::from_graph(restored);
     let a = engine
-        .execute(&paper_query_text(), &ExecOptions::default().counting())
+        .run(&QueryRequest::sparql(&paper_query_text()).counting())
         .unwrap();
     let b = engine2
-        .execute(&paper_query_text(), &ExecOptions::default().counting())
+        .run(&QueryRequest::sparql(&paper_query_text()).counting())
         .unwrap();
     assert_eq!(a.embedding_count, b.embedding_count);
 }

@@ -5,13 +5,13 @@ use crate::error::EngineError;
 use crate::governor::MemoryGovernor;
 use crate::matcher::{Abort, ComponentMatch, ComponentMatcher, MatchConfig};
 use crate::options::ExecOptions;
-use crate::plan::{canonical_fingerprint, PreparedPlan};
+use crate::plan::PreparedPlan;
 use crate::request::QuerySource;
 use crate::result::{Bindings, QueryOutcome, QueryStatus, SparqlEngine};
 use crate::seeds::SeedCache;
 use crate::session::QuerySession;
 use amber_index::IndexSet;
-use amber_multigraph::{GraphBuilder, RdfGraph};
+use amber_multigraph::{CompiledQuery, GraphBuilder, RdfGraph};
 use amber_util::fault::payload_message;
 use amber_util::{Deadline, HeapSize, Stopwatch};
 use std::sync::Arc;
@@ -198,34 +198,53 @@ impl AmberEngine {
         self.offline
     }
 
+    /// Compile SPARQL text against this engine's dictionaries in one pass
+    /// ([`CompiledQuery::compile`]): the id key the plan and result caches
+    /// look up, the header, and the reason a query naming an absent
+    /// constant is empty. The result is bound to this engine — run it with
+    /// [`QueryRequest::compiled`](crate::QueryRequest::compiled); another
+    /// engine refuses it with [`EngineError::StalePlan`].
+    pub fn compile(&self, sparql: &str) -> Result<CompiledQuery, EngineError> {
+        Ok(CompiledQuery::compile(sparql, &self.rdf, self.token)?)
+    }
+
+    /// [`Self::compile`] for an already-parsed query (its patterns are
+    /// replayed into the same compiler, so the key equals the text's).
+    pub fn compile_parsed(
+        &self,
+        query: &amber_sparql::SelectQuery,
+    ) -> Result<CompiledQuery, EngineError> {
+        Ok(CompiledQuery::from_ast(query, &self.rdf, self.token)?)
+    }
+
     /// Derive the full immutable execution plan of a parsed query against
-    /// this engine: canonicalized cache key, query multigraph,
-    /// core/satellite decomposition, processing order, probe plans and
-    /// seed candidates — everything execution needs besides scratch state.
-    /// The plan is engine-bound (executing it elsewhere returns
-    /// [`EngineError::StalePlan`]) and valid for this engine's lifetime
-    /// (the loaded data is immutable). Every call derives a fresh plan: a
-    /// prepared statement is held by its caller, who prepares it once.
+    /// this engine: id key, query multigraph, core/satellite decomposition,
+    /// processing order, probe plans and seed candidates — everything
+    /// execution needs besides scratch state. The plan is engine-bound
+    /// (executing it elsewhere returns [`EngineError::StalePlan`]) and
+    /// valid for this engine's lifetime (the loaded data is immutable).
+    /// Every call derives a fresh plan: a prepared statement is held by its
+    /// caller, who prepares it once.
     pub fn prepare(
         &self,
         query: &amber_sparql::SelectQuery,
     ) -> Result<Arc<PreparedPlan>, EngineError> {
-        let (canonical, fingerprint) = canonical_fingerprint(query);
-        Ok(Arc::new(PreparedPlan::from_canonical(
-            canonical,
-            fingerprint,
-            query,
+        Ok(self.prepare_compiled(&self.compile_parsed(query)?))
+    }
+
+    /// Compile SPARQL text and [`prepare`](Self::prepare) it.
+    pub fn prepare_sparql(&self, sparql: &str) -> Result<Arc<PreparedPlan>, EngineError> {
+        Ok(self.prepare_compiled(&self.compile(sparql)?))
+    }
+
+    fn prepare_compiled(&self, compiled: &CompiledQuery) -> Arc<PreparedPlan> {
+        Arc::new(PreparedPlan::from_compiled(
+            compiled,
             &self.rdf,
             &self.index,
             self.token,
             &mut SeedCache::disabled(),
-        )?))
-    }
-
-    /// Parse SPARQL text and [`prepare`](Self::prepare) it.
-    pub fn prepare_sparql(&self, sparql: &str) -> Result<Arc<PreparedPlan>, EngineError> {
-        let query = amber_sparql::parse_select(sparql)?;
-        self.prepare(&query)
+        ))
     }
 
     /// Execute `query` with the session's flight recorder forced on and
@@ -246,8 +265,7 @@ impl AmberEngine {
         // The plan comes through the session's plan cache and then runs as
         // a prepared source, so the report and the trace describe one plan.
         session.bind_graph(self.graph_token());
-        let (canonical, fingerprint) = canonical_fingerprint(query);
-        let plan = self.resolve_plan(query, canonical, fingerprint, true, session)?;
+        let plan = self.resolve_plan(&self.compile_parsed(query)?, true, session);
         let (was_enabled, threshold) = session.flight_recorder().config();
         session.configure_tracing(true, threshold);
         let outcome = self.run_source(&QuerySource::Prepared(&plan), options, session);
@@ -267,46 +285,42 @@ impl AmberEngine {
         Ok((outcome, text))
     }
 
-    /// Session plan-cache lookup, else build (and store when cached), with
-    /// the canonicalization already done. `use_cache` honors the *per-call*
-    /// capacity knob: a call passing `plan_cache_capacity == 0` opts out of
-    /// the session's cache for that execution (the cache itself is sized
-    /// once, at session creation).
+    /// Session plan-cache lookup by the compiled query's key, else build
+    /// (and store when cached). `use_cache` honors the *per-call* capacity
+    /// knob: a call passing `plan_cache_capacity == 0` opts out of the
+    /// session's cache for that execution (the cache itself is sized once,
+    /// at session creation).
     fn resolve_plan(
         &self,
-        source: &amber_sparql::SelectQuery,
-        canonical: amber_sparql::SelectQuery,
-        fingerprint: u64,
+        compiled: &CompiledQuery,
         use_cache: bool,
         session: &mut QuerySession,
-    ) -> Result<Arc<PreparedPlan>, EngineError> {
+    ) -> Arc<PreparedPlan> {
         let (plans, seeds) = session.plan_and_seed_caches();
         let cached = use_cache && plans.is_enabled();
         if cached {
-            if let Some(plan) = plans.lookup(fingerprint, &canonical, self.token) {
+            if let Some(plan) = plans.lookup(compiled.fingerprint(), compiled.key(), self.token) {
                 session.recorder_mut().note_cache("plan:hit");
-                return Ok(plan);
+                return plan;
             }
             plans.note_miss();
         } else {
             plans.note_bypass();
         }
-        let built = Arc::new(PreparedPlan::from_canonical(
-            canonical,
-            fingerprint,
-            source,
+        let built = Arc::new(PreparedPlan::from_compiled(
+            compiled,
             &self.rdf,
             &self.index,
             self.token,
             seeds,
-        )?);
+        ));
         if cached {
             plans.insert(Arc::clone(&built));
         }
         session
             .recorder_mut()
             .note_cache(if cached { "plan:build" } else { "plan:bypass" });
-        Ok(built)
+        built
     }
 
     /// A reusable [`QuerySession`]: plan and result caches sized from
@@ -375,10 +389,10 @@ impl AmberEngine {
         outcome
     }
 
-    /// Open the query's trace, then parse a text source or check a
-    /// prepared plan's engine, resolve the plan of a text or parsed source
-    /// (through the session plan cache when enabled) and execute it
-    /// (through the session result cache when enabled).
+    /// Open the query's trace, then compile a text or parsed source or
+    /// check a compiled or prepared one's engine, resolve the plan of a
+    /// compiled query (through the session plan cache when enabled) and
+    /// execute it (through the session result cache when enabled).
     fn execute_source(
         &self,
         source: &QuerySource<'_>,
@@ -386,8 +400,12 @@ impl AmberEngine {
         session: &mut QuerySession,
         sw: &Stopwatch,
     ) -> Result<QueryOutcome, EngineError> {
-        let parsed;
-        let query = match *source {
+        // A compiled source was compiled by its caller, outside this trace.
+        let compile_sw = (session.recorder_mut().is_active()
+            && !matches!(source, QuerySource::Compiled(_)))
+        .then(Stopwatch::start);
+        let compiled_here;
+        let compiled = match *source {
             QuerySource::Prepared(plan) => {
                 if session.recorder_mut().is_active() {
                     let label = format!("prepared {:#018x}", plan.fingerprint());
@@ -400,42 +418,52 @@ impl AmberEngine {
                 let variables = plan.variables().to_vec();
                 return self.execute_plan_with_result_cache(plan, variables, options, session, sw);
             }
-            QuerySource::Parsed(query) => query,
-            QuerySource::Sparql(text) => match amber_sparql::parse_select(text) {
-                Ok(query) => {
-                    parsed = query;
-                    &parsed
+            QuerySource::Compiled(query) => query,
+            QuerySource::Parsed(query) => match self.compile_parsed(query) {
+                Ok(compiled) => {
+                    compiled_here = compiled;
+                    &compiled_here
+                }
+                Err(e) => {
+                    let label = format!("select[{} vars]", query.output_variables().len());
+                    session.recorder_mut().begin(label);
+                    return Err(e);
+                }
+            },
+            QuerySource::Sparql(text) => match self.compile(text) {
+                Ok(compiled) => {
+                    compiled_here = compiled;
+                    &compiled_here
                 }
                 Err(e) => {
                     session.recorder_mut().begin("unparsable query");
-                    return Err(e.into());
+                    return Err(e);
                 }
             },
         };
         if session.recorder_mut().is_active() {
-            let label = format!("select[{} vars]", query.output_variables().len());
+            let label = format!("select[{} vars]", compiled.output_len());
             session.recorder_mut().begin(label);
+            session
+                .recorder_mut()
+                .set_fingerprint(compiled.fingerprint());
+            if let Some(s) = compile_sw {
+                session.recorder_mut().span("compile", 0, s.elapsed());
+            }
         }
-        let tracing = session.recorder_mut().is_recording();
-        let canon_sw = tracing.then(Stopwatch::start);
-        let (canonical, fingerprint) = canonical_fingerprint(query);
-        if let Some(s) = canon_sw {
-            session.recorder_mut().span("canonicalize", 0, s.elapsed());
-            session.recorder_mut().set_fingerprint(fingerprint);
+        if compiled.owner() != self.token {
+            return Err(EngineError::StalePlan);
         }
         let use_plan_cache = options.plan_cache_capacity > 0;
+        let tracing = session.recorder_mut().is_recording();
         let plan_sw = tracing.then(Stopwatch::start);
-        let plan = self.resolve_plan(query, canonical, fingerprint, use_plan_cache, session)?;
+        let plan = self.resolve_plan(compiled, use_plan_cache, session);
         if let Some(s) = plan_sw {
             session.recorder_mut().span("plan", 0, s.elapsed());
         }
         // The outcome always carries the *live caller's* variable names:
         // alpha-equivalent queries share one plan but keep their headers.
-        let variables: Vec<Box<str>> = query
-            .output_variables()
-            .into_iter()
-            .map(Into::into)
-            .collect();
+        let variables = compiled.output_variables();
         self.execute_plan_with_result_cache(&plan, variables, options, session, sw)
     }
 
@@ -741,6 +769,31 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.status, QueryStatus::Completed);
         assert_eq!(outcome.embedding_count, 0);
+
+        // Two queries that differ only in which absent IRI they name share
+        // no plan and no answer, and each EXPLAIN names its own IRI.
+        let options = ExecOptions::batch();
+        let mut session = engine.create_session(&options);
+        for _ in 0..2 {
+            for iri in ["http://nowhere/a", "http://nowhere/b"] {
+                let text = format!("SELECT * WHERE {{ ?a <{PREFIX_Y}livedIn> <{iri}> . }}");
+                let request = QueryRequest::sparql(&text).with_options(options.clone());
+                assert_eq!(
+                    engine
+                        .run_in(&request, &mut session)
+                        .unwrap()
+                        .embedding_count,
+                    0
+                );
+                let explained =
+                    crate::QueryPlan::explain_prepared(&engine.prepare_sparql(&text).unwrap());
+                let reason = explained.unsatisfiable.unwrap();
+                assert!(reason.contains(&format!("<{iri}>")), "{reason}");
+            }
+        }
+        let stats = session.plan_stats();
+        assert_eq!((stats.plans.misses, stats.plans.hits), (2, 2));
+        assert_eq!((stats.results.misses, stats.results.hits), (2, 2));
     }
 
     #[test]
@@ -965,6 +1018,18 @@ mod tests {
         // The renamed query must still answer under *its own* headers.
         let renamed_outcome = batch.outcomes[1].as_ref().unwrap();
         assert!(renamed_outcome.variables[0].contains("Renamed"));
+
+        // A prefixed-name spelling and the full-IRI spelling share a plan.
+        let full = format!("SELECT * WHERE {{ ?p <{PREFIX_Y}wasBornIn> <{PREFIX_X}London> . }}");
+        let prefixed = format!(
+            "PREFIX y: <{PREFIX_Y}> PREFIX : <{PREFIX_X}>\nSELECT * WHERE {{ ?p y:wasBornIn :London }}"
+        );
+        let batch = engine.run_all(&[
+            QueryRequest::sparql(&full).with_options(options.clone()),
+            QueryRequest::sparql(&prefixed).with_options(options.clone()),
+        ]);
+        assert_eq!(batch.stats.plans.plans.misses, 1);
+        assert_eq!(batch.stats.plans.plans.hits, 1);
     }
 
     #[test]

@@ -59,4 +59,5 @@ pub use result::{BindingRow, Bindings, QueryOutcome, QueryStatus, SparqlEngine};
 pub use seeds::{CacheStats, SeedCache};
 pub use session::{BatchOutcome, BatchStats, QuerySession, SearchStats};
 
+pub use amber_multigraph::CompiledQuery;
 pub use amber_util::CancelToken;

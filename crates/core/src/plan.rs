@@ -14,14 +14,15 @@
 //!
 //! Two session-owned caches sit on top:
 //!
-//! * [`PlanCache`] — hash-consed plans keyed by the **canonicalized**
-//!   query ([`amber_sparql::canonicalize`]: whitespace- and
+//! * [`PlanCache`] — hash-consed plans keyed by the query's **id key**
+//!   ([`QueryKey`]: the query compiled to dictionary ids with variables
+//!   numbered in first-occurrence order, so whitespace-, prefix- and
 //!   variable-name-insensitive). The 64-bit fingerprint only picks the
-//!   bucket; the canonical forms are compared structurally, so fingerprint
-//!   collisions cost a miss, never a wrong plan. Bounded with generational
-//!   eviction ([`GenerationalMap`]).
+//!   bucket; keys are compared in full, so fingerprint collisions cost a
+//!   miss, never a wrong plan. Bounded with generational eviction
+//!   ([`GenerationalMap`]).
 //! * [`ResultCache`] — verbatim-repeat short-circuit: completed
-//!   [`QueryOutcome`]s keyed by plan fingerprint + the digest of the
+//!   [`QueryOutcome`]s keyed by plan fingerprint + id key + the digest of the
 //!   result-shaping options (`count_only`, `max_results`). Partial results
 //!   (deadline expiry) are **never stored**, and caps are part of the key,
 //!   so a truncated execution can never poison an uncapped repeat.
@@ -35,33 +36,14 @@
 //! (the benchmark's `unique_cold`) miss any store sized like these
 //! (`docs/performance.md`, "What the traffic hits").
 
-use crate::error::EngineError;
 use crate::matcher::ComponentPrep;
 use crate::options::ExecOptions;
 use crate::result::{Bindings, QueryOutcome};
 use crate::seeds::{CacheStats, SeedCache};
 use amber_index::IndexSet;
-use amber_multigraph::{DataGraph, GroundCheck, QueryGraph, RdfGraph};
-use amber_sparql::{canonicalize, SelectQuery};
-use amber_util::{FxHasher, GenerationalMap};
-use std::hash::{Hash, Hasher};
+use amber_multigraph::{CompiledQuery, DataGraph, GroundCheck, QueryGraph, QueryKey, RdfGraph};
+use amber_util::GenerationalMap;
 use std::sync::Arc;
-
-/// The canonical form of a query plus its 64-bit fingerprint (the plan
-/// cache's bucket index). Canonicalization is the expensive half; hashing
-/// is a single Fx pass over the canonical AST.
-pub(crate) fn canonical_fingerprint(query: &SelectQuery) -> (SelectQuery, u64) {
-    let canonical = canonicalize(query);
-    let fingerprint = fingerprint_of(&canonical);
-    (canonical, fingerprint)
-}
-
-/// Fx fingerprint of an (already canonical) query.
-fn fingerprint_of(canonical: &SelectQuery) -> u64 {
-    let mut hasher = FxHasher::default();
-    canonical.hash(&mut hasher);
-    hasher.finish()
-}
 
 /// An immutable, fully-derived execution plan for one query against one
 /// engine (see module docs). Produced by
@@ -69,24 +51,15 @@ fn fingerprint_of(canonical: &SelectQuery) -> u64 {
 /// an [`Arc`]; execution only ever borrows it.
 #[derive(Debug)]
 pub struct PreparedPlan {
-    /// The canonical (alpha-renamed) query — the cache identity.
-    canonical: SelectQuery,
-    /// Fx fingerprint of `canonical` (bucket index, EXPLAIN handle, result
-    /// cache key component).
+    /// The id key of the compiled query — the cache identity.
+    key: QueryKey,
+    /// Fx fingerprint of `key` (bucket index, EXPLAIN handle, result cache
+    /// key component).
     fingerprint: u64,
-    /// The query multigraph, built from the canonical form (its internal
-    /// variable names are canonical; binding *rows* are name-agnostic).
+    /// The query multigraph, assembled from the key. Its vertices and
+    /// output variables carry the preparer's names (`EXPLAIN` prints
+    /// them); binding *rows* are name-agnostic.
     qg: QueryGraph,
-    /// Output variable names of the query this plan was prepared from, in
-    /// projection order. Executions through the plan cache override these
-    /// with the live caller's names — alpha-equivalent queries share the
-    /// plan but keep their own headers.
-    variables: Vec<Box<str>>,
-    /// Source variable names by canonical vertex index (both sides number
-    /// variables in first-occurrence pattern order, so index `i` of the
-    /// canonical graph is spelling `source_names[i]` in the source query).
-    /// Used by `EXPLAIN` to print the preparer's spellings.
-    source_names: Vec<Box<str>>,
     /// Ground (variable-free) checks, evaluated once at prepare time: the
     /// data is immutable per engine, so the boolean cannot change.
     ground_ok: bool,
@@ -102,40 +75,19 @@ pub struct PreparedPlan {
 }
 
 impl PreparedPlan {
-    /// Derive a plan with the canonicalization already done (every caller
-    /// needed the canonical form for a cache lookup first):
-    /// build the query multigraph, evaluate ground checks,
-    /// decompose/order/probe every component. Seed lookups resolve through
-    /// `seeds` (pass [`SeedCache::disabled`] for one-shot callers).
-    pub(crate) fn from_canonical(
-        canonical: SelectQuery,
-        fingerprint: u64,
-        source: &SelectQuery,
+    /// Derive a plan from a compiled query (which every caller needed for
+    /// a cache lookup first): assemble the query multigraph from its ids,
+    /// evaluate ground checks, decompose/order/probe every component. Seed
+    /// lookups resolve through `seeds` (pass [`SeedCache::disabled`] for
+    /// one-shot callers).
+    pub(crate) fn from_compiled(
+        compiled: &CompiledQuery,
         rdf: &RdfGraph,
         index: &IndexSet,
         engine_token: u64,
         seeds: &mut SeedCache,
-    ) -> Result<Self, EngineError> {
-        let qg = match QueryGraph::build(&canonical, rdf) {
-            Ok(qg) => qg,
-            // Re-derive the error from the *source* query so diagnostics
-            // name the user's variables, not canonical indices.
-            Err(_) => {
-                return Err(QueryGraph::build(source, rdf)
-                    .expect_err("canonical build fails iff source build fails")
-                    .into())
-            }
-        };
-        let variables: Vec<Box<str>> = source
-            .output_variables()
-            .into_iter()
-            .map(Into::into)
-            .collect();
-        let source_names: Vec<Box<str>> = source
-            .pattern_variables()
-            .into_iter()
-            .map(Into::into)
-            .collect();
+    ) -> Self {
+        let qg = compiled.query_graph();
         let ground_ok = ground_checks_pass(&qg, rdf.graph());
         let components = if qg.is_unsatisfiable() || !ground_ok {
             Vec::new()
@@ -145,22 +97,20 @@ impl PreparedPlan {
                 .map(|component| ComponentPrep::build(&qg, rdf.graph(), index, component, seeds))
                 .collect()
         };
-        Ok(Self {
-            canonical,
-            fingerprint,
+        Self {
+            key: compiled.key().clone(),
+            fingerprint: compiled.fingerprint(),
             qg,
-            variables,
-            source_names,
             ground_ok,
             components,
             engine_token,
             data_vertices: rdf.graph().vertex_count(),
-        })
+        }
     }
 
-    /// The canonical (alpha-renamed) query this plan answers.
-    pub fn canonical(&self) -> &SelectQuery {
-        &self.canonical
+    /// The id key of the query this plan answers.
+    pub fn key(&self) -> &QueryKey {
+        &self.key
     }
 
     /// The plan's fingerprint — the cache bucket index, also printed by
@@ -169,25 +119,23 @@ impl PreparedPlan {
         self.fingerprint
     }
 
-    /// The query multigraph (canonical variable names).
+    /// The query multigraph (the preparer's variable names).
     pub fn query_graph(&self) -> &QueryGraph {
         &self.qg
     }
 
-    /// Output variable names of the source query, in projection order.
+    /// Output variable names of the query this plan was prepared from, in
+    /// projection order. Executions through the plan cache use the live
+    /// caller's names instead: alpha-equivalent queries share the plan but
+    /// keep their own headers.
     pub fn variables(&self) -> &[Box<str>] {
-        &self.variables
+        self.qg.output_vars()
     }
 
-    /// The *source* spelling of a canonical query vertex (diagnostics:
-    /// `EXPLAIN` prints the preparer's variable names, not the canonical
-    /// indices). Falls back to the canonical name for vertices without a
-    /// source twin.
+    /// The preparer's spelling of a query vertex (diagnostics: `EXPLAIN`
+    /// prints the preparer's variable names, not their indices).
     pub fn source_name(&self, u: amber_multigraph::QVertexId) -> &str {
-        self.source_names
-            .get(u.index())
-            .map(AsRef::as_ref)
-            .unwrap_or_else(|| self.qg.vertex(u).name.as_ref())
+        &self.qg.vertex(u).name
     }
 
     /// Per-component matching plans (empty when the answer is statically
@@ -218,7 +166,7 @@ impl PreparedPlan {
             .iter()
             .map(ComponentPrep::approx_heap_bytes)
             .sum::<usize>()
-            + self.variables.len() * std::mem::size_of::<Box<str>>()
+            + std::mem::size_of_val(self.qg.output_vars())
     }
 }
 
@@ -235,14 +183,14 @@ fn ground_checks_pass(qg: &QueryGraph, graph: &DataGraph) -> bool {
 // ---------------------------------------------------------------------------
 
 /// A bounded, generationally-evicted store of prepared plans keyed by
-/// canonicalized query (see module docs). Owned by a
+/// id key (see module docs). Owned by a
 /// [`QuerySession`](crate::session::QuerySession); cleared on engine
 /// rebind.
 #[derive(Debug)]
 pub struct PlanCache {
     /// Maximum fingerprint buckets retained; 0 disables the cache.
     capacity: usize,
-    /// Fingerprint → plans sharing it (structural comparison on lookup
+    /// Fingerprint → plans sharing it (key comparison on lookup
     /// disambiguates; adversarial collisions coexist in the chain).
     map: GenerationalMap<u64, Vec<Arc<PreparedPlan>>>,
     hits: u64,
@@ -300,19 +248,19 @@ impl PlanCache {
         });
     }
 
-    /// Look up a plan by canonical form. `engine_token` double-checks plan
+    /// Look up a plan by id key. `engine_token` double-checks plan
     /// ownership (the session already clears on rebind; this makes a stale
     /// hit structurally impossible).
     pub(crate) fn lookup(
         &mut self,
         fingerprint: u64,
-        canonical: &SelectQuery,
+        key: &QueryKey,
         engine_token: u64,
     ) -> Option<Arc<PreparedPlan>> {
         let chain = self.map.get(&fingerprint)?;
         let hit = chain
             .iter()
-            .find(|plan| plan.engine_token() == engine_token && plan.canonical() == canonical)
+            .find(|plan| plan.engine_token() == engine_token && plan.key() == key)
             .cloned();
         match hit {
             Some(plan) => {
@@ -330,13 +278,14 @@ impl PlanCache {
     }
 
     /// Insert a freshly-built plan under its fingerprint (fingerprint
-    /// collisions chain; a structurally-equal duplicate replaces).
+    /// collisions chain; a plan with an equal key replaces).
     pub(crate) fn insert(&mut self, plan: Arc<PreparedPlan>) {
         let bytes = plan.approx_heap_bytes();
         if let Some(chain) = self.map.get_mut(&plan.fingerprint()) {
-            if let Some(existing) = chain.iter_mut().find(|p| {
-                p.canonical() == plan.canonical() && p.engine_token() == plan.engine_token()
-            }) {
+            if let Some(existing) = chain
+                .iter_mut()
+                .find(|p| p.key() == plan.key() && p.engine_token() == plan.engine_token())
+            {
                 self.result_bytes = self
                     .result_bytes
                     .saturating_sub(existing.approx_heap_bytes())
@@ -389,8 +338,8 @@ impl ResultKey {
     }
 }
 
-/// One cached outcome, tagged with the plan it answered (structural
-/// comparison guards against fingerprint collisions). Only the parts a
+/// One cached outcome, tagged with the plan it answered (key comparison
+/// guards against fingerprint collisions). Only the parts a
 /// repeat actually reuses are retained: the exact embedding count and the
 /// `Arc`-shared rows. Status is implicitly `Completed` (partials are never
 /// stored), and the header/elapsed fields belong to the live caller.
@@ -498,7 +447,7 @@ impl ResultCache {
             .find(|cached| {
                 Arc::ptr_eq(&cached.plan, plan)
                     || (cached.plan.engine_token() == plan.engine_token()
-                        && cached.plan.canonical() == plan.canonical())
+                        && cached.plan.key() == plan.key())
             })
             .map(|cached| CachedOutcome {
                 embedding_count: cached.embedding_count,
@@ -563,7 +512,7 @@ impl ResultCache {
             if let Some(existing) = chain.iter_mut().find(|cached| {
                 Arc::ptr_eq(&cached.plan, plan)
                     || (cached.plan.engine_token() == plan.engine_token()
-                        && cached.plan.canonical() == plan.canonical())
+                        && cached.plan.key() == plan.key())
             }) {
                 self.result_bytes = self
                     .result_bytes
@@ -627,54 +576,36 @@ impl PlanCacheStats {
 mod tests {
     use super::*;
     use amber_multigraph::paper::{paper_graph, paper_query_text};
-    use amber_sparql::parse_select;
+
+    fn compile(text: &str, token: u64) -> CompiledQuery {
+        CompiledQuery::compile(text, &paper_graph(), token).unwrap()
+    }
 
     fn plan_for(text: &str, token: u64) -> Arc<PreparedPlan> {
         let rdf = paper_graph();
         let index = IndexSet::build(&rdf);
-        let query = parse_select(text).unwrap();
-        let (canonical, fingerprint) = canonical_fingerprint(&query);
-        Arc::new(
-            PreparedPlan::from_canonical(
-                canonical,
-                fingerprint,
-                &query,
-                &rdf,
-                &index,
-                token,
-                &mut SeedCache::disabled(),
-            )
-            .unwrap(),
-        )
+        let compiled = CompiledQuery::compile(text, &rdf, token).unwrap();
+        Arc::new(PreparedPlan::from_compiled(
+            &compiled,
+            &rdf,
+            &index,
+            token,
+            &mut SeedCache::disabled(),
+        ))
     }
 
     #[test]
     fn alpha_equivalent_queries_share_a_fingerprint() {
-        let q1 = parse_select(&paper_query_text()).unwrap();
+        let q1 = compile(&paper_query_text(), 1);
         let renamed = paper_query_text().replace("?X", "?Var");
-        let q2 = parse_select(&renamed).unwrap();
-        let (c1, f1) = canonical_fingerprint(&q1);
-        let (c2, f2) = canonical_fingerprint(&q2);
-        assert_eq!(c1, c2);
-        assert_eq!(f1, f2);
+        let q2 = compile(&renamed, 1);
+        assert_eq!(q1.key(), q2.key());
+        assert_eq!(q1.fingerprint(), q2.fingerprint());
     }
 
     #[test]
     fn prepared_plan_records_static_emptiness() {
-        let rdf = paper_graph();
-        let index = IndexSet::build(&rdf);
-        let query = parse_select("SELECT * WHERE { ?a <http://nowhere/p> ?b . }").unwrap();
-        let (canonical, fingerprint) = canonical_fingerprint(&query);
-        let plan = PreparedPlan::from_canonical(
-            canonical,
-            fingerprint,
-            &query,
-            &rdf,
-            &index,
-            7,
-            &mut SeedCache::disabled(),
-        )
-        .unwrap();
+        let plan = plan_for("SELECT * WHERE { ?a <http://nowhere/p> ?b . }", 7);
         assert!(plan.statically_empty());
         assert!(plan.components().is_empty());
     }
@@ -684,12 +615,10 @@ mod tests {
         let plan = plan_for(&paper_query_text(), 1);
         let mut cache = PlanCache::new(8);
         cache.insert(Arc::clone(&plan));
-        let hit = cache.lookup(plan.fingerprint(), plan.canonical(), 1);
+        let hit = cache.lookup(plan.fingerprint(), plan.key(), 1);
         assert!(hit.is_some_and(|p| Arc::ptr_eq(&p, &plan)));
-        // Same canonical form, wrong engine token: never served.
-        assert!(cache
-            .lookup(plan.fingerprint(), plan.canonical(), 2)
-            .is_none());
+        // Same key, wrong engine token: never served.
+        assert!(cache.lookup(plan.fingerprint(), plan.key(), 2).is_none());
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.entries, 1);
@@ -716,11 +645,9 @@ mod tests {
         cache.insert(Arc::clone(&a));
         cache.insert(Arc::clone(&b_collided));
         assert_eq!(cache.stats().entries, 2, "collision chains, not replaces");
-        let hit_a = cache.lookup(a.fingerprint(), a.canonical(), 1).unwrap();
+        let hit_a = cache.lookup(a.fingerprint(), a.key(), 1).unwrap();
         assert!(Arc::ptr_eq(&hit_a, &a));
-        let hit_b = cache
-            .lookup(a.fingerprint(), b_collided.canonical(), 1)
-            .unwrap();
+        let hit_b = cache.lookup(a.fingerprint(), b_collided.key(), 1).unwrap();
         assert!(Arc::ptr_eq(&hit_b, &b_collided));
     }
 
@@ -734,10 +661,10 @@ mod tests {
         cache.insert(Arc::clone(&b));
         // Whatever survived, a lookup may only return the structurally
         // matching plan.
-        if let Some(hit) = cache.lookup(a.fingerprint(), a.canonical(), 1) {
+        if let Some(hit) = cache.lookup(a.fingerprint(), a.key(), 1) {
             assert!(Arc::ptr_eq(&hit, &a));
         }
-        if let Some(hit) = cache.lookup(b.fingerprint(), b.canonical(), 1) {
+        if let Some(hit) = cache.lookup(b.fingerprint(), b.key(), 1) {
             assert!(Arc::ptr_eq(&hit, &b));
         }
         assert!(cache.stats().entries <= 2);

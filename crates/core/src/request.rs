@@ -1,7 +1,7 @@
 //! The public query API: [`QueryRequest`] + [`AmberEngine::run`].
 //!
 //! A query varies along three independent axes — input form (text /
-//! parsed / prepared), session (transient / caller-owned) and arity (one
+//! parsed / compiled / prepared), session (transient / caller-owned) and arity (one
 //! / batch). One request value and four entry points cover them:
 //!
 //! * [`AmberEngine::run`] — one request, transient session;
@@ -35,19 +35,25 @@ use crate::options::ExecOptions;
 use crate::plan::PreparedPlan;
 use crate::result::{QueryOutcome, QueryStatus};
 use crate::session::{BatchOutcome, BatchStats, QuerySession};
+use amber_multigraph::CompiledQuery;
 use amber_util::Stopwatch;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What a [`QueryRequest`] executes: SPARQL text, a parsed query, or a
-/// prepared plan — borrowed, so a request is free to build.
+/// What a [`QueryRequest`] executes: SPARQL text, a parsed query, a
+/// compiled query, or a prepared plan — borrowed, so a request is free to
+/// build.
 #[derive(Debug, Clone, Copy)]
 pub enum QuerySource<'a> {
-    /// SPARQL text, parsed at dispatch (a parse failure is the request's
+    /// SPARQL text, compiled at dispatch (a parse failure is the request's
     /// typed error).
     Sparql(&'a str),
-    /// An already-parsed query.
+    /// An already-parsed query (compiled at dispatch by replaying it).
     Parsed(&'a amber_sparql::SelectQuery),
+    /// A query compiled on this engine ([`AmberEngine::compile`]); one
+    /// compiled elsewhere fails with
+    /// [`EngineError::StalePlan`](crate::EngineError::StalePlan).
+    Compiled(&'a CompiledQuery),
     /// A plan prepared on this engine ([`AmberEngine::prepare`]); a plan
     /// from a different engine fails with
     /// [`EngineError::StalePlan`](crate::EngineError::StalePlan).
@@ -74,6 +80,11 @@ impl<'a> QueryRequest<'a> {
     /// A request from a parsed query, with default options.
     pub fn parsed(query: &'a amber_sparql::SelectQuery) -> Self {
         Self::from_source(QuerySource::Parsed(query))
+    }
+
+    /// A request from a compiled query, with default options.
+    pub fn compiled(query: &'a CompiledQuery) -> Self {
+        Self::from_source(QuerySource::Compiled(query))
     }
 
     /// A request from a prepared plan, with default options.

@@ -229,9 +229,15 @@ pub fn attribute_key(predicate: &str, literal: &Literal) -> String {
 /// Append [`attribute_key`]'s output for a borrowed literal to `out` (the
 /// builder composes every key in one reused buffer).
 pub fn write_attribute_key(out: &mut String, predicate: &str, literal: LiteralRef<'_>) {
+    write_attribute_prefix(out, predicate);
+    literal.write_ntriples(out);
+}
+
+/// Append the part of an attribute key that depends on the predicate only;
+/// the literal's N-Triples form completes it.
+pub fn write_attribute_prefix(out: &mut String, predicate: &str) {
     out.push_str(predicate);
     out.push('\u{0}');
-    literal.write_ntriples(out);
 }
 
 /// The three dictionaries of Table 2 plus their mapping helpers.

@@ -22,12 +22,15 @@
 //!   triples, including the literals-as-vertices extension mode,
 //! * [`signature`] — vertex signatures and the 8-field synopses of §4.2
 //!   (Table 3),
+//! * [`compiled`] — a SPARQL query compiled to dictionary ids in one pass
+//!   ([`CompiledQuery`], keyed by [`QueryKey`]),
 //! * [`query_graph`] — the query multigraph [`QueryGraph`] with core/satellite
 //!   classification inputs, IRI constraints, self-loops and ground checks,
 //! * [`paper`] — the running example of Fig. 1/Fig. 2 as a reusable fixture.
 
 pub mod analysis;
 pub mod builder;
+pub mod compiled;
 pub mod data_graph;
 pub mod dictionary;
 pub mod ids;
@@ -37,6 +40,7 @@ pub mod signature;
 pub mod snapshot;
 
 pub use builder::{GraphBuilder, GraphConfig, RdfGraph};
+pub use compiled::{CompiledQuery, QueryKey};
 pub use data_graph::{AdjEntry, DataGraph, Direction, MultiEdge};
 pub use dictionary::{Dictionaries, Dictionary};
 pub use ids::{AttrId, EdgeTypeId, QVertexId, VertexId};

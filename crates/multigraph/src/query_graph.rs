@@ -1,6 +1,7 @@
 //! The query multigraph `Q` (paper §2.2.1, Fig. 2c).
 //!
-//! A parsed SPARQL query is transformed against a loaded [`RdfGraph`]:
+//! A query compiled to dictionary ids ([`CompiledQuery`]) is assembled
+//! into the query multigraph without another dictionary lookup:
 //!
 //! * every variable becomes a query vertex `u ∈ U`,
 //! * predicates are mapped through the edge-type dictionary (`Me`),
@@ -18,11 +19,11 @@
 //! lookup fails.
 
 use crate::builder::RdfGraph;
+use crate::compiled::{tag, CompiledQuery, QueryKey};
 use crate::data_graph::{Direction, MultiEdge};
 use crate::ids::{AttrId, EdgeTypeId, QVertexId, VertexId};
 use crate::signature::VertexSignature;
-use amber_sparql::{SelectQuery, TermPattern};
-use amber_util::FxHashMap;
+use amber_sparql::SelectQuery;
 use std::fmt;
 
 /// Construction failure (malformed AST, not data-dependent).
@@ -119,7 +120,7 @@ pub struct QAdj {
 }
 
 /// The query multigraph `Q = (U, E_Q, L_U, L^Q_E)`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryGraph {
     vertices: Vec<QueryVertex>,
     edges: Vec<QueryEdge>,
@@ -131,9 +132,11 @@ pub struct QueryGraph {
 }
 
 impl QueryGraph {
-    /// Transform a parsed SPARQL query against a loaded graph.
+    /// Transform a parsed SPARQL query against a loaded graph: the AST is
+    /// compiled to ids ([`CompiledQuery::from_ast`]) and the graph
+    /// assembled from them.
     pub fn build(query: &SelectQuery, rdf: &RdfGraph) -> Result<Self, QueryGraphError> {
-        Builder::new(rdf).build(query)
+        Ok(CompiledQuery::from_ast(query, rdf, 0)?.query_graph())
     }
 
     /// Number of query vertices `|U|`.
@@ -302,223 +305,103 @@ impl QueryGraph {
     }
 }
 
-/// Incremental builder that merges patterns into the query-graph shape.
-struct Builder<'g> {
-    rdf: &'g RdfGraph,
-    var_lookup: FxHashMap<Box<str>, QVertexId>,
-    names: Vec<Box<str>>,
-    attrs: Vec<Vec<AttrId>>,
-    self_loops: Vec<Vec<EdgeTypeId>>,
-    iri_constraints: Vec<FxHashMap<(VertexId, Direction), Vec<EdgeTypeId>>>,
-    edge_types: FxHashMap<(QVertexId, QVertexId), Vec<EdgeTypeId>>,
-    ground_edges: FxHashMap<(VertexId, VertexId), Vec<EdgeTypeId>>,
-    ground_attrs: FxHashMap<VertexId, Vec<AttrId>>,
-    unsat_reason: Option<String>,
-}
-
-impl<'g> Builder<'g> {
-    fn new(rdf: &'g RdfGraph) -> Self {
-        Self {
-            rdf,
-            var_lookup: FxHashMap::default(),
-            names: Vec::new(),
-            attrs: Vec::new(),
-            self_loops: Vec::new(),
-            iri_constraints: Vec::new(),
-            edge_types: FxHashMap::default(),
-            ground_edges: FxHashMap::default(),
-            ground_attrs: FxHashMap::default(),
-            unsat_reason: None,
-        }
-    }
-
-    fn mark_unsat(&mut self, reason: String) {
-        if self.unsat_reason.is_none() {
-            self.unsat_reason = Some(reason);
-        }
-    }
-
-    fn variable(&mut self, name: &str) -> QVertexId {
-        if let Some(&id) = self.var_lookup.get(name) {
-            return id;
-        }
-        let id = QVertexId::from_index(self.names.len());
-        self.var_lookup.insert(name.into(), id);
-        self.names.push(name.into());
-        self.attrs.push(Vec::new());
-        self.self_loops.push(Vec::new());
-        self.iri_constraints.push(FxHashMap::default());
-        id
-    }
-
-    fn data_vertex(&mut self, iri: &str) -> Option<VertexId> {
-        let v = self.rdf.vertex_by_key(iri);
-        if v.is_none() {
-            self.mark_unsat(format!("IRI <{iri}> does not occur in the data"));
-        }
-        v
-    }
-
-    fn edge_type(&mut self, iri: &str) -> Option<EdgeTypeId> {
-        let t = self.rdf.edge_type_by_iri(iri);
-        if t.is_none() {
-            self.mark_unsat(format!("predicate <{iri}> does not occur in the data"));
-        }
-        t
-    }
-
-    fn build(mut self, query: &SelectQuery) -> Result<QueryGraph, QueryGraphError> {
-        // Register variables in first-occurrence order so QVertexIds are
-        // stable and predictable (u0, u1, … in pattern order).
-        for pattern in &query.patterns {
-            for v in pattern.variables() {
-                self.variable(v);
-            }
-        }
-
-        let literals_as_vertices = self.rdf.config().literals_as_vertices;
-
-        for pattern in &query.patterns {
-            let predicate = match &pattern.predicate {
-                TermPattern::Iri(iri) => iri.clone(),
-                TermPattern::Variable(v) => {
-                    return Err(QueryGraphError::VariablePredicate(v.clone()))
-                }
-                TermPattern::Literal(_) => return Err(QueryGraphError::LiteralPredicate),
+impl QueryGraph {
+    /// Assemble the graph from a compiled key's id triples (see
+    /// [`CompiledQuery::query_graph`]): variable pairs merge into
+    /// multi-edges, constant IRIs into IRI vertices, literal objects into
+    /// attributes, variable-free patterns into ground checks. A pattern
+    /// naming an absent constant adds no constraint (the query is
+    /// unsatisfiable anyway).
+    pub(crate) fn assemble(
+        key: &QueryKey,
+        names: Vec<Box<str>>,
+        output_vars: Vec<Box<str>>,
+        distinct: bool,
+        unsat_reason: Option<String>,
+    ) -> Self {
+        let n = names.len();
+        let mut attrs: Vec<Vec<AttrId>> = vec![Vec::new(); n];
+        let mut self_loops: Vec<Vec<EdgeTypeId>> = vec![Vec::new(); n];
+        // (variable, data vertex, direction sign, type)
+        let mut iri_edges: Vec<(u32, VertexId, char, EdgeTypeId)> = Vec::new();
+        let mut var_edges: Vec<(QVertexId, QVertexId, EdgeTypeId)> = Vec::new();
+        let mut ground_edges: Vec<(VertexId, VertexId, EdgeTypeId)> = Vec::new();
+        let mut ground_attrs: Vec<(VertexId, AttrId)> = Vec::new();
+        for triple in key.triples() {
+            let &[s_tag, s, p_tag, p, o_tag, o] = triple else {
+                unreachable!("triples are six words")
             };
-
-            // In literals-as-vertices mode a literal object behaves exactly
-            // like a constant IRI whose dictionary key is its N-Triples form.
-            let object = match &pattern.object {
-                TermPattern::Literal(lit) if literals_as_vertices => {
-                    TermPattern::Iri(lit.to_string().into())
-                }
-                other => other.clone(),
-            };
-
-            match (&pattern.subject, &object) {
-                (TermPattern::Literal(_), _) => return Err(QueryGraphError::LiteralSubject),
-
+            let t = EdgeTypeId(p);
+            let edge = p_tag == tag::EDGE;
+            match (s_tag, o_tag) {
                 // ?s <p> ?o
-                (TermPattern::Variable(s), TermPattern::Variable(o)) => {
-                    let (us, uo) = (self.variable(s), self.variable(o));
-                    let Some(t) = self.edge_type(&predicate) else {
-                        continue;
-                    };
-                    if us == uo {
-                        self.self_loops[us.index()].push(t);
+                (tag::VARIABLE, tag::VARIABLE) if edge => {
+                    if s == o {
+                        self_loops[s as usize].push(t);
                     } else {
-                        self.edge_types.entry((us, uo)).or_default().push(t);
+                        var_edges.push((QVertexId(s), QVertexId(o), t));
                     }
                 }
-
                 // ?s <p> <o>
-                (TermPattern::Variable(s), TermPattern::Iri(o)) => {
-                    let us = self.variable(s);
-                    let (Some(t), Some(vo)) = (self.edge_type(&predicate), self.data_vertex(o))
-                    else {
-                        continue;
-                    };
-                    self.iri_constraints[us.index()]
-                        .entry((vo, Direction::Outgoing))
-                        .or_default()
-                        .push(t);
+                (tag::VARIABLE, tag::VERTEX) if edge => {
+                    iri_edges.push((s, VertexId(o), Direction::Outgoing.sign(), t));
                 }
-
                 // ?s <p> "lit"
-                (TermPattern::Variable(s), TermPattern::Literal(lit)) => {
-                    let us = self.variable(s);
-                    match self.rdf.dictionaries().attribute(&predicate, lit) {
-                        Some(attr) => self.attrs[us.index()].push(attr),
-                        None => self.mark_unsat(format!(
-                            "attribute <{predicate}> {lit} does not occur in the data"
-                        )),
-                    }
-                }
-
+                (tag::VARIABLE, tag::ATTRIBUTE) => attrs[s as usize].push(AttrId(o)),
                 // <s> <p> ?o
-                (TermPattern::Iri(s), TermPattern::Variable(o)) => {
-                    let uo = self.variable(o);
-                    let (Some(t), Some(vs)) = (self.edge_type(&predicate), self.data_vertex(s))
-                    else {
-                        continue;
-                    };
-                    self.iri_constraints[uo.index()]
-                        .entry((vs, Direction::Incoming))
-                        .or_default()
-                        .push(t);
+                (tag::VERTEX, tag::VARIABLE) if edge => {
+                    iri_edges.push((o, VertexId(s), Direction::Incoming.sign(), t));
                 }
-
                 // <s> <p> <o>
-                (TermPattern::Iri(s), TermPattern::Iri(o)) => {
-                    let (Some(t), Some(vs), Some(vo)) = (
-                        self.edge_type(&predicate),
-                        self.data_vertex(s),
-                        self.data_vertex(o),
-                    ) else {
-                        continue;
-                    };
-                    self.ground_edges.entry((vs, vo)).or_default().push(t);
+                (tag::VERTEX, tag::VERTEX) if edge => {
+                    ground_edges.push((VertexId(s), VertexId(o), t))
                 }
-
                 // <s> <p> "lit"
-                (TermPattern::Iri(s), TermPattern::Literal(lit)) => {
-                    let Some(vs) = self.data_vertex(s) else {
-                        continue;
-                    };
-                    match self.rdf.dictionaries().attribute(&predicate, lit) {
-                        Some(attr) => self.ground_attrs.entry(vs).or_default().push(attr),
-                        None => self.mark_unsat(format!(
-                            "attribute <{predicate}> {lit} does not occur in the data"
-                        )),
-                    }
-                }
+                (tag::VERTEX, tag::ATTRIBUTE) => ground_attrs.push((VertexId(s), AttrId(o))),
+                _ => {}
             }
         }
 
-        self.finish(query)
-    }
-
-    fn finish(self, query: &SelectQuery) -> Result<QueryGraph, QueryGraphError> {
-        let n = self.names.len();
-        let mut vertices: Vec<QueryVertex> = Vec::with_capacity(n);
-        for (i, name) in self.names.into_iter().enumerate() {
-            let mut attrs = self.attrs[i].clone();
-            attrs.sort_unstable();
-            attrs.dedup();
-            let mut iri_constraints: Vec<IriConstraint> = self.iri_constraints[i]
-                .iter()
-                .map(|(&(data_vertex, direction), types)| IriConstraint {
-                    data_vertex,
-                    direction,
-                    types: MultiEdge::new(types.clone()),
-                })
-                .collect();
-            iri_constraints.sort_by_key(|c| (c.data_vertex, c.direction.sign()));
-            let self_loop = if self.self_loops[i].is_empty() {
-                None
-            } else {
-                Some(MultiEdge::new(self.self_loops[i].clone()))
-            };
-            vertices.push(QueryVertex {
-                name,
-                attrs,
-                iri_constraints,
-                self_loop,
+        iri_edges.sort_unstable();
+        let mut iri_constraints: Vec<Vec<IriConstraint>> = vec![Vec::new(); n];
+        for group in iri_edges.chunk_by(|a, b| (a.0, a.1, a.2) == (b.0, b.1, b.2)) {
+            let (u, data_vertex, sign, _) = group[0];
+            iri_constraints[u as usize].push(IriConstraint {
+                data_vertex,
+                direction: if sign == Direction::Incoming.sign() {
+                    Direction::Incoming
+                } else {
+                    Direction::Outgoing
+                },
+                types: group.iter().map(|&(.., t)| t).collect(),
             });
         }
-
-        let mut edges: Vec<QueryEdge> = self
-            .edge_types
+        let vertices: Vec<QueryVertex> = names
             .into_iter()
-            .map(|((from, to), types)| QueryEdge {
-                from,
-                to,
-                types: MultiEdge::new(types),
+            .zip(attrs)
+            .zip(self_loops)
+            .zip(iri_constraints)
+            .map(|(((name, mut attrs), self_loop), iri_constraints)| {
+                attrs.sort_unstable();
+                attrs.dedup();
+                QueryVertex {
+                    name,
+                    attrs,
+                    iri_constraints,
+                    self_loop: (!self_loop.is_empty()).then(|| MultiEdge::new(self_loop)),
+                }
             })
             .collect();
-        edges.sort_by_key(|e| (e.from, e.to));
 
+        var_edges.sort_unstable();
+        let edges: Vec<QueryEdge> = var_edges
+            .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+            .map(|group| QueryEdge {
+                from: group[0].0,
+                to: group[0].1,
+                types: group.iter().map(|&(.., t)| t).collect(),
+            })
+            .collect();
         let mut adj: Vec<Vec<QAdj>> = vec![Vec::new(); n];
         for (idx, edge) in edges.iter().enumerate() {
             adj[edge.from.index()].push(QAdj {
@@ -533,37 +416,34 @@ impl<'g> Builder<'g> {
             });
         }
 
-        let mut ground_checks: Vec<GroundCheck> = Vec::new();
-        let mut ground_edges: Vec<_> = self.ground_edges.into_iter().collect();
-        ground_edges.sort_by_key(|&((f, t), _)| (f, t));
-        for ((from, to), types) in ground_edges {
-            ground_checks.push(GroundCheck::Edge {
-                from,
-                to,
-                types: MultiEdge::new(types),
-            });
-        }
-        let mut ground_attrs: Vec<_> = self.ground_attrs.into_iter().collect();
-        ground_attrs.sort_by_key(|&(v, _)| v);
-        for (vertex, mut attrs) in ground_attrs {
-            attrs.sort_unstable();
-            attrs.dedup();
-            ground_checks.push(GroundCheck::Attribute { vertex, attrs });
-        }
+        ground_edges.sort_unstable();
+        ground_attrs.sort_unstable();
+        let ground_checks = ground_edges
+            .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+            .map(|group| GroundCheck::Edge {
+                from: group[0].0,
+                to: group[0].1,
+                types: group.iter().map(|&(.., t)| t).collect(),
+            })
+            .chain(ground_attrs.chunk_by(|a, b| a.0 == b.0).map(|group| {
+                let mut attrs: Vec<AttrId> = group.iter().map(|&(_, a)| a).collect();
+                attrs.dedup();
+                GroundCheck::Attribute {
+                    vertex: group[0].0,
+                    attrs,
+                }
+            }))
+            .collect();
 
-        Ok(QueryGraph {
+        QueryGraph {
             vertices,
             edges,
             adj,
             ground_checks,
-            unsat_reason: self.unsat_reason,
-            output_vars: query
-                .output_variables()
-                .into_iter()
-                .map(Into::into)
-                .collect(),
-            distinct: query.distinct,
-        })
+            unsat_reason,
+            output_vars,
+            distinct,
+        }
     }
 }
 
@@ -710,7 +590,7 @@ mod tests {
 
     #[test]
     fn variable_predicate_in_ast_is_an_error() {
-        use amber_sparql::{Projection, TriplePattern};
+        use amber_sparql::{Projection, TermPattern, TriplePattern};
         let query = SelectQuery {
             projection: Projection::Star,
             distinct: false,

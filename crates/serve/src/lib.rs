@@ -81,8 +81,8 @@ pub use breaker::{BreakerConfig, BreakerReport, BreakerState};
 pub use governor::{GovernorReport, ServerGovernor};
 
 use amber::{
-    AmberEngine, CancelToken, EngineError, Error, ExecOptions, PlanCacheStats, QueryOutcome,
-    QueryRequest, QuerySession, QueryStatus, SearchStats, TripCause,
+    AmberEngine, CancelToken, CompiledQuery, EngineError, Error, ExecOptions, PlanCacheStats,
+    QueryOutcome, QueryRequest, QuerySession, QueryStatus, SearchStats, TripCause,
 };
 use amber_obs::{Counter, Gauge, Histogram};
 use amber_sparql::SelectQuery;
@@ -321,7 +321,8 @@ impl Ticket {
 /// where the answer goes (a [`Ticket`] for a queued request, the caller's
 /// stack for an inline one).
 struct Job {
-    query: SelectQuery,
+    /// The query, compiled against the served engine at admission.
+    query: CompiledQuery,
     /// Admission instant — the `amber_serve_queue_wait_us` observation is
     /// `dispatch − admitted`.
     admitted: Instant,
@@ -582,30 +583,33 @@ impl Server {
 
     /// [`submit`](Self::submit) with per-request lifecycle options: a
     /// total admission-to-answer budget and/or an execution timeout.
+    /// The query is compiled against the engine before admission, so a
+    /// malformed query is refused synchronously.
     pub fn submit_with(
         &self,
         tenant: &str,
         query: SelectQuery,
         opts: SubmitOptions,
     ) -> Result<Ticket, Error> {
+        let query = self.ctx.engine.compile_parsed(&query)?;
         Ok(self.enqueue(self.admit(tenant, query, opts)?))
     }
 
-    /// Parse SPARQL text and [`submit`](Self::submit) it. Parse errors are
-    /// reported synchronously (nothing is enqueued for them).
+    /// Compile SPARQL text and [`submit`](Self::submit) it. Parse errors
+    /// are reported synchronously (nothing is enqueued for them).
     pub fn submit_sparql(&self, tenant: &str, sparql: &str) -> Result<Ticket, Error> {
         self.submit_sparql_with(tenant, sparql, SubmitOptions::default())
     }
 
-    /// Parse SPARQL text and [`submit_with`](Self::submit_with) it.
+    /// Compile SPARQL text and [`submit_with`](Self::submit_with) it.
     pub fn submit_sparql_with(
         &self,
         tenant: &str,
         sparql: &str,
         opts: SubmitOptions,
     ) -> Result<Ticket, Error> {
-        let query = amber_sparql::parse_select(sparql).map_err(EngineError::from)?;
-        self.submit_with(tenant, query, opts)
+        let query = self.ctx.engine.compile(sparql)?;
+        Ok(self.enqueue(self.admit(tenant, query, opts)?))
     }
 
     /// Submit and wait in one blocking call — the same outcome, errors,
@@ -627,7 +631,7 @@ impl Server {
         sparql: &str,
         opts: SubmitOptions,
     ) -> Result<QueryOutcome, Error> {
-        let query = amber_sparql::parse_select(sparql).map_err(EngineError::from)?;
+        let query = self.ctx.engine.compile(sparql)?;
         let admitted = self.admit(tenant, query, opts)?;
         if !admitted.state.can_run_inline(tenant, self.ctx.workers) {
             return self.enqueue(admitted).wait();
@@ -648,7 +652,7 @@ impl Server {
     fn admit(
         &self,
         tenant: &str,
-        query: SelectQuery,
+        query: CompiledQuery,
         opts: SubmitOptions,
     ) -> Result<Admitted<'_>, Error> {
         // Serve-admission chaos point: a panic here becomes a typed
@@ -1079,7 +1083,7 @@ fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcom
                     // concurrent tenants actually overlap. The engine
                     // quarantines its own panics into typed `Internal`
                     // errors; this trap catches the serving layer's.
-                    let request = QueryRequest::parsed(&job.query).with_options(options);
+                    let request = QueryRequest::compiled(&job.query).with_options(options);
                     let result = match catch_unwind(AssertUnwindSafe(|| {
                         ctx.engine.run_in(&request, sess)
                     })) {
@@ -1814,7 +1818,7 @@ mod tests {
     fn queued_request(ticket: &Ticket) -> Request {
         Request {
             job: Job {
-                query: amber_sparql::parse_select(EDGE).unwrap(),
+                query: demo_engine().compile(EDGE).unwrap(),
                 admitted: Instant::now(),
                 budget: None,
                 timeout: None,

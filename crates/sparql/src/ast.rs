@@ -99,7 +99,7 @@ pub enum Projection {
 }
 
 /// A parsed `SELECT … WHERE { … }` query.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct SelectQuery {
     /// Projection list.
     pub projection: Projection,

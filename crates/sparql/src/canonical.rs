@@ -1,29 +1,27 @@
-//! Query canonicalization — the prepared-plan cache key.
+//! Query canonicalization of an AST — variables renamed to first-occurrence
+//! indices.
 //!
-//! Two SPARQL texts that differ only in whitespace, comment placement, or
-//! variable *names* describe the same query multigraph and deserve the same
-//! prepared plan. Parsing already erases lexical noise; [`canonicalize`]
-//! erases the remaining alpha-equivalence:
+//! The request path no longer goes through this module: the query compiler
+//! (`amber_multigraph::CompiledQuery`) numbers variables in first-occurrence
+//! order as the scanner delivers them and keys the plan and result caches
+//! on those numbers plus dictionary ids. This module stays as an AST
+//! utility — the benchmark's pool admission deduplicates generated queries
+//! with it — and applies the same rule to a [`SelectQuery`]:
 //!
 //! * every variable is renamed to its **first-occurrence index** over the
 //!   WHERE patterns (`?city` → `?0`, `?person` → `?1`, …), scanning
 //!   subject-then-object within each pattern in pattern order;
 //! * `SELECT *` is expanded to the explicit variable list it denotes (the
 //!   pattern variables in first-occurrence order), so `SELECT *` and the
-//!   equivalent explicit projection share a key;
+//!   equivalent explicit projection canonicalize alike;
 //! * projection-only variables (legal in the AST, they just never bind) are
 //!   assigned fresh indices after the pattern variables, in projection order.
 //!
 //! The result is itself a [`SelectQuery`] — renaming is a bijection per
 //! query, so two queries canonicalize identically **iff** they are equal up
 //! to variable names. Nothing else is normalized on purpose: reordered
-//! triple patterns produce a different (still correct) key and simply miss
-//! the cache, and constants are never touched — `?x <p> "v"` and
-//! `?x <p> <v>` must never alias.
-//!
-//! The canonical form is *compared for full equality* by the plan cache; a
-//! 64-bit fingerprint over it is only a bucket index. Collisions therefore
-//! cost a cache miss, never a wrong plan.
+//! triple patterns produce a different form, and constants are never
+//! touched — `?x <p> "v"` and `?x <p> <v>` must never alias.
 
 use crate::ast::{Projection, SelectQuery, TermPattern, TriplePattern};
 use std::collections::HashMap;

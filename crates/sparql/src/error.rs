@@ -26,7 +26,8 @@ pub struct SparqlError {
 }
 
 impl SparqlError {
-    pub(crate) fn syntax(line: usize, column: usize, message: impl Into<String>) -> Self {
+    /// A [`SparqlErrorKind::Syntax`] error at `line:column`.
+    pub fn syntax(line: usize, column: usize, message: impl Into<String>) -> Self {
         Self {
             kind: SparqlErrorKind::Syntax,
             line,
@@ -35,7 +36,8 @@ impl SparqlError {
         }
     }
 
-    pub(crate) fn unsupported(line: usize, column: usize, message: impl Into<String>) -> Self {
+    /// A [`SparqlErrorKind::Unsupported`] error at `line:column`.
+    pub fn unsupported(line: usize, column: usize, message: impl Into<String>) -> Self {
         Self {
             kind: SparqlErrorKind::Unsupported,
             line,

@@ -2,6 +2,11 @@
 //! produce identical embedding counts on every query — the strongest
 //! correctness check in the repository, because the four implementations
 //! share no evaluation code (only the data model).
+//!
+//! The default run takes one query size per shape and generator plus the
+//! constant-injection cell. The full matrix (two sizes per shape) is
+//! `#[ignore]`d out of the default run; run it with
+//! `cargo test --release --test engine_agreement -- --ignored`.
 
 use amber::ExecOptions;
 use amber_baselines::all_engines;
@@ -10,7 +15,13 @@ use amber_multigraph::RdfGraph;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn agree_on_workload(benchmark: Benchmark, shape: QueryShape, sizes: &[usize], seed: u64) {
+fn agree_on_workload(
+    benchmark: Benchmark,
+    shape: QueryShape,
+    sizes: &[usize],
+    seed: u64,
+    budget: Duration,
+) {
     let triples = benchmark.generate(1, seed);
     let rdf = Arc::new(RdfGraph::from_triples(&triples));
     let engines = all_engines(Arc::clone(&rdf));
@@ -20,7 +31,7 @@ fn agree_on_workload(benchmark: Benchmark, shape: QueryShape, sizes: &[usize], s
     // timing out on a tail of the complex workload, Fig. 7b/9b/11b) — such
     // cells are skipped; the assertion is agreement among the engines that
     // *did* answer.
-    let options = ExecOptions::benchmark(Duration::from_secs(10));
+    let options = ExecOptions::benchmark(budget);
 
     let mut any_compared = false;
     let mut generator = WorkloadGenerator::new(&rdf, seed ^ 0x5eed);
@@ -67,34 +78,63 @@ fn agree_on_workload(benchmark: Benchmark, shape: QueryShape, sizes: &[usize], s
     );
 }
 
+/// Every generator and shape, with its seed and the sizes of the full
+/// matrix; the default run takes the first size only.
+const MATRIX: &[(Benchmark, QueryShape, [usize; 2], u64)] = &[
+    (Benchmark::Lubm, QueryShape::Star, [4, 8], 11),
+    (Benchmark::Lubm, QueryShape::Complex, [6, 10], 12),
+    (Benchmark::Yago, QueryShape::Star, [4, 8], 13),
+    (Benchmark::Yago, QueryShape::Complex, [6, 10], 14),
+    (Benchmark::Dbpedia, QueryShape::Star, [4, 8], 15),
+    (Benchmark::Dbpedia, QueryShape::Complex, [6, 10], 16),
+];
+
+fn agree_on_cell(benchmark: Benchmark, shape: QueryShape) {
+    let &(_, _, sizes, seed) = MATRIX
+        .iter()
+        .find(|(b, s, ..)| *b == benchmark && *s == shape)
+        .expect("a matrix cell");
+    // A baseline that blows this budget proves nothing in either run, so
+    // the default run does not wait as long for one.
+    agree_on_workload(benchmark, shape, &sizes[..1], seed, Duration::from_secs(2));
+}
+
 #[test]
 fn agreement_lubm_star() {
-    agree_on_workload(Benchmark::Lubm, QueryShape::Star, &[4, 8], 11);
+    agree_on_cell(Benchmark::Lubm, QueryShape::Star);
 }
 
 #[test]
 fn agreement_lubm_complex() {
-    agree_on_workload(Benchmark::Lubm, QueryShape::Complex, &[6, 10], 12);
+    agree_on_cell(Benchmark::Lubm, QueryShape::Complex);
 }
 
 #[test]
 fn agreement_yago_star() {
-    agree_on_workload(Benchmark::Yago, QueryShape::Star, &[4, 8], 13);
+    agree_on_cell(Benchmark::Yago, QueryShape::Star);
 }
 
 #[test]
 fn agreement_yago_complex() {
-    agree_on_workload(Benchmark::Yago, QueryShape::Complex, &[6, 10], 14);
+    agree_on_cell(Benchmark::Yago, QueryShape::Complex);
 }
 
 #[test]
 fn agreement_dbpedia_star() {
-    agree_on_workload(Benchmark::Dbpedia, QueryShape::Star, &[4, 8], 15);
+    agree_on_cell(Benchmark::Dbpedia, QueryShape::Star);
 }
 
 #[test]
 fn agreement_dbpedia_complex() {
-    agree_on_workload(Benchmark::Dbpedia, QueryShape::Complex, &[6, 10], 16);
+    agree_on_cell(Benchmark::Dbpedia, QueryShape::Complex);
+}
+
+#[test]
+#[ignore = "the full matrix; run with --release -- --ignored"]
+fn agreement_full_matrix() {
+    for &(benchmark, shape, sizes, seed) in MATRIX {
+        agree_on_workload(benchmark, shape, &sizes, seed, Duration::from_secs(10));
+    }
 }
 
 #[test]

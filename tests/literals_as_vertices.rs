@@ -88,3 +88,27 @@ fn modes_agree_on_resource_only_queries() {
     assert_eq!(with.embedding_count, without.embedding_count);
     assert_eq!(with.embedding_count, 1);
 }
+
+#[test]
+fn literal_and_iri_objects_never_share_a_cache_entry() {
+    // `?x <p> "v"` and `?x <p> <v>` are different queries in both modes:
+    // one session answers each from its own plan and result entry.
+    for literals_as_vertices in [false, true] {
+        let engine = build_engine(literals_as_vertices);
+        let options = amber::ExecOptions::batch();
+        let mut session = engine.create_session(&options);
+        let literal = "SELECT ?x WHERE { ?x <http://y/marriedTo> \"http://x/Blake\" . }";
+        let iri = "SELECT ?x WHERE { ?x <http://y/marriedTo> <http://x/Blake> . }";
+        for _ in 0..2 {
+            let run = |text: &str, session: &mut amber::QuerySession| {
+                let request = QueryRequest::sparql(text).with_options(options.clone());
+                engine.run_in(&request, session).unwrap().embedding_count
+            };
+            assert_eq!(run(literal, &mut session), 0, "mode {literals_as_vertices}");
+            assert_eq!(run(iri, &mut session), 1, "mode {literals_as_vertices}");
+        }
+        let stats = session.plan_stats();
+        assert_eq!(stats.plans.misses, 2, "mode {literals_as_vertices}");
+        assert_eq!(stats.results.hits, 2, "mode {literals_as_vertices}");
+    }
+}

@@ -41,6 +41,33 @@ fn sparql_error_paths() {
 }
 
 #[test]
+fn numeric_literals_are_typed_by_the_sparql_grammar() {
+    // Each literal is stored under the datatype the grammar gives its bare
+    // spelling, so each query has exactly one answer — on every engine.
+    let xsd = "http://www.w3.org/2001/XMLSchema#";
+    let data = format!(
+        "<http://n/a> <http://n/p> \"1e5\"^^<{xsd}double> .\n\
+         <http://n/b> <http://n/p> \"123456789012345678901\"^^<{xsd}integer> .\n\
+         <http://n/c> <http://n/p> \".5\"^^<{xsd}decimal> .\n"
+    );
+    let rdf = Arc::new(RdfGraph::parse_ntriples(&data).unwrap());
+    for (literal, subject) in [
+        ("1e5", "http://n/a"),
+        ("123456789012345678901", "http://n/b"),
+        (".5", "http://n/c"),
+    ] {
+        let query = format!("SELECT ?s WHERE {{ ?s <http://n/p> {literal} }}");
+        for engine in all_engines(Arc::clone(&rdf)) {
+            let outcome = engine
+                .execute_sparql(&query, &ExecOptions::default())
+                .unwrap_or_else(|e| panic!("{}: {e}", engine.name()));
+            assert_eq!(outcome.embedding_count, 1, "{} on {query}", engine.name());
+            assert_eq!(outcome.bindings.to_vec(), vec![vec![subject.into()]]);
+        }
+    }
+}
+
+#[test]
 fn empty_graph_answers_everything_with_zero() {
     let rdf = Arc::new(RdfGraph::from_triples([]));
     for engine in all_engines(rdf) {

@@ -14,7 +14,6 @@
 //! exercises the micro/ablation side (see `benches/`).
 
 pub mod experiments;
-pub mod minijson;
 pub mod report;
 pub mod runner;
 

@@ -4,27 +4,6 @@
 use crate::runner::WorkloadOutcome;
 use std::fmt::Write as _;
 
-/// The git commit the benchmark binaries ran against: `GITHUB_SHA` in CI,
-/// `git rev-parse HEAD` locally, `"unknown"` outside a checkout. Every
-/// `BENCH_*.json` embeds this so the perf trajectory stays reconstructable
-/// from the uploaded artifacts alone.
-pub fn git_sha() -> String {
-    if let Ok(sha) = std::env::var("GITHUB_SHA") {
-        if !sha.is_empty() {
-            return sha;
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|sha| sha.trim().to_string())
-        .filter(|sha| !sha.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Format milliseconds the way the paper's plots read (adaptive precision).
 pub fn fmt_ms(ms: f64) -> String {
     if ms.is_nan() {

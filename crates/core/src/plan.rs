@@ -378,7 +378,7 @@ pub struct ResultCache {
     /// zero-copy contract says this stays 0 forever: a hit serves the
     /// cached `Arc` allocation itself. Measured at serve time (not assumed)
     /// so any future regression to cloning trips the counter-gated tests
-    /// and `bench_serve`.
+    /// (`serve_equivalence`, `http_e2e`).
     hit_copied_bytes: u64,
 }
 
@@ -553,8 +553,8 @@ pub struct PlanCacheStats {
     /// Verbatim-result cache counters (hits = whole executions skipped).
     pub results: CacheStats,
     /// Row bytes deep-copied while serving result-cache hits. The
-    /// zero-copy contract pins this at 0; `bench_serve` and the regression
-    /// tests gate on it.
+    /// zero-copy contract pins this at 0; the serving and HTTP tests gate
+    /// on it.
     pub result_hit_copied_bytes: u64,
 }
 

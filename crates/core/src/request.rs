@@ -188,7 +188,6 @@ impl AmberEngine {
         let seeds_before = session.seed_stats();
         let plans_before = session.plan_stats();
         let search_before = session.search_stats();
-        let reused_before = session.arena_reused_bytes();
         let mut stats = BatchStats {
             queries: requests.len(),
             ..BatchStats::default()
@@ -212,8 +211,6 @@ impl AmberEngine {
         stats.seeds = session.seed_stats().since(&seeds_before);
         stats.plans = session.plan_stats().since(&plans_before);
         stats.search = session.search_stats().since(&search_before);
-        stats.arena_reused_bytes = session.arena_reused_bytes() - reused_before;
-        stats.arena_peak_bytes = session.arena_peak_bytes();
         stats.elapsed = sw.elapsed();
         BatchOutcome { outcomes, stats }
     }

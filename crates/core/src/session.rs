@@ -90,11 +90,6 @@ pub struct QuerySession {
     /// shed-results rung; consulted (and the shed applied) at the
     /// result-cache store site, reset at query start.
     result_shed: bool,
-    /// Sum over queries of arena bytes already allocated at query start —
-    /// memory the session *reused* instead of reallocating.
-    arena_reused_bytes: u64,
-    /// High-water arena footprint.
-    arena_peak_bytes: usize,
     /// Per-query flight recorder: span timings, cache trail, slow-query
     /// log. Off by default; see
     /// [`Self::configure_tracing`].
@@ -124,8 +119,6 @@ impl QuerySession {
             graph_token: None,
             queries: 0,
             result_shed: false,
-            arena_reused_bytes: 0,
-            arena_peak_bytes: 0,
             recorder: FlightRecorder::default(),
             obs_base: None,
         }
@@ -160,25 +153,9 @@ impl QuerySession {
         self.search
     }
 
-    /// Heap bytes currently retained by the arenas.
-    pub fn arena_bytes(&self) -> usize {
-        self.arenas.heap_bytes()
-    }
-
     /// Queries executed through this session so far.
     pub fn queries_executed(&self) -> u64 {
         self.queries
-    }
-
-    /// Sum over queries of arena bytes that were already warm at query
-    /// start (0 for the first query; grows as the session amortizes).
-    pub fn arena_reused_bytes(&self) -> u64 {
-        self.arena_reused_bytes
-    }
-
-    /// High-water arena footprint observed across the session's lifetime.
-    pub fn arena_peak_bytes(&self) -> usize {
-        self.arena_peak_bytes
     }
 
     /// Drop all cached seed, plan, and result state (arenas are kept —
@@ -200,14 +177,11 @@ impl QuerySession {
         }
     }
 
-    /// Bookkeeping at query start: account the warm arena bytes this query
-    /// inherits and snapshot the stat baseline for the telemetry flush.
+    /// Bookkeeping at query start: snapshot the stat baseline for the
+    /// telemetry flush.
     pub(crate) fn begin_query(&mut self) {
         self.queries += 1;
         self.result_shed = false;
-        self.arena_reused_bytes = self
-            .arena_reused_bytes
-            .saturating_add(self.arena_bytes() as u64);
         self.obs_base = if amber_obs::obs_enabled() {
             Some(ObsBaseline {
                 seeds: self.seed_stats(),
@@ -219,11 +193,10 @@ impl QuerySession {
         };
     }
 
-    /// Bookkeeping at query end: track the arena high-water mark, flush
-    /// this query's stat deltas into the metric registry, and close the
-    /// flight-recorder trace (if one is open) with the final status.
+    /// Bookkeeping at query end: flush this query's stat deltas into the
+    /// metric registry, and close the flight-recorder trace (if one is
+    /// open) with the final status.
     pub(crate) fn end_query(&mut self, status: &'static str, elapsed: Duration) {
-        self.arena_peak_bytes = self.arena_peak_bytes.max(self.arena_bytes());
         if let Some(base) = self.obs_base.take() {
             telemetry::flush_query(
                 status,
@@ -341,10 +314,6 @@ pub struct BatchStats {
     /// Search counters (nodes visited, trapped panics, cancellations,
     /// governor steps).
     pub search: SearchStats,
-    /// Sum over queries of warm arena bytes inherited at query start.
-    pub arena_reused_bytes: u64,
-    /// High-water arena footprint across the batch.
-    pub arena_peak_bytes: usize,
     /// Wall-clock time for the whole batch.
     pub elapsed: Duration,
 }
@@ -390,16 +359,16 @@ impl fmt::Display for BatchStats {
             self.plans.results.entries,
             self.plans.results.result_bytes,
         )?;
-        writeln!(f, "search: {} nodes visited", self.search.nodes)?;
+        write!(f, "search: {} nodes visited", self.search.nodes)?;
         let robustness_events = self.cancelled
             + self.budget_exceeded
             + (self.search.trapped_panics
                 + self.search.cancellations
                 + self.search.degradation_steps) as usize;
         if robustness_events > 0 {
-            writeln!(
+            write!(
                 f,
-                "robustness: {} cancelled, {} budget-exceeded, {} trapped panics, \
+                "\nrobustness: {} cancelled, {} budget-exceeded, {} trapped panics, \
                  {} degradation steps",
                 self.cancelled,
                 self.budget_exceeded,
@@ -407,11 +376,7 @@ impl fmt::Display for BatchStats {
                 self.search.degradation_steps,
             )?;
         }
-        write!(
-            f,
-            "arenas: {} bytes peak, {} bytes reused across queries",
-            self.arena_peak_bytes, self.arena_reused_bytes
-        )
+        Ok(())
     }
 }
 
@@ -475,6 +440,6 @@ mod tests {
         let text = stats.to_string();
         assert!(text.contains("3 queries"));
         assert!(text.contains("hit rate"));
-        assert!(text.contains("arenas"));
+        assert!(text.ends_with("search: 0 nodes visited"));
     }
 }

@@ -365,6 +365,9 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
         let response = Response::error(&mut out.body, status, message);
         respond_and_count(stream, out, &response, false);
     };
+    let refuse_unframed = |stream: &mut TcpStream, out: &mut ResponseBufs, e: HttpParseError| {
+        refuse(stream, out, parse_error_status(&e), &e.to_string())
+    };
     loop {
         // Phase 1: accumulate one full request head.
         let mut started: Option<Instant> = (buf.filled > 0).then(Instant::now);
@@ -372,14 +375,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             match parse_request_head(buf.bytes(), shared.config.max_head_bytes) {
                 Ok(Some(parsed)) => break parsed,
                 Ok(None) => {}
-                Err(e) => {
-                    let status = match e {
-                        HttpParseError::HeadTooLarge => 431,
-                        HttpParseError::UnsupportedVersion => 505,
-                        _ => 400,
-                    };
-                    return refuse(&mut stream, &mut out, status, &e.to_string());
-                }
+                Err(e) => return refuse_unframed(&mut stream, &mut out, e),
             }
             match read_step(&mut stream, &mut buf, &shared, &mut started) {
                 ReadStep::Progress => {}
@@ -389,10 +385,12 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                 }
             }
         };
-        // Phase 2: the declared body.
+        // Phase 2: the declared body. A body this server cannot frame is
+        // refused with the connection closed: its bytes must never be
+        // read as the next request head.
         let body_len = match head.content_length() {
             Ok(len) => len.unwrap_or(0),
-            Err(e) => return refuse(&mut stream, &mut out, 400, &e.to_string()),
+            Err(e) => return refuse_unframed(&mut stream, &mut out, e),
         };
         if body_len > shared.config.max_body_bytes {
             return refuse(&mut stream, &mut out, 413, "request body too large");
@@ -429,6 +427,16 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             out.body = String::new();
         }
         buf.consume(request_len);
+    }
+}
+
+/// The status a request that fails to parse or frame is refused with.
+fn parse_error_status(e: &HttpParseError) -> u16 {
+    match e {
+        HttpParseError::HeadTooLarge => 431,
+        HttpParseError::UnsupportedVersion => 505,
+        HttpParseError::UnsupportedTransferEncoding => 501,
+        _ => 400,
     }
 }
 
@@ -493,6 +501,7 @@ fn reason_phrase(status: u16) -> &'static str {
         415 => "Unsupported Media Type",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         504 => "Gateway Timeout",
         505 => "HTTP Version Not Supported",

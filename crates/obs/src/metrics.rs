@@ -414,9 +414,9 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Render as JSON, parseable by `amber_bench::minijson` (object keys
-    /// are unique; numbers stay within the f64-exact integer range for
-    /// any realistic run).
+    /// Render as JSON (object keys are unique; numbers stay within the
+    /// f64-exact integer range for any realistic run). The workspace's
+    /// `obs_equivalence` test parses it back.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\"metrics\": [");
         for (i, sample) in self.samples.iter().enumerate() {
@@ -575,8 +575,8 @@ mod tests {
         let json = snap.render_json();
         assert!(json.contains("\"name\": \"test_obs_render_total\""));
         assert!(json.contains("\"type\": \"histogram\""));
-        // Balanced braces/brackets — the real parse round-trip lives in
-        // the obs_dump bin (which has minijson in scope).
+        // Balanced braces/brackets — the real parse round-trip is
+        // `canned_snapshot_renders_verify` in tests/obs_equivalence.rs.
         assert_eq!(
             json.matches('{').count(),
             json.matches('}').count(),

@@ -51,7 +51,7 @@
 //!   everything already queued, joins the workers, and returns a
 //!   [`ServeReport`] with per-tenant counts, breaker and shed statistics,
 //!   and the aggregated cache statistics (including the zero-copy counter
-//!   `result_hit_copied_bytes`, which the serving benchmark pins at 0).
+//!   `result_hit_copied_bytes`, which the serving tests pin at 0).
 //!   [`Server::shutdown_now`] instead revokes: queued requests are
 //!   answered with [`Error::ShuttingDown`] and in-flight work is
 //!   cancelled through each request's [`CancelToken`].
@@ -1466,19 +1466,22 @@ mod tests {
                 .unwrap();
             assert_eq!(t.wait().unwrap().status, QueryStatus::TimedOut);
         }
-        match server.submit_sparql("a", CHAIN) {
-            Err(Error::CircuitOpen { cause, retry_after }) => {
-                assert_eq!(cause, TripCause::TimedOut);
-                assert!(retry_after <= Duration::from_secs(3600));
+        // Every submission while open fails fast, and none re-trips.
+        for _ in 0..3 {
+            match server.submit_sparql("a", CHAIN) {
+                Err(Error::CircuitOpen { cause, retry_after }) => {
+                    assert_eq!(cause, TripCause::TimedOut);
+                    assert!(retry_after <= Duration::from_secs(3600));
+                }
+                other => panic!("expected CircuitOpen, got {other:?}"),
             }
-            other => panic!("expected CircuitOpen, got {other:?}"),
         }
         // The neighbor tenant is unaffected.
         let b = server.submit_sparql("b", EDGE).unwrap();
         assert_eq!(b.wait().unwrap().embedding_count, 1);
         let report = server.shutdown();
         assert_eq!(report.breaker_trips, 1);
-        assert_eq!(report.breaker_fast_fails, 1);
+        assert_eq!(report.breaker_fast_fails, 3);
         let a = report.breaker_for("a").unwrap();
         assert_eq!(a.state, BreakerState::Open);
         assert_eq!(report.breaker_for("b").unwrap().state, BreakerState::Closed);
@@ -1525,17 +1528,22 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
-        let t = server.submit_sparql("a", CHAIN).unwrap();
-        assert_eq!(t.wait().unwrap().status, QueryStatus::BudgetExceeded);
+        for query in [CHAIN, EDGE] {
+            let t = server.submit_sparql("a", query).unwrap();
+            assert_eq!(t.wait().unwrap().status, QueryStatus::BudgetExceeded);
+        }
         let report = server.shutdown();
         let governor = report.governor.expect("governor configured");
         assert_eq!(governor.total_budget, 1);
         assert_eq!(governor.peak_tenants, 1);
-        assert!(governor.governed_dispatches >= 1);
+        assert_eq!(
+            governor.governed_dispatches, 2,
+            "every dispatch is governed"
+        );
         let a = report.tenants.iter().find(|t| t.tenant == "a").unwrap();
-        assert!(
-            a.search.degradation_steps >= 1,
-            "the quota drives the per-query ladder: {:?}",
+        assert_eq!(
+            a.search.degradation_steps, 6,
+            "the quota drives each query up all three rungs: {:?}",
             a.search
         );
     }

@@ -9,7 +9,7 @@
 //! the slice of RFC 9112 a SPARQL Protocol endpoint needs — no chunked
 //! *request* bodies, no obsolete line folding, no trailers — and rejects
 //! everything else with a typed [`HttpParseError`] so the caller can answer
-//! with a precise 4xx instead of hanging up.
+//! with a precise 4xx (or 501) instead of hanging up.
 //!
 //! Parsing is incremental: feed [`parse_request_head`] the bytes received
 //! so far and it returns `Ok(None)` until the `\r\n\r\n` terminator has
@@ -33,8 +33,11 @@ pub enum HttpParseError {
     HeadTooLarge,
     /// The request is not HTTP/1.0 or HTTP/1.1 — maps to 505.
     UnsupportedVersion,
-    /// A `Content-Length` header that is not a non-negative integer.
+    /// A `Content-Length` that is not `1*DIGIT`, or two that disagree.
     BadContentLength,
+    /// Any `Transfer-Encoding`: request bodies are framed by
+    /// `Content-Length` only — maps to 501.
+    UnsupportedTransferEncoding,
 }
 
 impl fmt::Display for HttpParseError {
@@ -45,6 +48,9 @@ impl fmt::Display for HttpParseError {
             HttpParseError::HeadTooLarge => write!(f, "request head too large"),
             HttpParseError::UnsupportedVersion => write!(f, "unsupported HTTP version"),
             HttpParseError::BadContentLength => write!(f, "invalid Content-Length"),
+            HttpParseError::UnsupportedTransferEncoding => {
+                write!(f, "Transfer-Encoding is not supported; send Content-Length")
+            }
         }
     }
 }
@@ -76,16 +82,30 @@ impl RequestHead {
     }
 
     /// The declared body length: `Ok(None)` without a `Content-Length`
-    /// header, `Err` when the value is not a plain non-negative integer.
+    /// header. `Err` when the body is not framed by `Content-Length`
+    /// alone: any `Transfer-Encoding`, a value that is not `1*DIGIT`
+    /// (RFC 9112 §8.6; `str::parse` would take `+12`), or repeated
+    /// headers that disagree. Any of these would leave the connection
+    /// reading the body's bytes as the next request head.
     pub fn content_length(&self) -> Result<Option<usize>, HttpParseError> {
-        match self.header("content-length") {
-            None => Ok(None),
-            Some(v) => v
-                .trim()
-                .parse::<usize>()
-                .map(Some)
-                .map_err(|_| HttpParseError::BadContentLength),
+        let mut length = None;
+        for (name, value) in &self.headers {
+            if name.eq_ignore_ascii_case("transfer-encoding") {
+                return Err(HttpParseError::UnsupportedTransferEncoding);
+            }
+            if !name.eq_ignore_ascii_case("content-length") {
+                continue;
+            }
+            let parsed = Some(value)
+                .filter(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|v| v.parse::<usize>().ok())
+                .ok_or(HttpParseError::BadContentLength)?;
+            if length.is_some_and(|seen| seen != parsed) {
+                return Err(HttpParseError::BadContentLength);
+            }
+            length = Some(parsed);
         }
+        Ok(length)
     }
 
     /// `true` when the client asked to close the connection after this
@@ -461,6 +481,45 @@ mod tests {
             head.content_length().unwrap_err(),
             HttpParseError::BadContentLength
         );
+        // Framing: only `1*DIGIT`, agreeing repeats, and no
+        // Transfer-Encoding at all.
+        let length = |headers: &str| {
+            let text = format!("POST / HTTP/1.1\r\n{headers}\r\n");
+            parse(&text).unwrap().unwrap().0.content_length()
+        };
+        assert_eq!(length(""), Ok(None));
+        assert_eq!(length("Content-Length: 0\r\n"), Ok(Some(0)));
+        assert_eq!(
+            length("Content-Length: 12\r\ncontent-length: 12\r\n"),
+            Ok(Some(12))
+        );
+        for bad in [
+            "Content-Length: +12\r\n",
+            "Content-Length: -1\r\n",
+            "Content-Length: 1 2\r\n",
+            "Content-Length: 12, 12\r\n",
+            "Content-Length: \r\n",
+            "Content-Length: 99999999999999999999999\r\n",
+            "Content-Length: 12\r\nContent-Length: 13\r\n",
+        ] {
+            assert_eq!(
+                length(bad),
+                Err(HttpParseError::BadContentLength),
+                "{bad:?}"
+            );
+        }
+        for chunked in [
+            "Transfer-Encoding: chunked\r\n",
+            "transfer-encoding: gzip, chunked\r\n",
+            "Content-Length: 12\r\nTransfer-Encoding: chunked\r\n",
+            "Transfer-Encoding: identity\r\nContent-Length: 12\r\n",
+        ] {
+            assert_eq!(
+                length(chunked),
+                Err(HttpParseError::UnsupportedTransferEncoding),
+                "{chunked:?}"
+            );
+        }
         let (head, _) = parse("GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
             .unwrap()
             .unwrap();

@@ -17,9 +17,9 @@
 //!
 //! All inputs are sorted and deduplicated `u32` slices; outputs preserve
 //! that invariant. The `*_at` entry points take an explicit level so the
-//! differential tests and `bench_kernels` can pin every implementation
-//! against the scalar reference on one host; production callers go through
-//! [`super`]'s generic API, which passes [`level()`].
+//! differential tests can pin every implementation against the scalar
+//! reference on one host; production callers go through [`super`]'s
+//! generic API, which passes [`level()`].
 //!
 //! ## The block algorithm
 //!
@@ -67,17 +67,6 @@ pub enum KernelLevel {
     Sse2 = 2,
     /// 8-lane `u32` blocks (`core::arch` AVX2, runtime-detected).
     Avx2 = 3,
-}
-
-impl KernelLevel {
-    /// Stable lowercase name (used by `BENCH_kernels.json` and logs).
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelLevel::Scalar => "scalar",
-            KernelLevel::Sse2 => "sse2",
-            KernelLevel::Avx2 => "avx2",
-        }
-    }
 }
 
 /// Is `level` executable on this host?
@@ -444,6 +433,11 @@ mod x86 {
         dst: *mut u32,
         mut k: usize,
     ) -> (usize, usize) {
+        // SAFETY: the caller passes live pointers with `a[..a_len]` and
+        // `b[..b_len]` readable and resume indices inside those bounds,
+        // so every read below is in bounds; `dst` has room for the count.
+        debug_assert!(!a.is_null() && !b.is_null() && !dst.is_null());
+        debug_assert!(i <= a_len && j <= b_len);
         while i < a_len && j < b_len {
             let x = *a.add(i);
             let y = *b.add(j);
@@ -482,6 +476,12 @@ mod x86 {
         b_len: usize,
         dst: *mut u32,
     ) -> usize {
+        // SAFETY: the caller checked AVX2 (`assert_runnable`), and passes
+        // readable `a[..a_len]`/`b[..b_len]` and a `dst` with room for
+        // `min(a_len, b_len)` (+7 slack unless `EXACT`). Only `EXACT` may
+        // write into `a`'s own buffer; block loads stay below `len - 7`.
+        debug_assert!(std::is_x86_feature_detected!("avx2"));
+        debug_assert!(EXACT || !std::ptr::eq(dst.cast_const(), a));
         let mut i = 0usize;
         let mut j = 0usize;
         let mut k = 0usize;
@@ -563,6 +563,12 @@ mod x86 {
         b_len: usize,
         dst: *mut u32,
     ) -> usize {
+        // SAFETY: SSE2 is part of the x86-64 baseline; the caller passes
+        // readable `a[..a_len]`/`b[..b_len]` and a `dst` with room for
+        // `min(a_len, b_len)` (exact stores, so `dst` may be `a`'s own
+        // buffer). Block loads stay below `len - 3`.
+        debug_assert!(std::is_x86_feature_detected!("sse2"));
+        debug_assert!(!a.is_null() && !b.is_null() && !dst.is_null());
         let mut i = 0usize;
         let mut j = 0usize;
         let mut k = 0usize;
@@ -630,6 +636,9 @@ mod x86 {
     /// AVX2 must be available.
     #[target_feature(enable = "avx2")]
     pub unsafe fn intersects_avx2(a: &[u32], b: &[u32]) -> bool {
+        // SAFETY: the caller checked AVX2 (`assert_runnable`); the loop
+        // guard keeps every 8-lane load inside `a` and `b`.
+        debug_assert!(std::is_x86_feature_detected!("avx2"));
         let mut i = 0usize;
         let mut j = 0usize;
         while i + 8 <= a.len() && j + 8 <= b.len() {
@@ -662,6 +671,9 @@ mod x86 {
     /// SSE2 must be available (guaranteed on x86-64).
     #[target_feature(enable = "sse2")]
     pub unsafe fn intersects_sse2(a: &[u32], b: &[u32]) -> bool {
+        // SAFETY: SSE2 is part of the x86-64 baseline; the loop guard
+        // keeps every 4-lane load inside `a` and `b`.
+        debug_assert!(std::is_x86_feature_detected!("sse2"));
         let mut i = 0usize;
         let mut j = 0usize;
         while i + 4 <= a.len() && j + 4 <= b.len() {
@@ -697,6 +709,9 @@ mod x86 {
     /// AVX2 must be available.
     #[target_feature(enable = "avx2")]
     pub unsafe fn is_subset_avx2(needle: &[u32], hay: &[u32]) -> bool {
+        // SAFETY: the caller checked AVX2 (`assert_runnable`); the loop
+        // guard keeps every 8-lane load inside `needle` and `hay`.
+        debug_assert!(std::is_x86_feature_detected!("avx2"));
         let mut i = 0usize;
         let mut j = 0usize;
         let mut acc = 0usize; // match mask accumulated for needle block `i`
@@ -734,6 +749,9 @@ mod x86 {
     /// SSE2 must be available (guaranteed on x86-64).
     #[target_feature(enable = "sse2")]
     pub unsafe fn is_subset_sse2(needle: &[u32], hay: &[u32]) -> bool {
+        // SAFETY: SSE2 is part of the x86-64 baseline; the loop guard
+        // keeps every 4-lane load inside `needle` and `hay`.
+        debug_assert!(std::is_x86_feature_detected!("sse2"));
         let mut i = 0usize;
         let mut j = 0usize;
         let mut acc = 0usize;

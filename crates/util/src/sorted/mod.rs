@@ -30,6 +30,9 @@ pub use kernels::KernelLevel;
 /// `u32` field (or `u32` itself) whose `Ord` agrees with the wrapped
 /// integer's unsigned order. Anything else makes the slice casts below
 /// unsound or the kernel results wrong.
+// SAFETY: the contract above is the whole invariant: size 4, alignment 4
+// and `u32` order. The casts below rely on it, and each checks the layout
+// half with a `debug_assert!`.
 pub unsafe trait U32Rep: Ord + Copy {}
 
 // SAFETY: `u32` trivially has its own layout and order.
@@ -37,8 +40,15 @@ unsafe impl U32Rep for u32 {}
 
 #[inline]
 fn as_u32s<T: U32Rep>(s: &[T]) -> &[u32] {
+    debug_assert!(same_layout_as_u32::<T>());
     // SAFETY: `U32Rep` guarantees identical layout, size and alignment.
     unsafe { std::slice::from_raw_parts(s.as_ptr().cast::<u32>(), s.len()) }
+}
+
+/// The layout half of the [`U32Rep`] contract.
+fn same_layout_as_u32<T>() -> bool {
+    std::mem::size_of::<T>() == std::mem::size_of::<u32>()
+        && std::mem::align_of::<T>() == std::mem::align_of::<u32>()
 }
 
 /// Run `f` on `v`'s allocation viewed as a `Vec<u32>`, then hand the
@@ -49,6 +59,7 @@ fn as_u32s<T: U32Rep>(s: &[T]) -> &[u32] {
 /// is freed exactly once as `Vec<u32>` and `v` is left empty.
 #[inline]
 fn with_vec_u32<T: U32Rep, R>(v: &mut Vec<T>, f: impl FnOnce(&mut Vec<u32>) -> R) -> R {
+    debug_assert!(same_layout_as_u32::<T>());
     let taken = std::mem::take(v);
     let mut ptr = std::mem::ManuallyDrop::new(taken);
     // SAFETY: ptr/len/capacity come from a live Vec<T> whose elements are
@@ -366,6 +377,5 @@ mod tests {
         let level = kernels::level();
         assert!(kernels::available(level));
         assert_eq!(kernels::level(), level, "second lookup hits the cache");
-        assert!(!level.name().is_empty());
     }
 }

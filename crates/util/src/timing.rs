@@ -25,11 +25,6 @@ impl Stopwatch {
     pub fn elapsed(&self) -> Duration {
         self.started.elapsed()
     }
-
-    /// Elapsed milliseconds as `f64` (the unit used by the paper's plots).
-    pub fn elapsed_ms(&self) -> f64 {
-        self.elapsed().as_secs_f64() * 1e3
-    }
 }
 
 impl Default for Stopwatch {
@@ -146,7 +141,6 @@ mod tests {
         let sw = Stopwatch::start();
         std::thread::sleep(Duration::from_millis(5));
         assert!(sw.elapsed() >= Duration::from_millis(5));
-        assert!(sw.elapsed_ms() >= 5.0);
     }
 
     #[test]

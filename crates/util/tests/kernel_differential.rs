@@ -180,9 +180,14 @@ proptest! {
 
 /// Handpicked extremes that random sampling can miss: exact block-size
 /// lengths, identical inputs (all-hit), shifted copies (all-miss), and the
-/// exact 16× gallop boundary.
+/// exact 16× and 256× gallop boundaries.
 #[test]
 fn crafted_adversarial_cases() {
+    // The size pairs below sit on these cutoffs, so they also pin which
+    // strategy (merge, SIMD block, gallop) each shape takes.
+    assert_eq!(kernels::GALLOP_RATIO, 16);
+    assert_eq!(kernels::SIMD_MIN_LEN, 16);
+    assert_eq!(kernels::UNION_GALLOP_RATIO, 256);
     let evens: Vec<u32> = (0..64).map(|x| x * 2).collect();
     let odds: Vec<u32> = (0..64).map(|x| x * 2 + 1).collect();
     let mut cases: Vec<(Vec<u32>, Vec<u32>)> = vec![
@@ -205,8 +210,9 @@ fn crafted_adversarial_cases() {
             ));
         }
     }
-    // The exact gallop boundary: ratios 15, 16 and 17 over one small list.
-    for ratio in [15usize, 16, 17] {
+    // The exact gallop boundaries, intersection (16×) and union (256×),
+    // over one small list.
+    for ratio in [15usize, 16, 17, 255, 256, 257] {
         let small: Vec<u32> = (0..8u32).map(|x| x * 1000).collect();
         let large: Vec<u32> = (0..(8 * ratio) as u32).map(|x| x * 31).collect();
         cases.push((small, large));

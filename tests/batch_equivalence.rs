@@ -8,7 +8,7 @@
 //! identical to a fresh sequential `run` call, with the plan and
 //! result caches disabled, tiny (evicting mid-batch), and large.
 
-use amber::{AmberEngine, ExecOptions, QueryOutcome, QueryRequest};
+use amber::{AmberEngine, BatchStats, CancelToken, ExecOptions, QueryOutcome, QueryRequest};
 use amber_datagen::synthetic::{self, SyntheticConfig};
 use amber_datagen::{GeneratedQuery, QueryShape, WorkloadConfig, WorkloadGenerator};
 use amber_multigraph::RdfGraph;
@@ -69,7 +69,7 @@ fn assert_batch_equals_sequential(
     stream: &[GeneratedQuery],
     options: &ExecOptions,
     context: &str,
-) {
+) -> BatchStats {
     let requests: Vec<QueryRequest<'_>> = stream
         .iter()
         .map(|q| QueryRequest::parsed(&q.query).with_options(options.clone()))
@@ -99,6 +99,7 @@ fn assert_batch_equals_sequential(
     );
     let rate = batch.stats.seeds.hit_rate();
     assert!((0.0..=1.0).contains(&rate), "{context}: hit rate {rate}");
+    batch.stats
 }
 
 proptest! {
@@ -143,26 +144,62 @@ proptest! {
     }
 }
 
+/// Besides the answers, the cache counters of a repeat stream are exact:
+/// each distinct query derives one plan and computes one result, and every
+/// repeat hits both caches (the plan is looked up first; its key finds the
+/// result). With the caches off, every seed probe of a repeat hits the
+/// session's seed cache, and an armed but never-reached governor (4 GiB
+/// and a live cancel token, polled at every checkpoint) degrades nothing.
 #[test]
 fn batch_equivalence_holds_on_complex_streams() {
+    const REPEATS: usize = 3;
     let rdf = Arc::new(dense_graph(7));
     let engine = AmberEngine::from_graph(Arc::clone(&rdf));
     let mut generator = WorkloadGenerator::new(&rdf, 77);
     let base = generator.generate_many(&WorkloadConfig::new(QueryShape::Complex, 5), 3);
-    assert!(!base.is_empty());
-    let stream = build_stream(&base, 3, 0xF00D);
-    for capacity in [0usize, 256] {
-        let options = ExecOptions::default()
+    let distinct = base
+        .iter()
+        .map(|q| q.text.as_str())
+        .collect::<std::collections::BTreeSet<_>>()
+        .len();
+    assert!(distinct > 1, "the stream needs distinct queries");
+    let stream = build_stream(&base, REPEATS, 0xF00D);
+    let repeats = stream.len() - distinct;
+    let with_caches = |capacity: usize| {
+        ExecOptions::default()
             .with_max_results(200)
             .with_plan_cache(capacity)
-            .with_result_cache(capacity);
-        assert_batch_equals_sequential(
-            &engine,
-            &stream,
-            &options,
-            &format!("complex, cache capacity {capacity}"),
-        );
-    }
+            .with_result_cache(capacity)
+    };
+
+    let cached = assert_batch_equals_sequential(&engine, &stream, &with_caches(256), "cached");
+    let (plans, results) = (&cached.plans.plans, &cached.plans.results);
+    assert_eq!(
+        (plans.misses as usize, plans.hits as usize),
+        (distinct, repeats)
+    );
+    assert_eq!(
+        (results.misses as usize, results.hits as usize),
+        (distinct, repeats)
+    );
+
+    let once = assert_batch_equals_sequential(&engine, &base, &with_caches(0), "one pass");
+    let uncached = assert_batch_equals_sequential(&engine, &stream, &with_caches(0), "uncached");
+    let probes = once.seeds.hits + once.seeds.misses;
+    assert!(probes > 0, "the complex queries probe seeds");
+    assert_eq!(uncached.seeds.misses, once.seeds.misses);
+    assert_eq!(
+        uncached.seeds.hits,
+        REPEATS as u64 * probes - once.seeds.misses,
+        "every probe after a query's first run hits"
+    );
+
+    let governed = with_caches(256)
+        .with_memory_budget(4 << 30)
+        .with_cancel(CancelToken::new());
+    let governed = assert_batch_equals_sequential(&engine, &stream, &governed, "governed");
+    assert_eq!(governed.completed, stream.len());
+    assert_eq!(governed.search.degradation_steps, 0);
 }
 
 #[test]

@@ -5,8 +5,9 @@
 //! `503 + Retry-After`, scrapes `/metrics`, and the graceful drain pins
 //! the zero-copy counter at 0. Multi-megabyte bodies arrive whole, the
 //! buffers a connection reuses between responses leak nothing from one
-//! into the next, and a repeat sent from its memoized body is the same
-//! bytes as a fresh serialization.
+//! into the next, a repeat sent from its memoized body is the same bytes
+//! as a fresh serialization, and a chunked request is refused with `501`
+//! and a close instead of being read as a 0-byte body.
 
 use amber::{AmberEngine, QueryRequest};
 use amber_http::{results, HttpConfig, HttpServer};
@@ -216,6 +217,41 @@ fn post_query(query: &str) -> String {
 }
 
 #[test]
+fn chunked_request_bodies_get_501_and_the_connection_closes() {
+    let engine = Arc::new(AmberEngine::load_ntriples(DATA).unwrap());
+    let http = HttpServer::start(
+        Server::start(engine, ServeConfig::default()),
+        HttpConfig::default(),
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    // The chunk carries a complete request of its own. A server that
+    // framed this POST as a 0-byte body would answer it as the next
+    // request on the connection.
+    let smuggled = post_query(QUERY);
+    let request = format!(
+        "POST /sparql HTTP/1.1\r\nHost: t\r\nContent-Type: application/sparql-query\r\n\
+         Transfer-Encoding: chunked\r\n\r\n{:x}\r\n{smuggled}\r\n0\r\n\r\n",
+        smuggled.len()
+    );
+    let (status, headers, body) = exchange(&mut stream, &request);
+    assert_eq!(status, 501, "{body}");
+    assert_eq!(header(&headers, "connection"), Some("close"));
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).unwrap();
+    assert!(
+        rest.is_empty(),
+        "nothing may follow the refusal: {}",
+        String::from_utf8_lossy(&rest)
+    );
+    let report = http.shutdown();
+    assert_eq!(report.served(), 0, "neither request reached the engine");
+}
+
+#[test]
 fn large_bodies_arrive_whole_and_reused_buffers_carry_nothing_over() {
     let _turn = wire_turn();
     // One hub with 300 `p` edges and 80 `q` edges: the two stars below
@@ -359,5 +395,10 @@ fn repeats_are_sent_from_the_memo_byte_for_byte() {
     drop(stream);
     let report = http.shutdown();
     assert_eq!(report.served_for("public"), 7);
+    // One keep-alive connection never contends with itself: every request
+    // runs on its connection thread, and each repeat is a result-cache hit.
+    assert_eq!(report.inline_dispatches, 7);
+    assert_eq!(report.queued_dispatches, 0);
+    assert_eq!(report.plan_stats.results.hits, 6);
     assert_eq!(report.plan_stats.result_hit_copied_bytes, 0);
 }

@@ -1,13 +1,10 @@
-//! A minimal JSON reader for the benchmark reports.
+//! A minimal JSON reader for the metrics snapshot's JSON render.
 //!
 //! The workspace vendors no serde (the build environment has no crates.io
-//! mirror), and the `BENCH_*.json` trackers are written by hand-rolled
-//! formatters — so the regression gate ([`bench_check`][bc]) reads them
-//! back with this ~150-line recursive-descent parser. It supports exactly
-//! the JSON the trackers emit: objects, arrays, strings (with the common
-//! escapes), numbers, booleans, and null.
-//!
-//! [bc]: ../../bench_check/index.html
+//! mirror), so the export-format golden test in `obs_equivalence.rs`
+//! reads `MetricsSnapshot::render_json` back with this small
+//! recursive-descent parser. It supports objects, arrays, strings (with
+//! the common escapes), numbers, booleans, and null.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -19,8 +16,8 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (always carried as `f64`; the trackers stay well inside
-    /// the 2^53 integer-exact range).
+    /// Any number (always carried as `f64`; the registry's counters stay
+    /// well inside the 2^53 integer-exact range in these tests).
     Number(f64),
     /// A string.
     String(String),
@@ -236,7 +233,7 @@ impl Parser<'_> {
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.error("bad \\u escape"))?;
                             self.pos += 4;
-                            // The trackers never emit surrogate pairs.
+                            // The renderer never emits surrogate pairs.
                             out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(self.error("unknown escape")),
@@ -273,58 +270,15 @@ impl Parser<'_> {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+#[test]
+fn strings_unescape() {
+    let json = Json::parse(r#""a\n\"b\"A""#).unwrap();
+    assert_eq!(json.as_str(), Some("a\n\"b\"A"));
+}
 
-    #[test]
-    fn parses_a_tracker_shaped_document() {
-        let doc = r#"{
-  "benchmark": "batch",
-  "commit": "abc123",
-  "streams": [
-    {"name": "s1", "speedup": 1.25, "hits": 40, "flag": true},
-    {"name": "s2", "speedup": -0.5e1, "flag": null}
-  ]
-}"#;
-        let json = Json::parse(doc).unwrap();
-        assert_eq!(json.get("benchmark").unwrap().as_str(), Some("batch"));
-        let streams = json.get("streams").unwrap().as_array().unwrap();
-        assert_eq!(streams.len(), 2);
-        assert_eq!(streams[0].get("speedup").unwrap().as_f64(), Some(1.25));
-        assert_eq!(streams[0].get("hits").unwrap().as_f64(), Some(40.0));
-        assert_eq!(streams[0].get("flag"), Some(&Json::Bool(true)));
-        assert_eq!(streams[1].get("speedup").unwrap().as_f64(), Some(-5.0));
-        assert_eq!(streams[1].get("flag"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn strings_unescape() {
-        let json = Json::parse(r#""a\n\"b\"A""#).unwrap();
-        assert_eq!(json.as_str(), Some("a\n\"b\"A"));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
-            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn round_trips_real_reports() {
-        // The committed baselines must stay parseable by this reader.
-        for name in [
-            "BENCH_matcher.json",
-            "BENCH_batch.json",
-            "BENCH_kernels.json",
-        ] {
-            let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue; // baseline not present in this checkout
-            };
-            let parsed = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert!(parsed.get("benchmark").is_some(), "{name} missing tag");
-        }
+#[test]
+fn rejects_malformed_documents() {
+    for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
+        assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
     }
 }

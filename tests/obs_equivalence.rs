@@ -14,11 +14,14 @@
 //! test's duration and (being a static mutex) serializes the tests in
 //! this binary against each other.
 
+mod minijson;
+
 use amber::{AmberEngine, Error, ExecOptions, QueryRequest, QueryStatus};
 use amber_datagen::skewed::{self, SkewedConfig};
 use amber_http::{HttpConfig, HttpServer};
 use amber_obs::MetricsSnapshot;
 use amber_serve::{BreakerConfig, ServeConfig, Server, SubmitOptions};
+use minijson::Json;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -505,4 +508,77 @@ fn off_gate_freezes_the_registry_but_not_the_legacy_stats() {
         ),
         0
     );
+}
+
+/// Metric families the canned workload below is guaranteed to register —
+/// one per instrumented layer (see docs/observability.md for the catalog).
+const EXPECTED_FAMILIES: &[&str] = &[
+    "amber_queries_total",
+    "amber_query_latency_us",
+    "amber_cache_hits_total",
+    "amber_cache_entries",
+    "amber_search_nodes_total",
+    "amber_serve_requests_total",
+    "amber_serve_queue_depth",
+    "amber_serve_queue_wait_us",
+];
+
+/// The export-format golden test: drive every instrumented layer once (a
+/// warm batch for the cache and search counters, one served request for
+/// admission and queue wait), then check both renders of the snapshot.
+/// The JSON must parse, and both formats must carry every expected family
+/// (presence, not values: registration is the contract, and values vary
+/// with the CI lanes).
+#[test]
+fn canned_snapshot_renders_verify() {
+    let _on = amber_obs::force_enabled(true);
+    let engine = demo_engine();
+    let query = amber_sparql::parse_select(CHAIN).unwrap();
+    let request = QueryRequest::parsed(&query).with_options(ExecOptions::batch());
+    let batch = engine.run_all(&[request.clone(), request]);
+    assert_eq!(batch.stats.completed, 2, "canned batch completes");
+    let server = Server::start(Arc::clone(&engine), ServeConfig::default());
+    server
+        .submit_sparql("tenant-a", CHAIN)
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(
+        server.shutdown().served(),
+        1,
+        "canned serve round completes"
+    );
+
+    let snapshot = amber_obs::snapshot();
+    let (prometheus, json) = (snapshot.render_prometheus(), snapshot.render_json());
+    let parsed = Json::parse(&json).expect("the JSON render must parse");
+    let metrics = parsed
+        .get("metrics")
+        .and_then(Json::as_array)
+        .expect("top-level `metrics` array");
+    assert!(!metrics.is_empty(), "snapshot must not be empty");
+    for name in EXPECTED_FAMILIES {
+        assert!(
+            prometheus.contains(&format!("# TYPE {name}")),
+            "Prometheus render missing family {name}"
+        );
+        assert!(
+            metrics
+                .iter()
+                .any(|m| m.get("name").and_then(Json::as_str) == Some(name)),
+            "JSON render missing family {name}"
+        );
+    }
+    // Histogram shape: cumulative buckets with a +Inf terminator and
+    // _sum/_count series in Prometheus; count/sum/buckets in JSON.
+    assert!(prometheus.contains("amber_query_latency_us_bucket"));
+    assert!(prometheus.contains("le=\"+Inf\""));
+    assert!(prometheus.contains("amber_query_latency_us_sum"));
+    assert!(prometheus.contains("amber_query_latency_us_count"));
+    let latency = metrics
+        .iter()
+        .find(|m| m.get("name").and_then(Json::as_str) == Some("amber_query_latency_us"))
+        .expect("latency histogram in JSON");
+    assert!(latency.get("count").and_then(Json::as_f64).unwrap_or(0.0) >= 2.0);
+    assert!(latency.get("buckets").and_then(Json::as_array).is_some());
 }

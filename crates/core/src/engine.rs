@@ -253,9 +253,7 @@ impl AmberEngine {
     /// trail (both through the
     /// [`Explain`](crate::Explain) builder).
     ///
-    /// The session's tracing knobs are restored afterwards. Under
-    /// `AMBER_OBS=off` no spans are captured and the report is the plan
-    /// summary alone.
+    /// The session's tracing knobs are restored afterwards.
     pub fn explain_analyze(
         &self,
         query: &amber_sparql::SelectQuery,
@@ -273,10 +271,8 @@ impl AmberEngine {
         let outcome = outcome?;
         let report = crate::explain::QueryPlan::explain_prepared(&plan);
         let text = match session.flight_recorder().last() {
-            Some(trace) if amber_obs::obs_enabled() => {
-                crate::explain::Explain::analyze(&report, trace)
-            }
-            _ => {
+            Some(trace) => crate::explain::Explain::analyze(&report, trace),
+            None => {
                 let mut explain = crate::explain::Explain::new();
                 explain.plan(&report);
                 explain.render()

@@ -484,7 +484,6 @@ mod tests {
     #[test]
     fn explain_analyze_appends_the_span_tree_golden() {
         use crate::engine::AmberEngine;
-        let _on = amber_obs::force_enabled(true);
         let engine = AmberEngine::from_graph(paper_graph());
         let query = parse_select(&paper_query_text()).unwrap();
         let options = crate::options::ExecOptions::batch();

@@ -693,7 +693,7 @@ mod tests {
 
     #[test]
     fn clearing_or_shedding_the_result_cache_frees_memoized_bodies() {
-        let _on = amber_obs::force_enabled(true);
+        let _serial = crate::telemetry::registry_lock();
         let gauge = amber_obs::gauge("amber_result_body_bytes", &[]);
         let base = gauge.get();
         let plan = plan_for(&paper_query_text(), 1);

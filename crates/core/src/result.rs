@@ -77,17 +77,19 @@ struct WireBody {
     tag: u8,
     variables: Box<[Box<str>]>,
     body: Arc<str>,
-    /// What setting this memo added to `amber_result_body_bytes` (0 when
-    /// the telemetry gate was off), so the drop subtracts exactly that.
-    gauged: i64,
 }
 
 impl Drop for SharedRows {
     fn drop(&mut self) {
         if let Some(wire) = self.wire.get() {
-            telemetry::note_result_body_bytes(-wire.gauged);
+            telemetry::note_result_body_bytes(-body_bytes(&wire.body));
         }
     }
+}
+
+/// A memoized body's length as a move of `amber_result_body_bytes`.
+fn body_bytes(body: &str) -> i64 {
+    i64::try_from(body.len()).unwrap_or(i64::MAX)
 }
 
 impl Bindings {
@@ -247,20 +249,14 @@ impl QueryOutcome {
         {
             return false;
         }
-        let gauged = if amber_obs::obs_enabled() {
-            i64::try_from(body.len()).unwrap_or(i64::MAX)
-        } else {
-            0
-        };
         let wire = WireBody {
             tag,
             variables: self.variables.as_slice().into(),
             body: body.into(),
-            gauged,
         };
         let set = shared.wire.set(wire).is_ok();
         if set {
-            telemetry::note_result_body_bytes(gauged);
+            telemetry::note_result_body_bytes(body_bytes(body));
         }
         set
     }
@@ -317,15 +313,15 @@ mod tests {
     }
 
     /// `amber_result_body_bytes`. The gauge is process-wide: every test
-    /// that memoizes holds the `force_enabled` guard (a global lock) and
-    /// compares against what it read under that lock.
+    /// that memoizes holds [`telemetry::registry_lock`] and compares
+    /// against what it read under that lock.
     fn body_gauge() -> i64 {
         amber_obs::gauge("amber_result_body_bytes", &[]).get()
     }
 
     #[test]
     fn only_the_second_serialization_is_memoized() {
-        let _on = amber_obs::force_enabled(true);
+        let _serial = telemetry::registry_lock();
         let base = body_gauge();
         let first = answer(QueryStatus::Completed, &["x", "y"]);
         assert!(!first.offer_wire_body(0, "first"));
@@ -344,7 +340,7 @@ mod tests {
 
     #[test]
     fn the_memo_is_keyed_by_tag_and_exact_variables() {
-        let _on = amber_obs::force_enabled(true);
+        let _serial = telemetry::registry_lock();
         let o = answer(QueryStatus::Completed, &["x", "y"]);
         o.offer_wire_body(7, "body");
         assert!(o.offer_wire_body(7, "body"));
@@ -369,7 +365,7 @@ mod tests {
 
     #[test]
     fn the_first_writer_wins() {
-        let _on = amber_obs::force_enabled(true);
+        let _serial = telemetry::registry_lock();
         let base = body_gauge();
         let o = answer(QueryStatus::Completed, &["x", "y"]);
         o.offer_wire_body(0, "json");
@@ -409,7 +405,7 @@ mod tests {
 
     #[test]
     fn a_partial_outcome_is_never_memoized() {
-        let _on = amber_obs::force_enabled(true);
+        let _serial = telemetry::registry_lock();
         let base = body_gauge();
         for status in [
             QueryStatus::TimedOut,
@@ -423,34 +419,5 @@ mod tests {
             assert!(o.wire_body(0).is_none());
         }
         assert_eq!(body_gauge(), base);
-    }
-
-    #[test]
-    fn the_body_gauge_is_exact_across_a_gate_flip() {
-        let memoized = || {
-            let o = answer(QueryStatus::Completed, &["x"]);
-            o.offer_wire_body(0, "0123456789");
-            assert!(o.offer_wire_body(0, "0123456789"));
-            o
-        };
-        let (base, counted) = {
-            let _on = amber_obs::force_enabled(true);
-            let base = body_gauge();
-            let counted = memoized();
-            assert_eq!(body_gauge(), base + 10);
-            (base, counted)
-        };
-        let uncounted = {
-            let _off = amber_obs::force_enabled(false);
-            let uncounted = memoized();
-            assert_eq!(body_gauge(), base + 10, "set while off: not gauged");
-            // Dropped while off: still subtracts what its set added.
-            drop(counted);
-            assert_eq!(body_gauge(), base);
-            uncounted
-        };
-        let _on = amber_obs::force_enabled(true);
-        drop(uncounted);
-        assert_eq!(body_gauge(), base, "dropped while on: subtracts nothing");
     }
 }

@@ -22,7 +22,7 @@ use crate::matcher::SearchArenas;
 use crate::plan::{PlanCache, PlanCacheStats, ResultCache};
 use crate::result::QueryOutcome;
 use crate::seeds::{CacheStats, SeedCache};
-use crate::telemetry::{self, ObsBaseline};
+use crate::telemetry::{self, GaugedCaches, ObsBaseline};
 use amber_obs::FlightRecorder;
 use std::fmt;
 use std::time::Duration;
@@ -94,9 +94,12 @@ pub struct QuerySession {
     /// log. Off by default; see
     /// [`Self::configure_tracing`].
     recorder: FlightRecorder,
-    /// Stat baseline captured at query start when the `AMBER_OBS` gate is
-    /// on; `end_query` flushes `current − baseline` into the registry.
-    obs_base: Option<ObsBaseline>,
+    /// Stat baseline captured at query start; `end_query` flushes
+    /// `current − baseline` into the registry.
+    obs_base: ObsBaseline,
+    /// This session's share of the process cache gauges (taken back out
+    /// when the session drops).
+    gauged: GaugedCaches,
 }
 
 impl QuerySession {
@@ -120,7 +123,8 @@ impl QuerySession {
             queries: 0,
             result_shed: false,
             recorder: FlightRecorder::default(),
-            obs_base: None,
+            obs_base: ObsBaseline::default(),
+            gauged: GaugedCaches::default(),
         }
     }
 
@@ -182,14 +186,10 @@ impl QuerySession {
     pub(crate) fn begin_query(&mut self) {
         self.queries += 1;
         self.result_shed = false;
-        self.obs_base = if amber_obs::obs_enabled() {
-            Some(ObsBaseline {
-                seeds: self.seed_stats(),
-                plans: self.plan_stats(),
-                search: self.search,
-            })
-        } else {
-            None
+        self.obs_base = ObsBaseline {
+            seeds: self.seed_stats(),
+            plans: self.plan_stats(),
+            search: self.search,
         };
     }
 
@@ -197,15 +197,15 @@ impl QuerySession {
     /// metric registry, and close the flight-recorder trace (if one is
     /// open) with the final status.
     pub(crate) fn end_query(&mut self, status: &'static str, elapsed: Duration) {
-        if let Some(base) = self.obs_base.take() {
-            telemetry::flush_query(
-                status,
-                elapsed,
-                &self.seed_stats().since(&base.seeds),
-                &self.plan_stats().since(&base.plans),
-                &self.search.since(&base.search),
-            );
-        }
+        let base = &self.obs_base;
+        telemetry::flush_query(
+            status,
+            elapsed,
+            &self.seed_stats().since(&base.seeds),
+            &self.plan_stats().since(&base.plans),
+            &self.search.since(&base.search),
+            &mut self.gauged,
+        );
         if self.recorder.is_recording() {
             self.recorder.end(status);
         }
@@ -213,8 +213,7 @@ impl QuerySession {
 
     /// Turn the per-query flight recorder on/off and set its slow-query
     /// threshold (`Some(Duration::ZERO)` logs every query; `None` logs
-    /// none). Capture additionally requires the process-wide `AMBER_OBS`
-    /// gate to be on.
+    /// none).
     pub fn configure_tracing(&mut self, enabled: bool, slow_threshold: Option<Duration>) {
         self.recorder.configure(enabled, slow_threshold);
     }

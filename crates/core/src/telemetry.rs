@@ -13,7 +13,13 @@
 //!
 //! Handles are resolved once per process (`OnceLock`) so a flush is a
 //! couple dozen relaxed `fetch_add`s — invisible next to even a
-//! result-cache-hit query (gated by the `obs_speedup` bench cells).
+//! result-cache-hit query (docs/observability.md records the measured
+//! overhead).
+//!
+//! The cache gauges (`amber_cache_entries`, `amber_cache_bytes`) are sums
+//! over live sessions: each session remembers what it last added
+//! ([`GaugedCaches`]), adds `current − last` at every flush and takes its
+//! share back out when it drops.
 
 use crate::plan::PlanCacheStats;
 use crate::result::QueryStatus;
@@ -46,15 +52,53 @@ impl CacheFamily {
         }
     }
 
-    /// Add a `since`-delta; the gauges carry the *current* state (that is
-    /// what [`CacheStats::since`] leaves in `entries`/`result_bytes`).
-    fn flush(&self, delta: &CacheStats) {
+    /// Add a `since`-delta's counters, and move the gauges by how far the
+    /// session's *current* state (what [`CacheStats::since`] leaves in
+    /// `entries`/`result_bytes`) is from what it last gauged.
+    fn flush(&self, delta: &CacheStats, gauged: &mut Gauged) {
         self.hits.add(delta.hits);
         self.misses.add(delta.misses);
         self.bypasses.add(delta.bypasses);
         self.evictions.add(delta.evictions);
-        self.entries.set(delta.entries as i64);
-        self.bytes.set(delta.result_bytes as i64);
+        let now = Gauged {
+            entries: delta.entries as i64,
+            bytes: delta.result_bytes as i64,
+        };
+        self.entries.add(now.entries - gauged.entries);
+        self.bytes.add(now.bytes - gauged.bytes);
+        *gauged = now;
+    }
+
+    /// Take a dropped session's share back out of the gauges.
+    fn release(&self, gauged: &Gauged) {
+        self.entries.add(-gauged.entries);
+        self.bytes.add(-gauged.bytes);
+    }
+}
+
+/// One cache layer's share of the gauges, as one session last added it.
+#[derive(Debug, Default)]
+struct Gauged {
+    entries: i64,
+    bytes: i64,
+}
+
+/// What one session has added to the cache gauges, per layer. Dropping it
+/// (with its session) subtracts that share, so the gauges sum over live
+/// sessions.
+#[derive(Debug, Default)]
+pub(crate) struct GaugedCaches {
+    seed: Gauged,
+    plan: Gauged,
+    result: Gauged,
+}
+
+impl Drop for GaugedCaches {
+    fn drop(&mut self) {
+        let m = metrics();
+        m.seed.release(&self.seed);
+        m.plan.release(&self.plan);
+        m.result.release(&self.result);
     }
 }
 
@@ -115,9 +159,9 @@ pub(crate) fn status_label(status: Result<QueryStatus, ()>) -> &'static str {
     }
 }
 
-/// Baseline captured at `begin_query` (only when the gate is on); the
-/// flush at `end_query` adds `current − baseline` to the registry.
-#[derive(Debug)]
+/// Baseline captured at `begin_query`; the flush at `end_query` adds
+/// `current − baseline` to the registry.
+#[derive(Debug, Default)]
 pub(crate) struct ObsBaseline {
     pub(crate) seeds: CacheStats,
     pub(crate) plans: PlanCacheStats,
@@ -131,6 +175,7 @@ pub(crate) fn flush_query(
     seeds: &CacheStats,
     plans: &PlanCacheStats,
     search: &SearchStats,
+    gauged: &mut GaugedCaches,
 ) {
     let m = metrics();
     let status_counter = match status {
@@ -142,9 +187,9 @@ pub(crate) fn flush_query(
     };
     status_counter.inc();
     m.latency_us.observe(elapsed.as_micros() as u64);
-    m.seed.flush(seeds);
-    m.plan.flush(&plans.plans);
-    m.result.flush(&plans.results);
+    m.seed.flush(seeds, &mut gauged.seed);
+    m.plan.flush(&plans.plans, &mut gauged.plan);
+    m.result.flush(&plans.results, &mut gauged.result);
     m.hit_copied_bytes.add(plans.result_hit_copied_bytes);
     m.search_nodes.add(search.nodes);
     m.trapped_panics.add(search.trapped_panics);
@@ -156,17 +201,22 @@ pub(crate) fn flush_query(
 /// visited nodes land in `amber_search_nodes_total` (once per component
 /// run, never per candidate).
 pub(crate) fn note_seed_candidates(count: usize) {
-    if amber_obs::obs_enabled() {
-        metrics().seed_candidates.observe(count as u64);
-    }
+    metrics().seed_candidates.observe(count as u64);
 }
 
 /// Move the process gauge of memoized wire-body bytes (`+len` when a
 /// [`Bindings`](crate::Bindings) memo is set, `-len` when its allocation
-/// drops). Callers pass what was gauged at set time rather than checking
-/// the gate here, so a gate flip between set and drop cannot skew it.
+/// drops).
 pub(crate) fn note_result_body_bytes(delta: i64) {
     if delta != 0 {
         metrics().result_body_bytes.add(delta);
     }
+}
+
+/// Serializes the unit tests that read or move a process-wide series
+/// exactly (the registry is shared by every test in this binary).
+#[cfg(test)]
+pub(crate) fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }

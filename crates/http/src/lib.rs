@@ -71,7 +71,6 @@ const REQUEST_BUF_START: usize = 4096;
 
 /// Front-end registry handles, resolved once per process (the underlying
 /// registry interns by name+labels; caching skips the intern lock).
-/// Updates are additionally gated on [`amber_obs::obs_enabled`].
 struct HttpMetrics {
     sparql: Arc<Counter>,
     metrics: Arc<Counter>,
@@ -535,17 +534,15 @@ fn respond_and_count(
         "Connection: {}\r\n\r\n",
         if keep_alive { "keep-alive" } else { "close" }
     );
-    if amber_obs::obs_enabled() {
-        let metrics = http_metrics();
-        match response.status {
-            200..=299 => metrics.ok.inc(),
-            400..=499 => metrics.client_error.inc(),
-            _ => metrics.server_error.inc(),
-        }
-        metrics
-            .response_bytes
-            .add((out.head.len() + body.len()) as u64);
+    let metrics = http_metrics();
+    match response.status {
+        200..=299 => metrics.ok.inc(),
+        400..=499 => metrics.client_error.inc(),
+        _ => metrics.server_error.inc(),
     }
+    metrics
+        .response_bytes
+        .add((out.head.len() + body.len()) as u64);
     let _ = write_response(stream, out.head.as_bytes(), body);
 }
 
@@ -579,24 +576,17 @@ fn handle_request(
     out: &mut ResponseBufs,
 ) -> Response {
     let (path, raw_query) = split_target(&head.target);
-    let obs = amber_obs::obs_enabled();
     match path {
         "/sparql" => {
-            if obs {
-                http_metrics().sparql.inc();
-            }
+            http_metrics().sparql.inc();
             sparql_endpoint(shared, head, raw_query, body, out)
         }
         "/metrics" => {
-            if obs {
-                http_metrics().metrics.inc();
-            }
+            http_metrics().metrics.inc();
             metrics_endpoint(shared, head, &mut out.body)
         }
         _ => {
-            if obs {
-                http_metrics().other.inc();
-            }
+            http_metrics().other.inc();
             Response::error(
                 &mut out.body,
                 404,
@@ -753,26 +743,21 @@ fn answer_body(
     out: &mut String,
     memo: &mut Option<Arc<str>>,
 ) -> Response {
-    let obs = amber_obs::obs_enabled();
     let tag = format as u8;
     if let Some(body) = outcome.wire_body(tag) {
         *memo = Some(Arc::clone(body));
-        if obs {
-            http_metrics().bodies_memoized.inc();
-        }
+        http_metrics().bodies_memoized.inc();
         return Response::ok(format.content_type());
     }
-    let started = obs.then(Instant::now);
+    let started = Instant::now();
     match format {
         Format::Json => results::sparql_json_into(out, outcome),
         Format::Tsv => results::sparql_tsv_into(out, outcome),
     }
-    if let Some(started) = started {
-        let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let metrics = http_metrics();
-        metrics.serialize_us.observe(us);
-        metrics.bodies_serialized.inc();
-    }
+    let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+    let metrics = http_metrics();
+    metrics.serialize_us.observe(us);
+    metrics.bodies_serialized.inc();
     if out.len() <= MAX_RETAINED_BODY_BYTES {
         outcome.offer_wire_body(tag, out);
     }
@@ -791,6 +776,15 @@ fn metrics_endpoint(shared: &Shared, head: &RequestHead, out: &mut String) -> Re
         }
         None => Response::from_error(out, &amber::Error::ShuttingDown),
     }
+}
+
+/// Serializes the tests that move or read the process-wide result-body
+/// series (`amber_http_result_bodies_total`, `amber_result_body_bytes`):
+/// the registry is shared by every test in this binary.
+#[cfg(test)]
+fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -1124,7 +1118,6 @@ mod tests {
 
     #[test]
     fn metrics_endpoint_renders_the_unified_registry() {
-        let _obs = amber_obs::force_enabled(true);
         let http = start_default();
         let (status, _, _) = send(
             http.local_addr(),
@@ -1220,7 +1213,7 @@ mod tests {
 
     #[test]
     fn an_error_after_a_memo_served_answer_carries_only_its_own_text() {
-        let _obs = amber_obs::force_enabled(true);
+        let _serial = crate::registry_lock();
         let memoized = || {
             amber_obs::snapshot()
                 .counter_value("amber_http_result_bodies_total", &[("source", "memoized")])

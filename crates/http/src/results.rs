@@ -659,8 +659,8 @@ mod tests {
     /// with renamed variables sharing the rows — every body equal to the
     /// pure serializers of the outcome it answers.
     fn assert_memo_matches_serializers(o: &QueryOutcome) {
-        // Keep the process-wide body counters to the socket tests.
-        let _off = amber_obs::force_enabled(false);
+        // Not while a socket test counts the process-wide body series.
+        let _serial = crate::registry_lock();
         use crate::Format::{Json, Tsv};
         let (json, tsv) = (sparql_json(o), sparql_tsv(o));
         let sources: Vec<bool> = (0..3)
@@ -713,7 +713,7 @@ mod tests {
 
     #[test]
     fn a_body_over_the_retention_ceiling_is_served_but_not_memoized() {
-        let _off = amber_obs::force_enabled(false);
+        let _serial = crate::registry_lock();
         let iri = format!("http://x/{}", "p".repeat(100));
         let row = [iri.as_str()];
         let rows = vec![&row[..]; 70_000];

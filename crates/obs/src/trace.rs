@@ -87,10 +87,9 @@ const SLOW_LOG_CAPACITY: usize = 16;
 /// A per-session flight recorder: an in-flight trace plus a fixed-size
 /// ring of completed [`QueryTrace`]s and a slow-query log.
 ///
-/// Capture is double-gated: the per-session `enabled` knob **and** the
-/// process-wide [`obs_enabled`](crate::obs_enabled) gate must both be on
-/// before [`begin`](Self::begin) opens a trace; with either off, every
-/// method is a cheap no-op (one branch on an `Option`).
+/// Capture has one switch, the per-session `enabled` knob: it must be on
+/// before [`begin`](Self::begin) opens a trace; with it off, every method
+/// is a cheap no-op (one branch on an `Option`).
 #[derive(Debug)]
 pub struct FlightRecorder {
     enabled: bool,
@@ -137,7 +136,7 @@ impl FlightRecorder {
 
     /// Whether [`begin`](Self::begin) would open a trace right now.
     pub fn is_active(&self) -> bool {
-        self.enabled && crate::obs_enabled()
+        self.enabled
     }
 
     /// Whether a trace is currently open (spans/notes will be captured).
@@ -266,7 +265,6 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_ordered() {
-        let _on = crate::force_enabled(true);
         let mut r = FlightRecorder::new(2);
         r.configure(true, None);
         for i in 0..3 {
@@ -281,7 +279,6 @@ mod tests {
 
     #[test]
     fn slow_log_renders_the_span_tree() {
-        let _on = crate::force_enabled(true);
         let mut r = FlightRecorder::new(4);
         r.configure(true, Some(Duration::ZERO));
         r.begin("slow query");
@@ -300,16 +297,5 @@ mod tests {
         assert!(entry.contains("caches: plan:miss"));
         assert!(entry.contains("degradation steps: 1"));
         assert!(entry.contains("abort: timed out"));
-    }
-
-    #[test]
-    fn env_gate_vetoes_the_session_knob() {
-        let _off = crate::force_enabled(false);
-        let mut r = FlightRecorder::new(4);
-        r.configure(true, Some(Duration::ZERO));
-        assert!(!r.is_active());
-        r.begin("q");
-        assert!(!r.end("completed"));
-        assert_eq!(r.traces().count(), 0);
     }
 }

@@ -20,8 +20,7 @@
 //!   [`ServeConfig::queue_capacity`] queued requests; beyond that,
 //!   [`Server::submit`] fails *immediately* with the typed
 //!   [`Error::Overloaded`] — carrying the observed queue depth and a
-//!   retry-after hint derived from the recent service rate (pair it with
-//!   [`amber_util::jittered_backoff`] on the client) — instead of
+//!   retry-after hint derived from the recent service rate — instead of
 //!   buffering unboundedly or blocking the client;
 //! * **deadline propagation** — [`Server::submit_with`] accepts a total
 //!   admission-to-answer budget ([`SubmitOptions::budget`]); queue wait is
@@ -96,9 +95,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Serving-layer registry handles, resolved once per process. All live
-/// updates are additionally gated on [`amber_obs::obs_enabled`] at the
-/// call sites, so `AMBER_OBS=off` costs one relaxed load per site.
+/// Serving-layer registry handles, resolved once per process.
 struct ServeMetrics {
     /// `amber_serve_queue_depth` — admitted-not-yet-dispatched requests
     /// (mirrors `DispatchState::queued`; updated under the serving lock).
@@ -145,9 +142,6 @@ fn serve_metrics() -> &'static ServeMetrics {
 /// `amber_resident_bytes{part}`. The engine is immutable, so the gauges are
 /// set once, when a server starts serving it.
 fn export_offline_stats(engine: &AmberEngine) {
-    if !amber_obs::obs_enabled() {
-        return;
-    }
     let offline = engine.offline_stats();
     for (stage, time) in offline.stages() {
         let micros = i64::try_from(time.as_micros()).unwrap_or(i64::MAX);
@@ -194,8 +188,7 @@ pub struct ServeConfig {
     pub options: ExecOptions,
     /// Enable each tenant session's flight recorder: per-query span
     /// traces (parse → plan → per-component search → materialize) retained
-    /// in a bounded ring. No-op under `AMBER_OBS=off`. See
-    /// `docs/observability.md`.
+    /// in a bounded ring. See `docs/observability.md`.
     pub trace: bool,
     /// Slow-query threshold: with [`trace`](Self::trace) on, a query
     /// whose wall time reaches this renders its full span tree into the
@@ -237,8 +230,7 @@ pub struct SubmitOptions {
     /// Force the tenant session's flight recorder on for this one request
     /// (span tree retained in the session's trace ring), even when the
     /// server-wide [`ServeConfig::trace`] is off. The session's tracing
-    /// configuration is restored after the request. No-op under
-    /// `AMBER_OBS=off`.
+    /// configuration is restored after the request.
     pub tracing: bool,
 }
 
@@ -455,15 +447,13 @@ impl DispatchState {
             self.queued_dispatches += 1;
             job.admitted.elapsed().as_micros() as u64
         };
-        if amber_obs::obs_enabled() {
-            let m = serve_metrics();
-            m.queue_depth.set(self.queued as i64);
-            m.queue_wait_us.observe(wait_us);
-            if inline {
-                m.inline_dispatches.inc();
-            } else {
-                m.queued_dispatches.inc();
-            }
+        let m = serve_metrics();
+        m.queue_depth.set(self.queued as i64);
+        m.queue_wait_us.observe(wait_us);
+        if inline {
+            m.inline_dispatches.inc();
+        } else {
+            m.queued_dispatches.inc();
         }
         if let Some(order) = &mut self.dispatch_order {
             order.push(Arc::clone(&tenant));
@@ -675,9 +665,7 @@ impl Server {
         }
         if signal.alloc_fail || state.queued >= self.queue_capacity {
             state.rejected += 1;
-            if amber_obs::obs_enabled() {
-                serve_metrics().rejected.inc();
-            }
+            serve_metrics().rejected.inc();
             return Err(Error::Overloaded {
                 capacity: self.queue_capacity,
                 queued: state.queued,
@@ -699,9 +687,7 @@ impl Server {
                 Admission::Admit => false,
                 Admission::Probe => true,
                 Admission::FastFail { cause, retry_after } => {
-                    if amber_obs::obs_enabled() {
-                        serve_metrics().fast_fails.inc();
-                    }
+                    serve_metrics().fast_fails.inc();
                     return Err(Error::CircuitOpen { cause, retry_after });
                 }
             }
@@ -738,9 +724,7 @@ impl Server {
             ticket: Arc::clone(&inner),
         });
         state.queued += 1;
-        if amber_obs::obs_enabled() {
-            serve_metrics().queue_depth.set(state.queued as i64);
-        }
+        serve_metrics().queue_depth.set(state.queued as i64);
         if was_idle {
             state.rotation.push_back(tenant);
         }
@@ -782,8 +766,7 @@ impl Server {
     /// renderable as Prometheus text
     /// ([`render_prometheus`](amber_obs::MetricsSnapshot::render_prometheus))
     /// or JSON ([`render_json`](amber_obs::MetricsSnapshot::render_json)).
-    /// Callable at any time, including mid-run; under `AMBER_OBS=off` the
-    /// engine/serve series simply stay at zero. See
+    /// Callable at any time, including mid-run. See
     /// `docs/observability.md` for the catalog.
     pub fn metrics_snapshot(&self) -> amber_obs::MetricsSnapshot {
         amber_obs::snapshot()
@@ -862,11 +845,9 @@ impl Server {
             }
             state.queued = 0;
             state.rotation.clear();
-            if amber_obs::obs_enabled() {
-                let m = serve_metrics();
-                m.queue_depth.set(0);
-                m.revoked.add(revoked.len() as u64);
-            }
+            let m = serve_metrics();
+            m.queue_depth.set(0);
+            m.revoked.add(revoked.len() as u64);
             revoked
         };
         self.ctx.shared.work_cv.notify_all();
@@ -1132,17 +1113,12 @@ fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcom
             entry.session = session;
             entry.inflight_cancel = None;
             entry.busy = false;
-            let obs = amber_obs::obs_enabled();
             if service_ns.is_some() {
                 entry.served += 1;
-                if obs {
-                    serve_metrics().served.inc();
-                }
+                serve_metrics().served.inc();
             } else {
                 entry.shed += 1;
-                if obs {
-                    serve_metrics().shed.inc();
-                }
+                serve_metrics().shed.inc();
             }
             if let Some(cfg) = &ctx.breaker {
                 let now = Instant::now();
@@ -1150,7 +1126,7 @@ fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcom
                     BreakerVerdict::Success => entry.breaker.record_success(),
                     BreakerVerdict::Failure(cause) => {
                         let tripped = entry.breaker.record_failure(cfg, cause, now);
-                        if tripped && obs {
+                        if tripped {
                             serve_metrics().breaker_trips.inc();
                         }
                     }
@@ -1694,7 +1670,6 @@ mod tests {
         // per-tenant served counts, breaker state, registry metrics —
         // is already readable when the answer is. A client never
         // observes bookkeeping lagging its own request.
-        let _on = amber_obs::force_enabled(true);
         let served_handle =
             amber_obs::counter("amber_serve_requests_total", &[("outcome", "served")]);
         for roundtrip in [VIA_TICKET, VIA_EXECUTE] {
@@ -1738,7 +1713,6 @@ mod tests {
 
     #[test]
     fn slow_query_log_captures_the_span_tree() {
-        let _on = amber_obs::force_enabled(true);
         let engine = demo_engine();
         let server = Server::start(
             Arc::clone(&engine),
@@ -1765,7 +1739,6 @@ mod tests {
 
     #[test]
     fn per_request_tracing_records_and_restores() {
-        let _on = amber_obs::force_enabled(true);
         let engine = demo_engine();
         // Server-wide tracing OFF: only the traced request may record.
         let server = Server::start(

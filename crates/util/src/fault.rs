@@ -284,9 +284,7 @@ fn inject_armed(point: FaultPoint) -> Signal {
         if !splitmix64(spec.seed ^ nonce ^ point.salt()).is_multiple_of(rule.rate) {
             continue;
         }
-        if amber_obs::obs_enabled() {
-            amber_obs::counter("amber_chaos_firings_total", &[("point", point.name())]).inc();
-        }
+        amber_obs::counter("amber_chaos_firings_total", &[("point", point.name())]).inc();
         match rule.kind {
             FaultKind::Panic => {
                 drop(guard);

@@ -19,13 +19,10 @@
 //!   checkpoints as the deadline.
 //! * [`fault`] — the deterministic fault-injection harness
 //!   (`AMBER_CHAOS`), an inlined no-op unless armed.
-//! * [`backoff`] — deterministic jittered exponential backoff for clients
-//!   retrying typed overload rejections.
 //! * [`stats`] — summary statistics for the experiment harness.
 //! * [`http`] — minimal HTTP/1.1 request parsing and SPARQL-results
 //!   escaping, the protocol substrate of the `amber_http` front-end.
 
-pub mod backoff;
 pub mod cancel;
 pub mod fault;
 pub mod fxhash;
@@ -36,7 +33,6 @@ pub mod sorted;
 pub mod stats;
 pub mod timing;
 
-pub use backoff::jittered_backoff;
 pub use cancel::CancelToken;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use genmap::GenerationalMap;

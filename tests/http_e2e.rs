@@ -139,25 +139,23 @@ fn http_round_trip_matches_the_embedded_engine() {
     // /metrics serves the unified registry.
     let (status, _, metrics) = send(addr, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 200);
-    if amber_obs::obs_enabled() {
-        assert!(metrics.contains("amber_http_requests_total"), "{metrics}");
-        // Table 5 from the HTTP surface: what the load cost per stage and
-        // what each structure holds, published when a server starts. (The
-        // registry is process-wide and the other tests here serve other
-        // engines, so the values are checked for presence, not equality.)
-        let offline = engine.offline_stats();
-        for (stage, _) in offline.stages() {
-            let series = format!("amber_offline_stage_us{{stage=\"{stage}\"}} ");
-            assert!(metrics.contains(&series), "{series} missing from {metrics}");
-        }
-        for (part, _) in offline.parts() {
-            let series = format!("amber_resident_bytes{{part=\"{part}\"}} ");
-            let sample = metrics
-                .lines()
-                .find_map(|line| line.strip_prefix(&series))
-                .unwrap_or_else(|| panic!("{series} missing from {metrics}"));
-            assert!(sample.parse::<u64>().is_ok(), "{series}{sample}");
-        }
+    assert!(metrics.contains("amber_http_requests_total"), "{metrics}");
+    // Table 5 from the HTTP surface: what the load cost per stage and what
+    // each structure holds, published when a server starts. (The registry
+    // is process-wide and the other tests here serve other engines, so the
+    // values are checked for presence, not equality.)
+    let offline = engine.offline_stats();
+    for (stage, _) in offline.stages() {
+        let series = format!("amber_offline_stage_us{{stage=\"{stage}\"}} ");
+        assert!(metrics.contains(&series), "{series} missing from {metrics}");
+    }
+    for (part, _) in offline.parts() {
+        let series = format!("amber_resident_bytes{{part=\"{part}\"}} ");
+        let sample = metrics
+            .lines()
+            .find_map(|line| line.strip_prefix(&series))
+            .unwrap_or_else(|| panic!("{series} missing from {metrics}"));
+        assert!(sample.parse::<u64>().is_ok(), "{series}{sample}");
     }
 
     let report = http.shutdown();
@@ -341,7 +339,6 @@ fn large_bodies_arrive_whole_and_reused_buffers_carry_nothing_over() {
 #[test]
 fn repeats_are_sent_from_the_memo_byte_for_byte() {
     let _turn = wire_turn();
-    let _obs = amber_obs::force_enabled(true);
     let engine = Arc::new(AmberEngine::load_ntriples(DATA).unwrap());
     let reference = engine.run(&QueryRequest::sparql(QUERY)).unwrap();
     let (json, tsv) = (

@@ -5,18 +5,15 @@
 //! delta flush (see `crates/core/src/telemetry.rs`), so the two views are
 //! derived from the same counters — these tests pin that the derivation
 //! is *exact*: over batch and concurrent serving workloads, every
-//! registry delta equals the corresponding legacy counter, and under
-//! `AMBER_OBS=off` the registry stays frozen while the legacy counters
-//! keep working.
+//! registry delta equals the corresponding legacy counter, and the cache
+//! gauges equal the sum over live sessions.
 //!
-//! The registry is process-global, so every test takes the
-//! `amber_obs::force_enabled` guard — which both pins the gate for the
-//! test's duration and (being a static mutex) serializes the tests in
-//! this binary against each other.
+//! The registry is process-global, so every test takes [`serial`], which
+//! serializes the tests in this binary against each other.
 
 mod minijson;
 
-use amber::{AmberEngine, Error, ExecOptions, QueryRequest, QueryStatus};
+use amber::{AmberEngine, Error, ExecOptions, QueryRequest, QuerySession, QueryStatus};
 use amber_datagen::skewed::{self, SkewedConfig};
 use amber_http::{HttpConfig, HttpServer};
 use amber_obs::MetricsSnapshot;
@@ -24,8 +21,14 @@ use amber_serve::{BreakerConfig, ServeConfig, Server, SubmitOptions};
 use minijson::Json;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// One test at a time: each reads process-wide series exactly.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn demo_engine() -> Arc<AmberEngine> {
     let triples = "\
@@ -36,6 +39,7 @@ fn demo_engine() -> Arc<AmberEngine> {
 }
 
 const CHAIN: &str = "SELECT * WHERE { ?x <http://e/p> ?y . ?y <http://e/p> ?z . }";
+const BACK_EDGE: &str = "SELECT * WHERE { ?x <http://e/q> ?y . }";
 
 /// Counter delta between two snapshots.
 fn delta(
@@ -82,7 +86,7 @@ fn assert_cache_family(
 
 #[test]
 fn batch_stats_agree_exactly_with_the_registry() {
-    let _on = amber_obs::force_enabled(true);
+    let _serial = serial();
     let config = SkewedConfig {
         children: 24,
         grandchildren: 12,
@@ -193,7 +197,7 @@ fn batch_stats_agree_exactly_with_the_registry() {
 
 #[test]
 fn serve_report_agrees_exactly_with_the_registry() {
-    let _on = amber_obs::force_enabled(true);
+    let _serial = serial();
     let before = amber_obs::snapshot();
     let engine = demo_engine();
     let server = Server::start(
@@ -326,7 +330,7 @@ fn serve_report_agrees_exactly_with_the_registry() {
 
 #[test]
 fn shutdown_now_revocations_reach_the_registry() {
-    let _on = amber_obs::force_enabled(true);
+    let _serial = serial();
     let before = amber_obs::snapshot();
     let engine = demo_engine();
     let server = Server::start(
@@ -360,7 +364,7 @@ fn shutdown_now_revocations_reach_the_registry() {
 
 #[test]
 fn http_body_sources_and_the_memo_gauge_agree_with_the_wire() {
-    let _on = amber_obs::force_enabled(true);
+    let _serial = serial();
     let before = amber_obs::snapshot();
     let engine = demo_engine();
     let body = amber_http::sparql_json(&engine.run(&QueryRequest::sparql(CHAIN)).unwrap());
@@ -441,7 +445,7 @@ fn http_body_sources_and_the_memo_gauge_agree_with_the_wire() {
 
 #[test]
 fn slow_query_log_captures_an_injected_delay_query() {
-    let _on = amber_obs::force_enabled(true);
+    let _serial = serial();
     // Arm a delay on every candidate probe; the chaos firings counter
     // proves the delays actually fired during the traced query.
     let _chaos =
@@ -478,35 +482,80 @@ fn slow_query_log_captures_an_injected_delay_query() {
     assert!(entry.contains("caches:"), "{entry}");
 }
 
+/// `amber_cache_entries` / `amber_cache_bytes` sum over live sessions:
+/// two tenants with different numbers of distinct queries move the gauges
+/// by the sum of their caches, and dropping the sessions (at shutdown)
+/// takes their shares back out. An out-of-query `clear_cache` shows at
+/// the session's next flush.
 #[test]
-fn off_gate_freezes_the_registry_but_not_the_legacy_stats() {
-    let _off = amber_obs::force_enabled(false);
-    let before = amber_obs::snapshot();
+fn cache_gauges_sum_over_live_sessions() {
+    let _serial = serial();
+    let gauges = |s: &MetricsSnapshot, layer: &str| {
+        let l = [("cache", layer)];
+        (
+            s.gauge_value("amber_cache_entries", &l),
+            s.gauge_value("amber_cache_bytes", &l),
+        )
+    };
+    let moved = |before: &MetricsSnapshot, after: &MetricsSnapshot, layer: &str| {
+        let ((e0, b0), (e1, b1)) = (gauges(before, layer), gauges(after, layer));
+        (e1 - e0, b1 - b0)
+    };
     let engine = demo_engine();
-    let query = amber_sparql::parse_select(CHAIN).unwrap();
-    let request = QueryRequest::parsed(&query).with_options(ExecOptions::batch());
-    let batch = engine.run_all(&[request.clone(), request]);
-    assert_eq!(batch.stats.completed, 2, "legacy accounting still works");
-    let after = amber_obs::snapshot();
+    let before = amber_obs::snapshot();
+    let server = Server::start(Arc::clone(&engine), ServeConfig::default());
+    for (tenant, query) in [("a", CHAIN), ("b", CHAIN), ("b", BACK_EDGE)] {
+        server.execute(tenant, query, SubmitOptions::new()).unwrap();
+    }
+    let mid = amber_obs::snapshot();
+    let report = server.shutdown();
+    let results: Vec<usize> = report
+        .tenants
+        .iter()
+        .map(|t| t.plan_stats.results.entries)
+        .collect();
     assert_eq!(
-        delta(
-            &before,
-            &after,
-            "amber_queries_total",
-            &[("status", "completed")]
-        ),
-        0,
-        "the gated flush must not touch the registry"
+        results,
+        [1, 2],
+        "workload sanity: one and two distinct queries"
     );
-    assert_eq!(delta(&before, &after, "amber_pool_runs_total", &[]), 0);
+    for (layer, legacy) in [
+        ("plan", &report.plan_stats.plans),
+        ("result", &report.plan_stats.results),
+    ] {
+        assert_eq!(
+            moved(&before, &mid, layer),
+            (legacy.entries as i64, legacy.result_bytes as i64),
+            "{layer}: the gauges are the sum over both tenants"
+        );
+        assert_eq!(
+            gauges(&amber_obs::snapshot(), layer),
+            gauges(&before, layer),
+            "{layer}: dropped sessions leave the gauges"
+        );
+    }
+
+    let options = ExecOptions::batch();
+    let mut session = engine.create_session(&options);
+    let run = |session: &mut QuerySession, query| {
+        let request = QueryRequest::sparql(query).with_options(options.clone());
+        engine.run_in(&request, session).unwrap();
+    };
+    run(&mut session, CHAIN);
+    run(&mut session, BACK_EDGE);
+    session.clear_cache();
+    run(&mut session, CHAIN);
+    let stats = session.plan_stats().results;
+    assert_eq!(stats.entries, 1, "workload sanity");
     assert_eq!(
-        delta(
-            &before,
-            &after,
-            "amber_serve_requests_total",
-            &[("outcome", "served")]
-        ),
-        0
+        moved(&before, &amber_obs::snapshot(), "result"),
+        (1, stats.result_bytes as i64),
+        "the clear showed at the next flush"
+    );
+    drop(session);
+    assert_eq!(
+        gauges(&amber_obs::snapshot(), "result"),
+        gauges(&before, "result")
     );
 }
 
@@ -531,7 +580,7 @@ const EXPECTED_FAMILIES: &[&str] = &[
 /// with the CI lanes).
 #[test]
 fn canned_snapshot_renders_verify() {
-    let _on = amber_obs::force_enabled(true);
+    let _serial = serial();
     let engine = demo_engine();
     let query = amber_sparql::parse_select(CHAIN).unwrap();
     let request = QueryRequest::parsed(&query).with_options(ExecOptions::batch());

@@ -5,40 +5,49 @@
 //! it. A query vertex `u` with attribute set `u.A` gets its candidates
 //! `C^A_u` by intersecting the lists of all attributes in `u.A` — e.g. the
 //! paper's `C^A_{u5} = {v0}` for `u5.A = {a1, a2}`.
+//!
+//! Layout: one [`Csr`] — a row of vertices per attribute in one exact-size
+//! pool — built by counting sort over the graph's attribute lists (count
+//! each attribute's carriers, then place every vertex in its row).
 
 use amber_multigraph::{AttrId, RdfGraph, VertexId};
-use amber_util::{sorted, HeapSize};
+use amber_util::{sorted, Csr, CsrScatter, HeapSize};
 
 /// Inverted list from attribute id to sorted vertex list.
 #[derive(Debug, Default)]
 pub struct AttributeIndex {
-    lists: Vec<Box<[VertexId]>>,
+    lists: Csr<VertexId>,
 }
 
 impl AttributeIndex {
     /// Build from a loaded graph.
     pub fn build(rdf: &RdfGraph) -> Self {
         let graph = rdf.graph();
-        let mut lists: Vec<Vec<VertexId>> = vec![Vec::new(); rdf.dictionaries().attributes.len()];
+        let mut lengths = vec![0usize; rdf.dictionaries().attributes.len()];
         for v in graph.vertices() {
             for &attr in graph.attributes(v) {
-                lists[attr.index()].push(v);
+                lengths[attr.index()] += 1;
             }
         }
-        // Vertices are visited in increasing id order, so each list is
-        // already sorted and duplicate-free (attribute sets are sets).
-        debug_assert!(lists.iter().all(|l| l.windows(2).all(|w| w[0] < w[1])));
-        Self {
-            lists: lists.into_iter().map(Vec::into_boxed_slice).collect(),
+        let mut lists = CsrScatter::new(lengths, VertexId(0));
+        for v in graph.vertices() {
+            for &attr in graph.attributes(v) {
+                lists.place(attr.index(), v);
+            }
         }
+        // Vertices are placed in increasing id order, so each list is
+        // sorted and duplicate-free (attribute sets are sets).
+        let lists = lists.finish();
+        debug_assert!((0..lists.rows()).all(|a| lists.row(a).windows(2).all(|w| w[0] < w[1])));
+        Self { lists }
     }
 
     /// The sorted vertex list of one attribute (empty for unknown ids).
     pub fn vertices_with(&self, attr: AttrId) -> &[VertexId] {
-        self.lists
-            .get(attr.index())
-            .map(AsRef::as_ref)
-            .unwrap_or(&[])
+        match attr.index() {
+            a if a < self.lists.rows() => self.lists.row(a),
+            _ => &[],
+        }
     }
 
     /// `C^A_u`: vertices carrying *all* of `attrs` (paper §4.1).
@@ -75,7 +84,7 @@ impl AttributeIndex {
 
     /// Number of indexed attributes.
     pub fn attribute_count(&self) -> usize {
-        self.lists.len()
+        self.lists.rows()
     }
 }
 

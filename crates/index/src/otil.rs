@@ -12,60 +12,61 @@
 //! `t ∈ T'` — the operation Algorithms 2 and 4 are built on.
 //!
 //! Instead of one heap-allocated trie per vertex (9M pointer-chasing
-//! allocations on DBPEDIA), the per-vertex tries are flattened into three
-//! CSR-style pools per direction: vertex → its ordered `(edge type, list)`
-//! entries → one shared neighbour pool. Lookups are two binary searches plus
-//! sorted-list intersections; construction is a single pass over the
-//! adjacency.
+//! allocations on DBPEDIA), the per-vertex tries are flattened into two
+//! [`Csr`] levels per direction: vertex → its ordered root types, and root
+//! → its inverted neighbour list. Lookups are two binary searches plus
+//! sorted-list intersections. Construction is a counting pass (how many
+//! roots, how many owners per type) and a filling pass over the adjacency,
+//! so every pool is allocated once at its exact size.
 //!
 //! The same trie roots are also kept **type-major**
 //! ([`NeighborhoodIndex::vertices_with_type`]): per direction and edge type,
 //! the sorted list of vertices that have a root entry for it — a
-//! counting-sort transpose of the root level. That is the exact incidence
-//! list the matcher seeds a component from ("every vertex with an outgoing
-//! `t`"), where the 8-field synopsis of `S` can only say "at least one
-//! outgoing edge, type ids in this range".
+//! counting-sort transpose of the root level, placed during the filling
+//! pass. That is the exact incidence list the matcher seeds a component
+//! from ("every vertex with an outgoing `t`"), where the 8-field synopsis
+//! of `S` can only say "at least one outgoing edge, type ids in this
+//! range".
 
 use amber_multigraph::{DataGraph, Direction, EdgeTypeId, VertexId};
-use amber_util::{sorted, HeapSize};
-
-/// One `(edge type → inverted neighbour list)` trie root entry.
-#[derive(Debug, Clone, Copy)]
-struct TypeEntry {
-    edge_type: EdgeTypeId,
-    /// Where the entry's list starts in `DirIndex::neighbor_pool`; it ends
-    /// where the next entry's starts (lists are laid out in entry order).
-    start: u32,
-}
+use amber_util::{sorted, Csr, CsrBuilder, CsrScatter, HeapSize};
 
 /// The flattened OTIL forest for one direction.
 #[derive(Debug)]
 struct DirIndex {
-    /// `vertex_offsets[v]..vertex_offsets[v+1]` indexes `type_entries`.
-    vertex_offsets: Vec<u32>,
-    /// Per vertex: entries ordered by edge type (the "ordered" of OTIL),
-    /// followed by one sentinel whose `start` is the pool length so that
-    /// every real entry has a successor.
-    type_entries: Vec<TypeEntry>,
-    /// Sorted neighbour ids per type entry (the inverted lists).
-    neighbor_pool: Vec<VertexId>,
-    /// `type_offsets[t]..type_offsets[t+1]` indexes `type_vertices`.
-    type_offsets: Vec<u32>,
-    /// Per edge type: the sorted vertices owning a `type_entries` record
-    /// for it (the root level transposed).
-    type_vertices: Vec<VertexId>,
+    /// Per vertex: the edge types of its trie roots, ascending (the
+    /// "ordered" of OTIL). Root `r` is item `r` of this pool.
+    roots: Csr<EdgeTypeId>,
+    /// Per root: the sorted neighbours reached through its type (the
+    /// inverted lists). A vertex's lists lie back to back.
+    lists: Csr<VertexId>,
+    /// Per edge type: the sorted vertices owning a root for it (the root
+    /// level transposed).
+    type_vertices: Csr<VertexId>,
 }
 
 impl DirIndex {
     fn build(graph: &DataGraph, direction: Direction) -> Self {
-        let n = graph.vertex_count();
-        let mut vertex_offsets = Vec::with_capacity(n + 1);
-        let mut type_entries = Vec::new();
-        let mut neighbor_pool = Vec::new();
+        // Counting pass: a vertex owns one root per distinct type among
+        // its multi-edges; `last_owner[t]` is the last vertex counted for t.
+        let mut last_owner = vec![u32::MAX; graph.edge_type_count()];
+        let mut owners = vec![0usize; graph.edge_type_count()];
+        for v in graph.vertices() {
+            for entry in graph.edges(v, direction) {
+                for t in entry.types.types() {
+                    if std::mem::replace(&mut last_owner[t.index()], v.0) != v.0 {
+                        owners[t.index()] += 1;
+                    }
+                }
+            }
+        }
+        let root_count = owners.iter().sum();
+        let mut roots = CsrBuilder::with_capacity(graph.vertex_count(), root_count);
+        // Every edge instance appears in exactly one list per direction.
+        let mut lists = CsrBuilder::with_capacity(root_count, graph.edge_instance_count());
+        let mut type_vertices = CsrScatter::new(owners, VertexId(0));
         // Scratch: (type, neighbor) pairs of one vertex.
         let mut pairs: Vec<(EdgeTypeId, VertexId)> = Vec::new();
-
-        vertex_offsets.push(0);
         for v in graph.vertices() {
             pairs.clear();
             for entry in graph.edges(v, direction) {
@@ -73,50 +74,32 @@ impl DirIndex {
                     pairs.push((t, entry.neighbor));
                 }
             }
-            // Group by type; neighbours within a type come out sorted because
-            // adjacency is sorted by neighbour and the sort is stable.
-            pairs.sort_by_key(|&(t, _)| t);
-            let mut i = 0;
-            while i < pairs.len() {
-                let edge_type = pairs[i].0;
-                let start = neighbor_pool.len() as u32;
-                while i < pairs.len() && pairs[i].0 == edge_type {
-                    neighbor_pool.push(pairs[i].1);
-                    i += 1;
-                }
-                type_entries.push(TypeEntry { edge_type, start });
+            // Group by type, neighbours ascending within a type (each
+            // neighbour occurs once per type, so the pairs are distinct).
+            pairs.sort_unstable();
+            for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+                let edge_type = run[0].0;
+                roots.push(edge_type);
+                // Vertices are visited in id order: each row comes out sorted.
+                type_vertices.place(edge_type.index(), v);
+                run.iter().for_each(|&(_, neighbor)| lists.push(neighbor));
+                lists.end_row();
             }
-            vertex_offsets.push(type_entries.len() as u32);
+            roots.end_row();
         }
-        let (type_offsets, type_vertices) = transpose(&vertex_offsets, &type_entries);
-        type_entries.push(TypeEntry {
-            edge_type: EdgeTypeId(u32::MAX),
-            start: neighbor_pool.len() as u32,
-        });
         Self {
-            vertex_offsets,
-            type_entries,
-            neighbor_pool,
-            type_offsets,
-            type_vertices,
+            roots: roots.finish(),
+            lists: lists.finish(),
+            type_vertices: type_vertices.finish(),
         }
-    }
-
-    /// The range of `v`'s records in `type_entries`.
-    fn entry_range(&self, v: VertexId) -> std::ops::Range<usize> {
-        self.vertex_offsets[v.index()] as usize..self.vertex_offsets[v.index() + 1] as usize
     }
 
     /// The inverted list of `(v, edge_type)`.
+    #[inline]
     fn list(&self, v: VertexId, edge_type: EdgeTypeId) -> &[VertexId] {
-        let range = self.entry_range(v);
-        let entries = &self.type_entries[range.clone()];
-        match entries.binary_search_by_key(&edge_type, |e| e.edge_type) {
-            Ok(i) => {
-                let at = range.start + i;
-                let (start, end) = (self.type_entries[at].start, self.type_entries[at + 1].start);
-                &self.neighbor_pool[start as usize..end as usize]
-            }
+        let range = self.roots.range(v.index());
+        match self.roots.items()[range.clone()].binary_search(&edge_type) {
+            Ok(i) => self.lists.row(range.start + i),
             Err(_) => &[],
         }
     }
@@ -124,60 +107,21 @@ impl DirIndex {
     /// Every inverted list of `v` back to back (one sorted run per edge
     /// type; a neighbour reached through several types repeats).
     fn all_lists(&self, v: VertexId) -> &[VertexId] {
-        let range = self.entry_range(v);
-        let (start, end) = (
-            self.type_entries[range.start].start,
-            self.type_entries[range.end].start,
-        );
-        &self.neighbor_pool[start as usize..end as usize]
+        self.lists.span(self.roots.range(v.index()))
     }
 
     /// The vertices owning an inverted list for `edge_type`, sorted.
     fn vertices_with_type(&self, edge_type: EdgeTypeId) -> &[VertexId] {
-        let t = edge_type.index();
-        if t >= self.type_offsets.len() - 1 {
-            return &[]; // a type the graph never uses
-        }
-        &self.type_vertices[self.type_offsets[t] as usize..self.type_offsets[t + 1] as usize]
-    }
-}
-
-/// Counting-sort transpose of the trie roots: `(offsets, vertices)` with
-/// `vertices[offsets[t]..offsets[t + 1]]` the owners of a type-`t` entry.
-/// Owners come out ascending (vertices are visited in id order) and
-/// duplicate-free (a vertex has one entry per type).
-fn transpose(vertex_offsets: &[u32], type_entries: &[TypeEntry]) -> (Vec<u32>, Vec<VertexId>) {
-    let type_count = type_entries
-        .iter()
-        .map(|e| e.edge_type.index() + 1)
-        .max()
-        .unwrap_or(0);
-    let mut offsets = vec![0u32; type_count + 1];
-    for e in type_entries {
-        offsets[e.edge_type.index() + 1] += 1;
-    }
-    for t in 0..type_count {
-        offsets[t + 1] += offsets[t];
-    }
-    let mut cursor = offsets.clone();
-    let mut vertices = vec![VertexId(0); type_entries.len()];
-    for (v, range) in vertex_offsets.windows(2).enumerate() {
-        for e in &type_entries[range[0] as usize..range[1] as usize] {
-            let slot = &mut cursor[e.edge_type.index()];
-            vertices[*slot as usize] = VertexId::from_index(v);
-            *slot += 1;
+        match edge_type.index() {
+            t if t < self.type_vertices.rows() => self.type_vertices.row(t),
+            _ => &[], // a type the graph never uses
         }
     }
-    (offsets, vertices)
 }
 
 impl HeapSize for DirIndex {
     fn heap_size(&self) -> usize {
-        self.vertex_offsets.heap_size()
-            + self.type_entries.capacity() * std::mem::size_of::<TypeEntry>()
-            + self.neighbor_pool.heap_size()
-            + self.type_offsets.heap_size()
-            + self.type_vertices.heap_size()
+        self.roots.heap_size() + self.lists.heap_size() + self.type_vertices.heap_size()
     }
 }
 
@@ -364,7 +308,7 @@ impl NeighborhoodIndex {
     pub fn has_neighbor(&self, v: VertexId, direction: Direction, required: &[EdgeTypeId]) -> bool {
         let dir = self.dir(direction);
         match required {
-            [] => !dir.entry_range(v).is_empty(),
+            [] => !dir.roots.row(v.index()).is_empty(),
             [t] => !dir.list(v, *t).is_empty(),
             [a, b] => sorted::intersects(dir.list(v, *a), dir.list(v, *b)),
             many => {

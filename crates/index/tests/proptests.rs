@@ -7,7 +7,8 @@ use amber_multigraph::{
     AttrId, Direction, EdgeTypeId, RdfGraph, Synopsis, VertexId, VertexSignature,
 };
 use proptest::prelude::*;
-use rdf_model::{Iri, Literal, Triple};
+use rdf_model::{Iri, Literal, Object, Triple};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn arb_synopsis() -> impl Strategy<Value = Synopsis> {
     prop::array::uniform8(-8i64..8).prop_map(Synopsis)
@@ -211,5 +212,148 @@ proptest! {
             .collect();
         expected.sort_unstable();
         prop_assert_eq!(index.candidates(&attrs).unwrap(), expected);
+    }
+}
+
+/// A random graph with dense parallel predicates (so most vertex pairs
+/// carry multi-type edges), self-loops and attributes.
+fn arb_mixed_triples() -> impl Strategy<Value = Vec<Triple>> {
+    prop::collection::vec((0u8..10, 0u8..5, 0u8..10, 0u8..4), 1..150).prop_map(|rows| {
+        rows.into_iter()
+            .map(|(s, p, o, kind)| match kind {
+                0 => Triple::new(
+                    Iri::new(format!("http://v/{s}")),
+                    Iri::new(format!("http://p/{p}")),
+                    Literal::plain(format!("val{}", o % 4)),
+                ),
+                _ => Triple::resource(
+                    &format!("http://v/{s}"),
+                    &format!("http://p/{p}"),
+                    &format!("http://v/{o}"),
+                ),
+            })
+            .collect()
+    })
+}
+
+/// The naive reference: per vertex and direction, `neighbour → type set`,
+/// and per vertex its attribute set, read straight off the triples.
+struct Reference {
+    adjacency: [Vec<BTreeMap<VertexId, BTreeSet<EdgeTypeId>>>; 2],
+    attributes: Vec<BTreeSet<AttrId>>,
+}
+
+impl Reference {
+    fn of(rdf: &RdfGraph, triples: &[Triple]) -> Self {
+        let n = rdf.graph().vertex_count();
+        let mut adjacency: [Vec<BTreeMap<VertexId, BTreeSet<EdgeTypeId>>>; 2] =
+            [vec![BTreeMap::new(); n], vec![BTreeMap::new(); n]];
+        let mut attributes = vec![BTreeSet::new(); n];
+        for triple in triples {
+            let s = rdf.vertex_by_key(&triple.subject.dictionary_key()).unwrap();
+            let p = triple.predicate.as_str();
+            match &triple.object {
+                Object::Literal(literal) => {
+                    let a = rdf.dictionaries().attribute(p, literal).unwrap();
+                    attributes[s.index()].insert(a);
+                }
+                Object::Iri(o) => {
+                    let o = rdf.vertex_by_key(o.as_str()).unwrap();
+                    let t = rdf.edge_type_by_iri(p).unwrap();
+                    let [incoming, outgoing] = &mut adjacency;
+                    outgoing[s.index()].entry(o).or_default().insert(t);
+                    incoming[o.index()].entry(s).or_default().insert(t);
+                }
+                Object::Blank(_) => unreachable!("no blank nodes generated"),
+            }
+        }
+        Self {
+            adjacency,
+            attributes,
+        }
+    }
+
+    fn neighbors(&self, v: VertexId, dir: Direction, required: &[EdgeTypeId]) -> Vec<VertexId> {
+        let side = usize::from(dir == Direction::Outgoing);
+        self.adjacency[side][v.index()]
+            .iter()
+            .filter(|(_, types)| required.iter().all(|t| types.contains(t)))
+            .map(|(&w, _)| w)
+            .collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every lookup of the CSR-laid-out graph and indexes equals the naive
+    /// reference: adjacency and attribute rows, `neighbors_with_type`,
+    /// `vertices_with_type`, `probe` and `has_neighbor` for type sets of
+    /// size 0–3, and `AttributeIndex::vertices_with`.
+    #[test]
+    fn csr_layout_matches_a_naive_reference(triples in arb_mixed_triples()) {
+        let rdf = RdfGraph::from_triples(&triples);
+        let graph = rdf.graph();
+        let reference = Reference::of(&rdf, &triples);
+        let n = NeighborhoodIndex::build(graph);
+        let type_count = graph.edge_type_count() as u32;
+        let mut type_sets: Vec<Vec<EdgeTypeId>> = vec![vec![]];
+        for a in 0..=type_count {
+            type_sets.push(vec![EdgeTypeId(a)]);
+            for b in a + 1..type_count {
+                type_sets.push(vec![EdgeTypeId(a), EdgeTypeId(b)]);
+                for c in b + 1..type_count {
+                    type_sets.push(vec![EdgeTypeId(a), EdgeTypeId(b), EdgeTypeId(c)]);
+                }
+            }
+        }
+        let mut spill = Vec::new();
+        for dir in [Direction::Incoming, Direction::Outgoing] {
+            for v in graph.vertices() {
+                let side = usize::from(dir == Direction::Outgoing);
+                let rows: Vec<(VertexId, Vec<EdgeTypeId>)> = graph
+                    .edges(v, dir)
+                    .iter()
+                    .map(|e| (e.neighbor, e.types.types().to_vec()))
+                    .collect();
+                let expected: Vec<(VertexId, Vec<EdgeTypeId>)> = reference.adjacency[side]
+                    [v.index()]
+                    .iter()
+                    .map(|(&w, types)| (w, types.iter().copied().collect()))
+                    .collect();
+                prop_assert_eq!(rows, expected);
+                for required in &type_sets {
+                    let expected = reference.neighbors(v, dir, required);
+                    if let [t] = required[..] {
+                        prop_assert_eq!(n.neighbors_with_type(v, dir, t), &expected[..]);
+                    }
+                    let probed = n.probe(v, dir, required, &mut spill);
+                    prop_assert_eq!(probed.as_slice(&spill), &expected[..]);
+                    prop_assert_eq!(n.has_neighbor(v, dir, required), !expected.is_empty());
+                }
+            }
+            // One id past the dictionary: a type the graph never uses.
+            for t in (0..=type_count).map(EdgeTypeId) {
+                let expected: Vec<VertexId> = graph
+                    .vertices()
+                    .filter(|&v| !reference.neighbors(v, dir, &[t]).is_empty())
+                    .collect();
+                prop_assert_eq!(n.vertices_with_type(dir, t), &expected[..]);
+            }
+        }
+
+        let attributes = AttributeIndex::build(&rdf);
+        for v in graph.vertices() {
+            let expected: Vec<AttrId> = reference.attributes[v.index()].iter().copied().collect();
+            prop_assert_eq!(graph.attributes(v), &expected[..]);
+        }
+        let attribute_count = rdf.dictionaries().attributes.len() as u32;
+        for a in (0..=attribute_count).map(AttrId) {
+            let expected: Vec<VertexId> = graph
+                .vertices()
+                .filter(|v| reference.attributes[v.index()].contains(&a))
+                .collect();
+            prop_assert_eq!(attributes.vertices_with(a), &expected[..]);
+        }
     }
 }

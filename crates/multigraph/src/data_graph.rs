@@ -6,9 +6,16 @@
 //! pairs). Adjacency is stored twice (outgoing and incoming), sorted by
 //! neighbour id, so both edge directions resolve with a binary search.
 //! `DataGraph::assemble` builds all of it from flat, unordered id tuples.
+//!
+//! Layout: each of the three per-vertex structures (outgoing adjacency,
+//! incoming adjacency, attribute sets) is one [`Csr`] — one exact-size
+//! item pool plus `u32` row offsets — so the graph makes six allocations
+//! however many vertices it has, and its heap-byte ledger is what it
+//! occupies. A [`MultiEdge`] with one type (nearly all of them) is held
+//! inline in its [`AdjEntry`]; only multi-type edges own a box.
 
 use crate::ids::{AttrId, EdgeTypeId, VertexId};
-use amber_util::HeapSize;
+use amber_util::{Csr, CsrBuilder, CsrScatter, HeapSize};
 
 /// Edge direction relative to a vertex.
 ///
@@ -43,48 +50,98 @@ impl Direction {
 /// A multi-edge: the sorted, deduplicated set of edge types between one
 /// ordered vertex pair (paper §2.1.1 — "multiple edges (predicates) can
 /// appear between the same pair of vertices").
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct MultiEdge(Box<[EdgeTypeId]>);
+///
+/// Almost every multi-edge of real data carries one type (DBpedia-like
+/// data: 603,880 type instances in 603,246 multi-edges), so a single type
+/// is held inline and owns no heap; two or more live in a boxed slice.
+/// Equality, order and hashing are those of [`Self::types`], whichever
+/// form holds them.
+#[derive(Debug, Clone)]
+pub struct MultiEdge(Types);
+
+#[derive(Debug, Clone)]
+enum Types {
+    One(EdgeTypeId),
+    Many(Box<[EdgeTypeId]>),
+}
 
 impl MultiEdge {
     /// Build from an arbitrary list of types (sorted + deduplicated here).
     pub fn new(mut types: Vec<EdgeTypeId>) -> Self {
         types.sort_unstable();
         types.dedup();
-        Self(types.into_boxed_slice())
+        match *types {
+            [t] => Self(Types::One(t)),
+            _ => Self(Types::Many(types.into_boxed_slice())),
+        }
     }
 
     /// The sorted edge types.
+    #[inline]
     pub fn types(&self) -> &[EdgeTypeId] {
-        &self.0
+        match &self.0 {
+            Types::One(t) => std::slice::from_ref(t),
+            Types::Many(types) => types,
+        }
     }
 
     /// Number of edge types in the multi-edge (its cardinality, the paper's
     /// `|σ(u)_j|`).
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.types().len()
     }
 
     /// `true` when the multi-edge carries no types (never stored).
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.types().is_empty()
     }
 
     /// Does this multi-edge contain every type of `other`? (the `⊆` of
     /// Definition 2, condition 2)
     pub fn contains_all(&self, other: &[EdgeTypeId]) -> bool {
-        amber_util::sorted::is_subset(other, &self.0)
+        amber_util::sorted::is_subset(other, self.types())
     }
 
     /// Membership test for one type.
     pub fn contains(&self, t: EdgeTypeId) -> bool {
-        self.0.binary_search(&t).is_ok()
+        self.types().binary_search(&t).is_ok()
+    }
+}
+
+// By `types()`, not derived: a derived order would rank the inline form
+// before the boxed one whatever the types.
+impl PartialEq for MultiEdge {
+    fn eq(&self, other: &Self) -> bool {
+        self.types() == other.types()
+    }
+}
+
+impl Eq for MultiEdge {}
+
+impl PartialOrd for MultiEdge {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for MultiEdge {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.types().cmp(other.types())
+    }
+}
+
+impl std::hash::Hash for MultiEdge {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.types().hash(state);
     }
 }
 
 impl HeapSize for MultiEdge {
     fn heap_size(&self) -> usize {
-        self.0.heap_size()
+        match &self.0 {
+            Types::One(_) => 0,
+            Types::Many(types) => types.heap_size(),
+        }
     }
 }
 
@@ -113,14 +170,12 @@ impl HeapSize for AdjEntry {
 /// The data multigraph `G = (V, E, L_V, L_E)`.
 #[derive(Debug, Clone, Default)]
 pub struct DataGraph {
-    /// Outgoing adjacency per vertex, sorted by neighbour.
-    out_adj: Vec<Box<[AdjEntry]>>,
-    /// Incoming adjacency per vertex, sorted by neighbour.
-    in_adj: Vec<Box<[AdjEntry]>>,
-    /// Sorted attribute set per vertex (`L_V`).
-    attrs: Vec<Box<[AttrId]>>,
-    /// Count of directed vertex pairs with at least one edge (`|E|`).
-    edge_pair_count: usize,
+    /// Outgoing adjacency, one row per vertex, sorted by neighbour.
+    out_adj: Csr<AdjEntry>,
+    /// Incoming adjacency, one row per vertex, sorted by neighbour.
+    in_adj: Csr<AdjEntry>,
+    /// Sorted attribute set, one row per vertex (`L_V`).
+    attrs: Csr<AttrId>,
     /// Count of `(pair, type)` edges, i.e. resource triples.
     edge_instance_count: usize,
     /// Number of distinct edge types used (`|T|`).
@@ -135,10 +190,12 @@ impl DataGraph {
     /// This is the one place adjacency is built — the triple builder and
     /// the snapshot loader both end here. The tuples are sorted and
     /// deduplicated, which groups each vertex pair's types into one sorted
-    /// run; a counting pass sizes every per-vertex list, so each is
-    /// allocated once at its final length; a second pass cuts the runs into
-    /// multi-edges, visiting pairs in `(from, to)` order so both the
-    /// outgoing and the incoming lists come out sorted by neighbour.
+    /// run. A counting pass takes both degrees of every vertex; a second
+    /// pass cuts the runs into multi-edges in `(from, to)` order, appending
+    /// each to the outgoing pool and placing its mirror in the incoming
+    /// pool by counting sort, so both come out sorted by neighbour and at
+    /// their exact size. The sorted attribute tuples are cut into rows the
+    /// same way.
     pub(crate) fn assemble(
         vertex_count: usize,
         mut edges: Vec<(VertexId, VertexId, EdgeTypeId)>,
@@ -159,45 +216,55 @@ impl DataGraph {
             in_degree[pair[0].1.index()] += 1;
         }
         let edge_pair_count = out_degree.iter().sum();
-        let sized = |degrees: Vec<usize>| -> Vec<Vec<AdjEntry>> {
-            degrees.into_iter().map(Vec::with_capacity).collect()
+        let mut out_adj = CsrBuilder::with_capacity(vertex_count, edge_pair_count);
+        let placeholder = AdjEntry {
+            neighbor: VertexId(0),
+            types: MultiEdge(Types::One(EdgeTypeId(0))),
         };
-        let (mut out_adj, mut in_adj) = (sized(out_degree), sized(in_degree));
-        for pair in edges.chunk_by(same_pair) {
-            let (from, to, _) = pair[0];
-            let types = MultiEdge(pair.iter().map(|&(_, _, t)| t).collect());
-            out_adj[from.index()].push(AdjEntry {
-                neighbor: to,
-                types: types.clone(),
-            });
-            in_adj[to.index()].push(AdjEntry {
-                neighbor: from,
-                types,
-            });
+        let mut in_adj = CsrScatter::new(in_degree, placeholder);
+        let mut pairs = edges.chunk_by(same_pair);
+        for (from, degree) in out_degree.into_iter().enumerate() {
+            for pair in pairs.by_ref().take(degree) {
+                let types = match *pair {
+                    [(_, _, t)] => MultiEdge(Types::One(t)),
+                    _ => MultiEdge(Types::Many(pair.iter().map(|&(_, _, t)| t).collect())),
+                };
+                let (_, to, _) = pair[0];
+                in_adj.place(
+                    to.index(),
+                    AdjEntry {
+                        neighbor: VertexId::from_index(from),
+                        types: types.clone(),
+                    },
+                );
+                out_adj.push(AdjEntry {
+                    neighbor: to,
+                    types,
+                });
+            }
+            out_adj.end_row();
         }
-        // Filled to capacity, so boxing does not reallocate.
-        let boxed = |adj: Vec<Vec<AdjEntry>>| -> Vec<Box<[AdjEntry]>> {
-            adj.into_iter().map(Vec::into_boxed_slice).collect()
-        };
 
         attrs.sort_unstable();
         attrs.dedup();
+        let mut attr_rows = CsrBuilder::with_capacity(vertex_count, attrs.len());
         let mut rest = attrs.as_slice();
-        let attrs = (0..vertex_count)
-            .map(|v| {
-                let mine = rest.iter().take_while(|(owner, _)| owner.index() == v);
-                let (mine, tail) = rest.split_at(mine.count());
-                rest = tail;
-                mine.iter().map(|&(_, attr)| attr).collect()
-            })
-            .collect();
+        for v in 0..vertex_count {
+            let mine = rest
+                .iter()
+                .take_while(|(owner, _)| owner.index() == v)
+                .count();
+            let (mine, tail) = rest.split_at(mine);
+            mine.iter().for_each(|&(_, attr)| attr_rows.push(attr));
+            attr_rows.end_row();
+            rest = tail;
+        }
         assert!(rest.is_empty(), "attribute owner beyond the vertex count");
 
         Self {
-            out_adj: boxed(out_adj),
-            in_adj: boxed(in_adj),
-            attrs,
-            edge_pair_count,
+            out_adj: out_adj.finish(),
+            in_adj: in_adj.finish(),
+            attrs: attr_rows.finish(),
             edge_instance_count: edges.len(),
             edge_type_count,
         }
@@ -205,13 +272,13 @@ impl DataGraph {
 
     /// Number of vertices `|V|`.
     pub fn vertex_count(&self) -> usize {
-        self.out_adj.len()
+        self.out_adj.rows()
     }
 
     /// Number of directed vertex pairs carrying a multi-edge (`|E|` — the
     /// "# Edges" column of Table 4).
     pub fn edge_pair_count(&self) -> usize {
-        self.edge_pair_count
+        self.out_adj.items().len()
     }
 
     /// Number of `(pair, edge-type)` instances — the resource-triple count.
@@ -231,12 +298,12 @@ impl DataGraph {
 
     /// The outgoing adjacency of `v` (sorted by neighbour).
     pub fn out_edges(&self, v: VertexId) -> &[AdjEntry] {
-        &self.out_adj[v.index()]
+        self.out_adj.row(v.index())
     }
 
     /// The incoming adjacency of `v` (sorted by neighbour).
     pub fn in_edges(&self, v: VertexId) -> &[AdjEntry] {
-        &self.in_adj[v.index()]
+        self.in_adj.row(v.index())
     }
 
     /// Adjacency of `v` in the given direction.
@@ -249,7 +316,7 @@ impl DataGraph {
 
     /// The multi-edge of the directed pair `(from, to)`, if present.
     pub fn multi_edge(&self, from: VertexId, to: VertexId) -> Option<&MultiEdge> {
-        let adj = &self.out_adj[from.index()];
+        let adj = self.out_edges(from);
         adj.binary_search_by_key(&to, |e| e.neighbor)
             .ok()
             .map(|i| &adj[i].types)
@@ -264,19 +331,19 @@ impl DataGraph {
 
     /// The sorted attribute set of `v` (`L_V(v)`).
     pub fn attributes(&self, v: VertexId) -> &[AttrId] {
-        &self.attrs[v.index()]
+        self.attrs.row(v.index())
     }
 
     /// Does `v` own every attribute in (sorted) `required`?
     /// (Definition 2, condition 1.)
     pub fn has_attributes(&self, v: VertexId, required: &[AttrId]) -> bool {
-        amber_util::sorted::is_subset(required, &self.attrs[v.index()])
+        amber_util::sorted::is_subset(required, self.attributes(v))
     }
 
     /// Undirected degree: number of distinct neighbours over both directions.
     pub fn degree(&self, v: VertexId) -> usize {
-        let out = self.out_adj[v.index()].iter().map(|e| e.neighbor);
-        let inc = self.in_adj[v.index()].iter().map(|e| e.neighbor);
+        let out = self.out_edges(v).iter().map(|e| e.neighbor);
+        let inc = self.in_edges(v).iter().map(|e| e.neighbor);
         // Both lists are sorted; count the union by merging.
         let mut count = 0;
         let mut out = out.peekable();
@@ -320,7 +387,7 @@ impl DataGraph {
         self.out_adj.heap_size() + self.in_adj.heap_size()
     }
 
-    /// Heap bytes of the per-vertex attribute lists.
+    /// Heap bytes of the attribute lists.
     pub fn attribute_heap_size(&self) -> usize {
         self.attrs.heap_size()
     }
@@ -417,6 +484,20 @@ mod tests {
         assert!(!m.contains(EdgeTypeId(2)));
         assert!(m.contains_all(&[EdgeTypeId(1)]));
         assert!(!m.contains_all(&[EdgeTypeId(1), EdgeTypeId(2)]));
+    }
+
+    #[test]
+    fn one_type_is_inline_and_the_entry_stays_24_bytes() {
+        let one = t(&[4]);
+        let two = t(&[4, 1]);
+        assert_eq!((one.heap_size(), two.heap_size()), (0, 8));
+        assert_eq!(one.types(), [EdgeTypeId(4)]);
+        assert_eq!(two.types(), [EdgeTypeId(1), EdgeTypeId(4)]);
+        assert!(t(&[]).is_empty());
+        // The one-type form sits in the box's length word, behind the
+        // null-pointer niche: no tag word is added.
+        assert_eq!(std::mem::size_of::<MultiEdge>(), 16);
+        assert_eq!(std::mem::size_of::<AdjEntry>(), 24);
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //! builder produces and go through the same `DataGraph::assemble`. No count
 //! or length field sizes an allocation — vectors grow by what was actually
 //! read — and an image that would restore into a graph the engine could
-//! misread (a repeated dictionary key, a multi-edge without types,
-//! neighbours out of order, an id past its table) ends in
+//! misread (a repeated dictionary key, a literal key spelled with an
+//! `xsd:string` datatype the canonical form omits, a multi-edge without
+//! types, neighbours out of order, an id past its table) ends in
 //! [`SnapshotError::CorruptIds`].
 
 use crate::builder::{GraphConfig, RdfGraph};
@@ -41,6 +42,7 @@ use crate::data_graph::DataGraph;
 use crate::dictionary::{Dictionaries, Dictionary};
 use crate::ids::{AttrId, EdgeTypeId, VertexId};
 use bytes::{Buf, BufMut, BytesMut};
+use rdf_model::XSD_STRING;
 use std::fmt;
 
 const MAGIC: &[u8; 4] = b"AMBR";
@@ -58,8 +60,9 @@ pub enum SnapshotError {
     /// A dictionary entry is not valid UTF-8.
     BadUtf8,
     /// The image is well-formed but inconsistent: an id references past
-    /// its table, a dictionary key repeats, a multi-edge has no types, or
-    /// a vertex's neighbours are not strictly ascending.
+    /// its table, a dictionary key repeats, a literal key carries the
+    /// `xsd:string` datatype its canonical form omits, a multi-edge has no
+    /// types, or a vertex's neighbours are not strictly ascending.
     CorruptIds,
 }
 
@@ -118,6 +121,17 @@ fn take_u64(buf: &mut &[u8]) -> Result<u64, SnapshotError> {
         return Err(SnapshotError::Truncated);
     }
     Ok(buf.get_u64_le())
+}
+
+/// Is `key` a literal spelled with an `xsd:string` datatype? The builder
+/// never composes one (the canonical form omits that datatype), so a query
+/// could never reach it.
+fn is_unnormalized_literal(key: &str) -> bool {
+    key.starts_with('"')
+        && key
+            .strip_suffix('>')
+            .and_then(|rest| rest.strip_suffix(XSD_STRING))
+            .is_some_and(|rest| rest.ends_with("\"^^<"))
 }
 
 impl RdfGraph {
@@ -183,6 +197,21 @@ impl RdfGraph {
             edge_types,
             attributes,
         };
+
+        let literal_vertices = config.literals_as_vertices.then_some(&dicts.vertices);
+        let unnormalized = dicts
+            .attributes
+            .iter()
+            .filter_map(|(_, key)| key.split_once('\u{0}').map(|(_, literal)| literal))
+            .chain(
+                literal_vertices
+                    .into_iter()
+                    .flat_map(|d| d.iter().map(|(_, key)| key)),
+            )
+            .any(is_unnormalized_literal);
+        if unnormalized {
+            return Err(SnapshotError::CorruptIds);
+        }
 
         let vertex_count = take_u32(buf)? as usize;
         if vertex_count != dicts.vertices.len() {
@@ -457,6 +486,46 @@ mod tests {
                 restore(dicts, &adjacency, &attrs).unwrap_err(),
                 SnapshotError::CorruptIds
             );
+        }
+    }
+
+    #[test]
+    fn rejects_a_literal_key_spelled_with_xsd_string() {
+        let (adjacency, attrs) = tables();
+        let spelled = "p\u{0}\"x\"^^<http://www.w3.org/2001/XMLSchema#string>";
+        for (attribute, expected) in [
+            (spelled, Err(SnapshotError::CorruptIds)),
+            ("p\u{0}\"x\"", Ok(())),
+            (
+                "p\u{0}\"x\"^^<http://www.w3.org/2001/XMLSchema#integer>",
+                Ok(()),
+            ),
+            (
+                "p\u{0}\"x^^<http://www.w3.org/2001/XMLSchema#string>\"",
+                Ok(()),
+            ),
+        ] {
+            let dicts = [DICTS[0], DICTS[1], &[attribute, "a1"]];
+            let restored = restore(dicts, &adjacency, &attrs).map(|_| ());
+            assert_eq!(restored, expected, "{attribute:?}");
+        }
+        // A literal vertex, in the mode that makes literals vertices.
+        let vertices: &[&str] = &[
+            "v0",
+            "\"x\"^^<http://www.w3.org/2001/XMLSchema#string>",
+            "v2",
+        ];
+        for (literals_as_vertices, expected) in
+            [(true, Err(SnapshotError::CorruptIds)), (false, Ok(()))]
+        {
+            let image = test_support::encode_image(
+                literals_as_vertices,
+                4,
+                [vertices, DICTS[1], DICTS[2]],
+                &adjacency,
+                &attrs,
+            );
+            assert_eq!(RdfGraph::from_snapshot(&image).map(|_| ()), expected);
         }
     }
 

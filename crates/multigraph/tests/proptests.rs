@@ -1,9 +1,14 @@
 //! Property-based tests for the multigraph substrate: builder invariants,
 //! snapshot round-trips, signature monotonicity.
 
-use amber_multigraph::{Direction, GraphBuilder, GraphConfig, RdfGraph, VertexSignature};
+use amber_multigraph::{
+    Direction, EdgeTypeId, GraphBuilder, GraphConfig, MultiEdge, RdfGraph, VertexSignature,
+};
+use amber_util::HeapSize;
 use proptest::prelude::*;
 use rdf_model::{Iri, Literal, Triple};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 fn arb_triples() -> impl Strategy<Value = Vec<Triple>> {
     prop::collection::vec((0u8..10, 0u8..5, 0u8..12, any::<bool>()), 0..80).prop_map(|rows| {
@@ -144,5 +149,38 @@ proptest! {
             names.dedup();
             prop_assert_eq!(g.degree(v), names.len());
         }
+    }
+}
+
+fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A multi-edge holds one type inline and several in a box; `cmp`, `eq`
+    /// and `hash` must be those of `types()` across the two forms (a
+    /// derived order would sort every one-type edge first).
+    #[test]
+    fn multi_edge_order_equality_and_hash_follow_types(
+        a in prop::collection::vec(0u32..6, 0..4),
+        b in prop::collection::vec(0u32..6, 0..4),
+    ) {
+        let a = MultiEdge::new(a.into_iter().map(EdgeTypeId).collect());
+        let b = MultiEdge::new(b.into_iter().map(EdgeTypeId).collect());
+        prop_assert_eq!(a.cmp(&b), a.types().cmp(b.types()));
+        prop_assert_eq!(a.partial_cmp(&b), Some(a.types().cmp(b.types())));
+        prop_assert_eq!(a == b, a.types() == b.types());
+        prop_assert_eq!(hash_of(&a), hash_of(a.types()));
+        if a == b {
+            prop_assert_eq!(hash_of(&a), hash_of(&b));
+        }
+        prop_assert_eq!(a.heap_size(), match a.len() {
+            1 => 0,
+            n => n * std::mem::size_of::<EdgeTypeId>(),
+        });
     }
 }

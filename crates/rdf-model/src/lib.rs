@@ -32,6 +32,7 @@ pub use ntriples::{parse_literal, parse_ntriples, NtParseError, NtParser, NtScan
 pub use prefix::PrefixMap;
 pub use term::{
     BlankNode, Iri, Literal, LiteralRef, LiteralSuffixRef, Object, ObjectRef, Subject, SubjectRef,
+    XSD_STRING,
 };
 pub use triple::{Triple, TripleRef};
 pub use turtle::{parse_turtle, TurtleParseError};

@@ -24,7 +24,7 @@
 //! oracle (`tests::reference`): accepted documents, and the line, column
 //! and message of every rejection, are pinned to it.
 
-use crate::term::{Literal, LiteralRef, LiteralSuffixRef, ObjectRef, SubjectRef};
+use crate::term::{Literal, LiteralRef, LiteralSuffixRef, ObjectRef, SubjectRef, XSD_STRING};
 use crate::triple::{Triple, TripleRef};
 use std::fmt;
 
@@ -483,8 +483,10 @@ impl<'l> Cursor<'l> {
                 self.expect(b'^')?;
                 let source_start = self.pos;
                 let datatype = self.iri(datatype)?;
-                // An escape is longer than the character it stands for.
-                canonical &= datatype.len() + "<>".len() == self.pos - source_start;
+                // An escape is longer than the character it stands for, and
+                // the canonical form of an `xsd:string` omits its datatype.
+                canonical &= datatype.len() + "<>".len() == self.pos - source_start
+                    && datatype != XSD_STRING;
                 LiteralSuffixRef::Datatype(datatype)
             }
             _ => LiteralSuffixRef::None,
@@ -1118,6 +1120,29 @@ mod tests {
         let err = parse_ntriples("<é日> x").unwrap_err();
         assert_eq!((err.line, err.column), (1, 7));
         assert_parsers_agree("<é日> x");
+    }
+
+    #[test]
+    fn an_xsd_string_literal_composes_the_simple_form() {
+        // Otherwise clean, so only the datatype keeps the source token from
+        // standing in for the canonical form.
+        let doc = "<http://x/a> <http://y/p> \"x\"^^<http://www.w3.org/2001/XMLSchema#string> .\n\
+                   <http://x/a> <http://y/p> \"x\"^^<http://www.w3.org/2001/XMLSchema#int> .";
+        let mut scanner = NtScanner::new(doc);
+        let mut composed = Vec::new();
+        while let Some(triple) = scanner.next_triple() {
+            let ObjectRef::Literal(literal) = triple.unwrap().object else {
+                panic!("a literal object")
+            };
+            let mut key = String::new();
+            literal.write_ntriples(&mut key);
+            composed.push(key);
+        }
+        assert_eq!(
+            composed,
+            ["\"x\"", "\"x\"^^<http://www.w3.org/2001/XMLSchema#int>"]
+        );
+        assert_parsers_agree(doc);
     }
 
     #[test]

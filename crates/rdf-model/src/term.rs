@@ -62,6 +62,11 @@ impl fmt::Display for BlankNode {
     }
 }
 
+/// The datatype of a simple literal. In RDF 1.1 `"x"` and
+/// `"x"^^xsd:string` are the same term, and canonical N-Triples writes the
+/// first: [`LiteralRef::write_ntriples`] omits this datatype.
+pub const XSD_STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
+
 /// The tail of a literal: plain, language-tagged, or datatyped.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum LiteralSuffix {
@@ -197,7 +202,9 @@ impl<'a> LiteralRef<'a> {
     }
 
     /// Append the canonical N-Triples form (what `Literal`'s `Display`
-    /// prints): the key literals are stored under in the dictionaries.
+    /// prints): the key literals are stored under in the dictionaries. An
+    /// [`XSD_STRING`] datatype is omitted, so both spellings of a simple
+    /// literal compose one key.
     pub fn write_ntriples(&self, out: &mut String) {
         if let Some(source) = self.canonical {
             out.push_str(source);
@@ -207,7 +214,7 @@ impl<'a> LiteralRef<'a> {
         escape_literal_into(out, self.lexical);
         out.push('"');
         match self.suffix {
-            LiteralSuffixRef::None => {}
+            LiteralSuffixRef::None | LiteralSuffixRef::Datatype(XSD_STRING) => {}
             LiteralSuffixRef::Lang(lang) => {
                 out.push('@');
                 out.push_str(lang);
@@ -398,6 +405,19 @@ mod tests {
         assert_eq!(
             Literal::typed("5", Iri::new("http://www.w3.org/2001/XMLSchema#integer")).to_string(),
             "\"5\"^^<http://www.w3.org/2001/XMLSchema#integer>"
+        );
+    }
+
+    #[test]
+    fn an_xsd_string_datatype_is_omitted() {
+        let spelled = Literal::typed("x", Iri::new(XSD_STRING));
+        assert_eq!(spelled.to_string(), Literal::plain("x").to_string());
+        assert_eq!(spelled.to_string(), "\"x\"");
+        // Only the exact IRI: a language tag or another datatype stays.
+        assert_eq!(Literal::lang("x", "en").to_string(), "\"x\"@en");
+        assert_eq!(
+            Literal::typed("x", Iri::new("http://www.w3.org/2001/XMLSchema#stringy")).to_string(),
+            "\"x\"^^<http://www.w3.org/2001/XMLSchema#stringy>"
         );
     }
 

@@ -236,9 +236,12 @@ impl<'a> TurtleParser<'a> {
             self.skip_trivia();
             match self.peek() {
                 Some(';') => {
-                    self.bump();
-                    self.skip_trivia();
-                    // dangling ';' before '.'
+                    // Rule [7] allows a run of ';' (`;;`, `; ;`), and a
+                    // dangling run before '.'.
+                    while self.peek() == Some(';') {
+                        self.bump();
+                        self.skip_trivia();
+                    }
                     if self.peek() == Some('.') {
                         self.bump();
                         return Ok(triples);
@@ -615,6 +618,24 @@ ex:a ex:label "London"@en-GB ;
         let from_nt = crate::ntriples::parse_ntriples(nt).unwrap();
         let from_ttl = parse_turtle(nt).unwrap();
         assert_eq!(from_nt, from_ttl);
+    }
+
+    #[test]
+    fn runs_of_semicolons_are_skipped() {
+        // Rule [7]: predicateObjectList ::= verb objectList (';' (verb objectList)?)*
+        let expected = parse_turtle("@prefix x: <http://x/> .\nx:a x:b x:c ; x:d x:e .").unwrap();
+        for doc in [
+            "@prefix x: <http://x/> .\nx:a x:b x:c ;; x:d x:e .",
+            "@prefix x: <http://x/> .\nx:a x:b x:c ; ; x:d x:e .",
+            "@prefix x: <http://x/> .\nx:a x:b x:c ;\n # between\n ; x:d x:e ; .",
+            "@prefix x: <http://x/> .\nx:a x:b x:c ; x:d x:e ;; .",
+            "@prefix x: <http://x/> .\nx:a x:b x:c ; x:d x:e ; ;.",
+        ] {
+            assert_eq!(parse_turtle(doc).unwrap(), expected, "{doc}");
+        }
+        // A run of ';' still needs a verb or the '.' after it.
+        assert!(parse_turtle("@prefix x: <http://x/> .\nx:a x:b x:c ;;").is_err());
+        assert!(parse_turtle("@prefix x: <http://x/> .\nx:a ; x:b x:c .").is_err());
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //!
 //! * [`fxhash`] — a fast, non-cryptographic hasher (FxHash-style) plus the
 //!   [`FxHashMap`]/[`FxHashSet`] aliases used everywhere identifiers are keys.
+//! * [`csr`] — compressed sparse rows: many short lists in one
+//!   exact-size pool, the layout of the offline graph and its indexes.
 //! * [`heap_size`] — deep heap-size accounting, used to reproduce the memory
 //!   columns of Table 5 of the paper analytically.
 //! * [`sorted`] — set algebra over sorted slices (intersection, union,
@@ -24,6 +26,7 @@
 //!   escaping, the protocol substrate of the `amber_http` front-end.
 
 pub mod cancel;
+pub mod csr;
 pub mod fault;
 pub mod fxhash;
 pub mod genmap;
@@ -34,6 +37,7 @@ pub mod stats;
 pub mod timing;
 
 pub use cancel::CancelToken;
+pub use csr::{Csr, CsrBuilder, CsrScatter};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use genmap::GenerationalMap;
 pub use heap_size::HeapSize;

@@ -112,3 +112,54 @@ fn literal_and_iri_objects_never_share_a_cache_entry() {
         assert_eq!(stats.results.hits, 2, "mode {literals_as_vertices}");
     }
 }
+
+/// RDF 1.1: `"x"^^xsd:string` and `"x"` are one term, whichever spelling
+/// the data or the query uses, in both literal modes and by every route
+/// into an engine (N-Triples, Turtle, snapshot).
+#[test]
+fn both_spellings_of_a_simple_literal_are_one_term() {
+    const XSD: &str = "http://www.w3.org/2001/XMLSchema#";
+    let ntriples = format!(
+        "<http://x/a> <http://y/p> \"x\"^^<{XSD}string> .\n<http://x/b> <http://y/p> \"y\" .\n"
+    );
+    let turtle = format!(
+        "@prefix xsd: <{XSD}> .\n<http://x/a> <http://y/p> \"x\"^^xsd:string .\n\
+         <http://x/b> <http://y/p> \"y\" .\n"
+    );
+    for literals_as_vertices in [false, true] {
+        let config = GraphConfig {
+            literals_as_vertices,
+        };
+        let mut from_text = GraphBuilder::with_config(config);
+        from_text.add_ntriples(&ntriples).unwrap();
+        let from_text = from_text.finish();
+        let mut from_turtle = GraphBuilder::with_config(config);
+        from_turtle.add_triples(&rdf_model::parse_turtle(&turtle).unwrap());
+        let from_turtle = from_turtle.finish();
+        let image = from_text.to_snapshot();
+        assert_eq!(from_turtle.to_snapshot(), image);
+        let from_snapshot = amber_multigraph::RdfGraph::from_snapshot(&image).unwrap();
+        for (route, rdf) in [
+            ("n-triples", from_text),
+            ("turtle", from_turtle),
+            ("snapshot", from_snapshot),
+        ] {
+            let engine = AmberEngine::from_graph(rdf);
+            for (object, subject) in [
+                ("\"x\"".to_string(), "http://x/a"),
+                (format!("\"x\"^^<{XSD}string>"), "http://x/a"),
+                ("\"y\"".to_string(), "http://x/b"),
+                (format!("\"y\"^^<{XSD}string>"), "http://x/b"),
+            ] {
+                let query = format!("SELECT ?s WHERE {{ ?s <http://y/p> {object} . }}");
+                let outcome = engine.run(&QueryRequest::sparql(&query)).unwrap();
+                let rows: Vec<&str> = outcome.bindings.iter().map(|r| r[0].as_ref()).collect();
+                assert_eq!(
+                    rows,
+                    [subject],
+                    "{route}, literals_as_vertices={literals_as_vertices}: {query}"
+                );
+            }
+        }
+    }
+}

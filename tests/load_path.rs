@@ -7,7 +7,7 @@
 
 use amber::{AmberEngine, EngineError, QueryRequest};
 use amber_datagen::{Benchmark, QueryShape, WorkloadConfig, WorkloadGenerator};
-use amber_multigraph::{RdfGraph, Synopsis, VertexSignature};
+use amber_multigraph::{AdjEntry, Direction, RdfGraph, Synopsis, VertexSignature};
 use rdf_model::{parse_ntriples, write_ntriples};
 use std::time::Duration;
 
@@ -82,4 +82,113 @@ fn a_malformed_line_is_reported_with_its_position() {
     };
     assert_eq!((error.line, error.column), (lines + 2, 3));
     assert!(error.message.contains("subject"), "{}", error.message);
+}
+
+/// The heap bytes each CSR-laid-out part must occupy when every pool holds
+/// exactly its items: `rows + 1` `u32` offsets plus the items, and no
+/// growth slack anywhere. Computed from the graph's contents alone.
+fn exact_part_bytes(rdf: &RdfGraph) -> [(&'static str, usize); 4] {
+    const U32: usize = 4;
+    let graph = rdf.graph();
+    let n = graph.vertex_count();
+    let offsets = |rows: usize| (rows + 1) * U32;
+    // Multi-edges of two or more types own a box, once per direction.
+    let boxed_types: usize = graph
+        .vertices()
+        .flat_map(|v| graph.out_edges(v))
+        .map(|e| e.types.len())
+        .filter(|&len| len > 1)
+        .sum();
+    let adjacency = 2
+        * (offsets(n)
+            + graph.edge_pair_count() * std::mem::size_of::<AdjEntry>()
+            + boxed_types * U32);
+    let attribute_count: usize = graph.vertices().map(|v| graph.attributes(v).len()).sum();
+    let attribute_lists = offsets(n) + attribute_count * U32;
+    let attribute_index = offsets(rdf.dictionaries().attributes.len()) + attribute_count * U32;
+    // Per direction: vertex -> root types, root -> neighbour list, and
+    // type -> owning vertices. A root is one (vertex, distinct type).
+    let neighborhood_index: usize = [Direction::Incoming, Direction::Outgoing]
+        .into_iter()
+        .map(|direction| {
+            let roots: usize = graph
+                .vertices()
+                .map(|v| {
+                    let mut types: Vec<_> = graph
+                        .edges(v, direction)
+                        .iter()
+                        .flat_map(|e| e.types.types())
+                        .collect();
+                    types.sort_unstable();
+                    types.dedup();
+                    types.len()
+                })
+                .sum();
+            offsets(n)
+                + roots * U32
+                + offsets(roots)
+                + graph.edge_instance_count() * U32
+                + offsets(graph.edge_type_count())
+                + roots * U32
+        })
+        .sum();
+    [
+        ("adjacency", adjacency),
+        ("attribute_lists", attribute_lists),
+        ("attribute_index", attribute_index),
+        ("neighborhood_index", neighborhood_index),
+    ]
+}
+
+#[test]
+fn every_pool_is_exact_size_by_text_and_by_snapshot() {
+    for (benchmark, seed) in [(Benchmark::Dbpedia, 5), (Benchmark::Lubm, 5)] {
+        let text = write_ntriples(&benchmark.generate(1, seed));
+        let from_text = AmberEngine::load_ntriples(&text).unwrap();
+        let image = from_text.rdf().to_snapshot();
+        let from_snapshot = AmberEngine::from_graph(RdfGraph::from_snapshot(&image).unwrap());
+        for (route, engine) in [("text", &from_text), ("snapshot", &from_snapshot)] {
+            let parts = engine.offline_stats().parts();
+            for (part, exact) in exact_part_bytes(engine.rdf()) {
+                let (_, ledger) = parts.iter().find(|(name, _)| *name == part).unwrap();
+                assert_eq!(
+                    *ledger, exact,
+                    "{benchmark:?} {route}: {part} carries slack"
+                );
+            }
+        }
+    }
+}
+
+/// The resident-bytes ceiling of the offline stage on the benchmark's
+/// graph (DBpedia-like, scale 25, seed 1: 391,667 triples). The ledger is
+/// deterministic, so each part is held at or below the bytes it measured
+/// when the exact-size layout landed, and the total at 104 B/triple
+/// (130.64 before it).
+#[test]
+#[ignore = "loads 391k triples; run in release: cargo test --release --test load_path -- --ignored"]
+fn resident_bytes_stay_under_the_ceiling() {
+    let text = write_ntriples(&Benchmark::Dbpedia.generate(25, 1));
+    let engine = AmberEngine::load_ntriples(&text).unwrap();
+    let triples = engine.rdf().stats().triples;
+    assert_eq!(
+        triples, 391_667,
+        "the generator changed: re-measure the ceilings"
+    );
+    let ceilings = [
+        ("dictionaries", 6_555_629),
+        ("adjacency", 14_882_808),
+        ("attribute_lists", 558_892),
+        ("attribute_index", 521_176),
+        ("signature_index", 7_498_880),
+        ("neighborhood_index", 9_834_796),
+    ];
+    let parts = engine.offline_stats().parts();
+    for ((part, bytes), (name, ceiling)) in parts.into_iter().zip(ceilings) {
+        assert_eq!(part, name);
+        assert!(bytes <= ceiling, "{part}: {bytes} B > {ceiling} B");
+    }
+    let total: usize = parts.iter().map(|(_, bytes)| bytes).sum();
+    let per_triple = total as f64 / triples as f64;
+    assert!(per_triple <= 104.0, "{per_triple:.2} B/triple > 104");
 }

@@ -322,8 +322,8 @@ impl AmberEngine {
     /// A reusable [`QuerySession`]: plan and result caches sized from
     /// `options`, a seed cache of
     /// [`QuerySession::SEED_CACHE_CAPACITY`]. Feed it to
-    /// [`Self::run_in`] / [`Self::run_all_in`] to amortize arenas, seed
-    /// probes, and prepared plans across many queries.
+    /// [`Self::run_in`] to amortize arenas, seed probes, and prepared
+    /// plans across many queries.
     pub fn create_session(&self, options: &ExecOptions) -> QuerySession {
         let mut session = QuerySession::new(QuerySession::SEED_CACHE_CAPACITY)
             .with_plan_caches(options.plan_cache_capacity, options.result_cache_capacity);
@@ -712,6 +712,29 @@ mod tests {
             .collect()
     }
 
+    /// Run every request through `run_in` on one fresh session sized from
+    /// the first request's options — what a batch is. The session's
+    /// counters are the batch's.
+    fn run_on_one_session(
+        engine: &AmberEngine,
+        requests: &[QueryRequest<'_>],
+    ) -> (Vec<Result<QueryOutcome, Error>>, QuerySession) {
+        let mut session = engine.create_session(requests[0].options());
+        let outcomes = requests
+            .iter()
+            .map(|request| engine.run_in(request, &mut session))
+            .collect();
+        (outcomes, session)
+    }
+
+    /// Outcomes that completed within budget.
+    fn completed(outcomes: &[Result<QueryOutcome, Error>]) -> usize {
+        outcomes
+            .iter()
+            .filter(|o| matches!(o, Ok(o) if o.status == QueryStatus::Completed))
+            .count()
+    }
+
     #[test]
     fn paper_query_end_to_end() {
         let engine = engine();
@@ -886,11 +909,10 @@ mod tests {
         let queries = vec![q1.clone(), q2.clone(), q1.clone(), q2, q1];
         for options in [ExecOptions::default(), ExecOptions::batch()] {
             let requests = parsed_requests(&queries, &options);
-            let batch = engine.run_all(&requests);
-            assert_eq!(batch.outcomes.len(), queries.len());
-            assert_eq!(batch.stats.completed, queries.len());
-            assert_eq!(batch.stats.errors, 0);
-            for (request, outcome) in requests.iter().zip(&batch.outcomes) {
+            let (outcomes, _) = run_on_one_session(&engine, &requests);
+            assert_eq!(outcomes.len(), queries.len());
+            assert_eq!(completed(&outcomes), queries.len());
+            for (request, outcome) in requests.iter().zip(&outcomes) {
                 let batched = outcome.as_ref().unwrap();
                 let solo = engine.run(request).unwrap();
                 assert_eq!(batched.embedding_count, solo.embedding_count);
@@ -910,12 +932,12 @@ mod tests {
         let engine = engine();
         let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let queries = vec![q; 6];
-        let batch = engine.run_all(&parsed_requests(&queries, &ExecOptions::batch()));
-        assert_eq!(batch.stats.queries, 6);
-        assert_eq!(batch.stats.completed, 6);
-        let rate = batch.stats.seeds.hit_rate();
+        let requests = parsed_requests(&queries, &ExecOptions::batch());
+        let (outcomes, session) = run_on_one_session(&engine, &requests);
+        assert_eq!(session.queries_executed(), 6);
+        assert_eq!(completed(&outcomes), 6);
+        let rate = session.seed_stats().hit_rate();
         assert!((0.0..=1.0).contains(&rate), "hit rate {rate} out of range");
-        assert!(batch.stats.to_string().contains("6 queries"));
     }
 
     #[test]
@@ -924,32 +946,31 @@ mod tests {
         let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let options = ExecOptions::batch();
         let mut session = engine.create_session(&options);
-        let requests = parsed_requests(std::slice::from_ref(&q), &options);
-        let first = engine.run_all_in(&requests, &mut session);
-        let second = engine.run_all_in(&requests, &mut session);
+        let request = QueryRequest::parsed(&q).with_options(options);
+        let first = engine.run_in(&request, &mut session).unwrap();
+        let second = engine.run_in(&request, &mut session).unwrap();
         assert_eq!(session.queries_executed(), 2);
-        let (a, b) = (
-            first.outcomes[0].as_ref().unwrap(),
-            second.outcomes[0].as_ref().unwrap(),
-        );
-        assert_eq!(a.embedding_count, b.embedding_count);
+        assert_eq!(first.embedding_count, second.embedding_count);
     }
 
     #[test]
     fn batch_sparql_isolates_parse_failures() {
         let engine = engine();
         let good = paper_query_text();
-        let batch = engine.run_all(&[
-            QueryRequest::sparql(&good),
-            QueryRequest::sparql("this is not sparql"),
-            QueryRequest::sparql(&good),
-        ]);
-        assert_eq!(batch.outcomes.len(), 3);
-        assert!(batch.outcomes[0].is_ok());
-        assert!(batch.outcomes[1].is_err());
-        assert!(batch.outcomes[2].is_ok());
-        assert_eq!(batch.stats.errors, 1);
-        assert_eq!(batch.stats.completed, 2);
+        let (outcomes, session) = run_on_one_session(
+            &engine,
+            &[
+                QueryRequest::sparql(&good),
+                QueryRequest::sparql("this is not sparql"),
+                QueryRequest::sparql(&good),
+            ],
+        );
+        assert_eq!(outcomes.len(), 3);
+        assert!(outcomes[0].is_ok());
+        assert!(outcomes[1].is_err());
+        assert!(outcomes[2].is_ok());
+        assert_eq!(completed(&outcomes), 2);
+        assert_eq!(session.queries_executed(), 3, "the failure is counted");
     }
 
     #[test]
@@ -1001,15 +1022,14 @@ mod tests {
         let renamed = paper_query_text().replace("?X", "?Renamed");
         let q2 = amber_sparql::parse_select(&renamed).unwrap();
         let options = ExecOptions::batch();
-        let batch = engine.run_all(&parsed_requests(&[q1.clone(), q2, q1], &options));
-        assert_eq!(batch.stats.completed, 3);
-        assert_eq!(batch.stats.plans.plans.misses, 1, "one derivation");
-        assert_eq!(
-            batch.stats.plans.plans.hits, 2,
-            "two alpha-equivalent reuses"
-        );
+        let queries = [q1.clone(), q2, q1];
+        let (outcomes, session) = run_on_one_session(&engine, &parsed_requests(&queries, &options));
+        assert_eq!(completed(&outcomes), 3);
+        let plans = session.plan_stats().plans;
+        assert_eq!(plans.misses, 1, "one derivation");
+        assert_eq!(plans.hits, 2, "two alpha-equivalent reuses");
         // The renamed query must still answer under *its own* headers.
-        let renamed_outcome = batch.outcomes[1].as_ref().unwrap();
+        let renamed_outcome = outcomes[1].as_ref().unwrap();
         assert!(renamed_outcome.variables[0].contains("Renamed"));
 
         // A prefixed-name spelling and the full-IRI spelling share a plan.
@@ -1017,12 +1037,16 @@ mod tests {
         let prefixed = format!(
             "PREFIX y: <{PREFIX_Y}> PREFIX : <{PREFIX_X}>\nSELECT * WHERE {{ ?p y:wasBornIn :London }}"
         );
-        let batch = engine.run_all(&[
-            QueryRequest::sparql(&full).with_options(options.clone()),
-            QueryRequest::sparql(&prefixed).with_options(options.clone()),
-        ]);
-        assert_eq!(batch.stats.plans.plans.misses, 1);
-        assert_eq!(batch.stats.plans.plans.hits, 1);
+        let (_, session) = run_on_one_session(
+            &engine,
+            &[
+                QueryRequest::sparql(&full).with_options(options.clone()),
+                QueryRequest::sparql(&prefixed).with_options(options.clone()),
+            ],
+        );
+        let plans = session.plan_stats().plans;
+        assert_eq!(plans.misses, 1);
+        assert_eq!(plans.hits, 1);
     }
 
     #[test]
@@ -1030,18 +1054,18 @@ mod tests {
         let engine = engine();
         let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let options = ExecOptions::batch();
-        let batch = engine.run_all(&parsed_requests(&vec![q; 4], &options));
-        assert_eq!(batch.stats.completed, 4);
-        assert_eq!(batch.stats.plans.results.misses, 1);
-        assert_eq!(batch.stats.plans.results.hits, 3);
-        let counts: Vec<u128> = batch
-            .outcomes
+        let queries = vec![q; 4];
+        let (outcomes, session) = run_on_one_session(&engine, &parsed_requests(&queries, &options));
+        assert_eq!(completed(&outcomes), 4);
+        let results = session.plan_stats().results;
+        assert_eq!(results.misses, 1);
+        assert_eq!(results.hits, 3);
+        let counts: Vec<u128> = outcomes
             .iter()
             .map(|o| o.as_ref().unwrap().embedding_count)
             .collect();
         assert_eq!(counts, vec![PAPER_QUERY_EMBEDDINGS as u128; 4]);
-        let rows: Vec<usize> = batch
-            .outcomes
+        let rows: Vec<usize> = outcomes
             .iter()
             .map(|o| o.as_ref().unwrap().bindings.len())
             .collect();
@@ -1215,14 +1239,14 @@ mod tests {
         let queries = vec![q1.clone(), q2.clone(), q1];
         let options = ExecOptions::batch();
         let plans: Vec<_> = queries.iter().map(|q| engine.prepare(q).unwrap()).collect();
-        let parsed = engine.run_all(&parsed_requests(&queries, &options));
+        let (parsed, _) = run_on_one_session(&engine, &parsed_requests(&queries, &options));
         let prepared: Vec<_> = plans
             .iter()
             .map(|plan| QueryRequest::prepared(plan).with_options(options.clone()))
             .collect();
-        let prepared = engine.run_all(&prepared);
-        assert_eq!(prepared.stats.completed, 3);
-        for (a, b) in parsed.outcomes.iter().zip(&prepared.outcomes) {
+        let (prepared, _) = run_on_one_session(&engine, &prepared);
+        assert_eq!(completed(&prepared), 3);
+        for (a, b) in parsed.iter().zip(&prepared) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
             assert_eq!(a.embedding_count, b.embedding_count);
             assert_eq!(a.variables, b.variables);

@@ -57,7 +57,7 @@ pub use plan::{PlanCache, PlanCacheStats, PreparedPlan, ResultCache};
 pub use request::{QueryRequest, QuerySource};
 pub use result::{BindingRow, Bindings, QueryOutcome, QueryStatus, SparqlEngine};
 pub use seeds::{CacheStats, SeedCache};
-pub use session::{BatchOutcome, BatchStats, QuerySession, SearchStats};
+pub use session::{QuerySession, SearchStats};
 
 pub use amber_multigraph::CompiledQuery;
 pub use amber_util::CancelToken;

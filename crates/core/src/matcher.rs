@@ -498,29 +498,15 @@ pub struct ComponentMatcher<'a> {
 impl<'a> ComponentMatcher<'a> {
     /// Build the matching plan for one component (vertex ids ascending)
     /// with transient seed state. One-shot callers and tests use this; the
-    /// session path goes through [`Self::new_seeded`] (or reuses a cached
-    /// prep via [`Self::from_prep`]).
+    /// session path builds a [`ComponentPrep`] against its seed cache and
+    /// wraps it with [`Self::from_prep`].
     pub fn new(
         qg: &'a QueryGraph,
         graph: &'a DataGraph,
         index: &'a IndexSet,
         component: &[QVertexId],
     ) -> Self {
-        Self::new_seeded(qg, graph, index, component, &mut SeedCache::disabled())
-    }
-
-    /// Build the matching plan against a session [`SeedCache`]: the
-    /// signature-index seed lookup and every `ProcessVertex`
-    /// attribute/IRI probe resolve through the cache, so repeated
-    /// constant-heavy queries stop paying plan-construction index walks.
-    pub fn new_seeded(
-        qg: &'a QueryGraph,
-        graph: &'a DataGraph,
-        index: &'a IndexSet,
-        component: &[QVertexId],
-        seeds: &mut SeedCache,
-    ) -> Self {
-        let prep = ComponentPrep::build(qg, graph, index, component, seeds);
+        let prep = ComponentPrep::build(qg, graph, index, component, &mut SeedCache::disabled());
         Self {
             graph,
             index,

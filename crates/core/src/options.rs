@@ -56,8 +56,10 @@ impl ExecOptions {
     }
 
     /// Batch-execution preset: the defaults plus default-sized
-    /// prepared-plan and verbatim-result caches — the configuration
-    /// [`run_all`](crate::AmberEngine::run_all) is designed for.
+    /// prepared-plan and verbatim-result caches — the configuration for
+    /// many queries through one session
+    /// ([`run_in`](crate::AmberEngine::run_in) on a
+    /// [`create_session`](crate::AmberEngine::create_session)).
     pub fn batch() -> Self {
         Self::default()
             .with_plan_cache(Self::DEFAULT_PLAN_CACHE_CAPACITY)

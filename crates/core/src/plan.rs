@@ -544,8 +544,8 @@ fn cached_bytes(cached: &CachedResult) -> usize {
     cached.rows.approx_heap_bytes()
 }
 
-/// Combined plan-subsystem counters reported per batch
-/// ([`BatchStats::plans`](crate::session::BatchStats)).
+/// Combined plan-subsystem counters of one session
+/// ([`QuerySession::plan_stats`](crate::QuerySession::plan_stats)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Prepared-plan cache counters (hits = full plan derivations skipped).

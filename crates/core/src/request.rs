@@ -1,15 +1,17 @@
 //! The public query API: [`QueryRequest`] + [`AmberEngine::run`].
 //!
-//! A query varies along three independent axes — input form (text /
-//! parsed / compiled / prepared), session (transient / caller-owned) and arity (one
-//! / batch). One request value and four entry points cover them:
+//! A query varies along two independent axes — input form (text /
+//! parsed / compiled / prepared) and session (transient / caller-owned).
+//! One request value and two entry points cover them:
 //!
 //! * [`AmberEngine::run`] — one request, transient session;
-//! * [`AmberEngine::run_in`] — one request, caller-owned session;
-//! * [`AmberEngine::run_all`] — many requests, one fresh shared session;
-//! * [`AmberEngine::run_all_in`] — many requests, caller-owned session.
+//! * [`AmberEngine::run_in`] — one request, caller-owned session. A batch
+//!   is a loop of `run_in` over one
+//!   [`create_session`](AmberEngine::create_session): the session's
+//!   counters ([`QuerySession::seed_stats`], [`plan_stats`](QuerySession::plan_stats),
+//!   [`search_stats`](QuerySession::search_stats)) are the batch's.
 //!
-//! All four execute through one query envelope, so every request is
+//! Both execute through one query envelope, so every request is
 //! counted once — in its session and in the metric registry — whether it
 //! answers or fails. A [`QueryRequest`] borrows its source (so building
 //! one allocates nothing beyond its [`ExecOptions`]) and the `run*` entry
@@ -33,10 +35,9 @@ use crate::engine::AmberEngine;
 use crate::error::Error;
 use crate::options::ExecOptions;
 use crate::plan::PreparedPlan;
-use crate::result::{QueryOutcome, QueryStatus};
-use crate::session::{BatchOutcome, BatchStats, QuerySession};
+use crate::result::QueryOutcome;
+use crate::session::QuerySession;
 use amber_multigraph::CompiledQuery;
-use amber_util::Stopwatch;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -64,7 +65,7 @@ pub enum QuerySource<'a> {
 ///
 /// Build with [`QueryRequest::sparql`] / [`parsed`](QueryRequest::parsed) /
 /// [`prepared`](QueryRequest::prepared), refine with the builder methods,
-/// hand to [`AmberEngine::run`] (or its session/batch siblings).
+/// hand to [`AmberEngine::run`] (or [`AmberEngine::run_in`]).
 #[derive(Debug, Clone)]
 pub struct QueryRequest<'a> {
     source: QuerySource<'a>,
@@ -160,66 +161,13 @@ impl AmberEngine {
         self.run_source(request.source(), request.options(), session)
             .map_err(Error::from)
     }
-
-    /// Run many requests against one fresh shared session (sized from the
-    /// first request's options; [`ExecOptions::batch`] when empty). Each
-    /// request executes under its *own* options; failures (including
-    /// parse failures of [`QuerySource::Sparql`] entries) yield that
-    /// entry's `Err` without aborting the rest.
-    pub fn run_all(&self, requests: &[QueryRequest<'_>]) -> BatchOutcome {
-        let mut session = match requests.first() {
-            Some(first) => self.create_session(first.options()),
-            None => self.create_session(&ExecOptions::batch()),
-        };
-        self.run_all_in(requests, &mut session)
-    }
-
-    /// [`Self::run_all`] against a caller-owned session, so warm-up
-    /// carries over from batch to batch. Each entry is what
-    /// [`Self::run_in`] returns for its request; the statistics cover only
-    /// this batch's share of the session.
-    pub fn run_all_in(
-        &self,
-        requests: &[QueryRequest<'_>],
-        session: &mut QuerySession,
-    ) -> BatchOutcome {
-        let sw = Stopwatch::start();
-        session.bind_graph(self.graph_token());
-        let seeds_before = session.seed_stats();
-        let plans_before = session.plan_stats();
-        let search_before = session.search_stats();
-        let mut stats = BatchStats {
-            queries: requests.len(),
-            ..BatchStats::default()
-        };
-        let outcomes = requests
-            .iter()
-            .map(|request| {
-                let outcome = self.run_in(request, session);
-                match &outcome {
-                    Ok(o) => match o.status {
-                        QueryStatus::Completed => stats.completed += 1,
-                        QueryStatus::TimedOut => stats.timed_out += 1,
-                        QueryStatus::Cancelled => stats.cancelled += 1,
-                        QueryStatus::BudgetExceeded => stats.budget_exceeded += 1,
-                    },
-                    Err(_) => stats.errors += 1,
-                }
-                outcome
-            })
-            .collect();
-        stats.seeds = session.seed_stats().since(&seeds_before);
-        stats.plans = session.plan_stats().since(&plans_before);
-        stats.search = session.search_stats().since(&search_before);
-        stats.elapsed = sw.elapsed();
-        BatchOutcome { outcomes, stats }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::EngineError;
+    use crate::result::QueryStatus;
     use amber_multigraph::paper::{paper_graph, paper_query_text, PAPER_QUERY_EMBEDDINGS};
 
     fn engine() -> AmberEngine {
@@ -312,35 +260,36 @@ mod tests {
     }
 
     #[test]
-    fn run_all_mixes_sources_and_isolates_failures() {
+    fn one_session_mixes_sources_and_isolates_failures() {
         let engine = engine();
         let text = paper_query_text();
         let parsed = amber_sparql::parse_select(&text).unwrap();
         let plan = engine.prepare(&parsed).unwrap();
         let options = ExecOptions::batch();
-        let requests = vec![
+        let requests = [
             QueryRequest::sparql(&text).with_options(options.clone()),
             QueryRequest::sparql("not sparql").with_options(options.clone()),
             QueryRequest::parsed(&parsed).with_options(options.clone()),
             QueryRequest::prepared(&plan).with_options(options.clone()),
         ];
-        let batch = engine.run_all(&requests);
-        assert_eq!(batch.outcomes.len(), 4);
-        assert!(batch.outcomes[0].is_ok());
-        assert!(batch.outcomes[1].is_err(), "parse failure stays isolated");
-        assert!(batch.outcomes[2].is_ok());
-        assert!(batch.outcomes[3].is_ok());
-        assert_eq!(batch.stats.completed, 3);
-        assert_eq!(batch.stats.errors, 1);
-        for outcome in [&batch.outcomes[0], &batch.outcomes[2], &batch.outcomes[3]] {
-            assert_eq!(
-                outcome.as_ref().unwrap().embedding_count,
-                PAPER_QUERY_EMBEDDINGS as u128
-            );
+        let mut session = engine.create_session(&options);
+        let outcomes: Vec<_> = requests
+            .iter()
+            .map(|request| engine.run_in(request, &mut session))
+            .collect();
+        assert!(outcomes[0].is_ok());
+        assert!(outcomes[1].is_err(), "parse failure stays isolated");
+        assert!(outcomes[2].is_ok());
+        assert!(outcomes[3].is_ok());
+        assert_eq!(session.queries_executed(), 4, "the failure is counted too");
+        for outcome in [&outcomes[0], &outcomes[2], &outcomes[3]] {
+            let outcome = outcome.as_ref().unwrap();
+            assert_eq!(outcome.status, QueryStatus::Completed);
+            assert_eq!(outcome.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
         }
-        // A batch entry is the answer `run` gives, errors included.
+        // A session entry is the answer `run` gives, errors included.
         assert_eq!(
-            batch.outcomes[1].as_ref().unwrap_err(),
+            outcomes[1].as_ref().unwrap_err(),
             &engine.run(&requests[1]).unwrap_err()
         );
     }

@@ -13,22 +13,20 @@
 //!   verbatim-result cache;
 //! * it aggregates the search counters of its queries ([`SearchStats`]).
 //!
-//! [`run_all`](crate::AmberEngine::run_all) drives
-//! many queries through one session and reports aggregate [`BatchStats`]
-//! (cache hit rates, arena reuse bytes) next to the per-query outcomes.
+//! A batch is a loop of [`run_in`](crate::AmberEngine::run_in) over one
+//! session; its counters ([`QuerySession::seed_stats`],
+//! [`QuerySession::plan_stats`], [`QuerySession::search_stats`],
+//! [`QuerySession::queries_executed`]) are the batch's statistics.
 
 use crate::governor::MemoryGovernor;
 use crate::matcher::SearchArenas;
 use crate::plan::{PlanCache, PlanCacheStats, ResultCache};
-use crate::result::QueryOutcome;
 use crate::seeds::{CacheStats, SeedCache};
 use crate::telemetry::{self, GaugedCaches, ObsBaseline};
 use amber_obs::FlightRecorder;
-use std::fmt;
 use std::time::Duration;
 
-/// Aggregated search counters (across the queries of one session or
-/// batch): how much work the matcher did and how often a query ended
+/// Aggregated search counters (across the queries of one session): how much work the matcher did and how often a query ended
 /// abnormally.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
@@ -46,8 +44,8 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// The counters accumulated since `before` was snapshotted (used to
-    /// report per-batch shares of a long-lived session).
+    /// The counters accumulated since `before` was snapshotted (one
+    /// query's share, flushed into the metric registry).
     pub(crate) fn since(&self, before: &SearchStats) -> SearchStats {
         SearchStats {
             nodes: self.nodes - before.nodes,
@@ -284,115 +282,8 @@ impl QuerySession {
     }
 }
 
-/// Aggregate statistics of one [`run_all`](crate::AmberEngine::run_all)
-/// batch (or of a session's lifetime).
-#[derive(Debug, Clone, Default)]
-pub struct BatchStats {
-    /// Queries submitted.
-    pub queries: usize,
-    /// Queries that completed within budget.
-    pub completed: usize,
-    /// Queries whose wall-clock budget expired.
-    pub timed_out: usize,
-    /// Queries ended early by a [`CancelToken`](crate::CancelToken).
-    pub cancelled: usize,
-    /// Queries whose memory budget was exhausted (degradation ladder ran
-    /// out of things to shed).
-    pub budget_exceeded: usize,
-    /// Queries that failed: parse errors, query-graph build errors, stale
-    /// plans, or a quarantined panic
-    /// ([`EngineError::Internal`](crate::EngineError::Internal)).
-    pub errors: usize,
-    /// Seed-probe memo counters (attribute / IRI lookups of plan
-    /// construction).
-    pub seeds: CacheStats,
-    /// Prepared-plan and verbatim-result cache counters (a plan hit skips
-    /// query-graph build + decomposition + ordering + seed probes; a
-    /// result hit skips the execution entirely).
-    pub plans: PlanCacheStats,
-    /// Search counters (nodes visited, trapped panics, cancellations,
-    /// governor steps).
-    pub search: SearchStats,
-    /// Wall-clock time for the whole batch.
-    pub elapsed: Duration,
-}
-
-impl fmt::Display for BatchStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "batch: {} queries ({} completed, {} timed out, {} errors) in {:.3} ms",
-            self.queries,
-            self.completed,
-            self.timed_out,
-            self.errors,
-            self.elapsed.as_secs_f64() * 1e3
-        )?;
-        writeln!(
-            f,
-            "seeds: {:.1}% hit rate ({} hits / {} misses / {} bypasses), {} entries, {} result bytes",
-            self.seeds.hit_rate() * 100.0,
-            self.seeds.hits,
-            self.seeds.misses,
-            self.seeds.bypasses,
-            self.seeds.entries,
-            self.seeds.result_bytes,
-        )?;
-        writeln!(
-            f,
-            "plans: {:.1}% hit rate ({} hits / {} misses / {} bypasses), {} plans cached, {} evictions",
-            self.plans.plans.hit_rate() * 100.0,
-            self.plans.plans.hits,
-            self.plans.plans.misses,
-            self.plans.plans.bypasses,
-            self.plans.plans.entries,
-            self.plans.plans.evictions,
-        )?;
-        writeln!(
-            f,
-            "results: {:.1}% hit rate ({} hits / {} misses / {} bypasses), {} outcomes cached, {} result bytes",
-            self.plans.results.hit_rate() * 100.0,
-            self.plans.results.hits,
-            self.plans.results.misses,
-            self.plans.results.bypasses,
-            self.plans.results.entries,
-            self.plans.results.result_bytes,
-        )?;
-        write!(f, "search: {} nodes visited", self.search.nodes)?;
-        let robustness_events = self.cancelled
-            + self.budget_exceeded
-            + (self.search.trapped_panics
-                + self.search.cancellations
-                + self.search.degradation_steps) as usize;
-        if robustness_events > 0 {
-            write!(
-                f,
-                "\nrobustness: {} cancelled, {} budget-exceeded, {} trapped panics, \
-                 {} degradation steps",
-                self.cancelled,
-                self.budget_exceeded,
-                self.search.trapped_panics,
-                self.search.degradation_steps,
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// The result of one batch execution: per-query outcomes (in submission
-/// order) plus aggregate statistics.
-#[derive(Debug)]
-pub struct BatchOutcome {
-    /// One entry per submitted request, in submission order: what
-    /// [`run_in`](crate::AmberEngine::run_in) returns for it.
-    pub outcomes: Vec<Result<QueryOutcome, crate::error::Error>>,
-    /// Aggregate cache/arena/timing statistics for the whole batch.
-    pub stats: BatchStats,
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{AmberEngine, ExecOptions, QueryRequest};
     use amber_multigraph::paper::{paper_graph, paper_query_text, PAPER_QUERY_EMBEDDINGS};
 
@@ -426,19 +317,5 @@ mod tests {
         let after = session.plan_stats();
         assert_eq!(after.results.hits, warm.results.hits, "no stale hit");
         assert_eq!(after.results.misses, warm.results.misses + 1);
-    }
-
-    #[test]
-    fn batch_stats_display_is_complete() {
-        let stats = BatchStats {
-            queries: 3,
-            completed: 2,
-            timed_out: 1,
-            ..Default::default()
-        };
-        let text = stats.to_string();
-        assert!(text.contains("3 queries"));
-        assert!(text.contains("hit rate"));
-        assert!(text.ends_with("search: 0 nodes visited"));
     }
 }

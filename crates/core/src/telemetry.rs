@@ -5,11 +5,10 @@
 //! structs it always used ([`CacheStats`], [`SearchStats`], …) — zero new
 //! atomics per node or probe. Once per query,
 //! [`QuerySession::end_query`](crate::QuerySession) computes the
-//! query's `since`-deltas (the same helpers `run_all_in` uses) and
-//! adds them to registry counters here. Because the registry is
-//! *populated from* the legacy structs, the two views are derived from
-//! the same counters and can never disagree; `tests/obs_equivalence.rs`
-//! pins the exact agreement.
+//! query's `since`-deltas and adds them to registry counters here.
+//! Because the registry is *populated from* the legacy structs, the two
+//! views are derived from the same counters and can never disagree;
+//! `tests/obs_equivalence.rs` pins the exact agreement.
 //!
 //! Handles are resolved once per process (`OnceLock`) so a flush is a
 //! couple dozen relaxed `fetch_add`s — invisible next to even a

@@ -810,6 +810,15 @@ mod tests {
         HttpServer::start(Server::start(engine, serve), http).unwrap()
     }
 
+    /// A server on [`DATA`] whose dispatch is paused before the HTTP
+    /// front end starts, so every request queues until `resume`.
+    fn start_paused(serve: ServeConfig) -> HttpServer {
+        let engine = Arc::new(AmberEngine::load_ntriples(DATA).unwrap());
+        let server = Server::start(engine, serve);
+        server.pause();
+        HttpServer::start(server, HttpConfig::default()).unwrap()
+    }
+
     fn start_default() -> HttpServer {
         start_http(ServeConfig::default(), HttpConfig::default())
     }
@@ -1059,15 +1068,11 @@ mod tests {
 
     #[test]
     fn overload_maps_to_503_with_retry_after() {
-        let http = start_http(
-            ServeConfig {
-                workers: 1,
-                queue_capacity: 1,
-                paused: true,
-                ..ServeConfig::default()
-            },
-            HttpConfig::default(),
-        );
+        let http = start_paused(ServeConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServeConfig::default()
+        });
         // Fill the only queue slot while dispatch is paused.
         let pending = http
             .with_server(|s| s.submit_sparql("filler", EDGE))
@@ -1092,14 +1097,10 @@ mod tests {
 
     #[test]
     fn timeout_parameter_is_a_budget() {
-        let http = start_http(
-            ServeConfig {
-                workers: 1,
-                paused: true,
-                ..ServeConfig::default()
-            },
-            HttpConfig::default(),
-        );
+        let http = start_paused(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
         // Paused dispatch: a 1ms budget expires in the queue → 504.
         let addr = http.local_addr();
         let client = std::thread::spawn(move || {
@@ -1376,6 +1377,32 @@ mod tests {
         assert!(first.ends_with("]}}"), "{wire}");
         assert!(first.contains("http://e/c"), "{wire}");
         assert!(second.contains("Connection: close"), "{wire}");
+        http.shutdown();
+    }
+
+    #[test]
+    fn an_empty_line_after_a_post_body_is_skipped() {
+        // Old clients follow a POST body with a CRLF (RFC 9112 §2.2). On
+        // a keep-alive connection it arrives ahead of the next request,
+        // which must still be answered.
+        let http = start_default();
+        let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let post = format!(
+            "POST /sparql HTTP/1.1\r\nHost: t\r\nContent-Type: application/sparql-query\r\nContent-Length: {}\r\n\r\n{EDGE}\r\n",
+            EDGE.len()
+        );
+        stream.write_all(post.as_bytes()).unwrap();
+        let (status, _, body) = read_response(&mut stream);
+        assert_eq!(status, 200, "{body}");
+        stream
+            .write_all(b"GET /sparql?query=SELECT%20%3Fx%20%3Fy%20WHERE%20%7B%20%3Fx%20%3Chttp%3A%2F%2Fe%2Fp%3E%20%3Fy%20.%20%7D HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        let (status, headers, body) = read_response(&mut stream);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(header(&headers, "connection"), Some("keep-alive"));
         http.shutdown();
     }
 

@@ -18,11 +18,12 @@
 //!   — the only parallelism there is: one query runs on one thread;
 //! * **admission control** — the server holds at most
 //!   [`ServeConfig::queue_capacity`] queued requests; beyond that,
-//!   [`Server::submit`] fails *immediately* with the typed
+//!   [`Server::submit_sparql`] fails *immediately* with the typed
 //!   [`Error::Overloaded`] — carrying the observed queue depth and a
 //!   retry-after hint derived from the recent service rate — instead of
 //!   buffering unboundedly or blocking the client;
-//! * **deadline propagation** — [`Server::submit_with`] accepts a total
+//! * **deadline propagation** — [`Server::submit_sparql_with`] and
+//!   [`Server::execute`] accept a total
 //!   admission-to-answer budget ([`SubmitOptions::budget`]); queue wait is
 //!   charged against it, a request whose budget expires while still queued
 //!   is shed with the typed [`Error::DeadlineExpired`] *without any
@@ -34,8 +35,9 @@
 //!   of consuming worker time; after a cooldown, half-open probes readmit
 //!   one request at a time (see [`breaker`]);
 //! * **server-wide memory governance** — [`ServeConfig::memory_budget`]
-//!   partitions a global byte budget into per-tenant quotas that feed each
-//!   query's own `MemoryGovernor` degradation ladder (see [`governor`]);
+//!   is split equally over the tenants the server has seen, and each
+//!   share tightens the budget of every query's own `MemoryGovernor`
+//!   degradation ladder;
 //! * **panic and failure isolation** — a query that fails (or panics; the
 //!   engine quarantines panics into typed
 //!   [`EngineError::Internal`](amber::EngineError) values) poisons only
@@ -74,17 +76,14 @@
 //! ```
 
 pub mod breaker;
-pub mod governor;
 
 pub use breaker::{BreakerConfig, BreakerReport, BreakerState};
-pub use governor::{GovernorReport, ServerGovernor};
 
 use amber::{
     AmberEngine, CancelToken, CompiledQuery, EngineError, Error, ExecOptions, PlanCacheStats,
     QueryOutcome, QueryRequest, QuerySession, QueryStatus, SearchStats, TripCause,
 };
 use amber_obs::{Counter, Gauge, Histogram};
-use amber_sparql::SelectQuery;
 use amber_util::fault::{self, payload_message, FaultPoint};
 use amber_util::timing::Budget;
 use breaker::{Admission, Breaker};
@@ -166,20 +165,19 @@ pub struct ServeConfig {
     /// across all tenants. A full queue rejects with
     /// [`Error::Overloaded`].
     pub queue_capacity: usize,
-    /// Start with dispatch paused: requests queue up (admission still
-    /// applies) until [`Server::resume`]. Lets tests and benchmarks build
-    /// a deterministic backlog before any dispatch happens.
-    pub paused: bool,
     /// Record the tenant of every dispatch, in order, for the
     /// [`ServeReport`] — the observable fairness is asserted on this.
     pub record_dispatch: bool,
     /// Per-tenant circuit breakers (see [`breaker`]); `None` disables
     /// them (every submission is admitted regardless of failure history).
     pub breaker: Option<BreakerConfig>,
-    /// Server-wide memory budget in bytes, partitioned into equal
-    /// per-tenant quotas that *tighten* each query's
-    /// `ExecOptions::memory_budget` (see [`governor`]); `None` leaves
-    /// memory governance entirely per-query.
+    /// Server-wide memory budget in bytes. With `T` tenants known to the
+    /// server, every query runs under at most `total / T` bytes: the
+    /// share *tightens* (never loosens) the query's
+    /// `ExecOptions::memory_budget`, whose `MemoryGovernor` ladder then
+    /// degrades the query. Shares shrink as new tenants appear; the
+    /// degradation shows per tenant in `SearchStats::degradation_steps`.
+    /// `None` leaves memory governance entirely per-query.
     pub memory_budget: Option<usize>,
     /// Execution options for every request; also sizes each tenant's
     /// session caches. Defaults to [`ExecOptions::batch`] (plan + result
@@ -202,7 +200,6 @@ impl Default for ServeConfig {
         Self {
             workers: 2,
             queue_capacity: 256,
-            paused: false,
             record_dispatch: false,
             breaker: None,
             memory_budget: None,
@@ -213,7 +210,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// Per-request submission options ([`Server::submit_with`]).
+/// Per-request submission options ([`Server::submit_sparql_with`],
+/// [`Server::execute`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SubmitOptions {
     /// Total admission-to-answer budget. Queue wait is charged against
@@ -489,7 +487,8 @@ struct DispatchContext {
     /// count and the bound on concurrently executing requests.
     workers: usize,
     breaker: Option<BreakerConfig>,
-    governor: Option<ServerGovernor>,
+    /// [`ServeConfig::memory_budget`], split per tenant by [`tenant_quota`].
+    memory_budget: Option<usize>,
     trace: bool,
     slow_query_threshold: Option<Duration>,
 }
@@ -500,8 +499,8 @@ struct Dispatch {
     tenant: Arc<str>,
     job: Job,
     session: Option<QuerySession>,
-    /// Tenants known to the server at dispatch time (the governor's
-    /// partition denominator).
+    /// Tenants known to the server at dispatch time (the
+    /// [`tenant_quota`] denominator).
     tenant_count: usize,
 }
 
@@ -524,15 +523,15 @@ pub struct Server {
 }
 
 impl Server {
-    /// Spawn the serving workers and start accepting requests (paused if
-    /// [`ServeConfig::paused`]).
+    /// Spawn the serving workers and start accepting requests. To build a
+    /// backlog before anything dispatches, call [`Server::pause`] before
+    /// the first submission.
     pub fn start(engine: Arc<AmberEngine>, config: ServeConfig) -> Self {
         export_offline_stats(&engine);
         let ctx = Arc::new(DispatchContext {
             engine,
             shared: ServerShared {
                 state: Mutex::new(DispatchState {
-                    paused: config.paused,
                     dispatch_order: config.record_dispatch.then(Vec::new),
                     ..DispatchState::default()
                 }),
@@ -541,7 +540,7 @@ impl Server {
             options: config.options,
             workers: config.workers.max(1),
             breaker: config.breaker,
-            governor: config.memory_budget.map(ServerGovernor::new),
+            memory_budget: config.memory_budget,
             trace: config.trace,
             slow_query_threshold: config.slow_query_threshold,
         });
@@ -561,37 +560,21 @@ impl Server {
         }
     }
 
-    /// Submit one parsed query for `tenant` with default
+    /// Compile SPARQL text and submit it for `tenant` with default
     /// [`SubmitOptions`] (no budget, no per-request timeout). Returns a
     /// [`Ticket`] immediately on admission; rejects with the typed
     /// [`Error::Overloaded`] / [`Error::CircuitOpen`] without
-    /// enqueueing anything. Requests of one tenant complete in submission
-    /// order; requests of different tenants are scheduled round-robin.
-    pub fn submit(&self, tenant: &str, query: SelectQuery) -> Result<Ticket, Error> {
-        self.submit_with(tenant, query, SubmitOptions::default())
-    }
-
-    /// [`submit`](Self::submit) with per-request lifecycle options: a
-    /// total admission-to-answer budget and/or an execution timeout.
-    /// The query is compiled against the engine before admission, so a
-    /// malformed query is refused synchronously.
-    pub fn submit_with(
-        &self,
-        tenant: &str,
-        query: SelectQuery,
-        opts: SubmitOptions,
-    ) -> Result<Ticket, Error> {
-        let query = self.ctx.engine.compile_parsed(&query)?;
-        Ok(self.enqueue(self.admit(tenant, query, opts)?))
-    }
-
-    /// Compile SPARQL text and [`submit`](Self::submit) it. Parse errors
-    /// are reported synchronously (nothing is enqueued for them).
+    /// enqueueing anything. Parse errors are reported synchronously
+    /// (nothing is enqueued for them). Requests of one tenant complete in
+    /// submission order; requests of different tenants are scheduled
+    /// round-robin.
     pub fn submit_sparql(&self, tenant: &str, sparql: &str) -> Result<Ticket, Error> {
         self.submit_sparql_with(tenant, sparql, SubmitOptions::default())
     }
 
-    /// Compile SPARQL text and [`submit_with`](Self::submit_with) it.
+    /// [`submit_sparql`](Self::submit_sparql) with per-request lifecycle
+    /// options: a total admission-to-answer budget and/or an execution
+    /// timeout.
     pub fn submit_sparql_with(
         &self,
         tenant: &str,
@@ -914,7 +897,6 @@ impl Server {
             breaker_fast_fails: tenants.iter().map(|t| t.breaker.fast_fails).sum(),
             internal_faults: state.internal_faults,
             drain_faults: state.drain_faults,
-            governor: self.ctx.governor.as_ref().map(|g| g.report()),
             plan_stats: aggregate,
             dispatch_order: state
                 .dispatch_order
@@ -983,6 +965,15 @@ fn serve_loop(ctx: &DispatchContext) {
     }
 }
 
+/// A tenant's share of the server-wide [`ServeConfig::memory_budget`]:
+/// `total` split equally over the `tenants` known to the server (zero
+/// counts as one). Fewer bytes than tenants make a share of 0, and the
+/// query's governor then aborts at its first checkpoint after walking the
+/// whole ladder.
+fn tenant_quota(total: usize, tenants: usize) -> usize {
+    total / tenants.max(1)
+}
+
 /// Run one started request to completion on the calling thread — a worker
 /// that took it off the rotation, or the submitter itself on
 /// [`Server::execute`]'s inline path: shed or execute outside the lock,
@@ -1010,7 +1001,7 @@ fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcom
         None => {
             // Per-request options: the remaining admission budget and
             // the per-request timeout tighten the base timeout, the
-            // governor quota tightens the memory budget, and the
+            // tenant's memory quota tightens the memory budget, and the
             // cancel token makes the dispatch revocable. A
             // `serve-dispatch` alloc-fail signal zeroes the memory
             // budget — spurious exhaustion driving the degradation
@@ -1032,9 +1023,8 @@ fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcom
                     if let Some(limit) = job.timeout {
                         options = options.tighten_timeout(limit);
                     }
-                    if let Some(governor) = &ctx.governor {
-                        options = options.tighten_memory_budget(governor.quota(tenant_count));
-                        governor.record_governed();
+                    if let Some(total) = ctx.memory_budget {
+                        options = options.tighten_memory_budget(tenant_quota(total, tenant_count));
                     }
                     if signal.alloc_fail {
                         options = options.tighten_memory_budget(0);
@@ -1198,7 +1188,8 @@ fn acquire_dispatch(ctx: &DispatchContext) -> Option<(Dispatch, Arc<TicketInner>
 /// Per-tenant slice of a [`ServeReport`].
 #[derive(Debug, Clone)]
 pub struct TenantReport {
-    /// The tenant's identifier as passed to [`Server::submit`].
+    /// The tenant's identifier as passed to [`Server::submit_sparql`] or
+    /// [`Server::execute`].
     pub tenant: String,
     /// Requests completed (including engine errors; admission rejections
     /// are *not* served and count in [`ServeReport::rejected`], deadline
@@ -1239,9 +1230,6 @@ pub struct ServeReport {
     pub internal_faults: u64,
     /// `serve-drain` chaos panics trapped on the drain path.
     pub drain_faults: u64,
-    /// Server-wide memory governance counters (`None` without
-    /// [`ServeConfig::memory_budget`]).
-    pub governor: Option<GovernorReport>,
     /// All tenants' plan/result cache counters summed — includes
     /// `result_hit_copied_bytes`, the zero-copy regression gauge.
     pub plan_stats: PlanCacheStats,
@@ -1322,10 +1310,10 @@ mod tests {
             ServeConfig {
                 workers: 1,
                 queue_capacity: 2,
-                paused: true, // nothing dispatches: the queue must fill
                 ..ServeConfig::default()
             },
         );
+        server.pause(); // nothing dispatches: the queue must fill
         let t1 = server.submit_sparql("a", CHAIN).unwrap();
         let t2 = server.submit_sparql("b", EDGE).unwrap();
         match server.submit_sparql("c", EDGE) {
@@ -1358,10 +1346,10 @@ mod tests {
             Arc::clone(&engine),
             ServeConfig {
                 workers: 1,
-                paused: true, // guarantee queue wait: the budget expires queued
                 ..ServeConfig::default()
             },
         );
+        server.pause(); // guarantee queue wait: the budget expires queued
         let doomed = server
             .submit_sparql_with("a", CHAIN, SubmitOptions::new().with_budget(Duration::ZERO))
             .unwrap();
@@ -1509,12 +1497,10 @@ mod tests {
             assert_eq!(t.wait().unwrap().status, QueryStatus::BudgetExceeded);
         }
         let report = server.shutdown();
-        let governor = report.governor.expect("governor configured");
-        assert_eq!(governor.total_budget, 1);
-        assert_eq!(governor.peak_tenants, 1);
         assert_eq!(
-            governor.governed_dispatches, 2,
-            "every dispatch is governed"
+            report.tenants.len(),
+            1,
+            "one tenant: the quota is the total"
         );
         let a = report.tenants.iter().find(|t| t.tenant == "a").unwrap();
         assert_eq!(
@@ -1525,16 +1511,36 @@ mod tests {
     }
 
     #[test]
+    fn quota_partitions_the_budget_equally() {
+        assert_eq!(
+            tenant_quota(1 << 20, 0),
+            1 << 20,
+            "zero tenants counts as one"
+        );
+        assert_eq!(tenant_quota(1 << 20, 1), 1 << 20);
+        assert_eq!(tenant_quota(1 << 20, 4), 1 << 18);
+        assert_eq!(tenant_quota(1 << 20, 2), 1 << 19);
+    }
+
+    #[test]
+    fn tiny_budgets_floor_at_zero_bytes() {
+        // total < tenants → a zero-byte quota: the per-query governor
+        // aborts at its first checkpoint (full ladder), which is the
+        // correct degradation, not an error.
+        assert_eq!(tenant_quota(3, 4), 0);
+    }
+
+    #[test]
     fn shutdown_now_revokes_the_queue_typed() {
         let engine = demo_engine();
         let server = Server::start(
             Arc::clone(&engine),
             ServeConfig {
                 workers: 1,
-                paused: true, // the backlog never dispatches
                 ..ServeConfig::default()
             },
         );
+        server.pause(); // the backlog never dispatches
         let tickets: Vec<Ticket> = (0..4)
             .map(|_| server.submit_sparql("a", CHAIN).unwrap())
             .collect();
@@ -1553,11 +1559,11 @@ mod tests {
             Arc::clone(&engine),
             ServeConfig {
                 workers: 1, // one dispatcher → the order is deterministic
-                paused: true,
                 record_dispatch: true,
                 ..ServeConfig::default()
             },
         );
+        server.pause();
         // A heavy tenant piles up 3 requests before two light tenants
         // submit one each.
         let mut tickets = Vec::new();
@@ -1623,13 +1629,8 @@ mod tests {
     #[test]
     fn shutdown_drains_a_paused_backlog() {
         let engine = demo_engine();
-        let server = Server::start(
-            Arc::clone(&engine),
-            ServeConfig {
-                paused: true,
-                ..ServeConfig::default()
-            },
-        );
+        let server = Server::start(Arc::clone(&engine), ServeConfig::default());
+        server.pause();
         let tickets: Vec<Ticket> = (0..5)
             .map(|_| server.submit_sparql("a", CHAIN).unwrap())
             .collect();
@@ -1905,10 +1906,10 @@ mod tests {
             ServeConfig {
                 // One worker answers ticket n before it dispatches n + 1.
                 workers: 1,
-                paused: true,
                 ..ServeConfig::default()
             },
         );
+        server.pause();
         let earlier = server.submit_sparql("a", CHAIN).unwrap();
         std::thread::scope(|scope| {
             let later = scope.spawn(|| {
@@ -2024,11 +2025,11 @@ mod tests {
             ServeConfig {
                 workers: 1,
                 queue_capacity: TENANTS + 1,
-                paused: true,
                 record_dispatch: true,
                 ..ServeConfig::default()
             },
         );
+        server.pause();
         let mut tickets: Vec<Ticket> = (0..TENANTS)
             .map(|t| server.submit_sparql(&format!("tenant-{t}"), EDGE).unwrap())
             .collect();

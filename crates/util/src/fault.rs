@@ -9,8 +9,8 @@
 //!
 //! Arming happens in one of two ways:
 //!
-//! * the `AMBER_CHAOS=<seed>:<spec>` environment variable (read once, like
-//!   `AMBER_KERNELS`) — the CI chaos lane sets a fixed seed so
+//! * the `AMBER_CHAOS=<seed>:<spec>` environment variable (read once) —
+//!   the CI chaos lane sets a fixed seed so
 //!   the whole test suite runs under answer-preserving faults;
 //! * [`override_spec`], a scoped, process-global override used by the chaos
 //!   proptests to cycle through many specs inside one process. Overrides
@@ -430,7 +430,9 @@ mod tests {
     fn disarmed_inject_is_silent() {
         // Whatever the ambient env, an explicit no-fault... there is no
         // "no-fault" spec, so only assert the call is safe and pure when
-        // the harness is (most likely) disarmed.
+        // the harness is (most likely) disarmed. The override lock keeps
+        // another test's scoped spec from being armed meanwhile.
+        let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let _ = inject(FaultPoint::MatcherCandidate);
     }
 

@@ -109,13 +109,25 @@ impl RequestHead {
     }
 
     /// `true` when the client asked to close the connection after this
-    /// exchange (`Connection: close`, or HTTP/1.0 without keep-alive).
+    /// exchange. `Connection` is a comma-separated token list (RFC 9110
+    /// §7.6.1), possibly over several header lines: any `close` token
+    /// closes; otherwise a `keep-alive` token keeps the connection;
+    /// otherwise the version decides (HTTP/1.0 closes, HTTP/1.1 keeps).
     pub fn wants_close(&self) -> bool {
-        match self.header("connection") {
-            Some(v) if v.eq_ignore_ascii_case("close") => true,
-            Some(v) if v.eq_ignore_ascii_case("keep-alive") => false,
-            _ => self.version == "1.0",
+        let mut keep_alive = false;
+        let tokens = self
+            .headers
+            .iter()
+            .filter(|(name, _)| name.eq_ignore_ascii_case("connection"))
+            .flat_map(|(_, value)| value.split(','))
+            .map(str::trim);
+        for token in tokens {
+            if token.eq_ignore_ascii_case("close") {
+                return true;
+            }
+            keep_alive |= token.eq_ignore_ascii_case("keep-alive");
         }
+        !keep_alive && self.version == "1.0"
     }
 
     /// The media type of the body: the `Content-Type` value up to any `;`
@@ -138,11 +150,17 @@ impl RequestHead {
 /// * `Ok(Some((head, consumed)))` — a complete head; `consumed` is the
 ///   byte offset just past the terminator (the body starts there).
 /// * `Err` — the bytes received so far can never become a valid head.
+///
+/// Empty lines before the request line are skipped (RFC 9112 §2.2): an
+/// old client may send a CRLF after a POST body, and on a keep-alive
+/// connection it arrives ahead of the next request. They count in
+/// `consumed` and against `max_head_bytes`.
 pub fn parse_request_head(
     buf: &[u8],
     max_head_bytes: usize,
 ) -> Result<Option<(RequestHead, usize)>, HttpParseError> {
-    let Some(end) = find_head_end(buf) else {
+    let start = leading_empty_lines(buf);
+    let Some(end) = find_head_end(&buf[start..]).map(|end| start + end) else {
         if buf.len() > max_head_bytes {
             return Err(HttpParseError::HeadTooLarge);
         }
@@ -151,7 +169,7 @@ pub fn parse_request_head(
     if end > max_head_bytes {
         return Err(HttpParseError::HeadTooLarge);
     }
-    let head = std::str::from_utf8(&buf[..end - 4]) // strip the \r\n\r\n
+    let head = std::str::from_utf8(&buf[start..end - 4]) // strip the \r\n\r\n
         .map_err(|_| HttpParseError::MalformedHeader)?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().ok_or(HttpParseError::MalformedRequestLine)?;
@@ -194,6 +212,14 @@ pub fn parse_request_head(
         },
         end,
     )))
+}
+
+/// Bytes taken by the `\r\n` pairs `buf` starts with.
+fn leading_empty_lines(buf: &[u8]) -> usize {
+    2 * buf
+        .chunks_exact(2)
+        .take_while(|pair| *pair == b"\r\n")
+        .count()
 }
 
 /// Offset just past the `\r\n\r\n` head terminator, if present.
@@ -532,6 +558,48 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(!head.wants_close());
+        // `Connection` is a token list: any `close` token closes, then a
+        // `keep-alive` token keeps, then the version's default applies.
+        let closes = |version: &str, connection: &str| {
+            let text = format!("GET / HTTP/{version}\r\n{connection}\r\n");
+            parse(&text).unwrap().unwrap().0.wants_close()
+        };
+        assert!(closes("1.1", "Connection: close, TE\r\n"));
+        assert!(!closes("1.0", "Connection: Keep-Alive, Upgrade\r\n"));
+        assert!(closes("1.1", "Connection: TE,CLOSE\r\n"));
+        assert!(closes(
+            "1.1",
+            "Connection: keep-alive\r\nConnection: close\r\n"
+        ));
+        assert!(closes("1.0", "Connection: Upgrade\r\n"));
+        assert!(!closes("1.1", "Connection: Upgrade\r\n"));
+    }
+
+    #[test]
+    fn empty_lines_before_the_request_line_are_skipped() {
+        for text in [
+            "\r\nGET / HTTP/1.1\r\nHost: x\r\n\r\n",
+            "\r\n\r\n\r\nGET / HTTP/1.1\r\n\r\n",
+        ] {
+            let (head, consumed) = parse(text).unwrap().unwrap();
+            assert_eq!((head.method.as_str(), head.target.as_str()), ("GET", "/"));
+            assert_eq!(consumed, text.len(), "the empty lines are consumed too");
+        }
+        // Only empty lines so far: wait for the request line.
+        assert_eq!(parse("\r\n").unwrap(), None);
+        assert_eq!(parse("\r\n\r\n\r").unwrap(), None);
+        // The empty lines count against the head budget...
+        let padded = format!("{}GET / HTTP/1.1\r\n\r\n", "\r\n".repeat(10));
+        assert_eq!(
+            parse_request_head(padded.as_bytes(), padded.len() - 1).unwrap_err(),
+            HttpParseError::HeadTooLarge
+        );
+        assert!(parse_request_head(padded.as_bytes(), padded.len()).is_ok());
+        // ...so an endless run of them is refused, not buffered.
+        assert_eq!(
+            parse(&"\r\n".repeat(5000)).unwrap_err(),
+            HttpParseError::HeadTooLarge
+        );
     }
 
     #[test]
@@ -679,6 +747,134 @@ mod tests {
         ) {
             let s: String = picks.into_iter().map(|i| ALPHABET[i]).collect();
             assert_escapes_agree(&s);
+        }
+    }
+
+    /// Header lines a generated request head draws from: framing,
+    /// connection tokens, duplicates and near-misses.
+    const HEADERS: &[&str] = &[
+        "Host: localhost",
+        "Accept: */*",
+        "Content-Type: application/x-www-form-urlencoded",
+        "Content-Length: 5",
+        "content-length: 5",
+        "Content-Length: 6",
+        "Content-Length: +5",
+        "Content-Length: 5, 5",
+        "Connection: close",
+        "Connection: keep-alive, Upgrade",
+        "Transfer-Encoding: chunked",
+        "X-Empty:",
+    ];
+
+    /// Bytes spliced in by the extend mutation.
+    const SPLICES: &[&[u8]] = &[
+        b"\r\n",
+        b"\r\n\r\n",
+        b":",
+        b" ",
+        b"\r",
+        b"\n",
+        b"GET / HTTP/1.1",
+        b"\xff\xfe",
+        b"Content-Length: 99999999999999999999999\r\n",
+    ];
+
+    /// A valid head (optionally behind empty lines), a 5-byte body and a
+    /// pipelined second request. Returns the bytes and the offset just
+    /// past the first head's terminator.
+    fn request_bytes(
+        leading: usize,
+        post: bool,
+        version: bool,
+        headers: &[usize],
+    ) -> (Vec<u8>, usize) {
+        let mut out = "\r\n".repeat(leading).into_bytes();
+        let method = if post { "POST" } else { "GET" };
+        let version = if version { "1.1" } else { "1.0" };
+        out.extend_from_slice(format!("{method} /sparql?query=x HTTP/{version}\r\n").as_bytes());
+        for &h in headers {
+            out.extend_from_slice(HEADERS[h % HEADERS.len()].as_bytes());
+            out.extend_from_slice(b"\r\n");
+        }
+        out.extend_from_slice(b"\r\n");
+        let head_end = out.len();
+        out.extend_from_slice(b"query");
+        out.extend_from_slice(b"GET /metrics HTTP/1.1\r\n\r\n");
+        (out, head_end)
+    }
+
+    /// The properties every buffer must keep, whatever its bytes.
+    fn assert_head_invariants(buf: &[u8], max: usize) {
+        let Ok(Some((head, consumed))) = parse_request_head(buf, max) else {
+            return;
+        };
+        assert!(
+            consumed <= buf.len(),
+            "consumed {consumed} of {}",
+            buf.len()
+        );
+        assert!(consumed <= max, "consumed {consumed} over the budget {max}");
+        if let Ok(Some(length)) = head.content_length() {
+            let values: Vec<&str> = head
+                .headers
+                .iter()
+                .filter(|(name, _)| name.eq_ignore_ascii_case("content-length"))
+                .map(|(_, value)| value.as_str())
+                .collect();
+            assert!(!values.is_empty());
+            for value in values {
+                assert!(
+                    !value.is_empty() && value.bytes().all(|b| b.is_ascii_digit()),
+                    "accepted Content-Length {value:?}"
+                );
+                assert_eq!(value.parse::<usize>().ok(), Some(length));
+            }
+        }
+        head.wants_close();
+        head.media_type();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        /// Hostile bytes: truncate, flip and extend a valid request. The
+        /// parser never panics, never consumes past the buffer or the
+        /// budget, never completes a head whose terminator was cut off,
+        /// and frames a body only by agreeing all-digit `Content-Length`s.
+        #[test]
+        fn hostile_request_heads_keep_the_parser_invariants(
+            (leading, post, version) in (0usize..3, any::<bool>(), any::<bool>()),
+            headers in prop::collection::vec(0..HEADERS.len(), 0..6),
+            max in prop_oneof![8usize..64, Just(8192usize)],
+            (cut, flip) in (0usize..256, 0usize..256),
+            (byte, splice) in (0u8..=255, 0..SPLICES.len()),
+        ) {
+            let (bytes, head_end) = request_bytes(leading, post, version, &headers);
+            assert_head_invariants(&bytes, max);
+            if max >= head_end {
+                let (_, consumed) = parse_request_head(&bytes, max).unwrap().unwrap();
+                prop_assert_eq!(consumed, head_end);
+            }
+
+            let cut = cut % (bytes.len() + 1);
+            assert_head_invariants(&bytes[..cut], max);
+            if cut < head_end {
+                prop_assert!(
+                    !matches!(parse_request_head(&bytes[..cut], max), Ok(Some(_))),
+                    "a head cut at {} of {} completed", cut, head_end
+                );
+            }
+
+            let at = flip % bytes.len();
+            let mut flipped = bytes.clone();
+            flipped[at] = byte;
+            assert_head_invariants(&flipped, max);
+
+            let mut extended = bytes[..at].to_vec();
+            extended.extend_from_slice(SPLICES[splice]);
+            extended.extend_from_slice(&bytes[at..]);
+            assert_head_invariants(&extended, max);
         }
     }
 

@@ -5,9 +5,8 @@
 //! filters). This module holds the specialized fast layer:
 //!
 //! * a [`KernelLevel`] detected once at startup via
-//!   `is_x86_feature_detected!` (overridable with the `AMBER_KERNELS`
-//!   environment variable) and cached in an atomic — an enum dispatcher
-//!   rather than per-call feature detection;
+//!   `is_x86_feature_detected!` and cached in an atomic — an enum
+//!   dispatcher rather than per-call feature detection;
 //! * branchless SSE2/AVX2 block kernels for intersection, existence,
 //!   subset and union over `u32` slices, with the generic
 //!   [`scalar`] code as the portable fallback;
@@ -87,10 +86,9 @@ static LEVEL: AtomicU8 = AtomicU8::new(0);
 
 /// The dispatched kernel level: detected once (first call) and cached.
 ///
-/// Detection order: the `AMBER_KERNELS` environment variable
-/// (`scalar`/`sse2`/`avx2`, clamped to what the host supports — the knob
-/// the scalar-fallback CI lane uses) and otherwise the best level
-/// `is_x86_feature_detected!` reports.
+/// The best level `is_x86_feature_detected!` reports. The other levels
+/// stay reachable through the `*_at` entry points, which is how the
+/// differential tests pin each one against the scalar reference.
 pub fn level() -> KernelLevel {
     match LEVEL.load(Ordering::Relaxed) {
         1 => KernelLevel::Scalar,
@@ -105,21 +103,6 @@ pub fn level() -> KernelLevel {
 }
 
 fn detect() -> KernelLevel {
-    let requested = match std::env::var("AMBER_KERNELS") {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "scalar" => Some(KernelLevel::Scalar),
-            "sse2" => Some(KernelLevel::Sse2),
-            "avx2" => Some(KernelLevel::Avx2),
-            _ => None, // unknown value: fall through to auto-detection
-        },
-        Err(_) => None,
-    };
-    if let Some(level) = requested {
-        if available(level) {
-            return level;
-        }
-        // Requested level unavailable: clamp down to the best real one.
-    }
     if available(KernelLevel::Avx2) {
         KernelLevel::Avx2
     } else if available(KernelLevel::Sse2) {

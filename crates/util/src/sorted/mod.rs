@@ -9,7 +9,7 @@
 //! * [`kernels`] — runtime-dispatched SSE2/AVX2 block kernels over `u32`
 //!   with an adaptive merge/gallop/SIMD strategy per call;
 //! * [`scalar`] — the portable generic reference the kernels are pinned to
-//!   (differential tests) and fall back on (non-x86, `AMBER_KERNELS=scalar`);
+//!   (differential tests) and fall back on (non-x86-64 hosts);
 //! * this module — the typed public API. The id newtypes used across the
 //!   workspace (`VertexId`, `EdgeTypeId`, …) implement [`U32Rep`], so their
 //!   slices are reinterpreted as `&[u32]` and run on the fast layer with no

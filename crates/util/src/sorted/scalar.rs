@@ -4,8 +4,7 @@
 //! in [`super::kernels`]: generic over any `Ord + Copy` element, no
 //! target-feature requirements, no `unsafe`. The differential test suite
 //! pins each dispatched kernel to these implementations, and the dispatcher
-//! falls back to them on non-x86 hosts and when `AMBER_KERNELS=scalar`
-//! forces the portable path.
+//! falls back to them on non-x86-64 hosts.
 //!
 //! All inputs are sorted and deduplicated; all outputs preserve that
 //! invariant.

@@ -1,6 +1,7 @@
 //! Differential property test for the batch-execution subsystem.
 //!
-//! `run_all` runs many queries over one shared [`QuerySession`] —
+//! A batch runs many queries through `run_in` on one shared
+//! [`QuerySession`] —
 //! long-lived arenas plus cross-query seed, plan and result caches. Nothing
 //! about that sharing may be observable in the results: over randomized
 //! query streams (duplicates and permutations included, so cache reuse and
@@ -8,7 +9,9 @@
 //! identical to a fresh sequential `run` call, with the plan and
 //! result caches disabled, tiny (evicting mid-batch), and large.
 
-use amber::{AmberEngine, BatchStats, CancelToken, ExecOptions, QueryOutcome, QueryRequest};
+use amber::{
+    AmberEngine, CancelToken, ExecOptions, QueryOutcome, QueryRequest, QuerySession, QueryStatus,
+};
 use amber_datagen::synthetic::{self, SyntheticConfig};
 use amber_datagen::{GeneratedQuery, QueryShape, WorkloadConfig, WorkloadGenerator};
 use amber_multigraph::RdfGraph;
@@ -64,42 +67,46 @@ fn normalized(outcome: &QueryOutcome) -> Fingerprint {
     )
 }
 
+/// Run `stream` through one fresh session and check every outcome against
+/// a sequential `run`. Returns the session, whose counters are the
+/// batch's, and how many of its queries completed within budget.
 fn assert_batch_equals_sequential(
     engine: &AmberEngine,
     stream: &[GeneratedQuery],
     options: &ExecOptions,
     context: &str,
-) -> BatchStats {
+) -> (QuerySession, usize) {
     let requests: Vec<QueryRequest<'_>> = stream
         .iter()
         .map(|q| QueryRequest::parsed(&q.query).with_options(options.clone()))
         .collect();
-    let batch = engine.run_all(&requests);
-    assert_eq!(batch.outcomes.len(), stream.len(), "{context}");
-    assert_eq!(batch.stats.errors, 0, "{context}");
-    for ((generated, request), outcome) in stream.iter().zip(&requests).zip(&batch.outcomes) {
-        let batched = outcome
-            .as_ref()
+    let mut session = engine.create_session(options);
+    let (mut completed, mut timed_out) = (0, 0);
+    for (generated, request) in stream.iter().zip(&requests) {
+        let batched = engine
+            .run_in(request, &mut session)
             .unwrap_or_else(|e| panic!("batch failed on {}: {e}", generated.text));
+        match batched.status {
+            QueryStatus::Completed => completed += 1,
+            QueryStatus::TimedOut => timed_out += 1,
+            _ => {}
+        }
         let solo = engine
             .run(request)
             .unwrap_or_else(|e| panic!("sequential failed on {}: {e}", generated.text));
         assert_eq!(
-            normalized(batched),
+            normalized(&batched),
             normalized(&solo),
             "{context}: batch vs sequential diverged on\n{}",
             generated.text
         );
     }
     // Aggregate bookkeeping must stay coherent too.
-    assert_eq!(
-        batch.stats.completed + batch.stats.timed_out,
-        stream.len(),
-        "{context}"
-    );
-    let rate = batch.stats.seeds.hit_rate();
+    assert_eq!(completed + timed_out, stream.len(), "{context}");
+    assert_eq!(session.queries_executed(), stream.len() as u64, "{context}");
+    let rate = session.seed_stats().hit_rate();
     assert!((0.0..=1.0).contains(&rate), "{context}: hit rate {rate}");
-    batch.stats
+    (session, completed)
 }
 
 proptest! {
@@ -172,8 +179,9 @@ fn batch_equivalence_holds_on_complex_streams() {
             .with_result_cache(capacity)
     };
 
-    let cached = assert_batch_equals_sequential(&engine, &stream, &with_caches(256), "cached");
-    let (plans, results) = (&cached.plans.plans, &cached.plans.results);
+    let (cached, _) = assert_batch_equals_sequential(&engine, &stream, &with_caches(256), "cached");
+    let cached = cached.plan_stats();
+    let (plans, results) = (&cached.plans, &cached.results);
     assert_eq!(
         (plans.misses as usize, plans.hits as usize),
         (distinct, repeats)
@@ -183,23 +191,28 @@ fn batch_equivalence_holds_on_complex_streams() {
         (distinct, repeats)
     );
 
-    let once = assert_batch_equals_sequential(&engine, &base, &with_caches(0), "one pass");
-    let uncached = assert_batch_equals_sequential(&engine, &stream, &with_caches(0), "uncached");
-    let probes = once.seeds.hits + once.seeds.misses;
+    let once = assert_batch_equals_sequential(&engine, &base, &with_caches(0), "one pass")
+        .0
+        .seed_stats();
+    let uncached = assert_batch_equals_sequential(&engine, &stream, &with_caches(0), "uncached")
+        .0
+        .seed_stats();
+    let probes = once.hits + once.misses;
     assert!(probes > 0, "the complex queries probe seeds");
-    assert_eq!(uncached.seeds.misses, once.seeds.misses);
+    assert_eq!(uncached.misses, once.misses);
     assert_eq!(
-        uncached.seeds.hits,
-        REPEATS as u64 * probes - once.seeds.misses,
+        uncached.hits,
+        REPEATS as u64 * probes - once.misses,
         "every probe after a query's first run hits"
     );
 
     let governed = with_caches(256)
         .with_memory_budget(4 << 30)
         .with_cancel(CancelToken::new());
-    let governed = assert_batch_equals_sequential(&engine, &stream, &governed, "governed");
-    assert_eq!(governed.completed, stream.len());
-    assert_eq!(governed.search.degradation_steps, 0);
+    let (governed, completed) =
+        assert_batch_equals_sequential(&engine, &stream, &governed, "governed");
+    assert_eq!(completed, stream.len());
+    assert_eq!(governed.search_stats().degradation_steps, 0);
 }
 
 #[test]

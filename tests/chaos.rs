@@ -404,10 +404,10 @@ fn serving_layer_quarantines_chaos_panics_per_tenant() {
         Arc::clone(&engine),
         ServeConfig {
             workers: 2,
-            paused: true, // queue the poisoned request before arming
             ..ServeConfig::default()
         },
     );
+    server.pause(); // queue the poisoned request before arming
     let poisoned = server.submit_sparql("a", &paper_query_text()).unwrap();
     let result = {
         let _guard = fault::override_spec("1:matcher-candidate=panic@1").unwrap();

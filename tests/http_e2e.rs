@@ -169,19 +169,16 @@ fn http_round_trip_matches_the_embedded_engine() {
 #[test]
 fn backpressure_surfaces_as_503_with_retry_after() {
     let engine = Arc::new(AmberEngine::load_ntriples(DATA).unwrap());
-    let http = HttpServer::start(
-        Server::start(
-            engine,
-            ServeConfig {
-                workers: 1,
-                queue_capacity: 1,
-                paused: true,
-                ..ServeConfig::default()
-            },
-        ),
-        HttpConfig::default(),
-    )
-    .unwrap();
+    let server = Server::start(
+        engine,
+        ServeConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServeConfig::default()
+        },
+    );
+    server.pause();
+    let http = HttpServer::start(server, HttpConfig::default()).unwrap();
     let pending = http
         .with_server(|s| s.submit_sparql("filler", QUERY))
         .unwrap()

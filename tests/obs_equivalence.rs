@@ -1,5 +1,6 @@
 //! Differential tests pinning the `amber_obs` metrics registry to the
-//! legacy in-struct accounting (`BatchStats`, `SearchStats`, `ServeReport`).
+//! legacy in-struct accounting (a session's `CacheStats`, `PlanCacheStats`
+//! and `SearchStats`, and the `ServeReport`).
 //!
 //! The registry is *populated from* the legacy structs by a per-query
 //! delta flush (see `crates/core/src/telemetry.rs`), so the two views are
@@ -113,29 +114,30 @@ fn batch_stats_agree_exactly_with_the_registry() {
         QueryRequest::sparql("not sparql").with_options(options.clone()),
         QueryRequest::prepared(&foreign).with_options(options.clone()),
     ];
+    // A fresh session: its counters after the batch are the batch's.
     let mut session = engine.create_session(&options);
 
     let before = amber_obs::snapshot();
-    let batch = engine.run_all_in(&requests, &mut session);
+    let outcomes: Vec<_> = requests
+        .iter()
+        .map(|request| engine.run_in(request, &mut session))
+        .collect();
     let after = amber_obs::snapshot();
-    let stats = &batch.stats;
+    let count = |status: Option<QueryStatus>| {
+        outcomes
+            .iter()
+            .filter(|o| o.as_ref().ok().map(|o| o.status) == status)
+            .count() as u64
+    };
 
-    assert_eq!(stats.completed, 3, "workload sanity");
-    assert_eq!(stats.errors, 2, "workload sanity");
-    assert_eq!(
-        delta(
-            &before,
-            &after,
-            "amber_queries_total",
-            &[("status", "completed")]
-        ),
-        stats.completed as u64
-    );
+    assert_eq!(count(Some(QueryStatus::Completed)), 3, "workload sanity");
+    assert_eq!(count(None), 2, "workload sanity");
     for (status, legacy) in [
-        ("timed_out", stats.timed_out),
-        ("cancelled", stats.cancelled),
-        ("budget_exceeded", stats.budget_exceeded),
-        ("error", stats.errors),
+        ("completed", count(Some(QueryStatus::Completed))),
+        ("timed_out", count(Some(QueryStatus::TimedOut))),
+        ("cancelled", count(Some(QueryStatus::Cancelled))),
+        ("budget_exceeded", count(Some(QueryStatus::BudgetExceeded))),
+        ("error", count(None)),
     ] {
         assert_eq!(
             delta(
@@ -144,7 +146,7 @@ fn batch_stats_agree_exactly_with_the_registry() {
                 "amber_queries_total",
                 &[("status", status)]
             ),
-            legacy as u64,
+            legacy,
             "status {status}"
         );
     }
@@ -165,15 +167,16 @@ fn batch_stats_agree_exactly_with_the_registry() {
         "one count per request"
     );
 
-    assert_cache_family(&before, &after, "seed", &stats.seeds, "batch");
-    assert_cache_family(&before, &after, "plan", &stats.plans.plans, "batch");
-    assert_cache_family(&before, &after, "result", &stats.plans.results, "batch");
+    let plans = session.plan_stats();
+    assert_cache_family(&before, &after, "seed", &session.seed_stats(), "batch");
+    assert_cache_family(&before, &after, "plan", &plans.plans, "batch");
+    assert_cache_family(&before, &after, "result", &plans.results, "batch");
     assert_eq!(
         delta(&before, &after, "amber_result_hit_copied_bytes_total", &[]),
-        stats.plans.result_hit_copied_bytes
+        plans.result_hit_copied_bytes
     );
 
-    let search = &stats.search;
+    let search = session.search_stats();
     for (name, legacy) in [
         ("amber_search_nodes_total", search.nodes),
         ("amber_query_trapped_panics_total", search.trapped_panics),
@@ -186,8 +189,8 @@ fn batch_stats_agree_exactly_with_the_registry() {
         assert_eq!(delta(&before, &after, name, &[]), legacy, "{name}");
     }
     assert!(
-        stats.plans.results.hits >= 1,
-        "verbatim repeats must exercise the result-cache flush: {stats:?}"
+        plans.results.hits >= 1,
+        "verbatim repeats must exercise the result-cache flush: {plans:?}"
     );
     assert!(
         search.nodes >= 1,
@@ -205,7 +208,6 @@ fn serve_report_agrees_exactly_with_the_registry() {
         ServeConfig {
             workers: 1,
             queue_capacity: 2,
-            paused: true, // deterministic backlog: fill, reject, then drain
             breaker: Some(BreakerConfig {
                 failure_threshold: 1,
                 cooldown: Duration::from_secs(3600),
@@ -213,6 +215,8 @@ fn serve_report_agrees_exactly_with_the_registry() {
             ..ServeConfig::default()
         },
     );
+    // Deterministic backlog: fill, reject, then drain.
+    server.pause();
     // One request that serves, one whose budget expires queued (shed).
     let healthy = server.submit_sparql("a", CHAIN).unwrap();
     let doomed = server
@@ -337,10 +341,10 @@ fn shutdown_now_revocations_reach_the_registry() {
         Arc::clone(&engine),
         ServeConfig {
             workers: 1,
-            paused: true,
             ..ServeConfig::default()
         },
     );
+    server.pause();
     let tickets: Vec<_> = (0..3)
         .map(|_| server.submit_sparql("a", CHAIN).unwrap())
         .collect();
@@ -583,9 +587,17 @@ fn canned_snapshot_renders_verify() {
     let _serial = serial();
     let engine = demo_engine();
     let query = amber_sparql::parse_select(CHAIN).unwrap();
-    let request = QueryRequest::parsed(&query).with_options(ExecOptions::batch());
-    let batch = engine.run_all(&[request.clone(), request]);
-    assert_eq!(batch.stats.completed, 2, "canned batch completes");
+    let options = ExecOptions::batch();
+    let request = QueryRequest::parsed(&query).with_options(options.clone());
+    let mut session = engine.create_session(&options);
+    for _ in 0..2 {
+        let outcome = engine.run_in(&request, &mut session).unwrap();
+        assert_eq!(
+            outcome.status,
+            QueryStatus::Completed,
+            "canned batch completes"
+        );
+    }
     let server = Server::start(Arc::clone(&engine), ServeConfig::default());
     server
         .submit_sparql("tenant-a", CHAIN)

@@ -122,11 +122,9 @@ fn batch_knob_matrix_matches_one_shot_execution() {
                 .iter()
                 .map(|q| QueryRequest::parsed(q).with_options(options.clone()))
                 .collect();
-            let batch = engine.run_all(&requests);
-            assert_eq!(batch.stats.queries, queries.len());
-            assert_eq!(batch.stats.errors, 0);
-            for (request, outcome) in requests.iter().zip(&batch.outcomes) {
-                let batched = outcome.as_ref().unwrap();
+            let mut session = engine.create_session(&options);
+            for request in &requests {
+                let batched = engine.run_in(request, &mut session).unwrap();
                 let solo = engine.run(request).unwrap();
                 assert_eq!(
                     batched.embedding_count, solo.embedding_count,
@@ -139,9 +137,11 @@ fn batch_knob_matrix_matches_one_shot_execution() {
                 b.sort();
                 assert_eq!(a, b, "capacity {capacity}");
             }
+            assert_eq!(session.queries_executed(), queries.len() as u64);
             // Counter coherence: with the caches disabled nothing may be
             // memoized; with them enabled the hit rate stays a probability.
-            for stats in [&batch.stats.plans.plans, &batch.stats.plans.results] {
+            let stats = session.plan_stats();
+            for stats in [&stats.plans, &stats.results] {
                 if capacity == 0 {
                     assert_eq!(stats.hits + stats.misses, 0);
                     assert_eq!(stats.entries, 0);

@@ -106,19 +106,19 @@ fn assert_prepared_equals_unprepared(
         .with_plan_cache(plan_capacity)
         .with_result_cache(result_capacity);
     let bare = ExecOptions::default().with_max_results(200);
-    let requests: Vec<QueryRequest<'_>> = stream
-        .iter()
-        .map(|q| QueryRequest::parsed(q).with_options(cached.clone()))
-        .collect();
-    let batch = engine.run_all(&requests);
-    assert_eq!(batch.stats.errors, 0, "{context}");
-    for (query, outcome) in stream.iter().zip(&batch.outcomes) {
-        let via_cache = outcome.as_ref().expect("cached execution succeeds");
+    let mut session = engine.create_session(&cached);
+    for query in stream {
+        let via_cache = engine
+            .run_in(
+                &QueryRequest::parsed(query).with_options(cached.clone()),
+                &mut session,
+            )
+            .unwrap_or_else(|e| panic!("{context}: cached execution failed: {e}"));
         let fresh = engine
             .run(&QueryRequest::parsed(query).with_options(bare.clone()))
             .expect("fresh execution succeeds");
         assert_eq!(
-            normalized(via_cache),
+            normalized(&via_cache),
             normalized(&fresh),
             "{context}: prepared/cached diverged from unprepared"
         );
@@ -208,19 +208,15 @@ fn renamed_queries_share_plans_but_keep_their_headers() {
     let original = base[0].query.clone();
     let renamed = rename_vars(&original, 7);
     let options = ExecOptions::batch();
-    let batch = engine.run_all(&[
-        QueryRequest::parsed(&original).with_options(options.clone()),
-        QueryRequest::parsed(&renamed).with_options(options),
-    ]);
-    assert_eq!(batch.stats.plans.plans.misses, 1, "one plan derivation");
-    assert_eq!(
-        batch.stats.plans.plans.hits, 1,
-        "the renamed twin reuses it"
-    );
-    let (a, b) = (
-        batch.outcomes[0].as_ref().unwrap(),
-        batch.outcomes[1].as_ref().unwrap(),
-    );
+    let mut session = engine.create_session(&options);
+    let mut run = |query: &SelectQuery| {
+        let request = QueryRequest::parsed(query).with_options(options.clone());
+        engine.run_in(&request, &mut session).unwrap()
+    };
+    let (a, b) = (run(&original), run(&renamed));
+    let plans = session.plan_stats().plans;
+    assert_eq!(plans.misses, 1, "one plan derivation");
+    assert_eq!(plans.hits, 1, "the renamed twin reuses it");
     assert_eq!(a.embedding_count, b.embedding_count);
     let (mut rows_a, mut rows_b) = (a.bindings.to_vec(), b.bindings.to_vec());
     rows_a.sort();

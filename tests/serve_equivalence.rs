@@ -10,7 +10,7 @@ use amber_datagen::synthetic::{self, SyntheticConfig};
 use amber_datagen::{GeneratedQuery, QueryShape, WorkloadConfig, WorkloadGenerator};
 use amber_multigraph::RdfGraph;
 use amber_serve::{ServeConfig, Server, SubmitOptions, Ticket};
-use amber_sparql::{Projection, SelectQuery, TermPattern};
+use amber_sparql::{to_sparql, Projection, SelectQuery, TermPattern};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -133,10 +133,15 @@ fn assert_serving_matches_sequential(
                 let server = &server;
                 scope.spawn(move || {
                     // Submit the whole stream first (tickets preserve the
-                    // tenant's order), then redeem.
+                    // tenant's order), then redeem. The server takes text;
+                    // the sequential oracle ran the parsed query.
                     let tickets: Vec<Ticket> = queries
                         .iter()
-                        .map(|q| server.submit(tenant, q.clone()).expect("admitted"))
+                        .map(|q| {
+                            server
+                                .submit_sparql(tenant, &to_sparql(q))
+                                .expect("admitted")
+                        })
                         .collect();
                     tickets
                         .into_iter()
@@ -255,7 +260,7 @@ proptest! {
                                 .iter()
                                 .map(|g| {
                                     server
-                                        .submit_with(tenant, g.query.clone(), opts.clone())
+                                        .submit_sparql_with(tenant, &g.text, opts.clone())
                                         .expect("admitted")
                                 })
                                 .collect();
@@ -321,7 +326,7 @@ fn admission_control_rejects_beyond_capacity_and_serves_the_rest() {
     let mut generator = WorkloadGenerator::new(&rdf, 77);
     let base = generator.generate_many(&WorkloadConfig::new(QueryShape::Star, 4), 1);
     assert!(!base.is_empty());
-    let query = base[0].query.clone();
+    let query = base[0].text.as_str();
 
     let capacity = 4;
     let server = Server::start(
@@ -329,20 +334,20 @@ fn admission_control_rejects_beyond_capacity_and_serves_the_rest() {
         ServeConfig {
             workers: 2,
             queue_capacity: capacity,
-            paused: true, // deterministic: the queue fills before any dispatch
             ..ServeConfig::default()
         },
     );
+    server.pause(); // deterministic: the queue fills before any dispatch
     let accepted: Vec<Ticket> = (0..capacity)
         .map(|i| {
             server
-                .submit(&format!("tenant-{}", i % 2), query.clone())
+                .submit_sparql(&format!("tenant-{}", i % 2), query)
                 .expect("under capacity")
         })
         .collect();
     // The queue is full: the next submission is rejected immediately, with
     // the typed error, without blocking and without losing earlier work.
-    match server.submit("tenant-0", query.clone()) {
+    match server.submit_sparql("tenant-0", query) {
         Err(Error::Overloaded {
             capacity: c,
             queued,
@@ -355,7 +360,7 @@ fn admission_control_rejects_beyond_capacity_and_serves_the_rest() {
         other => panic!("expected Overloaded, got {other:?}"),
     }
     server.resume();
-    let baseline = engine.run(&QueryRequest::parsed(&query)).expect("baseline");
+    let baseline = engine.run(&QueryRequest::sparql(query)).expect("baseline");
     for ticket in accepted {
         let outcome = ticket.wait().expect("accepted requests are served");
         assert_eq!(outcome.embedding_count, baseline.embedding_count);
@@ -411,7 +416,7 @@ fn tenants_keep_their_own_plans_headers_and_failures() {
                             .run(&QueryRequest::parsed(&q).with_max_results(200))
                             .expect("cache-free run");
                         let got = server
-                            .submit(tenant, q.clone())
+                            .submit_sparql(tenant, &to_sparql(&q))
                             .expect("admitted")
                             .wait()
                             .expect("served");
@@ -497,13 +502,12 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
             })
             .collect();
 
-        let start = |paused: bool| {
+        let start = || {
             Server::start(
                 // An engine each, so the two runs share nothing.
                 Arc::new(AmberEngine::from_graph(Arc::clone(&rdf))),
                 ServeConfig {
                     workers: 2,
-                    paused,
                     breaker: Some(amber_serve::BreakerConfig {
                         failure_threshold: 2,
                         cooldown: Duration::from_secs(3600),
@@ -514,7 +518,7 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
             )
         };
 
-        let inline = start(false);
+        let inline = start();
         let inline_settled: Vec<String> = rounds
             .iter()
             .flatten()
@@ -525,7 +529,7 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
         // A round is admitted whole while paused, then drained: every
         // tenant's request n is answered before its request n + 1 is
         // admitted, as on the inline server.
-        let queued = start(true);
+        let queued = start();
         let mut queued_settled = Vec::new();
         for round in &rounds {
             queued.pause();

@@ -78,13 +78,12 @@ fn main() {
                 match args[i].as_str() {
                     "--timeout-ms" => {
                         i += 1;
-                        options.timeout = Some(Duration::from_millis(
-                            args[i].parse().expect("--timeout-ms N"),
-                        ));
+                        let ms = flag_value(&args, i, "--timeout-ms");
+                        options.timeout = Some(Duration::from_millis(ms));
                     }
                     "--limit" => {
                         i += 1;
-                        options.max_results = Some(args[i].parse().expect("--limit N"));
+                        options.max_results = Some(flag_value(&args, i, "--limit"));
                     }
                     "--count" => options.count_only = true,
                     other => {
@@ -124,14 +123,7 @@ fn main() {
         "explain" => {
             let sparql = read_query(args.get(2));
             let engine = AmberEngine::from_graph(load_data(data_path));
-            let query = match amber_sparql::parse_select(&sparql) {
-                Ok(q) => q,
-                Err(e) => {
-                    eprintln!("{e}");
-                    exit(1);
-                }
-            };
-            let plan = match engine.prepare(&query) {
+            let plan = match engine.prepare_sparql(&sparql) {
                 Ok(plan) => plan,
                 Err(e) => {
                     eprintln!("{e}");
@@ -219,6 +211,22 @@ fn load_data(path: &str) -> RdfGraph {
                 exit(1);
             }
         },
+    }
+}
+
+/// The numeric value of `flag` at `args[i]`; a missing or non-numeric one
+/// is a usage error (exit 2).
+fn flag_value<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
+    match args.get(i).map(|value| value.parse()) {
+        Some(Ok(value)) => value,
+        Some(Err(_)) => {
+            eprintln!("{flag} takes a number, got '{}'\n{USAGE}", args[i]);
+            exit(2);
+        }
+        None => {
+            eprintln!("{flag} takes a number\n{USAGE}");
+            exit(2);
+        }
     }
 }
 

@@ -199,8 +199,8 @@ impl AmberEngine {
     }
 
     /// Compile SPARQL text against this engine's dictionaries in one pass
-    /// ([`CompiledQuery::compile`]): the id key the plan and result caches
-    /// look up, the header, and the reason a query naming an absent
+    /// ([`CompiledQuery::compile`]): the id key the result cache looks up,
+    /// the header, and the reason a query naming an absent
     /// constant is empty. The result is bound to this engine — run it with
     /// [`QueryRequest::compiled`](crate::QueryRequest::compiled); another
     /// engine refuses it with [`EngineError::StalePlan`].
@@ -238,18 +238,17 @@ impl AmberEngine {
     }
 
     fn prepare_compiled(&self, compiled: &CompiledQuery) -> Arc<PreparedPlan> {
-        Arc::new(PreparedPlan::from_compiled(
-            compiled,
-            &self.rdf,
-            &self.index,
-            self.token,
-            &mut SeedCache::disabled(),
-        ))
+        Arc::new(self.build_plan(compiled, &mut SeedCache::disabled()))
+    }
+
+    /// Derive `compiled`'s plan, resolving seed lookups through `seeds`.
+    fn build_plan(&self, compiled: &CompiledQuery, seeds: &mut SeedCache) -> PreparedPlan {
+        PreparedPlan::from_compiled(compiled, &self.rdf, &self.index, self.token, seeds)
     }
 
     /// Execute `query` with the session's flight recorder forced on and
     /// return the outcome plus an `EXPLAIN ANALYZE`-style report: the
-    /// prepared-plan summary followed by the recorded span tree and cache
+    /// plan summary followed by the recorded span tree and cache
     /// trail (both through the
     /// [`Explain`](crate::Explain) builder).
     ///
@@ -260,10 +259,12 @@ impl AmberEngine {
         options: &ExecOptions,
         session: &mut QuerySession,
     ) -> Result<(QueryOutcome, String), EngineError> {
-        // The plan comes through the session's plan cache and then runs as
-        // a prepared source, so the report and the trace describe one plan.
+        // The plan is built once, through the session's seed cache, and
+        // runs as a prepared source, so the report and the trace describe
+        // one plan.
         session.bind_graph(self.graph_token());
-        let plan = self.resolve_plan(&self.compile_parsed(query)?, true, session);
+        let compiled = self.compile_parsed(query)?;
+        let plan = Arc::new(self.build_plan(&compiled, session.seed_cache_mut()));
         let (was_enabled, threshold) = session.flight_recorder().config();
         session.configure_tracing(true, threshold);
         let outcome = self.run_source(&QuerySource::Prepared(&plan), options, session);
@@ -281,52 +282,16 @@ impl AmberEngine {
         Ok((outcome, text))
     }
 
-    /// Session plan-cache lookup by the compiled query's key, else build
-    /// (and store when cached). `use_cache` honors the *per-call* capacity
-    /// knob: a call passing `plan_cache_capacity == 0` opts out of the
-    /// session's cache for that execution (the cache itself is sized once,
-    /// at session creation).
-    fn resolve_plan(
-        &self,
-        compiled: &CompiledQuery,
-        use_cache: bool,
-        session: &mut QuerySession,
-    ) -> Arc<PreparedPlan> {
-        let (plans, seeds) = session.plan_and_seed_caches();
-        let cached = use_cache && plans.is_enabled();
-        if cached {
-            if let Some(plan) = plans.lookup(compiled.fingerprint(), compiled.key(), self.token) {
-                session.recorder_mut().note_cache("plan:hit");
-                return plan;
-            }
-            plans.note_miss();
-        } else {
-            plans.note_bypass();
-        }
-        let built = Arc::new(PreparedPlan::from_compiled(
-            compiled,
-            &self.rdf,
-            &self.index,
-            self.token,
-            seeds,
-        ));
-        if cached {
-            plans.insert(Arc::clone(&built));
-        }
-        session
-            .recorder_mut()
-            .note_cache(if cached { "plan:build" } else { "plan:bypass" });
-        built
-    }
-
-    /// A reusable [`QuerySession`]: plan and result caches sized from
-    /// `options`, a seed cache of
-    /// [`QuerySession::SEED_CACHE_CAPACITY`]. Feed it to
-    /// [`Self::run_in`] to amortize arenas, seed probes, and prepared
-    /// plans across many queries.
+    /// A reusable [`QuerySession`]: a result cache of
+    /// `options.result_cache_capacity` (the one place that knob is read)
+    /// and a seed cache of [`QuerySession::SEED_CACHE_CAPACITY`]. Feed it
+    /// to [`Self::run_in`] to amortize arenas, seed probes and repeated
+    /// answers across many queries.
     pub fn create_session(&self, options: &ExecOptions) -> QuerySession {
-        let mut session = QuerySession::new(QuerySession::SEED_CACHE_CAPACITY)
-            .with_plan_caches(options.plan_cache_capacity, options.result_cache_capacity);
+        let mut session = QuerySession::new(
+            QuerySession::SEED_CACHE_CAPACITY,
+            options.result_cache_capacity,
+        );
         session.bind_graph(self.graph_token());
         session
     }
@@ -336,7 +301,7 @@ impl AmberEngine {
     /// dropped microseconds later. This is what keeps a one-shot
     /// [`Self::run`] cheap per call.
     pub(crate) fn transient_session(&self) -> QuerySession {
-        let mut session = QuerySession::new(0);
+        let mut session = QuerySession::new(0, 0);
         session.bind_graph(self.graph_token());
         session
     }
@@ -386,9 +351,7 @@ impl AmberEngine {
     }
 
     /// Open the query's trace, then compile a text or parsed source or
-    /// check a compiled or prepared one's engine, resolve the plan of a
-    /// compiled query (through the session plan cache when enabled) and
-    /// execute it (through the session result cache when enabled).
+    /// check a compiled or prepared one's engine, and [`Self::answer`] it.
     fn execute_source(
         &self,
         source: &QuerySource<'_>,
@@ -411,8 +374,7 @@ impl AmberEngine {
                 if plan.engine_token() != self.token {
                     return Err(EngineError::StalePlan);
                 }
-                let variables = plan.variables().to_vec();
-                return self.execute_plan_with_result_cache(plan, variables, options, session, sw);
+                return self.answer(Ready::Prepared(plan), options, session, sw);
             }
             QuerySource::Compiled(query) => query,
             QuerySource::Parsed(query) => match self.compile_parsed(query) {
@@ -450,63 +412,72 @@ impl AmberEngine {
         if compiled.owner() != self.token {
             return Err(EngineError::StalePlan);
         }
-        let use_plan_cache = options.plan_cache_capacity > 0;
-        let tracing = session.recorder_mut().is_recording();
-        let plan_sw = tracing.then(Stopwatch::start);
-        let plan = self.resolve_plan(compiled, use_plan_cache, session);
-        if let Some(s) = plan_sw {
-            session.recorder_mut().span("plan", 0, s.elapsed());
-        }
-        // The outcome always carries the *live caller's* variable names:
-        // alpha-equivalent queries share one plan but keep their headers.
-        let variables = compiled.output_variables();
-        self.execute_plan_with_result_cache(&plan, variables, options, session, sw)
+        self.answer(Ready::Compiled(compiled), options, session, sw)
     }
 
-    /// Result-cache consult → run → store-if-completed, shared by every
-    /// source.
-    fn execute_plan_with_result_cache(
+    /// Serve `query` from the session's result cache, or plan it (a
+    /// compiled query; a prepared one brings its plan), run it and store
+    /// the outcome if it completed.
+    fn answer(
         &self,
-        plan: &Arc<PreparedPlan>,
-        variables: Vec<Box<str>>,
+        query: Ready<'_>,
         options: &ExecOptions,
         session: &mut QuerySession,
         sw: &Stopwatch,
     ) -> Result<QueryOutcome, EngineError> {
-        let results_enabled =
-            options.result_cache_capacity > 0 && session.result_cache_mut().is_enabled();
-        if results_enabled {
-            if let Some(cached) = session.result_cache_mut().lookup(plan, options) {
+        // The outcome always carries the *live caller's* variable names:
+        // alpha-equivalent queries share one entry but keep their headers.
+        let (key, fingerprint, variables) = match query {
+            Ready::Compiled(compiled) => (
+                compiled.key(),
+                compiled.fingerprint(),
+                compiled.output_variables(),
+            ),
+            Ready::Prepared(plan) => (plan.key(), plan.fingerprint(), plan.variables().to_vec()),
+        };
+        let cached = session.result_cache_mut().is_enabled();
+        if cached {
+            let results = session.result_cache_mut();
+            if let Some(hit) = results.lookup(key, fingerprint, self.token, options) {
                 // Zero-copy serve: the outcome's rows are the cached `Arc`
                 // allocation itself (only Completed outcomes are ever
                 // stored, so the status is unconditional). `record_serve`
                 // audits the sharing at runtime — copied bytes stay 0.
                 let outcome = QueryOutcome {
                     status: QueryStatus::Completed,
-                    embedding_count: cached.embedding_count,
+                    embedding_count: hit.embedding_count,
                     variables,
-                    bindings: cached.rows.clone(),
+                    bindings: hit.rows.clone(),
                     elapsed: sw.elapsed(),
                 };
-                session
-                    .result_cache_mut()
-                    .record_serve(&cached.rows, &outcome.bindings);
+                results.record_serve(&hit.rows, &outcome.bindings);
                 session.recorder_mut().note_cache("result:hit");
                 return Ok(outcome);
             }
-            session.result_cache_mut().note_miss();
+            results.note_miss();
             session.recorder_mut().note_cache("result:miss");
         }
+        let built;
+        let plan = match query {
+            Ready::Prepared(plan) => plan,
+            Ready::Compiled(compiled) => {
+                let plan_sw = session.recorder_mut().is_recording().then(Stopwatch::start);
+                built = self.build_plan(compiled, session.seed_cache_mut());
+                if let Some(s) = plan_sw {
+                    session.recorder_mut().span("plan", 0, s.elapsed());
+                }
+                &built
+            }
+        };
         let outcome = self.run_plan(plan, variables, options, session, sw)?;
         let shed = session.result_cache_shed();
         let results = session.result_cache_mut();
         if shed {
             // The memory governor reached its first ladder rung during
-            // this query: drop retained outcomes and stop storing for the
-            // rest of the query.
-            results.shed();
+            // this query: drop retained outcomes and store nothing.
+            results.clear();
         }
-        let stored = if !results_enabled || shed || !outcome.status.is_complete() {
+        let stored = if !cached || shed || !outcome.status.is_complete() {
             // Partial outcomes (timeout, cancellation, blown budget) are
             // *bypassed*, never stored: a truncated count must not be
             // served to a repeat. Shedding bypasses too.
@@ -514,7 +485,7 @@ impl AmberEngine {
             false
         } else {
             // Storing shares the outcome's row `Arc` — no deep copy.
-            results.store(plan, options, &outcome);
+            results.store(key, fingerprint, self.token, options, &outcome);
             true
         };
         session.recorder_mut().note_cache(if stored {
@@ -662,6 +633,14 @@ impl AmberEngine {
     }
 }
 
+/// A query `AmberEngine::answer` can look up: compiled (planned on a
+/// result-cache miss) or already prepared.
+#[derive(Clone, Copy)]
+enum Ready<'a> {
+    Compiled(&'a CompiledQuery),
+    Prepared(&'a PreparedPlan),
+}
+
 /// The registry/flight-recorder status label for a finished query.
 fn outcome_status(outcome: &Result<QueryOutcome, EngineError>) -> &'static str {
     match outcome {
@@ -790,7 +769,7 @@ mod tests {
         assert_eq!(outcome.embedding_count, 0);
 
         // Two queries that differ only in which absent IRI they name share
-        // no plan and no answer, and each EXPLAIN names its own IRI.
+        // no answer, and each EXPLAIN names its own IRI.
         let options = ExecOptions::batch();
         let mut session = engine.create_session(&options);
         for _ in 0..2 {
@@ -810,9 +789,8 @@ mod tests {
                 assert!(reason.contains(&format!("<{iri}>")), "{reason}");
             }
         }
-        let stats = session.plan_stats();
-        assert_eq!((stats.plans.misses, stats.plans.hits), (2, 2));
-        assert_eq!((stats.results.misses, stats.results.hits), (2, 2));
+        let stats = session.result_stats().cache;
+        assert_eq!((stats.misses, stats.hits), (2, 2));
     }
 
     #[test]
@@ -1016,7 +994,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_hits_on_alpha_equivalent_repeats() {
+    fn result_cache_hits_on_alpha_equivalent_repeats() {
         let engine = engine();
         let q1 = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let renamed = paper_query_text().replace("?X", "?Renamed");
@@ -1025,14 +1003,15 @@ mod tests {
         let queries = [q1.clone(), q2, q1];
         let (outcomes, session) = run_on_one_session(&engine, &parsed_requests(&queries, &options));
         assert_eq!(completed(&outcomes), 3);
-        let plans = session.plan_stats().plans;
-        assert_eq!(plans.misses, 1, "one derivation");
-        assert_eq!(plans.hits, 2, "two alpha-equivalent reuses");
+        let results = session.result_stats().cache;
+        assert_eq!(results.misses, 1, "one execution");
+        assert_eq!(results.hits, 2, "two alpha-equivalent reuses");
         // The renamed query must still answer under *its own* headers.
         let renamed_outcome = outcomes[1].as_ref().unwrap();
         assert!(renamed_outcome.variables[0].contains("Renamed"));
 
-        // A prefixed-name spelling and the full-IRI spelling share a plan.
+        // A prefixed-name spelling and the full-IRI spelling share an
+        // entry.
         let full = format!("SELECT * WHERE {{ ?p <{PREFIX_Y}wasBornIn> <{PREFIX_X}London> . }}");
         let prefixed = format!(
             "PREFIX y: <{PREFIX_Y}> PREFIX : <{PREFIX_X}>\nSELECT * WHERE {{ ?p y:wasBornIn :London }}"
@@ -1044,9 +1023,9 @@ mod tests {
                 QueryRequest::sparql(&prefixed).with_options(options.clone()),
             ],
         );
-        let plans = session.plan_stats().plans;
-        assert_eq!(plans.misses, 1);
-        assert_eq!(plans.hits, 1);
+        let results = session.result_stats().cache;
+        assert_eq!(results.misses, 1);
+        assert_eq!(results.hits, 1);
     }
 
     #[test]
@@ -1057,7 +1036,7 @@ mod tests {
         let queries = vec![q; 4];
         let (outcomes, session) = run_on_one_session(&engine, &parsed_requests(&queries, &options));
         assert_eq!(completed(&outcomes), 4);
-        let results = session.plan_stats().results;
+        let results = session.result_stats().cache;
         assert_eq!(results.misses, 1);
         assert_eq!(results.hits, 3);
         let counts: Vec<u128> = outcomes
@@ -1091,9 +1070,9 @@ mod tests {
         let repeat = engine.run_in(&plain, &mut session).unwrap();
         assert_eq!(repeat.status, QueryStatus::Completed);
         assert_eq!(repeat.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
-        let stats = session.plan_stats();
+        let stats = session.result_stats().cache;
         assert!(
-            stats.results.bypasses >= 1,
+            stats.bypasses >= 1,
             "the timed-out outcome must be recorded as a bypass: {stats:?}"
         );
 
@@ -1125,47 +1104,6 @@ mod tests {
     }
 
     #[test]
-    fn per_call_zero_capacity_opts_out_of_warm_session_caches() {
-        let engine = engine();
-        let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
-        let options = ExecOptions::batch();
-        let mut session = engine.create_session(&options);
-        // Warm the caches with one normal execution.
-        engine
-            .run_in(
-                &QueryRequest::parsed(&q).with_options(options.clone()),
-                &mut session,
-            )
-            .unwrap();
-        let warm = session.plan_stats();
-        // A repeat that sets the *per-call* result capacity to 0 must not
-        // be served from the warm session store (and must not store).
-        let opted_out = options.clone().with_result_cache(0);
-        let outcome = engine
-            .run_in(
-                &QueryRequest::parsed(&q).with_options(opted_out),
-                &mut session,
-            )
-            .unwrap();
-        assert_eq!(outcome.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
-        let after = session.plan_stats();
-        assert_eq!(after.results.hits, warm.results.hits, "no result-cache hit");
-        assert_eq!(after.results.entries, warm.results.entries, "no store");
-        // Same for the plan cache: per-call 0 bypasses the lookup.
-        let plan_opted_out = options.clone().with_plan_cache(0).with_result_cache(0);
-        let before = session.plan_stats();
-        engine
-            .run_in(
-                &QueryRequest::parsed(&q).with_options(plan_opted_out),
-                &mut session,
-            )
-            .unwrap();
-        let after = session.plan_stats();
-        assert_eq!(after.plans.hits, before.plans.hits, "no plan-cache hit");
-        assert!(after.plans.bypasses > before.plans.bypasses);
-    }
-
-    #[test]
     fn result_cache_hits_share_rows_without_copying() {
         let engine = engine();
         let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
@@ -1175,8 +1113,8 @@ mod tests {
         let first = engine.run_in(&request, &mut session).unwrap();
         let second = engine.run_in(&request, &mut session).unwrap();
         let third = engine.run_in(&request, &mut session).unwrap();
-        let stats = session.plan_stats();
-        assert_eq!(stats.results.hits, 2, "verbatim repeats hit");
+        let stats = session.result_stats();
+        assert_eq!(stats.cache.hits, 2, "verbatim repeats hit");
         // The zero-copy contract, gated structurally and by counter: every
         // served outcome aliases the one row allocation the miss stored.
         assert!(
@@ -1185,7 +1123,7 @@ mod tests {
         );
         assert!(third.bindings.shares_rows(&first.bindings));
         assert_eq!(
-            stats.result_hit_copied_bytes, 0,
+            stats.hit_copied_bytes, 0,
             "serving hits must copy zero row bytes: {stats:?}"
         );
         assert_eq!(second.embedding_count, first.embedding_count);
@@ -1194,14 +1132,13 @@ mod tests {
 
     #[test]
     fn transient_sessions_skip_the_per_call_cache_build() {
-        // One-shot `run` sessions must not carry plan/result caches that
-        // die with the call.
+        // One-shot `run` sessions must not carry caches that die with the
+        // call.
         let engine = engine();
         let mut transient = engine.transient_session();
-        let (plans, _) = transient.plan_and_seed_caches();
         assert!(
-            !plans.is_enabled(),
-            "transient sessions must not build a plan cache"
+            !transient.seed_cache_mut().is_enabled(),
+            "transient sessions must not build a seed cache"
         );
         assert!(
             !transient.result_cache_mut().is_enabled(),

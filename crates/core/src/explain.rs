@@ -8,12 +8,9 @@
 //! makes the engine debuggable (why is this query slow?) and is what the
 //! ablation benchmarks and several tests hook into.
 
-use crate::candidates::{process_vertex, Constraint};
-use crate::decompose::Decomposition;
-use crate::matcher::{multi_type_edges_of, ComponentMatcher, SeedList};
+use crate::matcher::{multi_type_edges_of, SeedList};
 use crate::plan::PreparedPlan;
-use amber_index::IndexSet;
-use amber_multigraph::{Direction, EdgeTypeId, QVertexId, QueryGraph, RdfGraph};
+use amber_multigraph::{Direction, EdgeTypeId, QVertexId, QueryGraph};
 use std::fmt;
 
 /// The plan of one connected component.
@@ -62,12 +59,10 @@ pub struct QueryPlan {
     pub data_vertices: usize,
     /// Per-component plans.
     pub components: Vec<ComponentPlan>,
-    /// The prepared-plan cache fingerprint (whitespace/variable-name
-    /// insensitive canonical hash) when the plan was derived through
-    /// [`QueryPlan::explain_prepared`] — two queries printing the same
-    /// fingerprint share one cached plan, and verbatim repeats are
-    /// result-cache eligible. `None` for the legacy entry points.
-    pub fingerprint: Option<u64>,
+    /// The plan's fingerprint (a hash of the whitespace-, prefix- and
+    /// variable-name-insensitive id key): two queries printing the same
+    /// fingerprint share one result-cache entry under equal options.
+    pub fingerprint: u64,
     /// `true` when prepare proved the answer empty without being
     /// *unsatisfiable* — a variable-free (ground) pattern is absent from
     /// the data, so the plan carries no components and execution
@@ -76,80 +71,10 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Derive the plan the matcher would execute.
-    pub fn explain(qg: &QueryGraph, rdf: &RdfGraph, index: &IndexSet) -> Self {
-        if let Some(reason) = qg.unsat_reason() {
-            return Self {
-                unsatisfiable: Some(reason.to_string()),
-                ground_checks: qg.ground_checks().len(),
-                data_vertices: rdf.graph().vertex_count(),
-                components: Vec::new(),
-                fingerprint: None,
-                failed_ground_check: false,
-            };
-        }
-        let components = qg
-            .connected_components()
-            .into_iter()
-            .map(|component| {
-                let decomp = Decomposition::of_component(qg, &component);
-                let matcher = ComponentMatcher::new(qg, rdf.graph(), index, &component);
-                let core_order: Vec<String> = matcher
-                    .core_order()
-                    .iter()
-                    .map(|&u| qg.vertex(u).name.to_string())
-                    .collect();
-                let satellites = matcher
-                    .core_order()
-                    .iter()
-                    .map(|&u| {
-                        decomp
-                            .satellites_of(u)
-                            .iter()
-                            .map(|&s| qg.vertex(s).name.to_string())
-                            .collect()
-                    })
-                    .collect();
-                let vertex_constraints = component
-                    .iter()
-                    .map(|&u| {
-                        let vertex = qg.vertex(u);
-                        let candidate_count = match process_vertex(qg, u, index) {
-                            Constraint::Unconstrained => None,
-                            Constraint::Candidates(c) => Some(c.len()),
-                        };
-                        VertexConstraintSummary {
-                            variable: vertex.name.to_string(),
-                            attributes: vertex.attrs.len(),
-                            iri_constraints: vertex.iri_constraints.len(),
-                            candidate_count,
-                        }
-                    })
-                    .collect();
-                ComponentPlan {
-                    core_order,
-                    satellites,
-                    initial_candidates: matcher.initial_candidates().len(),
-                    seed_lists: matcher.seed_lists().to_vec(),
-                    seed_multi_edges: seed_multi_edges(qg, matcher.core_order()[0]),
-                    vertex_constraints,
-                }
-            })
-            .collect();
-        Self {
-            unsatisfiable: None,
-            ground_checks: qg.ground_checks().len(),
-            data_vertices: rdf.graph().vertex_count(),
-            components,
-            fingerprint: None,
-            failed_ground_check: false,
-        }
-    }
-
-    /// Derive the plan report straight from a [`PreparedPlan`] — nothing
-    /// is rebuilt: core orders, decompositions, seed candidate counts, and
-    /// constraint sizes all come from the prepared components, and the
-    /// cache fingerprint is surfaced so repeated-stream cacheability is
+    /// The plan report of a [`PreparedPlan`] — nothing is rebuilt: core
+    /// orders, decompositions, seed candidate counts, constraint sizes and
+    /// the ground-check verdict all come from the plan the engine runs,
+    /// and the fingerprint is surfaced so repeated-stream cacheability is
     /// inspectable before running the query.
     pub fn explain_prepared(plan: &PreparedPlan) -> Self {
         let qg = plan.query_graph();
@@ -159,7 +84,7 @@ impl QueryPlan {
                 ground_checks: qg.ground_checks().len(),
                 data_vertices: plan.data_vertices(),
                 components: Vec::new(),
-                fingerprint: Some(plan.fingerprint()),
+                fingerprint: plan.fingerprint(),
                 failed_ground_check: false,
             };
         }
@@ -213,7 +138,7 @@ impl QueryPlan {
             ground_checks: qg.ground_checks().len(),
             data_vertices: plan.data_vertices(),
             components,
-            fingerprint: Some(plan.fingerprint()),
+            fingerprint: plan.fingerprint(),
             failed_ground_check: plan.statically_empty(),
         }
     }
@@ -250,10 +175,10 @@ impl Explain {
         self
     }
 
-    /// The fingerprint line (plan-cache key).
+    /// The fingerprint line (the result-cache bucket).
     pub fn fingerprint(&mut self, fingerprint: u64) -> &mut Self {
         self.out.push_str(&format!(
-            "plan fingerprint: {fingerprint:#018x} (plan-cache key; verbatim repeats are result-cacheable)\n"
+            "plan fingerprint: {fingerprint:#018x} (result-cache key; alpha-renamed repeats share it)\n"
         ));
         self
     }
@@ -265,9 +190,7 @@ impl Explain {
             self.out.push_str(&format!("UNSATISFIABLE: {reason}\n"));
             return self;
         }
-        if let Some(fingerprint) = plan.fingerprint {
-            self.fingerprint(fingerprint);
-        }
+        self.fingerprint(plan.fingerprint);
         if plan.ground_checks > 0 {
             self.out
                 .push_str(&format!("ground checks: {}\n", plan.ground_checks));
@@ -385,15 +308,18 @@ impl fmt::Display for QueryPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::AmberEngine;
     use amber_multigraph::paper::{paper_graph, paper_query_text};
-    use amber_sparql::parse_select;
+
+    /// The report `amber explain` prints for `sparql` on the paper graph.
+    fn explain(sparql: &str) -> QueryPlan {
+        let engine = AmberEngine::from_graph(paper_graph());
+        QueryPlan::explain_prepared(&engine.prepare_sparql(sparql).unwrap())
+    }
 
     #[test]
     fn paper_query_plan() {
-        let rdf = paper_graph();
-        let index = IndexSet::build(&rdf);
-        let qg = QueryGraph::build(&parse_select(&paper_query_text()).unwrap(), &rdf).unwrap();
-        let plan = QueryPlan::explain(&qg, &rdf, &index);
+        let plan = explain(&paper_query_text());
         assert!(plan.unsatisfiable.is_none());
         assert_eq!(plan.components.len(), 1);
         let component = &plan.components[0];
@@ -411,8 +337,6 @@ mod tests {
 
         let text = plan.to_string();
         assert!(text.contains("core order: X1 → X3 → X5\n"), "{text}");
-        // X1 is London: the object of diedIn (t4: Amy only) and wasBornIn
-        // (t5) and the subject of isPartOf (t2) — 9 data vertices in all.
         // X1 is London: of the 9 data vertices only v2 is the object of
         // hasCapital (t1), diedIn (t4), wasBornIn (t5) and wasFormedIn (t6)
         // and the subject of isPartOf (t2) and hasStadium (t0); ?X3 reaches
@@ -428,37 +352,39 @@ mod tests {
     }
 
     #[test]
-    fn explain_prepared_matches_legacy_and_adds_fingerprint() {
-        use crate::engine::AmberEngine;
-        let rdf = paper_graph();
-        let engine = AmberEngine::from_graph(rdf);
-        let query = parse_select(&paper_query_text()).unwrap();
-        let prepared = engine.prepare(&query).unwrap();
+    fn explain_prepared_reports_the_fingerprint() {
+        let engine = AmberEngine::from_graph(paper_graph());
+        let prepared = engine.prepare_sparql(&paper_query_text()).unwrap();
         let plan = QueryPlan::explain_prepared(&prepared);
-        assert_eq!(plan.fingerprint, Some(prepared.fingerprint()));
-        assert_eq!(plan.components.len(), 1);
-        // The prepared report must agree with the legacy derivation over
-        // the *source* query graph — including the source variable
-        // spellings (the prepared qg itself is canonical internally).
-        let source_qg = amber_multigraph::QueryGraph::build(&query, engine.rdf()).unwrap();
-        let legacy = QueryPlan::explain(&source_qg, engine.rdf(), engine.index());
-        let (a, b) = (&plan.components[0], &legacy.components[0]);
-        assert_eq!(a.core_order, b.core_order);
-        assert_eq!(a.satellites, b.satellites);
-        assert_eq!(a.initial_candidates, b.initial_candidates);
-        assert_eq!(a.seed_lists, b.seed_lists);
-        assert_eq!(a.seed_multi_edges, b.seed_multi_edges);
-        assert_eq!(plan.data_vertices, legacy.data_vertices);
+        assert_eq!(plan.fingerprint, prepared.fingerprint());
         let text = plan.to_string();
-        assert!(text.contains("plan fingerprint: 0x"));
+        assert!(
+            text.contains(&format!(
+                "plan fingerprint: {:#018x}",
+                prepared.fingerprint()
+            )),
+            "{text}"
+        );
+        // An alpha-renamed twin prints the same fingerprint under its own
+        // variable spellings.
+        let renamed = engine
+            .prepare_sparql(&paper_query_text().replace("?X", "?Other"))
+            .unwrap();
+        let twin = QueryPlan::explain_prepared(&renamed);
+        assert_eq!(twin.fingerprint, plan.fingerprint);
+        assert_eq!(
+            twin.components[0].core_order,
+            vec!["Other1", "Other3", "Other5"]
+        );
+        assert_eq!(
+            twin.components[0].initial_candidates,
+            plan.components[0].initial_candidates
+        );
     }
 
     #[test]
     fn explain_reports_active_chaos_spec() {
-        let rdf = paper_graph();
-        let index = IndexSet::build(&rdf);
-        let qg = QueryGraph::build(&parse_select(&paper_query_text()).unwrap(), &rdf).unwrap();
-        let plan = QueryPlan::explain(&qg, &rdf, &index);
+        let plan = explain(&paper_query_text());
         {
             let _guard = amber_util::fault::override_spec("7:matcher-candidate=delay@64")
                 .expect("spec parses");
@@ -483,9 +409,8 @@ mod tests {
 
     #[test]
     fn explain_analyze_appends_the_span_tree_golden() {
-        use crate::engine::AmberEngine;
         let engine = AmberEngine::from_graph(paper_graph());
-        let query = parse_select(&paper_query_text()).unwrap();
+        let query = amber_sparql::parse_select(&paper_query_text()).unwrap();
         let options = crate::options::ExecOptions::batch();
         let mut session = engine.create_session(&options);
         let (outcome, text) = engine
@@ -515,10 +440,7 @@ mod tests {
 
     #[test]
     fn builder_composes_the_same_bytes_as_display() {
-        let rdf = paper_graph();
-        let index = IndexSet::build(&rdf);
-        let qg = QueryGraph::build(&parse_select(&paper_query_text()).unwrap(), &rdf).unwrap();
-        let plan = QueryPlan::explain(&qg, &rdf, &index);
+        let plan = explain(&paper_query_text());
         let mut explain = Explain::new();
         explain.plan(&plan);
         assert_eq!(explain.render(), plan.to_string());
@@ -526,33 +448,22 @@ mod tests {
 
     #[test]
     fn failed_ground_check_is_reported_not_silent() {
-        use crate::engine::AmberEngine;
         use amber_multigraph::paper::{PREFIX_X, PREFIX_Y};
-        let engine = AmberEngine::from_graph(paper_graph());
         // A false ground pattern (England is not part of London) next to a
         // satisfiable variable pattern: prepare proves the answer empty.
-        let q = format!(
+        let plan = explain(&format!(
             "SELECT * WHERE {{ <{PREFIX_X}England> <{PREFIX_Y}isPartOf> <{PREFIX_X}London> . \
              ?p <{PREFIX_Y}wasBornIn> <{PREFIX_X}London> . }}"
-        );
-        let prepared = engine.prepare(&parse_select(&q).unwrap()).unwrap();
-        assert!(prepared.statically_empty());
-        let plan = QueryPlan::explain_prepared(&prepared);
+        ));
         assert!(plan.unsatisfiable.is_none());
         assert!(plan.failed_ground_check);
+        assert!(plan.components.is_empty());
         assert!(plan.to_string().contains("STATICALLY EMPTY"));
     }
 
     #[test]
     fn unsatisfiable_plan_reports_reason() {
-        let rdf = paper_graph();
-        let index = IndexSet::build(&rdf);
-        let qg = QueryGraph::build(
-            &parse_select("SELECT * WHERE { ?a <http://nope/p> ?b . }").unwrap(),
-            &rdf,
-        )
-        .unwrap();
-        let plan = QueryPlan::explain(&qg, &rdf, &index);
+        let plan = explain("SELECT * WHERE { ?a <http://nope/p> ?b . }");
         assert!(plan.unsatisfiable.is_some());
         assert!(plan.to_string().contains("UNSATISFIABLE"));
     }

@@ -9,7 +9,7 @@
 //! failing outright:
 //!
 //! 1. [`Pressure::ShedResults`] (≥ 50% of budget) — the session's
-//!    verbatim-result cache is cleared and stops storing.
+//!    result cache is cleared and stops storing.
 //! 2. [`Pressure::ShedProbeCaches`] (≥ 65%) — the session's seed cache
 //!    (`ProcessVertex` probe results) is cleared too (recomputation over
 //!    retention).
@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 pub enum Pressure {
     /// Comfortably inside the budget.
     None = 0,
-    /// Shed the verbatim-result cache.
+    /// Shed the result cache.
     ShedResults = 1,
     /// Shed the seed (probe) cache too.
     ShedProbeCaches = 2,

@@ -53,7 +53,7 @@ pub use error::{EngineError, Error, TripCause};
 pub use explain::{Explain, QueryPlan};
 pub use governor::{MemoryGovernor, Pressure};
 pub use options::ExecOptions;
-pub use plan::{PlanCache, PlanCacheStats, PreparedPlan, ResultCache};
+pub use plan::{PreparedPlan, ResultCache, ResultCacheStats};
 pub use request::{QueryRequest, QuerySource};
 pub use result::{BindingRow, Bindings, QueryOutcome, QueryStatus, SparqlEngine};
 pub use seeds::{CacheStats, SeedCache};

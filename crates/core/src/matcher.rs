@@ -285,31 +285,6 @@ impl ComponentPrep {
         None
     }
 
-    /// Approximate retained heap bytes (for plan-cache accounting).
-    pub fn approx_heap_bytes(&self) -> usize {
-        let vid = std::mem::size_of::<VertexId>();
-        let constraint_bytes = |c: &Constraint| match c {
-            Constraint::Unconstrained => 0,
-            Constraint::Candidates(list) => list.capacity() * vid,
-        };
-        let mut bytes = self.order.capacity() * std::mem::size_of::<QVertexId>()
-            + self.initial.capacity() * vid
-            + self.seed_lists.capacity() * std::mem::size_of::<SeedList>();
-        for plan in &self.plans {
-            bytes += std::mem::size_of::<CorePlan>() + constraint_bytes(&plan.constraint);
-            for probe in &plan.probes {
-                bytes += probe.types.capacity() * std::mem::size_of::<EdgeTypeId>();
-            }
-            for sat in &plan.satellites {
-                bytes += std::mem::size_of::<SatellitePlan>() + constraint_bytes(&sat.constraint);
-                for (_, types) in &sat.probes {
-                    bytes += types.capacity() * std::mem::size_of::<EdgeTypeId>();
-                }
-            }
-        }
-        bytes
-    }
-
     fn build_with_order(
         qg: &QueryGraph,
         graph: &DataGraph,

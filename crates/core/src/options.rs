@@ -15,19 +15,15 @@ pub struct ExecOptions {
     pub max_results: Option<usize>,
     /// Count embeddings without materializing bindings at all.
     pub count_only: bool,
-    /// Capacity (canonical queries) of the session prepared-plan cache:
-    /// parsed query multigraph + decomposition + processing order + seed
-    /// candidates, derived once and reused on every repeat (keyed
-    /// whitespace/variable-name-insensitively). `0` disables plan reuse
-    /// (every execution re-derives). Read per call, so a call passing 0
-    /// also opts out of a warm session's cache.
-    pub plan_cache_capacity: usize,
-    /// Capacity (plan × options digests) of the session verbatim-result
-    /// cache: completed outcomes of repeated identical queries are served
-    /// without searching at all. Timed-out (partial) outcomes are never
-    /// stored, and result caps are part of the key, so truncation can
-    /// never leak across option sets. `0` disables result reuse (per call,
-    /// like the plan cache).
+    /// Capacity (query × options digests) of the result cache of a session
+    /// made by [`create_session`](crate::AmberEngine::create_session):
+    /// completed outcomes of repeated queries (keyed
+    /// whitespace/prefix/variable-name-insensitively) are served before any
+    /// planning or search. Timed-out (partial) outcomes are never stored,
+    /// and result caps are part of the key, so truncation can never leak
+    /// across option sets. `0` gives a session without one. Read once,
+    /// when the session is created: a call's options do not turn a warm
+    /// session's cache on or off.
     pub result_cache_capacity: usize,
     /// Cooperative cancellation: the engine polls this token at the same
     /// checkpoints as the deadline and aborts with
@@ -55,24 +51,16 @@ impl ExecOptions {
         }
     }
 
-    /// Batch-execution preset: the defaults plus default-sized
-    /// prepared-plan and verbatim-result caches — the configuration for
-    /// many queries through one session
+    /// Batch-execution preset: the defaults plus a default-sized result
+    /// cache — the configuration for many queries through one session
     /// ([`run_in`](crate::AmberEngine::run_in) on a
     /// [`create_session`](crate::AmberEngine::create_session)).
     pub fn batch() -> Self {
-        Self::default()
-            .with_plan_cache(Self::DEFAULT_PLAN_CACHE_CAPACITY)
-            .with_result_cache(Self::DEFAULT_RESULT_CACHE_CAPACITY)
+        Self::default().with_result_cache(Self::DEFAULT_RESULT_CACHE_CAPACITY)
     }
 
-    /// Default prepared-plan cache capacity of the [`Self::batch`] preset.
-    /// Plans are per-query objects (not per-probe), so a few hundred
-    /// distinct statements cover realistic serving mixes.
-    pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
-
-    /// Default verbatim-result cache capacity of the [`Self::batch`]
-    /// preset.
+    /// Default result-cache capacity of the [`Self::batch`] preset: a few
+    /// hundred distinct statements cover realistic serving mixes.
     pub const DEFAULT_RESULT_CACHE_CAPACITY: usize = 256;
 
     /// Builder: set the timeout.
@@ -93,13 +81,8 @@ impl ExecOptions {
         self
     }
 
-    /// Builder: size the session prepared-plan cache (`0` disables it).
-    pub fn with_plan_cache(mut self, capacity: usize) -> Self {
-        self.plan_cache_capacity = capacity;
-        self
-    }
-
-    /// Builder: size the session verbatim-result cache (`0` disables it).
+    /// Builder: size the result cache of sessions created with these
+    /// options (`0`: none).
     pub fn with_result_cache(mut self, capacity: usize) -> Self {
         self.result_cache_capacity = capacity;
         self
@@ -148,30 +131,26 @@ mod tests {
             .with_timeout(Duration::from_secs(60))
             .with_max_results(10)
             .counting()
-            .with_plan_cache(128);
+            .with_result_cache(128);
         assert_eq!(o.timeout, Some(Duration::from_secs(60)));
         assert_eq!(o.max_results, Some(10));
         assert!(o.count_only);
-        assert_eq!(o.plan_cache_capacity, 128);
+        assert_eq!(o.result_cache_capacity, 128);
     }
 
     #[test]
     fn cache_disabled_by_default_enabled_in_batch_preset() {
-        assert_eq!(ExecOptions::default().plan_cache_capacity, 0);
         assert_eq!(ExecOptions::default().result_cache_capacity, 0);
-        assert_eq!(
-            ExecOptions::batch().plan_cache_capacity,
-            ExecOptions::DEFAULT_PLAN_CACHE_CAPACITY
-        );
         assert_eq!(
             ExecOptions::batch().result_cache_capacity,
             ExecOptions::DEFAULT_RESULT_CACHE_CAPACITY
         );
-        let tuned = ExecOptions::default()
-            .with_plan_cache(7)
-            .with_result_cache(9);
-        assert_eq!(tuned.plan_cache_capacity, 7);
-        assert_eq!(tuned.result_cache_capacity, 9);
+        assert_eq!(
+            ExecOptions::default()
+                .with_result_cache(9)
+                .result_cache_capacity,
+            9
+        );
     }
 
     #[test]

@@ -1,39 +1,32 @@
-//! Prepared query plans — compile once, execute many times.
+//! Prepared query plans and the session result cache.
 //!
-//! Profiling after the batching/seed-cache PRs showed that on
-//! constant-heavy repeated streams the **largest non-search cost** is plan
-//! derivation itself: `QueryGraph` construction, the core/satellite
-//! decomposition, the `(r1, r2)` processing order, `ProcessVertex`
-//! constraint resolution and the seed-set intersection all recur on
-//! every repeat of a query the engine has already seen. A
-//! [`PreparedPlan`] freezes all of that — parsed query multigraph,
-//! per-component [`ComponentPrep`] (decomposition + order + probe plans +
-//! seed candidates), evaluated ground checks — into one immutable,
-//! `Arc`-shared object; execution becomes "borrow the plan, run the
-//! search".
+//! A [`PreparedPlan`] freezes everything execution needs besides scratch
+//! state — the query multigraph, per-component [`ComponentPrep`]
+//! (decomposition + `(r1, r2)` order + probe plans + seed candidates),
+//! evaluated ground checks — into one immutable object; execution becomes
+//! "borrow the plan, run the search". A plan is derived per query, as the
+//! paper derives it (§5); a caller that runs one statement many times
+//! holds the plan itself ([`AmberEngine::prepare`](crate::AmberEngine::prepare)).
 //!
-//! Two session-owned caches sit on top:
+//! The one query-level cache is the session's [`ResultCache`]: completed
+//! [`QueryOutcome`]s keyed by the query's **id key** ([`QueryKey`]: the
+//! query compiled to dictionary ids with variables numbered in
+//! first-occurrence order, so whitespace-, prefix- and
+//! variable-name-insensitive), the engine it was compiled for, and the
+//! digest of the result-shaping options (`count_only`, `max_results`). The
+//! engine consults it before planning, so a repeat costs a compile and a
+//! lookup. The 64-bit fingerprint only picks the bucket; keys are compared
+//! in full, so fingerprint collisions cost a miss, never a wrong answer.
+//! Partial results (deadline expiry) are **never stored**, and caps are
+//! part of the key, so a truncated execution can never poison an uncapped
+//! repeat. The timeout is deliberately *not* keyed: a completed outcome is
+//! the full answer regardless of the budget it ran under.
 //!
-//! * [`PlanCache`] — hash-consed plans keyed by the query's **id key**
-//!   ([`QueryKey`]: the query compiled to dictionary ids with variables
-//!   numbered in first-occurrence order, so whitespace-, prefix- and
-//!   variable-name-insensitive). The 64-bit fingerprint only picks the
-//!   bucket; keys are compared in full, so fingerprint collisions cost a
-//!   miss, never a wrong plan. Bounded with generational eviction
-//!   ([`GenerationalMap`]).
-//! * [`ResultCache`] — verbatim-repeat short-circuit: completed
-//!   [`QueryOutcome`]s keyed by plan fingerprint + id key + the digest of the
-//!   result-shaping options (`count_only`, `max_results`). Partial results
-//!   (deadline expiry) are **never stored**, and caps are part of the key,
-//!   so a truncated execution can never poison an uncapped repeat.
-//!   The timeout is deliberately *not* keyed: a completed outcome is the
-//!   full answer regardless of the budget it ran under.
-//!
-//! Both caches live in a [`QuerySession`](crate::session::QuerySession)
-//! and are dropped when the session rebinds to a different engine, like
-//! the seed cache. There is no engine-wide plan store behind them: a
-//! serving tenant's repeats hit its own session, and distinct queries
-//! (the benchmark's `unique_cold`) miss any store sized like these
+//! The cache lives in a [`QuerySession`](crate::session::QuerySession) and
+//! is dropped when the session rebinds to a different engine, like the
+//! seed cache. There is no plan cache and no engine-wide store: a serving
+//! tenant's repeats hit its own session, and distinct queries (the
+//! benchmark's `unique_cold`) miss any store sized like this one
 //! (`docs/performance.md`, "What the traffic hits").
 
 use crate::matcher::ComponentPrep;
@@ -43,18 +36,16 @@ use crate::seeds::{CacheStats, SeedCache};
 use amber_index::IndexSet;
 use amber_multigraph::{CompiledQuery, DataGraph, GroundCheck, QueryGraph, QueryKey, RdfGraph};
 use amber_util::GenerationalMap;
-use std::sync::Arc;
 
 /// An immutable, fully-derived execution plan for one query against one
 /// engine (see module docs). Produced by
 /// [`AmberEngine::prepare`](crate::AmberEngine::prepare) and shared behind
-/// an [`Arc`]; execution only ever borrows it.
+/// an [`Arc`](std::sync::Arc); execution only ever borrows it.
 #[derive(Debug)]
 pub struct PreparedPlan {
-    /// The id key of the compiled query — the cache identity.
+    /// The id key of the compiled query — the result-cache identity.
     key: QueryKey,
-    /// Fx fingerprint of `key` (bucket index, EXPLAIN handle, result cache
-    /// key component).
+    /// Fx fingerprint of `key` (result-cache bucket index, EXPLAIN handle).
     fingerprint: u64,
     /// The query multigraph, assembled from the key. Its vertices and
     /// output variables carry the preparer's names (`EXPLAIN` prints
@@ -75,8 +66,8 @@ pub struct PreparedPlan {
 }
 
 impl PreparedPlan {
-    /// Derive a plan from a compiled query (which every caller needed for
-    /// a cache lookup first): assemble the query multigraph from its ids,
+    /// Derive a plan from a compiled query (which the engine needed for
+    /// its result-cache lookup first): assemble the query multigraph from its ids,
     /// evaluate ground checks, decompose/order/probe every component. Seed
     /// lookups resolve through `seeds` (pass [`SeedCache::disabled`] for
     /// one-shot callers).
@@ -113,8 +104,8 @@ impl PreparedPlan {
         &self.key
     }
 
-    /// The plan's fingerprint — the cache bucket index, also printed by
-    /// `EXPLAIN` so repeated-stream cacheability is inspectable.
+    /// The plan's fingerprint — the result-cache bucket index, also printed
+    /// by `EXPLAIN` so repeated-stream cacheability is inspectable.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -125,9 +116,9 @@ impl PreparedPlan {
     }
 
     /// Output variable names of the query this plan was prepared from, in
-    /// projection order. Executions through the plan cache use the live
-    /// caller's names instead: alpha-equivalent queries share the plan but
-    /// keep their own headers.
+    /// projection order. Executions of a text, parsed or compiled source
+    /// use the live caller's names instead: alpha-equivalent queries share
+    /// one result-cache entry but keep their own headers.
     pub fn variables(&self) -> &[Box<str>] {
         self.qg.output_vars()
     }
@@ -159,15 +150,6 @@ impl PreparedPlan {
     pub(crate) fn data_vertices(&self) -> usize {
         self.data_vertices
     }
-
-    /// Approximate retained heap bytes (plan-cache accounting).
-    pub fn approx_heap_bytes(&self) -> usize {
-        self.components
-            .iter()
-            .map(ComponentPrep::approx_heap_bytes)
-            .sum::<usize>()
-            + std::mem::size_of_val(self.qg.output_vars())
-    }
 }
 
 /// Evaluate the variable-free patterns (boolean guards) of a query graph.
@@ -179,146 +161,14 @@ fn ground_checks_pass(qg: &QueryGraph, graph: &DataGraph) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// The plan cache.
-// ---------------------------------------------------------------------------
-
-/// A bounded, generationally-evicted store of prepared plans keyed by
-/// id key (see module docs). Owned by a
-/// [`QuerySession`](crate::session::QuerySession); cleared on engine
-/// rebind.
-#[derive(Debug)]
-pub struct PlanCache {
-    /// Maximum fingerprint buckets retained; 0 disables the cache.
-    capacity: usize,
-    /// Fingerprint → plans sharing it (key comparison on lookup
-    /// disambiguates; adversarial collisions coexist in the chain).
-    map: GenerationalMap<u64, Vec<Arc<PreparedPlan>>>,
-    hits: u64,
-    misses: u64,
-    bypasses: u64,
-    stored: usize,
-    result_bytes: usize,
-}
-
-impl PlanCache {
-    /// A cache retaining at most `capacity` fingerprint buckets (0
-    /// disables caching entirely).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            map: GenerationalMap::new(capacity.max(1)),
-            hits: 0,
-            misses: 0,
-            bypasses: 0,
-            stored: 0,
-            result_bytes: 0,
-        }
-    }
-
-    /// `true` when plans can actually be memoized.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            bypasses: self.bypasses,
-            evictions: self.map.evictions(),
-            entries: self.stored,
-            result_bytes: self.result_bytes,
-        }
-    }
-
-    /// Note one execution that skipped the cache (capacity 0).
-    pub(crate) fn note_bypass(&mut self) {
-        self.bypasses += 1;
-    }
-
-    /// Drop every plan (counters survive).
-    pub fn clear(&mut self) {
-        let (stored, bytes) = (&mut self.stored, &mut self.result_bytes);
-        self.map.clear(|chain| {
-            *stored = stored.saturating_sub(chain.len());
-            for plan in chain {
-                *bytes = bytes.saturating_sub(plan.approx_heap_bytes());
-            }
-        });
-    }
-
-    /// Look up a plan by id key. `engine_token` double-checks plan
-    /// ownership (the session already clears on rebind; this makes a stale
-    /// hit structurally impossible).
-    pub(crate) fn lookup(
-        &mut self,
-        fingerprint: u64,
-        key: &QueryKey,
-        engine_token: u64,
-    ) -> Option<Arc<PreparedPlan>> {
-        let chain = self.map.get(&fingerprint)?;
-        let hit = chain
-            .iter()
-            .find(|plan| plan.engine_token() == engine_token && plan.key() == key)
-            .cloned();
-        match hit {
-            Some(plan) => {
-                self.hits += 1;
-                Some(plan)
-            }
-            None => None,
-        }
-    }
-
-    /// Note a lookup miss (kept separate from [`Self::lookup`] so the
-    /// caller can count a miss exactly once per build).
-    pub(crate) fn note_miss(&mut self) {
-        self.misses += 1;
-    }
-
-    /// Insert a freshly-built plan under its fingerprint (fingerprint
-    /// collisions chain; a plan with an equal key replaces).
-    pub(crate) fn insert(&mut self, plan: Arc<PreparedPlan>) {
-        let bytes = plan.approx_heap_bytes();
-        if let Some(chain) = self.map.get_mut(&plan.fingerprint()) {
-            if let Some(existing) = chain
-                .iter_mut()
-                .find(|p| p.key() == plan.key() && p.engine_token() == plan.engine_token())
-            {
-                self.result_bytes = self
-                    .result_bytes
-                    .saturating_sub(existing.approx_heap_bytes())
-                    .saturating_add(bytes);
-                *existing = plan;
-            } else {
-                chain.push(plan);
-                self.stored += 1;
-                self.result_bytes += bytes;
-            }
-            return;
-        }
-        let (stored, total) = (&mut self.stored, &mut self.result_bytes);
-        *stored += 1;
-        *total += bytes;
-        self.map.insert(plan.fingerprint(), vec![plan], |chain| {
-            *stored = stored.saturating_sub(chain.len());
-            for dropped in chain {
-                *total = total.saturating_sub(dropped.approx_heap_bytes());
-            }
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The result cache.
 // ---------------------------------------------------------------------------
 
-/// Digest of the result-shaping execution options — the part of
-/// [`ExecOptions`] that changes *what an outcome contains* rather than how
-/// fast it is computed. Scheduling and budget knobs are excluded on
-/// purpose: parallel execution is bit-identical to sequential, and a
-/// *completed* outcome is the full answer under any budget.
+/// The bucket of a cached outcome: the query's fingerprint plus the
+/// result-shaping execution options — the part of [`ExecOptions`] that
+/// changes *what an outcome contains* rather than how fast it is computed.
+/// Budget knobs are excluded on purpose: a *completed* outcome is the full
+/// answer under any budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ResultKey {
     fingerprint: u64,
@@ -338,16 +188,23 @@ impl ResultKey {
     }
 }
 
-/// One cached outcome, tagged with the plan it answered (key comparison
-/// guards against fingerprint collisions). Only the parts a
+/// One cached outcome, tagged with the query it answered (key and engine
+/// comparison guard against fingerprint collisions). Only the parts a
 /// repeat actually reuses are retained: the exact embedding count and the
 /// `Arc`-shared rows. Status is implicitly `Completed` (partials are never
 /// stored), and the header/elapsed fields belong to the live caller.
 #[derive(Debug)]
 struct CachedResult {
-    plan: Arc<PreparedPlan>,
+    key: QueryKey,
+    engine_token: u64,
     embedding_count: u128,
     rows: Bindings,
+}
+
+impl CachedResult {
+    fn answers(&self, key: &QueryKey, engine_token: u64) -> bool {
+        self.engine_token == engine_token && self.key == *key
+    }
 }
 
 /// What a result-cache hit hands back: everything the engine needs to
@@ -360,10 +217,10 @@ pub(crate) struct CachedOutcome {
     pub(crate) rows: Bindings,
 }
 
-/// A bounded cache of completed outcomes for verbatim-repeated queries
-/// (see module docs). Owned by a
-/// [`QuerySession`](crate::session::QuerySession); cleared on engine
-/// rebind.
+/// A bounded cache of completed outcomes for repeated queries (see module
+/// docs). Owned by a [`QuerySession`](crate::session::QuerySession);
+/// cleared on engine rebind and on the memory governor's shed-results
+/// rung.
 #[derive(Debug)]
 pub struct ResultCache {
     /// Maximum key buckets retained; 0 disables the cache.
@@ -403,14 +260,17 @@ impl ResultCache {
     }
 
     /// Current counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            bypasses: self.bypasses,
-            evictions: self.map.evictions(),
-            entries: self.stored,
-            result_bytes: self.result_bytes,
+    pub fn stats(&self) -> ResultCacheStats {
+        ResultCacheStats {
+            cache: CacheStats {
+                hits: self.hits,
+                misses: self.misses,
+                bypasses: self.bypasses,
+                evictions: self.map.evictions(),
+                entries: self.stored,
+                result_bytes: self.result_bytes,
+            },
+            hit_copied_bytes: self.hit_copied_bytes,
         }
     }
 
@@ -432,23 +292,21 @@ impl ResultCache {
         });
     }
 
-    /// Serve a completed outcome for a verbatim repeat of `plan` under the
-    /// same result-shaping options, if one is cached. The returned rows
-    /// share the cached allocation — serving a hit copies zero row bytes.
+    /// Serve a completed outcome for a repeat of the query `key` (compiled
+    /// for `engine_token`, hashing to `fingerprint`) under the same
+    /// result-shaping options, if one is cached. The returned rows share
+    /// the cached allocation — serving a hit copies zero row bytes.
     pub(crate) fn lookup(
         &mut self,
-        plan: &Arc<PreparedPlan>,
+        key: &QueryKey,
+        fingerprint: u64,
+        engine_token: u64,
         options: &ExecOptions,
     ) -> Option<CachedOutcome> {
-        let key = ResultKey::new(plan.fingerprint(), options);
-        let chain = self.map.get(&key)?;
+        let chain = self.map.get(&ResultKey::new(fingerprint, options))?;
         let hit = chain
             .iter()
-            .find(|cached| {
-                Arc::ptr_eq(&cached.plan, plan)
-                    || (cached.plan.engine_token() == plan.engine_token()
-                        && cached.plan.key() == plan.key())
-            })
+            .find(|cached| cached.answers(key, engine_token))
             .map(|cached| CachedOutcome {
                 embedding_count: cached.embedding_count,
                 rows: cached.rows.clone(),
@@ -473,27 +331,15 @@ impl ResultCache {
         }
     }
 
-    /// Total row bytes deep-copied while serving hits (0 under the
-    /// zero-copy contract).
-    pub fn hit_copied_bytes(&self) -> u64 {
-        self.hit_copied_bytes
-    }
-
-    /// Drop every outcome on the memory governor's orders (the
-    /// shed-results rung of the degradation ladder): identical to
-    /// [`Self::clear`] today, named separately so the shed has its own
-    /// call site and semantics (a governor shed, not a graph rebind).
-    pub(crate) fn shed(&mut self) {
-        self.clear();
-    }
-
-    /// Store a **completed** outcome (the rows are `Arc`-shared into the
-    /// cache — no copy). Callers must never pass a partial one — a
-    /// timed-out, cancelled, or budget-exceeded count/binding set would
-    /// poison verbatim repeats; debug builds assert it.
+    /// Store a **completed** outcome of the query `key` (the rows are
+    /// `Arc`-shared into the cache — no copy). Callers must never pass a
+    /// partial one — a timed-out, cancelled, or budget-exceeded
+    /// count/binding set would poison repeats; debug builds assert it.
     pub(crate) fn store(
         &mut self,
-        plan: &Arc<PreparedPlan>,
+        key: &QueryKey,
+        fingerprint: u64,
+        engine_token: u64,
         options: &ExecOptions,
         outcome: &QueryOutcome,
     ) {
@@ -501,19 +347,19 @@ impl ResultCache {
             outcome.status.is_complete(),
             "partial outcomes (timeout/cancel/budget) must bypass the result cache"
         );
-        let key = ResultKey::new(plan.fingerprint(), options);
         let entry = CachedResult {
-            plan: Arc::clone(plan),
+            key: key.clone(),
+            engine_token,
             embedding_count: outcome.embedding_count,
             rows: outcome.bindings.clone(),
         };
         let bytes = cached_bytes(&entry);
-        if let Some(chain) = self.map.get_mut(&key) {
-            if let Some(existing) = chain.iter_mut().find(|cached| {
-                Arc::ptr_eq(&cached.plan, plan)
-                    || (cached.plan.engine_token() == plan.engine_token()
-                        && cached.plan.key() == plan.key())
-            }) {
+        let bucket = ResultKey::new(fingerprint, options);
+        if let Some(chain) = self.map.get_mut(&bucket) {
+            if let Some(existing) = chain
+                .iter_mut()
+                .find(|cached| cached.answers(key, engine_token))
+            {
                 self.result_bytes = self
                     .result_bytes
                     .saturating_sub(cached_bytes(existing))
@@ -529,7 +375,7 @@ impl ResultCache {
         let (stored, total) = (&mut self.stored, &mut self.result_bytes);
         *stored += 1;
         *total += bytes;
-        self.map.insert(key, vec![entry], |chain| {
+        self.map.insert(bucket, vec![entry], |chain| {
             *stored = stored.saturating_sub(chain.len());
             for dropped in chain {
                 *total = total.saturating_sub(cached_bytes(dropped));
@@ -538,37 +384,41 @@ impl ResultCache {
     }
 }
 
-/// Approximate retained bytes of one cached entry (rows only — headers
-/// and counts are a few machine words).
+/// Approximate retained bytes of one cached entry (rows only — keys,
+/// headers and counts are a few machine words).
 fn cached_bytes(cached: &CachedResult) -> usize {
     cached.rows.approx_heap_bytes()
 }
 
-/// Combined plan-subsystem counters of one session
-/// ([`QuerySession::plan_stats`](crate::QuerySession::plan_stats)).
+/// Counters of one session's result cache
+/// ([`QuerySession::result_stats`](crate::QuerySession::result_stats)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Prepared-plan cache counters (hits = full plan derivations skipped).
-    pub plans: CacheStats,
-    /// Verbatim-result cache counters (hits = whole executions skipped).
-    pub results: CacheStats,
-    /// Row bytes deep-copied while serving result-cache hits. The
-    /// zero-copy contract pins this at 0; the serving and HTTP tests gate
-    /// on it.
-    pub result_hit_copied_bytes: u64,
+pub struct ResultCacheStats {
+    /// Hits (whole plans and executions skipped), misses, bypasses,
+    /// evictions, and the retained entries and row bytes.
+    pub cache: CacheStats,
+    /// Row bytes deep-copied while serving hits. The zero-copy contract
+    /// pins this at 0; the serving and HTTP tests gate on it.
+    pub hit_copied_bytes: u64,
 }
 
-impl PlanCacheStats {
-    /// The counters accumulated since `before` (per-batch reporting of a
-    /// long-lived session).
-    pub(crate) fn since(&self, before: &PlanCacheStats) -> PlanCacheStats {
-        PlanCacheStats {
-            plans: self.plans.since(&before.plans),
-            results: self.results.since(&before.results),
-            result_hit_copied_bytes: self
-                .result_hit_copied_bytes
-                .saturating_sub(before.result_hit_copied_bytes),
+impl ResultCacheStats {
+    /// The counters accumulated since `before` (per-query telemetry
+    /// flushes of a long-lived session).
+    pub(crate) fn since(&self, before: &ResultCacheStats) -> ResultCacheStats {
+        ResultCacheStats {
+            cache: self.cache.since(&before.cache),
+            hit_copied_bytes: self
+                .hit_copied_bytes
+                .saturating_sub(before.hit_copied_bytes),
         }
+    }
+
+    /// Add another session's counters (a serving report sums its tenants;
+    /// their caches are disjoint, so the gauges sum too).
+    pub fn merge(&mut self, other: &ResultCacheStats) {
+        self.cache.merge(&other.cache);
+        self.hit_copied_bytes += other.hit_copied_bytes;
     }
 }
 
@@ -581,17 +431,19 @@ mod tests {
         CompiledQuery::compile(text, &paper_graph(), token).unwrap()
     }
 
-    fn plan_for(text: &str, token: u64) -> Arc<PreparedPlan> {
+    fn plan_for(text: &str, token: u64) -> PreparedPlan {
         let rdf = paper_graph();
         let index = IndexSet::build(&rdf);
         let compiled = CompiledQuery::compile(text, &rdf, token).unwrap();
-        Arc::new(PreparedPlan::from_compiled(
-            &compiled,
-            &rdf,
-            &index,
-            token,
-            &mut SeedCache::disabled(),
-        ))
+        PreparedPlan::from_compiled(&compiled, &rdf, &index, token, &mut SeedCache::disabled())
+    }
+
+    /// A completed outcome with one row naming `iri`.
+    fn one_row(iri: &str) -> QueryOutcome {
+        QueryOutcome {
+            bindings: vec![vec![Box::from(iri)]].into(),
+            ..QueryOutcome::empty(vec!["a".into()], Default::default())
+        }
     }
 
     #[test]
@@ -611,15 +463,19 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_round_trips_and_respects_tokens() {
-        let plan = plan_for(&paper_query_text(), 1);
-        let mut cache = PlanCache::new(8);
-        cache.insert(Arc::clone(&plan));
-        let hit = cache.lookup(plan.fingerprint(), plan.key(), 1);
-        assert!(hit.is_some_and(|p| Arc::ptr_eq(&p, &plan)));
+    fn result_cache_round_trips_and_respects_tokens() {
+        let q = compile(&paper_query_text(), 1);
+        let options = ExecOptions::default();
+        let mut cache = ResultCache::new(8);
+        let outcome = one_row("http://x/a");
+        cache.store(q.key(), q.fingerprint(), 1, &options, &outcome);
+        let hit = cache.lookup(q.key(), q.fingerprint(), 1, &options);
+        assert!(hit.is_some_and(|h| h.rows.shares_rows(&outcome.bindings)));
         // Same key, wrong engine token: never served.
-        assert!(cache.lookup(plan.fingerprint(), plan.key(), 2).is_none());
-        let stats = cache.stats();
+        assert!(cache
+            .lookup(q.key(), q.fingerprint(), 2, &options)
+            .is_none());
+        let stats = cache.stats().cache;
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.entries, 1);
         assert!(stats.result_bytes > 0);
@@ -627,65 +483,68 @@ mod tests {
 
     #[test]
     fn fingerprint_collisions_chain_instead_of_aliasing() {
-        // Two structurally different plans force-share a bucket: the cache
-        // must keep both and answer each lookup with the right one.
+        // Two different queries forced into one bucket: the cache must keep
+        // both and answer each lookup with its own outcome.
         let y = amber_multigraph::paper::PREFIX_Y;
-        let a = plan_for(&paper_query_text(), 1);
-        let b = plan_for(&format!("SELECT * WHERE {{ ?a <{y}wasBornIn> ?b . }}"), 1);
-        let mut cache = PlanCache::new(8);
-        // Simulate the collision by inserting b's plan under a's
-        // fingerprint via a chained entry: rebuild b with a's fingerprint.
-        let b_collided = Arc::new(PreparedPlan {
-            fingerprint: a.fingerprint(),
-            ..match Arc::try_unwrap(b) {
-                Ok(plan) => plan,
-                Err(_) => unreachable!("sole owner"),
-            }
-        });
-        cache.insert(Arc::clone(&a));
-        cache.insert(Arc::clone(&b_collided));
-        assert_eq!(cache.stats().entries, 2, "collision chains, not replaces");
-        let hit_a = cache.lookup(a.fingerprint(), a.key(), 1).unwrap();
-        assert!(Arc::ptr_eq(&hit_a, &a));
-        let hit_b = cache.lookup(a.fingerprint(), b_collided.key(), 1).unwrap();
-        assert!(Arc::ptr_eq(&hit_b, &b_collided));
+        let a = compile(&paper_query_text(), 1);
+        let b = compile(&format!("SELECT * WHERE {{ ?a <{y}wasBornIn> ?b . }}"), 1);
+        let shared = a.fingerprint();
+        let options = ExecOptions::default();
+        let mut cache = ResultCache::new(8);
+        let (outcome_a, outcome_b) = (one_row("http://x/a"), one_row("http://x/b"));
+        cache.store(a.key(), shared, 1, &options, &outcome_a);
+        cache.store(b.key(), shared, 1, &options, &outcome_b);
+        assert_eq!(
+            cache.stats().cache.entries,
+            2,
+            "collision chains, not replaces"
+        );
+        let hit_a = cache.lookup(a.key(), shared, 1, &options).unwrap();
+        assert!(hit_a.rows.shares_rows(&outcome_a.bindings));
+        let hit_b = cache.lookup(b.key(), shared, 1, &options).unwrap();
+        assert!(hit_b.rows.shares_rows(&outcome_b.bindings));
     }
 
     #[test]
-    fn plan_cache_capacity_one_still_serves_correct_plans() {
+    fn result_cache_collisions_verify_the_plan() {
         let y = amber_multigraph::paper::PREFIX_Y;
-        let a = plan_for(&paper_query_text(), 1);
-        let b = plan_for(&format!("SELECT * WHERE {{ ?a <{y}wasBornIn> ?b . }}"), 1);
-        let mut cache = PlanCache::new(1);
-        cache.insert(Arc::clone(&a));
-        cache.insert(Arc::clone(&b));
-        // Whatever survived, a lookup may only return the structurally
-        // matching plan.
-        if let Some(hit) = cache.lookup(a.fingerprint(), a.key(), 1) {
-            assert!(Arc::ptr_eq(&hit, &a));
-        }
-        if let Some(hit) = cache.lookup(b.fingerprint(), b.key(), 1) {
-            assert!(Arc::ptr_eq(&hit, &b));
-        }
-        assert!(cache.stats().entries <= 2);
+        let a = compile(&paper_query_text(), 1);
+        let b = compile(&format!("SELECT * WHERE {{ ?a <{y}wasBornIn> ?b . }}"), 1);
+        let mut cache = ResultCache::new(8);
+        let options = ExecOptions::default();
+        cache.store(
+            a.key(),
+            a.fingerprint(),
+            1,
+            &options,
+            &one_row("http://x/a"),
+        );
+        assert!(
+            cache
+                .lookup(b.key(), a.fingerprint(), 1, &options)
+                .is_none(),
+            "a fingerprint collision must miss, not serve the other query's answer"
+        );
+        assert_eq!(cache.stats().cache.hits, 0);
     }
 
     #[test]
     fn result_cache_keys_on_result_shaping_options() {
-        let plan = plan_for(&paper_query_text(), 1);
+        let q = compile(&paper_query_text(), 1);
+        let (key, fingerprint) = (q.key(), q.fingerprint());
         let mut cache = ResultCache::new(8);
         let outcome = QueryOutcome::empty(vec!["0".into()], Default::default());
         let uncapped = ExecOptions::default();
         let capped = ExecOptions::default().with_max_results(1);
-        cache.store(&plan, &capped, &outcome);
+        cache.store(key, fingerprint, 1, &capped, &outcome);
         assert!(
-            cache.lookup(&plan, &uncapped).is_none(),
+            cache.lookup(key, fingerprint, 1, &uncapped).is_none(),
             "a capped result must never serve an uncapped repeat"
         );
-        assert!(cache.lookup(&plan, &capped).is_some());
+        assert!(cache.lookup(key, fingerprint, 1, &capped).is_some());
         assert!(
             cache
-                .lookup(&plan, &ExecOptions::default().counting())
+                .lookup(key, fingerprint, 1, &ExecOptions::default().counting())
                 .is_none(),
             "count-only and materializing runs never alias"
         );
@@ -693,53 +552,26 @@ mod tests {
 
     #[test]
     fn clearing_or_shedding_the_result_cache_frees_memoized_bodies() {
+        // A rebind and the governor's shed-results rung both clear.
         let _serial = crate::telemetry::registry_lock();
         let gauge = amber_obs::gauge("amber_result_body_bytes", &[]);
         let base = gauge.get();
-        let plan = plan_for(&paper_query_text(), 1);
+        let q = compile(&paper_query_text(), 1);
         let options = ExecOptions::default();
-        for drop_all in [
-            ResultCache::clear as fn(&mut ResultCache),
-            ResultCache::shed,
-        ] {
-            let mut cache = ResultCache::new(8);
-            let outcome = QueryOutcome {
-                bindings: vec![vec![Box::from("http://x/a")]].into(),
-                ..QueryOutcome::empty(vec!["a".into()], Default::default())
-            };
-            cache.store(&plan, &options, &outcome);
-            // Served twice: the second serialization memoizes.
-            let served = cache.lookup(&plan, &options).unwrap().rows;
-            outcome.offer_wire_body(0, "body");
-            assert!(outcome.offer_wire_body(0, "body"));
-            assert!(served.shares_rows(&outcome.bindings));
-            drop((outcome, served));
-            assert_eq!(gauge.get(), base + 4, "the cache still holds the memo");
-            drop_all(&mut cache);
-            assert_eq!(gauge.get(), base, "freed with the last clone");
-        }
-    }
-
-    #[test]
-    fn result_cache_collisions_verify_the_plan() {
-        let y = amber_multigraph::paper::PREFIX_Y;
-        let a = plan_for(&paper_query_text(), 1);
-        let b = plan_for(&format!("SELECT * WHERE {{ ?a <{y}wasBornIn> ?b . }}"), 1);
-        let b_collided = Arc::new(PreparedPlan {
-            fingerprint: a.fingerprint(),
-            ..match Arc::try_unwrap(b) {
-                Ok(plan) => plan,
-                Err(_) => unreachable!("sole owner"),
-            }
-        });
         let mut cache = ResultCache::new(8);
-        let options = ExecOptions::default();
-        let outcome_a = QueryOutcome::empty(vec!["a".into()], Default::default());
-        cache.store(&a, &options, &outcome_a);
-        assert!(
-            cache.lookup(&b_collided, &options).is_none(),
-            "a fingerprint collision must miss, not serve the other query's answer"
-        );
-        assert_eq!(cache.stats().hits, 0);
+        let outcome = one_row("http://x/a");
+        cache.store(q.key(), q.fingerprint(), 1, &options, &outcome);
+        // Served twice: the second serialization memoizes.
+        let served = cache
+            .lookup(q.key(), q.fingerprint(), 1, &options)
+            .unwrap()
+            .rows;
+        outcome.offer_wire_body(0, "body");
+        assert!(outcome.offer_wire_body(0, "body"));
+        assert!(served.shares_rows(&outcome.bindings));
+        drop((outcome, served));
+        assert_eq!(gauge.get(), base + 4, "the cache still holds the memo");
+        cache.clear();
+        assert_eq!(gauge.get(), base, "freed with the last clone");
     }
 }

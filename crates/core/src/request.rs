@@ -8,7 +8,8 @@
 //! * [`AmberEngine::run_in`] — one request, caller-owned session. A batch
 //!   is a loop of `run_in` over one
 //!   [`create_session`](AmberEngine::create_session): the session's
-//!   counters ([`QuerySession::seed_stats`], [`plan_stats`](QuerySession::plan_stats),
+//!   counters ([`QuerySession::seed_stats`],
+//!   [`result_stats`](QuerySession::result_stats),
 //!   [`search_stats`](QuerySession::search_stats)) are the batch's.
 //!
 //! Both execute through one query envelope, so every request is
@@ -147,11 +148,11 @@ impl AmberEngine {
     }
 
     /// Run one request against a caller-owned session: the matcher borrows
-    /// its scratch arenas, plan construction its seed cache, and repeats
-    /// reuse their prepared plan or whole completed outcome when the
-    /// session's plan/result caches are enabled (see
-    /// [`ExecOptions::with_plan_cache`] and
-    /// [`ExecOptions::with_result_cache`]). A session filled by a
+    /// its scratch arenas, plan construction its seed cache, and a repeat
+    /// is answered from the session's result cache before any planning
+    /// when the session has one (sized at
+    /// [`create_session`](AmberEngine::create_session) by
+    /// [`ExecOptions::result_cache_capacity`]). A session filled by a
     /// different engine is safe: its caches are cleared on first use here.
     pub fn run_in(
         &self,

@@ -39,7 +39,7 @@ pub type BindingRow = Vec<Box<str>>;
 /// `Arc`-shared binding rows — the zero-copy result payload.
 ///
 /// Serving layers hand the same completed outcome to many clients (and the
-/// verbatim-result cache re-serves it to every repeat), so the rows live
+/// result cache re-serves it to every repeat), so the rows live
 /// behind one shared allocation: cloning a [`Bindings`] — and therefore
 /// cloning a whole [`QueryOutcome`] — bumps a reference count instead of
 /// deep-copying every string. The rows themselves are immutable once

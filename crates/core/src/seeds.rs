@@ -9,7 +9,7 @@
 //!
 //! Constant-heavy streams (the `lubm_complex_repeat` workload, the
 //! benchmark's `unique_cold`) recompute exactly these on every query that
-//! misses the plan cache. [`SeedCache`] lives in a
+//! misses the result cache. [`SeedCache`] lives in a
 //! [`QuerySession`](crate::session::QuerySession) and memoizes both
 //! lookups, each in **its own key space** (attribute sets, probe keys —
 //! two separate generationally-tagged stores, so the classes can never

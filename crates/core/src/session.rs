@@ -8,19 +8,19 @@
 //! * it owns the [`SearchArenas`] — per-depth candidate/spill buffers
 //!   grown **high-water-mark style** and never shrunk, so after the
 //!   largest query shape has been seen the matcher stops allocating;
-//! * it owns the three caches a query stream hits: the [`SeedCache`]
-//!   (`ProcessVertex` lookups), the prepared-plan cache and the
-//!   verbatim-result cache;
+//! * it owns the two caches a query stream hits: the [`SeedCache`]
+//!   (`ProcessVertex` lookups of plan construction) and the
+//!   [`ResultCache`] (completed outcomes, consulted before planning);
 //! * it aggregates the search counters of its queries ([`SearchStats`]).
 //!
 //! A batch is a loop of [`run_in`](crate::AmberEngine::run_in) over one
 //! session; its counters ([`QuerySession::seed_stats`],
-//! [`QuerySession::plan_stats`], [`QuerySession::search_stats`],
+//! [`QuerySession::result_stats`], [`QuerySession::search_stats`],
 //! [`QuerySession::queries_executed`]) are the batch's statistics.
 
 use crate::governor::MemoryGovernor;
 use crate::matcher::SearchArenas;
-use crate::plan::{PlanCache, PlanCacheStats, ResultCache};
+use crate::plan::{ResultCache, ResultCacheStats};
 use crate::seeds::{CacheStats, SeedCache};
 use crate::telemetry::{self, GaugedCaches, ObsBaseline};
 use amber_obs::FlightRecorder;
@@ -70,11 +70,8 @@ pub struct QuerySession {
     /// Seed-probe memo (attribute / IRI-constraint lookups of matcher plan
     /// construction).
     seeds: SeedCache,
-    /// Prepared-plan cache: fully-derived query plans keyed by
-    /// canonicalized query text, reused across repeats.
-    plans: PlanCache,
-    /// Verbatim-result cache: completed outcomes of repeated identical
-    /// queries, served without searching.
+    /// Result cache: completed outcomes of repeated queries, served
+    /// without planning or searching.
     results: ResultCache,
     /// Search counters accumulated across this session's queries.
     search: SearchStats,
@@ -107,15 +104,13 @@ impl QuerySession {
     pub const SEED_CACHE_CAPACITY: usize = 4096;
 
     /// A session whose seed cache holds at most `seed_capacity` entries
-    /// per key space (0 disables it; arenas are still reused). Plan and
-    /// result caches start disabled; size them with
-    /// [`Self::with_plan_caches`].
-    pub fn new(seed_capacity: usize) -> Self {
+    /// per key space and whose result cache at most `result_capacity`
+    /// buckets (0 disables either; arenas are still reused).
+    pub(crate) fn new(seed_capacity: usize, result_capacity: usize) -> Self {
         Self {
             arenas: SearchArenas::new(),
             seeds: SeedCache::new(seed_capacity),
-            plans: PlanCache::new(0),
-            results: ResultCache::new(0),
+            results: ResultCache::new(result_capacity),
             search: SearchStats::default(),
             graph_token: None,
             queries: 0,
@@ -126,27 +121,15 @@ impl QuerySession {
         }
     }
 
-    /// Builder: size the prepared-plan and verbatim-result caches (0
-    /// disables either). Replaces the stores, so call it before executing.
-    pub fn with_plan_caches(mut self, plan_capacity: usize, result_capacity: usize) -> Self {
-        self.plans = PlanCache::new(plan_capacity);
-        self.results = ResultCache::new(result_capacity);
-        self
-    }
-
     /// Counters of the seed-probe memo (attribute / IRI-constraint
     /// lookups of plan construction).
     pub fn seed_stats(&self) -> CacheStats {
         self.seeds.stats()
     }
 
-    /// Counters of the prepared-plan and verbatim-result caches.
-    pub fn plan_stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            plans: self.plans.stats(),
-            results: self.results.stats(),
-            result_hit_copied_bytes: self.results.hit_copied_bytes(),
-        }
+    /// Counters of the result cache.
+    pub fn result_stats(&self) -> ResultCacheStats {
+        self.results.stats()
     }
 
     /// Search counters accumulated over this session's lifetime (nodes
@@ -160,11 +143,10 @@ impl QuerySession {
         self.queries
     }
 
-    /// Drop all cached seed, plan, and result state (arenas are kept —
-    /// they hold no graph-dependent data between runs).
+    /// Drop all cached seed and result state (arenas are kept — they hold
+    /// no graph-dependent data between runs).
     pub fn clear_cache(&mut self) {
         self.seeds.clear();
-        self.plans.clear();
         self.results.clear();
     }
 
@@ -186,7 +168,7 @@ impl QuerySession {
         self.result_shed = false;
         self.obs_base = ObsBaseline {
             seeds: self.seed_stats(),
-            plans: self.plan_stats(),
+            results: self.result_stats(),
             search: self.search,
         };
     }
@@ -200,7 +182,7 @@ impl QuerySession {
             status,
             elapsed,
             &self.seed_stats().since(&base.seeds),
-            &self.plan_stats().since(&base.plans),
+            &self.result_stats().since(&base.results),
             &self.search.since(&base.search),
             &mut self.gauged,
         );
@@ -237,13 +219,12 @@ impl QuerySession {
         self.search.nodes += nodes;
     }
 
-    /// The prepared-plan cache and the seed cache together (plan building
-    /// on a cache miss needs both mutably).
-    pub(crate) fn plan_and_seed_caches(&mut self) -> (&mut PlanCache, &mut SeedCache) {
-        (&mut self.plans, &mut self.seeds)
+    /// The seed cache plan construction resolves `ProcessVertex` through.
+    pub(crate) fn seed_cache_mut(&mut self) -> &mut SeedCache {
+        &mut self.seeds
     }
 
-    /// The verbatim-result cache.
+    /// The result cache.
     pub(crate) fn result_cache_mut(&mut self) -> &mut ResultCache {
         &mut self.results
     }
@@ -296,26 +277,25 @@ mod tests {
         let mut session = engine_a.create_session(&options);
         let request = QueryRequest::parsed(&q).with_options(options);
         engine_a.run_in(&request, &mut session).unwrap();
-        // The paper query warms all three: X5's attribute set is a seed
-        // entry, its plan and its answer are stored.
-        let warm = session.plan_stats();
+        // The paper query warms both: X5's attribute set is a seed entry,
+        // its answer is stored.
         assert!(session.seed_stats().entries > 0);
-        assert_eq!((warm.plans.entries, warm.results.entries), (1, 1));
+        let warm = session.result_stats().cache;
+        assert_eq!(warm.entries, 1);
         // Same engine: the caches survive.
         session.bind_graph(engine_a.graph_token());
-        assert_eq!(session.plan_stats().results.entries, 1);
+        assert_eq!(session.result_stats().cache.entries, 1);
 
         // Engine B: everything graph-dependent is dropped on rebind...
         session.bind_graph(engine_b.graph_token());
-        let cold = session.plan_stats();
         assert_eq!(session.seed_stats().entries, 0);
-        assert_eq!((cold.plans.entries, cold.results.entries), (0, 0));
+        assert_eq!(session.result_stats().cache.entries, 0);
         // ...and B answers by executing, not from A's result cache.
         let b = engine_b.run_in(&request, &mut session).unwrap();
         assert_eq!(b.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
         assert_eq!(b.bindings.len(), PAPER_QUERY_EMBEDDINGS);
-        let after = session.plan_stats();
-        assert_eq!(after.results.hits, warm.results.hits, "no stale hit");
-        assert_eq!(after.results.misses, warm.results.misses + 1);
+        let after = session.result_stats().cache;
+        assert_eq!(after.hits, warm.hits, "no stale hit");
+        assert_eq!(after.misses, warm.misses + 1);
     }
 }

@@ -20,7 +20,7 @@
 //! ([`GaugedCaches`]), adds `current − last` at every flush and takes its
 //! share back out when it drops.
 
-use crate::plan::PlanCacheStats;
+use crate::plan::ResultCacheStats;
 use crate::result::QueryStatus;
 use crate::seeds::CacheStats;
 use crate::session::SearchStats;
@@ -28,7 +28,7 @@ use amber_obs::{Counter, Gauge, Histogram};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// One cache layer's registry series (`seed`, `plan`, `result`).
+/// One cache layer's registry series (`seed`, `result`).
 struct CacheFamily {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
@@ -88,7 +88,6 @@ struct Gauged {
 #[derive(Debug, Default)]
 pub(crate) struct GaugedCaches {
     seed: Gauged,
-    plan: Gauged,
     result: Gauged,
 }
 
@@ -96,7 +95,6 @@ impl Drop for GaugedCaches {
     fn drop(&mut self) {
         let m = metrics();
         m.seed.release(&self.seed);
-        m.plan.release(&self.plan);
         m.result.release(&self.result);
     }
 }
@@ -110,7 +108,6 @@ struct EngineMetrics {
     error: Arc<Counter>,
     latency_us: Arc<Histogram>,
     seed: CacheFamily,
-    plan: CacheFamily,
     result: CacheFamily,
     hit_copied_bytes: Arc<Counter>,
     search_nodes: Arc<Counter>,
@@ -134,7 +131,6 @@ fn metrics() -> &'static EngineMetrics {
         error: amber_obs::counter("amber_queries_total", &[("status", "error")]),
         latency_us: amber_obs::histogram("amber_query_latency_us", &[]),
         seed: CacheFamily::new("seed"),
-        plan: CacheFamily::new("plan"),
         result: CacheFamily::new("result"),
         hit_copied_bytes: amber_obs::counter("amber_result_hit_copied_bytes_total", &[]),
         search_nodes: amber_obs::counter("amber_search_nodes_total", &[]),
@@ -163,7 +159,7 @@ pub(crate) fn status_label(status: Result<QueryStatus, ()>) -> &'static str {
 #[derive(Debug, Default)]
 pub(crate) struct ObsBaseline {
     pub(crate) seeds: CacheStats,
-    pub(crate) plans: PlanCacheStats,
+    pub(crate) results: ResultCacheStats,
     pub(crate) search: SearchStats,
 }
 
@@ -172,7 +168,7 @@ pub(crate) fn flush_query(
     status: &'static str,
     elapsed: Duration,
     seeds: &CacheStats,
-    plans: &PlanCacheStats,
+    results: &ResultCacheStats,
     search: &SearchStats,
     gauged: &mut GaugedCaches,
 ) {
@@ -187,9 +183,8 @@ pub(crate) fn flush_query(
     status_counter.inc();
     m.latency_us.observe(elapsed.as_micros() as u64);
     m.seed.flush(seeds, &mut gauged.seed);
-    m.plan.flush(&plans.plans, &mut gauged.plan);
-    m.result.flush(&plans.results, &mut gauged.result);
-    m.hit_copied_bytes.add(plans.result_hit_copied_bytes);
+    m.result.flush(&results.cache, &mut gauged.result);
+    m.hit_copied_bytes.add(results.hit_copied_bytes);
     m.search_nodes.add(search.nodes);
     m.trapped_panics.add(search.trapped_panics);
     m.cancellations.add(search.cancellations);

@@ -247,7 +247,9 @@ fn a_seed_vertex_without_a_typed_edge_falls_back_to_the_synopsis_index() {
         synopsis_seed(&qg, &rdf, &index, &matcher)
     );
     assert_eq!(matcher.initial_candidates(), &[VertexId(1), VertexId(7)]);
-    let explained = amber::QueryPlan::explain(&qg, &rdf, &index).to_string();
+    let engine = amber::AmberEngine::from_graph(rdf);
+    let explained =
+        amber::QueryPlan::explain_prepared(&engine.prepare_sparql(&text).unwrap()).to_string();
     assert!(
         explained.contains("seed candidates: 2 of 9 via synopsis fallback\n"),
         "{explained}"

@@ -75,7 +75,7 @@ fn main() {
         report.inline_dispatches,
         report.queued_dispatches,
         report.rejected,
-        report.plan_stats.results.hits,
-        report.plan_stats.result_hit_copied_bytes,
+        report.result_stats.cache.hits,
+        report.result_stats.hit_copied_bytes,
     );
 }

@@ -34,7 +34,7 @@
 //! println!("listening on http://{}", http.local_addr());
 //! // … later:
 //! let report = http.shutdown();
-//! assert_eq!(report.plan_stats.result_hit_copied_bytes, 0);
+//! assert_eq!(report.result_stats.hit_copied_bytes, 0);
 //! ```
 //!
 //! See `docs/http.md` for the endpoint reference and the status-mapping
@@ -1459,12 +1459,12 @@ mod tests {
         drop(idle);
         assert_eq!(report.served_for("public"), 2);
         assert!(
-            report.plan_stats.results.hits >= 1,
+            report.result_stats.cache.hits >= 1,
             "second request should hit the result cache: {:?}",
-            report.plan_stats
+            report.result_stats
         );
         assert_eq!(
-            report.plan_stats.result_hit_copied_bytes, 0,
+            report.result_stats.hit_copied_bytes, 0,
             "serving over HTTP must not copy result rows"
         );
     }

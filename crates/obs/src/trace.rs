@@ -23,7 +23,7 @@ pub struct QueryTrace {
     pub label: String,
     /// Canonical plan fingerprint, once known.
     pub fingerprint: Option<u64>,
-    /// Cache hit/miss trail in event order (`plan:hit`, `result:miss`, …).
+    /// Cache hit/miss trail in event order (`result:miss`, `result:store`, …).
     pub cache_trail: Vec<&'static str>,
     /// Degradation-ladder steps the memory governor applied.
     pub degradation_steps: u64,
@@ -285,7 +285,7 @@ mod tests {
         r.set_fingerprint(0xabcd);
         r.span("canonicalize", 0, Duration::from_micros(3));
         r.span("component[0]", 1, Duration::from_micros(9));
-        r.note_cache("plan:miss");
+        r.note_cache("result:miss");
         r.note_degradation();
         r.set_abort("timed out");
         assert!(r.end("timed_out"));
@@ -294,7 +294,7 @@ mod tests {
         assert!(entry.contains("timed_out"));
         assert!(entry.contains("canonicalize"));
         assert!(entry.contains("component[0]"));
-        assert!(entry.contains("caches: plan:miss"));
+        assert!(entry.contains("caches: result:miss"));
         assert!(entry.contains("degradation steps: 1"));
         assert!(entry.contains("abort: timed out"));
     }

@@ -12,8 +12,8 @@
 //!
 //! * **shared engine, per-tenant sessions** — all tenants execute against
 //!   one [`AmberEngine`] (one graph, one index set), but each tenant owns
-//!   a private [`QuerySession`] (arenas, seed, plan and result caches). A tenant's requests are serialized onto its
-//!   session — sessions are `&mut` state — while different tenants'
+//!   a private [`QuerySession`] (arenas, seed and result caches). A
+//!   tenant's requests are serialized onto its session — sessions are `&mut` state — while different tenants'
 //!   requests run in parallel, at most [`ServeConfig::workers`] at once
 //!   — the only parallelism there is: one query runs on one thread;
 //! * **admission control** — the server holds at most
@@ -80,8 +80,8 @@ pub mod breaker;
 pub use breaker::{BreakerConfig, BreakerReport, BreakerState};
 
 use amber::{
-    AmberEngine, CancelToken, CompiledQuery, EngineError, Error, ExecOptions, PlanCacheStats,
-    QueryOutcome, QueryRequest, QuerySession, QueryStatus, SearchStats, TripCause,
+    AmberEngine, CancelToken, CompiledQuery, EngineError, Error, ExecOptions, QueryOutcome,
+    QueryRequest, QuerySession, QueryStatus, ResultCacheStats, SearchStats, TripCause,
 };
 use amber_obs::{Counter, Gauge, Histogram};
 use amber_util::fault::{self, payload_message, FaultPoint};
@@ -179,10 +179,11 @@ pub struct ServeConfig {
     /// degradation shows per tenant in `SearchStats::degradation_steps`.
     /// `None` leaves memory governance entirely per-query.
     pub memory_budget: Option<usize>,
-    /// Execution options for every request; also sizes each tenant's
-    /// session caches. Defaults to [`ExecOptions::batch`] (plan + result
-    /// caches on — a serving deployment is exactly the repeated-query
-    /// workload they exist for).
+    /// Execution options for every request; their
+    /// `result_cache_capacity` also sizes each tenant's session result
+    /// cache, once, when the session is created. Defaults to
+    /// [`ExecOptions::batch`] (result cache on — a serving deployment is
+    /// exactly the repeated-query workload it exists for).
     pub options: ExecOptions,
     /// Enable each tenant session's flight recorder: per-query span
     /// traces (parse → plan → per-component search → materialize) retained
@@ -869,10 +870,10 @@ impl Server {
                 served: t.served,
                 deadline_shed: t.shed,
                 queries_executed: t.session.as_ref().map_or(0, |s| s.queries_executed()),
-                plan_stats: t
+                result_stats: t
                     .session
                     .as_ref()
-                    .map(|s| s.plan_stats())
+                    .map(|s| s.result_stats())
                     .unwrap_or_default(),
                 search: t
                     .session
@@ -883,12 +884,9 @@ impl Server {
             })
             .collect();
         tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-        let mut aggregate = PlanCacheStats::default();
+        let mut aggregate = ResultCacheStats::default();
         for tenant in &tenants {
-            // Gauges take the sum too: per-tenant caches are disjoint.
-            aggregate.plans.merge(&tenant.plan_stats.plans);
-            aggregate.results.merge(&tenant.plan_stats.results);
-            aggregate.result_hit_copied_bytes += tenant.plan_stats.result_hit_copied_bytes;
+            aggregate.merge(&tenant.result_stats);
         }
         ServeReport {
             rejected: state.rejected,
@@ -897,7 +895,7 @@ impl Server {
             breaker_fast_fails: tenants.iter().map(|t| t.breaker.fast_fails).sum(),
             internal_faults: state.internal_faults,
             drain_faults: state.drain_faults,
-            plan_stats: aggregate,
+            result_stats: aggregate,
             dispatch_order: state
                 .dispatch_order
                 .iter()
@@ -1201,8 +1199,8 @@ pub struct TenantReport {
     /// Queries the tenant's session actually executed (the zero-work
     /// assertion for shed requests: shed-only tenants report 0).
     pub queries_executed: u64,
-    /// The tenant session's plan/result cache counters.
-    pub plan_stats: PlanCacheStats,
+    /// The tenant session's result-cache counters.
+    pub result_stats: ResultCacheStats,
     /// The tenant session's search counters (node visits, trapped
     /// panics, cancellations, memory-governor degradation steps).
     pub search: SearchStats,
@@ -1230,9 +1228,9 @@ pub struct ServeReport {
     pub internal_faults: u64,
     /// `serve-drain` chaos panics trapped on the drain path.
     pub drain_faults: u64,
-    /// All tenants' plan/result cache counters summed — includes
-    /// `result_hit_copied_bytes`, the zero-copy regression gauge.
-    pub plan_stats: PlanCacheStats,
+    /// All tenants' result-cache counters summed — includes
+    /// `hit_copied_bytes`, the zero-copy regression gauge.
+    pub result_stats: ResultCacheStats,
     /// Tenant of every dispatch in dispatch order, inline or queued
     /// (empty unless [`ServeConfig::record_dispatch`]).
     pub dispatch_order: Vec<String>,
@@ -1650,10 +1648,10 @@ mod tests {
             server.submit_sparql("a", CHAIN).unwrap().wait().unwrap();
         }
         let report = server.shutdown();
-        let stats = &report.plan_stats;
-        assert!(stats.results.hits >= 3, "verbatim repeats hit: {stats:?}");
+        let stats = &report.result_stats;
+        assert!(stats.cache.hits >= 3, "verbatim repeats hit: {stats:?}");
         assert_eq!(
-            stats.result_hit_copied_bytes, 0,
+            stats.hit_copied_bytes, 0,
             "result-cache hits must serve shared rows, not copies"
         );
     }

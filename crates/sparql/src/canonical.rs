@@ -3,8 +3,8 @@
 //!
 //! The request path no longer goes through this module: the query compiler
 //! (`amber_multigraph::CompiledQuery`) numbers variables in first-occurrence
-//! order as the scanner delivers them and keys the plan and result caches
-//! on those numbers plus dictionary ids. This module stays as an AST
+//! order as the scanner delivers them and keys the result cache on those
+//! numbers plus dictionary ids. This module stays as an AST
 //! utility — the benchmark's pool admission deduplicates generated queries
 //! with it — and applies the same rule to a [`SelectQuery`]:
 //!

@@ -14,7 +14,7 @@
 //!   containment); the OTIL and attribute indexes are built on these, with
 //!   runtime-dispatched SIMD kernels for `u32`-shaped elements.
 //! * [`genmap`] — a bounded generationally-evicted map, the storage engine
-//!   of the session probe/seed caches.
+//!   of the session seed and result caches.
 //! * [`timing`] — stopwatch and cooperative deadline used to implement the
 //!   paper's 60-second query budget.
 //! * [`cancel`] — the cooperative cancellation token polled at the same

@@ -2,12 +2,12 @@
 //!
 //! A batch runs many queries through `run_in` on one shared
 //! [`QuerySession`] —
-//! long-lived arenas plus cross-query seed, plan and result caches. Nothing
+//! long-lived arenas plus cross-query seed and result caches. Nothing
 //! about that sharing may be observable in the results: over randomized
 //! query streams (duplicates and permutations included, so cache reuse and
 //! arena high-water reuse actually trigger) every per-query outcome must be
-//! identical to a fresh sequential `run` call, with the plan and
-//! result caches disabled, tiny (evicting mid-batch), and large.
+//! identical to a fresh sequential `run` call, with the result cache
+//! disabled, tiny (evicting mid-batch), and large.
 
 use amber::{
     AmberEngine, CancelToken, ExecOptions, QueryOutcome, QueryRequest, QuerySession, QueryStatus,
@@ -139,7 +139,6 @@ proptest! {
         for capacity in [0usize, 2, 4096] {
             let options = ExecOptions::default()
                 .with_max_results(200)
-                .with_plan_cache(capacity)
                 .with_result_cache(capacity);
             assert_batch_equals_sequential(
                 &engine,
@@ -152,10 +151,9 @@ proptest! {
 }
 
 /// Besides the answers, the cache counters of a repeat stream are exact:
-/// each distinct query derives one plan and computes one result, and every
-/// repeat hits both caches (the plan is looked up first; its key finds the
-/// result). With the caches off, every seed probe of a repeat hits the
-/// session's seed cache, and an armed but never-reached governor (4 GiB
+/// each distinct query misses the result cache once (one plan, one
+/// execution), and every repeat hits it before planning. With the result
+/// cache off, every seed probe of a repeat hits the session's seed cache, and an armed but never-reached governor (4 GiB
 /// and a live cancel token, polled at every checkpoint) degrades nothing.
 #[test]
 fn batch_equivalence_holds_on_complex_streams() {
@@ -175,17 +173,11 @@ fn batch_equivalence_holds_on_complex_streams() {
     let with_caches = |capacity: usize| {
         ExecOptions::default()
             .with_max_results(200)
-            .with_plan_cache(capacity)
             .with_result_cache(capacity)
     };
 
     let (cached, _) = assert_batch_equals_sequential(&engine, &stream, &with_caches(256), "cached");
-    let cached = cached.plan_stats();
-    let (plans, results) = (&cached.plans, &cached.results);
-    assert_eq!(
-        (plans.misses as usize, plans.hits as usize),
-        (distinct, repeats)
-    );
+    let results = cached.result_stats().cache;
     assert_eq!(
         (results.misses as usize, results.hits as usize),
         (distinct, repeats)

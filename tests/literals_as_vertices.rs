@@ -92,7 +92,7 @@ fn modes_agree_on_resource_only_queries() {
 #[test]
 fn literal_and_iri_objects_never_share_a_cache_entry() {
     // `?x <p> "v"` and `?x <p> <v>` are different queries in both modes:
-    // one session answers each from its own plan and result entry.
+    // one session answers each from its own result entry.
     for literals_as_vertices in [false, true] {
         let engine = build_engine(literals_as_vertices);
         let options = amber::ExecOptions::batch();
@@ -107,9 +107,9 @@ fn literal_and_iri_objects_never_share_a_cache_entry() {
             assert_eq!(run(literal, &mut session), 0, "mode {literals_as_vertices}");
             assert_eq!(run(iri, &mut session), 1, "mode {literals_as_vertices}");
         }
-        let stats = session.plan_stats();
-        assert_eq!(stats.plans.misses, 2, "mode {literals_as_vertices}");
-        assert_eq!(stats.results.hits, 2, "mode {literals_as_vertices}");
+        let stats = session.result_stats().cache;
+        assert_eq!(stats.misses, 2, "mode {literals_as_vertices}");
+        assert_eq!(stats.hits, 2, "mode {literals_as_vertices}");
     }
 }
 

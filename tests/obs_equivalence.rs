@@ -1,6 +1,6 @@
 //! Differential tests pinning the `amber_obs` metrics registry to the
-//! legacy in-struct accounting (a session's `CacheStats`, `PlanCacheStats`
-//! and `SearchStats`, and the `ServeReport`).
+//! legacy in-struct accounting (a session's `CacheStats`,
+//! `ResultCacheStats` and `SearchStats`, and the `ServeReport`).
 //!
 //! The registry is *populated from* the legacy structs by a per-query
 //! delta flush (see `crates/core/src/telemetry.rs`), so the two views are
@@ -103,8 +103,8 @@ fn batch_stats_agree_exactly_with_the_registry() {
         .prepare_sparql(&amber_multigraph::paper::paper_query_text())
         .unwrap();
     let options = ExecOptions::batch();
-    // Repeats through a warm session: plan hits, result hits, and (first
-    // run) the search counters all flow through the flush. A text that
+    // Repeats through a warm session: result hits, and (first run) the
+    // seed and search counters all flow through the flush. A text that
     // does not parse and a stale plan fail inside the same query envelope,
     // so they are counted like every other request.
     let requests = [
@@ -167,13 +167,12 @@ fn batch_stats_agree_exactly_with_the_registry() {
         "one count per request"
     );
 
-    let plans = session.plan_stats();
+    let results = session.result_stats();
     assert_cache_family(&before, &after, "seed", &session.seed_stats(), "batch");
-    assert_cache_family(&before, &after, "plan", &plans.plans, "batch");
-    assert_cache_family(&before, &after, "result", &plans.results, "batch");
+    assert_cache_family(&before, &after, "result", &results.cache, "batch");
     assert_eq!(
         delta(&before, &after, "amber_result_hit_copied_bytes_total", &[]),
-        plans.result_hit_copied_bytes
+        results.hit_copied_bytes
     );
 
     let search = session.search_stats();
@@ -189,8 +188,8 @@ fn batch_stats_agree_exactly_with_the_registry() {
         assert_eq!(delta(&before, &after, name, &[]), legacy, "{name}");
     }
     assert!(
-        plans.results.hits >= 1,
-        "verbatim repeats must exercise the result-cache flush: {plans:?}"
+        results.cache.hits >= 1,
+        "verbatim repeats must exercise the result-cache flush: {results:?}"
     );
     assert!(
         search.nodes >= 1,
@@ -516,28 +515,24 @@ fn cache_gauges_sum_over_live_sessions() {
     let results: Vec<usize> = report
         .tenants
         .iter()
-        .map(|t| t.plan_stats.results.entries)
+        .map(|t| t.result_stats.cache.entries)
         .collect();
     assert_eq!(
         results,
         [1, 2],
         "workload sanity: one and two distinct queries"
     );
-    for (layer, legacy) in [
-        ("plan", &report.plan_stats.plans),
-        ("result", &report.plan_stats.results),
-    ] {
-        assert_eq!(
-            moved(&before, &mid, layer),
-            (legacy.entries as i64, legacy.result_bytes as i64),
-            "{layer}: the gauges are the sum over both tenants"
-        );
-        assert_eq!(
-            gauges(&amber_obs::snapshot(), layer),
-            gauges(&before, layer),
-            "{layer}: dropped sessions leave the gauges"
-        );
-    }
+    let legacy = &report.result_stats.cache;
+    assert_eq!(
+        moved(&before, &mid, "result"),
+        (legacy.entries as i64, legacy.result_bytes as i64),
+        "the gauges are the sum over both tenants"
+    );
+    assert_eq!(
+        gauges(&amber_obs::snapshot(), "result"),
+        gauges(&before, "result"),
+        "dropped sessions leave the gauges"
+    );
 
     let options = ExecOptions::batch();
     let mut session = engine.create_session(&options);
@@ -549,7 +544,7 @@ fn cache_gauges_sum_over_live_sessions() {
     run(&mut session, BACK_EDGE);
     session.clear_cache();
     run(&mut session, CHAIN);
-    let stats = session.plan_stats().results;
+    let stats = session.result_stats().cache;
     assert_eq!(stats.entries, 1, "workload sanity");
     assert_eq!(
         moved(&before, &amber_obs::snapshot(), "result"),
@@ -642,4 +637,35 @@ fn canned_snapshot_renders_verify() {
         .expect("latency histogram in JSON");
     assert!(latency.get("count").and_then(Json::as_f64).unwrap_or(0.0) >= 2.0);
     assert!(latency.get("buckets").and_then(Json::as_array).is_some());
+    // Plans are derived per query: there is no plan cache to report.
+    assert!(!prometheus.contains("cache=\"plan\""), "{prometheus}");
+}
+
+/// A verbatim repeat on a warm session is answered from the result cache
+/// before any planning: its trace notes only the hit and has no `plan`
+/// span, and neither the seed cache nor the search moves.
+#[test]
+fn verbatim_repeat_is_answered_before_planning() {
+    let _serial = serial();
+    let engine = demo_engine();
+    let options = ExecOptions::batch();
+    let mut session = engine.create_session(&options);
+    session.configure_tracing(true, None);
+    let request = QueryRequest::sparql(CHAIN).with_options(options.clone());
+    engine.run_in(&request, &mut session).unwrap();
+    let first = session.flight_recorder().last().unwrap();
+    assert_eq!(first.cache_trail, ["result:miss", "result:store"]);
+    assert!(first.spans.iter().any(|s| s.stage == "plan"), "{first:?}");
+
+    let (seeds, searched) = (session.seed_stats(), session.search_stats());
+    let before = amber_obs::snapshot();
+    let repeat = engine.run_in(&request, &mut session).unwrap();
+    let after = amber_obs::snapshot();
+    assert_eq!(repeat.status, QueryStatus::Completed);
+    let trace = session.flight_recorder().last().unwrap();
+    assert_eq!(trace.cache_trail, ["result:hit"]);
+    assert!(trace.spans.iter().all(|s| s.stage != "plan"), "{trace:?}");
+    assert_eq!(session.seed_stats(), seeds, "no seed lookup");
+    assert_eq!(session.search_stats(), searched, "no search");
+    assert_eq!(delta(&before, &after, "amber_search_nodes_total", &[]), 0);
 }

@@ -1,5 +1,5 @@
 //! Execution-option matrix across all engines: count-only, max_results,
-//! DISTINCT, plan/result-cache capacity — every engine must expose
+//! DISTINCT, result-cache capacity — every engine must expose
 //! the same observable behaviour for every combination, and AMbER's batch
 //! entry point must expose the same behaviour as its one-shot path.
 
@@ -97,7 +97,7 @@ fn variables_order_matches_projection() {
 
 #[test]
 fn batch_knob_matrix_matches_one_shot_execution() {
-    // Sweep the plan/result cache knobs (including capacity 0 = disabled
+    // Sweep the result-cache capacity (including 0 = disabled
     // and a capacity of 1 that forces eviction mid-batch) against every
     // option combination the one-shot path supports.
     let engine = AmberEngine::from_graph(rdf());
@@ -114,10 +114,7 @@ fn batch_knob_matrix_matches_one_shot_execution() {
     ];
     for base in option_matrix {
         for capacity in [0usize, 1, 4096] {
-            let options = base
-                .clone()
-                .with_plan_cache(capacity)
-                .with_result_cache(capacity);
+            let options = base.clone().with_result_cache(capacity);
             let requests: Vec<QueryRequest<'_>> = queries
                 .iter()
                 .map(|q| QueryRequest::parsed(q).with_options(options.clone()))
@@ -138,17 +135,15 @@ fn batch_knob_matrix_matches_one_shot_execution() {
                 assert_eq!(a, b, "capacity {capacity}");
             }
             assert_eq!(session.queries_executed(), queries.len() as u64);
-            // Counter coherence: with the caches disabled nothing may be
-            // memoized; with them enabled the hit rate stays a probability.
-            let stats = session.plan_stats();
-            for stats in [&stats.plans, &stats.results] {
-                if capacity == 0 {
-                    assert_eq!(stats.hits + stats.misses, 0);
-                    assert_eq!(stats.entries, 0);
-                }
-                assert!((0.0..=1.0).contains(&stats.hit_rate()));
-                assert!(stats.entries <= capacity);
+            // Counter coherence: with the cache disabled nothing may be
+            // memoized; with it enabled the hit rate stays a probability.
+            let stats = session.result_stats().cache;
+            if capacity == 0 {
+                assert_eq!(stats.hits + stats.misses, 0);
+                assert_eq!(stats.entries, 0);
             }
+            assert!((0.0..=1.0).contains(&stats.hit_rate()));
+            assert!(stats.entries <= capacity);
         }
     }
 }

@@ -1,15 +1,15 @@
-//! Differential property test for the prepared-plan subsystem.
+//! Differential property test for prepared plans and the result cache.
 //!
 //! A [`PreparedPlan`](amber::PreparedPlan) freezes the query multigraph,
-//! decomposition, processing order, and seed candidates; the plan cache
-//! additionally *shares* one plan across alpha-equivalent repeats, and the
-//! result cache serves whole completed outcomes verbatim. Nothing about
-//! any of that may be observable in the results: over randomized streams
-//! that mix duplicates, **variable-renamed** variants (which hit the same
-//! cached plan), and **triple-reordered** variants (which key separately),
-//! every outcome must be identical to a fresh cache-free
-//! `run`, with the plan/result caches disabled, capacity-1
-//! (evicting constantly), and comfortably large.
+//! decomposition, processing order, and seed candidates; the session
+//! result cache serves whole completed outcomes to repeats, and *shares*
+//! one entry across alpha-equivalent spellings. Nothing about any of that
+//! may be observable in the results: over randomized streams that mix
+//! duplicates, **variable-renamed** variants (which hit the same cached
+//! entry), and **triple-reordered** variants (which key separately), every
+//! outcome must be identical to a fresh cache-free `run`, with the result
+//! cache disabled, capacity-1 (evicting constantly), and comfortably
+//! large.
 
 use amber::{AmberEngine, ExecOptions, QueryOutcome, QueryRequest};
 use amber_datagen::synthetic::{self, SyntheticConfig};
@@ -68,7 +68,7 @@ fn rename_vars(query: &SelectQuery, salt: u64) -> SelectQuery {
 }
 
 /// Shuffle the triple patterns (semantically equal; keys separately in the
-/// plan cache — must still answer correctly, just colder).
+/// result cache — must still answer correctly, just colder).
 fn reorder_patterns(query: &SelectQuery, seed: u64) -> SelectQuery {
     let mut reordered = query.clone();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -92,18 +92,15 @@ fn normalized(outcome: &QueryOutcome) -> Observed {
 }
 
 /// Every query of `stream`, executed through one warm session with the
-/// given plan/result cache capacities, must match a fresh cache-free
-/// execution.
+/// given result-cache capacity, must match a fresh cache-free execution.
 fn assert_prepared_equals_unprepared(
     engine: &AmberEngine,
     stream: &[SelectQuery],
-    plan_capacity: usize,
     result_capacity: usize,
     context: &str,
 ) {
     let cached = ExecOptions::default()
         .with_max_results(200)
-        .with_plan_cache(plan_capacity)
         .with_result_cache(result_capacity);
     let bare = ExecOptions::default().with_max_results(200);
     let mut session = engine.create_session(&cached);
@@ -165,15 +162,13 @@ proptest! {
 
         let stream = build_stream(&base, shuffle_seed);
         // Disabled, constantly-evicting, and comfortably large caches must
-        // all be observationally identical — including the asymmetric
-        // combinations (plan cache without result cache and vice versa).
-        for (plan_capacity, result_capacity) in [(0, 0), (1, 1), (256, 0), (0, 256), (256, 256)] {
+        // all be observationally identical.
+        for capacity in [0, 1, 256] {
             assert_prepared_equals_unprepared(
                 &engine,
                 &stream,
-                plan_capacity,
-                result_capacity,
-                &format!("plan {plan_capacity} / result {result_capacity}"),
+                capacity,
+                &format!("result cache {capacity}"),
             );
         }
     }
@@ -187,13 +182,12 @@ fn plan_equivalence_holds_on_a_fixed_complex_stream() {
     let base = generator.generate_many(&WorkloadConfig::new(QueryShape::Complex, 5), 3);
     assert!(!base.is_empty());
     let stream = build_stream(&base, 0xBEEF);
-    for (plan_capacity, result_capacity) in [(1, 1), (256, 256)] {
+    for capacity in [1, 256] {
         assert_prepared_equals_unprepared(
             &engine,
             &stream,
-            plan_capacity,
-            result_capacity,
-            &format!("fixed stream, plan {plan_capacity} / result {result_capacity}"),
+            capacity,
+            &format!("fixed stream, result cache {capacity}"),
         );
     }
 }
@@ -214,9 +208,10 @@ fn renamed_queries_share_plans_but_keep_their_headers() {
         engine.run_in(&request, &mut session).unwrap()
     };
     let (a, b) = (run(&original), run(&renamed));
-    let plans = session.plan_stats().plans;
-    assert_eq!(plans.misses, 1, "one plan derivation");
-    assert_eq!(plans.hits, 1, "the renamed twin reuses it");
+    let results = session.result_stats().cache;
+    assert_eq!(results.misses, 1, "one plan and one execution");
+    assert_eq!(results.hits, 1, "the renamed twin shares the entry");
+    assert_eq!(results.entries, 1);
     assert_eq!(a.embedding_count, b.embedding_count);
     let (mut rows_a, mut rows_b) = (a.bindings.to_vec(), b.bindings.to_vec());
     rows_a.sort();

@@ -349,9 +349,9 @@ fn cancelled_query_never_stores_into_the_result_cache() {
         .unwrap();
     assert_eq!(repeat.status, QueryStatus::Completed);
     assert_eq!(repeat.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
-    let stats = session.plan_stats();
+    let stats = session.result_stats().cache;
     assert_eq!(
-        stats.results.hits, 0,
+        stats.hits, 0,
         "the cancelled outcome must not be served to anyone: {stats:?}"
     );
     assert_eq!(session.search_stats().cancellations, 1);

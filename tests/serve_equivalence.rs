@@ -35,7 +35,7 @@ fn dense_graph(seed: u64) -> RdfGraph {
 }
 
 /// Rename every variable `x` → `t<salt>_x`: alpha-equivalent spellings
-/// that share a canonical plan.
+/// that share one result-cache entry.
 fn rename_vars(query: &SelectQuery, salt: u64) -> SelectQuery {
     let rename = |name: &str| -> Box<str> { format!("t{salt}_{name}").into() };
     let term = |t: &TermPattern| match t {
@@ -77,8 +77,8 @@ fn normalized(outcome: &QueryOutcome) -> Observed {
     )
 }
 
-/// One tenant's request stream: originals, renamed twins (shared plans),
-/// and verbatim repeats (result-cache hits), shuffled per tenant.
+/// One tenant's request stream: originals, renamed twins and verbatim
+/// repeats (both result-cache hits), shuffled per tenant.
 fn tenant_stream(base: &[GeneratedQuery], tenant_salt: u64) -> Vec<SelectQuery> {
     let mut stream = Vec::new();
     for generated in base {
@@ -163,9 +163,9 @@ fn assert_serving_matches_sequential(
     }
     assert_eq!(report.rejected, 0, "the queue was sized for the workload");
     assert_eq!(
-        report.plan_stats.result_hit_copied_bytes, 0,
+        report.result_stats.hit_copied_bytes, 0,
         "result-cache hits must serve shared rows: {:?}",
-        report.plan_stats
+        report.result_stats
     );
 }
 
@@ -373,8 +373,8 @@ fn admission_control_rejects_beyond_capacity_and_serves_the_rest() {
 /// Each tenant plans in its own session: four tenants send the same
 /// queries under their own variable spellings (alpha-equivalent twins).
 /// Every answer carries its sender's headers and equals a cache-free
-/// `run`; each tenant derives one plan per distinct canonical query and
-/// serves every twin from it; a stale prepared plan fails only itself.
+/// `run`; each tenant executes each distinct query once and serves every
+/// twin from its result cache; a stale prepared plan fails only itself.
 #[test]
 fn tenants_keep_their_own_plans_headers_and_failures() {
     let rdf = Arc::new(dense_graph(21));
@@ -430,14 +430,14 @@ fn tenants_keep_their_own_plans_headers_and_failures() {
     let report = server.shutdown();
     for tenant in &report.tenants {
         assert_eq!(tenant.served, 2 * base.len() as u64, "{}", tenant.tenant);
-        let plans = &tenant.plan_stats.plans;
+        let results = &tenant.result_stats.cache;
         assert_eq!(
-            plans.misses,
+            results.misses,
             distinct.len() as u64,
-            "{}: one derivation per distinct query: {plans:?}",
+            "{}: one execution per distinct query: {results:?}",
             tenant.tenant
         );
-        assert_eq!(plans.hits + plans.misses, 2 * base.len() as u64);
+        assert_eq!(results.hits + results.misses, 2 * base.len() as u64);
     }
     assert_eq!(report.tenants.len(), tenants.len());
 }
@@ -555,7 +555,7 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
             assert_eq!(a.deadline_shed, b.deadline_shed, "{}", a.tenant);
             assert_eq!(a.queries_executed, b.queries_executed, "{}", a.tenant);
             assert_eq!(a.breaker, b.breaker, "{}", a.tenant);
-            assert_eq!(a.plan_stats, b.plan_stats, "{}", a.tenant);
+            assert_eq!(a.result_stats, b.result_stats, "{}", a.tenant);
         }
         assert_eq!(inline_report.rejected, queued_report.rejected);
         let dispatched = inline_report.served() + inline_report.deadline_shed;

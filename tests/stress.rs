@@ -73,9 +73,8 @@ fn dbpedia_scale_5_table1_style() {
 #[ignore = "minutes-long; run with --ignored"]
 fn batch_session_at_scale_with_evicting_cache() {
     // A paper-scale repeated-workload stream through one session, with
-    // plan/result caches small enough to evict continuously mid-batch:
-    // the batch must
-    // stay answer-identical to one-shot execution and keep the robustness
+    // a result cache small enough to evict continuously mid-batch: the
+    // batch must stay answer-identical to one-shot execution and keep the robustness
     // bar, whatever the eviction churn does.
     let rdf = Arc::new(RdfGraph::from_triples(&Benchmark::Lubm.generate(10, 6)));
     let engine = AmberEngine::from_graph(Arc::clone(&rdf));
@@ -91,9 +90,8 @@ fn batch_session_at_scale_with_evicting_cache() {
         .collect();
 
     for cache_capacity in [0usize, 8, 4096] {
-        let options = ExecOptions::benchmark(Duration::from_secs(15))
-            .with_plan_cache(cache_capacity)
-            .with_result_cache(cache_capacity);
+        let options =
+            ExecOptions::benchmark(Duration::from_secs(15)).with_result_cache(cache_capacity);
         let requests: Vec<QueryRequest<'_>> = queries
             .iter()
             .map(|q| QueryRequest::parsed(q).with_options(options.clone()))
@@ -119,9 +117,8 @@ fn batch_session_at_scale_with_evicting_cache() {
             "capacity {cache_capacity}: only {completed}/{} answered",
             queries.len()
         );
-        let stats = session.plan_stats();
-        let (plans, results) = (&stats.plans, &stats.results);
-        assert!(plans.entries <= cache_capacity && results.entries <= cache_capacity);
+        let results = session.result_stats().cache;
+        assert!(results.entries <= cache_capacity);
         // Spot-check batch outcomes against one-shot execution. Either run
         // may hit the budget independently; partial counts prove nothing.
         for (request, batched) in requests.iter().zip(&outcomes).step_by(13) {
@@ -134,8 +131,8 @@ fn batch_session_at_scale_with_evicting_cache() {
             }
         }
         // The tiny capacity must actually have been under pressure.
-        if cache_capacity == 8 && plans.misses > 8 {
-            assert!(plans.evictions > 0);
+        if cache_capacity == 8 && results.misses > 8 {
+            assert!(results.evictions > 0);
         }
     }
 }

@@ -134,7 +134,15 @@ fn main() {
         }
         "bench" => {
             let sparql = read_query(args.get(2));
-            let n: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(10);
+            let n: usize = if args.len() > 3 {
+                flag_value(&args, 3, "the run count")
+            } else {
+                10
+            };
+            if n == 0 {
+                eprintln!("the run count must be at least 1\n{USAGE}");
+                exit(2);
+            }
             let engine = AmberEngine::from_graph(load_data(data_path));
             let request = QueryRequest::sparql(&sparql).counting();
             let mut times = Vec::with_capacity(n);

@@ -339,14 +339,14 @@ impl AmberEngine {
         let outcome = match caught {
             Ok(outcome) => outcome,
             Err(payload) => {
-                session.record_trapped_panic();
+                crate::telemetry::note_trapped_panic();
                 Err(EngineError::Internal {
                     task: "query execution".to_string(),
                     payload: payload_message(&*payload),
                 })
             }
         };
-        session.end_query(outcome_status(&outcome), sw.elapsed());
+        session.end_query(outcome.as_ref().ok().map(|o| o.status), sw.elapsed());
         outcome
     }
 
@@ -441,16 +441,14 @@ impl AmberEngine {
             if let Some(hit) = results.lookup(key, fingerprint, self.token, options) {
                 // Zero-copy serve: the outcome's rows are the cached `Arc`
                 // allocation itself (only Completed outcomes are ever
-                // stored, so the status is unconditional). `record_serve`
-                // audits the sharing at runtime — copied bytes stay 0.
+                // stored, so the status is unconditional).
                 let outcome = QueryOutcome {
                     status: QueryStatus::Completed,
                     embedding_count: hit.embedding_count,
                     variables,
-                    bindings: hit.rows.clone(),
+                    bindings: hit.rows,
                     elapsed: sw.elapsed(),
                 };
-                results.record_serve(&hit.rows, &outcome.bindings);
                 session.recorder_mut().note_cache("result:hit");
                 return Ok(outcome);
             }
@@ -550,15 +548,14 @@ impl AmberEngine {
             let result = match run {
                 Ok(result) => result,
                 Err(payload) => {
-                    session.record_trapped_panic();
+                    crate::telemetry::note_trapped_panic();
                     return Err(EngineError::Internal {
                         task: "sequential matcher".to_string(),
                         payload: payload_message(&*payload),
                     });
                 }
             };
-            session.record_nodes(result.nodes);
-            crate::telemetry::note_seed_candidates(prep.initial_candidates().len());
+            crate::telemetry::note_component_run(result.nodes, prep.initial_candidates().len());
             if let Some(s) = span_sw {
                 session
                     .recorder_mut()
@@ -580,7 +577,7 @@ impl AmberEngine {
             session.apply_governor(governor);
         }
         if abort == Some(Abort::Cancelled) {
-            session.record_cancellation();
+            crate::telemetry::note_cancellation();
         }
 
         let partial = abort.is_some();
@@ -639,14 +636,6 @@ impl AmberEngine {
 enum Ready<'a> {
     Compiled(&'a CompiledQuery),
     Prepared(&'a PreparedPlan),
-}
-
-/// The registry/flight-recorder status label for a finished query.
-fn outcome_status(outcome: &Result<QueryOutcome, EngineError>) -> &'static str {
-    match outcome {
-        Ok(o) => crate::telemetry::status_label(Ok(o.status)),
-        Err(_) => crate::telemetry::status_label(Err(())),
-    }
 }
 
 impl SparqlEngine for AmberEngine {
@@ -789,7 +778,7 @@ mod tests {
                 assert!(reason.contains(&format!("<{iri}>")), "{reason}");
             }
         }
-        let stats = session.result_stats().cache;
+        let stats = session.result_stats();
         assert_eq!((stats.misses, stats.hits), (2, 2));
     }
 
@@ -1003,7 +992,7 @@ mod tests {
         let queries = [q1.clone(), q2, q1];
         let (outcomes, session) = run_on_one_session(&engine, &parsed_requests(&queries, &options));
         assert_eq!(completed(&outcomes), 3);
-        let results = session.result_stats().cache;
+        let results = session.result_stats();
         assert_eq!(results.misses, 1, "one execution");
         assert_eq!(results.hits, 2, "two alpha-equivalent reuses");
         // The renamed query must still answer under *its own* headers.
@@ -1023,7 +1012,7 @@ mod tests {
                 QueryRequest::sparql(&prefixed).with_options(options.clone()),
             ],
         );
-        let results = session.result_stats().cache;
+        let results = session.result_stats();
         assert_eq!(results.misses, 1);
         assert_eq!(results.hits, 1);
     }
@@ -1036,7 +1025,7 @@ mod tests {
         let queries = vec![q; 4];
         let (outcomes, session) = run_on_one_session(&engine, &parsed_requests(&queries, &options));
         assert_eq!(completed(&outcomes), 4);
-        let results = session.result_stats().cache;
+        let results = session.result_stats();
         assert_eq!(results.misses, 1);
         assert_eq!(results.hits, 3);
         let counts: Vec<u128> = outcomes
@@ -1070,7 +1059,7 @@ mod tests {
         let repeat = engine.run_in(&plain, &mut session).unwrap();
         assert_eq!(repeat.status, QueryStatus::Completed);
         assert_eq!(repeat.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
-        let stats = session.result_stats().cache;
+        let stats = session.result_stats();
         assert!(
             stats.bypasses >= 1,
             "the timed-out outcome must be recorded as a bypass: {stats:?}"
@@ -1113,19 +1102,14 @@ mod tests {
         let first = engine.run_in(&request, &mut session).unwrap();
         let second = engine.run_in(&request, &mut session).unwrap();
         let third = engine.run_in(&request, &mut session).unwrap();
-        let stats = session.result_stats();
-        assert_eq!(stats.cache.hits, 2, "verbatim repeats hit");
-        // The zero-copy contract, gated structurally and by counter: every
-        // served outcome aliases the one row allocation the miss stored.
+        assert_eq!(session.result_stats().hits, 2, "verbatim repeats hit");
+        // The zero-copy contract: every served outcome aliases the one row
+        // allocation the miss stored.
         assert!(
             second.bindings.shares_rows(&first.bindings),
             "a hit must serve the stored Arc allocation, not a clone"
         );
         assert!(third.bindings.shares_rows(&first.bindings));
-        assert_eq!(
-            stats.hit_copied_bytes, 0,
-            "serving hits must copy zero row bytes: {stats:?}"
-        );
         assert_eq!(second.embedding_count, first.embedding_count);
         assert_eq!(second.variables, first.variables);
     }

@@ -53,11 +53,11 @@ pub use error::{EngineError, Error, TripCause};
 pub use explain::{Explain, QueryPlan};
 pub use governor::{MemoryGovernor, Pressure};
 pub use options::ExecOptions;
-pub use plan::{PreparedPlan, ResultCache, ResultCacheStats};
+pub use plan::{PreparedPlan, ResultCache};
 pub use request::{QueryRequest, QuerySource};
 pub use result::{BindingRow, Bindings, QueryOutcome, QueryStatus, SparqlEngine};
 pub use seeds::{CacheStats, SeedCache};
-pub use session::{QuerySession, SearchStats};
+pub use session::QuerySession;
 
 pub use amber_multigraph::CompiledQuery;
 pub use amber_util::CancelToken;

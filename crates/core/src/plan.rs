@@ -33,6 +33,7 @@ use crate::matcher::ComponentPrep;
 use crate::options::ExecOptions;
 use crate::result::{Bindings, QueryOutcome};
 use crate::seeds::{CacheStats, SeedCache};
+use crate::telemetry::CacheCounts;
 use amber_index::IndexSet;
 use amber_multigraph::{CompiledQuery, DataGraph, GroundCheck, QueryGraph, QueryKey, RdfGraph};
 use amber_util::GenerationalMap;
@@ -220,23 +221,14 @@ pub(crate) struct CachedOutcome {
 /// A bounded cache of completed outcomes for repeated queries (see module
 /// docs). Owned by a [`QuerySession`](crate::session::QuerySession);
 /// cleared on engine rebind and on the memory governor's shed-results
-/// rung.
+/// rung. Lookups, evictions and stored outcomes count into the
+/// `amber_cache_*{cache="result"}` series as they happen.
 #[derive(Debug)]
 pub struct ResultCache {
     /// Maximum key buckets retained; 0 disables the cache.
     capacity: usize,
     map: GenerationalMap<ResultKey, Vec<CachedResult>>,
-    hits: u64,
-    misses: u64,
-    bypasses: u64,
-    stored: usize,
-    result_bytes: usize,
-    /// Row bytes that were **deep-copied** while serving hits. The
-    /// zero-copy contract says this stays 0 forever: a hit serves the
-    /// cached `Arc` allocation itself. Measured at serve time (not assumed)
-    /// so any future regression to cloning trips the counter-gated tests
-    /// (`serve_equivalence`, `http_e2e`).
-    hit_copied_bytes: u64,
+    counts: CacheCounts,
 }
 
 impl ResultCache {
@@ -245,12 +237,7 @@ impl ResultCache {
         Self {
             capacity,
             map: GenerationalMap::new(capacity.max(1)),
-            hits: 0,
-            misses: 0,
-            bypasses: 0,
-            stored: 0,
-            result_bytes: 0,
-            hit_copied_bytes: 0,
+            counts: CacheCounts::result(),
         }
     }
 
@@ -260,36 +247,21 @@ impl ResultCache {
     }
 
     /// Current counters.
-    pub fn stats(&self) -> ResultCacheStats {
-        ResultCacheStats {
-            cache: CacheStats {
-                hits: self.hits,
-                misses: self.misses,
-                bypasses: self.bypasses,
-                evictions: self.map.evictions(),
-                entries: self.stored,
-                result_bytes: self.result_bytes,
-            },
-            hit_copied_bytes: self.hit_copied_bytes,
-        }
+    pub fn stats(&self) -> CacheStats {
+        self.counts.stats()
     }
 
     /// Note one execution that could not consult the cache (capacity 0) or
     /// whose outcome was not storable (deadline expiry — partial results
     /// must never be served later).
     pub(crate) fn note_bypass(&mut self) {
-        self.bypasses += 1;
+        self.counts.bypass();
     }
 
-    /// Drop every outcome (counters survive).
+    /// Drop every outcome (counted as evictions; counters survive).
     pub fn clear(&mut self) {
-        let (stored, bytes) = (&mut self.stored, &mut self.result_bytes);
-        self.map.clear(|chain| {
-            *stored = stored.saturating_sub(chain.len());
-            for cached in chain {
-                *bytes = bytes.saturating_sub(cached_bytes(cached));
-            }
-        });
+        let counts = &mut self.counts;
+        self.map.clear(|chain| evicted(counts, chain));
     }
 
     /// Serve a completed outcome for a repeat of the query `key` (compiled
@@ -312,23 +284,14 @@ impl ResultCache {
                 rows: cached.rows.clone(),
             });
         if hit.is_some() {
-            self.hits += 1;
+            self.counts.hit();
         }
         hit
     }
 
     /// Note a lookup miss (counted once per executed query, not per probe).
     pub(crate) fn note_miss(&mut self) {
-        self.misses += 1;
-    }
-
-    /// Audit one served hit: if the outcome handed to the caller does not
-    /// share the cached row allocation, something deep-copied — charge the
-    /// copied bytes so the regression gates can see it.
-    pub(crate) fn record_serve(&mut self, cached: &Bindings, served: &Bindings) {
-        if !cached.shares_rows(served) {
-            self.hit_copied_bytes += served.approx_heap_bytes() as u64;
-        }
+        self.counts.miss();
     }
 
     /// Store a **completed** outcome of the query `key` (the rows are
@@ -360,66 +323,30 @@ impl ResultCache {
                 .iter_mut()
                 .find(|cached| cached.answers(key, engine_token))
             {
-                self.result_bytes = self
-                    .result_bytes
-                    .saturating_sub(cached_bytes(existing))
-                    .saturating_add(bytes);
+                self.counts.replace(cached_bytes(existing), bytes);
                 *existing = entry;
             } else {
                 chain.push(entry);
-                self.stored += 1;
-                self.result_bytes += bytes;
+                self.counts.store(1, bytes);
             }
             return;
         }
-        let (stored, total) = (&mut self.stored, &mut self.result_bytes);
-        *stored += 1;
-        *total += bytes;
-        self.map.insert(bucket, vec![entry], |chain| {
-            *stored = stored.saturating_sub(chain.len());
-            for dropped in chain {
-                *total = total.saturating_sub(cached_bytes(dropped));
-            }
-        });
+        self.counts.store(1, bytes);
+        let counts = &mut self.counts;
+        self.map
+            .insert(bucket, vec![entry], |chain| evicted(counts, chain));
     }
+}
+
+/// Count one dropped bucket (capacity eviction or clear).
+fn evicted(counts: &mut CacheCounts, chain: &[CachedResult]) {
+    counts.evict(chain.len(), chain.iter().map(cached_bytes).sum());
 }
 
 /// Approximate retained bytes of one cached entry (rows only — keys,
 /// headers and counts are a few machine words).
 fn cached_bytes(cached: &CachedResult) -> usize {
     cached.rows.approx_heap_bytes()
-}
-
-/// Counters of one session's result cache
-/// ([`QuerySession::result_stats`](crate::QuerySession::result_stats)).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ResultCacheStats {
-    /// Hits (whole plans and executions skipped), misses, bypasses,
-    /// evictions, and the retained entries and row bytes.
-    pub cache: CacheStats,
-    /// Row bytes deep-copied while serving hits. The zero-copy contract
-    /// pins this at 0; the serving and HTTP tests gate on it.
-    pub hit_copied_bytes: u64,
-}
-
-impl ResultCacheStats {
-    /// The counters accumulated since `before` (per-query telemetry
-    /// flushes of a long-lived session).
-    pub(crate) fn since(&self, before: &ResultCacheStats) -> ResultCacheStats {
-        ResultCacheStats {
-            cache: self.cache.since(&before.cache),
-            hit_copied_bytes: self
-                .hit_copied_bytes
-                .saturating_sub(before.hit_copied_bytes),
-        }
-    }
-
-    /// Add another session's counters (a serving report sums its tenants;
-    /// their caches are disjoint, so the gauges sum too).
-    pub fn merge(&mut self, other: &ResultCacheStats) {
-        self.cache.merge(&other.cache);
-        self.hit_copied_bytes += other.hit_copied_bytes;
-    }
 }
 
 #[cfg(test)]
@@ -475,7 +402,7 @@ mod tests {
         assert!(cache
             .lookup(q.key(), q.fingerprint(), 2, &options)
             .is_none());
-        let stats = cache.stats().cache;
+        let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.entries, 1);
         assert!(stats.result_bytes > 0);
@@ -494,11 +421,7 @@ mod tests {
         let (outcome_a, outcome_b) = (one_row("http://x/a"), one_row("http://x/b"));
         cache.store(a.key(), shared, 1, &options, &outcome_a);
         cache.store(b.key(), shared, 1, &options, &outcome_b);
-        assert_eq!(
-            cache.stats().cache.entries,
-            2,
-            "collision chains, not replaces"
-        );
+        assert_eq!(cache.stats().entries, 2, "collision chains, not replaces");
         let hit_a = cache.lookup(a.key(), shared, 1, &options).unwrap();
         assert!(hit_a.rows.shares_rows(&outcome_a.bindings));
         let hit_b = cache.lookup(b.key(), shared, 1, &options).unwrap();
@@ -525,7 +448,7 @@ mod tests {
                 .is_none(),
             "a fingerprint collision must miss, not serve the other query's answer"
         );
-        assert_eq!(cache.stats().cache.hits, 0);
+        assert_eq!(cache.stats().hits, 0);
     }
 
     #[test]

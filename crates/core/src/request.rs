@@ -10,7 +10,8 @@
 //!   [`create_session`](AmberEngine::create_session): the session's
 //!   counters ([`QuerySession::seed_stats`],
 //!   [`result_stats`](QuerySession::result_stats),
-//!   [`search_stats`](QuerySession::search_stats)) are the batch's.
+//!   [`queries_executed`](QuerySession::queries_executed)) are the
+//!   batch's.
 //!
 //! Both execute through one query envelope, so every request is
 //! counted once — in its session and in the metric registry — whether it

@@ -117,8 +117,8 @@ impl Bindings {
         self.shared.rows.clone()
     }
 
-    /// Approximate heap bytes retained by the rows (cache accounting and
-    /// the copied-bytes regression counters). A memoized wire body is not
+    /// Approximate heap bytes retained by the rows (result-cache
+    /// accounting). A memoized wire body is not
     /// included; `amber_result_body_bytes` reports those.
     pub fn approx_heap_bytes(&self) -> usize {
         let strings: usize = self

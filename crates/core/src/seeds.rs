@@ -25,12 +25,15 @@
 //! ([`ComponentPrep`](crate::matcher::ComponentPrep)), cheaper than the
 //! copy a cache hit would cost.
 
+use crate::telemetry::CacheCounts;
 use amber_index::{AttributeIndex, NeighborhoodIndex};
 use amber_multigraph::{AttrId, Direction, EdgeTypeId, VertexId};
 use amber_util::fault::{self, FaultPoint};
 use amber_util::GenerationalMap;
+use std::hash::Hash;
+use std::mem::size_of_val;
 
-/// Observable counters of one session cache (seed, plan or result).
+/// Observable counters of one session cache (seed or result).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from a stored entry.
@@ -68,21 +71,6 @@ impl CacheStats {
         self.evictions += other.evictions;
         self.entries += other.entries;
         self.result_bytes += other.result_bytes;
-    }
-
-    /// The flow counters accumulated since `before` was snapshotted (used
-    /// to report per-batch shares of a long-lived session). The *state*
-    /// gauges (`entries`, `result_bytes`) keep their current value — they
-    /// describe the cache, not the batch.
-    pub fn since(&self, before: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits - before.hits,
-            misses: self.misses - before.misses,
-            bypasses: self.bypasses - before.bypasses,
-            evictions: self.evictions - before.evictions,
-            entries: self.entries,
-            result_bytes: self.result_bytes,
-        }
     }
 }
 
@@ -168,7 +156,8 @@ impl AttrSetKey {
 /// Session-owned memo of seed candidate lookups (see module docs).
 ///
 /// Seed probes run during matcher *plan construction*, so one store per
-/// session suffices.
+/// session suffices. Lookups, evictions and stored entries count into the
+/// `amber_cache_*{cache="seed"}` series as they happen.
 #[derive(Debug)]
 pub struct SeedCache {
     /// Maximum entries **per key space**; 0 disables the cache entirely.
@@ -177,10 +166,7 @@ pub struct SeedCache {
     attrs: GenerationalMap<AttrSetKey, Box<[VertexId]>>,
     /// `C^I_u` OTIL probes keyed by `(data vertex, direction, type-set)`.
     probes: GenerationalMap<ProbeKey, Box<[VertexId]>>,
-    hits: u64,
-    misses: u64,
-    bypasses: u64,
-    result_bytes: usize,
+    counts: CacheCounts,
     /// Scratch for attribute-list intersections on the miss path.
     order: Vec<u32>,
     acc: Vec<VertexId>,
@@ -195,10 +181,7 @@ impl SeedCache {
             capacity,
             attrs: GenerationalMap::new(capacity.max(1)),
             probes: GenerationalMap::new(capacity.max(1)),
-            hits: 0,
-            misses: 0,
-            bypasses: 0,
-            result_bytes: 0,
+            counts: CacheCounts::seed(),
             order: Vec::new(),
             acc: Vec::new(),
             scratch: Vec::new(),
@@ -217,22 +200,18 @@ impl SeedCache {
 
     /// Current counters, aggregated across the two key spaces.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            bypasses: self.bypasses,
-            evictions: self.attrs.evictions() + self.probes.evictions(),
-            entries: self.attrs.len() + self.probes.len(),
-            result_bytes: self.result_bytes,
-        }
+        self.counts.stats()
     }
 
-    /// Drop every entry (counters survive; capacity unchanged). Scratch
-    /// buffers are kept — they hold no graph-dependent data between runs.
+    /// Drop every entry (counted as evictions; counters survive, capacity
+    /// unchanged). Scratch buffers are kept — they hold no graph-dependent
+    /// data between runs.
     pub fn clear(&mut self) {
-        self.attrs.clear(|_| {});
-        self.probes.clear(|_| {});
-        self.result_bytes = 0;
+        let counts = &mut self.counts;
+        self.attrs
+            .clear(|dropped| counts.evict(1, size_of_val(&**dropped)));
+        self.probes
+            .clear(|dropped| counts.evict(1, size_of_val(&**dropped)));
     }
 
     /// `C^A_u`: vertices carrying all of `attrs` (`None` when `attrs` is
@@ -251,28 +230,19 @@ impl SeedCache {
             None
         };
         let Some(key) = key else {
-            self.bypasses += 1;
+            self.counts.bypass();
             index.candidates_into(attrs, &mut self.order, &mut self.acc, &mut self.scratch);
             return Some(self.acc.clone());
         };
-        self.hits += 1;
         if let Some(hit) = self.attrs.get(&key) {
+            self.counts.hit();
             return Some(hit.to_vec());
         }
-        self.hits -= 1;
-        self.misses += 1;
+        self.counts.miss();
         let _ = fault::inject(FaultPoint::IndexProbe);
         index.candidates_into(attrs, &mut self.order, &mut self.acc, &mut self.scratch);
-        self.note_stored(self.acc.len());
-        let result_bytes = &mut self.result_bytes;
-        let boxed: Box<[VertexId]> = self.acc.as_slice().into();
-        let _ = fault::inject(FaultPoint::CacheInsert);
-        let stored = self.attrs.insert(key, boxed, |dropped| {
-            let _ = fault::inject(FaultPoint::CacheEvict);
-            *result_bytes =
-                result_bytes.saturating_sub(dropped.len() * std::mem::size_of::<VertexId>());
-        });
-        Some(stored.to_vec())
+        let computed = self.acc.as_slice().into();
+        Some(store(&mut self.attrs, &mut self.counts, key, computed).to_vec())
     }
 
     /// `C^I_u` primitive: one IRI-constraint OTIL probe through the cache.
@@ -288,7 +258,7 @@ impl SeedCache {
         required: &[EdgeTypeId],
     ) -> &'a [VertexId] {
         if let [t] = required {
-            self.bypasses += 1;
+            self.counts.bypass();
             return n.neighbors_with_type(v, direction, *t);
         }
         let key = if self.is_enabled() {
@@ -297,32 +267,37 @@ impl SeedCache {
             None
         };
         let Some(key) = key else {
-            self.bypasses += 1;
+            self.counts.bypass();
             n.neighbors_into(v, direction, required, &mut self.acc);
             return &self.acc;
         };
         // promote + hot_get instead of a plain `get`: this function
         // returns the borrow, and NLL cannot end a returned borrow early.
         if self.probes.promote(&key) {
-            self.hits += 1;
+            self.counts.hit();
             return self.probes.hot_get(&key).expect("promoted entry is hot");
         }
-        self.misses += 1;
+        self.counts.miss();
         let _ = fault::inject(FaultPoint::IndexProbe);
-        let computed: Box<[VertexId]> = n.neighbors(v, direction, required).into_boxed_slice();
-        self.note_stored(computed.len());
-        let result_bytes = &mut self.result_bytes;
-        let _ = fault::inject(FaultPoint::CacheInsert);
-        self.probes.insert(key, computed, |dropped| {
-            let _ = fault::inject(FaultPoint::CacheEvict);
-            *result_bytes =
-                result_bytes.saturating_sub(dropped.len() * std::mem::size_of::<VertexId>());
-        })
+        let computed = n.neighbors(v, direction, required).into_boxed_slice();
+        store(&mut self.probes, &mut self.counts, key, computed)
     }
+}
 
-    fn note_stored(&mut self, len: usize) {
-        self.result_bytes += len * std::mem::size_of::<VertexId>();
-    }
+/// Store a computed entry, counting it and every entry the insert evicts
+/// (the key was just missed, so nothing is replaced).
+fn store<'m, K: Eq + Hash + Copy>(
+    map: &'m mut GenerationalMap<K, Box<[VertexId]>>,
+    counts: &mut CacheCounts,
+    key: K,
+    entry: Box<[VertexId]>,
+) -> &'m [VertexId] {
+    let _ = fault::inject(FaultPoint::CacheInsert);
+    counts.store(1, size_of_val(&*entry));
+    map.insert(key, entry, |dropped| {
+        counts.evict(1, size_of_val(&**dropped));
+        let _ = fault::inject(FaultPoint::CacheEvict);
+    })
 }
 
 #[cfg(test)]

@@ -10,51 +10,23 @@
 //!   largest query shape has been seen the matcher stops allocating;
 //! * it owns the two caches a query stream hits: the [`SeedCache`]
 //!   (`ProcessVertex` lookups of plan construction) and the
-//!   [`ResultCache`] (completed outcomes, consulted before planning);
-//! * it aggregates the search counters of its queries ([`SearchStats`]).
+//!   [`ResultCache`] (completed outcomes, consulted before planning).
 //!
 //! A batch is a loop of [`run_in`](crate::AmberEngine::run_in) over one
 //! session; its counters ([`QuerySession::seed_stats`],
-//! [`QuerySession::result_stats`], [`QuerySession::search_stats`],
-//! [`QuerySession::queries_executed`]) are the batch's statistics.
+//! [`QuerySession::result_stats`], [`QuerySession::queries_executed`])
+//! are the batch's statistics. Search work (nodes, trapped panics,
+//! cancellations, governor steps) is counted in the metric registry
+//! only, where it happens.
 
 use crate::governor::MemoryGovernor;
 use crate::matcher::SearchArenas;
-use crate::plan::{ResultCache, ResultCacheStats};
+use crate::plan::ResultCache;
+use crate::result::QueryStatus;
 use crate::seeds::{CacheStats, SeedCache};
-use crate::telemetry::{self, GaugedCaches, ObsBaseline};
+use crate::telemetry;
 use amber_obs::FlightRecorder;
 use std::time::Duration;
-
-/// Aggregated search counters (across the queries of one session): how much work the matcher did and how often a query ended
-/// abnormally.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SearchStats {
-    /// Search-tree nodes visited (candidate attempts, summed over every
-    /// component run).
-    pub nodes: u64,
-    /// Matcher panics trapped and quarantined (each poisoned exactly one
-    /// query; the session stayed usable).
-    pub trapped_panics: u64,
-    /// Queries that ended via cooperative cancellation.
-    pub cancellations: u64,
-    /// Σ over governed queries of memory-governor ladder steps taken
-    /// (0–3 per query; see [`crate::governor::Pressure`]).
-    pub degradation_steps: u64,
-}
-
-impl SearchStats {
-    /// The counters accumulated since `before` was snapshotted (one
-    /// query's share, flushed into the metric registry).
-    pub(crate) fn since(&self, before: &SearchStats) -> SearchStats {
-        SearchStats {
-            nodes: self.nodes - before.nodes,
-            trapped_panics: self.trapped_panics - before.trapped_panics,
-            cancellations: self.cancellations - before.cancellations,
-            degradation_steps: self.degradation_steps - before.degradation_steps,
-        }
-    }
-}
 
 /// Long-lived, reusable search state for executing many queries against one
 /// engine (created by [`AmberEngine::create_session`](crate::AmberEngine::create_session)).
@@ -73,8 +45,6 @@ pub struct QuerySession {
     /// Result cache: completed outcomes of repeated queries, served
     /// without planning or searching.
     results: ResultCache,
-    /// Search counters accumulated across this session's queries.
-    search: SearchStats,
     /// Identity of the engine (graph + indexes) the caches were filled
     /// against — a process-unique monotonic id, so engine teardown can
     /// never recycle a token (no pointer ABA).
@@ -89,12 +59,6 @@ pub struct QuerySession {
     /// log. Off by default; see
     /// [`Self::configure_tracing`].
     recorder: FlightRecorder,
-    /// Stat baseline captured at query start; `end_query` flushes
-    /// `current − baseline` into the registry.
-    obs_base: ObsBaseline,
-    /// This session's share of the process cache gauges (taken back out
-    /// when the session drops).
-    gauged: GaugedCaches,
 }
 
 impl QuerySession {
@@ -111,13 +75,10 @@ impl QuerySession {
             arenas: SearchArenas::new(),
             seeds: SeedCache::new(seed_capacity),
             results: ResultCache::new(result_capacity),
-            search: SearchStats::default(),
             graph_token: None,
             queries: 0,
             result_shed: false,
             recorder: FlightRecorder::default(),
-            obs_base: ObsBaseline::default(),
-            gauged: GaugedCaches::default(),
         }
     }
 
@@ -128,14 +89,8 @@ impl QuerySession {
     }
 
     /// Counters of the result cache.
-    pub fn result_stats(&self) -> ResultCacheStats {
+    pub fn result_stats(&self) -> CacheStats {
         self.results.stats()
-    }
-
-    /// Search counters accumulated over this session's lifetime (nodes
-    /// visited, trapped panics, cancellations, governor steps).
-    pub fn search_stats(&self) -> SearchStats {
-        self.search
     }
 
     /// Queries executed through this session so far.
@@ -161,33 +116,19 @@ impl QuerySession {
         }
     }
 
-    /// Bookkeeping at query start: snapshot the stat baseline for the
-    /// telemetry flush.
+    /// Bookkeeping at query start.
     pub(crate) fn begin_query(&mut self) {
         self.queries += 1;
         self.result_shed = false;
-        self.obs_base = ObsBaseline {
-            seeds: self.seed_stats(),
-            results: self.result_stats(),
-            search: self.search,
-        };
     }
 
-    /// Bookkeeping at query end: flush this query's stat deltas into the
-    /// metric registry, and close the flight-recorder trace (if one is
-    /// open) with the final status.
-    pub(crate) fn end_query(&mut self, status: &'static str, elapsed: Duration) {
-        let base = &self.obs_base;
-        telemetry::flush_query(
-            status,
-            elapsed,
-            &self.seed_stats().since(&base.seeds),
-            &self.result_stats().since(&base.results),
-            &self.search.since(&base.search),
-            &mut self.gauged,
-        );
+    /// Bookkeeping at query end: count the query's status (`None`: it
+    /// failed) and latency in the metric registry, and close the
+    /// flight-recorder trace (if one is open) with the status label.
+    pub(crate) fn end_query(&mut self, status: Option<QueryStatus>, elapsed: Duration) {
+        let label = telemetry::note_query(status, elapsed);
         if self.recorder.is_recording() {
-            self.recorder.end(status);
+            self.recorder.end(label);
         }
     }
 
@@ -214,11 +155,6 @@ impl QuerySession {
         &mut self.arenas
     }
 
-    /// Add one component run's visited search-tree nodes.
-    pub(crate) fn record_nodes(&mut self, nodes: u64) {
-        self.search.nodes += nodes;
-    }
-
     /// The seed cache plan construction resolves `ProcessVertex` through.
     pub(crate) fn seed_cache_mut(&mut self) -> &mut SeedCache {
         &mut self.seeds
@@ -229,23 +165,12 @@ impl QuerySession {
         &mut self.results
     }
 
-    /// Record one quarantined panic (the query it poisoned already
-    /// surfaced the typed error; this is the session-level tally).
-    pub(crate) fn record_trapped_panic(&mut self) {
-        self.search.trapped_panics += 1;
-    }
-
-    /// Record one cooperative cancellation.
-    pub(crate) fn record_cancellation(&mut self) {
-        self.search.cancellations += 1;
-    }
-
-    /// Apply a finished query's governor verdict to the session: tally the
-    /// ladder steps, flag the result cache for shedding, and shed the
+    /// Apply a finished query's governor verdict to the session: count
+    /// the ladder steps, flag the result cache for shedding, and shed the
     /// seed cache when the ladder said so — it outlives the query, so the
     /// shed must happen here rather than inside the search.
     pub(crate) fn apply_governor(&mut self, governor: &MemoryGovernor) {
-        self.search.degradation_steps += governor.steps_taken();
+        telemetry::note_degradation_steps(governor.steps_taken());
         for _ in 0..governor.steps_taken() {
             self.recorder.note_degradation();
         }
@@ -280,21 +205,21 @@ mod tests {
         // The paper query warms both: X5's attribute set is a seed entry,
         // its answer is stored.
         assert!(session.seed_stats().entries > 0);
-        let warm = session.result_stats().cache;
+        let warm = session.result_stats();
         assert_eq!(warm.entries, 1);
         // Same engine: the caches survive.
         session.bind_graph(engine_a.graph_token());
-        assert_eq!(session.result_stats().cache.entries, 1);
+        assert_eq!(session.result_stats().entries, 1);
 
         // Engine B: everything graph-dependent is dropped on rebind...
         session.bind_graph(engine_b.graph_token());
         assert_eq!(session.seed_stats().entries, 0);
-        assert_eq!(session.result_stats().cache.entries, 0);
+        assert_eq!(session.result_stats().entries, 0);
         // ...and B answers by executing, not from A's result cache.
         let b = engine_b.run_in(&request, &mut session).unwrap();
         assert_eq!(b.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
         assert_eq!(b.bindings.len(), PAPER_QUERY_EMBEDDINGS);
-        let after = session.result_stats().cache;
+        let after = session.result_stats();
         assert_eq!(after.hits, warm.hits, "no stale hit");
         assert_eq!(after.misses, warm.misses + 1);
     }

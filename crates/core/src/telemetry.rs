@@ -1,34 +1,28 @@
-//! Delta-flush bridge from the session's legacy stat structs into the
-//! process-wide `amber_obs` registry.
+//! The engine layer's series in the process-wide `amber_obs` registry.
 //!
-//! Design: the hot path keeps accounting in the plain-`u64` session
-//! structs it always used ([`CacheStats`], [`SearchStats`], …) — zero new
-//! atomics per node or probe. Once per query,
-//! [`QuerySession::end_query`](crate::QuerySession) computes the
-//! query's `since`-deltas and adds them to registry counters here.
-//! Because the registry is *populated from* the legacy structs, the two
-//! views are derived from the same counters and can never disagree;
-//! `tests/obs_equivalence.rs` pins the exact agreement.
+//! Every count is added where it happens, once: the seed and result
+//! caches count their own lookups and evictions and move the
+//! `amber_cache_entries` / `amber_cache_bytes` gauges wherever their
+//! stored entries and bytes move ([`CacheCounts`]); the engine adds each
+//! component run's search nodes, each quarantined panic, each
+//! cancellation and each governor step; and
+//! [`QuerySession::end_query`](crate::QuerySession) records only the
+//! query's status and latency. There is no per-query snapshot or delta:
+//! a session's `seed_stats()` / `result_stats()` are its own counters of
+//! the same events, and `tests/obs_equivalence.rs` pins that the two
+//! agree exactly.
 //!
-//! Handles are resolved once per process (`OnceLock`) so a flush is a
-//! couple dozen relaxed `fetch_add`s — invisible next to even a
-//! result-cache-hit query (docs/observability.md records the measured
-//! overhead).
-//!
-//! The cache gauges (`amber_cache_entries`, `amber_cache_bytes`) are sums
-//! over live sessions: each session remembers what it last added
-//! ([`GaugedCaches`]), adds `current − last` at every flush and takes its
-//! share back out when it drops.
+//! Handles are resolved once per process (`OnceLock`), so a count is one
+//! relaxed `fetch_add`.
 
-use crate::plan::ResultCacheStats;
 use crate::result::QueryStatus;
 use crate::seeds::CacheStats;
-use crate::session::SearchStats;
 use amber_obs::{Counter, Gauge, Histogram};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// One cache layer's registry series (`seed`, `result`).
+#[derive(Debug)]
 struct CacheFamily {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
@@ -51,65 +45,118 @@ impl CacheFamily {
         }
     }
 
-    /// Add a `since`-delta's counters, and move the gauges by how far the
-    /// session's *current* state (what [`CacheStats::since`] leaves in
-    /// `entries`/`result_bytes`) is from what it last gauged.
-    fn flush(&self, delta: &CacheStats, gauged: &mut Gauged) {
-        self.hits.add(delta.hits);
-        self.misses.add(delta.misses);
-        self.bypasses.add(delta.bypasses);
-        self.evictions.add(delta.evictions);
-        let now = Gauged {
-            entries: delta.entries as i64,
-            bytes: delta.result_bytes as i64,
-        };
-        self.entries.add(now.entries - gauged.entries);
-        self.bytes.add(now.bytes - gauged.bytes);
-        *gauged = now;
-    }
-
-    /// Take a dropped session's share back out of the gauges.
-    fn release(&self, gauged: &Gauged) {
-        self.entries.add(-gauged.entries);
-        self.bytes.add(-gauged.bytes);
+    /// Move the gauges by a change in one cache's stored entries and bytes.
+    fn resize(&self, entries: i64, bytes: i64) {
+        if entries != 0 {
+            self.entries.add(entries);
+        }
+        if bytes != 0 {
+            self.bytes.add(bytes);
+        }
     }
 }
 
-/// One cache layer's share of the gauges, as one session last added it.
-#[derive(Debug, Default)]
-struct Gauged {
-    entries: i64,
-    bytes: i64,
+/// One cache's counters: its session view ([`CacheStats`]) and its
+/// layer's registry series, moved together at every event. The stored
+/// entries and bytes are the cache's share of the layer's gauges, which
+/// therefore sum over live caches; dropping the counters (with their
+/// cache) takes that share back out.
+#[derive(Debug)]
+pub(crate) struct CacheCounts {
+    family: &'static CacheFamily,
+    stats: CacheStats,
 }
 
-/// What one session has added to the cache gauges, per layer. Dropping it
-/// (with its session) subtracts that share, so the gauges sum over live
-/// sessions.
-#[derive(Debug, Default)]
-pub(crate) struct GaugedCaches {
-    seed: Gauged,
-    result: Gauged,
+impl CacheCounts {
+    /// A seed cache's counters.
+    pub(crate) fn seed() -> Self {
+        Self::of(&metrics().seed)
+    }
+
+    /// A result cache's counters.
+    pub(crate) fn result() -> Self {
+        Self::of(&metrics().result)
+    }
+
+    fn of(family: &'static CacheFamily) -> Self {
+        Self {
+            family,
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// The session view.
+    pub(crate) fn stats(&self) -> CacheStats {
+        self.stats
+    }
+
+    /// A lookup answered from a stored entry.
+    pub(crate) fn hit(&mut self) {
+        self.stats.hits += 1;
+        self.family.hits.inc();
+    }
+
+    /// A cacheable lookup that had to compute.
+    pub(crate) fn miss(&mut self) {
+        self.stats.misses += 1;
+        self.family.misses.inc();
+    }
+
+    /// A lookup (or an outcome) that skipped the cache.
+    pub(crate) fn bypass(&mut self) {
+        self.stats.bypasses += 1;
+        self.family.bypasses.inc();
+    }
+
+    /// `entries` entries holding `bytes` heap bytes stored.
+    pub(crate) fn store(&mut self, entries: usize, bytes: usize) {
+        self.stats.entries += entries;
+        self.stats.result_bytes += bytes;
+        self.family.resize(entries as i64, bytes as i64);
+    }
+
+    /// One stored value — `entries` entries holding `bytes` heap bytes —
+    /// dropped by a capacity eviction or a clear.
+    pub(crate) fn evict(&mut self, entries: usize, bytes: usize) {
+        self.stats.evictions += 1;
+        self.stats.entries -= entries;
+        self.stats.result_bytes -= bytes;
+        self.family.evictions.inc();
+        self.family.resize(-(entries as i64), -(bytes as i64));
+    }
+
+    /// A stored entry of `old` heap bytes replaced by one of `new`.
+    pub(crate) fn replace(&mut self, old: usize, new: usize) {
+        self.stats.result_bytes = self.stats.result_bytes - old + new;
+        self.family.resize(0, new as i64 - old as i64);
+    }
 }
 
-impl Drop for GaugedCaches {
+impl Drop for CacheCounts {
     fn drop(&mut self) {
-        let m = metrics();
-        m.seed.release(&self.seed);
-        m.result.release(&self.result);
+        let share = &self.stats;
+        self.family
+            .resize(-(share.entries as i64), -(share.result_bytes as i64));
     }
 }
+
+/// The `status` labels of `amber_queries_total`, one per outcome kind
+/// (also the flight recorder's final status strings).
+const STATUSES: [&str; 5] = [
+    "completed",
+    "timed_out",
+    "cancelled",
+    "budget_exceeded",
+    "error",
+];
 
 /// Every engine-layer registry handle, resolved once.
 struct EngineMetrics {
-    completed: Arc<Counter>,
-    timed_out: Arc<Counter>,
-    cancelled: Arc<Counter>,
-    budget_exceeded: Arc<Counter>,
-    error: Arc<Counter>,
+    /// `amber_queries_total`, in [`STATUSES`] order.
+    queries: [Arc<Counter>; 5],
     latency_us: Arc<Histogram>,
     seed: CacheFamily,
     result: CacheFamily,
-    hit_copied_bytes: Arc<Counter>,
     search_nodes: Arc<Counter>,
     seed_candidates: Arc<Histogram>,
     trapped_panics: Arc<Counter>,
@@ -121,18 +168,11 @@ struct EngineMetrics {
 fn metrics() -> &'static EngineMetrics {
     static METRICS: OnceLock<EngineMetrics> = OnceLock::new();
     METRICS.get_or_init(|| EngineMetrics {
-        completed: amber_obs::counter("amber_queries_total", &[("status", "completed")]),
-        timed_out: amber_obs::counter("amber_queries_total", &[("status", "timed_out")]),
-        cancelled: amber_obs::counter("amber_queries_total", &[("status", "cancelled")]),
-        budget_exceeded: amber_obs::counter(
-            "amber_queries_total",
-            &[("status", "budget_exceeded")],
-        ),
-        error: amber_obs::counter("amber_queries_total", &[("status", "error")]),
+        queries: STATUSES
+            .map(|status| amber_obs::counter("amber_queries_total", &[("status", status)])),
         latency_us: amber_obs::histogram("amber_query_latency_us", &[]),
         seed: CacheFamily::new("seed"),
         result: CacheFamily::new("result"),
-        hit_copied_bytes: amber_obs::counter("amber_result_hit_copied_bytes_total", &[]),
         search_nodes: amber_obs::counter("amber_search_nodes_total", &[]),
         seed_candidates: amber_obs::histogram("amber_seed_candidates", &[]),
         trapped_panics: amber_obs::counter("amber_query_trapped_panics_total", &[]),
@@ -142,60 +182,43 @@ fn metrics() -> &'static EngineMetrics {
     })
 }
 
-/// The status label a query outcome flushes under (also the flight
-/// recorder's final status string).
-pub(crate) fn status_label(status: Result<QueryStatus, ()>) -> &'static str {
-    match status {
-        Ok(QueryStatus::Completed) => "completed",
-        Ok(QueryStatus::TimedOut) => "timed_out",
-        Ok(QueryStatus::Cancelled) => "cancelled",
-        Ok(QueryStatus::BudgetExceeded) => "budget_exceeded",
-        Err(()) => "error",
-    }
-}
-
-/// Baseline captured at `begin_query`; the flush at `end_query` adds
-/// `current − baseline` to the registry.
-#[derive(Debug, Default)]
-pub(crate) struct ObsBaseline {
-    pub(crate) seeds: CacheStats,
-    pub(crate) results: ResultCacheStats,
-    pub(crate) search: SearchStats,
-}
-
-/// Add one finished query's deltas to the registry.
-pub(crate) fn flush_query(
-    status: &'static str,
-    elapsed: Duration,
-    seeds: &CacheStats,
-    results: &ResultCacheStats,
-    search: &SearchStats,
-    gauged: &mut GaugedCaches,
-) {
-    let m = metrics();
-    let status_counter = match status {
-        "completed" => &m.completed,
-        "timed_out" => &m.timed_out,
-        "cancelled" => &m.cancelled,
-        "budget_exceeded" => &m.budget_exceeded,
-        _ => &m.error,
+/// Count one finished query under its status (`None`: it failed) and
+/// observe its latency; returns the status label.
+pub(crate) fn note_query(status: Option<QueryStatus>, elapsed: Duration) -> &'static str {
+    let kind = match status {
+        Some(QueryStatus::Completed) => 0,
+        Some(QueryStatus::TimedOut) => 1,
+        Some(QueryStatus::Cancelled) => 2,
+        Some(QueryStatus::BudgetExceeded) => 3,
+        None => 4,
     };
-    status_counter.inc();
+    let m = metrics();
+    m.queries[kind].inc();
     m.latency_us.observe(elapsed.as_micros() as u64);
-    m.seed.flush(seeds, &mut gauged.seed);
-    m.result.flush(&results.cache, &mut gauged.result);
-    m.hit_copied_bytes.add(results.hit_copied_bytes);
-    m.search_nodes.add(search.nodes);
-    m.trapped_panics.add(search.trapped_panics);
-    m.cancellations.add(search.cancellations);
-    m.degradation_steps.add(search.degradation_steps);
+    STATUSES[kind]
 }
 
-/// One component run's `|CandInit|` — the root fan-out of the search whose
-/// visited nodes land in `amber_search_nodes_total` (once per component
-/// run, never per candidate).
-pub(crate) fn note_seed_candidates(count: usize) {
-    metrics().seed_candidates.observe(count as u64);
+/// One component run: its visited search-tree nodes and its `|CandInit|`,
+/// the root fan-out of that search (once per run, never per candidate).
+pub(crate) fn note_component_run(nodes: u64, seed_candidates: usize) {
+    let m = metrics();
+    m.search_nodes.add(nodes);
+    m.seed_candidates.observe(seed_candidates as u64);
+}
+
+/// One matcher panic trapped and quarantined to its query.
+pub(crate) fn note_trapped_panic() {
+    metrics().trapped_panics.inc();
+}
+
+/// One query ended by cooperative cancellation.
+pub(crate) fn note_cancellation() {
+    metrics().cancellations.inc();
+}
+
+/// The memory-governor ladder steps one query took.
+pub(crate) fn note_degradation_steps(steps: u64) {
+    metrics().degradation_steps.add(steps);
 }
 
 /// Move the process gauge of memoized wire-body bytes (`+len` when a

@@ -1,5 +1,6 @@
-//! The `amber` binary's flag handling: a numeric flag with a missing or
-//! non-numeric value is a usage error (exit code 2), never a panic.
+//! The `amber` binary's flag handling: a numeric flag or count with a
+//! missing, non-numeric or unusable value is a usage error (exit code 2),
+//! never a panic and never a silent default.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -9,6 +10,11 @@ const QUERY: &str = "SELECT * WHERE { ?s <http://e/p> ?o . }";
 
 /// Run `amber query <data> <QUERY> <flags>` on a one-triple graph.
 fn query_with(flags: &[&str]) -> std::process::Output {
+    amber("query", flags)
+}
+
+/// Run `amber <command> <data> <QUERY> <args>` on a one-triple graph.
+fn amber(command: &str, args: &[&str]) -> std::process::Output {
     static DATA: OnceLock<PathBuf> = OnceLock::new();
     let data = DATA.get_or_init(|| {
         let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_flags.nt");
@@ -16,10 +22,10 @@ fn query_with(flags: &[&str]) -> std::process::Output {
         path
     });
     Command::new(env!("CARGO_BIN_EXE_amber"))
-        .arg("query")
+        .arg(command)
         .arg(data)
         .arg(QUERY)
-        .args(flags)
+        .args(args)
         .output()
         .unwrap()
 }
@@ -39,6 +45,21 @@ fn a_numeric_flag_without_a_number_is_a_usage_error() {
         assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
         assert!(stderr.contains("takes a number"), "{flags:?}: {stderr}");
     }
+}
+
+#[test]
+fn a_bench_count_must_be_a_positive_number() {
+    for (count, complaint) in [("0", "at least 1"), ("ten", "takes a number")] {
+        let out = amber("bench", &[count]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{count}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{count}: {stderr}");
+        assert!(stderr.contains(complaint), "{count}: {stderr}");
+    }
+    let out = amber("bench", &["2"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("2 runs: mean "), "{stdout}");
 }
 
 #[test]

@@ -70,12 +70,11 @@ fn main() {
     let report = http.shutdown();
     eprintln!(
         "drained: {} served ({} dispatched inline, {} queued), {} rejected, \
-         {} result-cache hits ({} copied bytes)",
+         {} result-cache hits",
         report.served(),
         report.inline_dispatches,
         report.queued_dispatches,
         report.rejected,
-        report.result_stats.cache.hits,
-        report.result_stats.hit_copied_bytes,
+        report.result_stats.hits,
     );
 }

@@ -4,8 +4,8 @@
 //! Both serializers stream straight off the outcome's `Arc`-shared
 //! [`Bindings`](amber::Bindings) rows — they borrow every term and never
 //! call `to_vec()`, so serving a cached result copies **zero** result
-//! bytes (the serving layer's `result_hit_copied_bytes == 0` pin extends
-//! through the wire format).
+//! bytes (a result-cache hit already shares the cached rows; the wire
+//! format keeps it that way).
 //!
 //! They are also pure: they never read or set the body memo on those rows
 //! (the benchmark and the tests use them as the oracle for memo-served

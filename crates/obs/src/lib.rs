@@ -5,7 +5,7 @@
 //! * a process-wide, lock-free-on-the-hot-path **metric registry**
 //!   ([`counter`]/[`gauge`]/[`histogram`]) of monotonic counters, gauges
 //!   and log₂-bucketed histograms, readable at any time as a consistent
-//!   [`MetricsSnapshot`] with Prometheus-text and JSON renderers;
+//!   [`MetricsSnapshot`] with a Prometheus-text renderer;
 //! * a per-session **flight recorder** ([`FlightRecorder`]) capturing
 //!   span timings around the query pipeline stages into a fixed-size
 //!   ring buffer, with a slow-query log rendering the span tree;
@@ -18,11 +18,11 @@
 //! then mutate it with relaxed atomics only — no locks, no allocation.
 //! Registration itself is the cold path and takes a sharded `RwLock`.
 //!
-//! Numbers discipline: the engine keeps its legacy per-session stat
-//! structs (`CacheStats`, `SearchStats`, …) as the hot-path accounting and
-//! *delta-flushes* them into this registry once per query, so the
-//! registry and the legacy reports are derived from the same counters
-//! and can never disagree (pinned by `tests/obs_equivalence.rs`).
+//! Numbers discipline: every count is added where its event happens,
+//! once. The engine's caches count each lookup and eviction into their
+//! own per-session `CacheStats` and into this registry at the same line,
+//! so the two can never disagree (pinned by `tests/obs_equivalence.rs`);
+//! search work is counted here only.
 
 mod metrics;
 mod trace;

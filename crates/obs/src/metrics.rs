@@ -413,51 +413,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// Render as JSON (object keys are unique; numbers stay within the
-    /// f64-exact integer range for any realistic run). The workspace's
-    /// `obs_equivalence` test parses it back.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"metrics\": [");
-        for (i, sample) in self.samples.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{{\"name\": {}", json_str(sample.name)));
-            out.push_str(", \"labels\": {");
-            for (j, (k, v)) in sample.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("{}: {}", json_str(k), json_str(v)));
-            }
-            out.push('}');
-            match &sample.value {
-                MetricValue::Counter(v) => {
-                    out.push_str(&format!(", \"type\": \"counter\", \"value\": {}", v));
-                }
-                MetricValue::Gauge(v) => {
-                    out.push_str(&format!(", \"type\": \"gauge\", \"value\": {}", v));
-                }
-                MetricValue::Histogram(h) => {
-                    out.push_str(&format!(
-                        ", \"type\": \"histogram\", \"count\": {}, \"sum\": {}, \"buckets\": [",
-                        h.count, h.sum
-                    ));
-                    for (j, (le, cumulative)) in h.buckets.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        out.push_str(&format!("[{}, {}]", le, cumulative));
-                    }
-                    out.push(']');
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 fn prom_labels(labels: &Labels, le: Option<&str>) -> String {
@@ -484,24 +439,6 @@ fn prom_labels(labels: &Labels, le: Option<&str>) -> String {
         out.push_str(&format!("le=\"{}\"", le));
     }
     out.push('}');
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -572,17 +509,6 @@ mod tests {
         assert!(prom.contains("test_obs_render_us_bucket{le=\"+Inf\"} 1"));
         assert!(prom.contains("test_obs_render_us_sum 5"));
         assert!(prom.contains("test_obs_render_us_count 1"));
-        let json = snap.render_json();
-        assert!(json.contains("\"name\": \"test_obs_render_total\""));
-        assert!(json.contains("\"type\": \"histogram\""));
-        // Balanced braces/brackets — the real parse round-trip is
-        // `canned_snapshot_renders_verify` in tests/obs_equivalence.rs.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced JSON braces"
-        );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub mod writer;
 pub use ntriples::{parse_literal, parse_ntriples, NtParseError, NtParser, NtScanner};
 pub use prefix::PrefixMap;
 pub use term::{
-    BlankNode, Iri, Literal, LiteralRef, LiteralSuffixRef, Object, ObjectRef, Subject, SubjectRef,
-    XSD_STRING,
+    numeric_datatype, BlankNode, Iri, Literal, LiteralRef, LiteralSuffixRef, Object, ObjectRef,
+    Subject, SubjectRef, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING,
 };
 pub use triple::{Triple, TripleRef};
 pub use turtle::{parse_turtle, TurtleParseError};

@@ -67,6 +67,63 @@ impl fmt::Display for BlankNode {
 /// first: [`LiteralRef::write_ntriples`] omits this datatype.
 pub const XSD_STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
 
+/// The datatype of an integer numeral (`5`, `-05`).
+pub const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
+/// The datatype of a decimal numeral (`1.5`, `.5`).
+pub const XSD_DECIMAL: &str = "http://www.w3.org/2001/XMLSchema#decimal";
+/// The datatype of a numeral with an exponent (`1e5`, `1.5E-3`).
+pub const XSD_DOUBLE: &str = "http://www.w3.org/2001/XMLSchema#double";
+
+/// The datatype of a numeric literal by the grammar SPARQL and Turtle
+/// share (`[+-]? (INTEGER | DECIMAL | DOUBLE)`), `None` when `body` is not
+/// a number. The form decides the type, never the magnitude: a 21-digit
+/// integer is an `xsd:integer`, and `1e5` an `xsd:double`.
+#[inline]
+pub fn numeric_datatype(body: &str) -> Option<&'static str> {
+    let bytes = body.as_bytes();
+    let digits_from = |mut i: usize| {
+        while bytes.get(i).is_some_and(u8::is_ascii_digit) {
+            i += 1;
+        }
+        i
+    };
+    let mut i = usize::from(matches!(bytes.first(), Some(b'+' | b'-')));
+    let integer_end = digits_from(i);
+    let mut digits = integer_end - i;
+    i = integer_end;
+    let mut dot = false;
+    if bytes.get(i) == Some(&b'.') {
+        dot = true;
+        let fraction_end = digits_from(i + 1);
+        let fraction = fraction_end - (i + 1);
+        if fraction == 0 && !matches!(bytes.get(fraction_end), Some(b'e' | b'E')) {
+            return None; // DECIMAL needs digits after the point
+        }
+        digits += fraction;
+        i = fraction_end;
+    }
+    let exponent = matches!(bytes.get(i), Some(b'e' | b'E'));
+    if exponent {
+        i += 1;
+        if matches!(bytes.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        let exponent_end = digits_from(i);
+        if exponent_end == i {
+            return None;
+        }
+        i = exponent_end;
+    }
+    if i != bytes.len() || digits == 0 {
+        return None;
+    }
+    Some(match (dot, exponent) {
+        (_, true) => XSD_DOUBLE,
+        (true, false) => XSD_DECIMAL,
+        (false, false) => XSD_INTEGER,
+    })
+}
+
 /// The tail of a literal: plain, language-tagged, or datatyped.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum LiteralSuffix {

@@ -11,6 +11,10 @@
 //! * `a` → `rdf:type`,
 //! * `;` (same subject) and `,` (same subject+predicate) lists,
 //! * literals with `@lang` / `^^datatype` (including `^^prefixed:name`),
+//! * numerals (`5`, `.5`, `1.5e3`), typed by their form like SPARQL's
+//!   ([`numeric_datatype`]),
+//! * `\uXXXX` / `\UXXXXXXXX` escapes in IRIs and strings, decoded as
+//!   N-Triples decodes them,
 //! * blank node labels `_:b`,
 //! * `#` comments.
 //!
@@ -18,7 +22,7 @@
 //! anonymous blank nodes `[ … ]`, base IRIs, and multi-line literals.
 
 use crate::prefix::PrefixMap;
-use crate::term::{BlankNode, Iri, Literal, Object, Subject};
+use crate::term::{numeric_datatype, BlankNode, Iri, Literal, Object, Subject};
 use crate::triple::Triple;
 use std::fmt;
 
@@ -293,7 +297,11 @@ impl<'a> TurtleParser<'a> {
             Some('<') => Ok(Object::Iri(self.iri_ref()?)),
             Some('_') => Ok(Object::Blank(self.blank_node()?)),
             Some('"') | Some('\'') => Ok(Object::Literal(self.literal()?)),
-            Some(c) if c.is_ascii_digit() || c == '-' || c == '+' => {
+            Some(c)
+                if c.is_ascii_digit()
+                    || matches!(c, '-' | '+')
+                    || self.after_dot().is_some_and(|n| n.is_ascii_digit()) =>
+            {
                 Ok(Object::Literal(self.numeric_literal()?))
             }
             Some('[') => Err(self.error("anonymous blank nodes '[ … ]' are not supported")),
@@ -321,14 +329,40 @@ impl<'a> TurtleParser<'a> {
         self.expect('<')?;
         let mut iri = String::new();
         loop {
-            match self.bump() {
+            let c = match self.bump() {
                 Some('>') => break,
+                Some('\\') => match self.bump() {
+                    Some(marker @ ('u' | 'U')) => self.unicode_escape(marker)?,
+                    Some(c) => return Err(self.error(format!("invalid IRI escape '\\{c}'"))),
+                    None => return Err(self.error("unterminated escape")),
+                },
                 Some(c) if c.is_whitespace() => return Err(self.error("whitespace inside IRI")),
-                Some(c) => iri.push(c),
+                Some(c) => c,
                 None => return Err(self.error("unterminated IRI")),
+            };
+            // IRIREF excludes these written or escaped, as N-Triples does.
+            if c <= ' ' || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\') {
+                return Err(
+                    self.error(format!("'{}' is not allowed in an IRI", c.escape_default()))
+                );
             }
+            iri.push(c);
         }
         Ok(Iri::new(iri))
+    }
+
+    /// After `\u` / `\U`: 4 or 8 hex digits naming a code point.
+    fn unicode_escape(&mut self, marker: char) -> Result<char, TurtleParseError> {
+        let width = if marker == 'u' { 4 } else { 8 };
+        let mut value: u32 = 0;
+        for _ in 0..width {
+            let digit = self
+                .bump()
+                .and_then(|c| c.to_digit(16))
+                .ok_or_else(|| self.error("invalid unicode escape digit"))?;
+            value = value * 16 + digit;
+        }
+        char::from_u32(value).ok_or_else(|| self.error(format!("invalid code point U+{value:X}")))
     }
 
     fn blank_node(&mut self) -> Result<BlankNode, TurtleParseError> {
@@ -413,11 +447,12 @@ impl<'a> TurtleParser<'a> {
                 Some(c) if c == quote => break,
                 Some('\\') => match self.bump() {
                     Some('t') => lexical.push('\t'),
+                    Some('b') => lexical.push('\u{8}'),
                     Some('n') => lexical.push('\n'),
                     Some('r') => lexical.push('\r'),
-                    Some('"') => lexical.push('"'),
-                    Some('\'') => lexical.push('\''),
-                    Some('\\') => lexical.push('\\'),
+                    Some('f') => lexical.push('\u{c}'),
+                    Some(c @ ('"' | '\'' | '\\')) => lexical.push(c),
+                    Some(marker @ ('u' | 'U')) => lexical.push(self.unicode_escape(marker)?),
                     Some(c) => return Err(self.error(format!("invalid escape '\\{c}'"))),
                     None => return Err(self.error("unterminated literal")),
                 },
@@ -459,38 +494,30 @@ impl<'a> TurtleParser<'a> {
         }
     }
 
+    /// The character after the next one, when the next one is a `.` (a
+    /// digit there makes the dot part of a numeral, not a terminator).
+    fn after_dot(&self) -> Option<char> {
+        let mut ahead = self.chars.clone();
+        (ahead.next() == Some('.')).then(|| ahead.next()).flatten()
+    }
+
+    /// A numeral, typed by its form. A `.` belongs to it only when a digit
+    /// or an exponent follows; otherwise it ends the statement.
     fn numeric_literal(&mut self) -> Result<Literal, TurtleParseError> {
         let mut body = String::new();
         while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || c == '-' || c == '+' || c == 'e' || c == 'E' {
-                body.push(c);
-                self.bump();
-            } else if c == '.' {
-                // A dot is part of the number only when followed by a digit.
-                let mut clone = self.chars.clone();
-                clone.next();
-                if matches!(clone.peek(), Some(d) if d.is_ascii_digit()) {
-                    body.push('.');
-                    self.bump();
-                } else {
-                    break;
-                }
-            } else {
+            let fraction = self
+                .after_dot()
+                .is_some_and(|n| n.is_ascii_digit() || matches!(n, 'e' | 'E'));
+            if !(fraction || c.is_ascii_digit() || matches!(c, '-' | '+' | 'e' | 'E')) {
                 break;
             }
+            body.push(c);
+            self.bump();
         }
-        if body.parse::<i64>().is_ok() {
-            Ok(Literal::typed(
-                body,
-                Iri::new("http://www.w3.org/2001/XMLSchema#integer"),
-            ))
-        } else if body.parse::<f64>().is_ok() {
-            Ok(Literal::typed(
-                body,
-                Iri::new("http://www.w3.org/2001/XMLSchema#decimal"),
-            ))
-        } else {
-            Err(self.error(format!("invalid numeric literal '{body}'")))
+        match numeric_datatype(&body) {
+            Some(datatype) => Ok(Literal::typed(body, Iri::new(datatype))),
+            None => Err(self.error(format!("invalid numeric literal '{body}'"))),
         }
     }
 }
@@ -639,9 +666,158 @@ ex:a ex:label "London"@en-GB ;
     }
 
     #[test]
+    fn numerals_are_typed_by_their_form() {
+        let doc = "@prefix e: <http://e/> .\n\
+                   e:s e:p 5 , -5 , 1.5 , .5 , 1.5e3 , 1e5 , 1.E-2 , 123456789012345678901 , 7.";
+        let triples = parse_turtle(doc).unwrap();
+        let typed: Vec<String> = triples
+            .iter()
+            .map(|t| {
+                let literal = t.object.as_literal().expect("a numeral is a literal");
+                let LiteralSuffix::Datatype(datatype) = literal.suffix() else {
+                    panic!("untyped numeral {literal}");
+                };
+                let short = datatype.as_str().rsplit('#').next().unwrap();
+                format!("{} {short}", literal.lexical())
+            })
+            .collect();
+        assert_eq!(
+            typed.join(", "),
+            "5 integer, -5 integer, 1.5 decimal, .5 decimal, 1.5e3 double, 1e5 double, \
+             1.E-2 double, 123456789012345678901 integer, 7 integer"
+        );
+        for bad in ["1e", "1-2", "+", "1.5.5"] {
+            let doc = format!("<http://e/s> <http://e/p> {bad} .");
+            let err = parse_turtle(&doc).unwrap_err();
+            assert!(err.message.contains("numeric"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_decode_as_in_ntriples() {
+        let nt = "<http://e/s\\u00e9> <http://e/p> <http://e/o\\u0041> .\n\
+                  <http://e/s> <http://e/p> \"\\u0041\\U0001F600 \\b\\f\" .";
+        let from_nt = crate::ntriples::parse_ntriples(nt).unwrap();
+        assert_eq!(parse_turtle(nt).unwrap(), from_nt);
+        assert_eq!(from_nt[0].object, Object::Iri(Iri::new("http://e/oA")));
+        assert_eq!(
+            from_nt[1].object.as_literal().unwrap().lexical(),
+            "A\u{1F600} \u{8}\u{c}"
+        );
+        for (bad, message) in [
+            ("<http://e/\\u00zz>", "unicode escape digit"),
+            ("<http://e/\\UFFFFFFFF>", "code point"),
+            ("<http://e/\\n>", "invalid IRI escape"),
+            ("<http://e/a\\u0020b>", "not allowed in an IRI"),
+            ("<http://e/a\\u003Eb>", "not allowed in an IRI"),
+            ("<http://e/a\"b>", "not allowed in an IRI"),
+            ("\"\\u12\"", "unicode escape digit"),
+            ("\"\\q\"", "invalid escape"),
+        ] {
+            let doc = format!("<http://e/s> <http://e/p> {bad} .");
+            let err = parse_turtle(&doc).unwrap_err();
+            assert!(err.message.contains(message), "{bad}: {err}");
+        }
+    }
+
+    #[test]
     fn dotted_local_names() {
         let doc = "@prefix ex: <http://ex/> .\nex:a.b ex:p ex:c .";
         let triples = parse_turtle(doc).unwrap();
         assert_eq!(triples[0].subject.dictionary_key(), "http://ex/a.b");
+    }
+
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    /// Statements a hostile document is built from: together they use
+    /// every construct the parser accepts.
+    const STATEMENTS: &[&str] = &[
+        "e:s a e:Klass ; e:knows e:a , e:b .",
+        "e:s e:n 5 , -5 , 1.5 , .5 , 1.5e3 , 1.E-2 , 123456789012345678901 , true .",
+        "<http://e/s\\u00e9> e:p <http://e/o\\u0041> , \"\\u0041\\U0001F600\\t\\\"q\\\"\" .",
+        "_:b1 e:label \"London\"@en-GB ; e:count \"5\"^^xsd:int ; e:raw 'single' .",
+        "e:a.b e:p e:c ;; e:q \"x\"^^<http://e/dt> ; .",
+        "PREFIX f: <http://f/>\nf:x f:y 7.",
+        "# a comment\ne:s e:p e:o . # trailing",
+    ];
+
+    /// Byte runs spliced into a document: escape and token starts.
+    const SPLICES: &[&str] = &[
+        "\\u", "\\U0001", "\\", "<", ">", "\"", "'", ".", ";", ",", "@", "^^", "_:", "#", "\n",
+        " ", "e:", "1e", "a ", "\u{e9}", "(", "[", "\\u003E",
+    ];
+
+    fn hostile_document(picks: &[usize]) -> String {
+        let mut doc = String::from(
+            "@prefix e: <http://e/> .\n@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n",
+        );
+        for &i in picks {
+            doc.push_str(STATEMENTS[i]);
+            doc.push('\n');
+        }
+        doc
+    }
+
+    /// On any input the parser returns (never panics), every error names
+    /// a line and column inside the input, and every accepted triple
+    /// re-parses from its N-Triples line to an equal triple.
+    fn assert_turtle_invariants(input: &str) -> Result<(), TestCaseError> {
+        match parse_turtle(input) {
+            Ok(triples) => {
+                for triple in &triples {
+                    let line = triple.to_string();
+                    let reparsed = crate::ntriples::parse_ntriples(&line);
+                    prop_assert_eq!(
+                        reparsed.as_deref(),
+                        Ok(std::slice::from_ref(triple)),
+                        "{} from {:?}",
+                        line,
+                        input
+                    );
+                }
+            }
+            Err(err) => {
+                let lines = input.split('\n').count();
+                prop_assert!(
+                    err.line >= 1 && err.line <= lines && err.column >= 1,
+                    "{:?} in {:?}",
+                    err,
+                    input
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Hostile bytes: truncate, flip and extend a valid document
+        /// (mutated bytes are read back lossily, as the input is `&str`).
+        #[test]
+        fn hostile_turtle_keeps_the_parser_invariants(
+            picks in prop::collection::vec(0..STATEMENTS.len(), 1..5),
+            (cut, flip) in (0usize..1024, 0usize..1024),
+            (byte, splice) in (0u8..=255, 0..SPLICES.len()),
+        ) {
+            let doc = hostile_document(&picks);
+            prop_assert!(parse_turtle(&doc).is_ok(), "{:?}", parse_turtle(&doc));
+            assert_turtle_invariants(&doc)?;
+
+            let bytes = doc.as_bytes();
+            let lossy = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+            assert_turtle_invariants(&lossy(&bytes[..cut % (bytes.len() + 1)]))?;
+
+            let at = flip % bytes.len();
+            let mut flipped = bytes.to_vec();
+            flipped[at] = byte;
+            assert_turtle_invariants(&lossy(&flipped))?;
+
+            let mut extended = bytes[..at].to_vec();
+            extended.extend_from_slice(SPLICES[splice].as_bytes());
+            extended.extend_from_slice(&bytes[at..]);
+            assert_turtle_invariants(&lossy(&extended))?;
+        }
     }
 }

@@ -51,8 +51,7 @@
 //! * **graceful drain** — [`Server::shutdown`] stops admission, serves
 //!   everything already queued, joins the workers, and returns a
 //!   [`ServeReport`] with per-tenant counts, breaker and shed statistics,
-//!   and the aggregated cache statistics (including the zero-copy counter
-//!   `result_hit_copied_bytes`, which the serving tests pin at 0).
+//!   and the aggregated result-cache statistics.
 //!   [`Server::shutdown_now`] instead revokes: queued requests are
 //!   answered with [`Error::ShuttingDown`] and in-flight work is
 //!   cancelled through each request's [`CancelToken`].
@@ -80,8 +79,8 @@ pub mod breaker;
 pub use breaker::{BreakerConfig, BreakerReport, BreakerState};
 
 use amber::{
-    AmberEngine, CancelToken, CompiledQuery, EngineError, Error, ExecOptions, QueryOutcome,
-    QueryRequest, QuerySession, QueryStatus, ResultCacheStats, SearchStats, TripCause,
+    AmberEngine, CacheStats, CancelToken, CompiledQuery, EngineError, Error, ExecOptions,
+    QueryOutcome, QueryRequest, QuerySession, QueryStatus, TripCause,
 };
 use amber_obs::{Counter, Gauge, Histogram};
 use amber_util::fault::{self, payload_message, FaultPoint};
@@ -176,7 +175,8 @@ pub struct ServeConfig {
     /// share *tightens* (never loosens) the query's
     /// `ExecOptions::memory_budget`, whose `MemoryGovernor` ladder then
     /// degrades the query. Shares shrink as new tenants appear; the
-    /// degradation shows per tenant in `SearchStats::degradation_steps`.
+    /// degradation shows in each query's trace and in
+    /// `amber_query_degradation_steps_total`.
     /// `None` leaves memory governance entirely per-query.
     pub memory_budget: Option<usize>,
     /// Execution options for every request; their
@@ -745,17 +745,6 @@ impl Server {
         self.ctx.shared.lock().inflight
     }
 
-    /// A consistent snapshot of the process-wide metrics registry —
-    /// engine, cache, search, chaos, and serving-layer series —
-    /// renderable as Prometheus text
-    /// ([`render_prometheus`](amber_obs::MetricsSnapshot::render_prometheus))
-    /// or JSON ([`render_json`](amber_obs::MetricsSnapshot::render_json)).
-    /// Callable at any time, including mid-run. See
-    /// `docs/observability.md` for the catalog.
-    pub fn metrics_snapshot(&self) -> amber_obs::MetricsSnapshot {
-        amber_obs::snapshot()
-    }
-
     /// One tenant's rendered slow-query-log entries, oldest first (see
     /// [`ServeConfig::slow_query_threshold`]). Empty if the tenant is
     /// unknown, its session is mid-dispatch, or tracing is off.
@@ -875,16 +864,11 @@ impl Server {
                     .as_ref()
                     .map(|s| s.result_stats())
                     .unwrap_or_default(),
-                search: t
-                    .session
-                    .as_ref()
-                    .map(|s| s.search_stats())
-                    .unwrap_or_default(),
                 breaker: t.breaker.report(),
             })
             .collect();
         tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-        let mut aggregate = ResultCacheStats::default();
+        let mut aggregate = CacheStats::default();
         for tenant in &tenants {
             aggregate.merge(&tenant.result_stats);
         }
@@ -1082,8 +1066,8 @@ fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcom
     // never observes a counter lagging its own request: the tenant is
     // ready for the next submission, a hard failure has already moved
     // the breaker, and a metrics snapshot taken afterwards includes
-    // the request. (The engine-side registry flush happens even
-    // earlier, inside `run_in` itself.) The only serve-side
+    // the request. (The engine counts its own series even earlier,
+    // inside `run_in`, where each event happens.) The only serve-side
     // state that updates *outside* this pre-answer block is the
     // `retry_after` service-rate EWMA input ordering across threads — a
     // hint, not a counter.
@@ -1200,10 +1184,7 @@ pub struct TenantReport {
     /// assertion for shed requests: shed-only tenants report 0).
     pub queries_executed: u64,
     /// The tenant session's result-cache counters.
-    pub result_stats: ResultCacheStats,
-    /// The tenant session's search counters (node visits, trapped
-    /// panics, cancellations, memory-governor degradation steps).
-    pub search: SearchStats,
+    pub result_stats: CacheStats,
     /// The tenant's circuit-breaker counters and final state.
     pub breaker: BreakerReport,
 }
@@ -1228,9 +1209,8 @@ pub struct ServeReport {
     pub internal_faults: u64,
     /// `serve-drain` chaos panics trapped on the drain path.
     pub drain_faults: u64,
-    /// All tenants' result-cache counters summed — includes
-    /// `hit_copied_bytes`, the zero-copy regression gauge.
-    pub result_stats: ResultCacheStats,
+    /// All tenants' result-cache counters summed.
+    pub result_stats: CacheStats,
     /// Tenant of every dispatch in dispatch order, inline or queued
     /// (empty unless [`ServeConfig::record_dispatch`]).
     pub dispatch_order: Vec<String>,
@@ -1366,9 +1346,8 @@ mod tests {
         assert_eq!(report.served_for("a"), 0, "shed requests are not served");
         let a = report.tenants.iter().find(|t| t.tenant == "a").unwrap();
         assert_eq!(a.queries_executed, 0, "a shed request executes nothing");
-        assert_eq!(a.search.nodes, 0, "and visits zero nodes");
         let b = report.tenants.iter().find(|t| t.tenant == "b").unwrap();
-        assert!(b.search.nodes > 0, "a served request does visit nodes");
+        assert_eq!(b.queries_executed, 1, "a served request does execute");
     }
 
     #[test]
@@ -1487,24 +1466,24 @@ mod tests {
             Arc::clone(&engine),
             ServeConfig {
                 memory_budget: Some(1), // 1 byte: every query walks the full ladder
+                trace: true,
                 ..ServeConfig::default()
             },
         );
         for query in [CHAIN, EDGE] {
             let t = server.submit_sparql("a", query).unwrap();
             assert_eq!(t.wait().unwrap().status, QueryStatus::BudgetExceeded);
+            let trace = server.last_trace("a").unwrap();
+            assert!(
+                trace.contains("degradation steps: 3"),
+                "the quota drives each query up all three rungs: {trace}"
+            );
         }
         let report = server.shutdown();
         assert_eq!(
             report.tenants.len(),
             1,
             "one tenant: the quota is the total"
-        );
-        let a = report.tenants.iter().find(|t| t.tenant == "a").unwrap();
-        assert_eq!(
-            a.search.degradation_steps, 6,
-            "the quota drives each query up all three rungs: {:?}",
-            a.search
         );
     }
 
@@ -1644,16 +1623,18 @@ mod tests {
     fn warm_tenants_hit_their_result_cache_without_copying() {
         let engine = demo_engine();
         let server = Server::start(Arc::clone(&engine), ServeConfig::default());
-        for _ in 0..4 {
-            server.submit_sparql("a", CHAIN).unwrap().wait().unwrap();
-        }
+        let outcomes: Vec<QueryOutcome> = (0..4)
+            .map(|_| server.submit_sparql("a", CHAIN).unwrap().wait().unwrap())
+            .collect();
         let report = server.shutdown();
         let stats = &report.result_stats;
-        assert!(stats.cache.hits >= 3, "verbatim repeats hit: {stats:?}");
-        assert_eq!(
-            stats.hit_copied_bytes, 0,
-            "result-cache hits must serve shared rows, not copies"
-        );
+        assert!(stats.hits >= 3, "verbatim repeats hit: {stats:?}");
+        for repeat in &outcomes[1..] {
+            assert!(
+                repeat.bindings.shares_rows(&outcomes[0].bindings),
+                "result-cache hits must serve shared rows, not copies"
+            );
+        }
     }
 
     /// Both ways to get an answer: redeem a ticket, or block in `execute`
@@ -1894,7 +1875,6 @@ mod tests {
         assert_eq!(report.served_for("a"), 0);
         let a = report.tenants.iter().find(|t| t.tenant == "a").unwrap();
         assert_eq!(a.queries_executed, 0, "a shed request executes nothing");
-        assert_eq!(a.search.nodes, 0, "and visits zero nodes");
     }
 
     #[test]
@@ -2011,8 +1991,6 @@ mod tests {
             1,
             "a cancelled partial is an answer"
         );
-        let a = report.tenants.iter().find(|t| t.tenant == "a").unwrap();
-        assert_eq!(a.search.cancellations, 1);
     }
 
     #[test]

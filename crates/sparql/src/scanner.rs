@@ -32,14 +32,10 @@
 //! reported; columns count characters.
 
 use crate::error::{SparqlError, SparqlErrorKind};
-use rdf_model::{Literal, LiteralRef, LiteralSuffixRef};
+use rdf_model::{numeric_datatype, Literal, LiteralRef, LiteralSuffixRef};
 
 /// The IRI the `a` keyword stands for.
 const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
-
-const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
-const XSD_DECIMAL: &str = "http://www.w3.org/2001/XMLSchema#decimal";
-const XSD_DOUBLE: &str = "http://www.w3.org/2001/XMLSchema#double";
 
 /// Keywords that are valid SPARQL but outside the paper's fragment.
 const UNSUPPORTED_KEYWORDS: &[&str] = &[
@@ -315,54 +311,6 @@ fn unsupported_keyword(input: &str) -> Option<SparqlError> {
         }
     }
     flush(&mut word, &mut word_is_name)
-}
-
-/// The datatype of a numeric literal by the SPARQL grammar
-/// (`[+-]? (INTEGER | DECIMAL | DOUBLE)`), `None` when `body` is not a
-/// number.
-fn numeric_datatype(body: &str) -> Option<&'static str> {
-    let bytes = body.as_bytes();
-    let digits_from = |mut i: usize| {
-        while bytes.get(i).is_some_and(u8::is_ascii_digit) {
-            i += 1;
-        }
-        i
-    };
-    let mut i = usize::from(matches!(bytes.first(), Some(b'+' | b'-')));
-    let integer_end = digits_from(i);
-    let mut digits = integer_end - i;
-    i = integer_end;
-    let mut dot = false;
-    if bytes.get(i) == Some(&b'.') {
-        dot = true;
-        let fraction_end = digits_from(i + 1);
-        let fraction = fraction_end - (i + 1);
-        if fraction == 0 && !matches!(bytes.get(fraction_end), Some(b'e' | b'E')) {
-            return None; // DECIMAL needs digits after the point
-        }
-        digits += fraction;
-        i = fraction_end;
-    }
-    let exponent = matches!(bytes.get(i), Some(b'e' | b'E'));
-    if exponent {
-        i += 1;
-        if matches!(bytes.get(i), Some(b'+' | b'-')) {
-            i += 1;
-        }
-        let exponent_end = digits_from(i);
-        if exponent_end == i {
-            return None;
-        }
-        i = exponent_end;
-    }
-    if i != bytes.len() || digits == 0 {
-        return None;
-    }
-    Some(match (dot, exponent) {
-        (_, true) => XSD_DOUBLE,
-        (true, false) => XSD_DECIMAL,
-        (false, false) => XSD_INTEGER,
-    })
 }
 
 /// A literal token; its lexical form is a slice of the input, or the
@@ -1088,6 +1036,7 @@ impl<'a> Scanner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdf_model::{XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER};
 
     #[test]
     fn numbers_are_typed_by_the_grammar() {

@@ -18,7 +18,6 @@ pub struct GenerationalMap<K, V> {
     capacity: usize,
     hot: FxHashMap<K, V>,
     cold: FxHashMap<K, V>,
-    evictions: u64,
 }
 
 impl<K: Eq + Hash + Copy, V> GenerationalMap<K, V> {
@@ -28,7 +27,6 @@ impl<K: Eq + Hash + Copy, V> GenerationalMap<K, V> {
             capacity: capacity.max(1),
             hot: FxHashMap::default(),
             cold: FxHashMap::default(),
-            evictions: 0,
         }
     }
 
@@ -40,12 +38,6 @@ impl<K: Eq + Hash + Copy, V> GenerationalMap<K, V> {
     /// `true` when no entry is stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Entries dropped so far to respect the capacity bound (clears
-    /// included).
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Look up `key`, promoting a cold hit back into the hot generation
@@ -88,9 +80,9 @@ impl<K: Eq + Hash + Copy, V> GenerationalMap<K, V> {
 
     /// Insert `value` under `key`, evicting old generations as needed;
     /// every dropped entry — including a value this insert *replaces* —
-    /// is reported to `on_evict` (so callers can keep byte accounting;
-    /// replacements don't count as evictions). Returns a reference to the
-    /// stored value.
+    /// is reported to `on_evict` (so callers can keep their own counts;
+    /// inserting only keys they just missed makes every report an
+    /// eviction). Returns a reference to the stored value.
     pub fn insert(&mut self, key: K, value: V, mut on_evict: impl FnMut(&V)) -> &V {
         // A re-insert must not leave a stale duplicate in either
         // generation: a cold copy would double-count against capacity and
@@ -103,10 +95,7 @@ impl<K: Eq + Hash + Copy, V> GenerationalMap<K, V> {
         if self.hot.len() >= hot_limit {
             // Rotate generations: hot becomes cold, the old cold dies.
             let dropped = std::mem::replace(&mut self.cold, std::mem::take(&mut self.hot));
-            for entry in dropped.values() {
-                self.evictions += 1;
-                on_evict(entry);
-            }
+            dropped.values().for_each(&mut on_evict);
         }
         while self.len() >= self.capacity {
             // Tiny capacities can still be over budget after a rotation;
@@ -115,7 +104,6 @@ impl<K: Eq + Hash + Copy, V> GenerationalMap<K, V> {
                 break;
             };
             if let Some(entry) = self.cold.remove(&victim) {
-                self.evictions += 1;
                 on_evict(&entry);
             }
         }
@@ -124,13 +112,12 @@ impl<K: Eq + Hash + Copy, V> GenerationalMap<K, V> {
         &self.hot[&key]
     }
 
-    /// Drop every entry (reported through `on_evict`; the eviction counter
-    /// keeps counting).
-    pub fn clear(&mut self, mut on_evict: impl FnMut(&V)) {
-        for entry in self.hot.values().chain(self.cold.values()) {
-            self.evictions += 1;
-            on_evict(entry);
-        }
+    /// Drop every entry (each reported through `on_evict`).
+    pub fn clear(&mut self, on_evict: impl FnMut(&V)) {
+        self.hot
+            .values()
+            .chain(self.cold.values())
+            .for_each(on_evict);
         self.hot.clear();
         self.cold.clear();
     }
@@ -176,7 +163,6 @@ mod tests {
                     map.len()
                 );
             }
-            assert_eq!(map.evictions(), dropped);
             assert!(dropped > 0);
         }
     }
@@ -201,8 +187,7 @@ mod tests {
         map.insert(1, 11, |&v| dropped.push(v));
         assert_eq!(map.get(&1), Some(&11));
         assert_eq!(map.len(), 1);
-        assert_eq!(dropped, vec![10]);
-        assert_eq!(map.evictions(), 0, "replacement is not an eviction");
+        assert_eq!(dropped, vec![10], "the replaced value is reported");
         // Demote to cold (fill hot past its half), then re-insert: the
         // cold duplicate must die, and the fresh value must win.
         map.insert(2, 20, |&v| dropped.push(v));
@@ -240,6 +225,5 @@ mod tests {
         dropped.sort_unstable();
         assert_eq!(dropped, vec![10, 20]);
         assert!(map.is_empty());
-        assert_eq!(map.evictions(), 2);
     }
 }

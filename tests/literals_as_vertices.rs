@@ -107,7 +107,7 @@ fn literal_and_iri_objects_never_share_a_cache_entry() {
             assert_eq!(run(literal, &mut session), 0, "mode {literals_as_vertices}");
             assert_eq!(run(iri, &mut session), 1, "mode {literals_as_vertices}");
         }
-        let stats = session.result_stats().cache;
+        let stats = session.result_stats();
         assert_eq!(stats.misses, 2, "mode {literals_as_vertices}");
         assert_eq!(stats.hits, 2, "mode {literals_as_vertices}");
     }

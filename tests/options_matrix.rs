@@ -137,7 +137,7 @@ fn batch_knob_matrix_matches_one_shot_execution() {
             assert_eq!(session.queries_executed(), queries.len() as u64);
             // Counter coherence: with the cache disabled nothing may be
             // memoized; with it enabled the hit rate stays a probability.
-            let stats = session.result_stats().cache;
+            let stats = session.result_stats();
             if capacity == 0 {
                 assert_eq!(stats.hits + stats.misses, 0);
                 assert_eq!(stats.entries, 0);

@@ -208,7 +208,7 @@ fn renamed_queries_share_plans_but_keep_their_headers() {
         engine.run_in(&request, &mut session).unwrap()
     };
     let (a, b) = (run(&original), run(&renamed));
-    let results = session.result_stats().cache;
+    let results = session.result_stats();
     assert_eq!(results.misses, 1, "one plan and one execution");
     assert_eq!(results.hits, 1, "the renamed twin shares the entry");
     assert_eq!(results.entries, 1);

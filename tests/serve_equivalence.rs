@@ -162,11 +162,6 @@ fn assert_serving_matches_sequential(
         assert_eq!(report.served_for(tenant), queries.len() as u64);
     }
     assert_eq!(report.rejected, 0, "the queue was sized for the workload");
-    assert_eq!(
-        report.result_stats.hit_copied_bytes, 0,
-        "result-cache hits must serve shared rows: {:?}",
-        report.result_stats
-    );
 }
 
 proptest! {
@@ -302,8 +297,7 @@ proptest! {
             }
         }
         // Zero-budget requests are always shed — and shed requests do zero
-        // engine-side work: the tenant's session never executed a query
-        // and never visited a node.
+        // engine-side work: the tenant's session never executed a query.
         prop_assert_eq!(report.shed_for("shed-only"), base.len() as u64);
         prop_assert_eq!(report.served_for("shed-only"), 0);
         let shed_only = report
@@ -312,7 +306,6 @@ proptest! {
             .find(|t| t.tenant == "shed-only")
             .expect("tenant reported");
         prop_assert_eq!(shed_only.queries_executed, 0);
-        prop_assert_eq!(shed_only.search.nodes, 0);
         prop_assert_eq!(report.shed_for("unbounded"), 0);
         prop_assert_eq!(report.shed_for("generous"), 0);
         prop_assert_eq!(report.rejected, 0);
@@ -430,7 +423,7 @@ fn tenants_keep_their_own_plans_headers_and_failures() {
     let report = server.shutdown();
     for tenant in &report.tenants {
         assert_eq!(tenant.served, 2 * base.len() as u64, "{}", tenant.tenant);
-        let results = &tenant.result_stats.cache;
+        let results = &tenant.result_stats;
         assert_eq!(
             results.misses,
             distinct.len() as u64,

@@ -117,7 +117,7 @@ fn batch_session_at_scale_with_evicting_cache() {
             "capacity {cache_capacity}: only {completed}/{} answered",
             queries.len()
         );
-        let results = session.result_stats().cache;
+        let results = session.result_stats();
         assert!(results.entries <= cache_capacity);
         // Spot-check batch outcomes against one-shot execution. Either run
         // may hit the budget independently; partial counts prove nothing.

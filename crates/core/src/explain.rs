@@ -24,7 +24,7 @@ pub struct ComponentPlan {
     /// the seed lists ∩ `ProcessVertex`).
     pub initial_candidates: usize,
     /// The type-incidence lists the seed set was intersected from, shortest
-    /// first; empty when the synopsis index seeded the component (initial
+    /// first; empty when the synopses seeded the component (initial
     /// vertex without a typed edge).
     pub seed_lists: Vec<SeedList>,
     /// The seed vertex's multi-type edges to other variables: a seed
@@ -267,10 +267,21 @@ fn seed_multi_edges(qg: &QueryGraph, u_init: QVertexId) -> Vec<(Direction, Vec<E
 /// `t265⁻(412) ∩ t552⁻(388)` reads "vertices with an outgoing `t265`
 /// (412 of them) ∩ vertices with an outgoing `t552`"; a constrained seed
 /// vertex adds `∩ ProcessVertex(n)`, a multi-type edge `∩ {t1,t2}⁻`
-/// (both types towards one neighbour).
+/// (both types towards one neighbour). A seed vertex without a typed edge
+/// reads `ProcessVertex(n) ∩ S` (the whitelist filtered by the stored
+/// synopses) or, unconstrained, `synopsis fallback` (the R-tree walk).
 fn seed_derivation(component: &ComponentPlan) -> String {
+    let seed_vertex = component.core_order.first();
+    let constrained = component
+        .vertex_constraints
+        .iter()
+        .find(|c| Some(&c.variable) == seed_vertex)
+        .and_then(|c| c.candidate_count);
     if component.seed_lists.is_empty() {
-        return "synopsis fallback".to_string();
+        return match constrained {
+            Some(n) => format!("ProcessVertex({n}) ∩ S"),
+            None => "synopsis fallback".to_string(),
+        };
     }
     let sign = |direction: Direction| match direction {
         Direction::Incoming => '⁺',
@@ -281,12 +292,6 @@ fn seed_derivation(component: &ComponentPlan) -> String {
         .iter()
         .map(|l| format!("{}{}({})", l.edge_type, sign(l.direction), l.len))
         .collect();
-    let seed_vertex = component.core_order.first();
-    let constrained = component
-        .vertex_constraints
-        .iter()
-        .find(|c| Some(&c.variable) == seed_vertex)
-        .and_then(|c| c.candidate_count);
     if let Some(n) = constrained {
         terms.push(format!("ProcessVertex({n})"));
     }

@@ -10,8 +10,9 @@
 //!    roots ([`NeighborhoodIndex::vertices_with_type`]) where the paper
 //!    walks the synopsis index (Algorithm 3, lines 4-5) — keeping only
 //!    candidates that own each multi-type edge of `u_init` on a single
-//!    neighbour; `C^S_{u_init}` survives as the fallback for a seed vertex
-//!    without a typed edge,
+//!    neighbour; a seed vertex without a typed edge is seeded from its
+//!    `ProcessVertex` whitelist filtered by the stored synopses, and only an
+//!    unconstrained one walks `C^S_{u_init}`,
 //! 4. recurse over the ordered core vertices; at each step the candidates of
 //!    the next vertex are the intersection of `QueryNeighIndex` probes from
 //!    *all* already-matched adjacent cores (Algorithm 4, lines 5-7),
@@ -221,8 +222,8 @@ pub struct ComponentPrep {
     /// initial vertex, refined by its multi-type edges.
     pub(crate) initial: Vec<VertexId>,
     /// The incidence lists `initial` was intersected from, shortest first;
-    /// empty when the initial vertex has no typed edge and the synopsis
-    /// index seeded it instead.
+    /// empty when the initial vertex has no typed edge and the synopses
+    /// seeded it instead.
     pub(crate) seed_lists: Vec<SeedList>,
 }
 
@@ -258,8 +259,10 @@ impl ComponentPrep {
     }
 
     /// The type-incidence lists [`Self::initial_candidates`] was
-    /// intersected from, shortest first. Empty means the synopsis-index
-    /// fallback seeded the component (initial vertex without a typed edge).
+    /// intersected from, shortest first. Empty means the synopses seeded
+    /// the component (initial vertex without a typed edge): filtering the
+    /// `ProcessVertex` whitelist, or walking the synopsis index when the
+    /// vertex is unconstrained.
     pub fn seed_lists(&self) -> &[SeedList] {
         &self.seed_lists
     }
@@ -359,13 +362,20 @@ impl ComponentPrep {
         let u_init = order[0];
         let seed_lists = seed_lists_of(qg, u_init, &index.neighborhood);
         let mut initial = if seed_lists.is_empty() {
-            // No typed edge (an isolated variable): the paper's
-            // `QuerySynIndex` with the sound query-side synopsis.
-            let mut initial = index
-                .signature
-                .candidates(&qg.signature(u_init).query_synopsis());
-            plans[0].constraint.filter(&mut initial);
-            initial
+            // No typed edge (an isolated variable). A constant-anchored
+            // vertex reads the stored synopsis per whitelisted vertex: the
+            // R-tree answers exactly the dominating vertices, so this is
+            // `QuerySynIndex ∩ ProcessVertex` without walking |V|. Only an
+            // unconstrained vertex takes `QuerySynIndex` itself.
+            let synopsis = qg.signature(u_init).query_synopsis();
+            match &plans[0].constraint {
+                Constraint::Candidates(allowed) => allowed
+                    .iter()
+                    .copied()
+                    .filter(|&v| index.signature.synopsis_of(v).dominates(&synopsis))
+                    .collect(),
+                Constraint::Unconstrained => index.signature.candidates(&synopsis),
+            }
         } else {
             // A match of u_init owns an edge of every (direction, type) on
             // u_init, so it is in every one of these lists — and in

@@ -7,7 +7,11 @@
 //! supersets of the initial vertex's true matches, so the search must
 //! return the same solutions in the same order from either — only the
 //! number of dead root candidates differs. These tests pin that, and pin
-//! the size of the new seed set against a brute-force count.
+//! the size of the new seed set against a brute-force count. A seed vertex
+//! without a typed edge has no list to intersect: its seed must equal the
+//! synopsis seed exactly.
+
+mod constant_star;
 
 use amber::candidates::{process_vertex, satisfies_self_loop};
 use amber::matcher::{ComponentMatcher, MatchConfig};
@@ -123,6 +127,12 @@ proptest! {
                 seed.iter().all(|v| paper_seed.binary_search(v).is_ok()),
                 "{text}: {seed:?} is not within the synopsis seed {paper_seed:?}"
             );
+            if matcher.seed_lists().is_empty() {
+                // No incidence list: the synopses alone seeded it, read per
+                // whitelisted vertex or walked in the R-tree — either way
+                // exactly the paper's seed.
+                prop_assert_eq!(seed, &paper_seed[..], "{}", text);
+            }
 
             let from_lists = matcher.run(&config);
             let from_synopsis = matcher.run_on(&paper_seed, &config);
@@ -228,7 +238,7 @@ fn two_out_type_star_is_seeded_with_exactly_the_vertices_carrying_both() {
 }
 
 #[test]
-fn a_seed_vertex_without_a_typed_edge_falls_back_to_the_synopsis_index() {
+fn a_constant_anchored_seed_vertex_is_seeded_from_its_whitelist() {
     // `?x` only carries an IRI constraint: a singleton component with no
     // variable-variable edge, hence no incidence list to intersect.
     let rdf = amber_multigraph::paper::paper_graph();
@@ -251,9 +261,50 @@ fn a_seed_vertex_without_a_typed_edge_falls_back_to_the_synopsis_index() {
     let explained =
         amber::QueryPlan::explain_prepared(&engine.prepare_sparql(&text).unwrap()).to_string();
     assert!(
-        explained.contains("seed candidates: 2 of 9 via synopsis fallback\n"),
+        explained.contains("seed candidates: 2 of 9 via ProcessVertex(2) ∩ S\n"),
         "{explained}"
     );
+}
+
+#[test]
+fn a_constant_star_is_seeded_with_exactly_the_paper_seed() {
+    // The benchmark's single-variable stars: `?x` carries IRI and literal
+    // constants only, so its whitelist — not |V| — bounds the seed.
+    for seed in [1u64, 7, 23] {
+        let triples = Benchmark::Dbpedia.generate(2, seed);
+        let rdf = RdfGraph::from_triples(&triples);
+        let index = IndexSet::build(&rdf);
+        for text in constant_star::constant_stars(&triples).take(20) {
+            assert_constant_star_seed(&rdf, &index, seed, &text);
+        }
+    }
+}
+
+fn assert_constant_star_seed(rdf: &RdfGraph, index: &IndexSet, seed: u64, text: &str) {
+    let qg = QueryGraph::build(&parse_select(text).unwrap(), rdf).unwrap();
+    assert!(!qg.is_unsatisfiable(), "seed {seed}: {text}");
+    let components = qg.connected_components();
+    assert_eq!(components.len(), 1, "seed {seed}: {text}");
+    let matcher = ComponentMatcher::new(&qg, rdf.graph(), index, &components[0]);
+    assert!(matcher.seed_lists().is_empty(), "seed {seed}: {text}");
+    let paper_seed = synopsis_seed(&qg, rdf, index, &matcher);
+    assert!(!paper_seed.is_empty(), "seed {seed}: {text}");
+    assert_eq!(
+        matcher.initial_candidates(),
+        &paper_seed[..],
+        "seed {seed}: {text}"
+    );
+
+    let deadline = Deadline::unlimited();
+    let config = MatchConfig::new(&deadline, None);
+    let result = matcher.run(&config);
+    let from_synopsis = matcher.run_on(&paper_seed, &config);
+    assert_eq!(result.count, from_synopsis.count, "seed {seed}: {text}");
+    assert_eq!(
+        result.solutions, from_synopsis.solutions,
+        "seed {seed}: {text}"
+    );
+    assert!(result.count >= 1, "seed {seed}: {text}");
 }
 
 #[test]

@@ -421,7 +421,7 @@ impl QuerySink for Compiler<'_> {
                 if edge.0 == tag::UNKNOWN_EDGE {
                     self.mark_unsat(|c| {
                         format!(
-                            "predicate <{}> does not occur in the data",
+                            "predicate <{}> has no IRI or blank-node object in the data",
                             c.predicate_text()
                         )
                     });
@@ -581,12 +581,34 @@ mod tests {
         );
         assert_eq!(
             q.unsat_reason(),
-            Some("predicate <http://p/P> does not occur in the data")
+            Some("predicate <http://p/P> has no IRI or blank-node object in the data")
         );
         let q = compile("SELECT * WHERE { ?s <http://p/name> \"beta\"@en }", &rdf);
         assert_eq!(
             q.unsat_reason(),
             Some("attribute <http://p/name> \"beta\"@en does not occur in the data")
         );
+    }
+
+    #[test]
+    fn a_predicate_with_only_literal_objects_is_no_edge_type() {
+        // `<http://e/q>` occurs, but only as an attribute: the reason must
+        // not claim it is absent from the data.
+        let text = "SELECT * WHERE { ?s <http://e/q> ?o }";
+        let graph = |literals_as_vertices| {
+            let mut builder = GraphBuilder::with_config(GraphConfig {
+                literals_as_vertices,
+            });
+            builder
+                .add_ntriples("<http://e/s> <http://e/q> \"x\" .\n")
+                .unwrap();
+            builder.finish()
+        };
+        assert_eq!(
+            compile(text, &graph(false)).unsat_reason(),
+            Some("predicate <http://e/q> has no IRI or blank-node object in the data")
+        );
+        // With literals as vertices the literal is an object vertex.
+        assert_eq!(compile(text, &graph(true)).unsat_reason(), None);
     }
 }

@@ -112,6 +112,7 @@ pub fn table5(config: &HarnessConfig) -> String {
     )
     .unwrap();
     writeln!(out, "|---|---|---|---|---|").unwrap();
+    let (mut ledger, mut names) = (String::new(), Vec::new());
     for bench in Benchmark::ALL {
         let triples = bench.generate(config.scale, config.seed);
         let sw = Stopwatch::start();
@@ -130,7 +131,22 @@ pub fn table5(config: &HarnessConfig) -> String {
             format_bytes(stats.index_bytes),
         )
         .unwrap();
+        let parts = stats.parts();
+        names = parts.iter().map(|(name, _)| *name).collect();
+        let triple_count = engine.rdf().stats().triples;
+        let per_triple = |bytes: usize| bytes as f64 / triple_count.max(1) as f64;
+        write!(ledger, "| {} | {triple_count}", bench.name()).unwrap();
+        for (_, bytes) in parts {
+            write!(ledger, " | {:.2}", per_triple(bytes)).unwrap();
+        }
+        let total = parts.iter().map(|(_, bytes)| bytes).sum();
+        writeln!(ledger, " | {:.2} |", per_triple(total)).unwrap();
     }
+    // The `amber_resident_bytes{part}` ledger, one column per part.
+    writeln!(out, "\nResident bytes per triple:\n").unwrap();
+    writeln!(out, "| Dataset | triples | {} | total |", names.join(" | ")).unwrap();
+    writeln!(out, "|---|---|{}---|", "---|".repeat(names.len())).unwrap();
+    out.push_str(&ledger);
     out
 }
 
@@ -301,6 +317,7 @@ mod tests {
         let out = table5(&tiny());
         assert!(out.contains("Index build time"));
         assert!(out.contains("LUBM"));
+        assert!(out.contains("| signature_index |"), "{out}");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! * [`attribute::AttributeIndex`] (`A`, §4.1) — an inverted list from each
 //!   vertex attribute to the sorted set of vertices carrying it,
 //! * [`signature::SignatureIndex`] (`S`, §4.2) — the 8-field synopsis of
-//!   every vertex signature stored in an [`rtree::RTree`]; answers the
-//!   dominance ("rectangular containment") queries of Lemma 1,
+//!   every vertex signature, stored once in an id-ordered `u32` table and
+//!   indexed by an [`rtree::RTree`]; answers the dominance ("rectangular
+//!   containment") queries of Lemma 1,
 //! * [`otil::NeighborhoodIndex`] (`N`, §4.3) — per-vertex Ordered-Trie-with-
 //!   Inverted-List structures (`N⁺` incoming, `N⁻` outgoing), flattened into
 //!   CSR pools; answers "neighbours of `v` through multi-edge ⊇ `T'`".

@@ -1,7 +1,6 @@
 //! Property-based tests for the index structures: each index is checked
 //! against a brute-force oracle on randomly generated inputs.
 
-use amber_index::rtree::Entry;
 use amber_index::{AttributeIndex, NeighborhoodIndex, RTree, SignatureIndex};
 use amber_multigraph::{
     AttrId, Direction, EdgeTypeId, RdfGraph, Synopsis, VertexId, VertexSignature,
@@ -14,16 +13,15 @@ fn arb_synopsis() -> impl Strategy<Value = Synopsis> {
     prop::array::uniform8(-8i64..8).prop_map(Synopsis)
 }
 
-fn arb_entries() -> impl Strategy<Value = Vec<Entry>> {
-    prop::collection::vec(arb_synopsis(), 0..300).prop_map(|syns| {
-        syns.into_iter()
-            .enumerate()
-            .map(|(i, synopsis)| Entry {
-                synopsis,
-                vertex: VertexId(i as u32),
-            })
-            .collect()
-    })
+/// Point sets of 0–300 points, and of sizes on either side of 16ᵏ + 1,
+/// where one more point adds a tree level.
+fn arb_points() -> impl Strategy<Value = Vec<Synopsis>> {
+    prop_oneof![
+        prop::collection::vec(arb_synopsis(), 0..300),
+        prop::collection::vec(arb_synopsis(), 16..18),
+        prop::collection::vec(arb_synopsis(), 256..258),
+        prop::collection::vec(arb_synopsis(), 4096..4098),
+    ]
 }
 
 proptest! {
@@ -32,16 +30,14 @@ proptest! {
     /// The R-tree's dominance query equals the brute-force filter, for any
     /// point set and any query.
     #[test]
-    fn rtree_matches_bruteforce(entries in arb_entries(), query in arb_synopsis()) {
-        let tree = RTree::bulk_load(entries.clone());
-        prop_assert_eq!(tree.len(), entries.len());
-        let mut expected: Vec<VertexId> = entries
-            .iter()
-            .filter(|e| e.synopsis.dominates(&query))
-            .map(|e| e.vertex)
+    fn rtree_matches_bruteforce(points in arb_points(), query in arb_synopsis()) {
+        let tree = RTree::bulk_load(points.len(), |v| points[v.index()]);
+        prop_assert_eq!(tree.len(), points.len());
+        let expected: Vec<VertexId> = (0..points.len())
+            .filter(|&i| points[i].dominates(&query))
+            .map(VertexId::from_index)
             .collect();
-        expected.sort_unstable();
-        prop_assert_eq!(tree.dominating(&query), expected);
+        prop_assert_eq!(tree.dominating(&query, |v| points[v.index()]), expected);
     }
 
     /// Dominance is a partial order: reflexive and transitive on samples.
@@ -155,13 +151,20 @@ proptest! {
 
     /// Lemma 1 on real graphs: the signature index never prunes a vertex
     /// whose signature is a superset of the query's (checked by using every
-    /// vertex's own signature as the query).
+    /// vertex's own signature as the query). The narrowed table gives back
+    /// each synopsis bit for bit, and the R-tree walk equals the scan for
+    /// the data-side synopsis and for the query-side one, whose empty
+    /// directions read `i64::MIN`.
     #[test]
     fn signature_index_is_lossless(triples in arb_graph_triples()) {
         let rdf = RdfGraph::from_triples(&triples);
         let graph = rdf.graph();
         let index = SignatureIndex::build(graph);
+        prop_assert_eq!(index.len(), graph.vertex_count());
         for v in graph.vertices() {
+            let stored = index.synopsis_of(v);
+            prop_assert_eq!(stored, Synopsis::of_data_vertex(graph, v));
+            prop_assert_eq!(index.candidates(&stored), index.candidates_linear(&stored));
             let q = VertexSignature::of_data_vertex(graph, v).query_synopsis();
             let candidates = index.candidates(&q);
             prop_assert!(

@@ -118,10 +118,22 @@ impl Synopsis {
     /// lists — equal to `VertexSignature::of_data_vertex(graph, v).synopsis()`
     /// without copying a multi-edge.
     pub fn of_data_vertex(graph: &DataGraph, v: VertexId) -> Self {
+        Self::fold_data_vertex(graph, v, &mut Vec::new())
+    }
+
+    /// Every data vertex's synopsis in id order, each equal to
+    /// [`Self::of_data_vertex`]; one scratch buffer serves the whole graph.
+    pub fn of_data_vertices(graph: &DataGraph) -> impl Iterator<Item = Self> + '_ {
         let mut scratch = Vec::new();
+        graph
+            .vertices()
+            .map(move |v| Self::fold_data_vertex(graph, v, &mut scratch))
+    }
+
+    fn fold_data_vertex(graph: &DataGraph, v: VertexId, scratch: &mut Vec<u32>) -> Self {
         Self::from_halves(
-            direction_features(graph.in_edges(v).iter().map(|e| &e.types), &mut scratch),
-            direction_features(graph.out_edges(v).iter().map(|e| &e.types), &mut scratch),
+            direction_features(graph.in_edges(v).iter().map(|e| &e.types), scratch),
+            direction_features(graph.out_edges(v).iter().map(|e| &e.types), scratch),
         )
     }
 
@@ -134,10 +146,14 @@ impl Synopsis {
     /// Dominance test of Lemma 1: can a data vertex with synopsis `self`
     /// possibly match a query vertex with synopsis `query`?
     ///
-    /// `true` iff `query[i] ≤ self[i]` for all `i`.
+    /// `true` iff `query[i] ≤ self[i]` for all `i`. All eight fields are
+    /// compared without an early exit, which lets the compares vectorize.
     #[inline]
     pub fn dominates(&self, query: &Synopsis) -> bool {
-        self.0.iter().zip(query.0.iter()).all(|(d, q)| q <= d)
+        self.0
+            .iter()
+            .zip(&query.0)
+            .fold(true, |all, (d, q)| all & (q <= d))
     }
 
     /// Field accessor.
@@ -207,6 +223,21 @@ mod tests {
             assert_eq!(
                 Synopsis::of_data_vertex(rdf.graph(), v),
                 VertexSignature::of_data_vertex(rdf.graph(), v).synopsis(),
+                "vertex {v}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_scratch_gives_the_per_vertex_synopses() {
+        let rdf = crate::paper::paper_graph();
+        let graph = rdf.graph();
+        let all: Vec<Synopsis> = Synopsis::of_data_vertices(graph).collect();
+        assert_eq!(all.len(), graph.vertex_count());
+        for v in graph.vertices() {
+            assert_eq!(
+                all[v.index()],
+                Synopsis::of_data_vertex(graph, v),
                 "vertex {v}"
             );
         }

@@ -96,26 +96,6 @@ impl From<QueryGraphError> for EngineError {
     }
 }
 
-/// The kind of hard failure that tripped (or is tripping) a serving
-/// layer's per-tenant circuit breaker, carried by [`Error::CircuitOpen`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TripCause {
-    /// Consecutive quarantined panics ([`EngineError::Internal`]).
-    Internal,
-    /// Consecutive `QueryStatus::TimedOut` outcomes (including budgets
-    /// that expired mid-execution).
-    TimedOut,
-}
-
-impl fmt::Display for TripCause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            TripCause::Internal => "internal errors",
-            TripCause::TimedOut => "timeouts",
-        })
-    }
-}
-
 /// The unified public failure taxonomy: everything the engine *or* a
 /// serving layer above it can answer a query with, in one enum with one
 /// protocol mapping.
@@ -136,14 +116,6 @@ pub enum Error {
         budget: Duration,
         /// The queue wait actually observed (≥ `budget`).
         waited: Duration,
-    },
-    /// Rejected at admission: the tenant's circuit breaker is open after
-    /// consecutive hard failures.
-    CircuitOpen {
-        /// The kind of consecutive hard failure that tripped the breaker.
-        cause: TripCause,
-        /// Remaining breaker cooldown at rejection time.
-        retry_after: Duration,
     },
     /// Rejected at admission: the serving queue is full.
     Overloaded {
@@ -166,7 +138,7 @@ impl Error {
     /// |---|---|
     /// | `Engine` (parse / malformed query) | 400 |
     /// | `Engine` (`StalePlan`, `Internal`) | 500 |
-    /// | `Overloaded`, `CircuitOpen`, `ShuttingDown` | 503 |
+    /// | `Overloaded`, `ShuttingDown` | 503 |
     /// | `DeadlineExpired` | 504 |
     pub fn status_code(&self) -> u16 {
         match self {
@@ -178,19 +150,16 @@ impl Error {
                 EngineError::StalePlan | EngineError::Internal { .. } => 500,
             },
             Error::DeadlineExpired { .. } => 504,
-            Error::CircuitOpen { .. } | Error::Overloaded { .. } | Error::ShuttingDown => 503,
+            Error::Overloaded { .. } | Error::ShuttingDown => 503,
         }
     }
 
     /// The backoff hint to hand the client (an HTTP `Retry-After`):
-    /// present exactly for the two admission rejections that carry one —
-    /// [`Error::Overloaded`] (service-rate EWMA) and
-    /// [`Error::CircuitOpen`] (remaining cooldown).
+    /// present exactly for the one admission rejection that carries one,
+    /// [`Error::Overloaded`] (service-rate EWMA).
     pub fn retry_after(&self) -> Option<Duration> {
         match self {
-            Error::Overloaded { retry_after, .. } | Error::CircuitOpen { retry_after, .. } => {
-                Some(*retry_after)
-            }
+            Error::Overloaded { retry_after, .. } => Some(*retry_after),
             _ => None,
         }
     }
@@ -203,10 +172,6 @@ impl fmt::Display for Error {
             Error::DeadlineExpired { budget, waited } => write!(
                 f,
                 "deadline expired in queue: waited {waited:?} of a {budget:?} budget"
-            ),
-            Error::CircuitOpen { cause, retry_after } => write!(
-                f,
-                "circuit open after consecutive {cause}; retry in {retry_after:?}"
             ),
             Error::Overloaded {
                 capacity,
@@ -291,14 +256,6 @@ mod tests {
             504
         );
         assert_eq!(
-            Error::CircuitOpen {
-                cause: TripCause::TimedOut,
-                retry_after: Duration::from_secs(1),
-            }
-            .status_code(),
-            503
-        );
-        assert_eq!(
             Error::Overloaded {
                 capacity: 4,
                 queued: 4,
@@ -321,16 +278,14 @@ mod tests {
             .retry_after(),
             Some(Duration::from_millis(3))
         );
-        assert_eq!(
-            Error::CircuitOpen {
-                cause: TripCause::TimedOut,
-                retry_after: Duration::from_secs(7),
-            }
-            .retry_after(),
-            Some(Duration::from_secs(7))
-        );
         assert_eq!(Error::ShuttingDown.retry_after(), None);
         assert_eq!(Error::from(EngineError::StalePlan).retry_after(), None);
+        let internal: Error = EngineError::Internal {
+            task: "t".into(),
+            payload: "p".into(),
+        }
+        .into();
+        assert_eq!(internal.retry_after(), None);
         assert_eq!(
             Error::DeadlineExpired {
                 budget: Duration::ZERO,
@@ -350,11 +305,11 @@ mod tests {
         };
         assert!(e.to_string().contains("overloaded"));
         assert!(std::error::Error::source(&e).is_none());
-        let e = Error::CircuitOpen {
-            cause: TripCause::TimedOut,
-            retry_after: Duration::from_secs(2),
+        let e = Error::DeadlineExpired {
+            budget: Duration::from_millis(5),
+            waited: Duration::from_millis(9),
         };
-        assert!(e.to_string().contains("timeouts"), "{e}");
+        assert!(e.to_string().contains("deadline expired"), "{e}");
         let e: Error = EngineError::StalePlan.into();
         assert!(std::error::Error::source(&e).is_some());
     }

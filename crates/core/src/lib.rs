@@ -49,7 +49,7 @@ pub mod session;
 pub(crate) mod telemetry;
 
 pub use engine::{AmberEngine, OfflineStats};
-pub use error::{EngineError, Error, TripCause};
+pub use error::{EngineError, Error};
 pub use explain::{Explain, QueryPlan};
 pub use governor::{MemoryGovernor, Pressure};
 pub use options::ExecOptions;

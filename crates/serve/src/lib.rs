@@ -29,11 +29,6 @@
 //!   is shed with the typed [`Error::DeadlineExpired`] *without any
 //!   engine work*, and only the *remaining* budget is handed to the
 //!   engine as its execution timeout;
-//! * **per-tenant circuit breakers** — with [`ServeConfig::breaker`] set,
-//!   a tenant whose requests keep failing hard (quarantined panics or
-//!   timeouts) trips into fast-fail ([`Error::CircuitOpen`]) instead
-//!   of consuming worker time; after a cooldown, half-open probes readmit
-//!   one request at a time (see [`breaker`]);
 //! * **server-wide memory governance** — [`ServeConfig::memory_budget`]
 //!   is split equally over the tenants the server has seen, and each
 //!   share tightens the budget of every query's own `MemoryGovernor`
@@ -50,7 +45,7 @@
 //!   (`PoisonError::into_inner`) rather than propagating it;
 //! * **graceful drain** — [`Server::shutdown`] stops admission, serves
 //!   everything already queued, joins the workers, and returns a
-//!   [`ServeReport`] with per-tenant counts, breaker and shed statistics,
+//!   [`ServeReport`] with per-tenant served and shed counts,
 //!   and the aggregated result-cache statistics.
 //!   [`Server::shutdown_now`] instead revokes: queued requests are
 //!   answered with [`Error::ShuttingDown`] and in-flight work is
@@ -74,18 +69,13 @@
 //! assert_eq!(report.served(), 1);
 //! ```
 
-pub mod breaker;
-
-pub use breaker::{BreakerConfig, BreakerReport, BreakerState};
-
 use amber::{
     AmberEngine, CacheStats, CancelToken, CompiledQuery, EngineError, Error, ExecOptions,
-    QueryOutcome, QueryRequest, QuerySession, QueryStatus, TripCause,
+    QueryOutcome, QueryRequest, QuerySession,
 };
 use amber_obs::{Counter, Gauge, Histogram};
 use amber_util::fault::{self, payload_message, FaultPoint};
 use amber_util::timing::Budget;
-use breaker::{Admission, Breaker};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -108,9 +98,7 @@ struct ServeMetrics {
     served: Arc<Counter>,
     shed: Arc<Counter>,
     rejected: Arc<Counter>,
-    fast_fails: Arc<Counter>,
     revoked: Arc<Counter>,
-    breaker_trips: Arc<Counter>,
 }
 
 fn serve_metrics() -> &'static ServeMetrics {
@@ -129,9 +117,7 @@ fn serve_metrics() -> &'static ServeMetrics {
         served: amber_obs::counter("amber_serve_requests_total", &[("outcome", "served")]),
         shed: amber_obs::counter("amber_serve_requests_total", &[("outcome", "shed")]),
         rejected: amber_obs::counter("amber_serve_requests_total", &[("outcome", "rejected")]),
-        fast_fails: amber_obs::counter("amber_serve_requests_total", &[("outcome", "fast_fail")]),
         revoked: amber_obs::counter("amber_serve_requests_total", &[("outcome", "revoked")]),
-        breaker_trips: amber_obs::counter("amber_serve_breaker_trips_total", &[]),
     })
 }
 
@@ -167,9 +153,6 @@ pub struct ServeConfig {
     /// Record the tenant of every dispatch, in order, for the
     /// [`ServeReport`] — the observable fairness is asserted on this.
     pub record_dispatch: bool,
-    /// Per-tenant circuit breakers (see [`breaker`]); `None` disables
-    /// them (every submission is admitted regardless of failure history).
-    pub breaker: Option<BreakerConfig>,
     /// Server-wide memory budget in bytes. With `T` tenants known to the
     /// server, every query runs under at most `total / T` bytes: the
     /// share *tightens* (never loosens) the query's
@@ -202,7 +185,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_capacity: 256,
             record_dispatch: false,
-            breaker: None,
             memory_budget: None,
             options: ExecOptions::batch(),
             trace: false,
@@ -324,8 +306,6 @@ struct Job {
     /// Revocation handle, installed into the engine's options at dispatch
     /// so [`Server::shutdown_now`] can cancel in-flight work.
     cancel: CancelToken,
-    /// This request is its tenant's single half-open breaker probe.
-    probe: bool,
     /// Force the session's flight recorder on for this dispatch
     /// ([`SubmitOptions::tracing`]); restored afterwards.
     tracing: bool,
@@ -355,9 +335,6 @@ struct TenantState {
     /// Requests shed with [`Error::DeadlineExpired`] (never
     /// executed, not counted in `served`).
     shed: u64,
-    /// This tenant's circuit breaker (inert unless
-    /// [`ServeConfig::breaker`] is set).
-    breaker: Breaker,
     /// The in-flight request's cancel token, for `shutdown_now`.
     inflight_cancel: Option<CancelToken>,
 }
@@ -487,7 +464,6 @@ struct DispatchContext {
     /// [`ServeConfig::workers`], clamped to at least 1: the worker-thread
     /// count and the bound on concurrently executing requests.
     workers: usize,
-    breaker: Option<BreakerConfig>,
     /// [`ServeConfig::memory_budget`], split per tenant by [`tenant_quota`].
     memory_budget: Option<usize>,
     trace: bool,
@@ -540,7 +516,6 @@ impl Server {
             },
             options: config.options,
             workers: config.workers.max(1),
-            breaker: config.breaker,
             memory_budget: config.memory_budget,
             trace: config.trace,
             slow_query_threshold: config.slow_query_threshold,
@@ -564,11 +539,10 @@ impl Server {
     /// Compile SPARQL text and submit it for `tenant` with default
     /// [`SubmitOptions`] (no budget, no per-request timeout). Returns a
     /// [`Ticket`] immediately on admission; rejects with the typed
-    /// [`Error::Overloaded`] / [`Error::CircuitOpen`] without
-    /// enqueueing anything. Parse errors are reported synchronously
-    /// (nothing is enqueued for them). Requests of one tenant complete in
-    /// submission order; requests of different tenants are scheduled
-    /// round-robin.
+    /// [`Error::Overloaded`] without enqueueing anything. Parse errors are
+    /// reported synchronously (nothing is enqueued for them). Requests of
+    /// one tenant complete in submission order; requests of different
+    /// tenants are scheduled round-robin.
     pub fn submit_sparql(&self, tenant: &str, sparql: &str) -> Result<Ticket, Error> {
         self.submit_sparql_with(tenant, sparql, SubmitOptions::default())
     }
@@ -621,8 +595,8 @@ impl Server {
     }
 
     /// The admission checks every entry point shares, in order: the
-    /// `serve-admit` chaos point, draining, queue capacity, the tenant's
-    /// breaker. On success nothing has been enqueued or started yet.
+    /// `serve-admit` chaos point, draining, queue capacity. On success
+    /// nothing has been enqueued or started yet.
     fn admit(
         &self,
         tenant: &str,
@@ -662,22 +636,6 @@ impl Server {
             Some((existing, _)) => Arc::clone(existing),
             None => Arc::from(tenant),
         };
-        let entry = state.tenants.entry(Arc::clone(&tenant)).or_default();
-        // Breaker admission runs after the capacity check so a fast-fail
-        // never consumes a queue slot and an overload never burns the
-        // single half-open probe.
-        let probe = if self.ctx.breaker.is_some() {
-            match entry.breaker.admit(Instant::now()) {
-                Admission::Admit => false,
-                Admission::Probe => true,
-                Admission::FastFail { cause, retry_after } => {
-                    serve_metrics().fast_fails.inc();
-                    return Err(Error::CircuitOpen { cause, retry_after });
-                }
-            }
-        } else {
-            false
-        };
         Ok(Admitted {
             state,
             tenant,
@@ -687,7 +645,6 @@ impl Server {
                 budget,
                 timeout: opts.timeout,
                 cancel: CancelToken::new(),
-                probe,
                 tracing: opts.tracing,
             },
         })
@@ -800,18 +757,9 @@ impl Server {
             let mut state = self.ctx.shared.lock();
             state.draining = true;
             state.paused = false;
-            let now = Instant::now();
             let mut revoked = Vec::new();
             for tenant in state.tenants.values_mut() {
-                while let Some(request) = tenant.queue.pop_front() {
-                    if request.job.probe {
-                        // The probe never ran; let the next submission
-                        // (of a restarted server sharing the breaker
-                        // history — or simply the bookkeeping) re-probe.
-                        tenant.breaker.probe_aborted(now);
-                    }
-                    revoked.push(request.ticket);
-                }
+                revoked.extend(tenant.queue.drain(..).map(|request| request.ticket));
                 if let Some(cancel) = &tenant.inflight_cancel {
                     cancel.cancel();
                 }
@@ -864,7 +812,6 @@ impl Server {
                     .as_ref()
                     .map(|s| s.result_stats())
                     .unwrap_or_default(),
-                breaker: t.breaker.report(),
             })
             .collect();
         tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
@@ -875,8 +822,6 @@ impl Server {
         ServeReport {
             rejected: state.rejected,
             deadline_shed: tenants.iter().map(|t| t.deadline_shed).sum(),
-            breaker_trips: tenants.iter().map(|t| t.breaker.trips).sum(),
-            breaker_fast_fails: tenants.iter().map(|t| t.breaker.fast_fails).sum(),
             internal_faults: state.internal_faults,
             drain_faults: state.drain_faults,
             result_stats: aggregate,
@@ -906,31 +851,6 @@ fn answer(ticket: &TicketInner, result: Result<QueryOutcome, Error>) {
     *slot = Some(result);
     drop(slot);
     ticket.done.notify_all();
-}
-
-/// How one completion moves the tenant's breaker.
-enum BreakerVerdict {
-    /// Successful completion: close.
-    Success,
-    /// Hard failure: count toward (or cause) a trip.
-    Failure(TripCause),
-    /// The server's own throttling (shed, cancelled, budget-exceeded) or
-    /// a synchronous failure class the breaker ignores.
-    Neutral,
-}
-
-fn classify(result: &Result<QueryOutcome, Error>) -> BreakerVerdict {
-    match result {
-        Ok(outcome) => match outcome.status {
-            QueryStatus::Completed => BreakerVerdict::Success,
-            QueryStatus::TimedOut => BreakerVerdict::Failure(TripCause::TimedOut),
-            QueryStatus::Cancelled | QueryStatus::BudgetExceeded => BreakerVerdict::Neutral,
-        },
-        Err(Error::Engine(EngineError::Internal { .. })) => {
-            BreakerVerdict::Failure(TripCause::Internal)
-        }
-        Err(_) => BreakerVerdict::Neutral,
-    }
 }
 
 /// The request loop each serving worker runs: pick the next tenant off the
@@ -1059,14 +979,13 @@ fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcom
     // Completion-visibility contract (pinned by the
     // `counters_are_visible_before_the_answer` regression test and
     // documented in docs/observability.md): ALL bookkeeping for a
-    // request — session hand-back, served/shed counts, breaker
-    // movement, and the registry metrics fed from them — lands
-    // BEFORE the result is published (returned to an inline caller,
-    // `answer`ed to a ticket). A client that has its answer therefore
-    // never observes a counter lagging its own request: the tenant is
-    // ready for the next submission, a hard failure has already moved
-    // the breaker, and a metrics snapshot taken afterwards includes
-    // the request. (The engine counts its own series even earlier,
+    // request — session hand-back, served/shed counts, and the
+    // registry metrics fed from them — lands BEFORE the result is
+    // published (returned to an inline caller, `answer`ed to a ticket).
+    // A client that has its answer therefore never observes a counter
+    // lagging its own request: the tenant is ready for the next
+    // submission, and a metrics snapshot taken afterwards includes the
+    // request. (The engine counts its own series even earlier,
     // inside `run_in`, where each event happens.) The only serve-side
     // state that updates *outside* this pre-answer block is the
     // `retry_after` service-rate EWMA input ordering across threads — a
@@ -1091,23 +1010,6 @@ fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcom
             } else {
                 entry.shed += 1;
                 serve_metrics().shed.inc();
-            }
-            if let Some(cfg) = &ctx.breaker {
-                let now = Instant::now();
-                match classify(&result) {
-                    BreakerVerdict::Success => entry.breaker.record_success(),
-                    BreakerVerdict::Failure(cause) => {
-                        let tripped = entry.breaker.record_failure(cfg, cause, now);
-                        if tripped {
-                            serve_metrics().breaker_trips.inc();
-                        }
-                    }
-                    BreakerVerdict::Neutral => {
-                        if job.probe {
-                            entry.breaker.probe_aborted(now);
-                        }
-                    }
-                }
             }
             if !entry.queue.is_empty() {
                 state.rotation.push_back(tenant);
@@ -1185,8 +1087,6 @@ pub struct TenantReport {
     pub queries_executed: u64,
     /// The tenant session's result-cache counters.
     pub result_stats: CacheStats,
-    /// The tenant's circuit-breaker counters and final state.
-    pub breaker: BreakerReport,
 }
 
 /// What a drained [`Server`] observed, returned by [`Server::shutdown`]
@@ -1200,11 +1100,6 @@ pub struct ServeReport {
     /// Requests shed with [`Error::DeadlineExpired`] across all
     /// tenants.
     pub deadline_shed: u64,
-    /// Circuit-breaker trips across all tenants.
-    pub breaker_trips: u64,
-    /// Submissions fast-failed with [`Error::CircuitOpen`] across
-    /// all tenants.
-    pub breaker_fast_fails: u64,
     /// Serving-layer invariant violations recovered instead of panicking.
     pub internal_faults: u64,
     /// `serve-drain` chaos panics trapped on the drain path.
@@ -1240,11 +1135,6 @@ impl ServeReport {
         self.tenant(tenant).map_or(0, |t| t.deadline_shed)
     }
 
-    /// One tenant's breaker counters (`None` if never seen).
-    pub fn breaker_for(&self, tenant: &str) -> Option<BreakerReport> {
-        self.tenant(tenant).map(|t| t.breaker)
-    }
-
     fn tenant(&self, tenant: &str) -> Option<&TenantReport> {
         self.tenants.iter().find(|t| t.tenant == tenant)
     }
@@ -1253,6 +1143,7 @@ impl ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amber::QueryStatus;
 
     fn demo_engine() -> Arc<AmberEngine> {
         let triples = "\
@@ -1378,85 +1269,6 @@ mod tests {
         assert_eq!(report.served_for("a"), 1);
         assert_eq!(report.served_for("b"), 1);
         assert_eq!(report.deadline_shed, 0);
-    }
-
-    #[test]
-    fn breaker_trips_fast_fails_and_isolates_tenants() {
-        let engine = demo_engine();
-        let server = Server::start(
-            Arc::clone(&engine),
-            ServeConfig {
-                workers: 1,
-                breaker: Some(BreakerConfig {
-                    failure_threshold: 2,
-                    cooldown: Duration::from_secs(3600),
-                }),
-                ..ServeConfig::default()
-            },
-        );
-        // Two consecutive zero-timeout requests → two TimedOut outcomes →
-        // the breaker trips (bookkeeping lands before the ticket answer,
-        // so the order below is deterministic).
-        for _ in 0..2 {
-            let t = server
-                .submit_sparql_with(
-                    "a",
-                    CHAIN,
-                    SubmitOptions::new().with_timeout(Duration::ZERO),
-                )
-                .unwrap();
-            assert_eq!(t.wait().unwrap().status, QueryStatus::TimedOut);
-        }
-        // Every submission while open fails fast, and none re-trips.
-        for _ in 0..3 {
-            match server.submit_sparql("a", CHAIN) {
-                Err(Error::CircuitOpen { cause, retry_after }) => {
-                    assert_eq!(cause, TripCause::TimedOut);
-                    assert!(retry_after <= Duration::from_secs(3600));
-                }
-                other => panic!("expected CircuitOpen, got {other:?}"),
-            }
-        }
-        // The neighbor tenant is unaffected.
-        let b = server.submit_sparql("b", EDGE).unwrap();
-        assert_eq!(b.wait().unwrap().embedding_count, 1);
-        let report = server.shutdown();
-        assert_eq!(report.breaker_trips, 1);
-        assert_eq!(report.breaker_fast_fails, 3);
-        let a = report.breaker_for("a").unwrap();
-        assert_eq!(a.state, BreakerState::Open);
-        assert_eq!(report.breaker_for("b").unwrap().state, BreakerState::Closed);
-    }
-
-    #[test]
-    fn half_open_probe_success_recloses_the_breaker() {
-        let engine = demo_engine();
-        let server = Server::start(
-            Arc::clone(&engine),
-            ServeConfig {
-                workers: 1,
-                breaker: Some(BreakerConfig {
-                    failure_threshold: 1,
-                    cooldown: Duration::ZERO, // half-open on the next submit
-                }),
-                ..ServeConfig::default()
-            },
-        );
-        let t = server
-            .submit_sparql_with(
-                "a",
-                CHAIN,
-                SubmitOptions::new().with_timeout(Duration::ZERO),
-            )
-            .unwrap();
-        assert_eq!(t.wait().unwrap().status, QueryStatus::TimedOut);
-        // The zero cooldown admits the next submission as the probe; it
-        // succeeds and the breaker closes again.
-        let probe = server.submit_sparql("a", CHAIN).unwrap();
-        assert_eq!(probe.wait().unwrap().status, QueryStatus::Completed);
-        let report = server.shutdown();
-        assert_eq!(report.breaker_trips, 1);
-        assert_eq!(report.breaker_for("a").unwrap().state, BreakerState::Closed);
     }
 
     #[test]
@@ -1647,47 +1459,61 @@ mod tests {
     fn counters_are_visible_before_the_answer() {
         // Regression test for the completion-visibility contract
         // documented in `run_dispatch`: every counter a request moves —
-        // per-tenant served counts, breaker state, registry metrics —
-        // is already readable when the answer is. A client never
-        // observes bookkeeping lagging its own request.
+        // per-tenant served and shed counts, the session hand-back,
+        // registry metrics — is already readable when the answer is. A
+        // client never observes bookkeeping lagging its own request.
         let served_handle =
             amber_obs::counter("amber_serve_requests_total", &[("outcome", "served")]);
+        let shed_handle = amber_obs::counter("amber_serve_requests_total", &[("outcome", "shed")]);
+        // (served, shed, busy, session held) of one tenant, read under the
+        // serving lock.
+        let tenant_state = |server: &Server, tenant: &str| {
+            let state = server.ctx.shared.lock();
+            let t = &state.tenants[tenant];
+            (t.served, t.shed, t.busy, t.session.is_some())
+        };
         for roundtrip in [VIA_TICKET, VIA_EXECUTE] {
-            let before = served_handle.get();
-            let engine = demo_engine();
             let server = Server::start(
-                Arc::clone(&engine),
+                demo_engine(),
                 ServeConfig {
                     workers: 1,
-                    breaker: Some(BreakerConfig {
-                        failure_threshold: 1,
-                        cooldown: Duration::from_secs(3600),
-                    }),
                     ..ServeConfig::default()
                 },
             );
-            let timed_out = roundtrip(
+            let shed_before = shed_handle.get();
+            let shed = roundtrip(
                 &server,
                 "a",
                 CHAIN,
-                SubmitOptions::new().with_timeout(Duration::ZERO),
+                SubmitOptions::new().with_budget(Duration::ZERO),
             );
-            assert_eq!(timed_out.unwrap().status, QueryStatus::TimedOut);
-            // The breaker moved BEFORE the answer, so the very next
-            // request deterministically observes it open...
-            assert!(matches!(
-                roundtrip(&server, "a", CHAIN, SubmitOptions::new()),
-                Err(Error::CircuitOpen { .. })
-            ));
-            // ...and the registry moved before the answer too (monotonic
+            assert!(matches!(shed, Err(Error::DeadlineExpired { .. })));
+            // The shed is counted and the tenant is idle again; it never
+            // executed, so there is no session to hand back yet.
+            assert_eq!(tenant_state(&server, "a"), (0, 1, false, false));
+            // The registry moved before the answer too (monotonic
             // counters: concurrent tests only ever add).
             assert!(
-                served_handle.get() > before,
+                shed_handle.get() > shed_before,
+                "shed counter must include the answered request"
+            );
+
+            let served_before = served_handle.get();
+            let healthy = roundtrip(&server, "a", CHAIN, SubmitOptions::new());
+            assert_eq!(healthy.unwrap().status, QueryStatus::Completed);
+            assert_eq!(
+                tenant_state(&server, "a"),
+                (1, 1, false, true),
+                "served counted and the session handed back before the answer"
+            );
+            assert_eq!(server.inflight(), 0, "the slot is free too");
+            assert!(
+                served_handle.get() > served_before,
                 "served counter must include the answered request"
             );
-            assert!(amber_obs::counter("amber_serve_breaker_trips_total", &[]).get() >= 1);
             let report = server.shutdown();
-            assert_eq!(report.breaker_trips, 1);
+            assert_eq!(report.deadline_shed, 1);
+            assert_eq!(report.served_for("a"), 1);
         }
     }
 
@@ -1784,7 +1610,6 @@ mod tests {
                 budget: None,
                 timeout: None,
                 cancel: CancelToken::new(),
-                probe: false,
                 tracing: false,
             },
             ticket: Arc::clone(&ticket.inner),

@@ -94,10 +94,11 @@ impl Deadline {
     /// Only look at the clock every 1024 polls.
     const CHECK_MASK: u32 = 0x3FF;
 
-    /// A deadline `budget` from now; `None` never expires.
+    /// A deadline `budget` from now; `None` never expires, and neither
+    /// does a budget that reaches past the clock's range (`Duration::MAX`).
     pub fn new(budget: Option<Duration>) -> Self {
         Self {
-            limit: budget.map(|b| Instant::now() + b),
+            limit: budget.and_then(|b| Instant::now().checked_add(b)),
             calls: std::sync::atomic::AtomicU32::new(0),
         }
     }
@@ -172,6 +173,17 @@ mod tests {
         let d = Deadline::new(Some(Duration::from_secs(3600)));
         for _ in 0..5000 {
             assert!(!d.exceeded());
+        }
+    }
+
+    #[test]
+    fn budget_past_the_clock_range_never_fires() {
+        for budget in [Duration::MAX, Duration::from_secs(u64::MAX)] {
+            let d = Deadline::new(Some(budget));
+            for _ in 0..5000 {
+                assert!(!d.exceeded());
+            }
+            assert!(!d.exceeded_now());
         }
     }
 

@@ -1,9 +1,11 @@
 //! Execution-option matrix across all engines: count-only, max_results,
-//! DISTINCT, result-cache capacity — every engine must expose
-//! the same observable behaviour for every combination, and AMbER's batch
-//! entry point must expose the same behaviour as its one-shot path.
+//! DISTINCT — every engine must expose the same observable behaviour for
+//! every combination, and AMbER's warm-session path the same behaviour as
+//! its one-shot path.
 
-use amber::{AmberEngine, ExecOptions, QueryRequest};
+mod common;
+
+use amber::{AmberEngine, ExecOptions};
 use amber_baselines::all_engines;
 use amber_multigraph::paper::{paper_graph, PREFIX_Y};
 use amber_multigraph::RdfGraph;
@@ -97,55 +99,16 @@ fn variables_order_matches_projection() {
 
 #[test]
 fn batch_knob_matrix_matches_one_shot_execution() {
-    // Sweep the result-cache capacity (including 0 = disabled
-    // and a capacity of 1 that forces eviction mid-batch) against every
-    // option combination the one-shot path supports.
+    // A DISTINCT query between two verbatim repeats of its bag twin, in
+    // every session mode of the shared harness: result-cache capacities
+    // 0 (disabled), 1 (evicting mid-batch) and 256, each with capped
+    // materialization, count-only and a one-row cap.
     let engine = AmberEngine::from_graph(rdf());
-    let texts = [query(), distinct_query(), query()];
-    let queries: Vec<_> = texts
+    let stream: Vec<_> = [query(), distinct_query(), query()]
         .iter()
         .map(|t| amber_sparql::parse_select(t).unwrap())
         .collect();
-    let option_matrix = [
-        ExecOptions::default(),
-        ExecOptions::default().counting(),
-        ExecOptions::default().with_max_results(1),
-        ExecOptions::batch(),
-    ];
-    for base in option_matrix {
-        for capacity in [0usize, 1, 4096] {
-            let options = base.clone().with_result_cache(capacity);
-            let requests: Vec<QueryRequest<'_>> = queries
-                .iter()
-                .map(|q| QueryRequest::parsed(q).with_options(options.clone()))
-                .collect();
-            let mut session = engine.create_session(&options);
-            for request in &requests {
-                let batched = engine.run_in(request, &mut session).unwrap();
-                let solo = engine.run(request).unwrap();
-                assert_eq!(
-                    batched.embedding_count, solo.embedding_count,
-                    "capacity {capacity}"
-                );
-                assert_eq!(batched.bindings.len(), solo.bindings.len());
-                let mut a = batched.bindings.to_vec();
-                let mut b = solo.bindings.to_vec();
-                a.sort();
-                b.sort();
-                assert_eq!(a, b, "capacity {capacity}");
-            }
-            assert_eq!(session.queries_executed(), queries.len() as u64);
-            // Counter coherence: with the cache disabled nothing may be
-            // memoized; with it enabled the hit rate stays a probability.
-            let stats = session.result_stats();
-            if capacity == 0 {
-                assert_eq!(stats.hits + stats.misses, 0);
-                assert_eq!(stats.entries, 0);
-            }
-            assert!((0.0..=1.0).contains(&stats.hit_rate()));
-            assert!(stats.entries <= capacity);
-        }
-    }
+    common::assert_equal_in_every_mode(&engine, &stream, "paper projection stream");
 }
 
 #[test]

@@ -95,6 +95,34 @@ fn zero_budget_times_out_on_every_engine() {
 }
 
 #[test]
+fn a_timeout_past_the_clock_range_never_fires() {
+    // `Duration::MAX` cannot be added to an `Instant`: such a limit never
+    // expires, so the query answers exactly as an untimed run does.
+    let query = paper_query_text();
+    let engine = AmberEngine::from_graph(paper_graph());
+    let untimed = engine.run(&QueryRequest::sparql(&query)).unwrap();
+    for limit in [Duration::MAX, Duration::from_secs(u64::MAX)] {
+        let timed = engine
+            .run(&QueryRequest::sparql(&query).with_timeout(limit))
+            .expect("no panic to trap");
+        assert_eq!(timed.status, QueryStatus::Completed);
+        assert_eq!(timed.bindings, untimed.bindings);
+    }
+    for engine in all_engines(Arc::new(paper_graph())) {
+        let outcome = engine
+            .execute_sparql(&query, &ExecOptions::default().with_timeout(Duration::MAX))
+            .expect("executes");
+        assert!(!outcome.timed_out(), "{}", engine.name());
+        assert_eq!(
+            outcome.embedding_count,
+            PAPER_QUERY_EMBEDDINGS as u128,
+            "{}",
+            engine.name()
+        );
+    }
+}
+
+#[test]
 fn midflight_deadline_is_reported_or_the_count_is_exact() {
     // The skewed generator has closed-form counts. Unbounded, the engine
     // must reproduce them; with a budget around the query's own runtime,
@@ -420,186 +448,5 @@ fn self_loop_queries_agree() {
             .unwrap();
         // ?x = a (self loop), ?y ∈ {a, b}.
         assert_eq!(out.embedding_count, 2, "{}", engine.name());
-    }
-}
-
-// ---------------------------------------------------------------------
-// Per-tenant circuit breakers (deterministic: failures are driven by
-// zero execution timeouts, not by chaos injection).
-// ---------------------------------------------------------------------
-
-mod breakers {
-    use amber::{AmberEngine, Error, QueryRequest, QueryStatus, TripCause};
-    use amber_serve::{BreakerConfig, BreakerState, ServeConfig, Server, SubmitOptions};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    const EDGE: &str = "SELECT * WHERE { ?s <http://e/p> ?o . }";
-    const CHAIN: &str = "SELECT * WHERE { ?x <http://e/p> ?y . ?y <http://e/p> ?z . }";
-
-    fn serve_engine() -> Arc<AmberEngine> {
-        let triples = "\
-<http://e/a> <http://e/p> <http://e/b> .\n\
-<http://e/b> <http://e/p> <http://e/c> .\n";
-        Arc::new(AmberEngine::load_ntriples(triples).unwrap())
-    }
-
-    fn server(threshold: u32, cooldown: Duration) -> Server {
-        Server::start(
-            serve_engine(),
-            ServeConfig {
-                workers: 1,
-                breaker: Some(BreakerConfig {
-                    failure_threshold: threshold,
-                    cooldown,
-                }),
-                ..ServeConfig::default()
-            },
-        )
-    }
-
-    /// A zero-timeout submission: deterministically `TimedOut` (the
-    /// deadline fires on its first poll), a hard failure for the breaker.
-    fn timed_out_request(server: &Server, tenant: &str) {
-        let ticket = server
-            .submit_sparql_with(
-                tenant,
-                CHAIN,
-                SubmitOptions::new().with_timeout(Duration::ZERO),
-            )
-            .expect("admitted");
-        assert_eq!(ticket.wait().unwrap().status, QueryStatus::TimedOut);
-    }
-
-    #[test]
-    fn trips_exactly_at_the_consecutive_failure_threshold() {
-        let server = server(3, Duration::from_secs(3600));
-        // Two failures, a success in between: the run resets, no trip.
-        timed_out_request(&server, "a");
-        timed_out_request(&server, "a");
-        assert_eq!(
-            server
-                .submit_sparql("a", EDGE)
-                .unwrap()
-                .wait()
-                .unwrap()
-                .status,
-            QueryStatus::Completed
-        );
-        // Three consecutive failures: the third trips the breaker.
-        for _ in 0..3 {
-            timed_out_request(&server, "a");
-        }
-        match server.submit_sparql("a", EDGE) {
-            Err(Error::CircuitOpen { cause, retry_after }) => {
-                assert_eq!(cause, TripCause::TimedOut);
-                assert!(retry_after <= Duration::from_secs(3600));
-                assert!(retry_after > Duration::ZERO, "mid-cooldown hint");
-            }
-            other => panic!("expected CircuitOpen, got {other:?}"),
-        }
-        let report = server.shutdown();
-        assert_eq!(report.breaker_trips, 1);
-        assert_eq!(report.breaker_fast_fails, 1);
-        assert_eq!(report.breaker_for("a").unwrap().state, BreakerState::Open);
-    }
-
-    #[test]
-    fn half_open_probe_success_closes_the_breaker() {
-        let server = server(1, Duration::ZERO);
-        timed_out_request(&server, "a"); // trips (threshold 1)
-                                         // Zero cooldown: the next submission is the half-open probe. It
-                                         // succeeds, so the breaker closes and everything flows again.
-        assert_eq!(
-            server
-                .submit_sparql("a", EDGE)
-                .unwrap()
-                .wait()
-                .unwrap()
-                .status,
-            QueryStatus::Completed
-        );
-        assert_eq!(
-            server
-                .submit_sparql("a", EDGE)
-                .unwrap()
-                .wait()
-                .unwrap()
-                .status,
-            QueryStatus::Completed
-        );
-        let report = server.shutdown();
-        assert_eq!(report.breaker_trips, 1);
-        assert_eq!(report.breaker_for("a").unwrap().state, BreakerState::Closed);
-        assert_eq!(report.served_for("a"), 3);
-    }
-
-    #[test]
-    fn half_open_probe_failure_reopens_with_a_fresh_cooldown() {
-        let server = server(1, Duration::ZERO);
-        timed_out_request(&server, "a"); // trips
-        timed_out_request(&server, "a"); // the probe itself fails hard
-        let report = server.shutdown();
-        assert_eq!(report.breaker_trips, 2, "a failed probe is a fresh trip");
-        assert_eq!(report.breaker_for("a").unwrap().state, BreakerState::Open);
-    }
-
-    #[test]
-    fn tripped_tenant_fast_fails_while_neighbors_complete_identically() {
-        let server = server(1, Duration::from_secs(3600));
-        let engine = serve_engine();
-        let baseline = engine.run(&QueryRequest::sparql(EDGE)).unwrap();
-        timed_out_request(&server, "noisy"); // trips the noisy tenant
-        assert!(matches!(
-            server.submit_sparql("noisy", EDGE),
-            Err(Error::CircuitOpen { .. })
-        ));
-        // Healthy tenants are untouched — and bit-identical to a private
-        // engine run.
-        for tenant in ["quiet-1", "quiet-2"] {
-            let outcome = server.submit_sparql(tenant, EDGE).unwrap().wait().unwrap();
-            assert_eq!(outcome.status, QueryStatus::Completed);
-            assert_eq!(outcome.embedding_count, baseline.embedding_count);
-            assert_eq!(outcome.variables, baseline.variables);
-            assert_eq!(outcome.bindings.to_vec(), baseline.bindings.to_vec());
-        }
-        let report = server.shutdown();
-        assert_eq!(
-            report.breaker_for("noisy").unwrap().state,
-            BreakerState::Open
-        );
-        assert_eq!(
-            report.breaker_for("quiet-1").unwrap().state,
-            BreakerState::Closed
-        );
-        assert_eq!(report.served_for("quiet-1"), 1);
-        assert_eq!(report.served_for("quiet-2"), 1);
-    }
-
-    #[test]
-    fn breakers_disabled_by_default_never_fast_fail() {
-        let server = Server::start(
-            serve_engine(),
-            ServeConfig {
-                workers: 1,
-                ..ServeConfig::default()
-            },
-        );
-        for _ in 0..6 {
-            timed_out_request(&server, "a");
-        }
-        // No breaker configured: failure history never blocks admission.
-        assert_eq!(
-            server
-                .submit_sparql("a", EDGE)
-                .unwrap()
-                .wait()
-                .unwrap()
-                .status,
-            QueryStatus::Completed
-        );
-        let report = server.shutdown();
-        assert_eq!(report.breaker_trips, 0);
-        assert_eq!(report.breaker_fast_fails, 0);
     }
 }

@@ -441,15 +441,13 @@ fn settled(result: &Result<QueryOutcome, Error>) -> String {
     match result {
         Ok(outcome) => format!("{:?} {:?}", outcome.status, normalized(outcome)),
         Err(Error::DeadlineExpired { budget, .. }) => format!("shed after {budget:?}"),
-        Err(Error::CircuitOpen { cause, .. }) => format!("circuit open: {cause}"),
         Err(other) => format!("{other:?}"),
     }
 }
 
 /// `Server::execute` is `submit_sparql_with(..)?.wait()`: the same seeded
-/// stream — healthy, zero-timeout (breaker failures), zero-budget (sheds)
-/// and, once a breaker has tripped, fast-failed requests — settles
-/// identically whether every request runs inline on the client's thread
+/// stream — healthy, zero-timeout (timeouts) and zero-budget (sheds)
+/// requests — settles identically whether every request runs inline on the client's thread
 /// or is queued on a paused server and drained by the workers.
 #[test]
 fn execute_matches_submit_request_for_request_and_counter_for_counter() {
@@ -469,7 +467,8 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
         assert!(!texts.is_empty());
 
         // One request per tenant per round. `noisy` opens with two
-        // zero-timeout requests, so its breaker trips in round 2.
+        // zero-timeout requests; its first meets a cold session, so every
+        // stream times out at least once.
         let mut rng = StdRng::seed_from_u64(seed);
         let rounds: Vec<Vec<(&str, &str, SubmitOptions)>> = (0..ROUNDS)
             .map(|round| {
@@ -501,10 +500,6 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
                 Arc::new(AmberEngine::from_graph(Arc::clone(&rdf))),
                 ServeConfig {
                     workers: 2,
-                    breaker: Some(amber_serve::BreakerConfig {
-                        failure_threshold: 2,
-                        cooldown: Duration::from_secs(3600),
-                    }),
                     options: ExecOptions::batch().with_max_results(200),
                     ..ServeConfig::default()
                 },
@@ -538,16 +533,17 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
         let queued_report = queued.shutdown();
 
         assert_eq!(inline_settled, queued_settled, "seed {seed}");
-        assert!(
-            inline_settled.iter().any(|s| s.starts_with("circuit open")),
-            "seed {seed}: the stream never exercised a tripped breaker"
-        );
+        for class in ["TimedOut", "shed after"] {
+            assert!(
+                inline_settled.iter().any(|s| s.starts_with(class)),
+                "seed {seed}: the stream never produced a {class:?} answer"
+            );
+        }
         for (a, b) in inline_report.tenants.iter().zip(&queued_report.tenants) {
             assert_eq!(a.tenant, b.tenant);
             assert_eq!(a.served, b.served, "{}", a.tenant);
             assert_eq!(a.deadline_shed, b.deadline_shed, "{}", a.tenant);
             assert_eq!(a.queries_executed, b.queries_executed, "{}", a.tenant);
-            assert_eq!(a.breaker, b.breaker, "{}", a.tenant);
             assert_eq!(a.result_stats, b.result_stats, "{}", a.tenant);
         }
         assert_eq!(inline_report.rejected, queued_report.rejected);

@@ -20,6 +20,7 @@
 use amber_bench::experiments;
 use amber_bench::HarnessConfig;
 use amber_datagen::{Benchmark, QueryShape};
+use std::str::FromStr;
 use std::time::Duration;
 
 fn main() {
@@ -46,19 +47,16 @@ fn main() {
                 .clone()
         };
         match flag {
-            "--scale" => config.scale = value(&mut i).parse().expect("--scale N"),
-            "--seed" => config.seed = value(&mut i).parse().expect("--seed N"),
-            "--queries" => config.queries_per_size = value(&mut i).parse().expect("--queries N"),
+            "--scale" => config.scale = number(flag, &value(&mut i)),
+            "--seed" => config.seed = number(flag, &value(&mut i)),
+            "--queries" => config.queries_per_size = number(flag, &value(&mut i)),
             "--sizes" => {
                 config.sizes = value(&mut i)
                     .split(',')
-                    .map(|s| s.trim().parse().expect("--sizes a,b,c"))
+                    .map(|s| number(flag, s.trim()))
                     .collect()
             }
-            "--timeout-ms" => {
-                config.timeout =
-                    Duration::from_millis(value(&mut i).parse().expect("--timeout-ms N"))
-            }
+            "--timeout-ms" => config.timeout = Duration::from_millis(number(flag, &value(&mut i))),
             "--engines" => {
                 config.engines = value(&mut i)
                     .split(',')
@@ -112,6 +110,14 @@ fn main() {
         }
     };
     println!("{output}");
+}
+
+/// The value of a numeric flag; anything else is a usage error (exit 2).
+fn number<T: FromStr>(flag: &str, raw: &str) -> T {
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} takes a number, got '{raw}'\n{}", usage());
+        std::process::exit(2);
+    })
 }
 
 fn usage() -> &'static str {

@@ -2,7 +2,6 @@
 
 use crate::embedding::{materialize_bindings, total_count};
 use crate::error::EngineError;
-use crate::governor::MemoryGovernor;
 use crate::matcher::{Abort, ComponentMatch, ComponentMatcher, MatchConfig};
 use crate::options::ExecOptions;
 use crate::plan::PreparedPlan;
@@ -468,17 +467,11 @@ impl AmberEngine {
             }
         };
         let outcome = self.run_plan(plan, variables, options, session, sw)?;
-        let shed = session.result_cache_shed();
         let results = session.result_cache_mut();
-        if shed {
-            // The memory governor reached its first ladder rung during
-            // this query: drop retained outcomes and store nothing.
-            results.clear();
-        }
-        let stored = if !cached || shed || !outcome.status.is_complete() {
-            // Partial outcomes (timeout, cancellation, blown budget) are
-            // *bypassed*, never stored: a truncated count must not be
-            // served to a repeat. Shedding bypasses too.
+        let stored = if !cached || !outcome.status.is_complete() {
+            // Partial outcomes (timeout, cancellation) are *bypassed*,
+            // never stored: a truncated count must not be served to a
+            // repeat.
             results.note_bypass();
             false
         } else {
@@ -523,12 +516,10 @@ impl AmberEngine {
         } else {
             options.max_results
         };
-        let governor = options.memory_budget.map(MemoryGovernor::new);
         let config = MatchConfig {
             deadline: &deadline,
             solution_cap,
             cancel: options.cancel.as_ref(),
-            governor: governor.as_ref(),
         };
 
         let mut matches: Vec<ComponentMatch> = Vec::new();
@@ -569,13 +560,6 @@ impl AmberEngine {
             }
         }
 
-        // Apply the governor's ladder to the session after the searches:
-        // the seed cache is shed here (it survives the query otherwise),
-        // result-cache shedding is flagged for the store site, and the
-        // steps feed the robustness statistics.
-        if let Some(governor) = &governor {
-            session.apply_governor(governor);
-        }
         if abort == Some(Abort::Cancelled) {
             crate::telemetry::note_cancellation();
         }
@@ -591,7 +575,6 @@ impl AmberEngine {
             session.recorder_mut().set_abort(match abort {
                 Abort::TimedOut => "timed out",
                 Abort::Cancelled => "cancelled",
-                Abort::BudgetExceeded => "memory budget exhausted",
             });
         }
 
@@ -620,7 +603,6 @@ impl AmberEngine {
                 None => QueryStatus::Completed,
                 Some(Abort::TimedOut) => QueryStatus::TimedOut,
                 Some(Abort::Cancelled) => QueryStatus::Cancelled,
-                Some(Abort::BudgetExceeded) => QueryStatus::BudgetExceeded,
             },
             embedding_count,
             variables,

@@ -37,7 +37,6 @@ pub mod embedding;
 pub mod engine;
 pub mod error;
 pub mod explain;
-pub mod governor;
 pub mod matcher;
 pub mod options;
 pub mod ordering;
@@ -51,7 +50,6 @@ pub(crate) mod telemetry;
 pub use engine::{AmberEngine, OfflineStats};
 pub use error::{EngineError, Error};
 pub use explain::{Explain, QueryPlan};
-pub use governor::{MemoryGovernor, Pressure};
 pub use options::ExecOptions;
 pub use plan::{PreparedPlan, ResultCache};
 pub use request::{QueryRequest, QuerySource};

@@ -58,7 +58,6 @@
 
 use crate::candidates::{process_vertex_seeded, satisfies_self_loop, Constraint};
 use crate::decompose::Decomposition;
-use crate::governor::MemoryGovernor;
 use crate::ordering::order_core_vertices;
 use crate::seeds::SeedCache;
 use amber_index::{IndexSet, NeighborhoodIndex};
@@ -93,8 +92,6 @@ impl ComponentSolution {
 pub enum Abort {
     /// The shared wall-clock deadline expired.
     TimedOut,
-    /// The memory governor's budget was exhausted.
-    BudgetExceeded,
     /// The caller's [`CancelToken`] fired.
     Cancelled,
 }
@@ -137,20 +134,16 @@ pub struct MatchConfig<'d> {
     /// Cooperative cancellation flag, polled at the same checkpoints as the
     /// deadline. `None` = not cancellable.
     pub cancel: Option<&'d CancelToken>,
-    /// Per-query memory governor; the search charges its state growth at
-    /// checkpoints and obeys its degradation ladder. `None` = ungoverned.
-    pub governor: Option<&'d MemoryGovernor>,
 }
 
 impl<'d> MatchConfig<'d> {
-    /// A config with only a deadline and an optional solution cap (the
-    /// pre-governor constructor shape — tests and one-shot callers).
+    /// A config with only a deadline and an optional solution cap (tests
+    /// and one-shot callers).
     pub fn new(deadline: &'d Deadline, solution_cap: Option<usize>) -> Self {
         Self {
             deadline,
             solution_cap,
             cancel: None,
-            governor: None,
         }
     }
 }
@@ -596,40 +589,14 @@ impl<'a> ComponentMatcher<'a> {
         arenas: &mut SearchArenas,
     ) -> ComponentMatch {
         arenas.prepare(&self.prep().plans);
-        let governor_reported = if config.governor.is_some() {
-            // Baseline the usage estimate at entry so only *growth* during
-            // this run is charged (prepared arenas are session memory
-            // already accounted by whichever query grew them).
-            arenas.heap_bytes()
-        } else {
-            0
-        };
         let mut state = SearchState {
             arenas,
             result: ComponentMatch::default(),
             config,
-            governor_reported,
-            governor_ticks: 0,
         };
         // Iterate the initial candidates as the root loop: a checkpoint
         // before every candidate, the precise clock on a stride.
         self.iterate_level(0, initial, &mut state, true);
-        // Settle the governor before handing the result back: the
-        // counter-gated checkpoints may never have measured on a short
-        // run, but the budget contract must hold for any run length.
-        // (Deadline/cancel are deliberately NOT re-polled — the work is
-        // already done; only the memory accounting must be made whole.)
-        if let Some(governor) = state.config.governor {
-            let usage = state.arenas.heap_bytes()
-                + state.result.solutions.len() * std::mem::size_of::<ComponentSolution>();
-            let delta = usage.saturating_sub(state.governor_reported);
-            if delta > 0 {
-                governor.charge(delta);
-            }
-            if governor.exhausted() {
-                state.result.merge_abort(Some(Abort::BudgetExceeded));
-            }
-        }
         state.result
     }
 
@@ -663,14 +630,8 @@ impl<'a> ComponentMatcher<'a> {
     fn try_candidate(&self, pos: usize, v: VertexId, state: &mut SearchState<'_, '_>) {
         state.result.nodes += 1;
         // Chaos-harness hook: one relaxed atomic load when disarmed. A
-        // `Panic` fault unwinds from here into the engine's quarantine; an
-        // `AllocFail` signal escalates the governor.
-        let signal = fault::inject(FaultPoint::MatcherCandidate);
-        if signal.alloc_fail {
-            if let Some(governor) = state.config.governor {
-                governor.exhaust();
-            }
-        }
+        // `Panic` fault unwinds from here into the engine's quarantine.
+        fault::inject(FaultPoint::MatcherCandidate);
         if !self.resolve_satellites(pos, v, state) {
             return;
         }
@@ -678,19 +639,13 @@ impl<'a> ComponentMatcher<'a> {
         self.recurse(pos + 1, state);
     }
 
-    /// How many checkpoints pass between governor usage measurements
-    /// (power of two; the measurement walks the depth arenas, so it is
-    /// amortized the same way [`Deadline`] amortizes clock reads).
-    const GOVERNOR_CHECK_MASK: u32 = 0xFF;
-
     /// How many root candidates pass between reads of the uncached clock.
     const ROOT_PRECISE_STRIDE: usize = 64;
 
-    /// Cooperative checkpoint: deadline, cancellation, and memory-budget
-    /// checks in one place. Returns `true` (after recording the abort
-    /// reason) when the search must stop. `precise` consults the uncached
-    /// clock and forces a governor measurement — the root loop only, on
-    /// its stride.
+    /// Cooperative checkpoint: deadline and cancellation checks in one
+    /// place. Returns `true` (after recording the abort reason) when the
+    /// search must stop. `precise` consults the uncached clock — the root
+    /// loop only, on its stride.
     fn check_abort(&self, state: &mut SearchState<'_, '_>, precise: bool) -> bool {
         // Cancellation is polled before the deadline: when both fire, the
         // explicit user abort is the status the caller should see (the
@@ -709,25 +664,6 @@ impl<'a> ComponentMatcher<'a> {
         if expired {
             state.result.merge_abort(Some(Abort::TimedOut));
             return true;
-        }
-        if let Some(governor) = state.config.governor {
-            state.governor_ticks = state.governor_ticks.wrapping_add(1);
-            if precise || state.governor_ticks & Self::GOVERNOR_CHECK_MASK == 0 {
-                // Approximate the live search state: arena heap
-                // plus retained solution headers (solution payloads grow
-                // the satellite buffers the arena walk already covers).
-                let usage = state.arenas.heap_bytes()
-                    + state.result.solutions.len() * std::mem::size_of::<ComponentSolution>();
-                let delta = usage.saturating_sub(state.governor_reported);
-                if delta > 0 {
-                    governor.charge(delta);
-                    state.governor_reported = usage;
-                }
-            }
-            if governor.exhausted() {
-                state.result.merge_abort(Some(Abort::BudgetExceeded));
-                return true;
-            }
         }
         false
     }
@@ -870,8 +806,7 @@ impl<'a> ComponentMatcher<'a> {
     /// fast path's inverted-list borrow — as the level at `pos`.
     /// `root` additionally runs a checkpoint before every candidate (the
     /// root loop only; recursion levels rely on the check at `recurse`
-    /// entry): the uncached clock and a governor measurement on the first
-    /// candidate — so a zero budget aborts before any work — and every
+    /// entry): the uncached clock on the first candidate and every
     /// [`Self::ROOT_PRECISE_STRIDE`]th, the amortized check otherwise (a
     /// clock read costs as much as a root candidate that dies in its
     /// satellites, ~30 ns).
@@ -954,22 +889,6 @@ struct DepthScratch {
     satellite_spill: Vec<VertexId>,
 }
 
-impl DepthScratch {
-    fn heap_bytes(&self) -> usize {
-        let vid = std::mem::size_of::<VertexId>();
-        self.candidates.capacity() * vid
-            + self.spill.capacity() * vid
-            + self.probe_order.capacity() * std::mem::size_of::<(usize, usize)>()
-            + self.satellite_spill.capacity() * vid
-            + self.satellites.capacity() * std::mem::size_of::<Vec<VertexId>>()
-            + self
-                .satellites
-                .iter()
-                .map(|s| s.capacity() * vid)
-                .sum::<usize>()
-    }
-}
-
 /// The matcher's long-lived scratch memory: the core assignment slots plus
 /// one `DepthScratch` arena per order position.
 ///
@@ -1011,17 +930,6 @@ impl SearchArenas {
             }
         }
     }
-
-    /// Heap bytes currently retained by the arenas — the memory a session
-    /// reuses instead of reallocating per query.
-    pub fn heap_bytes(&self) -> usize {
-        self.assignment.capacity() * std::mem::size_of::<VertexId>()
-            + self
-                .depths
-                .iter()
-                .map(DepthScratch::heap_bytes)
-                .sum::<usize>()
-    }
 }
 
 /// Mutable search state threaded through the recursion: borrowed session
@@ -1031,12 +939,6 @@ struct SearchState<'c, 'd> {
     arenas: &'c mut SearchArenas,
     result: ComponentMatch,
     config: &'c MatchConfig<'d>,
-    /// Last usage estimate reported to the governor (deltas only are
-    /// charged; see [`MemoryGovernor::charge`]).
-    governor_reported: usize,
-    /// Checkpoint counter gating governor measurements
-    /// ([`ComponentMatcher::GOVERNOR_CHECK_MASK`]).
-    governor_ticks: u32,
 }
 
 #[cfg(test)]
@@ -1080,12 +982,7 @@ mod tests {
     #[test]
     fn merge_abort_precedence_prefers_cancellation() {
         let mut merged = ComponentMatch::default();
-        for abort in [
-            Some(Abort::TimedOut),
-            Some(Abort::Cancelled),
-            Some(Abort::BudgetExceeded),
-            None,
-        ] {
+        for abort in [Some(Abort::TimedOut), Some(Abort::Cancelled), None] {
             merged.merge_abort(abort);
         }
         assert_eq!(merged.abort, Some(Abort::Cancelled));

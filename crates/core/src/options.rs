@@ -30,13 +30,6 @@ pub struct ExecOptions {
     /// [`QueryStatus::Cancelled`](crate::QueryStatus::Cancelled) once it
     /// fires. `None` (the default) disables the poll.
     pub cancel: Option<CancelToken>,
-    /// Per-query memory budget in bytes for the search state (arenas,
-    /// materialized solutions). When pressure builds,
-    /// the engine degrades gracefully — shed result cache, shed seed
-    /// cache — before returning a partial outcome with
-    /// [`QueryStatus::BudgetExceeded`](crate::QueryStatus::BudgetExceeded).
-    /// `None` (the default) leaves memory unbounded.
-    pub memory_budget: Option<usize>,
 }
 
 impl ExecOptions {
@@ -103,22 +96,6 @@ impl ExecOptions {
         self.timeout = Some(self.timeout.map_or(limit, |t| t.min(limit)));
         self
     }
-
-    /// Builder: *tighten* the memory budget to at most `bytes` — keeps an
-    /// existing smaller budget, replaces a larger (or absent) one. Used by
-    /// server-wide governance to impose a per-tenant quota on top of any
-    /// per-query budget.
-    pub fn tighten_memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = Some(self.memory_budget.map_or(bytes, |b| b.min(bytes)));
-        self
-    }
-
-    /// Builder: bound search-state memory to `bytes` (see
-    /// [`Self::memory_budget`]).
-    pub fn with_memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = Some(bytes);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -157,12 +134,12 @@ mod tests {
     fn cancel_and_budget_default_off_and_compose() {
         let o = ExecOptions::default();
         assert!(o.cancel.is_none());
-        assert!(o.memory_budget.is_none());
+        assert!(o.timeout.is_none());
         let token = CancelToken::new();
         let o = ExecOptions::default()
             .with_cancel(token.clone())
-            .with_memory_budget(1 << 20);
-        assert_eq!(o.memory_budget, Some(1 << 20));
+            .with_timeout(Duration::from_secs(1));
+        assert_eq!(o.timeout, Some(Duration::from_secs(1)));
         token.cancel();
         assert!(o.cancel.as_ref().is_some_and(CancelToken::is_cancelled));
     }
@@ -170,27 +147,18 @@ mod tests {
     #[test]
     fn tighten_only_ever_shrinks() {
         // Absent limits are installed...
-        let o = ExecOptions::default()
-            .tighten_timeout(Duration::from_secs(5))
-            .tighten_memory_budget(1 << 20);
+        let o = ExecOptions::default().tighten_timeout(Duration::from_secs(5));
         assert_eq!(o.timeout, Some(Duration::from_secs(5)));
-        assert_eq!(o.memory_budget, Some(1 << 20));
         // ...looser existing limits are replaced...
         let o = ExecOptions::default()
             .with_timeout(Duration::from_secs(60))
-            .with_memory_budget(1 << 30)
-            .tighten_timeout(Duration::from_secs(1))
-            .tighten_memory_budget(4096);
+            .tighten_timeout(Duration::from_secs(1));
         assert_eq!(o.timeout, Some(Duration::from_secs(1)));
-        assert_eq!(o.memory_budget, Some(4096));
         // ...and tighter existing limits survive.
         let o = ExecOptions::default()
             .with_timeout(Duration::from_millis(1))
-            .with_memory_budget(64)
-            .tighten_timeout(Duration::from_secs(60))
-            .tighten_memory_budget(1 << 30);
+            .tighten_timeout(Duration::from_secs(60));
         assert_eq!(o.timeout, Some(Duration::from_millis(1)));
-        assert_eq!(o.memory_budget, Some(64));
     }
 
     #[test]

@@ -220,8 +220,9 @@ pub(crate) struct CachedOutcome {
 
 /// A bounded cache of completed outcomes for repeated queries (see module
 /// docs). Owned by a [`QuerySession`](crate::session::QuerySession);
-/// cleared on engine rebind and on the memory governor's shed-results
-/// rung. Lookups, evictions and stored outcomes count into the
+/// cleared on engine rebind and by
+/// [`QuerySession::clear_cache`](crate::session::QuerySession::clear_cache).
+/// Lookups, evictions and stored outcomes count into the
 /// `amber_cache_*{cache="result"}` series as they happen.
 #[derive(Debug)]
 pub struct ResultCache {
@@ -475,7 +476,7 @@ mod tests {
 
     #[test]
     fn clearing_or_shedding_the_result_cache_frees_memoized_bodies() {
-        // A rebind and the governor's shed-results rung both clear.
+        // A rebind clears through the same call.
         let _serial = crate::telemetry::registry_lock();
         let gauge = amber_obs::gauge("amber_result_body_bytes", &[]);
         let base = gauge.get();

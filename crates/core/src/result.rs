@@ -20,9 +20,6 @@ pub enum QueryStatus {
     /// The caller's [`CancelToken`](crate::CancelToken) fired before
     /// enumeration finished; counts/bindings are partial.
     Cancelled,
-    /// The per-query memory budget was exhausted after the degradation
-    /// ladder ran out of things to shed; counts/bindings are partial.
-    BudgetExceeded,
 }
 
 impl QueryStatus {
@@ -215,8 +212,8 @@ impl QueryOutcome {
         self.status == QueryStatus::TimedOut
     }
 
-    /// `true` when the outcome is partial for any reason (timeout,
-    /// cancellation, or memory-budget exhaustion).
+    /// `true` when the outcome is partial for any reason (timeout or
+    /// cancellation).
     pub fn is_partial(&self) -> bool {
         !self.status.is_complete()
     }
@@ -407,11 +404,7 @@ mod tests {
     fn a_partial_outcome_is_never_memoized() {
         let _serial = telemetry::registry_lock();
         let base = body_gauge();
-        for status in [
-            QueryStatus::TimedOut,
-            QueryStatus::Cancelled,
-            QueryStatus::BudgetExceeded,
-        ] {
+        for status in [QueryStatus::TimedOut, QueryStatus::Cancelled] {
             let o = answer(status, &["x", "y"]);
             for _ in 0..3 {
                 assert!(!o.offer_wire_body(0, "partial"), "{status:?}");

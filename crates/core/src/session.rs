@@ -16,10 +16,9 @@
 //! session; its counters ([`QuerySession::seed_stats`],
 //! [`QuerySession::result_stats`], [`QuerySession::queries_executed`])
 //! are the batch's statistics. Search work (nodes, trapped panics,
-//! cancellations, governor steps) is counted in the metric registry
-//! only, where it happens.
+//! cancellations) is counted in the metric registry only, where it
+//! happens.
 
-use crate::governor::MemoryGovernor;
 use crate::matcher::SearchArenas;
 use crate::plan::ResultCache;
 use crate::result::QueryStatus;
@@ -51,10 +50,6 @@ pub struct QuerySession {
     graph_token: Option<u64>,
     /// Queries executed through this session.
     queries: u64,
-    /// Set when the current query's memory governor reached the
-    /// shed-results rung; consulted (and the shed applied) at the
-    /// result-cache store site, reset at query start.
-    result_shed: bool,
     /// Per-query flight recorder: span timings, cache trail, slow-query
     /// log. Off by default; see
     /// [`Self::configure_tracing`].
@@ -77,7 +72,6 @@ impl QuerySession {
             results: ResultCache::new(result_capacity),
             graph_token: None,
             queries: 0,
-            result_shed: false,
             recorder: FlightRecorder::default(),
         }
     }
@@ -119,7 +113,6 @@ impl QuerySession {
     /// Bookkeeping at query start.
     pub(crate) fn begin_query(&mut self) {
         self.queries += 1;
-        self.result_shed = false;
     }
 
     /// Bookkeeping at query end: count the query's status (`None`: it
@@ -163,28 +156,6 @@ impl QuerySession {
     /// The result cache.
     pub(crate) fn result_cache_mut(&mut self) -> &mut ResultCache {
         &mut self.results
-    }
-
-    /// Apply a finished query's governor verdict to the session: count
-    /// the ladder steps, flag the result cache for shedding, and shed the
-    /// seed cache when the ladder said so — it outlives the query, so the
-    /// shed must happen here rather than inside the search.
-    pub(crate) fn apply_governor(&mut self, governor: &MemoryGovernor) {
-        telemetry::note_degradation_steps(governor.steps_taken());
-        for _ in 0..governor.steps_taken() {
-            self.recorder.note_degradation();
-        }
-        if governor.shed_results() {
-            self.result_shed = true;
-        }
-        if governor.shed_probe_caches() {
-            self.seeds.clear();
-        }
-    }
-
-    /// Did the current query's governor request a result-cache shed?
-    pub(crate) fn result_cache_shed(&self) -> bool {
-        self.result_shed
     }
 }
 

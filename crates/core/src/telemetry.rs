@@ -4,8 +4,8 @@
 //! caches count their own lookups and evictions and move the
 //! `amber_cache_entries` / `amber_cache_bytes` gauges wherever their
 //! stored entries and bytes move ([`CacheCounts`]); the engine adds each
-//! component run's search nodes, each quarantined panic, each
-//! cancellation and each governor step; and
+//! component run's search nodes, each quarantined panic and each
+//! cancellation; and
 //! [`QuerySession::end_query`](crate::QuerySession) records only the
 //! query's status and latency. There is no per-query snapshot or delta:
 //! a session's `seed_stats()` / `result_stats()` are its own counters of
@@ -142,18 +142,12 @@ impl Drop for CacheCounts {
 
 /// The `status` labels of `amber_queries_total`, one per outcome kind
 /// (also the flight recorder's final status strings).
-const STATUSES: [&str; 5] = [
-    "completed",
-    "timed_out",
-    "cancelled",
-    "budget_exceeded",
-    "error",
-];
+const STATUSES: [&str; 4] = ["completed", "timed_out", "cancelled", "error"];
 
 /// Every engine-layer registry handle, resolved once.
 struct EngineMetrics {
     /// `amber_queries_total`, in [`STATUSES`] order.
-    queries: [Arc<Counter>; 5],
+    queries: [Arc<Counter>; 4],
     latency_us: Arc<Histogram>,
     seed: CacheFamily,
     result: CacheFamily,
@@ -161,7 +155,6 @@ struct EngineMetrics {
     seed_candidates: Arc<Histogram>,
     trapped_panics: Arc<Counter>,
     cancellations: Arc<Counter>,
-    degradation_steps: Arc<Counter>,
     result_body_bytes: Arc<Gauge>,
 }
 
@@ -177,7 +170,6 @@ fn metrics() -> &'static EngineMetrics {
         seed_candidates: amber_obs::histogram("amber_seed_candidates", &[]),
         trapped_panics: amber_obs::counter("amber_query_trapped_panics_total", &[]),
         cancellations: amber_obs::counter("amber_query_cancellations_total", &[]),
-        degradation_steps: amber_obs::counter("amber_query_degradation_steps_total", &[]),
         result_body_bytes: amber_obs::gauge("amber_result_body_bytes", &[]),
     })
 }
@@ -189,8 +181,7 @@ pub(crate) fn note_query(status: Option<QueryStatus>, elapsed: Duration) -> &'st
         Some(QueryStatus::Completed) => 0,
         Some(QueryStatus::TimedOut) => 1,
         Some(QueryStatus::Cancelled) => 2,
-        Some(QueryStatus::BudgetExceeded) => 3,
-        None => 4,
+        None => 3,
     };
     let m = metrics();
     m.queries[kind].inc();
@@ -214,11 +205,6 @@ pub(crate) fn note_trapped_panic() {
 /// One query ended by cooperative cancellation.
 pub(crate) fn note_cancellation() {
     metrics().cancellations.inc();
-}
-
-/// The memory-governor ladder steps one query took.
-pub(crate) fn note_degradation_steps(steps: u64) {
-    metrics().degradation_steps.add(steps);
 }
 
 /// Move the process gauge of memoized wire-body bytes (`+len` when a

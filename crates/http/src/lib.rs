@@ -726,6 +726,18 @@ fn sparql_endpoint(
         }
     };
     match result {
+        // A partial outcome carries no bindings, so a `200` would pass it
+        // off as a complete, empty answer. Nothing here revokes a
+        // dispatch: the partial is the client's budget running out during
+        // execution, answered like `DeadlineExpired` running out queued.
+        Ok(outcome) if !outcome.status.is_complete() => Response::error(
+            out,
+            504,
+            &format!(
+                "query {:?} after {:?}: a partial answer is not served",
+                outcome.status, outcome.elapsed
+            ),
+        ),
         Ok(outcome) => answer_body(&outcome, format, out, memo),
         Err(e) => Response::from_error(out, &e),
     }
@@ -1510,6 +1522,22 @@ mod tests {
     }
 
     #[test]
+    fn a_query_whose_budget_runs_out_executing_answers_504() {
+        let http = start_slow_capable();
+        let (status, headers, body) = send(http.local_addr(), &post("t", SLOW, 50));
+        assert_eq!(status, 504, "{body}");
+        assert!(body.contains("TimedOut"), "{body}");
+        assert!(
+            !body.contains("\"results\""),
+            "not a results document: {body}"
+        );
+        assert_eq!(header(&headers, "retry-after"), None);
+        let report = http.shutdown();
+        assert_eq!(report.deadline_shed, 0, "it ran, it was not shed queued");
+        assert_eq!(report.served_for("t"), 1);
+    }
+
+    #[test]
     fn a_slow_request_does_not_hold_up_another_connection() {
         let http = start_slow_capable();
         let slow = slow_request_in_flight(&http, 1_500);
@@ -1523,7 +1551,7 @@ mod tests {
             "the fast request waited for the slow one"
         );
         let (status, _, body) = slow.join().unwrap();
-        assert_eq!(status, 200, "{body}");
+        assert_eq!(status, 504, "its budget stops it: {body}");
         let report = http.shutdown();
         assert_eq!(report.inline_dispatches, 2, "one per connection thread");
         assert_eq!(report.queued_dispatches, 0);
@@ -1540,7 +1568,7 @@ mod tests {
         assert_eq!(report.served_for("slow"), 1);
         assert_eq!(report.inline_dispatches, 1);
         let (status, headers, body) = slow.join().unwrap();
-        assert_eq!(status, 200, "{body}");
+        assert_eq!(status, 504, "its budget stops it: {body}");
         assert_eq!(header(&headers, "connection"), Some("close"));
     }
 }

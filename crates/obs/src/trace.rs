@@ -25,8 +25,6 @@ pub struct QueryTrace {
     pub fingerprint: Option<u64>,
     /// Cache hit/miss trail in event order (`result:miss`, `result:store`, …).
     pub cache_trail: Vec<&'static str>,
-    /// Degradation-ladder steps the memory governor applied.
-    pub degradation_steps: u64,
     /// Abort cause, if the query did not complete (`timed out`, …).
     pub abort: Option<String>,
     /// Completed spans in completion order.
@@ -67,12 +65,6 @@ impl QueryTrace {
         }
         if !self.cache_trail.is_empty() {
             out.push_str(&format!("  caches: {}\n", self.cache_trail.join(" ")));
-        }
-        if self.degradation_steps > 0 {
-            out.push_str(&format!(
-                "  degradation steps: {}\n",
-                self.degradation_steps
-            ));
         }
         if let Some(cause) = &self.abort {
             out.push_str(&format!("  abort: {}\n", cause));
@@ -181,14 +173,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Record one degradation-ladder step.
-    #[inline]
-    pub fn note_degradation(&mut self) {
-        if let Some((trace, _)) = &mut self.active {
-            trace.degradation_steps += 1;
-        }
-    }
-
     /// Attach the canonical plan fingerprint.
     #[inline]
     pub fn set_fingerprint(&mut self, fingerprint: u64) {
@@ -286,7 +270,6 @@ mod tests {
         r.span("canonicalize", 0, Duration::from_micros(3));
         r.span("component[0]", 1, Duration::from_micros(9));
         r.note_cache("result:miss");
-        r.note_degradation();
         r.set_abort("timed out");
         assert!(r.end("timed_out"));
         let entry = r.slow_log().next().unwrap().to_string();
@@ -295,7 +278,6 @@ mod tests {
         assert!(entry.contains("canonicalize"));
         assert!(entry.contains("component[0]"));
         assert!(entry.contains("caches: result:miss"));
-        assert!(entry.contains("degradation steps: 1"));
         assert!(entry.contains("abort: timed out"));
     }
 }

@@ -29,19 +29,16 @@
 //!   is shed with the typed [`Error::DeadlineExpired`] *without any
 //!   engine work*, and only the *remaining* budget is handed to the
 //!   engine as its execution timeout;
-//! * **server-wide memory governance** — [`ServeConfig::memory_budget`]
-//!   is split equally over the tenants the server has seen, and each
-//!   share tightens the budget of every query's own `MemoryGovernor`
-//!   degradation ladder;
 //! * **panic and failure isolation** — a query that fails (or panics; the
 //!   engine quarantines panics into typed
 //!   [`EngineError::Internal`](amber::EngineError) values) poisons only
 //!   its own [`Ticket`]; the tenant's session and every other tenant keep
 //!   serving. The serving loop itself is also a chaos surface: the
 //!   `serve-admit`, `serve-dispatch` and `serve-drain` fault points
-//!   (`AMBER_CHAOS`, see `amber_util::fault`) inject panics, delays and
-//!   spurious allocation failures into admission, dispatch and drain, and
-//!   all serving-layer locks recover from poisoning
+//!   (`AMBER_CHAOS`, see `amber_util::fault`) inject panics and delays
+//!   into admission, dispatch and drain (and, at admission, spurious
+//!   allocation failures that reject as overload), and all serving-layer
+//!   locks recover from poisoning
 //!   (`PoisonError::into_inner`) rather than propagating it;
 //! * **graceful drain** — [`Server::shutdown`] stops admission, serves
 //!   everything already queued, joins the workers, and returns a
@@ -153,15 +150,6 @@ pub struct ServeConfig {
     /// Record the tenant of every dispatch, in order, for the
     /// [`ServeReport`] — the observable fairness is asserted on this.
     pub record_dispatch: bool,
-    /// Server-wide memory budget in bytes. With `T` tenants known to the
-    /// server, every query runs under at most `total / T` bytes: the
-    /// share *tightens* (never loosens) the query's
-    /// `ExecOptions::memory_budget`, whose `MemoryGovernor` ladder then
-    /// degrades the query. Shares shrink as new tenants appear; the
-    /// degradation shows in each query's trace and in
-    /// `amber_query_degradation_steps_total`.
-    /// `None` leaves memory governance entirely per-query.
-    pub memory_budget: Option<usize>,
     /// Execution options for every request; their
     /// `result_cache_capacity` also sizes each tenant's session result
     /// cache, once, when the session is created. Defaults to
@@ -185,7 +173,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_capacity: 256,
             record_dispatch: false,
-            memory_budget: None,
             options: ExecOptions::batch(),
             trace: false,
             slow_query_threshold: None,
@@ -438,7 +425,6 @@ impl DispatchState {
             tenant,
             job,
             session,
-            tenant_count: self.tenants.len(),
         }
     }
 }
@@ -464,8 +450,6 @@ struct DispatchContext {
     /// [`ServeConfig::workers`], clamped to at least 1: the worker-thread
     /// count and the bound on concurrently executing requests.
     workers: usize,
-    /// [`ServeConfig::memory_budget`], split per tenant by [`tenant_quota`].
-    memory_budget: Option<usize>,
     trace: bool,
     slow_query_threshold: Option<Duration>,
 }
@@ -476,9 +460,6 @@ struct Dispatch {
     tenant: Arc<str>,
     job: Job,
     session: Option<QuerySession>,
-    /// Tenants known to the server at dispatch time (the
-    /// [`tenant_quota`] denominator).
-    tenant_count: usize,
 }
 
 /// A request past every admission check, with the dispatch lock still
@@ -516,7 +497,6 @@ impl Server {
             },
             options: config.options,
             workers: config.workers.max(1),
-            memory_budget: config.memory_budget,
             trace: config.trace,
             slow_query_threshold: config.slow_query_threshold,
         });
@@ -867,15 +847,6 @@ fn serve_loop(ctx: &DispatchContext) {
     }
 }
 
-/// A tenant's share of the server-wide [`ServeConfig::memory_budget`]:
-/// `total` split equally over the `tenants` known to the server (zero
-/// counts as one). Fewer bytes than tenants make a share of 0, and the
-/// query's governor then aborts at its first checkpoint after walking the
-/// whole ladder.
-fn tenant_quota(total: usize, tenants: usize) -> usize {
-    total / tenants.max(1)
-}
-
 /// Run one started request to completion on the calling thread — a worker
 /// that took it off the rotation, or the submitter itself on
 /// [`Server::execute`]'s inline path: shed or execute outside the lock,
@@ -885,7 +856,6 @@ fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcom
         tenant,
         job,
         mut session,
-        tenant_count,
     } = dispatch;
 
     // Deadline shed: a request whose budget expired before dispatch is
@@ -902,34 +872,23 @@ fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcom
         Some(err) => (Err(err), None),
         None => {
             // Per-request options: the remaining admission budget and
-            // the per-request timeout tighten the base timeout, the
-            // tenant's memory quota tightens the memory budget, and the
-            // cancel token makes the dispatch revocable. A
-            // `serve-dispatch` alloc-fail signal zeroes the memory
-            // budget — spurious exhaustion driving the degradation
-            // ladder.
-            let signal = match catch_unwind(|| fault::inject(FaultPoint::ServeDispatch)) {
-                Ok(signal) => Ok(signal),
-                Err(payload) => Err(Error::Engine(EngineError::Internal {
-                    task: "serve dispatch".to_string(),
-                    payload: payload_message(payload.as_ref()),
-                })),
-            };
-            match signal {
-                Err(err) => (Err(err), Some(0)),
-                Ok(signal) => {
+            // the per-request timeout tighten the base timeout, and the
+            // cancel token makes the dispatch revocable.
+            match catch_unwind(|| fault::inject(FaultPoint::ServeDispatch)) {
+                Err(payload) => (
+                    Err(Error::Engine(EngineError::Internal {
+                        task: "serve dispatch".to_string(),
+                        payload: payload_message(payload.as_ref()),
+                    })),
+                    Some(0),
+                ),
+                Ok(_) => {
                     let mut options = ctx.options.clone();
                     if let Some(b) = job.budget {
                         options = options.tighten_timeout(b.remaining().unwrap_or(Duration::ZERO));
                     }
                     if let Some(limit) = job.timeout {
                         options = options.tighten_timeout(limit);
-                    }
-                    if let Some(total) = ctx.memory_budget {
-                        options = options.tighten_memory_budget(tenant_quota(total, tenant_count));
-                    }
-                    if signal.alloc_fail {
-                        options = options.tighten_memory_budget(0);
                     }
                     options = options.with_cancel(job.cancel.clone());
                     let sess = session.get_or_insert_with(|| {
@@ -1269,54 +1228,6 @@ mod tests {
         assert_eq!(report.served_for("a"), 1);
         assert_eq!(report.served_for("b"), 1);
         assert_eq!(report.deadline_shed, 0);
-    }
-
-    #[test]
-    fn global_memory_budget_degrades_through_the_governor_ladder() {
-        let engine = demo_engine();
-        let server = Server::start(
-            Arc::clone(&engine),
-            ServeConfig {
-                memory_budget: Some(1), // 1 byte: every query walks the full ladder
-                trace: true,
-                ..ServeConfig::default()
-            },
-        );
-        for query in [CHAIN, EDGE] {
-            let t = server.submit_sparql("a", query).unwrap();
-            assert_eq!(t.wait().unwrap().status, QueryStatus::BudgetExceeded);
-            let trace = server.last_trace("a").unwrap();
-            assert!(
-                trace.contains("degradation steps: 3"),
-                "the quota drives each query up all three rungs: {trace}"
-            );
-        }
-        let report = server.shutdown();
-        assert_eq!(
-            report.tenants.len(),
-            1,
-            "one tenant: the quota is the total"
-        );
-    }
-
-    #[test]
-    fn quota_partitions_the_budget_equally() {
-        assert_eq!(
-            tenant_quota(1 << 20, 0),
-            1 << 20,
-            "zero tenants counts as one"
-        );
-        assert_eq!(tenant_quota(1 << 20, 1), 1 << 20);
-        assert_eq!(tenant_quota(1 << 20, 4), 1 << 18);
-        assert_eq!(tenant_quota(1 << 20, 2), 1 << 19);
-    }
-
-    #[test]
-    fn tiny_budgets_floor_at_zero_bytes() {
-        // total < tenants → a zero-byte quota: the per-query governor
-        // aborts at its first checkpoint (full ladder), which is the
-        // correct degradation, not an error.
-        assert_eq!(tenant_quota(3, 4), 0);
     }
 
     #[test]

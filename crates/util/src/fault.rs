@@ -38,10 +38,10 @@
 //!   surfaces `EngineError::Internal`).
 //! * `delay` — a short scheduling perturbation (spin + yield), answer
 //!   preserving by construction.
-//! * `alloc-fail` — returns a spurious allocation-failure [`Signal`]; the
-//!   memory governor treats it as budget exhaustion and degrades, and the
+//! * `alloc-fail` — returns a spurious allocation-failure [`Signal`]. The
 //!   serving layer's admission point treats it as spurious overload (a
-//!   typed rejection, nothing enqueued).
+//!   typed rejection, nothing enqueued); every other point ignores it, so
+//!   there it is answer preserving.
 //!
 //! Firing decisions come from a SplitMix64 stream over `seed ⊕ visit-nonce
 //! ⊕ point-salt`, so a fixed seed and spec reproduce the same fault
@@ -142,7 +142,7 @@ impl FaultKind {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Signal {
     /// A spurious allocation failure fired: the caller should behave as if
-    /// its memory budget were exhausted.
+    /// it could not allocate (admission rejects as overloaded).
     pub alloc_fail: bool,
 }
 

@@ -135,7 +135,6 @@ fn batch_stats_agree_exactly_with_the_registry() {
         ("completed", count(Some(QueryStatus::Completed))),
         ("timed_out", count(Some(QueryStatus::TimedOut))),
         ("cancelled", count(Some(QueryStatus::Cancelled))),
-        ("budget_exceeded", count(Some(QueryStatus::BudgetExceeded))),
         ("error", count(None)),
     ] {
         assert_eq!(
@@ -175,7 +174,7 @@ fn batch_stats_agree_exactly_with_the_registry() {
     );
 
     // Search work lives in the registry only: it equals the per-request
-    // facts (no panic was quarantined, nothing was cancelled or governed).
+    // facts (no panic was quarantined, nothing was cancelled).
     let internal = outcomes
         .iter()
         .filter(|o| matches!(o, Err(Error::Engine(EngineError::Internal { .. }))))
@@ -186,7 +185,6 @@ fn batch_stats_agree_exactly_with_the_registry() {
             "amber_query_cancellations_total",
             count(Some(QueryStatus::Cancelled)),
         ),
-        ("amber_query_degradation_steps_total", 0),
     ] {
         assert_eq!(delta(&before, &after, name, &[]), fact, "{name}");
     }

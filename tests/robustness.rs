@@ -385,57 +385,6 @@ fn cancelled_query_never_stores_into_the_result_cache() {
 }
 
 #[test]
-fn tiny_memory_budget_degrades_to_a_typed_partial() {
-    let engine = AmberEngine::from_graph(paper_graph());
-    // One byte: the governor blows through every rung of the ladder on the
-    // first checkpoint. The query must come back as a clean partial, never
-    // an abort or a wrong answer.
-    let options = ExecOptions::default().with_memory_budget(1);
-    let outcome =
-        paper_query_with(&engine, options).expect("budget exhaustion is a status, not an error");
-    assert_eq!(outcome.status, QueryStatus::BudgetExceeded);
-    assert!(outcome.is_partial());
-}
-
-#[test]
-fn generous_memory_budget_is_invisible() {
-    let engine = AmberEngine::from_graph(paper_graph());
-    let baseline = paper_query_with(&engine, ExecOptions::default()).unwrap();
-    let governed =
-        paper_query_with(&engine, ExecOptions::default().with_memory_budget(1 << 30)).unwrap();
-    assert_eq!(governed.status, QueryStatus::Completed);
-    assert_eq!(governed.embedding_count, baseline.embedding_count);
-    assert_eq!(governed.bindings, baseline.bindings);
-}
-
-#[test]
-fn budget_degradation_is_recorded_in_session_stats() {
-    let engine = AmberEngine::from_graph(paper_graph());
-    let options = ExecOptions::default().with_memory_budget(1);
-    let mut session = engine.create_session(&options);
-    session.configure_tracing(true, None);
-    let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
-    let outcome = engine
-        .run_in(
-            &QueryRequest::parsed(&q).with_options(options),
-            &mut session,
-        )
-        .unwrap();
-    assert_eq!(outcome.status, QueryStatus::BudgetExceeded);
-    let trace = session.flight_recorder().last().unwrap();
-    assert!(
-        trace.degradation_steps >= 1,
-        "the governor's ladder steps must surface in the query's trace: {trace:?}"
-    );
-    // The session survives: an ungoverned repeat gets the full answer.
-    let clean = engine
-        .run_in(&QueryRequest::parsed(&q), &mut session)
-        .unwrap();
-    assert_eq!(clean.status, QueryStatus::Completed);
-    assert_eq!(clean.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
-}
-
-#[test]
 fn self_loop_queries_agree() {
     let doc = "<http://x/a> <http://p/likes> <http://x/a> .\n\
                <http://x/a> <http://p/likes> <http://x/b> .\n\

@@ -7,8 +7,9 @@
 //! amber explain <data> <sparql>             # show the matching plan
 //! amber bench   <data> <sparql> [n]         # time one query n times
 //!
-//! <data> is an N-Triples file or a snapshot produced by `amber build`
-//! (detected by magic bytes). <sparql> is a query string or @file.
+//! <data> is an N-Triples or Turtle file, or a snapshot produced by
+//! `amber build` (detected by magic bytes). <sparql> is a query string or
+//! @file.
 //!
 //! query flags: --timeout-ms N  --limit N  --count
 //! ```
@@ -50,12 +51,16 @@ fn main() {
             for (stage, time) in offline.stages() {
                 println!("  {stage:<18} {time:.1?}");
             }
+            // An empty graph has no per-triple figure.
             println!("resident part        bytes   per triple");
             for (part, bytes) in offline.parts() {
-                println!(
-                    "  {part:<18} {bytes:>9} {:>8.1}",
-                    bytes as f64 / stats.triples.max(1) as f64
-                );
+                match stats.triples {
+                    0 => println!("  {part:<18} {bytes:>9} {:>8}", "-"),
+                    triples => println!(
+                        "  {part:<18} {bytes:>9} {:>8.1}",
+                        bytes as f64 / triples as f64
+                    ),
+                }
             }
         }
         "build" => {
@@ -93,7 +98,7 @@ fn main() {
                 }
                 i += 1;
             }
-            let engine = AmberEngine::from_graph(load_data(data_path));
+            let engine = load_engine(data_path);
             match engine.run(&QueryRequest::sparql(&sparql).with_options(options)) {
                 Ok(outcome) => {
                     if !outcome.bindings.is_empty() {
@@ -122,7 +127,7 @@ fn main() {
         }
         "explain" => {
             let sparql = read_query(args.get(2));
-            let engine = AmberEngine::from_graph(load_data(data_path));
+            let engine = load_engine(data_path);
             let plan = match engine.prepare_sparql(&sparql) {
                 Ok(plan) => plan,
                 Err(e) => {
@@ -143,7 +148,7 @@ fn main() {
                 eprintln!("the run count must be at least 1\n{USAGE}");
                 exit(2);
             }
-            let engine = AmberEngine::from_graph(load_data(data_path));
+            let engine = load_engine(data_path);
             let request = QueryRequest::sparql(&sparql).counting();
             let mut times = Vec::with_capacity(n);
             for _ in 0..n {
@@ -170,20 +175,45 @@ fn main() {
 
 const USAGE: &str = "usage: amber <stats|build|query|explain|bench> <data> [args]";
 
-/// Load a data file into an engine. N-Triples goes through
-/// [`AmberEngine::load_ntriples`], which times the load stages;
-/// snapshots and Turtle arrive as an already-built graph.
+/// Load a data file into an engine. A snapshot arrives as an already-built
+/// graph (its first two load stages read 0); text is read once and tried
+/// as N-Triples, then as Turtle, each through the engine's own loader,
+/// which times the load stages.
 fn load_engine(path: &str) -> AmberEngine {
-    if let Ok(text) = std::fs::read_to_string(path) {
-        if let Ok(engine) = AmberEngine::load_ntriples(&text) {
-            return engine;
-        }
+    match read_data(path) {
+        Data::Snapshot(rdf) => AmberEngine::from_graph(rdf),
+        Data::Text(text) => parse_text(
+            path,
+            &text,
+            AmberEngine::load_ntriples,
+            AmberEngine::load_turtle,
+        ),
     }
-    AmberEngine::from_graph(load_data(path))
 }
 
-/// Load a data file: snapshot (by magic) or N-Triples.
+/// Load a data file's graph without building the indexes: a snapshot, or
+/// N-Triples or Turtle text.
 fn load_data(path: &str) -> RdfGraph {
+    match read_data(path) {
+        Data::Snapshot(rdf) => *rdf,
+        Data::Text(text) => parse_text(
+            path,
+            &text,
+            RdfGraph::parse_ntriples,
+            RdfGraph::parse_turtle,
+        ),
+    }
+}
+
+/// A data file, read once.
+enum Data {
+    /// A snapshot image (detected by its magic bytes), restored.
+    Snapshot(Box<RdfGraph>),
+    /// Anything else, as UTF-8 text.
+    Text(String),
+}
+
+fn read_data(path: &str) -> Data {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) => {
@@ -192,33 +222,43 @@ fn load_data(path: &str) -> RdfGraph {
         }
     };
     if bytes.starts_with(b"AMBR") {
-        match RdfGraph::from_snapshot(&bytes) {
-            Ok(rdf) => return rdf,
+        return match RdfGraph::from_snapshot(&bytes) {
+            Ok(rdf) => Data::Snapshot(Box::new(rdf)),
             Err(e) => {
                 eprintln!("cannot load snapshot {path}: {e}");
                 exit(1);
             }
-        }
+        };
     }
-    let text = match String::from_utf8(bytes) {
-        Ok(t) => t,
+    match String::from_utf8(bytes) {
+        Ok(text) => Data::Text(text),
         Err(_) => {
-            eprintln!("{path} is neither a snapshot nor UTF-8 N-Triples");
+            eprintln!("{path} is neither a snapshot nor UTF-8 text");
             exit(1);
         }
+    }
+}
+
+/// Parse `text` as N-Triples, then (prefixed dumps) as Turtle; when both
+/// fail, report both and exit.
+fn parse_text<T, N: std::fmt::Display, R: std::fmt::Display>(
+    path: &str,
+    text: &str,
+    ntriples: impl FnOnce(&str) -> Result<T, N>,
+    turtle: impl FnOnce(&str) -> Result<T, R>,
+) -> T {
+    let nt_error = match ntriples(text) {
+        Ok(loaded) => return loaded,
+        Err(e) => e,
     };
-    // Try N-Triples first, then the Turtle subset (prefixed dumps).
-    match RdfGraph::parse_ntriples(&text) {
-        Ok(rdf) => rdf,
-        Err(nt_error) => match RdfGraph::parse_turtle(&text) {
-            Ok(rdf) => rdf,
-            Err(ttl_error) => {
-                eprintln!("cannot parse {path}:");
-                eprintln!("  as N-Triples: {nt_error}");
-                eprintln!("  as Turtle:    {ttl_error}");
-                exit(1);
-            }
-        },
+    match turtle(text) {
+        Ok(loaded) => loaded,
+        Err(ttl_error) => {
+            eprintln!("cannot parse {path}:");
+            eprintln!("  as N-Triples: {nt_error}");
+            eprintln!("  as Turtle:    {ttl_error}");
+            exit(1);
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! The `amber` binary's flag handling: a numeric flag or count with a
 //! missing, non-numeric or unusable value is a usage error (exit code 2),
-//! never a panic and never a silent default.
+//! never a panic and never a silent default. And its loader: text that
+//! only Turtle accepts is loaded and timed like N-Triples.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -68,4 +69,37 @@ fn well_formed_flags_still_answer() {
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("1 embedding(s)"), "{stdout}");
+}
+
+/// `amber stats` on a file only Turtle accepts (its statements end in a
+/// bare CR, which N-Triples keeps inside the line) times both load stages,
+/// as on N-Triples, and prints a per-triple figure for each part.
+#[test]
+fn stats_on_turtle_times_the_load_stages() {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_flags_bare_cr.ttl");
+    let text = "<http://e/a> <http://e/p> <http://e/b> .\r<http://e/b> <http://e/p> \"x\" .\r";
+    std::fs::write(&path, text).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_amber"))
+        .arg("stats")
+        .arg(&path)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("triples:     2\n"), "{stdout}");
+    for stage in ["scan_intern", "assemble"] {
+        let line = stdout
+            .lines()
+            .find(|line| line.trim_start().starts_with(stage))
+            .unwrap_or_else(|| panic!("no {stage} line in {stdout}"));
+        let time = line.trim_start()[stage.len()..].trim();
+        assert!(
+            !time.starts_with("0ns") && !time.starts_with("0.0ns"),
+            "{line}"
+        );
+    }
+    assert!(
+        !stdout.contains(" - \n") && !stdout.contains(" -\n"),
+        "{stdout}"
+    );
 }

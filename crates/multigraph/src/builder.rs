@@ -17,11 +17,14 @@
 //! The builder *encodes once, then sorts ids*: each triple's terms are
 //! interned straight from borrowed text ([`TripleRef`] — the N-Triples
 //! scanner's output, or a view of an owned [`Triple`]) and the triple is
-//! appended as a tuple of ids to one of two flat vectors.
-//! [`GraphBuilder::finish`] hands those to `DataGraph::assemble`, which
-//! sorts, deduplicates and cuts them into per-vertex lists. Ids are assigned
-//! in first-seen order: subject vertex, then object vertex and edge type,
-//! or attribute.
+//! appended as a tuple of ids to one of two flat vectors. A run of triples
+//! with one IRI subject (how subject-sorted dumps are written) probes the
+//! vertex dictionary for that subject once: the builder remembers the last
+//! IRI subject's vertex and compares the next subject with its text.
+//! [`GraphBuilder::finish`] hands the tuples to `DataGraph::assemble`,
+//! which sorts them (a counting sort by source vertex), deduplicates them
+//! and cuts them into per-vertex lists. Ids are assigned in first-seen
+//! order: subject vertex, then object vertex and edge type, or attribute.
 
 use crate::data_graph::DataGraph;
 use crate::dictionary::{write_attribute_key, Dictionaries};
@@ -50,6 +53,8 @@ pub struct GraphBuilder {
     /// Reused buffer for the keys that are composed rather than borrowed:
     /// `_:label`, `predicate\0literal`, a literal vertex's N-Triples form.
     key: String,
+    /// The vertex of the last IRI subject; its text is its dictionary key.
+    last_subject: Option<VertexId>,
     triple_count: usize,
 }
 
@@ -101,6 +106,18 @@ impl GraphBuilder {
         VertexId(self.dicts.vertices.intern(&self.key))
     }
 
+    /// The vertex of an IRI subject: the last one's again, or a lookup.
+    fn subject_vertex(&mut self, iri: &str) -> VertexId {
+        if let Some(last) = self.last_subject {
+            if self.dicts.vertices.resolve(last.0) == Some(iri) {
+                return last;
+            }
+        }
+        let subject = self.declare_vertex(iri);
+        self.last_subject = Some(subject);
+        subject
+    }
+
     /// Add one RDF triple.
     pub fn add_triple(&mut self, triple: &Triple) {
         self.add_triple_ref(triple.into());
@@ -110,7 +127,7 @@ impl GraphBuilder {
     pub fn add_triple_ref(&mut self, triple: TripleRef<'_>) {
         self.triple_count += 1;
         let subject = match triple.subject {
-            SubjectRef::Iri(iri) => self.declare_vertex(iri),
+            SubjectRef::Iri(iri) => self.subject_vertex(iri),
             SubjectRef::Blank(label) => self.blank_vertex(label),
         };
         let object = match triple.object {
@@ -302,6 +319,7 @@ impl HeapSize for RdfGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::reference_snapshot;
     use rdf_model::parse_ntriples;
 
     const SAMPLE: &str = r#"
@@ -412,67 +430,6 @@ mod tests {
         assert_eq!(rdf.graph().vertex_count(), 0);
     }
 
-    /// The transformation as first written — owned keys, a map per vertex
-    /// pair, a set per vertex — encoded by the tests' own image writer. The
-    /// builder, fed the text or the owned triples, must produce these bytes.
-    fn reference_snapshot(triples: &[Triple], literals_as_vertices: bool) -> Vec<u8> {
-        use std::collections::{BTreeMap, BTreeSet};
-        fn intern(keys: &mut Vec<String>, key: String) -> u32 {
-            match keys.iter().position(|k| *k == key) {
-                Some(id) => id as u32,
-                None => {
-                    keys.push(key);
-                    keys.len() as u32 - 1
-                }
-            }
-        }
-        let (mut vertices, mut edge_types, mut attributes) = (Vec::new(), Vec::new(), Vec::new());
-        let mut pairs: BTreeMap<(u32, u32), BTreeSet<u32>> = BTreeMap::new();
-        let mut owned: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
-        for triple in triples {
-            let subject = intern(&mut vertices, triple.subject.dictionary_key());
-            match &triple.object {
-                rdf_model::Object::Literal(literal) if !literals_as_vertices => {
-                    let key = format!("{}\u{0}{literal}", triple.predicate.as_str());
-                    owned
-                        .entry(subject)
-                        .or_default()
-                        .insert(intern(&mut attributes, key));
-                }
-                object => {
-                    let key = object.resource_key().unwrap_or_else(|| object.to_string());
-                    let object = intern(&mut vertices, key);
-                    let edge_type = intern(&mut edge_types, triple.predicate.as_str().to_owned());
-                    pairs
-                        .entry((subject, object))
-                        .or_default()
-                        .insert(edge_type);
-                }
-            }
-        }
-        let mut adjacency = vec![Vec::new(); vertices.len()];
-        for ((from, to), types) in pairs {
-            adjacency[from as usize].push((to, types.into_iter().collect()));
-        }
-        let attrs: Vec<Vec<u32>> = (0..vertices.len() as u32)
-            .map(|v| owned.remove(&v).into_iter().flatten().collect())
-            .collect();
-        fn borrowed(keys: &[String]) -> Vec<&str> {
-            keys.iter().map(String::as_str).collect()
-        }
-        crate::snapshot::test_support::encode_image(
-            literals_as_vertices,
-            triples.len() as u64,
-            [
-                &borrowed(&vertices),
-                &borrowed(&edge_types),
-                &borrowed(&attributes),
-            ],
-            &adjacency,
-            &attrs,
-        )
-    }
-
     /// Text route, owned route and the reference agree byte for byte, in
     /// both literal modes.
     fn assert_routes_agree(doc: &str) {
@@ -514,6 +471,12 @@ mod tests {
             "<a> <p> \"A\"@en .\n<a> <p> \"A\"^^<t> .\n<a> <p> \"A\"^^<\\u0074> .\n",
             "<a> <p> \"q\\\"uote\\\\\" .\n<a> <p> \"mid\rcr\" .\n<a> <p> \"mid\\rcr\" .\n",
             "<\\u0061> <\\u0070> <\\u0062> .\n<a> <p> <b> .\n",
+        ));
+        // runs of one subject, broken by a blank node and by an IRI
+        // spelled like the blank node's key
+        assert_routes_agree(concat!(
+            "<a> <p> <b> .\n<a> <q> \"x\" .\n<a> <p> <a> .\n_:a <p> <a> .\n<a> <q> _:a .\n",
+            "<_:a> <p> <a> .\n<_:a> <q> \"x\" .\n<b> <p> <a> .\n<a> <p> <b> .\n<a> <r> <c> .\n",
         ));
         assert_routes_agree("");
         assert_routes_agree("# only a comment\n\n");

@@ -5,7 +5,9 @@
 //! and each vertex owns a set of attributes (mapped `<predicate, literal>`
 //! pairs). Adjacency is stored twice (outgoing and incoming), sorted by
 //! neighbour id, so both edge directions resolve with a binary search.
-//! `DataGraph::assemble` builds all of it from flat, unordered id tuples.
+//! `DataGraph::assemble` builds all of it from flat, unordered id tuples,
+//! bucketing them by source vertex (a counting sort) and sorting each
+//! vertex's short bucket on its own.
 //!
 //! Layout: each of the three per-vertex structures (outgoing adjacency,
 //! incoming adjacency, attribute sets) is one [`Csr`] — one exact-size
@@ -188,21 +190,22 @@ impl DataGraph {
     /// order, repeats allowed. Every id must lie below `vertex_count`.
     ///
     /// This is the one place adjacency is built — the triple builder and
-    /// the snapshot loader both end here. The tuples are sorted and
-    /// deduplicated, which groups each vertex pair's types into one sorted
-    /// run. A counting pass takes both degrees of every vertex; a second
-    /// pass cuts the runs into multi-edges in `(from, to)` order, appending
-    /// each to the outgoing pool and placing its mirror in the incoming
-    /// pool by counting sort, so both come out sorted by neighbour and at
-    /// their exact size. The sorted attribute tuples are cut into rows the
-    /// same way.
+    /// the snapshot loader both end here. The tuples are sorted
+    /// ([`sort_by_row`]: bucketed by their first vertex, then each bucket
+    /// sorted on its own) and deduplicated, which groups each vertex
+    /// pair's types into one sorted run. A counting pass takes both degrees
+    /// of every vertex; a second pass cuts the runs into multi-edges in
+    /// `(from, to)` order, appending each to the outgoing pool and placing
+    /// its mirror in the incoming pool by counting sort, so both come out
+    /// sorted by neighbour and at their exact size. The sorted attribute
+    /// tuples are cut into rows the same way.
     pub(crate) fn assemble(
         vertex_count: usize,
         mut edges: Vec<(VertexId, VertexId, EdgeTypeId)>,
         mut attrs: Vec<(VertexId, AttrId)>,
         edge_type_count: usize,
     ) -> Self {
-        edges.sort_unstable();
+        sort_by_row(&mut edges, vertex_count, |&(from, _, _)| from.index());
         edges.dedup();
         let same_pair = |a: &(VertexId, VertexId, EdgeTypeId),
                          b: &(VertexId, VertexId, EdgeTypeId)| {
@@ -245,7 +248,7 @@ impl DataGraph {
             out_adj.end_row();
         }
 
-        attrs.sort_unstable();
+        sort_by_row(&mut attrs, vertex_count, |&(owner, _)| owner.index());
         attrs.dedup();
         let mut attr_rows = CsrBuilder::with_capacity(vertex_count, attrs.len());
         let mut rest = attrs.as_slice();
@@ -381,6 +384,45 @@ impl DataGraph {
     }
 }
 
+/// Sort `tuples` into the order `sort_unstable` gives, where `row` (below
+/// `rows`) is each tuple's leading field: a counting sort by row into a
+/// second buffer, which replaces the first, then a comparison sort inside
+/// each row. Rows are short — a vertex's edges — so the per-row sorts are
+/// small, where one sort over all tuples is `O(n log n)` on cache-cold
+/// data. Tuples already in order (a snapshot's are) are left as they are
+/// after one pass that finds so.
+fn sort_by_row<T: Copy + Ord>(tuples: &mut Vec<T>, rows: usize, row: impl Fn(&T) -> usize) {
+    if tuples.is_sorted() {
+        return;
+    }
+    let first = tuples[0];
+    assert!(u32::try_from(tuples.len()).is_ok(), "more than 2³² tuples");
+    // `next[r]`: the slot row `r`'s next tuple goes to; after the scatter,
+    // one past the row's last slot.
+    let mut next = vec![0u32; rows];
+    for tuple in tuples.iter() {
+        next[row(tuple)] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut next {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    let mut sorted = vec![first; tuples.len()];
+    for &tuple in tuples.iter() {
+        let slot = &mut next[row(&tuple)];
+        sorted[*slot as usize] = tuple;
+        *slot += 1;
+    }
+    *tuples = sorted;
+    let mut start = 0;
+    for end in next {
+        tuples[start..end as usize].sort_unstable();
+        start = end as usize;
+    }
+}
+
 impl DataGraph {
     /// Heap bytes of the two adjacency structures (multi-edges included).
     pub fn adjacency_heap_size(&self) -> usize {
@@ -498,6 +540,19 @@ mod tests {
         // null-pointer niche: no tag word is added.
         assert_eq!(std::mem::size_of::<MultiEdge>(), 16);
         assert_eq!(std::mem::size_of::<AdjEntry>(), 24);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sort_by_row_orders_as_a_full_sort(
+            tuples in proptest::prop::collection::vec((0..7usize, 0..5u32, 0..3u32), 0..60)
+        ) {
+            let mut expected = tuples.clone();
+            expected.sort_unstable();
+            let mut sorted = tuples;
+            sort_by_row(&mut sorted, 7, |&(row, _, _)| row);
+            assert_eq!(sorted, expected);
+        }
     }
 
     #[test]

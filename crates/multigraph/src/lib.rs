@@ -36,6 +36,8 @@ pub mod dictionary;
 pub mod ids;
 pub mod paper;
 pub mod query_graph;
+#[cfg(test)]
+mod reference;
 pub mod signature;
 pub mod snapshot;
 

@@ -273,57 +273,12 @@ impl RdfGraph {
     }
 }
 
-/// A second, independent writer of the image format, for tests: encodes
-/// exactly the tables it is given, valid or not.
-#[cfg(test)]
-pub(crate) mod test_support {
-    /// Per vertex, its `(neighbor, types)` entries.
-    pub(crate) type Adjacency = Vec<Vec<(u32, Vec<u32>)>>;
-    /// Per vertex, its attribute ids.
-    pub(crate) type Attributes = Vec<Vec<u32>>;
-
-    pub(crate) fn encode_image(
-        literals_as_vertices: bool,
-        triple_count: u64,
-        dictionaries: [&[&str]; 3],
-        adjacency: &Adjacency,
-        attrs: &Attributes,
-    ) -> Vec<u8> {
-        let mut image = b"AMBR".to_vec();
-        let put = |image: &mut Vec<u8>, n: u32| image.extend_from_slice(&n.to_le_bytes());
-        put(&mut image, 1);
-        image.push(u8::from(literals_as_vertices));
-        image.extend_from_slice(&triple_count.to_le_bytes());
-        for keys in dictionaries {
-            put(&mut image, keys.len() as u32);
-            for key in keys {
-                put(&mut image, key.len() as u32);
-                image.extend_from_slice(key.as_bytes());
-            }
-        }
-        put(&mut image, adjacency.len() as u32);
-        for entries in adjacency {
-            put(&mut image, entries.len() as u32);
-            for (neighbor, types) in entries {
-                put(&mut image, *neighbor);
-                put(&mut image, types.len() as u32);
-                types.iter().for_each(|&t| put(&mut image, t));
-            }
-        }
-        for list in attrs {
-            put(&mut image, list.len() as u32);
-            list.iter().for_each(|&a| put(&mut image, a));
-        }
-        image
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::test_support::{Adjacency, Attributes};
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::paper::{paper_graph, paper_triples};
+    use crate::reference::{encode_image, Adjacency, Attributes};
 
     fn assert_graphs_equal(a: &RdfGraph, b: &RdfGraph) {
         assert_eq!(a.stats(), b.stats());
@@ -438,15 +393,13 @@ mod tests {
         adjacency: &Adjacency,
         attrs: &Attributes,
     ) -> Result<RdfGraph, SnapshotError> {
-        RdfGraph::from_snapshot(&test_support::encode_image(
-            false, 4, dicts, adjacency, attrs,
-        ))
+        RdfGraph::from_snapshot(&encode_image(false, 4, dicts, adjacency, attrs))
     }
 
     #[test]
     fn hand_encoded_image_restores_and_re_encodes() {
         let (adjacency, attrs) = tables();
-        let image = test_support::encode_image(false, 4, DICTS, &adjacency, &attrs);
+        let image = encode_image(false, 4, DICTS, &adjacency, &attrs);
         let rdf = RdfGraph::from_snapshot(&image).unwrap();
         assert_eq!(rdf.to_snapshot(), image);
         let g = rdf.graph();
@@ -465,7 +418,7 @@ mod tests {
         let (adjacency, attrs) = tables();
         assert_eq!(
             rdf.to_snapshot(),
-            test_support::encode_image(false, 4, DICTS, &adjacency, &attrs)
+            encode_image(false, 4, DICTS, &adjacency, &attrs)
         );
     }
 
@@ -518,7 +471,7 @@ mod tests {
         for (literals_as_vertices, expected) in
             [(true, Err(SnapshotError::CorruptIds)), (false, Ok(()))]
         {
-            let image = test_support::encode_image(
+            let image = encode_image(
                 literals_as_vertices,
                 4,
                 [vertices, DICTS[1], DICTS[2]],
@@ -574,7 +527,7 @@ mod tests {
         // 16 GiB or more and abort the process; instead the loop runs out
         // of bytes.
         let (adjacency, attrs) = tables();
-        let image = test_support::encode_image(false, 4, DICTS, &adjacency, &attrs);
+        let image = encode_image(false, 4, DICTS, &adjacency, &attrs);
         let header = 4 + 4 + 1 + 8;
         let vertex_dictionary = 4 + 3 * (4 + 2);
         let dictionaries = vertex_dictionary + 2 * (4 + 2 * (4 + 2));

@@ -5,18 +5,24 @@
 //! tags and datatype suffixes. Errors carry `line:column` positions, the
 //! column counted in characters.
 //!
-//! The parser is hand-written and works on the bytes of each line:
+//! The parser is hand-written and reads each byte of the document once:
 //!
-//! * [`NtScanner`] walks the input with two 256-entry class tables (one for
-//!   IRI bytes, one for literal bytes) and yields [`TripleRef`]s whose terms
-//!   *borrow the input*. Only a term containing a `\` escape is unescaped,
-//!   into a scratch `String` the scanner reuses for every line (one per
-//!   term position) — so a document without escapes is scanned without
-//!   allocating.
-//!   Every byte the scanner stops on is ASCII, hence a character boundary;
-//!   multi-byte characters are passed over a byte at a time and decoded
-//!   only where the grammar asks about the character itself (blank node
-//!   labels, error messages).
+//! * [`NtScanner`] walks the input statement by statement and yields
+//!   [`TripleRef`]s whose terms *borrow the input*. There is no separate
+//!   line split: a statement's own terms and separators find where its
+//!   line ends (`\n`, or `\r\n` with the `\r` dropped; a bare `\r` is an
+//!   ordinary byte), exactly where [`str::lines`] would cut. Only a term
+//!   containing a `\` escape is unescaped, into a scratch `String` the
+//!   scanner reuses for every line (one per term position) — so a
+//!   document without escapes is scanned without allocating.
+//! * The runs of ordinary bytes inside an IRI or a literal are skipped a
+//!   word (8 bytes) at a time: a SWAR mask flags the bytes that can end
+//!   the run, and the lowest flag is the stop byte. A 256-entry class
+//!   table per term kind classifies the stop byte, and scans the tail
+//!   shorter than a word. Every byte the scanner stops on is ASCII, hence
+//!   a character boundary; multi-byte characters are passed over whole
+//!   and decoded only where the grammar asks about the character itself
+//!   (blank node labels, error messages).
 //! * [`NtParser`] / [`parse_ntriples`] are that scanner plus a copy of each
 //!   triple into an owned [`Triple`].
 //!
@@ -39,7 +45,8 @@ pub fn parse_ntriples(input: &str) -> Result<Vec<Triple>, NtParseError> {
 /// `"lex"^^<dt>`), e.g. the literal half of a stored attribute key.
 pub fn parse_literal(input: &str) -> Result<Literal, NtParseError> {
     let (mut lexical, mut datatype) = (String::new(), String::new());
-    let mut cursor = Cursor::new(input, 1);
+    // The whole input is one "line": a line feed in it is an ordinary byte.
+    let mut cursor = Cursor::new(input, 0, 1, false);
     let literal = cursor.literal(&mut lexical, &mut datatype)?.to_literal();
     cursor.skip_ws();
     if !cursor.at_end() {
@@ -98,7 +105,9 @@ impl Iterator for NtParser<'_> {
 /// Not an [`Iterator`] because a yielded triple may borrow the scanner's
 /// scratch buffers, which the next call overwrites.
 pub struct NtScanner<'a> {
-    lines: std::str::Lines<'a>,
+    input: &'a str,
+    /// Byte offset where the next line starts.
+    next_line: usize,
     line_no: usize,
     scratch: Scratch,
 }
@@ -112,25 +121,30 @@ impl<'a> NtScanner<'a> {
     /// Scan `input` lazily, line by line.
     pub fn new(input: &'a str) -> Self {
         Self {
-            lines: input.lines(),
+            input,
+            next_line: 0,
             line_no: 0,
             scratch: Scratch::default(),
         }
     }
 
     /// The next statement, skipping blank and comment lines; `None` at the
-    /// end of the input.
+    /// end of the input. After a malformed statement, the next call goes on
+    /// with the line after it.
     pub fn next_triple(&mut self) -> Option<Result<TripleRef<'_>, NtParseError>> {
-        loop {
-            let line = self.lines.next()?;
+        while self.next_line < self.input.len() {
             self.line_no += 1;
-            let mut cursor = Cursor::new(line, self.line_no);
+            let mut cursor = Cursor::new(self.input, self.next_line, self.line_no, true);
             cursor.skip_ws();
             if cursor.at_end() || cursor.peek() == Some(b'#') {
+                self.next_line = cursor.next_line();
                 continue;
             }
-            return Some(cursor.statement(&mut self.scratch));
+            let triple = cursor.statement(&mut self.scratch);
+            self.next_line = cursor.next_line();
+            return Some(triple);
         }
+        None
     }
 }
 
@@ -141,66 +155,141 @@ const CLOSE: u8 = 1;
 /// `\`: an escape sequence follows.
 const ESCAPE: u8 = 2;
 /// IRI: a character the grammar forbids. Literal: a raw control character
-/// (accepted, but the source token is then not the canonical form).
+/// (accepted, but the source token is then not the canonical form). In
+/// both, `\n` and `\r` are here, so a run never crosses a line end.
 const SPECIAL: u8 = 3;
+
+/// How the bytes of one term kind are classified: a table for single
+/// bytes, and the same set as a SWAR mask over a little-endian word.
+struct ByteClass {
+    table: [u8; 256],
+    /// The high bit of every byte of the word that is not [`PLAIN`] in
+    /// `table`, possibly with more flags above the lowest one: only the
+    /// lowest flagged byte is exact.
+    stops: fn(u64) -> u64,
+}
 
 /// IRI bytes: everything above `' '` except `<"{}|^\`` `` is allowed, so
 /// every byte of a multi-byte character is [`PLAIN`].
-const IRI_CLASS: [u8; 256] = {
-    let mut table = [PLAIN; 256];
-    let mut b = 0;
-    while b <= b' ' as usize {
-        table[b] = SPECIAL;
-        b += 1;
-    }
-    let forbidden = *b"<\"{}|^`";
-    let mut i = 0;
-    while i < forbidden.len() {
-        table[forbidden[i] as usize] = SPECIAL;
-        i += 1;
-    }
-    table[b'>' as usize] = CLOSE;
-    table[b'\\' as usize] = ESCAPE;
-    table
+const IRI: ByteClass = ByteClass {
+    table: {
+        let mut table = [PLAIN; 256];
+        let mut b = 0;
+        while b <= b' ' as usize {
+            table[b] = SPECIAL;
+            b += 1;
+        }
+        let forbidden = *b"<\"{}|^`";
+        let mut i = 0;
+        while i < forbidden.len() {
+            table[forbidden[i] as usize] = SPECIAL;
+            i += 1;
+        }
+        table[b'>' as usize] = CLOSE;
+        table[b'\\' as usize] = ESCAPE;
+        table
+    },
+    stops: |word| {
+        // With bit 1 set, only `<` and `>` read as `>`, and only `\` and
+        // `^` as `^`: one test finds each pair.
+        let bit1 = word | 0x0202_0202_0202_0202;
+        bytes_below(word, b' ' + 1)
+            | bytes_equal(word, b'"')
+            | bytes_equal(bit1, b'>')
+            | bytes_equal(bit1, b'^')
+            | bytes_equal(word, b'`')
+            | bytes_equal(word, b'{')
+            | bytes_equal(word, b'|')
+            | bytes_equal(word, b'}')
+    },
 };
 
-/// Literal bytes.
-const LITERAL_CLASS: [u8; 256] = {
-    let mut table = [PLAIN; 256];
-    let mut b = 0;
-    while b < b' ' as usize {
-        table[b] = SPECIAL;
-        b += 1;
-    }
-    table[b'"' as usize] = CLOSE;
-    table[b'\\' as usize] = ESCAPE;
-    table
+/// Literal bytes: all but the control characters, `"` and `\`.
+const LITERAL: ByteClass = ByteClass {
+    table: {
+        let mut table = [PLAIN; 256];
+        let mut b = 0;
+        while b < b' ' as usize {
+            table[b] = SPECIAL;
+            b += 1;
+        }
+        table[b'"' as usize] = CLOSE;
+        table[b'\\' as usize] = ESCAPE;
+        table
+    },
+    stops: |word| bytes_below(word, b' ') | bytes_equal(word, b'"') | bytes_equal(word, b'\\'),
 };
 
-/// Byte cursor over a single line. Between method calls `pos` rests on a
-/// character boundary: the table-driven runs stop only at ASCII bytes or the
-/// end of the line, and everything else advances by whole characters.
+/// One in every byte.
+const ONES: u64 = 0x0101_0101_0101_0101;
+/// The high bit of every byte.
+const HIGHS: u64 = 0x8080_8080_8080_8080;
+
+/// Flags the bytes of `word` below `n` (`n` ≤ 0x80). A flagged byte's
+/// borrow may flag a byte above it too, never one below.
+#[inline]
+fn bytes_below(word: u64, n: u8) -> u64 {
+    word.wrapping_sub(ONES * u64::from(n)) & !word & HIGHS
+}
+
+/// Flags the bytes of `word` equal to `byte`, with the same caveat.
+#[inline]
+fn bytes_equal(word: u64, byte: u8) -> u64 {
+    bytes_below(word ^ (ONES * u64::from(byte)), 1)
+}
+
+/// The length of the run of [`PLAIN`] bytes `bytes` starts with.
+#[inline]
+fn plain_run(bytes: &[u8], class: &ByteClass) -> usize {
+    let mut run = 0;
+    while let Some(word) = bytes.get(run..run + 8) {
+        let word = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
+        let stops = (class.stops)(word);
+        if stops != 0 {
+            return run + stops.trailing_zeros() as usize / 8;
+        }
+        run += 8;
+    }
+    let tail = &bytes[run..];
+    run + tail
+        .iter()
+        .position(|&byte| class.table[byte as usize] != PLAIN)
+        .unwrap_or(tail.len())
+}
+
+/// Byte cursor over one line of a text. Between method calls `pos` rests
+/// on a character boundary: the runs stop only at ASCII bytes or the end
+/// of the text, and everything else advances by whole characters. The
+/// cursor never moves past its line's end, so the scanner finds the next
+/// line from where the cursor stopped.
 struct Cursor<'l> {
-    line: &'l str,
+    text: &'l str,
     bytes: &'l [u8],
     pos: usize,
+    /// Where the line begins (columns count from here).
+    line_start: usize,
     line_no: usize,
+    /// Whether `\n` and `\r\n` end the line (a document), or only the end
+    /// of the text does (a lone literal).
+    lines: bool,
 }
 
 impl<'l> Cursor<'l> {
-    fn new(line: &'l str, line_no: usize) -> Self {
+    fn new(text: &'l str, line_start: usize, line_no: usize, lines: bool) -> Self {
         Self {
-            line,
-            bytes: line.as_bytes(),
-            pos: 0,
+            text,
+            bytes: text.as_bytes(),
+            pos: line_start,
+            line_start,
             line_no,
+            lines,
         }
     }
 
     /// An error at the current position, reported as a character column.
     fn error(&self, message: impl Into<String>) -> NtParseError {
-        // Counting the bytes that start a character never slices the line.
-        let chars_before = self.bytes[..self.pos]
+        // Counting the bytes that start a character never slices the text.
+        let chars_before = self.bytes[self.line_start..self.pos]
             .iter()
             .filter(|&&b| b & 0xC0 != 0x80)
             .count();
@@ -211,18 +300,42 @@ impl<'l> Cursor<'l> {
         }
     }
 
+    /// Whether the cursor is at the end of its line: the end of the text,
+    /// or in a document a `\n` or the `\r` of a `\r\n`, which
+    /// [`str::lines`] would have cut off.
     fn at_end(&self) -> bool {
-        self.pos >= self.bytes.len()
+        match self.bytes.get(self.pos) {
+            None => true,
+            Some(b'\n') => self.lines,
+            Some(b'\r') => self.lines && self.bytes.get(self.pos + 1) == Some(&b'\n'),
+            Some(_) => false,
+        }
     }
 
+    /// Where the line after the cursor's starts: past the next `\n`, or the
+    /// end of the text.
+    fn next_line(&self) -> usize {
+        let rest = &self.bytes[self.pos..];
+        rest.iter()
+            .position(|&b| b == b'\n')
+            .map_or(self.bytes.len(), |at| self.pos + at + 1)
+    }
+
+    /// The byte at the cursor; `None` at the end of the line.
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        match self.at_end() {
+            true => None,
+            false => Some(self.bytes[self.pos]),
+        }
     }
 
     /// The character at the cursor (decoded; error paths and the
     /// non-ASCII arm of blank node labels only).
     fn peek_char(&self) -> Option<char> {
-        self.line.get(self.pos..)?.chars().next()
+        match self.at_end() {
+            true => None,
+            false => self.text[self.pos..].chars().next(),
+        }
     }
 
     /// Consume one character of any width.
@@ -246,25 +359,22 @@ impl<'l> Cursor<'l> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t')) {
+        // Neither byte ends a line.
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t')) {
             self.pos += 1;
         }
     }
 
-    /// Advance over the bytes `class` maps to [`PLAIN`]; the byte that
-    /// ended the run, `None` at the end of the line.
-    fn skip_plain(&mut self, class: &[u8; 256]) -> Option<u8> {
-        let rest = &self.bytes[self.pos..];
-        let run = rest
-            .iter()
-            .position(|&byte| class[byte as usize] != PLAIN)
-            .unwrap_or(rest.len());
-        self.pos += run;
-        rest.get(run).copied()
+    /// Advance over the bytes `class` calls [`PLAIN`]; the byte that ended
+    /// the run, `None` at the end of the text.
+    #[inline]
+    fn skip_plain(&mut self, class: &ByteClass) -> Option<u8> {
+        self.pos += plain_run(&self.bytes[self.pos..], class);
+        self.bytes.get(self.pos).copied()
     }
 
     /// `subject predicate object .` with optional trailing comment. A
-    /// term borrows the line, or its scratch buffer if it had an escape.
+    /// term borrows the input, or its scratch buffer if it had an escape.
     fn statement<'x>(&mut self, scratch: &'x mut Scratch) -> Result<TripleRef<'x>, NtParseError>
     where
         'l: 'x,
@@ -312,16 +422,16 @@ impl<'l> Cursor<'l> {
     }
 
     /// The text of a term that began at `start` and ends at the cursor:
-    /// the line itself, or `scratch` plus the last clean run if an escape
+    /// the input itself, or `scratch` plus the last clean run if an escape
     /// moved the term there (`clean_from` is where that run began).
     fn term<'x>(&self, start: usize, clean_from: Option<usize>, scratch: &'x mut String) -> &'x str
     where
         'l: 'x,
     {
         match clean_from {
-            None => &self.line[start..self.pos],
+            None => &self.text[start..self.pos],
             Some(clean_from) => {
-                scratch.push_str(&self.line[clean_from..self.pos]);
+                scratch.push_str(&self.text[clean_from..self.pos]);
                 scratch
             }
         }
@@ -333,7 +443,7 @@ impl<'l> Cursor<'l> {
         if clean_from.is_none() {
             scratch.clear();
         }
-        scratch.push_str(&self.line[clean_from.unwrap_or(start)..self.pos]);
+        scratch.push_str(&self.text[clean_from.unwrap_or(start)..self.pos]);
     }
 
     /// `<…>`; the text excludes the brackets.
@@ -345,10 +455,10 @@ impl<'l> Cursor<'l> {
         let start = self.pos;
         let mut clean_from = None;
         loop {
-            let Some(byte) = self.skip_plain(&IRI_CLASS) else {
+            let Some(byte) = self.skip_plain(&IRI) else {
                 return Err(self.error("unterminated IRI"));
             };
-            match IRI_CLASS[byte as usize] {
+            match IRI.table[byte as usize] {
                 CLOSE => break,
                 ESCAPE => {
                     self.flush_before_escape(start, clean_from, scratch);
@@ -364,6 +474,7 @@ impl<'l> Cursor<'l> {
                     scratch.push(c);
                     clean_from = Some(self.pos);
                 }
+                _ if self.at_end() => return Err(self.error("unterminated IRI")),
                 _ => {
                     // Forbidden bytes are all ASCII.
                     self.pos += 1;
@@ -406,7 +517,7 @@ impl<'l> Cursor<'l> {
         if self.pos == start {
             return Err(self.error("empty blank node label"));
         }
-        Ok(&self.line[start..self.pos])
+        Ok(&self.text[start..self.pos])
     }
 
     /// `"…"`, `"…"@lang` or `"…"^^<datatype>`.
@@ -425,10 +536,10 @@ impl<'l> Cursor<'l> {
         // Whether the token, as written, is the canonical form.
         let mut canonical = true;
         loop {
-            let Some(byte) = self.skip_plain(&LITERAL_CLASS) else {
+            let Some(byte) = self.skip_plain(&LITERAL) else {
                 return Err(self.error("unterminated literal"));
             };
-            match LITERAL_CLASS[byte as usize] {
+            match LITERAL.table[byte as usize] {
                 CLOSE => break,
                 ESCAPE => {
                     self.flush_before_escape(start, clean_from, lexical);
@@ -456,6 +567,7 @@ impl<'l> Cursor<'l> {
                     lexical.push(c);
                     clean_from = Some(self.pos);
                 }
+                _ if self.at_end() => return Err(self.error("unterminated literal")),
                 _ => {
                     // A raw control character: accepted, never canonical.
                     canonical = false;
@@ -476,7 +588,7 @@ impl<'l> Cursor<'l> {
                 if self.pos == lang_start {
                     return Err(self.error("empty language tag"));
                 }
-                LiteralSuffixRef::Lang(&self.line[lang_start..self.pos])
+                LiteralSuffixRef::Lang(&self.text[lang_start..self.pos])
             }
             Some(b'^') => {
                 self.pos += 1;
@@ -493,7 +605,7 @@ impl<'l> Cursor<'l> {
         };
         let literal = LiteralRef::new(lexical, suffix);
         Ok(match canonical {
-            true => literal.with_canonical_source(&self.line[token_start..self.pos]),
+            true => literal.with_canonical_source(&self.text[token_start..self.pos]),
             false => literal,
         })
     }
@@ -1110,6 +1222,69 @@ mod tests {
             let skip = doc[at..].chars().next().map_or(0, char::len_utf8);
             assert_parsers_agree(&format!("{}{}{}", &doc[..at], FRAGMENTS[with], &doc[at + skip..]));
             assert_parsers_agree(&format!("{}{}{}", &doc[..at], FRAGMENTS[with], &doc[at..]));
+        }
+    }
+
+    /// The table loop the word loop replaced: the oracle of
+    /// [`plain_run`].
+    fn table_run(bytes: &[u8], class: &ByteClass) -> usize {
+        bytes
+            .iter()
+            .position(|&byte| class.table[byte as usize] != PLAIN)
+            .unwrap_or(bytes.len())
+    }
+
+    /// Both loops from every start offset modulo a word.
+    fn assert_runs_agree(bytes: &[u8]) {
+        for (name, class) in [("IRI", &IRI), ("literal", &LITERAL)] {
+            for start in 0..bytes.len().min(8) {
+                let rest = &bytes[start..];
+                assert_eq!(
+                    plain_run(rest, class),
+                    table_run(rest, class),
+                    "{name} run from {start} in {bytes:02x?}"
+                );
+            }
+        }
+    }
+
+    /// Bytes at the edges of the two classes: every byte either stops on,
+    /// the bytes next to each, DEL, UTF-8 lead and continuation bytes, and
+    /// a few plain letters.
+    const EDGE_BYTES: &[u8] = &[
+        0x00, 0x01, b'\t', b'\n', b'\r', 0x1F, b' ', b'!', b'"', b'#', b';', b'<', b'=', b'>',
+        b'?', b'[', b'\\', b']', b'^', b'_', b'`', b'a', b'z', b'{', b'|', b'}', b'~', 0x7F, 0x80,
+        0x9F, 0xA9, 0xBF, 0xC2, 0xC3, 0xE6, 0xF0, 0xF4, 0xFF,
+    ];
+
+    #[test]
+    fn the_word_loop_stops_where_the_table_loop_does_on_every_byte() {
+        // Each byte value at each position of a word, after a plain prefix
+        // of every length below a word, with a second stop byte after it
+        // (a borrow out of the first must not move the stop).
+        for byte in 0..=255u8 {
+            for prefix in 0..8 {
+                let mut bytes = vec![b'a'; prefix];
+                bytes.push(byte);
+                bytes.extend_from_slice(b"abc\x00defghij>\"");
+                assert_runs_agree(&bytes);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3000))]
+
+        #[test]
+        fn the_word_loop_stops_where_the_table_loop_does(
+            picks in proptest::prop::collection::vec(0..EDGE_BYTES.len() + 4, 0..40)
+        ) {
+            // Plain letters in between keep runs longer than a word.
+            let bytes: Vec<u8> = picks
+                .into_iter()
+                .map(|i| EDGE_BYTES.get(i).copied().unwrap_or(b'm'))
+                .collect();
+            assert_runs_agree(&bytes);
         }
     }
 

@@ -5,6 +5,11 @@
 //! hostile snapshot images) sit beside the code they test; this file is the
 //! end-to-end cut that `cargo test -q` at the root runs.
 
+// The builder's reference: the transformation as first written, with its
+// own image writer.
+#[path = "../crates/multigraph/src/reference.rs"]
+mod reference;
+
 use amber::{AmberEngine, EngineError, QueryRequest};
 use amber_datagen::{Benchmark, QueryShape, WorkloadConfig, WorkloadGenerator};
 use amber_multigraph::{AdjEntry, Direction, RdfGraph, Synopsis, VertexSignature};
@@ -227,4 +232,30 @@ fn resident_bytes_stay_under_the_ceiling_past_a_power_of_16() {
         "signature_index: {signature_index} B"
     );
     assert!(per_triple <= 88.8, "{per_triple:.2} B/triple > 88.8");
+}
+
+/// The text route against the reference transformation at the benchmark's
+/// scale: the snapshot image of `RdfGraph::parse_ntriples` must equal the
+/// one built the obvious way (ordered maps, hashed first-seen interning),
+/// on both generators and two seeds. The crate's own oracle runs on small
+/// documents; this one covers subject runs, id ranges and row lengths of
+/// real size.
+#[test]
+#[ignore = "builds four graphs of up to 392k triples twice; run in release: cargo test --release --test load_path -- --ignored"]
+fn the_text_route_builds_the_reference_image_at_scale() {
+    for benchmark in [Benchmark::Dbpedia, Benchmark::Lubm] {
+        for seed in [1, 2] {
+            let text = write_ntriples(&benchmark.generate(25, seed));
+            let image = RdfGraph::parse_ntriples(&text).unwrap().to_snapshot();
+            let expected = reference::reference_snapshot(&parse_ntriples(&text).unwrap(), false);
+            // Not `assert_eq!`: the images are megabytes long.
+            let first_difference = image.iter().zip(&expected).position(|(a, b)| a != b);
+            assert!(
+                image.len() == expected.len() && first_difference.is_none(),
+                "{benchmark:?} seed {seed}: {} vs {} bytes, first difference at {first_difference:?}",
+                image.len(),
+                expected.len()
+            );
+        }
+    }
 }

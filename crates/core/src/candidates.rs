@@ -14,9 +14,10 @@
 //! `ProcessVertex` per candidate; the cached form is observationally
 //! identical).
 
-use crate::seeds::SeedCache;
+use crate::matcher::{ProcessScratch, SearchArenas};
 use amber_index::IndexSet;
 use amber_multigraph::{DataGraph, QVertexId, QueryGraph, VertexId};
+use amber_util::fault::{self, FaultPoint};
 use amber_util::sorted;
 
 /// The per-vertex constraint computed by `ProcessVertex`.
@@ -53,27 +54,32 @@ impl Constraint {
     }
 }
 
-/// Algorithm 1: compute the attribute/IRI constraint of `u` with
-/// transient state (no seed memoization). One-shot callers and tests use
-/// this; the session path goes through [`process_vertex_seeded`].
-pub fn process_vertex(qg: &QueryGraph, u: QVertexId, index: &IndexSet) -> Constraint {
-    process_vertex_seeded(qg, u, index, &mut SeedCache::disabled())
-}
-
-/// Algorithm 1 against a session [`SeedCache`]: the attribute-set lookup
-/// and every IRI-constraint OTIL probe resolve through the cache (each in
-/// its own key space), so constant-heavy query streams stop recomputing
-/// their seed candidates on every repeat.
-pub fn process_vertex_seeded(
+/// Algorithm 1: the attribute/IRI constraint of `u`. A single-type IRI
+/// constraint borrows its inverted list from the OTIL pool; an attribute
+/// set or a multi-type constraint is computed into the `ProcessVertex`
+/// scratch of `arenas` (a session's arenas keep that scratch warm across
+/// queries; one-shot callers pass fresh ones).
+pub fn process_vertex(
     qg: &QueryGraph,
     u: QVertexId,
     index: &IndexSet,
-    seeds: &mut SeedCache,
+    arenas: &mut SearchArenas,
 ) -> Constraint {
     let vertex = qg.vertex(u);
+    let ProcessScratch {
+        order,
+        acc,
+        scratch,
+    } = &mut arenas.process;
 
     // C^A_u (lines 1-2).
-    let from_attrs: Option<Vec<VertexId>> = seeds.attr_candidates(&index.attribute, &vertex.attrs);
+    let from_attrs = (!vertex.attrs.is_empty()).then(|| {
+        let _ = fault::inject(FaultPoint::IndexProbe);
+        index
+            .attribute
+            .candidates_into(&vertex.attrs, order, acc, scratch);
+        acc.clone()
+    });
 
     // C^I_u (lines 3-4): each IRI vertex u^iri has exactly one data vertex;
     // candidates are its neighbours through the required multi-edge, in the
@@ -81,15 +87,18 @@ pub fn process_vertex_seeded(
     // relative to the query vertex, hence the flip).
     let mut from_iris: Option<Vec<VertexId>> = None;
     for c in &vertex.iri_constraints {
-        let neighbors = seeds.iri_neighbors(
-            &index.neighborhood,
-            c.data_vertex,
-            c.direction.flip(),
-            c.types.types(),
-        );
+        let (v, direction) = (c.data_vertex, c.direction.flip());
+        let neighbors = match c.types.types() {
+            [t] => index.neighborhood.neighbors_with_type(v, direction, *t),
+            types => {
+                let _ = fault::inject(FaultPoint::IndexProbe);
+                index.neighborhood.neighbors_into(v, direction, types, acc);
+                acc.as_slice()
+            }
+        };
         match &mut from_iris {
             None => from_iris = Some(neighbors.to_vec()),
-            Some(acc) => sorted::intersect_in_place(acc, neighbors),
+            Some(found) => sorted::intersect_in_place(found, neighbors),
         }
         if from_iris.as_ref().is_some_and(Vec::is_empty) {
             break; // already empty, no point intersecting further
@@ -133,7 +142,7 @@ mod tests {
         let (_, qg, index) = setup();
         let u5 = qg.vertex_by_name("X5").unwrap();
         assert_eq!(
-            process_vertex(&qg, u5, &index),
+            process_vertex(&qg, u5, &index, &mut SearchArenas::new()),
             Constraint::Candidates(vec![VertexId(0)])
         );
     }
@@ -147,7 +156,7 @@ mod tests {
         // alone yields the in-neighbours of v5 through t3.)
         let (_, qg, index) = setup();
         let u3 = qg.vertex_by_name("X3").unwrap();
-        let c = process_vertex(&qg, u3, &index);
+        let c = process_vertex(&qg, u3, &index, &mut SearchArenas::new());
         assert_eq!(c, Constraint::Candidates(vec![VertexId(1), VertexId(6)]));
     }
 
@@ -157,7 +166,7 @@ mod tests {
         for name in ["X0", "X1", "X2", "X6"] {
             let u = qg.vertex_by_name(name).unwrap();
             assert_eq!(
-                process_vertex(&qg, u, &index),
+                process_vertex(&qg, u, &index, &mut SearchArenas::new()),
                 Constraint::Unconstrained,
                 "{name} has neither attributes nor IRI constraints"
             );

@@ -2,12 +2,11 @@
 
 use crate::embedding::{materialize_bindings, total_count};
 use crate::error::EngineError;
-use crate::matcher::{Abort, ComponentMatch, ComponentMatcher, MatchConfig};
+use crate::matcher::{Abort, ComponentMatch, ComponentMatcher, MatchConfig, SearchArenas};
 use crate::options::ExecOptions;
 use crate::plan::PreparedPlan;
 use crate::request::QuerySource;
 use crate::result::{Bindings, QueryOutcome, QueryStatus, SparqlEngine};
-use crate::seeds::SeedCache;
 use crate::session::QuerySession;
 use amber_index::IndexSet;
 use amber_multigraph::{CompiledQuery, GraphBuilder, RdfGraph};
@@ -237,12 +236,12 @@ impl AmberEngine {
     }
 
     fn prepare_compiled(&self, compiled: &CompiledQuery) -> Arc<PreparedPlan> {
-        Arc::new(self.build_plan(compiled, &mut SeedCache::disabled()))
+        Arc::new(self.build_plan(compiled, &mut SearchArenas::new()))
     }
 
-    /// Derive `compiled`'s plan, resolving seed lookups through `seeds`.
-    fn build_plan(&self, compiled: &CompiledQuery, seeds: &mut SeedCache) -> PreparedPlan {
-        PreparedPlan::from_compiled(compiled, &self.rdf, &self.index, self.token, seeds)
+    /// Derive `compiled`'s plan, computing `ProcessVertex` in `arenas`.
+    fn build_plan(&self, compiled: &CompiledQuery, arenas: &mut SearchArenas) -> PreparedPlan {
+        PreparedPlan::from_compiled(compiled, &self.rdf, &self.index, self.token, arenas)
     }
 
     /// Execute `query` with the session's flight recorder forced on and
@@ -258,12 +257,12 @@ impl AmberEngine {
         options: &ExecOptions,
         session: &mut QuerySession,
     ) -> Result<(QueryOutcome, String), EngineError> {
-        // The plan is built once, through the session's seed cache, and
-        // runs as a prepared source, so the report and the trace describe
+        // The plan is built once, in the session's arenas, and runs as a
+        // prepared source, so the report and the trace describe
         // one plan.
         session.bind_graph(self.graph_token());
         let compiled = self.compile_parsed(query)?;
-        let plan = Arc::new(self.build_plan(&compiled, session.seed_cache_mut()));
+        let plan = Arc::new(self.build_plan(&compiled, session.search_state()));
         let (was_enabled, threshold) = session.flight_recorder().config();
         session.configure_tracing(true, threshold);
         let outcome = self.run_source(&QuerySource::Prepared(&plan), options, session);
@@ -281,26 +280,22 @@ impl AmberEngine {
         Ok((outcome, text))
     }
 
-    /// A reusable [`QuerySession`]: a result cache of
-    /// `options.result_cache_capacity` (the one place that knob is read)
-    /// and a seed cache of [`QuerySession::SEED_CACHE_CAPACITY`]. Feed it
-    /// to [`Self::run_in`] to amortize arenas, seed probes and repeated
-    /// answers across many queries.
+    /// A reusable [`QuerySession`] with a result cache of
+    /// `options.result_cache_capacity` (the one place that knob is read).
+    /// Feed it to [`Self::run_in`] to amortize arenas and repeated answers
+    /// across many queries.
     pub fn create_session(&self, options: &ExecOptions) -> QuerySession {
-        let mut session = QuerySession::new(
-            QuerySession::SEED_CACHE_CAPACITY,
-            options.result_cache_capacity,
-        );
+        let mut session = QuerySession::new(options.result_cache_capacity);
         session.bind_graph(self.graph_token());
         session
     }
 
-    /// A single-query scratch session: fresh arenas and **no** caches — a
-    /// one-shot execution would only cold-miss and store into structures
-    /// dropped microseconds later. This is what keeps a one-shot
+    /// A single-query scratch session: fresh arenas and **no** result
+    /// cache — a one-shot execution would only cold-miss and store into a
+    /// structure dropped microseconds later. This is what keeps a one-shot
     /// [`Self::run`] cheap per call.
     pub(crate) fn transient_session(&self) -> QuerySession {
-        let mut session = QuerySession::new(0, 0);
+        let mut session = QuerySession::new(0);
         session.bind_graph(self.graph_token());
         session
     }
@@ -459,7 +454,7 @@ impl AmberEngine {
             Ready::Prepared(plan) => plan,
             Ready::Compiled(compiled) => {
                 let plan_sw = session.recorder_mut().is_recording().then(Stopwatch::start);
-                built = self.build_plan(compiled, session.seed_cache_mut());
+                built = self.build_plan(compiled, session.search_state());
                 if let Some(s) = plan_sw {
                     session.recorder_mut().span("plan", 0, s.elapsed());
                 }
@@ -885,8 +880,8 @@ mod tests {
         let (outcomes, session) = run_on_one_session(&engine, &requests);
         assert_eq!(session.queries_executed(), 6);
         assert_eq!(completed(&outcomes), 6);
-        let rate = session.seed_stats().hit_rate();
-        assert!((0.0..=1.0).contains(&rate), "hit rate {rate} out of range");
+        let results = session.result_stats();
+        assert_eq!((results.misses, results.hits), (1, 5), "{results:?}");
     }
 
     #[test]
@@ -1098,14 +1093,10 @@ mod tests {
 
     #[test]
     fn transient_sessions_skip_the_per_call_cache_build() {
-        // One-shot `run` sessions must not carry caches that die with the
-        // call.
+        // One-shot `run` sessions must not carry a cache that dies with
+        // the call.
         let engine = engine();
         let mut transient = engine.transient_session();
-        assert!(
-            !transient.seed_cache_mut().is_enabled(),
-            "transient sessions must not build a seed cache"
-        );
         assert!(
             !transient.result_cache_mut().is_enabled(),
             "transient sessions must not build a result cache"

@@ -43,7 +43,6 @@ pub mod ordering;
 pub mod plan;
 pub mod request;
 pub mod result;
-pub mod seeds;
 pub mod session;
 pub(crate) mod telemetry;
 
@@ -51,10 +50,9 @@ pub use engine::{AmberEngine, OfflineStats};
 pub use error::{EngineError, Error};
 pub use explain::{Explain, QueryPlan};
 pub use options::ExecOptions;
-pub use plan::{PreparedPlan, ResultCache};
+pub use plan::{CacheStats, PreparedPlan, ResultCache};
 pub use request::{QueryRequest, QuerySource};
 pub use result::{BindingRow, Bindings, QueryOutcome, QueryStatus, SparqlEngine};
-pub use seeds::{CacheStats, SeedCache};
 pub use session::QuerySession;
 
 pub use amber_multigraph::CompiledQuery;

@@ -56,10 +56,9 @@
 //! been seen. [`ComponentMatcher::run_on`] remains the self-contained entry
 //! point (fresh arenas) for one-shot callers.
 
-use crate::candidates::{process_vertex_seeded, satisfies_self_loop, Constraint};
+use crate::candidates::{process_vertex, satisfies_self_loop, Constraint};
 use crate::decompose::Decomposition;
 use crate::ordering::order_core_vertices;
-use crate::seeds::SeedCache;
 use amber_index::{IndexSet, NeighborhoodIndex};
 use amber_multigraph::{DataGraph, Direction, EdgeTypeId, QVertexId, QueryGraph, VertexId};
 use amber_util::fault::{self, FaultPoint};
@@ -221,19 +220,18 @@ pub struct ComponentPrep {
 }
 
 impl ComponentPrep {
-    /// Build the plan for one component (vertex ids ascending), resolving
-    /// seed probes through `seeds` (pass
-    /// [`SeedCache::disabled`] for transient one-shot state).
+    /// Build the plan for one component (vertex ids ascending), computing
+    /// `ProcessVertex` in the scratch of `arenas`.
     pub fn build(
         qg: &QueryGraph,
         graph: &DataGraph,
         index: &IndexSet,
         component: &[QVertexId],
-        seeds: &mut SeedCache,
+        arenas: &mut SearchArenas,
     ) -> Self {
         let decomp = Decomposition::of_component(qg, component);
         let order = order_core_vertices(qg, &decomp);
-        Self::build_with_order(qg, graph, index, decomp, order, seeds)
+        Self::build_with_order(qg, graph, index, decomp, order, arenas)
     }
 
     /// The ordered core vertices (`U_c^ord`).
@@ -287,7 +285,7 @@ impl ComponentPrep {
         index: &IndexSet,
         decomp: Decomposition,
         order: Vec<QVertexId>,
-        seeds: &mut SeedCache,
+        arenas: &mut SearchArenas,
     ) -> Self {
         let position_of = |u: QVertexId| order.iter().position(|&o| o == u);
 
@@ -336,7 +334,7 @@ impl ComponentPrep {
                     SatellitePlan {
                         vertex: s,
                         probes: sat_probes,
-                        constraint: process_vertex_seeded(qg, s, index, seeds),
+                        constraint: process_vertex(qg, s, index, arenas),
                         has_self_loop: qg.vertex(s).self_loop.is_some(),
                     }
                 })
@@ -345,7 +343,7 @@ impl ComponentPrep {
             plans.push(CorePlan {
                 vertex: u,
                 probes,
-                constraint: process_vertex_seeded(qg, u, index, seeds),
+                constraint: process_vertex(qg, u, index, arenas),
                 has_self_loop: qg.vertex(u).self_loop.is_some(),
                 satellites,
             });
@@ -475,16 +473,16 @@ pub struct ComponentMatcher<'a> {
 
 impl<'a> ComponentMatcher<'a> {
     /// Build the matching plan for one component (vertex ids ascending)
-    /// with transient seed state. One-shot callers and tests use this; the
-    /// session path builds a [`ComponentPrep`] against its seed cache and
-    /// wraps it with [`Self::from_prep`].
+    /// with fresh scratch. One-shot callers and tests use this; the
+    /// session path builds a [`ComponentPrep`] in its own arenas and wraps
+    /// it with [`Self::from_prep`].
     pub fn new(
         qg: &'a QueryGraph,
         graph: &'a DataGraph,
         index: &'a IndexSet,
         component: &[QVertexId],
     ) -> Self {
-        let prep = ComponentPrep::build(qg, graph, index, component, &mut SeedCache::disabled());
+        let prep = ComponentPrep::build(qg, graph, index, component, &mut SearchArenas::new());
         Self {
             graph,
             index,
@@ -514,7 +512,7 @@ impl<'a> ComponentMatcher<'a> {
             index,
             decomp,
             order,
-            &mut SeedCache::disabled(),
+            &mut SearchArenas::new(),
         );
         Self {
             graph,
@@ -741,7 +739,9 @@ impl<'a> ComponentMatcher<'a> {
         // this depth's candidate buffer. Single-type probes borrow from the
         // index pool; multi-type / unconstrained probes spill.
         {
-            let SearchArenas { assignment, depths } = &mut *state.arenas;
+            let SearchArenas {
+                assignment, depths, ..
+            } = &mut *state.arenas;
             let DepthScratch {
                 candidates,
                 spill,
@@ -889,8 +889,18 @@ struct DepthScratch {
     satellite_spill: Vec<VertexId>,
 }
 
-/// The matcher's long-lived scratch memory: the core assignment slots plus
-/// one `DepthScratch` arena per order position.
+/// The buffers `ProcessVertex` computes an attribute-set intersection or a
+/// multi-type OTIL probe into (`AttributeIndex::candidates_into`'s three).
+#[derive(Debug, Default)]
+pub(crate) struct ProcessScratch {
+    pub(crate) order: Vec<u32>,
+    pub(crate) acc: Vec<VertexId>,
+    pub(crate) scratch: Vec<VertexId>,
+}
+
+/// The matcher's long-lived scratch memory: the core assignment slots, one
+/// `DepthScratch` arena per order position, and the `ProcessVertex`
+/// scratch of plan construction.
 ///
 /// A [`QuerySession`](crate::session::QuerySession) owns one `SearchArenas`
 /// and lends it to every component run; `prepare` grows
@@ -905,6 +915,8 @@ pub struct SearchArenas {
     /// Per-depth scratch arenas, indexed by order position (may be longer
     /// than the active component's plan).
     depths: Vec<DepthScratch>,
+    /// `ProcessVertex` buffers (plan construction).
+    pub(crate) process: ProcessScratch,
 }
 
 impl SearchArenas {

@@ -23,16 +23,16 @@
 //! the full answer regardless of the budget it ran under.
 //!
 //! The cache lives in a [`QuerySession`](crate::session::QuerySession) and
-//! is dropped when the session rebinds to a different engine, like the
-//! seed cache. There is no plan cache and no engine-wide store: a serving
-//! tenant's repeats hit its own session, and distinct queries (the
-//! benchmark's `unique_cold`) miss any store sized like this one
+//! is dropped when the session rebinds to a different engine. It is the
+//! session's only cache: a plan, its `ProcessVertex` constraints
+//! included, is derived per query, and there is no engine-wide store: a
+//! serving tenant's repeats hit its own session, and distinct queries
+//! (the benchmark's `unique_cold`) miss any store sized like this one
 //! (`docs/performance.md`, "What the traffic hits").
 
-use crate::matcher::ComponentPrep;
+use crate::matcher::{ComponentPrep, SearchArenas};
 use crate::options::ExecOptions;
 use crate::result::{Bindings, QueryOutcome};
-use crate::seeds::{CacheStats, SeedCache};
 use crate::telemetry::CacheCounts;
 use amber_index::IndexSet;
 use amber_multigraph::{CompiledQuery, DataGraph, GroundCheck, QueryGraph, QueryKey, RdfGraph};
@@ -69,15 +69,14 @@ pub struct PreparedPlan {
 impl PreparedPlan {
     /// Derive a plan from a compiled query (which the engine needed for
     /// its result-cache lookup first): assemble the query multigraph from its ids,
-    /// evaluate ground checks, decompose/order/probe every component. Seed
-    /// lookups resolve through `seeds` (pass [`SeedCache::disabled`] for
-    /// one-shot callers).
+    /// evaluate ground checks, decompose/order/probe every component.
+    /// `ProcessVertex` runs in the scratch of `arenas`.
     pub(crate) fn from_compiled(
         compiled: &CompiledQuery,
         rdf: &RdfGraph,
         index: &IndexSet,
         engine_token: u64,
-        seeds: &mut SeedCache,
+        arenas: &mut SearchArenas,
     ) -> Self {
         let qg = compiled.query_graph();
         let ground_ok = ground_checks_pass(&qg, rdf.graph());
@@ -86,7 +85,7 @@ impl PreparedPlan {
         } else {
             qg.connected_components()
                 .iter()
-                .map(|component| ComponentPrep::build(&qg, rdf.graph(), index, component, seeds))
+                .map(|component| ComponentPrep::build(&qg, rdf.graph(), index, component, arenas))
                 .collect()
         };
         Self {
@@ -165,6 +164,47 @@ fn ground_checks_pass(qg: &QueryGraph, graph: &DataGraph) -> bool {
 // The result cache.
 // ---------------------------------------------------------------------------
 
+/// Observable counters of one session's result cache.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Executions answered from a stored outcome.
+    pub hits: u64,
+    /// Executions that looked the query up, found nothing and ran it.
+    pub misses: u64,
+    /// Executions that skipped the cache: every query of a capacity-0
+    /// session, and every partial outcome (deadline expiry, cancellation)
+    /// that was run but not stored.
+    pub bypasses: u64,
+    /// Buckets dropped to respect the capacity bound or by a clear.
+    pub evictions: u64,
+    /// Outcomes currently stored.
+    pub entries: usize,
+    /// Approximate heap bytes of the stored rows.
+    pub result_bytes: usize,
+}
+
+impl CacheStats {
+    /// Hits over lookups (0.0 when nothing was looked up).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+
+    /// Fold another cache's counters into this one (per-tenant aggregation).
+    pub fn merge(&mut self, other: &CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.bypasses += other.bypasses;
+        self.evictions += other.evictions;
+        self.entries += other.entries;
+        self.result_bytes += other.result_bytes;
+    }
+}
+
 /// The bucket of a cached outcome: the query's fingerprint plus the
 /// result-shaping execution options — the part of [`ExecOptions`] that
 /// changes *what an outcome contains* rather than how fast it is computed.
@@ -238,7 +278,7 @@ impl ResultCache {
         Self {
             capacity,
             map: GenerationalMap::new(capacity.max(1)),
-            counts: CacheCounts::result(),
+            counts: CacheCounts::default(),
         }
     }
 
@@ -363,7 +403,7 @@ mod tests {
         let rdf = paper_graph();
         let index = IndexSet::build(&rdf);
         let compiled = CompiledQuery::compile(text, &rdf, token).unwrap();
-        PreparedPlan::from_compiled(&compiled, &rdf, &index, token, &mut SeedCache::disabled())
+        PreparedPlan::from_compiled(&compiled, &rdf, &index, token, &mut SearchArenas::new())
     }
 
     /// A completed outcome with one row naming `iri`.

@@ -8,8 +8,7 @@
 //! * [`AmberEngine::run_in`] — one request, caller-owned session. A batch
 //!   is a loop of `run_in` over one
 //!   [`create_session`](AmberEngine::create_session): the session's
-//!   counters ([`QuerySession::seed_stats`],
-//!   [`result_stats`](QuerySession::result_stats),
+//!   counters ([`result_stats`](QuerySession::result_stats),
 //!   [`queries_executed`](QuerySession::queries_executed)) are the
 //!   batch's.
 //!
@@ -148,13 +147,14 @@ impl AmberEngine {
         self.run_in(request, &mut self.transient_session())
     }
 
-    /// Run one request against a caller-owned session: the matcher borrows
-    /// its scratch arenas, plan construction its seed cache, and a repeat
+    /// Run one request against a caller-owned session: plan construction
+    /// and the matcher borrow its scratch arenas, and a repeat
     /// is answered from the session's result cache before any planning
     /// when the session has one (sized at
     /// [`create_session`](AmberEngine::create_session) by
     /// [`ExecOptions::result_cache_capacity`]). A session filled by a
-    /// different engine is safe: its caches are cleared on first use here.
+    /// different engine is safe: its result cache is cleared on first use
+    /// here.
     pub fn run_in(
         &self,
         request: &QueryRequest<'_>,

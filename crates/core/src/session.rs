@@ -5,24 +5,22 @@
 //! memory from scratch (a one-shot [`run`](crate::AmberEngine::run) still
 //! does). A [`QuerySession`] inverts that ownership:
 //!
-//! * it owns the [`SearchArenas`] — per-depth candidate/spill buffers
-//!   grown **high-water-mark style** and never shrunk, so after the
-//!   largest query shape has been seen the matcher stops allocating;
-//! * it owns the two caches a query stream hits: the [`SeedCache`]
-//!   (`ProcessVertex` lookups of plan construction) and the
-//!   [`ResultCache`] (completed outcomes, consulted before planning).
+//! * it owns the [`SearchArenas`] — per-depth candidate/spill buffers and
+//!   the `ProcessVertex` scratch of plan construction, grown
+//!   **high-water-mark style** and never shrunk, so after the largest
+//!   query shape has been seen the matcher stops allocating;
+//! * it owns the one cache a query stream hits: the [`ResultCache`]
+//!   (completed outcomes, consulted before planning).
 //!
 //! A batch is a loop of [`run_in`](crate::AmberEngine::run_in) over one
-//! session; its counters ([`QuerySession::seed_stats`],
-//! [`QuerySession::result_stats`], [`QuerySession::queries_executed`])
-//! are the batch's statistics. Search work (nodes, trapped panics,
-//! cancellations) is counted in the metric registry only, where it
-//! happens.
+//! session; its counters ([`QuerySession::result_stats`],
+//! [`QuerySession::queries_executed`]) are the batch's statistics.
+//! Search work (nodes, trapped panics, cancellations) is counted in the
+//! metric registry only, where it happens.
 
 use crate::matcher::SearchArenas;
-use crate::plan::ResultCache;
+use crate::plan::{CacheStats, ResultCache};
 use crate::result::QueryStatus;
-use crate::seeds::{CacheStats, SeedCache};
 use crate::telemetry;
 use amber_obs::FlightRecorder;
 use std::time::Duration;
@@ -32,21 +30,19 @@ use std::time::Duration;
 ///
 /// A session is single-threaded (`&mut` API). It may be reused across
 /// engines — the session notices when it is handed to a different engine
-/// (by data-graph identity) and clears its caches, since memoized probe
-/// results are only valid against the graph that produced them.
+/// (by data-graph identity) and clears its result cache, since a stored
+/// answer is only valid against the graph that produced it.
 #[derive(Debug)]
 pub struct QuerySession {
-    /// The matcher's scratch arenas, lent to every component run.
+    /// The matcher's scratch arenas, lent to every plan construction and
+    /// component run.
     arenas: SearchArenas,
-    /// Seed-probe memo (attribute / IRI-constraint lookups of matcher plan
-    /// construction).
-    seeds: SeedCache,
     /// Result cache: completed outcomes of repeated queries, served
     /// without planning or searching.
     results: ResultCache,
-    /// Identity of the engine (graph + indexes) the caches were filled
-    /// against — a process-unique monotonic id, so engine teardown can
-    /// never recycle a token (no pointer ABA).
+    /// Identity of the engine (graph + indexes) the result cache was
+    /// filled against — a process-unique monotonic id, so engine teardown
+    /// can never recycle a token (no pointer ABA).
     graph_token: Option<u64>,
     /// Queries executed through this session.
     queries: u64,
@@ -57,29 +53,16 @@ pub struct QuerySession {
 }
 
 impl QuerySession {
-    /// Seed-cache capacity (entries per key space) of every session
-    /// [`AmberEngine::create_session`](crate::AmberEngine::create_session)
-    /// makes. Transient one-shot sessions get none.
-    pub const SEED_CACHE_CAPACITY: usize = 4096;
-
-    /// A session whose seed cache holds at most `seed_capacity` entries
-    /// per key space and whose result cache at most `result_capacity`
-    /// buckets (0 disables either; arenas are still reused).
-    pub(crate) fn new(seed_capacity: usize, result_capacity: usize) -> Self {
+    /// A session whose result cache holds at most `result_capacity`
+    /// buckets (0 disables it; arenas are still reused).
+    pub(crate) fn new(result_capacity: usize) -> Self {
         Self {
             arenas: SearchArenas::new(),
-            seeds: SeedCache::new(seed_capacity),
             results: ResultCache::new(result_capacity),
             graph_token: None,
             queries: 0,
             recorder: FlightRecorder::default(),
         }
-    }
-
-    /// Counters of the seed-probe memo (attribute / IRI-constraint
-    /// lookups of plan construction).
-    pub fn seed_stats(&self) -> CacheStats {
-        self.seeds.stats()
     }
 
     /// Counters of the result cache.
@@ -92,15 +75,14 @@ impl QuerySession {
         self.queries
     }
 
-    /// Drop all cached seed and result state (arenas are kept — they hold
-    /// no graph-dependent data between runs).
+    /// Drop every cached outcome (arenas are kept — they hold no
+    /// graph-dependent data between runs).
     pub fn clear_cache(&mut self) {
-        self.seeds.clear();
         self.results.clear();
     }
 
     /// Bind the session to a data graph identity; a change of graph clears
-    /// the caches (memoized probes are graph-specific).
+    /// the result cache (stored answers are graph-specific).
     pub(crate) fn bind_graph(&mut self, token: u64) {
         if self.graph_token != Some(token) {
             if self.graph_token.is_some() {
@@ -143,14 +125,9 @@ impl QuerySession {
         &mut self.recorder
     }
 
-    /// The scratch arenas a component run borrows.
+    /// The scratch arenas plan construction and component runs borrow.
     pub(crate) fn search_state(&mut self) -> &mut SearchArenas {
         &mut self.arenas
-    }
-
-    /// The seed cache plan construction resolves `ProcessVertex` through.
-    pub(crate) fn seed_cache_mut(&mut self) -> &mut SeedCache {
-        &mut self.seeds
     }
 
     /// The result cache.
@@ -173,18 +150,15 @@ mod tests {
         let mut session = engine_a.create_session(&options);
         let request = QueryRequest::parsed(&q).with_options(options);
         engine_a.run_in(&request, &mut session).unwrap();
-        // The paper query warms both: X5's attribute set is a seed entry,
-        // its answer is stored.
-        assert!(session.seed_stats().entries > 0);
+        // The paper query's answer is stored.
         let warm = session.result_stats();
         assert_eq!(warm.entries, 1);
-        // Same engine: the caches survive.
+        // Same engine: the cache survives.
         session.bind_graph(engine_a.graph_token());
         assert_eq!(session.result_stats().entries, 1);
 
         // Engine B: everything graph-dependent is dropped on rebind...
         session.bind_graph(engine_b.graph_token());
-        assert_eq!(session.seed_stats().entries, 0);
         assert_eq!(session.result_stats().entries, 0);
         // ...and B answers by executing, not from A's result cache.
         let b = engine_b.run_in(&request, &mut session).unwrap();

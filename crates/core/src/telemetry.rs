@@ -1,27 +1,26 @@
 //! The engine layer's series in the process-wide `amber_obs` registry.
 //!
-//! Every count is added where it happens, once: the seed and result
-//! caches count their own lookups and evictions and move the
-//! `amber_cache_entries` / `amber_cache_bytes` gauges wherever their
-//! stored entries and bytes move ([`CacheCounts`]); the engine adds each
-//! component run's search nodes, each quarantined panic and each
-//! cancellation; and
+//! Every count is added where it happens, once: the result cache counts
+//! its own lookups and evictions into the `amber_cache_*{cache="result"}`
+//! series and moves the `amber_cache_entries` / `amber_cache_bytes`
+//! gauges wherever its stored entries and bytes move ([`CacheCounts`]);
+//! the engine adds each component run's search nodes, each quarantined
+//! panic and each cancellation; and
 //! [`QuerySession::end_query`](crate::QuerySession) records only the
 //! query's status and latency. There is no per-query snapshot or delta:
-//! a session's `seed_stats()` / `result_stats()` are its own counters of
-//! the same events, and `tests/obs_equivalence.rs` pins that the two
-//! agree exactly.
+//! a session's `result_stats()` are its own counters of the same events,
+//! and `tests/obs_equivalence.rs` pins that the two agree exactly.
 //!
 //! Handles are resolved once per process (`OnceLock`), so a count is one
 //! relaxed `fetch_add`.
 
+use crate::plan::CacheStats;
 use crate::result::QueryStatus;
-use crate::seeds::CacheStats;
 use amber_obs::{Counter, Gauge, Histogram};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// One cache layer's registry series (`seed`, `result`).
+/// The result cache's registry series (`cache="result"`).
 #[derive(Debug)]
 struct CacheFamily {
     hits: Arc<Counter>,
@@ -33,8 +32,8 @@ struct CacheFamily {
 }
 
 impl CacheFamily {
-    fn new(layer: &'static str) -> Self {
-        let l = [("cache", layer)];
+    fn new() -> Self {
+        let l = [("cache", "result")];
         Self {
             hits: amber_obs::counter("amber_cache_hits_total", &l),
             misses: amber_obs::counter("amber_cache_misses_total", &l),
@@ -56,35 +55,17 @@ impl CacheFamily {
     }
 }
 
-/// One cache's counters: its session view ([`CacheStats`]) and its
-/// layer's registry series, moved together at every event. The stored
-/// entries and bytes are the cache's share of the layer's gauges, which
-/// therefore sum over live caches; dropping the counters (with their
-/// cache) takes that share back out.
-#[derive(Debug)]
+/// One result cache's counters: its session view ([`CacheStats`]) and
+/// the registry series, moved together at every event. The stored entries
+/// and bytes are the cache's share of the gauges, which therefore sum over
+/// live caches; dropping the counters (with their cache) takes that share
+/// back out.
+#[derive(Debug, Default)]
 pub(crate) struct CacheCounts {
-    family: &'static CacheFamily,
     stats: CacheStats,
 }
 
 impl CacheCounts {
-    /// A seed cache's counters.
-    pub(crate) fn seed() -> Self {
-        Self::of(&metrics().seed)
-    }
-
-    /// A result cache's counters.
-    pub(crate) fn result() -> Self {
-        Self::of(&metrics().result)
-    }
-
-    fn of(family: &'static CacheFamily) -> Self {
-        Self {
-            family,
-            stats: CacheStats::default(),
-        }
-    }
-
     /// The session view.
     pub(crate) fn stats(&self) -> CacheStats {
         self.stats
@@ -93,26 +74,26 @@ impl CacheCounts {
     /// A lookup answered from a stored entry.
     pub(crate) fn hit(&mut self) {
         self.stats.hits += 1;
-        self.family.hits.inc();
+        family().hits.inc();
     }
 
-    /// A cacheable lookup that had to compute.
+    /// A lookup that found nothing: the query runs.
     pub(crate) fn miss(&mut self) {
         self.stats.misses += 1;
-        self.family.misses.inc();
+        family().misses.inc();
     }
 
-    /// A lookup (or an outcome) that skipped the cache.
+    /// An execution that skipped the cache.
     pub(crate) fn bypass(&mut self) {
         self.stats.bypasses += 1;
-        self.family.bypasses.inc();
+        family().bypasses.inc();
     }
 
     /// `entries` entries holding `bytes` heap bytes stored.
     pub(crate) fn store(&mut self, entries: usize, bytes: usize) {
         self.stats.entries += entries;
         self.stats.result_bytes += bytes;
-        self.family.resize(entries as i64, bytes as i64);
+        family().resize(entries as i64, bytes as i64);
     }
 
     /// One stored value — `entries` entries holding `bytes` heap bytes —
@@ -121,23 +102,26 @@ impl CacheCounts {
         self.stats.evictions += 1;
         self.stats.entries -= entries;
         self.stats.result_bytes -= bytes;
-        self.family.evictions.inc();
-        self.family.resize(-(entries as i64), -(bytes as i64));
+        family().evictions.inc();
+        family().resize(-(entries as i64), -(bytes as i64));
     }
 
     /// A stored entry of `old` heap bytes replaced by one of `new`.
     pub(crate) fn replace(&mut self, old: usize, new: usize) {
         self.stats.result_bytes = self.stats.result_bytes - old + new;
-        self.family.resize(0, new as i64 - old as i64);
+        family().resize(0, new as i64 - old as i64);
     }
 }
 
 impl Drop for CacheCounts {
     fn drop(&mut self) {
         let share = &self.stats;
-        self.family
-            .resize(-(share.entries as i64), -(share.result_bytes as i64));
+        family().resize(-(share.entries as i64), -(share.result_bytes as i64));
     }
+}
+
+fn family() -> &'static CacheFamily {
+    &metrics().result
 }
 
 /// The `status` labels of `amber_queries_total`, one per outcome kind
@@ -149,7 +133,6 @@ struct EngineMetrics {
     /// `amber_queries_total`, in [`STATUSES`] order.
     queries: [Arc<Counter>; 4],
     latency_us: Arc<Histogram>,
-    seed: CacheFamily,
     result: CacheFamily,
     search_nodes: Arc<Counter>,
     seed_candidates: Arc<Histogram>,
@@ -164,8 +147,7 @@ fn metrics() -> &'static EngineMetrics {
         queries: STATUSES
             .map(|status| amber_obs::counter("amber_queries_total", &[("status", status)])),
         latency_us: amber_obs::histogram("amber_query_latency_us", &[]),
-        seed: CacheFamily::new("seed"),
-        result: CacheFamily::new("result"),
+        result: CacheFamily::new(),
         search_nodes: amber_obs::counter("amber_search_nodes_total", &[]),
         seed_candidates: amber_obs::histogram("amber_seed_candidates", &[]),
         trapped_panics: amber_obs::counter("amber_query_trapped_panics_total", &[]),

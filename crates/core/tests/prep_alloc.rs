@@ -14,7 +14,7 @@
 mod constant_star;
 
 use amber::candidates::{process_vertex, Constraint};
-use amber::matcher::ComponentMatcher;
+use amber::matcher::{ComponentMatcher, SearchArenas};
 use amber_datagen::Benchmark;
 use amber_index::IndexSet;
 use amber_multigraph::{QueryGraph, RdfGraph};
@@ -98,7 +98,9 @@ fn preparing_a_constant_star_allocates_by_its_whitelist_not_by_the_graph() {
         let components = qg.connected_components();
         assert_eq!(components.len(), 1, "seed {seed}: {text}");
         let x = qg.vertex_by_name("x").unwrap();
-        let Constraint::Candidates(whitelist) = process_vertex(&qg, x, &index) else {
+        let Constraint::Candidates(whitelist) =
+            process_vertex(&qg, x, &index, &mut SearchArenas::new())
+        else {
             panic!("seed {seed}: ?x is constrained by constants: {text}");
         };
         let bound = FIXED_BYTES + BYTES_PER_WHITELISTED * whitelist.len();

@@ -14,7 +14,7 @@
 mod constant_star;
 
 use amber::candidates::{process_vertex, satisfies_self_loop};
-use amber::matcher::{ComponentMatcher, MatchConfig};
+use amber::matcher::{ComponentMatcher, MatchConfig, SearchArenas};
 use amber_datagen::Benchmark;
 use amber_index::IndexSet;
 use amber_multigraph::{Direction, EdgeTypeId, QueryGraph, RdfGraph, VertexId};
@@ -36,7 +36,7 @@ fn synopsis_seed(
     let mut seed = index
         .signature
         .candidates(&qg.signature(u_init).query_synopsis());
-    process_vertex(qg, u_init, index).filter(&mut seed);
+    process_vertex(qg, u_init, index, &mut SearchArenas::new()).filter(&mut seed);
     seed.retain(|&v| satisfies_self_loop(qg, u_init, rdf.graph(), v));
     seed
 }

@@ -11,7 +11,9 @@
 
 use amber::candidates::{process_vertex, satisfies_self_loop, Constraint};
 use amber::decompose::Decomposition;
-use amber::matcher::{ComponentMatch, ComponentMatcher, ComponentSolution, MatchConfig};
+use amber::matcher::{
+    ComponentMatch, ComponentMatcher, ComponentSolution, MatchConfig, SearchArenas,
+};
 use amber::ordering::order_core_vertices;
 use amber_datagen::synthetic::{self, SyntheticConfig};
 use amber_datagen::{QueryShape, WorkloadConfig, WorkloadGenerator};
@@ -44,9 +46,10 @@ impl<'a> Reference<'a> {
     ) -> Self {
         let decomp = Decomposition::of_component(qg, component);
         let order = order_core_vertices(qg, &decomp);
+        let mut arenas = SearchArenas::new();
         let constraints = qg
             .vertex_ids()
-            .map(|u| process_vertex(qg, u, index))
+            .map(|u| process_vertex(qg, u, index, &mut arenas))
             .collect();
         Self {
             graph,

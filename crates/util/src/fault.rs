@@ -1,7 +1,7 @@
 //! Deterministic fault injection (chaos harness).
 //!
 //! The engine threads named injection points through its hot paths — the
-//! matcher candidate loop, cache insert/evict, index probes, and the
+//! matcher candidate loop, the index probes of `ProcessVertex`, and the
 //! serving loop (admission, dispatch, drain). Each
 //! point calls [`inject`], which is an inlined one-atomic-load no-op unless
 //! the harness is armed, so production builds pay (measurably) nothing for
@@ -22,15 +22,14 @@
 //! ```text
 //! AMBER_CHAOS = <seed> ":" <clause> ("," <clause>)*
 //! clause      = [<point> "="] <kind> ["@" <rate>]
-//! point       = "matcher-candidate" | "cache-insert" | "cache-evict"
-//!             | "index-probe" | "serve-admit" | "serve-dispatch"
-//!             | "serve-drain"
+//! point       = "matcher-candidate" | "index-probe" | "serve-admit"
+//!             | "serve-dispatch" | "serve-drain"
 //! kind        = "panic" | "delay" | "alloc-fail"
 //! rate        = positive integer: fire once per <rate> visits on average
 //! ```
 //!
 //! A clause without a point applies at every point. The default rate is
-//! 1024. Example: `AMBER_CHAOS=42:delay@512,cache-insert=panic@64`.
+//! 1024. Example: `AMBER_CHAOS=42:delay@512,index-probe=panic@64`.
 //!
 //! ## Fault kinds
 //!
@@ -56,11 +55,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 pub enum FaultPoint {
     /// The matcher's per-candidate recursion step.
     MatcherCandidate,
-    /// A seed-cache insertion.
-    CacheInsert,
-    /// A seed-cache eviction callback.
-    CacheEvict,
-    /// An index probe (OTIL / attribute / signature lookup).
+    /// An index walk of `ProcessVertex`: an attribute-set intersection or
+    /// a multi-type OTIL probe.
     IndexProbe,
     /// Serving-layer admission (`Server::submit`), before anything is
     /// enqueued. A panic here surfaces as a typed admission error; an
@@ -79,8 +75,6 @@ impl FaultPoint {
     pub fn name(self) -> &'static str {
         match self {
             FaultPoint::MatcherCandidate => "matcher-candidate",
-            FaultPoint::CacheInsert => "cache-insert",
-            FaultPoint::CacheEvict => "cache-evict",
             FaultPoint::IndexProbe => "index-probe",
             FaultPoint::ServeAdmit => "serve-admit",
             FaultPoint::ServeDispatch => "serve-dispatch",
@@ -91,8 +85,6 @@ impl FaultPoint {
     fn parse(s: &str) -> Option<Self> {
         Some(match s {
             "matcher-candidate" => FaultPoint::MatcherCandidate,
-            "cache-insert" => FaultPoint::CacheInsert,
-            "cache-evict" => FaultPoint::CacheEvict,
             "index-probe" => FaultPoint::IndexProbe,
             "serve-admit" => FaultPoint::ServeAdmit,
             "serve-dispatch" => FaultPoint::ServeDispatch,
@@ -106,8 +98,6 @@ impl FaultPoint {
         // decorrelated streams.
         match self {
             FaultPoint::MatcherCandidate => 0x9E37_79B9_7F4A_7C15,
-            FaultPoint::CacheInsert => 0x85EB_CA77_C2B2_AE63,
-            FaultPoint::CacheEvict => 0xFF51_AFD7_ED55_8CCD,
             FaultPoint::IndexProbe => 0xC4CE_B9FE_1A85_EC53,
             FaultPoint::ServeAdmit => 0xD6E8_FEB8_6659_FD93,
             FaultPoint::ServeDispatch => 0xA3AA_ACE1_0367_5F1B,
@@ -385,13 +375,13 @@ mod tests {
 
     #[test]
     fn spec_grammar_parses_and_rejects() {
-        let spec = ChaosSpec::parse("42:delay@512,cache-insert=panic@64,alloc-fail").unwrap();
+        let spec = ChaosSpec::parse("42:delay@512,index-probe=panic@64,alloc-fail").unwrap();
         assert_eq!(spec.seed, 42);
         assert_eq!(spec.rules.len(), 3);
         assert_eq!(spec.rules[0].kind, FaultKind::Delay);
         assert_eq!(spec.rules[0].point, None);
         assert_eq!(spec.rules[0].rate, 512);
-        assert_eq!(spec.rules[1].point, Some(FaultPoint::CacheInsert));
+        assert_eq!(spec.rules[1].point, Some(FaultPoint::IndexProbe));
         assert_eq!(spec.rules[2].rate, 1024, "default rate");
 
         let serve =
@@ -407,9 +397,12 @@ mod tests {
             "1:",
             "1:unknown-kind",
             "1:bogus-point=panic",
-            // Points and kinds of the removed intra-query schedulers must be
-            // rejected, not silently accepted as rules that never fire.
+            // Points and kinds of the removed intra-query schedulers and
+            // seed cache must be rejected, not silently accepted as rules
+            // that never fire.
             "1:pool-spawn=panic",
+            "1:cache-insert=panic",
+            "1:cache-evict=delay@2",
             "1:storm",
             "1:matcher-candidate=storm@4",
             "1:panic@0",
@@ -420,6 +413,11 @@ mod tests {
         let err = ChaosSpec::parse("1:pool-spawn=panic").unwrap_err();
         assert!(
             err.contains("unknown injection point `pool-spawn`"),
+            "{err}"
+        );
+        let err = ChaosSpec::parse("1:cache-insert=panic").unwrap_err();
+        assert!(
+            err.contains("unknown injection point `cache-insert`"),
             "{err}"
         );
         let err = ChaosSpec::parse("1:matcher-candidate=storm@4").unwrap_err();
@@ -439,7 +437,7 @@ mod tests {
     #[test]
     fn override_signals_fire_deterministically() {
         let _guard = override_spec("7:alloc-fail@1").unwrap();
-        let s = inject(FaultPoint::CacheInsert);
+        let s = inject(FaultPoint::IndexProbe);
         assert!(s.alloc_fail, "rate-1 faults fire on every visit");
         assert_eq!(
             active_spec().as_deref(),
@@ -465,8 +463,6 @@ mod tests {
     fn serve_point_salts_are_distinct() {
         let points = [
             FaultPoint::MatcherCandidate,
-            FaultPoint::CacheInsert,
-            FaultPoint::CacheEvict,
             FaultPoint::IndexProbe,
             FaultPoint::ServeAdmit,
             FaultPoint::ServeDispatch,

@@ -55,12 +55,7 @@ fn paper_baseline(engine: &AmberEngine) -> amber::QueryOutcome {
 }
 
 /// Engine-side fault points, exercised through `run_in`.
-const POINTS: [&str; 4] = [
-    "matcher-candidate",
-    "cache-insert",
-    "cache-evict",
-    "index-probe",
-];
+const POINTS: [&str; 2] = ["matcher-candidate", "index-probe"];
 /// Serving-loop fault points, exercised through a [`Server`] (the engine
 /// proptest never reaches them; they get their own differential below).
 const SERVE_POINTS: [&str; 3] = ["serve-admit", "serve-dispatch", "serve-drain"];
@@ -433,23 +428,24 @@ fn serving_layer_quarantines_chaos_panics_per_tenant() {
 }
 
 #[test]
-fn serving_layer_survives_cache_chaos() {
+fn serving_layer_survives_index_probe_chaos() {
     let _serial = serial();
     let engine = Arc::new(AmberEngine::from_graph(paper_graph()));
     let baseline = paper_baseline(&engine);
-    // Panic inside the seed cache's insert/evict paths while a warm tenant
-    // repeats a query: every outcome is either correct or a typed error,
-    // and the tenant's session keeps serving later requests.
+    // Panic inside `ProcessVertex`'s index walks (the paper query's
+    // attribute set on X5) while a warm tenant repeats a query: every
+    // outcome is either correct or a typed error, and the tenant's session
+    // keeps serving later requests.
     let server = Server::start(Arc::clone(&engine), ServeConfig::default());
     {
-        let _guard = fault::override_spec("3:cache-insert=panic@2").unwrap();
+        let _guard = fault::override_spec("3:index-probe=panic@2").unwrap();
         with_quiet_chaos_panics(|| {
             for _ in 0..6 {
                 let ticket = server.submit_sparql("a", &paper_query_text()).unwrap();
                 match ticket.wait() {
                     Ok(out) => assert_eq!(out.embedding_count, baseline.embedding_count),
                     Err(Error::Engine(EngineError::Internal { .. })) => {}
-                    Err(other) => panic!("untyped failure under cache chaos: {other}"),
+                    Err(other) => panic!("untyped failure under index-probe chaos: {other}"),
                 }
             }
         });

@@ -1,5 +1,5 @@
 //! Differential tests pinning the `amber_obs` metrics registry to the
-//! per-session views (a session's seed and result `CacheStats`,
+//! per-session views (a session's result-cache `CacheStats`,
 //! `queries_executed`, and the `ServeReport`).
 //!
 //! Every count is added where its event happens, into the session's view
@@ -51,36 +51,35 @@ fn delta(
     after.counter_value(name, labels) - before.counter_value(name, labels)
 }
 
-/// Assert one cache layer's registry deltas equal a session's
+/// Assert the result cache's registry deltas equal a session's
 /// [`amber::CacheStats`] (counters only; the entries/bytes gauges carry
 /// current state, not deltas).
 fn assert_cache_family(
     before: &MetricsSnapshot,
     after: &MetricsSnapshot,
-    layer: &str,
     legacy: &amber::CacheStats,
     context: &str,
 ) {
-    let l = [("cache", layer)];
+    let l = [("cache", "result")];
     assert_eq!(
         delta(before, after, "amber_cache_hits_total", &l),
         legacy.hits,
-        "{context}: {layer} hits"
+        "{context}: hits"
     );
     assert_eq!(
         delta(before, after, "amber_cache_misses_total", &l),
         legacy.misses,
-        "{context}: {layer} misses"
+        "{context}: misses"
     );
     assert_eq!(
         delta(before, after, "amber_cache_bypasses_total", &l),
         legacy.bypasses,
-        "{context}: {layer} bypasses"
+        "{context}: bypasses"
     );
     assert_eq!(
         delta(before, after, "amber_cache_evictions_total", &l),
         legacy.evictions,
-        "{context}: {layer} evictions"
+        "{context}: evictions"
     );
 }
 
@@ -102,8 +101,8 @@ fn batch_stats_agree_exactly_with_the_registry() {
         .prepare_sparql(&amber_multigraph::paper::paper_query_text())
         .unwrap();
     let options = ExecOptions::batch();
-    // Repeats through a warm session: result hits, and (first run) seed
-    // lookups and a search. A text that
+    // Repeats through a warm session: result hits, and (first run) a
+    // search. A text that
     // does not parse and a stale plan fail inside the same query envelope,
     // so they are counted like every other request.
     let requests = [
@@ -166,8 +165,7 @@ fn batch_stats_agree_exactly_with_the_registry() {
     );
 
     let results = session.result_stats();
-    assert_cache_family(&before, &after, "seed", &session.seed_stats(), "batch");
-    assert_cache_family(&before, &after, "result", &results, "batch");
+    assert_cache_family(&before, &after, &results, "batch");
     assert!(
         results.hits >= 1,
         "verbatim repeats must exercise the result-cache hit: {results:?}"
@@ -468,15 +466,15 @@ fn slow_query_log_captures_an_injected_delay_query() {
 #[test]
 fn cache_gauges_sum_over_live_sessions() {
     let _serial = serial();
-    let gauges = |s: &MetricsSnapshot, layer: &str| {
-        let l = [("cache", layer)];
+    let gauges = |s: &MetricsSnapshot| {
+        let l = [("cache", "result")];
         (
             s.gauge_value("amber_cache_entries", &l),
             s.gauge_value("amber_cache_bytes", &l),
         )
     };
-    let moved = |before: &MetricsSnapshot, after: &MetricsSnapshot, layer: &str| {
-        let ((e0, b0), (e1, b1)) = (gauges(before, layer), gauges(after, layer));
+    let moved = |before: &MetricsSnapshot, after: &MetricsSnapshot| {
+        let ((e0, b0), (e1, b1)) = (gauges(before), gauges(after));
         (e1 - e0, b1 - b0)
     };
     let engine = demo_engine();
@@ -499,13 +497,13 @@ fn cache_gauges_sum_over_live_sessions() {
     );
     let legacy = &report.result_stats;
     assert_eq!(
-        moved(&before, &mid, "result"),
+        moved(&before, &mid),
         (legacy.entries as i64, legacy.result_bytes as i64),
         "the gauges are the sum over both tenants"
     );
     assert_eq!(
-        gauges(&amber_obs::snapshot(), "result"),
-        gauges(&before, "result"),
+        gauges(&amber_obs::snapshot()),
+        gauges(&before),
         "dropped sessions leave the gauges"
     );
 
@@ -519,26 +517,21 @@ fn cache_gauges_sum_over_live_sessions() {
     run(&mut session, BACK_EDGE);
     assert_eq!(session.result_stats().entries, 2, "workload sanity");
     session.clear_cache();
-    for layer in ["seed", "result"] {
-        assert_eq!(
-            gauges(&amber_obs::snapshot(), layer),
-            gauges(&before, layer),
-            "the {layer} clear shows before the session's next query"
-        );
-    }
+    assert_eq!(
+        gauges(&amber_obs::snapshot()),
+        gauges(&before),
+        "the clear shows before the session's next query"
+    );
     run(&mut session, CHAIN);
     let stats = session.result_stats();
     assert_eq!(stats.entries, 1, "workload sanity");
     assert_eq!(
-        moved(&before, &amber_obs::snapshot(), "result"),
+        moved(&before, &amber_obs::snapshot()),
         (1, stats.result_bytes as i64),
         "the store shows at once"
     );
     drop(session);
-    assert_eq!(
-        gauges(&amber_obs::snapshot(), "result"),
-        gauges(&before, "result")
-    );
+    assert_eq!(gauges(&amber_obs::snapshot()), gauges(&before));
 }
 
 /// Metric families the canned workload below is guaranteed to register —
@@ -694,7 +687,7 @@ fn catalog_lists_exactly_the_registered_families() {
 
 /// A verbatim repeat on a warm session is answered from the result cache
 /// before any planning: its trace notes only the hit and has no `plan`
-/// span, and neither the seed cache nor the search moves.
+/// span, and the search does not move.
 #[test]
 fn verbatim_repeat_is_answered_before_planning() {
     let _serial = serial();
@@ -708,7 +701,7 @@ fn verbatim_repeat_is_answered_before_planning() {
     assert_eq!(first.cache_trail, ["result:miss", "result:store"]);
     assert!(first.spans.iter().any(|s| s.stage == "plan"), "{first:?}");
 
-    let (seeds, executed) = (session.seed_stats(), session.queries_executed());
+    let executed = session.queries_executed();
     let before = amber_obs::snapshot();
     let repeat = engine.run_in(&request, &mut session).unwrap();
     let after = amber_obs::snapshot();
@@ -716,7 +709,6 @@ fn verbatim_repeat_is_answered_before_planning() {
     let trace = session.flight_recorder().last().unwrap();
     assert_eq!(trace.cache_trail, ["result:hit"]);
     assert!(trace.spans.iter().all(|s| s.stage != "plan"), "{trace:?}");
-    assert_eq!(session.seed_stats(), seeds, "no seed lookup");
     assert_eq!(session.queries_executed(), executed + 1, "one query");
     assert_eq!(
         delta(&before, &after, "amber_search_nodes_total", &[]),

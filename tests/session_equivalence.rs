@@ -14,9 +14,9 @@ use common::{assert_session_equals_one_shot, build_stream, fixed_base, rename_va
 /// Besides the answers, the cache counters of a repeat stream are exact:
 /// each distinct query misses the result cache once (one plan, one
 /// execution), and every repeat hits it before planning. With the result
-/// cache off, every seed probe of a repeat hits the session's seed cache,
-/// and a live but never-fired cancel token (polled at every checkpoint)
-/// aborts nothing.
+/// cache off, every query of the stream runs and counts one bypass, and a
+/// live but never-fired cancel token (polled at every checkpoint) aborts
+/// nothing.
 #[test]
 fn a_repeat_stream_counts_its_cache_hits_exactly() {
     const REPEATS: usize = 3;
@@ -42,20 +42,13 @@ fn a_repeat_stream_counts_its_cache_hits_exactly() {
         (distinct, repeats)
     );
 
-    let once_stream = build_stream(&base, 1, false, 0xF00D);
-    let once = assert_session_equals_one_shot(&engine, &once_stream, &with_caches(0), "one pass")
-        .0
-        .seed_stats();
     let uncached = assert_session_equals_one_shot(&engine, &stream, &with_caches(0), "uncached")
         .0
-        .seed_stats();
-    let probes = once.hits + once.misses;
-    assert!(probes > 0, "the complex queries probe seeds");
-    assert_eq!(uncached.misses, once.misses);
+        .result_stats();
     assert_eq!(
-        uncached.hits,
-        REPEATS as u64 * probes - once.misses,
-        "every probe after a query's first run hits"
+        (uncached.hits, uncached.misses, uncached.bypasses),
+        (0, 0, stream.len() as u64),
+        "every query of an uncached session runs and bypasses"
     );
 
     let cancellable = with_caches(256).with_cancel(CancelToken::new());

@@ -148,10 +148,7 @@ impl BacktrackingEngine {
             // u's candidates are out-neighbours of the matched vertex.
             let scan_dir = adj.direction.flip();
             let pool: Vec<VertexId> = graph
-                .edges(VertexId(matched), scan_dir)
-                .iter()
-                .filter(|e| e.types.contains_all(types))
-                .map(|e| e.neighbor)
+                .neighbors_with(VertexId(matched), scan_dir, types)
                 .collect();
             if best.as_ref().is_none_or(|b| pool.len() < b.len()) {
                 best = Some(pool);

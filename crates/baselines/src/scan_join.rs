@@ -96,20 +96,17 @@ impl ScanJoinEngine {
                     (UNBOUND, UNBOUND) => {
                         // Full scan of every directed pair.
                         for v in graph.vertices() {
-                            for entry in graph.out_edges(v) {
+                            for w in graph.neighbors_with(v, Direction::Outgoing, types.types()) {
                                 if *timed_out || deadline.exceeded() {
                                     *timed_out = true;
                                     return;
-                                }
-                                if !entry.types.contains_all(types.types()) {
-                                    continue;
                                 }
                                 // A self-directed data edge can match a
                                 // from≠to query edge (homomorphism), but the
                                 // two slots must then hold the same vertex —
                                 // which the assignment naturally records.
                                 assignment[from.index()] = v.0;
-                                assignment[to.index()] = entry.neighbor.0;
+                                assignment[to.index()] = w.0;
                                 self.recurse(
                                     qg,
                                     steps,
@@ -125,11 +122,10 @@ impl ScanJoinEngine {
                         assignment[to.index()] = UNBOUND;
                     }
                     (v, UNBOUND) if v != UNBOUND => {
-                        for entry in graph.out_edges(VertexId(v)) {
-                            if !entry.types.contains_all(types.types()) {
-                                continue;
-                            }
-                            assignment[to.index()] = entry.neighbor.0;
+                        for w in
+                            graph.neighbors_with(VertexId(v), Direction::Outgoing, types.types())
+                        {
+                            assignment[to.index()] = w.0;
                             self.recurse(
                                 qg,
                                 steps,
@@ -146,11 +142,10 @@ impl ScanJoinEngine {
                         assignment[to.index()] = UNBOUND;
                     }
                     (UNBOUND, v) => {
-                        for entry in graph.in_edges(VertexId(v)) {
-                            if !entry.types.contains_all(types.types()) {
-                                continue;
-                            }
-                            assignment[from.index()] = entry.neighbor.0;
+                        for w in
+                            graph.neighbors_with(VertexId(v), Direction::Incoming, types.types())
+                        {
+                            assignment[from.index()] = w.0;
                             self.recurse(
                                 qg,
                                 steps,
@@ -232,11 +227,8 @@ impl ScanJoinEngine {
                             Direction::Incoming => Direction::Outgoing,
                             Direction::Outgoing => Direction::Incoming,
                         };
-                        for entry in graph.edges(c.data_vertex, dir) {
-                            if !entry.types.contains_all(c.types.types()) {
-                                continue;
-                            }
-                            assignment[vertex.index()] = entry.neighbor.0;
+                        for w in graph.neighbors_with(c.data_vertex, dir, c.types.types()) {
+                            assignment[vertex.index()] = w.0;
                             self.recurse(
                                 qg,
                                 steps,

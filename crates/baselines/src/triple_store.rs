@@ -85,9 +85,7 @@ impl TripleStoreEngine {
         let mut base: Vec<[u32; 3]> = Vec::with_capacity(graph.edge_instance_count());
         for v in graph.vertices() {
             for entry in graph.out_edges(v) {
-                for &t in entry.types.types() {
-                    base.push([v.0, t.0, entry.neighbor.0]);
-                }
+                base.push([v.0, entry.edge_type().0, entry.neighbor.0]);
             }
         }
         let perms = PERMUTATIONS.map(|order| {

@@ -78,7 +78,7 @@ fn otil_ablation(c: &mut Criterion) {
                 let scan: Vec<_> = graph
                     .edges(v, dir)
                     .iter()
-                    .filter(|e| e.types.contains(t))
+                    .filter(|e| e.edge_type() == t)
                     .map(|e| e.neighbor)
                     .collect();
                 black_box(scan);

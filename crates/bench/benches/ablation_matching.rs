@@ -153,11 +153,11 @@ fn probe_api_ablation(c: &mut Criterion) {
     let mut probes: Vec<(VertexId, Direction, Vec<EdgeTypeId>)> = Vec::new();
     for v in graph.vertices() {
         for direction in [Direction::Incoming, Direction::Outgoing] {
-            for entry in graph.edges(v, direction) {
-                let types = entry.types.types();
+            for run in graph.multi_edges(v, direction) {
+                let types: Vec<EdgeTypeId> = run.iter().map(|e| e.edge_type()).collect();
                 probes.push((v, direction, vec![types[0]]));
                 if types.len() >= 2 {
-                    probes.push((v, direction, types.to_vec()));
+                    probes.push((v, direction, types));
                 }
             }
         }

@@ -227,16 +227,21 @@ impl AmberEngine {
         &self,
         query: &amber_sparql::SelectQuery,
     ) -> Result<Arc<PreparedPlan>, EngineError> {
-        Ok(self.prepare_compiled(&self.compile_parsed(query)?))
+        self.prepare_compiled(&self.compile_parsed(query)?)
     }
 
     /// Compile SPARQL text and [`prepare`](Self::prepare) it.
     pub fn prepare_sparql(&self, sparql: &str) -> Result<Arc<PreparedPlan>, EngineError> {
-        Ok(self.prepare_compiled(&self.compile(sparql)?))
+        self.prepare_compiled(&self.compile(sparql)?)
     }
 
-    fn prepare_compiled(&self, compiled: &CompiledQuery) -> Arc<PreparedPlan> {
-        Arc::new(self.build_plan(compiled, &mut SearchArenas::new()))
+    /// Plan `compiled` under the panic quarantine: a panic while planning
+    /// is [`EngineError::Internal`], as it is inside a query.
+    fn prepare_compiled(&self, compiled: &CompiledQuery) -> Result<Arc<PreparedPlan>, EngineError> {
+        quarantined("query planning", || {
+            Ok(self.build_plan(compiled, &mut SearchArenas::new()))
+        })
+        .map(Arc::new)
     }
 
     /// Derive `compiled`'s plan, computing `ProcessVertex` in `arenas`.
@@ -257,12 +262,15 @@ impl AmberEngine {
         options: &ExecOptions,
         session: &mut QuerySession,
     ) -> Result<(QueryOutcome, String), EngineError> {
-        // The plan is built once, in the session's arenas, and runs as a
-        // prepared source, so the report and the trace describe
-        // one plan.
+        // The plan is built once, in the session's arenas and under the
+        // panic quarantine, and runs as a prepared source, so the report
+        // and the trace describe one plan.
         session.bind_graph(self.graph_token());
         let compiled = self.compile_parsed(query)?;
-        let plan = Arc::new(self.build_plan(&compiled, session.search_state()));
+        let plan = quarantined("query planning", || {
+            Ok(self.build_plan(&compiled, session.search_state()))
+        })
+        .map(Arc::new)?;
         let (was_enabled, threshold) = session.flight_recorder().config();
         session.configure_tracing(true, threshold);
         let outcome = self.run_source(&QuerySource::Prepared(&plan), options, session);
@@ -327,19 +335,9 @@ impl AmberEngine {
         let sw = Stopwatch::start();
         session.bind_graph(self.graph_token());
         session.begin_query();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let outcome = quarantined("query execution", || {
             self.execute_source(source, options, session, &sw)
-        }));
-        let outcome = match caught {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                crate::telemetry::note_trapped_panic();
-                Err(EngineError::Internal {
-                    task: "query execution".to_string(),
-                    payload: payload_message(&*payload),
-                })
-            }
-        };
+        });
         session.end_query(outcome.as_ref().ok().map(|o| o.status), sw.elapsed());
         outcome
     }
@@ -528,19 +526,9 @@ impl AmberEngine {
             // memory: every later run re-`prepare`s and rewrites it, so
             // resuming with the same session after the error is sound.
             let arenas = session.search_state();
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                matcher.run_on_with(matcher.initial_candidates(), &config, arenas)
-            }));
-            let result = match run {
-                Ok(result) => result,
-                Err(payload) => {
-                    crate::telemetry::note_trapped_panic();
-                    return Err(EngineError::Internal {
-                        task: "sequential matcher".to_string(),
-                        payload: payload_message(&*payload),
-                    });
-                }
-            };
+            let result = quarantined("sequential matcher", || {
+                Ok(matcher.run_on_with(matcher.initial_candidates(), &config, arenas))
+            })?;
             crate::telemetry::note_component_run(result.nodes, prep.initial_candidates().len());
             if let Some(s) = span_sw {
                 session
@@ -605,6 +593,22 @@ impl AmberEngine {
             elapsed: sw.elapsed(),
         })
     }
+}
+
+/// Run `f` under the panic quarantine: a panic in it is counted as
+/// trapped and comes back as [`EngineError::Internal`] naming `task`, so
+/// it poisons only the query it happened in.
+fn quarantined<T>(
+    task: &str,
+    f: impl FnOnce() -> Result<T, EngineError>,
+) -> Result<T, EngineError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        crate::telemetry::note_trapped_panic();
+        Err(EngineError::Internal {
+            task: task.to_string(),
+            payload: payload_message(&*payload),
+        })
+    })
 }
 
 /// A query `AmberEngine::answer` can look up: compiled (planned on a

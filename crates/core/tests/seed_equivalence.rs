@@ -154,11 +154,7 @@ proptest! {
 fn frequent_out_type_pair(rdf: &RdfGraph) -> (EdgeTypeId, EdgeTypeId) {
     let graph = rdf.graph();
     let out_types = |v: VertexId| -> Vec<EdgeTypeId> {
-        let mut types: Vec<EdgeTypeId> = graph
-            .out_edges(v)
-            .iter()
-            .flat_map(|e| e.types.types().iter().copied())
-            .collect();
+        let mut types: Vec<EdgeTypeId> = graph.out_edges(v).iter().map(|e| e.edge_type()).collect();
         types.sort_unstable();
         types.dedup();
         types
@@ -199,7 +195,7 @@ fn two_out_type_star_is_seeded_with_exactly_the_vertices_carrying_both() {
 
         // Brute force over the adjacency, not over the index under test.
         let carries =
-            |v: VertexId, t: EdgeTypeId| graph.out_edges(v).iter().any(|e| e.types.contains(t));
+            |v: VertexId, t: EdgeTypeId| graph.out_edges(v).iter().any(|e| e.edge_type() == t);
         let both: Vec<VertexId> = graph
             .vertices()
             .filter(|&v| carries(v, a) && carries(v, b))

@@ -18,7 +18,7 @@ use amber::ordering::order_core_vertices;
 use amber_datagen::synthetic::{self, SyntheticConfig};
 use amber_datagen::{QueryShape, WorkloadConfig, WorkloadGenerator};
 use amber_index::IndexSet;
-use amber_multigraph::{DataGraph, QVertexId, QueryGraph, RdfGraph, VertexId};
+use amber_multigraph::{DataGraph, Direction, QVertexId, QueryGraph, RdfGraph, VertexId};
 use amber_sparql::parse_select;
 use amber_util::{sorted, Deadline};
 
@@ -298,9 +298,10 @@ fn multi_type_edge_queries_agree() {
 
     // Sanity: the handcrafted graph really produces multi-type data edges.
     let g = rdf.graph();
-    let has_multi = g
-        .vertices()
-        .any(|v| g.out_edges(v).iter().any(|e| e.types.len() >= 2));
+    let has_multi = g.vertices().any(|v| {
+        g.multi_edges(v, Direction::Outgoing)
+            .any(|run| run.len() >= 2)
+    });
     assert!(has_multi, "graph generator no longer yields multi-edges");
 }
 

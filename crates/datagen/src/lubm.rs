@@ -239,13 +239,7 @@ mod tests {
         let g = rdf.graph();
         let max_incident = g
             .vertices()
-            .map(|v| {
-                g.out_edges(v)
-                    .iter()
-                    .chain(g.in_edges(v))
-                    .map(|e| e.types.len())
-                    .sum::<usize>()
-            })
+            .map(|v| g.out_edges(v).len() + g.in_edges(v).len())
             .max()
             .unwrap();
         assert!(max_incident >= 50, "largest hub has {max_incident} triples");
@@ -262,11 +256,11 @@ mod tests {
         let dept_class = rdf.vertex_by_key(&format!("{UB}Department")).unwrap();
         let type_pred = rdf.edge_type_by_iri(&format!("{UB}rdf_type")).unwrap();
         for entry in g.in_edges(dept_class) {
-            if !entry.types.contains(type_pred) {
+            if entry.edge_type() != type_pred {
                 continue;
             }
             let dept = entry.neighbor;
-            let has_parent = g.out_edges(dept).iter().any(|e| e.types.contains(sub));
+            let has_parent = g.out_edges(dept).iter().any(|e| e.edge_type() == sub);
             assert!(has_parent, "department without university");
         }
     }

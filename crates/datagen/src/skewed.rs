@@ -267,7 +267,7 @@ mod tests {
             .vertices()
             .filter(|&v| {
                 let has_in = !g.in_edges(v).is_empty();
-                let outs: usize = g.out_edges(v).iter().map(|e| e.types.len()).sum();
+                let outs = g.out_edges(v).len();
                 has_in && outs >= 2
             })
             .collect();

@@ -179,14 +179,7 @@ mod tests {
         let g = rdf.graph();
         let max_degree = g
             .vertices()
-            .map(|v| {
-                g.out_edges(v)
-                    .iter()
-                    .chain(g.in_edges(v))
-                    .map(|e| e.types.len())
-                    .sum::<usize>()
-                    + g.attributes(v).len()
-            })
+            .map(|v| g.out_edges(v).len() + g.in_edges(v).len() + g.attributes(v).len())
             .max()
             .unwrap();
         assert!(max_degree >= 50, "max incident triples = {max_degree}");

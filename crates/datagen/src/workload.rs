@@ -140,14 +140,10 @@ impl<'g> WorkloadGenerator<'g> {
         let g = self.rdf.graph();
         let mut units = Vec::new();
         for e in g.out_edges(v) {
-            for &t in e.types.types() {
-                units.push(Unit::Out(e.neighbor, t));
-            }
+            units.push(Unit::Out(e.neighbor, e.edge_type()));
         }
         for e in g.in_edges(v) {
-            for &t in e.types.types() {
-                units.push(Unit::In(e.neighbor, t));
-            }
+            units.push(Unit::In(e.neighbor, e.edge_type()));
         }
         for &a in g.attributes(v) {
             units.push(Unit::Attr(a));

@@ -48,15 +48,14 @@ struct DirIndex {
 impl DirIndex {
     fn build(graph: &DataGraph, direction: Direction) -> Self {
         // Counting pass: a vertex owns one root per distinct type among
-        // its multi-edges; `last_owner[t]` is the last vertex counted for t.
+        // its edges; `last_owner[t]` is the last vertex counted for t.
         let mut last_owner = vec![u32::MAX; graph.edge_type_count()];
         let mut owners = vec![0usize; graph.edge_type_count()];
         for v in graph.vertices() {
             for entry in graph.edges(v, direction) {
-                for t in entry.types.types() {
-                    if std::mem::replace(&mut last_owner[t.index()], v.0) != v.0 {
-                        owners[t.index()] += 1;
-                    }
+                let t = entry.edge_type().index();
+                if std::mem::replace(&mut last_owner[t], v.0) != v.0 {
+                    owners[t] += 1;
                 }
             }
         }
@@ -69,11 +68,12 @@ impl DirIndex {
         let mut pairs: Vec<(EdgeTypeId, VertexId)> = Vec::new();
         for v in graph.vertices() {
             pairs.clear();
-            for entry in graph.edges(v, direction) {
-                for &t in entry.types.types() {
-                    pairs.push((t, entry.neighbor));
-                }
-            }
+            pairs.extend(
+                graph
+                    .edges(v, direction)
+                    .iter()
+                    .map(|e| (e.edge_type(), e.neighbor)),
+            );
             // Group by type, neighbours ascending within a type (each
             // neighbour occurs once per type, so the pairs are distinct).
             pairs.sort_unstable();
@@ -587,13 +587,8 @@ mod tests {
             for direction in [Direction::Incoming, Direction::Outgoing] {
                 for t in 0..9u32 {
                     let required = [EdgeTypeId(t)];
-                    let mut expected: Vec<VertexId> = g
-                        .edges(v, direction)
-                        .iter()
-                        .filter(|e| e.types.contains_all(&required))
-                        .map(|e| e.neighbor)
-                        .collect();
-                    expected.sort_unstable();
+                    let expected: Vec<VertexId> =
+                        g.neighbors_with(v, direction, &required).collect();
                     assert_eq!(
                         n.neighbors(v, direction, &required),
                         expected,

@@ -90,10 +90,9 @@ proptest! {
         for v in graph.vertices() {
             for dir in [Direction::Incoming, Direction::Outgoing] {
                 let mut expected: Vec<VertexId> = graph
-                    .edges(v, dir)
-                    .iter()
-                    .filter(|e| e.types.contains_all(&required))
-                    .map(|e| e.neighbor)
+                    .multi_edges(v, dir)
+                    .filter(|run| required.iter().all(|&t| run.iter().any(|e| e.edge_type() == t)))
+                    .map(|run| run[0].neighbor)
                     .collect();
                 expected.sort_unstable();
                 prop_assert_eq!(n.neighbors(v, dir, &required), expected);
@@ -111,7 +110,8 @@ proptest! {
         let n = NeighborhoodIndex::build(graph);
         for v in graph.vertices() {
             for dir in [Direction::Incoming, Direction::Outgoing] {
-                let expected: Vec<VertexId> = graph.edges(v, dir).iter().map(|e| e.neighbor).collect();
+                let expected: Vec<VertexId> =
+                    graph.multi_edges(v, dir).map(|run| run[0].neighbor).collect();
                 prop_assert_eq!(n.neighbors(v, dir, &[]), &expected[..]);
                 prop_assert!(n.probe_len_hint(v, dir, &[]) >= expected.len());
                 prop_assert_eq!(n.has_neighbor(v, dir, &[]), !expected.is_empty());
@@ -142,7 +142,7 @@ proptest! {
                 // Same set straight from the adjacency.
                 let scanned: Vec<VertexId> = graph
                     .vertices()
-                    .filter(|&v| graph.edges(v, dir).iter().any(|e| e.types.contains(t)))
+                    .filter(|&v| graph.edges(v, dir).iter().any(|e| e.edge_type() == t))
                     .collect();
                 prop_assert_eq!(listed, &scanned[..]);
             }
@@ -315,9 +315,8 @@ proptest! {
             for v in graph.vertices() {
                 let side = usize::from(dir == Direction::Outgoing);
                 let rows: Vec<(VertexId, Vec<EdgeTypeId>)> = graph
-                    .edges(v, dir)
-                    .iter()
-                    .map(|e| (e.neighbor, e.types.types().to_vec()))
+                    .multi_edges(v, dir)
+                    .map(|run| (run[0].neighbor, run.iter().map(|e| e.edge_type()).collect()))
                     .collect();
                 let expected: Vec<(VertexId, Vec<EdgeTypeId>)> = reference.adjacency[side]
                     [v.index()]

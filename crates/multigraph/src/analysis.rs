@@ -31,12 +31,7 @@ pub struct DegreeStats {
 /// plus attributes (the quantity the §7.2 star generator thresholds on).
 pub fn incident_triples(rdf: &RdfGraph, v: crate::ids::VertexId) -> usize {
     let g = rdf.graph();
-    g.out_edges(v)
-        .iter()
-        .chain(g.in_edges(v))
-        .map(|e| e.types.len())
-        .sum::<usize>()
-        + g.attributes(v).len()
+    g.out_edges(v).len() + g.in_edges(v).len() + g.attributes(v).len()
 }
 
 /// Compute the degree distribution.
@@ -71,9 +66,7 @@ pub fn predicate_histogram(rdf: &RdfGraph) -> Vec<(EdgeTypeId, usize)> {
     let mut counts = vec![0usize; rdf.dictionaries().edge_types.len()];
     for v in g.vertices() {
         for e in g.out_edges(v) {
-            for &t in e.types.types() {
-                counts[t.index()] += 1;
-            }
+            counts[e.edge_type().index()] += 1;
         }
     }
     let mut histogram: Vec<(EdgeTypeId, usize)> = counts

@@ -3,8 +3,11 @@
 //! Directed, vertex-attributed: vertices are mapped subject/object IRIs,
 //! every directed vertex pair carries a *multi-edge* (a set of edge types),
 //! and each vertex owns a set of attributes (mapped `<predicate, literal>`
-//! pairs). Adjacency is stored twice (outgoing and incoming), sorted by
-//! neighbour id, so both edge directions resolve with a binary search.
+//! pairs). Adjacency is stored twice (outgoing and incoming) as one 8-byte
+//! [`AdjEntry`] per edge instance — a neighbour and one edge type — sorted
+//! by `(neighbour, type)`. A multi-edge is therefore the run of entries
+//! that share a neighbour ([`DataGraph::multi_edges`]), its types in
+//! ascending order, and one binary search finds an edge instance.
 //! `DataGraph::assemble` builds all of it from flat, unordered id tuples,
 //! bucketing them by source vertex (a counting sort) and sorting each
 //! vertex's short bucket on its own.
@@ -13,11 +16,11 @@
 //! incoming adjacency, attribute sets) is one [`Csr`] — one exact-size
 //! item pool plus `u32` row offsets — so the graph makes six allocations
 //! however many vertices it has, and its heap-byte ledger is what it
-//! occupies. A [`MultiEdge`] with one type (nearly all of them) is held
-//! inline in its [`AdjEntry`]; only multi-type edges own a box.
+//! occupies: `8` bytes per edge instance and direction, `4` per attribute,
+//! and `4` per vertex and structure for the offsets.
 
 use crate::ids::{AttrId, EdgeTypeId, VertexId};
-use amber_util::{Csr, CsrBuilder, CsrScatter, HeapSize};
+use amber_util::{Csr, CsrScatter, HeapSize};
 
 /// Edge direction relative to a vertex.
 ///
@@ -49,137 +52,56 @@ impl Direction {
     }
 }
 
-/// A multi-edge: the sorted, deduplicated set of edge types between one
-/// ordered vertex pair (paper §2.1.1 — "multiple edges (predicates) can
-/// appear between the same pair of vertices").
-///
-/// Almost every multi-edge of real data carries one type (DBpedia-like
-/// data: 603,880 type instances in 603,246 multi-edges), so a single type
-/// is held inline and owns no heap; two or more live in a boxed slice.
-/// Equality, order and hashing are those of [`Self::types`], whichever
-/// form holds them.
-#[derive(Debug, Clone)]
-pub struct MultiEdge(Types);
+/// The one edge type of an [`AdjEntry`]. [`Self::types`] reads it as the
+/// type set of a one-type multi-edge, so code that walks the types of
+/// each entry sees every edge instance once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct OneType(pub EdgeTypeId);
 
-#[derive(Debug, Clone)]
-enum Types {
-    One(EdgeTypeId),
-    Many(Box<[EdgeTypeId]>),
-}
-
-impl MultiEdge {
-    /// Build from an arbitrary list of types (sorted + deduplicated here).
-    pub fn new(mut types: Vec<EdgeTypeId>) -> Self {
-        types.sort_unstable();
-        types.dedup();
-        match *types {
-            [t] => Self(Types::One(t)),
-            _ => Self(Types::Many(types.into_boxed_slice())),
-        }
-    }
-
-    /// The sorted edge types.
+impl OneType {
+    /// The type as a one-element slice.
     #[inline]
     pub fn types(&self) -> &[EdgeTypeId] {
-        match &self.0 {
-            Types::One(t) => std::slice::from_ref(t),
-            Types::Many(types) => types,
-        }
-    }
-
-    /// Number of edge types in the multi-edge (its cardinality, the paper's
-    /// `|σ(u)_j|`).
-    pub fn len(&self) -> usize {
-        self.types().len()
-    }
-
-    /// `true` when the multi-edge carries no types (never stored).
-    pub fn is_empty(&self) -> bool {
-        self.types().is_empty()
-    }
-
-    /// Does this multi-edge contain every type of `other`? (the `⊆` of
-    /// Definition 2, condition 2)
-    pub fn contains_all(&self, other: &[EdgeTypeId]) -> bool {
-        amber_util::sorted::is_subset(other, self.types())
-    }
-
-    /// Membership test for one type.
-    pub fn contains(&self, t: EdgeTypeId) -> bool {
-        self.types().binary_search(&t).is_ok()
+        std::slice::from_ref(&self.0)
     }
 }
 
-// By `types()`, not derived: a derived order would rank the inline form
-// before the boxed one whatever the types.
-impl PartialEq for MultiEdge {
-    fn eq(&self, other: &Self) -> bool {
-        self.types() == other.types()
-    }
-}
-
-impl Eq for MultiEdge {}
-
-impl PartialOrd for MultiEdge {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for MultiEdge {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.types().cmp(other.types())
-    }
-}
-
-impl std::hash::Hash for MultiEdge {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.types().hash(state);
-    }
-}
-
-impl HeapSize for MultiEdge {
-    fn heap_size(&self) -> usize {
-        match &self.0 {
-            Types::One(_) => 0,
-            Types::Many(types) => types.heap_size(),
-        }
-    }
-}
-
-impl FromIterator<EdgeTypeId> for MultiEdge {
-    fn from_iter<I: IntoIterator<Item = EdgeTypeId>>(iter: I) -> Self {
-        Self::new(iter.into_iter().collect())
-    }
-}
-
-/// One adjacency entry: a neighbour and the multi-edge shared with it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One adjacency entry: an edge instance, seen from one of its ends.
+/// Entries order by `(neighbor, type)`, the order of every adjacency row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AdjEntry {
     /// The neighbouring vertex.
     pub neighbor: VertexId,
-    /// The multi-edge between the two vertices (direction given by which
-    /// adjacency list the entry lives in).
-    pub types: MultiEdge,
+    /// The edge type (direction given by which adjacency list the entry
+    /// lives in).
+    pub types: OneType,
+}
+
+impl AdjEntry {
+    /// The entry's edge type.
+    #[inline]
+    pub fn edge_type(&self) -> EdgeTypeId {
+        self.types.0
+    }
 }
 
 impl HeapSize for AdjEntry {
     fn heap_size(&self) -> usize {
-        self.types.heap_size()
+        0
     }
 }
 
 /// The data multigraph `G = (V, E, L_V, L_E)`.
 #[derive(Debug, Clone, Default)]
 pub struct DataGraph {
-    /// Outgoing adjacency, one row per vertex, sorted by neighbour.
+    /// Outgoing adjacency, one row per vertex, sorted by `(neighbour, type)`.
     out_adj: Csr<AdjEntry>,
-    /// Incoming adjacency, one row per vertex, sorted by neighbour.
+    /// Incoming adjacency, one row per vertex, sorted by `(neighbour, type)`.
     in_adj: Csr<AdjEntry>,
     /// Sorted attribute set, one row per vertex (`L_V`).
     attrs: Csr<AttrId>,
-    /// Count of `(pair, type)` edges, i.e. resource triples.
-    edge_instance_count: usize,
+    /// Number of directed vertex pairs carrying an edge (`|E|`).
+    edge_pair_count: usize,
     /// Number of distinct edge types used (`|T|`).
     edge_type_count: usize,
 }
@@ -190,85 +112,72 @@ impl DataGraph {
     /// order, repeats allowed. Every id must lie below `vertex_count`.
     ///
     /// This is the one place adjacency is built — the triple builder and
-    /// the snapshot loader both end here. The tuples are sorted
-    /// ([`sort_by_row`]: bucketed by their first vertex, then each bucket
-    /// sorted on its own) and deduplicated, which groups each vertex
-    /// pair's types into one sorted run. A counting pass takes both degrees
-    /// of every vertex; a second pass cuts the runs into multi-edges in
-    /// `(from, to)` order, appending each to the outgoing pool and placing
-    /// its mirror in the incoming pool by counting sort, so both come out
-    /// sorted by neighbour and at their exact size. The sorted attribute
-    /// tuples are cut into rows the same way.
+    /// the snapshot loader both end here. A counting pass takes each
+    /// vertex's out-degree, and each tuple is placed in its source's
+    /// outgoing row as a `(to, type)` entry (a counting sort straight into
+    /// the pool); each row, short, is then sorted and rid of repeats in
+    /// place ([`CsrScatter::finish_sorted_sets`]). The incoming rows are
+    /// the outgoing ones transposed by a second counting sort: walking the
+    /// sources in id order keeps every incoming row in `(from, type)`
+    /// order. Attributes are placed in their owner's row the same way. No
+    /// pool is copied, and each ends at its exact size.
     pub(crate) fn assemble(
         vertex_count: usize,
-        mut edges: Vec<(VertexId, VertexId, EdgeTypeId)>,
-        mut attrs: Vec<(VertexId, AttrId)>,
+        edges: Vec<(VertexId, VertexId, EdgeTypeId)>,
+        attrs: Vec<(VertexId, AttrId)>,
         edge_type_count: usize,
     ) -> Self {
-        sort_by_row(&mut edges, vertex_count, |&(from, _, _)| from.index());
-        edges.dedup();
-        let same_pair = |a: &(VertexId, VertexId, EdgeTypeId),
-                         b: &(VertexId, VertexId, EdgeTypeId)| {
-            (a.0, a.1) == (b.0, b.1)
-        };
-
-        let mut out_degree = vec![0usize; vertex_count];
-        let mut in_degree = vec![0usize; vertex_count];
-        for pair in edges.chunk_by(same_pair) {
-            out_degree[pair[0].0.index()] += 1;
-            in_degree[pair[0].1.index()] += 1;
-        }
-        let edge_pair_count = out_degree.iter().sum();
-        let mut out_adj = CsrBuilder::with_capacity(vertex_count, edge_pair_count);
         let placeholder = AdjEntry {
             neighbor: VertexId(0),
-            types: MultiEdge(Types::One(EdgeTypeId(0))),
+            types: OneType(EdgeTypeId(0)),
         };
-        let mut in_adj = CsrScatter::new(in_degree, placeholder);
-        let mut pairs = edges.chunk_by(same_pair);
-        for (from, degree) in out_degree.into_iter().enumerate() {
-            for pair in pairs.by_ref().take(degree) {
-                let types = match *pair {
-                    [(_, _, t)] => MultiEdge(Types::One(t)),
-                    _ => MultiEdge(Types::Many(pair.iter().map(|&(_, _, t)| t).collect())),
-                };
-                let (_, to, _) = pair[0];
+        let mut out_adj = CsrScatter::new(
+            row_lengths(vertex_count, edges.iter().map(|&(from, _, _)| from)),
+            placeholder,
+        );
+        for (from, to, t) in edges {
+            out_adj.place(
+                from.index(),
+                AdjEntry {
+                    neighbor: to,
+                    types: OneType(t),
+                },
+            );
+        }
+        let out_adj = out_adj.finish_sorted_sets();
+
+        let mut in_adj = CsrScatter::new(
+            row_lengths(vertex_count, out_adj.items().iter().map(|e| e.neighbor)),
+            placeholder,
+        );
+        let mut edge_pair_count = 0;
+        for from in 0..vertex_count {
+            let row = out_adj.row(from);
+            edge_pair_count += row.chunk_by(|a, b| a.neighbor == b.neighbor).count();
+            for entry in row {
                 in_adj.place(
-                    to.index(),
+                    entry.neighbor.index(),
                     AdjEntry {
                         neighbor: VertexId::from_index(from),
-                        types: types.clone(),
+                        types: entry.types,
                     },
                 );
-                out_adj.push(AdjEntry {
-                    neighbor: to,
-                    types,
-                });
             }
-            out_adj.end_row();
         }
 
-        sort_by_row(&mut attrs, vertex_count, |&(owner, _)| owner.index());
-        attrs.dedup();
-        let mut attr_rows = CsrBuilder::with_capacity(vertex_count, attrs.len());
-        let mut rest = attrs.as_slice();
-        for v in 0..vertex_count {
-            let mine = rest
-                .iter()
-                .take_while(|(owner, _)| owner.index() == v)
-                .count();
-            let (mine, tail) = rest.split_at(mine);
-            mine.iter().for_each(|&(_, attr)| attr_rows.push(attr));
-            attr_rows.end_row();
-            rest = tail;
+        let mut attr_rows = CsrScatter::new(
+            row_lengths(vertex_count, attrs.iter().map(|&(owner, _)| owner)),
+            AttrId(0),
+        );
+        for (owner, attr) in attrs {
+            attr_rows.place(owner.index(), attr);
         }
-        assert!(rest.is_empty(), "attribute owner beyond the vertex count");
 
         Self {
-            out_adj: out_adj.finish(),
+            out_adj,
             in_adj: in_adj.finish(),
-            attrs: attr_rows.finish(),
-            edge_instance_count: edges.len(),
+            attrs: attr_rows.finish_sorted_sets(),
+            edge_pair_count,
             edge_type_count,
         }
     }
@@ -281,12 +190,12 @@ impl DataGraph {
     /// Number of directed vertex pairs carrying a multi-edge (`|E|` — the
     /// "# Edges" column of Table 4).
     pub fn edge_pair_count(&self) -> usize {
-        self.out_adj.items().len()
+        self.edge_pair_count
     }
 
     /// Number of `(pair, edge-type)` instances — the resource-triple count.
     pub fn edge_instance_count(&self) -> usize {
-        self.edge_instance_count
+        self.out_adj.items().len()
     }
 
     /// Number of distinct edge types (`|T|` — "# Edge types" of Table 4).
@@ -299,17 +208,17 @@ impl DataGraph {
         (0..self.vertex_count() as u32).map(VertexId)
     }
 
-    /// The outgoing adjacency of `v` (sorted by neighbour).
+    /// The outgoing edge instances of `v`, sorted by `(neighbour, type)`.
     pub fn out_edges(&self, v: VertexId) -> &[AdjEntry] {
         self.out_adj.row(v.index())
     }
 
-    /// The incoming adjacency of `v` (sorted by neighbour).
+    /// The incoming edge instances of `v`, sorted by `(neighbour, type)`.
     pub fn in_edges(&self, v: VertexId) -> &[AdjEntry] {
         self.in_adj.row(v.index())
     }
 
-    /// Adjacency of `v` in the given direction.
+    /// Edge instances of `v` in the given direction.
     pub fn edges(&self, v: VertexId, direction: Direction) -> &[AdjEntry] {
         match direction {
             Direction::Incoming => self.in_edges(v),
@@ -317,19 +226,59 @@ impl DataGraph {
         }
     }
 
-    /// The multi-edge of the directed pair `(from, to)`, if present.
-    pub fn multi_edge(&self, from: VertexId, to: VertexId) -> Option<&MultiEdge> {
-        let adj = self.out_edges(from);
-        adj.binary_search_by_key(&to, |e| e.neighbor)
-            .ok()
-            .map(|i| &adj[i].types)
+    /// The multi-edges of `v` in the given direction, by ascending
+    /// neighbour: each is the run of entries that share a neighbour, its
+    /// types ascending.
+    pub fn multi_edges(
+        &self,
+        v: VertexId,
+        direction: Direction,
+    ) -> impl Iterator<Item = &[AdjEntry]> + '_ {
+        self.edges(v, direction)
+            .chunk_by(|a, b| a.neighbor == b.neighbor)
     }
 
-    /// Does `(from, to)` carry every type in (sorted) `required`?
-    /// (Definition 2, condition 2.)
+    /// The neighbours of `v` in `direction` whose multi-edge carries every
+    /// type of (sorted) `required`, ascending — a scan of `v`'s row, which
+    /// the neighbourhood index `N` answers by list intersections instead.
+    pub fn neighbors_with<'a>(
+        &'a self,
+        v: VertexId,
+        direction: Direction,
+        required: &'a [EdgeTypeId],
+    ) -> impl Iterator<Item = VertexId> + 'a {
+        self.multi_edges(v, direction)
+            .filter(|run| {
+                required
+                    .iter()
+                    .all(|&t| run.binary_search_by_key(&t, AdjEntry::edge_type).is_ok())
+            })
+            .map(|run| run[0].neighbor)
+    }
+
+    /// The multi-edge of the directed pair `(from, to)`: its run of
+    /// entries, one per type, ascending; empty when the pair has no edge.
+    pub fn multi_edge(&self, from: VertexId, to: VertexId) -> &[AdjEntry] {
+        let row = self.out_edges(from);
+        let start = row.partition_point(|e| e.neighbor < to);
+        let len = row[start..].partition_point(|e| e.neighbor == to);
+        &row[start..start + len]
+    }
+
+    /// Does `(from, to)` carry every type in `required`? With no type
+    /// required, does it carry an edge at all? (Definition 2, condition 2.)
     pub fn has_multi_edge(&self, from: VertexId, to: VertexId, required: &[EdgeTypeId]) -> bool {
-        self.multi_edge(from, to)
-            .is_some_and(|m| m.contains_all(required))
+        let row = self.out_edges(from);
+        match required {
+            [] => !self.multi_edge(from, to).is_empty(),
+            _ => required.iter().all(|&t| {
+                let instance = AdjEntry {
+                    neighbor: to,
+                    types: OneType(t),
+                };
+                row.binary_search(&instance).is_ok()
+            }),
+        }
     }
 
     /// The sorted attribute set of `v` (`L_V(v)`).
@@ -345,12 +294,11 @@ impl DataGraph {
 
     /// Undirected degree: number of distinct neighbours over both directions.
     pub fn degree(&self, v: VertexId) -> usize {
-        let out = self.out_edges(v).iter().map(|e| e.neighbor);
-        let inc = self.in_edges(v).iter().map(|e| e.neighbor);
-        // Both lists are sorted; count the union by merging.
+        let neighbors = |direction| self.multi_edges(v, direction).map(|run| run[0].neighbor);
+        let mut out = neighbors(Direction::Outgoing).peekable();
+        let mut inc = neighbors(Direction::Incoming).peekable();
+        // Both sequences are sorted and distinct; count the union by merging.
         let mut count = 0;
-        let mut out = out.peekable();
-        let mut inc = inc.peekable();
         loop {
             match (out.peek(), inc.peek()) {
                 (Some(a), Some(b)) => {
@@ -384,47 +332,15 @@ impl DataGraph {
     }
 }
 
-/// Sort `tuples` into the order `sort_unstable` gives, where `row` (below
-/// `rows`) is each tuple's leading field: a counting sort by row into a
-/// second buffer, which replaces the first, then a comparison sort inside
-/// each row. Rows are short — a vertex's edges — so the per-row sorts are
-/// small, where one sort over all tuples is `O(n log n)` on cache-cold
-/// data. Tuples already in order (a snapshot's are) are left as they are
-/// after one pass that finds so.
-fn sort_by_row<T: Copy + Ord>(tuples: &mut Vec<T>, rows: usize, row: impl Fn(&T) -> usize) {
-    if tuples.is_sorted() {
-        return;
-    }
-    let first = tuples[0];
-    assert!(u32::try_from(tuples.len()).is_ok(), "more than 2³² tuples");
-    // `next[r]`: the slot row `r`'s next tuple goes to; after the scatter,
-    // one past the row's last slot.
-    let mut next = vec![0u32; rows];
-    for tuple in tuples.iter() {
-        next[row(tuple)] += 1;
-    }
-    let mut start = 0;
-    for slot in &mut next {
-        let count = *slot;
-        *slot = start;
-        start += count;
-    }
-    let mut sorted = vec![first; tuples.len()];
-    for &tuple in tuples.iter() {
-        let slot = &mut next[row(&tuple)];
-        sorted[*slot as usize] = tuple;
-        *slot += 1;
-    }
-    *tuples = sorted;
-    let mut start = 0;
-    for end in next {
-        tuples[start..end as usize].sort_unstable();
-        start = end as usize;
-    }
+/// How many of `owners` fall on each of the `rows` vertices.
+fn row_lengths(rows: usize, owners: impl Iterator<Item = VertexId>) -> Vec<usize> {
+    let mut lengths = vec![0; rows];
+    owners.for_each(|v| lengths[v.index()] += 1);
+    lengths
 }
 
 impl DataGraph {
-    /// Heap bytes of the two adjacency structures (multi-edges included).
+    /// Heap bytes of the two adjacency structures.
     pub fn adjacency_heap_size(&self) -> usize {
         self.out_adj.heap_size() + self.in_adj.heap_size()
     }
@@ -445,8 +361,9 @@ impl HeapSize for DataGraph {
 mod tests {
     use super::*;
 
-    fn t(ids: &[u32]) -> MultiEdge {
-        MultiEdge::new(ids.iter().map(|&i| EdgeTypeId(i)).collect())
+    /// The types of a run of entries.
+    fn t(run: &[AdjEntry]) -> Vec<u32> {
+        run.iter().map(|e| e.edge_type().0).collect()
     }
 
     fn tiny_graph() -> DataGraph {
@@ -473,10 +390,15 @@ mod tests {
     fn assembles_sorted_exact_size_lists() {
         let g = tiny_graph();
         let neighbors = |adj: &[AdjEntry]| adj.iter().map(|e| e.neighbor.0).collect::<Vec<_>>();
-        assert_eq!(neighbors(g.out_edges(VertexId(0))), [1, 2]);
+        assert_eq!(neighbors(g.out_edges(VertexId(0))), [1, 1, 2]);
         assert_eq!(neighbors(g.in_edges(VertexId(2))), [0, 1, 2]);
         assert!(g.in_edges(VertexId(0)).is_empty());
-        assert_eq!(g.in_edges(VertexId(1))[0].types, t(&[0, 1]));
+        assert_eq!(t(g.in_edges(VertexId(1))), [0, 1]);
+        let runs: Vec<Vec<u32>> = g
+            .multi_edges(VertexId(0), Direction::Outgoing)
+            .map(t)
+            .collect();
+        assert_eq!(runs, [vec![0, 1], vec![2]]);
         assert_eq!(g.attributes(VertexId(0)), [AttrId(0), AttrId(1)]);
         assert!(g.attributes(VertexId(1)).is_empty());
         assert_eq!(g.attributes(VertexId(2)), [AttrId(1)]);
@@ -494,11 +416,16 @@ mod tests {
     #[test]
     fn multi_edge_lookup() {
         let g = tiny_graph();
-        assert_eq!(g.multi_edge(VertexId(0), VertexId(1)), Some(&t(&[0, 1])));
-        assert_eq!(g.multi_edge(VertexId(1), VertexId(0)), None);
+        assert_eq!(t(g.multi_edge(VertexId(0), VertexId(1))), [0, 1]);
+        assert_eq!(t(g.multi_edge(VertexId(0), VertexId(2))), [2]);
+        assert!(g.multi_edge(VertexId(1), VertexId(0)).is_empty());
         assert!(g.has_multi_edge(VertexId(0), VertexId(1), &[EdgeTypeId(1)]));
+        assert!(g.has_multi_edge(VertexId(0), VertexId(1), &[EdgeTypeId(0), EdgeTypeId(1)]));
         assert!(!g.has_multi_edge(VertexId(0), VertexId(1), &[EdgeTypeId(2)]));
+        assert!(!g.has_multi_edge(VertexId(0), VertexId(1), &[EdgeTypeId(1), EdgeTypeId(2)]));
         assert!(g.has_multi_edge(VertexId(0), VertexId(1), &[]));
+        assert!(!g.has_multi_edge(VertexId(1), VertexId(0), &[]));
+        assert!(g.has_multi_edge(VertexId(2), VertexId(2), &[EdgeTypeId(1)]));
     }
 
     #[test]
@@ -519,40 +446,14 @@ mod tests {
     }
 
     #[test]
-    fn multi_edge_normalizes() {
-        let m = MultiEdge::new(vec![EdgeTypeId(3), EdgeTypeId(1), EdgeTypeId(3)]);
-        assert_eq!(m.types(), &[EdgeTypeId(1), EdgeTypeId(3)]);
-        assert!(m.contains(EdgeTypeId(3)));
-        assert!(!m.contains(EdgeTypeId(2)));
-        assert!(m.contains_all(&[EdgeTypeId(1)]));
-        assert!(!m.contains_all(&[EdgeTypeId(1), EdgeTypeId(2)]));
-    }
-
-    #[test]
-    fn one_type_is_inline_and_the_entry_stays_24_bytes() {
-        let one = t(&[4]);
-        let two = t(&[4, 1]);
-        assert_eq!((one.heap_size(), two.heap_size()), (0, 8));
-        assert_eq!(one.types(), [EdgeTypeId(4)]);
-        assert_eq!(two.types(), [EdgeTypeId(1), EdgeTypeId(4)]);
-        assert!(t(&[]).is_empty());
-        // The one-type form sits in the box's length word, behind the
-        // null-pointer niche: no tag word is added.
-        assert_eq!(std::mem::size_of::<MultiEdge>(), 16);
-        assert_eq!(std::mem::size_of::<AdjEntry>(), 24);
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn sort_by_row_orders_as_a_full_sort(
-            tuples in proptest::prop::collection::vec((0..7usize, 0..5u32, 0..3u32), 0..60)
-        ) {
-            let mut expected = tuples.clone();
-            expected.sort_unstable();
-            let mut sorted = tuples;
-            sort_by_row(&mut sorted, 7, |&(row, _, _)| row);
-            assert_eq!(sorted, expected);
-        }
+    fn an_entry_is_eight_bytes_and_reads_as_one_type() {
+        assert_eq!(std::mem::size_of::<AdjEntry>(), 8);
+        let entry = AdjEntry {
+            neighbor: VertexId(3),
+            types: OneType(EdgeTypeId(4)),
+        };
+        assert_eq!(entry.types.types(), [EdgeTypeId(4)]);
+        assert_eq!(entry.edge_type(), EdgeTypeId(4));
     }
 
     #[test]

@@ -43,9 +43,9 @@ pub mod snapshot;
 
 pub use builder::{GraphBuilder, GraphConfig, RdfGraph};
 pub use compiled::{CompiledQuery, QueryKey};
-pub use data_graph::{AdjEntry, DataGraph, Direction, MultiEdge};
+pub use data_graph::{AdjEntry, DataGraph, Direction, OneType};
 pub use dictionary::{Dictionaries, Dictionary};
 pub use ids::{AttrId, EdgeTypeId, QVertexId, VertexId};
-pub use query_graph::{GroundCheck, IriConstraint, QueryEdge, QueryGraph, QueryVertex};
+pub use query_graph::{GroundCheck, IriConstraint, MultiEdge, QueryEdge, QueryGraph, QueryVertex};
 pub use signature::{Synopsis, VertexSignature};
 pub use snapshot::SnapshotError;

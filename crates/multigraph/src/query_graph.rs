@@ -20,10 +20,11 @@
 
 use crate::builder::RdfGraph;
 use crate::compiled::{tag, CompiledQuery, QueryKey};
-use crate::data_graph::{Direction, MultiEdge};
+use crate::data_graph::Direction;
 use crate::ids::{AttrId, EdgeTypeId, QVertexId, VertexId};
 use crate::signature::VertexSignature;
 use amber_sparql::SelectQuery;
+use amber_util::HeapSize;
 use std::fmt;
 
 /// Construction failure (malformed AST, not data-dependent).
@@ -50,6 +51,111 @@ impl fmt::Display for QueryGraphError {
 }
 
 impl std::error::Error for QueryGraphError {}
+
+/// A multi-edge of the query graph: the sorted, deduplicated set of edge
+/// types between one ordered pair of query vertices (paper §2.1.1 —
+/// "multiple edges (predicates) can appear between the same pair of
+/// vertices"). The data graph keeps its multi-edges as runs of adjacency
+/// entries instead ([`crate::DataGraph::multi_edges`]).
+///
+/// Almost every multi-edge carries one type, so a single type is held
+/// inline and owns no heap; two or more live in a boxed slice.
+/// Equality, order and hashing are those of [`Self::types`], whichever
+/// form holds them.
+#[derive(Debug, Clone)]
+pub struct MultiEdge(Types);
+
+#[derive(Debug, Clone)]
+enum Types {
+    One(EdgeTypeId),
+    Many(Box<[EdgeTypeId]>),
+}
+
+impl MultiEdge {
+    /// Build from an arbitrary list of types (sorted + deduplicated here).
+    pub fn new(mut types: Vec<EdgeTypeId>) -> Self {
+        types.sort_unstable();
+        types.dedup();
+        match *types {
+            [t] => Self(Types::One(t)),
+            _ => Self(Types::Many(types.into_boxed_slice())),
+        }
+    }
+
+    /// The sorted edge types.
+    #[inline]
+    pub fn types(&self) -> &[EdgeTypeId] {
+        match &self.0 {
+            Types::One(t) => std::slice::from_ref(t),
+            Types::Many(types) => types,
+        }
+    }
+
+    /// Number of edge types in the multi-edge (its cardinality, the paper's
+    /// `|σ(u)_j|`).
+    pub fn len(&self) -> usize {
+        self.types().len()
+    }
+
+    /// `true` when the multi-edge carries no types (never stored).
+    pub fn is_empty(&self) -> bool {
+        self.types().is_empty()
+    }
+
+    /// Does this multi-edge contain every type of `other`? (the `⊆` of
+    /// Definition 2, condition 2)
+    pub fn contains_all(&self, other: &[EdgeTypeId]) -> bool {
+        amber_util::sorted::is_subset(other, self.types())
+    }
+
+    /// Membership test for one type.
+    pub fn contains(&self, t: EdgeTypeId) -> bool {
+        self.types().binary_search(&t).is_ok()
+    }
+}
+
+// By `types()`, not derived: a derived order would rank the inline form
+// before the boxed one whatever the types.
+impl PartialEq for MultiEdge {
+    fn eq(&self, other: &Self) -> bool {
+        self.types() == other.types()
+    }
+}
+
+impl Eq for MultiEdge {}
+
+impl PartialOrd for MultiEdge {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for MultiEdge {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.types().cmp(other.types())
+    }
+}
+
+impl std::hash::Hash for MultiEdge {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.types().hash(state);
+    }
+}
+
+impl HeapSize for MultiEdge {
+    fn heap_size(&self) -> usize {
+        match &self.0 {
+            Types::One(_) => 0,
+            Types::Many(types) => types.heap_size(),
+        }
+    }
+}
+
+impl FromIterator<EdgeTypeId> for MultiEdge {
+    fn from_iter<I: IntoIterator<Item = EdgeTypeId>>(iter: I) -> Self {
+        Self::new(iter.into_iter().collect())
+    }
+}
 
 /// An IRI vertex `u^iri ∈ u.R` attached to a query vertex (paper §2.2.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -452,6 +558,30 @@ mod tests {
     use super::*;
     use crate::builder::RdfGraph;
     use amber_sparql::parse_select;
+
+    #[test]
+    fn multi_edge_normalizes() {
+        let m = MultiEdge::new(vec![EdgeTypeId(3), EdgeTypeId(1), EdgeTypeId(3)]);
+        assert_eq!(m.types(), &[EdgeTypeId(1), EdgeTypeId(3)]);
+        assert!(m.contains(EdgeTypeId(3)));
+        assert!(!m.contains(EdgeTypeId(2)));
+        assert!(m.contains_all(&[EdgeTypeId(1)]));
+        assert!(!m.contains_all(&[EdgeTypeId(1), EdgeTypeId(2)]));
+    }
+
+    #[test]
+    fn one_type_is_inline() {
+        let t = |ids: &[u32]| MultiEdge::new(ids.iter().map(|&i| EdgeTypeId(i)).collect());
+        let one = t(&[4]);
+        let two = t(&[4, 1]);
+        assert_eq!((one.heap_size(), two.heap_size()), (0, 8));
+        assert_eq!(one.types(), [EdgeTypeId(4)]);
+        assert_eq!(two.types(), [EdgeTypeId(1), EdgeTypeId(4)]);
+        assert!(t(&[]).is_empty());
+        // The one-type form sits in the box's length word, behind the
+        // null-pointer niche: no tag word is added.
+        assert_eq!(std::mem::size_of::<MultiEdge>(), 16);
+    }
 
     fn data() -> RdfGraph {
         RdfGraph::parse_ntriples(

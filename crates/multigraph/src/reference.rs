@@ -1,11 +1,14 @@
 //! The offline transformation as first written, for tests: owned keys,
-//! an ordered map per vertex pair and a set per vertex, encoded by an
-//! image writer of its own. The builder, fed the text or the owned
-//! triples, must produce the same snapshot bytes.
+//! an ordered map per vertex pair and a set per vertex ([`Model`]),
+//! encoded by an image writer of its own. The builder, fed the text or the
+//! owned triples, must produce the same snapshot bytes, and the data
+//! graph's adjacency must read back the model's pairs.
 //!
 //! The crate's unit tests use it as a module, and the root
-//! `tests/load_path.rs` includes this file by path to check the text route
-//! at the benchmark's scale, so it uses nothing but `rdf_model` and `std`.
+//! `tests/load_path.rs` and `tests/adjacency_reference.rs` include this
+//! file by path (the text route at the benchmark's scale; the adjacency
+//! and the indexes built on it), so it uses nothing but `rdf_model` and
+//! `std`.
 
 use rdf_model::{Object, Triple};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -15,38 +18,77 @@ pub type Adjacency = Vec<Vec<(u32, Vec<u32>)>>;
 /// Per vertex, its attribute ids.
 pub type Attributes = Vec<Vec<u32>>;
 
-/// The snapshot image of `triples`, built the slow and obvious way.
-pub fn reference_snapshot(triples: &[Triple], literals_as_vertices: bool) -> Vec<u8> {
-    let (mut vertices, mut edge_types, mut attributes) =
-        (Keys::default(), Keys::default(), Keys::default());
-    let mut pairs: BTreeMap<(u32, u32), BTreeSet<u32>> = BTreeMap::new();
-    let mut owned: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
-    for triple in triples {
-        let subject = vertices.intern(triple.subject.dictionary_key());
-        match &triple.object {
-            Object::Literal(literal) if !literals_as_vertices => {
-                let key = format!("{}\u{0}{literal}", triple.predicate.as_str());
-                owned
-                    .entry(subject)
-                    .or_default()
-                    .insert(attributes.intern(key));
-            }
-            object => {
-                let key = object.resource_key().unwrap_or_else(|| object.to_string());
-                let object = vertices.intern(key);
-                let edge_type = edge_types.intern(triple.predicate.as_str().to_owned());
-                pairs
-                    .entry((subject, object))
-                    .or_default()
-                    .insert(edge_type);
+/// The transformation's tables, built the slow and obvious way: ids in
+/// first-seen order, one ordered type set per vertex pair and one
+/// attribute set per vertex.
+pub struct Model {
+    vertices: Keys,
+    edge_types: Keys,
+    attributes: Keys,
+    /// Per `(from, to)` pair carrying an edge, its edge types.
+    pub pairs: BTreeMap<(u32, u32), BTreeSet<u32>>,
+    owned: BTreeMap<u32, BTreeSet<u32>>,
+}
+
+impl Model {
+    /// Transform `triples`.
+    pub fn of(triples: &[Triple], literals_as_vertices: bool) -> Self {
+        let (mut vertices, mut edge_types, mut attributes) =
+            (Keys::default(), Keys::default(), Keys::default());
+        let mut pairs: BTreeMap<(u32, u32), BTreeSet<u32>> = BTreeMap::new();
+        let mut owned: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+        for triple in triples {
+            let subject = vertices.intern(triple.subject.dictionary_key());
+            match &triple.object {
+                Object::Literal(literal) if !literals_as_vertices => {
+                    let key = format!("{}\u{0}{literal}", triple.predicate.as_str());
+                    owned
+                        .entry(subject)
+                        .or_default()
+                        .insert(attributes.intern(key));
+                }
+                object => {
+                    let key = object.resource_key().unwrap_or_else(|| object.to_string());
+                    let object = vertices.intern(key);
+                    let edge_type = edge_types.intern(triple.predicate.as_str().to_owned());
+                    pairs
+                        .entry((subject, object))
+                        .or_default()
+                        .insert(edge_type);
+                }
             }
         }
+        Self {
+            vertices,
+            edge_types,
+            attributes,
+            pairs,
+            owned,
+        }
     }
-    let mut adjacency = vec![Vec::new(); vertices.keys.len()];
+
+    /// Number of vertices.
+    pub fn vertex_count(&self) -> usize {
+        self.vertices.keys.len()
+    }
+}
+
+/// The snapshot image of `triples`, built the slow and obvious way.
+pub fn reference_snapshot(triples: &[Triple], literals_as_vertices: bool) -> Vec<u8> {
+    let model = Model::of(triples, literals_as_vertices);
+    let vertex_count = model.vertex_count();
+    let Model {
+        vertices,
+        edge_types,
+        attributes,
+        pairs,
+        mut owned,
+    } = model;
+    let mut adjacency = vec![Vec::new(); vertex_count];
     for ((from, to), types) in pairs {
         adjacency[from as usize].push((to, types.into_iter().collect()));
     }
-    let attrs: Attributes = (0..vertices.keys.len() as u32)
+    let attrs: Attributes = (0..vertex_count as u32)
         .map(|v| owned.remove(&v).into_iter().flatten().collect())
         .collect();
     encode_image(

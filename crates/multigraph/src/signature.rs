@@ -15,8 +15,9 @@
 //! the R-tree index `S` answers. Empty halves are zero-filled, exactly as in
 //! Table 3.
 
-use crate::data_graph::{DataGraph, MultiEdge};
-use crate::ids::VertexId;
+use crate::data_graph::{AdjEntry, DataGraph, Direction};
+use crate::ids::{EdgeTypeId, VertexId};
+use crate::query_graph::MultiEdge;
 use amber_util::HeapSize;
 
 /// Number of synopsis fields (4 per direction).
@@ -32,20 +33,29 @@ pub struct VertexSignature {
 }
 
 impl VertexSignature {
-    /// The signature of a data vertex, read off the adjacency lists.
+    /// The signature of a data vertex, read off the adjacency lists: one
+    /// multi-edge per run of entries that share a neighbour.
     pub fn of_data_vertex(graph: &DataGraph, v: VertexId) -> Self {
+        let half = |direction| {
+            graph
+                .multi_edges(v, direction)
+                .map(|run| run.iter().map(AdjEntry::edge_type).collect())
+                .collect()
+        };
         Self {
-            incoming: graph.in_edges(v).iter().map(|e| e.types.clone()).collect(),
-            outgoing: graph.out_edges(v).iter().map(|e| e.types.clone()).collect(),
+            incoming: half(Direction::Incoming),
+            outgoing: half(Direction::Outgoing),
         }
     }
 
     /// Compute the 8-field synopsis (Table 3).
     pub fn synopsis(&self) -> Synopsis {
         let mut scratch = Vec::new();
+        let incoming = self.incoming.iter().map(|m| m.types().iter().copied());
+        let outgoing = self.outgoing.iter().map(|m| m.types().iter().copied());
         Synopsis::from_halves(
-            direction_features(self.incoming.iter(), &mut scratch),
-            direction_features(self.outgoing.iter(), &mut scratch),
+            direction_features(incoming, &mut scratch),
+            direction_features(outgoing, &mut scratch),
         )
     }
 
@@ -85,16 +95,18 @@ impl VertexSignature {
     }
 }
 
-/// `[f1, f2, f3, f4]` of one direction per Table 3; `distinct` is scratch.
-fn direction_features<'a>(
-    multi_edges: impl Iterator<Item = &'a MultiEdge>,
+/// `[f1, f2, f3, f4]` of one direction per Table 3, from the type sets of
+/// its multi-edges; `distinct` is scratch.
+fn direction_features<T: IntoIterator<Item = EdgeTypeId>>(
+    multi_edges: impl Iterator<Item = T>,
     distinct: &mut Vec<u32>,
 ) -> [i64; 4] {
     distinct.clear();
     let mut f1 = 0;
-    for multi_edge in multi_edges {
-        f1 = f1.max(multi_edge.len() as i64);
-        distinct.extend(multi_edge.types().iter().map(|t| t.0));
+    for types in multi_edges {
+        let before = distinct.len();
+        distinct.extend(types.into_iter().map(|t| t.0));
+        f1 = f1.max((distinct.len() - before) as i64);
     }
     distinct.sort_unstable();
     distinct.dedup();
@@ -131,10 +143,11 @@ impl Synopsis {
     }
 
     fn fold_data_vertex(graph: &DataGraph, v: VertexId, scratch: &mut Vec<u32>) -> Self {
-        Self::from_halves(
-            direction_features(graph.in_edges(v).iter().map(|e| &e.types), scratch),
-            direction_features(graph.out_edges(v).iter().map(|e| &e.types), scratch),
-        )
+        let mut half = |direction| {
+            let runs = graph.multi_edges(v, direction);
+            direction_features(runs.map(|run| run.iter().map(AdjEntry::edge_type)), scratch)
+        };
+        Self::from_halves(half(Direction::Incoming), half(Direction::Outgoing))
     }
 
     fn from_halves(incoming: [i64; 4], outgoing: [i64; 4]) -> Self {
@@ -171,7 +184,6 @@ impl HeapSize for Synopsis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::EdgeTypeId;
 
     fn me(ids: &[u32]) -> MultiEdge {
         MultiEdge::new(ids.iter().map(|&i| EdgeTypeId(i)).collect())

@@ -38,7 +38,7 @@
 //! [`SnapshotError::CorruptIds`].
 
 use crate::builder::{GraphConfig, RdfGraph};
-use crate::data_graph::DataGraph;
+use crate::data_graph::{DataGraph, Direction};
 use crate::dictionary::{Dictionaries, Dictionary};
 use crate::ids::{AttrId, EdgeTypeId, VertexId};
 use bytes::{Buf, BufMut, BytesMut};
@@ -149,13 +149,14 @@ impl RdfGraph {
 
         buf.put_u32_le(graph.vertex_count() as u32);
         for v in graph.vertices() {
-            let out = graph.out_edges(v);
-            buf.put_u32_le(out.len() as u32);
-            for entry in out {
-                buf.put_u32_le(entry.neighbor.0);
-                buf.put_u32_le(entry.types.len() as u32);
-                for t in entry.types.types() {
-                    buf.put_u32_le(t.0);
+            // One record per multi-edge: its neighbour, then its types.
+            let multi_edges = || graph.multi_edges(v, Direction::Outgoing);
+            buf.put_u32_le(multi_edges().count() as u32);
+            for run in multi_edges() {
+                buf.put_u32_le(run[0].neighbor.0);
+                buf.put_u32_le(run.len() as u32);
+                for entry in run {
+                    buf.put_u32_le(entry.edge_type().0);
                 }
             }
         }

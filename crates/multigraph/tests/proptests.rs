@@ -2,7 +2,8 @@
 //! snapshot round-trips, signature monotonicity.
 
 use amber_multigraph::{
-    Direction, EdgeTypeId, GraphBuilder, GraphConfig, MultiEdge, RdfGraph, VertexSignature,
+    AdjEntry, Direction, EdgeTypeId, GraphBuilder, GraphConfig, MultiEdge, RdfGraph,
+    VertexSignature,
 };
 use amber_util::HeapSize;
 use proptest::prelude::*;
@@ -43,16 +44,14 @@ proptest! {
         let mut mirrored = 0usize;
         for v in g.vertices() {
             for e in g.out_edges(v) {
-                let back = g
-                    .in_edges(e.neighbor)
-                    .iter()
-                    .find(|b| b.neighbor == v)
-                    .expect("incoming mirror exists");
-                prop_assert_eq!(&back.types, &e.types);
+                let back = AdjEntry { neighbor: v, types: e.types };
+                prop_assert!(g.in_edges(e.neighbor).binary_search(&back).is_ok());
                 mirrored += 1;
             }
         }
-        prop_assert_eq!(mirrored, g.edge_pair_count());
+        let incoming: usize = g.vertices().map(|v| g.in_edges(v).len()).sum();
+        prop_assert_eq!(mirrored, g.edge_instance_count());
+        prop_assert_eq!(incoming, g.edge_instance_count());
     }
 
     /// Graph construction is idempotent under triple duplication.

@@ -179,6 +179,36 @@ impl<T: Clone> CsrScatter<T> {
     }
 }
 
+impl<T: Copy + Ord> CsrScatter<T> {
+    /// The pool with every row sorted and its repeats dropped. Rows that
+    /// lose items are moved down the pool in place, and the pool is then
+    /// shrunk to its new length: no second buffer is allocated. Every row
+    /// must be full.
+    pub fn finish_sorted_sets(self) -> Csr<T> {
+        let Csr { mut offsets, items } = self.finish();
+        let mut items = items.into_vec();
+        let (mut start, mut kept) = (0, 0);
+        for r in 0..offsets.len() - 1 {
+            let end = offsets[r + 1] as usize;
+            items[start..end].sort_unstable();
+            for i in start..end {
+                // `items[i - 1]` is still unmoved here: `kept` never passes `i`.
+                if i == start || items[i] != items[i - 1] {
+                    items[kept] = items[i];
+                    kept += 1;
+                }
+            }
+            offsets[r + 1] = offset(kept);
+            start = end;
+        }
+        items.truncate(kept);
+        Csr {
+            offsets,
+            items: items.into_boxed_slice(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,6 +252,60 @@ mod tests {
         assert_eq!(csr.row(1), ['e']);
         assert_eq!(csr.row(2), ['a', 'c']);
         assert!(csr.row(3).is_empty());
+    }
+
+    #[test]
+    fn sorted_sets_drop_repeats_in_place() {
+        let pairs = [
+            (1usize, 5u32),
+            (0, 3),
+            (1, 2),
+            (1, 5),
+            (0, 3),
+            (2, 9),
+            (1, 2),
+        ];
+        let mut lengths = [0usize; 4];
+        for &(row, _) in &pairs {
+            lengths[row] += 1;
+        }
+        let mut scatter = CsrScatter::new(lengths, 0);
+        for (row, item) in pairs {
+            scatter.place(row, item);
+        }
+        let csr = scatter.finish_sorted_sets();
+        assert_eq!(csr.rows(), 4);
+        assert_eq!(csr.row(0), [3]);
+        assert_eq!(csr.row(1), [2, 5]);
+        assert_eq!(csr.row(2), [9]);
+        assert!(csr.row(3).is_empty());
+        // Exact size after the shrink: 5 offsets and 4 items.
+        assert_eq!(csr.heap_size(), 5 * 4 + 4 * 4);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sorted_sets_equal_a_full_sort_and_dedup(
+            pairs in proptest::prop::collection::vec((0..7usize, 0..5u32), 0..60)
+        ) {
+            let mut expected = pairs.clone();
+            expected.sort_unstable();
+            expected.dedup();
+            let mut lengths = [0usize; 7];
+            for &(row, _) in &pairs {
+                lengths[row] += 1;
+            }
+            let mut scatter = CsrScatter::new(lengths, 0);
+            for &(row, item) in &pairs {
+                scatter.place(row, item);
+            }
+            let csr = scatter.finish_sorted_sets();
+            let rows: Vec<(usize, u32)> = (0..7)
+                .flat_map(|row| csr.row(row).iter().map(move |&item| (row, item)))
+                .collect();
+            assert_eq!(rows, expected);
+            assert_eq!(csr.items().len(), expected.len());
+        }
     }
 
     #[test]

@@ -461,6 +461,54 @@ fn serving_layer_survives_index_probe_chaos() {
 }
 
 #[test]
+fn a_panic_while_planning_is_quarantined_on_every_entry_point() {
+    let _serial = serial();
+    let engine = AmberEngine::from_graph(paper_graph());
+    let text = paper_query_text();
+    let parsed = amber_sparql::parse_select(&text).unwrap();
+    let options = ExecOptions::default();
+    let mut session = engine.create_session(&options);
+    // `ProcessVertex` probes the index while the plan is built, so every
+    // probe panicking fails the query in planning, before any search.
+    let (run, prepared, explained) = {
+        let _guard = fault::override_spec("1:index-probe=panic@1").unwrap();
+        with_quiet_chaos_panics(|| {
+            (
+                engine.run(&QueryRequest::sparql(&text)),
+                engine.prepare_sparql(&text),
+                engine.explain_analyze(&parsed, &options, &mut session),
+            )
+        })
+    };
+    assert!(
+        matches!(run, Err(Error::Engine(EngineError::Internal { .. }))),
+        "run: {run:?}"
+    );
+    for (entry, task) in [
+        ("prepare_sparql", prepared.err()),
+        ("explain_analyze", explained.err()),
+    ] {
+        match task {
+            Some(EngineError::Internal { task, payload }) => {
+                assert_eq!(task, "query planning", "{entry}");
+                assert!(payload.contains("chaos"), "{entry}: {payload}");
+            }
+            other => panic!("{entry}: expected a quarantined Internal error, got {other:?}"),
+        }
+    }
+
+    // Disarmed, the same engine and session answer in full.
+    let plan = engine.prepare_sparql(&text).unwrap();
+    let clean = engine.run(&QueryRequest::prepared(&plan)).unwrap();
+    assert_eq!(clean.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
+    let (outcome, report) = engine
+        .explain_analyze(&parsed, &options, &mut session)
+        .unwrap();
+    assert_eq!(outcome.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
+    assert!(!report.is_empty());
+}
+
+#[test]
 fn alloc_fail_is_inert_everywhere_but_serve_admit() {
     let _serial = serial();
     let engine = AmberEngine::from_graph(paper_graph());

@@ -98,17 +98,9 @@ fn exact_part_bytes(rdf: &RdfGraph) -> [(&'static str, usize); 5] {
     let graph = rdf.graph();
     let n = graph.vertex_count();
     let offsets = |rows: usize| (rows + 1) * U32;
-    // Multi-edges of two or more types own a box, once per direction.
-    let boxed_types: usize = graph
-        .vertices()
-        .flat_map(|v| graph.out_edges(v))
-        .map(|e| e.types.len())
-        .filter(|&len| len > 1)
-        .sum();
-    let adjacency = 2
-        * (offsets(n)
-            + graph.edge_pair_count() * std::mem::size_of::<AdjEntry>()
-            + boxed_types * U32);
+    // One entry per edge instance, once per direction.
+    let adjacency =
+        2 * (offsets(n) + graph.edge_instance_count() * std::mem::size_of::<AdjEntry>());
     let attribute_count: usize = graph.vertices().map(|v| graph.attributes(v).len()).sum();
     let attribute_lists = offsets(n) + attribute_count * U32;
     let attribute_index = offsets(rdf.dictionaries().attributes.len()) + attribute_count * U32;
@@ -123,7 +115,7 @@ fn exact_part_bytes(rdf: &RdfGraph) -> [(&'static str, usize); 5] {
                     let mut types: Vec<_> = graph
                         .edges(v, direction)
                         .iter()
-                        .flat_map(|e| e.types.types())
+                        .map(|e| e.edge_type())
                         .collect();
                     types.sort_unstable();
                     types.dedup();
@@ -196,15 +188,17 @@ fn ledger(scale: u32, triples: usize) -> ([(&'static str, usize); 6], f64) {
 /// The resident-bytes ceiling of the offline stage on the benchmark's
 /// graph (DBpedia-like, scale 25, seed 1: 391,667 triples). The ledger is
 /// deterministic, so each part is held at or below the bytes it measured
-/// when its exact-size layout landed, and the total at 89 B/triple
-/// (130.64 before the pooled graph, 101.75 before the pooled `S`).
+/// when its exact-size layout landed, and the total at 64.5 B/triple
+/// (130.64 before the pooled graph, 101.75 before the pooled `S`, 88.29
+/// before the adjacency kept one 8-byte entry per edge instance; 63.65
+/// since).
 #[test]
 #[ignore = "loads 391k triples; run in release: cargo test --release --test load_path -- --ignored"]
 fn resident_bytes_stay_under_the_ceiling() {
     let (parts, per_triple) = ledger(25, 391_667);
     let ceilings = [
         ("dictionaries", 6_555_629),
-        ("adjacency", 14_882_808),
+        ("adjacency", 5_231_048),
         ("attribute_lists", 558_892),
         ("attribute_index", 521_176),
         ("signature_index", 2_226_880),
@@ -214,14 +208,15 @@ fn resident_bytes_stay_under_the_ceiling() {
         assert_eq!(part, name);
         assert!(bytes <= ceiling, "{part}: {bytes} B > {ceiling} B");
     }
-    assert!(per_triple <= 89.0, "{per_triple:.2} B/triple > 89");
+    assert!(per_triple <= 64.5, "{per_triple:.2} B/triple > 64.5");
 }
 
 /// The same ceiling at scale 33 (515,281 triples), where the vertex count
 /// lies just past a power of 16 and STR slabs of `⌈n/16⌉` used to leave
 /// about two synopses per R-tree leaf: the total read 118.90 B/triple, `S`
 /// alone 36.66. Full leaves hold `S` at the same ≈ 5.7 B/triple as at
-/// scale 25.
+/// scale 25, and the total read 87.94 before the 8-byte adjacency entry,
+/// 63.32 since.
 #[test]
 #[ignore = "loads 515k triples; run in release: cargo test --release --test load_path -- --ignored"]
 fn resident_bytes_stay_under_the_ceiling_past_a_power_of_16() {
@@ -231,7 +226,7 @@ fn resident_bytes_stay_under_the_ceiling_past_a_power_of_16() {
         signature_index as f64 / 515_281.0 <= 5.8,
         "signature_index: {signature_index} B"
     );
-    assert!(per_triple <= 88.8, "{per_triple:.2} B/triple > 88.8");
+    assert!(per_triple <= 64.0, "{per_triple:.2} B/triple > 64.0");
 }
 
 /// The text route against the reference transformation at the benchmark's

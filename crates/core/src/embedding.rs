@@ -172,13 +172,13 @@ mod tests {
         let a = ComponentMatch {
             count: 3,
             solutions: vec![],
-            abort: None,
+            timed_out: false,
             nodes: 0,
         };
         let b = ComponentMatch {
             count: 4,
             solutions: vec![],
-            abort: None,
+            timed_out: false,
             nodes: 0,
         };
         assert_eq!(total_count(&[a, b]), 12);
@@ -190,7 +190,7 @@ mod tests {
         let a = ComponentMatch {
             count: 5,
             solutions: vec![],
-            abort: None,
+            timed_out: false,
             nodes: 0,
         };
         let z = ComponentMatch::default();

@@ -2,7 +2,7 @@
 
 use crate::embedding::{materialize_bindings, total_count};
 use crate::error::EngineError;
-use crate::matcher::{Abort, ComponentMatch, ComponentMatcher, MatchConfig, SearchArenas};
+use crate::matcher::{ComponentMatch, ComponentMatcher, MatchConfig, SearchArenas};
 use crate::options::ExecOptions;
 use crate::plan::PreparedPlan;
 use crate::request::QuerySource;
@@ -462,9 +462,8 @@ impl AmberEngine {
         let outcome = self.run_plan(plan, variables, options, session, sw)?;
         let results = session.result_cache_mut();
         let stored = if !cached || !outcome.status.is_complete() {
-            // Partial outcomes (timeout, cancellation) are *bypassed*,
-            // never stored: a truncated count must not be served to a
-            // repeat.
+            // Timed-out (partial) outcomes are *bypassed*, never stored:
+            // a truncated count must not be served to a repeat.
             results.note_bypass();
             false
         } else {
@@ -512,11 +511,10 @@ impl AmberEngine {
         let config = MatchConfig {
             deadline: &deadline,
             solution_cap,
-            cancel: options.cancel.as_ref(),
         };
 
         let mut matches: Vec<ComponentMatch> = Vec::new();
-        let mut abort: Option<Abort> = None;
+        let mut timed_out = false;
         for (ci, prep) in components.iter().enumerate() {
             let matcher = ComponentMatcher::from_prep(qg, self.rdf.graph(), &self.index, prep);
             let span_sw = exec_sw.as_ref().map(|_| Stopwatch::start());
@@ -535,33 +533,25 @@ impl AmberEngine {
                     .recorder_mut()
                     .span(format!("component[{ci}]"), 1, s.elapsed());
             }
-            abort = abort.max(result.abort);
+            timed_out |= result.timed_out;
             let empty = result.count == 0;
             matches.push(result);
-            if empty || abort.is_some() {
+            if empty || timed_out {
                 break; // zero answers or blown budget: no need to continue
             }
         }
 
-        if abort == Some(Abort::Cancelled) {
-            crate::telemetry::note_cancellation();
-        }
-
-        let partial = abort.is_some();
         let embedding_count = if matches.iter().any(|m| m.count == 0) {
             0
         } else {
             total_count(&matches)
         };
 
-        if let Some(abort) = abort {
-            session.recorder_mut().set_abort(match abort {
-                Abort::TimedOut => "timed out",
-                Abort::Cancelled => "cancelled",
-            });
+        if timed_out {
+            session.recorder_mut().set_abort("timed out");
         }
 
-        let bindings = if options.count_only || partial || embedding_count == 0 {
+        let bindings = if options.count_only || timed_out || embedding_count == 0 {
             Bindings::default()
         } else {
             let mat_sw = exec_sw.as_ref().map(|_| Stopwatch::start());
@@ -582,10 +572,10 @@ impl AmberEngine {
         }
 
         Ok(QueryOutcome {
-            status: match abort {
-                None => QueryStatus::Completed,
-                Some(Abort::TimedOut) => QueryStatus::TimedOut,
-                Some(Abort::Cancelled) => QueryStatus::Cancelled,
+            status: if timed_out {
+                QueryStatus::TimedOut
+            } else {
+                QueryStatus::Completed
             },
             embedding_count,
             variables,

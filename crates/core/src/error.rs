@@ -126,7 +126,7 @@ pub enum Error {
         /// Estimated time until a queue slot frees up (service-rate EWMA).
         retry_after: Duration,
     },
-    /// Rejected or revoked because the server is shutting down.
+    /// Rejected at admission because the server is draining.
     ShuttingDown,
 }
 

@@ -56,4 +56,3 @@ pub use result::{BindingRow, Bindings, QueryOutcome, QueryStatus, SparqlEngine};
 pub use session::QuerySession;
 
 pub use amber_multigraph::CompiledQuery;
-pub use amber_util::CancelToken;

@@ -62,7 +62,7 @@ use crate::ordering::order_core_vertices;
 use amber_index::{IndexSet, NeighborhoodIndex};
 use amber_multigraph::{DataGraph, Direction, EdgeTypeId, QVertexId, QueryGraph, VertexId};
 use amber_util::fault::{self, FaultPoint};
-use amber_util::{sorted, CancelToken, Deadline};
+use amber_util::{sorted, Deadline};
 
 /// One full assignment of a component: every core vertex pinned to a data
 /// vertex, every satellite carrying its independent candidate set.
@@ -83,43 +83,19 @@ impl ComponentSolution {
     }
 }
 
-/// Why a search stopped before enumerating every embedding. Ordered by
-/// merge precedence: when the components of one query abort for different
-/// reasons the *highest* variant wins (a cancellation is more meaningful to
-/// the caller than the timeout that raced with it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Abort {
-    /// The shared wall-clock deadline expired.
-    TimedOut,
-    /// The caller's [`CancelToken`] fired.
-    Cancelled,
-}
-
 /// The result of matching one component.
 #[derive(Debug, Clone, Default)]
 pub struct ComponentMatch {
-    /// Exact embedding count (saturating u128), partial if `abort` is set.
+    /// Exact embedding count (saturating u128), partial if `timed_out`.
     pub count: u128,
     /// Retained solutions (up to the configured cap).
     pub solutions: Vec<ComponentSolution>,
-    /// Why the search stopped early (`None` = ran to completion).
-    pub abort: Option<Abort>,
+    /// `true` when the deadline expired before the search ran to
+    /// completion.
+    pub timed_out: bool,
     /// Search-tree nodes visited (candidate attempts) — the
     /// hardware-independent work measure of a search.
     pub nodes: u64,
-}
-
-impl ComponentMatch {
-    /// `true` when the deadline expired mid-search.
-    pub fn timed_out(&self) -> bool {
-        self.abort == Some(Abort::TimedOut)
-    }
-
-    /// Fold another abort reason into this result (highest [`Abort`] wins
-    /// — see the enum ordering).
-    pub fn merge_abort(&mut self, other: Option<Abort>) {
-        self.abort = self.abort.max(other);
-    }
 }
 
 /// Search configuration.
@@ -130,9 +106,6 @@ pub struct MatchConfig<'d> {
     /// Maximum number of [`ComponentSolution`]s to retain (counting always
     /// runs to completion). `None` retains all.
     pub solution_cap: Option<usize>,
-    /// Cooperative cancellation flag, polled at the same checkpoints as the
-    /// deadline. `None` = not cancellable.
-    pub cancel: Option<&'d CancelToken>,
 }
 
 impl<'d> MatchConfig<'d> {
@@ -142,7 +115,6 @@ impl<'d> MatchConfig<'d> {
         Self {
             deadline,
             solution_cap,
-            cancel: None,
         }
     }
 }
@@ -640,30 +612,18 @@ impl<'a> ComponentMatcher<'a> {
     /// How many root candidates pass between reads of the uncached clock.
     const ROOT_PRECISE_STRIDE: usize = 64;
 
-    /// Cooperative checkpoint: deadline and cancellation checks in one
-    /// place. Returns `true` (after recording the abort reason) when the
-    /// search must stop. `precise` consults the uncached clock — the root
-    /// loop only, on its stride.
-    fn check_abort(&self, state: &mut SearchState<'_, '_>, precise: bool) -> bool {
-        // Cancellation is polled before the deadline: when both fire, the
-        // explicit user abort is the status the caller should see (the
-        // `Abort` merge ordering agrees — `Cancelled` outranks `TimedOut`).
-        if let Some(cancel) = state.config.cancel {
-            if cancel.is_cancelled() {
-                state.result.merge_abort(Some(Abort::Cancelled));
-                return true;
-            }
-        }
+    /// Cooperative checkpoint: the deadline check in one place. Returns
+    /// `true` (after recording the timeout) when the search must stop.
+    /// `precise` consults the uncached clock — the root loop only, on its
+    /// stride.
+    fn check_deadline(&self, state: &mut SearchState<'_, '_>, precise: bool) -> bool {
         let expired = if precise {
             state.config.deadline.exceeded_now()
         } else {
             state.config.deadline.exceeded()
         };
-        if expired {
-            state.result.merge_abort(Some(Abort::TimedOut));
-            return true;
-        }
-        false
+        state.result.timed_out |= expired;
+        expired
     }
 
     /// Candidates of one satellite given its core's match (Algorithm 2
@@ -708,7 +668,7 @@ impl<'a> ComponentMatcher<'a> {
 
     /// HomomorphicMatch (Algorithm 4).
     fn recurse(&self, pos: usize, state: &mut SearchState<'_, '_>) {
-        if self.check_abort(state, false) {
+        if self.check_deadline(state, false) {
             return;
         }
         if pos == self.prep().order.len() {
@@ -796,7 +756,7 @@ impl<'a> ComponentMatcher<'a> {
         for i in 0..state.arenas.depths[pos].candidates.len() {
             let v = state.arenas.depths[pos].candidates[i];
             self.try_candidate(pos, v, state);
-            if state.result.abort.is_some() {
+            if state.result.timed_out {
                 return;
             }
         }
@@ -818,11 +778,11 @@ impl<'a> ComponentMatcher<'a> {
         root: bool,
     ) {
         for (i, &v) in source.iter().enumerate() {
-            if root && self.check_abort(state, i % Self::ROOT_PRECISE_STRIDE == 0) {
+            if root && self.check_deadline(state, i % Self::ROOT_PRECISE_STRIDE == 0) {
                 return;
             }
             self.try_candidate(pos, v, state);
-            if state.result.abort.is_some() {
+            if state.result.timed_out {
                 return;
             }
         }
@@ -973,7 +933,7 @@ mod tests {
         let matcher = ComponentMatcher::new(&qg, rdf.graph(), &index, &comps[0]);
         let deadline = Deadline::unlimited();
         let result = matcher.run(&MatchConfig::new(&deadline, None));
-        assert!(result.abort.is_none());
+        assert!(!result.timed_out);
         assert_eq!(result.count, 2);
         assert!(result.nodes > 0, "every candidate attempt is a node");
     }
@@ -988,19 +948,6 @@ mod tests {
         let capped = matcher.run(&MatchConfig::new(&deadline, Some(1)));
         assert_eq!(capped.count, all.count);
         assert_eq!(capped.solutions, all.solutions[..1]);
-        assert!(!capped.timed_out());
-    }
-
-    #[test]
-    fn merge_abort_precedence_prefers_cancellation() {
-        let mut merged = ComponentMatch::default();
-        for abort in [Some(Abort::TimedOut), Some(Abort::Cancelled), None] {
-            merged.merge_abort(abort);
-        }
-        assert_eq!(merged.abort, Some(Abort::Cancelled));
-        let mut timed_out = ComponentMatch::default();
-        timed_out.merge_abort(Some(Abort::TimedOut));
-        timed_out.merge_abort(None);
-        assert!(timed_out.timed_out(), "`None` never clears a reason");
+        assert!(!capped.timed_out);
     }
 }

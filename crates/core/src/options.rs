@@ -1,6 +1,5 @@
 //! Execution options shared by all engines in the workspace.
 
-use amber_util::CancelToken;
 use std::time::Duration;
 
 /// Knobs for one query execution.
@@ -25,11 +24,6 @@ pub struct ExecOptions {
     /// when the session is created: a call's options do not turn a warm
     /// session's cache on or off.
     pub result_cache_capacity: usize,
-    /// Cooperative cancellation: the engine polls this token at the same
-    /// checkpoints as the deadline and aborts with
-    /// [`QueryStatus::Cancelled`](crate::QueryStatus::Cancelled) once it
-    /// fires. `None` (the default) disables the poll.
-    pub cancel: Option<CancelToken>,
 }
 
 impl ExecOptions {
@@ -81,12 +75,6 @@ impl ExecOptions {
         self
     }
 
-    /// Builder: attach a cooperative cancellation token.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// Builder: *tighten* the timeout to at most `limit` — keeps an
     /// existing tighter timeout, replaces a looser (or absent) one. This
     /// is the combinator a scheduling layer uses to hand a request's
@@ -131,17 +119,10 @@ mod tests {
     }
 
     #[test]
-    fn cancel_and_budget_default_off_and_compose() {
-        let o = ExecOptions::default();
-        assert!(o.cancel.is_none());
-        assert!(o.timeout.is_none());
-        let token = CancelToken::new();
-        let o = ExecOptions::default()
-            .with_cancel(token.clone())
-            .with_timeout(Duration::from_secs(1));
+    fn timeout_defaults_off_and_composes() {
+        assert!(ExecOptions::default().timeout.is_none());
+        let o = ExecOptions::default().with_timeout(Duration::from_secs(1));
         assert_eq!(o.timeout, Some(Duration::from_secs(1)));
-        token.cancel();
-        assert!(o.cancel.as_ref().is_some_and(CancelToken::is_cancelled));
     }
 
     #[test]

@@ -172,8 +172,8 @@ pub struct CacheStats {
     /// Executions that looked the query up, found nothing and ran it.
     pub misses: u64,
     /// Executions that skipped the cache: every query of a capacity-0
-    /// session, and every partial outcome (deadline expiry, cancellation)
-    /// that was run but not stored.
+    /// session, and every partial (timed-out) outcome that was run but not
+    /// stored.
     pub bypasses: u64,
     /// Buckets dropped to respect the capacity bound or by a clear.
     pub evictions: u64,
@@ -337,8 +337,8 @@ impl ResultCache {
 
     /// Store a **completed** outcome of the query `key` (the rows are
     /// `Arc`-shared into the cache — no copy). Callers must never pass a
-    /// partial one — a timed-out, cancelled, or budget-exceeded
-    /// count/binding set would poison repeats; debug builds assert it.
+    /// partial one — a timed-out count/binding set would poison repeats;
+    /// debug builds assert it.
     pub(crate) fn store(
         &mut self,
         key: &QueryKey,
@@ -349,7 +349,7 @@ impl ResultCache {
     ) {
         debug_assert!(
             outcome.status.is_complete(),
-            "partial outcomes (timeout/cancel/budget) must bypass the result cache"
+            "timed-out outcomes must bypass the result cache"
         );
         let entry = CachedResult {
             key: key.clone(),

@@ -17,9 +17,6 @@ pub enum QueryStatus {
     /// The wall-clock budget expired; counts/bindings are partial. The
     /// paper's robustness metric counts such queries as *unanswered*.
     TimedOut,
-    /// The caller's [`CancelToken`](crate::CancelToken) fired before
-    /// enumeration finished; counts/bindings are partial.
-    Cancelled,
 }
 
 impl QueryStatus {
@@ -212,12 +209,6 @@ impl QueryOutcome {
         self.status == QueryStatus::TimedOut
     }
 
-    /// `true` when the outcome is partial for any reason (timeout or
-    /// cancellation).
-    pub fn is_partial(&self) -> bool {
-        !self.status.is_complete()
-    }
-
     /// The wire body memoized for these rows under format `tag` with
     /// exactly this outcome's variable spellings, if there is one. No
     /// hashing, no allocation: one tag compare and one slice compare. A
@@ -404,13 +395,11 @@ mod tests {
     fn a_partial_outcome_is_never_memoized() {
         let _serial = telemetry::registry_lock();
         let base = body_gauge();
-        for status in [QueryStatus::TimedOut, QueryStatus::Cancelled] {
-            let o = answer(status, &["x", "y"]);
-            for _ in 0..3 {
-                assert!(!o.offer_wire_body(0, "partial"), "{status:?}");
-            }
-            assert!(o.wire_body(0).is_none());
+        let o = answer(QueryStatus::TimedOut, &["x", "y"]);
+        for _ in 0..3 {
+            assert!(!o.offer_wire_body(0, "partial"));
         }
+        assert!(o.wire_body(0).is_none());
         assert_eq!(body_gauge(), base);
     }
 }

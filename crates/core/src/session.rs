@@ -15,7 +15,7 @@
 //! A batch is a loop of [`run_in`](crate::AmberEngine::run_in) over one
 //! session; its counters ([`QuerySession::result_stats`],
 //! [`QuerySession::queries_executed`]) are the batch's statistics.
-//! Search work (nodes, trapped panics, cancellations) is counted in the
+//! Search work (nodes, trapped panics) is counted in the
 //! metric registry only, where it happens.
 
 use crate::matcher::SearchArenas;

@@ -4,8 +4,8 @@
 //! its own lookups and evictions into the `amber_cache_*{cache="result"}`
 //! series and moves the `amber_cache_entries` / `amber_cache_bytes`
 //! gauges wherever its stored entries and bytes move ([`CacheCounts`]);
-//! the engine adds each component run's search nodes, each quarantined
-//! panic and each cancellation; and
+//! the engine adds each component run's search nodes and each quarantined
+//! panic; and
 //! [`QuerySession::end_query`](crate::QuerySession) records only the
 //! query's status and latency. There is no per-query snapshot or delta:
 //! a session's `result_stats()` are its own counters of the same events,
@@ -126,18 +126,17 @@ fn family() -> &'static CacheFamily {
 
 /// The `status` labels of `amber_queries_total`, one per outcome kind
 /// (also the flight recorder's final status strings).
-const STATUSES: [&str; 4] = ["completed", "timed_out", "cancelled", "error"];
+const STATUSES: [&str; 3] = ["completed", "timed_out", "error"];
 
 /// Every engine-layer registry handle, resolved once.
 struct EngineMetrics {
     /// `amber_queries_total`, in [`STATUSES`] order.
-    queries: [Arc<Counter>; 4],
+    queries: [Arc<Counter>; 3],
     latency_us: Arc<Histogram>,
     result: CacheFamily,
     search_nodes: Arc<Counter>,
     seed_candidates: Arc<Histogram>,
     trapped_panics: Arc<Counter>,
-    cancellations: Arc<Counter>,
     result_body_bytes: Arc<Gauge>,
 }
 
@@ -151,7 +150,6 @@ fn metrics() -> &'static EngineMetrics {
         search_nodes: amber_obs::counter("amber_search_nodes_total", &[]),
         seed_candidates: amber_obs::histogram("amber_seed_candidates", &[]),
         trapped_panics: amber_obs::counter("amber_query_trapped_panics_total", &[]),
-        cancellations: amber_obs::counter("amber_query_cancellations_total", &[]),
         result_body_bytes: amber_obs::gauge("amber_result_body_bytes", &[]),
     })
 }
@@ -162,8 +160,7 @@ pub(crate) fn note_query(status: Option<QueryStatus>, elapsed: Duration) -> &'st
     let kind = match status {
         Some(QueryStatus::Completed) => 0,
         Some(QueryStatus::TimedOut) => 1,
-        Some(QueryStatus::Cancelled) => 2,
-        None => 3,
+        None => 2,
     };
     let m = metrics();
     m.queries[kind].inc();
@@ -182,11 +179,6 @@ pub(crate) fn note_component_run(nodes: u64, seed_candidates: usize) {
 /// One matcher panic trapped and quarantined to its query.
 pub(crate) fn note_trapped_panic() {
     metrics().trapped_panics.inc();
-}
-
-/// One query ended by cooperative cancellation.
-pub(crate) fn note_cancellation() {
-    metrics().cancellations.inc();
 }
 
 /// Move the process gauge of memoized wire-body bytes (`+len` when a

@@ -179,7 +179,7 @@ fn assert_matcher_equals_reference(rdf: &RdfGraph, qg: &QueryGraph, context: &st
     for component in qg.connected_components() {
         let matcher = ComponentMatcher::new(qg, rdf.graph(), &index, &component);
         let fast = matcher.run(&config);
-        assert!(!fast.timed_out());
+        assert!(!fast.timed_out);
         let reference = Reference::new(qg, rdf.graph(), &index, &component).run();
         assert_eq!(
             fast.count, reference.count,

@@ -6,7 +6,9 @@
 //!
 //! Binds `addr` (default `127.0.0.1:7878`), prints the resolved listen
 //! address, and serves until stdin reaches EOF (Ctrl-D), then drains
-//! gracefully and prints the serving report summary.
+//! gracefully and prints the serving report summary. The input text is
+//! freed once the engine is built: the serving process holds the engine
+//! and nothing else (`tests/serve_rss.rs` bounds its `VmRSS`).
 
 use amber::AmberEngine;
 use amber_http::{HttpConfig, HttpServer};
@@ -36,6 +38,7 @@ fn main() {
             std::process::exit(2);
         }
     };
+    drop(data);
     eprintln!(
         "loaded {path}: {} triples, {} vertices",
         engine.rdf().triple_count(),

@@ -727,9 +727,9 @@ fn sparql_endpoint(
     };
     match result {
         // A partial outcome carries no bindings, so a `200` would pass it
-        // off as a complete, empty answer. Nothing here revokes a
-        // dispatch: the partial is the client's budget running out during
-        // execution, answered like `DeadlineExpired` running out queued.
+        // off as a complete, empty answer. The partial is the client's
+        // budget running out during execution, answered like
+        // `DeadlineExpired` running out queued.
         Ok(outcome) if !outcome.status.is_complete() => Response::error(
             out,
             504,

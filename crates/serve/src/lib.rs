@@ -12,7 +12,7 @@
 //!
 //! * **shared engine, per-tenant sessions** — all tenants execute against
 //!   one [`AmberEngine`] (one graph, one index set), but each tenant owns
-//!   a private [`QuerySession`] (arenas, seed and result caches). A
+//!   a private [`QuerySession`] (search arenas and a result cache). A
 //!   tenant's requests are serialized onto its session — sessions are `&mut` state — while different tenants'
 //!   requests run in parallel, at most [`ServeConfig::workers`] at once
 //!   — the only parallelism there is: one query runs on one thread;
@@ -43,10 +43,8 @@
 //! * **graceful drain** — [`Server::shutdown`] stops admission, serves
 //!   everything already queued, joins the workers, and returns a
 //!   [`ServeReport`] with per-tenant served and shed counts,
-//!   and the aggregated result-cache statistics.
-//!   [`Server::shutdown_now`] instead revokes: queued requests are
-//!   answered with [`Error::ShuttingDown`] and in-flight work is
-//!   cancelled through each request's [`CancelToken`].
+//!   and the aggregated result-cache statistics. A request's deadline
+//!   is the only thing that ends it early.
 //!
 //! ```
 //! use amber::AmberEngine;
@@ -67,8 +65,8 @@
 //! ```
 
 use amber::{
-    AmberEngine, CacheStats, CancelToken, CompiledQuery, EngineError, Error, ExecOptions,
-    QueryOutcome, QueryRequest, QuerySession,
+    AmberEngine, CacheStats, CompiledQuery, EngineError, Error, ExecOptions, QueryOutcome,
+    QueryRequest, QuerySession,
 };
 use amber_obs::{Counter, Gauge, Histogram};
 use amber_util::fault::{self, payload_message, FaultPoint};
@@ -95,7 +93,6 @@ struct ServeMetrics {
     served: Arc<Counter>,
     shed: Arc<Counter>,
     rejected: Arc<Counter>,
-    revoked: Arc<Counter>,
 }
 
 fn serve_metrics() -> &'static ServeMetrics {
@@ -114,7 +111,6 @@ fn serve_metrics() -> &'static ServeMetrics {
         served: amber_obs::counter("amber_serve_requests_total", &[("outcome", "served")]),
         shed: amber_obs::counter("amber_serve_requests_total", &[("outcome", "shed")]),
         rejected: amber_obs::counter("amber_serve_requests_total", &[("outcome", "rejected")]),
-        revoked: amber_obs::counter("amber_serve_requests_total", &[("outcome", "revoked")]),
     })
 }
 
@@ -188,13 +184,9 @@ pub struct SubmitOptions {
     /// it: a request still queued when the budget expires is shed with
     /// [`Error::DeadlineExpired`] (zero engine work), and a request
     /// that dispatches hands only the *remaining* budget to the engine as
-    /// its execution timeout.
+    /// its execution timeout, tightening (never loosening) the
+    /// server-wide [`ServeConfig::options`] timeout.
     pub budget: Option<Duration>,
-    /// Per-request execution timeout, tightening (never loosening) the
-    /// server-wide [`ServeConfig::options`] timeout. Unlike
-    /// [`budget`](Self::budget), the clock starts at dispatch, not at
-    /// admission.
-    pub timeout: Option<Duration>,
     /// Force the tenant session's flight recorder on for this one request
     /// (span tree retained in the session's trace ring), even when the
     /// server-wide [`ServeConfig::trace`] is off. The session's tracing
@@ -203,7 +195,7 @@ pub struct SubmitOptions {
 }
 
 impl SubmitOptions {
-    /// Options with no budget, no per-request timeout, no forced tracing.
+    /// Options with no budget and no forced tracing.
     pub fn new() -> Self {
         Self::default()
     }
@@ -211,12 +203,6 @@ impl SubmitOptions {
     /// Set the total admission-to-answer [`budget`](Self::budget).
     pub fn with_budget(mut self, total: Duration) -> Self {
         self.budget = Some(total);
-        self
-    }
-
-    /// Set the per-request execution [`timeout`](Self::timeout).
-    pub fn with_timeout(mut self, limit: Duration) -> Self {
-        self.timeout = Some(limit);
         self
     }
 
@@ -256,8 +242,7 @@ impl fmt::Debug for Ticket {
 impl Ticket {
     /// Block until the request completes and take its result. Each
     /// accepted request completes exactly once — even across shutdown,
-    /// since drain serves (or [`shutdown_now`](Server::shutdown_now)
-    /// revokes) the whole backlog before the workers exit.
+    /// since drain serves the whole backlog before the workers exit.
     pub fn wait(self) -> Result<QueryOutcome, Error> {
         let mut slot = self
             .inner
@@ -288,11 +273,6 @@ struct Job {
     admitted: Instant,
     /// The admission-to-answer budget, clocked from admission.
     budget: Option<Budget>,
-    /// Per-request execution timeout (clocked from dispatch).
-    timeout: Option<Duration>,
-    /// Revocation handle, installed into the engine's options at dispatch
-    /// so [`Server::shutdown_now`] can cancel in-flight work.
-    cancel: CancelToken,
     /// Force the session's flight recorder on for this dispatch
     /// ([`SubmitOptions::tracing`]); restored afterwards.
     tracing: bool,
@@ -322,8 +302,6 @@ struct TenantState {
     /// Requests shed with [`Error::DeadlineExpired`] (never
     /// executed, not counted in `served`).
     shed: u64,
-    /// The in-flight request's cancel token, for `shutdown_now`.
-    inflight_cancel: Option<CancelToken>,
 }
 
 /// Dispatcher state under the one serving-layer mutex.
@@ -392,14 +370,13 @@ impl DispatchState {
                 .is_none_or(|t| t.queue.is_empty() && !t.busy)
     }
 
-    /// Move `job` from admitted to executing: mark the tenant busy, make
-    /// the request revocable, take the tenant's session, claim an
-    /// execution slot. `inline` says which path dispatched it (a queued
-    /// job has already left its tenant's queue and `queued`).
+    /// Move `job` from admitted to executing: mark the tenant busy, take
+    /// the tenant's session, claim an execution slot. `inline` says
+    /// which path dispatched it (a queued job has already left its
+    /// tenant's queue and `queued`).
     fn begin_dispatch(&mut self, tenant: Arc<str>, job: Job, inline: bool) -> Dispatch {
         let entry = self.tenants.entry(Arc::clone(&tenant)).or_default();
         entry.busy = true;
-        entry.inflight_cancel = Some(job.cancel.clone());
         let session = entry.session.take();
         self.inflight += 1;
         self.peak_inflight = self.peak_inflight.max(self.inflight);
@@ -517,7 +494,7 @@ impl Server {
     }
 
     /// Compile SPARQL text and submit it for `tenant` with default
-    /// [`SubmitOptions`] (no budget, no per-request timeout). Returns a
+    /// [`SubmitOptions`] (no budget). Returns a
     /// [`Ticket`] immediately on admission; rejects with the typed
     /// [`Error::Overloaded`] without enqueueing anything. Parse errors are
     /// reported synchronously (nothing is enqueued for them). Requests of
@@ -528,8 +505,7 @@ impl Server {
     }
 
     /// [`submit_sparql`](Self::submit_sparql) with per-request lifecycle
-    /// options: a total admission-to-answer budget and/or an execution
-    /// timeout.
+    /// options: a total admission-to-answer budget and/or forced tracing.
     pub fn submit_sparql_with(
         &self,
         tenant: &str,
@@ -623,8 +599,6 @@ impl Server {
                 query,
                 admitted: Instant::now(),
                 budget,
-                timeout: opts.timeout,
-                cancel: CancelToken::new(),
                 tracing: opts.tracing,
             },
         })
@@ -718,47 +692,8 @@ impl Server {
         self.build_report()
     }
 
-    /// Revoke instead of draining: stop admission, answer every *queued*
-    /// request with [`Error::ShuttingDown`] without executing it,
-    /// cancel in-flight requests through their [`CancelToken`]s (they
-    /// complete with partial results and `QueryStatus::Cancelled`), join
-    /// the workers, and report.
-    pub fn shutdown_now(mut self) -> ServeReport {
-        self.revoke();
-        self.drain();
-        self.build_report()
-    }
-
-    /// The revocation half of [`shutdown_now`](Self::shutdown_now):
-    /// everything but joining the workers. `&self`, so it reaches a
-    /// request executing inline on another thread's `execute` call.
-    fn revoke(&self) {
-        let revoked = {
-            let mut state = self.ctx.shared.lock();
-            state.draining = true;
-            state.paused = false;
-            let mut revoked = Vec::new();
-            for tenant in state.tenants.values_mut() {
-                revoked.extend(tenant.queue.drain(..).map(|request| request.ticket));
-                if let Some(cancel) = &tenant.inflight_cancel {
-                    cancel.cancel();
-                }
-            }
-            state.queued = 0;
-            state.rotation.clear();
-            let m = serve_metrics();
-            m.queue_depth.set(0);
-            m.revoked.add(revoked.len() as u64);
-            revoked
-        };
-        self.ctx.shared.work_cv.notify_all();
-        for ticket in revoked {
-            answer(&ticket, Err(Error::ShuttingDown));
-        }
-    }
-
     /// Stop admission, let the workers serve what is queued, join them.
-    /// Idempotent: `shutdown*` run it and so does `Drop` — a
+    /// Idempotent: `shutdown` runs it and so does `Drop` — a
     /// dropped-without-shutdown server still drains its backlog (every
     /// ticket is owed an answer).
     fn drain(&mut self) {
@@ -871,9 +806,8 @@ fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcom
     let (result, service_ns) = match shed_as {
         Some(err) => (Err(err), None),
         None => {
-            // Per-request options: the remaining admission budget and
-            // the per-request timeout tighten the base timeout, and the
-            // cancel token makes the dispatch revocable.
+            // Per-request options: the remaining admission budget
+            // tightens the base timeout.
             match catch_unwind(|| fault::inject(FaultPoint::ServeDispatch)) {
                 Err(payload) => (
                     Err(Error::Engine(EngineError::Internal {
@@ -887,10 +821,6 @@ fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcom
                     if let Some(b) = job.budget {
                         options = options.tighten_timeout(b.remaining().unwrap_or(Duration::ZERO));
                     }
-                    if let Some(limit) = job.timeout {
-                        options = options.tighten_timeout(limit);
-                    }
-                    options = options.with_cancel(job.cancel.clone());
                     let sess = session.get_or_insert_with(|| {
                         let mut sess = ctx.engine.create_session(&options);
                         if ctx.trace || ctx.slow_query_threshold.is_some() {
@@ -961,7 +891,6 @@ fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcom
     match state.tenants.get_mut(&tenant) {
         Some(entry) => {
             entry.session = session;
-            entry.inflight_cancel = None;
             entry.busy = false;
             if service_ns.is_some() {
                 entry.served += 1;
@@ -1048,8 +977,7 @@ pub struct TenantReport {
     pub result_stats: CacheStats,
 }
 
-/// What a drained [`Server`] observed, returned by [`Server::shutdown`]
-/// and [`Server::shutdown_now`].
+/// What a drained [`Server`] observed, returned by [`Server::shutdown`].
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Per-tenant breakdown, sorted by tenant name.
@@ -1213,42 +1141,29 @@ mod tests {
             )
             .unwrap();
         assert_eq!(ok.wait().unwrap().status, QueryStatus::Completed);
-        // A zero per-request timeout dispatches but times out immediately
-        // (deterministically: the deadline fires on its first poll). A
-        // fresh tenant, so no warm result cache short-circuits execution.
+        let report = server.shutdown();
+        assert_eq!(report.served_for("a"), 1);
+        assert_eq!(report.deadline_shed, 0);
+        // A zero server-wide timeout dispatches but times out immediately
+        // (deterministically: the deadline fires on its first poll); a
+        // generous budget tightens it no further.
+        let server = Server::start(
+            engine,
+            ServeConfig {
+                options: ExecOptions::batch().with_timeout(Duration::ZERO),
+                ..ServeConfig::default()
+            },
+        );
         let slow = server
             .submit_sparql_with(
                 "b",
                 CHAIN,
-                SubmitOptions::new().with_timeout(Duration::ZERO),
+                SubmitOptions::new().with_budget(Duration::from_secs(60)),
             )
             .unwrap();
         assert_eq!(slow.wait().unwrap().status, QueryStatus::TimedOut);
         let report = server.shutdown();
-        assert_eq!(report.served_for("a"), 1);
         assert_eq!(report.served_for("b"), 1);
-        assert_eq!(report.deadline_shed, 0);
-    }
-
-    #[test]
-    fn shutdown_now_revokes_the_queue_typed() {
-        let engine = demo_engine();
-        let server = Server::start(
-            Arc::clone(&engine),
-            ServeConfig {
-                workers: 1,
-                ..ServeConfig::default()
-            },
-        );
-        server.pause(); // the backlog never dispatches
-        let tickets: Vec<Ticket> = (0..4)
-            .map(|_| server.submit_sparql("a", CHAIN).unwrap())
-            .collect();
-        let report = server.shutdown_now();
-        for ticket in tickets {
-            assert!(matches!(ticket.wait(), Err(Error::ShuttingDown)));
-        }
-        assert_eq!(report.served(), 0, "nothing executed");
         assert_eq!(report.deadline_shed, 0);
     }
 
@@ -1491,22 +1406,6 @@ mod tests {
         server.shutdown();
     }
 
-    /// A complete digraph on `n` vertices: the six-cycle below has ~n^6
-    /// embeddings, none of them shareable through satellite counting — a
-    /// request that stays in flight until something stops it.
-    fn clique_engine(n: usize) -> Arc<AmberEngine> {
-        let mut triples = String::new();
-        for a in 0..n {
-            for b in (0..n).filter(|b| *b != a) {
-                triples.push_str(&format!("<http://k/n{a}> <http://k/p> <http://k/n{b}> .\n"));
-            }
-        }
-        Arc::new(AmberEngine::load_ntriples(&triples).expect("clique parses"))
-    }
-
-    const SIX_CYCLE: &str = "SELECT * WHERE { ?a <http://k/p> ?b . ?b <http://k/p> ?c . \
-        ?c <http://k/p> ?d . ?d <http://k/p> ?e . ?e <http://k/p> ?f . ?f <http://k/p> ?a . }";
-
     fn spin_until(mut ready: impl FnMut() -> bool) {
         while !ready() {
             std::thread::yield_now();
@@ -1519,8 +1418,6 @@ mod tests {
                 query: demo_engine().compile(EDGE).unwrap(),
                 admitted: Instant::now(),
                 budget: None,
-                timeout: None,
-                cancel: CancelToken::new(),
                 tracing: false,
             },
             ticket: Arc::clone(&ticket.inner),
@@ -1691,41 +1588,6 @@ mod tests {
             (1..=2).contains(&report.peak_inflight),
             "{} requests executed at once with workers: 2",
             report.peak_inflight
-        );
-    }
-
-    #[test]
-    fn shutdown_now_cancels_a_request_running_inline() {
-        let server = Server::start(
-            clique_engine(30),
-            ServeConfig {
-                // Count-only: the cycle's embeddings are never materialized.
-                options: ExecOptions::batch().counting(),
-                ..ServeConfig::default()
-            },
-        );
-        let outcome = std::thread::scope(|scope| {
-            // The timeout only bounds the test should the cancel be lost.
-            let opts = SubmitOptions::new().with_timeout(Duration::from_secs(60));
-            let caller = scope.spawn(|| server.execute("a", SIX_CYCLE, opts));
-            spin_until(|| server.inflight() == 1);
-            // `shutdown_now` minus the join: it consumes the server, which
-            // the borrow held by the in-flight `execute` rules out.
-            server.revoke();
-            caller.join().unwrap()
-        });
-        assert_eq!(outcome.unwrap().status, QueryStatus::Cancelled);
-        assert!(matches!(
-            server.execute("a", EDGE, SubmitOptions::new()),
-            Err(Error::ShuttingDown)
-        ));
-        let report = server.shutdown_now();
-        assert_eq!(report.inline_dispatches, 1);
-        assert_eq!(report.queued_dispatches, 0);
-        assert_eq!(
-            report.served_for("a"),
-            1,
-            "a cancelled partial is an answer"
         );
     }
 

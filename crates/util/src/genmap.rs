@@ -1,7 +1,7 @@
 //! A bounded map with generational ("LRU-ish") eviction.
 //!
-//! [`GenerationalMap`] is the storage engine shared by the engine's seed
-//! and result caches: entries are inserted into a *hot* map; when the hot
+//! [`GenerationalMap`] is the storage engine of the session's result
+//! cache: entries are inserted into a *hot* map; when the hot
 //! half fills up it is demoted wholesale to *cold* and the previous cold
 //! generation is dropped. A cold hit promotes the entry back to hot.
 //! Lookups stay O(1), the total entry count never exceeds the configured

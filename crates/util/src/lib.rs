@@ -14,18 +14,15 @@
 //!   containment); the OTIL and attribute indexes are built on these, with
 //!   runtime-dispatched SIMD kernels for `u32`-shaped elements.
 //! * [`genmap`] — a bounded generationally-evicted map, the storage engine
-//!   of the session seed and result caches.
+//!   of the session's result cache.
 //! * [`timing`] — stopwatch and cooperative deadline used to implement the
 //!   paper's 60-second query budget.
-//! * [`cancel`] — the cooperative cancellation token polled at the same
-//!   checkpoints as the deadline.
 //! * [`fault`] — the deterministic fault-injection harness
 //!   (`AMBER_CHAOS`), an inlined no-op unless armed.
 //! * [`stats`] — summary statistics for the experiment harness.
 //! * [`http`] — minimal HTTP/1.1 request parsing and SPARQL-results
 //!   escaping, the protocol substrate of the `amber_http` front-end.
 
-pub mod cancel;
 pub mod csr;
 pub mod fault;
 pub mod fxhash;
@@ -36,7 +33,6 @@ pub mod sorted;
 pub mod stats;
 pub mod timing;
 
-pub use cancel::CancelToken;
 pub use csr::{Csr, CsrBuilder, CsrScatter};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use genmap::GenerationalMap;

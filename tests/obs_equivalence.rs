@@ -18,7 +18,7 @@ use amber::{
 use amber_datagen::skewed::{self, SkewedConfig};
 use amber_http::{HttpConfig, HttpServer};
 use amber_obs::MetricsSnapshot;
-use amber_serve::{ServeConfig, Server, SubmitOptions};
+use amber_serve::{ServeConfig, ServeReport, Server, SubmitOptions};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -133,7 +133,6 @@ fn batch_stats_agree_exactly_with_the_registry() {
     for (status, legacy) in [
         ("completed", count(Some(QueryStatus::Completed))),
         ("timed_out", count(Some(QueryStatus::TimedOut))),
-        ("cancelled", count(Some(QueryStatus::Cancelled))),
         ("error", count(None)),
     ] {
         assert_eq!(
@@ -172,20 +171,15 @@ fn batch_stats_agree_exactly_with_the_registry() {
     );
 
     // Search work lives in the registry only: it equals the per-request
-    // facts (no panic was quarantined, nothing was cancelled).
+    // facts (no panic was quarantined).
     let internal = outcomes
         .iter()
         .filter(|o| matches!(o, Err(Error::Engine(EngineError::Internal { .. }))))
         .count() as u64;
-    for (name, fact) in [
-        ("amber_query_trapped_panics_total", internal),
-        (
-            "amber_query_cancellations_total",
-            count(Some(QueryStatus::Cancelled)),
-        ),
-    ] {
-        assert_eq!(delta(&before, &after, name, &[]), fact, "{name}");
-    }
+    assert_eq!(
+        delta(&before, &after, "amber_query_trapped_panics_total", &[]),
+        internal
+    );
     assert!(
         delta(&before, &after, "amber_search_nodes_total", &[]) >= 1,
         "the executed search counts its nodes"
@@ -220,14 +214,18 @@ fn serve_report_agrees_exactly_with_the_registry() {
     server.resume();
     assert_eq!(healthy.wait().unwrap().status, QueryStatus::Completed);
     assert!(matches!(doomed.wait(), Err(Error::DeadlineExpired { .. })));
-    // A zero-timeout execution on a fresh tenant (so no warm result
-    // cache short-circuits it). This one goes through `execute`: the
-    // server is idle by now, so it is the run's one inline dispatch.
-    let slow = server.execute(
-        "d",
-        CHAIN,
-        SubmitOptions::new().with_timeout(Duration::ZERO),
+    // A zero-timeout execution, on a second server whose every request
+    // times out. This one goes through `execute`: that server is idle, so
+    // it is the run's one inline dispatch.
+    let strict = Server::start(
+        Arc::clone(&engine),
+        ServeConfig {
+            workers: 1,
+            options: ExecOptions::batch().with_timeout(Duration::ZERO),
+            ..ServeConfig::default()
+        },
     );
+    let slow = strict.execute("d", CHAIN, SubmitOptions::new());
     assert_eq!(slow.unwrap().status, QueryStatus::TimedOut);
 
     // Acceptance: a MID-RUN snapshot (server still up) already carries
@@ -258,8 +256,10 @@ fn serve_report_agrees_exactly_with_the_registry() {
         "queue-wait histogram live"
     );
 
-    let report = server.shutdown();
+    // The registry counts both servers; their reports are summed.
+    let reports = [server.shutdown(), strict.shutdown()];
     let after = amber_obs::snapshot();
+    let sum = |field: fn(&ServeReport) -> u64| reports.iter().map(field).sum::<u64>();
     let outcome = |o: &str| {
         delta(
             &before,
@@ -268,10 +268,14 @@ fn serve_report_agrees_exactly_with_the_registry() {
             &[("outcome", o)],
         )
     };
-    assert_eq!(outcome("served"), report.served(), "served");
-    assert_eq!(outcome("shed"), report.deadline_shed, "shed");
-    assert_eq!(outcome("rejected"), report.rejected, "rejected");
-    assert_eq!(outcome("revoked"), 0, "drain revokes nothing");
+    let served = sum(ServeReport::served);
+    let shed = sum(|r| r.deadline_shed);
+    let rejected = sum(|r| r.rejected);
+    let inline = sum(|r| r.inline_dispatches);
+    let queued = sum(|r| r.queued_dispatches);
+    assert_eq!(outcome("served"), served, "served");
+    assert_eq!(outcome("shed"), shed, "shed");
+    assert_eq!(outcome("rejected"), rejected, "rejected");
     assert_eq!(
         after.gauge_value("amber_serve_queue_depth", &[]),
         0,
@@ -285,57 +289,23 @@ fn serve_report_agrees_exactly_with_the_registry() {
             &[("path", p)],
         )
     };
-    assert_eq!(path("inline"), report.inline_dispatches, "inline");
-    assert_eq!(path("queued"), report.queued_dispatches, "queued");
+    assert_eq!(path("inline"), inline, "inline");
+    assert_eq!(path("queued"), queued, "queued");
     let waits = |s: &MetricsSnapshot| {
         s.histogram_value("amber_serve_queue_wait_us", &[])
             .map_or(0, |h| h.count)
     };
     assert_eq!(
         waits(&after) - waits(&before),
-        report.inline_dispatches + report.queued_dispatches,
+        inline + queued,
         "one queue-wait observation per dispatch, inline ones included"
     );
     // Workload sanity: every compared field was actually exercised.
-    assert_eq!(report.inline_dispatches, 1);
-    assert_eq!(report.queued_dispatches, 2);
-    assert_eq!(report.served(), 2);
-    assert_eq!(report.deadline_shed, 1);
-    assert_eq!(report.rejected, 1);
-}
-
-#[test]
-fn shutdown_now_revocations_reach_the_registry() {
-    let _serial = serial();
-    let before = amber_obs::snapshot();
-    let engine = demo_engine();
-    let server = Server::start(
-        Arc::clone(&engine),
-        ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        },
-    );
-    server.pause();
-    let tickets: Vec<_> = (0..3)
-        .map(|_| server.submit_sparql("a", CHAIN).unwrap())
-        .collect();
-    let report = server.shutdown_now();
-    for ticket in tickets {
-        assert!(matches!(ticket.wait(), Err(Error::ShuttingDown)));
-    }
-    assert_eq!(report.served(), 0);
-    let after = amber_obs::snapshot();
-    assert_eq!(
-        delta(
-            &before,
-            &after,
-            "amber_serve_requests_total",
-            &[("outcome", "revoked")]
-        ),
-        3
-    );
-    assert_eq!(after.gauge_value("amber_serve_queue_depth", &[]), 0);
+    assert_eq!(inline, 1);
+    assert_eq!(queued, 2);
+    assert_eq!(served, 2);
+    assert_eq!(shed, 1);
+    assert_eq!(rejected, 1);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! query shapes, zero budgets, empty graphs, unicode — the "production
 //! quality" envelope around the paper's algorithm.
 
-use amber::{AmberEngine, CancelToken, EngineError, Error, ExecOptions, QueryRequest, QueryStatus};
+use amber::{AmberEngine, EngineError, Error, ExecOptions, QueryRequest, QueryStatus};
 use amber_baselines::all_engines;
 use amber_multigraph::paper::{paper_graph, paper_query_text, PAPER_QUERY_EMBEDDINGS};
 use amber_multigraph::RdfGraph;
@@ -297,91 +297,6 @@ fn duplicate_patterns_do_not_double_count() {
             .unwrap();
         assert_eq!(out.embedding_count, a.embedding_count, "{}", engine.name());
     }
-}
-
-/// The paper query, one-shot, under `options`.
-fn paper_query_with(
-    engine: &AmberEngine,
-    options: ExecOptions,
-) -> Result<amber::QueryOutcome, Error> {
-    engine.run(&QueryRequest::sparql(&paper_query_text()).with_options(options))
-}
-
-#[test]
-fn pre_cancelled_token_yields_cancelled_status() {
-    let engine = AmberEngine::from_graph(paper_graph());
-    let token = CancelToken::new();
-    token.cancel();
-    let options = ExecOptions::default().with_cancel(token);
-    let outcome =
-        paper_query_with(&engine, options).expect("cancellation is a status, not an error");
-    assert_eq!(outcome.status, QueryStatus::Cancelled);
-    assert!(outcome.is_partial());
-    assert!(
-        outcome.bindings.is_empty(),
-        "a cancelled query must not materialize bindings"
-    );
-}
-
-#[test]
-fn cancellation_is_distinct_from_timeout() {
-    let engine = AmberEngine::from_graph(paper_graph());
-    let token = CancelToken::new();
-    token.cancel();
-    // Both pressures at once: cancellation wins the status (the user asked
-    // for the abort; the deadline is incidental).
-    let options = ExecOptions::default()
-        .with_cancel(token)
-        .with_timeout(Duration::ZERO);
-    let outcome = paper_query_with(&engine, options).unwrap();
-    assert_eq!(outcome.status, QueryStatus::Cancelled);
-    assert!(!outcome.timed_out());
-}
-
-#[test]
-fn unfired_token_changes_nothing() {
-    let engine = AmberEngine::from_graph(paper_graph());
-    let token = CancelToken::new();
-    let options = ExecOptions::default().with_cancel(token.clone());
-    let outcome = paper_query_with(&engine, options).unwrap();
-    assert_eq!(outcome.status, QueryStatus::Completed);
-    assert_eq!(outcome.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
-    assert!(!token.is_cancelled());
-}
-
-#[test]
-fn cancelled_query_never_stores_into_the_result_cache() {
-    // Regression guard (mirrors the timed-out variant in the engine unit
-    // tests): a cancelled partial outcome must be *bypassed* by the result
-    // cache, so a clean repeat recomputes the full answer.
-    let engine = AmberEngine::from_graph(paper_graph());
-    let q = amber_sparql::parse_select(&paper_query_text()).unwrap();
-    let options = ExecOptions::batch();
-    let mut session = engine.create_session(&options);
-
-    let token = CancelToken::new();
-    token.cancel();
-    let cancelled = engine
-        .run_in(
-            &QueryRequest::parsed(&q).with_options(options.clone().with_cancel(token)),
-            &mut session,
-        )
-        .unwrap();
-    assert_eq!(cancelled.status, QueryStatus::Cancelled);
-
-    let repeat = engine
-        .run_in(
-            &QueryRequest::parsed(&q).with_options(options),
-            &mut session,
-        )
-        .unwrap();
-    assert_eq!(repeat.status, QueryStatus::Completed);
-    assert_eq!(repeat.embedding_count, PAPER_QUERY_EMBEDDINGS as u128);
-    let stats = session.result_stats();
-    assert_eq!(
-        stats.hits, 0,
-        "the cancelled outcome must not be served to anyone: {stats:?}"
-    );
 }
 
 #[test]

@@ -446,9 +446,10 @@ fn settled(result: &Result<QueryOutcome, Error>) -> String {
 }
 
 /// `Server::execute` is `submit_sparql_with(..)?.wait()`: the same seeded
-/// stream — healthy, zero-timeout (timeouts) and zero-budget (sheds)
-/// requests — settles identically whether every request runs inline on the client's thread
-/// or is queued on a paused server and drained by the workers.
+/// stream of healthy and zero-budget (shed) requests, on a server without
+/// a timeout and on one whose timeout is zero (every dispatch times out),
+/// settles identically whether every request runs inline on the client's
+/// thread or is queued on a paused server and drained by the workers.
 #[test]
 fn execute_matches_submit_request_for_request_and_counter_for_counter() {
     use rand::Rng;
@@ -466,23 +467,15 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
             .collect();
         assert!(!texts.is_empty());
 
-        // One request per tenant per round. `noisy` opens with two
-        // zero-timeout requests; its first meets a cold session, so every
-        // stream times out at least once.
+        // One request per tenant per round.
         let mut rng = StdRng::seed_from_u64(seed);
         let rounds: Vec<Vec<(&str, &str, SubmitOptions)>> = (0..ROUNDS)
-            .map(|round| {
+            .map(|_| {
                 TENANTS
                     .iter()
                     .map(|&tenant| {
                         let text = texts[rng.gen_range(0..texts.len())].as_str();
                         let opts = match rng.gen_range(0..10) {
-                            _ if tenant == "noisy" && round < 2 => {
-                                SubmitOptions::new().with_timeout(Duration::ZERO)
-                            }
-                            0 if tenant == "mixed" => {
-                                SubmitOptions::new().with_timeout(Duration::ZERO)
-                            }
                             1 | 2 if tenant != "steady" => {
                                 SubmitOptions::new().with_budget(Duration::ZERO)
                             }
@@ -494,80 +487,95 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
             })
             .collect();
 
-        let start = || {
-            Server::start(
-                // An engine each, so the two runs share nothing.
-                Arc::new(AmberEngine::from_graph(Arc::clone(&rdf))),
-                ServeConfig {
-                    workers: 2,
-                    options: ExecOptions::batch().with_max_results(200),
-                    ..ServeConfig::default()
-                },
-            )
-        };
+        for timeout in [None, Some(Duration::ZERO)] {
+            let start = || {
+                Server::start(
+                    // An engine each, so the two runs share nothing.
+                    Arc::new(AmberEngine::from_graph(Arc::clone(&rdf))),
+                    ServeConfig {
+                        workers: 2,
+                        options: ExecOptions {
+                            timeout,
+                            ..ExecOptions::batch().with_max_results(200)
+                        },
+                        ..ServeConfig::default()
+                    },
+                )
+            };
 
-        let inline = start();
-        let inline_settled: Vec<String> = rounds
-            .iter()
-            .flatten()
-            .map(|(tenant, text, opts)| settled(&inline.execute(tenant, text, opts.clone())))
-            .collect();
-        let inline_report = inline.shutdown();
-
-        // A round is admitted whole while paused, then drained: every
-        // tenant's request n is answered before its request n + 1 is
-        // admitted, as on the inline server.
-        let queued = start();
-        let mut queued_settled = Vec::new();
-        for round in &rounds {
-            queued.pause();
-            let tickets: Vec<Result<Ticket, Error>> = round
+            let inline = start();
+            let inline_settled: Vec<String> = rounds
                 .iter()
-                .map(|(tenant, text, opts)| queued.submit_sparql_with(tenant, text, opts.clone()))
+                .flatten()
+                .map(|(tenant, text, opts)| settled(&inline.execute(tenant, text, opts.clone())))
                 .collect();
-            queued.resume();
-            for ticket in tickets {
-                queued_settled.push(settled(&ticket.and_then(Ticket::wait)));
-            }
-        }
-        let queued_report = queued.shutdown();
+            let inline_report = inline.shutdown();
 
-        assert_eq!(inline_settled, queued_settled, "seed {seed}");
-        for class in ["TimedOut", "shed after"] {
-            assert!(
-                inline_settled.iter().any(|s| s.starts_with(class)),
-                "seed {seed}: the stream never produced a {class:?} answer"
+            // A round is admitted whole while paused, then drained: every
+            // tenant's request n is answered before its request n + 1 is
+            // admitted, as on the inline server.
+            let queued = start();
+            let mut queued_settled = Vec::new();
+            for round in &rounds {
+                queued.pause();
+                let tickets: Vec<Result<Ticket, Error>> = round
+                    .iter()
+                    .map(|(tenant, text, opts)| {
+                        queued.submit_sparql_with(tenant, text, opts.clone())
+                    })
+                    .collect();
+                queued.resume();
+                for ticket in tickets {
+                    queued_settled.push(settled(&ticket.and_then(Ticket::wait)));
+                }
+            }
+            let queued_report = queued.shutdown();
+
+            assert_eq!(
+                inline_settled, queued_settled,
+                "seed {seed}, timeout {timeout:?}"
+            );
+            let answered = if timeout.is_some() {
+                "TimedOut"
+            } else {
+                "Completed"
+            };
+            for class in [answered, "shed after"] {
+                assert!(
+                    inline_settled.iter().any(|s| s.starts_with(class)),
+                    "seed {seed}, timeout {timeout:?}: the stream never produced a {class:?} answer"
+                );
+            }
+            for (a, b) in inline_report.tenants.iter().zip(&queued_report.tenants) {
+                assert_eq!(a.tenant, b.tenant);
+                assert_eq!(a.served, b.served, "{}", a.tenant);
+                assert_eq!(a.deadline_shed, b.deadline_shed, "{}", a.tenant);
+                assert_eq!(a.queries_executed, b.queries_executed, "{}", a.tenant);
+                assert_eq!(a.result_stats, b.result_stats, "{}", a.tenant);
+            }
+            assert_eq!(inline_report.rejected, queued_report.rejected);
+            let dispatched = inline_report.served() + inline_report.deadline_shed;
+            assert_eq!(
+                queued_report.served() + queued_report.deadline_shed,
+                dispatched
+            );
+            // One client thread never contends with itself; a paused server
+            // never runs anything inline.
+            assert_eq!(
+                (
+                    inline_report.inline_dispatches,
+                    inline_report.queued_dispatches
+                ),
+                (dispatched, 0)
+            );
+            assert_eq!(
+                (
+                    queued_report.inline_dispatches,
+                    queued_report.queued_dispatches
+                ),
+                (0, dispatched)
             );
         }
-        for (a, b) in inline_report.tenants.iter().zip(&queued_report.tenants) {
-            assert_eq!(a.tenant, b.tenant);
-            assert_eq!(a.served, b.served, "{}", a.tenant);
-            assert_eq!(a.deadline_shed, b.deadline_shed, "{}", a.tenant);
-            assert_eq!(a.queries_executed, b.queries_executed, "{}", a.tenant);
-            assert_eq!(a.result_stats, b.result_stats, "{}", a.tenant);
-        }
-        assert_eq!(inline_report.rejected, queued_report.rejected);
-        let dispatched = inline_report.served() + inline_report.deadline_shed;
-        assert_eq!(
-            queued_report.served() + queued_report.deadline_shed,
-            dispatched
-        );
-        // One client thread never contends with itself; a paused server
-        // never runs anything inline.
-        assert_eq!(
-            (
-                inline_report.inline_dispatches,
-                inline_report.queued_dispatches
-            ),
-            (dispatched, 0)
-        );
-        assert_eq!(
-            (
-                queued_report.inline_dispatches,
-                queued_report.queued_dispatches
-            ),
-            (0, dispatched)
-        );
     }
 }
 

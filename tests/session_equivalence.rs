@@ -6,7 +6,7 @@
 
 mod common;
 
-use amber::{CancelToken, ExecOptions, QueryRequest};
+use amber::{ExecOptions, QueryRequest};
 use amber_datagen::QueryShape;
 use amber_sparql::SelectQuery;
 use common::{assert_session_equals_one_shot, build_stream, fixed_base, rename_var, rename_vars};
@@ -14,9 +14,7 @@ use common::{assert_session_equals_one_shot, build_stream, fixed_base, rename_va
 /// Besides the answers, the cache counters of a repeat stream are exact:
 /// each distinct query misses the result cache once (one plan, one
 /// execution), and every repeat hits it before planning. With the result
-/// cache off, every query of the stream runs and counts one bypass, and a
-/// live but never-fired cancel token (polled at every checkpoint) aborts
-/// nothing.
+/// cache off, every query of the stream runs and counts one bypass.
 #[test]
 fn a_repeat_stream_counts_its_cache_hits_exactly() {
     const REPEATS: usize = 3;
@@ -35,7 +33,7 @@ fn a_repeat_stream_counts_its_cache_hits_exactly() {
             .with_result_cache(capacity)
     };
 
-    let (cached, _) = assert_session_equals_one_shot(&engine, &stream, &with_caches(256), "cached");
+    let cached = assert_session_equals_one_shot(&engine, &stream, &with_caches(256), "cached");
     let results = cached.result_stats();
     assert_eq!(
         (results.misses as usize, results.hits as usize),
@@ -43,19 +41,12 @@ fn a_repeat_stream_counts_its_cache_hits_exactly() {
     );
 
     let uncached = assert_session_equals_one_shot(&engine, &stream, &with_caches(0), "uncached")
-        .0
         .result_stats();
     assert_eq!(
         (uncached.hits, uncached.misses, uncached.bypasses),
         (0, 0, stream.len() as u64),
         "every query of an uncached session runs and bypasses"
     );
-
-    let cancellable = with_caches(256).with_cancel(CancelToken::new());
-    let (cancellable, completed) =
-        assert_session_equals_one_shot(&engine, &stream, &cancellable, "cancellable");
-    assert_eq!(completed, stream.len(), "an unfired token never aborts");
-    assert_eq!(cancellable.queries_executed(), stream.len() as u64);
 }
 
 #[test]

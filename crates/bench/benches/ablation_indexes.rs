@@ -6,11 +6,14 @@
 //! * `sindex/no_pruning` — seeding the matcher with *all* vertices instead
 //!   of the synopsis candidates (what Algorithm 3 would cost without `S`);
 //! * `otil/indexed` vs `otil/adjacency_scan` — `QueryNeighIndex` through
-//!   the per-type inverted lists vs filtering the raw adjacency.
+//!   the per-type inverted lists vs filtering the raw adjacency;
+//! * `otil/long_rows_*` — borrowed single-type lookups on the longest
+//!   rows (LUBM's incoming hubs), where a type's run in the edge table is
+//!   long and the lookup's cost is the run search, not the row's start.
 
 use amber_datagen::Benchmark;
 use amber_index::{NeighborhoodIndex, SignatureIndex};
-use amber_multigraph::{Direction, EdgeTypeId, RdfGraph, VertexSignature};
+use amber_multigraph::{DataGraph, Direction, EdgeTypeId, RdfGraph, VertexId, VertexSignature};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -85,7 +88,39 @@ fn otil_ablation(c: &mut Criterion) {
             }
         })
     });
+    for benchmark in [Benchmark::Lubm, Benchmark::Dbpedia] {
+        let rdf = RdfGraph::from_triples(&benchmark.generate(4, 2016));
+        let graph = rdf.graph();
+        let n = NeighborhoodIndex::build(graph);
+        let probes = longest_row_probes(graph, 64);
+        let id = format!("long_rows_{benchmark:?} ({} probes)", probes.len());
+        group.bench_function(id.as_str(), |b| {
+            b.iter(|| {
+                for &(v, dir, t) in &probes {
+                    black_box(n.neighbors_with_type(v, dir, t));
+                }
+            })
+        });
+    }
     group.finish();
+}
+
+/// Every `(vertex, direction, type)` of the `rows` longest rows per
+/// direction, once per distinct type in the row.
+fn longest_row_probes(graph: &DataGraph, rows: usize) -> Vec<(VertexId, Direction, EdgeTypeId)> {
+    let mut probes = Vec::new();
+    for dir in [Direction::Incoming, Direction::Outgoing] {
+        let mut longest: Vec<VertexId> = graph.vertices().collect();
+        longest.sort_by_key(|&v| std::cmp::Reverse(graph.edges(v, dir).len()));
+        for &v in longest.iter().take(rows) {
+            let mut types: Vec<EdgeTypeId> =
+                graph.edges(v, dir).iter().map(|e| e.edge_type()).collect();
+            types.sort_unstable();
+            types.dedup();
+            probes.extend(types.into_iter().map(|t| (v, dir, t)));
+        }
+    }
+    probes
 }
 
 criterion_group!(benches, signature_index_ablation, otil_ablation);

@@ -5,15 +5,16 @@
 //! ```
 //!
 //! Binds `addr` (default `127.0.0.1:7878`), prints the resolved listen
-//! address, and serves until stdin reaches EOF (Ctrl-D), then drains
-//! gracefully and prints the serving report summary. The input text is
-//! freed once the engine is built: the serving process holds the engine
-//! and nothing else (`tests/serve_rss.rs` bounds its `VmRSS`).
+//! address as its only line on stdout, and serves until stdin reaches EOF
+//! (Ctrl-D), then drains gracefully and prints the serving report summary
+//! to stderr. The input text is freed once the engine is built: the
+//! serving process holds the engine and nothing else
+//! (`tests/serve_rss.rs` bounds its `VmRSS`).
 
 use amber::AmberEngine;
 use amber_http::{HttpConfig, HttpServer};
 use amber_serve::{ServeConfig, Server};
-use std::io::Read;
+use std::io::{Read, Write};
 use std::sync::Arc;
 
 fn main() {
@@ -59,12 +60,19 @@ fn main() {
             std::process::exit(2);
         }
     };
-    println!("listening on http://{}", http.local_addr());
-    println!(
+    // The listen address is the one line on stdout. Whoever reads it may
+    // stop reading there, or never start, so a closed stdout is not an
+    // error; the usage hints go to stderr.
+    let _ = writeln!(
+        std::io::stdout(),
+        "listening on http://{}",
+        http.local_addr()
+    );
+    eprintln!(
         "  curl 'http://{}/sparql?query=SELECT...'",
         http.local_addr()
     );
-    println!("serving until stdin closes (Ctrl-D to drain and exit)");
+    eprintln!("serving until stdin closes (Ctrl-D to drain and exit)");
 
     // Block until EOF on stdin, then drain.
     let mut sink = Vec::new();

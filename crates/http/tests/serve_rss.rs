@@ -82,11 +82,8 @@ fn the_served_process_holds_the_engine_and_not_its_input_text() {
         .spawn()
         .expect("spawn amber_serve_http");
     let mut spawned = Spawned { child, data };
-    // The reader lives until the child has exited: the server prints
-    // after its `listening` line, and a closed pipe would fail that.
-    let mut stdout = BufReader::new(spawned.child.stdout.take().expect("piped stdout")).lines();
-    let listening = stdout
-        .by_ref()
+    let listening = BufReader::new(spawned.child.stdout.take().expect("piped stdout"))
+        .lines()
         .map_while(Result::ok)
         .any(|line| line.starts_with("listening on"));
     assert!(listening, "the server exited before listening");
@@ -106,7 +103,6 @@ fn the_served_process_holds_the_engine_and_not_its_input_text() {
 
     // Closing stdin is the server's signal to drain and exit.
     drop(spawned.child.stdin.take());
-    stdout.for_each(drop);
     let status = spawned.child.wait().expect("wait for the server");
     assert!(status.success(), "the server exited with {status}");
 }

@@ -10,8 +10,9 @@
 //!   indexed by an [`rtree::RTree`]; answers the dominance ("rectangular
 //!   containment") queries of Lemma 1,
 //! * [`otil::NeighborhoodIndex`] (`N`, §4.3) — per-vertex Ordered-Trie-with-
-//!   Inverted-List structures (`N⁺` incoming, `N⁻` outgoing), flattened into
-//!   CSR pools; answers "neighbours of `v` through multi-edge ⊇ `T'`".
+//!   Inverted-List structures (`N⁺` incoming, `N⁻` outgoing), laid out as
+//!   one edge table per direction (rows of `(type, neighbour)` entries);
+//!   answers "neighbours of `v` through multi-edge ⊇ `T'`".
 //!
 //! [`IndexSet::build`] assembles all three and records per-index build time
 //! (the quantities of the paper's Table 5).

@@ -11,37 +11,50 @@
 //! inverted lists that is exactly the intersection of the lists of every
 //! `t ∈ T'` — the operation Algorithms 2 and 4 are built on.
 //!
-//! Instead of one heap-allocated trie per vertex (9M pointer-chasing
-//! allocations on DBPEDIA), the per-vertex tries are flattened into two
-//! [`Csr`] levels per direction: vertex → its ordered root types, and root
-//! → its inverted neighbour list. Lookups are two binary searches plus
-//! sorted-list intersections. Construction is a counting pass (how many
-//! roots, how many owners per type) and a filling pass over the adjacency,
-//! so every pool is allocated once at its exact size.
+//! The OTIL is the logical view; the layout is one edge table per
+//! direction. Each vertex owns a row with one entry per edge instance, held
+//! in two parallel pools, `types` and `neighbors`, and sorted by
+//! `(type, neighbour)`. A trie root is then the run of a row's entries that
+//! share a type, and its inverted list is the `neighbors` of that run: one
+//! contiguous, sorted slice of the pool, borrowed as it is. The row's
+//! `neighbors` as a whole are its inverted lists back to back. Almost every
+//! list holds a single neighbour on real data, so a table row costs less
+//! than a root with its own list offset. With `|V|` vertices, `|T|` edge
+//! types, `I` edge instances and `R` roots (one per vertex and distinct
+//! type), a direction costs `4(|V| + 1) + 8I + 4(|T| + 1) + 4R` bytes: the
+//! row offsets, the two pools, and the type-major transpose below.
 //!
-//! The same trie roots are also kept **type-major**
+//! A lookup `N(v, t)` finds the start of `t`'s run in the row's `types` by
+//! binary search, and its end by galloping from there (exponential search:
+//! probe 1, 2, 4, … entries ahead, then binary search the last gap). A
+//! one-neighbour run costs three comparisons past the start, and a long run,
+//! as on a hub's incoming row, a logarithm of its own length rather than of
+//! the row's. The table is filled in one pass over the adjacency, after a
+//! counting pass, so every pool is allocated once at its exact size.
+//!
+//! The roots are also kept **type-major**
 //! ([`NeighborhoodIndex::vertices_with_type`]): per direction and edge type,
-//! the sorted list of vertices that have a root entry for it — a
-//! counting-sort transpose of the root level, placed during the filling
-//! pass. That is the exact incidence list the matcher seeds a component
-//! from ("every vertex with an outgoing `t`"), where the 8-field synopsis
-//! of `S` can only say "at least one outgoing edge, type ids in this
-//! range".
+//! the sorted list of vertices that have a root for it — a counting-sort
+//! transpose of the rows' type runs, placed during the filling pass. That
+//! is the exact incidence list the matcher seeds a component from ("every
+//! vertex with an outgoing `t`"), where the 8-field synopsis of `S` can only
+//! say "at least one outgoing edge, type ids in this range".
 
 use amber_multigraph::{DataGraph, Direction, EdgeTypeId, VertexId};
 use amber_util::{sorted, Csr, CsrBuilder, CsrScatter, HeapSize};
+use std::ops::Range;
 
-/// The flattened OTIL forest for one direction.
+/// The edge table of one direction.
 #[derive(Debug)]
 struct DirIndex {
-    /// Per vertex: the edge types of its trie roots, ascending (the
-    /// "ordered" of OTIL). Root `r` is item `r` of this pool.
-    roots: Csr<EdgeTypeId>,
-    /// Per root: the sorted neighbours reached through its type (the
-    /// inverted lists). A vertex's lists lie back to back.
-    lists: Csr<VertexId>,
-    /// Per edge type: the sorted vertices owning a root for it (the root
-    /// level transposed).
+    /// Per vertex: the type of each of its edge instances, ascending, so
+    /// that a root is a run of equal types (the "ordered" of OTIL).
+    types: Csr<EdgeTypeId>,
+    /// Parallel to `types`' pool: the neighbour of each edge instance,
+    /// ascending within a type run (the inverted lists).
+    neighbors: Box<[VertexId]>,
+    /// Per edge type: the sorted vertices owning a root for it (the roots
+    /// transposed).
     type_vertices: Csr<VertexId>,
 }
 
@@ -59,10 +72,10 @@ impl DirIndex {
                 }
             }
         }
-        let root_count = owners.iter().sum();
-        let mut roots = CsrBuilder::with_capacity(graph.vertex_count(), root_count);
-        // Every edge instance appears in exactly one list per direction.
-        let mut lists = CsrBuilder::with_capacity(root_count, graph.edge_instance_count());
+        // Every edge instance is one entry per direction.
+        let instances = graph.edge_instance_count();
+        let mut types = CsrBuilder::with_capacity(graph.vertex_count(), instances);
+        let mut neighbors = Vec::with_capacity(instances);
         let mut type_vertices = CsrScatter::new(owners, VertexId(0));
         // Scratch: (type, neighbor) pairs of one vertex.
         let mut pairs: Vec<(EdgeTypeId, VertexId)> = Vec::new();
@@ -78,18 +91,18 @@ impl DirIndex {
             // neighbour occurs once per type, so the pairs are distinct).
             pairs.sort_unstable();
             for run in pairs.chunk_by(|a, b| a.0 == b.0) {
-                let edge_type = run[0].0;
-                roots.push(edge_type);
                 // Vertices are visited in id order: each row comes out sorted.
-                type_vertices.place(edge_type.index(), v);
-                run.iter().for_each(|&(_, neighbor)| lists.push(neighbor));
-                lists.end_row();
+                type_vertices.place(run[0].0.index(), v);
             }
-            roots.end_row();
+            for &(edge_type, neighbor) in &pairs {
+                types.push(edge_type);
+                neighbors.push(neighbor);
+            }
+            types.end_row();
         }
         Self {
-            roots: roots.finish(),
-            lists: lists.finish(),
+            types: types.finish(),
+            neighbors: neighbors.into_boxed_slice(),
             type_vertices: type_vertices.finish(),
         }
     }
@@ -97,17 +110,15 @@ impl DirIndex {
     /// The inverted list of `(v, edge_type)`.
     #[inline]
     fn list(&self, v: VertexId, edge_type: EdgeTypeId) -> &[VertexId] {
-        let range = self.roots.range(v.index());
-        match self.roots.items()[range.clone()].binary_search(&edge_type) {
-            Ok(i) => self.lists.row(range.start + i),
-            Err(_) => &[],
-        }
+        let row = self.types.range(v.index());
+        let run = equal_range(&self.types.items()[row.clone()], edge_type);
+        &self.neighbors[row.start + run.start..row.start + run.end]
     }
 
     /// Every inverted list of `v` back to back (one sorted run per edge
     /// type; a neighbour reached through several types repeats).
     fn all_lists(&self, v: VertexId) -> &[VertexId] {
-        self.lists.span(self.roots.range(v.index()))
+        &self.neighbors[self.types.range(v.index())]
     }
 
     /// The vertices owning an inverted list for `edge_type`, sorted.
@@ -119,9 +130,35 @@ impl DirIndex {
     }
 }
 
+/// The positions of `t` in the sorted `types`: a binary search for the
+/// first, then a gallop for the end of the run.
+#[inline]
+fn equal_range(types: &[EdgeTypeId], t: EdgeTypeId) -> Range<usize> {
+    let start = types.partition_point(|&x| x < t);
+    start..start + run_len(&types[start..], t)
+}
+
+/// How many leading entries of `rest` (sorted, none below `t`) equal `t`.
+/// Gallops: checks entries 0, 2, 6, 14, … (each step twice the last)
+/// until one differs or the slice ends, then binary searches the last
+/// step's window.
+#[inline]
+fn run_len(rest: &[EdgeTypeId], t: EdgeTypeId) -> usize {
+    // Invariant: `rest[..known]` all equal `t`.
+    let mut known = 0;
+    let mut step = 1;
+    while known + step <= rest.len() && rest[known + step - 1] == t {
+        known += step;
+        step *= 2;
+    }
+    // The run ends before `known + step - 1` (or at the slice's end).
+    let window = &rest[known..rest.len().min(known + step - 1)];
+    known + window.partition_point(|&x| x == t)
+}
+
 impl HeapSize for DirIndex {
     fn heap_size(&self) -> usize {
-        self.roots.heap_size() + self.lists.heap_size() + self.type_vertices.heap_size()
+        self.types.heap_size() + self.neighbors.heap_size() + self.type_vertices.heap_size()
     }
 }
 
@@ -308,7 +345,7 @@ impl NeighborhoodIndex {
     pub fn has_neighbor(&self, v: VertexId, direction: Direction, required: &[EdgeTypeId]) -> bool {
         let dir = self.dir(direction);
         match required {
-            [] => !dir.roots.row(v.index()).is_empty(),
+            [] => !dir.all_lists(v).is_empty(),
             [t] => !dir.list(v, *t).is_empty(),
             [a, b] => sorted::intersects(dir.list(v, *a), dir.list(v, *b)),
             many => {
@@ -335,22 +372,22 @@ impl NeighborhoodIndex {
 /// when the shortest is empty (the intersection is then trivially empty).
 fn smallest_two(dir: &DirIndex, v: VertexId, many: &[EdgeTypeId]) -> Option<(usize, usize)> {
     debug_assert!(many.len() >= 2);
-    let len_of = |i: usize| dir.list(v, many[i]).len();
-    let (mut first, mut second) = if len_of(0) <= len_of(1) {
-        (0, 1)
-    } else {
-        (1, 0)
-    };
+    // `(index, length)`: each list is looked up once.
+    let len_of = |i: usize| (i, dir.list(v, many[i]).len());
+    let (mut first, mut second) = (len_of(0), len_of(1));
+    if second.1 < first.1 {
+        std::mem::swap(&mut first, &mut second);
+    }
     for i in 2..many.len() {
-        let l = len_of(i);
-        if l < len_of(first) {
+        let next = len_of(i);
+        if next.1 < first.1 {
             second = first;
-            first = i;
-        } else if l < len_of(second) {
-            second = i;
+            first = next;
+        } else if next.1 < second.1 {
+            second = next;
         }
     }
-    (len_of(first) > 0).then_some((first, second))
+    (first.1 > 0).then_some((first.0, second.0))
 }
 
 impl HeapSize for NeighborhoodIndex {
@@ -363,6 +400,32 @@ impl HeapSize for NeighborhoodIndex {
 mod tests {
     use super::*;
     use amber_multigraph::paper::paper_graph;
+
+    #[test]
+    fn the_gallop_finds_every_run_end() {
+        // Runs of type 10, 20, … with the lengths below, then probes
+        // before, on, between and after them, against a linear count.
+        let lengths = [1usize, 2, 3, 4, 5, 7, 8, 9, 1000];
+        let mut row = Vec::new();
+        for (i, &len) in lengths.iter().enumerate() {
+            row.extend(std::iter::repeat_n(EdgeTypeId(10 * (i as u32 + 1)), len));
+        }
+        let last = 10 * lengths.len() as u32;
+        for t in (0..=last + 10).map(EdgeTypeId) {
+            let start = row.iter().take_while(|&&x| x < t).count();
+            let len = row.iter().filter(|&&x| x == t).count();
+            assert_eq!(equal_range(&row, t), start..start + len, "{t}");
+        }
+        // Every run seen from its own start, as a prefix of a suffix.
+        let mut start = 0;
+        for (i, &len) in lengths.iter().enumerate() {
+            let t = EdgeTypeId(10 * (i as u32 + 1));
+            assert_eq!(run_len(&row[start..], t), len, "{t}");
+            assert_eq!(run_len(&row[start..start + len], t), len, "{t} alone");
+            start += len;
+        }
+        assert_eq!(equal_range(&[], EdgeTypeId(3)), 0..0);
+    }
 
     #[test]
     fn paper_section_4_3_example() {

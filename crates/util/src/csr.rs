@@ -4,9 +4,10 @@
 //! `rows + 1` `u32` offsets: row `r` is `items[offsets[r]..offsets[r + 1]]`.
 //! This is the layout of every per-vertex, per-attribute and per-type list
 //! of the offline stage — adjacency, attribute sets, the attribute index and
-//! both levels of the OTIL. It costs two allocations per structure instead
-//! of one per list, no list carries growth slack, and consecutive rows are
-//! consecutive in memory, so a build pass that walks them streams.
+//! the rows and type-major transpose of `N`. It costs two allocations per
+//! structure instead of one per list, no list carries growth slack, and
+//! consecutive rows are consecutive in memory, so a build pass that walks
+//! them streams.
 //!
 //! Two builders fill a pool at its final size:
 //!
@@ -61,12 +62,6 @@ impl<T> Csr<T> {
     #[inline]
     pub fn row(&self, row: usize) -> &[T] {
         &self.items[self.range(row)]
-    }
-
-    /// The items of `rows` back to back (one contiguous run of the pool).
-    #[inline]
-    pub fn span(&self, rows: Range<usize>) -> &[T] {
-        &self.items[self.offsets[rows.start] as usize..self.offsets[rows.end] as usize]
     }
 
     /// The whole pool, in row order.
@@ -228,8 +223,7 @@ mod tests {
         assert_eq!(csr.row(0), [1, 2]);
         assert!(csr.row(1).is_empty());
         assert_eq!(csr.row(2), [3, 4]);
-        assert_eq!(csr.span(0..3), [1, 2, 3, 4]);
-        assert_eq!(csr.span(1..3), [3, 4]);
+        assert_eq!(csr.items(), [1, 2, 3, 4]);
         assert_eq!(csr.range(2), 2..4);
         // Exact size: 4 offsets and 4 items.
         assert_eq!(csr.heap_size(), 4 * 4 + 4 * 4);

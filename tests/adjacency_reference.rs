@@ -4,14 +4,15 @@
 //! reads a multi-edge as a run of entries; on graphs with self-loops,
 //! duplicate triples, parallel types, blank nodes and (in the extension
 //! mode) literal vertices, every pair's run, every lookup, every count,
-//! every synopsis and every list of the neighbourhood index `N` must equal
-//! what the model says.
+//! every synopsis and every list and probe of the neighbourhood index `N`
+//! must equal what the model says.
 
 // Only the pair model is used here, not the image writer.
 #[allow(dead_code)]
 #[path = "../crates/multigraph/src/reference.rs"]
 mod reference;
 
+use amber_index::otil::ProbeResult;
 use amber_index::{NeighborhoodIndex, SignatureIndex};
 use amber_multigraph::{
     AdjEntry, Direction, EdgeTypeId, GraphBuilder, GraphConfig, Synopsis, VertexId, VertexSignature,
@@ -172,6 +173,59 @@ fn agrees_with_the_pair_model(
             }
             let listed = index.vertices_with_type(direction, EdgeTypeId(t));
             prop_assert_eq!(listed, &owners[..], "{:?} t{}", direction, t);
+        }
+    }
+
+    // The rest of `N`'s surface: no type, and one, two and three types
+    // (one past the dictionary included) through every public probe.
+    let mut type_sets: Vec<Vec<EdgeTypeId>> = vec![vec![]];
+    for a in 0..=type_count {
+        type_sets.push(vec![EdgeTypeId(a)]);
+        for b in a + 1..=type_count {
+            type_sets.push(vec![EdgeTypeId(a), EdgeTypeId(b)]);
+            for c in b + 1..=type_count {
+                type_sets.push(vec![EdgeTypeId(a), EdgeTypeId(b), EdgeTypeId(c)]);
+            }
+        }
+    }
+    let untouched = [VertexId(u32::MAX)];
+    for (direction, half) in directions {
+        for (v, pairs) in half.iter().enumerate() {
+            let vertex = VertexId::from_index(v);
+            for required in &type_sets {
+                let expected: Vec<VertexId> = pairs
+                    .iter()
+                    .filter(|(_, types)| required.iter().all(|r| types.contains(&r.0)))
+                    .map(|(&w, _)| VertexId(w))
+                    .collect();
+                let at = format!("{vertex:?} {direction:?} {required:?}");
+                prop_assert_eq!(
+                    &index.neighbors(vertex, direction, required),
+                    &expected,
+                    "{}",
+                    at
+                );
+                prop_assert_eq!(
+                    index.has_neighbor(vertex, direction, required),
+                    !expected.is_empty(),
+                    "{}",
+                    at
+                );
+                prop_assert!(
+                    index.probe_len_hint(vertex, direction, required) >= expected.len(),
+                    "{}",
+                    at
+                );
+                let mut spill = untouched.to_vec();
+                let probed = index.probe(vertex, direction, required, &mut spill);
+                prop_assert_eq!(probed.as_slice(&spill), &expected[..], "{}", at);
+                if required.len() == 1 {
+                    prop_assert!(matches!(probed, ProbeResult::Borrowed(_)), "{}", at);
+                    prop_assert_eq!(&spill[..], &untouched[..], "{}", at);
+                } else {
+                    prop_assert_eq!(probed, ProbeResult::Spilled, "{}", at);
+                }
+            }
         }
     }
     Ok(())

@@ -10,7 +10,9 @@
 //! a test cannot read per thread). A counting allocator holds both, on
 //! both generators, at scales 1 and 8: an allocation per triple or per
 //! vertex would add thousands of calls between them, and a transient copy
-//! of the input's size would add half a ledger.
+//! of the input text would add about two ledgers. The bytes allocated and
+//! not kept are bounded per triple as well, so that a smaller ledger does
+//! not make room for more transient bytes.
 //!
 //! This file is its own test binary: the global allocator below counts
 //! per thread, so the harness's other threads do not disturb a count.
@@ -74,6 +76,13 @@ struct Load {
     vertices: usize,
 }
 
+impl Load {
+    /// Bytes allocated on the way and not kept, per triple.
+    fn transient_per_triple(&self) -> f64 {
+        (self.bytes - self.ledger) as f64 / self.triples as f64
+    }
+}
+
 fn load(benchmark: Benchmark, scale: u32) -> Load {
     let text = write_ntriples(&benchmark.generate(scale, 1));
     let (calls_before, bytes_before) = ALLOCATED.with(Cell::get);
@@ -98,8 +107,15 @@ const MAX_ADDED_CALLS: usize = 48;
 /// Bytes one load may allocate per byte of its resident ledger: measured
 /// 1.55–1.72, LUBM at scale 1 the highest. The ratio rises whenever the
 /// ledger shrinks by more than the bytes allocated on the way, as it did
-/// (from 1.52–1.64) when the adjacency entry went from 24 to 8 bytes.
+/// (from 1.52–1.64) when the adjacency entry went from 24 to 8 bytes, and
+/// (DBpedia from 1.55–1.58 to 1.60–1.64) when `N` became one edge table.
 const MAX_BYTES_PER_LEDGER_BYTE: f64 = 1.75;
+/// Bytes one load may allocate and not keep, per triple: measured
+/// 40.1–41.0 on DBpedia and 50.6–62.4 on LUBM (scales 1 and 8), so the
+/// highest plus about an eighth. Unlike the ratio above it does not move
+/// when the ledger shrinks. One transient copy of the input text adds
+/// about 120 B/triple on DBpedia and 177 on LUBM, and fails it on both.
+const MAX_TRANSIENT_BYTES_PER_TRIPLE: f64 = 70.0;
 
 #[test]
 fn a_load_allocates_per_structure_not_per_triple() {
@@ -108,7 +124,7 @@ fn a_load_allocates_per_structure_not_per_triple() {
         let large = load(benchmark, 8);
         eprintln!(
             "{benchmark:?}: {} → {} triples, {} → {} vertices, {} → {} calls, \
-             {:.3} / {:.3} bytes per ledger byte",
+             {:.3} / {:.3} bytes per ledger byte, {:.1} / {:.1} transient bytes per triple",
             small.triples,
             large.triples,
             small.vertices,
@@ -117,6 +133,8 @@ fn a_load_allocates_per_structure_not_per_triple() {
             large.calls,
             small.bytes as f64 / small.ledger as f64,
             large.bytes as f64 / large.ledger as f64,
+            small.transient_per_triple(),
+            large.transient_per_triple(),
         );
         assert!(large.vertices >= 4 * small.vertices && large.triples >= 4 * small.triples);
         assert!(
@@ -132,6 +150,11 @@ fn a_load_allocates_per_structure_not_per_triple() {
                 "{benchmark:?} scale {scale}: {} bytes allocated for a {}-byte ledger ({ratio:.3}×)",
                 load.bytes,
                 load.ledger
+            );
+            let transient = load.transient_per_triple();
+            assert!(
+                transient <= MAX_TRANSIENT_BYTES_PER_TRIPLE,
+                "{benchmark:?} scale {scale}: {transient:.1} bytes allocated and not kept per triple"
             );
         }
     }

@@ -104,8 +104,9 @@ fn exact_part_bytes(rdf: &RdfGraph) -> [(&'static str, usize); 5] {
     let attribute_count: usize = graph.vertices().map(|v| graph.attributes(v).len()).sum();
     let attribute_lists = offsets(n) + attribute_count * U32;
     let attribute_index = offsets(rdf.dictionaries().attributes.len()) + attribute_count * U32;
-    // Per direction: vertex -> root types, root -> neighbour list, and
-    // type -> owning vertices. A root is one (vertex, distinct type).
+    // Per direction: one edge table (row offsets per vertex, a type and a
+    // neighbour per edge instance) and type -> owning vertices. A root is
+    // one (vertex, distinct type).
     let neighborhood_index: usize = [Direction::Incoming, Direction::Outgoing]
         .into_iter()
         .map(|direction| {
@@ -123,9 +124,7 @@ fn exact_part_bytes(rdf: &RdfGraph) -> [(&'static str, usize); 5] {
                 })
                 .sum();
             offsets(n)
-                + roots * U32
-                + offsets(roots)
-                + graph.edge_instance_count() * U32
+                + graph.edge_instance_count() * 2 * U32
                 + offsets(graph.edge_type_count())
                 + roots * U32
         })
@@ -188,10 +187,10 @@ fn ledger(scale: u32, triples: usize) -> ([(&'static str, usize); 6], f64) {
 /// The resident-bytes ceiling of the offline stage on the benchmark's
 /// graph (DBpedia-like, scale 25, seed 1: 391,667 triples). The ledger is
 /// deterministic, so each part is held at or below the bytes it measured
-/// when its exact-size layout landed, and the total at 64.5 B/triple
+/// when its exact-size layout landed, and the total at 58.5 B/triple
 /// (130.64 before the pooled graph, 101.75 before the pooled `S`, 88.29
-/// before the adjacency kept one 8-byte entry per edge instance; 63.65
-/// since).
+/// before the adjacency kept one 8-byte entry per edge instance, 63.65
+/// before `N` became one edge table per direction; 57.88 since).
 #[test]
 #[ignore = "loads 391k triples; run in release: cargo test --release --test load_path -- --ignored"]
 fn resident_bytes_stay_under_the_ceiling() {
@@ -202,13 +201,13 @@ fn resident_bytes_stay_under_the_ceiling() {
         ("attribute_lists", 558_892),
         ("attribute_index", 521_176),
         ("signature_index", 2_226_880),
-        ("neighborhood_index", 9_834_796),
+        ("neighborhood_index", 7_574_412),
     ];
     for ((part, bytes), (name, ceiling)) in parts.into_iter().zip(ceilings) {
         assert_eq!(part, name);
         assert!(bytes <= ceiling, "{part}: {bytes} B > {ceiling} B");
     }
-    assert!(per_triple <= 64.5, "{per_triple:.2} B/triple > 64.5");
+    assert!(per_triple <= 58.5, "{per_triple:.2} B/triple > 58.5");
 }
 
 /// The same ceiling at scale 33 (515,281 triples), where the vertex count
@@ -216,7 +215,7 @@ fn resident_bytes_stay_under_the_ceiling() {
 /// about two synopses per R-tree leaf: the total read 118.90 B/triple, `S`
 /// alone 36.66. Full leaves hold `S` at the same ≈ 5.7 B/triple as at
 /// scale 25, and the total read 87.94 before the 8-byte adjacency entry,
-/// 63.32 since.
+/// 63.32 before the edge table for `N`, 57.55 since.
 #[test]
 #[ignore = "loads 515k triples; run in release: cargo test --release --test load_path -- --ignored"]
 fn resident_bytes_stay_under_the_ceiling_past_a_power_of_16() {
@@ -226,7 +225,7 @@ fn resident_bytes_stay_under_the_ceiling_past_a_power_of_16() {
         signature_index as f64 / 515_281.0 <= 5.8,
         "signature_index: {signature_index} B"
     );
-    assert!(per_triple <= 64.0, "{per_triple:.2} B/triple > 64.0");
+    assert!(per_triple <= 58.0, "{per_triple:.2} B/triple > 58.0");
 }
 
 /// The text route against the reference transformation at the benchmark's

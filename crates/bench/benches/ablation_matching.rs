@@ -10,7 +10,7 @@
 //!   `neighbors` path that allocates a fresh vector per probe, replayed
 //!   over the probe stream of a synthetic multi-edge workload.
 
-use amber::matcher::{ComponentMatcher, MatchConfig};
+use amber::matcher::{ComponentMatcher, ComponentPrep, MatchConfig, SearchArenas};
 use amber::{AmberEngine, ExecOptions, SparqlEngine};
 use amber_baselines::BacktrackingEngine;
 use amber_datagen::{Benchmark, QueryShape, WorkloadConfig, WorkloadGenerator};
@@ -72,27 +72,30 @@ fn ordering_ablation(c: &mut Criterion) {
         .collect();
 
     let run_with = |reverse: bool| {
+        let mut arenas = SearchArenas::new();
         for qg in &prepared {
             for component in qg.connected_components() {
-                let matcher = if reverse {
-                    let paper = ComponentMatcher::new(qg, rdf.graph(), &index, &component);
-                    let mut order = paper.core_order().to_vec();
+                let mut prep = ComponentPrep::build(qg, &index, &component, &mut arenas);
+                if reverse {
                     // Reverse, then rotate until the prefix stays connected
                     // (a worst-ish legal order).
+                    let mut order = prep.core_order().to_vec();
                     order.reverse();
                     let connected_order = make_connected(qg, order);
-                    ComponentMatcher::new_with_order(
+                    prep = ComponentPrep::build_with_order(
                         qg,
-                        rdf.graph(),
                         &index,
                         &component,
                         connected_order,
-                    )
-                } else {
-                    ComponentMatcher::new(qg, rdf.graph(), &index, &component)
-                };
+                        &mut arenas,
+                    );
+                }
                 let deadline = Deadline::new(Some(Duration::from_millis(250)));
-                let result = matcher.run(&MatchConfig::new(&deadline, Some(0)));
+                let result = ComponentMatcher::new(qg, &index, &prep).run(
+                    prep.initial_candidates(),
+                    &MatchConfig::new(&deadline, Some(0)),
+                    &mut arenas,
+                );
                 black_box(result.count);
             }
         }

@@ -15,8 +15,8 @@
 //! identical).
 
 use crate::matcher::{ProcessScratch, SearchArenas};
-use amber_index::IndexSet;
-use amber_multigraph::{DataGraph, QVertexId, QueryGraph, VertexId};
+use amber_index::{IndexSet, NeighborhoodIndex};
+use amber_multigraph::{QVertexId, QueryGraph, VertexId};
 use amber_util::fault::{self, FaultPoint};
 use amber_util::sorted;
 
@@ -115,11 +115,16 @@ pub fn process_vertex(
 }
 
 /// Per-candidate structural check not covered by `ProcessVertex`: required
-/// self-loop types (`?x p ?x`).
-pub fn satisfies_self_loop(qg: &QueryGraph, u: QVertexId, graph: &DataGraph, v: VertexId) -> bool {
+/// self-loop types (`?x p ?x`), answered by `N` (`v ∈ N⁻(v, t)` per `t`).
+pub fn satisfies_self_loop(
+    qg: &QueryGraph,
+    u: QVertexId,
+    n: &NeighborhoodIndex,
+    v: VertexId,
+) -> bool {
     match &qg.vertex(u).self_loop {
         None => true,
-        Some(types) => graph.has_multi_edge(v, v, types.types()),
+        Some(types) => n.has_edge(v, v, types.types()),
     }
 }
 
@@ -202,8 +207,9 @@ mod tests {
         )
         .unwrap();
         let u = qg.vertex_by_name("a").unwrap();
+        let n = IndexSet::build(&rdf).neighborhood;
         for v in rdf.graph().vertices() {
-            assert!(!satisfies_self_loop(&qg, u, rdf.graph(), v));
+            assert!(!satisfies_self_loop(&qg, u, &n, v));
         }
         // And a graph with a self loop passes.
         let rdf2 = amber_multigraph::RdfGraph::parse_ntriples(
@@ -216,6 +222,7 @@ mod tests {
         )
         .unwrap();
         let u2 = qg2.vertex_by_name("a").unwrap();
-        assert!(satisfies_self_loop(&qg2, u2, rdf2.graph(), VertexId(0)));
+        let n2 = IndexSet::build(&rdf2).neighborhood;
+        assert!(satisfies_self_loop(&qg2, u2, &n2, VertexId(0)));
     }
 }

@@ -7,7 +7,7 @@
 //! nested products and stops at the configured cap.
 
 use crate::matcher::ComponentMatch;
-use amber_multigraph::{QVertexId, QueryGraph, RdfGraph, VertexId};
+use amber_multigraph::{Dictionary, QVertexId, QueryGraph, VertexId};
 use amber_util::FxHashSet;
 
 /// Exact embedding count across components (saturating product).
@@ -17,13 +17,14 @@ pub fn total_count(matches: &[ComponentMatch]) -> u128 {
         .fold(1u128, |acc, m| acc.saturating_mul(m.count))
 }
 
-/// Materialize bindings (rows of resolved vertex names).
+/// Materialize bindings (rows of vertex names resolved in the vertex
+/// dictionary `vertices`, `Mv⁻¹`).
 ///
 /// * `max` caps the number of emitted rows (`None` = all);
 /// * `distinct` deduplicates projected rows (SELECT DISTINCT semantics).
 pub fn materialize_bindings(
     qg: &QueryGraph,
-    rdf: &RdfGraph,
+    vertices: &Dictionary,
     matches: &[ComponentMatch],
     max: Option<usize>,
     distinct: bool,
@@ -44,7 +45,7 @@ pub fn materialize_bindings(
 
     emit_components(
         qg,
-        rdf,
+        vertices,
         matches,
         0,
         &output_vertices,
@@ -61,7 +62,7 @@ pub fn materialize_bindings(
 #[allow(clippy::too_many_arguments)]
 fn emit_components(
     qg: &QueryGraph,
-    rdf: &RdfGraph,
+    vertices: &Dictionary,
     matches: &[ComponentMatch],
     depth: usize,
     output_vertices: &[QVertexId],
@@ -80,7 +81,8 @@ fn emit_components(
         if distinct && !seen.insert(key.clone()) {
             return false;
         }
-        rows.push(key.iter().map(|&v| rdf.vertex_name(v).into()).collect());
+        let name = |v: VertexId| vertices.resolve(v.0).expect("vertex id from this graph");
+        rows.push(key.iter().map(|&v| name(v).into()).collect());
         return max.is_some_and(|m| rows.len() >= m);
     }
 
@@ -91,7 +93,7 @@ fn emit_components(
         // Expand satellite sets for this solution.
         if emit_satellites(
             qg,
-            rdf,
+            vertices,
             matches,
             depth,
             &solution.satellites,
@@ -113,7 +115,7 @@ fn emit_components(
 #[allow(clippy::too_many_arguments)]
 fn emit_satellites(
     qg: &QueryGraph,
-    rdf: &RdfGraph,
+    vertices: &Dictionary,
     matches: &[ComponentMatch],
     component_depth: usize,
     satellites: &[(QVertexId, Vec<VertexId>)],
@@ -128,7 +130,7 @@ fn emit_satellites(
     if sat_depth == satellites.len() {
         return emit_components(
             qg,
-            rdf,
+            vertices,
             matches,
             component_depth + 1,
             output_vertices,
@@ -144,7 +146,7 @@ fn emit_satellites(
         assignment[u.index()] = Some(v);
         if emit_satellites(
             qg,
-            rdf,
+            vertices,
             matches,
             component_depth,
             satellites,

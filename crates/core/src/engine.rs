@@ -246,7 +246,7 @@ impl AmberEngine {
 
     /// Derive `compiled`'s plan, computing `ProcessVertex` in `arenas`.
     fn build_plan(&self, compiled: &CompiledQuery, arenas: &mut SearchArenas) -> PreparedPlan {
-        PreparedPlan::from_compiled(compiled, &self.rdf, &self.index, self.token, arenas)
+        PreparedPlan::from_compiled(compiled, &self.index, self.token, arenas)
     }
 
     /// Execute `query` with the session's flight recorder forced on and
@@ -516,7 +516,7 @@ impl AmberEngine {
         let mut matches: Vec<ComponentMatch> = Vec::new();
         let mut timed_out = false;
         for (ci, prep) in components.iter().enumerate() {
-            let matcher = ComponentMatcher::from_prep(qg, self.rdf.graph(), &self.index, prep);
+            let matcher = ComponentMatcher::new(qg, &self.index, prep);
             let span_sw = exec_sw.as_ref().map(|_| Stopwatch::start());
             // A panic inside the search (the chaos harness injects them; a
             // genuine matcher bug would look the same) is quarantined to
@@ -525,7 +525,7 @@ impl AmberEngine {
             // resuming with the same session after the error is sound.
             let arenas = session.search_state();
             let result = quarantined("sequential matcher", || {
-                Ok(matcher.run_on_with(matcher.initial_candidates(), &config, arenas))
+                Ok(matcher.run(prep.initial_candidates(), &config, arenas))
             })?;
             crate::telemetry::note_component_run(result.nodes, prep.initial_candidates().len());
             if let Some(s) = span_sw {
@@ -557,7 +557,7 @@ impl AmberEngine {
             let mat_sw = exec_sw.as_ref().map(|_| Stopwatch::start());
             let bindings = Bindings::new(materialize_bindings(
                 qg,
-                &self.rdf,
+                &self.rdf.dictionaries().vertices,
                 &matches,
                 options.max_results,
                 qg.distinct(),

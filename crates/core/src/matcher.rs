@@ -44,23 +44,29 @@
 //! when they are actually retained — counting-only runs allocate nothing
 //! per embedding.
 //!
-//! ## Borrowed session state
+//! ## One plan, one search
 //!
-//! Since the batch-execution PR the matcher no longer *owns* its scratch
-//! memory: [`SearchArenas`] (the assignment slots plus the per-depth
-//! `DepthScratch` arenas) live in a
-//! [`QuerySession`](crate::session::QuerySession) and are lent to
-//! [`ComponentMatcher::run_on_with`] for the duration of one component run.
-//! Arenas grow high-water-mark style and are never shrunk, so a session that
-//! executes many queries stops allocating once the largest query shape has
-//! been seen. [`ComponentMatcher::run_on`] remains the self-contained entry
-//! point (fresh arenas) for one-shot callers.
+//! [`ComponentPrep::build`] derives the plan (decomposition, order, probe
+//! plans, seed set) once; [`ComponentPrep::build_with_order`] is the same
+//! with a caller's core order (the ordering ablation). A
+//! [`ComponentMatcher`] is a view over a prep, built by its one
+//! constructor, and [`ComponentMatcher::run`] searches from a slice of
+//! root candidates (normally [`ComponentPrep::initial_candidates`]) in
+//! borrowed [`SearchArenas`]: a [`QuerySession`](crate::session::QuerySession)
+//! lends its arenas, which grow high-water-mark style and are never
+//! shrunk, so a session stops allocating once its largest query shape has
+//! been seen.
+//!
+//! The plan and the search read only the index set `I = {A, S, N}`: the
+//! data graph itself is never consulted. A self-loop `?x p ?x` is checked
+//! on `N` ([`NeighborhoodIndex::has_edge`]), as are the query's ground
+//! patterns ([`PreparedPlan`](crate::plan::PreparedPlan)).
 
 use crate::candidates::{process_vertex, satisfies_self_loop, Constraint};
 use crate::decompose::Decomposition;
 use crate::ordering::order_core_vertices;
 use amber_index::{IndexSet, NeighborhoodIndex};
-use amber_multigraph::{DataGraph, Direction, EdgeTypeId, QVertexId, QueryGraph, VertexId};
+use amber_multigraph::{Direction, EdgeTypeId, QVertexId, QueryGraph, VertexId};
 use amber_util::fault::{self, FaultPoint};
 use amber_util::{sorted, Deadline};
 
@@ -196,14 +202,43 @@ impl ComponentPrep {
     /// `ProcessVertex` in the scratch of `arenas`.
     pub fn build(
         qg: &QueryGraph,
-        graph: &DataGraph,
         index: &IndexSet,
         component: &[QVertexId],
         arenas: &mut SearchArenas,
     ) -> Self {
         let decomp = Decomposition::of_component(qg, component);
         let order = order_core_vertices(qg, &decomp);
-        Self::build_with_order(qg, graph, index, decomp, order, arenas)
+        Self::from_order(qg, index, decomp, order, arenas)
+    }
+
+    /// [`Self::build`] with an explicit core order — the hook of the
+    /// ordering-heuristic ablation. `order` must be a permutation of the
+    /// component's core vertices in which every vertex after the first is
+    /// adjacent to an earlier one.
+    ///
+    /// # Panics
+    ///
+    /// When `order` breaks either half of that precondition.
+    pub fn build_with_order(
+        qg: &QueryGraph,
+        index: &IndexSet,
+        component: &[QVertexId],
+        order: Vec<QVertexId>,
+        arenas: &mut SearchArenas,
+    ) -> Self {
+        let decomp = Decomposition::of_component(qg, component);
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, decomp.core, "order must permute the core vertices");
+        let prep = Self::from_order(qg, index, decomp, order, arenas);
+        assert!(
+            prep.plans
+                .iter()
+                .skip(1)
+                .all(|plan| !plan.probes.is_empty()),
+            "every core vertex after the first needs an earlier neighbour in the order"
+        );
+        prep
     }
 
     /// The ordered core vertices (`U_c^ord`).
@@ -251,9 +286,8 @@ impl ComponentPrep {
         None
     }
 
-    fn build_with_order(
+    fn from_order(
         qg: &QueryGraph,
-        graph: &DataGraph,
         index: &IndexSet,
         decomp: Decomposition,
         order: Vec<QVertexId>,
@@ -373,7 +407,7 @@ impl ComponentPrep {
             initial
         };
         if plans[0].has_self_loop {
-            initial.retain(|&v| satisfies_self_loop(qg, u_init, graph, v));
+            initial.retain(|&v| satisfies_self_loop(qg, u_init, &index.neighborhood, v));
         }
 
         Self {
@@ -427,138 +461,30 @@ fn seed_lists_of(qg: &QueryGraph, u: QVertexId, n: &NeighborhoodIndex) -> Vec<Se
     lists
 }
 
-/// The component plan a matcher executes: owned (built on the spot by the
-/// one-shot constructors) or borrowed from a cached
-/// [`PreparedPlan`](crate::plan::PreparedPlan).
-enum PrepRef<'a> {
-    Owned(Box<ComponentPrep>),
-    Borrowed(&'a ComponentPrep),
-}
-
-/// Matcher for one connected component of the query multigraph.
+/// Matcher for one connected component of the query multigraph: a view
+/// over the component's [`ComponentPrep`].
 pub struct ComponentMatcher<'a> {
-    graph: &'a DataGraph,
-    index: &'a IndexSet,
     qg: &'a QueryGraph,
-    prep: PrepRef<'a>,
+    index: &'a IndexSet,
+    prep: &'a ComponentPrep,
 }
 
 impl<'a> ComponentMatcher<'a> {
-    /// Build the matching plan for one component (vertex ids ascending)
-    /// with fresh scratch. One-shot callers and tests use this; the
-    /// session path builds a [`ComponentPrep`] in its own arenas and wraps
-    /// it with [`Self::from_prep`].
-    pub fn new(
-        qg: &'a QueryGraph,
-        graph: &'a DataGraph,
-        index: &'a IndexSet,
-        component: &[QVertexId],
-    ) -> Self {
-        let prep = ComponentPrep::build(qg, graph, index, component, &mut SearchArenas::new());
-        Self {
-            graph,
-            index,
-            qg,
-            prep: PrepRef::Owned(Box::new(prep)),
-        }
+    /// A matcher over `prep`, which was built for `qg` against `index`.
+    pub fn new(qg: &'a QueryGraph, index: &'a IndexSet, prep: &'a ComponentPrep) -> Self {
+        Self { qg, index, prep }
     }
 
-    /// Build the plan with an explicit core order — the hook used by the
-    /// ordering-heuristic ablation benchmark. `order` must be a permutation
-    /// of the component's core vertices in which every vertex (after the
-    /// first) is adjacent to an earlier one.
-    pub fn new_with_order(
-        qg: &'a QueryGraph,
-        graph: &'a DataGraph,
-        index: &'a IndexSet,
-        component: &[QVertexId],
-        order: Vec<QVertexId>,
-    ) -> Self {
-        let decomp = Decomposition::of_component(qg, component);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, decomp.core, "order must permute the core vertices");
-        let prep = ComponentPrep::build_with_order(
-            qg,
-            graph,
-            index,
-            decomp,
-            order,
-            &mut SearchArenas::new(),
-        );
-        Self {
-            graph,
-            index,
-            qg,
-            prep: PrepRef::Owned(Box::new(prep)),
-        }
-    }
-
-    /// A matcher view over a component plan built earlier (the
-    /// prepared-plan execution path: no decomposition, ordering, or seed
-    /// probes run here — the prep already holds them).
-    pub fn from_prep(
-        qg: &'a QueryGraph,
-        graph: &'a DataGraph,
-        index: &'a IndexSet,
-        prep: &'a ComponentPrep,
-    ) -> Self {
-        Self {
-            graph,
-            index,
-            qg,
-            prep: PrepRef::Borrowed(prep),
-        }
-    }
-
-    /// The component plan this matcher executes.
-    #[inline]
-    fn prep(&self) -> &ComponentPrep {
-        match &self.prep {
-            PrepRef::Owned(prep) => prep,
-            PrepRef::Borrowed(prep) => prep,
-        }
-    }
-
-    /// The ordered core vertices (`U_c^ord`).
-    pub fn core_order(&self) -> &[QVertexId] {
-        &self.prep().order
-    }
-
-    /// The seed candidates of the initial vertex (`CandInit`).
-    pub fn initial_candidates(&self) -> &[VertexId] {
-        &self.prep().initial
-    }
-
-    /// The incidence lists the seed set was intersected from (see
-    /// [`ComponentPrep::seed_lists`]).
-    pub fn seed_lists(&self) -> &[SeedList] {
-        &self.prep().seed_lists
-    }
-
-    /// Run the full search over all initial candidates.
-    pub fn run(&self, config: &MatchConfig<'_>) -> ComponentMatch {
-        self.run_on(&self.prep().initial, config)
-    }
-
-    /// Run the search over a slice of initial candidates with self-contained
-    /// state: fresh arenas. One-shot callers and tests use this; the session
-    /// path goes through [`Self::run_on_with`].
-    pub fn run_on(&self, initial: &[VertexId], config: &MatchConfig<'_>) -> ComponentMatch {
-        self.run_on_with(initial, config, &mut SearchArenas::new())
-    }
-
-    /// Run the search over a slice of initial candidates against *borrowed*
-    /// session state.
-    ///
-    /// `arenas` is prepared (grown, never shrunk) for this component's plan.
-    pub fn run_on_with(
+    /// Search from the root candidates `initial` (sorted; normally
+    /// [`ComponentPrep::initial_candidates`]) in borrowed `arenas`, which
+    /// are grown (never shrunk) to this component's plan.
+    pub fn run(
         &self,
         initial: &[VertexId],
         config: &MatchConfig<'_>,
         arenas: &mut SearchArenas,
     ) -> ComponentMatch {
-        arenas.prepare(&self.prep().plans);
+        arenas.prepare(&self.prep.plans);
         let mut state = SearchState {
             arenas,
             result: ComponentMatch::default(),
@@ -578,7 +504,7 @@ impl<'a> ComponentMatcher<'a> {
     /// candidate; that is fine because `record` is only reached after every
     /// depth on the chain refilled its buffers for the current assignment.
     fn resolve_satellites(&self, pos: usize, v: VertexId, state: &mut SearchState<'_, '_>) -> bool {
-        let plan = &self.prep().plans[pos];
+        let plan = &self.prep.plans[pos];
         for (k, sat) in plan.satellites.iter().enumerate() {
             let DepthScratch {
                 satellites,
@@ -662,7 +588,7 @@ impl<'a> ComponentMatcher<'a> {
         }
         sat.constraint.filter(out);
         if sat.has_self_loop {
-            out.retain(|&v| satisfies_self_loop(self.qg, sat.vertex, self.graph, v));
+            out.retain(|&v| satisfies_self_loop(self.qg, sat.vertex, n, v));
         }
     }
 
@@ -671,11 +597,11 @@ impl<'a> ComponentMatcher<'a> {
         if self.check_deadline(state, false) {
             return;
         }
-        if pos == self.prep().order.len() {
+        if pos == self.prep.order.len() {
             self.record(state);
             return;
         }
-        let plan = &self.prep().plans[pos];
+        let plan = &self.prep.plans[pos];
 
         // Fast path: one single-type probe feeding an unconstrained vertex
         // needs no materialization at all — iterate the inverted list
@@ -746,7 +672,7 @@ impl<'a> ComponentMatcher<'a> {
             // Line 8: refine with ProcessVertex (+ self-loop).
             plan.constraint.filter(candidates);
             if plan.has_self_loop {
-                candidates.retain(|&v| satisfies_self_loop(self.qg, plan.vertex, self.graph, v));
+                candidates.retain(|&v| satisfies_self_loop(self.qg, plan.vertex, n, v));
             }
         }
 
@@ -795,7 +721,7 @@ impl<'a> ComponentMatcher<'a> {
         // Session arenas can be *larger* than this component's plan (they
         // are grown high-water-mark style and never shrunk), so every walk
         // zips against the plans — stale deeper/extra buffers are ignored.
-        let prep = self.prep();
+        let prep = self.prep;
         let mut embeddings: u128 = 1;
         for (plan, depth) in prep.plans.iter().zip(&state.arenas.depths) {
             for (_, resolved) in plan.satellites.iter().zip(&depth.satellites) {
@@ -919,20 +845,33 @@ mod tests {
     use amber_multigraph::paper::{paper_graph, paper_query_text};
     use amber_sparql::parse_select;
 
-    fn setup() -> (amber_multigraph::RdfGraph, QueryGraph, IndexSet) {
+    fn setup() -> (QueryGraph, IndexSet) {
         let rdf = paper_graph();
         let qg = QueryGraph::build(&parse_select(&paper_query_text()).unwrap(), &rdf).unwrap();
         let index = IndexSet::build(&rdf);
-        (rdf, qg, index)
+        (qg, index)
+    }
+
+    fn run(
+        qg: &QueryGraph,
+        index: &IndexSet,
+        prep: &ComponentPrep,
+        cap: Option<usize>,
+    ) -> ComponentMatch {
+        let deadline = Deadline::unlimited();
+        ComponentMatcher::new(qg, index, prep).run(
+            prep.initial_candidates(),
+            &MatchConfig::new(&deadline, cap),
+            &mut SearchArenas::new(),
+        )
     }
 
     #[test]
     fn paper_query_has_two_embeddings() {
-        let (rdf, qg, index) = setup();
+        let (qg, index) = setup();
         let comps = qg.connected_components();
-        let matcher = ComponentMatcher::new(&qg, rdf.graph(), &index, &comps[0]);
-        let deadline = Deadline::unlimited();
-        let result = matcher.run(&MatchConfig::new(&deadline, None));
+        let prep = ComponentPrep::build(&qg, &index, &comps[0], &mut SearchArenas::new());
+        let result = run(&qg, &index, &prep, None);
         assert!(!result.timed_out);
         assert_eq!(result.count, 2);
         assert!(result.nodes > 0, "every candidate attempt is a node");
@@ -940,14 +879,31 @@ mod tests {
 
     #[test]
     fn solution_cap_truncates_retention_not_the_count() {
-        let (rdf, qg, index) = setup();
+        let (qg, index) = setup();
         let comps = qg.connected_components();
-        let matcher = ComponentMatcher::new(&qg, rdf.graph(), &index, &comps[0]);
-        let deadline = Deadline::unlimited();
-        let all = matcher.run(&MatchConfig::new(&deadline, None));
-        let capped = matcher.run(&MatchConfig::new(&deadline, Some(1)));
+        let prep = ComponentPrep::build(&qg, &index, &comps[0], &mut SearchArenas::new());
+        let all = run(&qg, &index, &prep, None);
+        let capped = run(&qg, &index, &prep, Some(1));
         assert_eq!(capped.count, all.count);
         assert_eq!(capped.solutions, all.solutions[..1]);
         assert!(!capped.timed_out);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs an earlier neighbour")]
+    fn an_order_with_a_vertex_apart_from_its_prefix_is_refused_at_build() {
+        // The chain a-b-c-d-e has the core {b, c, d}; in [b, d, c], d
+        // touches nothing before it.
+        let rdf =
+            amber_multigraph::RdfGraph::parse_ntriples("<http://x/1> <http://p/p> <http://x/2> .")
+                .unwrap();
+        let text = "SELECT * WHERE { ?a <http://p/p> ?b . ?b <http://p/p> ?c . \
+                    ?c <http://p/p> ?d . ?d <http://p/p> ?e . }";
+        let qg = QueryGraph::build(&parse_select(text).unwrap(), &rdf).unwrap();
+        let index = IndexSet::build(&rdf);
+        let u = |name| qg.vertex_by_name(name).unwrap();
+        let order = vec![u("b"), u("d"), u("c")];
+        let component = qg.connected_components().remove(0);
+        ComponentPrep::build_with_order(&qg, &index, &component, order, &mut SearchArenas::new());
     }
 }

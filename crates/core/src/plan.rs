@@ -7,6 +7,10 @@
 //! "borrow the plan, run the search". A plan is derived per query, as the
 //! paper derives it (§5); a caller that runs one statement many times
 //! holds the plan itself ([`AmberEngine::prepare`](crate::AmberEngine::prepare)).
+//! Planning reads only the index set: the ground checks are answered by
+//! `N` ([`NeighborhoodIndex::has_edge`](amber_index::NeighborhoodIndex::has_edge))
+//! and `A` ([`AttributeIndex::has_attributes`](amber_index::AttributeIndex::has_attributes)),
+//! and each component's plan is one [`ComponentPrep::build`].
 //!
 //! The one query-level cache is the session's [`ResultCache`]: completed
 //! [`QueryOutcome`]s keyed by the query's **id key** ([`QueryKey`]: the
@@ -35,7 +39,7 @@ use crate::options::ExecOptions;
 use crate::result::{Bindings, QueryOutcome};
 use crate::telemetry::CacheCounts;
 use amber_index::IndexSet;
-use amber_multigraph::{CompiledQuery, DataGraph, GroundCheck, QueryGraph, QueryKey, RdfGraph};
+use amber_multigraph::{CompiledQuery, GroundCheck, QueryGraph, QueryKey};
 use amber_util::GenerationalMap;
 
 /// An immutable, fully-derived execution plan for one query against one
@@ -73,19 +77,18 @@ impl PreparedPlan {
     /// `ProcessVertex` runs in the scratch of `arenas`.
     pub(crate) fn from_compiled(
         compiled: &CompiledQuery,
-        rdf: &RdfGraph,
         index: &IndexSet,
         engine_token: u64,
         arenas: &mut SearchArenas,
     ) -> Self {
         let qg = compiled.query_graph();
-        let ground_ok = ground_checks_pass(&qg, rdf.graph());
+        let ground_ok = ground_checks_pass(&qg, index);
         let components = if qg.is_unsatisfiable() || !ground_ok {
             Vec::new()
         } else {
             qg.connected_components()
                 .iter()
-                .map(|component| ComponentPrep::build(&qg, rdf.graph(), index, component, arenas))
+                .map(|component| ComponentPrep::build(&qg, index, component, arenas))
                 .collect()
         };
         Self {
@@ -95,7 +98,7 @@ impl PreparedPlan {
             ground_ok,
             components,
             engine_token,
-            data_vertices: rdf.graph().vertex_count(),
+            data_vertices: index.neighborhood.vertex_count(),
         }
     }
 
@@ -152,11 +155,14 @@ impl PreparedPlan {
     }
 }
 
-/// Evaluate the variable-free patterns (boolean guards) of a query graph.
-fn ground_checks_pass(qg: &QueryGraph, graph: &DataGraph) -> bool {
+/// Evaluate the variable-free patterns (boolean guards) of a query graph
+/// on the index set.
+fn ground_checks_pass(qg: &QueryGraph, index: &IndexSet) -> bool {
     qg.ground_checks().iter().all(|check| match check {
-        GroundCheck::Edge { from, to, types } => graph.has_multi_edge(*from, *to, types.types()),
-        GroundCheck::Attribute { vertex, attrs } => graph.has_attributes(*vertex, attrs),
+        GroundCheck::Edge { from, to, types } => {
+            index.neighborhood.has_edge(*from, *to, types.types())
+        }
+        GroundCheck::Attribute { vertex, attrs } => index.attribute.has_attributes(*vertex, attrs),
     })
 }
 
@@ -403,7 +409,7 @@ mod tests {
         let rdf = paper_graph();
         let index = IndexSet::build(&rdf);
         let compiled = CompiledQuery::compile(text, &rdf, token).unwrap();
-        PreparedPlan::from_compiled(&compiled, &rdf, &index, token, &mut SearchArenas::new())
+        PreparedPlan::from_compiled(&compiled, &index, token, &mut SearchArenas::new())
     }
 
     /// A completed outcome with one row naming `iri`.

@@ -2,12 +2,30 @@
 //! generated workloads — checked structurally, not just by final counts.
 
 use amber::decompose::Decomposition;
-use amber::matcher::{ComponentMatcher, MatchConfig};
+use amber::matcher::{ComponentMatch, ComponentMatcher, ComponentPrep, MatchConfig, SearchArenas};
 use amber::ordering::order_core_vertices;
 use amber_datagen::{Benchmark, QueryShape, WorkloadConfig, WorkloadGenerator};
 use amber_index::IndexSet;
-use amber_multigraph::{QueryGraph, RdfGraph};
+use amber_multigraph::{QVertexId, QueryGraph, RdfGraph};
 use amber_util::Deadline;
+
+/// Plan one component and search it from its seed set, retaining at most
+/// `cap` solutions.
+fn search(
+    qg: &QueryGraph,
+    index: &IndexSet,
+    component: &[QVertexId],
+    cap: Option<usize>,
+) -> (ComponentPrep, ComponentMatch) {
+    let prep = ComponentPrep::build(qg, index, component, &mut SearchArenas::new());
+    let deadline = Deadline::unlimited();
+    let result = ComponentMatcher::new(qg, index, &prep).run(
+        prep.initial_candidates(),
+        &MatchConfig::new(&deadline, cap),
+        &mut SearchArenas::new(),
+    );
+    (prep, result)
+}
 
 fn prepared_queries(shape: QueryShape, size: usize, n: usize) -> (RdfGraph, Vec<QueryGraph>) {
     let rdf = RdfGraph::from_triples(&Benchmark::Lubm.generate(1, 31));
@@ -78,9 +96,7 @@ fn solutions_are_valid_homomorphisms() {
             continue;
         }
         for component in qg.connected_components() {
-            let matcher = ComponentMatcher::new(qg, graph, &index, &component);
-            let deadline = Deadline::unlimited();
-            let result = matcher.run(&MatchConfig::new(&deadline, Some(20)));
+            let (_, result) = search(qg, &index, &component, Some(20));
             for solution in &result.solutions {
                 // Reconstruct one concrete embedding: cores as pinned,
                 // satellites by their first candidate.
@@ -135,10 +151,8 @@ fn solution_cap_caps_solutions_not_count() {
             continue;
         }
         for component in qg.connected_components() {
-            let matcher = ComponentMatcher::new(qg, rdf.graph(), &index, &component);
-            let deadline = Deadline::unlimited();
-            let uncapped = matcher.run(&MatchConfig::new(&deadline, None));
-            let capped = matcher.run(&MatchConfig::new(&deadline, Some(1)));
+            let (_, uncapped) = search(qg, &index, &component, None);
+            let (_, capped) = search(qg, &index, &component, Some(1));
             assert_eq!(uncapped.count, capped.count, "cap changed the count");
             assert!(capped.solutions.len() <= 1);
             assert_eq!(
@@ -165,10 +179,8 @@ fn initial_candidates_respect_lemma_1() {
             continue;
         }
         for component in qg.connected_components() {
-            let matcher = ComponentMatcher::new(qg, rdf.graph(), &index, &component);
-            let deadline = Deadline::unlimited();
-            let result = matcher.run(&MatchConfig::new(&deadline, None));
-            let u_init = matcher.core_order()[0];
+            let (prep, result) = search(qg, &index, &component, None);
+            let u_init = prep.core_order()[0];
             for solution in &result.solutions {
                 let (_, v) = solution
                     .core
@@ -176,7 +188,7 @@ fn initial_candidates_respect_lemma_1() {
                     .find(|(u, _)| *u == u_init)
                     .expect("initial vertex in solution");
                 assert!(
-                    matcher.initial_candidates().contains(v),
+                    prep.initial_candidates().contains(v),
                     "matched vertex missing from CandInit (Lemma 1 violation)"
                 );
             }

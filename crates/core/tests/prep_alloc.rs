@@ -14,7 +14,7 @@
 mod constant_star;
 
 use amber::candidates::{process_vertex, Constraint};
-use amber::matcher::{ComponentMatcher, SearchArenas};
+use amber::matcher::{ComponentPrep, SearchArenas};
 use amber_datagen::Benchmark;
 use amber_index::IndexSet;
 use amber_multigraph::{QueryGraph, RdfGraph};
@@ -109,12 +109,10 @@ fn preparing_a_constant_star_allocates_by_its_whitelist_not_by_the_graph() {
             "seed {seed}: the R-tree walk ({dominating} vertices) fits the bound {bound}"
         );
 
-        let (matcher, bytes) =
-            allocated_by(|| ComponentMatcher::new(&qg, rdf.graph(), &index, &components[0]));
-        assert!(
-            !matcher.initial_candidates().is_empty(),
-            "seed {seed}: {text}"
-        );
+        let (prep, bytes) = allocated_by(|| {
+            ComponentPrep::build(&qg, &index, &components[0], &mut SearchArenas::new())
+        });
+        assert!(!prep.initial_candidates().is_empty(), "seed {seed}: {text}");
         assert!(
             bytes <= bound,
             "seed {seed}: preparing {text} allocated {bytes} B; the whitelist of {} \

@@ -13,11 +13,11 @@
 
 mod constant_star;
 
-use amber::candidates::{process_vertex, satisfies_self_loop};
-use amber::matcher::{ComponentMatcher, MatchConfig, SearchArenas};
+use amber::candidates::process_vertex;
+use amber::matcher::{ComponentMatch, ComponentMatcher, ComponentPrep, MatchConfig, SearchArenas};
 use amber_datagen::Benchmark;
 use amber_index::IndexSet;
-use amber_multigraph::{Direction, EdgeTypeId, QueryGraph, RdfGraph, VertexId};
+use amber_multigraph::{Direction, EdgeTypeId, QVertexId, QueryGraph, RdfGraph, VertexId};
 use amber_sparql::parse_select;
 use amber_util::Deadline;
 use proptest::prelude::*;
@@ -25,20 +25,42 @@ use rdf_model::{Iri, Literal, Triple};
 
 /// Algorithm 3 lines 4-5 as the paper has them: `QuerySynIndex(u_init, S)`
 /// refined by `ProcessVertex` (and the self-loop check the matcher applies
-/// to its seed set at build time).
+/// to its seed set at build time, here read from the adjacency).
 fn synopsis_seed(
     qg: &QueryGraph,
     rdf: &RdfGraph,
     index: &IndexSet,
-    matcher: &ComponentMatcher<'_>,
+    prep: &ComponentPrep,
 ) -> Vec<VertexId> {
-    let u_init = matcher.core_order()[0];
+    let u_init = prep.core_order()[0];
     let mut seed = index
         .signature
         .candidates(&qg.signature(u_init).query_synopsis());
     process_vertex(qg, u_init, index, &mut SearchArenas::new()).filter(&mut seed);
-    seed.retain(|&v| satisfies_self_loop(qg, u_init, rdf.graph(), v));
+    if let Some(types) = &qg.vertex(u_init).self_loop {
+        seed.retain(|&v| rdf.graph().has_multi_edge(v, v, types.types()));
+    }
     seed
+}
+
+/// Plan one component.
+fn prep_of(qg: &QueryGraph, index: &IndexSet, component: &[QVertexId]) -> ComponentPrep {
+    ComponentPrep::build(qg, index, component, &mut SearchArenas::new())
+}
+
+/// Search `prep`'s component from the root candidates `initial`.
+fn search(
+    qg: &QueryGraph,
+    index: &IndexSet,
+    prep: &ComponentPrep,
+    initial: &[VertexId],
+) -> ComponentMatch {
+    let deadline = Deadline::unlimited();
+    ComponentMatcher::new(qg, index, prep).run(
+        initial,
+        &MatchConfig::new(&deadline, None),
+        &mut SearchArenas::new(),
+    )
 }
 
 /// A small dense multigraph: parallel predicates between a pair, self-loops
@@ -103,7 +125,7 @@ proptest! {
 
     /// For random queries over random graphs the search returns identical
     /// solutions in identical order whether it is rooted at the incidence
-    /// seed (`run`) or at the synopsis seed (`run_on`); the incidence seed
+    /// seed or at the synopsis seed; the incidence seed
     /// is the tighter of the two, and contains ψ(u_init) of every solution.
     #[test]
     fn incidence_seed_and_synopsis_seed_give_identical_solutions(
@@ -116,31 +138,29 @@ proptest! {
         let query = parse_select(&text).unwrap();
         let qg = QueryGraph::build(&query, &rdf).unwrap();
         prop_assume!(!qg.is_unsatisfiable());
-        let deadline = Deadline::unlimited();
-        let config = MatchConfig::new(&deadline, None);
         for component in qg.connected_components() {
-            let matcher = ComponentMatcher::new(&qg, rdf.graph(), &index, &component);
-            let paper_seed = synopsis_seed(&qg, &rdf, &index, &matcher);
-            let seed = matcher.initial_candidates();
+            let prep = prep_of(&qg, &index, &component);
+            let paper_seed = synopsis_seed(&qg, &rdf, &index, &prep);
+            let seed = prep.initial_candidates();
             prop_assert!(seed.windows(2).all(|w| w[0] < w[1]), "{text}: unsorted {seed:?}");
             prop_assert!(
                 seed.iter().all(|v| paper_seed.binary_search(v).is_ok()),
                 "{text}: {seed:?} is not within the synopsis seed {paper_seed:?}"
             );
-            if matcher.seed_lists().is_empty() {
+            if prep.seed_lists().is_empty() {
                 // No incidence list: the synopses alone seeded it, read per
                 // whitelisted vertex or walked in the R-tree — either way
                 // exactly the paper's seed.
                 prop_assert_eq!(seed, &paper_seed[..], "{}", text);
             }
 
-            let from_lists = matcher.run(&config);
-            let from_synopsis = matcher.run_on(&paper_seed, &config);
+            let from_lists = search(&qg, &index, &prep, seed);
+            let from_synopsis = search(&qg, &index, &prep, &paper_seed);
             prop_assert_eq!(from_lists.count, from_synopsis.count, "{}", text);
             prop_assert_eq!(&from_lists.solutions, &from_synopsis.solutions, "{}", text);
             prop_assert!(from_lists.nodes <= from_synopsis.nodes, "{text}");
 
-            let u_init = matcher.core_order()[0];
+            let u_init = prep.core_order()[0];
             for solution in &from_lists.solutions {
                 let (_, v) = solution.core.iter().find(|(u, _)| *u == u_init).unwrap();
                 prop_assert!(seed.binary_search(v).is_ok(), "{text}: ψ(u_init) = {v:?} not seeded");
@@ -190,8 +210,8 @@ fn two_out_type_star_is_seeded_with_exactly_the_vertices_carrying_both() {
         let qg = QueryGraph::build(&parse_select(&text).unwrap(), &rdf).unwrap();
         let components = qg.connected_components();
         assert_eq!(components.len(), 1);
-        let matcher = ComponentMatcher::new(&qg, graph, &index, &components[0]);
-        assert_eq!(matcher.core_order().len(), 1, "a star has one core vertex");
+        let prep = prep_of(&qg, &index, &components[0]);
+        assert_eq!(prep.core_order().len(), 1, "a star has one core vertex");
 
         // Brute force over the adjacency, not over the index under test.
         let carries =
@@ -201,12 +221,8 @@ fn two_out_type_star_is_seeded_with_exactly_the_vertices_carrying_both() {
             .filter(|&v| carries(v, a) && carries(v, b))
             .collect();
         assert!(!both.is_empty());
-        assert_eq!(
-            matcher.initial_candidates(),
-            &both[..],
-            "seed {seed}: {text}"
-        );
-        let lists = matcher.seed_lists();
+        assert_eq!(prep.initial_candidates(), &both[..], "seed {seed}: {text}");
+        let lists = prep.seed_lists();
         assert_eq!(lists.len(), 2);
         assert!(lists.iter().all(|l| l.direction == Direction::Outgoing));
         assert!(lists[0].len <= lists[1].len, "shortest list first");
@@ -215,19 +231,17 @@ fn two_out_type_star_is_seeded_with_exactly_the_vertices_carrying_both() {
         // search visits exactly one node per seed candidate — where the
         // synopsis seed spends a node on every vertex with two or more
         // outgoing edges of any type.
-        let deadline = Deadline::unlimited();
-        let config = MatchConfig::new(&deadline, None);
-        let result = matcher.run(&config);
+        let result = search(&qg, &index, &prep, prep.initial_candidates());
         assert_eq!(result.nodes, both.len() as u64, "seed {seed}");
         assert_eq!(result.solutions.len(), both.len(), "seed {seed}");
-        let paper_seed = synopsis_seed(&qg, &rdf, &index, &matcher);
+        let paper_seed = synopsis_seed(&qg, &rdf, &index, &prep);
         assert!(
             paper_seed.len() >= 2 * both.len(),
             "seed {seed}: synopsis seed {} vs incidence seed {}",
             paper_seed.len(),
             both.len()
         );
-        let from_synopsis = matcher.run_on(&paper_seed, &config);
+        let from_synopsis = search(&qg, &index, &prep, &paper_seed);
         assert_eq!(from_synopsis.nodes, paper_seed.len() as u64);
         assert_eq!(from_synopsis.solutions, result.solutions);
     }
@@ -246,13 +260,13 @@ fn a_constant_anchored_seed_vertex_is_seeded_from_its_whitelist() {
     );
     let qg = QueryGraph::build(&parse_select(&text).unwrap(), &rdf).unwrap();
     let components = qg.connected_components();
-    let matcher = ComponentMatcher::new(&qg, rdf.graph(), &index, &components[0]);
-    assert!(matcher.seed_lists().is_empty());
+    let prep = prep_of(&qg, &index, &components[0]);
+    assert!(prep.seed_lists().is_empty());
     assert_eq!(
-        matcher.initial_candidates(),
-        synopsis_seed(&qg, &rdf, &index, &matcher)
+        prep.initial_candidates(),
+        synopsis_seed(&qg, &rdf, &index, &prep)
     );
-    assert_eq!(matcher.initial_candidates(), &[VertexId(1), VertexId(7)]);
+    assert_eq!(prep.initial_candidates(), &[VertexId(1), VertexId(7)]);
     let engine = amber::AmberEngine::from_graph(rdf);
     let explained =
         amber::QueryPlan::explain_prepared(&engine.prepare_sparql(&text).unwrap()).to_string();
@@ -281,20 +295,18 @@ fn assert_constant_star_seed(rdf: &RdfGraph, index: &IndexSet, seed: u64, text: 
     assert!(!qg.is_unsatisfiable(), "seed {seed}: {text}");
     let components = qg.connected_components();
     assert_eq!(components.len(), 1, "seed {seed}: {text}");
-    let matcher = ComponentMatcher::new(&qg, rdf.graph(), index, &components[0]);
-    assert!(matcher.seed_lists().is_empty(), "seed {seed}: {text}");
-    let paper_seed = synopsis_seed(&qg, rdf, index, &matcher);
+    let prep = prep_of(&qg, index, &components[0]);
+    assert!(prep.seed_lists().is_empty(), "seed {seed}: {text}");
+    let paper_seed = synopsis_seed(&qg, rdf, index, &prep);
     assert!(!paper_seed.is_empty(), "seed {seed}: {text}");
     assert_eq!(
-        matcher.initial_candidates(),
+        prep.initial_candidates(),
         &paper_seed[..],
         "seed {seed}: {text}"
     );
 
-    let deadline = Deadline::unlimited();
-    let config = MatchConfig::new(&deadline, None);
-    let result = matcher.run(&config);
-    let from_synopsis = matcher.run_on(&paper_seed, &config);
+    let result = search(&qg, index, &prep, prep.initial_candidates());
+    let from_synopsis = search(&qg, index, &prep, &paper_seed);
     assert_eq!(result.count, from_synopsis.count, "seed {seed}: {text}");
     assert_eq!(
         result.solutions, from_synopsis.solutions,
@@ -320,22 +332,21 @@ fn a_multi_type_edge_must_sit_on_one_neighbour() {
     let text = "SELECT * WHERE { ?a <http://m/p0> ?b . ?a <http://m/p1> ?b . }";
     let qg = QueryGraph::build(&parse_select(text).unwrap(), &rdf).unwrap();
     let components = qg.connected_components();
-    let matcher = ComponentMatcher::new(&qg, rdf.graph(), &index, &components[0]);
+    let prep = prep_of(&qg, &index, &components[0]);
     let v3 = rdf.vertex_by_key("http://m/v3").unwrap();
     let a = qg.vertex_by_name("a").unwrap();
     // Whichever end seeds the component, the seed is exact here.
-    let expected = if matcher.core_order()[0] == a {
+    let expected = if prep.core_order()[0] == a {
         v3
     } else {
         rdf.vertex_by_key("http://m/v4").unwrap()
     };
-    assert_eq!(matcher.initial_candidates(), &[expected]);
-    assert_eq!(matcher.seed_lists().len(), 2);
+    assert_eq!(prep.initial_candidates(), &[expected]);
+    assert_eq!(prep.seed_lists().len(), 2);
     assert_eq!(
-        matcher.initial_candidates(),
-        synopsis_seed(&qg, &rdf, &index, &matcher)
+        prep.initial_candidates(),
+        synopsis_seed(&qg, &rdf, &index, &prep)
     );
-    let deadline = Deadline::unlimited();
-    let result = matcher.run(&MatchConfig::new(&deadline, None));
+    let result = search(&qg, &index, &prep, prep.initial_candidates());
     assert_eq!((result.count, result.nodes), (1, 1));
 }

@@ -9,10 +9,10 @@
 //! complex = deep cascades, plus handwritten multi-type-edge queries) both
 //! must produce byte-identical `ComponentMatch` counts and solutions.
 
-use amber::candidates::{process_vertex, satisfies_self_loop, Constraint};
+use amber::candidates::{process_vertex, Constraint};
 use amber::decompose::Decomposition;
 use amber::matcher::{
-    ComponentMatch, ComponentMatcher, ComponentSolution, MatchConfig, SearchArenas,
+    ComponentMatch, ComponentMatcher, ComponentPrep, ComponentSolution, MatchConfig, SearchArenas,
 };
 use amber::ordering::order_core_vertices;
 use amber_datagen::synthetic::{self, SyntheticConfig};
@@ -63,8 +63,9 @@ impl<'a> Reference<'a> {
 
     fn refine(&self, u: QVertexId, mut candidates: Vec<VertexId>) -> Vec<VertexId> {
         self.constraints[u.index()].filter(&mut candidates);
-        if self.qg.vertex(u).self_loop.is_some() {
-            candidates.retain(|&v| satisfies_self_loop(self.qg, u, self.graph, v));
+        // The self-loop check reads the adjacency, not the index under test.
+        if let Some(types) = &self.qg.vertex(u).self_loop {
+            candidates.retain(|&v| self.graph.has_multi_edge(v, v, types.types()));
         }
         candidates
     }
@@ -177,8 +178,12 @@ fn assert_matcher_equals_reference(rdf: &RdfGraph, qg: &QueryGraph, context: &st
     let deadline = Deadline::unlimited();
     let config = MatchConfig::new(&deadline, None);
     for component in qg.connected_components() {
-        let matcher = ComponentMatcher::new(qg, rdf.graph(), &index, &component);
-        let fast = matcher.run(&config);
+        let prep = ComponentPrep::build(qg, &index, &component, &mut SearchArenas::new());
+        let fast = ComponentMatcher::new(qg, &index, &prep).run(
+            prep.initial_candidates(),
+            &config,
+            &mut SearchArenas::new(),
+        );
         assert!(!fast.timed_out);
         let reference = Reference::new(qg, rdf.graph(), &index, &component).run();
         assert_eq!(

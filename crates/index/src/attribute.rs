@@ -50,6 +50,14 @@ impl AttributeIndex {
         }
     }
 
+    /// Does `v` carry every attribute of `attrs` (`attrs ⊆ L_V(v)`)? One
+    /// binary search per attribute list.
+    pub fn has_attributes(&self, v: VertexId, attrs: &[AttrId]) -> bool {
+        attrs
+            .iter()
+            .all(|&a| self.vertices_with(a).binary_search(&v).is_ok())
+    }
+
     /// `C^A_u`: vertices carrying *all* of `attrs` (paper §4.1).
     /// Returns `None` when `attrs` is empty (no attribute constraint).
     pub fn candidates(&self, attrs: &[AttrId]) -> Option<Vec<VertexId>> {

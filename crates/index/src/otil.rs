@@ -366,6 +366,25 @@ impl NeighborhoodIndex {
             }
         }
     }
+
+    /// Is there an edge `from → to` carrying every type of `required`
+    /// (`required ⊆ L_E(from, to)`)? An empty `required` asks for some
+    /// edge `from → to`. Reads `N⁻`: `to` is looked up in each list
+    /// `N⁻(from, t)`, so no neighbour list is materialized.
+    pub fn has_edge(&self, from: VertexId, to: VertexId, required: &[EdgeTypeId]) -> bool {
+        let out = &self.outgoing;
+        match required {
+            [] => out.all_lists(from).contains(&to),
+            _ => required
+                .iter()
+                .all(|&t| out.list(from, t).binary_search(&to).is_ok()),
+        }
+    }
+
+    /// `|V|`: the number of vertices the index has a row for.
+    pub fn vertex_count(&self) -> usize {
+        self.outgoing.types.rows()
+    }
 }
 
 /// Indices (into `many`) of the two shortest inverted lists, or `None`

@@ -41,7 +41,6 @@ use crate::builder::{GraphConfig, RdfGraph};
 use crate::data_graph::{DataGraph, Direction};
 use crate::dictionary::{Dictionaries, Dictionary};
 use crate::ids::{AttrId, EdgeTypeId, VertexId};
-use bytes::{Buf, BufMut, BytesMut};
 use rdf_model::XSD_STRING;
 use std::fmt;
 
@@ -82,45 +81,64 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-fn put_dictionary(buf: &mut BytesMut, dict: &Dictionary) {
-    buf.put_u32_le(dict.len() as u32);
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_dictionary(buf: &mut Vec<u8>, dict: &Dictionary) {
+    put_u32(buf, dict.len() as u32);
     for (_, key) in dict.iter() {
-        buf.put_u32_le(key.len() as u32);
-        buf.put_slice(key.as_bytes());
+        put_u32(buf, key.len() as u32);
+        buf.extend_from_slice(key.as_bytes());
     }
 }
 
-fn take_dictionary(buf: &mut &[u8]) -> Result<Dictionary, SnapshotError> {
-    let count = take_u32(buf)? as usize;
-    // Every entry occupies at least its four length bytes.
-    let mut ends = Vec::with_capacity(count.min(buf.remaining() / 4));
-    let mut arena = String::new();
-    for _ in 0..count {
-        let len = take_u32(buf)? as usize;
-        if buf.remaining() < len {
+/// A read cursor over an image: every read checks what remains first.
+struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    /// The next `len` bytes, or `Truncated` when fewer remain.
+    fn take(&mut self, len: usize) -> Result<&'a [u8], SnapshotError> {
+        if self.rest.len() < len {
             return Err(SnapshotError::Truncated);
         }
-        let key = std::str::from_utf8(&buf[..len]).map_err(|_| SnapshotError::BadUtf8)?;
-        arena.push_str(key);
-        ends.push(u32::try_from(arena.len()).map_err(|_| SnapshotError::CorruptIds)?);
-        buf.advance(len);
+        let (head, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        Ok(head)
     }
-    arena.shrink_to_fit();
-    Dictionary::from_arena(arena, ends).ok_or(SnapshotError::CorruptIds)
-}
 
-fn take_u32(buf: &mut &[u8]) -> Result<u32, SnapshotError> {
-    if buf.remaining() < 4 {
-        return Err(SnapshotError::Truncated);
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        Ok(self.take(N)?.try_into().expect("took N bytes"))
     }
-    Ok(buf.get_u32_le())
-}
 
-fn take_u64(buf: &mut &[u8]) -> Result<u64, SnapshotError> {
-    if buf.remaining() < 8 {
-        return Err(SnapshotError::Truncated);
+    fn u32(&mut self) -> Result<u32, SnapshotError> {
+        self.take_array().map(u32::from_le_bytes)
     }
-    Ok(buf.get_u64_le())
+
+    fn u64(&mut self) -> Result<u64, SnapshotError> {
+        self.take_array().map(u64::from_le_bytes)
+    }
+
+    fn dictionary(&mut self) -> Result<Dictionary, SnapshotError> {
+        let count = self.u32()? as usize;
+        // Every entry occupies at least its four length bytes.
+        let mut ends = Vec::with_capacity(count.min(self.remaining() / 4));
+        let mut arena = String::new();
+        for _ in 0..count {
+            let len = self.u32()? as usize;
+            let key = std::str::from_utf8(self.take(len)?).map_err(|_| SnapshotError::BadUtf8)?;
+            arena.push_str(key);
+            ends.push(u32::try_from(arena.len()).map_err(|_| SnapshotError::CorruptIds)?);
+        }
+        arena.shrink_to_fit();
+        Dictionary::from_arena(arena, ends).ok_or(SnapshotError::CorruptIds)
+    }
 }
 
 /// Is `key` a literal spelled with an `xsd:string` datatype? The builder
@@ -138,61 +156,57 @@ impl RdfGraph {
     /// Serialize to a binary image.
     pub fn to_snapshot(&self) -> Vec<u8> {
         let graph = self.graph();
-        let mut buf = BytesMut::with_capacity(64 + 16 * graph.edge_pair_count());
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u8(u8::from(self.config().literals_as_vertices));
-        buf.put_u64_le(self.triple_count() as u64);
+        let mut buf = Vec::with_capacity(64 + 16 * graph.edge_pair_count());
+        buf.extend_from_slice(MAGIC);
+        put_u32(&mut buf, VERSION);
+        buf.push(u8::from(self.config().literals_as_vertices));
+        buf.extend_from_slice(&(self.triple_count() as u64).to_le_bytes());
         put_dictionary(&mut buf, &self.dictionaries().vertices);
         put_dictionary(&mut buf, &self.dictionaries().edge_types);
         put_dictionary(&mut buf, &self.dictionaries().attributes);
 
-        buf.put_u32_le(graph.vertex_count() as u32);
+        put_u32(&mut buf, graph.vertex_count() as u32);
         for v in graph.vertices() {
             // One record per multi-edge: its neighbour, then its types.
             let multi_edges = || graph.multi_edges(v, Direction::Outgoing);
-            buf.put_u32_le(multi_edges().count() as u32);
+            put_u32(&mut buf, multi_edges().count() as u32);
             for run in multi_edges() {
-                buf.put_u32_le(run[0].neighbor.0);
-                buf.put_u32_le(run.len() as u32);
+                put_u32(&mut buf, run[0].neighbor.0);
+                put_u32(&mut buf, run.len() as u32);
                 for entry in run {
-                    buf.put_u32_le(entry.edge_type().0);
+                    put_u32(&mut buf, entry.edge_type().0);
                 }
             }
         }
         for v in graph.vertices() {
             let attrs = graph.attributes(v);
-            buf.put_u32_le(attrs.len() as u32);
+            put_u32(&mut buf, attrs.len() as u32);
             for a in attrs {
-                buf.put_u32_le(a.0);
+                put_u32(&mut buf, a.0);
             }
         }
-        buf.to_vec()
+        buf
     }
 
     /// Restore from a binary image.
-    pub fn from_snapshot(mut bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let buf = &mut bytes;
-        if buf.remaining() < 4 || &buf[..4] != MAGIC {
+    pub fn from_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        let buf = &mut Reader { rest: bytes };
+        if buf.take(MAGIC.len()).ok() != Some(&MAGIC[..]) {
             return Err(SnapshotError::BadMagic);
         }
-        buf.advance(4);
-        let version = take_u32(buf)?;
+        let version = buf.u32()?;
         if version != VERSION {
             return Err(SnapshotError::BadVersion(version));
         }
-        if buf.remaining() < 1 {
-            return Err(SnapshotError::Truncated);
-        }
-        let flags = buf.get_u8();
+        let flags = buf.take(1)?[0];
         let config = GraphConfig {
             literals_as_vertices: flags & 1 != 0,
         };
-        let triple_count = take_u64(buf)? as usize;
+        let triple_count = buf.u64()? as usize;
 
-        let vertices = take_dictionary(buf)?;
-        let edge_types = take_dictionary(buf)?;
-        let attributes = take_dictionary(buf)?;
+        let vertices = buf.dictionary()?;
+        let edge_types = buf.dictionary()?;
+        let attributes = buf.dictionary()?;
         let dicts = Dictionaries {
             vertices,
             edge_types,
@@ -214,27 +228,27 @@ impl RdfGraph {
             return Err(SnapshotError::CorruptIds);
         }
 
-        let vertex_count = take_u32(buf)? as usize;
+        let vertex_count = buf.u32()? as usize;
         if vertex_count != dicts.vertices.len() {
             return Err(SnapshotError::CorruptIds);
         }
         let mut edges = Vec::new();
         for from in 0..vertex_count as u32 {
-            let entries = take_u32(buf)?;
+            let entries = buf.u32()?;
             let mut previous = None;
             for _ in 0..entries {
-                let neighbor = take_u32(buf)?;
+                let neighbor = buf.u32()?;
                 // The lists are binary-searched: strictly ascending or bust.
                 if neighbor as usize >= vertex_count || previous.is_some_and(|p| p >= neighbor) {
                     return Err(SnapshotError::CorruptIds);
                 }
                 previous = Some(neighbor);
-                let type_count = take_u32(buf)?;
+                let type_count = buf.u32()?;
                 if type_count == 0 {
                     return Err(SnapshotError::CorruptIds);
                 }
                 for _ in 0..type_count {
-                    let t = take_u32(buf)?;
+                    let t = buf.u32()?;
                     if t as usize >= dicts.edge_types.len() {
                         return Err(SnapshotError::CorruptIds);
                     }
@@ -244,16 +258,16 @@ impl RdfGraph {
         }
         let mut attrs = Vec::new();
         for vertex in 0..vertex_count as u32 {
-            let count = take_u32(buf)?;
+            let count = buf.u32()?;
             for _ in 0..count {
-                let a = take_u32(buf)?;
+                let a = buf.u32()?;
                 if a as usize >= dicts.attributes.len() {
                     return Err(SnapshotError::CorruptIds);
                 }
                 attrs.push((VertexId(vertex), AttrId(a)));
             }
         }
-        if buf.has_remaining() {
+        if buf.remaining() > 0 {
             return Err(SnapshotError::Truncated); // trailing garbage
         }
         let graph = DataGraph::assemble(vertex_count, edges, attrs, dicts.edge_types.len());

@@ -5,7 +5,10 @@
 //! duplicate triples, parallel types, blank nodes and (in the extension
 //! mode) literal vertices, every pair's run, every lookup, every count,
 //! every synopsis and every list and probe of the neighbourhood index `N`
-//! must equal what the model says.
+//! must equal what the model says. The two checks the search answers from
+//! the index set alone, `N`'s edge check (ground edge patterns and
+//! self-loops) and `A`'s attribute check (ground attribute patterns), are
+//! held to the model's pairs and to the graph's attribute sets.
 
 // Only the pair model is used here, not the image writer.
 #[allow(dead_code)]
@@ -13,9 +16,10 @@
 mod reference;
 
 use amber_index::otil::ProbeResult;
-use amber_index::{NeighborhoodIndex, SignatureIndex};
+use amber_index::{AttributeIndex, NeighborhoodIndex, SignatureIndex};
 use amber_multigraph::{
-    AdjEntry, Direction, EdgeTypeId, GraphBuilder, GraphConfig, Synopsis, VertexId, VertexSignature,
+    AdjEntry, AttrId, Direction, EdgeTypeId, GraphBuilder, GraphConfig, Synopsis, VertexId,
+    VertexSignature,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -228,6 +232,51 @@ fn agrees_with_the_pair_model(
             }
         }
     }
+
+    // The edge check, for every ordered pair (self-loops included) and
+    // every type set above; no type asks for some edge.
+    for from in 0..n as u32 {
+        for to in 0..n as u32 {
+            let (f, t) = (VertexId(from), VertexId(to));
+            let types = model.pairs.get(&(from, to));
+            for required in &type_sets {
+                let carries =
+                    types.is_some_and(|types| required.iter().all(|r| types.contains(&r.0)));
+                prop_assert_eq!(
+                    index.has_edge(f, t, required),
+                    carries,
+                    "{:?} -> {:?} {:?}",
+                    f,
+                    t,
+                    required
+                );
+            }
+        }
+    }
+
+    // The attribute check against each vertex's attribute set, for no
+    // attribute and every one and two (one past the dictionary included).
+    let attributes = AttributeIndex::build(&rdf);
+    let attr_count = rdf.dictionaries().attributes.len() as u32;
+    let mut attr_sets: Vec<Vec<AttrId>> = vec![vec![]];
+    for a in 0..=attr_count {
+        attr_sets.push(vec![AttrId(a)]);
+        for b in a + 1..=attr_count {
+            attr_sets.push(vec![AttrId(a), AttrId(b)]);
+        }
+    }
+    for v in graph.vertices() {
+        let owned = graph.attributes(v);
+        for required in &attr_sets {
+            prop_assert_eq!(
+                attributes.has_attributes(v, required),
+                required.iter().all(|a| owned.contains(a)),
+                "{:?} {:?}",
+                v,
+                required
+            );
+        }
+    }
     Ok(())
 }
 
@@ -235,10 +284,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn the_adjacency_reads_back_the_pair_model(
-        triples in arb_triples(),
-        literals_as_vertices in any::<bool>(),
-    ) {
-        agrees_with_the_pair_model(&triples, literals_as_vertices)?;
+    fn the_adjacency_reads_back_the_pair_model(triples in arb_triples()) {
+        for literals_as_vertices in [false, true] {
+            agrees_with_the_pair_model(&triples, literals_as_vertices)?;
+        }
     }
 }

@@ -299,18 +299,92 @@ fn duplicate_patterns_do_not_double_count() {
     }
 }
 
+/// Expand a compact pattern list (`;`-separated `s p o` rows) into
+/// N-Triples or SPARQL: `?v` stays a variable, `"…"` a literal, other
+/// subjects and objects become `<http://x/…>` and predicates `<http://p/…>`.
+fn expand(rows: &str) -> String {
+    let term = |t: &str, prefix: &str| match t.chars().next() {
+        Some('?' | '"') => t.to_string(),
+        _ => format!("<{prefix}{t}>"),
+    };
+    rows.split(';')
+        .map(|row| match row.split_whitespace().collect::<Vec<_>>()[..] {
+            [s, p, o] => format!(
+                "{} {} {} .\n",
+                term(s, "http://x/"),
+                term(p, "http://p/"),
+                term(o, "http://x/")
+            ),
+            _ => panic!("not a triple: {row:?}"),
+        })
+        .collect()
+}
+
 #[test]
 fn self_loop_queries_agree() {
-    let doc = "<http://x/a> <http://p/likes> <http://x/a> .\n\
-               <http://x/a> <http://p/likes> <http://x/b> .\n\
-               <http://x/b> <http://p/likes> <http://x/a> .\n";
-    let rdf = Arc::new(RdfGraph::parse_ntriples(doc).unwrap());
-    let query = "SELECT * WHERE { ?x <http://p/likes> ?x . ?x <http://p/likes> ?y . }";
-    for engine in all_engines(rdf) {
-        let out = engine
-            .execute_sparql(query, &ExecOptions::default())
-            .unwrap();
-        // ?x = a (self loop), ?y ∈ {a, b}.
-        assert_eq!(out.embedding_count, 2, "{}", engine.name());
+    // (case, data, query, embeddings counted by hand). The baselines read
+    // the adjacency and AMbER reads only its indexes, so a row on which
+    // they agree with the hand count pins both.
+    let loops = "a p a; a q a; b p b; c q c; a p b; b q a";
+    let ground = "a p b; a q b; a p c; a r d; a name \"n1\"; b name \"n2\"";
+    let duplicates = "a p b; a p b; a p a; a p a; b p c";
+    let cases = [
+        (
+            "a self-loop and an edge",
+            "a likes a; a likes b; b likes a",
+            "?x likes ?x; ?x likes ?y",
+            2, // ?x = a (self loop), ?y ∈ {a, b}
+        ),
+        ("a self-loop with two types", loops, "?x p ?x; ?x q ?x", 1),
+        (
+            "a self-loop on a satellite",
+            "a r b; a r c; b p b; d r c; d r b",
+            "?x r ?y; ?x r ?z; ?y p ?y",
+            4, // ?y = b under ?x ∈ {a, d}, ?z ∈ {b, c}
+        ),
+        ("a ground edge that holds", ground, "a p b; ?x q ?y", 1),
+        ("a ground edge read backwards", ground, "b p a; ?x q ?y", 0),
+        (
+            "ground parallel types that hold",
+            ground,
+            "a p b; a q b; ?x p ?y",
+            2,
+        ),
+        (
+            "ground parallel types, one missing",
+            ground,
+            "a p c; a q c; ?x p ?y",
+            0,
+        ),
+        (
+            "a ground attribute that holds",
+            ground,
+            "a name \"n1\"; ?x p ?y",
+            2,
+        ),
+        (
+            "a ground attribute another vertex carries",
+            ground,
+            "b name \"n1\"; ?x p ?y",
+            0,
+        ),
+        ("duplicate triples", duplicates, "?x p ?y", 3),
+        ("a duplicated self-loop", duplicates, "?x p ?x", 1),
+        (
+            "a ground edge stated twice",
+            duplicates,
+            "a p b; ?x p ?x",
+            1,
+        ),
+    ];
+    for (case, data, query, expected) in cases {
+        let rdf = Arc::new(RdfGraph::parse_ntriples(&expand(data)).unwrap());
+        let query = format!("SELECT * WHERE {{ {} }}", expand(query));
+        for engine in all_engines(rdf.clone()) {
+            let out = engine
+                .execute_sparql(&query, &ExecOptions::default())
+                .unwrap_or_else(|e| panic!("{case}: {} failed: {e}", engine.name()));
+            assert_eq!(out.embedding_count, expected, "{case}: {}", engine.name());
+        }
     }
 }

@@ -421,7 +421,7 @@ impl TripleStoreEngine {
                 }
             };
             match &p.object {
-                TermPattern::Literal(lit) => {
+                TermPattern::Literal(lit) if !self.rdf.config().literals_as_vertices => {
                     let Some(attr) = self.rdf.dictionaries().attribute(pred, lit) else {
                         return Ok(Compiled::Empty);
                     };
@@ -440,7 +440,13 @@ impl TripleStoreEngine {
                             Some(v) => Slot::Const(v.0),
                             None => return Ok(Compiled::Empty),
                         },
-                        TermPattern::Literal(_) => unreachable!("matched above"),
+                        // Literals as vertices: the vertex keyed by the
+                        // literal's N-Triples form.
+                        TermPattern::Literal(lit) => match self.rdf.vertex_by_key(&lit.to_string())
+                        {
+                            Some(v) => Slot::Const(v.0),
+                            None => return Ok(Compiled::Empty),
+                        },
                     };
                     patterns.push(IdPattern::Edge {
                         s: subject,

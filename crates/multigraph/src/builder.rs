@@ -27,10 +27,10 @@
 //! order: subject vertex, then object vertex and edge type, or attribute.
 
 use crate::data_graph::DataGraph;
-use crate::dictionary::{write_attribute_key, Dictionaries};
+use crate::dictionary::Dictionaries;
 use crate::ids::{AttrId, EdgeTypeId, VertexId};
 use amber_util::HeapSize;
-use rdf_model::{LiteralRef, NtParseError, NtScanner, ObjectRef, SubjectRef, Triple, TripleRef};
+use rdf_model::{NtParseError, NtScanner, ObjectRef, SubjectRef, Triple, TripleRef};
 
 /// Construction options.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,7 +51,7 @@ pub struct GraphBuilder {
     /// One `(vertex, attribute)` per literal triple, as consumed.
     attrs: Vec<(VertexId, AttrId)>,
     /// Reused buffer for the keys that are composed rather than borrowed:
-    /// `_:label`, `predicate\0literal`, a literal vertex's N-Triples form.
+    /// `_:label`, an attribute's `Ma` key, a literal vertex's N-Triples form.
     key: String,
     /// The vertex of the last IRI subject; its text is its dictionary key.
     last_subject: Option<VertexId>,
@@ -88,13 +88,8 @@ impl GraphBuilder {
 
     /// Pre-intern an attribute (see [`GraphBuilder::declare_vertex`]).
     pub fn declare_attribute(&mut self, predicate: &str, literal: &rdf_model::Literal) -> AttrId {
-        self.attribute(predicate, literal.into())
-    }
-
-    fn attribute(&mut self, predicate: &str, literal: LiteralRef<'_>) -> AttrId {
-        self.key.clear();
-        write_attribute_key(&mut self.key, predicate, literal);
-        AttrId(self.dicts.attributes.intern(&self.key))
+        self.dicts
+            .intern_attribute(&mut self.key, predicate, literal.into())
     }
 
     /// The vertex of a blank node: keyed `_:label`, so it cannot collide
@@ -134,7 +129,9 @@ impl GraphBuilder {
             ObjectRef::Literal(literal) if !self.config.literals_as_vertices => {
                 // Protocol 4: <predicate, literal> becomes an attribute of
                 // the subject vertex.
-                let attr = self.attribute(triple.predicate, literal);
+                let attr = self
+                    .dicts
+                    .intern_attribute(&mut self.key, triple.predicate, literal);
                 self.attrs.push((subject, attr));
                 return;
             }
@@ -174,6 +171,7 @@ impl GraphBuilder {
         self.dicts.vertices.shrink_to_fit();
         self.dicts.edge_types.shrink_to_fit();
         self.dicts.attributes.shrink_to_fit();
+        self.dicts.attribute_predicates.shrink_to_fit();
         let graph = DataGraph::assemble(
             self.dicts.vertices.len(),
             self.edges,

@@ -239,15 +239,17 @@ struct Compiler<'g> {
     unsat_reason: Option<String>,
     /// The current subject, resolved.
     subject: (u32, u32),
-    /// The current predicate's attribute-key prefix, followed by the
-    /// current literal object's N-Triples form: an attribute key, and a
-    /// literal vertex key after the prefix.
+    /// The current predicate's text.
+    predicate: String,
+    /// The current literal object's key: its `Ma` key, or a literal
+    /// vertex's N-Triples form.
     key: String,
-    /// Length of the predicate's text at the start of `key`.
-    predicate_len: usize,
     /// The predicate's edge type, once an object needs it (a predicate
     /// with only literal objects is no edge type).
     edge: Option<(u32, u32)>,
+    /// The predicate's id among `Ma`'s predicates, once a literal object
+    /// needs it; `Some(None)` when it carries no literal in the data.
+    attribute_predicate: Option<Option<u32>>,
 }
 
 impl<'g> Compiler<'g> {
@@ -261,23 +263,28 @@ impl<'g> Compiler<'g> {
             name_ends: Vec::new(),
             unsat_reason: None,
             subject: (tag::NONE, 0),
+            predicate: String::new(),
             key: String::new(),
-            predicate_len: 0,
             edge: None,
+            attribute_predicate: None,
         }
     }
 
-    fn predicate_text(&self) -> &str {
-        &self.key[..self.predicate_len]
-    }
-
-    /// Compose the current literal object's N-Triples form after the
-    /// predicate's prefix; its offset in `key`.
-    fn literal_key(&mut self, literal: LiteralRef<'_>) -> usize {
-        let start = self.predicate_len + 1;
-        self.key.truncate(start);
+    /// Look up the current literal object's `Ma` key, composed in `key`
+    /// (the literal's N-Triples form alone when the predicate carries no
+    /// literal in the data, and the lookup fails); where the literal
+    /// starts in `key`.
+    fn attribute(&mut self, literal: LiteralRef<'_>) -> (Option<u32>, usize) {
+        let dicts = self.rdf.dictionaries();
+        let predicate = *self
+            .attribute_predicate
+            .get_or_insert_with(|| dicts.attribute_predicates.get(&self.predicate));
+        self.key.clear();
+        let known = predicate.and_then(|p| write_attribute_prefix(&mut self.key, p));
+        let start = self.key.len();
         literal.write_ntriples(&mut self.key);
-        start
+        let attr = known.and_then(|()| dicts.attributes.get(&self.key));
+        (attr, start)
     }
 
     fn into_compiled(self, owner: u64) -> CompiledQuery {
@@ -366,10 +373,10 @@ impl QuerySink for Compiler<'_> {
     }
 
     fn predicate(&mut self, iri: &str) {
-        self.key.clear();
-        write_attribute_prefix(&mut self.key, iri);
-        self.predicate_len = iri.len();
+        self.predicate.clear();
+        self.predicate.push_str(iri);
         self.edge = None;
+        self.attribute_predicate = None;
     }
 
     fn object(&mut self, term: TermRef<'_>) {
@@ -379,21 +386,20 @@ impl QuerySink for Compiler<'_> {
             // checked first, then the attribute.
             TermRef::Literal(literal) if !self.literals_as_vertices => {
                 self.mark_unknown_vertex(subject);
-                let start = self.literal_key(literal);
-                let object = match self.rdf.dictionaries().attributes.get(&self.key) {
-                    Some(attr) => (tag::ATTRIBUTE, attr),
-                    None => {
+                let object = match self.attribute(literal) {
+                    (Some(attr), _) => (tag::ATTRIBUTE, attr),
+                    (None, start) => {
                         self.mark_unsat(|c| {
                             format!(
                                 "attribute <{}> {} does not occur in the data",
-                                c.predicate_text(),
+                                c.predicate,
                                 &c.key[start..]
                             )
                         });
-                        let key = std::mem::take(&mut self.key);
-                        let object = self.unknown(tag::UNKNOWN_ATTRIBUTE, &key);
-                        self.key = key;
-                        object
+                        // The pair's text, `\0` between its halves (no
+                        // IRI holds one), so each absent pair keys apart.
+                        let text = format!("{}\u{0}{}", self.predicate, &self.key[start..]);
+                        self.unknown(tag::UNKNOWN_ATTRIBUTE, &text)
                     }
                 };
                 ((tag::NONE, 0), object)
@@ -404,13 +410,12 @@ impl QuerySink for Compiler<'_> {
                 let edge = match self.edge {
                     Some(edge) => edge,
                     None => {
-                        let edge = match self.rdf.edge_type_by_iri(self.predicate_text()) {
+                        let edge = match self.rdf.edge_type_by_iri(&self.predicate) {
                             Some(t) => (tag::EDGE, t.0),
                             None => {
-                                let key = std::mem::take(&mut self.key);
-                                let edge =
-                                    self.unknown(tag::UNKNOWN_EDGE, &key[..self.predicate_len]);
-                                self.key = key;
+                                let predicate = std::mem::take(&mut self.predicate);
+                                let edge = self.unknown(tag::UNKNOWN_EDGE, &predicate);
+                                self.predicate = predicate;
                                 edge
                             }
                         };
@@ -422,7 +427,7 @@ impl QuerySink for Compiler<'_> {
                     self.mark_unsat(|c| {
                         format!(
                             "predicate <{}> has no IRI or blank-node object in the data",
-                            c.predicate_text()
+                            c.predicate
                         )
                     });
                 }
@@ -433,9 +438,10 @@ impl QuerySink for Compiler<'_> {
                     // Literals-as-vertices mode: a literal object is the
                     // vertex keyed by its N-Triples form.
                     TermRef::Literal(literal) => {
-                        let start = self.literal_key(literal);
+                        self.key.clear();
+                        literal.write_ntriples(&mut self.key);
                         let key = std::mem::take(&mut self.key);
-                        let object = self.vertex(&key[start..]);
+                        let object = self.vertex(&key);
                         self.key = key;
                         object
                     }
@@ -552,6 +558,51 @@ mod tests {
         assert_ne!(a.key(), b.key());
         assert!(a.unsat_reason().unwrap().contains("<http://x/Nope1>"));
         assert!(b.unsat_reason().unwrap().contains("<http://x/Nope2>"));
+    }
+
+    #[test]
+    fn absent_attributes_differing_in_their_predicate_keep_apart() {
+        // `"alpha"` occurs under `name` only; `e1` carries no literal, and
+        // `nope` is no predicate of the data at all.
+        let rdf = data(false);
+        let queries = [
+            ("http://p/name", "\"beta\""),
+            ("http://p/e1", "\"beta\""),
+            ("http://p/nope", "\"beta\""),
+            ("http://p/e1", "\"alpha\""),
+            ("http://p/nope", "\"alpha\""),
+        ];
+        let compiled: Vec<CompiledQuery> = queries
+            .iter()
+            .map(|(predicate, literal)| {
+                let q = compile(
+                    &format!("SELECT * WHERE {{ ?s <{predicate}> {literal} }}"),
+                    &rdf,
+                );
+                assert_eq!(
+                    q.unsat_reason(),
+                    Some(&*format!(
+                        "attribute <{predicate}> {literal} does not occur in the data"
+                    ))
+                );
+                q
+            })
+            .collect();
+        for (i, a) in compiled.iter().enumerate() {
+            for b in &compiled[i + 1..] {
+                assert_ne!(
+                    a.key(),
+                    b.key(),
+                    "{:?} and {:?}",
+                    a.unsat_reason(),
+                    b.unsat_reason()
+                );
+            }
+        }
+        // The pair that does occur resolves, and keys apart from them all.
+        let known = compile("SELECT * WHERE { ?s <http://p/name> \"alpha\" }", &rdf);
+        assert!(known.unsat_reason().is_none());
+        assert!(compiled.iter().all(|q| q.key() != known.key()));
     }
 
     #[test]

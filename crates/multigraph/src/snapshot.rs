@@ -16,7 +16,9 @@
 //! version u32              currently 1
 //! flags   u8               bit 0 = literals_as_vertices
 //! triple_count u64
-//! 3 × dictionary           u32 count, then count × (u32 len, utf-8 bytes)
+//! 3 × dictionary           u32 count, then count × (u32 len, utf-8 bytes);
+//!                          Mv, Me, then Ma with each key spelled
+//!                          `predicate \0 literal`
 //! vertex_count u32
 //! per vertex: out-adjacency u32 entries, then per entry:
 //!             u32 neighbor, u32 type_count, type_count × u32
@@ -27,19 +29,21 @@
 //! halves the image size at a small load cost.
 //!
 //! Restoring treats the image as untrusted input. Each dictionary is read
-//! into one arena and its probe table built in one pass; the adjacency and
+//! into one arena and its probe table built in one pass (an `Ma` key is
+//! split at its first `\0`, its predicate interned and the key re-spelled
+//! by the predicate's id, as the builder spells it); the adjacency and
 //! attribute sections are read into the same flat id tuples the triple
 //! builder produces and go through the same `DataGraph::assemble`. No count
 //! or length field sizes an allocation — vectors grow by what was actually
 //! read — and an image that would restore into a graph the engine could
-//! misread (a repeated dictionary key, a literal key spelled with an
-//! `xsd:string` datatype the canonical form omits, a multi-edge without
-//! types, neighbours out of order, an id past its table) ends in
-//! [`SnapshotError::CorruptIds`].
+//! misread (a repeated dictionary key, an `Ma` key without a `\0`, a
+//! literal key spelled with an `xsd:string` datatype the canonical form
+//! omits, a multi-edge without types, neighbours out of order, an id past
+//! its table) ends in [`SnapshotError::CorruptIds`].
 
 use crate::builder::{GraphConfig, RdfGraph};
 use crate::data_graph::{DataGraph, Direction};
-use crate::dictionary::{Dictionaries, Dictionary};
+use crate::dictionary::{write_attribute_prefix, Dictionaries, Dictionary};
 use crate::ids::{AttrId, EdgeTypeId, VertexId};
 use rdf_model::XSD_STRING;
 use std::fmt;
@@ -59,9 +63,10 @@ pub enum SnapshotError {
     /// A dictionary entry is not valid UTF-8.
     BadUtf8,
     /// The image is well-formed but inconsistent: an id references past
-    /// its table, a dictionary key repeats, a literal key carries the
-    /// `xsd:string` datatype its canonical form omits, a multi-edge has no
-    /// types, or a vertex's neighbours are not strictly ascending.
+    /// its table, a dictionary key repeats, an `Ma` key has no `\0`, a
+    /// literal key carries the `xsd:string` datatype its canonical form
+    /// omits, a multi-edge has no types, or a vertex's neighbours are not
+    /// strictly ascending.
     CorruptIds,
 }
 
@@ -85,12 +90,27 @@ fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_dictionary(buf: &mut Vec<u8>, dict: &Dictionary) {
-    put_u32(buf, dict.len() as u32);
-    for (_, key) in dict.iter() {
-        put_u32(buf, key.len() as u32);
-        buf.extend_from_slice(key.as_bytes());
+/// One dictionary section: the key count, then each key, written from
+/// its parts, as its length and bytes.
+fn put_keys<'k, const PARTS: usize>(
+    buf: &mut Vec<u8>,
+    count: usize,
+    keys: impl Iterator<Item = [&'k str; PARTS]>,
+) {
+    put_u32(buf, count as u32);
+    for parts in keys {
+        put_u32(
+            buf,
+            parts.iter().map(|part| part.len()).sum::<usize>() as u32,
+        );
+        for part in parts {
+            buf.extend_from_slice(part.as_bytes());
+        }
     }
+}
+
+fn put_dictionary(buf: &mut Vec<u8>, dict: &Dictionary) {
+    put_keys(buf, dict.len(), dict.iter().map(|(_, key)| [key]));
 }
 
 /// A read cursor over an image: every read checks what remains first.
@@ -126,6 +146,18 @@ impl<'a> Reader<'a> {
     }
 
     fn dictionary(&mut self) -> Result<Dictionary, SnapshotError> {
+        self.dictionary_with(|arena, key| {
+            arena.push_str(key);
+            Ok(())
+        })
+    }
+
+    /// A dictionary section whose keys `push` appends to the arena in
+    /// their in-memory spelling.
+    fn dictionary_with(
+        &mut self,
+        mut push: impl FnMut(&mut String, &str) -> Result<(), SnapshotError>,
+    ) -> Result<Dictionary, SnapshotError> {
         let count = self.u32()? as usize;
         // Every entry occupies at least its four length bytes.
         let mut ends = Vec::with_capacity(count.min(self.remaining() / 4));
@@ -133,11 +165,27 @@ impl<'a> Reader<'a> {
         for _ in 0..count {
             let len = self.u32()? as usize;
             let key = std::str::from_utf8(self.take(len)?).map_err(|_| SnapshotError::BadUtf8)?;
-            arena.push_str(key);
+            push(&mut arena, key)?;
             ends.push(u32::try_from(arena.len()).map_err(|_| SnapshotError::CorruptIds)?);
         }
         arena.shrink_to_fit();
         Dictionary::from_arena(arena, ends).ok_or(SnapshotError::CorruptIds)
+    }
+
+    /// The `Ma` section: each `predicate \0 literal` key re-spelled by its
+    /// predicate's id in `predicates`, which it interns.
+    fn attributes(&mut self, predicates: &mut Dictionary) -> Result<Dictionary, SnapshotError> {
+        self.dictionary_with(|arena, key| {
+            // An empty predicate is kept: Turtle's `<>` is one.
+            let (predicate, literal) = key.split_once('\u{0}').ok_or(SnapshotError::CorruptIds)?;
+            if is_unnormalized_literal(literal) {
+                return Err(SnapshotError::CorruptIds);
+            }
+            write_attribute_prefix(arena, predicates.intern(predicate))
+                .ok_or(SnapshotError::CorruptIds)?;
+            arena.push_str(literal);
+            Ok(())
+        })
     }
 }
 
@@ -163,7 +211,14 @@ impl RdfGraph {
         buf.extend_from_slice(&(self.triple_count() as u64).to_le_bytes());
         put_dictionary(&mut buf, &self.dictionaries().vertices);
         put_dictionary(&mut buf, &self.dictionaries().edge_types);
-        put_dictionary(&mut buf, &self.dictionaries().attributes);
+        let dicts = self.dictionaries();
+        let attributes = (0..dicts.attributes.len() as u32).map(|attr| {
+            let (predicate, literal) = dicts
+                .resolve_attribute(AttrId(attr))
+                .expect("attribute id from this graph");
+            [predicate, "\u{0}", literal]
+        });
+        put_keys(&mut buf, dicts.attributes.len(), attributes);
 
         put_u32(&mut buf, graph.vertex_count() as u32);
         for v in graph.vertices() {
@@ -206,23 +261,20 @@ impl RdfGraph {
 
         let vertices = buf.dictionary()?;
         let edge_types = buf.dictionary()?;
-        let attributes = buf.dictionary()?;
+        let mut attribute_predicates = Dictionary::new();
+        let attributes = buf.attributes(&mut attribute_predicates)?;
+        attribute_predicates.shrink_to_fit();
         let dicts = Dictionaries {
             vertices,
             edge_types,
             attributes,
+            attribute_predicates,
         };
 
         let literal_vertices = config.literals_as_vertices.then_some(&dicts.vertices);
-        let unnormalized = dicts
-            .attributes
-            .iter()
-            .filter_map(|(_, key)| key.split_once('\u{0}').map(|(_, literal)| literal))
-            .chain(
-                literal_vertices
-                    .into_iter()
-                    .flat_map(|d| d.iter().map(|(_, key)| key)),
-            )
+        let unnormalized = literal_vertices
+            .into_iter()
+            .flat_map(|d| d.iter().map(|(_, key)| key))
             .any(is_unnormalized_literal);
         if unnormalized {
             return Err(SnapshotError::CorruptIds);
@@ -401,7 +453,12 @@ mod tests {
             vec![vec![0], vec![], vec![0, 1]],
         )
     }
-    const DICTS: [&[&str]; 3] = [&["v0", "v1", "v2"], &["t0", "t1"], &["a0", "a1"]];
+    /// `Ma` keys as images spell them: `predicate \0 literal`.
+    const DICTS: [&[&str]; 3] = [
+        &["v0", "v1", "v2"],
+        &["t0", "t1"],
+        &["p\u{0}\"0\"", "p\u{0}\"1\""],
+    ];
 
     fn restore(
         dicts: [&[&str]; 3],
@@ -447,7 +504,7 @@ mod tests {
             let repeated: &[&str] = match which {
                 0 => &["v0", "v1", "v0"],
                 1 => &["t0", "t0"],
-                _ => &["a1", "a1"],
+                _ => &[DICTS[2][1], DICTS[2][1]],
             };
             dicts[which] = repeated;
             assert_eq!(
@@ -455,6 +512,42 @@ mod tests {
                 SnapshotError::CorruptIds
             );
         }
+    }
+
+    #[test]
+    fn rejects_an_attribute_key_that_is_not_one_pair() {
+        // Restoring splits each `Ma` key at its first `\0` and interns the
+        // halves: a key that does not split into a predicate and a literal
+        // has no in-memory spelling, and two keys for one pair would merge.
+        let (adjacency, attrs) = tables();
+        let pair = DICTS[2][0];
+        for attributes in [
+            &["p\"0\"", DICTS[2][1]][..], // no `\0`
+            &[DICTS[2][0], "p\"1\""],     // no `\0` in a later key
+            &[pair, "q\u{0}\"0\"", pair], // one pair twice, apart
+        ] {
+            let dicts = [DICTS[0], DICTS[1], attributes];
+            assert_eq!(
+                restore(dicts, &adjacency, &attrs).unwrap_err(),
+                SnapshotError::CorruptIds,
+                "{attributes:?}"
+            );
+        }
+        // A `\0` after the first belongs to the literal, and one literal
+        // may sit under two predicates, the empty IRI (Turtle's `<>`) too.
+        let attributes: &[&str] = &["p\u{0}\"0\u{0}\"", "\u{0}\"0\u{0}\""];
+        let image = encode_image(
+            false,
+            4,
+            [DICTS[0], DICTS[1], attributes],
+            &adjacency,
+            &attrs,
+        );
+        let rdf = RdfGraph::from_snapshot(&image).unwrap();
+        assert_eq!(rdf.to_snapshot(), image);
+        let dicts = rdf.dictionaries();
+        assert_eq!(dicts.resolve_attribute(AttrId(1)), Some(("", "\"0\u{0}\"")));
+        assert_eq!(dicts.attribute_predicates.len(), 2);
     }
 
     #[test]
@@ -473,7 +566,7 @@ mod tests {
                 Ok(()),
             ),
         ] {
-            let dicts = [DICTS[0], DICTS[1], &[attribute, "a1"]];
+            let dicts = [DICTS[0], DICTS[1], &[attribute, DICTS[2][1]]];
             let restored = restore(dicts, &adjacency, &attrs).map(|_| ());
             assert_eq!(restored, expected, "{attribute:?}");
         }
@@ -545,7 +638,7 @@ mod tests {
         let image = encode_image(false, 4, DICTS, &adjacency, &attrs);
         let header = 4 + 4 + 1 + 8;
         let vertex_dictionary = 4 + 3 * (4 + 2);
-        let dictionaries = vertex_dictionary + 2 * (4 + 2 * (4 + 2));
+        let dictionaries = vertex_dictionary + (4 + 2 * (4 + 2)) + (4 + 2 * (4 + 5));
         use SnapshotError::{CorruptIds, Truncated};
         for (at, expected) in [
             (header, Truncated),     // vertex dictionary entry count

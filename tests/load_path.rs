@@ -12,7 +12,9 @@ mod reference;
 
 use amber::{AmberEngine, EngineError, QueryRequest};
 use amber_datagen::{Benchmark, QueryShape, WorkloadConfig, WorkloadGenerator};
-use amber_multigraph::{AdjEntry, Direction, RdfGraph, Synopsis, VertexSignature};
+use amber_multigraph::{
+    AdjEntry, AttrId, Direction, EdgeTypeId, RdfGraph, Synopsis, VertexSignature,
+};
 use rdf_model::{parse_ntriples, write_ntriples};
 use std::time::Duration;
 
@@ -89,15 +91,50 @@ fn a_malformed_line_is_reported_with_its_position() {
     assert!(error.message.contains("subject"), "{}", error.message);
 }
 
-/// The heap bytes each pooled part must occupy when every pool holds
-/// exactly its items: `rows + 1` `u32` offsets plus the items for a CSR
-/// part, and no growth slack anywhere. Computed from the graph's contents
-/// alone.
-fn exact_part_bytes(rdf: &RdfGraph) -> [(&'static str, usize); 5] {
+/// The heap bytes of one dictionary holding keys of `key_bytes` bytes in
+/// all, `len` of them: its key text, one `u32` end per key, and one `u32`
+/// slot per slot of the smallest power-of-two table (at least 8) that
+/// keeps load ≤ ½.
+fn dictionary_bytes(key_bytes: usize, len: usize) -> usize {
+    let slots = match len {
+        0 => 0,
+        _ => (2 * len).next_power_of_two().max(8),
+    };
+    key_bytes + 4 * len + 4 * slots
+}
+
+/// The heap bytes each part must occupy when every pool holds exactly its
+/// items: `rows + 1` `u32` offsets plus the items for a CSR part, and no
+/// growth slack anywhere. Computed from the graph's contents alone.
+fn exact_part_bytes(rdf: &RdfGraph) -> [(&'static str, usize); 6] {
     const U32: usize = 4;
     let graph = rdf.graph();
     let n = graph.vertex_count();
     let offsets = |rows: usize| (rows + 1) * U32;
+    // `Mv` and `Me` store their keys' text. `Ma` stores each pair as its
+    // predicate's id (one `char`, numbered in first-seen order over the
+    // attribute ids) and the literal's N-Triples form, and each distinct
+    // predicate's text once, in a dictionary of its own.
+    let dicts = rdf.dictionaries();
+    let vertex_keys: usize = graph.vertices().map(|v| rdf.vertex_name(v).len()).sum();
+    let edge_types = graph.edge_type_count();
+    let edge_type_keys: usize = (0..edge_types as u32)
+        .map(|t| rdf.edge_type_name(EdgeTypeId(t)).len())
+        .sum();
+    let mut predicates = std::collections::HashMap::new();
+    let mut attribute_keys = 0;
+    for a in 0..dicts.attributes.len() as u32 {
+        let (predicate, literal) = dicts.resolve_attribute(AttrId(a)).unwrap();
+        let next = predicates.len() as u32;
+        let id = *predicates.entry(predicate).or_insert(next);
+        assert!(id < 0xD800, "ids this high step over the surrogate gap");
+        attribute_keys += char::from_u32(id).unwrap().len_utf8() + literal.len();
+    }
+    let predicate_keys: usize = predicates.keys().map(|p| p.len()).sum();
+    let dictionaries = dictionary_bytes(vertex_keys, n)
+        + dictionary_bytes(edge_type_keys, edge_types)
+        + dictionary_bytes(attribute_keys, dicts.attributes.len())
+        + dictionary_bytes(predicate_keys, predicates.len());
     // One entry per edge instance, once per direction.
     let adjacency =
         2 * (offsets(n) + graph.edge_instance_count() * std::mem::size_of::<AdjEntry>());
@@ -141,6 +178,7 @@ fn exact_part_bytes(rdf: &RdfGraph) -> [(&'static str, usize); 5] {
     }
     let signature_index = n * 8 * U32 + n * U32 + nodes * 2 * 8 * 8;
     [
+        ("dictionaries", dictionaries),
         ("adjacency", adjacency),
         ("attribute_lists", attribute_lists),
         ("attribute_index", attribute_index),
@@ -187,16 +225,18 @@ fn ledger(scale: u32, triples: usize) -> ([(&'static str, usize); 6], f64) {
 /// The resident-bytes ceiling of the offline stage on the benchmark's
 /// graph (DBpedia-like, scale 25, seed 1: 391,667 triples). The ledger is
 /// deterministic, so each part is held at or below the bytes it measured
-/// when its exact-size layout landed, and the total at 58.5 B/triple
+/// when its exact-size layout landed, and the total at 51.2 B/triple
 /// (130.64 before the pooled graph, 101.75 before the pooled `S`, 88.29
 /// before the adjacency kept one 8-byte entry per edge instance, 63.65
-/// before `N` became one edge table per direction; 57.88 since).
+/// before `N` became one edge table per direction, 57.88 before the
+/// dictionaries stored each attribute predicate once and used 4-byte
+/// slots; 51.15 since).
 #[test]
 #[ignore = "loads 391k triples; run in release: cargo test --release --test load_path -- --ignored"]
 fn resident_bytes_stay_under_the_ceiling() {
     let (parts, per_triple) = ledger(25, 391_667);
     let ceilings = [
-        ("dictionaries", 6_555_629),
+        ("dictionaries", 3_919_442),
         ("adjacency", 5_231_048),
         ("attribute_lists", 558_892),
         ("attribute_index", 521_176),
@@ -207,7 +247,7 @@ fn resident_bytes_stay_under_the_ceiling() {
         assert_eq!(part, name);
         assert!(bytes <= ceiling, "{part}: {bytes} B > {ceiling} B");
     }
-    assert!(per_triple <= 58.5, "{per_triple:.2} B/triple > 58.5");
+    assert!(per_triple <= 51.2, "{per_triple:.2} B/triple > 51.2");
 }
 
 /// The same ceiling at scale 33 (515,281 triples), where the vertex count
@@ -215,7 +255,8 @@ fn resident_bytes_stay_under_the_ceiling() {
 /// about two synopses per R-tree leaf: the total read 118.90 B/triple, `S`
 /// alone 36.66. Full leaves hold `S` at the same ≈ 5.7 B/triple as at
 /// scale 25, and the total read 87.94 before the 8-byte adjacency entry,
-/// 63.32 before the edge table for `N`, 57.55 since.
+/// 63.32 before the edge table for `N`, 57.55 before the smaller
+/// dictionaries, 51.16 since.
 #[test]
 #[ignore = "loads 515k triples; run in release: cargo test --release --test load_path -- --ignored"]
 fn resident_bytes_stay_under_the_ceiling_past_a_power_of_16() {
@@ -225,7 +266,7 @@ fn resident_bytes_stay_under_the_ceiling_past_a_power_of_16() {
         signature_index as f64 / 515_281.0 <= 5.8,
         "signature_index: {signature_index} B"
     );
-    assert!(per_triple <= 58.0, "{per_triple:.2} B/triple > 58.0");
+    assert!(per_triple <= 51.2, "{per_triple:.2} B/triple > 51.2");
 }
 
 /// The text route against the reference transformation at the benchmark's

@@ -5,7 +5,7 @@
 use amber::{AmberEngine, EngineError, Error, ExecOptions, QueryRequest, QueryStatus};
 use amber_baselines::all_engines;
 use amber_multigraph::paper::{paper_graph, paper_query_text, PAPER_QUERY_EMBEDDINGS};
-use amber_multigraph::RdfGraph;
+use amber_multigraph::{GraphBuilder, GraphConfig, RdfGraph};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -300,11 +300,12 @@ fn duplicate_patterns_do_not_double_count() {
 }
 
 /// Expand a compact pattern list (`;`-separated `s p o` rows) into
-/// N-Triples or SPARQL: `?v` stays a variable, `"…"` a literal, other
-/// subjects and objects become `<http://x/…>` and predicates `<http://p/…>`.
+/// N-Triples or SPARQL: `?v` stays a variable, `"…"` a literal and `_:b`
+/// a blank node, other subjects and objects become `<http://x/…>` and
+/// predicates `<http://p/…>`.
 fn expand(rows: &str) -> String {
     let term = |t: &str, prefix: &str| match t.chars().next() {
-        Some('?' | '"') => t.to_string(),
+        Some('?' | '"' | '_') => t.to_string(),
         _ => format!("<{prefix}{t}>"),
     };
     rows.split(';')
@@ -328,6 +329,9 @@ fn self_loop_queries_agree() {
     let loops = "a p a; a q a; b p b; c q c; a p b; b q a";
     let ground = "a p b; a q b; a p c; a r d; a name \"n1\"; b name \"n2\"";
     let duplicates = "a p b; a p b; a p a; a p a; b p c";
+    let shared = "a name \"v\"; a label \"v\"; b name \"v\"; b label \"w\"";
+    let mixed = "a p b; a p \"v\"; c p \"v\"; c p a; b q \"v\"";
+    let blanks = "_:b1 p _:b2; _:b2 p a; _:b1 name \"n\"; a name \"m\"";
     let cases = [
         (
             "a self-loop and an edge",
@@ -376,15 +380,89 @@ fn self_loop_queries_agree() {
             "a p b; ?x p ?x",
             1,
         ),
+        (
+            "one literal under two predicates",
+            shared,
+            "?x name \"v\"",
+            2,
+        ), // a, b
+        (
+            "one literal, the other predicate",
+            shared,
+            "?x label \"v\"",
+            1,
+        ), // a
+        (
+            "one literal under both predicates",
+            shared,
+            "?x name \"v\"; ?x label \"v\"",
+            1, // ?x = a
+        ),
+        (
+            "a literal only the other predicate has",
+            shared,
+            "?x name \"w\"",
+            0,
+        ),
+        ("a predicate's edges", mixed, "?x p ?y", 2), // a→b, c→a
+        ("the same predicate's literals", mixed, "?x p \"v\"", 2), // a, c
+        (
+            "a predicate as edge and attribute at once",
+            mixed,
+            "?x p \"v\"; ?x p ?y",
+            2, // ?x = a with ?y = b, ?x = c with ?y = a
+        ),
+        ("blank nodes on both ends", blanks, "?x p ?y; ?y p ?z", 1), // _:b1 _:b2 a
+        (
+            "a blank node's attribute",
+            blanks,
+            "?x name \"n\"; ?x p ?y",
+            1,
+        ), // _:b1 _:b2
+        ("a blank object reached by an IRI", blanks, "?x p a", 1),   // _:b2
     ];
     for (case, data, query, expected) in cases {
         let rdf = Arc::new(RdfGraph::parse_ntriples(&expand(data)).unwrap());
-        let query = format!("SELECT * WHERE {{ {} }}", expand(query));
-        for engine in all_engines(rdf.clone()) {
-            let out = engine
-                .execute_sparql(&query, &ExecOptions::default())
-                .unwrap_or_else(|e| panic!("{case}: {} failed: {e}", engine.name()));
-            assert_eq!(out.embedding_count, expected, "{case}: {}", engine.name());
-        }
+        assert_all_engines_count(case, rdf, query, expected);
+    }
+    // With literals as vertices a literal object is a vertex, and an edge
+    // reaches it like any other.
+    let literal_vertices = "a name \"v\"; b name \"v\"; b label \"v\"; a p b";
+    for (case, query, expected) in [
+        ("a literal vertex as a constant", "?x name \"v\"", 2), // a, b
+        ("a literal vertex as a variable", "?x name ?o", 2),
+        (
+            "two subjects share a literal vertex",
+            "?x name ?o; ?y name ?o",
+            4,
+        ),
+        (
+            "a literal under a second predicate",
+            "?x name ?o; ?x label ?o",
+            1,
+        ), // b
+        (
+            "an edge next to a literal vertex",
+            "?x p ?y; ?y label \"v\"",
+            1,
+        ), // a b
+    ] {
+        let mut builder = GraphBuilder::with_config(GraphConfig {
+            literals_as_vertices: true,
+        });
+        builder.add_ntriples(&expand(literal_vertices)).unwrap();
+        assert_all_engines_count(case, Arc::new(builder.finish()), query, expected);
+    }
+}
+
+/// Run `query` (in [`expand`]'s notation) on every engine and hold each to
+/// the hand count.
+fn assert_all_engines_count(case: &str, rdf: Arc<RdfGraph>, query: &str, expected: u128) {
+    let query = format!("SELECT * WHERE {{ {} }}", expand(query));
+    for engine in all_engines(rdf) {
+        let out = engine
+            .execute_sparql(&query, &ExecOptions::default())
+            .unwrap_or_else(|e| panic!("{case}: {} failed: {e}", engine.name()));
+        assert_eq!(out.embedding_count, expected, "{case}: {}", engine.name());
     }
 }

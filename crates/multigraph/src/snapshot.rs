@@ -176,7 +176,8 @@ impl<'a> Reader<'a> {
     /// predicate's id in `predicates`, which it interns.
     fn attributes(&mut self, predicates: &mut Dictionary) -> Result<Dictionary, SnapshotError> {
         self.dictionary_with(|arena, key| {
-            // An empty predicate is kept: Turtle's `<>` is one.
+            // An empty predicate is kept: no reader accepts `<>` any more,
+            // but an image written while the Turtle reader did may hold one.
             let (predicate, literal) = key.split_once('\u{0}').ok_or(SnapshotError::CorruptIds)?;
             if is_unnormalized_literal(literal) {
                 return Err(SnapshotError::CorruptIds);
@@ -534,7 +535,9 @@ mod tests {
             );
         }
         // A `\0` after the first belongs to the literal, and one literal
-        // may sit under two predicates, the empty IRI (Turtle's `<>`) too.
+        // may sit under two predicates. One may be the empty IRI: every
+        // reader refuses `<>`, but an image saved while the Turtle reader
+        // accepted it still loads.
         let attributes: &[&str] = &["p\u{0}\"0\u{0}\"", "\u{0}\"0\u{0}\""];
         let image = encode_image(
             false,

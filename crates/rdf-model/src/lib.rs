@@ -10,9 +10,13 @@
 //! * [`term`] — IRIs, blank nodes, literals and the [`Subject`]/[`Object`]
 //!   position types, each with a borrowed `…Ref` twin,
 //! * [`triple`] — the [`Triple`] record and the borrowed [`TripleRef`],
+//! * [`lex`] — the one term grammar (IRIs, strings, language tags, blank
+//!   node labels, escapes, error positions) that N-Triples, Turtle and the
+//!   SPARQL scanner of `amber_sparql` all lex with,
 //! * [`ntriples`] — a line-oriented W3C N-Triples parser with precise error
 //!   positions: the byte-level [`NtScanner`] yields terms that borrow the
 //!   input, [`NtParser`] copies them into owned triples,
+//! * [`turtle`] — the Turtle subset real knowledge-base dumps use,
 //! * [`writer`] — the matching serializer (round-trips the parser),
 //! * [`prefix`] — compact `prefix:local` notation used by examples, the
 //!   workload generator and the SPARQL front-end.
@@ -21,6 +25,7 @@
 //! behave like IRIs in the multigraph), which is strictly more than the paper
 //! needs but matches what real DBpedia/YAGO dumps contain.
 
+pub mod lex;
 pub mod ntriples;
 pub mod prefix;
 pub mod term;

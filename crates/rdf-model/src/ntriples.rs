@@ -11,25 +11,21 @@
 //!   [`TripleRef`]s whose terms *borrow the input*. There is no separate
 //!   line split: a statement's own terms and separators find where its
 //!   line ends (`\n`, or `\r\n` with the `\r` dropped; a bare `\r` is an
-//!   ordinary byte), exactly where [`str::lines`] would cut. Only a term
-//!   containing a `\` escape is unescaped, into a scratch `String` the
-//!   scanner reuses for every line (one per term position) — so a
-//!   document without escapes is scanned without allocating.
-//! * The runs of ordinary bytes inside an IRI or a literal are skipped a
-//!   word (8 bytes) at a time: a SWAR mask flags the bytes that can end
-//!   the run, and the lowest flag is the stop byte. A 256-entry class
-//!   table per term kind classifies the stop byte, and scans the tail
-//!   shorter than a word. Every byte the scanner stops on is ASCII, hence
-//!   a character boundary; multi-byte characters are passed over whole
-//!   and decoded only where the grammar asks about the character itself
-//!   (blank node labels, error messages).
+//!   ordinary byte), exactly where [`str::lines`] would cut. Each term is
+//!   lexed by the term grammar the three readers share ([`crate::lex`]):
+//!   only a term containing a `\` escape is unescaped, into a scratch
+//!   `String` the scanner reuses for every line (one per term position),
+//!   so a document without escapes is scanned without allocating.
 //! * [`NtParser`] / [`parse_ntriples`] are that scanner plus a copy of each
 //!   triple into an owned [`Triple`].
 //!
 //! The character-by-character parser this replaced is kept as the test
 //! oracle (`tests::reference`): accepted documents, and the line, column
-//! and message of every rejection, are pinned to it.
+//! and message of every rejection, are pinned to it. The one difference is
+//! the shared grammar's: an escape that decodes to a character IRIREF
+//! forbids (`<http://x/ >`) is refused, as the written character is.
 
+use crate::lex::{Cursor, LexError};
 use crate::term::{Literal, LiteralRef, LiteralSuffixRef, ObjectRef, SubjectRef, XSD_STRING};
 use crate::triple::{Triple, TripleRef};
 use std::fmt;
@@ -46,11 +42,11 @@ pub fn parse_ntriples(input: &str) -> Result<Vec<Triple>, NtParseError> {
 pub fn parse_literal(input: &str) -> Result<Literal, NtParseError> {
     let (mut lexical, mut datatype) = (String::new(), String::new());
     // The whole input is one "line": a line feed in it is an ordinary byte.
-    let mut cursor = Cursor::new(input, 0, 1, false);
-    let literal = cursor.literal(&mut lexical, &mut datatype)?.to_literal();
-    cursor.skip_ws();
+    let mut cursor = Cursor::new(input, false);
+    let literal = literal(&mut cursor, &mut lexical, &mut datatype)?.to_literal();
+    skip_ws(&mut cursor);
     if !cursor.at_end() {
-        return Err(cursor.error("trailing content after literal"));
+        return Err(cursor.error("trailing content after literal").into());
     }
     Ok(literal)
 }
@@ -77,6 +73,16 @@ impl fmt::Display for NtParseError {
 }
 
 impl std::error::Error for NtParseError {}
+
+impl From<LexError> for NtParseError {
+    fn from(err: LexError) -> Self {
+        Self {
+            line: err.line,
+            column: err.column,
+            message: err.message,
+        }
+    }
+}
 
 /// Streaming parser: an iterator of `Result<Triple, NtParseError>`.
 pub struct NtParser<'a> {
@@ -134,502 +140,122 @@ impl<'a> NtScanner<'a> {
     pub fn next_triple(&mut self) -> Option<Result<TripleRef<'_>, NtParseError>> {
         while self.next_line < self.input.len() {
             self.line_no += 1;
-            let mut cursor = Cursor::new(self.input, self.next_line, self.line_no, true);
-            cursor.skip_ws();
+            // The cursor starts at the line, so its positions are the line's.
+            let line_start = self.next_line;
+            let mut cursor = Cursor::new(&self.input[line_start..], true);
+            skip_ws(&mut cursor);
             if cursor.at_end() || cursor.peek() == Some(b'#') {
-                self.next_line = cursor.next_line();
+                self.next_line = line_start + cursor.next_line();
                 continue;
             }
-            let triple = cursor.statement(&mut self.scratch);
-            self.next_line = cursor.next_line();
+            let mut triple = statement(&mut cursor, &mut self.scratch);
+            self.next_line = line_start + cursor.next_line();
+            if let Err(err) = &mut triple {
+                // The cursor's text starts at the line: its errors read line 1.
+                err.line = self.line_no;
+            }
             return Some(triple);
         }
         None
     }
 }
 
-/// Byte classes of the two table-driven inner loops.
-const PLAIN: u8 = 0;
-/// Ends the term: `>` in an IRI, `"` in a literal.
-const CLOSE: u8 = 1;
-/// `\`: an escape sequence follows.
-const ESCAPE: u8 = 2;
-/// IRI: a character the grammar forbids. Literal: a raw control character
-/// (accepted, but the source token is then not the canonical form). In
-/// both, `\n` and `\r` are here, so a run never crosses a line end.
-const SPECIAL: u8 = 3;
-
-/// How the bytes of one term kind are classified: a table for single
-/// bytes, and the same set as a SWAR mask over a little-endian word.
-struct ByteClass {
-    table: [u8; 256],
-    /// The high bit of every byte of the word that is not [`PLAIN`] in
-    /// `table`, possibly with more flags above the lowest one: only the
-    /// lowest flagged byte is exact.
-    stops: fn(u64) -> u64,
+fn skip_ws(cursor: &mut Cursor<'_>) {
+    // Neither byte ends a line.
+    while matches!(cursor.byte(), Some(b' ' | b'\t')) {
+        cursor.pos += 1;
+    }
 }
 
-/// IRI bytes: everything above `' '` except `<"{}|^\`` `` is allowed, so
-/// every byte of a multi-byte character is [`PLAIN`].
-const IRI: ByteClass = ByteClass {
-    table: {
-        let mut table = [PLAIN; 256];
-        let mut b = 0;
-        while b <= b' ' as usize {
-            table[b] = SPECIAL;
-            b += 1;
-        }
-        let forbidden = *b"<\"{}|^`";
-        let mut i = 0;
-        while i < forbidden.len() {
-            table[forbidden[i] as usize] = SPECIAL;
-            i += 1;
-        }
-        table[b'>' as usize] = CLOSE;
-        table[b'\\' as usize] = ESCAPE;
-        table
-    },
-    stops: |word| {
-        // With bit 1 set, only `<` and `>` read as `>`, and only `\` and
-        // `^` as `^`: one test finds each pair.
-        let bit1 = word | 0x0202_0202_0202_0202;
-        bytes_below(word, b' ' + 1)
-            | bytes_equal(word, b'"')
-            | bytes_equal(bit1, b'>')
-            | bytes_equal(bit1, b'^')
-            | bytes_equal(word, b'`')
-            | bytes_equal(word, b'{')
-            | bytes_equal(word, b'|')
-            | bytes_equal(word, b'}')
-    },
-};
-
-/// Literal bytes: all but the control characters, `"` and `\`.
-const LITERAL: ByteClass = ByteClass {
-    table: {
-        let mut table = [PLAIN; 256];
-        let mut b = 0;
-        while b < b' ' as usize {
-            table[b] = SPECIAL;
-            b += 1;
-        }
-        table[b'"' as usize] = CLOSE;
-        table[b'\\' as usize] = ESCAPE;
-        table
-    },
-    stops: |word| bytes_below(word, b' ') | bytes_equal(word, b'"') | bytes_equal(word, b'\\'),
-};
-
-/// One in every byte.
-const ONES: u64 = 0x0101_0101_0101_0101;
-/// The high bit of every byte.
-const HIGHS: u64 = 0x8080_8080_8080_8080;
-
-/// Flags the bytes of `word` below `n` (`n` ≤ 0x80). A flagged byte's
-/// borrow may flag a byte above it too, never one below.
-#[inline]
-fn bytes_below(word: u64, n: u8) -> u64 {
-    word.wrapping_sub(ONES * u64::from(n)) & !word & HIGHS
+/// The character at the cursor, for an error message (a byte is present).
+fn found(cursor: &Cursor<'_>) -> char {
+    cursor.peek_char().expect("a byte is present")
 }
 
-/// Flags the bytes of `word` equal to `byte`, with the same caveat.
-#[inline]
-fn bytes_equal(word: u64, byte: u8) -> u64 {
-    bytes_below(word ^ (ONES * u64::from(byte)), 1)
+/// `subject predicate object .` with optional trailing comment. A term
+/// borrows the input, or its scratch buffer if it had an escape.
+fn statement<'x>(
+    cursor: &mut Cursor<'x>,
+    scratch: &'x mut Scratch,
+) -> Result<TripleRef<'x>, NtParseError> {
+    let [subject, predicate, object, datatype] = scratch;
+    let subject = match cursor.peek() {
+        Some(b'<') => SubjectRef::Iri(cursor.iri(subject)?.unwrap_or(subject)),
+        Some(b'_') => SubjectRef::Blank(cursor.blank_node()?),
+        Some(_) => {
+            let message = format!(
+                "expected IRI or blank node subject, found '{}'",
+                found(cursor)
+            );
+            return Err(cursor.error(message).into());
+        }
+        None => return Err(cursor.error("expected subject, found end of line").into()),
+    };
+    skip_ws(cursor);
+    let predicate = cursor.iri(predicate)?.unwrap_or(predicate);
+    skip_ws(cursor);
+    let object = match cursor.peek() {
+        Some(b'<') => ObjectRef::Iri(cursor.iri(object)?.unwrap_or(object)),
+        Some(b'_') => ObjectRef::Blank(cursor.blank_node()?),
+        Some(b'"') => ObjectRef::Literal(literal(cursor, object, datatype)?),
+        Some(_) => {
+            let c = found(cursor);
+            let message = format!("expected IRI, blank node or literal object, found '{c}'");
+            return Err(cursor.error(message).into());
+        }
+        None => return Err(cursor.error("expected object, found end of line").into()),
+    };
+    skip_ws(cursor);
+    cursor.expect(b'.')?;
+    skip_ws(cursor);
+    match cursor.peek() {
+        None | Some(b'#') => {} // end of line or trailing comment
+        Some(_) => {
+            let message = format!("unexpected trailing content '{}'", found(cursor));
+            return Err(cursor.error(message).into());
+        }
+    }
+    Ok(TripleRef {
+        subject,
+        predicate,
+        object,
+    })
 }
 
-/// The length of the run of [`PLAIN`] bytes `bytes` starts with.
-#[inline]
-fn plain_run(bytes: &[u8], class: &ByteClass) -> usize {
-    let mut run = 0;
-    while let Some(word) = bytes.get(run..run + 8) {
-        let word = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
-        let stops = (class.stops)(word);
-        if stops != 0 {
-            return run + stops.trailing_zeros() as usize / 8;
+/// `"…"`, `"…"@lang` or `"…"^^<datatype>`.
+fn literal<'x>(
+    cursor: &mut Cursor<'x>,
+    lexical: &'x mut String,
+    datatype: &'x mut String,
+) -> Result<LiteralRef<'x>, LexError> {
+    let token_start = cursor.pos;
+    let (text, control) = cursor.string(b'"', lexical)?;
+    // Whether the token, as written, is the canonical form.
+    let mut canonical = text.is_some() && !control;
+    let suffix = match cursor.peek() {
+        Some(b'@') => LiteralSuffixRef::Lang(cursor.lang_tag()?),
+        Some(b'^') => {
+            cursor.pos += 1;
+            cursor.expect(b'^')?;
+            let iri = cursor.iri(datatype)?;
+            // An escape is not the canonical spelling, and the canonical
+            // form of an `xsd:string` omits its datatype.
+            canonical &= iri.is_some_and(|iri| iri != XSD_STRING);
+            LiteralSuffixRef::Datatype(iri.unwrap_or(datatype))
         }
-        run += 8;
-    }
-    let tail = &bytes[run..];
-    run + tail
-        .iter()
-        .position(|&byte| class.table[byte as usize] != PLAIN)
-        .unwrap_or(tail.len())
-}
-
-/// Byte cursor over one line of a text. Between method calls `pos` rests
-/// on a character boundary: the runs stop only at ASCII bytes or the end
-/// of the text, and everything else advances by whole characters. The
-/// cursor never moves past its line's end, so the scanner finds the next
-/// line from where the cursor stopped.
-struct Cursor<'l> {
-    text: &'l str,
-    bytes: &'l [u8],
-    pos: usize,
-    /// Where the line begins (columns count from here).
-    line_start: usize,
-    line_no: usize,
-    /// Whether `\n` and `\r\n` end the line (a document), or only the end
-    /// of the text does (a lone literal).
-    lines: bool,
-}
-
-impl<'l> Cursor<'l> {
-    fn new(text: &'l str, line_start: usize, line_no: usize, lines: bool) -> Self {
-        Self {
-            text,
-            bytes: text.as_bytes(),
-            pos: line_start,
-            line_start,
-            line_no,
-            lines,
-        }
-    }
-
-    /// An error at the current position, reported as a character column.
-    fn error(&self, message: impl Into<String>) -> NtParseError {
-        // Counting the bytes that start a character never slices the text.
-        let chars_before = self.bytes[self.line_start..self.pos]
-            .iter()
-            .filter(|&&b| b & 0xC0 != 0x80)
-            .count();
-        NtParseError {
-            line: self.line_no,
-            column: chars_before + 1,
-            message: message.into(),
-        }
-    }
-
-    /// Whether the cursor is at the end of its line: the end of the text,
-    /// or in a document a `\n` or the `\r` of a `\r\n`, which
-    /// [`str::lines`] would have cut off.
-    fn at_end(&self) -> bool {
-        match self.bytes.get(self.pos) {
-            None => true,
-            Some(b'\n') => self.lines,
-            Some(b'\r') => self.lines && self.bytes.get(self.pos + 1) == Some(&b'\n'),
-            Some(_) => false,
-        }
-    }
-
-    /// Where the line after the cursor's starts: past the next `\n`, or the
-    /// end of the text.
-    fn next_line(&self) -> usize {
-        let rest = &self.bytes[self.pos..];
-        rest.iter()
-            .position(|&b| b == b'\n')
-            .map_or(self.bytes.len(), |at| self.pos + at + 1)
-    }
-
-    /// The byte at the cursor; `None` at the end of the line.
-    fn peek(&self) -> Option<u8> {
-        match self.at_end() {
-            true => None,
-            false => Some(self.bytes[self.pos]),
-        }
-    }
-
-    /// The character at the cursor (decoded; error paths and the
-    /// non-ASCII arm of blank node labels only).
-    fn peek_char(&self) -> Option<char> {
-        match self.at_end() {
-            true => None,
-            false => self.text[self.pos..].chars().next(),
-        }
-    }
-
-    /// Consume one character of any width.
-    fn bump_char(&mut self) -> Option<char> {
-        let c = self.peek_char()?;
-        self.pos += c.len_utf8();
-        Some(c)
-    }
-
-    /// Consume the ASCII character `expected`.
-    fn expect(&mut self, expected: u8) -> Result<(), NtParseError> {
-        if self.peek() == Some(expected) {
-            self.pos += 1;
-            return Ok(());
-        }
-        let expected = expected as char;
-        match self.bump_char() {
-            Some(c) => Err(self.error(format!("expected '{expected}', found '{c}'"))),
-            None => Err(self.error(format!("expected '{expected}', found end of line"))),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        // Neither byte ends a line.
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t')) {
-            self.pos += 1;
-        }
-    }
-
-    /// Advance over the bytes `class` calls [`PLAIN`]; the byte that ended
-    /// the run, `None` at the end of the text.
-    #[inline]
-    fn skip_plain(&mut self, class: &ByteClass) -> Option<u8> {
-        self.pos += plain_run(&self.bytes[self.pos..], class);
-        self.bytes.get(self.pos).copied()
-    }
-
-    /// `subject predicate object .` with optional trailing comment. A
-    /// term borrows the input, or its scratch buffer if it had an escape.
-    fn statement<'x>(&mut self, scratch: &'x mut Scratch) -> Result<TripleRef<'x>, NtParseError>
-    where
-        'l: 'x,
-    {
-        let [subject, predicate, object, datatype] = scratch;
-        let subject = match self.peek() {
-            Some(b'<') => SubjectRef::Iri(self.iri(subject)?),
-            Some(b'_') => SubjectRef::Blank(self.blank_node()?),
-            Some(_) => {
-                let c = self.peek_char().expect("a byte is present");
-                return Err(self.error(format!("expected IRI or blank node subject, found '{c}'")));
-            }
-            None => return Err(self.error("expected subject, found end of line")),
-        };
-        self.skip_ws();
-        let predicate = self.iri(predicate)?;
-        self.skip_ws();
-        let object = match self.peek() {
-            Some(b'<') => ObjectRef::Iri(self.iri(object)?),
-            Some(b'_') => ObjectRef::Blank(self.blank_node()?),
-            Some(b'"') => ObjectRef::Literal(self.literal(object, datatype)?),
-            Some(_) => {
-                let c = self.peek_char().expect("a byte is present");
-                return Err(self.error(format!(
-                    "expected IRI, blank node or literal object, found '{c}'"
-                )));
-            }
-            None => return Err(self.error("expected object, found end of line")),
-        };
-        self.skip_ws();
-        self.expect(b'.')?;
-        self.skip_ws();
-        match self.peek() {
-            None | Some(b'#') => {} // end of line or trailing comment
-            Some(_) => {
-                let c = self.peek_char().expect("a byte is present");
-                return Err(self.error(format!("unexpected trailing content '{c}'")));
-            }
-        }
-        Ok(TripleRef {
-            subject,
-            predicate,
-            object,
-        })
-    }
-
-    /// The text of a term that began at `start` and ends at the cursor:
-    /// the input itself, or `scratch` plus the last clean run if an escape
-    /// moved the term there (`clean_from` is where that run began).
-    fn term<'x>(&self, start: usize, clean_from: Option<usize>, scratch: &'x mut String) -> &'x str
-    where
-        'l: 'x,
-    {
-        match clean_from {
-            None => &self.text[start..self.pos],
-            Some(clean_from) => {
-                scratch.push_str(&self.text[clean_from..self.pos]);
-                scratch
-            }
-        }
-    }
-
-    /// Move the clean run before an escape (the cursor is on its `\`) into
-    /// `scratch`, emptying it first if this is the term's first escape.
-    fn flush_before_escape(&self, start: usize, clean_from: Option<usize>, scratch: &mut String) {
-        if clean_from.is_none() {
-            scratch.clear();
-        }
-        scratch.push_str(&self.text[clean_from.unwrap_or(start)..self.pos]);
-    }
-
-    /// `<…>`; the text excludes the brackets.
-    fn iri<'x>(&mut self, scratch: &'x mut String) -> Result<&'x str, NtParseError>
-    where
-        'l: 'x,
-    {
-        self.expect(b'<')?;
-        let start = self.pos;
-        let mut clean_from = None;
-        loop {
-            let Some(byte) = self.skip_plain(&IRI) else {
-                return Err(self.error("unterminated IRI"));
-            };
-            match IRI.table[byte as usize] {
-                CLOSE => break,
-                ESCAPE => {
-                    self.flush_before_escape(start, clean_from, scratch);
-                    self.pos += 1;
-                    let c = match self.peek() {
-                        Some(b'u' | b'U') => self.unicode_escape_body()?,
-                        Some(_) => {
-                            let c = self.peek_char().expect("a byte is present");
-                            return Err(self.error(format!("invalid IRI escape '\\{c}'")));
-                        }
-                        None => return Err(self.error("unterminated escape")),
-                    };
-                    scratch.push(c);
-                    clean_from = Some(self.pos);
-                }
-                _ if self.at_end() => return Err(self.error("unterminated IRI")),
-                _ => {
-                    // Forbidden bytes are all ASCII.
-                    self.pos += 1;
-                    return Err(
-                        self.error(format!("character '{}' not allowed in IRI", byte as char))
-                    );
-                }
-            }
-        }
-        let iri = self.term(start, clean_from, scratch);
-        self.pos += 1; // the closing '>'
-        if iri.is_empty() {
-            return Err(self.error("empty IRI"));
-        }
-        Ok(iri)
-    }
-
-    /// `_:label`; the text excludes the sigil.
-    fn blank_node(&mut self) -> Result<&'l str, NtParseError> {
-        self.expect(b'_')?;
-        self.expect(b':')?;
-        let start = self.pos;
-        while let Some(byte) = self.peek() {
-            if byte.is_ascii() {
-                if !(byte.is_ascii_alphanumeric() || matches!(byte, b'_' | b'-' | b'.')) {
-                    break;
-                }
-                self.pos += 1;
-            } else {
-                match self.peek_char() {
-                    Some(c) if c.is_alphanumeric() => self.pos += c.len_utf8(),
-                    _ => break,
-                }
-            }
-        }
-        // A trailing '.' belongs to the statement terminator, not the label.
-        while self.pos > start && self.bytes[self.pos - 1] == b'.' {
-            self.pos -= 1;
-        }
-        if self.pos == start {
-            return Err(self.error("empty blank node label"));
-        }
-        Ok(&self.text[start..self.pos])
-    }
-
-    /// `"…"`, `"…"@lang` or `"…"^^<datatype>`.
-    fn literal<'x>(
-        &mut self,
-        lexical: &'x mut String,
-        datatype: &'x mut String,
-    ) -> Result<LiteralRef<'x>, NtParseError>
-    where
-        'l: 'x,
-    {
-        let token_start = self.pos;
-        self.expect(b'"')?;
-        let start = self.pos;
-        let mut clean_from = None;
-        // Whether the token, as written, is the canonical form.
-        let mut canonical = true;
-        loop {
-            let Some(byte) = self.skip_plain(&LITERAL) else {
-                return Err(self.error("unterminated literal"));
-            };
-            match LITERAL.table[byte as usize] {
-                CLOSE => break,
-                ESCAPE => {
-                    self.flush_before_escape(start, clean_from, lexical);
-                    self.pos += 1;
-                    let c = match self.peek() {
-                        Some(b'u' | b'U') => self.unicode_escape_body()?,
-                        Some(byte) => {
-                            let c = match byte {
-                                b't' => '\t',
-                                b'b' => '\u{8}',
-                                b'n' => '\n',
-                                b'r' => '\r',
-                                b'f' => '\u{c}',
-                                b'"' | b'\'' | b'\\' => byte as char,
-                                _ => {
-                                    let c = self.peek_char().expect("a byte is present");
-                                    return Err(self.error(format!("invalid escape '\\{c}'")));
-                                }
-                            };
-                            self.pos += 1;
-                            c
-                        }
-                        None => return Err(self.error("unterminated escape")),
-                    };
-                    lexical.push(c);
-                    clean_from = Some(self.pos);
-                }
-                _ if self.at_end() => return Err(self.error("unterminated literal")),
-                _ => {
-                    // A raw control character: accepted, never canonical.
-                    canonical = false;
-                    self.pos += 1;
-                }
-            }
-        }
-        canonical &= clean_from.is_none();
-        let lexical = self.term(start, clean_from, lexical);
-        self.pos += 1; // the closing '"'
-        let suffix = match self.peek() {
-            Some(b'@') => {
-                self.pos += 1;
-                let lang_start = self.pos;
-                while matches!(self.peek(), Some(b) if b.is_ascii_alphanumeric() || b == b'-') {
-                    self.pos += 1;
-                }
-                if self.pos == lang_start {
-                    return Err(self.error("empty language tag"));
-                }
-                LiteralSuffixRef::Lang(&self.text[lang_start..self.pos])
-            }
-            Some(b'^') => {
-                self.pos += 1;
-                self.expect(b'^')?;
-                let source_start = self.pos;
-                let datatype = self.iri(datatype)?;
-                // An escape is longer than the character it stands for, and
-                // the canonical form of an `xsd:string` omits its datatype.
-                canonical &= datatype.len() + "<>".len() == self.pos - source_start
-                    && datatype != XSD_STRING;
-                LiteralSuffixRef::Datatype(datatype)
-            }
-            _ => LiteralSuffixRef::None,
-        };
-        let literal = LiteralRef::new(lexical, suffix);
-        Ok(match canonical {
-            true => literal.with_canonical_source(&self.text[token_start..self.pos]),
-            false => literal,
-        })
-    }
-
-    /// At `u`/`U`; consumes it plus 4 or 8 hex digits.
-    fn unicode_escape_body(&mut self) -> Result<char, NtParseError> {
-        let width = if self.peek() == Some(b'u') { 4 } else { 8 };
-        self.pos += 1;
-        let mut value: u32 = 0;
-        for _ in 0..width {
-            // A rejected character is consumed first, as the column shows.
-            let digit = self
-                .bump_char()
-                .and_then(|c| c.to_digit(16))
-                .ok_or_else(|| self.error("invalid unicode escape digit"))?;
-            value = value * 16 + digit;
-        }
-        char::from_u32(value).ok_or_else(|| self.error(format!("invalid code point U+{value:X}")))
-    }
+        _ => LiteralSuffixRef::None,
+    };
+    let literal = LiteralRef::new(text.unwrap_or(lexical), suffix);
+    Ok(match canonical {
+        true => literal.with_canonical_source(&cursor.text()[token_start..cursor.pos]),
+        false => literal,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lex::{plain_run, ByteClass, IRI, LITERAL, LITERAL_SINGLE, PLAIN};
     use crate::term::{BlankNode, Iri, LiteralSuffix, Object, Subject};
 
     /// The character-by-character parser this module replaced, kept as the
@@ -1031,6 +657,9 @@ mod tests {
     #[test]
     fn rejects_space_in_iri() {
         assert!(parse_ntriples("<http://a b> <http://p> <http://o> .").is_err());
+        // Decoded from an escape, as written.
+        let err = parse_ntriples("<http://a\\u0020b> <http://p> <http://o> .").unwrap_err();
+        assert_eq!(err.message, "character ' ' not allowed in IRI");
     }
 
     #[test]
@@ -1236,7 +865,11 @@ mod tests {
 
     /// Both loops from every start offset modulo a word.
     fn assert_runs_agree(bytes: &[u8]) {
-        for (name, class) in [("IRI", &IRI), ("literal", &LITERAL)] {
+        for (name, class) in [
+            ("IRI", &IRI),
+            ("literal", &LITERAL),
+            ("single-quoted literal", &LITERAL_SINGLE),
+        ] {
             for start in 0..bytes.len().min(8) {
                 let rest = &bytes[start..];
                 assert_eq!(

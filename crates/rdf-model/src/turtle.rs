@@ -13,14 +13,19 @@
 //! * literals with `@lang` / `^^datatype` (including `^^prefixed:name`),
 //! * numerals (`5`, `.5`, `1.5e3`), typed by their form like SPARQL's
 //!   ([`numeric_datatype`]),
-//! * `\uXXXX` / `\UXXXXXXXX` escapes in IRIs and strings, decoded as
-//!   N-Triples decodes them,
 //! * blank node labels `_:b`,
 //! * `#` comments.
 //!
+//! IRIs, strings (`"…"` and `'…'`), language tags and blank node labels
+//! are lexed by the term grammar N-Triples and SPARQL share
+//! ([`crate::lex`]): escapes decode, and a term is accepted or refused, as
+//! in N-Triples, with its messages. A relative IRI (`<b0>`) is kept
+//! verbatim, and `<>` is refused.
+//!
 //! Out of scope (rejected with a positioned error): collections `( … )`,
-//! anonymous blank nodes `[ … ]`, base IRIs, and multi-line literals.
+//! anonymous blank nodes `[ … ]`, base IRIs, and strings spanning lines.
 
+use crate::lex::{Cursor, LexError};
 use crate::prefix::PrefixMap;
 use crate::term::{numeric_datatype, BlankNode, Iri, Literal, Object, Subject};
 use crate::triple::Triple;
@@ -52,6 +57,16 @@ impl fmt::Display for TurtleParseError {
 
 impl std::error::Error for TurtleParseError {}
 
+impl From<LexError> for TurtleParseError {
+    fn from(err: LexError) -> Self {
+        Self {
+            line: err.line,
+            column: err.column,
+            message: err.message,
+        }
+    }
+}
+
 /// Parse a Turtle document into triples (prefixes resolved).
 pub fn parse_turtle(input: &str) -> Result<Vec<Triple>, TurtleParseError> {
     let mut parser = TurtleParser::new(input);
@@ -64,20 +79,19 @@ pub fn parse_turtle(input: &str) -> Result<Vec<Triple>, TurtleParseError> {
 
 /// Statement-at-a-time Turtle parser.
 pub struct TurtleParser<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-    line: usize,
-    column: usize,
+    cursor: Cursor<'a>,
     prefixes: PrefixMap,
+    /// Where a term with an escape is unescaped into.
+    scratch: String,
 }
 
 impl<'a> TurtleParser<'a> {
     /// Start parsing `input`.
     pub fn new(input: &'a str) -> Self {
         Self {
-            chars: input.chars().peekable(),
-            line: 1,
-            column: 1,
+            cursor: Cursor::new(input, true),
             prefixes: PrefixMap::new(),
+            scratch: String::new(),
         }
     }
 
@@ -87,26 +101,20 @@ impl<'a> TurtleParser<'a> {
     }
 
     fn error(&self, message: impl Into<String>) -> TurtleParseError {
-        TurtleParseError {
-            line: self.line,
-            column: self.column,
-            message: message.into(),
-        }
+        self.cursor.error(message).into()
+    }
+
+    /// The character `n` characters past the cursor (line ends included).
+    fn peek_nth(&self, n: usize) -> Option<char> {
+        self.cursor.rest().chars().nth(n)
+    }
+
+    fn peek(&self) -> Option<char> {
+        self.cursor.peek_char()
     }
 
     fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next()?;
-        if c == '\n' {
-            self.line += 1;
-            self.column = 1;
-        } else {
-            self.column += 1;
-        }
-        Some(c)
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
+        self.cursor.bump_char()
     }
 
     fn skip_trivia(&mut self) {
@@ -115,13 +123,7 @@ impl<'a> TurtleParser<'a> {
                 Some(c) if c.is_whitespace() => {
                     self.bump();
                 }
-                Some('#') => {
-                    while let Some(c) = self.bump() {
-                        if c == '\n' {
-                            break;
-                        }
-                    }
-                }
+                Some('#') => self.cursor.pos = self.cursor.next_line(),
                 _ => break,
             }
         }
@@ -157,7 +159,7 @@ impl<'a> TurtleParser<'a> {
 
     fn directive(&mut self) -> Result<(), TurtleParseError> {
         self.expect('@')?;
-        let word = self.bare_word();
+        let word = self.cursor.take_while(|c| c.is_ascii_alphabetic());
         if !word.eq_ignore_ascii_case("prefix") {
             return Err(self.error(format!("unsupported directive '@{word}'")));
         }
@@ -170,49 +172,29 @@ impl<'a> TurtleParser<'a> {
     /// the caller only invokes this when the next token could not be a term
     /// (Turtle terms never start a statement with bare `PREFIX …:`).
     fn try_sparql_prefix(&mut self) -> Result<Option<()>, TurtleParseError> {
-        // Peek the bare word without consuming non-word characters.
-        let mut clone = self.chars.clone();
-        let mut word = String::new();
-        while let Some(&c) = clone.peek() {
-            if c.is_ascii_alphabetic() {
-                word.push(c);
-                clone.next();
-            } else {
-                break;
-            }
-        }
-        if !word.eq_ignore_ascii_case("prefix") || word.len() != 6 {
-            return Ok(None);
-        }
+        let rest = self.cursor.rest();
+        let word = rest.bytes().take_while(u8::is_ascii_alphabetic).count();
         // A prefixed name like `prefixed:local` must NOT be treated as the
         // keyword; require whitespace after the word.
-        if !matches!(clone.peek(), Some(c) if c.is_whitespace()) {
+        if !rest[..word].eq_ignore_ascii_case("prefix")
+            || !self.peek_nth(6).is_some_and(char::is_whitespace)
+        {
             return Ok(None);
         }
-        for _ in 0..word.len() {
-            self.bump();
-        }
+        self.cursor.pos += word;
         self.prefix_body()?;
         Ok(Some(()))
     }
 
     fn prefix_body(&mut self) -> Result<(), TurtleParseError> {
         self.skip_trivia();
-        let mut name = String::new();
-        while let Some(c) = self.peek() {
-            if c == ':' {
-                break;
-            }
-            if c.is_whitespace() {
-                return Err(self.error("expected ':' in prefix declaration"));
-            }
-            name.push(c);
-            self.bump();
+        let name = self.cursor.take_while(|c| c != ':' && !c.is_whitespace());
+        if self.peek().is_some_and(char::is_whitespace) {
+            return Err(self.error("expected ':' in prefix declaration"));
         }
         self.expect(':')?;
-        self.skip_trivia();
         let iri = self.iri_ref()?;
-        self.prefixes.insert(&name, iri.as_str());
+        self.prefixes.insert(name, iri.as_str());
         Ok(())
     }
 
@@ -265,7 +247,7 @@ impl<'a> TurtleParser<'a> {
         self.skip_trivia();
         match self.peek() {
             Some('<') => Ok(Subject::Iri(self.iri_ref()?)),
-            Some('_') => Ok(Subject::Blank(self.blank_node()?)),
+            Some('_') => Ok(Subject::Blank(BlankNode::new(self.cursor.blank_node()?))),
             Some('[') => Err(self.error("anonymous blank nodes '[ … ]' are not supported")),
             Some('(') => Err(self.error("collections '( … )' are not supported")),
             Some(_) => Ok(Subject::Iri(self.prefixed_name()?)),
@@ -276,13 +258,9 @@ impl<'a> TurtleParser<'a> {
     fn predicate(&mut self) -> Result<Iri, TurtleParseError> {
         self.skip_trivia();
         // `a` keyword (must be followed by whitespace).
-        if self.peek() == Some('a') {
-            let mut clone = self.chars.clone();
-            clone.next();
-            if matches!(clone.peek(), Some(c) if c.is_whitespace()) {
-                self.bump();
-                return Ok(Iri::new(RDF_TYPE));
-            }
+        if self.peek() == Some('a') && self.peek_nth(1).is_some_and(char::is_whitespace) {
+            self.bump();
+            return Ok(Iri::new(RDF_TYPE));
         }
         match self.peek() {
             Some('<') => self.iri_ref(),
@@ -295,8 +273,8 @@ impl<'a> TurtleParser<'a> {
         self.skip_trivia();
         match self.peek() {
             Some('<') => Ok(Object::Iri(self.iri_ref()?)),
-            Some('_') => Ok(Object::Blank(self.blank_node()?)),
-            Some('"') | Some('\'') => Ok(Object::Literal(self.literal()?)),
+            Some('_') => Ok(Object::Blank(BlankNode::new(self.cursor.blank_node()?))),
+            Some(quote @ ('"' | '\'')) => Ok(Object::Literal(self.literal(quote as u8)?)),
             Some(c)
                 if c.is_ascii_digit()
                     || matches!(c, '-' | '+')
@@ -308,116 +286,44 @@ impl<'a> TurtleParser<'a> {
             Some('(') => Err(self.error("collections '( … )' are not supported")),
             Some(_) => {
                 // `true` / `false` or a prefixed name.
-                let saved = (self.line, self.column);
                 let name = self.prefixed_name_raw()?;
-                match name.as_str() {
+                match name {
                     "true" | "false" => Ok(Object::Literal(Literal::typed(
                         name,
                         Iri::new("http://www.w3.org/2001/XMLSchema#boolean"),
                     ))),
-                    _ => {
-                        let _ = saved;
-                        self.expand(&name).map(Object::Iri)
-                    }
+                    _ => self.expand(name).map(Object::Iri),
                 }
             }
             None => Err(self.error("expected object")),
         }
     }
 
+    /// `<…>`, after any trivia.
     fn iri_ref(&mut self) -> Result<Iri, TurtleParseError> {
-        self.expect('<')?;
-        let mut iri = String::new();
-        loop {
-            let c = match self.bump() {
-                Some('>') => break,
-                Some('\\') => match self.bump() {
-                    Some(marker @ ('u' | 'U')) => self.unicode_escape(marker)?,
-                    Some(c) => return Err(self.error(format!("invalid IRI escape '\\{c}'"))),
-                    None => return Err(self.error("unterminated escape")),
-                },
-                Some(c) if c.is_whitespace() => return Err(self.error("whitespace inside IRI")),
-                Some(c) => c,
-                None => return Err(self.error("unterminated IRI")),
-            };
-            // IRIREF excludes these written or escaped, as N-Triples does.
-            if c <= ' ' || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\') {
-                return Err(
-                    self.error(format!("'{}' is not allowed in an IRI", c.escape_default()))
-                );
-            }
-            iri.push(c);
-        }
-        Ok(Iri::new(iri))
-    }
-
-    /// After `\u` / `\U`: 4 or 8 hex digits naming a code point.
-    fn unicode_escape(&mut self, marker: char) -> Result<char, TurtleParseError> {
-        let width = if marker == 'u' { 4 } else { 8 };
-        let mut value: u32 = 0;
-        for _ in 0..width {
-            let digit = self
-                .bump()
-                .and_then(|c| c.to_digit(16))
-                .ok_or_else(|| self.error("invalid unicode escape digit"))?;
-            value = value * 16 + digit;
-        }
-        char::from_u32(value).ok_or_else(|| self.error(format!("invalid code point U+{value:X}")))
-    }
-
-    fn blank_node(&mut self) -> Result<BlankNode, TurtleParseError> {
-        self.expect('_')?;
-        self.expect(':')?;
-        let mut label = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_alphanumeric() || c == '_' || c == '-' {
-                label.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        if label.is_empty() {
-            return Err(self.error("empty blank node label"));
-        }
-        Ok(BlankNode::new(label))
-    }
-
-    fn bare_word(&mut self) -> String {
-        let mut word = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphabetic() {
-                word.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        word
+        self.skip_trivia();
+        let iri = self.cursor.iri(&mut self.scratch)?;
+        Ok(Iri::new(iri.unwrap_or(&self.scratch)))
     }
 
     /// A `prefix:local` token, expanded through the declared prefixes.
     fn prefixed_name(&mut self) -> Result<Iri, TurtleParseError> {
         let raw = self.prefixed_name_raw()?;
-        self.expand(&raw)
+        self.expand(raw)
     }
 
-    fn prefixed_name_raw(&mut self) -> Result<String, TurtleParseError> {
-        let mut raw = String::new();
+    fn prefixed_name_raw(&mut self) -> Result<&'a str, TurtleParseError> {
+        let start = self.cursor.pos;
         let mut seen_colon = false;
         while let Some(c) = self.peek() {
             if c.is_alphanumeric() || c == '_' || c == '-' || (c == ':' && !seen_colon) {
                 seen_colon |= c == ':';
-                raw.push(c);
                 self.bump();
             } else if c == '.' {
                 // A dot ends the statement unless followed by a name char
                 // (e.g. `ex:a.b`).
-                let mut clone = self.chars.clone();
-                clone.next();
-                match clone.peek() {
-                    Some(&n) if n.is_alphanumeric() || n == '_' => {
-                        raw.push('.');
+                match self.peek_nth(1) {
+                    Some(n) if n.is_alphanumeric() || n == '_' => {
                         self.bump();
                     }
                     _ => break,
@@ -426,10 +332,10 @@ impl<'a> TurtleParser<'a> {
                 break;
             }
         }
-        if raw.is_empty() {
+        if self.cursor.pos == start {
             return Err(self.error("expected a prefixed name"));
         }
-        Ok(raw)
+        Ok(&self.cursor.text()[start..self.cursor.pos])
     }
 
     fn expand(&self, raw: &str) -> Result<Iri, TurtleParseError> {
@@ -439,45 +345,11 @@ impl<'a> TurtleParser<'a> {
         }
     }
 
-    fn literal(&mut self) -> Result<Literal, TurtleParseError> {
-        let quote = self.bump().expect("caller saw a quote");
-        let mut lexical = String::new();
-        loop {
-            match self.bump() {
-                Some(c) if c == quote => break,
-                Some('\\') => match self.bump() {
-                    Some('t') => lexical.push('\t'),
-                    Some('b') => lexical.push('\u{8}'),
-                    Some('n') => lexical.push('\n'),
-                    Some('r') => lexical.push('\r'),
-                    Some('f') => lexical.push('\u{c}'),
-                    Some(c @ ('"' | '\'' | '\\')) => lexical.push(c),
-                    Some(marker @ ('u' | 'U')) => lexical.push(self.unicode_escape(marker)?),
-                    Some(c) => return Err(self.error(format!("invalid escape '\\{c}'"))),
-                    None => return Err(self.error("unterminated literal")),
-                },
-                Some('\n') => return Err(self.error("multi-line literals are not supported")),
-                Some(c) => lexical.push(c),
-                None => return Err(self.error("unterminated literal")),
-            }
-        }
+    fn literal(&mut self, quote: u8) -> Result<Literal, TurtleParseError> {
+        let (text, _) = self.cursor.string(quote, &mut self.scratch)?;
+        let lexical: Box<str> = text.unwrap_or(&self.scratch).into();
         match self.peek() {
-            Some('@') => {
-                self.bump();
-                let mut lang = String::new();
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_alphanumeric() || c == '-' {
-                        lang.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                if lang.is_empty() {
-                    return Err(self.error("empty language tag"));
-                }
-                Ok(Literal::lang(lexical, lang))
-            }
+            Some('@') => Ok(Literal::lang(lexical, self.cursor.lang_tag()?)),
             Some('^') => {
                 self.bump();
                 if self.bump() != Some('^') {
@@ -497,14 +369,15 @@ impl<'a> TurtleParser<'a> {
     /// The character after the next one, when the next one is a `.` (a
     /// digit there makes the dot part of a numeral, not a terminator).
     fn after_dot(&self) -> Option<char> {
-        let mut ahead = self.chars.clone();
-        (ahead.next() == Some('.')).then(|| ahead.next()).flatten()
+        (self.peek() == Some('.'))
+            .then(|| self.peek_nth(1))
+            .flatten()
     }
 
     /// A numeral, typed by its form. A `.` belongs to it only when a digit
     /// or an exponent follows; otherwise it ends the statement.
     fn numeric_literal(&mut self) -> Result<Literal, TurtleParseError> {
-        let mut body = String::new();
+        let start = self.cursor.pos;
         while let Some(c) = self.peek() {
             let fraction = self
                 .after_dot()
@@ -512,10 +385,10 @@ impl<'a> TurtleParser<'a> {
             if !(fraction || c.is_ascii_digit() || matches!(c, '-' | '+' | 'e' | 'E')) {
                 break;
             }
-            body.push(c);
             self.bump();
         }
-        match numeric_datatype(&body) {
+        let body = &self.cursor.text()[start..self.cursor.pos];
+        match numeric_datatype(body) {
             Some(datatype) => Ok(Literal::typed(body, Iri::new(datatype))),
             None => Err(self.error(format!("invalid numeric literal '{body}'"))),
         }
@@ -615,6 +488,17 @@ ex:a ex:label "London"@en-GB ;
     }
 
     #[test]
+    fn blank_node_labels_follow_the_ntriples_rule() {
+        // A dot inside a label is part of it; a trailing one ends the
+        // statement.
+        let doc = "_:a.b <http://p> <http://b> .\n<http://a> <http://p> _:c.d.";
+        let triples = parse_turtle(doc).unwrap();
+        assert_eq!(triples, crate::ntriples::parse_ntriples(doc).unwrap());
+        assert_eq!(triples[0].subject, Subject::Blank(BlankNode::new("a.b")));
+        assert_eq!(triples[1].object, Object::Blank(BlankNode::new("c.d")));
+    }
+
+    #[test]
     fn unknown_prefix_errors_with_position() {
         let err = parse_turtle("nope:a nope:b nope:c .").unwrap_err();
         assert_eq!(err.line, 1);
@@ -708,9 +592,10 @@ ex:a ex:label "London"@en-GB ;
             ("<http://e/\\u00zz>", "unicode escape digit"),
             ("<http://e/\\UFFFFFFFF>", "code point"),
             ("<http://e/\\n>", "invalid IRI escape"),
-            ("<http://e/a\\u0020b>", "not allowed in an IRI"),
-            ("<http://e/a\\u003Eb>", "not allowed in an IRI"),
-            ("<http://e/a\"b>", "not allowed in an IRI"),
+            ("<http://e/a\\u0020b>", "not allowed in IRI"),
+            ("<http://e/a\\u003Eb>", "not allowed in IRI"),
+            ("<http://e/a\"b>", "not allowed in IRI"),
+            ("<>", "empty IRI"),
             ("\"\\u12\"", "unicode escape digit"),
             ("\"\\q\"", "invalid escape"),
         ] {

@@ -11,7 +11,11 @@
 //!   positions that hands borrowed terms to a [`QuerySink`] as it reads
 //!   them. Two sinks exist: the AST builder behind [`parse_select`], and
 //!   the query compiler of `amber_multigraph`, which resolves each term to
-//!   a dictionary id on arrival (the request path never builds an AST);
+//!   a dictionary id on arrival (the request path never builds an AST).
+//!   IRIs and strings are lexed by the term grammar the data readers
+//!   share ([`rdf_model::lex`]): `\u`/`\U` escapes decode as in the data,
+//!   and an IRI the data could not hold is a syntax error, so a query names
+//!   a constant by the same text the dictionaries hold;
 //! * [`ast`] — [`SelectQuery`], [`TriplePattern`], [`TermPattern`];
 //! * [`parser`] — [`parse_select`], the scanner plus the AST sink,
 //!   including `PREFIX` declarations, `a` (rdf:type) shorthand, and

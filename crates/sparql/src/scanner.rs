@@ -5,19 +5,31 @@
 //! predicate, then each object (a `;`/`,` list repeats the subject or the
 //! predicate it shares). Terms are borrowed ([`TermRef`]): variable names
 //! and IRIs are slices of the input, a prefixed name is expanded into one
-//! buffer the scanner reuses, and only a literal with an escape sequence
-//! is unescaped (into a second buffer). Nothing is owned unless the sink
-//! decides to own it, so a sink that resolves terms to ids (the query
-//! compiler in `amber_multigraph`) never allocates a term, and
+//! buffer the scanner reuses, and only an IRI or a literal with an escape
+//! sequence is unescaped (into two more buffers). Nothing is owned unless
+//! the sink decides to own it, so a sink that resolves terms to ids (the
+//! query compiler in `amber_multigraph`) never allocates a term, and
 //! [`parse_select`](crate::parse_select) is the same scan with a sink that
 //! builds the owned AST.
 //!
+//! IRIs, quoted strings and language tags are lexed by the term grammar
+//! the data readers share (`rdf_model::lex`), so a query names a constant
+//! by the same text N-Triples and Turtle read it as.
+//!
 //! The grammar, and every error's kind, position and message, are those
-//! of the tokenizer + parser pair this scanner replaced, with two fixes:
-//! numeric literals are typed by the SPARQL grammar (`1e5` is an
-//! `xsd:double`, `.5` an `xsd:decimal`, a 21-digit integer an
-//! `xsd:integer`), and an unbound projected variable is reported at its
-//! own position. Two of the old precedence rules need care in one pass:
+//! of the tokenizer + parser pair this scanner replaced, with three fixes:
+//!
+//! * numeric literals are typed by the SPARQL grammar (`1e5` is an
+//!   `xsd:double`, `.5` an `xsd:decimal`, a 21-digit integer an
+//!   `xsd:integer`);
+//! * an unbound projected variable is reported at its own position;
+//! * IRIs and strings follow the shared term grammar: `\u`/`\U` decode in
+//!   both (SPARQL 1.1 §19.2), an IRI refuses `<>`, whitespace and the
+//!   characters IRIREF forbids, a string refuses a line end, and no term
+//!   spans a line. Their errors are worded as in N-Triples
+//!   (`unterminated literal`, `character ' ' not allowed in IRI`).
+//!
+//! Two of the old precedence rules need care in one pass:
 //!
 //! * an unsupported keyword (`FILTER`, `LIMIT`, …) anywhere in the text
 //!   wins over every other error. The scanner checks the words of each
@@ -29,10 +41,12 @@
 //!   text, so after a grammar error the rest of the text is still lexed.
 //!
 //! Positions are computed from byte offsets only when an error is
-//! reported; columns count characters.
+//! reported ([`Cursor::position`]); columns count characters.
 
 use crate::error::{SparqlError, SparqlErrorKind};
+use rdf_model::lex::{Cursor, LexError};
 use rdf_model::{numeric_datatype, Literal, LiteralRef, LiteralSuffixRef};
+use std::borrow::Cow;
 
 /// The IRI the `a` keyword stands for.
 const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
@@ -103,10 +117,7 @@ pub trait QuerySink {
 pub fn scan(input: &str, sink: &mut impl QuerySink) -> Result<(), SparqlError> {
     let mut scanner = Scanner::new(input, true);
     let fail = match scanner.query(sink) {
-        Ok(()) if !scanner.lex.irregular => return Ok(()),
-        // A datatype IRI spanning a line: the old pre-pass resumed its
-        // keyword search inside it, so only the exact check can tell.
-        Ok(()) => return unsupported_keyword(input).map_or(Ok(()), Err),
+        Ok(()) => return Ok(()),
         Err(fail) => fail,
     };
     if let Some(err) = unsupported_keyword(input) {
@@ -143,20 +154,10 @@ enum Fail {
     Keyword,
 }
 
-/// The 1-based line and character column of byte `offset`.
-fn position(input: &str, offset: usize) -> (usize, usize) {
-    let before = &input.as_bytes()[..offset];
-    let line_start = before
-        .iter()
-        .rposition(|&b| b == b'\n')
-        .map_or(0, |newline| newline + 1);
-    let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
-    // Counting the bytes that start a character never slices the input.
-    let column = 1 + before[line_start..]
-        .iter()
-        .filter(|&&b| b & 0xC0 != 0x80)
-        .count();
-    (line, column)
+impl From<LexError> for Fail {
+    fn from(err: LexError) -> Self {
+        Fail::Lex(SparqlError::syntax(err.line, err.column, err.message))
+    }
 }
 
 fn is_keyword(word: &[u8]) -> bool {
@@ -194,22 +195,20 @@ fn token_has_keyword(token: &str) -> bool {
 }
 
 /// The first unsupported keyword outside literals, IRIs and comments, by
-/// the rules (and with the positions) of the pre-pass the scanner
-/// replaced: words are runs of letters and `_`, a word touching `:` is a
-/// prefixed-name part, one after `?`/`$` a variable name.
+/// the rules of the pre-pass the scanner replaced: words are runs of
+/// letters and `_`, a word touching `:` is a prefixed-name part, one after
+/// `?`/`$` a variable name.
 fn unsupported_keyword(input: &str) -> Option<SparqlError> {
-    let (mut line, mut column) = (1usize, 1usize);
-    // The current word: its byte range and where it started.
-    let mut word: Option<(usize, usize, usize, usize)> = None;
+    // The current word's byte range.
+    let mut word: Option<(usize, usize)> = None;
     let mut word_is_name = false;
-    let mut chars = input.char_indices().peekable();
+    let mut chars = input.char_indices();
 
-    let flush = |word: &mut Option<(usize, usize, usize, usize)>,
-                 is_name: &mut bool|
-     -> Option<SparqlError> {
-        let found = word.take().and_then(|(start, end, line, column)| {
+    let flush = |word: &mut Option<(usize, usize)>, is_name: &mut bool| -> Option<SparqlError> {
+        let found = word.take().and_then(|(start, end)| {
             let text = &input[start..end];
             (!*is_name && is_keyword(text.as_bytes())).then(|| {
+                let (line, column) = Cursor::new(input, true).position(start);
                 let upper = text.to_ascii_uppercase();
                 SparqlError::unsupported(
                     line,
@@ -225,108 +224,65 @@ fn unsupported_keyword(input: &str) -> Option<SparqlError> {
     };
 
     while let Some((i, c)) = chars.next() {
+        if c.is_alphabetic() || c == '_' {
+            match &mut word {
+                Some((_, end)) => *end = i + c.len_utf8(),
+                None => word = Some((i, i + c.len_utf8())),
+            }
+            continue;
+        }
+        if c == ':' {
+            word = None;
+            word_is_name = true;
+            continue;
+        }
+        if let Some(err) = flush(&mut word, &mut word_is_name) {
+            return Some(err);
+        }
         match c {
+            // Skip to the closing quote, honoring escapes.
             '"' | '\'' => {
-                if let Some(err) = flush(&mut word, &mut word_is_name) {
-                    return Some(err);
-                }
-                column += 1;
-                // Skip to the closing quote, honoring escapes.
                 while let Some((_, d)) = chars.next() {
-                    if d == '\n' {
-                        line += 1;
-                        column = 1;
-                    } else {
-                        column += 1;
-                    }
                     if d == '\\' {
-                        if chars.next().is_some() {
-                            column += 1;
-                        }
+                        chars.next();
                     } else if d == c {
                         break;
                     }
                 }
             }
-            '<' => {
-                if let Some(err) = flush(&mut word, &mut word_is_name) {
-                    return Some(err);
-                }
-                column += 1;
-                for (_, d) in chars.by_ref() {
-                    column += 1;
-                    if d == '>' || d == '\n' {
-                        if d == '\n' {
-                            line += 1;
-                            column = 1;
-                        }
-                        break;
-                    }
-                }
-            }
-            '#' => {
-                if let Some(err) = flush(&mut word, &mut word_is_name) {
-                    return Some(err);
-                }
-                for (_, d) in chars.by_ref() {
-                    if d == '\n' {
-                        line += 1;
-                        column = 1;
-                        break;
-                    }
-                }
-            }
-            ':' => {
-                word = None;
-                word_is_name = true;
-                column += 1;
-            }
-            '?' | '$' => {
-                if let Some(err) = flush(&mut word, &mut word_is_name) {
-                    return Some(err);
-                }
-                word_is_name = true;
-                column += 1;
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                match &mut word {
-                    Some((_, end, _, _)) => *end = i + c.len_utf8(),
-                    None => word = Some((i, i + c.len_utf8(), line, column)),
-                }
-                column += 1;
-            }
-            '\n' => {
-                if let Some(err) = flush(&mut word, &mut word_is_name) {
-                    return Some(err);
-                }
-                line += 1;
-                column = 1;
-            }
-            _ => {
-                if let Some(err) = flush(&mut word, &mut word_is_name) {
-                    return Some(err);
-                }
-                column += 1;
-            }
+            '<' => _ = chars.by_ref().find(|&(_, d)| d == '>' || d == '\n'),
+            '#' => _ = chars.by_ref().find(|&(_, d)| d == '\n'),
+            '?' | '$' => word_is_name = true,
+            _ => {}
         }
     }
     flush(&mut word, &mut word_is_name)
 }
 
-/// A literal token; its lexical form is a slice of the input, or the
-/// lexer's unescape buffer when it had an escape sequence.
+/// A literal token. Its lexical form and datatype are slices of the input,
+/// or `None` when an escape put them in the lexer's `text` / `datatype`
+/// buffer.
 #[derive(Clone, Copy)]
 struct LiteralToken<'a> {
     lexical: Option<&'a str>,
-    suffix: LiteralSuffixRef<'a>,
+    suffix: Suffix<'a>,
 }
 
-/// One token, borrowed from the input.
+/// A literal token's suffix.
+#[derive(Clone, Copy)]
+enum Suffix<'a> {
+    None,
+    Lang(&'a str),
+    Datatype(Option<&'a str>),
+}
+
+/// One token, borrowed from the input (an IRI with an escape, `None`, is
+/// in the lexer's `text` buffer).
 #[derive(Clone, Copy)]
 enum Tok<'a> {
     Ident(&'a str),
     Variable(&'a str),
-    Iri(&'a str),
+    Iri(Option<&'a str>),
     Prefixed { prefix: &'a str, local: &'a str },
     Literal(LiteralToken<'a>),
     LBrace,
@@ -360,79 +316,43 @@ fn is_ascii_space(byte: u8) -> bool {
     matches!(byte, b' ' | b'\t' | b'\n' | b'\r' | 0x0B | 0x0C)
 }
 
-/// The tokenizer: one token per call, no lookahead of its own.
+/// The tokenizer: one token per call, no lookahead of its own. Terms are
+/// lexed by the term grammar the data readers share (`rdf_model::lex`).
 struct Lexer<'a> {
-    input: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
+    cursor: Cursor<'a>,
     /// `.` tokens still owed after a number or prefixed name whose
     /// trailing dots were given back, and the offset they all sit at.
     owed_dots: u32,
     owed_at: usize,
-    /// Where a literal with escapes is unescaped into.
-    lexical: String,
+    /// Where an IRI or a literal's lexical form with escapes is unescaped
+    /// into.
+    text: String,
+    /// Where a literal's datatype IRI with escapes is unescaped into.
+    datatype: String,
     /// Run the token-wise keyword check on identifier-like tokens.
     check_keywords: bool,
-    /// A datatype IRI contained a newline (see [`scan`]).
-    irregular: bool,
 }
 
 impl<'a> Lexer<'a> {
     fn error(&self, offset: usize, message: impl Into<String>) -> Fail {
-        let (line, column) = position(self.input, offset);
-        Fail::Lex(SparqlError::syntax(line, column, message))
+        self.cursor.error_at(offset, message).into()
     }
 
     #[inline]
     fn keyword_check(&self, start: usize, end: usize) -> Result<(), Fail> {
-        match self.check_keywords && token_has_keyword(&self.input[start..end]) {
+        match self.check_keywords && token_has_keyword(&self.cursor.text()[start..end]) {
             true => Err(Fail::Keyword),
             false => Ok(()),
         }
     }
 
-    fn peek_char(&self) -> Option<char> {
-        self.input.get(self.pos..)?.chars().next()
-    }
-
-    fn bump_char(&mut self) -> Option<char> {
-        let c = self.peek_char()?;
-        self.pos += c.len_utf8();
-        Some(c)
-    }
-
-    /// Advance over the characters `keep` accepts; ASCII bytes are tested
-    /// as bytes, other characters decoded.
-    fn take_while(&mut self, keep: impl Fn(char) -> bool) -> &'a str {
-        let start = self.pos;
-        while let Some(&byte) = self.bytes.get(self.pos) {
-            if byte < 0x80 {
-                if !keep(byte as char) {
-                    break;
-                }
-                self.pos += 1;
-            } else {
-                match self.peek_char() {
-                    Some(c) if keep(c) => self.pos += c.len_utf8(),
-                    _ => break,
-                }
-            }
-        }
-        &self.input[start..self.pos]
-    }
-
     fn skip_whitespace(&mut self) {
-        while let Some(&byte) = self.bytes.get(self.pos) {
+        while let Some(byte) = self.cursor.byte() {
             match byte {
-                b'#' => {
-                    self.pos = match self.bytes[self.pos..].iter().position(|&b| b == b'\n') {
-                        Some(newline) => self.pos + newline + 1,
-                        None => self.bytes.len(),
-                    };
-                }
-                byte if is_ascii_space(byte) => self.pos += 1,
-                byte if byte >= 0x80 => match self.peek_char() {
-                    Some(c) if c.is_whitespace() => self.pos += c.len_utf8(),
+                b'#' => self.cursor.pos = self.cursor.next_line(),
+                byte if is_ascii_space(byte) => self.cursor.pos += 1,
+                byte if byte >= 0x80 => match self.cursor.peek_char() {
+                    Some(c) if c.is_whitespace() => self.cursor.pos += c.len_utf8(),
                     _ => return,
                 },
                 _ => return,
@@ -448,8 +368,8 @@ impl<'a> Lexer<'a> {
             return Ok(Some((Tok::Dot, self.owed_at)));
         }
         self.skip_whitespace();
-        let start = self.pos;
-        let Some(&byte) = self.bytes.get(start) else {
+        let start = self.cursor.pos;
+        let Some(byte) = self.cursor.byte() else {
             return Ok(None);
         };
         let single = match byte {
@@ -458,41 +378,45 @@ impl<'a> Lexer<'a> {
             b';' => Some(Tok::Semicolon),
             b',' => Some(Tok::Comma),
             b'*' => Some(Tok::Star),
-            b'.' if !self.bytes.get(start + 1).is_some_and(u8::is_ascii_digit) => Some(Tok::Dot),
+            b'.' if !matches!(self.cursor.rest().as_bytes().get(1), Some(b'0'..=b'9')) => {
+                Some(Tok::Dot)
+            }
             _ => None,
         };
         if let Some(token) = single {
-            self.pos += 1;
+            self.cursor.pos += 1;
             return Ok(Some((token, start)));
         }
         let token = match byte {
             b'?' | b'$' => {
-                self.pos += 1;
-                let name = self.take_while(|c| c.is_alphanumeric() || c == '_');
+                self.cursor.pos += 1;
+                let name = self.cursor.take_while(|c| c.is_alphanumeric() || c == '_');
                 if name.is_empty() {
-                    return Err(self.error(self.pos, "empty variable name"));
+                    return Err(self.error(self.cursor.pos, "empty variable name"));
                 }
-                self.keyword_check(start, self.pos)?;
+                self.keyword_check(start, self.cursor.pos)?;
                 Tok::Variable(name)
             }
-            b'<' => Tok::Iri(self.iri()?),
+            b'<' => Tok::Iri(self.cursor.iri(&mut self.text)?),
             b'"' | b'\'' => Tok::Literal(self.literal(byte)?),
             b'0'..=b'9' | b'-' | b'+' | b'.' => self.number(start)?,
             b':' => {
-                self.pos += 1;
+                self.cursor.pos += 1;
                 self.prefixed(start, "")?
             }
             _ => {
-                let c = self.peek_char().expect("a byte is present");
+                let c = self.cursor.peek_char().expect("a byte is present");
                 if !(c.is_alphabetic() || c == '_') {
                     return Err(self.error(start, format!("unexpected character '{c}'")));
                 }
-                let first = self.take_while(|c| c.is_alphanumeric() || c == '_' || c == '-');
-                if self.bytes.get(self.pos) == Some(&b':') {
-                    self.pos += 1;
+                let first = self
+                    .cursor
+                    .take_while(|c| c.is_alphanumeric() || c == '_' || c == '-');
+                if self.cursor.byte() == Some(b':') {
+                    self.cursor.pos += 1;
                     self.prefixed(start, first)?
                 } else {
-                    self.keyword_check(start, self.pos)?;
+                    self.keyword_check(start, self.cursor.pos)?;
                     Tok::Ident(first)
                 }
             }
@@ -503,10 +427,12 @@ impl<'a> Lexer<'a> {
     /// The local part of a prefixed name (the cursor is past its `:`).
     /// Trailing dots belong to the statement terminator.
     fn prefixed(&mut self, start: usize, prefix: &'a str) -> Result<Tok<'a>, Fail> {
-        let local = self.take_while(|c| c.is_alphanumeric() || c == '_' || c == '-' || c == '.');
+        let local = self
+            .cursor
+            .take_while(|c| c.is_alphanumeric() || c == '_' || c == '-' || c == '.');
         let trimmed = local.trim_end_matches('.');
         self.owe_dots(local.len() - trimmed.len());
-        self.keyword_check(start, self.pos)?;
+        self.keyword_check(start, self.cursor.pos)?;
         Ok(Tok::Prefixed {
             prefix,
             local: trimmed,
@@ -515,140 +441,31 @@ impl<'a> Lexer<'a> {
 
     fn owe_dots(&mut self, dots: usize) {
         self.owed_dots = dots as u32;
-        self.owed_at = self.pos;
-    }
-
-    /// `<…>` (the cursor is on `<`); whitespace inside is an error.
-    fn iri(&mut self) -> Result<&'a str, Fail> {
-        self.pos += 1;
-        let start = self.pos;
-        // Fast path: up to the first `>` there is no byte that could start
-        // a whitespace character (one pass the compiler vectorizes).
-        if let Some(len) = self.input[start..].find('>') {
-            let iri = &self.input[start..start + len];
-            if !iri
-                .bytes()
-                .fold(false, |dirty, b| dirty | (b <= b' ') | (b >= 0x80))
-            {
-                self.pos = start + len + 1;
-                return Ok(iri);
-            }
-        }
-        loop {
-            let run = self.bytes[self.pos..]
-                .iter()
-                .position(|&b| b == b'>' || b >= 0x80 || is_ascii_space(b));
-            let Some(run) = run else {
-                self.pos = self.bytes.len();
-                return Err(self.error(self.pos, "unterminated IRI"));
-            };
-            self.pos += run;
-            match self.bytes[self.pos] {
-                b'>' => {
-                    self.pos += 1;
-                    return Ok(&self.input[start..self.pos - 1]);
-                }
-                _ => {
-                    let c = self.bump_char().expect("a byte is present");
-                    if c.is_whitespace() {
-                        return Err(self.error(self.pos, "whitespace inside IRI"));
-                    }
-                }
-            }
-        }
+        self.owed_at = self.cursor.pos;
     }
 
     /// A quoted literal plus its optional `@lang` / `^^<datatype>` (the
     /// cursor is on the opening quote).
     fn literal(&mut self, quote: u8) -> Result<LiteralToken<'a>, Fail> {
-        self.pos += 1;
-        let start = self.pos;
-        // Where the clean run being scanned began, once an escape moved
-        // the literal into the buffer.
-        let mut clean_from: Option<usize> = None;
-        let clean = self.input[start..]
-            .find(quote as char)
-            .filter(|&len| !self.input[start..start + len].contains('\\'));
-        let end = if let Some(len) = clean {
-            self.pos = start + len + 1;
-            start + len
-        } else {
-            loop {
-                let run = self.bytes[self.pos..]
-                    .iter()
-                    .position(|&b| b == quote || b == b'\\');
-                let Some(run) = run else {
-                    self.pos = self.bytes.len();
-                    return Err(self.error(self.pos, "unterminated string"));
-                };
-                self.pos += run;
-                if self.bytes[self.pos] == quote {
-                    let end = self.pos;
-                    self.pos += 1;
-                    break end;
-                }
-                if clean_from.is_none() {
-                    self.lexical.clear();
-                }
-                let clean = &self.input[clean_from.unwrap_or(start)..self.pos];
-                self.lexical.push_str(clean);
-                self.pos += 1;
-                let escaped = match self.bump_char() {
-                    Some('t') => '\t',
-                    Some('n') => '\n',
-                    Some('r') => '\r',
-                    Some('b') => '\u{8}',
-                    Some('f') => '\u{c}',
-                    Some(c @ ('"' | '\'' | '\\')) => c,
-                    Some('u' | 'U') => return Err(self.error(
-                        self.pos,
-                        "\\u escapes in SPARQL literals are not supported; use the raw character",
-                    )),
-                    Some(c) => return Err(self.error(self.pos, format!("invalid escape '\\{c}'"))),
-                    None => return Err(self.error(self.pos, "unterminated string")),
-                };
-                self.lexical.push(escaped);
-                clean_from = Some(self.pos);
-            }
-        };
-        let lexical = match clean_from {
-            None => Some(&self.input[start..end]),
-            Some(clean_from) => {
-                let clean = &self.input[clean_from..end];
-                self.lexical.push_str(clean);
-                None
-            }
-        };
-        let suffix = match self.bytes.get(self.pos) {
+        let (lexical, _) = self.cursor.string(quote, &mut self.text)?;
+        let suffix = match self.cursor.byte() {
             Some(b'@') => {
-                self.pos += 1;
-                let tag_start = self.pos;
-                let tag = self.take_while(|c| c.is_ascii_alphanumeric() || c == '-');
-                if tag.is_empty() {
-                    return Err(self.error(self.pos, "empty language tag"));
-                }
-                self.keyword_check(tag_start, self.pos)?;
-                LiteralSuffixRef::Lang(tag)
+                let tag = self.cursor.lang_tag()?;
+                self.keyword_check(self.cursor.pos - tag.len(), self.cursor.pos)?;
+                Suffix::Lang(tag)
             }
             Some(b'^') => {
-                self.pos += 1;
-                if self.bump_char() != Some('^') {
-                    return Err(self.error(self.pos, "expected '^^' before datatype"));
+                self.cursor.pos += 1;
+                if self.cursor.bump_char() != Some('^') {
+                    return Err(self.error(self.cursor.pos, "expected '^^' before datatype"));
                 }
-                if self.bump_char() != Some('<') {
-                    return Err(self.error(self.pos, "expected '<' after '^^'"));
+                if self.cursor.peek_char() != Some('<') {
+                    self.cursor.bump_char();
+                    return Err(self.error(self.cursor.pos, "expected '<' after '^^'"));
                 }
-                let iri_start = self.pos;
-                let Some(close) = self.bytes[iri_start..].iter().position(|&b| b == b'>') else {
-                    self.pos = self.bytes.len();
-                    return Err(self.error(self.pos, "unterminated datatype IRI"));
-                };
-                self.pos = iri_start + close + 1;
-                let datatype = &self.input[iri_start..iri_start + close];
-                self.irregular |= datatype.contains('\n');
-                LiteralSuffixRef::Datatype(datatype)
+                Suffix::Datatype(self.cursor.iri(&mut self.datatype)?)
             }
-            _ => LiteralSuffixRef::None,
+            _ => Suffix::None,
         };
         Ok(LiteralToken { lexical, suffix })
     }
@@ -656,8 +473,9 @@ impl<'a> Lexer<'a> {
     /// A numeric literal: the run of number characters from `start`,
     /// typed by the grammar. A trailing `.` is the statement terminator.
     fn number(&mut self, start: usize) -> Result<Tok<'a>, Fail> {
-        let body =
-            self.take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'));
+        let body = self
+            .cursor
+            .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'));
         let trimmed = body.trim_end_matches('.');
         let Some(datatype) = numeric_datatype(trimmed) else {
             return Err(self.error(start, format!("bad numeric literal '{body}'")));
@@ -665,7 +483,7 @@ impl<'a> Lexer<'a> {
         self.owe_dots(body.len() - trimmed.len());
         Ok(Tok::Literal(LiteralToken {
             lexical: Some(trimmed),
-            suffix: LiteralSuffixRef::Datatype(datatype),
+            suffix: Suffix::Datatype(Some(datatype)),
         }))
     }
 }
@@ -674,8 +492,12 @@ impl<'a> Lexer<'a> {
 #[derive(Clone, Copy)]
 enum Term<'a> {
     Variable(&'a str),
-    Iri(&'a str),
-    Prefixed { namespace: &'a str, local: &'a str },
+    Iri(Option<&'a str>),
+    /// `namespace` indexes the declared prefixes.
+    Prefixed {
+        namespace: usize,
+        local: &'a str,
+    },
     Literal(LiteralToken<'a>),
 }
 
@@ -698,7 +520,8 @@ struct Scanner<'a> {
     peeked: Option<Option<(Tok<'a>, usize)>>,
     /// Start of the last token lexed (errors at the end point there).
     last: Option<usize>,
-    prefixes: Vec<(&'a str, &'a str)>,
+    /// Each declared prefix and its namespace (owned only when escaped).
+    prefixes: Vec<(&'a str, Cow<'a, str>)>,
     /// Where a prefixed name is expanded into.
     expanded: String,
 }
@@ -707,14 +530,12 @@ impl<'a> Scanner<'a> {
     fn new(input: &'a str, check_keywords: bool) -> Self {
         Self {
             lex: Lexer {
-                input,
-                bytes: input.as_bytes(),
-                pos: 0,
+                cursor: Cursor::new(input, true),
                 owed_dots: 0,
                 owed_at: 0,
-                lexical: String::new(),
+                text: String::new(),
+                datatype: String::new(),
                 check_keywords,
-                irregular: false,
             },
             peeked: None,
             last: None,
@@ -757,7 +578,7 @@ impl<'a> Scanner<'a> {
             Some((_, start)) => Some(start),
             None => self.last,
         };
-        Ok(at.map_or((1, 1), |start| position(self.lex.input, start)))
+        Ok(at.map_or((1, 1), |start| self.lex.cursor.position(start)))
     }
 
     fn error(&mut self, kind: SparqlErrorKind, message: impl Into<String>) -> Fail {
@@ -785,7 +606,7 @@ impl<'a> Scanner<'a> {
         match token {
             Tok::Ident(id) => Token::Ident(id.into()),
             Tok::Variable(name) => Token::Variable(name.into()),
-            Tok::Iri(iri) => Token::IriRef(iri.into()),
+            Tok::Iri(iri) => Token::IriRef(iri.unwrap_or(&self.lex.text).into()),
             Tok::Prefixed { prefix, local } => Token::PrefixedName {
                 prefix: prefix.into(),
                 local: local.into(),
@@ -802,7 +623,12 @@ impl<'a> Scanner<'a> {
 
     #[inline]
     fn literal_ref(&self, literal: LiteralToken<'a>) -> LiteralRef<'_> {
-        LiteralRef::new(literal.lexical.unwrap_or(&self.lex.lexical), literal.suffix)
+        let suffix = match literal.suffix {
+            Suffix::None => LiteralSuffixRef::None,
+            Suffix::Lang(tag) => LiteralSuffixRef::Lang(tag),
+            Suffix::Datatype(iri) => LiteralSuffixRef::Datatype(iri.unwrap_or(&self.lex.datatype)),
+        };
+        LiteralRef::new(literal.lexical.unwrap_or(&self.lex.text), suffix)
     }
 
     /// The sink's view of a term (expanding a prefixed name).
@@ -810,10 +636,10 @@ impl<'a> Scanner<'a> {
     fn term_ref(&mut self, term: Term<'a>) -> TermRef<'_> {
         match term {
             Term::Variable(name) => TermRef::Variable(name),
-            Term::Iri(iri) => TermRef::Iri(iri),
+            Term::Iri(iri) => TermRef::Iri(iri.unwrap_or(&self.lex.text)),
             Term::Prefixed { namespace, local } => {
                 self.expanded.clear();
-                self.expanded.push_str(namespace);
+                self.expanded.push_str(&self.prefixes[namespace].1);
                 self.expanded.push_str(local);
                 TermRef::Iri(&self.expanded)
             }
@@ -858,8 +684,9 @@ impl<'a> Scanner<'a> {
             if let Some(unbound) = variables.iter().find(|v| !sink.binds(v)) {
                 // A variable name is a slice of the input, one byte after
                 // its `?`/`$`.
-                let offset = unbound.as_ptr() as usize - self.lex.input.as_ptr() as usize - 1;
-                let (line, column) = position(self.lex.input, offset);
+                let input = self.lex.cursor.text();
+                let offset = unbound.as_ptr() as usize - input.as_ptr() as usize - 1;
+                let (line, column) = self.lex.cursor.position(offset);
                 return Err(Fail::Grammar(SparqlError::syntax(
                     line,
                     column,
@@ -892,6 +719,8 @@ impl<'a> Scanner<'a> {
             let Some(Tok::Iri(namespace)) = self.take()? else {
                 return Err(self.syntax("expected '<namespace>' after prefix name"));
             };
+            let namespace =
+                namespace.map_or_else(|| Cow::Owned(self.lex.text.clone()), Cow::Borrowed);
             match self.prefixes.iter_mut().find(|(p, _)| *p == prefix) {
                 Some(entry) => entry.1 = namespace,
                 None => self.prefixes.push((prefix, namespace)),
@@ -1016,8 +845,8 @@ impl<'a> Scanner<'a> {
             Tok::Variable(name) => Term::Variable(name),
             Tok::Iri(iri) => Term::Iri(iri),
             Tok::Prefixed { prefix, local } => {
-                let namespace = self.prefixes.iter().find(|(p, _)| *p == prefix);
-                let Some(&(_, namespace)) = namespace else {
+                let namespace = self.prefixes.iter().position(|(p, _)| *p == prefix);
+                let Some(namespace) = namespace else {
                     return Err(self.syntax(format!("unknown prefix '{prefix}:'")));
                 };
                 Term::Prefixed { namespace, local }
@@ -1083,8 +912,9 @@ mod tests {
     #[test]
     fn positions_count_characters() {
         let text = "ab\nçd?x";
-        assert_eq!(position(text, 0), (1, 1));
-        assert_eq!(position(text, 3), (2, 1));
-        assert_eq!(position(text, text.find('?').unwrap()), (2, 3));
+        let position = |offset| Cursor::new(text, true).position(offset);
+        assert_eq!(position(0), (1, 1));
+        assert_eq!(position(3), (2, 1));
+        assert_eq!(position(text.find('?').unwrap()), (2, 3));
     }
 }

@@ -280,6 +280,66 @@ fn unicode_iris_and_literals_survive_the_pipeline() {
     assert_eq!(outcome.embedding_count, 1);
 }
 
+/// A query names a constant by the text the data spells it with: the
+/// SPARQL scanner lexes IRIs and strings by the grammar the N-Triples
+/// reader does, so an escape decodes alike in both, and a term that
+/// grammar refuses is a positioned syntax error, never a silent 0 rows.
+#[test]
+fn query_constants_read_as_the_data_reads_them() {
+    let engine = AmberEngine::load_ntriples(
+        "<http://x/s> <http://x/p> <http://x/\\u0041> .\n<http://x/s> <http://x/q> \"A\" .\n",
+    )
+    .unwrap();
+    for query in [
+        "SELECT ?s WHERE { ?s <http://x/p> <http://x/A> }",
+        "SELECT ?s WHERE { ?s <http://x/p> <http://x/\\u0041> }",
+        "SELECT ?s WHERE { ?s <http://x/q> \"A\" }",
+        "SELECT ?s WHERE { ?s <http://x/q> \"\\u0041\" }",
+        "SELECT ?s WHERE { ?s <http://x/\\U00000071> 'A' }",
+    ] {
+        let outcome = engine.run(&QueryRequest::sparql(query)).unwrap();
+        assert_eq!(
+            outcome.bindings.to_vec(),
+            vec![vec!["http://x/s".into()]],
+            "{query}"
+        );
+    }
+    // Each refusal is reported just past the offending text.
+    for (query, at, message) in [
+        (
+            "SELECT ?s WHERE { ?s <http://x/p> <http://x/a{b> }",
+            "a{",
+            "character '{' not allowed in IRI",
+        ),
+        (
+            "SELECT ?s WHERE { ?s <http://x/p> <http://x/a\"b> }",
+            "a\"",
+            "character '\"' not allowed in IRI",
+        ),
+        (
+            "SELECT ?s WHERE { ?s <http://x/q> \"5\"^^<http://t x> }",
+            "t ",
+            "character ' ' not allowed in IRI",
+        ),
+        ("SELECT ?s WHERE { ?s <http://x/p> <> }", "<>", "empty IRI"),
+        (
+            "SELECT ?s WHERE { ?s <http://x/p> <http://x/\\u0020> }",
+            "\\u0020",
+            "character ' ' not allowed in IRI",
+        ),
+    ] {
+        match engine.run(&QueryRequest::sparql(query)) {
+            Err(Error::Engine(EngineError::Sparql(err))) => {
+                let column = query.find(at).unwrap() + at.len() + 1;
+                assert_eq!(err.kind, amber_sparql::SparqlErrorKind::Syntax, "{query}");
+                assert_eq!((err.line, err.column), (1, column), "{query}");
+                assert_eq!(err.message, message, "{query}");
+            }
+            other => panic!("{query}: expected a syntax error, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn duplicate_patterns_do_not_double_count() {
     let engine = AmberEngine::from_graph(paper_graph());

@@ -80,8 +80,8 @@ fn main() {
 
     let report = http.shutdown();
     eprintln!(
-        "drained: {} served ({} dispatched inline, {} queued), {} rejected, \
-         {} result-cache hits",
+        "drained: {} served ({} run by their own waiter, {} for an unredeemed \
+         ticket), {} rejected, {} result-cache hits",
         report.served(),
         report.inline_dispatches,
         report.queued_dispatches,

@@ -194,8 +194,8 @@ impl HttpServer {
         self.addr
     }
 
-    /// Run `f` against the underlying [`Server`] (pause/resume, direct
-    /// submission, trace access…). `None` only during shutdown.
+    /// Run `f` against the underlying [`Server`] (direct submission,
+    /// counters, the slow-query log…). `None` only during shutdown.
     pub fn with_server<R>(&self, f: impl FnOnce(&Server) -> R) -> Option<R> {
         let guard = self.shared.server.read().unwrap_or_else(|e| e.into_inner());
         guard.as_ref().map(f)
@@ -716,8 +716,8 @@ fn sparql_endpoint(
         .filter(|t| !t.is_empty())
         .unwrap_or(&shared.config.default_tenant);
 
-    // Run to completion under a shared guard: an uncontended request
-    // executes on this thread, a contended one waits here for a worker.
+    // Run to completion under a shared guard: the request executes on this
+    // thread once its turn comes; a contended one waits here for it.
     let result = {
         let guard = shared.server.read().unwrap_or_else(|e| e.into_inner());
         match guard.as_ref() {
@@ -820,15 +820,6 @@ mod tests {
     fn start_http_on(data: &str, serve: ServeConfig, http: HttpConfig) -> HttpServer {
         let engine = Arc::new(AmberEngine::load_ntriples(data).unwrap());
         HttpServer::start(Server::start(engine, serve), http).unwrap()
-    }
-
-    /// A server on [`DATA`] whose dispatch is paused before the HTTP
-    /// front end starts, so every request queues until `resume`.
-    fn start_paused(serve: ServeConfig) -> HttpServer {
-        let engine = Arc::new(AmberEngine::load_ntriples(DATA).unwrap());
-        let server = Server::start(engine, serve);
-        server.pause();
-        HttpServer::start(server, HttpConfig::default()).unwrap()
     }
 
     fn start_default() -> HttpServer {
@@ -1080,12 +1071,15 @@ mod tests {
 
     #[test]
     fn overload_maps_to_503_with_retry_after() {
-        let http = start_paused(ServeConfig {
-            workers: 1,
-            queue_capacity: 1,
-            ..ServeConfig::default()
-        });
-        // Fill the only queue slot while dispatch is paused.
+        let http = start_http(
+            ServeConfig {
+                workers: 1,
+                queue_capacity: 1,
+                ..ServeConfig::default()
+            },
+            HttpConfig::default(),
+        );
+        // Fill the only queue slot with a ticket nobody redeems yet.
         let pending = http
             .with_server(|s| s.submit_sparql("filler", EDGE))
             .unwrap()
@@ -1102,31 +1096,24 @@ mod tests {
             "missing Retry-After: {headers:?}"
         );
         assert!(body.contains("overloaded"), "{body}");
-        http.with_server(|s| s.resume());
         pending.wait().unwrap();
         http.shutdown();
     }
 
     #[test]
     fn timeout_parameter_is_a_budget() {
-        let http = start_paused(ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        });
-        // Paused dispatch: a 1ms budget expires in the queue → 504.
-        let addr = http.local_addr();
-        let client = std::thread::spawn(move || {
-            send(
-                addr,
-                "GET /sparql?query=SELECT%20%3Fx%20%3Fy%20WHERE%20%7B%20%3Fx%20%3Chttp%3A%2F%2Fe%2Fp%3E%20%3Fy%20.%20%7D&timeout=1 HTTP/1.1\r\nHost: t\r\n\r\n",
-            )
-        });
-        std::thread::sleep(Duration::from_millis(100));
-        http.with_server(|s| s.resume());
-        let (status, _, body) = client.join().unwrap();
+        let http = start_slow_capable();
+        let slow = slow_request_in_flight(&http, 300);
+        // Queued behind the same tenant's slow request: a 1ms budget
+        // expires before its turn comes → 504, with no engine work.
+        let (status, _, body) = send(http.local_addr(), &post("slow", FAST, 1));
         assert_eq!(status, 504, "{body}");
         assert!(body.contains("deadline"), "{body}");
-        http.shutdown();
+        let (status, _, body) = slow.join().unwrap();
+        assert_eq!(status, 504, "its budget stops it: {body}");
+        let report = http.shutdown();
+        assert_eq!(report.deadline_shed, 1);
+        assert_eq!(report.served_for("slow"), 1);
     }
 
     #[test]
@@ -1562,8 +1549,8 @@ mod tests {
     fn shutdown_waits_for_a_request_running_on_its_connection_thread() {
         let http = start_slow_capable();
         let slow = slow_request_in_flight(&http, 500);
-        // No worker knows about this request: the drain has to get it
-        // from joining the connection thread before it takes the server.
+        // The request runs on its connection thread: the drain has to get
+        // it from joining that thread before it takes the server.
         let report = http.shutdown();
         assert_eq!(report.served_for("slow"), 1);
         assert_eq!(report.inline_dispatches, 1);

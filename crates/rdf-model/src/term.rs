@@ -160,11 +160,18 @@ impl Literal {
         }
     }
 
-    /// A datatyped literal.
+    /// A datatyped literal. An [`XSD_STRING`] literal is the plain
+    /// literal of the same lexical form (RDF 1.1: a simple literal *is* an
+    /// `xsd:string`), so it is built as one and compares and hashes equal
+    /// to it.
     pub fn typed(lexical: impl Into<Box<str>>, datatype: Iri) -> Self {
+        let suffix = match datatype.as_str() {
+            XSD_STRING => LiteralSuffix::None,
+            _ => LiteralSuffix::Datatype(datatype),
+        };
         Self {
             lexical: lexical.into(),
-            suffix: LiteralSuffix::Datatype(datatype),
+            suffix,
         }
     }
 
@@ -284,12 +291,15 @@ impl<'a> LiteralRef<'a> {
         }
     }
 
-    /// Copy into an owned [`Literal`].
+    /// Copy into an owned [`Literal`] (an [`XSD_STRING`] literal becomes
+    /// the plain one, as in [`Literal::typed`]).
     pub fn to_literal(&self) -> Literal {
         Literal {
             lexical: self.lexical.into(),
             suffix: match self.suffix {
-                LiteralSuffixRef::None => LiteralSuffix::None,
+                LiteralSuffixRef::None | LiteralSuffixRef::Datatype(XSD_STRING) => {
+                    LiteralSuffix::None
+                }
                 LiteralSuffixRef::Lang(lang) => LiteralSuffix::Lang(lang.into()),
                 LiteralSuffixRef::Datatype(datatype) => LiteralSuffix::Datatype(Iri::new(datatype)),
             },
@@ -462,6 +472,22 @@ mod tests {
         assert_eq!(
             Literal::typed("5", Iri::new("http://www.w3.org/2001/XMLSchema#integer")).to_string(),
             "\"5\"^^<http://www.w3.org/2001/XMLSchema#integer>"
+        );
+    }
+
+    #[test]
+    fn an_xsd_string_literal_is_the_plain_literal() {
+        use std::hash::{BuildHasher, RandomState};
+        let spelled = Literal::typed("x", Iri::new(XSD_STRING));
+        let plain = Literal::plain("x");
+        assert_eq!(spelled, plain);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&spelled), hasher.hash_one(&plain));
+        let borrowed = LiteralRef::new("x", LiteralSuffixRef::Datatype(XSD_STRING));
+        assert_eq!(borrowed.to_literal(), plain);
+        assert_ne!(
+            Literal::typed("x", Iri::new("http://www.w3.org/2001/XMLSchema#stringy")),
+            plain
         );
     }
 

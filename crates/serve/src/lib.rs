@@ -4,18 +4,21 @@
 //!
 //! The paper's engine answers one query at a time; a serving deployment
 //! multiplexes many client streams onto one in-memory graph. This crate is
-//! the thin, dependency-free layer that makes that safe and fair — a
-//! thread-per-core request loop over an in-process queue, **no async
-//! runtime**. A blocking caller ([`Server::execute`]) whose request
-//! contends with nothing skips the queue and runs it on its own thread;
-//! the worker pool is where a backlog drains:
+//! the thin, dependency-free layer that makes that safe and fair — an
+//! in-process queue, **no async runtime and no threads of its own**. A
+//! request runs on a thread that is blocked waiting for an answer: the
+//! caller of [`Ticket::wait`] (or of [`Server::execute`], which is
+//! submit-and-wait in one call) runs its own request when its turn comes,
+//! and on the way runs the turns ahead of it that nobody waits on and that
+//! it submitted itself or that precede it in its tenant's queue:
 //!
 //! * **shared engine, per-tenant sessions** — all tenants execute against
 //!   one [`AmberEngine`] (one graph, one index set), but each tenant owns
 //!   a private [`QuerySession`] (search arenas and a result cache). A
 //!   tenant's requests are serialized onto its session — sessions are `&mut` state — while different tenants'
-//!   requests run in parallel, at most [`ServeConfig::workers`] at once
-//!   — the only parallelism there is: one query runs on one thread;
+//!   requests run in parallel on their waiters' threads, at most
+//!   [`ServeConfig::workers`] at once — the only parallelism there is: one
+//!   query runs on one thread;
 //! * **admission control** — the server holds at most
 //!   [`ServeConfig::queue_capacity`] queued requests; beyond that,
 //!   [`Server::submit_sparql`] fails *immediately* with the typed
@@ -33,18 +36,18 @@
 //!   engine quarantines panics into typed
 //!   [`EngineError::Internal`](amber::EngineError) values) poisons only
 //!   its own [`Ticket`]; the tenant's session and every other tenant keep
-//!   serving. The serving loop itself is also a chaos surface: the
+//!   serving. The serving layer itself is also a chaos surface: the
 //!   `serve-admit`, `serve-dispatch` and `serve-drain` fault points
 //!   (`AMBER_CHAOS`, see `amber_util::fault`) inject panics and delays
-//!   into admission, dispatch and drain (and, at admission, spurious
-//!   allocation failures that reject as overload), and all serving-layer
-//!   locks recover from poisoning
+//!   into admission, dispatch and the shutdown drain (and, at admission,
+//!   spurious allocation failures that reject as overload), and all
+//!   serving-layer locks recover from poisoning
 //!   (`PoisonError::into_inner`) rather than propagating it;
-//! * **graceful drain** — [`Server::shutdown`] stops admission, serves
-//!   everything already queued, joins the workers, and returns a
-//!   [`ServeReport`] with per-tenant served and shed counts,
-//!   and the aggregated result-cache statistics. A request's deadline
-//!   is the only thing that ends it early.
+//! * **graceful drain** — [`Server::shutdown`] stops admission, runs every
+//!   request whose ticket nobody has redeemed, waits for the ones in
+//!   flight, and returns a [`ServeReport`] with per-tenant served and shed
+//!   counts, and the aggregated result-cache statistics. A request's
+//!   deadline is the only thing that ends it early.
 //!
 //! ```
 //! use amber::AmberEngine;
@@ -74,8 +77,9 @@ use amber_util::timing::Budget;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::thread::JoinHandle;
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// Serving-layer registry handles, resolved once per process.
@@ -83,11 +87,11 @@ struct ServeMetrics {
     /// `amber_serve_queue_depth` — admitted-not-yet-dispatched requests
     /// (mirrors `DispatchState::queued`; updated under the serving lock).
     queue_depth: Arc<Gauge>,
-    /// `amber_serve_queue_wait_us` — admission-to-dispatch wait (0 for a
-    /// dispatch that ran inline, so its count equals dispatches).
+    /// `amber_serve_queue_wait_us` — admission-to-dispatch wait, one
+    /// observation per dispatch.
     queue_wait_us: Arc<Histogram>,
-    /// `amber_serve_dispatches_total{path}` — dispatches that ran on the
-    /// caller's thread vs. ones a worker took off the rotation.
+    /// `amber_serve_dispatches_total{path}` — dispatches run by the thread
+    /// waiting on them vs. ones run for a ticket nobody was waiting on.
     inline_dispatches: Arc<Counter>,
     queued_dispatches: Arc<Counter>,
     served: Arc<Counter>,
@@ -133,11 +137,11 @@ fn export_offline_stats(engine: &AmberEngine) {
 /// Knobs of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Serving worker threads (each runs the request loop; clamped to at
-    /// least 1), and the bound on requests executing at once — one that
-    /// [`Server::execute`] runs on its caller's thread counts against it
-    /// too. There is no parallelism *within* a query: a request runs on
-    /// the one thread that dispatched it.
+    /// The bound on requests executing at once (clamped to at least 1).
+    /// The server starts no threads: a request runs on the thread that
+    /// waits for it ([`Ticket::wait`], [`Server::execute`]), and at most
+    /// this many such threads run a request at a time. There is no
+    /// parallelism *within* a query.
     pub workers: usize,
     /// Admission bound: maximum requests queued (not yet dispatched)
     /// across all tenants. A full queue rejects with
@@ -187,15 +191,10 @@ pub struct SubmitOptions {
     /// its execution timeout, tightening (never loosening) the
     /// server-wide [`ServeConfig::options`] timeout.
     pub budget: Option<Duration>,
-    /// Force the tenant session's flight recorder on for this one request
-    /// (span tree retained in the session's trace ring), even when the
-    /// server-wide [`ServeConfig::trace`] is off. The session's tracing
-    /// configuration is restored after the request.
-    pub tracing: bool,
 }
 
 impl SubmitOptions {
-    /// Options with no budget and no forced tracing.
+    /// Options with no budget.
     pub fn new() -> Self {
         Self::default()
     }
@@ -205,66 +204,69 @@ impl SubmitOptions {
         self.budget = Some(total);
         self
     }
-
-    /// Set per-request [`tracing`](Self::tracing).
-    pub fn with_tracing(mut self, on: bool) -> Self {
-        self.tracing = on;
-        self
-    }
 }
 
-/// One accepted request's completion slot.
-#[derive(Default)]
+/// One admitted request's completion slot and the facts that decide which
+/// thread may run it (see [`DispatchState::take_turn`]).
 struct TicketInner {
-    slot: Mutex<Option<Result<QueryOutcome, Error>>>,
-    done: Condvar,
+    /// The answer, once the request has run. Written and taken under the
+    /// dispatch lock.
+    answer: Mutex<Option<Result<QueryOutcome, Error>>>,
+    /// A thread is blocked in [`Ticket::wait`] on this ticket, so the
+    /// request's turn is that thread's to run. Written and read only under
+    /// the dispatch lock, which orders every access: `Relaxed` suffices.
+    waited: AtomicBool,
+    /// The thread that submitted the request.
+    submitter: ThreadId,
+}
+
+impl TicketInner {
+    fn slot(&self) -> MutexGuard<'_, Option<Result<QueryOutcome, Error>>> {
+        self.answer.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Handle to one accepted request; redeem it with [`Ticket::wait`].
 pub struct Ticket {
+    core: Arc<Core>,
     inner: Arc<TicketInner>,
 }
 
 impl fmt::Debug for Ticket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let completed = self
-            .inner
-            .slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_some();
         f.debug_struct("Ticket")
-            .field("completed", &completed)
+            .field("completed", &self.inner.slot().is_some())
             .finish()
     }
 }
 
 impl Ticket {
-    /// Block until the request completes and take its result. Each
-    /// accepted request completes exactly once — even across shutdown,
-    /// since drain serves the whole backlog before the workers exit.
+    /// Block until the request completes and take its result. The calling
+    /// thread runs the request itself when its turn comes, and meanwhile
+    /// runs the turns ahead of it that nobody waits on and that it
+    /// submitted itself or that sit ahead of it in its tenant's queue — so
+    /// an unredeemed ticket never holds up a redeemed one. Each accepted
+    /// request completes exactly once — even across shutdown, which runs
+    /// every turn nobody redeemed.
     pub fn wait(self) -> Result<QueryOutcome, Error> {
-        let mut slot = self
-            .inner
-            .slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let core = &*self.core;
+        let mut state = core.lock();
+        self.inner.waited.store(true, Ordering::Relaxed);
         loop {
-            if let Some(result) = slot.take() {
+            if let Some(result) = self.inner.slot().take() {
                 return result;
             }
-            slot = self
-                .inner
-                .done
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
+            let (next, mine) = core.step(state, Some(&self.inner));
+            if let Some(result) = mine {
+                return result;
+            }
+            state = next;
         }
     }
 }
 
 /// One admitted request's work — everything a dispatch needs except
-/// where the answer goes (a [`Ticket`] for a queued request, the caller's
-/// stack for an inline one).
+/// where the answer goes.
 struct Job {
     /// The query, compiled against the served engine at admission.
     query: CompiledQuery,
@@ -273,9 +275,6 @@ struct Job {
     admitted: Instant,
     /// The admission-to-answer budget, clocked from admission.
     budget: Option<Budget>,
-    /// Force the session's flight recorder on for this dispatch
-    /// ([`SubmitOptions::tracing`]); restored afterwards.
-    tracing: bool,
 }
 
 /// A queued request (tenant is the queue key).
@@ -314,17 +313,17 @@ struct DispatchState {
     rotation: VecDeque<Arc<str>>,
     /// Total queued (not yet dispatched) requests — the admission gauge.
     queued: usize,
-    /// Requests executing right now, on a worker or inline on a caller's
-    /// thread. Never exceeds [`ServeConfig::workers`]: both dispatch paths
-    /// check it under this lock.
+    /// Requests executing right now. Never exceeds
+    /// [`ServeConfig::workers`]: a turn is only taken below it.
     inflight: usize,
     /// High-water mark of `inflight`.
     peak_inflight: usize,
-    /// Dispatches run on the submitting thread ([`Server::execute`]'s
-    /// fast path) / taken off the rotation by a worker.
+    /// Dispatches run by the thread waiting on them / run for a ticket
+    /// nobody was waiting on (by another ticket's waiter or the drain).
     inline_dispatches: u64,
     queued_dispatches: u64,
-    paused: bool,
+    /// Threads asleep on [`Core::turn`]; nothing is signalled while 0.
+    sleepers: usize,
     draining: bool,
     rejected: u64,
     /// Tenant of every dispatch, in order — `Some` iff
@@ -336,7 +335,7 @@ struct DispatchState {
     /// Serving-layer invariant violations recovered instead of panicking
     /// (stale rotation entries after lock-poison recovery).
     internal_faults: u64,
-    /// `serve-drain` chaos panics trapped on the workers' drain path.
+    /// `serve-drain` chaos panics trapped by the shutdown drain.
     drain_faults: u64,
 }
 
@@ -355,96 +354,289 @@ impl DispatchState {
         Duration::from_nanos(per_request.saturating_mul(pending) / workers.max(1) as u64)
     }
 
-    /// Whether a request for `tenant` arriving now may run on its caller's
-    /// thread: dispatch is live, the tenant is idle (per-tenant FIFO —
-    /// nothing of its own to overtake), nobody is waiting for a turn in
-    /// the rotation (fairness — nobody else to overtake), and an execution
-    /// slot is free (`workers` stays the concurrency bound).
-    fn can_run_inline(&self, tenant: &str, workers: usize) -> bool {
-        !self.paused
-            && self.rotation.is_empty()
-            && self.inflight < workers
-            && self
-                .tenants
-                .get(tenant)
-                .is_none_or(|t| t.queue.is_empty() && !t.busy)
-    }
-
-    /// Move `job` from admitted to executing: mark the tenant busy, take
-    /// the tenant's session, claim an execution slot. `inline` says
-    /// which path dispatched it (a queued job has already left its
-    /// tenant's queue and `queued`).
-    fn begin_dispatch(&mut self, tenant: Arc<str>, job: Job, inline: bool) -> Dispatch {
-        let entry = self.tenants.entry(Arc::clone(&tenant)).or_default();
+    /// Take a turn for a thread blocked on `own` (`None` for the drain),
+    /// if an execution slot is free, and start its request: the tenant
+    /// turns busy, its session moves to the caller, the slot is claimed.
+    /// Turns are considered in rotation order, each tenant's front request
+    /// in turn:
+    ///
+    /// * `own`'s request is taken;
+    /// * a request another thread waits on stops the search — that thread
+    ///   runs it next;
+    /// * a request nobody waits on is taken if the drain asks, if `own`'s
+    ///   thread submitted it, if it is ahead of `own` in their tenant's
+    ///   queue (per-tenant FIFO), or if its ticket was dropped; otherwise
+    ///   it is passed over and left to the thread that holds it, which is
+    ///   about to wait on it (the gap inside [`Server::execute`]).
+    ///
+    /// So an unredeemed ticket never blocks a waiter, and a request runs on
+    /// a thread other than its waiter's only for a ticket nobody waits on.
+    /// Returns the started request and, unless it is `own`'s, the ticket
+    /// its answer goes to.
+    fn take_turn(
+        &mut self,
+        own: Option<&TicketInner>,
+        workers: usize,
+    ) -> Option<(Dispatch, Option<Arc<TicketInner>>)> {
+        if self.inflight >= workers {
+            return None;
+        }
+        let me = current_thread();
+        let mut at = 0;
+        let (entry, mine) = loop {
+            let tenant = self.rotation.get(at)?;
+            let entry = self.tenants.get_mut(tenant);
+            // Poison-robust: a stale rotation entry (possible after a
+            // recovered poisoned lock left state mid-mutation) is counted
+            // and dropped, never unwrapped.
+            let Some(queue) = entry.as_ref().map(|t| &t.queue).filter(|q| !q.is_empty()) else {
+                self.rotation.remove(at);
+                self.internal_faults += 1;
+                continue;
+            };
+            let ticket = &queue[0].ticket;
+            let mine = own.is_some_and(|o| std::ptr::eq(o, &**ticket));
+            if !mine && ticket.waited.load(Ordering::Relaxed) {
+                return None;
+            }
+            let runnable = mine
+                || own.is_none_or(|o| {
+                    ticket.submitter == me
+                        || Arc::strong_count(ticket) == 1
+                        || queue.iter().any(|r| std::ptr::eq(&*r.ticket, o))
+                });
+            if runnable {
+                break (entry?, mine);
+            }
+            at += 1;
+        };
+        // Start the request: mark the tenant busy, take its session, claim
+        // an execution slot.
+        let request = entry.queue.pop_front()?;
         entry.busy = true;
         let session = entry.session.take();
+        let tenant = self.rotation.remove(at)?;
+        self.queued -= 1;
         self.inflight += 1;
         self.peak_inflight = self.peak_inflight.max(self.inflight);
-        let wait_us = if inline {
-            self.inline_dispatches += 1;
-            0
-        } else {
-            self.queued_dispatches += 1;
-            job.admitted.elapsed().as_micros() as u64
-        };
         let m = serve_metrics();
-        m.queue_depth.set(self.queued as i64);
-        m.queue_wait_us.observe(wait_us);
-        if inline {
+        if mine {
+            self.inline_dispatches += 1;
             m.inline_dispatches.inc();
         } else {
+            self.queued_dispatches += 1;
             m.queued_dispatches.inc();
         }
+        m.queue_depth.set(self.queued as i64);
+        m.queue_wait_us
+            .observe(request.job.admitted.elapsed().as_micros() as u64);
         if let Some(order) = &mut self.dispatch_order {
             order.push(Arc::clone(&tenant));
         }
-        Dispatch {
+        let dispatch = Dispatch {
             tenant,
-            job,
+            job: request.job,
             session,
-        }
+        };
+        Some((dispatch, (!mine).then_some(request.ticket)))
     }
 }
 
-struct ServerShared {
-    state: Mutex<DispatchState>,
-    /// Wakes workers: new work queued, rotation refilled, resume, drain.
-    work_cv: Condvar,
+/// The calling thread's id, read once per thread.
+fn current_thread() -> ThreadId {
+    thread_local!(static ID: ThreadId = std::thread::current().id());
+    ID.with(|id| *id)
 }
 
-impl ServerShared {
-    fn lock(&self) -> MutexGuard<'_, DispatchState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Everything a dispatch needs, shared by the serving workers and by
-/// [`Server::execute`]'s inline path.
-struct DispatchContext {
+/// What a server and its tickets share: the engine, the dispatch state
+/// and the knobs a turn needs.
+struct Core {
     engine: Arc<AmberEngine>,
-    shared: ServerShared,
+    state: Mutex<DispatchState>,
+    /// Wakes threads asleep in [`Ticket::wait`] or the drain: a turn was
+    /// taken, a request finished. Only signalled while someone sleeps.
+    turn: Condvar,
     options: ExecOptions,
-    /// [`ServeConfig::workers`], clamped to at least 1: the worker-thread
-    /// count and the bound on concurrently executing requests.
+    /// [`ServeConfig::workers`], clamped to at least 1: the bound on
+    /// concurrently executing requests.
     workers: usize,
+    queue_capacity: usize,
     trace: bool,
     slow_query_threshold: Option<Duration>,
 }
 
 /// One request that has started executing (see
-/// [`DispatchState::begin_dispatch`]).
+/// [`DispatchState::take_turn`]).
 struct Dispatch {
     tenant: Arc<str>,
     job: Job,
     session: Option<QuerySession>,
 }
 
-/// A request past every admission check, with the dispatch lock still
-/// held: the caller either enqueues it or starts it inline.
-struct Admitted<'a> {
-    state: MutexGuard<'a, DispatchState>,
-    tenant: Arc<str>,
-    job: Job,
+/// What one [`Core::step`] leaves: the lock, held again, and the result of
+/// the request of the ticket the step was taken for, if it ran it.
+type Step<'a> = (
+    MutexGuard<'a, DispatchState>,
+    Option<Result<QueryOutcome, Error>>,
+);
+
+impl Core {
+    fn lock(&self) -> MutexGuard<'_, DispatchState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Signal the threads asleep on [`Core::turn`], if there are any.
+    fn wake(&self, state: &DispatchState) {
+        if state.sleepers > 0 {
+            self.turn.notify_all();
+        }
+    }
+
+    /// One step of a thread blocked on `own` (`None`: the drain): run the
+    /// front turn if [`DispatchState::take_turn`] gives it one — returning
+    /// the result if it was `own`'s, answering its ticket otherwise — or
+    /// sleep until a turn is taken or a request finishes.
+    fn step<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, DispatchState>,
+        own: Option<&TicketInner>,
+    ) -> Step<'a> {
+        let Some((dispatch, ticket)) = state.take_turn(own, self.workers) else {
+            state.sleepers += 1;
+            let mut state = self
+                .turn
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.sleepers -= 1;
+            return (state, None);
+        };
+        // The rotation moved: a sleeper may own the next turn.
+        self.wake(&state);
+        drop(state);
+        let (state, result) = self.run_dispatch(dispatch);
+        let mine = match ticket {
+            Some(ticket) => {
+                *ticket.slot() = Some(result);
+                None
+            }
+            None => Some(result),
+        };
+        // A slot is free, and a sleeper's answer may be in.
+        self.wake(&state);
+        (state, mine)
+    }
+
+    /// Run one started request to completion on the calling thread: shed
+    /// or execute outside the lock, then retake the lock, hand the session
+    /// back and settle every counter. Returns the lock, still held, with
+    /// the answer.
+    fn run_dispatch(
+        &self,
+        dispatch: Dispatch,
+    ) -> (MutexGuard<'_, DispatchState>, Result<QueryOutcome, Error>) {
+        let Dispatch {
+            tenant,
+            job,
+            mut session,
+        } = dispatch;
+
+        // Deadline shed: a request whose budget expired before dispatch is
+        // answered with the typed error and does ZERO engine work — no
+        // session is created, no node is visited.
+        let shed_as = job
+            .budget
+            .filter(|b| b.expired())
+            .map(|b| Error::DeadlineExpired {
+                budget: b.total(),
+                waited: b.waited(),
+            });
+        let (result, service_ns) = match shed_as {
+            Some(err) => (Err(err), None),
+            None => match catch_unwind(|| fault::inject(FaultPoint::ServeDispatch)) {
+                Err(payload) => (
+                    Err(Error::Engine(EngineError::Internal {
+                        task: "serve dispatch".to_string(),
+                        payload: payload_message(payload.as_ref()),
+                    })),
+                    Some(0),
+                ),
+                Ok(_) => {
+                    // Per-request options: the remaining admission budget
+                    // tightens the base timeout.
+                    let mut options = self.options.clone();
+                    if let Some(b) = job.budget {
+                        options = options.tighten_timeout(b.remaining().unwrap_or(Duration::ZERO));
+                    }
+                    let sess = session.get_or_insert_with(|| {
+                        let mut sess = self.engine.create_session(&options);
+                        if self.trace || self.slow_query_threshold.is_some() {
+                            sess.configure_tracing(true, self.slow_query_threshold);
+                        }
+                        sess
+                    });
+                    let started = Instant::now();
+                    // Execute outside the serving lock — this is where
+                    // concurrent tenants actually overlap. The engine
+                    // quarantines its own panics into typed `Internal`
+                    // errors; this trap catches the serving layer's.
+                    let request = QueryRequest::compiled(&job.query).with_options(options);
+                    let result =
+                        match catch_unwind(AssertUnwindSafe(|| self.engine.run_in(&request, sess)))
+                        {
+                            Ok(r) => r,
+                            Err(payload) => Err(Error::Engine(EngineError::Internal {
+                                task: "serve dispatch".to_string(),
+                                payload: payload_message(payload.as_ref()),
+                            })),
+                        };
+                    let elapsed = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+                    (result, Some(elapsed))
+                }
+            },
+        };
+
+        // Completion-visibility contract (pinned by the
+        // `counters_are_visible_before_the_answer` regression test and
+        // documented in docs/observability.md): ALL bookkeeping for a
+        // request — session hand-back, served/shed counts, and the
+        // registry metrics fed from them — lands BEFORE the result is
+        // published (returned to the waiter that ran it, or stored in its
+        // ticket, both under this lock). A client that has its answer
+        // therefore never observes a counter lagging its own request: the
+        // tenant is ready for the next submission, and a metrics snapshot
+        // taken afterwards includes the request. (The engine counts its own
+        // series even earlier, inside `run_in`, where each event happens.)
+        let mut state = self.lock();
+        state.inflight -= 1;
+        if let Some(ns) = service_ns {
+            state.service_ewma_ns = if state.service_ewma_ns == 0 {
+                ns
+            } else {
+                (3 * state.service_ewma_ns + ns) / 4
+            };
+        }
+        match state.tenants.get_mut(&tenant) {
+            Some(entry) => {
+                entry.session = session;
+                entry.busy = false;
+                if service_ns.is_some() {
+                    entry.served += 1;
+                    serve_metrics().served.inc();
+                } else {
+                    entry.shed += 1;
+                    serve_metrics().shed.inc();
+                }
+                if !entry.queue.is_empty() {
+                    state.rotation.push_back(tenant);
+                }
+            }
+            // Tenant state vanished (recovered lock poisoning): count
+            // the invariant violation instead of panicking; the request
+            // is still answered.
+            None => state.internal_faults += 1,
+        }
+        (state, result)
+    }
 }
 
 /// A running serving layer over one shared engine. Submission is `&self`
@@ -452,44 +644,30 @@ struct Admitted<'a> {
 /// `Arc`); shutdown consumes the server, so no submission can race the
 /// drain.
 pub struct Server {
-    ctx: Arc<DispatchContext>,
-    workers: Vec<JoinHandle<()>>,
-    queue_capacity: usize,
+    core: Arc<Core>,
 }
 
 impl Server {
-    /// Spawn the serving workers and start accepting requests. To build a
-    /// backlog before anything dispatches, call [`Server::pause`] before
-    /// the first submission.
+    /// Start accepting requests. No thread is started: a request runs when
+    /// a thread waits for it, so tickets submitted and not yet redeemed
+    /// form a backlog.
     pub fn start(engine: Arc<AmberEngine>, config: ServeConfig) -> Self {
         export_offline_stats(&engine);
-        let ctx = Arc::new(DispatchContext {
+        let core = Core {
             engine,
-            shared: ServerShared {
-                state: Mutex::new(DispatchState {
-                    dispatch_order: config.record_dispatch.then(Vec::new),
-                    ..DispatchState::default()
-                }),
-                work_cv: Condvar::new(),
-            },
+            state: Mutex::new(DispatchState {
+                dispatch_order: config.record_dispatch.then(Vec::new),
+                ..DispatchState::default()
+            }),
+            turn: Condvar::new(),
             options: config.options,
             workers: config.workers.max(1),
+            queue_capacity: config.queue_capacity,
             trace: config.trace,
             slow_query_threshold: config.slow_query_threshold,
-        });
-        let workers = (0..ctx.workers)
-            .map(|id| {
-                let ctx = Arc::clone(&ctx);
-                std::thread::Builder::new()
-                    .name(format!("amber-serve-{id}"))
-                    .spawn(move || serve_loop(&ctx))
-                    .expect("spawn serving worker")
-            })
-            .collect();
+        };
         Self {
-            ctx,
-            workers,
-            queue_capacity: config.queue_capacity,
+            core: Arc::new(core),
         }
     }
 
@@ -505,60 +683,18 @@ impl Server {
     }
 
     /// [`submit_sparql`](Self::submit_sparql) with per-request lifecycle
-    /// options: a total admission-to-answer budget and/or forced tracing.
+    /// options: a total admission-to-answer budget.
+    ///
+    /// The admission checks, in order: the `serve-admit` chaos point,
+    /// draining, queue capacity. A request that passes them is queued
+    /// behind its tenant's earlier ones.
     pub fn submit_sparql_with(
         &self,
         tenant: &str,
         sparql: &str,
         opts: SubmitOptions,
     ) -> Result<Ticket, Error> {
-        let query = self.ctx.engine.compile(sparql)?;
-        Ok(self.enqueue(self.admit(tenant, query, opts)?))
-    }
-
-    /// Submit and wait in one blocking call — the same outcome, errors,
-    /// counters and ordering as
-    /// `submit_sparql_with(tenant, sparql, opts)?.wait()`, for a caller
-    /// that has nothing else to do until the answer (a connection thread).
-    ///
-    /// When nothing is contending — dispatch is not paused, `tenant` has
-    /// no request queued or in flight, no tenant is waiting in the
-    /// rotation, and fewer than [`ServeConfig::workers`] requests are
-    /// executing — the request runs to completion on the calling thread:
-    /// no queue, no worker wake-up, no [`Ticket`]. Otherwise it queues
-    /// behind whatever is ahead of it and waits. Which of the two happens
-    /// is a function of queue state alone; [`ServeReport::inline_dispatches`]
-    /// and [`ServeReport::queued_dispatches`] count them.
-    pub fn execute(
-        &self,
-        tenant: &str,
-        sparql: &str,
-        opts: SubmitOptions,
-    ) -> Result<QueryOutcome, Error> {
-        let query = self.ctx.engine.compile(sparql)?;
-        let admitted = self.admit(tenant, query, opts)?;
-        if !admitted.state.can_run_inline(tenant, self.ctx.workers) {
-            return self.enqueue(admitted).wait();
-        }
-        let Admitted {
-            mut state,
-            tenant,
-            job,
-        } = admitted;
-        let dispatch = state.begin_dispatch(tenant, job, true);
-        drop(state);
-        run_dispatch(&self.ctx, dispatch)
-    }
-
-    /// The admission checks every entry point shares, in order: the
-    /// `serve-admit` chaos point, draining, queue capacity. On success
-    /// nothing has been enqueued or started yet.
-    fn admit(
-        &self,
-        tenant: &str,
-        query: CompiledQuery,
-        opts: SubmitOptions,
-    ) -> Result<Admitted<'_>, Error> {
+        let query = self.core.engine.compile(sparql)?;
         // Serve-admission chaos point: a panic here becomes a typed
         // admission error (nothing enqueued); an alloc-fail signal is
         // spurious overload, exercised below.
@@ -573,17 +709,18 @@ impl Server {
         };
         // The budget clock starts at admission — queue wait is charged.
         let budget = opts.budget.map(Budget::starting_now);
-        let mut state = self.ctx.shared.lock();
+        let mut state = self.core.lock();
         if state.draining {
             return Err(Error::ShuttingDown);
         }
-        if signal.alloc_fail || state.queued >= self.queue_capacity {
+        let capacity = self.core.queue_capacity;
+        if signal.alloc_fail || state.queued >= capacity {
             state.rejected += 1;
             serve_metrics().rejected.inc();
             return Err(Error::Overloaded {
-                capacity: self.queue_capacity,
+                capacity,
                 queued: state.queued,
-                retry_after: state.retry_after(self.ctx.workers),
+                retry_after: state.retry_after(self.core.workers),
             });
         }
         // One `Arc<str>` per tenant, shared by the map key, the rotation
@@ -592,75 +729,61 @@ impl Server {
             Some((existing, _)) => Arc::clone(existing),
             None => Arc::from(tenant),
         };
-        Ok(Admitted {
-            state,
-            tenant,
+        let inner = Arc::new(TicketInner {
+            answer: Mutex::new(None),
+            waited: AtomicBool::new(false),
+            submitter: current_thread(),
+        });
+        let entry = state.tenants.entry(Arc::clone(&tenant)).or_default();
+        let was_idle = entry.queue.is_empty() && !entry.busy;
+        entry.queue.push_back(Request {
             job: Job {
                 query,
                 admitted: Instant::now(),
                 budget,
-                tracing: opts.tracing,
             },
-        })
-    }
-
-    /// Queue an admitted request behind its tenant's earlier ones.
-    fn enqueue(&self, admitted: Admitted<'_>) -> Ticket {
-        let Admitted {
-            mut state,
-            tenant,
-            job,
-        } = admitted;
-        let inner = Arc::<TicketInner>::default();
-        let entry = state.tenants.entry(Arc::clone(&tenant)).or_default();
-        let was_idle = entry.queue.is_empty() && !entry.busy;
-        entry.queue.push_back(Request {
-            job,
             ticket: Arc::clone(&inner),
         });
         state.queued += 1;
         serve_metrics().queue_depth.set(state.queued as i64);
+        // A tenant that was busy or already waiting gets its next turn
+        // when the request ahead of this one finishes.
         if was_idle {
             state.rotation.push_back(tenant);
         }
-        drop(state);
-        // One new rotation entry is one new possible dispatch: one worker.
-        // (A tenant that was busy or already waiting gained none — its
-        // next turn is announced by the completion that frees it.)
-        if was_idle {
-            self.ctx.shared.work_cv.notify_one();
-        }
-        Ticket { inner }
+        Ok(Ticket {
+            core: Arc::clone(&self.core),
+            inner,
+        })
     }
 
-    /// Pause dispatch: admitted requests queue up but are not started.
-    /// In-flight requests finish normally.
-    pub fn pause(&self) {
-        self.ctx.shared.lock().paused = true;
-    }
-
-    /// Resume dispatch after [`Server::pause`] (or a paused start).
-    pub fn resume(&self) {
-        self.ctx.shared.lock().paused = false;
-        self.ctx.shared.work_cv.notify_all();
+    /// Submit and wait in one blocking call, for a caller that has nothing
+    /// else to do until the answer (a connection thread): the request runs
+    /// on the calling thread when its turn comes.
+    pub fn execute(
+        &self,
+        tenant: &str,
+        sparql: &str,
+        opts: SubmitOptions,
+    ) -> Result<QueryOutcome, Error> {
+        self.submit_sparql_with(tenant, sparql, opts)?.wait()
     }
 
     /// Requests currently queued (admitted, not yet dispatched).
     pub fn queued(&self) -> usize {
-        self.ctx.shared.lock().queued
+        self.core.lock().queued
     }
 
-    /// Requests currently executing, on a worker or inline on a caller's
-    /// thread (at most [`ServeConfig::workers`]).
+    /// Requests currently executing (at most [`ServeConfig::workers`]).
     pub fn inflight(&self) -> usize {
-        self.ctx.shared.lock().inflight
+        self.core.lock().inflight
     }
 
     /// One tenant's rendered slow-query-log entries, oldest first (see
     /// [`ServeConfig::slow_query_threshold`]). Empty if the tenant is
     /// unknown, its session is mid-dispatch, or tracing is off.
     pub fn slow_query_log(&self, tenant: &str) -> Vec<String> {
-        let state = self.ctx.shared.lock();
+        let state = self.core.lock();
         state
             .tenants
             .get(tenant)
@@ -669,51 +792,38 @@ impl Server {
             .unwrap_or_default()
     }
 
-    /// One tenant's most recent recorded span trace, rendered (see
-    /// [`SubmitOptions::with_tracing`] and [`ServeConfig::trace`]). `None`
-    /// if the tenant is unknown, its session is mid-dispatch, or nothing
-    /// was traced. The completion-visibility contract applies: a trace of
-    /// a request is readable as soon as its answer is.
-    pub fn last_trace(&self, tenant: &str) -> Option<String> {
-        let state = self.ctx.shared.lock();
-        state
-            .tenants
-            .get(tenant)
-            .and_then(|t| t.session.as_ref())
-            .and_then(|s| s.flight_recorder().last())
-            .map(|trace| trace.render())
-    }
-
-    /// Stop admission, serve everything already queued (resuming dispatch
-    /// if paused), join the workers, and report. Every admitted ticket is
-    /// completed before this returns.
-    pub fn shutdown(mut self) -> ServeReport {
+    /// Stop admission, run every turn nobody redeemed, wait for the
+    /// requests in flight, and report. Every admitted ticket is completed
+    /// before this returns.
+    pub fn shutdown(self) -> ServeReport {
         self.drain();
         self.build_report()
     }
 
-    /// Stop admission, let the workers serve what is queued, join them.
-    /// Idempotent: `shutdown` runs it and so does `Drop` — a
-    /// dropped-without-shutdown server still drains its backlog (every
-    /// ticket is owed an answer).
-    fn drain(&mut self) {
-        if self.workers.is_empty() {
+    /// Stop admission and run what is left: the turns whose tickets nobody
+    /// waits on run here, waited ones on their waiters. Runs once: the
+    /// first of `shutdown` and `Drop` does it — a dropped-without-shutdown
+    /// server still answers its backlog (every ticket is owed an answer).
+    fn drain(&self) {
+        let core = &*self.core;
+        let mut state = core.lock();
+        if state.draining {
             return;
         }
-        {
-            let mut state = self.ctx.shared.lock();
-            state.draining = true;
-            // A paused server still owes answers for its backlog.
-            state.paused = false;
+        state.draining = true;
+        while state.queued > 0 || state.inflight > 0 {
+            state = core.step(state, None).0;
         }
-        self.ctx.shared.work_cv.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        drop(state);
+        // The serve-drain chaos point injects panics here; they are trapped
+        // and counted — the drain has already answered every ticket.
+        if catch_unwind(|| fault::inject(FaultPoint::ServeDrain)).is_err() {
+            core.lock().drain_faults += 1;
         }
     }
 
     fn build_report(&self) -> ServeReport {
-        let state = self.ctx.shared.lock();
+        let state = self.core.lock();
         let mut tenants: Vec<TenantReport> = state
             .tenants
             .iter()
@@ -759,204 +869,6 @@ impl Drop for Server {
         self.drain();
     }
 }
-
-/// Complete one ticket.
-fn answer(ticket: &TicketInner, result: Result<QueryOutcome, Error>) {
-    let mut slot = ticket.slot.lock().unwrap_or_else(PoisonError::into_inner);
-    *slot = Some(result);
-    drop(slot);
-    ticket.done.notify_all();
-}
-
-/// The request loop each serving worker runs: pick the next tenant off the
-/// rotation, run its request, answer the ticket.
-fn serve_loop(ctx: &DispatchContext) {
-    while let Some((dispatch, ticket)) = acquire_dispatch(ctx) {
-        answer(&ticket, run_dispatch(ctx, dispatch));
-    }
-    // Drain complete. The serve-drain chaos point injects panics into this
-    // exit path; they are trapped and counted — the drain has already
-    // answered every ticket and must finish.
-    if catch_unwind(|| fault::inject(FaultPoint::ServeDrain)).is_err() {
-        ctx.shared.lock().drain_faults += 1;
-    }
-}
-
-/// Run one started request to completion on the calling thread — a worker
-/// that took it off the rotation, or the submitter itself on
-/// [`Server::execute`]'s inline path: shed or execute outside the lock,
-/// hand the session back, settle every counter, and return the answer.
-fn run_dispatch(ctx: &DispatchContext, dispatch: Dispatch) -> Result<QueryOutcome, Error> {
-    let Dispatch {
-        tenant,
-        job,
-        mut session,
-    } = dispatch;
-
-    // Deadline shed: a request whose budget expired before dispatch is
-    // answered with the typed error and does ZERO engine work — no
-    // session is created, no node is visited.
-    let shed_as = job
-        .budget
-        .filter(|b| b.expired())
-        .map(|b| Error::DeadlineExpired {
-            budget: b.total(),
-            waited: b.waited(),
-        });
-    let (result, service_ns) = match shed_as {
-        Some(err) => (Err(err), None),
-        None => {
-            // Per-request options: the remaining admission budget
-            // tightens the base timeout.
-            match catch_unwind(|| fault::inject(FaultPoint::ServeDispatch)) {
-                Err(payload) => (
-                    Err(Error::Engine(EngineError::Internal {
-                        task: "serve dispatch".to_string(),
-                        payload: payload_message(payload.as_ref()),
-                    })),
-                    Some(0),
-                ),
-                Ok(_) => {
-                    let mut options = ctx.options.clone();
-                    if let Some(b) = job.budget {
-                        options = options.tighten_timeout(b.remaining().unwrap_or(Duration::ZERO));
-                    }
-                    let sess = session.get_or_insert_with(|| {
-                        let mut sess = ctx.engine.create_session(&options);
-                        if ctx.trace || ctx.slow_query_threshold.is_some() {
-                            sess.configure_tracing(true, ctx.slow_query_threshold);
-                        }
-                        sess
-                    });
-                    // Per-request tracing ([`SubmitOptions::tracing`]):
-                    // force the recorder on for this dispatch only and
-                    // restore the session's own configuration after.
-                    let restore_tracing = if job.tracing {
-                        let (was_enabled, threshold) = sess.flight_recorder().config();
-                        if !was_enabled {
-                            sess.configure_tracing(true, threshold);
-                        }
-                        Some((was_enabled, threshold))
-                    } else {
-                        None
-                    };
-                    let started = Instant::now();
-                    // Execute outside the serving lock — this is where
-                    // concurrent tenants actually overlap. The engine
-                    // quarantines its own panics into typed `Internal`
-                    // errors; this trap catches the serving layer's.
-                    let request = QueryRequest::compiled(&job.query).with_options(options);
-                    let result = match catch_unwind(AssertUnwindSafe(|| {
-                        ctx.engine.run_in(&request, sess)
-                    })) {
-                        Ok(r) => r,
-                        Err(payload) => Err(Error::Engine(EngineError::Internal {
-                            task: "serve dispatch".to_string(),
-                            payload: payload_message(payload.as_ref()),
-                        })),
-                    };
-                    if let Some((was_enabled, threshold)) = restore_tracing {
-                        sess.configure_tracing(was_enabled, threshold);
-                    }
-                    let elapsed = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                    (result, Some(elapsed))
-                }
-            }
-        }
-    };
-
-    // Completion-visibility contract (pinned by the
-    // `counters_are_visible_before_the_answer` regression test and
-    // documented in docs/observability.md): ALL bookkeeping for a
-    // request — session hand-back, served/shed counts, and the
-    // registry metrics fed from them — lands BEFORE the result is
-    // published (returned to an inline caller, `answer`ed to a ticket).
-    // A client that has its answer therefore never observes a counter
-    // lagging its own request: the tenant is ready for the next
-    // submission, and a metrics snapshot taken afterwards includes the
-    // request. (The engine counts its own series even earlier,
-    // inside `run_in`, where each event happens.) The only serve-side
-    // state that updates *outside* this pre-answer block is the
-    // `retry_after` service-rate EWMA input ordering across threads — a
-    // hint, not a counter.
-    let mut state = ctx.shared.lock();
-    state.inflight -= 1;
-    if let Some(ns) = service_ns {
-        state.service_ewma_ns = if state.service_ewma_ns == 0 {
-            ns
-        } else {
-            (3 * state.service_ewma_ns + ns) / 4
-        };
-    }
-    match state.tenants.get_mut(&tenant) {
-        Some(entry) => {
-            entry.session = session;
-            entry.busy = false;
-            if service_ns.is_some() {
-                entry.served += 1;
-                serve_metrics().served.inc();
-            } else {
-                entry.shed += 1;
-                serve_metrics().shed.inc();
-            }
-            if !entry.queue.is_empty() {
-                state.rotation.push_back(tenant);
-            }
-        }
-        // Tenant state vanished (recovered lock poisoning): count
-        // the invariant violation instead of panicking; the request
-        // is still answered.
-        None => state.internal_faults += 1,
-    }
-    // The freed slot is one possible dispatch, so one worker — and only
-    // if somebody is waiting for a turn. A drain wakes everyone: workers
-    // parked behind this tenant's backlog must see `queued` reach 0.
-    let (draining, waiting) = (state.draining, !state.rotation.is_empty());
-    drop(state);
-    if draining {
-        ctx.shared.work_cv.notify_all();
-    } else if waiting {
-        ctx.shared.work_cv.notify_one();
-    }
-    result
-}
-
-/// Block until a worker may start one request off the rotation (or the
-/// drain completes: `None`).
-fn acquire_dispatch(ctx: &DispatchContext) -> Option<(Dispatch, Arc<TicketInner>)> {
-    let mut state = ctx.shared.lock();
-    loop {
-        if state.draining && state.queued == 0 {
-            return None;
-        }
-        // `inflight` counts inline dispatches too: a worker that is itself
-        // idle may still have to wait for an execution slot.
-        if !state.paused && state.inflight < ctx.workers {
-            if let Some(tenant) = state.rotation.pop_front() {
-                // Poison-robust: a stale rotation entry (possible after a
-                // recovered poisoned lock left state mid-mutation) is
-                // counted and skipped, never unwrapped.
-                let Some(request) = state
-                    .tenants
-                    .get_mut(&tenant)
-                    .and_then(|entry| entry.queue.pop_front())
-                else {
-                    state.internal_faults += 1;
-                    continue;
-                };
-                state.queued -= 1;
-                let dispatch = state.begin_dispatch(tenant, request.job, false);
-                return Some((dispatch, request.ticket));
-            }
-        }
-        state = ctx
-            .shared
-            .work_cv
-            .wait(state)
-            .unwrap_or_else(PoisonError::into_inner);
-    }
-}
-
 /// Per-tenant slice of a [`ServeReport`].
 #[derive(Debug, Clone)]
 pub struct TenantReport {
@@ -989,17 +901,18 @@ pub struct ServeReport {
     pub deadline_shed: u64,
     /// Serving-layer invariant violations recovered instead of panicking.
     pub internal_faults: u64,
-    /// `serve-drain` chaos panics trapped on the drain path.
+    /// `serve-drain` chaos panics trapped by the shutdown drain.
     pub drain_faults: u64,
     /// All tenants' result-cache counters summed.
     pub result_stats: CacheStats,
     /// Tenant of every dispatch in dispatch order, inline or queued
     /// (empty unless [`ServeConfig::record_dispatch`]).
     pub dispatch_order: Vec<String>,
-    /// Requests that ran to completion on their submitter's thread
-    /// ([`Server::execute`] on an uncontended server).
+    /// Requests run by the thread waiting on them ([`Ticket::wait`],
+    /// [`Server::execute`]).
     pub inline_dispatches: u64,
-    /// Requests a serving worker took off the rotation.
+    /// Requests run for a ticket nobody was waiting on: by the waiter of a
+    /// ticket behind it, or by the shutdown drain.
     pub queued_dispatches: u64,
     /// The most requests ever executing at once, inline and queued
     /// together — never above [`ServeConfig::workers`].
@@ -1059,6 +972,23 @@ mod tests {
     }
 
     #[test]
+    fn start_spawns_no_serving_thread() {
+        let server = Server::start(demo_engine(), ServeConfig::default());
+        server.submit_sparql("a", CHAIN).unwrap().wait().unwrap();
+        let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+            return; // no procfs: nothing to list
+        };
+        for task in tasks.flatten() {
+            let name = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+            assert!(
+                !name.starts_with("amber-serve-"),
+                "a serving thread is running: {name}"
+            );
+        }
+        server.shutdown();
+    }
+
+    #[test]
     fn overload_rejects_typed_with_depth_and_retry_hint() {
         let engine = demo_engine();
         let server = Server::start(
@@ -1069,7 +999,7 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
-        server.pause(); // nothing dispatches: the queue must fill
+        // Nothing runs until a ticket is redeemed: the queue must fill.
         let t1 = server.submit_sparql("a", CHAIN).unwrap();
         let t2 = server.submit_sparql("b", EDGE).unwrap();
         match server.submit_sparql("c", EDGE) {
@@ -1080,13 +1010,12 @@ mod tests {
             }) => {
                 assert_eq!(capacity, 2);
                 assert_eq!(queued, 2, "the observed depth rides along");
-                // Paused server, no completions yet: the hint falls back
-                // to 1 ms per request; 3 pending over 1 worker → 3 ms.
+                // No completions yet: the hint falls back to 1 ms per
+                // request; 3 pending over 1 worker → 3 ms.
                 assert_eq!(retry_after, Duration::from_millis(3));
             }
             other => panic!("expected Overloaded, got {other:?}"),
         }
-        server.resume();
         assert!(t1.wait().is_ok());
         assert!(t2.wait().is_ok());
         let report = server.shutdown();
@@ -1105,12 +1034,10 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
-        server.pause(); // guarantee queue wait: the budget expires queued
         let doomed = server
             .submit_sparql_with("a", CHAIN, SubmitOptions::new().with_budget(Duration::ZERO))
             .unwrap();
         let healthy = server.submit_sparql("b", EDGE).unwrap();
-        server.resume();
         match doomed.wait() {
             Err(Error::DeadlineExpired { budget, waited: _ }) => {
                 assert_eq!(budget, Duration::ZERO);
@@ -1173,21 +1100,21 @@ mod tests {
         let server = Server::start(
             Arc::clone(&engine),
             ServeConfig {
-                workers: 1, // one dispatcher → the order is deterministic
+                workers: 1,
                 record_dispatch: true,
                 ..ServeConfig::default()
             },
         );
-        server.pause();
         // A heavy tenant piles up 3 requests before two light tenants
-        // submit one each.
+        // submit one each; one thread then redeems them in submission
+        // order. Redeeming heavy's second ticket runs the light tenants'
+        // turns first: nobody waits on them, and they are ahead of it.
         let mut tickets = Vec::new();
         for _ in 0..3 {
             tickets.push(server.submit_sparql("heavy", CHAIN).unwrap());
         }
         tickets.push(server.submit_sparql("light-1", EDGE).unwrap());
         tickets.push(server.submit_sparql("light-2", EDGE).unwrap());
-        server.resume();
         for ticket in tickets {
             ticket.wait().unwrap();
         }
@@ -1197,6 +1124,11 @@ mod tests {
             vec!["heavy", "light-1", "light-2", "heavy", "heavy"],
             "light tenants are served after ONE heavy request, not after its whole backlog"
         );
+        assert_eq!(
+            report.inline_dispatches, 3,
+            "each heavy ticket by its waiter"
+        );
+        assert_eq!(report.queued_dispatches, 2, "the light ones for nobody");
     }
 
     #[test]
@@ -1242,18 +1174,27 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_drains_a_paused_backlog() {
-        let engine = demo_engine();
-        let server = Server::start(Arc::clone(&engine), ServeConfig::default());
-        server.pause();
+    fn shutdown_and_drop_run_tickets_nobody_redeemed() {
+        let server = Server::start(demo_engine(), ServeConfig::default());
         let tickets: Vec<Ticket> = (0..5)
             .map(|_| server.submit_sparql("a", CHAIN).unwrap())
             .collect();
-        // Never resumed: shutdown itself must serve the backlog.
+        // Never redeemed: shutdown itself must run the backlog.
         let report = server.shutdown();
         assert_eq!(report.served_for("a"), 5);
+        assert_eq!(report.queued_dispatches, 5);
         for ticket in tickets {
             assert!(ticket.wait().is_ok(), "every admitted ticket is answered");
+        }
+
+        // So must a server dropped without `shutdown`.
+        let server = Server::start(demo_engine(), ServeConfig::default());
+        let tickets: Vec<Ticket> = (0..3)
+            .map(|i| server.submit_sparql(&format!("t{i}"), EDGE).unwrap())
+            .collect();
+        drop(server);
+        for ticket in tickets {
+            assert_eq!(ticket.wait().unwrap().embedding_count, 1);
         }
     }
 
@@ -1275,8 +1216,7 @@ mod tests {
         }
     }
 
-    /// Both ways to get an answer: redeem a ticket, or block in `execute`
-    /// (inline on these idle servers).
+    /// Both ways to get an answer: redeem a ticket, or block in `execute`.
     type Roundtrip = fn(&Server, &str, &str, SubmitOptions) -> Result<QueryOutcome, Error>;
     const VIA_TICKET: Roundtrip = |s, tenant, q, o| s.submit_sparql_with(tenant, q, o)?.wait();
     const VIA_EXECUTE: Roundtrip = |s, tenant, q, o| s.execute(tenant, q, o);
@@ -1294,7 +1234,7 @@ mod tests {
         // (served, shed, busy, session held) of one tenant, read under the
         // serving lock.
         let tenant_state = |server: &Server, tenant: &str| {
-            let state = server.ctx.shared.lock();
+            let state = server.core.lock();
             let t = &state.tenants[tenant];
             (t.served, t.shed, t.busy, t.session.is_some())
         };
@@ -1369,96 +1309,79 @@ mod tests {
         assert_eq!(report.served(), 1);
     }
 
+    /// Take one turn as a thread blocked on `own` would (`None`: the
+    /// drain), run it, answer its ticket, and name its tenant.
+    fn take(server: &Server, own: Option<&Ticket>) -> Option<String> {
+        let mut state = server.core.lock();
+        let (dispatch, ticket) = state.take_turn(own.map(|t| &*t.inner), server.core.workers)?;
+        drop(state);
+        let tenant = dispatch.tenant.to_string();
+        let (_state, result) = server.core.run_dispatch(dispatch);
+        let ticket = ticket.or_else(|| own.map(|t| Arc::clone(&t.inner)));
+        *ticket.expect("a turn answers some ticket").slot() = Some(result);
+        Some(tenant)
+    }
+
     #[test]
-    fn per_request_tracing_records_and_restores() {
-        let engine = demo_engine();
-        // Server-wide tracing OFF: only the traced request may record.
+    fn a_turn_is_taken_by_its_waiter_or_for_a_ticket_nobody_waits_on() {
         let server = Server::start(
-            Arc::clone(&engine),
+            demo_engine(),
             ServeConfig {
                 workers: 1,
                 ..ServeConfig::default()
             },
         );
-        server.submit_sparql("a", CHAIN).unwrap().wait().unwrap();
-        assert_eq!(
-            server.last_trace("a"),
-            None,
-            "untraced requests must not record"
-        );
-        let t = server
-            .submit_sparql_with("a", CHAIN, SubmitOptions::new().with_tracing(true))
-            .unwrap();
-        t.wait().unwrap();
-        let trace = server.last_trace("a").expect("traced request recorded");
-        assert!(
-            trace.contains("select[3 vars]"),
-            "span tree missing: {trace}"
-        );
-        // The knob is per-request: the next untraced request leaves the
-        // ring untouched (the restore happened).
-        server.submit_sparql("a", EDGE).unwrap().wait().unwrap();
-        let after = server.last_trace("a").expect("ring still holds the trace");
-        assert_eq!(
-            after, trace,
-            "tracing must have been restored off after the traced request"
-        );
-        server.shutdown();
-    }
-
-    fn spin_until(mut ready: impl FnMut() -> bool) {
-        while !ready() {
-            std::thread::yield_now();
-        }
-    }
-
-    fn queued_request(ticket: &Ticket) -> Request {
-        Request {
-            job: Job {
-                query: demo_engine().compile(EDGE).unwrap(),
-                admitted: Instant::now(),
-                budget: None,
-                tracing: false,
-            },
-            ticket: Arc::clone(&ticket.inner),
-        }
-    }
-
-    #[test]
-    fn inline_needs_all_four_conditions() {
-        let ticket = Ticket {
-            inner: Arc::default(),
+        let elsewhere = |tenant: &str| {
+            std::thread::scope(|s| {
+                s.spawn(|| server.submit_sparql(tenant, EDGE).unwrap())
+                    .join()
+                    .unwrap()
+            })
         };
-        let idle = || {
-            let mut state = DispatchState::default();
-            state.tenants.insert(Arc::from("a"), TenantState::default());
-            state
-        };
-        assert!(idle().can_run_inline("a", 2));
-        assert!(idle().can_run_inline("never-seen", 2));
+        let here = |tenant: &str| server.submit_sparql(tenant, EDGE).unwrap();
 
-        let mut paused = idle();
-        paused.paused = true;
-        assert!(!paused.can_run_inline("a", 2));
+        // Another thread's unredeemed ticket is passed over; this
+        // thread's own unredeemed one is run, in rotation order.
+        let x = elsewhere("x");
+        let (y, z) = (here("y"), here("z"));
+        assert_eq!(take(&server, Some(&z)).as_deref(), Some("y"));
+        assert_eq!(take(&server, Some(&z)).as_deref(), Some("z"));
+        assert_eq!(take(&server, Some(&z)), None, "x is left to its holder");
+        assert_eq!(take(&server, None).as_deref(), Some("x"), "or the drain");
 
-        let mut busy = idle();
-        busy.tenants.get_mut("a").unwrap().busy = true;
-        assert!(!busy.can_run_inline("a", 2), "one request per session");
-        assert!(busy.can_run_inline("b", 2), "other tenants are unaffected");
+        // A turn somebody waits on stops the search: it is theirs to run.
+        let (b, c) = (here("b"), here("c"));
+        b.inner.waited.store(true, Ordering::Relaxed);
+        assert_eq!(take(&server, Some(&c)), None);
+        assert_eq!(take(&server, None), None);
+        assert_eq!(take(&server, Some(&b)).as_deref(), Some("b"));
+        assert_eq!(take(&server, Some(&c)).as_deref(), Some("c"));
 
-        let mut backlog = idle();
-        let a = backlog.tenants.get_mut("a").unwrap();
-        a.queue.push_back(queued_request(&ticket));
-        assert!(!backlog.can_run_inline("a", 2), "per-tenant FIFO");
+        // Per-tenant FIFO: another thread's request ahead of ours in our
+        // tenant's queue is run first, by us.
+        let d1 = elsewhere("d");
+        let d2 = here("d");
+        assert_eq!(take(&server, Some(&d2)).as_deref(), Some("d"));
+        assert!(d1.inner.slot().is_some(), "the earlier request ran");
+        assert_eq!(take(&server, Some(&d2)).as_deref(), Some("d"));
 
-        let mut waiting = idle();
-        waiting.rotation.push_back(Arc::from("b"));
-        assert!(!waiting.can_run_inline("a", 2), "b's turn comes first");
+        // A dropped ticket is anyone's.
+        drop(elsewhere("e"));
+        let f = here("f");
+        assert_eq!(take(&server, Some(&f)).as_deref(), Some("e"));
 
-        let mut full = idle();
-        full.inflight = 2;
-        assert!(!full.can_run_inline("a", 2), "workers bounds concurrency");
-        assert!(full.can_run_inline("a", 3));
+        // No free slot, no turn.
+        server.core.lock().inflight = 1;
+        assert_eq!(take(&server, Some(&f)), None, "workers bounds concurrency");
+        server.core.lock().inflight = 0;
+        assert_eq!(take(&server, Some(&f)).as_deref(), Some("f"));
+
+        for ticket in [x, y, z, b, c, d1, d2, f] {
+            assert_eq!(ticket.wait().unwrap().embedding_count, 1);
+        }
+        let report = server.shutdown();
+        assert_eq!(report.inline_dispatches, 5, "z, b, c, d2, f");
+        assert_eq!(report.queued_dispatches, 4, "y, x, d1, e");
     }
 
     #[test]
@@ -1484,15 +1407,18 @@ mod tests {
             server.execute("a", "SELECT nonsense", SubmitOptions::new()),
             Err(Error::Engine(_))
         ));
-        // `submit` keeps its contract: a ticket now, a worker later.
+        // A ticket redeemed at once runs on its waiter just the same.
         server.submit_sparql("a", EDGE).unwrap().wait().unwrap();
         let report = server.shutdown();
-        assert_eq!(report.inline_dispatches, 4);
-        assert_eq!(report.queued_dispatches, 1);
+        assert_eq!(report.inline_dispatches, 5);
+        assert_eq!(report.queued_dispatches, 0);
         assert_eq!(report.dispatch_order, vec!["a", "b", "a", "a", "a"]);
         assert_eq!(report.served_for("a"), 4);
         let a = report.tenants.iter().find(|t| t.tenant == "a").unwrap();
-        assert_eq!(a.queries_executed, 4, "both paths share the one session");
+        assert_eq!(
+            a.queries_executed, 4,
+            "every request shares the one session"
+        );
     }
 
     #[test]
@@ -1511,32 +1437,20 @@ mod tests {
     }
 
     #[test]
-    fn execute_never_overtakes_a_paused_or_queued_request() {
+    fn execute_never_overtakes_a_queued_request() {
         let server = Server::start(
             demo_engine(),
             ServeConfig {
-                // One worker answers ticket n before it dispatches n + 1.
                 workers: 1,
                 ..ServeConfig::default()
             },
         );
-        server.pause();
         let earlier = server.submit_sparql("a", CHAIN).unwrap();
         std::thread::scope(|scope| {
             let later = scope.spawn(|| {
                 let outcome = server.execute("a", EDGE, SubmitOptions::new()).unwrap();
-                let earlier_answered = earlier
-                    .inner
-                    .slot
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .is_some();
-                (outcome, earlier_answered)
+                (outcome, earlier.inner.slot().is_some())
             });
-            // Paused, and behind a's own backlog: it must queue.
-            spin_until(|| server.queued() == 2);
-            assert_eq!(server.inflight(), 0);
-            server.resume();
             let (outcome, earlier_answered) = later.join().unwrap();
             assert_eq!(outcome.embedding_count, 1);
             assert!(
@@ -1544,10 +1458,13 @@ mod tests {
                 "per-tenant FIFO: the queued request first"
             );
         });
-        earlier.wait().unwrap();
+        assert_eq!(earlier.wait().unwrap().embedding_count, 1);
         let report = server.shutdown();
-        assert_eq!(report.inline_dispatches, 0);
-        assert_eq!(report.queued_dispatches, 2);
+        assert_eq!(report.inline_dispatches, 1);
+        assert_eq!(
+            report.queued_dispatches, 1,
+            "run for nobody, by the later caller"
+        );
     }
 
     #[test]
@@ -1580,9 +1497,9 @@ mod tests {
         let total = (CLIENTS * PER_CLIENT) as u64;
         assert_eq!(report.served(), total);
         assert_eq!(report.inline_dispatches + report.queued_dispatches, total);
-        assert!(
-            report.inline_dispatches >= 1,
-            "the first request met an idle server"
+        assert_eq!(
+            report.queued_dispatches, 0,
+            "under contention every request still runs on its own client's thread"
         );
         assert!(
             (1..=2).contains(&report.peak_inflight),
@@ -1603,17 +1520,15 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
-        server.pause();
         let mut tickets: Vec<Ticket> = (0..TENANTS)
             .map(|t| server.submit_sparql(&format!("tenant-{t}"), EDGE).unwrap())
             .collect();
         tickets.push(server.submit_sparql("tenant-17", CHAIN).unwrap());
-        server.resume();
         for ticket in tickets {
             ticket.wait().unwrap();
         }
         {
-            let state = server.ctx.shared.lock();
+            let state = server.core.lock();
             assert_eq!(
                 state.tenants.len(),
                 TENANTS,

@@ -58,15 +58,16 @@ pub enum FaultPoint {
     /// An index walk of `ProcessVertex`: an attribute-set intersection or
     /// a multi-type OTIL probe.
     IndexProbe,
-    /// Serving-layer admission (`Server::submit`), before anything is
-    /// enqueued. A panic here surfaces as a typed admission error; an
-    /// `alloc-fail` signal is treated as spurious overload.
+    /// Serving-layer admission (`Server::submit_sparql*`, `execute`),
+    /// before anything is enqueued. A panic here surfaces as a typed
+    /// admission error; an `alloc-fail` signal is treated as spurious
+    /// overload.
     ServeAdmit,
-    /// A serving worker acquiring one dispatch, after the request leaves
+    /// The thread running one served request, after the request leaves
     /// the queue and before any engine work.
     ServeDispatch,
-    /// A serving worker's drain-exit path during shutdown. Panics here are
-    /// trapped and counted — the drain must complete regardless.
+    /// The end of a server's shutdown drain, once per drain. Panics here
+    /// are trapped and counted — the drain must complete regardless.
     ServeDrain,
 }
 
@@ -322,9 +323,8 @@ impl Drop for ChaosGuard {
 }
 
 /// Arm the harness with `text` (full `<seed>:<spec>` grammar) for the
-/// lifetime of the returned guard. Process-global — serving worker threads
-/// see it too — and serialized: a second caller blocks until the first guard
-/// drops.
+/// lifetime of the returned guard. Process-global — every thread sees it —
+/// and serialized: a second caller blocks until the first guard drops.
 pub fn override_spec(text: &str) -> Result<ChaosGuard, String> {
     let serial = OVERRIDE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let spec = ChaosSpec::parse(text)?;

@@ -242,14 +242,20 @@ fn serve_drain_panics_are_trapped_and_counted() {
             PAPER_QUERY_EMBEDDINGS as u128
         );
     }
+    // Left for the drain to run.
+    let unredeemed = server.submit_sparql("a", &paper_query_text()).unwrap();
     let report = {
         let _guard = fault::override_spec("9:serve-drain=panic@1").unwrap();
         with_quiet_chaos_panics(|| server.shutdown())
     };
-    assert_eq!(report.served_for("a"), 2, "the drain still completed");
+    assert_eq!(report.served_for("a"), 3, "the drain still completed");
     assert_eq!(
-        report.drain_faults, 2,
-        "each worker's drain-exit panic is trapped and counted"
+        unredeemed.wait().unwrap().embedding_count,
+        PAPER_QUERY_EMBEDDINGS as u128
+    );
+    assert_eq!(
+        report.drain_faults, 1,
+        "the drain's one panic is trapped and counted"
     );
 }
 
@@ -265,13 +271,15 @@ fn serve_dispatch_panic_on_the_queued_path_leaves_tenant_and_neighbors_serving()
             ..ServeConfig::default()
         },
     );
-    // A ticket is always answered by a worker, so the fault point fires
-    // there: each panic must reach the ticket as a typed value.
+    // Redeeming the later ticket first runs the earlier one on this
+    // thread for nobody, and the fault point fires there: each panic must
+    // reach its own ticket as a typed value.
     {
         let _guard = fault::override_spec("1:serve-dispatch=panic@1").unwrap();
         with_quiet_chaos_panics(|| {
-            for _ in 0..2 {
-                let t = server.submit_sparql("noisy", &paper_query_text()).unwrap();
+            let earlier = server.submit_sparql("noisy", &paper_query_text()).unwrap();
+            let later = server.submit_sparql("noisy", &paper_query_text()).unwrap();
+            for t in [later, earlier] {
                 match t.wait() {
                     Err(Error::Engine(EngineError::Internal { task, .. })) => {
                         assert_eq!(task, "serve dispatch")
@@ -293,8 +301,8 @@ fn serve_dispatch_panic_on_the_queued_path_leaves_tenant_and_neighbors_serving()
         assert_eq!(outcome.bindings, baseline.bindings);
     }
     let report = server.shutdown();
-    assert_eq!(report.inline_dispatches, 0);
-    assert_eq!(report.queued_dispatches, 4);
+    assert_eq!(report.inline_dispatches, 3);
+    assert_eq!(report.queued_dispatches, 1);
     assert_eq!(report.served_for("noisy"), 3);
     assert_eq!(report.served_for("quiet"), 1);
     assert_eq!(report.internal_faults, 0);
@@ -307,8 +315,8 @@ fn serve_dispatch_panic_on_the_inline_path_leaves_tenant_and_caller_serving() {
     let baseline = paper_baseline(&engine);
     let server = Server::start(Arc::clone(&engine), ServeConfig::default());
     let opts = amber_serve::SubmitOptions::new;
-    // `execute` on an idle server runs the dispatch — and so the fault
-    // point — on this thread: the panic must come back as a value.
+    // `execute` runs the dispatch — and so the fault point — on this
+    // thread: the panic must come back as a value.
     let err = {
         let _guard = fault::override_spec("1:serve-dispatch=panic@1").unwrap();
         with_quiet_chaos_panics(|| server.execute("noisy", &paper_query_text(), opts()))
@@ -321,8 +329,8 @@ fn serve_dispatch_panic_on_the_inline_path_leaves_tenant_and_caller_serving() {
     }
     assert_eq!(server.inflight(), 0, "the execution slot was released");
     // Disarmed: the same thread asks again for the same tenant. A tenant
-    // left busy (or a slot left claimed) would queue this request; it
-    // runs inline and answers exactly.
+    // left busy (or a slot left claimed) would leave this request waiting
+    // for good; it runs on this thread and answers exactly.
     let outcome = server
         .execute("noisy", &paper_query_text(), opts())
         .unwrap();
@@ -392,14 +400,11 @@ fn serving_layer_quarantines_chaos_panics_per_tenant() {
             ..ServeConfig::default()
         },
     );
-    server.pause(); // queue the poisoned request before arming
+    // Queue the poisoned request before arming: it runs when redeemed.
     let poisoned = server.submit_sparql("a", &paper_query_text()).unwrap();
     let result = {
         let _guard = fault::override_spec("1:matcher-candidate=panic@1").unwrap();
-        with_quiet_chaos_panics(|| {
-            server.resume();
-            poisoned.wait()
-        })
+        with_quiet_chaos_panics(|| poisoned.wait())
     };
     match result {
         Err(Error::Engine(EngineError::Internal { payload, .. })) => {

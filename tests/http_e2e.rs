@@ -173,8 +173,8 @@ fn backpressure_surfaces_as_503_with_retry_after() {
             ..ServeConfig::default()
         },
     );
-    server.pause();
     let http = HttpServer::start(server, HttpConfig::default()).unwrap();
+    // Fill the only queue slot with a ticket nobody redeems yet.
     let pending = http
         .with_server(|s| s.submit_sparql("filler", QUERY))
         .unwrap()
@@ -189,7 +189,6 @@ fn backpressure_surfaces_as_503_with_retry_after() {
         .parse()
         .expect("Retry-After is whole seconds");
     assert!(retry >= 1);
-    http.with_server(|s| s.resume());
     pending.wait().unwrap();
     http.shutdown();
 }

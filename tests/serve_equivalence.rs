@@ -2,8 +2,7 @@
 //! pushing mixed tenant streams through one [`Server`] must produce
 //! results bit-identical to executing every stream sequentially, cache-free,
 //! on a private engine session — whatever the interleaving, whatever the
-//! cache state, however many serving workers overlap on the shared
-//! execution pool.
+//! cache state, however many client threads run their requests at once.
 
 use amber::{AmberEngine, Error, ExecOptions, QueryOutcome, QueryRequest};
 use amber_datagen::synthetic::{self, SyntheticConfig};
@@ -330,7 +329,8 @@ fn admission_control_rejects_beyond_capacity_and_serves_the_rest() {
             ..ServeConfig::default()
         },
     );
-    server.pause(); // deterministic: the queue fills before any dispatch
+    // Deterministic: nothing runs until a ticket is redeemed, so the queue
+    // fills before any dispatch.
     let accepted: Vec<Ticket> = (0..capacity)
         .map(|i| {
             server
@@ -352,7 +352,6 @@ fn admission_control_rejects_beyond_capacity_and_serves_the_rest() {
         }
         other => panic!("expected Overloaded, got {other:?}"),
     }
-    server.resume();
     let baseline = engine.run(&QueryRequest::sparql(query)).expect("baseline");
     for ticket in accepted {
         let outcome = ticket.wait().expect("accepted requests are served");
@@ -448,8 +447,10 @@ fn settled(result: &Result<QueryOutcome, Error>) -> String {
 /// `Server::execute` is `submit_sparql_with(..)?.wait()`: the same seeded
 /// stream of healthy and zero-budget (shed) requests, on a server without
 /// a timeout and on one whose timeout is zero (every dispatch times out),
-/// settles identically whether every request runs inline on the client's
-/// thread or is queued on a paused server and drained by the workers.
+/// settles identically whether every request runs on the client's thread
+/// as it waits, or a round is submitted whole and redeemed last ticket
+/// first — whose waiter runs the round's other requests, for tickets
+/// nobody waits on yet.
 #[test]
 fn execute_matches_submit_request_for_request_and_counter_for_counter() {
     use rand::Rng;
@@ -511,23 +512,25 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
                 .collect();
             let inline_report = inline.shutdown();
 
-            // A round is admitted whole while paused, then drained: every
-            // tenant's request n is answered before its request n + 1 is
-            // admitted, as on the inline server.
+            // A round is admitted whole, then redeemed last ticket first:
+            // every tenant's request n is answered before its request n + 1
+            // is admitted, as on the inline server.
             let queued = start();
             let mut queued_settled = Vec::new();
             for round in &rounds {
-                queued.pause();
                 let tickets: Vec<Result<Ticket, Error>> = round
                     .iter()
                     .map(|(tenant, text, opts)| {
                         queued.submit_sparql_with(tenant, text, opts.clone())
                     })
                     .collect();
-                queued.resume();
-                for ticket in tickets {
-                    queued_settled.push(settled(&ticket.and_then(Ticket::wait)));
-                }
+                let mut settled_round: Vec<String> = tickets
+                    .into_iter()
+                    .rev()
+                    .map(|ticket| settled(&ticket.and_then(Ticket::wait)))
+                    .collect();
+                settled_round.reverse();
+                queued_settled.extend(settled_round);
             }
             let queued_report = queued.shutdown();
 
@@ -559,8 +562,8 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
                 queued_report.served() + queued_report.deadline_shed,
                 dispatched
             );
-            // One client thread never contends with itself; a paused server
-            // never runs anything inline.
+            // One client thread never contends with itself; redeemed last
+            // first, a round's last request is the one run by its waiter.
             assert_eq!(
                 (
                     inline_report.inline_dispatches,
@@ -573,17 +576,17 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
                     queued_report.inline_dispatches,
                     queued_report.queued_dispatches
                 ),
-                (0, dispatched)
+                (ROUNDS as u64, dispatched - ROUNDS as u64)
             );
         }
     }
 }
 
-/// The inline path (`Server::execute`), the queued path
-/// (`submit_sparql(..).and_then(Ticket::wait)`) and the engine's own `run`
+/// Both ways into the server (`Server::execute` and
+/// `submit_sparql(..).and_then(Ticket::wait)`) and the engine's own `run`
 /// fail with one error type, so their failures compare as values: a
 /// malformed query fails identically on all three, and a zero-budget
-/// request sheds identically on both server paths.
+/// request sheds identically on both server entry points.
 #[test]
 fn inline_queued_and_engine_failures_are_one_error_type() {
     use std::time::Duration;

@@ -14,8 +14,9 @@
 //!   (`text/tab-separated-values`) results — see [`results`];
 //! * per-connection tenant mapping through a configurable header
 //!   ([`HttpConfig::tenant_header`]);
-//! * a `timeout=` parameter (milliseconds) threaded into
-//!   [`SubmitOptions::with_budget`] — queue wait counts against it;
+//! * a `timeout=` parameter (milliseconds) passed to
+//!   [`Server::execute`] as the request's admission-to-answer budget —
+//!   queue wait counts against it;
 //! * backpressure: admission rejections surface as `503` with a
 //!   `Retry-After` computed from the serving layer's service-rate EWMA,
 //!   queue sheds as `504` — the whole mapping comes from
@@ -37,6 +38,12 @@
 //! println!("{} result-cache hits", report.result_stats.hits);
 //! ```
 //!
+//! Each connection thread calls [`Server::execute`], so a request runs on
+//! the thread of the connection it arrived on, and connections never run
+//! each other's requests. The front-end holds its `Server` directly, with
+//! no lock: [`HttpServer::shutdown`] joins every thread that can reach it
+//! before it takes the `Server` back to drain it.
+//!
 //! See `docs/http.md` for the endpoint reference and the status-mapping
 //! table.
 
@@ -45,12 +52,12 @@ pub mod results;
 pub use results::{sparql_json, sparql_tsv};
 
 use amber_obs::{Counter, Histogram};
-use amber_serve::{ServeReport, Server, SubmitOptions};
+use amber_serve::{ServeReport, Server};
 use amber_util::http::{parse_form, parse_request_head, split_target, HttpParseError, RequestHead};
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -143,14 +150,10 @@ impl Default for HttpConfig {
 }
 
 /// State shared between the accept loop and every connection thread.
+/// [`HttpServer::shutdown`] joins all of them before it takes the
+/// `Server` back, so the server needs no lock of its own.
 struct Shared {
-    /// `None` only once [`HttpServer::shutdown`] has taken the server —
-    /// requests then answer `503 shutting down`. A connection thread holds
-    /// a *read* guard for the whole of [`Server::execute`] (the request may
-    /// run right there, on that thread), so it must stay a shared lock:
-    /// an exclusive one would serialize the connections. Shutdown takes
-    /// the write side only after joining every connection thread.
-    server: RwLock<Option<Server>>,
+    server: Server,
     draining: AtomicBool,
     config: HttpConfig,
     conns: Mutex<Vec<JoinHandle<()>>>,
@@ -173,7 +176,7 @@ impl HttpServer {
         let listener = TcpListener::bind(config.addr.as_str())?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            server: RwLock::new(Some(server)),
+            server,
             draining: AtomicBool::new(false),
             config,
             conns: Mutex::new(Vec::new()),
@@ -194,11 +197,10 @@ impl HttpServer {
         self.addr
     }
 
-    /// Run `f` against the underlying [`Server`] (direct submission,
-    /// counters, the slow-query log…). `None` only during shutdown.
-    pub fn with_server<R>(&self, f: impl FnOnce(&Server) -> R) -> Option<R> {
-        let guard = self.shared.server.read().unwrap_or_else(|e| e.into_inner());
-        guard.as_ref().map(f)
+    /// The underlying [`Server`] (direct submission, counters, the
+    /// slow-query log…).
+    pub fn server(&self) -> &Server {
+        &self.shared.server
     }
 
     /// Graceful drain: stop accepting, let every in-flight request finish
@@ -216,14 +218,10 @@ impl HttpServer {
         for conn in conns {
             let _ = conn.join();
         }
-        let server = self
-            .shared
-            .server
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .expect("server is only taken by shutdown");
-        server.shutdown()
+        let Ok(shared) = Arc::try_unwrap(self.shared) else {
+            unreachable!("the acceptor and every connection are joined");
+        };
+        shared.server.shutdown()
     }
 }
 
@@ -583,7 +581,7 @@ fn handle_request(
         }
         "/metrics" => {
             http_metrics().metrics.inc();
-            metrics_endpoint(shared, head, &mut out.body)
+            metrics_endpoint(head, &mut out.body)
         }
         _ => {
             http_metrics().other.inc();
@@ -690,10 +688,10 @@ fn sparql_endpoint(
             None => return Response::error(out, 400, "missing required `query` parameter"),
         },
     };
-    let mut opts = SubmitOptions::new();
+    let mut budget = None;
     if let Some((_, raw)) = params.iter().find(|(k, _)| k == "timeout") {
         match raw.parse::<u64>() {
-            Ok(ms) if ms > 0 => opts = opts.with_budget(Duration::from_millis(ms)),
+            Ok(ms) if ms > 0 => budget = Some(Duration::from_millis(ms)),
             _ => {
                 return Response::error(
                     out,
@@ -716,16 +714,9 @@ fn sparql_endpoint(
         .filter(|t| !t.is_empty())
         .unwrap_or(&shared.config.default_tenant);
 
-    // Run to completion under a shared guard: the request executes on this
-    // thread once its turn comes; a contended one waits here for it.
-    let result = {
-        let guard = shared.server.read().unwrap_or_else(|e| e.into_inner());
-        match guard.as_ref() {
-            Some(server) => server.execute(tenant, query, opts),
-            None => return Response::from_error(out, &amber::Error::ShuttingDown),
-        }
-    };
-    match result {
+    // The request executes on this thread once its turn comes; a contended
+    // one waits here for it.
+    match shared.server.execute(tenant, query, budget) {
         // A partial outcome carries no bindings, so a `200` would pass it
         // off as a complete, empty answer. The partial is the client's
         // budget running out during execution, answered like
@@ -776,18 +767,12 @@ fn answer_body(
     Response::ok(format.content_type())
 }
 
-fn metrics_endpoint(shared: &Shared, head: &RequestHead, out: &mut String) -> Response {
+fn metrics_endpoint(head: &RequestHead, out: &mut String) -> Response {
     if head.method != "GET" {
         return Response::error(out, 405, "use GET").with_header("Allow", "GET".to_string());
     }
-    let guard = shared.server.read().unwrap_or_else(|e| e.into_inner());
-    match guard.as_ref() {
-        Some(_) => {
-            out.push_str(&amber_obs::snapshot().render_prometheus());
-            Response::ok("text/plain; version=0.0.4")
-        }
-        None => Response::from_error(out, &amber::Error::ShuttingDown),
-    }
+    out.push_str(&amber_obs::snapshot().render_prometheus());
+    Response::ok("text/plain; version=0.0.4")
 }
 
 /// Serializes the tests that move or read the process-wide result-body
@@ -1080,10 +1065,7 @@ mod tests {
             HttpConfig::default(),
         );
         // Fill the only queue slot with a ticket nobody redeems yet.
-        let pending = http
-            .with_server(|s| s.submit_sparql("filler", EDGE))
-            .unwrap()
-            .unwrap();
+        let pending = http.server().submit_sparql("filler", EDGE).unwrap();
         let (status, headers, body) = send(
             http.local_addr(),
             "GET /sparql?query=SELECT%20%3Fx%20%3Fy%20WHERE%20%7B%20%3Fx%20%3Chttp%3A%2F%2Fe%2Fp%3E%20%3Fy%20.%20%7D HTTP/1.1\r\nHost: t\r\n\r\n",
@@ -1501,7 +1483,7 @@ mod tests {
         let addr = http.local_addr();
         let client = std::thread::spawn(move || send(addr, &post("slow", SLOW, timeout_ms)));
         let deadline = Instant::now() + Duration::from_secs(30);
-        while http.with_server(|s| s.inflight()) != Some(1) {
+        while http.server().inflight() != 1 {
             assert!(Instant::now() < deadline, "never saw the slow request");
             std::thread::yield_now();
         }
@@ -1533,8 +1515,8 @@ mod tests {
         // The fast answer is back while the slow request still executes:
         // an exclusive lock around `execute` would have made it wait.
         assert_eq!(
-            http.with_server(|s| s.inflight()),
-            Some(1),
+            http.server().inflight(),
+            1,
             "the fast request waited for the slow one"
         );
         let (status, _, body) = slow.join().unwrap();

@@ -6,11 +6,14 @@
 //! multiplexes many client streams onto one in-memory graph. This crate is
 //! the thin, dependency-free layer that makes that safe and fair — an
 //! in-process queue, **no async runtime and no threads of its own**. A
-//! request runs on a thread that is blocked waiting for an answer: the
-//! caller of [`Ticket::wait`] (or of [`Server::execute`], which is
-//! submit-and-wait in one call) runs its own request when its turn comes,
-//! and on the way runs the turns ahead of it that nobody waits on and that
-//! it submitted itself or that precede it in its tenant's queue:
+//! request runs on a thread that is blocked waiting for an answer. A turn
+//! is the front request of the round-robin rotation, and whoever is
+//! waiting when it comes up takes it: the thread that waits on that
+//! request runs it; if another thread waits on it, everyone else sleeps;
+//! if nobody waits on it yet, any waiting thread runs it for its ticket.
+//! [`Server::execute`] admits its request already waited on and takes its
+//! turns in the same lock hold, so its request only ever runs on its own
+//! thread:
 //!
 //! * **shared engine, per-tenant sessions** — all tenants execute against
 //!   one [`AmberEngine`] (one graph, one index set), but each tenant owns
@@ -26,16 +29,16 @@
 //!   retry-after hint derived from the recent service rate — instead of
 //!   buffering unboundedly or blocking the client;
 //! * **deadline propagation** — [`Server::submit_sparql_with`] and
-//!   [`Server::execute`] accept a total
-//!   admission-to-answer budget ([`SubmitOptions::budget`]); queue wait is
-//!   charged against it, a request whose budget expires while still queued
-//!   is shed with the typed [`Error::DeadlineExpired`] *without any
-//!   engine work*, and only the *remaining* budget is handed to the
-//!   engine as its execution timeout;
+//!   [`Server::execute`] accept a total admission-to-answer `budget`;
+//!   queue wait is charged against it, a request whose budget expires
+//!   while still queued is shed with the typed [`Error::DeadlineExpired`]
+//!   *without any engine work*, and only the *remaining* budget is handed
+//!   to the engine as its execution timeout, tightening (never loosening)
+//!   the server-wide [`ServeConfig::options`] timeout;
 //! * **panic and failure isolation** — a query that fails (or panics; the
 //!   engine quarantines panics into typed
 //!   [`EngineError::Internal`](amber::EngineError) values) poisons only
-//!   its own [`Ticket`]; the tenant's session and every other tenant keep
+//!   its own answer; the tenant's session and every other tenant keep
 //!   serving. The serving layer itself is also a chaos surface: the
 //!   `serve-admit`, `serve-dispatch` and `serve-drain` fault points
 //!   (`AMBER_CHAOS`, see `amber_util::fault`) inject panics and delays
@@ -79,7 +82,6 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// Serving-layer registry handles, resolved once per process.
@@ -156,14 +158,13 @@ pub struct ServeConfig {
     /// [`ExecOptions::batch`] (result cache on — a serving deployment is
     /// exactly the repeated-query workload it exists for).
     pub options: ExecOptions,
-    /// Enable each tenant session's flight recorder: per-query span
-    /// traces (parse → plan → per-component search → materialize) retained
-    /// in a bounded ring. See `docs/observability.md`.
-    pub trace: bool,
-    /// Slow-query threshold: with [`trace`](Self::trace) on, a query
-    /// whose wall time reaches this renders its full span tree into the
-    /// session's slow-query log (`Some(Duration::ZERO)` logs every query;
-    /// `None` logs none).
+    /// Slow-query threshold. `Some(_)` turns on each tenant session's
+    /// flight recorder (per-query span traces: parse → plan →
+    /// per-component search → materialize, see `docs/observability.md`),
+    /// and a query whose wall time reaches the threshold renders its span
+    /// tree into the session's slow-query log, read back through
+    /// [`Server::slow_query_log`] (`Some(Duration::ZERO)` logs every
+    /// query). `None` records nothing.
     pub slow_query_threshold: Option<Duration>,
 }
 
@@ -174,50 +175,22 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             record_dispatch: false,
             options: ExecOptions::batch(),
-            trace: false,
             slow_query_threshold: None,
         }
     }
 }
 
-/// Per-request submission options ([`Server::submit_sparql_with`],
-/// [`Server::execute`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SubmitOptions {
-    /// Total admission-to-answer budget. Queue wait is charged against
-    /// it: a request still queued when the budget expires is shed with
-    /// [`Error::DeadlineExpired`] (zero engine work), and a request
-    /// that dispatches hands only the *remaining* budget to the engine as
-    /// its execution timeout, tightening (never loosening) the
-    /// server-wide [`ServeConfig::options`] timeout.
-    pub budget: Option<Duration>,
-}
-
-impl SubmitOptions {
-    /// Options with no budget.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the total admission-to-answer [`budget`](Self::budget).
-    pub fn with_budget(mut self, total: Duration) -> Self {
-        self.budget = Some(total);
-        self
-    }
-}
-
-/// One admitted request's completion slot and the facts that decide which
-/// thread may run it (see [`DispatchState::take_turn`]).
+/// One admitted request's completion slot, and whether a thread waits on
+/// it (see [`DispatchState::take_turn`]).
 struct TicketInner {
     /// The answer, once the request has run. Written and taken under the
     /// dispatch lock.
     answer: Mutex<Option<Result<QueryOutcome, Error>>>,
-    /// A thread is blocked in [`Ticket::wait`] on this ticket, so the
-    /// request's turn is that thread's to run. Written and read only under
-    /// the dispatch lock, which orders every access: `Relaxed` suffices.
+    /// A thread is blocked in [`Ticket::wait`] or [`Server::execute`] on
+    /// this request, so its turn is that thread's to run. Written and read
+    /// only under the dispatch lock, which orders every access: `Relaxed`
+    /// suffices.
     waited: AtomicBool,
-    /// The thread that submitted the request.
-    submitter: ThreadId,
 }
 
 impl TicketInner {
@@ -243,25 +216,15 @@ impl fmt::Debug for Ticket {
 impl Ticket {
     /// Block until the request completes and take its result. The calling
     /// thread runs the request itself when its turn comes, and meanwhile
-    /// runs the turns ahead of it that nobody waits on and that it
-    /// submitted itself or that sit ahead of it in its tenant's queue — so
-    /// an unredeemed ticket never holds up a redeemed one. Each accepted
-    /// request completes exactly once — even across shutdown, which runs
-    /// every turn nobody redeemed.
+    /// runs the turns ahead of it that nobody waits on — so an unredeemed
+    /// ticket never holds up a redeemed one. The request may also have run
+    /// already, for this ticket, on a thread that waited on a later one.
+    /// Each accepted request completes exactly once — even across
+    /// shutdown, which runs every turn nobody redeemed.
     pub fn wait(self) -> Result<QueryOutcome, Error> {
-        let core = &*self.core;
-        let mut state = core.lock();
+        let state = self.core.lock();
         self.inner.waited.store(true, Ordering::Relaxed);
-        loop {
-            if let Some(result) = self.inner.slot().take() {
-                return result;
-            }
-            let (next, mine) = core.step(state, Some(&self.inner));
-            if let Some(result) = mine {
-                return result;
-            }
-            state = next;
-        }
+        self.core.wait_for(state, &self.inner)
     }
 }
 
@@ -357,20 +320,13 @@ impl DispatchState {
     /// Take a turn for a thread blocked on `own` (`None` for the drain),
     /// if an execution slot is free, and start its request: the tenant
     /// turns busy, its session moves to the caller, the slot is claimed.
-    /// Turns are considered in rotation order, each tenant's front request
-    /// in turn:
+    /// The turn is the front request of the rotation's front tenant:
     ///
-    /// * `own`'s request is taken;
-    /// * a request another thread waits on stops the search — that thread
-    ///   runs it next;
-    /// * a request nobody waits on is taken if the drain asks, if `own`'s
-    ///   thread submitted it, if it is ahead of `own` in their tenant's
-    ///   queue (per-tenant FIFO), or if its ticket was dropped; otherwise
-    ///   it is passed over and left to the thread that holds it, which is
-    ///   about to wait on it (the gap inside [`Server::execute`]).
+    /// * `own`'s request: the caller runs it;
+    /// * a request another thread waits on: no turn — that thread runs it;
+    /// * any other request (its ticket not redeemed yet, or dropped): the
+    ///   caller runs it for that ticket.
     ///
-    /// So an unredeemed ticket never blocks a waiter, and a request runs on
-    /// a thread other than its waiter's only for a ticket nobody waits on.
     /// Returns the started request and, unless it is `own`'s, the ticket
     /// its answer goes to.
     fn take_turn(
@@ -381,41 +337,30 @@ impl DispatchState {
         if self.inflight >= workers {
             return None;
         }
-        let me = current_thread();
-        let mut at = 0;
-        let (entry, mine) = loop {
-            let tenant = self.rotation.get(at)?;
-            let entry = self.tenants.get_mut(tenant);
+        let entry = loop {
+            let tenant = self.rotation.front()?;
             // Poison-robust: a stale rotation entry (possible after a
             // recovered poisoned lock left state mid-mutation) is counted
             // and dropped, never unwrapped.
-            let Some(queue) = entry.as_ref().map(|t| &t.queue).filter(|q| !q.is_empty()) else {
-                self.rotation.remove(at);
-                self.internal_faults += 1;
-                continue;
-            };
-            let ticket = &queue[0].ticket;
-            let mine = own.is_some_and(|o| std::ptr::eq(o, &**ticket));
-            if !mine && ticket.waited.load(Ordering::Relaxed) {
-                return None;
+            match self.tenants.get_mut(tenant).filter(|t| !t.queue.is_empty()) {
+                Some(entry) => break entry,
+                None => {
+                    self.rotation.pop_front();
+                    self.internal_faults += 1;
+                }
             }
-            let runnable = mine
-                || own.is_none_or(|o| {
-                    ticket.submitter == me
-                        || Arc::strong_count(ticket) == 1
-                        || queue.iter().any(|r| std::ptr::eq(&*r.ticket, o))
-                });
-            if runnable {
-                break (entry?, mine);
-            }
-            at += 1;
         };
+        let ticket = &entry.queue[0].ticket;
+        let mine = own.is_some_and(|o| std::ptr::eq(o, &**ticket));
+        if !mine && ticket.waited.load(Ordering::Relaxed) {
+            return None;
+        }
         // Start the request: mark the tenant busy, take its session, claim
         // an execution slot.
         let request = entry.queue.pop_front()?;
         entry.busy = true;
         let session = entry.session.take();
-        let tenant = self.rotation.remove(at)?;
+        let tenant = self.rotation.pop_front()?;
         self.queued -= 1;
         self.inflight += 1;
         self.peak_inflight = self.peak_inflight.max(self.inflight);
@@ -442,18 +387,12 @@ impl DispatchState {
     }
 }
 
-/// The calling thread's id, read once per thread.
-fn current_thread() -> ThreadId {
-    thread_local!(static ID: ThreadId = std::thread::current().id());
-    ID.with(|id| *id)
-}
-
 /// What a server and its tickets share: the engine, the dispatch state
 /// and the knobs a turn needs.
 struct Core {
     engine: Arc<AmberEngine>,
     state: Mutex<DispatchState>,
-    /// Wakes threads asleep in [`Ticket::wait`] or the drain: a turn was
+    /// Wakes threads asleep in [`Core::wait_for`] or the drain: a turn was
     /// taken, a request finished. Only signalled while someone sleeps.
     turn: Condvar,
     options: ExecOptions,
@@ -461,7 +400,6 @@ struct Core {
     /// concurrently executing requests.
     workers: usize,
     queue_capacity: usize,
-    trace: bool,
     slow_query_threshold: Option<Duration>,
 }
 
@@ -489,6 +427,26 @@ impl Core {
     fn wake(&self, state: &DispatchState) {
         if state.sleepers > 0 {
             self.turn.notify_all();
+        }
+    }
+
+    /// Block until `own`'s request has its answer, taking turns meanwhile
+    /// ([`Ticket::wait`] and [`Server::execute`]). `state` is the lock,
+    /// held since `own` was marked waited.
+    fn wait_for<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, DispatchState>,
+        own: &TicketInner,
+    ) -> Result<QueryOutcome, Error> {
+        loop {
+            if let Some(result) = own.slot().take() {
+                return result;
+            }
+            let (next, mine) = self.step(state, Some(own));
+            if let Some(result) = mine {
+                return result;
+            }
+            state = next;
         }
     }
 
@@ -569,7 +527,7 @@ impl Core {
                     }
                     let sess = session.get_or_insert_with(|| {
                         let mut sess = self.engine.create_session(&options);
-                        if self.trace || self.slow_query_threshold.is_some() {
+                        if self.slow_query_threshold.is_some() {
                             sess.configure_tracing(true, self.slow_query_threshold);
                         }
                         sess
@@ -663,7 +621,6 @@ impl Server {
             options: config.options,
             workers: config.workers.max(1),
             queue_capacity: config.queue_capacity,
-            trace: config.trace,
             slow_query_threshold: config.slow_query_threshold,
         };
         Self {
@@ -671,29 +628,58 @@ impl Server {
         }
     }
 
-    /// Compile SPARQL text and submit it for `tenant` with default
-    /// [`SubmitOptions`] (no budget). Returns a
-    /// [`Ticket`] immediately on admission; rejects with the typed
-    /// [`Error::Overloaded`] without enqueueing anything. Parse errors are
-    /// reported synchronously (nothing is enqueued for them). Requests of
-    /// one tenant complete in submission order; requests of different
-    /// tenants are scheduled round-robin.
+    /// Compile SPARQL text and submit it for `tenant`, with no budget.
+    /// Returns a [`Ticket`] immediately on admission; rejects with the
+    /// typed [`Error::Overloaded`] without enqueueing anything. Parse
+    /// errors are reported synchronously (nothing is enqueued for them).
+    /// Requests of one tenant complete in submission order; requests of
+    /// different tenants are scheduled round-robin.
     pub fn submit_sparql(&self, tenant: &str, sparql: &str) -> Result<Ticket, Error> {
-        self.submit_sparql_with(tenant, sparql, SubmitOptions::default())
+        self.submit_sparql_with(tenant, sparql, None)
     }
 
-    /// [`submit_sparql`](Self::submit_sparql) with per-request lifecycle
-    /// options: a total admission-to-answer budget.
-    ///
-    /// The admission checks, in order: the `serve-admit` chaos point,
-    /// draining, queue capacity. A request that passes them is queued
-    /// behind its tenant's earlier ones.
+    /// [`submit_sparql`](Self::submit_sparql) with a total
+    /// admission-to-answer `budget` (see the crate docs).
     pub fn submit_sparql_with(
         &self,
         tenant: &str,
         sparql: &str,
-        opts: SubmitOptions,
+        budget: Option<Duration>,
     ) -> Result<Ticket, Error> {
+        let (state, inner) = self.admit(tenant, sparql, budget, false)?;
+        drop(state);
+        Ok(Ticket {
+            core: Arc::clone(&self.core),
+            inner,
+        })
+    }
+
+    /// Submit and wait in one blocking call, for a caller that has nothing
+    /// else to do until the answer (a connection thread). The request is
+    /// admitted already waited on, and the wait starts in the same lock
+    /// hold, so no other thread ever runs it: it runs on the calling
+    /// thread when its turn comes.
+    pub fn execute(
+        &self,
+        tenant: &str,
+        sparql: &str,
+        budget: Option<Duration>,
+    ) -> Result<QueryOutcome, Error> {
+        let (state, own) = self.admit(tenant, sparql, budget, true)?;
+        self.core.wait_for(state, &own)
+    }
+
+    /// Compile `sparql` and queue it behind `tenant`'s earlier requests,
+    /// marked `waited` if the caller waits on it at once. The admission
+    /// checks, in order: the `serve-admit` chaos point, draining, queue
+    /// capacity. Returns the lock, still held, and the request's ticket.
+    fn admit(
+        &self,
+        tenant: &str,
+        sparql: &str,
+        budget: Option<Duration>,
+        waited: bool,
+    ) -> Result<(MutexGuard<'_, DispatchState>, Arc<TicketInner>), Error> {
         let query = self.core.engine.compile(sparql)?;
         // Serve-admission chaos point: a panic here becomes a typed
         // admission error (nothing enqueued); an alloc-fail signal is
@@ -708,7 +694,7 @@ impl Server {
             }
         };
         // The budget clock starts at admission — queue wait is charged.
-        let budget = opts.budget.map(Budget::starting_now);
+        let budget = budget.map(Budget::starting_now);
         let mut state = self.core.lock();
         if state.draining {
             return Err(Error::ShuttingDown);
@@ -731,8 +717,7 @@ impl Server {
         };
         let inner = Arc::new(TicketInner {
             answer: Mutex::new(None),
-            waited: AtomicBool::new(false),
-            submitter: current_thread(),
+            waited: AtomicBool::new(waited),
         });
         let entry = state.tenants.entry(Arc::clone(&tenant)).or_default();
         let was_idle = entry.queue.is_empty() && !entry.busy;
@@ -751,27 +736,7 @@ impl Server {
         if was_idle {
             state.rotation.push_back(tenant);
         }
-        Ok(Ticket {
-            core: Arc::clone(&self.core),
-            inner,
-        })
-    }
-
-    /// Submit and wait in one blocking call, for a caller that has nothing
-    /// else to do until the answer (a connection thread): the request runs
-    /// on the calling thread when its turn comes.
-    pub fn execute(
-        &self,
-        tenant: &str,
-        sparql: &str,
-        opts: SubmitOptions,
-    ) -> Result<QueryOutcome, Error> {
-        self.submit_sparql_with(tenant, sparql, opts)?.wait()
-    }
-
-    /// Requests currently queued (admitted, not yet dispatched).
-    pub fn queued(&self) -> usize {
-        self.core.lock().queued
+        Ok((state, inner))
     }
 
     /// Requests currently executing (at most [`ServeConfig::workers`]).
@@ -911,8 +876,8 @@ pub struct ServeReport {
     /// Requests run by the thread waiting on them ([`Ticket::wait`],
     /// [`Server::execute`]).
     pub inline_dispatches: u64,
-    /// Requests run for a ticket nobody was waiting on: by the waiter of a
-    /// ticket behind it, or by the shutdown drain.
+    /// Requests run for a ticket nobody was waiting on: by a thread waiting
+    /// on another request, or by the shutdown drain.
     pub queued_dispatches: u64,
     /// The most requests ever executing at once, inline and queued
     /// together — never above [`ServeConfig::workers`].
@@ -1035,7 +1000,7 @@ mod tests {
             },
         );
         let doomed = server
-            .submit_sparql_with("a", CHAIN, SubmitOptions::new().with_budget(Duration::ZERO))
+            .submit_sparql_with("a", CHAIN, Some(Duration::ZERO))
             .unwrap();
         let healthy = server.submit_sparql("b", EDGE).unwrap();
         match doomed.wait() {
@@ -1061,11 +1026,7 @@ mod tests {
         let server = Server::start(Arc::clone(&engine), ServeConfig::default());
         // A generous budget dispatches normally and completes.
         let ok = server
-            .submit_sparql_with(
-                "a",
-                CHAIN,
-                SubmitOptions::new().with_budget(Duration::from_secs(60)),
-            )
+            .submit_sparql_with("a", CHAIN, Some(Duration::from_secs(60)))
             .unwrap();
         assert_eq!(ok.wait().unwrap().status, QueryStatus::Completed);
         let report = server.shutdown();
@@ -1082,11 +1043,7 @@ mod tests {
             },
         );
         let slow = server
-            .submit_sparql_with(
-                "b",
-                CHAIN,
-                SubmitOptions::new().with_budget(Duration::from_secs(60)),
-            )
+            .submit_sparql_with("b", CHAIN, Some(Duration::from_secs(60)))
             .unwrap();
         assert_eq!(slow.wait().unwrap().status, QueryStatus::TimedOut);
         let report = server.shutdown();
@@ -1217,7 +1174,7 @@ mod tests {
     }
 
     /// Both ways to get an answer: redeem a ticket, or block in `execute`.
-    type Roundtrip = fn(&Server, &str, &str, SubmitOptions) -> Result<QueryOutcome, Error>;
+    type Roundtrip = fn(&Server, &str, &str, Option<Duration>) -> Result<QueryOutcome, Error>;
     const VIA_TICKET: Roundtrip = |s, tenant, q, o| s.submit_sparql_with(tenant, q, o)?.wait();
     const VIA_EXECUTE: Roundtrip = |s, tenant, q, o| s.execute(tenant, q, o);
 
@@ -1247,12 +1204,7 @@ mod tests {
                 },
             );
             let shed_before = shed_handle.get();
-            let shed = roundtrip(
-                &server,
-                "a",
-                CHAIN,
-                SubmitOptions::new().with_budget(Duration::ZERO),
-            );
+            let shed = roundtrip(&server, "a", CHAIN, Some(Duration::ZERO));
             assert!(matches!(shed, Err(Error::DeadlineExpired { .. })));
             // The shed is counted and the tenant is idle again; it never
             // executed, so there is no session to hand back yet.
@@ -1265,7 +1217,7 @@ mod tests {
             );
 
             let served_before = served_handle.get();
-            let healthy = roundtrip(&server, "a", CHAIN, SubmitOptions::new());
+            let healthy = roundtrip(&server, "a", CHAIN, None);
             assert_eq!(healthy.unwrap().status, QueryStatus::Completed);
             assert_eq!(
                 tenant_state(&server, "a"),
@@ -1290,7 +1242,6 @@ mod tests {
             Arc::clone(&engine),
             ServeConfig {
                 workers: 1,
-                trace: true,
                 slow_query_threshold: Some(Duration::ZERO), // log every query
                 ..ServeConfig::default()
             },
@@ -1340,14 +1291,21 @@ mod tests {
         };
         let here = |tenant: &str| server.submit_sparql(tenant, EDGE).unwrap();
 
-        // Another thread's unredeemed ticket is passed over; this
-        // thread's own unredeemed one is run, in rotation order.
+        // Unredeemed tickets run in rotation order, whichever thread
+        // submitted them.
         let x = elsewhere("x");
         let (y, z) = (here("y"), here("z"));
+        assert_eq!(
+            take(&server, Some(&z)).as_deref(),
+            Some("x"),
+            "x runs in rotation order"
+        );
         assert_eq!(take(&server, Some(&z)).as_deref(), Some("y"));
         assert_eq!(take(&server, Some(&z)).as_deref(), Some("z"));
-        assert_eq!(take(&server, Some(&z)), None, "x is left to its holder");
-        assert_eq!(take(&server, None).as_deref(), Some("x"), "or the drain");
+        assert_eq!(take(&server, Some(&z)), None, "nothing is queued");
+        // The drain takes the same turns.
+        let w = elsewhere("w");
+        assert_eq!(take(&server, None).as_deref(), Some("w"));
 
         // A turn somebody waits on stops the search: it is theirs to run.
         let (b, c) = (here("b"), here("c"));
@@ -1357,15 +1315,15 @@ mod tests {
         assert_eq!(take(&server, Some(&b)).as_deref(), Some("b"));
         assert_eq!(take(&server, Some(&c)).as_deref(), Some("c"));
 
-        // Per-tenant FIFO: another thread's request ahead of ours in our
-        // tenant's queue is run first, by us.
+        // Per-tenant FIFO: the request ahead of ours in our tenant's queue
+        // is run first, by us.
         let d1 = elsewhere("d");
         let d2 = here("d");
         assert_eq!(take(&server, Some(&d2)).as_deref(), Some("d"));
         assert!(d1.inner.slot().is_some(), "the earlier request ran");
         assert_eq!(take(&server, Some(&d2)).as_deref(), Some("d"));
 
-        // A dropped ticket is anyone's.
+        // A dropped ticket is run like any other.
         drop(elsewhere("e"));
         let f = here("f");
         assert_eq!(take(&server, Some(&f)).as_deref(), Some("e"));
@@ -1376,12 +1334,12 @@ mod tests {
         server.core.lock().inflight = 0;
         assert_eq!(take(&server, Some(&f)).as_deref(), Some("f"));
 
-        for ticket in [x, y, z, b, c, d1, d2, f] {
+        for ticket in [x, y, z, w, b, c, d1, d2, f] {
             assert_eq!(ticket.wait().unwrap().embedding_count, 1);
         }
         let report = server.shutdown();
         assert_eq!(report.inline_dispatches, 5, "z, b, c, d2, f");
-        assert_eq!(report.queued_dispatches, 4, "y, x, d1, e");
+        assert_eq!(report.queued_dispatches, 5, "x, y, w, d1, e");
     }
 
     #[test]
@@ -1394,7 +1352,7 @@ mod tests {
             },
         );
         for (tenant, query) in [("a", CHAIN), ("b", EDGE), ("a", EDGE), ("a", CHAIN)] {
-            let outcome = server.execute(tenant, query, SubmitOptions::new()).unwrap();
+            let outcome = server.execute(tenant, query, None).unwrap();
             assert_eq!(outcome.embedding_count, 1);
             assert_eq!(
                 server.inflight(),
@@ -1404,7 +1362,7 @@ mod tests {
         }
         // Parse errors are synchronous here too, and dispatch nothing.
         assert!(matches!(
-            server.execute("a", "SELECT nonsense", SubmitOptions::new()),
+            server.execute("a", "SELECT nonsense", None),
             Err(Error::Engine(_))
         ));
         // A ticket redeemed at once runs on its waiter just the same.
@@ -1424,7 +1382,7 @@ mod tests {
     #[test]
     fn a_zero_budget_execute_is_shed_inline_with_zero_engine_work() {
         let server = Server::start(demo_engine(), ServeConfig::default());
-        match server.execute("a", CHAIN, SubmitOptions::new().with_budget(Duration::ZERO)) {
+        match server.execute("a", CHAIN, Some(Duration::ZERO)) {
             Err(Error::DeadlineExpired { budget, .. }) => assert_eq!(budget, Duration::ZERO),
             other => panic!("expected DeadlineExpired, got {other:?}"),
         }
@@ -1448,7 +1406,7 @@ mod tests {
         let earlier = server.submit_sparql("a", CHAIN).unwrap();
         std::thread::scope(|scope| {
             let later = scope.spawn(|| {
-                let outcome = server.execute("a", EDGE, SubmitOptions::new()).unwrap();
+                let outcome = server.execute("a", EDGE, None).unwrap();
                 (outcome, earlier.inner.slot().is_some())
             });
             let (outcome, earlier_answered) = later.join().unwrap();
@@ -1471,41 +1429,45 @@ mod tests {
     fn workers_bounds_inline_and_queued_execution_together() {
         const CLIENTS: usize = 8;
         const PER_CLIENT: usize = 40;
-        let server = Server::start(
-            demo_engine(),
-            ServeConfig {
-                workers: 2,
-                // Every request executes, so requests really do overlap.
-                options: ExecOptions::batch().with_result_cache(0),
-                ..ServeConfig::default()
-            },
-        );
-        std::thread::scope(|scope| {
-            for client in 0..CLIENTS {
-                let server = &server;
-                scope.spawn(move || {
-                    let tenant = format!("client-{client}");
-                    for i in 0..PER_CLIENT {
-                        let query = if i % 2 == 0 { CHAIN } else { EDGE };
-                        let outcome = server.execute(&tenant, query, SubmitOptions::new());
-                        assert_eq!(outcome.unwrap().embedding_count, 1);
-                    }
-                });
-            }
-        });
-        let report = server.shutdown();
-        let total = (CLIENTS * PER_CLIENT) as u64;
-        assert_eq!(report.served(), total);
-        assert_eq!(report.inline_dispatches + report.queued_dispatches, total);
-        assert_eq!(
-            report.queued_dispatches, 0,
-            "under contention every request still runs on its own client's thread"
-        );
-        assert!(
-            (1..=2).contains(&report.peak_inflight),
-            "{} requests executed at once with workers: 2",
-            report.peak_inflight
-        );
+        // Every client a tenant of its own, then 8 clients on 2 tenants,
+        // where each tenant's requests queue behind one another.
+        for tenants in [CLIENTS, 2] {
+            let server = Server::start(
+                demo_engine(),
+                ServeConfig {
+                    workers: 2,
+                    // Every request executes, so requests really do overlap.
+                    options: ExecOptions::batch().with_result_cache(0),
+                    ..ServeConfig::default()
+                },
+            );
+            std::thread::scope(|scope| {
+                for client in 0..CLIENTS {
+                    let server = &server;
+                    scope.spawn(move || {
+                        let tenant = format!("tenant-{}", client % tenants);
+                        for i in 0..PER_CLIENT {
+                            let query = if i % 2 == 0 { CHAIN } else { EDGE };
+                            let outcome = server.execute(&tenant, query, None);
+                            assert_eq!(outcome.unwrap().embedding_count, 1);
+                        }
+                    });
+                }
+            });
+            let report = server.shutdown();
+            let total = (CLIENTS * PER_CLIENT) as u64;
+            assert_eq!(report.served(), total);
+            assert_eq!(report.inline_dispatches, total);
+            assert_eq!(
+                report.queued_dispatches, 0,
+                "{tenants} tenants: every request runs on its own client's thread"
+            );
+            assert!(
+                (1..=2).contains(&report.peak_inflight),
+                "{} requests executed at once with workers: 2",
+                report.peak_inflight
+            );
+        }
     }
 
     #[test]

@@ -314,12 +314,11 @@ fn serve_dispatch_panic_on_the_inline_path_leaves_tenant_and_caller_serving() {
     let engine = Arc::new(AmberEngine::from_graph(paper_graph()));
     let baseline = paper_baseline(&engine);
     let server = Server::start(Arc::clone(&engine), ServeConfig::default());
-    let opts = amber_serve::SubmitOptions::new;
     // `execute` runs the dispatch — and so the fault point — on this
     // thread: the panic must come back as a value.
     let err = {
         let _guard = fault::override_spec("1:serve-dispatch=panic@1").unwrap();
-        with_quiet_chaos_panics(|| server.execute("noisy", &paper_query_text(), opts()))
+        with_quiet_chaos_panics(|| server.execute("noisy", &paper_query_text(), None))
     };
     match err {
         Err(Error::Engine(EngineError::Internal { task, .. })) => {
@@ -331,9 +330,7 @@ fn serve_dispatch_panic_on_the_inline_path_leaves_tenant_and_caller_serving() {
     // Disarmed: the same thread asks again for the same tenant. A tenant
     // left busy (or a slot left claimed) would leave this request waiting
     // for good; it runs on this thread and answers exactly.
-    let outcome = server
-        .execute("noisy", &paper_query_text(), opts())
-        .unwrap();
+    let outcome = server.execute("noisy", &paper_query_text(), None).unwrap();
     assert_eq!(outcome.embedding_count, baseline.embedding_count);
     assert_eq!(outcome.bindings, baseline.bindings);
     let report = server.shutdown();

@@ -175,10 +175,7 @@ fn backpressure_surfaces_as_503_with_retry_after() {
     );
     let http = HttpServer::start(server, HttpConfig::default()).unwrap();
     // Fill the only queue slot with a ticket nobody redeems yet.
-    let pending = http
-        .with_server(|s| s.submit_sparql("filler", QUERY))
-        .unwrap()
-        .unwrap();
+    let pending = http.server().submit_sparql("filler", QUERY).unwrap();
     let (status, headers, body) = send(
         http.local_addr(),
         &format!("GET /sparql?query={QUERY_ENC} HTTP/1.1\r\nHost: t\r\n\r\n"),

@@ -18,7 +18,7 @@ use amber::{
 use amber_datagen::skewed::{self, SkewedConfig};
 use amber_http::{HttpConfig, HttpServer};
 use amber_obs::MetricsSnapshot;
-use amber_serve::{ServeConfig, ServeReport, Server, SubmitOptions};
+use amber_serve::{ServeConfig, ServeReport, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -204,7 +204,7 @@ fn serve_report_agrees_exactly_with_the_registry() {
     // One request that serves, one whose budget expires queued (shed).
     let healthy = server.submit_sparql("a", CHAIN).unwrap();
     let doomed = server
-        .submit_sparql_with("b", CHAIN, SubmitOptions::new().with_budget(Duration::ZERO))
+        .submit_sparql_with("b", CHAIN, Some(Duration::ZERO))
         .unwrap();
     // Queue full: the third submission is rejected.
     assert!(matches!(
@@ -226,7 +226,7 @@ fn serve_report_agrees_exactly_with_the_registry() {
             ..ServeConfig::default()
         },
     );
-    let slow = strict.execute("d", CHAIN, SubmitOptions::new());
+    let slow = strict.execute("d", CHAIN, None);
     assert_eq!(slow.unwrap().status, QueryStatus::TimedOut);
 
     // Acceptance: a MID-RUN snapshot (server still up) already carries
@@ -452,7 +452,7 @@ fn cache_gauges_sum_over_live_sessions() {
     let before = amber_obs::snapshot();
     let server = Server::start(Arc::clone(&engine), ServeConfig::default());
     for (tenant, query) in [("a", CHAIN), ("b", CHAIN), ("b", BACK_EDGE)] {
-        server.execute(tenant, query, SubmitOptions::new()).unwrap();
+        server.execute(tenant, query, None).unwrap();
     }
     let mid = amber_obs::snapshot();
     let report = server.shutdown();
@@ -605,7 +605,7 @@ fn catalog_lists_exactly_the_registered_families() {
         .run_in(&QueryRequest::sparql(CHAIN), &mut session)
         .unwrap();
     let server = Server::start(Arc::clone(&engine), ServeConfig::default());
-    server.execute("a", CHAIN, SubmitOptions::new()).unwrap();
+    server.execute("a", CHAIN, None).unwrap();
     server.shutdown();
     let http = HttpServer::start(
         Server::start(Arc::clone(&engine), ServeConfig::default()),

@@ -526,3 +526,179 @@ fn assert_all_engines_count(case: &str, rdf: Arc<RdfGraph>, query: &str, expecte
         assert_eq!(out.embedding_count, expected, "{case}: {}", engine.name());
     }
 }
+
+/// How a conformance row's documents are read.
+#[derive(Debug, Clone, Copy)]
+enum Syntax {
+    NTriples,
+    Turtle,
+}
+
+/// How a conformance row ends: refused with a position, or loaded with a
+/// documented normalization that a query then observes.
+#[derive(Debug, PartialEq)]
+enum Conformance {
+    /// The bytes are not UTF-8, so no reader sees them: every entry point
+    /// takes `&str`, and `str::from_utf8` reports the first bad byte.
+    NotUtf8 { valid_up_to: usize },
+    /// A reader refused a statement: 1-based document, line and column.
+    Refused {
+        document: usize,
+        line: usize,
+        column: usize,
+        message: String,
+    },
+    /// Loaded: `triple_count` and the rows `query` answers.
+    Loaded {
+        triples: usize,
+        rows: Vec<Vec<String>>,
+    },
+}
+
+/// Load `documents` into one graph, in order, and run `query` on it.
+fn conformance(syntax: Syntax, documents: &[&[u8]], query: &str) -> Conformance {
+    let mut builder = GraphBuilder::new();
+    for (i, bytes) in documents.iter().enumerate() {
+        let text = match std::str::from_utf8(bytes) {
+            Ok(text) => text,
+            Err(e) => {
+                return Conformance::NotUtf8 {
+                    valid_up_to: e.valid_up_to(),
+                }
+            }
+        };
+        let read = match syntax {
+            Syntax::NTriples => builder
+                .add_ntriples(text)
+                .map_err(|e| (e.line, e.column, e.message)),
+            Syntax::Turtle => rdf_model::parse_turtle(text)
+                .map(|triples| builder.add_triples(&triples))
+                .map_err(|e| (e.line, e.column, e.message)),
+        };
+        if let Err((line, column, message)) = read {
+            return Conformance::Refused {
+                document: i + 1,
+                line,
+                column,
+                message,
+            };
+        }
+    }
+    let engine = AmberEngine::from_graph(builder.finish());
+    let outcome = engine.run(&QueryRequest::sparql(query)).unwrap();
+    let mut rows: Vec<Vec<String>> = outcome
+        .bindings
+        .to_vec()
+        .into_iter()
+        .map(|row| row.iter().map(|t| t.to_string()).collect())
+        .collect();
+    rows.sort();
+    Conformance::Loaded {
+        triples: engine.rdf().triple_count(),
+        rows,
+    }
+}
+
+/// The data issues a real dump carries (oxigraph's data-issues catalogue,
+/// SNIPPETS.md §1), each read as N-Triples and as Turtle. Every row ends
+/// in a positioned typed error or in the normalization `docs/robustness.md`
+/// documents for it — never in a panic or a silently different graph.
+#[test]
+fn data_issues_end_in_a_positioned_error_or_a_documented_normalization() {
+    let refused = |document, line, column, message: &str| Conformance::Refused {
+        document,
+        line,
+        column,
+        message: message.to_string(),
+    };
+    let loaded = |triples, rows: &[&[&str]]| Conformance::Loaded {
+        triples,
+        rows: rows
+            .iter()
+            .map(|row| row.iter().map(|t| t.to_string()).collect())
+            .collect(),
+    };
+    let both = [Syntax::NTriples, Syntax::Turtle];
+    // (issue, readers, documents, query, outcome)
+    type Row<'a> = (&'a str, &'a [Syntax], Vec<&'a [u8]>, &'a str, Conformance);
+    let cases: Vec<Row> = vec![
+        (
+            "a relative IRI without a base is kept verbatim as the vertex key",
+            &both,
+            vec![b"<resource1> <property> <resource2> .\n"],
+            "SELECT ?o WHERE { <resource1> <property> ?o . }",
+            loaded(1, &[&["resource2"]]),
+        ),
+        (
+            "a base to resolve it against is refused, not ignored",
+            &[Syntax::Turtle],
+            vec![b"@base <http://example.org/> .\n<resource1> <property> <resource2> .\n"],
+            "SELECT ?o WHERE { <resource1> <property> ?o . }",
+            refused(1, 1, 6, "unsupported directive '@base'"),
+        ),
+        (
+            "a space in an IRI is refused at the character after it",
+            &both,
+            vec![b"<http://e/s> <http://e/p> <http://example.org/resource with spaces> .\n"],
+            "SELECT ?o WHERE { <http://e/s> <http://e/p> ?o . }",
+            refused(1, 1, 56, "character ' ' not allowed in IRI"),
+        ),
+        (
+            "its percent-encoded form loads, not decoded",
+            &both,
+            vec![b"<http://e/s> <http://e/p> <http://example.org/resource%20with%20spaces> .\n"],
+            "SELECT ?o WHERE { <http://e/s> <http://e/p> ?o . }",
+            loaded(1, &[&["http://example.org/resource%20with%20spaces"]]),
+        ),
+        (
+            "bytes that are not UTF-8 reach no reader",
+            &both,
+            vec![b"<http://e/s> <http://e/p> \"caf\xE9\" .\n"],
+            "SELECT ?o WHERE { <http://e/s> <http://e/p> ?o . }",
+            Conformance::NotUtf8 { valid_up_to: 30 },
+        ),
+        (
+            "an escape naming a surrogate is refused",
+            &both,
+            vec![b"<http://e/s> <http://e/p> \"\\uD800\" .\n"],
+            "SELECT ?o WHERE { <http://e/s> <http://e/p> ?o . }",
+            refused(1, 1, 34, "invalid code point U+D800"),
+        ),
+        (
+            "a blank-node label names one vertex across the documents of one graph",
+            &both,
+            vec![
+                b"_:b <http://e/p> <http://e/x> .\n",
+                b"_:b <http://e/p> <http://e/y> .\n",
+            ],
+            "SELECT ?s WHERE { ?s <http://e/p> <http://e/x> . ?s <http://e/p> <http://e/y> . }",
+            loaded(2, &[&["_:b"]]),
+        ),
+        (
+            "a duplicate triple is counted and stored once",
+            &both,
+            vec![
+                b"<http://e/s> <http://e/p> <http://e/o> .\n<http://e/s> <http://e/p> <http://e/o> .\n",
+                b"<http://e/s> <http://e/p> <http://e/o> .\n",
+            ],
+            "SELECT ?o WHERE { <http://e/s> <http://e/p> ?o . }",
+            loaded(3, &[&["http://e/o"]]),
+        ),
+        (
+            "so is a duplicate literal triple",
+            &both,
+            vec![b"<http://e/s> <http://e/q> \"v\" .\n<http://e/s> <http://e/q> \"v\" .\n"],
+            "SELECT ?s WHERE { ?s <http://e/q> \"v\" . }",
+            loaded(2, &[&["http://e/s"]]),
+        ),
+    ];
+    for (case, syntaxes, documents, query, expected) in &cases {
+        for &syntax in *syntaxes {
+            assert_eq!(
+                &conformance(syntax, documents, query),
+                expected,
+                "{case} ({syntax:?})"
+            );
+        }
+    }
+}

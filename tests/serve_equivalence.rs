@@ -8,7 +8,7 @@ use amber::{AmberEngine, Error, ExecOptions, QueryOutcome, QueryRequest};
 use amber_datagen::synthetic::{self, SyntheticConfig};
 use amber_datagen::{GeneratedQuery, QueryShape, WorkloadConfig, WorkloadGenerator};
 use amber_multigraph::RdfGraph;
-use amber_serve::{ServeConfig, Server, SubmitOptions, Ticket};
+use amber_serve::{ServeConfig, Server, Ticket};
 use amber_sparql::{to_sparql, Projection, SelectQuery, TermPattern};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -247,14 +247,11 @@ proptest! {
                         let server = &server;
                         let base = &base;
                         scope.spawn(move || {
-                            let opts = budget.map_or_else(SubmitOptions::new, |b| {
-                                SubmitOptions::new().with_budget(b)
-                            });
                             let tickets: Vec<Ticket> = base
                                 .iter()
                                 .map(|g| {
                                     server
-                                        .submit_sparql_with(tenant, &g.text, opts.clone())
+                                        .submit_sparql_with(tenant, &g.text, *budget)
                                         .expect("admitted")
                                 })
                                 .collect();
@@ -444,13 +441,13 @@ fn settled(result: &Result<QueryOutcome, Error>) -> String {
     }
 }
 
-/// `Server::execute` is `submit_sparql_with(..)?.wait()`: the same seeded
-/// stream of healthy and zero-budget (shed) requests, on a server without
-/// a timeout and on one whose timeout is zero (every dispatch times out),
-/// settles identically whether every request runs on the client's thread
-/// as it waits, or a round is submitted whole and redeemed last ticket
-/// first — whose waiter runs the round's other requests, for tickets
-/// nobody waits on yet.
+/// `Server::execute` answers as `submit_sparql_with(..)?.wait()` does:
+/// the same seeded stream of healthy and zero-budget (shed) requests, on a
+/// server without a timeout and on one whose timeout is zero (every
+/// dispatch times out), settles identically whether every request runs
+/// on the client's thread as it waits, or a round is submitted whole and
+/// redeemed last ticket first — whose waiter runs the round's other
+/// requests, for tickets nobody waits on yet.
 #[test]
 fn execute_matches_submit_request_for_request_and_counter_for_counter() {
     use rand::Rng;
@@ -470,19 +467,17 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
 
         // One request per tenant per round.
         let mut rng = StdRng::seed_from_u64(seed);
-        let rounds: Vec<Vec<(&str, &str, SubmitOptions)>> = (0..ROUNDS)
+        let rounds: Vec<Vec<(&str, &str, Option<Duration>)>> = (0..ROUNDS)
             .map(|_| {
                 TENANTS
                     .iter()
                     .map(|&tenant| {
                         let text = texts[rng.gen_range(0..texts.len())].as_str();
-                        let opts = match rng.gen_range(0..10) {
-                            1 | 2 if tenant != "steady" => {
-                                SubmitOptions::new().with_budget(Duration::ZERO)
-                            }
-                            _ => SubmitOptions::new(),
+                        let budget = match rng.gen_range(0..10) {
+                            1 | 2 if tenant != "steady" => Some(Duration::ZERO),
+                            _ => None,
                         };
-                        (tenant, text, opts)
+                        (tenant, text, budget)
                     })
                     .collect()
             })
@@ -508,7 +503,7 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
             let inline_settled: Vec<String> = rounds
                 .iter()
                 .flatten()
-                .map(|(tenant, text, opts)| settled(&inline.execute(tenant, text, opts.clone())))
+                .map(|(tenant, text, budget)| settled(&inline.execute(tenant, text, *budget)))
                 .collect();
             let inline_report = inline.shutdown();
 
@@ -520,9 +515,7 @@ fn execute_matches_submit_request_for_request_and_counter_for_counter() {
             for round in &rounds {
                 let tickets: Vec<Result<Ticket, Error>> = round
                     .iter()
-                    .map(|(tenant, text, opts)| {
-                        queued.submit_sparql_with(tenant, text, opts.clone())
-                    })
+                    .map(|(tenant, text, budget)| queued.submit_sparql_with(tenant, text, *budget))
                     .collect();
                 let mut settled_round: Vec<String> = tickets
                     .into_iter()
@@ -595,9 +588,7 @@ fn inline_queued_and_engine_failures_are_one_error_type() {
     let server = Server::start(Arc::clone(&engine), ServeConfig::default());
 
     let malformed = "SELECT nonsense";
-    let inline = server
-        .execute("a", malformed, SubmitOptions::new())
-        .unwrap_err();
+    let inline = server.execute("a", malformed, None).unwrap_err();
     let queued = server
         .submit_sparql("a", malformed)
         .and_then(Ticket::wait)
@@ -616,10 +607,10 @@ fn inline_queued_and_engine_failures_are_one_error_type() {
         other => other,
     };
     let text = "SELECT * WHERE { ?s <http://serve/p/absent> ?o . }";
-    let zero = || SubmitOptions::new().with_budget(Duration::ZERO);
-    let inline = server.execute("b", text, zero()).unwrap_err();
+    let zero = Some(Duration::ZERO);
+    let inline = server.execute("b", text, zero).unwrap_err();
     let queued = server
-        .submit_sparql_with("b", text, zero())
+        .submit_sparql_with("b", text, zero)
         .and_then(Ticket::wait)
         .unwrap_err();
     assert!(

@@ -34,20 +34,21 @@ impl BacktrackingEngine {
     fn local_ok(&self, qg: &QueryGraph, u: QVertexId, v: VertexId) -> bool {
         let graph = self.rdf.graph();
         let vertex = qg.vertex(u);
-        if !graph.has_attributes(v, &vertex.attrs) {
+        if !graph.has_attributes(v, vertex.attrs) {
             return false;
         }
-        for c in &vertex.iri_constraints {
+        for c in vertex.iri_constraints {
+            let types = qg.types(c.types);
             let ok = match c.direction {
-                Direction::Incoming => graph.has_multi_edge(c.data_vertex, v, c.types.types()),
-                Direction::Outgoing => graph.has_multi_edge(v, c.data_vertex, c.types.types()),
+                Direction::Incoming => graph.has_multi_edge(c.data_vertex, v, types),
+                Direction::Outgoing => graph.has_multi_edge(v, c.data_vertex, types),
             };
             if !ok {
                 return false;
             }
         }
-        if let Some(types) = &vertex.self_loop {
-            if !graph.has_multi_edge(v, v, types.types()) {
+        if let Some(types) = vertex.self_loop {
+            if !graph.has_multi_edge(v, v, types) {
                 return false;
             }
         }
@@ -143,7 +144,7 @@ impl BacktrackingEngine {
             if matched == UNBOUND {
                 continue;
             }
-            let types = qg.edges()[adj.edge].types.types();
+            let types = qg.types(qg.edges()[adj.edge].types);
             // Edge direction relative to u: Incoming means neighbour → u, so
             // u's candidates are out-neighbours of the matched vertex.
             let scan_dir = adj.direction.flip();
@@ -171,7 +172,7 @@ impl BacktrackingEngine {
             if matched == UNBOUND {
                 continue;
             }
-            let types = qg.edges()[adj.edge].types.types();
+            let types = qg.types(qg.edges()[adj.edge].types);
             let ok = match adj.direction {
                 // Incoming relative to u: edge neighbour → u.
                 Direction::Incoming => graph.has_multi_edge(VertexId(matched), v, types),
@@ -186,11 +187,13 @@ impl BacktrackingEngine {
 
     fn ground_checks_pass(&self, qg: &QueryGraph) -> bool {
         let graph = self.rdf.graph();
-        qg.ground_checks().iter().all(|check| match check {
+        qg.ground_checks().iter().all(|check| match *check {
             GroundCheck::Edge { from, to, types } => {
-                graph.has_multi_edge(*from, *to, types.types())
+                graph.has_multi_edge(from, to, qg.types(types))
             }
-            GroundCheck::Attribute { vertex, attrs } => graph.has_attributes(*vertex, attrs),
+            GroundCheck::Attribute { vertex, attrs } => {
+                graph.has_attributes(vertex, qg.attributes(attrs))
+            }
         })
     }
 }
@@ -207,20 +210,12 @@ impl SparqlEngine for BacktrackingEngine {
     ) -> Result<QueryOutcome, EngineError> {
         let sw = Stopwatch::start();
         let qg = QueryGraph::build(query, &self.rdf)?;
-        let variables: Vec<Box<str>> = qg.output_vars().to_vec();
+        let variables: Vec<Box<str>> = qg.output_vars().map(Box::from).collect();
         if qg.is_unsatisfiable() || !self.ground_checks_pass(&qg) {
             return Ok(QueryOutcome::empty(variables, sw.elapsed()));
         }
 
-        let output_slots: Vec<usize> = qg
-            .output_vars()
-            .iter()
-            .map(|name| {
-                qg.vertex_by_name(name)
-                    .expect("validated projection")
-                    .index()
-            })
-            .collect();
+        let output_slots: Vec<usize> = qg.projection().iter().map(|u| u.index()).collect();
         let mut collector = RowCollector::new(
             output_slots,
             options.max_results,
@@ -272,7 +267,7 @@ mod tests {
         )
         .unwrap();
         let order = BacktrackingEngine::order_vertices(&qg);
-        assert_eq!(qg.vertex(order[0]).name.as_ref(), "X1"); // degree 5
+        assert_eq!(qg.name(order[0]), "X1"); // degree 5
         assert_eq!(order.len(), 7);
     }
 

@@ -20,9 +20,7 @@
 
 use crate::common::{RowCollector, UNBOUND};
 use amber::{EngineError, ExecOptions, QueryOutcome, SparqlEngine};
-use amber_multigraph::{
-    Direction, GroundCheck, MultiEdge, QVertexId, QueryGraph, RdfGraph, VertexId,
-};
+use amber_multigraph::{Direction, GroundCheck, QVertexId, QueryGraph, RdfGraph, Span, VertexId};
 use amber_util::{Deadline, Stopwatch};
 use std::sync::Arc;
 
@@ -33,7 +31,7 @@ enum Step {
     Edge {
         from: QVertexId,
         to: QVertexId,
-        types: MultiEdge,
+        types: Span,
     },
     /// Attribute constraint on a variable.
     Attrs { vertex: QVertexId },
@@ -60,11 +58,13 @@ impl ScanJoinEngine {
 
     fn ground_checks_pass(&self, qg: &QueryGraph) -> bool {
         let graph = self.rdf.graph();
-        qg.ground_checks().iter().all(|check| match check {
+        qg.ground_checks().iter().all(|check| match *check {
             GroundCheck::Edge { from, to, types } => {
-                graph.has_multi_edge(*from, *to, types.types())
+                graph.has_multi_edge(from, to, qg.types(types))
             }
-            GroundCheck::Attribute { vertex, attrs } => graph.has_attributes(*vertex, attrs),
+            GroundCheck::Attribute { vertex, attrs } => {
+                graph.has_attributes(vertex, qg.attributes(attrs))
+            }
         })
     }
 
@@ -91,12 +91,13 @@ impl ScanJoinEngine {
         let graph = self.rdf.graph();
         match step {
             Step::Edge { from, to, types } => {
+                let types = qg.types(*types);
                 let (bf, bt) = (assignment[from.index()], assignment[to.index()]);
                 match (bf, bt) {
                     (UNBOUND, UNBOUND) => {
                         // Full scan of every directed pair.
                         for v in graph.vertices() {
-                            for w in graph.neighbors_with(v, Direction::Outgoing, types.types()) {
+                            for w in graph.neighbors_with(v, Direction::Outgoing, types) {
                                 if *timed_out || deadline.exceeded() {
                                     *timed_out = true;
                                     return;
@@ -122,9 +123,7 @@ impl ScanJoinEngine {
                         assignment[to.index()] = UNBOUND;
                     }
                     (v, UNBOUND) if v != UNBOUND => {
-                        for w in
-                            graph.neighbors_with(VertexId(v), Direction::Outgoing, types.types())
-                        {
+                        for w in graph.neighbors_with(VertexId(v), Direction::Outgoing, types) {
                             assignment[to.index()] = w.0;
                             self.recurse(
                                 qg,
@@ -142,9 +141,7 @@ impl ScanJoinEngine {
                         assignment[to.index()] = UNBOUND;
                     }
                     (UNBOUND, v) => {
-                        for w in
-                            graph.neighbors_with(VertexId(v), Direction::Incoming, types.types())
-                        {
+                        for w in graph.neighbors_with(VertexId(v), Direction::Incoming, types) {
                             assignment[from.index()] = w.0;
                             self.recurse(
                                 qg,
@@ -162,7 +159,7 @@ impl ScanJoinEngine {
                         assignment[from.index()] = UNBOUND;
                     }
                     (vf, vt) => {
-                        if graph.has_multi_edge(VertexId(vf), VertexId(vt), types.types()) {
+                        if graph.has_multi_edge(VertexId(vf), VertexId(vt), types) {
                             self.recurse(
                                 qg,
                                 steps,
@@ -177,7 +174,7 @@ impl ScanJoinEngine {
                 }
             }
             Step::Attrs { vertex } => {
-                let attrs = &qg.vertex(*vertex).attrs;
+                let attrs = qg.vertex(*vertex).attrs;
                 match assignment[vertex.index()] {
                     UNBOUND => {
                         // Full vertex scan.
@@ -218,6 +215,7 @@ impl ScanJoinEngine {
             }
             Step::Iri { vertex, constraint } => {
                 let c = &qg.vertex(*vertex).iri_constraints[*constraint];
+                let types = qg.types(c.types);
                 match assignment[vertex.index()] {
                     UNBOUND => {
                         // Scan the adjacency of the IRI's data vertex.
@@ -227,7 +225,7 @@ impl ScanJoinEngine {
                             Direction::Incoming => Direction::Outgoing,
                             Direction::Outgoing => Direction::Incoming,
                         };
-                        for w in graph.neighbors_with(c.data_vertex, dir, c.types.types()) {
+                        for w in graph.neighbors_with(c.data_vertex, dir, types) {
                             assignment[vertex.index()] = w.0;
                             self.recurse(
                                 qg,
@@ -247,10 +245,10 @@ impl ScanJoinEngine {
                     v => {
                         let ok = match c.direction {
                             Direction::Incoming => {
-                                graph.has_multi_edge(c.data_vertex, VertexId(v), c.types.types())
+                                graph.has_multi_edge(c.data_vertex, VertexId(v), types)
                             }
                             Direction::Outgoing => {
-                                graph.has_multi_edge(VertexId(v), c.data_vertex, c.types.types())
+                                graph.has_multi_edge(VertexId(v), c.data_vertex, types)
                             }
                         };
                         if ok {
@@ -269,14 +267,12 @@ impl ScanJoinEngine {
             }
             Step::SelfLoop { vertex } => {
                 let types = qg
-                    .vertex(*vertex)
-                    .self_loop
-                    .as_ref()
+                    .self_loop(*vertex)
                     .expect("self-loop step only for self-loop vertices");
                 match assignment[vertex.index()] {
                     UNBOUND => {
                         for v in graph.vertices() {
-                            if graph.has_multi_edge(v, v, types.types()) {
+                            if graph.has_multi_edge(v, v, types) {
                                 assignment[vertex.index()] = v.0;
                                 self.recurse(
                                     qg,
@@ -295,7 +291,7 @@ impl ScanJoinEngine {
                         assignment[vertex.index()] = UNBOUND;
                     }
                     v => {
-                        if graph.has_multi_edge(VertexId(v), VertexId(v), types.types()) {
+                        if graph.has_multi_edge(VertexId(v), VertexId(v), types) {
                             self.recurse(
                                 qg,
                                 steps,
@@ -353,7 +349,7 @@ fn steps_of(qg: &QueryGraph) -> Vec<Step> {
         steps.push(Step::Edge {
             from: edge.from,
             to: edge.to,
-            types: edge.types.clone(),
+            types: edge.types,
         });
     }
 
@@ -381,20 +377,12 @@ impl SparqlEngine for ScanJoinEngine {
     ) -> Result<QueryOutcome, EngineError> {
         let sw = Stopwatch::start();
         let qg = QueryGraph::build(query, &self.rdf)?;
-        let variables: Vec<Box<str>> = qg.output_vars().to_vec();
+        let variables: Vec<Box<str>> = qg.output_vars().map(Box::from).collect();
         if qg.is_unsatisfiable() || !self.ground_checks_pass(&qg) {
             return Ok(QueryOutcome::empty(variables, sw.elapsed()));
         }
 
-        let output_slots: Vec<usize> = qg
-            .output_vars()
-            .iter()
-            .map(|name| {
-                qg.vertex_by_name(name)
-                    .expect("validated projection")
-                    .index()
-            })
-            .collect();
+        let output_slots: Vec<usize> = qg.projection().iter().map(|u| u.index()).collect();
         let mut collector = RowCollector::new(
             output_slots,
             options.max_results,

@@ -74,8 +74,8 @@ fn ordering_ablation(c: &mut Criterion) {
     let run_with = |reverse: bool| {
         let mut arenas = SearchArenas::new();
         for qg in &prepared {
-            for component in qg.connected_components() {
-                let mut prep = ComponentPrep::build(qg, &index, &component, &mut arenas);
+            for component in qg.connected_components().iter() {
+                let mut prep = ComponentPrep::build(qg, &index, component, &mut arenas);
                 if reverse {
                     // Reverse, then rotate until the prefix stays connected
                     // (a worst-ish legal order).
@@ -85,7 +85,7 @@ fn ordering_ablation(c: &mut Criterion) {
                     prep = ComponentPrep::build_with_order(
                         qg,
                         &index,
-                        &component,
+                        component,
                         connected_order,
                         &mut arenas,
                     );

@@ -19,6 +19,7 @@ use amber_index::{IndexSet, NeighborhoodIndex};
 use amber_multigraph::{QVertexId, QueryGraph, VertexId};
 use amber_util::fault::{self, FaultPoint};
 use amber_util::sorted;
+use std::ops::Range;
 
 /// The per-vertex constraint computed by `ProcessVertex`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,41 +55,62 @@ impl Constraint {
     }
 }
 
-/// Algorithm 1: the attribute/IRI constraint of `u`. A single-type IRI
-/// constraint borrows its inverted list from the OTIL pool; an attribute
-/// set or a multi-type constraint is computed into the `ProcessVertex`
-/// scratch of `arenas` (a session's arenas keep that scratch warm across
-/// queries; one-shot callers pass fresh ones).
+/// Algorithm 1: the attribute/IRI constraint of `u`, as an owned list
+/// (plan construction keeps each whitelist in its plan's pool instead;
+/// both run one implementation, with the `ProcessVertex` scratch of
+/// `arenas`).
 pub fn process_vertex(
     qg: &QueryGraph,
     u: QVertexId,
     index: &IndexSet,
     arenas: &mut SearchArenas,
 ) -> Constraint {
+    let mut whitelist = Vec::new();
+    match process_vertex_into(qg, u, index, &mut arenas.process, &mut whitelist) {
+        None => Constraint::Unconstrained,
+        Some(_) => Constraint::Candidates(whitelist),
+    }
+}
+
+/// Algorithm 1 appended to `pool`: `None` when `u` is unconstrained,
+/// otherwise the range of `pool` its sorted whitelist now occupies. A
+/// single-type IRI constraint borrows its inverted list from the OTIL
+/// pool; an attribute set or a multi-type constraint is computed into
+/// `scratch` (a session's arenas keep it warm across queries).
+pub(crate) fn process_vertex_into(
+    qg: &QueryGraph,
+    u: QVertexId,
+    index: &IndexSet,
+    scratch: &mut ProcessScratch,
+    pool: &mut Vec<VertexId>,
+) -> Option<Range<usize>> {
     let vertex = qg.vertex(u);
     let ProcessScratch {
         order,
         acc,
         scratch,
-    } = &mut arenas.process;
+    } = scratch;
+    let start = pool.len();
 
     // C^A_u (lines 1-2).
-    let from_attrs = (!vertex.attrs.is_empty()).then(|| {
+    let from_attrs = !vertex.attrs.is_empty();
+    if from_attrs {
         let _ = fault::inject(FaultPoint::IndexProbe);
         index
             .attribute
-            .candidates_into(&vertex.attrs, order, acc, scratch);
-        acc.clone()
-    });
+            .candidates_into(vertex.attrs, order, acc, scratch);
+        pool.extend_from_slice(acc);
+    }
 
     // C^I_u (lines 3-4): each IRI vertex u^iri has exactly one data vertex;
     // candidates are its neighbours through the required multi-edge, in the
     // direction *seen from the IRI vertex* (constraint directions are stored
     // relative to the query vertex, hence the flip).
-    let mut from_iris: Option<Vec<VertexId>> = None;
-    for c in &vertex.iri_constraints {
+    let iris = pool.len();
+    let mut from_iris = false;
+    for c in vertex.iri_constraints {
         let (v, direction) = (c.data_vertex, c.direction.flip());
-        let neighbors = match c.types.types() {
+        let neighbors = match qg.types(c.types) {
             [t] => index.neighborhood.neighbors_with_type(v, direction, *t),
             types => {
                 let _ = fault::inject(FaultPoint::IndexProbe);
@@ -96,22 +118,26 @@ pub fn process_vertex(
                 acc.as_slice()
             }
         };
-        match &mut from_iris {
-            None => from_iris = Some(neighbors.to_vec()),
-            Some(found) => sorted::intersect_in_place(found, neighbors),
+        if from_iris {
+            sorted::intersect_slices_into(&pool[iris..], neighbors, scratch);
+            pool.truncate(iris);
+            pool.extend_from_slice(scratch);
+        } else {
+            pool.extend_from_slice(neighbors);
+            from_iris = true;
         }
-        if from_iris.as_ref().is_some_and(Vec::is_empty) {
+        if pool.len() == iris {
             break; // already empty, no point intersecting further
         }
     }
 
     // Merge (line 5).
-    match (from_attrs, from_iris) {
-        (None, None) => Constraint::Unconstrained,
-        (Some(a), None) => Constraint::Candidates(a),
-        (None, Some(i)) => Constraint::Candidates(i),
-        (Some(a), Some(i)) => Constraint::Candidates(sorted::intersect(&a, &i)),
+    if from_attrs && from_iris {
+        sorted::intersect_slices_into(&pool[start..iris], &pool[iris..], scratch);
+        pool.truncate(start);
+        pool.extend_from_slice(scratch);
     }
+    (from_attrs || from_iris).then_some(start..pool.len())
 }
 
 /// Per-candidate structural check not covered by `ProcessVertex`: required
@@ -122,9 +148,9 @@ pub fn satisfies_self_loop(
     n: &NeighborhoodIndex,
     v: VertexId,
 ) -> bool {
-    match &qg.vertex(u).self_loop {
+    match qg.self_loop(u) {
         None => true,
-        Some(types) => n.has_edge(v, v, types.types()),
+        Some(types) => n.has_edge(v, v, types),
     }
 }
 

@@ -13,71 +13,87 @@
 
 use amber_multigraph::{QVertexId, QueryGraph};
 
-/// The decomposition of one connected component.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The decomposition of one connected component. Its buffers are
+/// cleared and refilled by [`Self::rebuild`], so an owner that plans query
+/// after query reuses them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Decomposition {
     /// Core vertices `U_c`, ascending id.
-    pub core: Vec<QVertexId>,
+    core: Vec<QVertexId>,
     /// Satellite vertices `U_s`, ascending id.
-    pub satellites: Vec<QVertexId>,
-    /// For each core vertex (parallel to `core`): its attached satellites.
-    pub satellites_of: Vec<Vec<QVertexId>>,
+    satellites: Vec<QVertexId>,
+    /// The satellites attached to each core vertex, ascending: one run per
+    /// entry of `core`, cut by `attached_ends`.
+    attached: Vec<QVertexId>,
+    attached_ends: Vec<u32>,
 }
 
 impl Decomposition {
     /// Decompose one connected component (vertex list ascending).
     pub fn of_component(qg: &QueryGraph, component: &[QVertexId]) -> Self {
-        debug_assert!(component.windows(2).all(|w| w[0] < w[1]));
-        let mut core: Vec<QVertexId> = component
-            .iter()
-            .copied()
-            .filter(|&u| qg.degree(u) > 1)
-            .collect();
+        let mut decomposition = Self::default();
+        decomposition.rebuild(qg, component);
+        decomposition
+    }
 
-        if core.is_empty() {
+    /// [`Self::of_component`] into this decomposition's buffers, cleared
+    /// first.
+    pub fn rebuild(&mut self, qg: &QueryGraph, component: &[QVertexId]) {
+        debug_assert!(component.windows(2).all(|w| w[0] < w[1]));
+        self.core.clear();
+        self.satellites.clear();
+        self.attached.clear();
+        self.attached_ends.clear();
+        self.core
+            .extend(component.iter().copied().filter(|&u| qg.degree(u) > 1));
+
+        if self.core.is_empty() {
             // ∆(component) ≤ 1: promote one vertex. Deterministic stand-in
             // for the paper's random pick: maximise r2 (incident edge-type
             // instances), tie-break on lower id.
             let promoted = component
                 .iter()
                 .copied()
-                .max_by_key(|&u| (qg.signature(u).edge_instance_count(), std::cmp::Reverse(u)))
+                .max_by_key(|&u| (qg.edge_instance_count(u), std::cmp::Reverse(u)))
                 .expect("component is non-empty");
-            core.push(promoted);
+            self.core.push(promoted);
         }
 
-        let satellites: Vec<QVertexId> = component
-            .iter()
-            .copied()
-            .filter(|u| !core.contains(u))
-            .collect();
+        let core = &self.core;
+        self.satellites
+            .extend(component.iter().copied().filter(|u| !core.contains(u)));
 
-        let satellites_of = core
-            .iter()
-            .map(|&c| {
-                let mut sats: Vec<QVertexId> = qg
-                    .adjacency(c)
-                    .iter()
-                    .map(|a| a.neighbor)
-                    .filter(|n| satellites.binary_search(n).is_ok())
-                    .collect();
-                sats.sort_unstable();
-                sats.dedup();
-                sats
-            })
-            .collect();
-
-        Self {
-            core,
-            satellites,
-            satellites_of,
+        for &c in &self.core {
+            let start = self.attached.len();
+            for a in qg.adjacency(c) {
+                let n = a.neighbor;
+                if self.satellites.binary_search(&n).is_ok() && !self.attached[start..].contains(&n)
+                {
+                    self.attached.push(n);
+                }
+            }
+            self.attached[start..].sort_unstable();
+            self.attached_ends.push(self.attached.len() as u32);
         }
+    }
+
+    /// Core vertices `U_c`, ascending id.
+    pub fn core(&self) -> &[QVertexId] {
+        &self.core
+    }
+
+    /// Satellite vertices `U_s`, ascending id.
+    pub fn satellites(&self) -> &[QVertexId] {
+        &self.satellites
     }
 
     /// The satellites attached to a core vertex.
     pub fn satellites_of(&self, core_vertex: QVertexId) -> &[QVertexId] {
         match self.core.binary_search(&core_vertex) {
-            Ok(i) => &self.satellites_of[i],
+            Ok(0) => &self.attached[..self.attached_ends[0] as usize],
+            Ok(i) => {
+                &self.attached[self.attached_ends[i - 1] as usize..self.attached_ends[i] as usize]
+            }
             Err(_) => &[],
         }
     }
@@ -113,13 +129,11 @@ mod tests {
         assert_eq!(comps.len(), 1);
         let d = Decomposition::of_component(&qg, &comps[0]);
 
-        let names = |ids: &[QVertexId]| -> Vec<&str> {
-            ids.iter().map(|&u| qg.vertex(u).name.as_ref()).collect()
-        };
-        let mut core = names(&d.core);
+        let names = |ids: &[QVertexId]| -> Vec<&str> { ids.iter().map(|&u| qg.name(u)).collect() };
+        let mut core = names(d.core());
         core.sort_unstable();
         assert_eq!(core, vec!["X1", "X3", "X5"]);
-        let mut sats = names(&d.satellites);
+        let mut sats = names(d.satellites());
         sats.sort_unstable();
         assert_eq!(sats, vec!["X0", "X2", "X4", "X6"]);
 
@@ -149,9 +163,9 @@ mod tests {
         );
         let comps = qg.connected_components();
         let d = Decomposition::of_component(&qg, &comps[0]);
-        assert_eq!(d.core.len(), 1);
-        assert_eq!(d.satellites.len(), 1);
-        assert_eq!(d.satellites_of(d.core[0]), &[d.satellites[0]]);
+        assert_eq!(d.core().len(), 1);
+        assert_eq!(d.satellites().len(), 1);
+        assert_eq!(d.satellites_of(d.core()[0]), &[d.satellites()[0]]);
     }
 
     #[test]
@@ -166,9 +180,9 @@ mod tests {
         );
         let comps = qg.connected_components();
         let d = Decomposition::of_component(&qg, &comps[0]);
-        assert_eq!(d.core.len(), 1);
-        assert!(d.satellites.is_empty());
-        assert!(d.is_core(d.core[0]));
+        assert_eq!(d.core().len(), 1);
+        assert!(d.satellites().is_empty());
+        assert!(d.is_core(d.core()[0]));
     }
 
     #[test]

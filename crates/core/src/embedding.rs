@@ -17,8 +17,16 @@ pub fn total_count(matches: &[ComponentMatch]) -> u128 {
         .fold(1u128, |acc, m| acc.saturating_mul(m.count))
 }
 
+/// The buffers materialization reuses across queries: the assignment of
+/// every query vertex and the projected key of the row being emitted.
+#[derive(Debug, Default)]
+pub struct RowScratch {
+    assignment: Vec<Option<VertexId>>,
+    key: Vec<VertexId>,
+}
+
 /// Materialize bindings (rows of vertex names resolved in the vertex
-/// dictionary `vertices`, `Mv⁻¹`).
+/// dictionary `vertices`, `Mv⁻¹`) with the reusable buffers of `scratch`.
 ///
 /// * `max` caps the number of emitted rows (`None` = all);
 /// * `distinct` deduplicates projected rows (SELECT DISTINCT semantics).
@@ -28,140 +36,93 @@ pub fn materialize_bindings(
     matches: &[ComponentMatch],
     max: Option<usize>,
     distinct: bool,
+    scratch: &mut RowScratch,
 ) -> Vec<Vec<Box<str>>> {
-    // Which query vertex feeds each output column?
-    let output_vertices: Vec<QVertexId> = qg
-        .output_vars()
-        .iter()
-        .map(|name| {
-            qg.vertex_by_name(name)
-                .expect("projection validated against pattern variables")
-        })
-        .collect();
-
-    let mut rows: Vec<Vec<Box<str>>> = Vec::new();
-    let mut seen: FxHashSet<Vec<VertexId>> = FxHashSet::default();
-    let mut assignment: Vec<Option<VertexId>> = vec![None; qg.vertex_count()];
-
-    emit_components(
-        qg,
+    scratch.assignment.clear();
+    scratch.assignment.resize(qg.vertex_count(), None);
+    let mut emit = Emit {
         vertices,
         matches,
-        0,
-        &output_vertices,
-        &mut assignment,
-        &mut rows,
-        &mut seen,
+        // Which query vertex feeds each output column.
+        output: qg.projection(),
+        scratch,
+        rows: Vec::new(),
+        seen: FxHashSet::default(),
         max,
         distinct,
-    );
-    rows
+    };
+    emit.components(0);
+    emit.rows
 }
 
-/// Depth over components; returns `true` when the row cap was reached.
-#[allow(clippy::too_many_arguments)]
-fn emit_components(
-    qg: &QueryGraph,
-    vertices: &Dictionary,
-    matches: &[ComponentMatch],
-    depth: usize,
-    output_vertices: &[QVertexId],
-    assignment: &mut Vec<Option<VertexId>>,
-    rows: &mut Vec<Vec<Box<str>>>,
-    seen: &mut FxHashSet<Vec<VertexId>>,
+/// The state of one materialization: the nested products are walked
+/// depth first, components outside, each solution's satellites inside.
+struct Emit<'a> {
+    vertices: &'a Dictionary,
+    matches: &'a [ComponentMatch],
+    output: &'a [QVertexId],
+    scratch: &'a mut RowScratch,
+    rows: Vec<Vec<Box<str>>>,
+    seen: FxHashSet<Vec<VertexId>>,
     max: Option<usize>,
     distinct: bool,
-) -> bool {
-    if depth == matches.len() {
-        // Full assignment: project and emit.
-        let key: Vec<VertexId> = output_vertices
-            .iter()
-            .map(|&u| assignment[u.index()].expect("all component variables assigned"))
-            .collect();
-        if distinct && !seen.insert(key.clone()) {
+}
+
+impl Emit<'_> {
+    /// Depth over components; returns `true` when the row cap was reached.
+    fn components(&mut self, depth: usize) -> bool {
+        if depth == self.matches.len() {
+            return self.row();
+        }
+        for solution in &self.matches[depth].solutions {
+            for (u, v) in &solution.core {
+                self.scratch.assignment[u.index()] = Some(*v);
+            }
+            // Expand satellite sets for this solution.
+            if self.satellites(depth, &solution.satellites) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Depth over the satellites of one component solution.
+    fn satellites(&mut self, depth: usize, satellites: &[(QVertexId, Vec<VertexId>)]) -> bool {
+        let Some(((u, candidates), rest)) = satellites.split_first() else {
+            return self.components(depth + 1);
+        };
+        for &v in candidates {
+            self.scratch.assignment[u.index()] = Some(v);
+            if self.satellites(depth, rest) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Full assignment: project and emit.
+    fn row(&mut self) -> bool {
+        let RowScratch { assignment, key } = &mut *self.scratch;
+        key.clear();
+        key.extend(self.output.iter().map(|&u| {
+            assignment
+                .get(u.index())
+                .copied()
+                .flatten()
+                .expect("projection validated against pattern variables")
+        }));
+        if self.distinct && !self.seen.insert(key.clone()) {
             return false;
         }
-        let name = |v: VertexId| vertices.resolve(v.0).expect("vertex id from this graph");
-        rows.push(key.iter().map(|&v| name(v).into()).collect());
-        return max.is_some_and(|m| rows.len() >= m);
+        let name = |v: VertexId| {
+            self.vertices
+                .resolve(v.0)
+                .expect("vertex id from this graph")
+        };
+        self.rows
+            .push(key.iter().map(|&v| name(v).into()).collect());
+        self.max.is_some_and(|m| self.rows.len() >= m)
     }
-
-    for solution in &matches[depth].solutions {
-        for (u, v) in &solution.core {
-            assignment[u.index()] = Some(*v);
-        }
-        // Expand satellite sets for this solution.
-        if emit_satellites(
-            qg,
-            vertices,
-            matches,
-            depth,
-            &solution.satellites,
-            0,
-            output_vertices,
-            assignment,
-            rows,
-            seen,
-            max,
-            distinct,
-        ) {
-            return true;
-        }
-    }
-    false
-}
-
-/// Depth over the satellites of one component solution.
-#[allow(clippy::too_many_arguments)]
-fn emit_satellites(
-    qg: &QueryGraph,
-    vertices: &Dictionary,
-    matches: &[ComponentMatch],
-    component_depth: usize,
-    satellites: &[(QVertexId, Vec<VertexId>)],
-    sat_depth: usize,
-    output_vertices: &[QVertexId],
-    assignment: &mut Vec<Option<VertexId>>,
-    rows: &mut Vec<Vec<Box<str>>>,
-    seen: &mut FxHashSet<Vec<VertexId>>,
-    max: Option<usize>,
-    distinct: bool,
-) -> bool {
-    if sat_depth == satellites.len() {
-        return emit_components(
-            qg,
-            vertices,
-            matches,
-            component_depth + 1,
-            output_vertices,
-            assignment,
-            rows,
-            seen,
-            max,
-            distinct,
-        );
-    }
-    let (u, candidates) = &satellites[sat_depth];
-    for &v in candidates {
-        assignment[u.index()] = Some(v);
-        if emit_satellites(
-            qg,
-            vertices,
-            matches,
-            component_depth,
-            satellites,
-            sat_depth + 1,
-            output_vertices,
-            assignment,
-            rows,
-            seen,
-            max,
-            distinct,
-        ) {
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]

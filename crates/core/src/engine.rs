@@ -244,9 +244,47 @@ impl AmberEngine {
         .map(Arc::new)
     }
 
-    /// Derive `compiled`'s plan, computing `ProcessVertex` in `arenas`.
+    /// Derive `compiled`'s plan into a fresh plan, computing
+    /// `ProcessVertex` in `arenas`.
     fn build_plan(&self, compiled: &CompiledQuery, arenas: &mut SearchArenas) -> PreparedPlan {
-        PreparedPlan::from_compiled(compiled, &self.index, self.token, arenas)
+        let mut plan = PreparedPlan::default();
+        self.plan_into(compiled, &mut plan, arenas);
+        plan
+    }
+
+    /// Plan `compiled` into `session`'s own plan — the one a result miss on
+    /// that session is planned into and run from — and return it, under
+    /// the panic quarantine. The plan is rebuilt in the session's buffers,
+    /// so on a warm session this allocates nothing; it stays valid until
+    /// the session plans its next query.
+    pub fn plan_in<'s>(
+        &self,
+        compiled: &CompiledQuery,
+        session: &'s mut QuerySession,
+    ) -> Result<&'s PreparedPlan, EngineError> {
+        if compiled.owner() != self.token {
+            return Err(EngineError::StalePlan);
+        }
+        session.bind_graph(self.graph_token());
+        let mut plan = session.take_plan();
+        let planned = quarantined("query planning", || {
+            self.plan_into(compiled, &mut plan, session.search_state());
+            Ok(())
+        });
+        session.restore_plan(plan);
+        planned.map(|()| session.plan())
+    }
+
+    /// Derive `compiled`'s plan into `plan`, computing `ProcessVertex` in
+    /// `arenas`: the one planning function, for a fresh plan and for a
+    /// session's.
+    fn plan_into(
+        &self,
+        compiled: &CompiledQuery,
+        plan: &mut PreparedPlan,
+        arenas: &mut SearchArenas,
+    ) {
+        plan.rebuild(compiled, &self.index, self.token, arenas);
     }
 
     /// Execute `query` with the session's flight recorder forced on and
@@ -425,7 +463,11 @@ impl AmberEngine {
                 compiled.fingerprint(),
                 compiled.output_variables(),
             ),
-            Ready::Prepared(plan) => (plan.key(), plan.fingerprint(), plan.variables().to_vec()),
+            Ready::Prepared(plan) => (
+                plan.key(),
+                plan.fingerprint(),
+                plan.variables().map(Box::from).collect(),
+            ),
         };
         let cached = session.result_cache_mut().is_enabled();
         if cached {
@@ -447,19 +489,22 @@ impl AmberEngine {
             results.note_miss();
             session.recorder_mut().note_cache("result:miss");
         }
-        let built;
-        let plan = match query {
-            Ready::Prepared(plan) => plan,
+        let outcome = match query {
+            Ready::Prepared(plan) => self.run_plan(plan, variables, options, session, sw),
             Ready::Compiled(compiled) => {
+                // A miss is planned into the session's own plan and run
+                // from it.
+                let mut plan = session.take_plan();
                 let plan_sw = session.recorder_mut().is_recording().then(Stopwatch::start);
-                built = self.build_plan(compiled, session.search_state());
+                self.plan_into(compiled, &mut plan, session.search_state());
                 if let Some(s) = plan_sw {
                     session.recorder_mut().span("plan", 0, s.elapsed());
                 }
-                &built
+                let outcome = self.run_plan(&plan, variables, options, session, sw);
+                session.restore_plan(plan);
+                outcome
             }
-        };
-        let outcome = self.run_plan(plan, variables, options, session, sw)?;
+        }?;
         let results = session.result_cache_mut();
         let stored = if !cached || !outcome.status.is_complete() {
             // Timed-out (partial) outcomes are *bypassed*, never stored:
@@ -561,6 +606,7 @@ impl AmberEngine {
                 &matches,
                 options.max_results,
                 qg.distinct(),
+                &mut session.search_state().rows,
             ));
             if let Some(s) = mat_sw {
                 session.recorder_mut().span("materialize", 1, s.elapsed());
@@ -1112,8 +1158,8 @@ mod tests {
         let renamed = paper_query_text().replace("?X", "?Other");
         let p2 = engine.prepare_sparql(&renamed).unwrap();
         assert_eq!(p1.fingerprint(), p2.fingerprint());
-        assert!(p1.variables()[0].contains('X'));
-        assert!(p2.variables()[0].contains("Other"));
+        assert!(p1.variables().next().unwrap().contains('X'));
+        assert!(p2.variables().next().unwrap().contains("Other"));
     }
 
     #[test]

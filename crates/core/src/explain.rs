@@ -109,7 +109,7 @@ impl QueryPlan {
                             .collect()
                     })
                     .collect();
-                let mut members: Vec<_> = decomp.core.iter().chain(&decomp.satellites).collect();
+                let mut members: Vec<_> = decomp.core().iter().chain(decomp.satellites()).collect();
                 members.sort_unstable();
                 let vertex_constraints = members
                     .into_iter()

@@ -62,11 +62,12 @@
 //! on `N` ([`NeighborhoodIndex::has_edge`]), as are the query's ground
 //! patterns ([`PreparedPlan`](crate::plan::PreparedPlan)).
 
-use crate::candidates::{process_vertex, satisfies_self_loop, Constraint};
+use crate::candidates::{process_vertex_into, satisfies_self_loop};
 use crate::decompose::Decomposition;
-use crate::ordering::order_core_vertices;
+use crate::embedding::RowScratch;
+use crate::ordering::order_core_vertices_into;
 use amber_index::{IndexSet, NeighborhoodIndex};
-use amber_multigraph::{Direction, EdgeTypeId, QVertexId, QueryGraph, VertexId};
+use amber_multigraph::{Direction, EdgeTypeId, QVertexId, QueryGraph, Span, VertexId};
 use amber_util::fault::{self, FaultPoint};
 use amber_util::{sorted, Deadline};
 
@@ -126,38 +127,51 @@ impl<'d> MatchConfig<'d> {
 }
 
 /// A probe against the neighbourhood index, seen from an already-matched
-/// vertex: "neighbours of ψ(prior) in `direction` through `types`".
-#[derive(Debug, Clone)]
+/// vertex: "neighbours of ψ(prior) in `direction` through the types of
+/// query edge `edge`".
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct NeighborProbe {
     /// Position of the already-matched core vertex in the order.
     prior_position: usize,
     /// Direction of the probe relative to the *matched* vertex.
     direction: Direction,
-    /// Required edge types.
-    types: Vec<EdgeTypeId>,
+    /// The query edge whose types are required ([`QueryGraph::edges`]).
+    edge: usize,
+}
+
+/// A satellite's probe relative to its core vertex's match.
+#[derive(Debug, Clone, Copy)]
+struct SatelliteProbe {
+    direction: Direction,
+    /// The query edge whose types are required.
+    edge: usize,
 }
 
 /// Everything needed to resolve one satellite of a core vertex.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct SatellitePlan {
     vertex: QVertexId,
-    /// Probes relative to the core vertex's match.
-    probes: Vec<(Direction, Vec<EdgeTypeId>)>,
-    /// Cached `ProcessVertex` result.
-    constraint: Constraint,
+    /// Probes relative to the core vertex's match (a run of the prep's
+    /// satellite probes).
+    probes: Span,
+    /// Its `ProcessVertex` whitelist (a run of the prep's whitelists), or
+    /// `None` when unconstrained.
+    constraint: Option<Span>,
     has_self_loop: bool,
 }
 
 /// Per-ordered-core-vertex matching plan.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct CorePlan {
     vertex: QVertexId,
-    /// Probes from earlier-ordered neighbours (empty for the initial vertex).
-    probes: Vec<NeighborProbe>,
-    /// Cached `ProcessVertex` result.
-    constraint: Constraint,
+    /// Probes from earlier-ordered neighbours (empty for the initial vertex;
+    /// a run of the prep's probes).
+    probes: Span,
+    /// Its `ProcessVertex` whitelist, or `None` when unconstrained.
+    constraint: Option<Span>,
     has_self_loop: bool,
-    satellites: Vec<SatellitePlan>,
+    /// A run of the prep's satellites.
+    satellites: Span,
 }
 
 /// One type-incidence list the seed set was intersected from: every data
@@ -179,15 +193,23 @@ pub struct SeedList {
 /// (`ProcessVertex` constraints resolved and cached inline), and the seed
 /// candidates of the initial vertex.
 ///
-/// A `ComponentPrep` owns all of its data (no borrows of the query graph),
-/// so a [`PreparedPlan`](crate::plan::PreparedPlan) can hold it behind an
-/// `Arc` and hand it to any number of later executions: the matcher becomes
-/// a cheap per-run *view* over a prep built once.
-#[derive(Debug)]
+/// A `ComponentPrep` owns all of its data (no borrows of the query graph;
+/// probes name query edges by index), so a
+/// [`PreparedPlan`](crate::plan::PreparedPlan) can hand it to any number of
+/// later executions: the matcher becomes a cheap per-run *view* over a
+/// prep built once. Its plans, probes and whitelists are runs of flat
+/// pools that [`Self::rebuild`] clears and refills, so a session's plan
+/// reuses them query after query.
+#[derive(Debug, Default)]
 pub struct ComponentPrep {
     pub(crate) order: Vec<QVertexId>,
     pub(crate) decomp: Decomposition,
     pub(crate) plans: Vec<CorePlan>,
+    probes: Vec<NeighborProbe>,
+    satellites: Vec<SatellitePlan>,
+    satellite_probes: Vec<SatelliteProbe>,
+    /// The `ProcessVertex` whitelists of the component's vertices.
+    whitelists: Vec<VertexId>,
     /// `CandInit`: the seed lists' intersection ∩ `ProcessVertex` of the
     /// initial vertex, refined by its multi-type edges.
     pub(crate) initial: Vec<VertexId>,
@@ -206,9 +228,23 @@ impl ComponentPrep {
         component: &[QVertexId],
         arenas: &mut SearchArenas,
     ) -> Self {
-        let decomp = Decomposition::of_component(qg, component);
-        let order = order_core_vertices(qg, &decomp);
-        Self::from_order(qg, index, decomp, order, arenas)
+        let mut prep = Self::default();
+        prep.rebuild(qg, index, component, arenas);
+        prep
+    }
+
+    /// [`Self::build`] into this prep's buffers: every one is cleared
+    /// before it is refilled.
+    pub fn rebuild(
+        &mut self,
+        qg: &QueryGraph,
+        index: &IndexSet,
+        component: &[QVertexId],
+        arenas: &mut SearchArenas,
+    ) {
+        self.decomp.rebuild(qg, component);
+        order_core_vertices_into(qg, &self.decomp, &mut self.order);
+        self.fill(qg, index, arenas);
     }
 
     /// [`Self::build`] with an explicit core order — the hook of the
@@ -226,11 +262,19 @@ impl ComponentPrep {
         order: Vec<QVertexId>,
         arenas: &mut SearchArenas,
     ) -> Self {
-        let decomp = Decomposition::of_component(qg, component);
+        let mut prep = Self {
+            decomp: Decomposition::of_component(qg, component),
+            ..Self::default()
+        };
         let mut sorted = order.clone();
         sorted.sort_unstable();
-        assert_eq!(sorted, decomp.core, "order must permute the core vertices");
-        let prep = Self::from_order(qg, index, decomp, order, arenas);
+        assert_eq!(
+            sorted,
+            prep.decomp.core(),
+            "order must permute the core vertices"
+        );
+        prep.order = order;
+        prep.fill(qg, index, arenas);
         assert!(
             prep.plans
                 .iter()
@@ -269,38 +313,55 @@ impl ComponentPrep {
     /// component, if it is finite (`None` for unconstrained vertices and
     /// vertices outside the component).
     pub fn constrained_candidate_count(&self, u: QVertexId) -> Option<usize> {
-        let of = |c: &Constraint| match c {
-            Constraint::Unconstrained => None,
-            Constraint::Candidates(list) => Some(list.len()),
-        };
+        let of = |c: Option<Span>| c.map(Span::len);
         for plan in &self.plans {
             if plan.vertex == u {
-                return of(&plan.constraint);
+                return of(plan.constraint);
             }
-            for sat in &plan.satellites {
+            for sat in self.satellites_of(plan) {
                 if sat.vertex == u {
-                    return of(&sat.constraint);
+                    return of(sat.constraint);
                 }
             }
         }
         None
     }
 
-    fn from_order(
-        qg: &QueryGraph,
-        index: &IndexSet,
-        decomp: Decomposition,
-        order: Vec<QVertexId>,
-        arenas: &mut SearchArenas,
-    ) -> Self {
+    fn probes_of(&self, plan: &CorePlan) -> &[NeighborProbe] {
+        &self.probes[plan.probes.range()]
+    }
+
+    fn satellites_of(&self, plan: &CorePlan) -> &[SatellitePlan] {
+        &self.satellites[plan.satellites.range()]
+    }
+
+    fn satellite_probes_of(&self, sat: &SatellitePlan) -> &[SatelliteProbe] {
+        &self.satellite_probes[sat.probes.range()]
+    }
+
+    /// A vertex's `ProcessVertex` whitelist; `None` when unconstrained.
+    fn whitelist(&self, constraint: Option<Span>) -> Option<&[VertexId]> {
+        constraint.map(|run| &self.whitelists[run.range()])
+    }
+
+    /// Derive the probe plans, `ProcessVertex` whitelists and seed set of
+    /// `self.order`.
+    fn fill(&mut self, qg: &QueryGraph, index: &IndexSet, arenas: &mut SearchArenas) {
+        self.plans.clear();
+        self.probes.clear();
+        self.satellites.clear();
+        self.satellite_probes.clear();
+        self.whitelists.clear();
+        self.initial.clear();
+        self.seed_lists.clear();
+        let order = &self.order;
         let position_of = |u: QVertexId| order.iter().position(|&o| o == u);
 
-        let mut plans = Vec::with_capacity(order.len());
         for (pos, &u) in order.iter().enumerate() {
             // Probes from already-ordered core neighbours: for an edge
             // prior→u the candidates are out-neighbours of ψ(prior); for
             // u→prior they are in-neighbours.
-            let mut probes = Vec::new();
+            let probes = self.probes.len();
             for adj in qg.adjacency(u) {
                 if adj.neighbor == u {
                     continue;
@@ -311,84 +372,100 @@ impl ComponentPrep {
                 if prior_position >= pos {
                     continue; // matched later; enforced from the other side
                 }
-                let edge = &qg.edges()[adj.edge];
                 // adj.direction is relative to u; the probe runs from the
                 // matched prior vertex, so it flips.
-                probes.push(NeighborProbe {
+                self.probes.push(NeighborProbe {
                     prior_position,
                     direction: adj.direction.flip(),
-                    types: edge.types.types().to_vec(),
+                    edge: adj.edge,
                 });
             }
 
-            let satellites = decomp
-                .satellites_of(u)
-                .iter()
-                .map(|&s| {
-                    let mut sat_probes = Vec::new();
-                    for adj in qg.adjacency(u) {
-                        if adj.neighbor != s {
-                            continue;
-                        }
-                        let edge = &qg.edges()[adj.edge];
+            let satellites = self.satellites.len();
+            for &s in self.decomp.satellites_of(u) {
+                let sat_probes = self.satellite_probes.len();
+                for adj in qg.adjacency(u) {
+                    if adj.neighbor == s {
                         // Probe direction relative to the core match: an
                         // edge u→s means the satellite candidates are
                         // out-neighbours of ψ(u).
-                        sat_probes.push((adj.direction, edge.types.types().to_vec()));
+                        self.satellite_probes.push(SatelliteProbe {
+                            direction: adj.direction,
+                            edge: adj.edge,
+                        });
                     }
-                    debug_assert!(!sat_probes.is_empty(), "satellite must touch its core");
-                    SatellitePlan {
-                        vertex: s,
-                        probes: sat_probes,
-                        constraint: process_vertex(qg, s, index, arenas),
-                        has_self_loop: qg.vertex(s).self_loop.is_some(),
-                    }
-                })
-                .collect();
+                }
+                debug_assert!(
+                    self.satellite_probes.len() > sat_probes,
+                    "satellite must touch its core"
+                );
+                let constraint =
+                    process_vertex_into(qg, s, index, &mut arenas.process, &mut self.whitelists);
+                self.satellites.push(SatellitePlan {
+                    vertex: s,
+                    probes: Span::new(sat_probes..self.satellite_probes.len()),
+                    constraint: constraint.map(Span::new),
+                    has_self_loop: qg.self_loop(s).is_some(),
+                });
+            }
 
-            plans.push(CorePlan {
+            let constraint =
+                process_vertex_into(qg, u, index, &mut arenas.process, &mut self.whitelists);
+            self.plans.push(CorePlan {
                 vertex: u,
-                probes,
-                constraint: process_vertex(qg, u, index, arenas),
-                has_self_loop: qg.vertex(u).self_loop.is_some(),
-                satellites,
+                probes: Span::new(probes..self.probes.len()),
+                constraint: constraint.map(Span::new),
+                has_self_loop: qg.self_loop(u).is_some(),
+                satellites: Span::new(satellites..self.satellites.len()),
             });
         }
+        self.seed(qg, index, &mut arenas.process);
+    }
 
-        // Algorithm 3, lines 4-5: seed candidates for the initial vertex.
-        let u_init = order[0];
-        let seed_lists = seed_lists_of(qg, u_init, &index.neighborhood);
-        let mut initial = if seed_lists.is_empty() {
+    /// Algorithm 3, lines 4-5: the seed candidates of the initial vertex,
+    /// computed in `scratch` and kept in `self.initial`.
+    fn seed(&mut self, qg: &QueryGraph, index: &IndexSet, scratch: &mut ProcessScratch) {
+        let ProcessScratch {
+            order,
+            acc,
+            scratch,
+        } = scratch;
+        let u_init = self.order[0];
+        let n = &index.neighborhood;
+        seed_lists_of(qg, u_init, n, &mut self.seed_lists);
+        let whitelist = self.plans[0]
+            .constraint
+            .map(|run| &self.whitelists[run.range()]);
+        if self.seed_lists.is_empty() {
             // No typed edge (an isolated variable). A constant-anchored
             // vertex reads the stored synopsis per whitelisted vertex: the
             // R-tree answers exactly the dominating vertices, so this is
             // `QuerySynIndex ∩ ProcessVertex` without walking |V|. Only an
             // unconstrained vertex takes `QuerySynIndex` itself.
-            let synopsis = qg.signature(u_init).query_synopsis();
-            match &plans[0].constraint {
-                Constraint::Candidates(allowed) => allowed
-                    .iter()
-                    .copied()
-                    .filter(|&v| index.signature.synopsis_of(v).dominates(&synopsis))
-                    .collect(),
-                Constraint::Unconstrained => index.signature.candidates(&synopsis),
+            let synopsis = qg.query_synopsis(u_init, order);
+            match whitelist {
+                Some(allowed) => self.initial.extend(
+                    allowed
+                        .iter()
+                        .copied()
+                        .filter(|&v| index.signature.synopsis_of(v).dominates(&synopsis)),
+                ),
+                None => self
+                    .initial
+                    .extend_from_slice(&index.signature.candidates(&synopsis)),
             }
         } else {
             // A match of u_init owns an edge of every (direction, type) on
             // u_init, so it is in every one of these lists — and in
             // ProcessVertex's whitelist, folded into the same cascade.
-            let mut lists: Vec<&[VertexId]> = seed_lists
-                .iter()
-                .map(|l| {
-                    index
-                        .neighborhood
-                        .vertices_with_type(l.direction, l.edge_type)
-                })
-                .collect();
-            if let Constraint::Candidates(allowed) = &plans[0].constraint {
-                lists.push(allowed);
-            }
-            let mut initial = sorted::intersect_many(&lists).expect("at least one seed list");
+            let lists = &self.seed_lists;
+            let list = |i: usize| match lists.get(i) {
+                Some(l) => n.vertices_with_type(l.direction, l.edge_type),
+                None => whitelist.expect("the whitelist follows the seed lists"),
+            };
+            let count = lists.len() + usize::from(whitelist.is_some());
+            sorted::intersect_many_with(count, list, order, acc, scratch);
+            std::mem::swap(&mut self.initial, acc);
             // The lists say "has a t1 edge and a t2 edge"; a multi-edge
             // {t1, t2} needs both on one neighbour. The stored synopsis
             // knows the largest multi-edge of every vertex — the one field
@@ -398,24 +475,18 @@ impl ComponentPrep {
             // far dearer.
             let mut multi = multi_type_edges_of(qg, u_init).peekable();
             if multi.peek().is_some() {
-                let synopsis = qg.signature(u_init).query_synopsis();
-                initial.retain(|&v| index.signature.synopsis_of(v).dominates(&synopsis));
+                let synopsis = qg.query_synopsis(u_init, order);
+                self.initial
+                    .retain(|&v| index.signature.synopsis_of(v).dominates(&synopsis));
             }
             for (direction, types) in multi {
-                initial.retain(|&v| index.neighborhood.has_neighbor(v, direction, types));
+                self.initial
+                    .retain(|&v| n.has_neighbor(v, direction, types));
             }
-            initial
-        };
-        if plans[0].has_self_loop {
-            initial.retain(|&v| satisfies_self_loop(qg, u_init, &index.neighborhood, v));
         }
-
-        Self {
-            order,
-            decomp,
-            plans,
-            initial,
-            seed_lists,
+        if self.plans[0].has_self_loop {
+            self.initial
+                .retain(|&v| satisfies_self_loop(qg, u_init, n, v));
         }
     }
 }
@@ -428,16 +499,17 @@ pub(crate) fn multi_type_edges_of(
 ) -> impl Iterator<Item = (Direction, &[EdgeTypeId])> {
     qg.adjacency(u)
         .iter()
-        .map(|adj| (adj.direction, qg.edges()[adj.edge].types.types()))
+        .map(|adj| (adj.direction, qg.types(qg.edges()[adj.edge].types)))
         .filter(|(_, types)| types.len() > 1)
 }
 
-/// The type-incidence lists every match of `u` must appear in: one per
-/// distinct `(direction, type)` on `u`'s core, satellite and self-loop
-/// edges, shortest first. (Edges to IRI vertices are `ProcessVertex`'s
-/// business: its probe from the constant is a subset of the type's list.)
-fn seed_lists_of(qg: &QueryGraph, u: QVertexId, n: &NeighborhoodIndex) -> Vec<SeedList> {
-    let mut lists: Vec<SeedList> = Vec::new();
+/// The type-incidence lists every match of `u` must appear in, into
+/// `lists`: one per distinct `(direction, type)` on `u`'s core, satellite
+/// and self-loop edges, shortest first. (Edges to IRI vertices are
+/// `ProcessVertex`'s business: its probe from the constant is a subset of
+/// the type's list.)
+fn seed_lists_of(qg: &QueryGraph, u: QVertexId, n: &NeighborhoodIndex, lists: &mut Vec<SeedList>) {
+    lists.clear();
     let mut push = |direction, edge_type| {
         lists.push(SeedList {
             direction,
@@ -446,19 +518,16 @@ fn seed_lists_of(qg: &QueryGraph, u: QVertexId, n: &NeighborhoodIndex) -> Vec<Se
         })
     };
     for adj in qg.adjacency(u) {
-        for &t in qg.edges()[adj.edge].types.types() {
+        for &t in qg.types(qg.edges()[adj.edge].types) {
             push(adj.direction, t);
         }
     }
-    if let Some(types) = &qg.vertex(u).self_loop {
-        for &t in types.types() {
-            push(Direction::Incoming, t);
-            push(Direction::Outgoing, t);
-        }
+    for &t in qg.self_loop(u).unwrap_or_default() {
+        push(Direction::Incoming, t);
+        push(Direction::Outgoing, t);
     }
     lists.sort_unstable_by_key(|l| (l.len, l.edge_type, l.direction == Direction::Outgoing));
     lists.dedup();
-    lists
 }
 
 /// Matcher for one connected component of the query multigraph: a view
@@ -475,6 +544,11 @@ impl<'a> ComponentMatcher<'a> {
         Self { qg, index, prep }
     }
 
+    /// The types of query edge `edge`.
+    fn types(&self, edge: usize) -> &'a [EdgeTypeId] {
+        self.qg.types(self.qg.edges()[edge].types)
+    }
+
     /// Search from the root candidates `initial` (sorted; normally
     /// [`ComponentPrep::initial_candidates`]) in borrowed `arenas`, which
     /// are grown (never shrunk) to this component's plan.
@@ -484,7 +558,7 @@ impl<'a> ComponentMatcher<'a> {
         config: &MatchConfig<'_>,
         arenas: &mut SearchArenas,
     ) -> ComponentMatch {
-        arenas.prepare(&self.prep.plans);
+        arenas.prepare(self.prep);
         let mut state = SearchState {
             arenas,
             result: ComponentMatch::default(),
@@ -505,7 +579,7 @@ impl<'a> ComponentMatcher<'a> {
     /// depth on the chain refilled its buffers for the current assignment.
     fn resolve_satellites(&self, pos: usize, v: VertexId, state: &mut SearchState<'_, '_>) -> bool {
         let plan = &self.prep.plans[pos];
-        for (k, sat) in plan.satellites.iter().enumerate() {
+        for (k, sat) in self.prep.satellites_of(plan).iter().enumerate() {
             let DepthScratch {
                 satellites,
                 satellite_spill,
@@ -562,31 +636,35 @@ impl<'a> ComponentMatcher<'a> {
         spill: &mut Vec<VertexId>,
     ) {
         let n = &self.index.neighborhood;
+        let probes = self.prep.satellite_probes_of(sat);
+        let types = |probe: &SatelliteProbe| self.types(probe.edge);
         // Base the fold on the most selective probe (satellites almost
         // always have exactly one; two when the query touches the pair in
         // both directions).
         let mut first = 0;
-        if sat.probes.len() > 1 {
-            first = (0..sat.probes.len())
+        if probes.len() > 1 {
+            first = (0..probes.len())
                 .min_by_key(|&i| {
-                    let (direction, types) = &sat.probes[i];
-                    n.probe_len_hint(core_match, *direction, types)
+                    let probe = &probes[i];
+                    n.probe_len_hint(core_match, probe.direction, types(probe))
                 })
                 .expect("satellite has at least one probe");
         }
-        let (direction, types) = &sat.probes[first];
-        n.neighbors_into(core_match, *direction, types, out);
-        for (i, (direction, types)) in sat.probes.iter().enumerate() {
+        let probe = &probes[first];
+        n.neighbors_into(core_match, probe.direction, types(probe), out);
+        for (i, probe) in probes.iter().enumerate() {
             if i == first {
                 continue;
             }
             if out.is_empty() {
                 return;
             }
-            let probed = n.probe(core_match, *direction, types, spill);
+            let probed = n.probe(core_match, probe.direction, types(probe), spill);
             sorted::intersect_in_place(out, probed.as_slice(spill));
         }
-        sat.constraint.filter(out);
+        if let Some(allowed) = self.prep.whitelist(sat.constraint) {
+            sorted::intersect_in_place(out, allowed);
+        }
         if sat.has_self_loop {
             out.retain(|&v| satisfies_self_loop(self.qg, sat.vertex, n, v));
         }
@@ -602,13 +680,14 @@ impl<'a> ComponentMatcher<'a> {
             return;
         }
         let plan = &self.prep.plans[pos];
+        let probes = self.prep.probes_of(plan);
 
         // Fast path: one single-type probe feeding an unconstrained vertex
         // needs no materialization at all — iterate the inverted list
         // borrowed from the index pool.
-        if let [probe] = plan.probes.as_slice() {
-            if let ([t], Constraint::Unconstrained, false) =
-                (probe.types.as_slice(), &plan.constraint, plan.has_self_loop)
+        if let [probe] = probes {
+            if let ([t], None, false) =
+                (self.types(probe.edge), plan.constraint, plan.has_self_loop)
             {
                 let matched = state.arenas.assignment[probe.prior_position];
                 let list =
@@ -637,9 +716,9 @@ impl<'a> ComponentMatcher<'a> {
             let n = &self.index.neighborhood;
 
             probe_order.clear();
-            for (i, probe) in plan.probes.iter().enumerate() {
+            for (i, probe) in probes.iter().enumerate() {
                 let matched = assignment[probe.prior_position];
-                let hint = n.probe_len_hint(matched, probe.direction, &probe.types);
+                let hint = n.probe_len_hint(matched, probe.direction, self.types(probe.edge));
                 probe_order.push((hint, i));
             }
             probe_order.sort_unstable();
@@ -648,29 +727,31 @@ impl<'a> ComponentMatcher<'a> {
             let &(_, first) = ordered
                 .next()
                 .expect("non-initial core vertex has at least one ordered neighbour");
-            let probe = &plan.probes[first];
+            let probe = &probes[first];
             n.neighbors_into(
                 assignment[probe.prior_position],
                 probe.direction,
-                &probe.types,
+                self.types(probe.edge),
                 candidates,
             );
             for &(_, i) in ordered {
                 if candidates.is_empty() {
                     return;
                 }
-                let probe = &plan.probes[i];
+                let probe = &probes[i];
                 let probed = n.probe(
                     assignment[probe.prior_position],
                     probe.direction,
-                    &probe.types,
+                    self.types(probe.edge),
                     spill,
                 );
                 sorted::intersect_in_place(candidates, probed.as_slice(spill));
             }
 
             // Line 8: refine with ProcessVertex (+ self-loop).
-            plan.constraint.filter(candidates);
+            if let Some(allowed) = self.prep.whitelist(plan.constraint) {
+                sorted::intersect_in_place(candidates, allowed);
+            }
             if plan.has_self_loop {
                 candidates.retain(|&v| satisfies_self_loop(self.qg, plan.vertex, n, v));
             }
@@ -724,7 +805,7 @@ impl<'a> ComponentMatcher<'a> {
         let prep = self.prep;
         let mut embeddings: u128 = 1;
         for (plan, depth) in prep.plans.iter().zip(&state.arenas.depths) {
-            for (_, resolved) in plan.satellites.iter().zip(&depth.satellites) {
+            for (_, resolved) in prep.satellites_of(plan).iter().zip(&depth.satellites) {
                 embeddings = embeddings.saturating_mul(resolved.len() as u128);
             }
         }
@@ -745,7 +826,7 @@ impl<'a> ComponentMatcher<'a> {
                     .iter()
                     .zip(&state.arenas.depths)
                     .flat_map(|(plan, depth)| {
-                        plan.satellites
+                        prep.satellites_of(plan)
                             .iter()
                             .zip(&depth.satellites)
                             .map(|(sat, resolved)| (sat.vertex, resolved.clone()))
@@ -785,8 +866,8 @@ pub(crate) struct ProcessScratch {
 }
 
 /// The matcher's long-lived scratch memory: the core assignment slots, one
-/// `DepthScratch` arena per order position, and the `ProcessVertex`
-/// scratch of plan construction.
+/// `DepthScratch` arena per order position, the `ProcessVertex` scratch of
+/// plan construction and the row buffers of materialization.
 ///
 /// A [`QuerySession`](crate::session::QuerySession) owns one `SearchArenas`
 /// and lends it to every component run; `prepare` grows
@@ -803,6 +884,8 @@ pub struct SearchArenas {
     depths: Vec<DepthScratch>,
     /// `ProcessVertex` buffers (plan construction).
     pub(crate) process: ProcessScratch,
+    /// Materialization buffers.
+    pub(crate) rows: RowScratch,
 }
 
 impl SearchArenas {
@@ -813,7 +896,8 @@ impl SearchArenas {
 
     /// Grow (never shrink) to fit a component plan: enough assignment
     /// slots, enough depth arenas, enough satellite buffers per depth.
-    fn prepare(&mut self, plans: &[CorePlan]) {
+    fn prepare(&mut self, prep: &ComponentPrep) {
+        let plans = &prep.plans;
         if self.assignment.len() < plans.len() {
             self.assignment.resize(plans.len(), VertexId(u32::MAX));
         }
@@ -821,10 +905,9 @@ impl SearchArenas {
             self.depths.resize_with(plans.len(), DepthScratch::default);
         }
         for (depth, plan) in self.depths.iter_mut().zip(plans) {
-            if depth.satellites.len() < plan.satellites.len() {
-                depth
-                    .satellites
-                    .resize_with(plan.satellites.len(), Vec::new);
+            let satellites = prep.satellites_of(plan).len();
+            if depth.satellites.len() < satellites {
+                depth.satellites.resize_with(satellites, Vec::new);
             }
         }
     }
@@ -903,7 +986,13 @@ mod tests {
         let index = IndexSet::build(&rdf);
         let u = |name| qg.vertex_by_name(name).unwrap();
         let order = vec![u("b"), u("d"), u("c")];
-        let component = qg.connected_components().remove(0);
-        ComponentPrep::build_with_order(&qg, &index, &component, order, &mut SearchArenas::new());
+        let components = qg.connected_components();
+        ComponentPrep::build_with_order(
+            &qg,
+            &index,
+            &components[0],
+            order,
+            &mut SearchArenas::new(),
+        );
     }
 }

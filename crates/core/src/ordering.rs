@@ -22,7 +22,7 @@ fn rank(
     satellite_first: bool,
 ) -> (usize, usize) {
     let r1 = decomp.r1(u);
-    let r2 = qg.signature(u).edge_instance_count();
+    let r2 = qg.edge_instance_count(u);
     if satellite_first {
         (r1, r2)
     } else {
@@ -32,43 +32,53 @@ fn rank(
 
 /// Order the core vertices of one decomposed component (`U_c^ord`).
 pub fn order_core_vertices(qg: &QueryGraph, decomp: &Decomposition) -> Vec<QVertexId> {
-    let satellite_first = !decomp.satellites.is_empty();
-    let mut remaining: Vec<QVertexId> = decomp.core.clone();
-    let mut order = Vec::with_capacity(remaining.len());
+    let mut order = Vec::new();
+    order_core_vertices_into(qg, decomp, &mut order);
+    order
+}
 
-    // Initial vertex: global best rank.
-    let first = *remaining
-        .iter()
-        .max_by_key(|&&u| (rank(qg, decomp, u, satellite_first), std::cmp::Reverse(u)))
-        .expect("decomposition has at least one core vertex");
-    remaining.retain(|&u| u != first);
-    order.push(first);
+/// [`order_core_vertices`] into `order`, cleared first. The unordered
+/// vertices wait behind the ordered prefix, and each step swaps the best
+/// of them to the prefix's end (ties fall to the smaller id, so the
+/// waiting order does not matter).
+pub fn order_core_vertices_into(
+    qg: &QueryGraph,
+    decomp: &Decomposition,
+    order: &mut Vec<QVertexId>,
+) {
+    let satellite_first = !decomp.satellites().is_empty();
+    order.clear();
+    order.extend_from_slice(decomp.core());
+    assert!(
+        !order.is_empty(),
+        "decomposition has at least one core vertex"
+    );
+    let key = |u: QVertexId| (rank(qg, decomp, u, satellite_first), std::cmp::Reverse(u));
 
-    // Connected expansion: among frontier vertices (adjacent to the ordered
-    // prefix), pick the best rank.
-    while !remaining.is_empty() {
-        let next = remaining
-            .iter()
-            .copied()
-            .filter(|&u| qg.adjacency(u).iter().any(|a| order.contains(&a.neighbor)))
-            .max_by_key(|&u| (rank(qg, decomp, u, satellite_first), std::cmp::Reverse(u)));
+    for placed in 0..order.len() {
+        // The initial vertex has the global best rank; then, connected
+        // expansion: the best rank among frontier vertices (adjacent to
+        // the ordered prefix).
+        let (prefix, waiting) = order.split_at(placed);
+        let next = (0..waiting.len())
+            .filter(|&i| {
+                placed == 0
+                    || qg
+                        .adjacency(waiting[i])
+                        .iter()
+                        .any(|a| prefix.contains(&a.neighbor))
+            })
+            .max_by_key(|&i| key(waiting[i]));
         match next {
-            Some(u) => {
-                remaining.retain(|&r| r != u);
-                order.push(u);
-            }
-            None => {
-                // Cores of a connected component are themselves connected
-                // (any simple path between degree->1 vertices passes through
-                // degree->1 vertices), so this arm is unreachable for valid
-                // inputs; fall back defensively rather than loop forever.
-                debug_assert!(false, "core subgraph should be connected");
-                let u = remaining.remove(0);
-                order.push(u);
-            }
+            Some(i) => order.swap(placed, placed + i),
+            // Cores of a connected component are themselves connected (any
+            // simple path between degree->1 vertices passes through
+            // degree->1 vertices), so this arm is unreachable for valid
+            // inputs; the first waiting vertex stays in place rather than
+            // the loop stalling.
+            None => debug_assert!(false, "core subgraph should be connected"),
         }
     }
-    order
 }
 
 #[cfg(test)]
@@ -86,7 +96,7 @@ mod tests {
         let comps = qg.connected_components();
         let d = Decomposition::of_component(&qg, &comps[0]);
         let order = order_core_vertices(&qg, &d);
-        let names: Vec<&str> = order.iter().map(|&u| qg.vertex(u).name.as_ref()).collect();
+        let names: Vec<&str> = order.iter().map(|&u| qg.name(u)).collect();
         assert_eq!(names, vec!["X1", "X3", "X5"]);
     }
 
@@ -106,11 +116,11 @@ mod tests {
         .unwrap();
         let comps = qg.connected_components();
         let d = Decomposition::of_component(&qg, &comps[0]);
-        assert!(d.satellites.is_empty());
+        assert!(d.satellites().is_empty());
         let order = order_core_vertices(&qg, &d);
         // r2: a = livedIn+wasBornIn+hasCapital = 3+... a: out {livedIn,wasBornIn}→b (2), in hasCapital (1) = 3.
         // b: in 2, out 1 = 3. c: 1 + 1 = 2. Tie a/b broken by r1 (0 both) then smaller id → a.
-        let names: Vec<&str> = order.iter().map(|&u| qg.vertex(u).name.as_ref()).collect();
+        let names: Vec<&str> = order.iter().map(|&u| qg.name(u)).collect();
         assert_eq!(names[2], "c", "c has the lowest r2 and must come last");
         assert_eq!(names[0], "a", "tie on (r2, r1) broken by smaller id");
     }

@@ -10,7 +10,7 @@
 //! Planning reads only the index set: the ground checks are answered by
 //! `N` ([`NeighborhoodIndex::has_edge`](amber_index::NeighborhoodIndex::has_edge))
 //! and `A` ([`AttributeIndex::has_attributes`](amber_index::AttributeIndex::has_attributes)),
-//! and each component's plan is one [`ComponentPrep::build`].
+//! and each component's plan is one [`ComponentPrep::rebuild`].
 //!
 //! The one query-level cache is the session's [`ResultCache`]: completed
 //! [`QueryOutcome`]s keyed by the query's **id key** ([`QueryKey`]: the
@@ -39,14 +39,20 @@ use crate::options::ExecOptions;
 use crate::result::{Bindings, QueryOutcome};
 use crate::telemetry::CacheCounts;
 use amber_index::IndexSet;
-use amber_multigraph::{CompiledQuery, GroundCheck, QueryGraph, QueryKey};
+use amber_multigraph::{CompiledQuery, Components, GroundCheck, QueryGraph, QueryKey};
 use amber_util::GenerationalMap;
 
 /// An immutable, fully-derived execution plan for one query against one
 /// engine (see module docs). Produced by
 /// [`AmberEngine::prepare`](crate::AmberEngine::prepare) and shared behind
 /// an [`Arc`](std::sync::Arc); execution only ever borrows it.
-#[derive(Debug)]
+///
+/// Every part is a set of flat buffers that each planning clears and
+/// refills: `prepare` builds into a fresh plan, and a session builds each
+/// result miss into the one plan it keeps
+/// ([`AmberEngine::plan_in`](crate::AmberEngine::plan_in)), so planning a
+/// query on a warm session allocates nothing.
+#[derive(Debug, Default)]
 pub struct PreparedPlan {
     /// The id key of the compiled query — the result-cache identity.
     key: QueryKey,
@@ -59,9 +65,13 @@ pub struct PreparedPlan {
     /// Ground (variable-free) checks, evaluated once at prepare time: the
     /// data is immutable per engine, so the boolean cannot change.
     ground_ok: bool,
-    /// Per-component matching plans (empty when the query is unsatisfiable
-    /// or a ground check failed — execution short-circuits to empty).
+    /// The connected components of `qg`.
+    component_sets: Components,
+    /// Per-component matching plans: the first `live` are this query's
+    /// (none when the query is unsatisfiable or a ground check failed —
+    /// execution short-circuits to empty); the rest wait for reuse.
     components: Vec<ComponentPrep>,
+    live: usize,
     /// Identity of the engine this plan was derived against; executing it
     /// on any other engine is refused (seed candidates and constraint
     /// lists are data-dependent).
@@ -71,34 +81,36 @@ pub struct PreparedPlan {
 }
 
 impl PreparedPlan {
-    /// Derive a plan from a compiled query (which the engine needed for
-    /// its result-cache lookup first): assemble the query multigraph from its ids,
-    /// evaluate ground checks, decompose/order/probe every component.
-    /// `ProcessVertex` runs in the scratch of `arenas`.
-    pub(crate) fn from_compiled(
+    /// Derive this plan afresh from a compiled query (which the engine
+    /// needed for its result-cache lookup first), reusing its buffers:
+    /// assemble the query multigraph from its ids, evaluate ground checks,
+    /// decompose/order/probe every component. `ProcessVertex` runs in the
+    /// scratch of `arenas`. Nothing of the previous query survives: each
+    /// part is cleared before it is refilled.
+    pub(crate) fn rebuild(
+        &mut self,
         compiled: &CompiledQuery,
         index: &IndexSet,
         engine_token: u64,
         arenas: &mut SearchArenas,
-    ) -> Self {
-        let qg = compiled.query_graph();
-        let ground_ok = ground_checks_pass(&qg, index);
-        let components = if qg.is_unsatisfiable() || !ground_ok {
-            Vec::new()
-        } else {
-            qg.connected_components()
-                .iter()
-                .map(|component| ComponentPrep::build(&qg, index, component, arenas))
-                .collect()
-        };
-        Self {
-            key: compiled.key().clone(),
-            fingerprint: compiled.fingerprint(),
-            qg,
-            ground_ok,
-            components,
-            engine_token,
-            data_vertices: index.neighborhood.vertex_count(),
+    ) {
+        self.live = 0;
+        self.key.clone_from(compiled.key());
+        self.fingerprint = compiled.fingerprint();
+        self.engine_token = engine_token;
+        self.data_vertices = index.neighborhood.vertex_count();
+        self.qg.rebuild(compiled);
+        self.ground_ok = ground_checks_pass(&self.qg, index);
+        if self.qg.is_unsatisfiable() || !self.ground_ok {
+            return;
+        }
+        self.qg.connected_components_into(&mut self.component_sets);
+        for (i, component) in self.component_sets.iter().enumerate() {
+            if i == self.components.len() {
+                self.components.push(ComponentPrep::default());
+            }
+            self.components[i].rebuild(&self.qg, index, component, arenas);
+            self.live = i + 1;
         }
     }
 
@@ -122,20 +134,20 @@ impl PreparedPlan {
     /// projection order. Executions of a text, parsed or compiled source
     /// use the live caller's names instead: alpha-equivalent queries share
     /// one result-cache entry but keep their own headers.
-    pub fn variables(&self) -> &[Box<str>] {
+    pub fn variables(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
         self.qg.output_vars()
     }
 
     /// The preparer's spelling of a query vertex (diagnostics: `EXPLAIN`
     /// prints the preparer's variable names, not their indices).
     pub fn source_name(&self, u: amber_multigraph::QVertexId) -> &str {
-        &self.qg.vertex(u).name
+        self.qg.name(u)
     }
 
     /// Per-component matching plans (empty when the answer is statically
     /// empty).
     pub fn components(&self) -> &[ComponentPrep] {
-        &self.components
+        &self.components[..self.live]
     }
 
     /// `true` when prepare already proved the answer empty (unsatisfiable
@@ -158,11 +170,13 @@ impl PreparedPlan {
 /// Evaluate the variable-free patterns (boolean guards) of a query graph
 /// on the index set.
 fn ground_checks_pass(qg: &QueryGraph, index: &IndexSet) -> bool {
-    qg.ground_checks().iter().all(|check| match check {
+    qg.ground_checks().iter().all(|check| match *check {
         GroundCheck::Edge { from, to, types } => {
-            index.neighborhood.has_edge(*from, *to, types.types())
+            index.neighborhood.has_edge(from, to, qg.types(types))
         }
-        GroundCheck::Attribute { vertex, attrs } => index.attribute.has_attributes(*vertex, attrs),
+        GroundCheck::Attribute { vertex, attrs } => {
+            index.attribute.has_attributes(vertex, qg.attributes(attrs))
+        }
     })
 }
 
@@ -409,7 +423,9 @@ mod tests {
         let rdf = paper_graph();
         let index = IndexSet::build(&rdf);
         let compiled = CompiledQuery::compile(text, &rdf, token).unwrap();
-        PreparedPlan::from_compiled(&compiled, &index, token, &mut SearchArenas::new())
+        let mut plan = PreparedPlan::default();
+        plan.rebuild(&compiled, &index, token, &mut SearchArenas::new());
+        plan
     }
 
     /// A completed outcome with one row naming `iri`.

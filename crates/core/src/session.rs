@@ -9,6 +9,9 @@
 //!   the `ProcessVertex` scratch of plan construction, grown
 //!   **high-water-mark style** and never shrunk, so after the largest
 //!   query shape has been seen the matcher stops allocating;
+//! * it owns the one [`PreparedPlan`] every result miss is planned into
+//!   and run from, cleared and refilled per query, so planning stops
+//!   allocating the same way;
 //! * it owns the one cache a query stream hits: the [`ResultCache`]
 //!   (completed outcomes, consulted before planning).
 //!
@@ -19,7 +22,7 @@
 //! metric registry only, where it happens.
 
 use crate::matcher::SearchArenas;
-use crate::plan::{CacheStats, ResultCache};
+use crate::plan::{CacheStats, PreparedPlan, ResultCache};
 use crate::result::QueryStatus;
 use crate::telemetry;
 use amber_obs::FlightRecorder;
@@ -37,6 +40,10 @@ pub struct QuerySession {
     /// The matcher's scratch arenas, lent to every plan construction and
     /// component run.
     arenas: SearchArenas,
+    /// The plan every result miss is built into and run from: cleared
+    /// and refilled per query, never freed. Boxed, as the serving layer
+    /// moves a tenant's session in and out of its slot per request.
+    plan: Option<Box<PreparedPlan>>,
     /// Result cache: completed outcomes of repeated queries, served
     /// without planning or searching.
     results: ResultCache,
@@ -58,6 +65,7 @@ impl QuerySession {
     pub(crate) fn new(result_capacity: usize) -> Self {
         Self {
             arenas: SearchArenas::new(),
+            plan: None,
             results: ResultCache::new(result_capacity),
             graph_token: None,
             queries: 0,
@@ -128,6 +136,24 @@ impl QuerySession {
     /// The scratch arenas plan construction and component runs borrow.
     pub(crate) fn search_state(&mut self) -> &mut SearchArenas {
         &mut self.arenas
+    }
+
+    /// Take the session's plan out to rebuild and run it while the
+    /// session lends its arenas; [`Self::restore_plan`] hands it back.
+    /// (A panic in between drops it: the next miss starts from an empty
+    /// plan, as every rebuild starts from a cleared one.)
+    pub(crate) fn take_plan(&mut self) -> Box<PreparedPlan> {
+        self.plan.take().unwrap_or_default()
+    }
+
+    /// Return the plan [`Self::take_plan`] took.
+    pub(crate) fn restore_plan(&mut self, plan: Box<PreparedPlan>) {
+        self.plan = Some(plan);
+    }
+
+    /// The plan of the last query planned on this session.
+    pub(crate) fn plan(&self) -> &PreparedPlan {
+        self.plan.as_deref().expect("a plan was restored")
     }
 
     /// The result cache.

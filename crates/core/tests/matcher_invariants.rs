@@ -43,21 +43,21 @@ fn decomposition_partitions_each_component() {
     for shape in [QueryShape::Star, QueryShape::Complex] {
         let (_, queries) = prepared_queries(shape, 12, 5);
         for qg in &queries {
-            for component in qg.connected_components() {
-                let d = Decomposition::of_component(qg, &component);
+            for component in qg.connected_components().iter() {
+                let d = Decomposition::of_component(qg, component);
                 // Core ∪ satellites = component, disjoint.
-                let mut all: Vec<_> = d.core.iter().chain(&d.satellites).copied().collect();
+                let mut all: Vec<_> = d.core().iter().chain(d.satellites()).copied().collect();
                 all.sort_unstable();
                 assert_eq!(all, component, "partition mismatch");
                 // Satellites have degree exactly 1 and their neighbour is core.
-                for &s in &d.satellites {
+                for &s in d.satellites() {
                     assert_eq!(qg.degree(s), 1);
                     let neighbor = qg.adjacency(s)[0].neighbor;
                     assert!(d.is_core(neighbor), "satellite attached to non-core");
                 }
                 // Every satellite appears in exactly one satellites_of list.
-                let listed: usize = d.core.iter().map(|&c| d.satellites_of(c).len()).sum();
-                assert_eq!(listed, d.satellites.len());
+                let listed: usize = d.core().iter().map(|&c| d.satellites_of(c).len()).sum();
+                assert_eq!(listed, d.satellites().len());
             }
         }
     }
@@ -68,12 +68,12 @@ fn ordering_is_a_connected_permutation_of_the_core() {
     for shape in [QueryShape::Star, QueryShape::Complex] {
         let (_, queries) = prepared_queries(shape, 15, 5);
         for qg in &queries {
-            for component in qg.connected_components() {
-                let d = Decomposition::of_component(qg, &component);
+            for component in qg.connected_components().iter() {
+                let d = Decomposition::of_component(qg, component);
                 let order = order_core_vertices(qg, &d);
                 let mut sorted = order.clone();
                 sorted.sort_unstable();
-                assert_eq!(sorted, d.core, "order must permute the core");
+                assert_eq!(sorted, d.core(), "order must permute the core");
                 for i in 1..order.len() {
                     let touches_prefix = qg
                         .adjacency(order[i])
@@ -95,8 +95,8 @@ fn solutions_are_valid_homomorphisms() {
         if qg.is_unsatisfiable() {
             continue;
         }
-        for component in qg.connected_components() {
-            let (_, result) = search(qg, &index, &component, Some(20));
+        for component in qg.connected_components().iter() {
+            let (_, result) = search(qg, &index, component, Some(20));
             for solution in &result.solutions {
                 // Reconstruct one concrete embedding: cores as pinned,
                 // satellites by their first candidate.
@@ -116,22 +116,22 @@ fn solutions_are_valid_homomorphisms() {
                         continue; // other component
                     };
                     assert!(
-                        graph.has_multi_edge(from, to, edge.types.types()),
+                        graph.has_multi_edge(from, to, qg.types(edge.types)),
                         "solution violates edge {edge:?}"
                     );
                 }
                 // And the vertex constraints.
-                for &u in &component {
+                for &u in component {
                     let v = assign[u.index()].expect("component vertex assigned");
                     let vertex = qg.vertex(u);
-                    assert!(graph.has_attributes(v, &vertex.attrs));
-                    for c in &vertex.iri_constraints {
+                    assert!(graph.has_attributes(v, vertex.attrs));
+                    for c in vertex.iri_constraints {
                         let ok = match c.direction {
                             amber_multigraph::Direction::Incoming => {
-                                graph.has_multi_edge(c.data_vertex, v, c.types.types())
+                                graph.has_multi_edge(c.data_vertex, v, qg.types(c.types))
                             }
                             amber_multigraph::Direction::Outgoing => {
-                                graph.has_multi_edge(v, c.data_vertex, c.types.types())
+                                graph.has_multi_edge(v, c.data_vertex, qg.types(c.types))
                             }
                         };
                         assert!(ok, "solution violates IRI constraint");
@@ -150,9 +150,9 @@ fn solution_cap_caps_solutions_not_count() {
         if qg.is_unsatisfiable() {
             continue;
         }
-        for component in qg.connected_components() {
-            let (_, uncapped) = search(qg, &index, &component, None);
-            let (_, capped) = search(qg, &index, &component, Some(1));
+        for component in qg.connected_components().iter() {
+            let (_, uncapped) = search(qg, &index, component, None);
+            let (_, capped) = search(qg, &index, component, Some(1));
             assert_eq!(uncapped.count, capped.count, "cap changed the count");
             assert!(capped.solutions.len() <= 1);
             assert_eq!(
@@ -178,8 +178,8 @@ fn initial_candidates_respect_lemma_1() {
         if qg.is_unsatisfiable() {
             continue;
         }
-        for component in qg.connected_components() {
-            let (prep, result) = search(qg, &index, &component, None);
+        for component in qg.connected_components().iter() {
+            let (prep, result) = search(qg, &index, component, None);
             let u_init = prep.core_order()[0];
             for solution in &result.solutions {
                 let (_, v) = solution

@@ -35,10 +35,10 @@ fn synopsis_seed(
     let u_init = prep.core_order()[0];
     let mut seed = index
         .signature
-        .candidates(&qg.signature(u_init).query_synopsis());
+        .candidates(&qg.query_synopsis(u_init, &mut Vec::new()));
     process_vertex(qg, u_init, index, &mut SearchArenas::new()).filter(&mut seed);
-    if let Some(types) = &qg.vertex(u_init).self_loop {
-        seed.retain(|&v| rdf.graph().has_multi_edge(v, v, types.types()));
+    if let Some(types) = qg.self_loop(u_init) {
+        seed.retain(|&v| rdf.graph().has_multi_edge(v, v, types));
     }
     seed
 }
@@ -138,8 +138,8 @@ proptest! {
         let query = parse_select(&text).unwrap();
         let qg = QueryGraph::build(&query, &rdf).unwrap();
         prop_assume!(!qg.is_unsatisfiable());
-        for component in qg.connected_components() {
-            let prep = prep_of(&qg, &index, &component);
+        for component in qg.connected_components().iter() {
+            let prep = prep_of(&qg, &index, component);
             let paper_seed = synopsis_seed(&qg, &rdf, &index, &prep);
             let seed = prep.initial_candidates();
             prop_assert!(seed.windows(2).all(|w| w[0] < w[1]), "{text}: unsorted {seed:?}");

@@ -64,8 +64,8 @@ impl<'a> Reference<'a> {
     fn refine(&self, u: QVertexId, mut candidates: Vec<VertexId>) -> Vec<VertexId> {
         self.constraints[u.index()].filter(&mut candidates);
         // The self-loop check reads the adjacency, not the index under test.
-        if let Some(types) = &self.qg.vertex(u).self_loop {
-            candidates.retain(|&v| self.graph.has_multi_edge(v, v, types.types()));
+        if let Some(types) = self.qg.self_loop(u) {
+            candidates.retain(|&v| self.graph.has_multi_edge(v, v, types));
         }
         candidates
     }
@@ -87,7 +87,7 @@ impl<'a> Reference<'a> {
             lists.push(self.index.neighborhood.neighbors(
                 prior_match,
                 adj.direction,
-                edge.types.types(),
+                self.qg.types(edge.types),
             ));
         }
         lists
@@ -99,7 +99,7 @@ impl<'a> Reference<'a> {
             u_init,
             self.index
                 .signature
-                .candidates(&self.qg.signature(u_init).query_synopsis()),
+                .candidates(&self.qg.query_synopsis(u_init, &mut Vec::new())),
         );
         let mut result = ComponentMatch::default();
         let mut assignment: Vec<(QVertexId, VertexId)> = Vec::new();
@@ -177,15 +177,15 @@ fn assert_matcher_equals_reference(rdf: &RdfGraph, qg: &QueryGraph, context: &st
     let index = IndexSet::build(rdf);
     let deadline = Deadline::unlimited();
     let config = MatchConfig::new(&deadline, None);
-    for component in qg.connected_components() {
-        let prep = ComponentPrep::build(qg, &index, &component, &mut SearchArenas::new());
+    for component in qg.connected_components().iter() {
+        let prep = ComponentPrep::build(qg, &index, component, &mut SearchArenas::new());
         let fast = ComponentMatcher::new(qg, &index, &prep).run(
             prep.initial_candidates(),
             &config,
             &mut SearchArenas::new(),
         );
         assert!(!fast.timed_out);
-        let reference = Reference::new(qg, rdf.graph(), &index, &component).run();
+        let reference = Reference::new(qg, rdf.graph(), &index, component).run();
         assert_eq!(
             fast.count, reference.count,
             "count mismatch on {context} component {component:?}"

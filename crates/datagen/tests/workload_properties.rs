@@ -33,7 +33,7 @@ proptest! {
         prop_assert_eq!(qg.connected_components().len(), 1);
         // All non-center variables are satellites (degree 1).
         for u in qg.vertex_ids() {
-            if qg.vertex(u).name.as_ref() != "X0" {
+            if qg.name(u) != "X0" {
                 prop_assert!(qg.degree(u) <= 1);
             }
         }

@@ -53,7 +53,9 @@ pub use results::{sparql_json, sparql_tsv};
 
 use amber_obs::{Counter, Histogram};
 use amber_serve::{ServeReport, Server};
-use amber_util::http::{parse_form, parse_request_head, split_target, HttpParseError, RequestHead};
+use amber_util::http::{
+    parse_head_spans, split_target, Form, HeadSpans, HttpParseError, RequestHead,
+};
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -341,13 +343,15 @@ fn read_step(
     }
 }
 
-/// The two buffers a connection thread answers from, reused across its
+/// The buffers a connection thread answers from, reused across its
 /// requests: cleared, not freed (see [`MAX_RETAINED_BODY_BYTES`]), plus
 /// the slot for a result body memoized on the answer's shared `Bindings`.
 #[derive(Default)]
 struct ResponseBufs {
     head: String,
     body: String,
+    /// The request's decoded parameters (query string and form body).
+    form: Form,
     /// When set, the response body instead of `body`: sent straight from
     /// the answer's memo, never copied. [`respond_and_count`] takes it, so
     /// it cannot outlive the one response it was set for.
@@ -356,6 +360,7 @@ struct ResponseBufs {
 
 fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     let mut buf = RequestBuf::default();
+    let mut spans = HeadSpans::default();
     let mut out = ResponseBufs::default();
     // Any failure to receive a whole request answers once and hangs up.
     let refuse = |stream: &mut TcpStream, out: &mut ResponseBufs, status: u16, message: &str| {
@@ -366,10 +371,11 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
         refuse(stream, out, parse_error_status(&e), &e.to_string())
     };
     loop {
-        // Phase 1: accumulate one full request head.
+        // Phase 1: accumulate one full request head. Its fields are kept
+        // as spans: the body is read into the same buffer, which may move.
         let mut started: Option<Instant> = (buf.filled > 0).then(Instant::now);
-        let (head, consumed) = loop {
-            match parse_request_head(buf.bytes(), shared.config.max_head_bytes) {
+        let consumed = loop {
+            match parse_head_spans(buf.bytes(), shared.config.max_head_bytes, &mut spans) {
                 Ok(Some(parsed)) => break parsed,
                 Ok(None) => {}
                 Err(e) => return refuse_unframed(&mut stream, &mut out, e),
@@ -385,7 +391,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
         // Phase 2: the declared body. A body this server cannot frame is
         // refused with the connection closed: its bytes must never be
         // read as the next request head.
-        let body_len = match head.content_length() {
+        let body_len = match spans.read(buf.bytes()).content_length() {
             Ok(len) => len.unwrap_or(0),
             Err(e) => return refuse_unframed(&mut stream, &mut out, e),
         };
@@ -409,6 +415,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
         }
         // Phase 3: dispatch and answer.
         out.body.clear();
+        let head = spans.read(buf.bytes());
         let response = handle_request(
             &shared,
             &head,
@@ -573,7 +580,7 @@ fn handle_request(
     body: &[u8],
     out: &mut ResponseBufs,
 ) -> Response {
-    let (path, raw_query) = split_target(&head.target);
+    let (path, raw_query) = split_target(head.target);
     match path {
         "/sparql" => {
             http_metrics().sparql.inc();
@@ -617,12 +624,19 @@ impl Format {
 /// other q-values do not reorder); no header (or a wildcard) means JSON;
 /// nothing supported means `None` → 406.
 fn negotiate(accept: Option<&str>) -> Option<Format> {
+    const JSON: [&str; 4] = [
+        "application/sparql-results+json",
+        "application/json",
+        "*/*",
+        "application/*",
+    ];
+    const TSV: [&str; 2] = ["text/tab-separated-values", "text/*"];
     let Some(accept) = accept else {
         return Some(Format::Json);
     };
     for part in accept.split(',') {
         let mut params = part.split(';');
-        let media = params.next().unwrap_or("").trim().to_ascii_lowercase();
+        let media = params.next().unwrap_or("").trim();
         let refused = params.any(|param| {
             param.split_once('=').is_some_and(|(name, value)| {
                 name.trim().eq_ignore_ascii_case("q") && value.trim().parse::<f64>() == Ok(0.0)
@@ -631,12 +645,12 @@ fn negotiate(accept: Option<&str>) -> Option<Format> {
         if refused {
             continue;
         }
-        match media.as_str() {
-            "application/sparql-results+json" | "application/json" | "*/*" | "application/*" => {
-                return Some(Format::Json)
-            }
-            "text/tab-separated-values" | "text/*" => return Some(Format::Tsv),
-            _ => {}
+        let is = |ranges: &[&str]| ranges.iter().any(|r| media.eq_ignore_ascii_case(r));
+        if is(&JSON) {
+            return Some(Format::Json);
+        }
+        if is(&TSV) {
+            return Some(Format::Tsv);
         }
     }
     None
@@ -650,22 +664,32 @@ fn sparql_endpoint(
     out: &mut ResponseBufs,
 ) -> Response {
     let ResponseBufs {
-        body: out, memo, ..
+        body: out,
+        memo,
+        form: params,
+        ..
     } = out;
     // Parameters come from the URL's query string for every method, plus
     // the body for `POST` with a form body. A direct
     // `application/sparql-query` body *is* the query.
-    let mut params = raw_query.map(parse_form).unwrap_or_default();
+    params.clear();
+    if let Some(raw_query) = raw_query {
+        params.extend(raw_query);
+    }
     let mut direct_query: Option<&str> = None;
-    match head.method.as_str() {
+    match head.method {
         "GET" => {}
         "POST" => {
             let Ok(text) = std::str::from_utf8(body) else {
                 return Response::error(out, 400, "request body is not UTF-8");
             };
-            match head.media_type().as_deref() {
-                Some("application/x-www-form-urlencoded") => params.extend(parse_form(text)),
-                Some("application/sparql-query") => direct_query = Some(text),
+            match head.media_type() {
+                Some(media) if media.eq_ignore_ascii_case("application/x-www-form-urlencoded") => {
+                    params.extend(text)
+                }
+                Some(media) if media.eq_ignore_ascii_case("application/sparql-query") => {
+                    direct_query = Some(text)
+                }
                 _ => {
                     return Response::error(
                         out,
@@ -681,15 +705,12 @@ fn sparql_endpoint(
                 .with_header("Allow", "GET, POST".to_string())
         }
     }
-    let query = match direct_query {
+    let query = match direct_query.or_else(|| params.get("query")) {
         Some(text) => text,
-        None => match params.iter().find(|(k, _)| k == "query") {
-            Some((_, v)) => v.as_str(),
-            None => return Response::error(out, 400, "missing required `query` parameter"),
-        },
+        None => return Response::error(out, 400, "missing required `query` parameter"),
     };
     let mut budget = None;
-    if let Some((_, raw)) = params.iter().find(|(k, _)| k == "timeout") {
+    if let Some(raw) = params.get("timeout") {
         match raw.parse::<u64>() {
             Ok(ms) if ms > 0 => budget = Some(Duration::from_millis(ms)),
             _ => {
@@ -1206,7 +1227,7 @@ mod tests {
         );
         let garbage = "garbage\r\n\r\n";
         let oversized = "POST /sparql HTTP/1.1\r\nHost: t\r\nContent-Length: 99999999\r\n\r\n";
-        let garbage_text = parse_request_head(garbage.as_bytes(), 8192)
+        let garbage_text = amber_util::http::parse_request_head(garbage.as_bytes(), 8192)
             .unwrap_err()
             .to_string();
         let mut expected_body = None;

@@ -57,12 +57,28 @@ pub(crate) const TRIPLE_WORDS: usize = 6;
 
 /// The identity of a compiled query (see the module docs): equal keys
 /// denote the same query multigraph on the graph that compiled them.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct QueryKey {
     words: Vec<u32>,
     /// The text of each constant absent from the data, in order of first
     /// occurrence.
     unknown: Vec<Box<str>>,
+}
+
+// By hand: `clone_from` reuses the target's buffers, so a plan owner that
+// takes query after query's key stops allocating for it.
+impl Clone for QueryKey {
+    fn clone(&self) -> Self {
+        Self {
+            words: self.words.clone(),
+            unknown: self.unknown.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.unknown.clone_from(&source.unknown);
+    }
 }
 
 impl QueryKey {
@@ -80,7 +96,7 @@ impl QueryKey {
 
     /// The key's parts: the triple words, `DISTINCT`, the pattern-variable
     /// count and the projection.
-    fn parts(&self) -> (&[u32], bool, usize, &[u32]) {
+    pub(crate) fn parts(&self) -> (&[u32], bool, usize, &[u32]) {
         let words = &self.words;
         let projected = *words.last().expect("a key ends in its projection") as usize;
         let projection_start = words.len() - 1 - projected;
@@ -90,11 +106,6 @@ impl QueryKey {
             words[projection_start - 1] as usize,
             &words[projection_start..words.len() - 1],
         )
-    }
-
-    /// The triple patterns, [`TRIPLE_WORDS`] words each.
-    pub(crate) fn triples(&self) -> impl Iterator<Item = &[u32]> {
-        self.parts().0.chunks_exact(TRIPLE_WORDS)
     }
 }
 
@@ -198,17 +209,17 @@ impl CompiledQuery {
     }
 
     /// The query multigraph, assembled from the key's ids (no dictionary
-    /// lookup); its vertices carry this query's variable names.
+    /// lookup) into a fresh graph ([`QueryGraph::rebuild`]); its vertices
+    /// carry this query's variable names.
     pub fn query_graph(&self) -> QueryGraph {
-        let (_, distinct, pattern_vars, _) = self.key.parts();
-        let names = (0..pattern_vars).map(|i| self.name(i).into()).collect();
-        QueryGraph::assemble(
-            &self.key,
-            names,
-            self.output_variables(),
-            distinct,
-            self.unsat_reason.clone(),
-        )
+        let mut qg = QueryGraph::default();
+        qg.rebuild(self);
+        qg
+    }
+
+    /// The variable names, concatenated, and where each one ends.
+    pub(crate) fn name_layout(&self) -> (&str, &[u32]) {
+        (&self.names, &self.name_ends)
     }
 
     fn name(&self, index: usize) -> &str {

@@ -46,6 +46,9 @@ pub use compiled::{CompiledQuery, QueryKey};
 pub use data_graph::{AdjEntry, DataGraph, Direction, OneType};
 pub use dictionary::{Dictionaries, Dictionary};
 pub use ids::{AttrId, EdgeTypeId, QVertexId, VertexId};
-pub use query_graph::{GroundCheck, IriConstraint, MultiEdge, QueryEdge, QueryGraph, QueryVertex};
+pub use query_graph::{
+    Components, GroundCheck, IriConstraint, MultiEdge, QAdj, QueryEdge, QueryGraph, QueryVertex,
+    Span,
+};
 pub use signature::{Synopsis, VertexSignature};
 pub use snapshot::SnapshotError;

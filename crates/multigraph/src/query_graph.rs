@@ -19,13 +19,15 @@
 //! lookup fails.
 
 use crate::builder::RdfGraph;
-use crate::compiled::{tag, CompiledQuery, QueryKey};
+use crate::compiled::{tag, CompiledQuery, TRIPLE_WORDS};
 use crate::data_graph::Direction;
 use crate::ids::{AttrId, EdgeTypeId, QVertexId, VertexId};
-use crate::signature::VertexSignature;
+use crate::signature::Synopsis;
 use amber_sparql::SelectQuery;
+use amber_util::sorted::normalize;
 use amber_util::HeapSize;
 use std::fmt;
+use std::ops::{Index, Range};
 
 /// Construction failure (malformed AST, not data-dependent).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,11 +54,12 @@ impl fmt::Display for QueryGraphError {
 
 impl std::error::Error for QueryGraphError {}
 
-/// A multi-edge of the query graph: the sorted, deduplicated set of edge
-/// types between one ordered pair of query vertices (paper §2.1.1 —
+/// A multi-edge of a vertex signature: the sorted, deduplicated set of
+/// edge types between one ordered pair of vertices (paper §2.1.1 —
 /// "multiple edges (predicates) can appear between the same pair of
 /// vertices"). The data graph keeps its multi-edges as runs of adjacency
-/// entries instead ([`crate::DataGraph::multi_edges`]).
+/// entries instead ([`crate::DataGraph::multi_edges`]), and the query
+/// graph as [`Span`]s of its type pool.
 ///
 /// Almost every multi-edge carries one type, so a single type is held
 /// inline and owns no heap; two or more live in a boxed slice.
@@ -157,8 +160,43 @@ impl FromIterator<EdgeTypeId> for MultiEdge {
     }
 }
 
+/// A run of a flat pool: in [`QueryGraph`], the sorted, deduplicated
+/// types of a multi-edge ([`QueryGraph::types`]) or the sorted attributes
+/// of a ground check ([`QueryGraph::attributes`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    /// The span of `range` (pools are indexed by `u32`).
+    pub fn new(range: Range<usize>) -> Self {
+        Self {
+            start: range.start as u32,
+            end: range.end as u32,
+        }
+    }
+
+    /// The span as a range of pool indices.
+    pub fn range(self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+
+    /// Number of items (a multi-edge's cardinality, the paper's
+    /// `|σ(u)_j|`).
+    pub fn len(self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    /// `true` when the span holds nothing.
+    pub fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+}
+
 /// An IRI vertex `u^iri ∈ u.R` attached to a query vertex (paper §2.2.1).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IriConstraint {
     /// The unique data vertex the IRI maps to.
     pub data_vertex: VertexId,
@@ -166,35 +204,36 @@ pub struct IriConstraint {
     /// the edge runs IRI → variable.
     pub direction: Direction,
     /// The multi-edge between variable and IRI vertex.
-    pub types: MultiEdge,
+    pub types: Span,
 }
 
-/// A query vertex `u ∈ U`: one SPARQL variable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryVertex {
+/// A query vertex `u ∈ U`: one SPARQL variable, read out of the graph's
+/// pools ([`QueryGraph::vertex`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueryVertex<'a> {
     /// The variable name (without `?`).
-    pub name: Box<str>,
+    pub name: &'a str,
     /// Sorted attribute requirements `u.A` (from constant-literal objects).
-    pub attrs: Vec<AttrId>,
+    pub attrs: &'a [AttrId],
     /// IRI vertices `u.R` attached to this variable.
-    pub iri_constraints: Vec<IriConstraint>,
-    /// Required self-loop types (`?x p ?x` patterns).
-    pub self_loop: Option<MultiEdge>,
+    pub iri_constraints: &'a [IriConstraint],
+    /// Required self-loop types (`?x p ?x` patterns), sorted.
+    pub self_loop: Option<&'a [EdgeTypeId]>,
 }
 
 /// A directed multi-edge between two query vertices.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryEdge {
     /// Source query vertex.
     pub from: QVertexId,
     /// Target query vertex.
     pub to: QVertexId,
     /// Merged edge types (`L^Q_E(from, to)`).
-    pub types: MultiEdge,
+    pub types: Span,
 }
 
 /// A pattern with no variables: evaluated once as a boolean guard.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroundCheck {
     /// `<s> <p> <o>` — the data must contain the edge with all types.
     Edge {
@@ -202,15 +241,15 @@ pub enum GroundCheck {
         from: VertexId,
         /// Object data vertex.
         to: VertexId,
-        /// Required types.
-        types: MultiEdge,
+        /// Required types ([`QueryGraph::types`]).
+        types: Span,
     },
     /// `<s> <p> "lit"` — the subject vertex must own the attributes.
     Attribute {
         /// Subject data vertex.
         vertex: VertexId,
-        /// Required (sorted) attributes.
-        attrs: Vec<AttrId>,
+        /// Required attributes ([`QueryGraph::attributes`]).
+        attrs: Span,
     },
 }
 
@@ -226,15 +265,72 @@ pub struct QAdj {
 }
 
 /// The query multigraph `Q = (U, E_Q, L_U, L^Q_E)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Everything lives in flat pools: per-vertex rows (adjacency, attributes,
+/// IRI vertices) are runs of one buffer each, cut by an end offset per
+/// vertex, and every multi-edge's types are a [`Span`] of one type pool.
+/// [`Self::rebuild`] clears and refills them, so an owner that plans query
+/// after query reuses the same memory.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryGraph {
-    vertices: Vec<QueryVertex>,
+    /// Variable names by index, concatenated (pattern variables first, then
+    /// variables only the projection names), and where each one ends.
+    names: String,
+    name_ends: Vec<u32>,
+    /// `|U|`: the pattern variables.
+    vertex_count: usize,
+    types: Vec<EdgeTypeId>,
     edges: Vec<QueryEdge>,
-    adj: Vec<Vec<QAdj>>,
+    adj: Vec<QAdj>,
+    adj_ends: Vec<u32>,
+    /// Each vertex's sorted attributes (a row per vertex), then the ground
+    /// checks' attribute sets.
+    attrs: Vec<AttrId>,
+    attr_ends: Vec<u32>,
+    iris: Vec<IriConstraint>,
+    iri_ends: Vec<u32>,
+    /// Per vertex; empty when the vertex has no self-loop.
+    self_loops: Vec<Span>,
     ground_checks: Vec<GroundCheck>,
-    unsat_reason: Option<String>,
-    output_vars: Vec<Box<str>>,
+    unsat_reason: String,
+    unsatisfiable: bool,
+    /// The projection, as variable indices in SELECT order.
+    projection: Vec<QVertexId>,
     distinct: bool,
+    /// The key's patterns sorted by kind while assembling; empty otherwise.
+    scratch: Assembly,
+}
+
+/// The patterns of a key, one list per kind, sorted to group them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Assembly {
+    var_edges: Vec<(QVertexId, QVertexId, EdgeTypeId)>,
+    /// (variable, data vertex, direction sign, type)
+    iri_edges: Vec<(u32, VertexId, char, EdgeTypeId)>,
+    self_loops: Vec<(u32, EdgeTypeId)>,
+    attrs: Vec<(u32, AttrId)>,
+    ground_edges: Vec<(VertexId, VertexId, EdgeTypeId)>,
+    ground_attrs: Vec<(VertexId, AttrId)>,
+}
+
+impl Assembly {
+    fn clear(&mut self) {
+        self.var_edges.clear();
+        self.iri_edges.clear();
+        self.self_loops.clear();
+        self.attrs.clear();
+        self.ground_edges.clear();
+        self.ground_attrs.clear();
+    }
+}
+
+/// The run of row `i` in a pool cut by `ends`.
+fn row(ends: &[u32], i: usize) -> Range<usize> {
+    let start = match i {
+        0 => 0,
+        _ => ends[i - 1] as usize,
+    };
+    start..ends[i] as usize
 }
 
 impl QueryGraph {
@@ -247,17 +343,36 @@ impl QueryGraph {
 
     /// Number of query vertices `|U|`.
     pub fn vertex_count(&self) -> usize {
-        self.vertices.len()
+        self.vertex_count
     }
 
     /// Iterate query vertex ids.
     pub fn vertex_ids(&self) -> impl Iterator<Item = QVertexId> {
-        (0..self.vertices.len() as u32).map(QVertexId)
+        (0..self.vertex_count as u32).map(QVertexId)
     }
 
-    /// Access one query vertex.
-    pub fn vertex(&self, u: QVertexId) -> &QueryVertex {
-        &self.vertices[u.index()]
+    /// One query vertex, read out of the pools.
+    pub fn vertex(&self, u: QVertexId) -> QueryVertex<'_> {
+        let i = u.index();
+        assert!(i < self.vertex_count, "query vertex {i} out of range");
+        QueryVertex {
+            name: self.name(u),
+            attrs: &self.attrs[row(&self.attr_ends, i)],
+            iri_constraints: &self.iris[row(&self.iri_ends, i)],
+            self_loop: self.self_loop(u),
+        }
+    }
+
+    /// The name of variable `u` (a pattern variable, or one only the
+    /// projection names).
+    pub fn name(&self, u: QVertexId) -> &str {
+        &self.names[row(&self.name_ends, u.index())]
+    }
+
+    /// The required self-loop types of `u`, if it has a self-loop.
+    pub fn self_loop(&self, u: QVertexId) -> Option<&[EdgeTypeId]> {
+        let span = self.self_loops[u.index()];
+        (!span.is_empty()).then(|| self.types(span))
     }
 
     /// All variable-variable edges (merged multi-edges).
@@ -265,9 +380,19 @@ impl QueryGraph {
         &self.edges
     }
 
+    /// The sorted types of a multi-edge of this graph.
+    pub fn types(&self, span: Span) -> &[EdgeTypeId] {
+        &self.types[span.range()]
+    }
+
+    /// The sorted attributes of a ground check of this graph.
+    pub fn attributes(&self, span: Span) -> &[AttrId] {
+        &self.attrs[span.range()]
+    }
+
     /// Adjacency of `u` over variable-variable edges (self-loops excluded).
     pub fn adjacency(&self, u: QVertexId) -> &[QAdj] {
-        &self.adj[u.index()]
+        &self.adj[row(&self.adj_ends, u.index())]
     }
 
     /// Ground checks (variable-free patterns).
@@ -277,17 +402,23 @@ impl QueryGraph {
 
     /// `Some(reason)` when the query can have no answers on this data.
     pub fn unsat_reason(&self) -> Option<&str> {
-        self.unsat_reason.as_deref()
+        self.unsatisfiable.then_some(self.unsat_reason.as_str())
     }
 
     /// `true` when the query can have no answers on this data.
     pub fn is_unsatisfiable(&self) -> bool {
-        self.unsat_reason.is_some()
+        self.unsatisfiable
     }
 
-    /// The projection, in SELECT order.
-    pub fn output_vars(&self) -> &[Box<str>] {
-        &self.output_vars
+    /// The projected variable names, in SELECT order.
+    pub fn output_vars(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.projection.iter().map(|&u| self.name(u))
+    }
+
+    /// The projected variables, in SELECT order. An index at or past
+    /// [`Self::vertex_count`] names a variable no pattern binds.
+    pub fn projection(&self) -> &[QVertexId] {
+        &self.projection
     }
 
     /// `SELECT DISTINCT`?
@@ -297,144 +428,170 @@ impl QueryGraph {
 
     /// Find a variable's query vertex.
     pub fn vertex_by_name(&self, name: &str) -> Option<QVertexId> {
-        self.vertices
-            .iter()
-            .position(|v| v.name.as_ref() == name)
-            .map(QVertexId::from_index)
+        self.vertex_ids().find(|&u| self.name(u) == name)
     }
 
     /// Degree used for core/satellite decomposition (§3): number of distinct
     /// *variable* neighbours, self excluded.
     pub fn degree(&self, u: QVertexId) -> usize {
-        let mut neighbors: Vec<QVertexId> = self.adj[u.index()]
-            .iter()
-            .map(|a| a.neighbor)
-            .filter(|&n| n != u)
-            .collect();
-        neighbors.sort_unstable();
-        neighbors.dedup();
-        neighbors.len()
+        let adjacency = self.adjacency(u);
+        (0..adjacency.len())
+            .filter(|&i| {
+                let n = adjacency[i].neighbor;
+                n != u && adjacency[..i].iter().all(|a| a.neighbor != n)
+            })
+            .count()
     }
 
-    /// The signature `σ_u` of a query vertex: every incident multi-edge,
-    /// including edges to IRI vertices and self-loops (both halves).
-    pub fn signature(&self, u: QVertexId) -> VertexSignature {
-        let mut sig = VertexSignature::default();
-        for a in &self.adj[u.index()] {
-            let types = self.edges[a.edge].types.clone();
-            match a.direction {
-                Direction::Incoming => sig.incoming.push(types),
-                Direction::Outgoing => sig.outgoing.push(types),
-            }
-        }
-        let vertex = &self.vertices[u.index()];
-        for c in &vertex.iri_constraints {
-            match c.direction {
-                Direction::Incoming => sig.incoming.push(c.types.clone()),
-                Direction::Outgoing => sig.outgoing.push(c.types.clone()),
-            }
-        }
-        if let Some(loop_types) = &vertex.self_loop {
-            sig.incoming.push(loop_types.clone());
-            sig.outgoing.push(loop_types.clone());
-        }
-        sig
+    /// The multi-edges incident on `u` in `direction`: its variable edges,
+    /// its IRI vertices' edges and its self-loop (which is in both halves).
+    fn incident(&self, u: QVertexId, direction: Direction) -> impl Iterator<Item = &[EdgeTypeId]> {
+        let edges = self
+            .adjacency(u)
+            .iter()
+            .filter(move |a| a.direction == direction)
+            .map(|a| self.types(self.edges[a.edge].types));
+        let iris = self
+            .vertex(u)
+            .iri_constraints
+            .iter()
+            .filter(move |c| c.direction == direction)
+            .map(|c| self.types(c.types));
+        edges.chain(iris).chain(self.self_loop(u))
+    }
+
+    /// Total number of incident edge-type instances — the paper's ranking
+    /// quantity `r2(u) = Σ_j |σ(u)_j|` (§5.3) over the signature `σ_u`:
+    /// every incident multi-edge, edges to IRI vertices and both halves of
+    /// a self-loop included.
+    pub fn edge_instance_count(&self, u: QVertexId) -> usize {
+        [Direction::Incoming, Direction::Outgoing]
+            .into_iter()
+            .flat_map(|direction| self.incident(u, direction))
+            .map(<[EdgeTypeId]>::len)
+            .sum()
+    }
+
+    /// The query-side synopsis of `u`'s signature (see
+    /// [`VertexSignature::query_synopsis`](crate::VertexSignature::query_synopsis)),
+    /// folded straight off the pools; `scratch` holds each half's types
+    /// while they are counted.
+    pub fn query_synopsis(&self, u: QVertexId, scratch: &mut Vec<u32>) -> Synopsis {
+        Synopsis::of_query_halves(
+            self.incident(u, Direction::Incoming),
+            self.incident(u, Direction::Outgoing),
+            scratch,
+        )
     }
 
     /// Connected components over variable-variable edges, each sorted by id.
     /// Isolated variables (only attributes / IRI constraints) form singleton
     /// components.
-    pub fn connected_components(&self) -> Vec<Vec<QVertexId>> {
-        let n = self.vertices.len();
-        let mut component = vec![usize::MAX; n];
-        let mut components: Vec<Vec<QVertexId>> = Vec::new();
-        for start in 0..n {
-            if component[start] != usize::MAX {
-                continue;
-            }
-            let id = components.len();
-            let mut stack = vec![start];
-            let mut members = Vec::new();
-            component[start] = id;
-            while let Some(v) = stack.pop() {
-                members.push(QVertexId::from_index(v));
-                for a in &self.adj[v] {
-                    let n = a.neighbor.index();
-                    if component[n] == usize::MAX {
-                        component[n] = id;
-                        stack.push(n);
-                    }
-                }
-            }
-            members.sort_unstable();
-            components.push(members);
-        }
+    pub fn connected_components(&self) -> Components {
+        let mut components = Components::default();
+        self.connected_components_into(&mut components);
         components
     }
 
+    /// [`Self::connected_components`] into `out`, cleared first.
+    pub fn connected_components_into(&self, out: &mut Components) {
+        let Components {
+            vertices,
+            ends,
+            seen,
+        } = out;
+        vertices.clear();
+        ends.clear();
+        seen.clear();
+        seen.resize(self.vertex_count, false);
+        for start in self.vertex_ids() {
+            if seen[start.index()] {
+                continue;
+            }
+            seen[start.index()] = true;
+            // Breadth first, with the component's own run as the queue.
+            let first = vertices.len();
+            vertices.push(start);
+            let mut next = first;
+            while let Some(&v) = vertices.get(next) {
+                next += 1;
+                for a in self.adjacency(v) {
+                    if !seen[a.neighbor.index()] {
+                        seen[a.neighbor.index()] = true;
+                        vertices.push(a.neighbor);
+                    }
+                }
+            }
+            vertices[first..].sort_unstable();
+            ends.push(vertices.len() as u32);
+        }
+    }
+
     /// The merged multi-edge of the directed pair `(from, to)`, if any.
-    pub fn multi_edge(&self, from: QVertexId, to: QVertexId) -> Option<&MultiEdge> {
-        self.adj[from.index()]
+    pub fn multi_edge(&self, from: QVertexId, to: QVertexId) -> Option<&[EdgeTypeId]> {
+        self.adjacency(from)
             .iter()
             .find(|a| {
                 a.neighbor == to
                     && a.direction == Direction::Outgoing
                     && self.edges[a.edge].from == from
             })
-            .map(|a| &self.edges[a.edge].types)
+            .map(|a| self.types(self.edges[a.edge].types))
     }
 
     /// Total number of triple-pattern constraints represented (used by tests
     /// to confirm nothing was dropped in the transformation).
     pub fn constraint_count(&self) -> usize {
-        self.edges.iter().map(|e| e.types.len()).sum::<usize>()
-            + self
-                .vertices
-                .iter()
-                .map(|v| {
-                    v.attrs.len()
-                        + v.iri_constraints
-                            .iter()
-                            .map(|c| c.types.len())
-                            .sum::<usize>()
-                        + v.self_loop.as_ref().map_or(0, MultiEdge::len)
-                })
-                .sum::<usize>()
-            + self
-                .ground_checks
-                .iter()
-                .map(|g| match g {
-                    GroundCheck::Edge { types, .. } => types.len(),
-                    GroundCheck::Attribute { attrs, .. } => attrs.len(),
-                })
-                .sum::<usize>()
+        let edges: usize = self.edges.iter().map(|e| e.types.len()).sum();
+        let vertices: usize = self
+            .vertex_ids()
+            .map(|u| {
+                let vertex = self.vertex(u);
+                vertex.attrs.len()
+                    + vertex
+                        .iri_constraints
+                        .iter()
+                        .map(|c| c.types.len())
+                        .sum::<usize>()
+                    + vertex.self_loop.map_or(0, <[EdgeTypeId]>::len)
+            })
+            .sum();
+        let ground: usize = self
+            .ground_checks
+            .iter()
+            .map(|g| match g {
+                GroundCheck::Edge { types, .. } => types.len(),
+                GroundCheck::Attribute { attrs, .. } => attrs.len(),
+            })
+            .sum();
+        edges + vertices + ground
     }
-}
 
-impl QueryGraph {
-    /// Assemble the graph from a compiled key's id triples (see
-    /// [`CompiledQuery::query_graph`]): variable pairs merge into
-    /// multi-edges, constant IRIs into IRI vertices, literal objects into
-    /// attributes, variable-free patterns into ground checks. A pattern
-    /// naming an absent constant adds no constraint (the query is
-    /// unsatisfiable anyway).
-    pub(crate) fn assemble(
-        key: &QueryKey,
-        names: Vec<Box<str>>,
-        output_vars: Vec<Box<str>>,
-        distinct: bool,
-        unsat_reason: Option<String>,
-    ) -> Self {
-        let n = names.len();
-        let mut attrs: Vec<Vec<AttrId>> = vec![Vec::new(); n];
-        let mut self_loops: Vec<Vec<EdgeTypeId>> = vec![Vec::new(); n];
-        // (variable, data vertex, direction sign, type)
-        let mut iri_edges: Vec<(u32, VertexId, char, EdgeTypeId)> = Vec::new();
-        let mut var_edges: Vec<(QVertexId, QVertexId, EdgeTypeId)> = Vec::new();
-        let mut ground_edges: Vec<(VertexId, VertexId, EdgeTypeId)> = Vec::new();
-        let mut ground_attrs: Vec<(VertexId, AttrId)> = Vec::new();
-        for triple in key.triples() {
-            let &[s_tag, s, p_tag, p, o_tag, o] = triple else {
+    /// Reassemble this graph from a compiled query's id triples, reusing
+    /// its pools: variable pairs merge into multi-edges, constant IRIs into
+    /// IRI vertices, literal objects into attributes, variable-free
+    /// patterns into ground checks; the vertices carry the query's variable
+    /// names. A pattern naming an absent constant adds no constraint (the
+    /// query is unsatisfiable anyway). Every pool is cleared first, so a
+    /// rebuild that stopped half way leaves nothing a later one reads.
+    pub fn rebuild(&mut self, compiled: &CompiledQuery) {
+        self.clear();
+        let (names, name_ends) = compiled.name_layout();
+        let (triples, distinct, pattern_vars, projection) = compiled.key().parts();
+        self.names.push_str(names);
+        self.name_ends.extend_from_slice(name_ends);
+        self.vertex_count = pattern_vars;
+        self.projection
+            .extend(projection.iter().map(|&i| QVertexId(i)));
+        self.distinct = distinct;
+        if let Some(reason) = compiled.unsat_reason() {
+            self.unsat_reason.push_str(reason);
+            self.unsatisfiable = true;
+        }
+
+        let s = &mut self.scratch;
+        for triple in triples.chunks_exact(TRIPLE_WORDS) {
+            let &[s_tag, subject, p_tag, p, o_tag, object] = triple else {
                 unreachable!("triples are six words")
             };
             let t = EdgeTypeId(p);
@@ -442,114 +599,200 @@ impl QueryGraph {
             match (s_tag, o_tag) {
                 // ?s <p> ?o
                 (tag::VARIABLE, tag::VARIABLE) if edge => {
-                    if s == o {
-                        self_loops[s as usize].push(t);
+                    if subject == object {
+                        s.self_loops.push((subject, t));
                     } else {
-                        var_edges.push((QVertexId(s), QVertexId(o), t));
+                        s.var_edges.push((QVertexId(subject), QVertexId(object), t));
                     }
                 }
                 // ?s <p> <o>
                 (tag::VARIABLE, tag::VERTEX) if edge => {
-                    iri_edges.push((s, VertexId(o), Direction::Outgoing.sign(), t));
+                    let sign = Direction::Outgoing.sign();
+                    s.iri_edges.push((subject, VertexId(object), sign, t));
                 }
                 // ?s <p> "lit"
-                (tag::VARIABLE, tag::ATTRIBUTE) => attrs[s as usize].push(AttrId(o)),
+                (tag::VARIABLE, tag::ATTRIBUTE) => s.attrs.push((subject, AttrId(object))),
                 // <s> <p> ?o
                 (tag::VERTEX, tag::VARIABLE) if edge => {
-                    iri_edges.push((o, VertexId(s), Direction::Incoming.sign(), t));
+                    let sign = Direction::Incoming.sign();
+                    s.iri_edges.push((object, VertexId(subject), sign, t));
                 }
                 // <s> <p> <o>
                 (tag::VERTEX, tag::VERTEX) if edge => {
-                    ground_edges.push((VertexId(s), VertexId(o), t))
+                    s.ground_edges
+                        .push((VertexId(subject), VertexId(object), t))
                 }
                 // <s> <p> "lit"
-                (tag::VERTEX, tag::ATTRIBUTE) => ground_attrs.push((VertexId(s), AttrId(o))),
+                (tag::VERTEX, tag::ATTRIBUTE) => {
+                    s.ground_attrs.push((VertexId(subject), AttrId(object)))
+                }
                 _ => {}
             }
         }
+        normalize(&mut s.self_loops);
+        normalize(&mut s.attrs);
+        normalize(&mut s.iri_edges);
+        normalize(&mut s.var_edges);
+        normalize(&mut s.ground_edges);
+        normalize(&mut s.ground_attrs);
 
-        iri_edges.sort_unstable();
-        let mut iri_constraints: Vec<Vec<IriConstraint>> = vec![Vec::new(); n];
-        for group in iri_edges.chunk_by(|a, b| (a.0, a.1, a.2) == (b.0, b.1, b.2)) {
-            let (u, data_vertex, sign, _) = group[0];
-            iri_constraints[u as usize].push(IriConstraint {
-                data_vertex,
-                direction: if sign == Direction::Incoming.sign() {
-                    Direction::Incoming
-                } else {
-                    Direction::Outgoing
-                },
-                types: group.iter().map(|&(.., t)| t).collect(),
-            });
-        }
-        let vertices: Vec<QueryVertex> = names
-            .into_iter()
-            .zip(attrs)
-            .zip(self_loops)
-            .zip(iri_constraints)
-            .map(|(((name, mut attrs), self_loop), iri_constraints)| {
-                attrs.sort_unstable();
-                attrs.dedup();
-                QueryVertex {
-                    name,
-                    attrs,
-                    iri_constraints,
-                    self_loop: (!self_loop.is_empty()).then(|| MultiEdge::new(self_loop)),
+        // Per-vertex rows, from lists sorted by vertex.
+        let (mut loops, mut attrs, mut iris) = (0, 0, 0);
+        for u in 0..pattern_vars as u32 {
+            let start = self.types.len();
+            while let Some(&(_, t)) = s.self_loops.get(loops).filter(|l| l.0 == u) {
+                self.types.push(t);
+                loops += 1;
+            }
+            self.self_loops.push(Span::new(start..self.types.len()));
+
+            while let Some(&(_, a)) = s.attrs.get(attrs).filter(|a| a.0 == u) {
+                self.attrs.push(a);
+                attrs += 1;
+            }
+            self.attr_ends.push(self.attrs.len() as u32);
+
+            while let Some(&(_, data_vertex, sign, _)) = s.iri_edges.get(iris).filter(|e| e.0 == u)
+            {
+                let start = self.types.len();
+                while let Some(&(.., t)) = s
+                    .iri_edges
+                    .get(iris)
+                    .filter(|e| (e.0, e.1, e.2) == (u, data_vertex, sign))
+                {
+                    self.types.push(t);
+                    iris += 1;
                 }
-            })
-            .collect();
+                self.iris.push(IriConstraint {
+                    data_vertex,
+                    direction: if sign == Direction::Incoming.sign() {
+                        Direction::Incoming
+                    } else {
+                        Direction::Outgoing
+                    },
+                    types: Span::new(start..self.types.len()),
+                });
+            }
+            self.iri_ends.push(self.iris.len() as u32);
+        }
 
-        var_edges.sort_unstable();
-        let edges: Vec<QueryEdge> = var_edges
-            .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
-            .map(|group| QueryEdge {
+        for group in s.var_edges.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let start = self.types.len();
+            self.types.extend(group.iter().map(|&(.., t)| t));
+            self.edges.push(QueryEdge {
                 from: group[0].0,
                 to: group[0].1,
-                types: group.iter().map(|&(.., t)| t).collect(),
-            })
-            .collect();
-        let mut adj: Vec<Vec<QAdj>> = vec![Vec::new(); n];
-        for (idx, edge) in edges.iter().enumerate() {
-            adj[edge.from.index()].push(QAdj {
-                neighbor: edge.to,
-                direction: Direction::Outgoing,
-                edge: idx,
-            });
-            adj[edge.to.index()].push(QAdj {
-                neighbor: edge.from,
-                direction: Direction::Incoming,
-                edge: idx,
+                types: Span::new(start..self.types.len()),
             });
         }
+        // Adjacency rows in edge order: count, then place through a cursor
+        // per row (which ends as the row's end).
+        self.adj_ends.resize(pattern_vars, 0);
+        for edge in &self.edges {
+            self.adj_ends[edge.from.index()] += 1;
+            self.adj_ends[edge.to.index()] += 1;
+        }
+        let mut start = 0;
+        for end in &mut self.adj_ends {
+            let degree = *end;
+            *end = start;
+            start += degree;
+        }
+        let placeholder = QAdj {
+            neighbor: QVertexId(0),
+            direction: Direction::Outgoing,
+            edge: 0,
+        };
+        self.adj.resize(start as usize, placeholder);
+        for (idx, edge) in self.edges.iter().enumerate() {
+            for (at, neighbor, direction) in [
+                (edge.from, edge.to, Direction::Outgoing),
+                (edge.to, edge.from, Direction::Incoming),
+            ] {
+                let cursor = &mut self.adj_ends[at.index()];
+                self.adj[*cursor as usize] = QAdj {
+                    neighbor,
+                    direction,
+                    edge: idx,
+                };
+                *cursor += 1;
+            }
+        }
 
-        ground_edges.sort_unstable();
-        ground_attrs.sort_unstable();
-        let ground_checks = ground_edges
-            .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
-            .map(|group| GroundCheck::Edge {
+        for group in s.ground_edges.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let start = self.types.len();
+            self.types.extend(group.iter().map(|&(.., t)| t));
+            self.ground_checks.push(GroundCheck::Edge {
                 from: group[0].0,
                 to: group[0].1,
-                types: group.iter().map(|&(.., t)| t).collect(),
-            })
-            .chain(ground_attrs.chunk_by(|a, b| a.0 == b.0).map(|group| {
-                let mut attrs: Vec<AttrId> = group.iter().map(|&(_, a)| a).collect();
-                attrs.dedup();
-                GroundCheck::Attribute {
-                    vertex: group[0].0,
-                    attrs,
-                }
-            }))
-            .collect();
-
-        QueryGraph {
-            vertices,
-            edges,
-            adj,
-            ground_checks,
-            unsat_reason,
-            output_vars,
-            distinct,
+                types: Span::new(start..self.types.len()),
+            });
         }
+        for group in s.ground_attrs.chunk_by(|a, b| a.0 == b.0) {
+            let start = self.attrs.len();
+            self.attrs.extend(group.iter().map(|&(_, a)| a));
+            self.ground_checks.push(GroundCheck::Attribute {
+                vertex: group[0].0,
+                attrs: Span::new(start..self.attrs.len()),
+            });
+        }
+        s.clear();
+    }
+
+    fn clear(&mut self) {
+        self.names.clear();
+        self.name_ends.clear();
+        self.vertex_count = 0;
+        self.types.clear();
+        self.edges.clear();
+        self.adj.clear();
+        self.adj_ends.clear();
+        self.attrs.clear();
+        self.attr_ends.clear();
+        self.iris.clear();
+        self.iri_ends.clear();
+        self.self_loops.clear();
+        self.ground_checks.clear();
+        self.unsat_reason.clear();
+        self.unsatisfiable = false;
+        self.projection.clear();
+        self.distinct = false;
+        self.scratch.clear();
+    }
+}
+
+/// The connected components of a query graph
+/// ([`QueryGraph::connected_components`]): one run of ascending vertex ids
+/// per component, in the order of each component's smallest vertex.
+#[derive(Debug, Clone, Default)]
+pub struct Components {
+    vertices: Vec<QVertexId>,
+    ends: Vec<u32>,
+    seen: Vec<bool>,
+}
+
+impl Components {
+    /// Number of components.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` for the graph without vertices.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Each component's vertices, ascending.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[QVertexId]> + '_ {
+        (0..self.len()).map(|i| &self[i])
+    }
+}
+
+impl Index<usize> for Components {
+    type Output = [QVertexId];
+
+    fn index(&self, i: usize) -> &[QVertexId] {
+        &self.vertices[row(&self.ends, i)]
     }
 }
 
@@ -603,9 +846,9 @@ mod tests {
     fn variables_get_dense_ids_in_order() {
         let q = qg("SELECT * WHERE { ?a <http://p/e1> ?b . ?b <http://p/e2> ?c . }");
         assert_eq!(q.vertex_count(), 3);
-        assert_eq!(q.vertex(QVertexId(0)).name.as_ref(), "a");
-        assert_eq!(q.vertex(QVertexId(1)).name.as_ref(), "b");
-        assert_eq!(q.vertex(QVertexId(2)).name.as_ref(), "c");
+        assert_eq!(q.vertex(QVertexId(0)).name, "a");
+        assert_eq!(q.vertex(QVertexId(1)).name, "b");
+        assert_eq!(q.vertex(QVertexId(2)).name, "c");
         assert_eq!(q.vertex_by_name("c"), Some(QVertexId(2)));
     }
 
@@ -680,9 +923,10 @@ mod tests {
         assert_eq!(q.edges().len(), 0);
         assert!(q.vertex(QVertexId(0)).self_loop.is_some());
         // self loop contributes to both signature halves
-        let sig = q.signature(QVertexId(0));
-        assert_eq!(sig.incoming.len(), 1);
-        assert_eq!(sig.outgoing.len(), 1);
+        let a = QVertexId(0);
+        assert_eq!(q.incident(a, Direction::Incoming).count(), 1);
+        assert_eq!(q.incident(a, Direction::Outgoing).count(), 1);
+        assert_eq!(q.edge_instance_count(a), 2);
     }
 
     #[test]
@@ -697,9 +941,10 @@ mod tests {
     #[test]
     fn signature_includes_iri_edges() {
         let q = qg("SELECT * WHERE { ?a <http://p/e1> ?b . ?a <http://p/e2> <http://x/C> . }");
-        let sig = q.signature(QVertexId(0));
-        assert_eq!(sig.outgoing.len(), 2); // one var edge + one IRI edge
-        assert_eq!(sig.incoming.len(), 0);
+        let a = QVertexId(0);
+        // one var edge + one IRI edge
+        assert_eq!(q.incident(a, Direction::Outgoing).count(), 2);
+        assert_eq!(q.incident(a, Direction::Incoming).count(), 0);
     }
 
     #[test]
@@ -707,8 +952,8 @@ mod tests {
         let q = qg("SELECT * WHERE { ?a <http://p/e1> ?b . ?c <http://p/e2> ?d . }");
         let comps = q.connected_components();
         assert_eq!(comps.len(), 2);
-        assert_eq!(comps[0], vec![QVertexId(0), QVertexId(1)]);
-        assert_eq!(comps[1], vec![QVertexId(2), QVertexId(3)]);
+        assert_eq!(comps[0], [QVertexId(0), QVertexId(1)]);
+        assert_eq!(comps[1], [QVertexId(2), QVertexId(3)]);
     }
 
     #[test]
@@ -748,6 +993,6 @@ mod tests {
     fn distinct_and_projection_are_recorded() {
         let q = qg("SELECT DISTINCT ?b WHERE { ?a <http://p/e1> ?b . }");
         assert!(q.distinct());
-        assert_eq!(q.output_vars(), &["b".into()]);
+        assert!(q.output_vars().eq(["b"]));
     }
 }

@@ -74,14 +74,11 @@ impl VertexSignature {
     /// of the dominance order. Data-side synopses keep the paper's exact
     /// zero-filling (Table 3 is reproduced verbatim by [`Self::synopsis`]).
     pub fn query_synopsis(&self) -> Synopsis {
-        let mut s = self.synopsis();
-        if self.incoming.is_empty() {
-            s.0[2] = i64::MIN;
-        }
-        if self.outgoing.is_empty() {
-            s.0[6] = i64::MIN;
-        }
-        s
+        Synopsis::of_query_halves(
+            self.incoming.iter().map(MultiEdge::types),
+            self.outgoing.iter().map(MultiEdge::types),
+            &mut Vec::new(),
+        )
     }
 
     /// Total number of incident edge-type instances — the paper's ranking
@@ -148,6 +145,28 @@ impl Synopsis {
             direction_features(runs.map(|run| run.iter().map(AdjEntry::edge_type)), scratch)
         };
         Self::from_halves(half(Direction::Incoming), half(Direction::Outgoing))
+    }
+
+    /// The query-side synopsis of a signature given as the type sets of
+    /// its two halves ([`VertexSignature::query_synopsis`]: an empty half
+    /// constrains nothing, so its `f3` is `i64::MIN`); `scratch` holds a
+    /// half's types while they are counted.
+    pub(crate) fn of_query_halves<'a>(
+        incoming: impl Iterator<Item = &'a [EdgeTypeId]>,
+        outgoing: impl Iterator<Item = &'a [EdgeTypeId]>,
+        scratch: &mut Vec<u32>,
+    ) -> Self {
+        let mut half = |multi_edges: &mut dyn Iterator<Item = &'a [EdgeTypeId]>| {
+            let mut count = 0;
+            let counted = multi_edges.inspect(|_| count += 1);
+            let mut features = direction_features(counted.map(|m| m.iter().copied()), scratch);
+            if count == 0 {
+                features[2] = i64::MIN;
+            }
+            features
+        };
+        let incoming = half(&mut { incoming });
+        Self::from_halves(incoming, half(&mut { outgoing }))
     }
 
     fn from_halves(incoming: [i64; 4], outgoing: [i64; 4]) -> Self {

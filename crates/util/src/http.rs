@@ -16,6 +16,7 @@
 //! arrived, so a thread-per-connection read loop needs no state machine of
 //! its own.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Hard ceiling on header count (beyond this the head is hostile).
@@ -57,28 +58,42 @@ impl fmt::Display for HttpParseError {
 
 impl std::error::Error for HttpParseError {}
 
-/// A parsed request line + headers (the body, if any, follows in the
-/// caller's buffer).
+/// A parsed request line + headers, borrowed from the buffer they arrived
+/// in (the body, if any, follows there).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RequestHead {
+pub struct RequestHead<'a> {
     /// The request method, verbatim (methods are case-sensitive).
-    pub method: String,
+    pub method: &'a str,
     /// The request target, verbatim (still percent-encoded).
-    pub target: String,
+    pub target: &'a str,
     /// `"1.0"` or `"1.1"`.
-    pub version: String,
-    /// Header name/value pairs in arrival order; names are kept verbatim,
-    /// lookup through [`Self::header`] is case-insensitive.
-    pub headers: Vec<(String, String)>,
+    pub version: &'static str,
+    /// The head text the spans below index.
+    text: &'a str,
+    headers: Cow<'a, [HeaderSpan]>,
 }
 
-impl RequestHead {
+/// Where one header's name and (trimmed) value sit in the head text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HeaderSpan {
+    name: (u32, u32),
+    value: (u32, u32),
+}
+
+impl<'a> RequestHead<'a> {
+    /// Header name/value pairs in arrival order: names verbatim, values
+    /// trimmed.
+    pub fn headers(&self) -> impl Iterator<Item = (&'a str, &'a str)> + '_ {
+        let text = self.text;
+        let at = |(start, end): (u32, u32)| &text[start as usize..end as usize];
+        self.headers.iter().map(move |h| (at(h.name), at(h.value)))
+    }
+
     /// The first header named `name` (ASCII case-insensitive), trimmed.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
+    pub fn header(&self, name: &str) -> Option<&'a str> {
+        self.headers()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v)
     }
 
     /// The declared body length: `Ok(None)` without a `Content-Length`
@@ -89,7 +104,7 @@ impl RequestHead {
     /// reading the body's bytes as the next request head.
     pub fn content_length(&self) -> Result<Option<usize>, HttpParseError> {
         let mut length = None;
-        for (name, value) in &self.headers {
+        for (name, value) in self.headers() {
             if name.eq_ignore_ascii_case("transfer-encoding") {
                 return Err(HttpParseError::UnsupportedTransferEncoding);
             }
@@ -116,8 +131,7 @@ impl RequestHead {
     pub fn wants_close(&self) -> bool {
         let mut keep_alive = false;
         let tokens = self
-            .headers
-            .iter()
+            .headers()
             .filter(|(name, _)| name.eq_ignore_ascii_case("connection"))
             .flat_map(|(_, value)| value.split(','))
             .map(str::trim);
@@ -131,15 +145,47 @@ impl RequestHead {
     }
 
     /// The media type of the body: the `Content-Type` value up to any `;`
-    /// parameter, lowercased and trimmed.
-    pub fn media_type(&self) -> Option<String> {
-        self.header("content-type").map(|v| {
-            v.split(';')
-                .next()
-                .unwrap_or("")
-                .trim()
-                .to_ascii_lowercase()
-        })
+    /// parameter, trimmed. Media types are case-insensitive: compare it
+    /// with `eq_ignore_ascii_case`.
+    pub fn media_type(&self) -> Option<&'a str> {
+        self.header("content-type")
+            .map(|v| v.split(';').next().unwrap_or("").trim())
+    }
+}
+
+/// Where a request head's fields sit in the buffer it was parsed from
+/// ([`parse_head_spans`]). A connection keeps one, refilled per request,
+/// while it reads the body into the same buffer (which may grow and
+/// move), then reads the head back out with [`Self::read`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HeadSpans {
+    /// The head text: the request line and header lines, without the
+    /// empty lines before it and the terminator after it.
+    start: usize,
+    end: usize,
+    /// Offsets into the head text.
+    method_end: usize,
+    target: (usize, usize),
+    version: &'static str,
+    headers: Vec<HeaderSpan>,
+}
+
+impl HeadSpans {
+    /// The head in `buf`, the buffer (or an unchanged copy of the prefix)
+    /// the spans were parsed from.
+    pub fn read<'a>(&'a self, buf: &'a [u8]) -> RequestHead<'a> {
+        self.head(buf, Cow::Borrowed(&self.headers))
+    }
+
+    fn head<'a>(&self, buf: &'a [u8], headers: Cow<'a, [HeaderSpan]>) -> RequestHead<'a> {
+        let text = std::str::from_utf8(&buf[self.start..self.end]).expect("validated by the parse");
+        RequestHead {
+            method: &text[..self.method_end],
+            target: &text[self.target.0..self.target.1],
+            version: self.version,
+            text,
+            headers,
+        }
     }
 }
 
@@ -155,10 +201,30 @@ impl RequestHead {
 /// old client may send a CRLF after a POST body, and on a keep-alive
 /// connection it arrives ahead of the next request. They count in
 /// `consumed` and against `max_head_bytes`.
+///
+/// The head borrows `buf`; only the header index is its own.
 pub fn parse_request_head(
     buf: &[u8],
     max_head_bytes: usize,
-) -> Result<Option<(RequestHead, usize)>, HttpParseError> {
+) -> Result<Option<(RequestHead<'_>, usize)>, HttpParseError> {
+    let mut spans = HeadSpans::default();
+    Ok(
+        parse_head_spans(buf, max_head_bytes, &mut spans)?.map(|consumed| {
+            let headers = Cow::Owned(std::mem::take(&mut spans.headers));
+            (spans.head(buf, headers), consumed)
+        }),
+    )
+}
+
+/// [`parse_request_head`] into `spans` (refilled, so a connection that
+/// keeps one parses without allocating), returning only `consumed`: the
+/// one parser both forms share.
+pub fn parse_head_spans(
+    buf: &[u8],
+    max_head_bytes: usize,
+    spans: &mut HeadSpans,
+) -> Result<Option<usize>, HttpParseError> {
+    spans.headers.clear();
     let start = leading_empty_lines(buf);
     let Some(end) = find_head_end(&buf[start..]).map(|end| start + end) else {
         if buf.len() > max_head_bytes {
@@ -171,8 +237,8 @@ pub fn parse_request_head(
     }
     let head = std::str::from_utf8(&buf[start..end - 4]) // strip the \r\n\r\n
         .map_err(|_| HttpParseError::MalformedHeader)?;
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().ok_or(HttpParseError::MalformedRequestLine)?;
+    let mut lines = crlf_lines(head);
+    let request_line = lines.next().expect("a split yields a first line");
     let mut parts = request_line.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
@@ -187,12 +253,13 @@ pub fn parse_request_head(
         v if v.starts_with("HTTP/") => return Err(HttpParseError::UnsupportedVersion),
         _ => return Err(HttpParseError::MalformedRequestLine),
     };
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        if headers.len() >= MAX_HEADERS {
+    // Where a slice of the head text starts and ends in it.
+    let span = |part: &str| {
+        let start = part.as_ptr() as usize - head.as_ptr() as usize;
+        (start as u32, (start + part.len()) as u32)
+    };
+    for line in lines.filter(|line| !line.is_empty()) {
+        if spans.headers.len() >= MAX_HEADERS {
             return Err(HttpParseError::HeadTooLarge);
         }
         let (name, value) = line
@@ -201,17 +268,18 @@ pub fn parse_request_head(
         if name.is_empty() || !name.bytes().all(is_token_byte) {
             return Err(HttpParseError::MalformedHeader);
         }
-        headers.push((name.to_string(), value.trim().to_string()));
+        spans.headers.push(HeaderSpan {
+            name: span(name),
+            value: span(value.trim()),
+        });
     }
-    Ok(Some((
-        RequestHead {
-            method: method.to_string(),
-            target: target.to_string(),
-            version: version.to_string(),
-            headers,
-        },
-        end,
-    )))
+    let target_start = method.len() + 1;
+    spans.start = start;
+    spans.end = end - 4;
+    spans.method_end = method.len();
+    spans.target = (target_start, target_start + target.len());
+    spans.version = version;
+    Ok(Some(end))
 }
 
 /// Bytes taken by the `\r\n` pairs `buf` starts with.
@@ -224,7 +292,47 @@ fn leading_empty_lines(buf: &[u8]) -> usize {
 
 /// Offset just past the `\r\n\r\n` head terminator, if present.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
+    let mut from = 0;
+    while let Some(at) = find_crlf(&buf[from..]).map(|i| from + i) {
+        if buf[at + 2..].starts_with(b"\r\n") {
+            return Some(at + 4);
+        }
+        from = at + 2;
+    }
+    None
+}
+
+/// Where the first `\r\n` in `bytes` starts: a byte search for `\r`,
+/// the cheapest scan of a head's few short lines.
+fn find_crlf(bytes: &[u8]) -> Option<usize> {
+    let mut from = 0;
+    while let Some(at) = bytes[from..].iter().position(|&b| b == b'\r') {
+        let at = from + at;
+        if bytes.get(at + 1) == Some(&b'\n') {
+            return Some(at);
+        }
+        from = at + 1;
+    }
+    None
+}
+
+/// The `\r\n`-separated lines of `text` (what `text.split("\r\n")`
+/// yields, without building a substring searcher per call).
+fn crlf_lines(text: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(text);
+    std::iter::from_fn(move || {
+        let text = rest?;
+        match find_crlf(text.as_bytes()) {
+            Some(at) => {
+                rest = Some(&text[at + 2..]);
+                Some(&text[..at])
+            }
+            None => {
+                rest = None;
+                Some(text)
+            }
+        }
+    })
 }
 
 /// RFC 9110 token bytes (legal in header field names).
@@ -244,28 +352,37 @@ pub fn split_target(target: &str) -> (&str, Option<&str>) {
 /// `form_mode`). `None` on truncated/non-hex escapes or when the decoded
 /// bytes are not UTF-8.
 pub fn percent_decode(s: &str, form_mode: bool) -> Option<String> {
+    let mut out = Vec::with_capacity(s.len());
+    decode_bytes(s, form_mode, &mut out)?;
+    String::from_utf8(out).ok()
+}
+
+/// Append the percent-decoding of `s` to `out`, copying the runs between
+/// escapes whole; `None` on a truncated or non-hex escape (the bytes
+/// appended so far stay).
+fn decode_bytes(s: &str, form_mode: bool, out: &mut Vec<u8>) -> Option<()> {
     let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
+    let (mut run, mut i) = (0, 0);
     while i < bytes.len() {
-        match bytes[i] {
+        let decoded = match bytes[i] {
             b'%' => {
                 let hi = hex_value(*bytes.get(i + 1)?)?;
                 let lo = hex_value(*bytes.get(i + 2)?)?;
-                out.push(hi << 4 | lo);
-                i += 3;
+                (hi << 4 | lo, 3)
             }
-            b'+' if form_mode => {
-                out.push(b' ');
+            b'+' if form_mode => (b' ', 1),
+            _ => {
                 i += 1;
+                continue;
             }
-            b => {
-                out.push(b);
-                i += 1;
-            }
-        }
+        };
+        out.extend_from_slice(&bytes[run..i]);
+        out.push(decoded.0);
+        i += decoded.1;
+        run = i;
     }
-    String::from_utf8(out).ok()
+    out.extend_from_slice(&bytes[run..]);
+    Some(())
 }
 
 fn hex_value(b: u8) -> Option<u8> {
@@ -277,18 +394,85 @@ fn hex_value(b: u8) -> Option<u8> {
     }
 }
 
-/// Decode an `application/x-www-form-urlencoded` query/body into key-value
-/// pairs, in order. Pairs with undecodable keys or values are dropped
-/// (callers treat a missing required key as the 400, which is what a
-/// hostile escape deserves too).
-pub fn parse_form(input: &str) -> Vec<(String, String)> {
+/// Decoded `application/x-www-form-urlencoded` pairs, kept in one text
+/// buffer. A connection keeps one and refills it per request
+/// ([`Self::clear`], [`Self::extend`]), so decoding allocates only while
+/// the buffers grow.
+#[derive(Debug, Clone, Default)]
+pub struct Form {
+    text: String,
+    /// Per pair: where its key ends and where its value ends in `text`
+    /// (each starts where the one before it ends).
+    ends: Vec<(u32, u32)>,
+    /// One component's bytes while they are decoded and checked.
+    decoded: Vec<u8>,
+}
+
+impl Form {
+    /// Drop every pair (the buffers are kept).
+    pub fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+    }
+
+    /// Decode the pairs of a query string or form body and append them, in
+    /// order. Pairs with undecodable keys or values are dropped (callers
+    /// treat a missing required key as the 400, which is what a hostile
+    /// escape deserves too).
+    pub fn extend(&mut self, input: &str) {
+        for (key, value) in form_pairs(input) {
+            let start = self.text.len();
+            let decoded = self.push_decoded(key).and_then(|key_end| {
+                self.push_decoded(value)?;
+                Some(key_end)
+            });
+            match decoded {
+                Some(key_end) => self.ends.push((key_end as u32, self.text.len() as u32)),
+                None => self.text.truncate(start),
+            }
+        }
+    }
+
+    /// Append one decoded component to `text`; where `text` ends, or
+    /// `None` when it does not decode to UTF-8.
+    fn push_decoded(&mut self, component: &str) -> Option<usize> {
+        self.decoded.clear();
+        decode_bytes(component, true, &mut self.decoded)?;
+        self.text.push_str(std::str::from_utf8(&self.decoded).ok()?);
+        Some(self.text.len())
+    }
+
+    /// The pairs, in order.
+    pub fn pairs(&self) -> impl Iterator<Item = (&str, &str)> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&(key_end, value_end)| {
+            let (key_end, value_end) = (key_end as usize, value_end as usize);
+            let pair = (&self.text[start..key_end], &self.text[key_end..value_end]);
+            start = value_end;
+            pair
+        })
+    }
+
+    /// The value of the first pair named `key`.
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.pairs().find(|&(k, _)| k == key).map(|(_, v)| v)
+    }
+}
+
+/// The still-encoded `(key, value)` pairs of a query string or form body.
+fn form_pairs(input: &str) -> impl Iterator<Item = (&str, &str)> {
     input
         .split('&')
         .filter(|pair| !pair.is_empty())
-        .filter_map(|pair| {
-            let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-            Some((percent_decode(k, true)?, percent_decode(v, true)?))
-        })
+        .map(|pair| pair.split_once('=').unwrap_or((pair, "")))
+}
+
+/// Decode an `application/x-www-form-urlencoded` query/body into owned
+/// key-value pairs, in order, dropping undecodable pairs as
+/// [`Form::extend`] does.
+pub fn parse_form(input: &str) -> Vec<(String, String)> {
+    form_pairs(input)
+        .filter_map(|(k, v)| Some((percent_decode(k, true)?, percent_decode(v, true)?)))
         .collect()
 }
 
@@ -412,7 +596,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn parse(text: &str) -> Result<Option<(RequestHead, usize)>, HttpParseError> {
+    fn parse(text: &str) -> Result<Option<(RequestHead<'_>, usize)>, HttpParseError> {
         parse_request_head(text.as_bytes(), 8192)
     }
 
@@ -582,7 +766,7 @@ mod tests {
             "\r\n\r\n\r\nGET / HTTP/1.1\r\n\r\n",
         ] {
             let (head, consumed) = parse(text).unwrap().unwrap();
-            assert_eq!((head.method.as_str(), head.target.as_str()), ("GET", "/"));
+            assert_eq!((head.method, head.target), ("GET", "/"));
             assert_eq!(consumed, text.len(), "the empty lines are consumed too");
         }
         // Only empty lines so far: wait for the request line.
@@ -609,9 +793,14 @@ mod tests {
         )
         .unwrap()
         .unwrap();
+        assert_eq!(head.media_type(), Some("application/x-www-form-urlencoded"));
+        let (head, _) = parse("POST / HTTP/1.1\r\nContent-Type: Application/SPARQL-Query\r\n\r\n")
+            .unwrap()
+            .unwrap();
         assert_eq!(
-            head.media_type().as_deref(),
-            Some("application/x-www-form-urlencoded")
+            head.media_type(),
+            Some("Application/SPARQL-Query"),
+            "verbatim"
         );
     }
 
@@ -643,6 +832,58 @@ mod tests {
             ]
         );
         assert!(parse_form("").is_empty());
+        // An undecodable pair is dropped; its neighbours stay.
+        assert_eq!(
+            parse_form("a=1&bad=%zz&b=%ff&c=3"),
+            vec![
+                ("a".to_string(), "1".to_string()),
+                ("c".to_string(), "3".to_string()),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_form_is_refilled_in_place() {
+        let mut form = Form::default();
+        form.extend("query=SELECT+%2A&timeout=250");
+        form.extend("flag&query=second");
+        assert_eq!(form.get("query"), Some("SELECT *"));
+        assert_eq!(form.get("timeout"), Some("250"));
+        assert_eq!(form.get("flag"), Some(""));
+        assert_eq!(form.get("missing"), None);
+        assert_eq!(form.pairs().count(), 4);
+        form.clear();
+        assert_eq!(form.pairs().count(), 0);
+        form.extend("x=%E2%82%AC");
+        assert!(form.pairs().eq([("x", "€")]));
+    }
+
+    #[test]
+    fn spans_read_back_the_head_they_were_parsed_from() {
+        let text = "\r\nPOST /sparql?x=1 HTTP/1.0\r\nHost: h\r\nAccept:  a/b \r\n\r\nbody";
+        let mut spans = HeadSpans::default();
+        // A refilled index holds only the last head's headers.
+        parse_head_spans(
+            b"GET / HTTP/1.1\r\nA: 1\r\nB: 2\r\nC: 3\r\n\r\n",
+            8192,
+            &mut spans,
+        )
+        .unwrap();
+        let consumed = parse_head_spans(text.as_bytes(), 8192, &mut spans)
+            .unwrap()
+            .unwrap();
+        let (head, parsed) = parse_request_head(text.as_bytes(), 8192).unwrap().unwrap();
+        assert_eq!(
+            (spans.read(text.as_bytes()), consumed),
+            (head.clone(), parsed)
+        );
+        assert_eq!(head.method, "POST");
+        assert_eq!(head.target, "/sparql?x=1");
+        assert_eq!(head.version, "1.0");
+        assert!(head.headers().eq([("Host", "h"), ("Accept", "a/b")]));
+        // A request line alone has no headers.
+        let (head, _) = parse("GET / HTTP/1.1\r\n\r\n").unwrap().unwrap();
+        assert_eq!(head.headers().count(), 0);
     }
 
     /// The char-by-char escapers the bulk kernel replaced, kept as its
@@ -750,6 +991,75 @@ mod tests {
         }
     }
 
+    /// The byte-at-a-time decoder the run-copying one replaced, kept as
+    /// its oracle.
+    fn naive_percent_decode(s: &str, form_mode: bool) -> Option<String> {
+        let bytes = s.as_bytes();
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < bytes.len() {
+            match bytes[i] {
+                b'%' => {
+                    let hi = hex_value(*bytes.get(i + 1)?)?;
+                    let lo = hex_value(*bytes.get(i + 2)?)?;
+                    out.push(hi << 4 | lo);
+                    i += 3;
+                }
+                b'+' if form_mode => {
+                    out.push(b' ');
+                    i += 1;
+                }
+                b => {
+                    out.push(b);
+                    i += 1;
+                }
+            }
+        }
+        String::from_utf8(out).ok()
+    }
+
+    const ENCODED: &[&str] = &[
+        "a",
+        "Z",
+        "%",
+        "+",
+        "=",
+        "&",
+        "2",
+        "F",
+        "f",
+        "%2",
+        "%2F",
+        "%3c",
+        "%E2%82%AC",
+        "%ff",
+        "é",
+        " ",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn decoding_matches_the_byte_at_a_time_oracle(
+            picks in prop::collection::vec(0..ENCODED.len(), 0..24),
+            form_mode in any::<bool>(),
+        ) {
+            let s: String = picks.into_iter().map(|i| ENCODED[i]).collect();
+            prop_assert_eq!(percent_decode(&s, form_mode), naive_percent_decode(&s, form_mode));
+            // A form drops exactly the pairs either half of which fails.
+            let expected: Vec<(String, String)> = s
+                .split('&')
+                .filter(|pair| !pair.is_empty())
+                .filter_map(|pair| {
+                    let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
+                    Some((naive_percent_decode(k, true)?, naive_percent_decode(v, true)?))
+                })
+                .collect();
+            prop_assert_eq!(parse_form(&s), expected);
+        }
+    }
+
     /// Header lines a generated request head draws from: framing,
     /// connection tokens, duplicates and near-misses.
     const HEADERS: &[&str] = &[
@@ -817,10 +1127,9 @@ mod tests {
         assert!(consumed <= max, "consumed {consumed} over the budget {max}");
         if let Ok(Some(length)) = head.content_length() {
             let values: Vec<&str> = head
-                .headers
-                .iter()
+                .headers()
                 .filter(|(name, _)| name.eq_ignore_ascii_case("content-length"))
-                .map(|(_, value)| value.as_str())
+                .map(|(_, value)| value)
                 .collect();
             assert!(!values.is_empty());
             for value in values {

@@ -111,20 +111,11 @@ pub fn intersects<T: U32Rep>(a: &[T], b: &[T]) -> bool {
 }
 
 /// Intersect many sorted slices, smallest-first to keep intermediates
-/// tiny. Returns `None` when `lists` is empty (intersection of nothing is
-/// "everything", which callers must handle explicitly).
-pub fn intersect_many<T: U32Rep>(lists: &[&[T]]) -> Option<Vec<T>> {
-    let mut order = Vec::new();
-    let mut acc = Vec::new();
-    let mut scratch = Vec::new();
-    intersect_many_into(lists, &mut order, &mut acc, &mut scratch).then_some(acc)
-}
-
-/// The reusable-buffer form of [`intersect_many`]: computes the
-/// intersection of all `lists` into `acc` using `order` (the
-/// smallest-first index permutation) and `scratch` (the fold's ping-pong
-/// target) as scratch space, so steady-state callers allocate nothing.
-/// Returns `false` (and clears `acc`) when `lists` is empty.
+/// tiny, into `acc`, using `order` (the smallest-first index permutation)
+/// and `scratch` (the fold's ping-pong target) as scratch space, so
+/// steady-state callers allocate nothing. Returns `false` (and clears
+/// `acc`) when `lists` is empty: the intersection of nothing is
+/// "everything", which callers must handle explicitly.
 pub fn intersect_many_into<T: U32Rep>(
     lists: &[&[T]],
     order: &mut Vec<u32>,
@@ -305,10 +296,13 @@ mod tests {
         let a: Vec<u32> = (0..1000).collect();
         let b = vec![10u32, 20, 30];
         let c: Vec<u32> = (0..500).filter(|x| x % 10 == 0).collect();
-        let got = intersect_many(&[&a, &b, &c]).unwrap();
-        assert_eq!(got, vec![10, 20, 30]);
-        assert_eq!(intersect_many::<u32>(&[]), None);
-        assert_eq!(intersect_many(&[&b[..]]), Some(b.clone()));
+        let many = |lists: &[&[u32]]| {
+            let (mut order, mut acc, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+            intersect_many_into(lists, &mut order, &mut acc, &mut scratch).then_some(acc)
+        };
+        assert_eq!(many(&[&a, &b, &c]), Some(vec![10, 20, 30]));
+        assert_eq!(many(&[]), None);
+        assert_eq!(many(&[&b[..]]), Some(b.clone()));
     }
 
     #[test]

@@ -78,17 +78,17 @@ fn online_stage_reproduces_section_5() {
             rdf.vertex_by_key(&row[pos]).expect("binding is a vertex")
         };
         for edge in qg.edges() {
-            let from = vertex_of(&qg.vertex(edge.from).name);
-            let to = vertex_of(&qg.vertex(edge.to).name);
+            let from = vertex_of(qg.name(edge.from));
+            let to = vertex_of(qg.name(edge.to));
             assert!(
-                graph.has_multi_edge(from, to, edge.types.types()),
+                graph.has_multi_edge(from, to, qg.types(edge.types)),
                 "edge {:?} violated by {row:?}",
                 edge
             );
         }
         for u in qg.vertex_ids() {
-            let v = vertex_of(&qg.vertex(u).name);
-            assert!(graph.has_attributes(v, &qg.vertex(u).attrs));
+            let v = vertex_of(qg.name(u));
+            assert!(graph.has_attributes(v, qg.vertex(u).attrs));
         }
     }
 

@@ -42,7 +42,7 @@ fn lossless(benchmark: Benchmark, scale: u32, seed: u64) {
             for query in generator.generate_many(&WorkloadConfig::new(shape, size), 6) {
                 let qg = QueryGraph::build(&query.query, &rdf).expect("generated queries build");
                 for u in (0..qg.vertex_count()).map(|u| QVertexId(u as u32)) {
-                    let synopsis = qg.signature(u).query_synopsis();
+                    let synopsis = qg.query_synopsis(u, &mut Vec::new());
                     unconstrained_directions += [2, 6]
                         .iter()
                         .filter(|&&f| synopsis.0[f] == i64::MIN)

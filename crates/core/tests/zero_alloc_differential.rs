@@ -125,7 +125,7 @@ impl<'a> Reference<'a> {
             for list in self.probe_from(u, v, s) {
                 acc = Some(match acc {
                     None => list,
-                    Some(prev) => sorted::intersect(&prev, &list),
+                    Some(prev) => intersect(&prev, &list),
                 });
             }
             let resolved = self.refine(s, acc.expect("satellite touches its core"));
@@ -152,7 +152,7 @@ impl<'a> Reference<'a> {
                 for list in self.probe_from(prior, prior_match, next) {
                     acc = Some(match acc {
                         None => list,
-                        Some(prev) => sorted::intersect(&prev, &list),
+                        Some(prev) => intersect(&prev, &list),
                     });
                 }
             }
@@ -164,6 +164,13 @@ impl<'a> Reference<'a> {
         assignment.pop();
         satellite_sets.truncate(sats_before);
     }
+}
+
+/// `a ∩ b` into a fresh vector: the reference owns every intermediate.
+fn intersect(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
+    let mut out = Vec::new();
+    sorted::intersect_slices_into(a, b, &mut out);
+    out
 }
 
 // ---------------------------------------------------------------------------

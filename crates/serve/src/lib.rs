@@ -149,9 +149,6 @@ pub struct ServeConfig {
     /// across all tenants. A full queue rejects with
     /// [`Error::Overloaded`].
     pub queue_capacity: usize,
-    /// Record the tenant of every dispatch, in order, for the
-    /// [`ServeReport`] — the observable fairness is asserted on this.
-    pub record_dispatch: bool,
     /// Execution options for every request; their
     /// `result_cache_capacity` also sizes each tenant's session result
     /// cache, once, when the session is created. Defaults to
@@ -173,7 +170,6 @@ impl Default for ServeConfig {
         Self {
             workers: 2,
             queue_capacity: 256,
-            record_dispatch: false,
             options: ExecOptions::batch(),
             slow_query_threshold: None,
         }
@@ -289,9 +285,6 @@ struct DispatchState {
     sleepers: usize,
     draining: bool,
     rejected: u64,
-    /// Tenant of every dispatch, in order — `Some` iff
-    /// [`ServeConfig::record_dispatch`].
-    dispatch_order: Option<Vec<Arc<str>>>,
     /// EWMA of executed-request service time in nanoseconds (0 until the
     /// first completion); feeds the `Overloaded` retry-after hint.
     service_ewma_ns: u64,
@@ -375,9 +368,6 @@ impl DispatchState {
         m.queue_depth.set(self.queued as i64);
         m.queue_wait_us
             .observe(request.job.admitted.elapsed().as_micros() as u64);
-        if let Some(order) = &mut self.dispatch_order {
-            order.push(Arc::clone(&tenant));
-        }
         let dispatch = Dispatch {
             tenant,
             job: request.job,
@@ -613,10 +603,7 @@ impl Server {
         export_offline_stats(&engine);
         let core = Core {
             engine,
-            state: Mutex::new(DispatchState {
-                dispatch_order: config.record_dispatch.then(Vec::new),
-                ..DispatchState::default()
-            }),
+            state: Mutex::new(DispatchState::default()),
             turn: Condvar::new(),
             options: config.options,
             workers: config.workers.max(1),
@@ -815,12 +802,6 @@ impl Server {
             internal_faults: state.internal_faults,
             drain_faults: state.drain_faults,
             result_stats: aggregate,
-            dispatch_order: state
-                .dispatch_order
-                .iter()
-                .flatten()
-                .map(|t| t.to_string())
-                .collect(),
             inline_dispatches: state.inline_dispatches,
             queued_dispatches: state.queued_dispatches,
             peak_inflight: state.peak_inflight,
@@ -870,9 +851,6 @@ pub struct ServeReport {
     pub drain_faults: u64,
     /// All tenants' result-cache counters summed.
     pub result_stats: CacheStats,
-    /// Tenant of every dispatch in dispatch order, inline or queued
-    /// (empty unless [`ServeConfig::record_dispatch`]).
-    pub dispatch_order: Vec<String>,
     /// Requests run by the thread waiting on them ([`Ticket::wait`],
     /// [`Server::execute`]).
     pub inline_dispatches: u64,
@@ -1053,34 +1031,57 @@ mod tests {
 
     #[test]
     fn dispatch_is_round_robin_across_tenants() {
-        let engine = demo_engine();
-        let server = Server::start(
-            Arc::clone(&engine),
-            ServeConfig {
-                workers: 1,
-                record_dispatch: true,
-                ..ServeConfig::default()
-            },
-        );
         // A heavy tenant piles up 3 requests before two light tenants
-        // submit one each; one thread then redeems them in submission
-        // order. Redeeming heavy's second ticket runs the light tenants'
-        // turns first: nobody waits on them, and they are ahead of it.
-        let mut tickets = Vec::new();
-        for _ in 0..3 {
-            tickets.push(server.submit_sparql("heavy", CHAIN).unwrap());
+        // submit one each.
+        let submit = |server: &Server| -> (Vec<Ticket>, Vec<Ticket>) {
+            let heavy = (0..3)
+                .map(|_| server.submit_sparql("heavy", CHAIN).unwrap())
+                .collect();
+            let light = ["light-1", "light-2"]
+                .iter()
+                .map(|t| server.submit_sparql(t, EDGE).unwrap())
+                .collect();
+            (heavy, light)
+        };
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+
+        // The turns, in order, as the drain takes them.
+        let server = Server::start(demo_engine(), config.clone());
+        let (heavy, light) = submit(&server);
+        let order: Vec<String> = std::iter::from_fn(|| take(&server, None))
+            .map(|t| t.to_string())
+            .collect();
+        assert_eq!(
+            order,
+            ["heavy", "light-1", "light-2", "heavy", "heavy"],
+            "light tenants are served after ONE heavy request, not after its whole backlog"
+        );
+        for ticket in heavy.into_iter().chain(light) {
+            ticket.wait().unwrap();
         }
-        tickets.push(server.submit_sparql("light-1", EDGE).unwrap());
-        tickets.push(server.submit_sparql("light-2", EDGE).unwrap());
-        for ticket in tickets {
+        server.shutdown();
+
+        // One thread redeems the tickets in submission order. Redeeming
+        // heavy's second ticket runs the light tenants' turns first: nobody
+        // waits on them, and they are ahead of it.
+        let server = Server::start(demo_engine(), config);
+        let (heavy, light) = submit(&server);
+        let answered = |t: &Ticket| t.inner.slot().is_some();
+        let mut heavy = heavy.into_iter();
+        heavy.next().unwrap().wait().unwrap();
+        assert!(!light.iter().any(answered), "one heavy request ran alone");
+        heavy.next().unwrap().wait().unwrap();
+        assert!(
+            light.iter().all(answered),
+            "both light requests ran before heavy's second"
+        );
+        for ticket in heavy.chain(light) {
             ticket.wait().unwrap();
         }
         let report = server.shutdown();
-        assert_eq!(
-            report.dispatch_order,
-            vec!["heavy", "light-1", "light-2", "heavy", "heavy"],
-            "light tenants are served after ONE heavy request, not after its whole backlog"
-        );
         assert_eq!(
             report.inline_dispatches, 3,
             "each heavy ticket by its waiter"
@@ -1261,12 +1262,12 @@ mod tests {
     }
 
     /// Take one turn as a thread blocked on `own` would (`None`: the
-    /// drain), run it, answer its ticket, and name its tenant.
-    fn take(server: &Server, own: Option<&Ticket>) -> Option<String> {
+    /// drain), run it, answer its ticket, and return the tenant it carried.
+    fn take(server: &Server, own: Option<&Ticket>) -> Option<Arc<str>> {
         let mut state = server.core.lock();
         let (dispatch, ticket) = state.take_turn(own.map(|t| &*t.inner), server.core.workers)?;
         drop(state);
-        let tenant = dispatch.tenant.to_string();
+        let tenant = Arc::clone(&dispatch.tenant);
         let (_state, result) = server.core.run_dispatch(dispatch);
         let ticket = ticket.or_else(|| own.map(|t| Arc::clone(&t.inner)));
         *ticket.expect("a turn answers some ticket").slot() = Some(result);
@@ -1344,13 +1345,7 @@ mod tests {
 
     #[test]
     fn execute_on_an_idle_server_runs_inline() {
-        let server = Server::start(
-            demo_engine(),
-            ServeConfig {
-                record_dispatch: true,
-                ..ServeConfig::default()
-            },
-        );
+        let server = Server::start(demo_engine(), ServeConfig::default());
         for (tenant, query) in [("a", CHAIN), ("b", EDGE), ("a", EDGE), ("a", CHAIN)] {
             let outcome = server.execute(tenant, query, None).unwrap();
             assert_eq!(outcome.embedding_count, 1);
@@ -1370,8 +1365,8 @@ mod tests {
         let report = server.shutdown();
         assert_eq!(report.inline_dispatches, 5);
         assert_eq!(report.queued_dispatches, 0);
-        assert_eq!(report.dispatch_order, vec!["a", "b", "a", "a", "a"]);
         assert_eq!(report.served_for("a"), 4);
+        assert_eq!(report.served_for("b"), 1);
         let a = report.tenants.iter().find(|t| t.tenant == "a").unwrap();
         assert_eq!(
             a.queries_executed, 4,
@@ -1478,7 +1473,6 @@ mod tests {
             ServeConfig {
                 workers: 1,
                 queue_capacity: TENANTS + 1,
-                record_dispatch: true,
                 ..ServeConfig::default()
             },
         );
@@ -1486,9 +1480,9 @@ mod tests {
             .map(|t| server.submit_sparql(&format!("tenant-{t}"), EDGE).unwrap())
             .collect();
         tickets.push(server.submit_sparql("tenant-17", CHAIN).unwrap());
-        for ticket in tickets {
-            ticket.wait().unwrap();
-        }
+        let dispatched: Vec<Arc<str>> = std::iter::from_fn(|| take(&server, None))
+            .filter(|t| **t == *"tenant-17")
+            .collect();
         {
             let state = server.core.lock();
             assert_eq!(
@@ -1497,17 +1491,14 @@ mod tests {
                 "the repeat made no new tenant"
             );
             let (key, _) = state.tenants.get_key_value("tenant-17").unwrap();
-            let dispatched: Vec<&Arc<str>> = state
-                .dispatch_order
-                .iter()
-                .flatten()
-                .filter(|t| ***t == *"tenant-17")
-                .collect();
             assert_eq!(dispatched.len(), 2);
             assert!(
                 dispatched.iter().all(|t| Arc::ptr_eq(t, key)),
                 "both dispatches carry the map's own Arc, not a re-interned copy"
             );
+        }
+        for ticket in tickets {
+            ticket.wait().unwrap();
         }
         let report = server.shutdown();
         let repeat = report

@@ -10,9 +10,10 @@
 //!   exact-size pool, the layout of the offline graph and its indexes.
 //! * [`heap_size`] — deep heap-size accounting, used to reproduce the memory
 //!   columns of Table 5 of the paper analytically.
-//! * [`sorted`] — set algebra over sorted slices (intersection, union,
-//!   containment); the OTIL and attribute indexes are built on these, with
-//!   runtime-dispatched SIMD kernels for `u32`-shaped elements.
+//! * [`sorted`] — set algebra over sorted slices (intersection, the
+//!   `intersects` and `is_subset` checks); the OTIL and attribute indexes
+//!   are built on these, with a runtime-dispatched AVX2 intersection
+//!   kernel for `u32`-shaped elements and a scalar fallback.
 //! * [`genmap`] — a bounded generationally-evicted map, the storage engine
 //!   of the session's result cache.
 //! * [`timing`] — stopwatch and cooperative deadline used to implement the

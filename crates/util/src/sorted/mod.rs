@@ -3,17 +3,20 @@
 //! The neighbourhood index `N` (OTIL) and the attribute index `A` both store
 //! candidate vertex lists as sorted `u32`-shaped slices; query evaluation is
 //! then a cascade of intersections (paper §4.1, §4.3, Algorithm 4 line 7).
-//! These kernels are the hot path of the whole engine, so they are
-//! specialized three ways:
+//! Intersection is the hot path of the whole engine, so it is specialized
+//! two ways:
 //!
-//! * [`kernels`] — runtime-dispatched SSE2/AVX2 block kernels over `u32`
-//!   with an adaptive merge/gallop/SIMD strategy per call;
-//! * [`scalar`] — the portable generic reference the kernels are pinned to
-//!   (differential tests) and fall back on (non-x86-64 hosts);
-//! * this module — the typed public API. The id newtypes used across the
-//!   workspace (`VertexId`, `EdgeTypeId`, …) implement [`U32Rep`], so their
-//!   slices are reinterpreted as `&[u32]` and run on the fast layer with no
-//!   per-call conversion.
+//! * [`kernels`] — a runtime-dispatched AVX2 block kernel over `u32` with
+//!   an adaptive merge/gallop/SIMD strategy per call;
+//! * [`scalar`] — the portable generic reference the kernel is pinned to
+//!   (differential tests) and falls back on (hosts without AVX2).
+//!
+//! This module is the typed public API: intersection out of place, in
+//! place and over many lists, and two scalar predicates, [`intersects`]
+//! and [`is_subset`]. The id newtypes used across the workspace
+//! (`VertexId`, `EdgeTypeId`, …) implement [`U32Rep`], so their slices are
+//! reinterpreted as `&[u32]` and run on the fast layer with no per-call
+//! conversion.
 
 pub mod kernels;
 pub mod scalar;
@@ -74,16 +77,6 @@ fn with_vec_u32<T: U32Rep, R>(v: &mut Vec<T>, f: impl FnOnce(&mut Vec<u32>) -> R
     result
 }
 
-/// Intersect two sorted deduplicated slices into a fresh vector.
-///
-/// Dispatches through the kernel suite: galloping for skewed sizes, SIMD
-/// blocks for long balanced inputs, scalar merge for short ones.
-pub fn intersect<T: U32Rep>(a: &[T], b: &[T]) -> Vec<T> {
-    let mut out = Vec::new();
-    intersect_slices_into(a, b, &mut out);
-    out
-}
-
 /// Intersect two sorted slices into a caller-provided buffer (cleared
 /// first) — the kernel of the matcher's probe-intersection cascades, which
 /// keep all intermediates in reusable `SearchState` buffers.
@@ -105,31 +98,27 @@ pub fn intersect_in_place<T: U32Rep>(acc: &mut Vec<T>, other: &[T]) {
 
 /// Do two sorted slices share at least one element? Early-exits on the
 /// first hit; gallops with an exponential window when the sizes are
-/// skewed. The allocation-free core of `NeighborhoodIndex::has_neighbor`.
-pub fn intersects<T: U32Rep>(a: &[T], b: &[T]) -> bool {
-    kernels::intersects_at(kernels::level(), as_u32s(a), as_u32s(b))
+/// skewed, merges otherwise. The allocation-free core of
+/// `NeighborhoodIndex::has_neighbor`'s two-type check.
+pub fn intersects<T: Ord + Copy>(a: &[T], b: &[T]) -> bool {
+    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if small.is_empty() {
+        return false;
+    }
+    if large.len() / small.len() >= kernels::GALLOP_RATIO {
+        return scalar::gallop_intersects(small, large);
+    }
+    scalar::merge_intersects(small, large)
 }
 
-/// Intersect many sorted slices, smallest-first to keep intermediates
-/// tiny, into `acc`, using `order` (the smallest-first index permutation)
-/// and `scratch` (the fold's ping-pong target) as scratch space, so
-/// steady-state callers allocate nothing. Returns `false` (and clears
-/// `acc`) when `lists` is empty: the intersection of nothing is
+/// Intersect the `count` sorted lists yielded by `list(0..count)`,
+/// smallest-first to keep intermediates tiny, into `acc`, without
+/// materializing a list-of-lists (the attribute index resolves ids to
+/// inverted lists on the fly). `order` (the smallest-first index
+/// permutation) and `scratch` (the fold's ping-pong target) are scratch
+/// space, so steady-state callers allocate nothing. Returns `false` (and
+/// clears `acc`) when `count` is 0: the intersection of nothing is
 /// "everything", which callers must handle explicitly.
-pub fn intersect_many_into<T: U32Rep>(
-    lists: &[&[T]],
-    order: &mut Vec<u32>,
-    acc: &mut Vec<T>,
-    scratch: &mut Vec<T>,
-) -> bool {
-    intersect_many_with(lists.len(), |i| lists[i], order, acc, scratch)
-}
-
-/// The accessor form of [`intersect_many_into`]: intersects the `count`
-/// lists yielded by `list(0..count)` without materializing a list-of-lists
-/// (the attribute index resolves ids to inverted lists on the fly).
-/// Same contract otherwise: smallest-first fold through `order`/`scratch`,
-/// `false` (with `acc` cleared) when `count` is 0.
 pub fn intersect_many_with<'a, T: U32Rep + 'a>(
     count: usize,
     list: impl Fn(usize) -> &'a [T],
@@ -163,24 +152,17 @@ pub fn intersect_many_with<'a, T: U32Rep + 'a>(
     true
 }
 
-/// Union of two sorted deduplicated slices.
-pub fn union<T: U32Rep>(a: &[T], b: &[T]) -> Vec<T> {
-    let mut out = Vec::new();
-    with_vec_u32(&mut out, |out| {
-        kernels::union_at(kernels::level(), as_u32s(a), as_u32s(b), out)
-    });
-    out
-}
-
 /// Is sorted deduplicated `needle` a subset of sorted deduplicated
-/// `haystack`?
-pub fn is_subset<T: U32Rep>(needle: &[T], haystack: &[T]) -> bool {
-    kernels::is_subset_at(kernels::level(), as_u32s(needle), as_u32s(haystack))
-}
-
-/// Binary-search membership test.
-pub fn contains<T: Ord>(sorted: &[T], x: &T) -> bool {
-    sorted.binary_search(x).is_ok()
+/// `haystack`? Gallops each needle element through the haystack when it is
+/// at least [`kernels::GALLOP_RATIO`]× longer, walks both otherwise.
+pub fn is_subset<T: Ord + Copy>(needle: &[T], haystack: &[T]) -> bool {
+    if needle.len() > haystack.len() {
+        return false;
+    }
+    if !needle.is_empty() && haystack.len() / needle.len() >= kernels::GALLOP_RATIO {
+        return scalar::gallop_is_subset(needle, haystack);
+    }
+    scalar::is_subset(needle, haystack)
 }
 
 /// Sort and deduplicate in place; the canonical form used across indexes.
@@ -193,10 +175,16 @@ pub fn normalize<T: Ord>(v: &mut Vec<T>) {
 mod tests {
     use super::*;
 
+    fn intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
+        let mut out = Vec::new();
+        intersect_slices_into(a, b, &mut out);
+        out
+    }
+
     #[test]
     fn intersect_basic() {
         assert_eq!(intersect(&[1u32, 3, 5, 7], &[2, 3, 4, 7, 9]), vec![3, 7]);
-        assert_eq!(intersect::<u32>(&[], &[1, 2]), Vec::<u32>::new());
+        assert_eq!(intersect(&[], &[1, 2]), Vec::<u32>::new());
         assert_eq!(intersect(&[1u32, 2], &[1, 2]), vec![1, 2]);
     }
 
@@ -298,7 +286,14 @@ mod tests {
         let c: Vec<u32> = (0..500).filter(|x| x % 10 == 0).collect();
         let many = |lists: &[&[u32]]| {
             let (mut order, mut acc, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
-            intersect_many_into(lists, &mut order, &mut acc, &mut scratch).then_some(acc)
+            intersect_many_with(
+                lists.len(),
+                |i| lists[i],
+                &mut order,
+                &mut acc,
+                &mut scratch,
+            )
+            .then_some(acc)
         };
         assert_eq!(many(&[&a, &b, &c]), Some(vec![10, 20, 30]));
         assert_eq!(many(&[]), None);
@@ -306,48 +301,23 @@ mod tests {
     }
 
     #[test]
-    fn intersect_many_into_reuses_buffers() {
+    fn intersect_many_with_reuses_buffers() {
         let a: Vec<u32> = (0..100).collect();
         let b: Vec<u32> = (0..100).map(|x| x * 2).collect();
         let c: Vec<u32> = (0..100).map(|x| x * 3).collect();
         let (mut order, mut acc, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
-        assert!(intersect_many_into(
-            &[&a, &b, &c],
-            &mut order,
-            &mut acc,
-            &mut scratch
-        ));
+        let mut many = |lists: &[&[u32]], acc: &mut Vec<u32>| {
+            intersect_many_with(lists.len(), |i| lists[i], &mut order, acc, &mut scratch)
+        };
+        assert!(many(&[&a, &b, &c], &mut acc));
         let expected: Vec<u32> = (0..100u32).filter(|x| x % 6 == 0).collect();
         assert_eq!(acc, expected);
         // Second call with dirty buffers must start clean.
-        assert!(intersect_many_into(
-            &[&b, &a],
-            &mut order,
-            &mut acc,
-            &mut scratch
-        ));
+        assert!(many(&[&b, &a], &mut acc));
         let evens_below_100: Vec<u32> = (0..100u32).filter(|x| x % 2 == 0).collect();
         assert_eq!(acc, evens_below_100);
-        assert!(!intersect_many_into::<u32>(
-            &[],
-            &mut order,
-            &mut acc,
-            &mut scratch
-        ));
+        assert!(!many(&[], &mut acc));
         assert!(acc.is_empty());
-    }
-
-    #[test]
-    fn union_merges_and_dedups() {
-        assert_eq!(union(&[1u32, 3, 5], &[2, 3, 6]), vec![1, 2, 3, 5, 6]);
-        assert_eq!(union::<u32>(&[], &[]), Vec::<u32>::new());
-        assert_eq!(union(&[1u32], &[]), vec![1]);
-        // Long enough for the block-assisted path.
-        let evens: Vec<u32> = (0..200).map(|x| x * 2).collect();
-        let odds: Vec<u32> = (0..200).map(|x| x * 2 + 1).collect();
-        let all: Vec<u32> = (0..400).collect();
-        assert_eq!(union(&evens, &odds), all);
-        assert_eq!(union(&all, &evens), all);
     }
 
     #[test]
@@ -357,6 +327,10 @@ mod tests {
         assert!(!is_subset(&[2u32, 5], &[1, 2, 3, 4]));
         assert!(!is_subset(&[1u32, 2, 3], &[1, 2]));
         assert!(is_subset(&[1u32, 2], &[1, 2]));
+        // A haystack 16× the needle or longer takes the galloping walk.
+        let large: Vec<u32> = (0..1000).collect();
+        assert!(is_subset(&[5u32, 500, 999], &large));
+        assert!(!is_subset(&[5u32, 500, 1000], &large));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Portable scalar reference kernels.
 //!
-//! Every function here is the *semantic definition* of its SIMD counterpart
-//! in [`super::kernels`]: generic over any `Ord + Copy` element, no
-//! target-feature requirements, no `unsafe`. The differential test suite
-//! pins each dispatched kernel to these implementations, and the dispatcher
-//! falls back to them on non-x86-64 hosts.
+//! Generic over any `Ord + Copy` element, no target-feature requirements,
+//! no `unsafe`. [`merge_intersect`] is the *semantic definition* of the
+//! AVX2 intersection in [`super::kernels`]: the differential test suite
+//! pins the dispatched kernel to it, and the dispatcher falls back on the
+//! merge and gallop loops here on hosts without AVX2. The existence and
+//! subset checks have no SIMD counterpart; [`super::intersects`] and
+//! [`super::is_subset`] pick between their merge and gallop forms.
 //!
 //! All inputs are sorted and deduplicated; all outputs preserve that
 //! invariant.
@@ -157,48 +159,4 @@ pub fn gallop_is_subset<T: Ord + Copy>(needle: &[T], haystack: &[T]) -> bool {
         }
     }
     true
-}
-
-/// Union for skewed sizes: walk `small`, gallop through `large`, and move
-/// each run between consecutive insertion points with one bulk copy
-/// (`extend_from_slice` lowers to a register-wide memcpy) instead of
-/// element-by-element merging.
-#[inline]
-pub fn gallop_union<T: Ord + Copy>(small: &[T], large: &[T], out: &mut Vec<T>) {
-    let mut lo = 0usize;
-    for &x in small {
-        let (found, next) = gallop_step(large, lo, x);
-        // `next` is past the match when found, at the insertion point
-        // otherwise; either way `large[lo..insert]` precedes `x` strictly.
-        let insert = if found { next - 1 } else { next };
-        out.extend_from_slice(&large[lo..insert]);
-        out.push(x);
-        lo = next;
-    }
-    out.extend_from_slice(&large[lo..]);
-}
-
-/// Union of two sorted deduplicated slices, appending to `out`.
-#[inline]
-pub fn union<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
 }

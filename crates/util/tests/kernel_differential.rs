@@ -1,20 +1,21 @@
-//! Differential suite pinning every SIMD set-algebra kernel to the scalar
+//! Differential suite pinning the set-algebra kernels to the scalar
 //! reference implementation.
 //!
-//! Every level the host can run (`scalar`, `sse2`, `avx2`) is exercised on
-//! the *same* adversarial inputs: lengths straddling the SIMD block sizes
-//! (4/8 lanes) and the 16× gallop cutoff, empty/singleton extremes, dense
-//! all-hit runs and disjoint all-miss runs. A divergence anywhere fails
-//! with the offending level and inputs.
+//! Every level the host can run (`scalar`, `avx2`) is exercised on the
+//! *same* adversarial inputs: lengths straddling the SIMD block size (8
+//! lanes) and the 16× gallop cutoff, empty/singleton extremes, dense
+//! all-hit runs and disjoint all-miss runs. The scalar-only predicates
+//! (`intersects`, `is_subset`) run on the same inputs once. A divergence
+//! anywhere fails with the offending level and inputs.
 
 use amber_util::sorted::kernels::{self, KernelLevel};
-use amber_util::sorted::scalar;
+use amber_util::sorted::{self, scalar};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
 /// Every kernel level this host can execute (always includes Scalar).
 fn runnable_levels() -> Vec<KernelLevel> {
-    [KernelLevel::Scalar, KernelLevel::Sse2, KernelLevel::Avx2]
+    [KernelLevel::Scalar, KernelLevel::Avx2]
         .into_iter()
         .filter(|&level| kernels::available(level))
         .collect()
@@ -26,15 +27,11 @@ fn norm(mut v: Vec<u32>) -> Vec<u32> {
     v
 }
 
-/// Check all five kernels of one level against the scalar oracles.
+/// Check both intersection kernels of one level against the scalar oracle.
 fn check_level(level: KernelLevel, a: &[u32], b: &[u32]) -> Result<(), TestCaseError> {
-    // Oracles: the pure generic reference, no strategy layer involved.
+    // Oracle: the pure generic reference, no strategy layer involved.
     let mut expect_intersect = Vec::new();
     scalar::merge_intersect(a, b, &mut expect_intersect);
-    let mut expect_union = Vec::new();
-    scalar::union(a, b, &mut expect_union);
-    let expect_intersects = !expect_intersect.is_empty();
-    let expect_subset = scalar::is_subset(a, b);
 
     let mut got = vec![0xDEAD_BEEFu32]; // dirty buffer: must be cleared
     kernels::intersect_into_at(level, a, b, &mut got);
@@ -57,45 +54,49 @@ fn check_level(level: KernelLevel, a: &[u32], b: &[u32]) -> Result<(), TestCaseE
         a,
         b
     );
+    Ok(())
+}
 
+/// Check the scalar predicates' strategy layer (merge or gallop) against
+/// the plain merge oracles.
+fn check_predicates(a: &[u32], b: &[u32]) -> Result<(), TestCaseError> {
+    let mut expect_intersect = Vec::new();
+    scalar::merge_intersect(a, b, &mut expect_intersect);
     prop_assert_eq!(
-        kernels::intersects_at(level, a, b),
-        expect_intersects,
-        "intersects diverged at {:?}: a={:?} b={:?}",
-        level,
+        sorted::intersects(a, b),
+        !expect_intersect.is_empty(),
+        "intersects diverged: a={:?} b={:?}",
         a,
         b
     );
-
     prop_assert_eq!(
-        kernels::is_subset_at(level, a, b),
-        expect_subset,
-        "is_subset diverged at {:?}: needle={:?} hay={:?}",
-        level,
-        a,
-        b
-    );
-
-    let mut union_got = vec![7u32];
-    kernels::union_at(level, a, b, &mut union_got);
-    prop_assert_eq!(
-        &union_got,
-        &expect_union,
-        "union diverged at {:?}: a={:?} b={:?}",
-        level,
+        sorted::is_subset(a, b),
+        scalar::is_subset(a, b),
+        "is_subset diverged: needle={:?} hay={:?}",
         a,
         b
     );
     Ok(())
 }
 
+/// Every check on `(a, b)` and on `(b, a)`: argument order must not matter
+/// for the symmetric kernels, and `is_subset` takes both directions.
+fn check_all(a: &[u32], b: &[u32]) -> Result<(), TestCaseError> {
+    for level in runnable_levels() {
+        check_level(level, a, b)?;
+        check_level(level, b, a)?;
+    }
+    check_predicates(a, b)?;
+    check_predicates(b, a)
+}
+
 /// Sorted-deduplicated input classes: the length buckets straddle the
-/// 4/8-lane block sizes and the 16-element SIMD threshold; the value
+/// 8-lane block size and the 16-element SIMD threshold; the value
 /// ranges set up dense (all-hit-ish) and sparse (all-miss-ish) regimes.
 fn list_strategy() -> impl Strategy<Value = Vec<u32>> {
     prop_oneof![
         prop::collection::vec(0u32..40, 0..4), // empty / singleton / tiny
-        prop::collection::vec(0u32..60, 2..11), // straddles one SSE2 block
+        prop::collection::vec(0u32..60, 2..11), // straddles one 8-lane block
         prop::collection::vec(0u32..200, 12..20), // straddles SIMD_MIN_LEN (16)
         prop::collection::vec(0u32..400, 56..72), // multi-block, dense hits
         prop::collection::vec(0u32..1_000_000, 56..72), // multi-block, sparse
@@ -111,13 +112,7 @@ proptest! {
         raw_a in list_strategy(),
         raw_b in list_strategy(),
     ) {
-        let a = norm(raw_a);
-        let b = norm(raw_b);
-        for level in runnable_levels() {
-            check_level(level, &a, &b)?;
-            // Argument order must not matter for the symmetric kernels.
-            check_level(level, &b, &a)?;
-        }
+        check_all(&norm(raw_a), &norm(raw_b))?;
     }
 
     #[test]
@@ -135,11 +130,7 @@ proptest! {
             small.push(hit);
         }
         small.push(extra);
-        let small = norm(small);
-        for level in runnable_levels() {
-            check_level(level, &small, &large)?;
-            check_level(level, &large, &small)?;
-        }
+        check_all(&norm(small), &large)?;
     }
 
     #[test]
@@ -156,38 +147,33 @@ proptest! {
             .filter(|(i, _)| keep_mask & (1 << (i % 64)) != 0)
             .map(|(_, &x)| x)
             .collect();
-        for level in runnable_levels() {
-            prop_assert_eq!(
-                kernels::is_subset_at(level, &needle, &hay),
-                true,
-                "true subset rejected at {:?}: needle={:?} hay={:?}",
-                level, &needle, &hay
+        prop_assert!(
+            sorted::is_subset(&needle, &hay),
+            "true subset rejected: needle={:?} hay={:?}",
+            &needle, &hay
+        );
+        // Poison the needle with one element missing from the haystack;
+        // the subset check must then fail.
+        if !hay.contains(&intruder) {
+            let poisoned = norm([needle.clone(), vec![intruder]].concat());
+            prop_assert!(
+                !sorted::is_subset(&poisoned, &hay),
+                "poisoned subset accepted: needle={:?} hay={:?}",
+                &poisoned, &hay
             );
-            // Poison the needle with one element missing from the haystack;
-            // the subset check must then fail at every level.
-            if !hay.contains(&intruder) {
-                let poisoned = norm([needle.clone(), vec![intruder]].concat());
-                prop_assert_eq!(
-                    kernels::is_subset_at(level, &poisoned, &hay),
-                    false,
-                    "poisoned subset accepted at {:?}: needle={:?} hay={:?}",
-                    level, &poisoned, &hay
-                );
-            }
         }
     }
 }
 
 /// Handpicked extremes that random sampling can miss: exact block-size
 /// lengths, identical inputs (all-hit), shifted copies (all-miss), and the
-/// exact 16× and 256× gallop boundaries.
+/// gallop boundary at 16× and skews far past it.
 #[test]
 fn crafted_adversarial_cases() {
     // The size pairs below sit on these cutoffs, so they also pin which
     // strategy (merge, SIMD block, gallop) each shape takes.
     assert_eq!(kernels::GALLOP_RATIO, 16);
     assert_eq!(kernels::SIMD_MIN_LEN, 16);
-    assert_eq!(kernels::UNION_GALLOP_RATIO, 256);
     let evens: Vec<u32> = (0..64).map(|x| x * 2).collect();
     let odds: Vec<u32> = (0..64).map(|x| x * 2 + 1).collect();
     let mut cases: Vec<(Vec<u32>, Vec<u32>)> = vec![
@@ -210,18 +196,15 @@ fn crafted_adversarial_cases() {
             ));
         }
     }
-    // The exact gallop boundaries, intersection (16×) and union (256×),
-    // over one small list.
+    // The exact gallop boundary (16×) and skews far past it, over one small
+    // list.
     for ratio in [15usize, 16, 17, 255, 256, 257] {
         let small: Vec<u32> = (0..8u32).map(|x| x * 1000).collect();
         let large: Vec<u32> = (0..(8 * ratio) as u32).map(|x| x * 31).collect();
         cases.push((small, large));
     }
     for (a, b) in &cases {
-        for level in runnable_levels() {
-            check_level(level, a, b).unwrap_or_else(|e| panic!("{e}"));
-            check_level(level, b, a).unwrap_or_else(|e| panic!("{e}"));
-        }
+        check_all(a, b).unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
